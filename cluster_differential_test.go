@@ -12,11 +12,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
+	"zoomlens/internal/capture"
 	"zoomlens/internal/cluster"
 	"zoomlens/internal/core"
+	"zoomlens/internal/faultpcap"
 	"zoomlens/internal/pcap"
 )
 
@@ -151,6 +154,77 @@ func clusterRun(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt
 	}
 	merged.Finish()
 	return renderReport(merged)
+}
+
+// headAccounting is everything the front end records about a capture.
+// All three tiers run the same front end, so it must not depend on what
+// runs behind it.
+type headAccounting struct {
+	Head   core.ClusterHead
+	Filter capture.FilterStats
+}
+
+// checkHeadAccounting flips bits in a quarter of recs — some frames
+// become undecodable, some change sides of the capture filter — and
+// demands identical head accounting (packets, bytes, L2–L4 undecodable,
+// filter drops, panics, first/last timestamp, and the filter's own
+// decision counters) from the sequential engine, the parallel engine at
+// 1, 2 and 4 workers, and a 2-way splitter. It also pins that one worker
+// means an inline shard: no goroutine is started.
+func checkHeadAccounting(t *testing.T, cfg Config, recs []pcap.Record) {
+	t.Helper()
+	i := 0
+	fr := faultpcap.NewReader(func() (pcap.Record, error) {
+		if i == len(recs) {
+			return pcap.Record{}, io.EOF
+		}
+		i++
+		return pcap.Record{Timestamp: recs[i-1].Timestamp, Data: bytes.Clone(recs[i-1].Data)}, nil
+	}, faultpcap.Options{Fault: faultpcap.BitFlip, Seed: 3, Rate: 0.25})
+	var mangled []pcap.Record
+	for rec, err := fr.Next(); err == nil; rec, err = fr.Next() {
+		mangled = append(mangled, rec)
+	}
+
+	seq := NewAnalyzer(cfg)
+	for _, rec := range mangled {
+		seq.Packet(rec.Timestamp, rec.Data)
+	}
+	seq.Finish()
+	want := headAccounting{seq.ClusterHead, seq.FilterStats()}
+	if want.Head.Undecodable == 0 || want.Head.DroppedByFilter == 0 || want.Filter.ZoomP2P+want.Filter.ZoomSTUN == 0 {
+		t.Fatalf("mangled trace does not exercise the front end: %+v", want)
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		pa := NewParallelAnalyzer(cfg, workers)
+		if started := runtime.NumGoroutine() - before; workers == 1 && started != 0 {
+			t.Errorf("workers=1 started %d goroutine(s), want an inline shard", started)
+		}
+		for _, rec := range mangled {
+			pa.Packet(rec.Timestamp, rec.Data)
+		}
+		pa.Finish()
+		if got := (headAccounting{pa.ClusterHead, pa.FilterStats()}); got != want {
+			t.Errorf("workers=%d head accounting diverges from sequential:\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+
+	sp := cluster.NewSplitter(cfg, 2)
+	for w := 0; w < sp.Workers(); w++ {
+		if err := sp.Attach(w, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range mangled {
+		if err := sp.Packet(rec.Timestamp, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := (headAccounting{sp.Head(false), sp.FilterStats()}); got != want {
+		t.Errorf("splitter head accounting diverges from sequential:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 func TestClusterDifferential(t *testing.T) {

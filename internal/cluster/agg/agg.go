@@ -31,13 +31,12 @@ func LoadPart(path string, cfg core.Config) (*core.Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agg: part %s: %w", path, err)
 	}
-	switch e := eng.(type) {
-	case *core.Analyzer:
-		return e, nil
-	default:
+	a, ok := eng.(*core.Analyzer)
+	if !ok {
 		core.Discard(eng)
 		return nil, fmt.Errorf("agg: part %s holds a parallel engine state; cluster workers run with -workers 1", path)
 	}
+	return a, nil
 }
 
 // Aggregate merges a cluster run: the manifest's head counters, each

@@ -7,13 +7,13 @@ import (
 	"os"
 	"time"
 
+	"zoomlens/internal/capture"
 	"zoomlens/internal/core"
 	"zoomlens/internal/pcap"
 )
 
-// Splitter fans one capture out to N worker streams: each frame is
-// classified by the shared dispatch path (core.Router — rawScan, the
-// stateful capture filter, the FNV-1a flow hash) and the kept ones are
+// Splitter fans one capture out to N worker streams: each frame goes
+// through the engine's own front end (core.Router) and the kept ones are
 // written whole to the owning worker's pcapng stream, stamped with the
 // global capture sequence number as an epb_packetid option. A worker
 // process is just the ordinary engine driver reading that stream.
@@ -71,6 +71,9 @@ func (s *Splitter) Packet(at time.Time, frame []byte) error {
 
 // Head returns the splitter-side merged-accounting counters.
 func (s *Splitter) Head(truncated bool) core.ClusterHead { return s.router.Head(truncated) }
+
+// FilterStats returns the capture filter's decision counters.
+func (s *Splitter) FilterStats() capture.FilterStats { return s.router.FilterStats() }
 
 // Manifest builds the split manifest for the aggregator.
 func (s *Splitter) Manifest(truncated bool) Manifest {

@@ -1,25 +1,33 @@
 package core
 
-// Checkpoint/restore and windowed rotation for both engines.
+// Checkpoint/restore and windowed rotation.
 //
 // A checkpoint is the engine's complete mutable state behind the
 // statecodec boundary: resume a run from it and the final report is
 // byte-identical to a run that was never interrupted, at any worker
 // count. The file format is
 //
-//	"ZLCP" | file version (u8) | engine kind (u8) | payload
+//	"ZLCP" | file version (u8) | kind (u8) | payload | CRC32-C (u32 LE)
 //
-// where kind 0 carries one sequential Analyzer payload and kind 1
-// carries the parallel dispatcher's state, the reconciliation
-// Dedup/CopyMatcher state, and each shard's analyzer state. The shard
-// observation logs are never serialized: the checkpoint quiesces and
-// advances the reconciliation pass first, so at encode time the logs
-// are empty and the reconciliation state already reflects every
-// dispatched packet.
+// and both kinds share one payload layout:
 //
-// Restore never yields a partial engine: any decode error (truncated
-// file, hostile count, unknown version) returns an error and the
-// half-built engine is discarded.
+//	payload version (u8) | shard count | [delta: base packet count]
+//	| front end (head counters, sequence number, capture filter)
+//	| reconciliation state (Dedup, CopyMatcher, feature windower)
+//	| one shard payload per shard
+//
+// A full record (kind 0) carries every layer whole and can bootstrap an
+// engine; a delta record (kind 1) carries, per layer, only what changed
+// since the previous checkpoint encode (see delta.go) and must be
+// applied to an engine sitting exactly at its base. A sequential engine
+// writes one shard payload, a parallel one N. Shard observation logs are
+// never serialized: the encode reconciles first, so the logs are empty
+// and the reconciliation state reflects every packet routed.
+//
+// Each format has exactly one version; anything else is rejected with
+// the version in the error. Restore never yields a partial engine: any
+// decode error (truncated or torn file, hostile count, unknown version)
+// returns an error and the half-built engine is discarded.
 
 import (
 	"encoding/binary"
@@ -28,227 +36,386 @@ import (
 	"io"
 	"net/netip"
 	"slices"
-	"strconv"
 	"time"
 
 	"zoomlens/internal/features"
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
-	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/tcprtt"
 	"zoomlens/internal/zoom"
 )
 
 const (
-	checkpointMagic  = "ZLCP"
-	checkpointFileV1 = 1
-	// checkpointFileV2 appends a CRC32-C (Castagnoli) little-endian
-	// trailer over all preceding bytes, so a torn or bit-flipped file is
-	// detected before any decode work. Writers always emit V2; readers
-	// still accept trailerless V1 files.
-	checkpointFileV2 = 2
+	checkpointMagic = "ZLCP"
+	// checkpointFileVersion: header as above, mandatory CRC trailer over
+	// all preceding bytes, so a torn or bit-flipped file is detected
+	// before any decode work.
+	checkpointFileVersion = 1
 
-	engineKindSequential = 0
-	engineKindParallel   = 1
-	// Kinds 2/3 are delta records: mutations since the last checkpoint
-	// of the matching engine kind, applied via ApplyDelta. They cannot
-	// bootstrap an engine on their own, so RestoreAnalyzer rejects them.
-	engineKindSequentialDelta = 2
-	engineKindParallelDelta   = 3
+	engineKindFull  = 0
+	engineKindDelta = 1
 
-	analyzerStateV1 = 1
-	// analyzerStateV2 added the overload-shedding counters
-	// (ShedPackets/ShedBytes). V1 payloads restore with them zero.
-	analyzerStateV2 = 2
-	// analyzerStateV3 added the protocol byte inside every encoded
-	// zoom.StreamKey (the rtcproto plugin refactor) plus the per-protocol
-	// decode counters and the STUN port-mismatch counter. V1/V2 payloads
-	// interleave keys without the protocol byte and cannot be decoded;
-	// they are rejected by version.
-	analyzerStateV3 = 3
-	// analyzerStateV4 appended the streaming feature-windower block
-	// (presence flag + windower state) after the archived streams. V3
-	// payloads restore with the feature layer absent.
-	analyzerStateV4 = 4
-	// parallelStateV2 dropped the per-shard observation logs (the
-	// checkpoint reconciles them before encoding) and added the
-	// reconciliation Dedup/CopyMatcher state. V1 files are rejected by
-	// the version check rather than misread.
-	parallelStateV2 = 2
-	// parallelStateV3 added the dispatcher shedding counters. V2
-	// payloads restore with them zero.
-	parallelStateV3 = 3
-	// parallelStateV4 carries analyzerStateV3 shard payloads (StreamKey
-	// protocol byte); V2/V3 files are rejected by version.
-	parallelStateV4 = 4
-	// parallelStateV5 appended the reconciliation feature-windower block
-	// after the reconciliation CopyMatcher, and carries analyzerStateV4
-	// shard payloads. V4 files restore with the feature layer absent.
-	parallelStateV5 = 5
+	// stateVersion covers the payload layout of both kinds, shard
+	// payloads included.
+	stateVersion = 1
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
-	// can demand (each shard costs a goroutine and an analyzer).
+	// can demand (each shard costs a goroutine and its tables).
 	maxCheckpointWorkers = 4096
 )
 
-// crcTable is the Castagnoli polynomial used by the V2 file trailer.
+// crcTable is the Castagnoli polynomial used by the file trailer.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func writeCheckpointHeader(w *statecodec.Writer, kind uint8) {
 	for i := 0; i < len(checkpointMagic); i++ {
 		w.U8(checkpointMagic[i])
 	}
-	w.U8(checkpointFileV2)
+	w.U8(checkpointFileVersion)
 	w.U8(kind)
 }
 
-// sealCheckpoint appends the V2 CRC trailer to the encoded record and
+// sealCheckpoint appends the CRC trailer to the encoded record and
 // writes the whole file in one Write.
 func sealCheckpoint(w io.Writer, enc *statecodec.Writer) error {
 	var tr [4]byte
 	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(enc.Bytes(), crcTable))
-	enc.U8(tr[0])
-	enc.U8(tr[1])
-	enc.U8(tr[2])
-	enc.U8(tr[3])
+	for _, b := range tr {
+		enc.U8(b)
+	}
 	_, err := w.Write(enc.Bytes())
 	return err
 }
 
-// openCheckpoint validates a checkpoint file's magic, file version, and
-// (for V2) CRC trailer, returning the engine kind and a reader
-// positioned at the engine payload.
-func openCheckpoint(data []byte) (kind uint8, r *statecodec.Reader, err error) {
-	if len(data) < len(checkpointMagic)+2 {
-		return 0, nil, fmt.Errorf("%w: not a checkpoint (short file)", statecodec.ErrCorrupt)
-	}
-	if string(data[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, nil, fmt.Errorf("%w: not a checkpoint (bad magic)", statecodec.ErrCorrupt)
-	}
-	switch v := data[len(checkpointMagic)]; v {
-	case checkpointFileV1:
-		// Legacy trailerless file: accepted as-is.
-	case checkpointFileV2:
-		if len(data) < len(checkpointMagic)+2+4 {
-			return 0, nil, fmt.Errorf("%w: checkpoint too short for CRC trailer", statecodec.ErrCorrupt)
-		}
-		body, trailer := data[:len(data)-4], data[len(data)-4:]
-		want := binary.LittleEndian.Uint32(trailer)
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return 0, nil, fmt.Errorf("%w: checkpoint CRC mismatch (file %08x, computed %08x)", statecodec.ErrCorrupt, want, got)
-		}
-		data = body
-	default:
-		return 0, nil, fmt.Errorf("%w: checkpoint file version %d (supported: %d, %d)", statecodec.ErrCorrupt, v, checkpointFileV1, checkpointFileV2)
-	}
-	kind = data[len(checkpointMagic)+1]
-	return kind, statecodec.NewReader(data[len(checkpointMagic)+2:]), nil
-}
-
-// readAllCheckpoint slurps a checkpoint stream into one buffer,
-// right-sizing when the source announces its length.
-func readAllCheckpoint(rd io.Reader) ([]byte, error) {
+// openCheckpoint slurps a checkpoint stream, validates its magic, file
+// version and CRC trailer, checks that it is of the wanted kind and
+// payload version, and returns the shard count with a reader positioned
+// after it.
+func openCheckpoint(rd io.Reader, wantKind uint8) (shards int, r *statecodec.Reader, err error) {
+	var data []byte
 	if l, ok := rd.(interface{ Len() int }); ok {
 		// bytes.Reader/bytes.Buffer style sources announce their size;
 		// read into one right-sized buffer instead of letting io.ReadAll
 		// double through the checkpoint (restores are on the recovery
 		// path, where a 100 ms budget applies).
-		data := make([]byte, l.Len())
-		_, err := io.ReadFull(rd, data)
-		return data, err
+		data = make([]byte, l.Len())
+		_, err = io.ReadFull(rd, data)
+	} else {
+		data, err = io.ReadAll(rd)
 	}
-	return io.ReadAll(rd)
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: reading checkpoint: %w", err)
+	}
+	const hdr = len(checkpointMagic) + 2
+	if len(data) < hdr || string(data[:len(checkpointMagic)]) != checkpointMagic {
+		return 0, nil, fmt.Errorf("%w: not a checkpoint (short file or bad magic)", statecodec.ErrCorrupt)
+	}
+	if v := data[len(checkpointMagic)]; v != checkpointFileVersion {
+		return 0, nil, fmt.Errorf("%w: checkpoint file version %d (supported: %d)", statecodec.ErrCorrupt, v, checkpointFileVersion)
+	}
+	if len(data) < hdr+4 {
+		return 0, nil, fmt.Errorf("%w: checkpoint too short for CRC trailer", statecodec.ErrCorrupt)
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	want := binary.LittleEndian.Uint32(trailer)
+	if got := crc32.Checksum(body, crcTable); got != want {
+		return 0, nil, fmt.Errorf("%w: checkpoint CRC mismatch (file %08x, computed %08x)", statecodec.ErrCorrupt, want, got)
+	}
+	switch kind := body[hdr-1]; {
+	case kind == wantKind:
+	case kind == engineKindDelta:
+		return 0, nil, fmt.Errorf("%w: delta record cannot bootstrap an engine (apply it to a restored checkpoint)", statecodec.ErrCorrupt)
+	case kind == engineKindFull:
+		return 0, nil, fmt.Errorf("%w: full checkpoint offered as a delta record", statecodec.ErrCorrupt)
+	default:
+		return 0, nil, fmt.Errorf("%w: unknown engine kind %d", statecodec.ErrCorrupt, kind)
+	}
+	r = statecodec.NewReader(body[hdr:])
+	if v := r.U8(); r.Err() == nil && v != stateVersion {
+		return 0, nil, fmt.Errorf("%w: checkpoint state version %d (supported: %d)", statecodec.ErrCorrupt, v, stateVersion)
+	}
+	shards = r.Int()
+	if err := r.Err(); err != nil {
+		return 0, nil, err
+	}
+	if shards < 1 || shards > maxCheckpointWorkers {
+		return 0, nil, fmt.Errorf("%w: checkpoint worker count %d out of range", statecodec.ErrCorrupt, shards)
+	}
+	return shards, r, nil
 }
 
-// State encodes the analyzer's complete mutable state. Maps are written
-// in sorted key order so identical state yields identical bytes.
-func (a *Analyzer) State(w *statecodec.Writer) {
-	w.U8(analyzerStateV4)
-	w.U64(a.ShedPackets)
-	w.U64(a.ShedBytes)
-	w.U64(a.Packets)
-	w.U64(a.Bytes)
-	w.U64(a.ZoomUDP)
-	w.U64(a.Undecodable)
-	w.U64(a.TCPPackets)
-	w.U64(a.STUNPackets)
-	w.U64(a.STUNPortNonSTUN)
-	w.Int(len(a.ProtoDecoded))
-	for _, v := range a.ProtoDecoded {
-		w.U64(v)
+// encode writes one checkpoint record — full, or delta when the chain is
+// armed — and re-anchors the chain at the state just written.
+func (p *pipeline) encode(w io.Writer, delta bool) error {
+	p.reconcile()
+	var enc statecodec.Writer
+	if delta {
+		if !p.deltaReady() {
+			return ErrDeltaUnavailable
+		}
+		enc.Grow(1 << 16)
+		writeCheckpointHeader(&enc, engineKindDelta)
+	} else {
+		// Reserve once instead of doubling through megabytes (streams
+		// dominate at roughly 800 bytes each on production-shaped state).
+		hint := 4096
+		for _, sh := range p.shards {
+			hint += 1024 * (len(sh.StreamMetrics) + len(sh.Finished))
+		}
+		enc.Grow(hint)
+		writeCheckpointHeader(&enc, engineKindFull)
 	}
-	w.U64(a.DroppedByFilter)
-	w.U64(a.UDPKeptPackets)
-	w.U64(a.UDPKeptBytes)
-	w.U64(a.PanicsRecovered)
-	w.Bool(a.Truncated)
-	w.U64(a.EvictedTCP)
-	w.U64(a.RejectedTCPPackets)
-	w.U64(a.FinishedDropped)
-	w.Bool(a.finished)
-	w.Time(a.firstTS)
-	w.Time(a.lastTS)
-	w.U64(a.compactEvery)
-	w.Duration(a.compactIdle)
+	enc.U8(stateVersion)
+	enc.Int(len(p.shards))
+	if delta {
+		enc.U64(p.ckPackets)
+	}
+	enc.Bool(p.finished)
+	p.frontEnd.state(&enc)
+	if delta {
+		p.Dedup.StateDelta(&enc)
+		p.Copies.StateDelta(&enc)
+	} else {
+		p.Dedup.State(&enc)
+		p.Copies.State(&enc)
+	}
+	// The feature windower has no dirty tracking (its live state is a
+	// handful of open accumulators, bounded by idle eviction), so like the
+	// capture filter it rides whole in both kinds, pending rows included:
+	// a restored run emits exactly the rows an uninterrupted one would.
+	enc.Bool(p.feats != nil)
+	if p.feats != nil {
+		p.feats.State(&enc)
+	}
+	for _, sh := range p.shards {
+		if delta {
+			sh.stateDelta(&enc)
+		} else {
+			sh.state(&enc)
+		}
+	}
+	if err := sealCheckpoint(w, &enc); err != nil {
+		return err
+	}
+	p.markCheckpointed()
+	return nil
+}
 
-	a.filter.State(w)
-	a.Flows.State(w)
-	a.Dedup.State(w)
-	a.Copies.State(w)
+// decode is encode's inverse, onto an engine with the record's shard
+// count: freshly built for a full record, sitting at the record's base
+// for a delta. On error the engine may be partially mutated and must be
+// discarded.
+func (p *pipeline) decode(r *statecodec.Reader, delta bool) error {
+	if delta {
+		if base := r.U64(); r.Err() == nil && base != p.Packets {
+			return fmt.Errorf("%w: delta base %d packets does not match engine at %d packets", statecodec.ErrCorrupt, base, p.Packets)
+		}
+	}
+	p.finished = r.Bool()
+	if err := p.frontEnd.restore(r); err != nil {
+		return err
+	}
+	var err error
+	if delta {
+		if err = p.Dedup.ApplyDelta(r); err == nil {
+			err = p.Copies.ApplyDelta(r)
+		}
+	} else {
+		if err = p.Dedup.Restore(r); err == nil {
+			err = p.Copies.Restore(r)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	// The record's feature layer wins over the restoring process's
+	// configuration: presence, window duration, and all windower state.
+	p.feats = nil
+	if r.Bool() {
+		if p.feats = features.RestoreWindower(r); p.feats == nil {
+			return r.Err()
+		}
+	}
+	for _, sh := range p.shards {
+		if delta {
+			err = sh.applyDelta(r)
+		} else {
+			err = sh.restore(r)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n := r.Remaining(); n > 0 {
+		return fmt.Errorf("%w: %d trailing bytes after checkpoint payload", statecodec.ErrCorrupt, n)
+	}
+	p.markCheckpointed()
+	return nil
+}
 
-	ids := make([]flow.MediaStreamID, 0, len(a.StreamMetrics))
-	for id := range a.StreamMetrics {
+// Checkpoint serializes the engine's complete mutable state to w in one
+// Write, so RestoreAnalyzer can resume the run with byte-identical
+// results. Call it between Packet calls (a parallel engine parks its
+// shards and reconciles first). A successful encode also resets delta
+// tracking: the next CheckpointDelta describes mutations relative to
+// this snapshot.
+func (p *pipeline) Checkpoint(w io.Writer) error {
+	defer p.cfg.trace("checkpoint")()
+	return p.encode(w, false)
+}
+
+// RestoreAnalyzer rebuilds an engine from a full checkpoint. The worker
+// count comes from the checkpoint, not from cfg: a checkpoint taken at N
+// workers restores to N workers (required for the shard-partitioned
+// state to line up) — an *Analyzer for one, a *ParallelAnalyzer for
+// more. cfg supplies everything that is configuration rather than state
+// — networks, caps, quarantine, obs — and should match the original
+// run's for byte-identical resumption.
+func RestoreAnalyzer(rd io.Reader, cfg Config) (Engine, error) {
+	workers, r, err := openCheckpoint(rd, engineKindFull)
+	if err != nil {
+		return nil, err
+	}
+	// Each shard payload is at least its counters and table skeletons; a
+	// worker count the remaining bytes cannot possibly cover is corrupt,
+	// and rejecting it here avoids spinning up a large engine only to
+	// tear it down on the first short read.
+	if r.Remaining() < workers*16 {
+		return nil, fmt.Errorf("%w: %d workers but only %d payload bytes", statecodec.ErrCorrupt, workers, r.Remaining())
+	}
+	pa := NewParallelAnalyzer(cfg, workers)
+	if err := pa.decode(r, false); err != nil {
+		Discard(pa)
+		return nil, err
+	}
+	if workers == 1 {
+		return pa.result, nil
+	}
+	return pa, nil
+}
+
+// Rotate closes the current report window: it detaches everything
+// accumulated so far into a finished window analyzer (returned for
+// rendering; for a parallel engine, the same deterministic merge Finish
+// performs) and re-seeds the live state so the next window starts
+// empty. Configuration, the capture filter's P2P table — an armed P2P
+// flow keeps matching after rotation, exactly as it would mid-window —
+// the sequence numbering and the feature windower (its windows live on
+// the capture clock, not the report grid) persist across windows. now
+// is the rotation boundary chosen by the caller; the window's own
+// timestamps still come from its packets.
+func (p *pipeline) Rotate(now time.Time) *Analyzer {
+	defer p.cfg.trace("rotate")()
+	p.reconcile()
+	win := &pipeline{frontEnd: p.frontEnd, reconState: p.reconState, workers: 1}
+	win.o, win.feats = nil, nil
+	res := win.setInline(mergeShards(p.cfg, p.shards))
+	win.Finish()
+
+	p.ClusterHead = ClusterHead{}
+	p.finished = false
+	for _, sh := range p.shards {
+		sh.shardState = newShardState(sh.lim)
+		// The window took the cumulative eviction counts with it;
+		// re-baseline the obs mirrors so the next window's deltas start
+		// from zero.
+		sh.so.resetMirrors()
+	}
+	feats := p.feats
+	p.reconState = newReconState(p.cfg)
+	p.feats = feats
+	// Rotation starts a fresh state lineage: any checkpoint chain built
+	// before it no longer describes this engine, so the next delta attempt
+	// reports unavailable until a full checkpoint re-anchors the chain.
+	p.chainArmed = false
+	return res
+}
+
+// state encodes the shard's complete mutable state. Maps are written in
+// sorted key order so identical state yields identical bytes.
+func (sh *shard) state(w *statecodec.Writer) {
+	sh.stateScalars(w)
+	sh.Flows.State(w)
+
+	ids := make([]flow.MediaStreamID, 0, len(sh.StreamMetrics))
+	for id := range sh.StreamMetrics {
 		ids = append(ids, id)
 	}
 	slices.SortFunc(ids, flow.CompareStreamID)
 	w.Int(len(ids))
 	for _, id := range ids {
-		id.Flow.EncodeTo(w)
-		id.Key.EncodeTo(w)
-		a.StreamMetrics[id].State(w)
+		encodeStreamID(w, id)
+		sh.StreamMetrics[id].State(w)
 	}
 
-	clients := make([]netip.AddrPort, 0, len(a.TCP))
-	for c := range a.TCP {
+	clients := make([]netip.AddrPort, 0, len(sh.TCP))
+	for c := range sh.TCP {
 		clients = append(clients, c)
 	}
 	sortAddrPorts(clients)
 	w.Int(len(clients))
 	for _, c := range clients {
 		w.AddrPort(c)
-		a.TCP[c].State(w)
+		sh.TCP[c].State(w)
+		w.Time(sh.tcpSeen[c])
 	}
 
-	seen := make([]netip.AddrPort, 0, len(a.tcpSeen))
-	for c := range a.tcpSeen {
-		seen = append(seen, c)
-	}
-	sortAddrPorts(seen)
-	w.Int(len(seen))
-	for _, c := range seen {
-		w.AddrPort(c)
-		w.Time(a.tcpSeen[c])
-	}
+	encodeFinished(w, sh.Finished)
+}
 
-	w.Int(len(a.Finished))
-	for i := range a.Finished {
-		f := &a.Finished[i]
-		f.ID.Flow.EncodeTo(w)
-		f.ID.Key.EncodeTo(w)
-		w.Time(f.LastSeen)
-		f.Metrics.State(w)
+// stateScalars and restoreScalars carry the shard's counters and
+// maintenance clock; cheap, so full and delta records alike carry them
+// whole.
+func (sh *shard) stateScalars(w *statecodec.Writer) {
+	w.U64(sh.ticks)
+	w.U64(sh.compactEvery)
+	w.Duration(sh.compactIdle)
+	c := &sh.shardCounters
+	w.U64(c.ZoomUDP)
+	w.U64(c.TCPPackets)
+	w.U64(c.STUNPackets)
+	w.U64(c.STUNPortNonSTUN)
+	w.Int(len(c.ProtoDecoded))
+	for _, v := range c.ProtoDecoded {
+		w.U64(v)
 	}
+	w.U64(c.ProtoUndecodable)
+	w.U64(c.UDPKeptPackets)
+	w.U64(c.UDPKeptBytes)
+	w.U64(c.ShardPanics)
+	w.U64(c.EvictedTCP)
+	w.U64(c.RejectedTCPPackets)
+	w.U64(c.FinishedDropped)
+}
 
-	// V4 feature block: the streaming windower, including pending rows,
-	// so a restored run emits exactly the rows an uninterrupted one
-	// would.
-	w.Bool(a.feats != nil)
-	if a.feats != nil {
-		a.feats.State(w)
+func (sh *shard) restoreScalars(r *statecodec.Reader) error {
+	sh.ticks = r.U64()
+	sh.compactEvery = r.U64()
+	sh.compactIdle = r.Duration()
+	c := &sh.shardCounters
+	c.ZoomUDP = r.U64()
+	c.TCPPackets = r.U64()
+	c.STUNPackets = r.U64()
+	c.STUNPortNonSTUN = r.U64()
+	if np := r.Count(8); r.Err() == nil && np != len(c.ProtoDecoded) {
+		r.Failf("core: shard proto counter count %d (want %d)", np, len(c.ProtoDecoded))
 	}
+	for i := range c.ProtoDecoded {
+		c.ProtoDecoded[i] = r.U64()
+	}
+	c.ProtoUndecodable = r.U64()
+	c.UDPKeptPackets = r.U64()
+	c.UDPKeptBytes = r.U64()
+	c.ShardPanics = r.U64()
+	c.EvictedTCP = r.U64()
+	c.RejectedTCPPackets = r.U64()
+	c.FinishedDropped = r.U64()
+	return r.Err()
 }
 
 func sortAddrPorts(aps []netip.AddrPort) {
@@ -260,487 +427,101 @@ func sortAddrPorts(aps []netip.AddrPort) {
 	})
 }
 
-// restoreState decodes a State payload into the receiver, replacing all
-// mutable state but keeping its configuration and wiring (obs handles,
-// obsSink, parser). The receiver must come from NewAnalyzer.
-func (a *Analyzer) restoreState(r *statecodec.Reader) error {
-	v := r.U8()
-	switch v {
-	case analyzerStateV3, analyzerStateV4:
-		a.ShedPackets = r.U64()
-		a.ShedBytes = r.U64()
-	default:
-		// V1/V2 payloads predate the StreamKey protocol byte and cannot
-		// be decoded under the current key layout.
-		r.Failf("core.Analyzer state version %d (supported: %d-%d)", v, analyzerStateV3, analyzerStateV4)
-		return r.Err()
-	}
-	a.Packets = r.U64()
-	a.Bytes = r.U64()
-	a.ZoomUDP = r.U64()
-	a.Undecodable = r.U64()
-	a.TCPPackets = r.U64()
-	a.STUNPackets = r.U64()
-	a.STUNPortNonSTUN = r.U64()
-	if np := r.Count(8); np != len(a.ProtoDecoded) {
-		r.Failf("core.Analyzer proto counter count %d (want %d)", np, len(a.ProtoDecoded))
-		return r.Err()
-	}
-	for i := range a.ProtoDecoded {
-		a.ProtoDecoded[i] = r.U64()
-	}
-	a.DroppedByFilter = r.U64()
-	a.UDPKeptPackets = r.U64()
-	a.UDPKeptBytes = r.U64()
-	a.PanicsRecovered = r.U64()
-	a.Truncated = r.Bool()
-	a.EvictedTCP = r.U64()
-	a.RejectedTCPPackets = r.U64()
-	a.FinishedDropped = r.U64()
-	a.finished = r.Bool()
-	a.firstTS = r.Time()
-	a.lastTS = r.Time()
-	a.compactEvery = r.U64()
-	a.compactIdle = r.Duration()
+func encodeStreamID(w *statecodec.Writer, id flow.MediaStreamID) {
+	id.Flow.EncodeTo(w)
+	id.Key.EncodeTo(w)
+}
 
-	if err := a.filter.Restore(r); err != nil {
-		return err
-	}
-	if err := a.Flows.Restore(r); err != nil {
-		return err
-	}
-	if err := a.Dedup.Restore(r); err != nil {
-		return err
-	}
-	if err := a.Copies.Restore(r); err != nil {
-		return err
-	}
+func decodeStreamID(r *statecodec.Reader) flow.MediaStreamID {
+	return flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
+}
 
-	// Stream analyzers decode into chunk-allocated slabs: one allocation
-	// per few thousand streams instead of one per stream. Restore-side GC
-	// pressure was the difference between meeting the recovery-path time
-	// budget and missing it. Chunking (rather than one slab sized by the
-	// declared count) keeps a hostile count from forcing a huge up-front
-	// allocation before the first element fails to decode.
-	var smSlab []metrics.StreamMetrics
-	nextSM := func(remaining int) *metrics.StreamMetrics {
-		if len(smSlab) == 0 {
-			smSlab = make([]metrics.StreamMetrics, min(remaining, 4096))
+func encodeFinished(w *statecodec.Writer, fs []FinishedStream) {
+	w.Int(len(fs))
+	for i := range fs {
+		f := &fs[i]
+		encodeStreamID(w, f.ID)
+		w.Time(f.LastSeen)
+		f.Metrics.State(w)
+	}
+}
+
+// smSlab hands out stream metric engines from chunk-allocated slabs: one
+// allocation per few thousand streams instead of one per stream.
+// Restore-side GC pressure was the difference between meeting the
+// recovery-path time budget and missing it. Chunking (rather than one
+// slab sized by the declared count) keeps a hostile count from forcing a
+// huge up-front allocation before the first element fails to decode.
+type smSlab []metrics.StreamMetrics
+
+func (s *smSlab) next(remaining int) *metrics.StreamMetrics {
+	if len(*s) == 0 {
+		*s = make([]metrics.StreamMetrics, min(remaining, 4096))
+	}
+	sm := &(*s)[0]
+	*s = (*s)[1:]
+	return sm
+}
+
+// decodeFinished appends a counted run of archived streams to dst.
+func decodeFinished(r *statecodec.Reader, dst []FinishedStream, slab *smSlab) ([]FinishedStream, error) {
+	n := r.Count(14)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		id := decodeStreamID(r)
+		last := r.Time()
+		sm := slab.next(n - i)
+		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
+			return dst, err
 		}
-		sm := &smSlab[0]
-		smSlab = smSlab[1:]
-		return sm
+		dst = append(dst, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
 	}
+	return dst, r.Err()
+}
 
+// restore decodes a state payload into a freshly built shard, replacing
+// all mutable state but keeping its limits and wiring.
+func (sh *shard) restore(r *statecodec.Reader) error {
+	if err := sh.restoreScalars(r); err != nil {
+		return err
+	}
+	if err := sh.Flows.Restore(r); err != nil {
+		return err
+	}
+	var slab smSlab
 	nm := r.Count(12)
-	a.StreamMetrics = make(map[flow.MediaStreamID]*metrics.StreamMetrics, nm)
+	sh.StreamMetrics = make(map[flow.MediaStreamID]*metrics.StreamMetrics, nm)
 	for i := 0; i < nm; i++ {
-		id := flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
-		sm := nextSM(nm - i)
+		id := decodeStreamID(r)
+		sm := slab.next(nm - i)
 		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
 			return err
 		}
-		if _, dup := a.StreamMetrics[id]; dup {
-			r.Failf("core.Analyzer duplicate stream %v/%v", id.Flow, id.Key)
+		if _, dup := sh.StreamMetrics[id]; dup {
+			r.Failf("core: shard duplicate stream %v/%v", id.Flow, id.Key)
 			return r.Err()
 		}
-		a.StreamMetrics[id] = sm
+		sh.StreamMetrics[id] = sm
 	}
 
 	nt := r.Count(4)
-	a.TCP = make(map[netip.AddrPort]*tcprtt.Tracker, nt)
+	sh.TCP = make(map[netip.AddrPort]*tcprtt.Tracker, nt)
+	sh.tcpSeen = make(map[netip.AddrPort]time.Time, nt)
 	for i := 0; i < nt; i++ {
 		c := r.AddrPort()
 		tr := tcprtt.NewTracker()
 		if err := tr.Restore(r); err != nil {
 			return err
 		}
-		if _, dup := a.TCP[c]; dup {
-			r.Failf("core.Analyzer duplicate TCP tracker %v", c)
+		if _, dup := sh.TCP[c]; dup {
+			r.Failf("core: shard duplicate TCP tracker %v", c)
 			return r.Err()
 		}
-		a.TCP[c] = tr
+		sh.TCP[c] = tr
+		sh.tcpSeen[c] = r.Time()
 	}
 
-	ns := r.Count(4)
-	a.tcpSeen = make(map[netip.AddrPort]time.Time, ns)
-	for i := 0; i < ns; i++ {
-		c := r.AddrPort()
-		a.tcpSeen[c] = r.Time()
-	}
-
-	nf := r.Count(14)
-	a.Finished = nil
-	if nf > 0 {
-		a.Finished = make([]FinishedStream, 0, nf)
-	}
-	for i := 0; i < nf; i++ {
-		id := flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
-		last := r.Time()
-		sm := nextSM(nf - i)
-		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
-			return err
-		}
-		a.Finished = append(a.Finished, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
-	}
-
-	if v >= analyzerStateV4 {
-		// The checkpoint's feature layer wins over the restoring
-		// process's configuration: presence, window duration, and all
-		// windower state (including undrained rows) come from the file.
-		a.feats = nil
-		if r.Bool() {
-			a.feats = features.RestoreWindower(r)
-			if a.feats == nil {
-				return r.Err()
-			}
-		}
-	}
-	return r.Err()
-}
-
-// stateSizeHint estimates the encoded size so the writer can reserve
-// once instead of doubling through megabytes (streams dominate at
-// roughly 800 bytes each on production-shaped state).
-func (a *Analyzer) stateSizeHint() int {
-	return 4096 + 1024*(len(a.StreamMetrics)+len(a.Finished))
-}
-
-// Checkpoint writes the analyzer's complete state to w in one Write.
-// A successful encode also resets delta tracking: the next
-// CheckpointDelta describes mutations relative to this snapshot.
-func (a *Analyzer) Checkpoint(w io.Writer) error {
-	defer a.cfg.trace("checkpoint")()
-	var enc statecodec.Writer
-	enc.Grow(a.stateSizeHint())
-	writeCheckpointHeader(&enc, engineKindSequential)
-	a.State(&enc)
-	if err := sealCheckpoint(w, &enc); err != nil {
-		return err
-	}
-	a.markCheckpointed()
-	return nil
-}
-
-// Checkpoint quiesces the shards (sync-batch barrier), advances the
-// reconciliation pass so the observation logs are empty, and writes the
-// dispatcher's state, the reconciliation state, and every shard's
-// analyzer state. After Finish it checkpoints the merged result as a
-// sequential payload — the parallel scaffolding is gone by then.
-func (pa *ParallelAnalyzer) Checkpoint(w io.Writer) error {
-	if pa.seq != nil {
-		return pa.seq.Checkpoint(w)
-	}
-	if pa.merged != nil {
-		return pa.merged.Checkpoint(w)
-	}
-	defer pa.cfg.trace("checkpoint")()
-	pa.quiesce()
-	pa.advanceRecon()
-	var enc statecodec.Writer
-	hint := 4096
-	for _, sh := range pa.shards {
-		hint += sh.a.stateSizeHint()
-	}
-	enc.Grow(hint)
-	writeCheckpointHeader(&enc, engineKindParallel)
-	enc.Int(pa.workers)
-	enc.U8(parallelStateV5)
-	enc.U64(pa.shedPackets)
-	enc.U64(pa.shedBytes)
-	enc.U64(pa.nextSeq)
-	enc.U64(pa.packets)
-	enc.U64(pa.bytes)
-	enc.U64(pa.undecodable)
-	enc.U64(pa.dropped)
-	enc.U64(pa.panics)
-	enc.Bool(pa.truncated)
-	enc.Time(pa.firstTS)
-	enc.Time(pa.lastTS)
-	pa.filter.State(&enc)
-	pa.rec.dedup.State(&enc)
-	pa.rec.copies.State(&enc)
-	// V5 feature block: the reconciliation windower (shards never carry
-	// one — scaleLimits zeroes FeatureWindow).
-	enc.Bool(pa.rec.win != nil)
-	if pa.rec.win != nil {
-		pa.rec.win.State(&enc)
-	}
-	for _, sh := range pa.shards {
-		enc.U64(sh.ingested)
-		sh.a.State(&enc)
-	}
-	if err := sealCheckpoint(w, &enc); err != nil {
-		return err
-	}
-	pa.markCheckpointed()
-	return nil
-}
-
-// restoreState decodes a parallel payload into a freshly constructed
-// ParallelAnalyzer (quiescent: no batch has been dispatched yet, so the
-// shard goroutines are parked on their channels and their analyzers are
-// safely writable from this goroutine).
-func (pa *ParallelAnalyzer) restoreState(r *statecodec.Reader) error {
-	v := r.U8()
-	switch v {
-	case parallelStateV4, parallelStateV5:
-		pa.shedPackets = r.U64()
-		pa.shedBytes = r.U64()
-	default:
-		// V2/V3 shard payloads predate the StreamKey protocol byte.
-		r.Failf("core.ParallelAnalyzer state version %d (supported: %d-%d)", v, parallelStateV4, parallelStateV5)
-		return r.Err()
-	}
-	pa.nextSeq = r.U64()
-	pa.packets = r.U64()
-	pa.bytes = r.U64()
-	pa.undecodable = r.U64()
-	pa.dropped = r.U64()
-	pa.panics = r.U64()
-	pa.truncated = r.Bool()
-	pa.firstTS = r.Time()
-	pa.lastTS = r.Time()
-	if err := pa.filter.Restore(r); err != nil {
-		return err
-	}
-	if err := pa.rec.dedup.Restore(r); err != nil {
-		return err
-	}
-	if err := pa.rec.copies.Restore(r); err != nil {
-		return err
-	}
-	if v >= parallelStateV5 {
-		// The checkpoint's feature layer wins over cfg (see the
-		// sequential restore).
-		pa.rec.win = nil
-		if r.Bool() {
-			pa.rec.win = features.RestoreWindower(r)
-			if pa.rec.win == nil {
-				return r.Err()
-			}
-		}
-	}
-	for _, sh := range pa.shards {
-		sh.ingested = r.U64()
-		if err := sh.a.restoreState(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-// abandon tears down a half-restored parallel analyzer's shard
-// goroutines so a failed restore leaks nothing.
-func (pa *ParallelAnalyzer) abandon() {
-	for _, sh := range pa.shards {
-		sh.cur = nil
-		sh.ring.close()
-	}
-	for _, sh := range pa.shards {
-		<-sh.done
-	}
-}
-
-// RestoreAnalyzer rebuilds an engine from a checkpoint stream. The
-// engine kind and worker count come from the checkpoint, not from cfg:
-// a checkpoint taken at N workers restores to N workers (required for
-// the shard-partitioned state to line up). cfg supplies everything that
-// is configuration rather than state — networks, caps, quarantine, obs
-// — and should match the original run's for byte-identical resumption.
-//
-// Errors never yield a partial engine: the input is either restored in
-// full (including a trailing-bytes check) or rejected.
-func RestoreAnalyzer(rd io.Reader, cfg Config) (Engine, error) {
-	data, err := readAllCheckpoint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint: %w", err)
-	}
-	kind, r, err := openCheckpoint(data)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case engineKindSequential:
-		a := NewAnalyzer(cfg)
-		if err := a.restoreState(r); err != nil {
-			return nil, err
-		}
-		if err := requireDrained(r); err != nil {
-			return nil, err
-		}
-		a.markCheckpointed()
-		return a, nil
-	case engineKindParallel:
-		workers := r.Int()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if workers < 2 || workers > maxCheckpointWorkers {
-			return nil, fmt.Errorf("%w: checkpoint worker count %d out of range", statecodec.ErrCorrupt, workers)
-		}
-		// Each shard payload is at least its version/state skeleton; a
-		// worker count the remaining bytes cannot possibly cover is
-		// corrupt, and rejecting it here avoids spinning up a large
-		// engine only to tear it down on the first short read.
-		if minShard := workers * 16; r.Remaining() < minShard {
-			return nil, fmt.Errorf("%w: %d workers but only %d payload bytes", statecodec.ErrCorrupt, workers, r.Remaining())
-		}
-		pa := NewParallelAnalyzer(cfg, workers)
-		if err := pa.restoreState(r); err != nil {
-			pa.abandon()
-			return nil, err
-		}
-		if err := requireDrained(r); err != nil {
-			pa.abandon()
-			return nil, err
-		}
-		pa.markCheckpointed()
-		return pa, nil
-	case engineKindSequentialDelta, engineKindParallelDelta:
-		return nil, fmt.Errorf("%w: delta record cannot bootstrap an engine (apply it to a restored checkpoint)", statecodec.ErrCorrupt)
-	default:
-		return nil, fmt.Errorf("%w: unknown engine kind %d", statecodec.ErrCorrupt, kind)
-	}
-}
-
-func requireDrained(r *statecodec.Reader) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n := r.Remaining(); n > 0 {
-		return fmt.Errorf("%w: %d trailing bytes after checkpoint payload", statecodec.ErrCorrupt, n)
-	}
-	return nil
-}
-
-// Rotate closes the current report window: it detaches everything
-// accumulated so far into a finalized window analyzer (returned for
-// rendering) and re-seeds the live state so the next window starts
-// empty. Configuration and the capture filter's P2P table persist
-// across windows — an armed P2P flow keeps matching after rotation,
-// exactly as it would mid-window. now is the rotation boundary chosen
-// by the caller; the window's own timestamps still come from its
-// packets.
-func (a *Analyzer) Rotate(now time.Time) *Analyzer {
-	defer a.cfg.trace("rotate")()
-	win := &Analyzer{
-		cfg:                a.cfg,
-		filter:             a.filter,
-		Flows:              a.Flows,
-		Dedup:              a.Dedup,
-		StreamMetrics:      a.StreamMetrics,
-		Copies:             a.Copies,
-		TCP:                a.TCP,
-		tcpSeen:            a.tcpSeen,
-		Packets:            a.Packets,
-		Bytes:              a.Bytes,
-		ZoomUDP:            a.ZoomUDP,
-		Undecodable:        a.Undecodable,
-		TCPPackets:         a.TCPPackets,
-		STUNPackets:        a.STUNPackets,
-		STUNPortNonSTUN:    a.STUNPortNonSTUN,
-		ProtoDecoded:       a.ProtoDecoded,
-		DroppedByFilter:    a.DroppedByFilter,
-		UDPKeptPackets:     a.UDPKeptPackets,
-		UDPKeptBytes:       a.UDPKeptBytes,
-		PanicsRecovered:    a.PanicsRecovered,
-		Truncated:          a.Truncated,
-		EvictedTCP:         a.EvictedTCP,
-		RejectedTCPPackets: a.RejectedTCPPackets,
-		FinishedDropped:    a.FinishedDropped,
-		ShedPackets:        a.ShedPackets,
-		ShedBytes:          a.ShedBytes,
-		Finished:           a.Finished,
-		firstTS:            a.firstTS,
-		lastTS:             a.lastTS,
-	}
-	win.Finish()
-
-	a.Flows = flow.NewTable()
-	a.Flows.SetLimits(flow.Limits{
-		MaxFlows:      a.cfg.MaxFlows,
-		MaxStreams:    a.cfg.MaxStreams,
-		MaxSubstreams: a.cfg.MaxSubstreams,
-	})
-	a.Dedup = meeting.NewDedup()
-	a.Dedup.MaxStreams = a.cfg.MaxMeetingStreams
-	a.Copies = metrics.NewCopyMatcher()
-	a.Copies.MaxPending = effectiveMaxCopyPending(a.cfg)
-	a.StreamMetrics = make(map[flow.MediaStreamID]*metrics.StreamMetrics)
-	a.TCP = make(map[netip.AddrPort]*tcprtt.Tracker)
-	a.tcpSeen = make(map[netip.AddrPort]time.Time)
-	a.Packets, a.Bytes, a.ZoomUDP, a.Undecodable = 0, 0, 0, 0
-	a.TCPPackets, a.STUNPackets, a.DroppedByFilter = 0, 0, 0
-	a.STUNPortNonSTUN = 0
-	a.ProtoDecoded = [rtcproto.NumIDs]uint64{}
-	a.UDPKeptPackets, a.UDPKeptBytes, a.PanicsRecovered = 0, 0, 0
-	a.EvictedTCP, a.RejectedTCPPackets, a.FinishedDropped = 0, 0, 0
-	a.ShedPackets, a.ShedBytes = 0, 0
-	a.Truncated = false
-	a.Finished = nil
-	a.firstTS, a.lastTS = time.Time{}, time.Time{}
-	a.finished = false
-	// The window took the cumulative eviction counts with it; re-baseline
-	// the obs mirrors so the next window's deltas start from zero.
-	a.o.resetMirrors()
-	// Rotation starts a fresh state lineage: any checkpoint chain built
-	// before it no longer describes this analyzer, so delta tracking
-	// disarms until the next full checkpoint.
-	a.disarmDelta()
-	return win
-}
-
-// Rotate quiesces the shards, produces the window's merged report (the
-// same deterministic merge Finish performs), and re-seeds every shard
-// for the next window. The capture filter — dispatcher-owned and
-// cross-window by design — is the only mutable state that survives.
-// Rotate after Finish panics: the shards are gone.
-func (pa *ParallelAnalyzer) Rotate(now time.Time) *Analyzer {
-	if pa.seq != nil {
-		return pa.seq.Rotate(now)
-	}
-	if pa.merged != nil {
-		panic(fmt.Sprintf("core: ParallelAnalyzer.Rotate after Finish (%d workers)", pa.workers))
-	}
-	defer pa.cfg.trace("rotate")()
-	pa.quiesce()
-	// The feature windower is continuous across report windows (its
-	// windows live on the capture clock, not the report grid): advance
-	// reconciliation so it has consumed every dispatched packet, then
-	// detach it so the merge's window report does not flush or adopt it.
-	pa.advanceRecon()
-	liveWin := pa.rec.win
-	pa.rec.win = nil
-	win := pa.merge()
-
-	pa.packets, pa.bytes, pa.undecodable, pa.dropped, pa.panics = 0, 0, 0, 0, 0
-	pa.shedPackets, pa.shedBytes = 0, 0
-	pa.truncated = false
-	pa.firstTS, pa.lastTS = time.Time{}, time.Time{}
-	shardCfg := scaleLimits(pa.cfg, pa.workers)
-	for i := range pa.shards {
-		sh := pa.shards[i]
-		na := NewAnalyzer(shardCfg)
-		na.bindObs(strconv.Itoa(i))
-		na.obsSink = sh.logObs
-		sh.a = na
-		sh.ingested = 0
-	}
-	// merge adopted the reconciliation Dedup/CopyMatcher into the window
-	// report; the next window starts with fresh ones. The detached
-	// feature windower reattaches — feature windows span report
-	// rotations.
-	pa.rec = newReconState(pa.cfg)
-	pa.rec.win = liveWin
-	// Fresh shard analyzers re-registered the unlabeled cap gauges with
-	// their per-shard values; re-register the dispatcher's handles so the
-	// unlabeled series reflect the global configuration again (same dance
-	// as NewParallelAnalyzer).
-	pa.o = newCoreObs(pa.cfg.Obs, "", pa.cfg)
-	// Fresh shards and reconciliation state are unarmed; disarm the
-	// dispatcher-level chain flag too so the next delta attempt reports
-	// unavailable until a full checkpoint re-anchors the chain.
-	pa.deltaArmed = false
-	return win
+	var err error
+	sh.Finished, err = decodeFinished(r, nil, &slab)
+	return err
 }

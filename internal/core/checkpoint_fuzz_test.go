@@ -44,7 +44,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 	}
 	// Seed real delta records too: the mutator must explore the delta
-	// decode path (kinds 2 and 3), which ApplyDelta exercises below.
+	// decode path (kind 1), which ApplyDelta exercises below.
 	for _, workers := range []int{1, 2} {
 		var eng Engine
 		if workers > 1 {
@@ -70,10 +70,12 @@ func FuzzCheckpointRestore(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("ZLCP"))
-	f.Add([]byte{'Z', 'L', 'C', 'P', 1, 0})
-	f.Add([]byte{'Z', 'L', 'C', 'P', 1, 1})
-	f.Add([]byte{'Z', 'L', 'C', 'P', 2, 2})
-	f.Add([]byte{'Z', 'L', 'C', 'P', 2, 3})
+	// Bare headers: each kind at the one supported file version, a stale
+	// file version, an unknown kind.
+	f.Add([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, engineKindFull})
+	f.Add([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, engineKindDelta})
+	f.Add([]byte{'Z', 'L', 'C', 'P', 2, engineKindFull})
+	f.Add([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, 7})
 	f.Add([]byte{'Z', 'L', 'C', 'P', 0xff})
 
 	// deltaBase builds the armed engine every ApplyDelta attempt targets:

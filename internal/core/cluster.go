@@ -1,60 +1,47 @@
 package core
 
-// Multi-process cluster support: the pieces that let a front-end
-// splitter process, N worker processes, and an aggregator process
-// reproduce the in-process sharded pipeline across machine boundaries.
+// Multi-process cluster support: the same three parts as the in-process
+// engines, one process each.
 //
-// The in-process ParallelAnalyzer splits per-packet work three ways: a
-// dispatcher (raw scan + stateful capture filter + flow-hash routing),
-// per-shard analyzers (everything per-flow), and a reconciliation pass
-// that feeds the cross-flow Dedup/CopyMatcher in global capture order.
-// Cluster mode maps each role onto a process:
-//
-//   - Router is the dispatcher extracted for the splitter process: same
-//     rawScan fast path, same ClassifyFlow filter semantics, same
-//     FNV-1a shard hash (shardFor — shared with shardIndexFor), same
-//     counting. The splitter owns the head counters (packets, bytes,
-//     filter drops, L2–L4 undecodable) exactly as the dispatcher does.
-//   - A worker is a sequential Analyzer run with Config.PreFiltered
-//     (the splitter already filtered) whose media observations are
-//     diverted through SetClusterSink into an observation log instead
-//     of its local Dedup/Copies, and whose packets carry the splitter's
-//     global sequence number via PacketSeq. Its checkpoint, written
-//     before Finish, is the exportable shard state.
-//   - MergeCluster is ParallelAnalyzer.merge with process boundaries:
-//     restored worker states stand in for shard analyzers, the k-way
-//     merged observation logs stand in for the shard chains, and the
-//     splitter's ClusterHead stands in for the dispatcher counters.
+//   - The splitter process runs the front end (Router): capture filter,
+//     shard hash, head counters, exactly as ahead of in-process shards.
+//     It forwards each kept frame whole to the owning worker's pcapng
+//     stream, stamped with the global sequence number.
+//   - A worker process is a sequential Analyzer run with
+//     Config.PreFiltered (the splitter already filtered): its inline
+//     shard is the worker's shard, fed through PacketSeq, with
+//     SetClusterSink swapping the shard's sink from the local
+//     reconciliation consumer to the ZLOB observation log. Its
+//     checkpoint, written before Finish, is the exportable shard state.
+//   - The aggregator process runs the reconciliation consumer
+//     (MergeCluster): the k-way merged worker logs replayed in sequence
+//     order, the restored worker shards folded into one, under the
+//     splitter's head counters.
 //
 // The invariant carries over unchanged: the merged analyzer is
 // byte-identical to a sequential run over the same capture.
 
 import (
 	"errors"
-	"fmt"
-	"net/netip"
 	"time"
 
-	"zoomlens/internal/capture"
-	"zoomlens/internal/features"
 	"zoomlens/internal/layers"
-	"zoomlens/internal/meeting"
-	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/zoom"
 )
 
-// ClusterObs is one media-stream observation exported by a cluster
-// worker for the aggregator's cross-flow reconciliation: the exported
-// form of the shard observation log entry.
+// ClusterObs is one media-stream observation: what a shard reports to
+// the cross-flow reconciliation consumer for every media packet, whether
+// by direct call, through an in-process log, or through a cluster
+// worker's ZLOB file.
 type ClusterObs struct {
-	// Seq is the splitter-assigned global capture sequence number of
-	// the packet; the aggregator replays observations in Seq order.
+	// Seq is the front end's global capture sequence number of the
+	// packet; logs from several shards are replayed in Seq order.
 	Seq  uint64
 	At   time.Time
 	Flow layers.FiveTuple
 	Key  zoom.StreamKey
-	// WireLen/PayloadLen carry the packet sizes the aggregator's feature
-	// windower consumes (obslog v3).
+	// WireLen/PayloadLen are the packet sizes the feature windower
+	// consumes.
 	WireLen    int
 	PayloadLen int
 	PT         uint8
@@ -62,261 +49,101 @@ type ClusterObs struct {
 	RTPTS      uint32
 }
 
-// SetClusterSink diverts this analyzer's media observations to sink
-// instead of its local Dedup/CopyMatcher — stream unification and RTP
-// copy matching are cross-flow, so a cluster worker exports its
-// observations for the aggregator to replay globally, exactly as an
-// in-process shard logs them for the dispatcher.
-func (a *Analyzer) SetClusterSink(sink func(ClusterObs)) error {
-	a.obsSink = func(o mediaObs) {
-		sink(ClusterObs{
-			Seq: o.seq, At: o.at, Flow: o.flow, Key: o.key,
-			WireLen: int(o.wireLen), PayloadLen: int(o.payloadLen),
-			PT: o.pt, RTPSeq: o.rtpSeq, RTPTS: o.rtpTS,
-		})
+// SetClusterSink diverts the engine's media observations to sink instead
+// of its local reconciliation consumer, for the aggregator to replay
+// globally. Only a sequential engine can export: a multi-shard engine
+// already owns an in-process reconciliation, and nesting it under a
+// second, cross-process one is not supported — cluster workers run with
+// -workers 1.
+func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
+	if p.ringFed() {
+		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
 	}
+	p.shards[0].sink = sink
 	return nil
 }
 
-// SetClusterSink on the parallel wrapper delegates to the degenerate
-// sequential engine. A multi-shard engine already owns an in-process
-// reconciliation pipeline; nesting it under a second, cross-process one
-// is not supported — cluster workers run with -workers 1.
-func (pa *ParallelAnalyzer) SetClusterSink(sink func(ClusterObs)) error {
-	if pa.seq == nil {
-		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
-	}
-	return pa.seq.SetClusterSink(sink)
-}
-
-// PacketSeq ingests one frame carrying an externally assigned global
-// capture sequence number (the splitter's epb_packetid). The sequence
-// number tags the media observations this packet produces, so the
-// aggregator can restore global capture order across workers.
-func (a *Analyzer) PacketSeq(at time.Time, frame []byte, seq uint64) {
-	a.obsSeq = seq
-	a.Packet(at, frame)
-}
-
-// PacketSeq on the parallel wrapper delegates to the degenerate
-// sequential engine; with real shards the sequence number is ignored
-// (the dispatcher assigns its own).
-func (pa *ParallelAnalyzer) PacketSeq(at time.Time, frame []byte, seq uint64) {
-	if pa.seq != nil {
-		pa.seq.PacketSeq(at, frame, seq)
-		return
-	}
-	pa.Packet(at, frame)
-}
-
-// SetPanicHook installs a hook run inside the per-packet recover scope
-// before parsing. Tests use it to inject deterministic panics into the
-// quarantine path; production never sets it.
-func (a *Analyzer) SetPanicHook(h func(at time.Time, frame []byte)) { a.panicHook = h }
-
-// SetPanicHook on the parallel wrapper reaches the sequential engine or
-// every shard analyzer. Call before the first packet.
-func (pa *ParallelAnalyzer) SetPanicHook(h func(at time.Time, frame []byte)) {
-	if pa.seq != nil {
-		pa.seq.SetPanicHook(h)
-		return
-	}
-	for _, sh := range pa.shards {
-		sh.a.panicHook = h
-	}
-}
-
-// ClusterHead is the splitter-side half of the merged accounting: the
-// counters the in-process dispatcher owns, carried across the process
-// boundary in the split manifest. Worker-side counters (zoom parse
-// failures, TCP/STUN tallies, evictions) are summed from the restored
-// worker states instead.
+// ClusterHead is the head-counter struct: what the front end counts
+// about the capture as a whole, before any per-flow work. Every engine
+// embeds one; a cluster carries the splitter's across the process
+// boundary in the split manifest. Per-flow tallies (decode counts,
+// TCP/STUN tallies, evictions) live in the shards and are summed from
+// them instead.
 type ClusterHead struct {
-	Packets         uint64
-	Bytes           uint64
+	Packets uint64
+	Bytes   uint64
+	// Undecodable counts frames the L2–L4 parser rejected (payloads no
+	// protocol plugin could decode are a shard's ProtoUndecodable).
 	Undecodable     uint64
 	DroppedByFilter uint64
+	// PanicsRecovered counts frames whose routing panicked and was
+	// contained (panics in per-flow processing are a shard's
+	// ShardPanics); each was quarantined when a Quarantine is configured.
 	PanicsRecovered uint64
-	ShedPackets     uint64
-	ShedBytes       uint64
-	Truncated       bool
-	FirstTS         time.Time
-	LastTS          time.Time
+	// ShedPackets/ShedBytes count packets dropped by overload shedding
+	// (Config.Shed) instead of being analyzed. Only ring-fed engines shed.
+	ShedPackets uint64
+	ShedBytes   uint64
+	// Truncated reports that the capture was cut mid-record: everything
+	// up to the cut was analyzed and the results are valid partial
+	// results.
+	Truncated bool
+	FirstTS   time.Time
+	LastTS    time.Time
 }
 
-// Router is the dispatcher's scan → filter → route stage extracted for
-// the splitter process: it classifies each frame with the exact
-// semantics (and counting) of the in-process parallel dispatcher and
-// returns the worker shard the frame belongs to.
+// Router is the front end on its own, for the splitter process: it
+// classifies each frame and names the worker shard the frame belongs to.
 type Router struct {
-	cfg    Config
-	n      int
-	filter *capture.Filter
-	parser layers.Parser
-	pkt    layers.Packet
-
-	// Packets counts every frame offered, kept or not; it doubles as
-	// the global capture sequence number stamped on forwarded frames
-	// (1-based — only relative order matters downstream).
-	Packets         uint64
-	Bytes           uint64
-	Undecodable     uint64
-	DroppedByFilter uint64
-	PanicsRecovered uint64
-	firstTS         time.Time
-	lastTS          time.Time
+	frontEnd
 }
 
-// NewRouter builds a router over n worker shards. The capture filter is
-// stateful (the P2P table is armed by STUN on one flow and consulted by
-// media on another), which is exactly why classification runs once,
-// centrally, in the splitter.
+// NewRouter builds a router over n worker shards.
 func NewRouter(cfg Config, n int) *Router {
 	if n < 1 {
 		n = 1
 	}
-	protos := cfg.Protos
-	if protos == nil {
-		protos = rtcproto.DefaultSet()
-	}
-	return &Router{
-		cfg: cfg,
-		n:   n,
-		filter: capture.NewFilter(capture.Config{
-			ZoomNetworks:   cfg.ZoomNetworks,
-			CampusNetworks: cfg.CampusNetworks,
-			GenericRTC:     rtcproto.HasNonZoom(protos),
-		}),
-	}
+	return &Router{newFrontEnd(cfg, n)}
 }
 
 // Route classifies one frame: shard is the worker it belongs to and
 // keep reports whether it should be forwarded at all (undecodable and
-// filter-dropped frames are counted here and never forwarded). Frames
-// whose classification panics are counted, optionally quarantined, and
-// not forwarded — the same containment the dispatcher applies.
+// filter-dropped frames are counted and never forwarded, as are frames
+// whose classification panics). Packets, the count of frames offered so
+// far, is the sequence number to stamp on a forwarded frame.
 func (r *Router) Route(at time.Time, frame []byte) (shard int, keep bool) {
-	r.Packets++
-	r.Bytes += uint64(len(frame))
-	if r.firstTS.IsZero() || at.Before(r.firstTS) {
-		r.firstTS = at
-	}
-	if at.After(r.lastTS) {
-		r.lastTS = at
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			r.PanicsRecovered++
-			if r.cfg.Quarantine != nil {
-				r.cfg.Quarantine.Add(at, frame, fmt.Sprintf("panic: %v", p))
-			}
-			shard, keep = 0, false
-		}
-	}()
-	var ri rawInfo
-	if !rawScan(frame, &ri) {
-		return r.routeSlow(at, frame)
-	}
-	verdict := r.filter.ClassifyFlow(ri.src, ri.dst, !ri.isTCP, ri.srcPort, ri.dstPort, ri.payload, at)
-	if !verdict.Keep() && !r.cfg.PreFiltered {
-		r.DroppedByFilter++
-		return 0, false
-	}
-	return shardFor(&r.cfg, r.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
+	return r.route(at, frame, r.seq+1)
 }
 
-// routeSlow is the full-parse fallback for frames rawScan does not
-// cover, with identical counting semantics to dispatchSlow.
-func (r *Router) routeSlow(at time.Time, frame []byte) (int, bool) {
-	if err := r.parser.Parse(frame, &r.pkt); err != nil {
-		r.Undecodable++
-		return 0, false
-	}
-	verdict := r.filter.Classify(&r.pkt, at)
-	if !verdict.Keep() && !r.cfg.PreFiltered {
-		r.DroppedByFilter++
-		return 0, false
-	}
-	if r.pkt.HasTCP {
-		return shardFor(&r.cfg, r.n, true, r.pkt.SrcAddr(), r.pkt.DstAddr(), r.pkt.TCP.SrcPort, r.pkt.TCP.DstPort), true
-	}
-	ft, ok := r.pkt.FiveTuple()
-	if !ok {
-		return 0, true
-	}
-	return shardFor(&r.cfg, r.n, false, ft.Src, ft.Dst, ft.SrcPort, ft.DstPort), true
-}
-
-// Head snapshots the router's dispatcher-side counters for the split
-// manifest. The splitter never sheds (it has no rings), so the shed
-// counters stay zero.
+// Head snapshots the head counters for the split manifest.
 func (r *Router) Head(truncated bool) ClusterHead {
-	return ClusterHead{
-		Packets:         r.Packets,
-		Bytes:           r.Bytes,
-		Undecodable:     r.Undecodable,
-		DroppedByFilter: r.DroppedByFilter,
-		PanicsRecovered: r.PanicsRecovered,
-		Truncated:       truncated,
-		FirstTS:         r.firstTS,
-		LastTS:          r.lastTS,
-	}
-}
-
-// shardFor hashes flow features to one of n shards: FNV-1a over the
-// directed five-tuple for UDP, over the client endpoint for TCP. It is
-// the single routing hash shared by the in-process dispatcher
-// (shardIndexFor) and the cluster splitter (Router), so a cluster
-// worker receives exactly the flows the corresponding in-process shard
-// would have.
-func shardFor(cfg *Config, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
-	var h uint64 = 14695981039346656037 // FNV-1a offset basis
-	if isTCP {
-		client, cport := dst, dstPort
-		if cfg.isZoomAddr(dst) && !cfg.isZoomAddr(src) {
-			client, cport = src, srcPort
-		}
-		a16 := client.As16()
-		h = fnv1a(h, a16[:])
-		tail := [3]byte{byte(cport >> 8), byte(cport), layers.ProtoTCP}
-		h = fnv1a(h, tail[:])
-		return int(h % uint64(n))
-	}
-	s16, d16 := src.As16(), dst.As16()
-	h = fnv1a(h, s16[:])
-	sp := [2]byte{byte(srcPort >> 8), byte(srcPort)}
-	h = fnv1a(h, sp[:])
-	h = fnv1a(h, d16[:])
-	tail := [3]byte{byte(dstPort >> 8), byte(dstPort), layers.ProtoUDP}
-	h = fnv1a(h, tail[:])
-	return int(h % uint64(n))
+	h := r.ClusterHead
+	h.Truncated = truncated
+	return h
 }
 
 // MergeCluster combines restored worker states into one sequential-
-// equivalent analyzer: head supplies the splitter-side counters, next
+// equivalent analyzer: head supplies the splitter's head counters, next
 // yields the k-way merged worker observation logs in global capture
 // (Seq) order, and parts are the restored per-worker analyzers. The
 // returned analyzer has NOT been finished — callers either Finish it to
 // read the report or Checkpoint it first to keep the merged state
 // portable (checkpoints always capture pre-Finish state).
 func MergeCluster(cfg Config, parts []*Analyzer, head ClusterHead, next func() (ClusterObs, bool)) *Analyzer {
-	rec := newReconState(cfg)
-	for {
-		o, ok := next()
-		if !ok {
-			break
-		}
-		unified := rec.dedup.Observe(meeting.StreamObs{
-			Time: o.At, Flow: o.Flow, Key: o.Key, Seq: o.RTPSeq, TS: o.RTPTS,
-		})
-		rec.copies.Observe(unified, o.Flow, o.PT, o.RTPSeq, o.RTPTS, o.At)
-		if rec.win != nil {
-			rec.win.Observe(features.Obs{
-				At: o.At, Flow: o.Flow, Key: o.Key,
-				WireLen: o.WireLen, PayloadLen: o.PayloadLen,
-				PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
-			})
-		}
+	cfg.Obs = nil // the workers already fed the live metrics
+	p := newPipeline(cfg, 1)
+	for o, ok := next(); ok; o, ok = next() {
+		p.observe(o)
 	}
-	return mergeParts(cfg, parts, head, rec)
+	shards := make([]*shard, len(parts))
+	for i, a := range parts {
+		shards[i] = a.shard
+		// Whatever a worker's own front end counted beyond the splitter's
+		// view (nothing, unless its stream was damaged in transit) still
+		// belongs in the totals.
+		head.Undecodable += a.Undecodable
+		head.PanicsRecovered += a.PanicsRecovered
+	}
+	p.ClusterHead = head
+	return p.setInline(mergeShards(p.cfg, shards))
 }

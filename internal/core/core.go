@@ -18,7 +18,6 @@ import (
 	"sort"
 	"time"
 
-	"zoomlens/internal/capture"
 	"zoomlens/internal/features"
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
@@ -27,8 +26,6 @@ import (
 	"zoomlens/internal/obs"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/rtcproto"
-	"zoomlens/internal/stun"
-	"zoomlens/internal/tcprtt"
 	"zoomlens/internal/zoom"
 )
 
@@ -113,74 +110,29 @@ type Config struct {
 // trace wraps Config.Tracer as a nil-safe stage timer.
 func (cfg Config) trace(stage string) func() { return obs.Stage(cfg.Tracer, stage) }
 
-// Analyzer is the end-to-end pipeline. Feed packets in capture order via
-// Packet (or a whole file via ReadPCAP), then call Finish once before
-// reading results.
-type Analyzer struct {
-	cfg    Config
-	filter *capture.Filter
-	parser layers.Parser
-	// protos is the resolved plugin probe chain (Config.Protos, or the
-	// canonical default set).
-	protos []rtcproto.Plugin
+// protos resolves the plugin probe chain (Config.Protos, or the
+// canonical default set).
+func (cfg Config) protos() []rtcproto.Plugin {
+	if cfg.Protos == nil {
+		return rtcproto.DefaultSet()
+	}
+	return cfg.Protos
+}
 
-	Flows *flow.Table
-	Dedup *meeting.Dedup
-	// StreamMetrics holds one metric engine per observed stream record
-	// (per flow+SSRC+type, not per unified stream: SFU copies are
-	// analyzed independently, as the paper does).
-	StreamMetrics map[flow.MediaStreamID]*metrics.StreamMetrics
-	// Copies matches stream copies for §5.3 method-1 RTT samples.
-	Copies *metrics.CopyMatcher
-	// TCP holds one RTT tracker per Zoom control connection, keyed by
-	// the client-side endpoint.
-	TCP map[netip.AddrPort]*tcprtt.Tracker
-
-	// Totals.
-	Packets     uint64
-	Bytes       uint64
-	ZoomUDP     uint64
-	Undecodable uint64
-	TCPPackets  uint64
-	STUNPackets uint64
-	// STUNPortNonSTUN counts packets on the well-known STUN port whose
-	// payload lacks STUN framing. They are NOT counted in STUNPackets;
-	// they fall through to the protocol decoders like any other UDP
-	// payload.
-	STUNPortNonSTUN uint64
-	// ProtoDecoded counts successfully decoded media packets per
-	// protocol plugin, indexed by rtcproto.ID.
-	ProtoDecoded    [rtcproto.NumIDs]uint64
-	DroppedByFilter uint64
-	// UDPKeptPackets/UDPKeptBytes cover kept (Zoom) UDP traffic whether
-	// or not it decoded — the Table 2/3 denominators.
-	UDPKeptPackets uint64
-	UDPKeptBytes   uint64
-	// PanicsRecovered counts packets whose processing panicked; each was
-	// quarantined (when a Quarantine is configured) instead of crashing
-	// the process.
-	PanicsRecovered uint64
-	// Truncated reports that ReadPCAP hit a mid-record cut: everything up
-	// to the cut was analyzed and the results are valid partial results.
-	Truncated bool
-	// EvictedTCP and RejectedTCPPackets are the TCP-tracker counterparts
-	// of the flow table's eviction stats.
-	EvictedTCP         uint64
-	RejectedTCPPackets uint64
-	// FinishedDropped counts archived streams discarded at MaxFinished.
-	FinishedDropped uint64
-	// ShedPackets/ShedBytes count packets dropped by overload shedding
-	// (Config.Shed) instead of being analyzed. Only the parallel
-	// dispatcher sheds; on a sequential analyzer these are nonzero only
-	// after a merge or restore carried them over.
-	ShedPackets uint64
-	ShedBytes   uint64
-
-	// Finished holds archived streams from Compact.
-	Finished []FinishedStream
-
-	compactEvery uint64
-	compactIdle  time.Duration
+// pipeline is the engine behind both exported analyzers: one front end,
+// N ≥ 1 shards, and one reconciliation consumer for the cross-flow
+// stages. With one shard it runs inline — the front end calls the shard
+// directly and the shard's observations go straight into the
+// reconciliation consumer, no goroutine and no frame copy. With more,
+// each shard is fed over its own SPSC ring (parallel.go) and logs its
+// observations for replay in capture order. Finish folds the shards of
+// a ring-fed pipeline into one inline shard, so from then on every
+// pipeline is the sequential-equivalent result.
+type pipeline struct {
+	frontEnd
+	reconState
+	shards  []*shard
+	workers int
 
 	// finished makes Finish idempotent: ReadPCAP finishes internally, so
 	// a caller following it with its own Finish must not flush (and
@@ -188,99 +140,73 @@ type Analyzer struct {
 	// re-arms it.
 	finished bool
 
-	// tcpSeen tracks per-client TCP activity for idle eviction.
-	tcpSeen map[netip.AddrPort]time.Time
+	// Delta-checkpoint chain state: ckPackets is the packet count at the
+	// last checkpoint encode (the next delta's base); chainArmed is set by
+	// full checkpoints and restores and cleared by rotation.
+	ckPackets  uint64
+	chainArmed bool
 
-	// Delta-checkpoint tracking (see delta.go). deltaArmed turns on
-	// tombstone/dirty-set recording; it is set by the first checkpoint
-	// encode, so runs that never checkpoint pay nothing beyond the
-	// per-record dirty bools. ckPackets binds a delta to the exact
-	// packet count of the checkpoint it extends; ckFinishedLen and
-	// ckHeadDrops track the archived-stream baseline (the archive is
-	// append-plus-head-drop only, so a delta carries the head-drop count
-	// and the appended tail).
-	deltaArmed    bool
-	deltaOverflow bool
-	dirtyTCP      map[netip.AddrPort]struct{}
-	deadTCP       []netip.AddrPort
-	deadStreams   []flow.MediaStreamID
-	ckPackets     uint64
-	ckFinishedLen int
-	ckHeadDrops   int
+	// result is the report view of an inline pipeline (nil while shards
+	// are ring-fed: their state is not readable until Finish).
+	result *Analyzer
+}
 
-	// panicHook, when set, runs inside the recover() scope of every
-	// packet before parsing. Tests use it to inject deterministic panics;
-	// production never sets it.
-	panicHook func(at time.Time, frame []byte)
+// Analyzer is the sequential engine — front end, one inline shard and
+// the reconciliation consumer on the caller's goroutine — and the form
+// every engine's results take: the parallel engine's Finish and the
+// cluster aggregator's merge both yield one. Feed packets in capture
+// order via Packet (or a whole file via ReadPCAP), then call Finish once
+// before reading results.
+//
+// Its exported fields are those of its parts: the head counters
+// (ClusterHead: Packets, Bytes, DroppedByFilter, …, counting what the
+// front end saw), the shard's per-flow state and tallies (Flows,
+// StreamMetrics, TCP, Finished, ZoomUDP, UDPKeptPackets, …), and the
+// cross-flow state (Dedup, Copies). Summary adds up the totals that
+// span both halves.
+type Analyzer struct {
+	*pipeline
+	*shard
+}
 
-	firstTS time.Time
-	lastTS  time.Time
-
-	// o holds this analyzer's live-metric handles (nil when Config.Obs
-	// is nil; every hook is nil-receiver safe).
-	o *coreObs
-
-	// recScratch is the reused flow observation passed to Flows.Observe
-	// (which copies what it keeps), saving one heap allocation per media
-	// packet on the hot path.
-	recScratch flow.Record
-
-	// obsSink, when non-nil, receives each media-stream observation
-	// instead of it being fed to Dedup and Copies directly. The sharded
-	// parallel analyzer uses this to log observations per shard and
-	// replay them in global capture order at merge time (stream
-	// unification and copy matching are inherently cross-flow, so they
-	// cannot run independently per shard). obsSeq is the global capture
-	// sequence number of the packet currently being ingested.
-	obsSink func(mediaObs)
-	obsSeq  uint64
-
-	// feats is the streaming feature windower (Config.FeatureWindow).
-	// It consumes the same globally ordered observation stream as
-	// Dedup/Copies: inline here when the analyzer runs sequentially,
-	// or on the reconciliation path when this analyzer's observations
-	// are routed through obsSink (parallel shards, cluster workers) —
-	// never both.
+// reconState is the reconciliation consumer: the cross-flow stages, fed
+// every media observation in global capture order. Because they are
+// deterministic in observation order, it does not matter whether they
+// are fed packet by packet (inline), in batches at quiesce boundaries
+// (ring-fed shard logs), or all at once from worker logs (cluster).
+type reconState struct {
+	// Dedup unifies stream copies (§4.3); Copies matches them for §5.3
+	// method-1 RTT samples.
+	Dedup  *meeting.Dedup
+	Copies *metrics.CopyMatcher
+	// feats is the streaming feature windower (nil unless
+	// Config.FeatureWindow is set).
 	feats *features.Windower
 }
 
-// NewAnalyzer builds an analyzer.
-func NewAnalyzer(cfg Config) *Analyzer {
-	if cfg.FlowTTL > 0 && cfg.MaintainEvery == 0 {
-		cfg.MaintainEvery = 4096
-	}
-	protos := cfg.Protos
-	if protos == nil {
-		protos = rtcproto.DefaultSet()
-	}
-	a := &Analyzer{
-		cfg:    cfg,
-		protos: protos,
-		filter: capture.NewFilter(capture.Config{
-			ZoomNetworks:   cfg.ZoomNetworks,
-			CampusNetworks: cfg.CampusNetworks,
-			GenericRTC:     rtcproto.HasNonZoom(protos),
-		}),
-		Flows:         flow.NewTable(),
-		Dedup:         meeting.NewDedup(),
-		StreamMetrics: make(map[flow.MediaStreamID]*metrics.StreamMetrics),
-		Copies:        metrics.NewCopyMatcher(),
-		TCP:           make(map[netip.AddrPort]*tcprtt.Tracker),
-		tcpSeen:       make(map[netip.AddrPort]time.Time),
-		dirtyTCP:      make(map[netip.AddrPort]struct{}),
-	}
-	a.Flows.SetLimits(flow.Limits{
-		MaxFlows:      cfg.MaxFlows,
-		MaxStreams:    cfg.MaxStreams,
-		MaxSubstreams: cfg.MaxSubstreams,
-	})
-	a.Dedup.MaxStreams = cfg.MaxMeetingStreams
-	a.Copies.MaxPending = effectiveMaxCopyPending(cfg)
+func newReconState(cfg Config) reconState {
+	rec := reconState{Dedup: meeting.NewDedup(), Copies: metrics.NewCopyMatcher()}
+	rec.Dedup.MaxStreams = cfg.MaxMeetingStreams
+	rec.Copies.MaxPending = effectiveMaxCopyPending(cfg)
 	if cfg.FeatureWindow > 0 {
-		a.feats = features.NewWindower(cfg.FeatureWindow)
+		rec.feats = features.NewWindower(cfg.FeatureWindow)
 	}
-	a.bindObs("")
-	return a
+	return rec
+}
+
+// observe consumes one media observation.
+func (rec *reconState) observe(o ClusterObs) {
+	unified := rec.Dedup.Observe(meeting.StreamObs{
+		Time: o.At, Flow: o.Flow, Key: o.Key, Seq: o.RTPSeq, TS: o.RTPTS,
+	})
+	rec.Copies.Observe(unified, o.Flow, o.PT, o.RTPSeq, o.RTPTS, o.At)
+	if rec.feats != nil {
+		rec.feats.Observe(features.Obs{
+			At: o.At, Flow: o.Flow, Key: o.Key,
+			WireLen: o.WireLen, PayloadLen: o.PayloadLen,
+			PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
+		})
+	}
 }
 
 // effectiveMaxCopyPending resolves the copy-matcher cap: explicit config
@@ -297,203 +223,143 @@ func effectiveMaxCopyPending(cfg Config) int {
 	return 0
 }
 
+// newPipeline builds the front end and reconciliation consumer for the
+// given shard count; the caller attaches the shards.
+func newPipeline(cfg Config, workers int) *pipeline {
+	if cfg.FlowTTL > 0 && cfg.MaintainEvery == 0 {
+		cfg.MaintainEvery = 4096
+	}
+	p := &pipeline{frontEnd: newFrontEnd(cfg, workers), reconState: newReconState(cfg), workers: workers}
+	p.o = newCoreObs(cfg.Obs, "", cfg)
+	return p
+}
+
+// setInline installs sh as the pipeline's only shard, wired straight
+// into the reconciliation consumer.
+func (p *pipeline) setInline(sh *shard) *Analyzer {
+	sh.sink = p.observe
+	sh.evictCross = func(cutoff time.Time) { p.Dedup.Evict(cutoff) }
+	p.n, p.shards = 1, []*shard{sh}
+	p.result = &Analyzer{p, sh}
+	return p.result
+}
+
+// NewAnalyzer builds a sequential analyzer: the one-worker engine.
+func NewAnalyzer(cfg Config) *Analyzer { return NewParallelAnalyzer(cfg, 1).result }
+
 // Packet ingests one captured frame. The frame is borrowed for the
-// duration of the call — anything the analyzer retains (quarantined
-// frames) is copied — so callers may reuse the buffer immediately,
-// including the borrowed Data of pcap.NextInto. A panic anywhere in
-// per-packet processing is recovered, counted, and (when configured)
-// quarantined — one hostile frame must not take down a production tap.
-func (a *Analyzer) Packet(at time.Time, frame []byte) {
-	a.finished = false
-	a.Packets++
-	a.Bytes += uint64(len(frame))
-	a.o.packetIn(len(frame))
-	if a.o != nil && a.Packets%obsUpdateEvery == 0 {
-		a.updateObsGauges()
+// duration of the call — anything the engine retains (ring batches,
+// quarantined frames) is copied — so callers may reuse the buffer
+// immediately, including the borrowed Data of pcap.NextInto. Not safe
+// for concurrent use: one goroutine feeds the engine.
+func (p *pipeline) Packet(at time.Time, frame []byte) { p.PacketSeq(at, frame, p.seq+1) }
+
+// PacketSeq is Packet with an externally assigned global capture
+// sequence number (the cluster splitter's epb_packetid) in place of the
+// engine's own count. The number tags the media observations this
+// packet produces, so the aggregator can restore global capture order
+// across workers.
+func (p *pipeline) PacketSeq(at time.Time, frame []byte, seq uint64) {
+	p.finished = false
+	idx, keep := p.route(at, frame, seq)
+	sh := p.shards[idx]
+	if p.ringFed() {
+		p.dispatch(sh, keep, seq, at, frame)
+		return
 	}
-	if a.firstTS.IsZero() || at.Before(a.firstTS) {
-		a.firstTS = at
+	if keep {
+		sh.process(seq, at, frame)
 	}
-	if at.After(a.lastTS) {
-		a.lastTS = at
+	sh.tick(at)
+	if p.o != nil && p.Packets%obsUpdateEvery == 0 {
+		p.updateGauges()
 	}
-	a.safeProcess(at, frame)
-	a.maybeCompact(at)
-	a.maybeMaintain(at)
 }
 
-// safeProcess runs the parse → filter → ingest path under a panic
-// quarantine.
-func (a *Analyzer) safeProcess(at time.Time, frame []byte) {
-	defer func() {
-		if r := recover(); r != nil {
-			a.PanicsRecovered++
-			a.o.panicRecovered()
-			if a.cfg.Quarantine != nil {
-				a.cfg.Quarantine.Add(at, frame, fmt.Sprintf("panic: %v", r))
-			}
+// Finish flushes all per-stream state; call it once after the last
+// packet, before reading results. It is idempotent: repeated calls
+// without an intervening Packet are no-ops, so following ReadPCAP (which
+// finishes internally) with an explicit Finish is safe.
+func (p *pipeline) Finish() {
+	if p.finished {
+		return
+	}
+	p.finished = true
+	p.collapse()
+	defer p.cfg.trace("finish")()
+	for _, sm := range p.shards[0].StreamMetrics {
+		sm.Finish()
+	}
+	if p.feats != nil {
+		p.feats.FinishFlush()
+	}
+	p.updateGauges()
+}
+
+// Result returns the sequential-equivalent analyzer: the engine itself
+// when it runs inline, the merged shards after a parallel engine's
+// Finish. It panics on a parallel engine that has not finished.
+func (p *pipeline) Result() *Analyzer {
+	if p.result == nil {
+		panic(fmt.Sprintf("core: ParallelAnalyzer.Result before Finish (%d workers)", p.workers))
+	}
+	return p.result
+}
+
+// ringFed reports which transport the pipeline runs: shards on their own
+// goroutines behind rings, or (false) one inline shard.
+func (p *pipeline) ringFed() bool { return p.shards[0].ring != nil }
+
+// Workers returns the shard count the engine was built with.
+func (p *pipeline) Workers() int { return p.workers }
+
+// DrainFeatures returns the feature rows emitted since the previous
+// drain (nil when the feature layer is disabled). Drain cadence never
+// affects row content or order. Call from the ingest goroutine.
+func (p *pipeline) DrainFeatures() []features.Row {
+	if p.feats == nil {
+		return nil
+	}
+	p.reconcile()
+	return p.feats.Drain()
+}
+
+// ReadPCAP feeds an entire capture stream (classic pcap or pcapng)
+// through the engine and finishes. A capture cut mid-record (a crashed
+// or interrupted tcpdump) is not an error: everything before the cut is
+// analyzed and Truncated is set.
+func (p *pipeline) ReadPCAP(r io.Reader) error {
+	s, err := pcap.OpenStream(r)
+	if err != nil {
+		return err
+	}
+	var rec pcap.Record
+	for {
+		err := s.NextInto(&rec)
+		if err == io.EOF {
+			break
 		}
-	}()
-	if a.panicHook != nil {
-		a.panicHook(at, frame)
-	}
-	var pkt layers.Packet
-	if err := a.parser.Parse(frame, &pkt); err != nil {
-		a.Undecodable++
-		a.o.undecodable()
-		return
-	}
-	verdict := a.filter.Classify(&pkt, at)
-	if !verdict.Keep() && !a.cfg.PreFiltered {
-		a.DroppedByFilter++
-		a.o.filtered()
-		return
-	}
-	a.ingest(at, &pkt, len(frame))
-}
-
-// ingest processes a packet that has already been parsed and admitted by
-// the capture filter. The sharded parallel analyzer calls this directly
-// on worker-local analyzers after central classification.
-func (a *Analyzer) ingest(at time.Time, pkt *layers.Packet, wireLen int) {
-	switch {
-	case pkt.HasTCP:
-		a.TCPPackets++
-		a.o.tcp()
-		a.observeTCP(at, pkt)
-	case pkt.HasUDP:
-		a.observeUDP(at, pkt, wireLen)
-	}
-}
-
-func (a *Analyzer) observeTCP(at time.Time, pkt *layers.Packet) {
-	fromClient := a.isZoomAddr(pkt.DstAddr()) && !a.isZoomAddr(pkt.SrcAddr())
-	var client netip.AddrPort
-	if fromClient {
-		client = netip.AddrPortFrom(pkt.SrcAddr(), pkt.TCP.SrcPort)
-	} else {
-		client = netip.AddrPortFrom(pkt.DstAddr(), pkt.TCP.DstPort)
-	}
-	tr := a.TCP[client]
-	if tr == nil {
-		if a.cfg.MaxTCP > 0 && len(a.TCP) >= a.cfg.MaxTCP {
-			a.RejectedTCPPackets++
-			return
+		if err != nil {
+			return err
 		}
-		tr = tcprtt.NewTracker()
-		a.TCP[client] = tr
+		p.Packet(rec.Timestamp, rec.Data)
 	}
-	a.tcpSeen[client] = at
-	if a.deltaArmed {
-		a.dirtyTCP[client] = struct{}{}
+	if s.Truncated() {
+		p.Truncated = true
 	}
-	tr.Observe(at, fromClient, &pkt.TCP, len(pkt.Payload))
+	p.Finish()
+	return nil
 }
 
-func (a *Analyzer) observeUDP(at time.Time, pkt *layers.Packet, wireLen int) {
-	// Classify STUN by payload framing (magic cookie + length), not by
-	// port alone: Zoom P2P sends STUN on the media ports too, and a
-	// non-STUN payload that merely lands on port 3478 must not be
-	// silently absorbed into STUNPackets.
-	if stun.Is(pkt.Payload) {
-		a.STUNPackets++
-		a.o.stun()
-		return
+// SetPanicHook installs a hook run inside every shard's per-packet
+// recover scope before the decode. Tests use it to inject deterministic
+// panics into the quarantine path; production never sets it. Call
+// before the first packet.
+func (p *pipeline) SetPanicHook(h func(at time.Time, frame []byte)) {
+	for _, sh := range p.shards {
+		sh.panicHook = h
 	}
-	if pkt.UDP.SrcPort == stun.Port || pkt.UDP.DstPort == stun.Port {
-		// Port-only match: count the mismatch separately and let the
-		// packet fall through to the protocol decoders.
-		a.STUNPortNonSTUN++
-	}
-	a.UDPKeptPackets++
-	a.UDPKeptBytes += uint64(wireLen)
-	// Protocol plugin chain: the first plugin whose Probe accepts the
-	// payload claims it — whether or not its Decode then succeeds — so
-	// packet ownership is deterministic and independent of decode
-	// strictness. Probes are mutually exclusive by construction (Zoom
-	// first bytes < 0x80, RTP version bits require 0x80..0xBF).
-	var mo rtcproto.MediaObs
-	decoded := false
-	for _, p := range a.protos {
-		if !p.Probe(pkt.Payload) {
-			continue
-		}
-		var err error
-		mo, err = p.Decode(pkt.Payload)
-		decoded = err == nil
-		break
-	}
-	if !decoded {
-		a.Undecodable++
-		a.o.undecodable()
-		a.o.protoUndecoded()
-		return
-	}
-	proto := mo.Proto
-	zp := mo.Pkt
-	a.ProtoDecoded[proto]++
-	a.o.protoDecoded(proto)
-	if proto == rtcproto.IDZoom {
-		a.ZoomUDP++
-		a.o.zoomUDP()
-	}
-	ft, ok := pkt.FiveTuple()
-	if !ok {
-		return
-	}
-	a.recScratch = flow.Record{
-		Time:          at,
-		Flow:          ft,
-		WireLen:       wireLen,
-		UDPPayloadLen: len(pkt.Payload),
-		Proto:         uint8(proto),
-		Z:             zp,
-	}
-	st := a.Flows.Observe(&a.recScratch)
-
-	if !zp.IsMedia() {
-		return
-	}
-	a.o.media()
-	if st == nil {
-		// The flow table turned the packet away at a state cap (and
-		// counted it); skip stream-level state too so caps bound the
-		// whole pipeline, not just the table.
-		return
-	}
-	key := zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
-	if a.obsSink != nil {
-		a.obsSink(mediaObs{
-			seq: a.obsSeq, at: at, flow: ft, key: key,
-			wireLen: int32(wireLen), payloadLen: int32(len(pkt.Payload)),
-			pt: zp.RTP.PayloadType, rtpSeq: zp.RTP.SequenceNumber, rtpTS: zp.RTP.Timestamp,
-		})
-	} else {
-		unified := a.Dedup.Observe(meeting.StreamObs{
-			Time: at, Flow: ft, Key: key,
-			Seq: zp.RTP.SequenceNumber, TS: zp.RTP.Timestamp,
-		})
-		a.Copies.Observe(unified, ft, zp.RTP.PayloadType, zp.RTP.SequenceNumber, zp.RTP.Timestamp, at)
-		if a.feats != nil {
-			a.feats.Observe(features.Obs{
-				At: at, Flow: ft, Key: key,
-				WireLen: wireLen, PayloadLen: len(pkt.Payload),
-				PT: zp.RTP.PayloadType, RTPSeq: zp.RTP.SequenceNumber, RTPTS: zp.RTP.Timestamp,
-			})
-		}
-	}
-
-	id := flow.MediaStreamID{Flow: ft, Key: key}
-	sm := a.StreamMetrics[id]
-	if sm == nil {
-		sm = metrics.NewStreamMetrics(zp.Media.Type)
-		a.StreamMetrics[id] = sm
-	}
-	sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
-	sm.MarkDirty()
 }
-
-func (a *Analyzer) isZoomAddr(addr netip.Addr) bool { return a.cfg.isZoomAddr(addr) }
 
 func (cfg Config) isZoomAddr(addr netip.Addr) bool {
 	for _, p := range cfg.ZoomNetworks {
@@ -518,61 +384,6 @@ func (cfg Config) isCampusAddr(addr netip.Addr) bool {
 // the Zoom-server convention, other protocols use campus membership.
 func (cfg Config) clientOf() func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort {
 	return meeting.ClientOfProto(cfg.isZoomAddr, cfg.isCampusAddr)
-}
-
-// Finish flushes all per-stream state. It is idempotent: repeated calls
-// without an intervening Packet are no-ops, so following ReadPCAP (which
-// finishes internally) with an explicit Finish is safe.
-func (a *Analyzer) Finish() {
-	if a.finished {
-		return
-	}
-	a.finished = true
-	defer a.cfg.trace("finish")()
-	for _, sm := range a.StreamMetrics {
-		sm.Finish()
-	}
-	if a.feats != nil {
-		a.feats.FinishFlush()
-	}
-	a.updateObsGauges()
-}
-
-// DrainFeatures returns the feature rows emitted since the previous
-// drain (nil when the feature layer is disabled). Drain cadence never
-// affects row content or order.
-func (a *Analyzer) DrainFeatures() []features.Row {
-	if a.feats == nil {
-		return nil
-	}
-	return a.feats.Drain()
-}
-
-// ReadPCAP feeds an entire capture stream (classic pcap or pcapng)
-// through the analyzer and finishes. A capture cut mid-record (a crashed
-// or interrupted tcpdump) is not an error: everything before the cut is
-// analyzed and a.Truncated is set.
-func (a *Analyzer) ReadPCAP(r io.Reader) error {
-	s, err := pcap.OpenStream(r)
-	if err != nil {
-		return err
-	}
-	var rec pcap.Record
-	for {
-		err := s.NextInto(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		a.Packet(rec.Timestamp, rec.Data)
-	}
-	if s.Truncated() {
-		a.Truncated = true
-	}
-	a.Finish()
-	return nil
 }
 
 // Meetings runs the §4.3 grouping over everything observed.
@@ -626,7 +437,7 @@ func (a *Analyzer) Summary() Summary {
 	tot := a.Flows.Totals()
 	ev := a.Flows.Evictions()
 	return Summary{
-		Duration:        a.lastTS.Sub(a.firstTS),
+		Duration:        a.LastTS.Sub(a.FirstTS),
 		Packets:         a.Packets,
 		Bytes:           a.Bytes,
 		ZoomUDP:         a.ZoomUDP,
@@ -634,14 +445,14 @@ func (a *Analyzer) Summary() Summary {
 		STUNPackets:     a.STUNPackets,
 		STUNPortNonSTUN: a.STUNPortNonSTUN,
 		ProtoDecoded:    a.ProtoDecoded,
-		Undecodable:     a.Undecodable,
+		Undecodable:     a.Undecodable + a.ProtoUndecodable,
 		Flows:           tot.Flows,
 		Streams:         tot.Streams,
 		Meetings:        len(a.Meetings()),
 		EvictedFlows:    ev.EvictedFlows,
 		EvictedStreams:  ev.EvictedStreams,
 		RejectedPackets: ev.RejectedFlowPackets + ev.RejectedStreamPackets + ev.RejectedSubstreamPackets + a.RejectedTCPPackets,
-		PanicsRecovered: a.PanicsRecovered,
+		PanicsRecovered: a.PanicsRecovered + a.ShardPanics,
 		ShedPackets:     a.ShedPackets,
 		ShedBytes:       a.ShedBytes,
 		Truncated:       a.Truncated,

@@ -6,8 +6,8 @@ package core
 // cadence tick. A delta record instead carries only what changed since
 // the previous checkpoint encode: per-layer dirty bits select the
 // records to re-serialize, tombstones carry the deletions, and the
-// bounded cross-flow layers (capture filter, copy matcher) ride along
-// whole. Steady-state checkpoint cost therefore scales with churn.
+// bounded cross-flow layers (capture filter, feature windower) ride
+// along whole. Steady-state checkpoint cost therefore scales with churn.
 //
 // Chain discipline: a delta extends the engine state as of the last
 // checkpoint encode (full or delta) and records that state's packet
@@ -23,13 +23,10 @@ import (
 	"net/netip"
 	"slices"
 
-	"zoomlens/internal/features"
 	"zoomlens/internal/flow"
-	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/tcprtt"
-	"zoomlens/internal/zoom"
 )
 
 // ErrDeltaUnavailable reports that the engine cannot produce a delta
@@ -38,161 +35,126 @@ import (
 // Finish. The caller falls back to a full checkpoint.
 var ErrDeltaUnavailable = fmt.Errorf("core: delta checkpoint unavailable (write a full checkpoint)")
 
-const (
-	// V2 deltas carry the StreamKey protocol byte, the per-protocol
-	// decode counters, and the STUN port-mismatch counter; V3 appends
-	// the feature windower, which (like the capture filter) is bounded
-	// cross-flow state and rides along whole. Older records are
-	// rejected by version.
-	analyzerDeltaV1 = 1
-	analyzerDeltaV2 = 2
-	analyzerDeltaV3 = 3
-	parallelDeltaV1 = 1
-	parallelDeltaV2 = 2
-	parallelDeltaV3 = 3
+// maxCoreTombstones bounds the eviction backlog a delta carries; past it
+// the next delta encode reports unavailable and the caller writes a full
+// checkpoint (which resets the backlog).
+const maxCoreTombstones = 1 << 20
 
-	// maxCoreTombstones bounds the eviction backlog a delta carries;
-	// past it the next delta encode reports unavailable and the caller
-	// writes a full checkpoint (which resets the backlog).
-	maxCoreTombstones = 1 << 20
-)
-
-// Discard releases an engine whose delta apply (or restore) failed:
-// a parallel engine that has not finished still owns shard goroutines,
+// Discard releases an engine whose delta apply (or restore) failed: a
+// parallel engine that has not finished still owns shard goroutines,
 // which must be torn down before the engine is dropped. Safe to call on
 // any engine, including nil results from a failed restore.
 func Discard(eng Engine) {
-	pa, ok := eng.(*ParallelAnalyzer)
-	if !ok || pa == nil || pa.seq != nil || pa.merged != nil {
-		return
+	if pa, ok := eng.(*ParallelAnalyzer); ok && pa != nil && pa.ringFed() {
+		pa.stop()
 	}
-	pa.abandon()
 }
 
-func (a *Analyzer) tombstoneStreamMetric(id flow.MediaStreamID) {
-	if !a.deltaArmed || a.deltaOverflow {
-		return
-	}
-	if len(a.deadStreams) >= maxCoreTombstones {
-		a.deltaOverflow = true
-		return
-	}
-	a.deadStreams = append(a.deadStreams, id)
+// CheckpointDelta writes a delta record covering everything since the
+// last checkpoint encode, or ErrDeltaUnavailable when no chain is armed
+// (no full checkpoint yet, tombstone overflow, a rotation broke the
+// lineage, or the engine has finished) — the caller then writes a full
+// checkpoint instead. A successful encode re-anchors the chain at the
+// current state.
+func (p *pipeline) CheckpointDelta(w io.Writer) error {
+	defer p.cfg.trace("checkpoint_delta")()
+	return p.encode(w, true)
 }
 
-func (a *Analyzer) tombstoneTCP(client netip.AddrPort) {
-	if !a.deltaArmed {
-		return
+// ApplyDelta replays one delta record onto the engine, which must sit
+// exactly at the record's base — the state of the checkpoint the delta
+// was cut from (the normal case: a freshly restored checkpoint being
+// rolled forward through its chain). On error the engine may be
+// partially mutated: Discard it and restore from an earlier generation.
+func (p *pipeline) ApplyDelta(rd io.Reader) error {
+	shards, r, err := openCheckpoint(rd, engineKindDelta)
+	if err != nil {
+		return err
 	}
-	delete(a.dirtyTCP, client)
-	if a.deltaOverflow {
-		return
+	if shards != len(p.shards) {
+		return fmt.Errorf("%w: delta for %d workers applied to %d-worker engine", statecodec.ErrCorrupt, shards, len(p.shards))
 	}
-	if len(a.deadTCP) >= maxCoreTombstones {
-		a.deltaOverflow = true
-		return
-	}
-	a.deadTCP = append(a.deadTCP, client)
-}
-
-// markCheckpointed resets delta tracking after any checkpoint encode,
-// restore, or delta apply: the current state is now fully captured, so
-// dirty bits and tombstones clear, the baseline counters re-anchor, and
-// the chain arms.
-func (a *Analyzer) markCheckpointed() {
-	a.Flows.MarkCheckpointed()
-	a.Dedup.MarkCheckpointed()
-	for _, sm := range a.StreamMetrics {
-		sm.ClearDirty()
-	}
-	a.Copies.MarkCheckpointed()
-	if a.dirtyTCP == nil {
-		a.dirtyTCP = make(map[netip.AddrPort]struct{})
-	}
-	clear(a.dirtyTCP)
-	a.deadStreams = a.deadStreams[:0]
-	a.deadTCP = a.deadTCP[:0]
-	a.deltaOverflow = false
-	a.ckPackets = a.Packets
-	a.ckFinishedLen = len(a.Finished)
-	a.ckHeadDrops = 0
-	a.deltaArmed = true
-}
-
-// disarmDelta turns delta tracking off (rotation starts a state lineage
-// the old chain no longer describes).
-func (a *Analyzer) disarmDelta() {
-	a.deltaArmed = false
-	a.deltaOverflow = false
-	a.deadStreams = nil
-	a.deadTCP = nil
-	clear(a.dirtyTCP)
-	a.Flows.Disarm()
-	a.Dedup.Disarm()
-	a.Copies.Disarm()
+	p.reconcile()
+	return p.decode(r, true)
 }
 
 // deltaReady reports whether a delta encode is currently possible.
 // Finish mutates every live metric engine without dirty tracking, so a
-// finished analyzer reports unavailable (the driver's shutdown
-// checkpoint is a full one anyway).
-func (a *Analyzer) deltaReady() bool {
-	return a.deltaArmed && !a.finished && !a.deltaOverflow &&
-		!a.Flows.DeltaOverflow() && !a.Copies.DeltaOverflow()
+// finished engine reports unavailable (the driver's shutdown checkpoint
+// is a full one anyway).
+func (p *pipeline) deltaReady() bool {
+	ready := p.chainArmed && !p.finished && !p.Copies.DeltaOverflow()
+	for _, sh := range p.shards {
+		ready = ready && !sh.deltaOverflow && !sh.Flows.DeltaOverflow()
+	}
+	return ready
 }
 
-// stateDelta encodes the analyzer's mutations since the last checkpoint
-// encode (the payload behind the engineKindSequentialDelta header).
-// Top-level scalars are cheap and always carried whole, in the exact
-// order of State; the capture filter is small bounded cross-flow state
-// and rides along whole, while the copy matcher (up to MaxPending live
-// observations plus an ever-growing sample series) contributes its own
-// delta.
-func (a *Analyzer) stateDelta(w *statecodec.Writer) {
-	w.U8(analyzerDeltaV3)
-	w.U64(a.ckPackets)
-
-	w.U64(a.ShedPackets)
-	w.U64(a.ShedBytes)
-	w.U64(a.Packets)
-	w.U64(a.Bytes)
-	w.U64(a.ZoomUDP)
-	w.U64(a.Undecodable)
-	w.U64(a.TCPPackets)
-	w.U64(a.STUNPackets)
-	w.U64(a.STUNPortNonSTUN)
-	w.Int(len(a.ProtoDecoded))
-	for _, v := range a.ProtoDecoded {
-		w.U64(v)
+// markCheckpointed re-anchors the chain after any checkpoint encode,
+// restore, or delta apply: the current state is now fully captured, so
+// every layer's dirty bits and tombstones clear and tracking arms.
+func (p *pipeline) markCheckpointed() {
+	p.Dedup.MarkCheckpointed()
+	p.Copies.MarkCheckpointed()
+	for _, sh := range p.shards {
+		sh.Flows.MarkCheckpointed()
+		for _, sm := range sh.StreamMetrics {
+			sm.ClearDirty()
+		}
+		clear(sh.dirtyTCP)
+		sh.deadStreams = sh.deadStreams[:0]
+		sh.deadTCP = sh.deadTCP[:0]
+		sh.deltaOverflow = false
+		sh.ckFinishedLen = len(sh.Finished)
+		sh.ckHeadDrops = 0
+		sh.deltaArmed = true
 	}
-	w.U64(a.DroppedByFilter)
-	w.U64(a.UDPKeptPackets)
-	w.U64(a.UDPKeptBytes)
-	w.U64(a.PanicsRecovered)
-	w.Bool(a.Truncated)
-	w.U64(a.EvictedTCP)
-	w.U64(a.RejectedTCPPackets)
-	w.U64(a.FinishedDropped)
-	w.Bool(a.finished)
-	w.Time(a.firstTS)
-	w.Time(a.lastTS)
-	w.U64(a.compactEvery)
-	w.Duration(a.compactIdle)
+	p.ckPackets = p.Packets
+	p.chainArmed = true
+}
 
-	a.filter.State(w)
-	a.Flows.StateDelta(w)
-	a.Dedup.StateDelta(w)
-	a.Copies.StateDelta(w)
+func (sh *shard) tombstoneStreamMetric(id flow.MediaStreamID) {
+	if !sh.deltaArmed || sh.deltaOverflow {
+		return
+	}
+	if len(sh.deadStreams) >= maxCoreTombstones {
+		sh.deltaOverflow = true
+		return
+	}
+	sh.deadStreams = append(sh.deadStreams, id)
+}
 
-	slices.SortFunc(a.deadStreams, flow.CompareStreamID)
-	w.Int(len(a.deadStreams))
-	for _, id := range a.deadStreams {
-		id.Flow.EncodeTo(w)
-		id.Key.EncodeTo(w)
+func (sh *shard) tombstoneTCP(client netip.AddrPort) {
+	if !sh.deltaArmed {
+		return
+	}
+	delete(sh.dirtyTCP, client)
+	if sh.deltaOverflow {
+		return
+	}
+	if len(sh.deadTCP) >= maxCoreTombstones {
+		sh.deltaOverflow = true
+		return
+	}
+	sh.deadTCP = append(sh.deadTCP, client)
+}
+
+// stateDelta encodes the shard's mutations since the last checkpoint
+// encode: scalars whole, the flow table's own delta, then tombstones and
+// dirty records for the stream metric engines and TCP trackers, and the
+// archive's tail.
+func (sh *shard) stateDelta(w *statecodec.Writer) {
+	sh.stateScalars(w)
+	sh.Flows.StateDelta(w)
+
+	slices.SortFunc(sh.deadStreams, flow.CompareStreamID)
+	w.Int(len(sh.deadStreams))
+	for _, id := range sh.deadStreams {
+		encodeStreamID(w, id)
 	}
 
 	dirty := make([]flow.MediaStreamID, 0, 64)
-	for id, sm := range a.StreamMetrics {
+	for id, sm := range sh.StreamMetrics {
 		if sm.Dirty() {
 			dirty = append(dirty, id)
 		}
@@ -200,149 +162,79 @@ func (a *Analyzer) stateDelta(w *statecodec.Writer) {
 	slices.SortFunc(dirty, flow.CompareStreamID)
 	w.Int(len(dirty))
 	for _, id := range dirty {
-		id.Flow.EncodeTo(w)
-		id.Key.EncodeTo(w)
-		a.StreamMetrics[id].State(w)
+		encodeStreamID(w, id)
+		sh.StreamMetrics[id].State(w)
 	}
 
-	sortAddrPorts(a.deadTCP)
-	w.Int(len(a.deadTCP))
-	for _, c := range a.deadTCP {
+	sortAddrPorts(sh.deadTCP)
+	w.Int(len(sh.deadTCP))
+	for _, c := range sh.deadTCP {
 		w.AddrPort(c)
 	}
 
-	dirtyTCP := make([]netip.AddrPort, 0, len(a.dirtyTCP))
-	for c := range a.dirtyTCP {
+	dirtyTCP := make([]netip.AddrPort, 0, len(sh.dirtyTCP))
+	for c := range sh.dirtyTCP {
 		dirtyTCP = append(dirtyTCP, c)
 	}
 	sortAddrPorts(dirtyTCP)
 	w.Int(len(dirtyTCP))
 	for _, c := range dirtyTCP {
 		w.AddrPort(c)
-		a.TCP[c].State(w)
-		w.Time(a.tcpSeen[c])
+		sh.TCP[c].State(w)
+		w.Time(sh.tcpSeen[c])
 	}
 
 	// Archive delta: the Finished list only ever drops from the head
 	// (MaxFinished) and appends at the tail, so the record carries the
 	// baseline length, how many baseline entries were head-dropped, and
 	// the appended tail in full.
-	w.Int(a.ckFinishedLen)
-	w.Int(a.ckHeadDrops)
-	tail := a.Finished[a.ckFinishedLen-a.ckHeadDrops:]
-	w.Int(len(tail))
-	for i := range tail {
-		f := &tail[i]
-		f.ID.Flow.EncodeTo(w)
-		f.ID.Key.EncodeTo(w)
-		w.Time(f.LastSeen)
-		f.Metrics.State(w)
-	}
-
-	// The feature windower has no dirty tracking (its live state is a
-	// handful of open accumulators, bounded by idle eviction), so it
-	// rides along whole like the capture filter.
-	w.Bool(a.feats != nil)
-	if a.feats != nil {
-		a.feats.State(w)
-	}
+	w.Int(sh.ckFinishedLen)
+	w.Int(sh.ckHeadDrops)
+	encodeFinished(w, sh.Finished[sh.ckFinishedLen-sh.ckHeadDrops:])
 }
 
-// applyDeltaPayload replays one analyzer delta payload onto the
-// receiver. On error the analyzer may be partially mutated and must be
-// discarded by the caller.
-func (a *Analyzer) applyDeltaPayload(r *statecodec.Reader) error {
-	r.Version("core.Analyzer delta", analyzerDeltaV3)
-	base := r.U64()
-	if err := r.Err(); err != nil {
+// applyDelta replays one shard delta payload onto the receiver. On error
+// the shard may be partially mutated.
+func (sh *shard) applyDelta(r *statecodec.Reader) error {
+	if err := sh.restoreScalars(r); err != nil {
 		return err
 	}
-	if base != a.Packets {
-		r.Failf("core.Analyzer delta base %d packets does not match engine at %d packets", base, a.Packets)
-		return r.Err()
-	}
-
-	a.ShedPackets = r.U64()
-	a.ShedBytes = r.U64()
-	a.Packets = r.U64()
-	a.Bytes = r.U64()
-	a.ZoomUDP = r.U64()
-	a.Undecodable = r.U64()
-	a.TCPPackets = r.U64()
-	a.STUNPackets = r.U64()
-	a.STUNPortNonSTUN = r.U64()
-	if np := r.Count(8); np != len(a.ProtoDecoded) {
-		r.Failf("core.Analyzer delta proto counter count %d (want %d)", np, len(a.ProtoDecoded))
-		return r.Err()
-	}
-	for i := range a.ProtoDecoded {
-		a.ProtoDecoded[i] = r.U64()
-	}
-	a.DroppedByFilter = r.U64()
-	a.UDPKeptPackets = r.U64()
-	a.UDPKeptBytes = r.U64()
-	a.PanicsRecovered = r.U64()
-	a.Truncated = r.Bool()
-	a.EvictedTCP = r.U64()
-	a.RejectedTCPPackets = r.U64()
-	a.FinishedDropped = r.U64()
-	a.finished = r.Bool()
-	a.firstTS = r.Time()
-	a.lastTS = r.Time()
-	a.compactEvery = r.U64()
-	a.compactIdle = r.Duration()
-
-	if err := a.filter.Restore(r); err != nil {
-		return err
-	}
-	if err := a.Flows.ApplyDelta(r); err != nil {
-		return err
-	}
-	if err := a.Dedup.ApplyDelta(r); err != nil {
-		return err
-	}
-	if err := a.Copies.ApplyDelta(r); err != nil {
+	if err := sh.Flows.ApplyDelta(r); err != nil {
 		return err
 	}
 
-	nd := r.Count(8)
-	for i := 0; i < nd; i++ {
-		id := flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
+	for i, nd := 0, r.Count(8); i < nd; i++ {
+		id := decodeStreamID(r)
 		if err := r.Err(); err != nil {
 			return err
 		}
-		delete(a.StreamMetrics, id)
+		delete(sh.StreamMetrics, id)
 	}
-
-	nm := r.Count(12)
-	for i := 0; i < nm; i++ {
-		id := flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
+	for i, nm := 0, r.Count(12); i < nm; i++ {
+		id := decodeStreamID(r)
 		sm := new(metrics.StreamMetrics)
 		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
 			return err
 		}
-		a.StreamMetrics[id] = sm
+		sh.StreamMetrics[id] = sm
 	}
 
-	ndt := r.Count(4)
-	for i := 0; i < ndt; i++ {
+	for i, nd := 0, r.Count(4); i < nd; i++ {
 		c := r.AddrPort()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		delete(a.TCP, c)
-		delete(a.tcpSeen, c)
+		delete(sh.TCP, c)
+		delete(sh.tcpSeen, c)
 	}
-
-	nt := r.Count(4)
-	for i := 0; i < nt; i++ {
+	for i, nt := 0, r.Count(4); i < nt; i++ {
 		c := r.AddrPort()
 		tr := tcprtt.NewTracker()
 		if err := tr.Restore(r); err != nil {
 			return err
 		}
-		a.TCP[c] = tr
-		a.tcpSeen[c] = r.Time()
+		sh.TCP[c] = tr
+		sh.tcpSeen[c] = r.Time()
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -353,235 +245,18 @@ func (a *Analyzer) applyDeltaPayload(r *statecodec.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if baseLen != len(a.Finished) {
-		r.Failf("core.Analyzer delta archive baseline %d does not match engine archive %d", baseLen, len(a.Finished))
+	if baseLen != len(sh.Finished) {
+		r.Failf("core: shard delta archive baseline %d does not match engine archive %d", baseLen, len(sh.Finished))
 		return r.Err()
 	}
 	if headDrops < 0 || headDrops > baseLen {
-		r.Failf("core.Analyzer delta archive head drops %d out of range (baseline %d)", headDrops, baseLen)
+		r.Failf("core: shard delta archive head drops %d out of range (baseline %d)", headDrops, baseLen)
 		return r.Err()
 	}
 	if headDrops > 0 {
-		a.Finished = append(a.Finished[:0], a.Finished[headDrops:]...)
+		sh.Finished = append(sh.Finished[:0], sh.Finished[headDrops:]...)
 	}
-	ntail := r.Count(14)
-	for i := 0; i < ntail; i++ {
-		id := flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
-		last := r.Time()
-		sm := new(metrics.StreamMetrics)
-		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
-			return err
-		}
-		a.Finished = append(a.Finished, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
-	}
-
-	// Feature windower rides whole: the record's feature layer replaces
-	// the engine's, presence included.
-	a.feats = nil
-	if r.Bool() {
-		a.feats = features.RestoreWindower(r)
-		if a.feats == nil {
-			return r.Err()
-		}
-	}
-	return r.Err()
-}
-
-// CheckpointDelta writes a delta record covering everything since the
-// last checkpoint encode, or ErrDeltaUnavailable when no chain is armed
-// (no full checkpoint yet, tombstone overflow, or a rotation broke the
-// lineage) — the caller then writes a full checkpoint instead. A
-// successful encode re-anchors the chain at the current state.
-func (a *Analyzer) CheckpointDelta(w io.Writer) error {
-	defer a.cfg.trace("checkpoint_delta")()
-	if !a.deltaReady() {
-		return ErrDeltaUnavailable
-	}
-	var enc statecodec.Writer
-	enc.Grow(1 << 16)
-	writeCheckpointHeader(&enc, engineKindSequentialDelta)
-	a.stateDelta(&enc)
-	if err := sealCheckpoint(w, &enc); err != nil {
-		return err
-	}
-	a.markCheckpointed()
-	return nil
-}
-
-// ApplyDelta replays one delta record (a full ZLCP file of the delta
-// kind) onto the engine, which must sit exactly at the record's base —
-// the state of the checkpoint the delta was cut from. On error the
-// engine may be partially mutated: Discard it and restore from an
-// earlier generation.
-func (a *Analyzer) ApplyDelta(rd io.Reader) error {
-	data, err := readAllCheckpoint(rd)
-	if err != nil {
-		return fmt.Errorf("core: reading delta: %w", err)
-	}
-	kind, r, err := openCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	if kind != engineKindSequentialDelta {
-		return fmt.Errorf("%w: engine kind %d is not a sequential delta", statecodec.ErrCorrupt, kind)
-	}
-	if err := a.applyDeltaPayload(r); err != nil {
-		return err
-	}
-	if err := requireDrained(r); err != nil {
-		return err
-	}
-	a.markCheckpointed()
-	return nil
-}
-
-// markCheckpointed re-anchors the parallel chain after any checkpoint
-// encode, restore, or delta apply (shards included).
-func (pa *ParallelAnalyzer) markCheckpointed() {
-	pa.rec.dedup.MarkCheckpointed()
-	pa.rec.copies.MarkCheckpointed()
-	for _, sh := range pa.shards {
-		sh.a.markCheckpointed()
-	}
-	pa.ckPackets = pa.packets
-	pa.deltaArmed = true
-}
-
-// CheckpointDelta quiesces the shards, advances reconciliation, and
-// writes a parallel delta record: dispatcher scalars, the capture
-// filter whole, the reconciliation Dedup and CopyMatcher as deltas, and
-// one analyzer delta per shard. After Finish (or before any full
-// checkpoint) it reports ErrDeltaUnavailable.
-func (pa *ParallelAnalyzer) CheckpointDelta(w io.Writer) error {
-	if pa.seq != nil {
-		return pa.seq.CheckpointDelta(w)
-	}
-	if pa.merged != nil {
-		return ErrDeltaUnavailable
-	}
-	if !pa.deltaArmed {
-		return ErrDeltaUnavailable
-	}
-	defer pa.cfg.trace("checkpoint_delta")()
-	pa.quiesce()
-	pa.advanceRecon()
-	if pa.rec.copies.DeltaOverflow() {
-		return ErrDeltaUnavailable
-	}
-	for _, sh := range pa.shards {
-		if !sh.a.deltaReady() {
-			return ErrDeltaUnavailable
-		}
-	}
-	var enc statecodec.Writer
-	enc.Grow(1 << 16)
-	writeCheckpointHeader(&enc, engineKindParallelDelta)
-	enc.Int(pa.workers)
-	enc.U8(parallelDeltaV3)
-	enc.U64(pa.ckPackets)
-	enc.U64(pa.shedPackets)
-	enc.U64(pa.shedBytes)
-	enc.U64(pa.nextSeq)
-	enc.U64(pa.packets)
-	enc.U64(pa.bytes)
-	enc.U64(pa.undecodable)
-	enc.U64(pa.dropped)
-	enc.U64(pa.panics)
-	enc.Bool(pa.truncated)
-	enc.Time(pa.firstTS)
-	enc.Time(pa.lastTS)
-	pa.filter.State(&enc)
-	pa.rec.dedup.StateDelta(&enc)
-	pa.rec.copies.StateDelta(&enc)
-	enc.Bool(pa.rec.win != nil)
-	if pa.rec.win != nil {
-		pa.rec.win.State(&enc)
-	}
-	for _, sh := range pa.shards {
-		enc.U64(sh.ingested)
-		sh.a.stateDelta(&enc)
-	}
-	if err := sealCheckpoint(w, &enc); err != nil {
-		return err
-	}
-	pa.markCheckpointed()
-	return nil
-}
-
-// ApplyDelta replays one parallel delta record. The engine must be
-// quiescent at the record's base (the normal case: a freshly restored
-// checkpoint being rolled forward through its chain). On error the
-// engine may be partially mutated — Discard it.
-func (pa *ParallelAnalyzer) ApplyDelta(rd io.Reader) error {
-	if pa.seq != nil {
-		return pa.seq.ApplyDelta(rd)
-	}
-	if pa.merged != nil {
-		return fmt.Errorf("core: ParallelAnalyzer.ApplyDelta after Finish")
-	}
-	data, err := readAllCheckpoint(rd)
-	if err != nil {
-		return fmt.Errorf("core: reading delta: %w", err)
-	}
-	kind, r, err := openCheckpoint(data)
-	if err != nil {
-		return err
-	}
-	if kind != engineKindParallelDelta {
-		return fmt.Errorf("%w: engine kind %d is not a parallel delta", statecodec.ErrCorrupt, kind)
-	}
-	pa.quiesce()
-	workers := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if workers != pa.workers {
-		return fmt.Errorf("%w: delta for %d workers applied to %d-worker engine", statecodec.ErrCorrupt, workers, pa.workers)
-	}
-	r.Version("core.ParallelAnalyzer delta", parallelDeltaV3)
-	base := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if base != pa.packets {
-		return fmt.Errorf("%w: delta base %d packets does not match engine at %d packets", statecodec.ErrCorrupt, base, pa.packets)
-	}
-	pa.shedPackets = r.U64()
-	pa.shedBytes = r.U64()
-	pa.nextSeq = r.U64()
-	pa.packets = r.U64()
-	pa.bytes = r.U64()
-	pa.undecodable = r.U64()
-	pa.dropped = r.U64()
-	pa.panics = r.U64()
-	pa.truncated = r.Bool()
-	pa.firstTS = r.Time()
-	pa.lastTS = r.Time()
-	if err := pa.filter.Restore(r); err != nil {
-		return err
-	}
-	if err := pa.rec.dedup.ApplyDelta(r); err != nil {
-		return err
-	}
-	if err := pa.rec.copies.ApplyDelta(r); err != nil {
-		return err
-	}
-	pa.rec.win = nil
-	if r.Bool() {
-		pa.rec.win = features.RestoreWindower(r)
-		if pa.rec.win == nil {
-			return r.Err()
-		}
-	}
-	for _, sh := range pa.shards {
-		sh.ingested = r.U64()
-		if err := sh.a.applyDeltaPayload(r); err != nil {
-			return err
-		}
-	}
-	if err := requireDrained(r); err != nil {
-		return err
-	}
-	pa.markCheckpointed()
-	return nil
+	var err error
+	sh.Finished, err = decodeFinished(r, sh.Finished, new(smSlab))
+	return err
 }

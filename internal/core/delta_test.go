@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"zoomlens/internal/pcap"
+	"zoomlens/internal/trace"
 )
 
 // checkpointBytes encodes a full checkpoint and fails the test on error.
@@ -361,4 +364,51 @@ func newTestEngine(cfg Config, workers int) Engine {
 		return NewParallelAnalyzer(cfg, workers)
 	}
 	return NewAnalyzer(cfg)
+}
+
+// TestCheckpointDeterministicUnderEviction is the regression test for
+// the archive-order leak: Compact used to archive while ranging over the
+// StreamMetrics map, so two runs over the same capture could archive the
+// victims of one eviction pass in different orders — different full
+// checkpoint bytes, and different streams dropped at MaxFinished. With
+// TTL eviction and the archive cap both on, the same capture must now
+// checkpoint to the same bytes every time.
+func TestCheckpointDeterministicUnderEviction(t *testing.T) {
+	gcfg := trace.DefaultStreamConfig()
+	gcfg.Streams = 2000
+	gcfg.Packets = 60000
+	gcfg.ChurnEvery = 8
+	var recs []pcap.Record
+	gen, err := trace.NewStreamGen(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec pcap.Record
+	for gen.Next(&rec) == nil {
+		cp := rec
+		cp.Data = bytes.Clone(rec.Data)
+		recs = append(recs, cp)
+	}
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{gcfg.ZoomNet},
+		CampusNetworks: []netip.Prefix{gcfg.CampusNet},
+		FlowTTL:        200 * time.Millisecond,
+		MaxFinished:    500,
+	}
+	run := func() ([]byte, uint64) {
+		a := NewAnalyzer(cfg)
+		for _, r := range recs {
+			a.Packet(r.Timestamp, r.Data)
+		}
+		return checkpointBytes(t, a), a.FinishedDropped
+	}
+	want, dropped := run()
+	if dropped == 0 {
+		t.Fatal("MaxFinished never dropped an archived stream; test is vacuous")
+	}
+	for i := 0; i < 3; i++ {
+		if got, _ := run(); !bytes.Equal(got, want) {
+			t.Fatalf("run %d: checkpoint differs from the first run's over the same capture (%d vs %d bytes)", i+2, len(got), len(want))
+		}
+	}
 }

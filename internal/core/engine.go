@@ -11,8 +11,9 @@ import (
 )
 
 // Engine is the analysis substrate behind every tool: the sequential
-// Analyzer and the sharded ParallelAnalyzer both satisfy it, so callers
-// choose a worker count without branching on the concrete type.
+// Analyzer and the sharded ParallelAnalyzer both satisfy it — both are
+// views of one pipeline — so callers choose a worker count without
+// branching on the concrete type.
 //
 // Buffer ownership: the frame passed to Packet is borrowed for the
 // duration of the call only — the engine copies whatever it needs to
@@ -63,13 +64,9 @@ type Engine interface {
 	DrainFeatures() []features.Row
 }
 
-// Both pipelines satisfy Engine; a missing method is a compile error
+// Both engine types satisfy Engine; a missing method is a compile error
 // here rather than a surprise at a call site.
 var (
 	_ Engine = (*Analyzer)(nil)
 	_ Engine = (*ParallelAnalyzer)(nil)
 )
-
-// Result returns the analyzer itself: the sequential pipeline is its
-// own merged result.
-func (a *Analyzer) Result() *Analyzer { return a }

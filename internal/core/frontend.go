@@ -1,0 +1,267 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"net/netip"
+	"time"
+
+	"zoomlens/internal/capture"
+	"zoomlens/internal/layers"
+	"zoomlens/internal/rtcproto"
+	"zoomlens/internal/statecodec"
+)
+
+// frontEnd is the capture stage: the one piece of the pipeline that must
+// see every packet in global capture order, and therefore runs exactly
+// once per deployment — in front of the inline shard of a sequential
+// engine, in front of the shard rings of a parallel one, and inside the
+// splitter process of a cluster (Router). It owns the stateful capture
+// filter (the P2P table is armed by STUN on one flow and consulted by
+// media on another), the flow-hash shard routing, the global capture
+// sequence number, and the head counters; everything per-flow happens
+// behind it in a shard.
+type frontEnd struct {
+	cfg    Config
+	n      int // shards the flow hash spreads over
+	filter *capture.Filter
+	// parser and pkt serve the slow path only (frames rawScan declines).
+	parser layers.Parser
+	pkt    layers.Packet
+
+	ClusterHead
+	// seq is the global capture sequence number of the last frame
+	// routed; it tags the media observations shards emit so cross-flow
+	// reconciliation can restore capture order.
+	seq uint64
+
+	// o holds the unlabeled live-metric handles (nil when Config.Obs is
+	// nil; every hook is nil-receiver safe).
+	o *coreObs
+}
+
+func newFrontEnd(cfg Config, n int) frontEnd {
+	return frontEnd{
+		cfg: cfg,
+		n:   n,
+		filter: capture.NewFilter(capture.Config{
+			ZoomNetworks:   cfg.ZoomNetworks,
+			CampusNetworks: cfg.CampusNetworks,
+			GenericRTC:     rtcproto.HasNonZoom(cfg.protos()),
+		}),
+	}
+}
+
+// FilterStats returns the capture filter's decision counters.
+func (fe *frontEnd) FilterStats() capture.FilterStats { return fe.filter.Stats() }
+
+// route accounts one offered frame under sequence number seq and decides
+// its fate: keep reports whether the frame goes on to per-flow analysis
+// and shard names the shard that owns its flow. Undecodable and
+// filter-dropped frames are counted here and go no further. A panic in
+// the scanner or the filter is contained: counted, quarantined, and the
+// frame dropped.
+func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, keep bool) {
+	fe.seq = seq
+	fe.Packets++
+	fe.Bytes += uint64(len(frame))
+	fe.o.packetIn(len(frame))
+	if fe.FirstTS.IsZero() || at.Before(fe.FirstTS) {
+		fe.FirstTS = at
+	}
+	if at.After(fe.LastTS) {
+		fe.LastTS = at
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			fe.PanicsRecovered++
+			fe.cfg.quarantine(fe.o, r, at, frame)
+			shard, keep = 0, false
+		}
+	}()
+	var ri rawInfo
+	var verdict capture.Verdict
+	hashable := true
+	if rawScan(frame, &ri) {
+		verdict = fe.filter.ClassifyFlow(ri.src, ri.dst, !ri.isTCP, ri.srcPort, ri.dstPort, ri.payload, at)
+	} else {
+		// Anything the raw scan does not cover (IPv6, fragments, odd
+		// header lengths) takes the full parse, which is also what decides
+		// that a frame is undecodable.
+		if err := fe.parser.Parse(frame, &fe.pkt); err != nil {
+			fe.Undecodable++
+			fe.o.undecodable()
+			return 0, false
+		}
+		verdict = fe.filter.Classify(&fe.pkt, at)
+		ri = rawInfo{
+			src: fe.pkt.SrcAddr(), dst: fe.pkt.DstAddr(),
+			srcPort: fe.pkt.SrcPort(), dstPort: fe.pkt.DstPort(),
+			isTCP: fe.pkt.HasTCP,
+		}
+		hashable = fe.pkt.HasTCP || fe.pkt.HasUDP
+	}
+	if !verdict.Keep() && !fe.cfg.PreFiltered {
+		fe.DroppedByFilter++
+		fe.o.filtered()
+		return 0, false
+	}
+	if !hashable {
+		// Kept but transport-less (a non-first fragment): there is no
+		// flow to hash, and whichever shard gets it ignores it.
+		return 0, true
+	}
+	return shardFor(&fe.cfg, fe.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
+}
+
+// quarantine records one contained panic: the live counter and, when
+// configured, the offending frame in the forensic ring.
+func (cfg *Config) quarantine(o *coreObs, r any, at time.Time, frame []byte) {
+	o.panicRecovered()
+	if cfg.Quarantine != nil {
+		cfg.Quarantine.Add(at, frame, fmt.Sprintf("panic: %v", r))
+	}
+}
+
+// state and restore are the one serialization of the head counters,
+// shared by full and delta checkpoints.
+func (fe *frontEnd) state(w *statecodec.Writer) {
+	w.U64(fe.seq)
+	w.U64(fe.Packets)
+	w.U64(fe.Bytes)
+	w.U64(fe.Undecodable)
+	w.U64(fe.DroppedByFilter)
+	w.U64(fe.PanicsRecovered)
+	w.U64(fe.ShedPackets)
+	w.U64(fe.ShedBytes)
+	w.Bool(fe.Truncated)
+	w.Time(fe.FirstTS)
+	w.Time(fe.LastTS)
+	fe.filter.State(w)
+}
+
+func (fe *frontEnd) restore(r *statecodec.Reader) error {
+	fe.seq = r.U64()
+	fe.Packets = r.U64()
+	fe.Bytes = r.U64()
+	fe.Undecodable = r.U64()
+	fe.DroppedByFilter = r.U64()
+	fe.PanicsRecovered = r.U64()
+	fe.ShedPackets = r.U64()
+	fe.ShedBytes = r.U64()
+	fe.Truncated = r.Bool()
+	fe.FirstTS = r.Time()
+	fe.LastTS = r.Time()
+	return fe.filter.Restore(r)
+}
+
+// rawInfo carries the routing-relevant features of a frame: enough for
+// the capture filter and the shard hash, with the full decode left to
+// the shard.
+type rawInfo struct {
+	src, dst         netip.Addr
+	srcPort, dstPort uint16
+	isTCP            bool
+	payload          []byte // UDP payload (length-clamped); nil for TCP
+}
+
+// rawScan validates an Ethernet/IPv4/{UDP,TCP} frame with exactly the
+// checks layers.Parser.Parse applies and extracts the flow features
+// without building a Packet. It returns false for anything it does not
+// fully cover — IPv6, fragments, other ethertypes or protocols,
+// truncated headers — and the caller falls back to the full parse. It
+// must never accept a frame the parser would reject, or derive different
+// addresses, ports, or payload bounds (FuzzFrontEndVsParser holds it to
+// that).
+func rawScan(frame []byte, ri *rawInfo) bool {
+	if len(frame) < 14+20 {
+		return false
+	}
+	if binary.BigEndian.Uint16(frame[12:14]) != layers.EtherTypeIPv4 {
+		return false
+	}
+	ip := frame[14:]
+	if ip[0]>>4 != 4 {
+		return false
+	}
+	ihl := int(ip[0]&0x0f) * 4
+	if ihl < 20 || len(ip) < ihl {
+		return false
+	}
+	if totalLen := int(binary.BigEndian.Uint16(ip[2:4])); totalLen >= ihl && totalLen <= len(ip) {
+		ip = ip[:totalLen] // strip Ethernet padding, as the parser does
+	}
+	if binary.BigEndian.Uint16(ip[6:8])&0x3fff != 0 {
+		return false // any fragmentation: defer to the parser
+	}
+	rest := ip[ihl:]
+	switch ip[9] {
+	case layers.ProtoUDP:
+		if len(rest) < 8 {
+			return false
+		}
+		ri.srcPort = binary.BigEndian.Uint16(rest[0:2])
+		ri.dstPort = binary.BigEndian.Uint16(rest[2:4])
+		payload := rest[8:]
+		if ulen := int(binary.BigEndian.Uint16(rest[4:6])); ulen >= 8 && ulen-8 <= len(payload) {
+			payload = payload[:ulen-8]
+		}
+		ri.payload = payload
+		ri.isTCP = false
+	case layers.ProtoTCP:
+		if len(rest) < 20 {
+			return false
+		}
+		if hl := int(rest[12]>>4) * 4; hl < 20 || len(rest) < hl {
+			return false
+		}
+		ri.srcPort = binary.BigEndian.Uint16(rest[0:2])
+		ri.dstPort = binary.BigEndian.Uint16(rest[2:4])
+		ri.payload = nil
+		ri.isTCP = true
+	default:
+		return false
+	}
+	ri.src = netip.AddrFrom4([4]byte(ip[12:16]))
+	ri.dst = netip.AddrFrom4([4]byte(ip[16:20]))
+	return true
+}
+
+// shardFor hashes flow features to one of n shards: FNV-1a over the
+// directed five-tuple for UDP, so every packet of a flow — and of any
+// media stream on it — lands on one shard in order; over the client
+// endpoint for TCP, the key the RTT trackers use, so both directions of
+// every connection of one tracker share a shard.
+func shardFor(cfg *Config, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
+	if n == 1 {
+		return 0
+	}
+	var h uint64 = 14695981039346656037 // FNV-1a offset basis
+	if isTCP {
+		client, cport := dst, dstPort
+		if cfg.isZoomAddr(dst) && !cfg.isZoomAddr(src) {
+			client, cport = src, srcPort
+		}
+		a16 := client.As16()
+		h = fnv1a(h, a16[:])
+		tail := [3]byte{byte(cport >> 8), byte(cport), layers.ProtoTCP}
+		h = fnv1a(h, tail[:])
+		return int(h % uint64(n))
+	}
+	s16, d16 := src.As16(), dst.As16()
+	h = fnv1a(h, s16[:])
+	sp := [2]byte{byte(srcPort >> 8), byte(srcPort)}
+	h = fnv1a(h, sp[:])
+	h = fnv1a(h, d16[:])
+	tail := [3]byte{byte(dstPort >> 8), byte(dstPort), layers.ProtoUDP}
+	h = fnv1a(h, tail[:])
+	return int(h % uint64(n))
+}
+
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}

@@ -109,18 +109,6 @@ func fnvSum(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// setPanicHook installs a test-only panic injector on every analyzer a
-// ParallelAnalyzer owns (the degenerate sequential one, or each shard).
-func setPanicHook(pa *ParallelAnalyzer, hook func(time.Time, []byte)) {
-	if pa.seq != nil {
-		pa.seq.panicHook = hook
-		return
-	}
-	for _, sh := range pa.shards {
-		sh.a.panicHook = hook
-	}
-}
-
 // TestPanicQuarantineDifferential injects deterministic panics keyed on
 // frame content into the sequential and parallel pipelines and demands:
 // no crash, identical summaries (including the PanicsRecovered count),
@@ -132,10 +120,8 @@ func TestPanicQuarantineDifferential(t *testing.T) {
 		CampusNetworks: []netip.Prefix{opts.CampusNet},
 		PreFiltered:    true,
 	}
-	// Panic on ~1% of parseable frames. The parse guard matters: the
-	// parallel dispatcher only ships frames that parse, so keying on
-	// parseability keeps the sequential hook (which fires before the
-	// parse) aligned with the shard hooks.
+	// Panic on ~1% of parseable frames (the hook runs in the shard, which
+	// only ever sees frames the front end could parse).
 	hook := func(at time.Time, frame []byte) {
 		var p layers.Parser
 		var pkt layers.Packet
@@ -167,7 +153,7 @@ func TestPanicQuarantineDifferential(t *testing.T) {
 		parCfg := cfg
 		parCfg.Quarantine = parQ
 		pa := NewParallelAnalyzer(parCfg, workers)
-		setPanicHook(pa, hook)
+		pa.SetPanicHook(hook)
 		tr.feed(pa.Packet)
 		pa.Finish()
 		ps := pa.Summary()

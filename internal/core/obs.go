@@ -24,8 +24,9 @@ import (
 // obsUpdateEvery is the packet cadence for refreshing occupancy gauges.
 const obsUpdateEvery = 2048
 
-// coreObs holds the registered metric handles of one analyzer. All
-// methods are nil-receiver safe.
+// coreObs holds one set of registered metric handles: the engine's (and
+// its inline shard's), or one ring-fed shard's. All methods are
+// nil-receiver safe.
 type coreObs struct {
 	packets *obs.Counter
 	bytes   *obs.Counter
@@ -59,11 +60,15 @@ type coreObs struct {
 	prev map[*obs.Counter]uint64
 }
 
-// stateTables are the occupancy/cap gauge dimensions.
-var stateTables = []string{"flows", "streams", "tcp", "dedup_streams", "copy_pending", "finished"}
+// stateTables are the occupancy/cap gauge dimensions; shardTables are
+// the ones a shard owns (the other two are cross-flow state).
+var (
+	stateTables = []string{"flows", "streams", "tcp", "dedup_streams", "copy_pending", "finished"}
+	shardTables = [4]string{"flows", "streams", "tcp", "finished"}
+)
 
-// newCoreObs registers the analyzer's metrics; shard is the shard label
-// ("" for the sequential / merged analyzer).
+// newCoreObs registers one set of metric handles; shard is the shard
+// label ("" for the engine's own, unlabeled handles).
 func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	if reg == nil {
 		return nil
@@ -233,35 +238,49 @@ func (o *coreObs) resetMirrors() {
 	}
 }
 
-// bindObs (re)registers the analyzer's metric handles under the given
-// shard label. NewAnalyzer binds with ""; NewParallelAnalyzer rebinds
-// each shard analyzer with its index.
-func (a *Analyzer) bindObs(shard string) {
-	a.o = newCoreObs(a.cfg.Obs, shard, a.cfg)
-}
-
-// updateObsGauges refreshes occupancy gauges and eviction/rejection
-// mirrors from the analyzer's current state. Called on a packet-count
-// cadence, at Finish, and at every snapshot.
-func (a *Analyzer) updateObsGauges() {
-	o := a.o
+// refreshGauges updates the shard's occupancy gauges and its
+// eviction/rejection mirrors, returning the occupancies in shardTables
+// order. A ring-fed shard calls it on a
+// packet-count cadence from its own goroutine.
+func (sh *shard) refreshGauges() (occ [4]int64) {
+	tot := sh.Flows.Totals()
+	occ = [4]int64{int64(tot.Flows), int64(tot.Streams), int64(len(sh.TCP)), int64(len(sh.Finished))}
+	o := sh.so
 	if o == nil {
-		return
+		return occ
 	}
-	tot := a.Flows.Totals()
-	o.occ["flows"].Set(int64(tot.Flows))
-	o.occ["streams"].Set(int64(tot.Streams))
-	o.occ["tcp"].Set(int64(len(a.TCP)))
-	o.occ["dedup_streams"].Set(int64(a.Dedup.Len()))
-	o.occ["copy_pending"].Set(int64(a.Copies.Pending()))
-	o.occ["finished"].Set(int64(len(a.Finished)))
-	ev := a.Flows.Evictions()
+	for i, table := range shardTables {
+		o.occ[table].Set(occ[i])
+	}
+	ev := sh.Flows.Evictions()
 	o.mirror(o.rejected["flow"], ev.RejectedFlowPackets)
 	o.mirror(o.rejected["stream"], ev.RejectedStreamPackets)
 	o.mirror(o.rejected["substream"], ev.RejectedSubstreamPackets)
-	o.mirror(o.rejected["tcp"], a.RejectedTCPPackets)
+	o.mirror(o.rejected["tcp"], sh.RejectedTCPPackets)
 	o.mirror(o.evicted["flows"], ev.EvictedFlows)
 	o.mirror(o.evicted["streams"], ev.EvictedStreams)
-	o.mirror(o.evicted["tcp"], a.EvictedTCP)
-	o.mirror(o.evicted["archived"], uint64(len(a.Finished))+a.FinishedDropped)
+	o.mirror(o.evicted["tcp"], sh.EvictedTCP)
+	o.mirror(o.evicted["archived"], uint64(len(sh.Finished))+sh.FinishedDropped)
+	return occ
+}
+
+// updateGauges refreshes every shard's gauges and the unlabeled ones:
+// cross-shard occupancy totals plus the cross-flow tables. Valid inline
+// or while reconciled; an inline engine calls it on a packet-count
+// cadence, every engine at each snapshot and at Finish.
+func (p *pipeline) updateGauges() {
+	if p.o == nil {
+		return
+	}
+	var sum [4]int64
+	for _, sh := range p.shards {
+		for i, v := range sh.refreshGauges() {
+			sum[i] += v
+		}
+	}
+	for i, table := range shardTables {
+		p.o.occ[table].Set(sum[i])
+	}
+	p.o.occ["dedup_streams"].Set(int64(p.Dedup.Len()))
+	p.o.occ["copy_pending"].Set(int64(p.Copies.Pending()))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/layers"
 	"zoomlens/internal/obs"
 )
 
@@ -60,8 +61,8 @@ func TestAnalyzerObsCounters(t *testing.T) {
 	if got := stage("tcp"); got != a.TCPPackets {
 		t.Errorf("tcp stage = %d, want %d", got, a.TCPPackets)
 	}
-	if got := stage("undecodable"); got != a.Undecodable {
-		t.Errorf("undecodable stage = %d, want %d", got, a.Undecodable)
+	if got, want := stage("undecodable"), a.Summary().Undecodable; got != want {
+		t.Errorf("undecodable stage = %d, want %d", got, want)
 	}
 	if got := stage("filtered"); got != a.DroppedByFilter {
 		t.Errorf("filtered stage = %d, want %d", got, a.DroppedByFilter)
@@ -187,14 +188,18 @@ func TestObsPanicCounter(t *testing.T) {
 			panic("injected")
 		}
 	}
+	// The hook runs in the shard, so the frames must be ones the front
+	// end forwards.
+	frame := layers.EthernetIPv4UDP(netip.MustParseAddrPort("10.8.0.10:50001"),
+		netip.MustParseAddrPort("203.0.113.7:8801"), 64, []byte{0xde, 0xad})
 	at := time.Unix(1700000000, 0)
-	a.Packet(at, []byte{0xde, 0xad})
-	a.Packet(at.Add(time.Millisecond), []byte{0xbe, 0xef})
+	a.Packet(at, frame)
+	a.Packet(at.Add(time.Millisecond), frame)
 	if got := reg.Counter("zoomlens_panics_recovered_total", "").Value(); got != 1 {
 		t.Errorf("panics counter = %d, want 1", got)
 	}
-	if a.PanicsRecovered != 1 {
-		t.Errorf("PanicsRecovered = %d, want 1", a.PanicsRecovered)
+	if got := a.Summary().PanicsRecovered; got != 1 {
+		t.Errorf("PanicsRecovered = %d, want 1", got)
 	}
 }
 

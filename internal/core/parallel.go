@@ -1,89 +1,44 @@
 package core
 
-// Sharded parallel analysis pipeline.
+// The ring transport: how a pipeline with more than one shard spreads
+// per-flow work over cores.
 //
-// The sequential Analyzer funnels every packet through one flow table
-// and one metrics map — the bottleneck Zeek-style deployments solve by
-// distributing flows across workers. Per-flow independence makes the
-// pipeline shardable: all heavy per-packet work (frame decode, Zoom
-// encapsulation parsing, frame assembly, jitter, loss, rate series, TCP
-// RTT matching) only ever touches state keyed by the packet's flow, so
-// hashing each flow to one of N worker shards preserves exact per-flow
-// processing order while spreading the work over N cores.
+// Per-flow independence makes the pipeline shardable: all heavy
+// per-packet work (frame decode, encapsulation parsing, frame assembly,
+// jitter, loss, rate series, TCP RTT matching) only ever touches state
+// keyed by the packet's flow, so hashing each flow to one of N shards
+// preserves exact per-flow processing order while spreading the work.
+// The front end stays thin — header scan, capture filter, shard hash —
+// then copies the frame into a per-shard batch and hands full batches
+// over an SPSC ring; the shard goroutine owns the decode.
 //
-// The dispatcher stays thin: it scans raw header bytes (rawScan) just
-// far enough to run the capture filter and compute the shard hash, then
-// copies the frame into a per-shard batch and hands the batch over an
-// SPSC ring. The shard owns the full decode. Frames the raw scanner
-// cannot handle (IPv6, fragments, anything unusual) fall back to a full
-// dispatcher-side parse with identical semantics.
-//
-// Two stages are NOT per-flow and stay centralized:
-//
-//   - The capture filter (stateful P2P table armed by STUN exchanges on
-//     one flow and consulted by media on another) runs in the single
-//     dispatcher goroutine, exactly as the sequential path runs it.
-//   - Stream unification (meeting.Dedup) and RTP copy matching
-//     (metrics.CopyMatcher) correlate packets across flows. Shards log
-//     compact per-packet observations into pooled chunks instead; a
-//     reconciliation pass merges the logs in global capture order — each
-//     packet carries the dispatcher's sequence number — and feeds them
-//     through one Dedup and one CopyMatcher. Reconciliation is
-//     incremental: it advances at every quiesce boundary (Snapshot,
-//     Checkpoint, Rotate, a periodic cadence, and finally Finish), and
-//     because the replay consumers are deterministic in observation
-//     order, advancing early is indistinguishable from replaying
-//     everything at Finish.
-//
-// The merge therefore yields results byte-identical to the sequential
-// analyzer: per-stream metric engines saw the same packets in the same
-// order, flow tables partition by five-tuple and union losslessly, TCP
-// trackers partition by client endpoint, and the reconciled Dedup/Copies
-// see the identical observation sequence.
+// The cross-flow stages cannot be sharded. Shards log a compact
+// observation per media packet into pooled chunks instead, each tagged
+// with the front end's sequence number, and the front-end goroutine
+// replays the logs through the one reconciliation consumer in global
+// capture order (a k-way merge) at every quiesce boundary: Snapshot,
+// Checkpoint, Rotate, DrainFeatures, a periodic cadence, and Finish.
+// The consumers are deterministic in observation order, so replaying in
+// batches is indistinguishable from feeding them packet by packet — and
+// the merged result is byte-identical to the sequential engine's.
 
 import (
-	"fmt"
-	"io"
-	"net/netip"
 	"runtime"
-	"sort"
 	"strconv"
 	"time"
 
-	"zoomlens/internal/capture"
-	"zoomlens/internal/features"
 	"zoomlens/internal/flow"
-	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/obs"
-	"zoomlens/internal/pcap"
-	"zoomlens/internal/rtcproto"
-	"zoomlens/internal/zoom"
 )
 
-// mediaObs is one media-packet observation logged by a shard for the
-// ordered Dedup/CopyMatcher reconciliation.
-type mediaObs struct {
-	seq  uint64 // global capture sequence number (dispatcher-assigned)
-	at   time.Time
-	flow layers.FiveTuple
-	key  zoom.StreamKey
-	// wireLen/payloadLen feed the streaming feature windower, which
-	// shares the reconciliation stream.
-	wireLen    int32
-	payloadLen int32
-	pt         uint8
-	rtpSeq     uint16
-	rtpTS      uint32
-}
-
 const (
-	// shardBatchSize is how many packets the dispatcher buffers per shard
+	// shardBatchSize is how many packets the front end buffers per shard
 	// before handing the batch to the worker.
 	shardBatchSize = 256
 	// shardQueueDepth bounds each shard's ring; a full ring blocks the
-	// dispatcher (backpressure) instead of buffering unboundedly.
+	// front end (backpressure) instead of buffering unboundedly.
 	shardQueueDepth = 4
 	// reconEvery is the periodic reconciliation cadence in packets: even
 	// a run that never snapshots or checkpoints drains the shard
@@ -97,7 +52,7 @@ const (
 // sync set carries no packets; the shard acknowledges on the channel
 // after draining everything queued before it (the quiesce barrier — the
 // ack's happens-before edge makes the shard's state safely readable from
-// the dispatcher goroutine until more work is sent). Batches come from
+// the front-end goroutine until more work is sent). Batches come from
 // and return to the package-wide framePool.
 type pbatch struct {
 	items []pitem
@@ -105,205 +60,24 @@ type pbatch struct {
 	sync  chan<- struct{}
 }
 
-// pitem is one packet within a batch: just the capture metadata and the
-// frame's offsets into the batch buffer. The shard performs the decode.
+// pitem is one packet within a batch: the capture metadata and the
+// frame's offsets into the batch buffer.
 type pitem struct {
 	seq      uint64
 	at       time.Time
 	off, end int32
 }
 
-// pshard is one worker: a private Analyzer fed over an SPSC ring, with
-// its own parser (shards decode their own frames) and a chunked log of
-// media observations awaiting reconciliation.
-type pshard struct {
-	a     *pshardAnalyzer
-	ring  *spscRing
-	done  chan struct{}
-	cur   *pbatch // batch under construction (dispatcher-owned)
-	depth *obs.Gauge
-
-	parser layers.Parser
-	pkt    layers.Packet
-
-	// obsHead/obsTail chain this shard's pending media observations,
-	// oldest chunk first. The shard goroutine appends; the dispatcher
-	// consumes and resets the chain at quiesce boundaries.
-	obsHead, obsTail *obsChunk
-
-	// ingested counts packets processed by this shard, driving the
-	// TTL-eviction cadence (the shard analyzer's own Packet counter
-	// never moves — the dispatcher owns packet accounting).
-	ingested uint64
-}
-
-// pshardAnalyzer is just *Analyzer; the alias keeps struct literals in
-// this file honest about which analyzers are shard-local.
-type pshardAnalyzer = Analyzer
-
-func (s *pshard) run() {
-	defer close(s.done)
-	for {
-		b, ok := s.ring.pop()
-		if !ok {
-			return
-		}
-		// Consumer-side backlog update: the dispatcher only writes the
-		// gauge on enqueue, so without this an idle shard would report its
-		// last backlog forever.
-		s.depth.Set(int64(s.ring.len()))
-		if b.sync != nil {
-			b.sync <- struct{}{}
-			putBatch(b)
-			continue
-		}
-		for i := range b.items {
-			it := &b.items[i]
-			s.runOne(it, b.data[it.off:it.end])
-		}
-		putBatch(b)
-	}
-}
-
-// logObs appends one media observation to the shard's pending chain.
-// Installed as the shard analyzer's obsSink.
-func (s *pshard) logObs(o mediaObs) {
-	c := s.obsTail
-	if c == nil || c.n == obsChunkLen {
-		nc := getObsChunk()
-		if c == nil {
-			s.obsHead = nc
-		} else {
-			c.next = nc
-		}
-		s.obsTail = nc
-		c = nc
-	}
-	c.e[c.n] = o
-	c.n++
-}
-
-// runOne decodes and processes one packet under the same panic
-// quarantine as the sequential path: a frame that panics is counted on
-// the shard analyzer (summed at merge) and deposited in the shared
-// quarantine ring.
-func (s *pshard) runOne(it *pitem, frame []byte) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.a.PanicsRecovered++
-			if s.a.cfg.Quarantine != nil {
-				s.a.cfg.Quarantine.Add(it.at, frame, fmt.Sprintf("panic: %v", r))
-			}
-		}
-	}()
-	if s.a.panicHook != nil {
-		s.a.panicHook(it.at, frame)
-	}
-	if err := s.parser.Parse(frame, &s.pkt); err != nil {
-		// Unreachable for frames admitted by rawScan (it is strictly no
-		// more permissive than the parser) and for slow-path frames (the
-		// dispatcher already parsed them); kept for defense in depth.
-		s.a.Undecodable++
-		s.a.o.undecodable()
-		return
-	}
-	s.a.obsSeq = it.seq
-	s.a.ingest(it.at, &s.pkt, len(frame))
-	s.ingested++
-	if ttl := s.a.cfg.FlowTTL; ttl > 0 && s.a.cfg.MaintainEvery > 0 && s.ingested%s.a.cfg.MaintainEvery == 0 {
-		s.a.EvictIdle(it.at.Add(-ttl))
-	}
-	if s.a.o != nil && s.ingested%obsUpdateEvery == 0 {
-		s.a.updateObsGauges()
-	}
-}
-
-// ParallelAnalyzer is the sharded multi-core pipeline. Feed packets in
+// ParallelAnalyzer is the sharded multi-core engine: one front-end
+// goroutine (the caller's) plus one goroutine per shard. Feed packets in
 // capture order via Packet (or a whole file via ReadPCAP), call Finish
-// once, then read results — either through the delegating accessors or
-// via Result(), which returns a fully merged *Analyzer.
-//
-// With one worker it degenerates to the sequential Analyzer (no
-// goroutines, no copies); with N > 1 it runs one dispatcher (raw scan +
-// filter + route) plus N shard goroutines. Results are byte-identical to
-// the sequential analyzer either way. AutoCompact is not supported in
-// parallel mode; memory is bounded by ring backpressure instead.
+// once, then read results — through the delegating accessors or via
+// Result(), which returns the merged *Analyzer. Results are
+// byte-identical to the sequential Analyzer at any worker count; with
+// one worker it is the sequential engine (one inline shard, no
+// goroutine, no frame copy). Memory is bounded by ring backpressure.
 type ParallelAnalyzer struct {
-	cfg     Config
-	workers int
-
-	// Sequential degenerate case (workers == 1): all calls delegate here
-	// and the fields below stay nil.
-	seq *Analyzer
-
-	parser layers.Parser
-	pkt    layers.Packet
-	filter *capture.Filter
-	shards []*pshard
-
-	// o holds the dispatcher's live-metric handles (shared counters plus
-	// the unlabeled aggregate gauges, which Snapshot refreshes); qdepth
-	// exposes each shard's ring backlog.
-	o      *coreObs
-	qdepth []*obs.Gauge
-
-	// rec is the always-on reconciliation state for the cross-flow
-	// stages: one Dedup and one CopyMatcher, configured exactly like the
-	// sequential analyzer's, advanced through the shard logs in global
-	// capture order at every quiesce boundary. At Finish it IS the merged
-	// analyzer's cross-flow state — there is no separate merge-time
-	// replay.
-	rec reconState
-
-	// Dispatcher-owned totals; the rest accumulate in the shards.
-	nextSeq     uint64
-	packets     uint64
-	bytes       uint64
-	undecodable uint64
-	dropped     uint64
-	panics      uint64 // dispatcher-side recoveries (shards count their own)
-	truncated   bool
-	firstTS     time.Time
-	lastTS      time.Time
-
-	// shedPackets/shedBytes count packets dropped at full shard rings
-	// when Config.Shed is on (dispatcher-owned, like packets/bytes).
-	shedPackets uint64
-	shedBytes   uint64
-
-	// Delta-checkpoint chain state: ckPackets is the dispatcher packet
-	// count at the last checkpoint encode (the next delta's base);
-	// deltaArmed is set by full checkpoints/restores and cleared by
-	// rotation.
-	ckPackets  uint64
-	deltaArmed bool
-
-	merged *Analyzer
-}
-
-// reconState is the incremental replacement for the old merge-time
-// replay (and the old snapshot-only live replica): the authoritative
-// cross-flow consumers, fed in global capture order.
-type reconState struct {
-	dedup  *meeting.Dedup
-	copies *metrics.CopyMatcher
-	// win is the streaming feature windower (nil unless
-	// Config.FeatureWindow is set). Like dedup/copies it consumes the
-	// globally ordered observation stream, which is exactly what makes
-	// parallel feature rows byte-identical to sequential ones.
-	win *features.Windower
-}
-
-func newReconState(cfg Config) reconState {
-	d := meeting.NewDedup()
-	d.MaxStreams = cfg.MaxMeetingStreams
-	c := metrics.NewCopyMatcher()
-	c.MaxPending = effectiveMaxCopyPending(cfg)
-	rec := reconState{dedup: d, copies: c}
-	if cfg.FeatureWindow > 0 {
-		rec.win = features.NewWindower(cfg.FeatureWindow)
-	}
-	return rec
+	*pipeline
 }
 
 // NewParallelAnalyzer builds a sharded analyzer with the given worker
@@ -312,534 +86,27 @@ func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	pa := &ParallelAnalyzer{cfg: cfg, workers: workers}
+	p := newPipeline(cfg, workers)
 	if workers == 1 {
-		pa.seq = NewAnalyzer(cfg)
-		return pa
+		p.setInline(newShard(p.cfg, p.o))
+		return &ParallelAnalyzer{p}
 	}
-	protos := cfg.Protos
-	if protos == nil {
-		protos = rtcproto.DefaultSet()
-	}
-	pa.filter = capture.NewFilter(capture.Config{
-		ZoomNetworks:   cfg.ZoomNetworks,
-		CampusNetworks: cfg.CampusNetworks,
-		GenericRTC:     rtcproto.HasNonZoom(protos),
-	})
-	pa.rec = newReconState(cfg)
-	pa.shards = make([]*pshard, workers)
-	pa.qdepth = make([]*obs.Gauge, workers)
-	shardCfg := scaleLimits(cfg, workers)
-	for i := range pa.shards {
-		sh := &pshard{
-			a:    NewAnalyzer(shardCfg),
-			ring: newSPSCRing(shardQueueDepth),
-			done: make(chan struct{}),
-		}
-		// The shard analyzer registered unlabeled gauges at construction;
-		// rebind so its occupancy series carry the shard label.
-		sh.a.bindObs(strconv.Itoa(i))
+	lim := scaleLimits(p.cfg, workers)
+	p.shards = make([]*shard, workers)
+	for i := range p.shards {
+		label := strconv.Itoa(i)
+		sh := newShard(lim, newCoreObs(cfg.Obs, label, lim))
+		sh.sink = sh.logObs
+		sh.ring = newSPSCRing(shardQueueDepth)
+		sh.done = make(chan struct{})
 		if cfg.Obs != nil {
-			pa.qdepth[i] = cfg.Obs.Gauge("zoomlens_shard_queue_depth",
-				"Batches queued per shard ring.", obs.L("shard", strconv.Itoa(i)))
+			sh.depth = cfg.Obs.Gauge("zoomlens_shard_queue_depth",
+				"Batches queued per shard ring.", obs.L("shard", label))
 		}
-		sh.depth = pa.qdepth[i]
-		sh.a.obsSink = sh.logObs
-		pa.shards[i] = sh
+		p.shards[i] = sh
 		go sh.run()
 	}
-	// Registered after the shard loop so the unlabeled cap gauges reflect
-	// the global configuration, not the transient per-shard binding each
-	// NewAnalyzer performed before its rebind above.
-	pa.o = newCoreObs(cfg.Obs, "", cfg)
-	return pa
-}
-
-// scaleLimits divides the global state caps across workers: flows hash
-// roughly uniformly over shards, so per-shard caps of ceil(cap/workers)
-// keep the aggregate close to the configured bound. Zero (unlimited)
-// stays zero.
-func scaleLimits(cfg Config, workers int) Config {
-	div := func(v int) int {
-		if v <= 0 {
-			return v
-		}
-		return (v + workers - 1) / workers
-	}
-	cfg.MaxFlows = div(cfg.MaxFlows)
-	cfg.MaxStreams = div(cfg.MaxStreams)
-	cfg.MaxSubstreams = div(cfg.MaxSubstreams)
-	cfg.MaxTCP = div(cfg.MaxTCP)
-	cfg.MaxFinished = div(cfg.MaxFinished)
-	// MaxMeetingStreams stays global: shard Dedups never observe (the
-	// obsSink diverts media observations to the reconciliation pass), so
-	// the cap only binds on the reconciliation state.
-	// FeatureWindow is zeroed for the same reason — the windower lives
-	// on the reconciliation state, not in the shards.
-	cfg.FeatureWindow = 0
-	return cfg
-}
-
-// Workers returns the resolved worker count.
-func (pa *ParallelAnalyzer) Workers() int { return pa.workers }
-
-// Packet ingests one captured frame. The frame is borrowed for the
-// duration of the call: the dispatcher copies it into a pooled shard
-// batch before returning, so callers may reuse the buffer immediately,
-// including the borrowed Data of pcap.NextInto. Not safe for concurrent
-// use; one goroutine dispatches, the shards parallelize behind it.
-func (pa *ParallelAnalyzer) Packet(at time.Time, frame []byte) {
-	if pa.seq != nil {
-		pa.seq.Packet(at, frame)
-		return
-	}
-	pa.packets++
-	pa.bytes += uint64(len(frame))
-	pa.o.packetIn(len(frame))
-	if pa.firstTS.IsZero() || at.Before(pa.firstTS) {
-		pa.firstTS = at
-	}
-	if at.After(pa.lastTS) {
-		pa.lastTS = at
-	}
-	pa.nextSeq++
-	pa.dispatch(at, frame)
-	if pa.nextSeq%reconEvery == 0 {
-		pa.quiesce()
-		pa.advanceRecon()
-	}
-}
-
-// dispatch runs the centralized scan → filter → route stage under the
-// same panic quarantine as the shards: a frame that blows up the scanner
-// or the filter is counted and quarantined, never crashes the tap.
-func (pa *ParallelAnalyzer) dispatch(at time.Time, frame []byte) {
-	defer func() {
-		if r := recover(); r != nil {
-			pa.panics++
-			pa.o.panicRecovered()
-			if pa.cfg.Quarantine != nil {
-				pa.cfg.Quarantine.Add(at, frame, fmt.Sprintf("panic: %v", r))
-			}
-		}
-	}()
-	var ri rawInfo
-	if !rawScan(frame, &ri) {
-		pa.dispatchSlow(at, frame)
-		return
-	}
-	verdict := pa.filter.ClassifyFlow(ri.src, ri.dst, !ri.isTCP, ri.srcPort, ri.dstPort, ri.payload, at)
-	if !verdict.Keep() && !pa.cfg.PreFiltered {
-		pa.dropped++
-		pa.o.filtered()
-		return
-	}
-	pa.enqueue(pa.shardIndexFor(ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), at, frame)
-}
-
-// dispatchSlow is the fallback for frames rawScan does not cover: the
-// original full-parse dispatch, with identical counting semantics.
-func (pa *ParallelAnalyzer) dispatchSlow(at time.Time, frame []byte) {
-	if err := pa.parser.Parse(frame, &pa.pkt); err != nil {
-		pa.undecodable++
-		pa.o.undecodable()
-		return
-	}
-	verdict := pa.filter.Classify(&pa.pkt, at)
-	if !verdict.Keep() && !pa.cfg.PreFiltered {
-		pa.dropped++
-		pa.o.filtered()
-		return
-	}
-	pa.enqueue(pa.shardIndex(&pa.pkt), at, frame)
-}
-
-// enqueue copies the frame into the target shard's batch under
-// construction and ships the batch when full.
-func (pa *ParallelAnalyzer) enqueue(idx int, at time.Time, frame []byte) {
-	sh := pa.shards[idx]
-	if sh.cur == nil {
-		sh.cur = getBatch()
-	}
-	b := sh.cur
-	off := int32(len(b.data))
-	b.data = append(b.data, frame...)
-	b.items = append(b.items, pitem{seq: pa.nextSeq, at: at, off: off, end: int32(len(b.data))})
-	if len(b.items) >= shardBatchSize {
-		if pa.cfg.Shed {
-			if !sh.ring.tryPush(b) {
-				// Overload: the shard is behind and its ring is full. Drop
-				// the whole batch with accounting instead of stalling the
-				// dispatcher (live capture would otherwise lose packets
-				// invisibly in the kernel).
-				pa.shedPackets += uint64(len(b.items))
-				pa.shedBytes += uint64(len(b.data))
-				pa.o.shed(len(b.items), len(b.data))
-				putBatch(b)
-				sh.cur = nil
-				return
-			}
-		} else {
-			sh.ring.push(b)
-		}
-		sh.cur = nil
-		// Producer-side backlog sample; the shard updates the same gauge
-		// on dequeue, so it tracks both directions.
-		sh.depth.Set(int64(sh.ring.len()))
-	}
-}
-
-// shardIndex routes a parsed packet to a shard (the slow path; the fast
-// path hashes the same features straight from rawScan via
-// shardIndexFor).
-func (pa *ParallelAnalyzer) shardIndex(pkt *layers.Packet) int {
-	if pkt.HasTCP {
-		return pa.shardIndexFor(true, pkt.SrcAddr(), pkt.DstAddr(), pkt.TCP.SrcPort, pkt.TCP.DstPort)
-	}
-	ft, ok := pkt.FiveTuple()
-	if !ok {
-		return 0
-	}
-	return pa.shardIndexFor(false, ft.Src, ft.Dst, ft.SrcPort, ft.DstPort)
-}
-
-// shardIndexFor hashes flow features to a shard. UDP hashes the directed
-// five-tuple: every packet of a flow — and hence of any media stream on
-// it — lands on one shard, preserving per-flow order. TCP hashes the
-// client endpoint the sequential path keys its RTT trackers by, so both
-// directions (and every connection) of one tracker share a shard. The
-// hash itself (shardFor, in cluster.go) is shared with the cluster
-// splitter's Router so a worker process receives exactly the flows the
-// corresponding in-process shard would have.
-func (pa *ParallelAnalyzer) shardIndexFor(isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
-	return shardFor(&pa.cfg, len(pa.shards), isTCP, src, dst, srcPort, dstPort)
-}
-
-func fnv1a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Finish flushes the shards, waits for them to drain, reconciles the
-// remaining observation logs, and merges shard state into one Analyzer.
-// Call once after the last packet.
-func (pa *ParallelAnalyzer) Finish() {
-	if pa.seq != nil {
-		pa.seq.Finish()
-		pa.merged = pa.seq
-		return
-	}
-	if pa.merged != nil {
-		return
-	}
-	for _, sh := range pa.shards {
-		if sh.cur != nil && len(sh.cur.items) > 0 {
-			sh.ring.push(sh.cur)
-		}
-		sh.cur = nil
-		sh.ring.close()
-	}
-	for _, sh := range pa.shards {
-		<-sh.done
-		// Single-threaded again once done is closed: flush each shard's
-		// final occupancy and eviction mirrors before merging, and zero
-		// the drained ring's backlog gauge.
-		sh.a.updateObsGauges()
-		sh.depth.Set(0)
-	}
-	pa.merged = pa.merge()
-}
-
-// merge combines shard state deterministically. Flow tables, stream
-// metric maps, and TCP trackers partition across shards, so their union
-// is exact; the cross-flow Dedup/CopyMatcher state is the reconciliation
-// pass's, advanced here through any observations still unconsumed.
-func (pa *ParallelAnalyzer) merge() *Analyzer {
-	defer pa.cfg.trace("merge")()
-	pa.advanceRecon()
-	parts := make([]*Analyzer, len(pa.shards))
-	for i, sh := range pa.shards {
-		parts[i] = sh.a
-	}
-	m := mergeParts(pa.cfg, parts, ClusterHead{
-		Packets:         pa.packets,
-		Bytes:           pa.bytes,
-		Undecodable:     pa.undecodable,
-		DroppedByFilter: pa.dropped,
-		PanicsRecovered: pa.panics,
-		ShedPackets:     pa.shedPackets,
-		ShedBytes:       pa.shedBytes,
-		Truncated:       pa.truncated,
-		FirstTS:         pa.firstTS,
-		LastTS:          pa.lastTS,
-	}, pa.rec)
-	m.Finish()
-	return m
-}
-
-// mergeParts unions per-shard (or per-worker-process) analyzer state
-// under the head counters of the dispatcher (or cluster splitter), and
-// adopts the reconciled cross-flow state. Shared by the in-process
-// merge and cluster-mode MergeCluster; the result has not been
-// finished.
-func mergeParts(cfg Config, parts []*Analyzer, head ClusterHead, rec reconState) *Analyzer {
-	m := NewAnalyzer(cfg)
-	// The shards and the dispatcher already fed the shared counters and
-	// mirrored their cumulative eviction stats; the merged analyzer
-	// absorbs those same cumulative counts, so letting it mirror too
-	// would double-count. Its gauges are redundant with the per-shard
-	// series as well.
-	m.o = nil
-	m.Packets = head.Packets
-	m.Bytes = head.Bytes
-	m.Undecodable = head.Undecodable
-	m.DroppedByFilter = head.DroppedByFilter
-	m.PanicsRecovered = head.PanicsRecovered
-	m.Truncated = head.Truncated
-	m.ShedPackets = head.ShedPackets
-	m.ShedBytes = head.ShedBytes
-	m.firstTS = head.FirstTS
-	m.lastTS = head.LastTS
-	for _, sa := range parts {
-		m.ZoomUDP += sa.ZoomUDP
-		m.Undecodable += sa.Undecodable
-		m.TCPPackets += sa.TCPPackets
-		m.STUNPackets += sa.STUNPackets
-		m.STUNPortNonSTUN += sa.STUNPortNonSTUN
-		for i, v := range sa.ProtoDecoded {
-			m.ProtoDecoded[i] += v
-		}
-		m.UDPKeptPackets += sa.UDPKeptPackets
-		m.UDPKeptBytes += sa.UDPKeptBytes
-		m.PanicsRecovered += sa.PanicsRecovered
-		m.EvictedTCP += sa.EvictedTCP
-		m.RejectedTCPPackets += sa.RejectedTCPPackets
-		m.FinishedDropped += sa.FinishedDropped
-		m.Flows.Absorb(sa.Flows)
-		for id, sm := range sa.StreamMetrics {
-			m.StreamMetrics[id] = sm
-		}
-		for client, tr := range sa.TCP {
-			m.TCP[client] = tr
-		}
-		for client, seen := range sa.tcpSeen {
-			m.tcpSeen[client] = seen
-		}
-		m.Finished = append(m.Finished, sa.Finished...)
-	}
-	// Shard archives interleave arbitrarily; order them the way one
-	// sequential analyzer would have produced them (by idle-out time,
-	// tie-broken by stream identity).
-	sort.Slice(m.Finished, func(i, j int) bool {
-		fi, fj := m.Finished[i], m.Finished[j]
-		if !fi.LastSeen.Equal(fj.LastSeen) {
-			return fi.LastSeen.Before(fj.LastSeen)
-		}
-		if fi.ID.Key.SSRC != fj.ID.Key.SSRC {
-			return fi.ID.Key.SSRC < fj.ID.Key.SSRC
-		}
-		if fi.ID.Key.Type != fj.ID.Key.Type {
-			return fi.ID.Key.Type < fj.ID.Key.Type
-		}
-		return fi.ID.Flow.String() < fj.ID.Flow.String()
-	})
-	m.Dedup = rec.dedup
-	m.Copies = rec.copies
-	// The merged analyzer adopts the reconciliation windower wholesale
-	// (NewAnalyzer built a fresh, empty one when FeatureWindow is set —
-	// discard it; the reconciled one holds the real state and pending
-	// rows).
-	m.feats = rec.win
-	return m
-}
-
-// advanceRecon feeds every pending shard observation through the
-// reconciliation Dedup/CopyMatcher in global capture order (a k-way
-// merge by dispatcher sequence number; each shard chain is already
-// seq-sorted because shards consume their ring FIFO), then recycles the
-// consumed chunks. Call only while quiesced or after the shards exited.
-func (pa *ParallelAnalyzer) advanceRecon() {
-	type cursor struct {
-		c *obsChunk
-		i int
-	}
-	cur := make([]cursor, len(pa.shards))
-	for si, sh := range pa.shards {
-		cur[si] = cursor{c: sh.obsHead}
-	}
-	for {
-		best := -1
-		var bestSeq uint64
-		for si := range cur {
-			cc := &cur[si]
-			for cc.c != nil && cc.i >= cc.c.n {
-				cc.c, cc.i = cc.c.next, 0
-			}
-			if cc.c == nil {
-				continue
-			}
-			if s := cc.c.e[cc.i].seq; best < 0 || s < bestSeq {
-				best, bestSeq = si, s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		o := &cur[best].c.e[cur[best].i]
-		cur[best].i++
-		unified := pa.rec.dedup.Observe(meeting.StreamObs{
-			Time: o.at, Flow: o.flow, Key: o.key, Seq: o.rtpSeq, TS: o.rtpTS,
-		})
-		pa.rec.copies.Observe(unified, o.flow, o.pt, o.rtpSeq, o.rtpTS, o.at)
-		if pa.rec.win != nil {
-			pa.rec.win.Observe(features.Obs{
-				At: o.at, Flow: o.flow, Key: o.key,
-				WireLen: int(o.wireLen), PayloadLen: int(o.payloadLen),
-				PT: o.pt, RTPSeq: o.rtpSeq, RTPTS: o.rtpTS,
-			})
-		}
-	}
-	for _, sh := range pa.shards {
-		for c := sh.obsHead; c != nil; {
-			nc := c.next
-			putObsChunk(c)
-			c = nc
-		}
-		sh.obsHead, sh.obsTail = nil, nil
-	}
-}
-
-// ReadPCAP feeds an entire capture stream through the analyzer and
-// finishes. Like the sequential path, a capture cut mid-record yields
-// valid partial results with the Truncated flag set instead of an error.
-func (pa *ParallelAnalyzer) ReadPCAP(r io.Reader) error {
-	if pa.seq != nil {
-		err := pa.seq.ReadPCAP(r)
-		pa.merged = pa.seq
-		return err
-	}
-	s, err := pcap.OpenStream(r)
-	if err != nil {
-		return err
-	}
-	var rec pcap.Record
-	for {
-		err := s.NextInto(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		pa.Packet(rec.Timestamp, rec.Data)
-	}
-	pa.truncated = s.Truncated()
-	pa.Finish()
-	return nil
-}
-
-// quiesce flushes every shard's batch under construction and blocks
-// until all shards have drained their rings. On return, shard state is
-// safely readable from the dispatcher goroutine (the ack receive is the
-// happens-before edge) and stays frozen until more work is dispatched.
-func (pa *ParallelAnalyzer) quiesce() {
-	ack := make(chan struct{}, len(pa.shards))
-	for _, sh := range pa.shards {
-		if sh.cur != nil && len(sh.cur.items) > 0 {
-			sh.ring.push(sh.cur)
-			sh.cur = nil
-		}
-		sb := getBatch()
-		sb.sync = ack
-		sh.ring.push(sb)
-	}
-	for range pa.shards {
-		<-ack
-	}
-	for _, sh := range pa.shards {
-		// Every ring is drained; report the quiesced backlog explicitly
-		// (the shard-side update raced the last enqueue sample).
-		sh.depth.Set(0)
-	}
-}
-
-// Snapshot quiesces the shards and returns the per-meeting rolling
-// metrics at trace time now over the trailing window. Call only from
-// the dispatching goroutine (between Packet calls); results match the
-// sequential analyzer's Snapshot at the same packet boundary.
-func (pa *ParallelAnalyzer) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
-	if pa.seq != nil {
-		return pa.seq.Snapshot(now, window)
-	}
-	if pa.merged != nil {
-		return pa.merged.Snapshot(now, window)
-	}
-	defer pa.cfg.trace("snapshot")()
-	pa.o.snapshot()
-	pa.quiesce()
-	pa.advanceRecon()
-	src := snapshotSource{
-		dedup:  pa.rec.dedup,
-		copies: pa.rec.copies,
-		cfg:    pa.cfg,
-		lookup: pa.lookupShardStream,
-	}
-	snaps := src.take(now, window)
-	pa.updateAggregateGauges()
-	return snaps
-}
-
-// lookupShardStream resolves a stream record to its shard's metric
-// engine (live, then archived). Valid only while quiesced.
-func (pa *ParallelAnalyzer) lookupShardStream(id flow.MediaStreamID) *metrics.StreamMetrics {
-	for _, sh := range pa.shards {
-		if sm := sh.a.StreamMetrics[id]; sm != nil {
-			return sm
-		}
-	}
-	for _, sh := range pa.shards {
-		for i := range sh.a.Finished {
-			if sh.a.Finished[i].ID == id {
-				return sh.a.Finished[i].Metrics
-			}
-		}
-	}
-	return nil
-}
-
-// updateAggregateGauges refreshes the unlabeled occupancy gauges with
-// cross-shard totals (plus the reconciliation state's cross-flow
-// tables). Valid only while quiesced.
-func (pa *ParallelAnalyzer) updateAggregateGauges() {
-	if pa.o == nil {
-		return
-	}
-	var flows, streams, tcp, finished int
-	for _, sh := range pa.shards {
-		tot := sh.a.Flows.Totals()
-		flows += tot.Flows
-		streams += tot.Streams
-		tcp += len(sh.a.TCP)
-		finished += len(sh.a.Finished)
-	}
-	pa.o.occ["flows"].Set(int64(flows))
-	pa.o.occ["streams"].Set(int64(streams))
-	pa.o.occ["tcp"].Set(int64(tcp))
-	pa.o.occ["finished"].Set(int64(finished))
-	pa.o.occ["dedup_streams"].Set(int64(pa.rec.dedup.Len()))
-	pa.o.occ["copy_pending"].Set(int64(pa.rec.copies.Pending()))
-}
-
-// Result returns the merged sequential-equivalent analyzer. It panics if
-// Finish has not run yet.
-func (pa *ParallelAnalyzer) Result() *Analyzer {
-	if pa.merged == nil {
-		panic(fmt.Sprintf("core: ParallelAnalyzer.Result before Finish (%d workers)", pa.workers))
-	}
-	return pa.merged
+	return &ParallelAnalyzer{p}
 }
 
 // Summary computes the capture roll-up (after Finish).
@@ -857,22 +124,214 @@ func (pa *ParallelAnalyzer) MetricsFor(id flow.MediaStreamID) (*metrics.StreamMe
 	return pa.Result().MetricsFor(id)
 }
 
-// DrainFeatures returns the feature rows emitted since the previous
-// drain (nil when the feature layer is disabled). Before Finish it
-// quiesces the shards and advances reconciliation so the windower has
-// consumed every dispatched packet; call only from the dispatching
-// goroutine, like Snapshot.
-func (pa *ParallelAnalyzer) DrainFeatures() []features.Row {
-	if pa.seq != nil {
-		return pa.seq.DrainFeatures()
+// run is a ring-fed shard's goroutine: drain batches until the ring
+// closes.
+func (sh *shard) run() {
+	defer close(sh.done)
+	for {
+		b, ok := sh.ring.pop()
+		if !ok {
+			return
+		}
+		// Consumer-side backlog update: the front end only writes the
+		// gauge on enqueue, so without this an idle shard would report its
+		// last backlog forever.
+		sh.depth.Set(int64(sh.ring.len()))
+		if b.sync != nil {
+			b.sync <- struct{}{}
+			putBatch(b)
+			continue
+		}
+		for i := range b.items {
+			it := &b.items[i]
+			sh.process(it.seq, it.at, b.data[it.off:it.end])
+			sh.tick(it.at)
+			if sh.so != nil && sh.ticks%obsUpdateEvery == 0 {
+				sh.refreshGauges()
+			}
+		}
+		putBatch(b)
 	}
-	if pa.merged != nil {
-		return pa.merged.DrainFeatures()
+}
+
+// logObs is a ring-fed shard's sink: append to the pending chain.
+func (sh *shard) logObs(o ClusterObs) {
+	c := sh.obsTail
+	if c == nil || c.n == obsChunkLen {
+		nc := getObsChunk()
+		if c == nil {
+			sh.obsHead = nc
+		} else {
+			c.next = nc
+		}
+		sh.obsTail = nc
+		c = nc
 	}
-	if pa.rec.win == nil {
-		return nil
+	c.e[c.n] = o
+	c.n++
+}
+
+// dispatch is the ring-fed half of PacketSeq: copy a kept frame into
+// its shard's batch under construction, ship the batch when full, and
+// reconcile on the periodic cadence.
+func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {
+	if keep {
+		if sh.cur == nil {
+			sh.cur = getBatch()
+		}
+		b := sh.cur
+		off := int32(len(b.data))
+		b.data = append(b.data, frame...)
+		b.items = append(b.items, pitem{seq: seq, at: at, off: off, end: int32(len(b.data))})
+		if len(b.items) >= shardBatchSize {
+			p.ship(sh)
+		}
 	}
-	pa.quiesce()
-	pa.advanceRecon()
-	return pa.rec.win.Drain()
+	if seq%reconEvery == 0 {
+		p.reconcile()
+	}
+}
+
+// ship hands a full batch to its shard: blocking on a full ring, or —
+// under Config.Shed — dropping the whole batch with accounting instead
+// of stalling ingest (live capture would otherwise lose packets
+// invisibly in the kernel).
+func (p *pipeline) ship(sh *shard) {
+	b := sh.cur
+	sh.cur = nil
+	if !p.cfg.Shed {
+		sh.ring.push(b)
+	} else if !sh.ring.tryPush(b) {
+		p.ShedPackets += uint64(len(b.items))
+		p.ShedBytes += uint64(len(b.data))
+		p.o.shed(len(b.items), len(b.data))
+		putBatch(b)
+		return
+	}
+	// Producer-side backlog sample; the shard updates the same gauge on
+	// dequeue, so it tracks both directions.
+	sh.depth.Set(int64(sh.ring.len()))
+}
+
+// reconcile brings the cross-flow state up to date with every packet
+// routed so far. Ring-fed shards are parked at a barrier — partial
+// batches flushed, rings drained; on return their state is safely
+// readable from this goroutine (the ack receive is the happens-before
+// edge) and stays frozen until more work is dispatched — and their
+// pending observations are replayed in global capture order: a k-way
+// merge by sequence number (each chain is already sorted, shards consume
+// their ring FIFO), after which the consumed chunks are recycled. An
+// inline pipeline has nothing pending.
+func (p *pipeline) reconcile() {
+	if !p.ringFed() {
+		return
+	}
+	ack := make(chan struct{}, len(p.shards))
+	for _, sh := range p.shards {
+		if sh.cur != nil && len(sh.cur.items) > 0 {
+			sh.ring.push(sh.cur)
+			sh.cur = nil
+		}
+		sb := getBatch()
+		sb.sync = ack
+		sh.ring.push(sb)
+	}
+	for range p.shards {
+		<-ack
+	}
+	for _, sh := range p.shards {
+		// Every ring is drained; report the quiesced backlog explicitly
+		// (the shard-side update raced the last enqueue sample).
+		sh.depth.Set(0)
+	}
+	p.replayLogs()
+}
+
+// replayLogs feeds every pending shard observation through the
+// reconciliation consumer in sequence order. Call only while the shards
+// are parked or have exited.
+func (p *pipeline) replayLogs() {
+	type cursor struct {
+		c *obsChunk
+		i int
+	}
+	cur := make([]cursor, len(p.shards))
+	for si, sh := range p.shards {
+		cur[si] = cursor{c: sh.obsHead}
+	}
+	for {
+		best := -1
+		var bestSeq uint64
+		for si := range cur {
+			cc := &cur[si]
+			for cc.c != nil && cc.i >= cc.c.n {
+				cc.c, cc.i = cc.c.next, 0
+			}
+			if cc.c == nil {
+				continue
+			}
+			if s := cc.c.e[cc.i].Seq; best < 0 || s < bestSeq {
+				best, bestSeq = si, s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		p.observe(cur[best].c.e[cur[best].i])
+		cur[best].i++
+	}
+	for _, sh := range p.shards {
+		for c := sh.obsHead; c != nil; {
+			nc := c.next
+			putObsChunk(c)
+			c = nc
+		}
+		sh.obsHead, sh.obsTail = nil, nil
+	}
+}
+
+// stop flushes and closes every ring and waits for the shard goroutines
+// to exit; afterwards their state belongs to the caller's goroutine.
+func (p *pipeline) stop() {
+	for _, sh := range p.shards {
+		if sh.cur != nil && len(sh.cur.items) > 0 {
+			sh.ring.push(sh.cur)
+		}
+		sh.cur = nil
+		sh.ring.close()
+	}
+	for _, sh := range p.shards {
+		<-sh.done
+		sh.depth.Set(0)
+	}
+}
+
+// collapse is Finish's first half for a ring-fed pipeline: stop the
+// shards, reconcile what they still had logged, and fold their state
+// into one inline shard. An inline pipeline is already collapsed.
+func (p *pipeline) collapse() {
+	if !p.ringFed() {
+		return
+	}
+	defer p.cfg.trace("merge")()
+	p.stop()
+	p.replayLogs()
+	p.updateGauges()
+	// The shards and the front end already fed the shared counters and
+	// mirrored their cumulative eviction stats; the merged shard holds
+	// those same cumulative counts, so letting it mirror too would
+	// double-count. Its gauges are redundant with the per-shard series.
+	p.o = nil
+	p.setInline(mergeShards(p.cfg, p.shards))
+}
+
+// lookup resolves a stream record to its shard's metric engine (live,
+// then archived). Valid only while reconciled.
+func (p *pipeline) lookup(id flow.MediaStreamID) *metrics.StreamMetrics {
+	for _, sh := range p.shards {
+		if sm := sh.lookupStream(id); sm != nil {
+			return sm
+		}
+	}
+	return nil
 }

@@ -217,8 +217,8 @@ func TestSTUNClassifiedByMagicCookie(t *testing.T) {
 	if a.STUNPackets != 2 {
 		t.Errorf("STUNPackets = %d, want 2", a.STUNPackets)
 	}
-	if a.Undecodable != 0 {
-		t.Errorf("Undecodable = %d, want 0 (STUN misclassified as failed Zoom parse)", a.Undecodable)
+	if got := a.Summary().Undecodable; got != 0 {
+		t.Errorf("Undecodable = %d, want 0 (STUN misclassified as failed Zoom parse)", got)
 	}
 	if a.UDPKeptPackets != 0 || a.UDPKeptBytes != 0 {
 		t.Errorf("UDPKept = %d pkts / %d bytes, want 0 (STUN must not enter the Table 2/3 denominators)",
@@ -234,27 +234,26 @@ func TestShardAffinity(t *testing.T) {
 	pa := NewParallelAnalyzer(Config{ZoomNetworks: []netip.Prefix{zoomNet}}, 7)
 	defer pa.Finish()
 
-	parser := &layers.Parser{}
-	parse := func(frame []byte) *layers.Packet {
-		var pkt layers.Packet
-		if err := parser.Parse(frame, &pkt); err != nil {
-			t.Fatal(err)
+	route := func(frame []byte) int {
+		shard, keep := pa.route(time.Unix(1700000000, 0), frame, pa.seq+1)
+		if !keep {
+			t.Fatal("front end dropped a Zoom-server frame")
 		}
-		return &pkt
+		return shard
 	}
 	client := netip.MustParseAddrPort("10.8.0.10:50000")
 	server := netip.MustParseAddrPort("203.0.113.7:443")
-	up := parse(layers.EthernetIPv4TCP(client, server, 64, 100, 0, layers.TCPSyn, 1024, nil))
-	down := parse(layers.EthernetIPv4TCP(server, client, 64, 1, 101, layers.TCPSyn|layers.TCPAck, 1024, nil))
-	if pa.shardIndex(up) != pa.shardIndex(down) {
-		t.Errorf("TCP directions on different shards: %d vs %d", pa.shardIndex(up), pa.shardIndex(down))
+	up := route(layers.EthernetIPv4TCP(client, server, 64, 100, 0, layers.TCPSyn, 1024, nil))
+	down := route(layers.EthernetIPv4TCP(server, client, 64, 1, 101, layers.TCPSyn|layers.TCPAck, 1024, nil))
+	if up != down {
+		t.Errorf("TCP directions on different shards: %d vs %d", up, down)
 	}
 
 	mediaSrc := netip.MustParseAddrPort("10.8.0.10:50001")
 	mediaDst := netip.MustParseAddrPort("203.0.113.7:8801")
-	u1 := parse(layers.EthernetIPv4UDP(mediaSrc, mediaDst, 64, []byte{1, 2, 3, 4}))
-	u2 := parse(layers.EthernetIPv4UDP(mediaSrc, mediaDst, 64, []byte{9, 9, 9, 9, 9}))
-	if pa.shardIndex(u1) != pa.shardIndex(u2) {
+	u1 := route(layers.EthernetIPv4UDP(mediaSrc, mediaDst, 64, []byte{1, 2, 3, 4}))
+	u2 := route(layers.EthernetIPv4UDP(mediaSrc, mediaDst, 64, []byte{9, 9, 9, 9, 9}))
+	if u1 != u2 {
 		t.Error("same UDP flow routed to different shards")
 	}
 }

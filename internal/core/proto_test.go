@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
+	"zoomlens/internal/obs"
 	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/rtp"
-	"zoomlens/internal/statecodec"
 	"zoomlens/internal/stun"
 	"zoomlens/internal/zoom"
 )
@@ -189,32 +189,55 @@ func TestProtoPinnedToZoom(t *testing.T) {
 	}
 }
 
-// TestCheckpointOldVersionRejected hand-crafts a checkpoint whose
-// analyzer payload carries the pre-refactor state version: restore must
-// fail with a clear versioned error, not misread the bytes.
-func TestCheckpointOldVersionRejected(t *testing.T) {
-	var enc statecodec.Writer
-	writeCheckpointHeader(&enc, engineKindSequential)
-	enc.U8(analyzerStateV2) // pre-protocol-plugin payload version
-	// A few plausible varint fields; the reader must fail on the version
-	// byte before interpreting any of this.
-	for i := 0; i < 8; i++ {
-		enc.U64(uint64(i))
+// TestCheckpointRejected pins the one-version-per-format rule: a file
+// whose file version or payload version is anything but the current
+// one, a file without its CRC trailer, and a delta record offered as a
+// bootstrap checkpoint are each rejected with the reason in the error —
+// and before any engine is built (an engine registers its metrics on
+// construction, so an untouched registry proves none was).
+func TestCheckpointRejected(t *testing.T) {
+	tr, opts := seededTrace(t, 1)
+	a := NewAnalyzer(Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}})
+	for i := 0; i < 50; i++ {
+		a.Packet(tr.at[i], tr.frames[i])
 	}
-	var buf bytes.Buffer
-	if err := sealCheckpoint(&buf, &enc); err != nil {
+	var full, delta bytes.Buffer
+	if err := a.Checkpoint(&full); err != nil {
 		t.Fatal(err)
 	}
-	// Sanity: the file itself is well-formed (magic + CRC pass).
-	body := buf.Bytes()
-	if got := crc32.Checksum(body[:len(body)-4], crcTable); got != binary.LittleEndian.Uint32(body[len(body)-4:]) {
-		t.Fatal("test bug: CRC trailer does not match")
+	a.Packet(tr.at[50], tr.frames[50])
+	if err := a.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
 	}
-	_, err := RestoreAnalyzer(bytes.NewReader(body), Config{})
-	if err == nil {
-		t.Fatal("restore of a V2 analyzer payload succeeded, want versioned rejection")
+	// patch returns the full checkpoint with one header byte replaced and
+	// the CRC trailer recomputed, so the patched byte is the only fault.
+	patch := func(off int, v byte) []byte {
+		b := bytes.Clone(full.Bytes())
+		b[off] = v
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], crcTable))
+		return b
 	}
-	if !strings.Contains(err.Error(), "state version 2") || !strings.Contains(err.Error(), "supported: 3") {
-		t.Errorf("error %q does not name the rejected and supported versions", err)
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"file version", "file version 2 (supported: 1)", patch(len(checkpointMagic), 2)},
+		{"payload version", "state version 9 (supported: 1)", patch(len(checkpointMagic)+2, 9)},
+		{"trailerless", "CRC mismatch", full.Bytes()[:full.Len()-4]},
+		{"delta kind", "delta record cannot bootstrap", delta.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			eng, err := RestoreAnalyzer(bytes.NewReader(tc.data), Config{Obs: reg})
+			if err == nil || eng != nil {
+				t.Fatalf("restore = (%v, %v), want rejection", eng, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
+			}
+			if out := promDump(t, reg); out != "" {
+				t.Errorf("an engine was built before the rejection:\n%s", out)
+			}
+		})
 	}
 }

@@ -1,17 +1,12 @@
 package core
 
-// Lock-free plumbing for the sharded parallel pipeline: a single-producer
-// single-consumer batch ring per shard, a pooled chunk list for the
-// media-observation log, and a raw-header scanner that lets the
-// dispatcher route frames without a full decode.
+// Lock-free plumbing for the ring transport: a single-producer
+// single-consumer batch ring per shard and a pooled chunk list for the
+// media-observation log.
 
 import (
-	"encoding/binary"
-	"net/netip"
 	"sync"
 	"sync/atomic"
-
-	"zoomlens/internal/layers"
 )
 
 // spscRing is a bounded single-producer single-consumer queue of
@@ -149,7 +144,7 @@ const obsChunkLen = 512
 type obsChunk struct {
 	next *obsChunk
 	n    int
-	e    [obsChunkLen]mediaObs
+	e    [obsChunkLen]ClusterObs
 }
 
 var obsChunkPool = sync.Pool{New: func() any { return new(obsChunk) }}
@@ -160,77 +155,4 @@ func putObsChunk(c *obsChunk) {
 	c.n = 0
 	c.next = nil
 	obsChunkPool.Put(c)
-}
-
-// rawInfo carries the dispatch-relevant features of a frame extracted by
-// rawScan: enough for the capture filter (global, stateful) and the
-// shard hash, with the full decode deferred to the shard.
-type rawInfo struct {
-	src, dst         netip.Addr
-	srcPort, dstPort uint16
-	isTCP            bool
-	payload          []byte // UDP payload (length-clamped); nil for TCP
-}
-
-// rawScan validates an Ethernet/IPv4/{UDP,TCP} frame with exactly the
-// checks layers.Parser.Parse applies and extracts the flow features
-// without building a Packet. It returns false for anything it does not
-// fully replicate — IPv6, fragments, other ethertypes or protocols,
-// truncated headers — in which case the caller must fall back to the
-// full parse. The contract is strict: rawScan must never accept a frame
-// the parser would reject (or derive different addresses, ports, or
-// payload bounds), because the undecodable and filter counters must
-// match the sequential pipeline byte for byte.
-func rawScan(frame []byte, ri *rawInfo) bool {
-	if len(frame) < 14+20 {
-		return false
-	}
-	if binary.BigEndian.Uint16(frame[12:14]) != layers.EtherTypeIPv4 {
-		return false
-	}
-	ip := frame[14:]
-	if ip[0]>>4 != 4 {
-		return false
-	}
-	ihl := int(ip[0]&0x0f) * 4
-	if ihl < 20 || len(ip) < ihl {
-		return false
-	}
-	if totalLen := int(binary.BigEndian.Uint16(ip[2:4])); totalLen >= ihl && totalLen <= len(ip) {
-		ip = ip[:totalLen] // strip Ethernet padding, as the parser does
-	}
-	if binary.BigEndian.Uint16(ip[6:8])&0x3fff != 0 {
-		return false // any fragmentation: defer to the parser
-	}
-	rest := ip[ihl:]
-	switch ip[9] {
-	case layers.ProtoUDP:
-		if len(rest) < 8 {
-			return false
-		}
-		ri.srcPort = binary.BigEndian.Uint16(rest[0:2])
-		ri.dstPort = binary.BigEndian.Uint16(rest[2:4])
-		payload := rest[8:]
-		if ulen := int(binary.BigEndian.Uint16(rest[4:6])); ulen >= 8 && ulen-8 <= len(payload) {
-			payload = payload[:ulen-8]
-		}
-		ri.payload = payload
-		ri.isTCP = false
-	case layers.ProtoTCP:
-		if len(rest) < 20 {
-			return false
-		}
-		if hl := int(rest[12]>>4) * 4; hl < 20 || len(rest) < hl {
-			return false
-		}
-		ri.srcPort = binary.BigEndian.Uint16(rest[0:2])
-		ri.dstPort = binary.BigEndian.Uint16(rest[2:4])
-		ri.payload = nil
-		ri.isTCP = true
-	default:
-		return false
-	}
-	ri.src = netip.AddrFrom4([4]byte(ip[12:16]))
-	ri.dst = netip.AddrFrom4([4]byte(ip[16:20]))
-	return true
 }

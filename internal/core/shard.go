@@ -1,0 +1,526 @@
+package core
+
+import (
+	"net/netip"
+	"slices"
+	"time"
+
+	"zoomlens/internal/flow"
+	"zoomlens/internal/layers"
+	"zoomlens/internal/metrics"
+	"zoomlens/internal/obs"
+	"zoomlens/internal/rtcproto"
+	"zoomlens/internal/stun"
+	"zoomlens/internal/tcprtt"
+	"zoomlens/internal/zoom"
+)
+
+// A shard is the per-flow half of the pipeline: everything whose state
+// is keyed by the packet's flow — frame decode, the protocol plugin
+// chain, the flow table, per-stream metric engines, TCP RTT trackers,
+// the archive of finished streams. The front end hashes each flow to one
+// shard, so a shard sees all of a flow's packets in capture order and
+// shares nothing with its siblings. The same type runs in all three
+// deployments; only how frames reach it and where its media observations
+// go differ:
+//
+//   - inline (sequential engine): the front end calls process directly
+//     and the sink is the reconciliation consumer itself;
+//   - ring-fed (parallel engine): a goroutine drains an SPSC ring of
+//     frame batches and the sink appends to a chunked log the front-end
+//     goroutine replays in capture order at quiesce boundaries;
+//   - cluster worker: an inline shard in its own process, fed by the
+//     splitter's pcapng stream, whose sink writes the ZLOB log the
+//     aggregator replays.
+type shard struct {
+	shardState
+
+	// lim is this shard's share of the configuration: the state caps
+	// divided across the shards (see scaleLimits).
+	lim    Config
+	protos []rtcproto.Plugin
+	dec    layers.Parser
+	dpkt   layers.Packet
+	// rec is the reused flow observation passed to Flows.Observe (which
+	// copies what it keeps).
+	rec flow.Record
+	// so holds this shard's live-metric handles: the engine's own when
+	// inline, shard-labeled occupancy gauges when ring-fed.
+	so *coreObs
+
+	// sink receives every media-stream observation, tagged with the
+	// packet's global sequence number. Stream unification, RTP copy
+	// matching and feature windows correlate packets across flows, so
+	// they cannot live in a shard.
+	sink func(ClusterObs)
+	// evictCross, set on inline shards only, forwards idle eviction to
+	// the cross-flow Dedup on the shard's own cadence, as the sequential
+	// engine always has. The reconciled Dedup of ring-fed and cluster
+	// shards is never aged; the results agree as long as FlowTTL is not
+	// shorter than Dedup.TimeWindow.
+	evictCross func(cutoff time.Time)
+	// panicHook, when set, runs inside process's recover scope before
+	// the decode. Tests inject deterministic panics through it.
+	panicHook func(at time.Time, frame []byte)
+	// compactEvery/compactIdle are AutoCompact's settings. They ride in
+	// checkpoints with the state but survive rotation with the wiring.
+	compactEvery uint64
+	compactIdle  time.Duration
+
+	// Ring transport (nil on an inline shard): the batch under
+	// construction is owned by the front-end goroutine, the pending
+	// observation chain is appended by the shard goroutine and consumed
+	// at quiesce boundaries.
+	ring             *spscRing
+	done             chan struct{}
+	cur              *pbatch
+	depth            *obs.Gauge
+	obsHead, obsTail *obsChunk
+}
+
+// shardCounters are the packet tallies a shard keeps; merged results sum
+// them across shards.
+type shardCounters struct {
+	ZoomUDP     uint64
+	TCPPackets  uint64
+	STUNPackets uint64
+	// STUNPortNonSTUN counts packets on the well-known STUN port whose
+	// payload lacks STUN framing. They are not in STUNPackets; they fall
+	// through to the protocol decoders like any other UDP payload.
+	STUNPortNonSTUN uint64
+	// ProtoDecoded counts decoded media packets per protocol plugin,
+	// indexed by rtcproto.ID; ProtoUndecodable counts kept UDP payloads
+	// no plugin decoded (Summary.Undecodable adds the frames the front
+	// end could not parse).
+	ProtoDecoded     [rtcproto.NumIDs]uint64
+	ProtoUndecodable uint64
+	// UDPKeptPackets/UDPKeptBytes cover kept UDP traffic whether or not
+	// it decoded — the Table 2/3 denominators.
+	UDPKeptPackets uint64
+	UDPKeptBytes   uint64
+	// ShardPanics counts packets whose per-flow processing panicked and
+	// was contained (Summary.PanicsRecovered adds the front end's).
+	ShardPanics uint64
+	// EvictedTCP and RejectedTCPPackets are the TCP-tracker counterparts
+	// of the flow table's eviction stats; FinishedDropped counts archived
+	// streams discarded at MaxFinished.
+	EvictedTCP         uint64
+	RejectedTCPPackets uint64
+	FinishedDropped    uint64
+}
+
+func (c *shardCounters) add(o *shardCounters) {
+	c.ZoomUDP += o.ZoomUDP
+	c.TCPPackets += o.TCPPackets
+	c.STUNPackets += o.STUNPackets
+	c.STUNPortNonSTUN += o.STUNPortNonSTUN
+	for i, v := range o.ProtoDecoded {
+		c.ProtoDecoded[i] += v
+	}
+	c.ProtoUndecodable += o.ProtoUndecodable
+	c.UDPKeptPackets += o.UDPKeptPackets
+	c.UDPKeptBytes += o.UDPKeptBytes
+	c.ShardPanics += o.ShardPanics
+	c.EvictedTCP += o.EvictedTCP
+	c.RejectedTCPPackets += o.RejectedTCPPackets
+	c.FinishedDropped += o.FinishedDropped
+}
+
+// shardState is everything a shard accumulates, apart from its wiring:
+// what a checkpoint serializes, what rotation detaches into the window
+// report, and what a merge unions.
+type shardState struct {
+	Flows *flow.Table
+	// StreamMetrics holds one metric engine per observed stream record
+	// (per flow+SSRC+type, not per unified stream: SFU copies are
+	// analyzed independently, as the paper does).
+	StreamMetrics map[flow.MediaStreamID]*metrics.StreamMetrics
+	// TCP holds one RTT tracker per Zoom control connection, keyed by
+	// the client-side endpoint; tcpSeen tracks their activity for idle
+	// eviction.
+	TCP     map[netip.AddrPort]*tcprtt.Tracker
+	tcpSeen map[netip.AddrPort]time.Time
+	// Finished holds archived streams from Compact.
+	Finished []FinishedStream
+
+	shardCounters
+
+	// ticks counts the packets this shard's maintenance clock has seen
+	// (see tick).
+	ticks uint64
+
+	// Delta-checkpoint tracking (see delta.go). deltaArmed turns on
+	// tombstone/dirty-set recording; it is set by the first checkpoint
+	// encode, so runs that never checkpoint pay nothing beyond the
+	// per-record dirty bools. The archive is append-plus-head-drop only,
+	// so a delta carries the baseline length (ckFinishedLen), how many
+	// baseline entries were since dropped (ckHeadDrops), and the
+	// appended tail.
+	deltaArmed    bool
+	deltaOverflow bool
+	dirtyTCP      map[netip.AddrPort]struct{}
+	deadTCP       []netip.AddrPort
+	deadStreams   []flow.MediaStreamID
+	ckFinishedLen int
+	ckHeadDrops   int
+}
+
+func newShardState(lim Config) shardState {
+	st := shardState{
+		Flows:         flow.NewTable(),
+		StreamMetrics: make(map[flow.MediaStreamID]*metrics.StreamMetrics),
+		TCP:           make(map[netip.AddrPort]*tcprtt.Tracker),
+		tcpSeen:       make(map[netip.AddrPort]time.Time),
+		dirtyTCP:      make(map[netip.AddrPort]struct{}),
+	}
+	st.Flows.SetLimits(flow.Limits{
+		MaxFlows:      lim.MaxFlows,
+		MaxStreams:    lim.MaxStreams,
+		MaxSubstreams: lim.MaxSubstreams,
+	})
+	return st
+}
+
+func newShard(lim Config, so *coreObs) *shard {
+	return &shard{shardState: newShardState(lim), lim: lim, protos: lim.protos(), so: so}
+}
+
+// scaleLimits divides the global state caps across shards: flows hash
+// roughly uniformly, so per-shard caps of ceil(cap/shards) keep the
+// aggregate close to the configured bound. Zero (unlimited) stays zero.
+// MaxMeetingStreams and MaxCopyPending stay global: they bound the
+// cross-flow reconciliation state, which is not sharded.
+func scaleLimits(cfg Config, shards int) Config {
+	div := func(v int) int {
+		if v <= 0 {
+			return v
+		}
+		return (v + shards - 1) / shards
+	}
+	cfg.MaxFlows = div(cfg.MaxFlows)
+	cfg.MaxStreams = div(cfg.MaxStreams)
+	cfg.MaxSubstreams = div(cfg.MaxSubstreams)
+	cfg.MaxTCP = div(cfg.MaxTCP)
+	cfg.MaxFinished = div(cfg.MaxFinished)
+	return cfg
+}
+
+// process decodes and analyzes one frame the front end kept. A panic
+// anywhere in it is contained — counted, quarantined, the packet
+// abandoned — so one hostile frame cannot take down a production tap
+// (or, ring-fed, kill the process from a shard goroutine).
+func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.ShardPanics++
+			sh.lim.quarantine(sh.so, r, at, frame)
+		}
+	}()
+	if sh.panicHook != nil {
+		sh.panicHook(at, frame)
+	}
+	pkt := &sh.dpkt
+	if err := sh.dec.Parse(frame, pkt); err != nil {
+		// Unreachable: the front end forwards only frames its scan or its
+		// own full parse accepted. Kept for defense in depth.
+		sh.ProtoUndecodable++
+		sh.so.undecodable()
+		return
+	}
+	switch {
+	case pkt.HasTCP:
+		sh.TCPPackets++
+		sh.so.tcp()
+		sh.observeTCP(at, pkt)
+	case pkt.HasUDP:
+		sh.observeUDP(seq, at, pkt, len(frame))
+	}
+}
+
+func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
+	fromClient := sh.lim.isZoomAddr(pkt.DstAddr()) && !sh.lim.isZoomAddr(pkt.SrcAddr())
+	var client netip.AddrPort
+	if fromClient {
+		client = netip.AddrPortFrom(pkt.SrcAddr(), pkt.TCP.SrcPort)
+	} else {
+		client = netip.AddrPortFrom(pkt.DstAddr(), pkt.TCP.DstPort)
+	}
+	tr := sh.TCP[client]
+	if tr == nil {
+		if sh.lim.MaxTCP > 0 && len(sh.TCP) >= sh.lim.MaxTCP {
+			sh.RejectedTCPPackets++
+			return
+		}
+		tr = tcprtt.NewTracker()
+		sh.TCP[client] = tr
+	}
+	sh.tcpSeen[client] = at
+	if sh.deltaArmed {
+		sh.dirtyTCP[client] = struct{}{}
+	}
+	tr.Observe(at, fromClient, &pkt.TCP, len(pkt.Payload))
+}
+
+func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLen int) {
+	// Classify STUN by payload framing (magic cookie + length), not by
+	// port alone: Zoom P2P sends STUN on the media ports too, and a
+	// non-STUN payload that merely lands on port 3478 must not be
+	// silently absorbed into STUNPackets.
+	if stun.Is(pkt.Payload) {
+		sh.STUNPackets++
+		sh.so.stun()
+		return
+	}
+	if pkt.UDP.SrcPort == stun.Port || pkt.UDP.DstPort == stun.Port {
+		// Port-only match: count the mismatch separately and let the
+		// packet fall through to the protocol decoders.
+		sh.STUNPortNonSTUN++
+	}
+	sh.UDPKeptPackets++
+	sh.UDPKeptBytes += uint64(wireLen)
+	// Protocol plugin chain: the first plugin whose Probe accepts the
+	// payload claims it — whether or not its Decode then succeeds — so
+	// packet ownership is deterministic and independent of decode
+	// strictness. Probes are mutually exclusive by construction (Zoom
+	// first bytes < 0x80, RTP version bits require 0x80..0xBF).
+	var mo rtcproto.MediaObs
+	decoded := false
+	for _, p := range sh.protos {
+		if !p.Probe(pkt.Payload) {
+			continue
+		}
+		var err error
+		mo, err = p.Decode(pkt.Payload)
+		decoded = err == nil
+		break
+	}
+	if !decoded {
+		sh.ProtoUndecodable++
+		sh.so.undecodable()
+		sh.so.protoUndecoded()
+		return
+	}
+	proto := mo.Proto
+	zp := mo.Pkt
+	sh.ProtoDecoded[proto]++
+	sh.so.protoDecoded(proto)
+	if proto == rtcproto.IDZoom {
+		sh.ZoomUDP++
+		sh.so.zoomUDP()
+	}
+	ft, ok := pkt.FiveTuple()
+	if !ok {
+		return
+	}
+	sh.rec = flow.Record{
+		Time:          at,
+		Flow:          ft,
+		WireLen:       wireLen,
+		UDPPayloadLen: len(pkt.Payload),
+		Proto:         uint8(proto),
+		Z:             zp,
+	}
+	st := sh.Flows.Observe(&sh.rec)
+
+	if !zp.IsMedia() {
+		return
+	}
+	sh.so.media()
+	if st == nil {
+		// The flow table turned the packet away at a state cap (and
+		// counted it); skip stream-level state too so caps bound the
+		// whole pipeline, not just the table.
+		return
+	}
+	key := zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
+	sh.sink(ClusterObs{
+		Seq: seq, At: at, Flow: ft, Key: key,
+		WireLen: wireLen, PayloadLen: len(pkt.Payload),
+		PT: zp.RTP.PayloadType, RTPSeq: zp.RTP.SequenceNumber, RTPTS: zp.RTP.Timestamp,
+	})
+
+	id := flow.MediaStreamID{Flow: ft, Key: key}
+	sm := sh.StreamMetrics[id]
+	if sm == nil {
+		sm = metrics.NewStreamMetrics(zp.Media.Type)
+		sh.StreamMetrics[id] = sm
+	}
+	sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
+	sm.MarkDirty()
+}
+
+// tick advances the shard's maintenance clock by one packet and runs
+// whatever falls due: AutoCompact's compaction and Config.FlowTTL's idle
+// eviction, both on a packet-count cadence. An inline shard is ticked
+// for every frame offered to the engine, a ring-fed one for every frame
+// it ingests.
+func (sh *shard) tick(at time.Time) {
+	sh.ticks++
+	if sh.compactEvery != 0 && sh.ticks%sh.compactEvery == 0 {
+		sh.Compact(at.Add(-sh.compactIdle))
+	}
+	if ttl := sh.lim.FlowTTL; ttl > 0 && sh.ticks%sh.lim.MaintainEvery == 0 {
+		sh.EvictIdle(at.Add(-ttl))
+	}
+}
+
+// The rest of this file keeps memory bounded over long captures (the
+// paper's deployment ran for 12+ hours against ~60 k streams): streams
+// that have gone idle are finalized, their metric engines archived, and
+// the hot maps shrunk. Archived results remain available for reports.
+// Config.FlowTTL extends the same idea to every stateful map in the
+// shard, with evicted entries folded into the final report rather than
+// dropped.
+
+// FinishedStream is an archived, finalized stream.
+type FinishedStream struct {
+	ID       flow.MediaStreamID
+	LastSeen time.Time
+	Metrics  *metrics.StreamMetrics
+}
+
+// compareFinished orders archived streams by idle-out time, tie-broken
+// by stream identity: the order one engine archives in and the order a
+// merge of several shards' archives restores.
+func compareFinished(a, b FinishedStream) int {
+	if c := a.LastSeen.Compare(b.LastSeen); c != 0 {
+		return c
+	}
+	return flow.CompareStreamID(a.ID, b.ID)
+}
+
+// Compact finalizes and archives every stream whose last packet is
+// older than cutoff, returning how many were archived. Archived streams
+// disappear from StreamIDs/MetricsFor and appear in Finished; flow-level
+// accounting (Tables 2/3/6) is unaffected. Streams whose flow-table
+// entry has already been evicted are archived unconditionally — keeping
+// their metric engines live would leak, since nothing will ever touch
+// them again. Victims are archived in compareFinished order, not map
+// order, so the archive (and which entries MaxFinished drops) is the
+// same on every run.
+func (sh *shard) Compact(cutoff time.Time) int {
+	var victims []FinishedStream
+	for id, sm := range sh.StreamMetrics {
+		st, ok := sh.Flows.Stream(id)
+		if ok && st.LastSeen.After(cutoff) {
+			continue
+		}
+		last := cutoff
+		if ok {
+			last = st.LastSeen
+		}
+		victims = append(victims, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
+	}
+	slices.SortFunc(victims, compareFinished)
+	for _, f := range victims {
+		f.Metrics.Finish()
+		sh.archiveFinished(f)
+		delete(sh.StreamMetrics, f.ID)
+		sh.tombstoneStreamMetric(f.ID)
+	}
+	if len(victims) > 0 && sh.evictCross != nil {
+		sh.evictCross(cutoff)
+	}
+	return len(victims)
+}
+
+// archiveFinished appends to the archive, enforcing Config.MaxFinished
+// by dropping (and counting) the oldest entry.
+func (sh *shard) archiveFinished(f FinishedStream) {
+	if sh.lim.MaxFinished > 0 && len(sh.Finished) >= sh.lim.MaxFinished {
+		drop := len(sh.Finished) - sh.lim.MaxFinished + 1
+		sh.FinishedDropped += uint64(drop)
+		sh.Finished = append(sh.Finished[:0], sh.Finished[drop:]...)
+		if sh.deltaArmed {
+			// Account head drops against the checkpoint baseline first;
+			// drops past it consumed entries appended since the last
+			// checkpoint, which simply never reach a delta.
+			if eat := min(drop, sh.ckFinishedLen-sh.ckHeadDrops); eat > 0 {
+				sh.ckHeadDrops += eat
+			}
+		}
+	}
+	sh.Finished = append(sh.Finished, f)
+}
+
+// AutoCompact enables periodic compaction: every `every` packets, the
+// shard archives streams idle longer than idle. Zero disables.
+func (sh *shard) AutoCompact(every uint64, idle time.Duration) {
+	sh.compactEvery = every
+	sh.compactIdle = idle
+}
+
+// EvictIdle evicts every piece of per-flow state idle since before
+// cutoff: metric engines are finalized and archived, flow-table entries
+// fold into the report aggregates, idle TCP trackers are dropped. Counts
+// of everything evicted surface in Summary.
+func (sh *shard) EvictIdle(cutoff time.Time) {
+	sh.Compact(cutoff)
+	sh.Flows.EvictIdle(cutoff)
+	if sh.evictCross != nil {
+		sh.evictCross(cutoff)
+	}
+	for client, seen := range sh.tcpSeen {
+		if seen.After(cutoff) {
+			continue
+		}
+		delete(sh.TCP, client)
+		delete(sh.tcpSeen, client)
+		sh.tombstoneTCP(client)
+		sh.EvictedTCP++
+	}
+}
+
+// AllStreamMetrics visits live and finished streams alike.
+func (sh *shard) AllStreamMetrics(visit func(flow.MediaStreamID, *metrics.StreamMetrics)) {
+	for _, f := range sh.Finished {
+		visit(f.ID, f.Metrics)
+	}
+	for id, sm := range sh.StreamMetrics {
+		visit(id, sm)
+	}
+}
+
+// lookupStream finds a stream's metric engine among live then archived
+// streams; nil when this shard does not hold it.
+func (sh *shard) lookupStream(id flow.MediaStreamID) *metrics.StreamMetrics {
+	if sm := sh.StreamMetrics[id]; sm != nil {
+		return sm
+	}
+	for i := range sh.Finished {
+		if sh.Finished[i].ID == id {
+			return sh.Finished[i].Metrics
+		}
+	}
+	return nil
+}
+
+// mergeShards folds the states of parts into one fresh inline shard
+// under the global (unscaled) limits, emptying nothing: flow tables,
+// stream metric maps and TCP trackers partition across shards, so their
+// union is exact. A single part's state is adopted as it stands.
+func mergeShards(cfg Config, parts []*shard) *shard {
+	m := newShard(cfg, nil)
+	if len(parts) == 1 {
+		m.shardState = parts[0].shardState
+		return m
+	}
+	for _, p := range parts {
+		m.shardCounters.add(&p.shardCounters)
+		m.Flows.Absorb(p.Flows)
+		for id, sm := range p.StreamMetrics {
+			m.StreamMetrics[id] = sm
+		}
+		for client, tr := range p.TCP {
+			m.TCP[client] = tr
+		}
+		for client, seen := range p.tcpSeen {
+			m.tcpSeen[client] = seen
+		}
+		m.Finished = append(m.Finished, p.Finished...)
+	}
+	// Shard archives interleave arbitrarily; order them the way one
+	// engine would have produced them.
+	slices.SortFunc(m.Finished, compareFinished)
+	return m
+}

@@ -50,58 +50,24 @@ type MeetingSnapshot struct {
 	RTTSamples int     `json:"rtt_samples"`
 }
 
-// snapshotSource abstracts where the cross-flow state lives: the
-// sequential analyzer reads its own Dedup/CopyMatcher, the parallel
-// analyzer reads the live replica it advances at each quiesce.
-type snapshotSource struct {
-	dedup  *meeting.Dedup
-	copies *metrics.CopyMatcher
-	cfg    Config
-	// lookup resolves one stream record to its metric engine (live or
-	// archived), nil when unknown.
-	lookup func(flow.MediaStreamID) *metrics.StreamMetrics
-}
-
 // Snapshot returns the per-meeting rolling metrics at trace time now
-// over the trailing window. Read-only; call at any point between
-// packets. Meetings are ordered by start time (the Meetings() order).
-func (a *Analyzer) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
-	defer a.cfg.trace("snapshot")()
-	a.o.snapshot()
-	a.updateObsGauges()
-	src := snapshotSource{
-		dedup:  a.Dedup,
-		copies: a.Copies,
-		cfg:    a.cfg,
-		lookup: a.lookupStreamMetrics,
-	}
-	return src.take(now, window)
-}
-
-// lookupStreamMetrics finds a stream's engine among live then archived
-// streams.
-func (a *Analyzer) lookupStreamMetrics(id flow.MediaStreamID) *metrics.StreamMetrics {
-	if sm := a.StreamMetrics[id]; sm != nil {
-		return sm
-	}
-	for i := range a.Finished {
-		if a.Finished[i].ID == id {
-			return a.Finished[i].Metrics
-		}
-	}
-	return nil
-}
-
-// take computes the snapshot. Aggregation iterates the dedup records in
-// their deterministic order, so identical analyzer state yields
-// byte-identical snapshots (the sequential/parallel differential test
-// relies on this).
-func (s snapshotSource) take(now time.Time, window time.Duration) []MeetingSnapshot {
+// over the trailing window. Read-only; call between packets, from the
+// ingest goroutine (a parallel engine parks its shards and reconciles
+// first, so results match the sequential engine's at the same packet
+// boundary). Meetings are ordered by start time (the Meetings() order).
+// Aggregation iterates the dedup records in their deterministic order,
+// so identical engine state yields byte-identical snapshots (the
+// sequential/parallel differential test relies on this).
+func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
+	defer p.cfg.trace("snapshot")()
+	p.o.snapshot()
+	p.reconcile()
+	p.updateGauges()
 	if window <= 0 {
 		window = time.Second
 	}
 	cut := now.Add(-window)
-	recs := s.dedup.RecordsBy(s.cfg.clientOf())
+	recs := p.Dedup.RecordsBy(p.cfg.clientOf())
 	meetings := meeting.Group(recs)
 	if len(meetings) == 0 {
 		return nil
@@ -148,7 +114,7 @@ func (s snapshotSource) take(now time.Time, window time.Duration) []MeetingSnaps
 			continue
 		}
 		out[mi].Streams++
-		sm := s.lookup(flow.MediaStreamID{Flow: r.Flow, Key: r.Key})
+		sm := p.lookup(flow.MediaStreamID{Flow: r.Flow, Key: r.Key})
 		if sm == nil {
 			continue
 		}
@@ -171,7 +137,7 @@ func (s snapshotSource) take(now time.Time, window time.Duration) []MeetingSnaps
 	}
 
 	// RTT samples carry their unified stream; fold each into its meeting.
-	ss := s.copies.Samples
+	ss := p.Copies.Samples
 	lo := len(ss)
 	for lo > 0 && ss[lo-1].Time.After(cut) {
 		lo--
@@ -215,8 +181,7 @@ type SnapshotWriter struct {
 	Interval time.Duration
 	// W receives one JSON line per meeting per firing.
 	W io.Writer
-	// Snap produces the snapshot (Analyzer.Snapshot or
-	// ParallelAnalyzer.Snapshot).
+	// Snap produces the snapshot (Engine.Snapshot).
 	Snap func(now time.Time, window time.Duration) []MeetingSnapshot
 
 	next time.Time

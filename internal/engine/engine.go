@@ -148,7 +148,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", time.Minute, "trace-clock cadence between periodic full checkpoints (with -checkpoint)")
 	fs.DurationVar(&f.CheckpointDelta, "checkpoint-delta", 0, "trace-clock cadence for incremental (delta) checkpoint records between fulls; enables the chain layout <checkpoint>.NNNNNNNN.{full,delta}.zlcp (0 = full snapshots only)")
 	fs.IntVar(&f.CheckpointKeep, "checkpoint-keep", 2, "full-checkpoint generations to retain for crash fallback; restore walks back through them when the newest is torn or corrupt")
-	fs.StringVar(&f.Restore, "restore", "", "resume from a checkpoint written by -checkpoint (a legacy file or a chain base path); engine kind and worker count come from the file")
+	fs.StringVar(&f.Restore, "restore", "", "resume from a checkpoint written by -checkpoint (a legacy file or a chain base path); the worker count comes from the file")
 	fs.BoolVar(&f.Shed, "shed", false, "under overload, drop packet batches with accounting when an analysis shard's queue is full instead of stalling ingest (parallel engines; shed counts surface in the report and status line)")
 	fs.IntVar(&f.MaxFinished, "max-finished", 0, "cap archived finished streams; at the cap the oldest are dropped and counted (0 = unlimited)")
 	fs.DurationVar(&f.Rotate, "rotate", 0, "close and emit the report window every this much trace time, writing <rotate-out>-NNNN.json per window (0 = one report)")
@@ -360,11 +360,10 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 	if f.ClusterPart != "" {
 		run.statusPath = f.ClusterPart + ".status.json"
 	}
-	// The parallel analyzer produces byte-identical results at any worker
-	// count (workers == 1 is the plain sequential analyzer). A restored
-	// run takes its engine kind and worker count from the checkpoint —
-	// shard-partitioned state only lines up at the worker count it was
-	// saved at.
+	// Results are byte-identical at any worker count (one worker is the
+	// sequential engine). A restored run takes its worker count from the
+	// checkpoint — shard-partitioned state only lines up at the count it
+	// was saved at.
 	var eng core.Engine
 	if f.Restore != "" {
 		var fallbacks int
@@ -381,10 +380,8 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 			log.Printf("restore: skipped %d torn or corrupt checkpoint generation(s)", fallbacks)
 		}
 		// The checkpoint's worker count always wins over -workers; warn
-		// whenever the flag was explicitly set to something else. A
-		// restored sequential engine counts as 1 worker — an explicit
-		// -workers 4 against it is just as ignored as 4 against a
-		// 2-worker parallel checkpoint.
+		// whenever the flag was explicitly set to something else (a
+		// restored sequential engine counts as 1 worker).
 		if f.workersExplicit() {
 			ckWorkers := 1
 			if pa, ok := eng.(*core.ParallelAnalyzer); ok {

@@ -187,6 +187,7 @@ func TestProtoDifferentialMixedApps(t *testing.T) {
 				len(got), len(want), firstDiffLine(want, got))
 		}
 	})
+	t.Run("head-accounting", func(t *testing.T) { checkHeadAccounting(t, cfg, recs) })
 }
 
 // TestProtoZoomOnlyUnchanged pins the refactor's backward-compatibility

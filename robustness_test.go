@@ -74,7 +74,7 @@ func TestAnalyzerSurvivesBitFlippedZoomTraffic(t *testing.T) {
 	if a.ZoomUDP == 0 {
 		t.Error("no packets decoded at all")
 	}
-	if a.Undecodable == 0 {
+	if a.Summary().Undecodable == 0 {
 		t.Error("corruption never detected — parser too lax?")
 	}
 }

@@ -75,9 +75,9 @@ type (
 	Engine = core.Engine
 	// Analyzer is the end-to-end passive measurement pipeline.
 	Analyzer = core.Analyzer
-	// ParallelAnalyzer is the sharded multi-core pipeline: five-tuples
-	// hash to worker shards, a deterministic merge at Finish yields
-	// results byte-identical to the sequential Analyzer.
+	// ParallelAnalyzer is the same pipeline with its shards on their own
+	// goroutines: five-tuples hash to worker shards, a deterministic merge
+	// at Finish yields results byte-identical to the sequential Analyzer.
 	ParallelAnalyzer = core.ParallelAnalyzer
 	// Config parameterizes an Analyzer.
 	Config = core.Config
@@ -94,16 +94,16 @@ type (
 func NewAnalyzer(cfg Config) *Analyzer { return core.NewAnalyzer(cfg) }
 
 // NewParallelAnalyzer builds the sharded pipeline with the given worker
-// count; workers <= 0 selects runtime.NumCPU(), workers == 1 degenerates
-// to the sequential Analyzer.
+// count; workers <= 0 selects runtime.NumCPU(), workers == 1 is the
+// sequential engine.
 func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 	return core.NewParallelAnalyzer(cfg, workers)
 }
 
 // RestoreAnalyzer rebuilds an engine from a checkpoint written by
-// Engine.Checkpoint. The engine kind and worker count come from the
-// checkpoint; cfg supplies the run configuration, which should match
-// the original run's for byte-identical resumption.
+// Engine.Checkpoint. The worker count comes from the checkpoint; cfg
+// supplies the run configuration, which should match the original
+// run's for byte-identical resumption.
 func RestoreAnalyzer(r io.Reader, cfg Config) (Engine, error) {
 	return core.RestoreAnalyzer(r, cfg)
 }
