@@ -2,67 +2,29 @@ package capture
 
 import (
 	"net/netip"
-	"slices"
 	"time"
 
 	"zoomlens/internal/statecodec"
 )
 
-// Checkpoint boundary for the capture filter. The STUN-armed P2P table
-// is live classification state: a restored run must keep recognizing
-// P2P media flows whose arming STUN exchange happened before the
-// checkpoint, or its reports diverge from an uninterrupted run. The
-// prefix matchers and config are rebuilt by NewFilter, not serialized.
-
-const filterStateV1 = 1
-
-// State encodes the filter's mutable state for a checkpoint.
-func (f *Filter) State(w *statecodec.Writer) {
-	w.U8(filterStateV1)
-	w.U64(f.stats.Processed)
-	w.U64(f.stats.ZoomServer)
-	w.U64(f.stats.ZoomSTUN)
-	w.U64(f.stats.ZoomP2P)
-	w.U64(f.stats.Dropped)
-	w.U64(f.stats.P2PEvicted)
-	w.U64(f.stats.P2PInserted)
-	w.U64(f.stats.P2PFormatRejected)
-
-	eps := make([]netip.AddrPort, 0, len(f.p2p))
-	for ep := range f.p2p {
-		eps = append(eps, ep)
-	}
-	slices.SortFunc(eps, func(a, b netip.AddrPort) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return int(a.Port()) - int(b.Port())
+// Code walks the filter's mutable state through c. The STUN-armed P2P
+// table is live classification state: a restored run must keep
+// recognizing P2P media flows whose arming STUN exchange happened before
+// the checkpoint, or its reports diverge from an uninterrupted run. The
+// prefix matchers and config are rebuilt by NewFilter, not serialized,
+// so a decoding pass keeps the configuration the filter was constructed
+// with.
+func (f *Filter) Code(c *statecodec.Codec) {
+	c.U64(&f.stats.Processed)
+	c.U64(&f.stats.ZoomServer)
+	c.U64(&f.stats.ZoomSTUN)
+	c.U64(&f.stats.ZoomP2P)
+	c.U64(&f.stats.Dropped)
+	c.U64(&f.stats.P2PEvicted)
+	c.U64(&f.stats.P2PInserted)
+	c.U64(&f.stats.P2PFormatRejected)
+	statecodec.MapVal(c, statecodec.AddrPortKey, &f.p2p, func(_ netip.AddrPort, at time.Time) time.Time {
+		c.Time(&at)
+		return at
 	})
-	w.Int(len(eps))
-	for _, ep := range eps {
-		w.AddrPort(ep)
-		w.Time(f.p2p[ep])
-	}
-}
-
-// Restore rebuilds the filter's mutable state from a checkpoint,
-// keeping the configuration the filter was constructed with.
-func (f *Filter) Restore(r *statecodec.Reader) error {
-	r.Version("capture.Filter", filterStateV1)
-	f.stats.Processed = r.U64()
-	f.stats.ZoomServer = r.U64()
-	f.stats.ZoomSTUN = r.U64()
-	f.stats.ZoomP2P = r.U64()
-	f.stats.Dropped = r.U64()
-	f.stats.P2PEvicted = r.U64()
-	f.stats.P2PInserted = r.U64()
-	f.stats.P2PFormatRejected = r.U64()
-
-	n := r.Count(4)
-	f.p2p = make(map[netip.AddrPort]time.Time, n)
-	for i := 0; i < n; i++ {
-		ep := r.AddrPort()
-		f.p2p[ep] = r.Time()
-	}
-	return r.Err()
 }

@@ -13,9 +13,7 @@ import (
 	"io"
 
 	"zoomlens/internal/core"
-	"zoomlens/internal/layers"
 	"zoomlens/internal/statecodec"
-	"zoomlens/internal/zoom"
 )
 
 // Observation logs ("ZLOB" files) are a concatenation of segments, each
@@ -43,12 +41,16 @@ const (
 type ObsWriter struct {
 	w   io.Writer
 	enc statecodec.Writer
+	// ids walks the stream identity types onto enc through their one
+	// field list.
+	ids *statecodec.Codec
 	err error
 }
 
 // NewObsWriter starts a new log segment on w.
 func NewObsWriter(w io.Writer) *ObsWriter {
 	ow := &ObsWriter{w: w}
+	ow.ids = statecodec.NewEncoder(&ow.enc, true)
 	for i := 0; i < len(obsMagic); i++ {
 		ow.enc.U8(obsMagic[i])
 	}
@@ -64,8 +66,8 @@ func (ow *ObsWriter) Add(o core.ClusterObs) {
 	ow.enc.U8(obsTagRecord)
 	ow.enc.U64(o.Seq)
 	ow.enc.Time(o.At)
-	o.Flow.EncodeTo(&ow.enc)
-	o.Key.EncodeTo(&ow.enc)
+	o.Flow.Code(ow.ids)
+	o.Key.Code(ow.ids)
 	ow.enc.U8(o.PT)
 	ow.enc.U16(o.RTPSeq)
 	ow.enc.U32(o.RTPTS)
@@ -99,13 +101,15 @@ func (ow *ObsWriter) Err() error { return ow.err }
 // splitter order; a migrated worker's appended segment continues where
 // the first life stopped).
 type ObsReader struct {
-	r *statecodec.Reader
+	r   *statecodec.Reader
+	ids *statecodec.Codec
 }
 
 // NewObsReader validates the leading segment header and returns a
 // reader over data.
 func NewObsReader(data []byte) (*ObsReader, error) {
 	or := &ObsReader{r: statecodec.NewReader(data)}
+	or.ids = statecodec.NewDecoder(or.r)
 	if err := or.header(); err != nil {
 		return nil, err
 	}
@@ -140,8 +144,8 @@ func (or *ObsReader) Next() (core.ClusterObs, bool, error) {
 			var o core.ClusterObs
 			o.Seq = or.r.U64()
 			o.At = or.r.Time()
-			o.Flow = layers.DecodeFiveTuple(or.r)
-			o.Key = zoom.DecodeStreamKey(or.r)
+			o.Flow.Code(or.ids)
+			o.Key.Code(or.ids)
 			o.PT = or.r.U8()
 			o.RTPSeq = or.r.U16()
 			o.RTPTS = or.r.U32()

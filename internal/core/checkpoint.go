@@ -16,10 +16,14 @@ package core
 //	| reconciliation state (Dedup, CopyMatcher, feature windower)
 //	| one shard payload per shard
 //
-// A full record (kind 0) carries every layer whole and can bootstrap an
-// engine; a delta record (kind 1) carries, per layer, only what changed
-// since the previous checkpoint encode (see delta.go) and must be
-// applied to an engine sitting exactly at its base. A sequential engine
+// Every layer lists its fields once, in a walk over a statecodec.Codec
+// that encodes or decodes depending on how the codec was built; the
+// payload is the engine's walk (pipeline.code). A delta record (kind 1)
+// carries, per layer, only what changed since the previous checkpoint
+// encode (see delta.go) and must be applied to an engine sitting
+// exactly at its base; a full record (kind 0) is the same walk with
+// every record dirty, no tombstones and baselines at 0, so it applies
+// to a freshly built engine and can bootstrap one. A sequential engine
 // writes one shard payload, a parallel one N. Shard observation logs are
 // never serialized: the encode reconciles first, so the logs are empty
 // and the reconciliation state reflects every packet routed.
@@ -35,16 +39,13 @@ import (
 	"hash/crc32"
 	"io"
 	"net/netip"
-	"slices"
 	"time"
 
 	"zoomlens/internal/features"
 	"zoomlens/internal/flow"
-	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/tcprtt"
-	"zoomlens/internal/zoom"
 )
 
 const (
@@ -57,9 +58,10 @@ const (
 	engineKindFull  = 0
 	engineKindDelta = 1
 
-	// stateVersion covers the payload layout of both kinds, shard
-	// payloads included.
-	stateVersion = 1
+	// stateVersion covers the payload layout of both kinds and every
+	// layer's field list: no layer has a version of its own, so changing
+	// any walk means bumping this.
+	stateVersion = 2
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -172,30 +174,7 @@ func (p *pipeline) encode(w io.Writer, delta bool) error {
 	if delta {
 		enc.U64(p.ckPackets)
 	}
-	enc.Bool(p.finished)
-	p.frontEnd.state(&enc)
-	if delta {
-		p.Dedup.StateDelta(&enc)
-		p.Copies.StateDelta(&enc)
-	} else {
-		p.Dedup.State(&enc)
-		p.Copies.State(&enc)
-	}
-	// The feature windower has no dirty tracking (its live state is a
-	// handful of open accumulators, bounded by idle eviction), so like the
-	// capture filter it rides whole in both kinds, pending rows included:
-	// a restored run emits exactly the rows an uninterrupted one would.
-	enc.Bool(p.feats != nil)
-	if p.feats != nil {
-		p.feats.State(&enc)
-	}
-	for _, sh := range p.shards {
-		if delta {
-			sh.stateDelta(&enc)
-		} else {
-			sh.state(&enc)
-		}
-	}
+	p.code(statecodec.NewEncoder(&enc, !delta))
 	if err := sealCheckpoint(w, &enc); err != nil {
 		return err
 	}
@@ -213,41 +192,7 @@ func (p *pipeline) decode(r *statecodec.Reader, delta bool) error {
 			return fmt.Errorf("%w: delta base %d packets does not match engine at %d packets", statecodec.ErrCorrupt, base, p.Packets)
 		}
 	}
-	p.finished = r.Bool()
-	if err := p.frontEnd.restore(r); err != nil {
-		return err
-	}
-	var err error
-	if delta {
-		if err = p.Dedup.ApplyDelta(r); err == nil {
-			err = p.Copies.ApplyDelta(r)
-		}
-	} else {
-		if err = p.Dedup.Restore(r); err == nil {
-			err = p.Copies.Restore(r)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	// The record's feature layer wins over the restoring process's
-	// configuration: presence, window duration, and all windower state.
-	p.feats = nil
-	if r.Bool() {
-		if p.feats = features.RestoreWindower(r); p.feats == nil {
-			return r.Err()
-		}
-	}
-	for _, sh := range p.shards {
-		if delta {
-			err = sh.applyDelta(r)
-		} else {
-			err = sh.restore(r)
-		}
-		if err != nil {
-			return err
-		}
-	}
+	p.code(statecodec.NewDecoder(r))
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -256,6 +201,26 @@ func (p *pipeline) decode(r *statecodec.Reader, delta bool) error {
 	}
 	p.markCheckpointed()
 	return nil
+}
+
+// code is the engine's one field walk, shared by both record kinds and
+// both directions: front end, reconciliation state, then one shard
+// payload per shard.
+func (p *pipeline) code(c *statecodec.Codec) {
+	c.Bool(&p.finished)
+	p.frontEnd.code(c)
+	p.Dedup.Code(c)
+	p.Copies.Code(c)
+	// The record's feature layer wins over the restoring process's
+	// configuration: presence, window duration, and all windower state,
+	// pending rows included, so a restored run emits exactly the rows an
+	// uninterrupted one would.
+	if statecodec.Ptr(c, &p.feats, func() *features.Windower { return features.NewWindower(0) }) {
+		p.feats.Code(c)
+	}
+	for _, sh := range p.shards {
+		sh.code(c)
+	}
 }
 
 // Checkpoint serializes the engine's complete mutable state to w in one
@@ -336,192 +301,76 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 	return res
 }
 
-// state encodes the shard's complete mutable state. Maps are written in
-// sorted key order so identical state yields identical bytes.
-func (sh *shard) state(w *statecodec.Writer) {
-	sh.stateScalars(w)
-	sh.Flows.State(w)
+// code walks the shard's state: counters and maintenance clock whole
+// (cheap), the flow table's own walk, then tombstones and dirty records
+// for the stream metric engines and TCP trackers, and the archive's
+// tail. On a decoding error the shard may be partially mutated.
+func (sh *shard) code(c *statecodec.Codec) {
+	c.U64(&sh.ticks)
+	c.U64(&sh.compactEvery)
+	c.Duration(&sh.compactIdle)
+	c.U64(&sh.ZoomUDP)
+	c.U64(&sh.TCPPackets)
+	c.U64(&sh.STUNPackets)
+	c.U64(&sh.STUNPortNonSTUN)
+	np := len(sh.ProtoDecoded)
+	if c.Int(&np); np != len(sh.ProtoDecoded) {
+		c.Failf("core: shard proto counter count %d (want %d)", np, len(sh.ProtoDecoded))
+	}
+	for i := range sh.ProtoDecoded {
+		c.U64(&sh.ProtoDecoded[i])
+	}
+	c.U64(&sh.ProtoUndecodable)
+	c.U64(&sh.UDPKeptPackets)
+	c.U64(&sh.UDPKeptBytes)
+	c.U64(&sh.ShardPanics)
+	c.U64(&sh.EvictedTCP)
+	c.U64(&sh.RejectedTCPPackets)
+	c.U64(&sh.FinishedDropped)
 
-	ids := make([]flow.MediaStreamID, 0, len(sh.StreamMetrics))
-	for id := range sh.StreamMetrics {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, flow.CompareStreamID)
-	w.Int(len(ids))
-	for _, id := range ids {
-		encodeStreamID(w, id)
-		sh.StreamMetrics[id].State(w)
-	}
+	sh.Flows.Code(c)
 
-	clients := make([]netip.AddrPort, 0, len(sh.TCP))
-	for c := range sh.TCP {
-		clients = append(clients, c)
-	}
-	sortAddrPorts(clients)
-	w.Int(len(clients))
-	for _, c := range clients {
-		w.AddrPort(c)
-		sh.TCP[c].State(w)
-		w.Time(sh.tcpSeen[c])
-	}
+	statecodec.Tombstones(c, flow.StreamIDKey, sh.deadStreams, func(id flow.MediaStreamID) { delete(sh.StreamMetrics, id) })
+	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics, nil,
+		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) bool { return sm.Dirty() },
+		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })
 
-	encodeFinished(w, sh.Finished)
-}
-
-// stateScalars and restoreScalars carry the shard's counters and
-// maintenance clock; cheap, so full and delta records alike carry them
-// whole.
-func (sh *shard) stateScalars(w *statecodec.Writer) {
-	w.U64(sh.ticks)
-	w.U64(sh.compactEvery)
-	w.Duration(sh.compactIdle)
-	c := &sh.shardCounters
-	w.U64(c.ZoomUDP)
-	w.U64(c.TCPPackets)
-	w.U64(c.STUNPackets)
-	w.U64(c.STUNPortNonSTUN)
-	w.Int(len(c.ProtoDecoded))
-	for _, v := range c.ProtoDecoded {
-		w.U64(v)
-	}
-	w.U64(c.ProtoUndecodable)
-	w.U64(c.UDPKeptPackets)
-	w.U64(c.UDPKeptBytes)
-	w.U64(c.ShardPanics)
-	w.U64(c.EvictedTCP)
-	w.U64(c.RejectedTCPPackets)
-	w.U64(c.FinishedDropped)
-}
-
-func (sh *shard) restoreScalars(r *statecodec.Reader) error {
-	sh.ticks = r.U64()
-	sh.compactEvery = r.U64()
-	sh.compactIdle = r.Duration()
-	c := &sh.shardCounters
-	c.ZoomUDP = r.U64()
-	c.TCPPackets = r.U64()
-	c.STUNPackets = r.U64()
-	c.STUNPortNonSTUN = r.U64()
-	if np := r.Count(8); r.Err() == nil && np != len(c.ProtoDecoded) {
-		r.Failf("core: shard proto counter count %d (want %d)", np, len(c.ProtoDecoded))
-	}
-	for i := range c.ProtoDecoded {
-		c.ProtoDecoded[i] = r.U64()
-	}
-	c.ProtoUndecodable = r.U64()
-	c.UDPKeptPackets = r.U64()
-	c.UDPKeptBytes = r.U64()
-	c.ShardPanics = r.U64()
-	c.EvictedTCP = r.U64()
-	c.RejectedTCPPackets = r.U64()
-	c.FinishedDropped = r.U64()
-	return r.Err()
-}
-
-func sortAddrPorts(aps []netip.AddrPort) {
-	slices.SortFunc(aps, func(a, b netip.AddrPort) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return int(a.Port()) - int(b.Port())
+	statecodec.Tombstones(c, statecodec.AddrPortKey, sh.deadTCP, func(client netip.AddrPort) {
+		delete(sh.TCP, client)
+		delete(sh.tcpSeen, client)
 	})
-}
+	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, tcprtt.NewTracker,
+		func(client netip.AddrPort, _ *tcprtt.Tracker) bool { _, ok := sh.dirtyTCP[client]; return ok },
+		func(client netip.AddrPort, tr *tcprtt.Tracker) {
+			tr.Code(c)
+			seen := sh.tcpSeen[client]
+			c.Time(&seen)
+			sh.tcpSeen[client] = seen
+		})
 
-func encodeStreamID(w *statecodec.Writer, id flow.MediaStreamID) {
-	id.Flow.EncodeTo(w)
-	id.Key.EncodeTo(w)
-}
-
-func decodeStreamID(r *statecodec.Reader) flow.MediaStreamID {
-	return flow.MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
-}
-
-func encodeFinished(w *statecodec.Writer, fs []FinishedStream) {
-	w.Int(len(fs))
-	for i := range fs {
-		f := &fs[i]
-		encodeStreamID(w, f.ID)
-		w.Time(f.LastSeen)
-		f.Metrics.State(w)
+	// The archive only ever drops from the head (MaxFinished) and
+	// appends at the tail, so the record carries the baseline length,
+	// how many baseline entries were head-dropped since, and the
+	// appended tail (a full record: baseline 0, everything appended).
+	base, drops := sh.ckFinishedLen, sh.ckHeadDrops
+	if c.Full() {
+		base, drops = 0, 0
 	}
-}
-
-// smSlab hands out stream metric engines from chunk-allocated slabs: one
-// allocation per few thousand streams instead of one per stream.
-// Restore-side GC pressure was the difference between meeting the
-// recovery-path time budget and missing it. Chunking (rather than one
-// slab sized by the declared count) keeps a hostile count from forcing a
-// huge up-front allocation before the first element fails to decode.
-type smSlab []metrics.StreamMetrics
-
-func (s *smSlab) next(remaining int) *metrics.StreamMetrics {
-	if len(*s) == 0 {
-		*s = make([]metrics.StreamMetrics, min(remaining, 4096))
-	}
-	sm := &(*s)[0]
-	*s = (*s)[1:]
-	return sm
-}
-
-// decodeFinished appends a counted run of archived streams to dst.
-func decodeFinished(r *statecodec.Reader, dst []FinishedStream, slab *smSlab) ([]FinishedStream, error) {
-	n := r.Count(14)
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		id := decodeStreamID(r)
-		last := r.Time()
-		sm := slab.next(n - i)
-		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
-			return dst, err
+	c.Int(&base)
+	c.Int(&drops)
+	if !c.Encoding() {
+		if base != len(sh.Finished) || drops < 0 || drops > base {
+			c.Failf("core: shard archive baseline %d with %d head drops does not match engine archive %d", base, drops, len(sh.Finished))
+			return
 		}
-		dst = append(dst, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
+		sh.Finished = append(sh.Finished[:0], sh.Finished[drops:]...)
 	}
-	return dst, r.Err()
-}
-
-// restore decodes a state payload into a freshly built shard, replacing
-// all mutable state but keeping its limits and wiring.
-func (sh *shard) restore(r *statecodec.Reader) error {
-	if err := sh.restoreScalars(r); err != nil {
-		return err
-	}
-	if err := sh.Flows.Restore(r); err != nil {
-		return err
-	}
-	var slab smSlab
-	nm := r.Count(12)
-	sh.StreamMetrics = make(map[flow.MediaStreamID]*metrics.StreamMetrics, nm)
-	for i := 0; i < nm; i++ {
-		id := decodeStreamID(r)
-		sm := slab.next(nm - i)
-		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
-			return err
+	statecodec.Slice(c, &sh.Finished, base-drops, func(f *FinishedStream) {
+		f.ID.Code(c)
+		c.Time(&f.LastSeen)
+		if f.Metrics == nil {
+			f.Metrics = new(metrics.StreamMetrics)
 		}
-		if _, dup := sh.StreamMetrics[id]; dup {
-			r.Failf("core: shard duplicate stream %v/%v", id.Flow, id.Key)
-			return r.Err()
-		}
-		sh.StreamMetrics[id] = sm
-	}
-
-	nt := r.Count(4)
-	sh.TCP = make(map[netip.AddrPort]*tcprtt.Tracker, nt)
-	sh.tcpSeen = make(map[netip.AddrPort]time.Time, nt)
-	for i := 0; i < nt; i++ {
-		c := r.AddrPort()
-		tr := tcprtt.NewTracker()
-		if err := tr.Restore(r); err != nil {
-			return err
-		}
-		if _, dup := sh.TCP[c]; dup {
-			r.Failf("core: shard duplicate TCP tracker %v", c)
-			return r.Err()
-		}
-		sh.TCP[c] = tr
-		sh.tcpSeen[c] = r.Time()
-	}
-
-	var err error
-	sh.Finished, err = decodeFinished(r, nil, &slab)
-	return err
+		f.Metrics.Code(c)
+	})
 }

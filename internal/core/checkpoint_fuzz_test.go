@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"net/netip"
 	"testing"
 	"time"
@@ -77,6 +79,15 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte{'Z', 'L', 'C', 'P', 2, engineKindFull})
 	f.Add([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, 7})
 	f.Add([]byte{'Z', 'L', 'C', 'P', 0xff})
+	// Sealed records (valid CRC trailer), so mutation also starts past the
+	// trailer check: the retired payload version 1, and the current
+	// version with a one-worker payload cut short.
+	seal := func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	}
+	f.Add(seal([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, engineKindFull, 1, 2}))
+	f.Add(seal([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, engineKindFull, stateVersion, 2, 0, 0, 0}))
+	f.Add(seal([]byte{'Z', 'L', 'C', 'P', checkpointFileVersion, engineKindDelta, stateVersion, 2, 50, 0}))
 
 	// deltaBase builds the armed engine every ApplyDelta attempt targets:
 	// same trace prefix and a full checkpoint taken, so a valid mutated

@@ -21,12 +21,9 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 
 	"zoomlens/internal/flow"
-	"zoomlens/internal/metrics"
 	"zoomlens/internal/statecodec"
-	"zoomlens/internal/tcprtt"
 )
 
 // ErrDeltaUnavailable reports that the engine cannot produce a delta
@@ -137,126 +134,4 @@ func (sh *shard) tombstoneTCP(client netip.AddrPort) {
 		return
 	}
 	sh.deadTCP = append(sh.deadTCP, client)
-}
-
-// stateDelta encodes the shard's mutations since the last checkpoint
-// encode: scalars whole, the flow table's own delta, then tombstones and
-// dirty records for the stream metric engines and TCP trackers, and the
-// archive's tail.
-func (sh *shard) stateDelta(w *statecodec.Writer) {
-	sh.stateScalars(w)
-	sh.Flows.StateDelta(w)
-
-	slices.SortFunc(sh.deadStreams, flow.CompareStreamID)
-	w.Int(len(sh.deadStreams))
-	for _, id := range sh.deadStreams {
-		encodeStreamID(w, id)
-	}
-
-	dirty := make([]flow.MediaStreamID, 0, 64)
-	for id, sm := range sh.StreamMetrics {
-		if sm.Dirty() {
-			dirty = append(dirty, id)
-		}
-	}
-	slices.SortFunc(dirty, flow.CompareStreamID)
-	w.Int(len(dirty))
-	for _, id := range dirty {
-		encodeStreamID(w, id)
-		sh.StreamMetrics[id].State(w)
-	}
-
-	sortAddrPorts(sh.deadTCP)
-	w.Int(len(sh.deadTCP))
-	for _, c := range sh.deadTCP {
-		w.AddrPort(c)
-	}
-
-	dirtyTCP := make([]netip.AddrPort, 0, len(sh.dirtyTCP))
-	for c := range sh.dirtyTCP {
-		dirtyTCP = append(dirtyTCP, c)
-	}
-	sortAddrPorts(dirtyTCP)
-	w.Int(len(dirtyTCP))
-	for _, c := range dirtyTCP {
-		w.AddrPort(c)
-		sh.TCP[c].State(w)
-		w.Time(sh.tcpSeen[c])
-	}
-
-	// Archive delta: the Finished list only ever drops from the head
-	// (MaxFinished) and appends at the tail, so the record carries the
-	// baseline length, how many baseline entries were head-dropped, and
-	// the appended tail in full.
-	w.Int(sh.ckFinishedLen)
-	w.Int(sh.ckHeadDrops)
-	encodeFinished(w, sh.Finished[sh.ckFinishedLen-sh.ckHeadDrops:])
-}
-
-// applyDelta replays one shard delta payload onto the receiver. On error
-// the shard may be partially mutated.
-func (sh *shard) applyDelta(r *statecodec.Reader) error {
-	if err := sh.restoreScalars(r); err != nil {
-		return err
-	}
-	if err := sh.Flows.ApplyDelta(r); err != nil {
-		return err
-	}
-
-	for i, nd := 0, r.Count(8); i < nd; i++ {
-		id := decodeStreamID(r)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		delete(sh.StreamMetrics, id)
-	}
-	for i, nm := 0, r.Count(12); i < nm; i++ {
-		id := decodeStreamID(r)
-		sm := new(metrics.StreamMetrics)
-		if err := metrics.RestoreStreamMetricsInto(r, sm); err != nil {
-			return err
-		}
-		sh.StreamMetrics[id] = sm
-	}
-
-	for i, nd := 0, r.Count(4); i < nd; i++ {
-		c := r.AddrPort()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		delete(sh.TCP, c)
-		delete(sh.tcpSeen, c)
-	}
-	for i, nt := 0, r.Count(4); i < nt; i++ {
-		c := r.AddrPort()
-		tr := tcprtt.NewTracker()
-		if err := tr.Restore(r); err != nil {
-			return err
-		}
-		sh.TCP[c] = tr
-		sh.tcpSeen[c] = r.Time()
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-
-	baseLen := r.Int()
-	headDrops := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if baseLen != len(sh.Finished) {
-		r.Failf("core: shard delta archive baseline %d does not match engine archive %d", baseLen, len(sh.Finished))
-		return r.Err()
-	}
-	if headDrops < 0 || headDrops > baseLen {
-		r.Failf("core: shard delta archive head drops %d out of range (baseline %d)", headDrops, baseLen)
-		return r.Err()
-	}
-	if headDrops > 0 {
-		sh.Finished = append(sh.Finished[:0], sh.Finished[headDrops:]...)
-	}
-	var err error
-	sh.Finished, err = decodeFinished(r, sh.Finished, new(smSlab))
-	return err
 }

@@ -123,36 +123,21 @@ func (cfg *Config) quarantine(o *coreObs, r any, at time.Time, frame []byte) {
 	}
 }
 
-// state and restore are the one serialization of the head counters,
-// shared by full and delta checkpoints.
-func (fe *frontEnd) state(w *statecodec.Writer) {
-	w.U64(fe.seq)
-	w.U64(fe.Packets)
-	w.U64(fe.Bytes)
-	w.U64(fe.Undecodable)
-	w.U64(fe.DroppedByFilter)
-	w.U64(fe.PanicsRecovered)
-	w.U64(fe.ShedPackets)
-	w.U64(fe.ShedBytes)
-	w.Bool(fe.Truncated)
-	w.Time(fe.FirstTS)
-	w.Time(fe.LastTS)
-	fe.filter.State(w)
-}
-
-func (fe *frontEnd) restore(r *statecodec.Reader) error {
-	fe.seq = r.U64()
-	fe.Packets = r.U64()
-	fe.Bytes = r.U64()
-	fe.Undecodable = r.U64()
-	fe.DroppedByFilter = r.U64()
-	fe.PanicsRecovered = r.U64()
-	fe.ShedPackets = r.U64()
-	fe.ShedBytes = r.U64()
-	fe.Truncated = r.Bool()
-	fe.FirstTS = r.Time()
-	fe.LastTS = r.Time()
-	return fe.filter.Restore(r)
+// code walks the head counters and the capture filter: small, so every
+// record carries them whole.
+func (fe *frontEnd) code(c *statecodec.Codec) {
+	c.U64(&fe.seq)
+	c.U64(&fe.Packets)
+	c.U64(&fe.Bytes)
+	c.U64(&fe.Undecodable)
+	c.U64(&fe.DroppedByFilter)
+	c.U64(&fe.PanicsRecovered)
+	c.U64(&fe.ShedPackets)
+	c.U64(&fe.ShedBytes)
+	c.Bool(&fe.Truncated)
+	c.Time(&fe.FirstTS)
+	c.Time(&fe.LastTS)
+	fe.filter.Code(c)
 }
 
 // rawInfo carries the routing-relevant features of a frame: enough for

@@ -1,0 +1,395 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"net/netip"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"zoomlens/internal/flow"
+	"zoomlens/internal/layers"
+	"zoomlens/internal/meeting"
+	"zoomlens/internal/metrics"
+	"zoomlens/internal/rtp"
+	"zoomlens/internal/statecodec"
+	"zoomlens/internal/zoom"
+)
+
+// Layer-boundary tests for the one-pass codec: each stateful layer is
+// driven through its public packet-path API and walked through a Codec
+// directly, below where the engine differentials reach.
+
+type coder interface{ Code(*statecodec.Codec) }
+
+func layerRecord(l coder, full bool) []byte {
+	var w statecodec.Writer
+	l.Code(statecodec.NewEncoder(&w, full))
+	return w.Bytes()
+}
+
+func layerApply(l coder, rec []byte) error {
+	r := statecodec.NewReader(rec)
+	l.Code(statecodec.NewDecoder(r))
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return errors.New("trailing bytes")
+	}
+	return nil
+}
+
+func layerTuple(host byte) layers.FiveTuple {
+	return layers.FiveTuple{
+		Src: netip.AddrFrom4([4]byte{10, 8, 0, host}), Dst: netip.AddrFrom4([4]byte{52, 81, 3, 4}),
+		SrcPort: 40000, DstPort: 8801, Proto: layers.ProtoUDP,
+	}
+}
+
+func keyBytes(walk func(c *statecodec.Codec)) []byte {
+	var w statecodec.Writer
+	walk(statecodec.NewEncoder(&w, true))
+	return w.Bytes()
+}
+
+var layerT0 = time.Date(2022, 3, 1, 12, 0, 0, 0, time.UTC)
+
+func videoPacket(ssrc uint32, seq uint16, ts uint32) zoom.Packet {
+	return zoom.Packet{
+		ServerBased: true,
+		Media:       zoom.MediaEncap{Type: zoom.TypeVideo, Sequence: seq, Timestamp: ts},
+		RTP: rtp.Packet{
+			Header:  rtp.Header{PayloadType: 98, SequenceNumber: seq, Timestamp: ts, SSRC: ssrc},
+			Payload: []byte{1, 2, 3, 4},
+		},
+	}
+}
+
+// layerCases drive each layer through two phases — build-up, then churn
+// with evictions — and, for the key-order test, build a state whose
+// first keyed collection holds exactly two same-sized records.
+var layerCases = []struct {
+	name  string
+	fresh func() coder
+	step  func(l coder, phase int)
+	mark  func(l coder)
+	// two builds the two-record state; keyA < keyB are the records'
+	// encoded keys.
+	two        func() coder
+	keyA, keyB []byte
+}{
+	{
+		name:  "flow.Table",
+		fresh: func() coder { return flow.NewTable() },
+		step: func(l coder, phase int) {
+			t := l.(*flow.Table)
+			at := layerT0.Add(time.Duration(phase) * time.Minute)
+			for h := byte(1); h <= 6; h++ {
+				if phase == 1 && h%2 == 0 {
+					continue // goes idle, evicted below
+				}
+				for p := 0; p < 3; p++ {
+					t.Observe(&flow.Record{Time: at.Add(time.Duration(p) * time.Millisecond), Flow: layerTuple(h), WireLen: 100,
+						Z: videoPacket(uint32(h), uint16(10*phase+p), uint32(3000*p))})
+				}
+			}
+			if phase == 1 {
+				t.Observe(&flow.Record{Time: at, Flow: layerTuple(9), WireLen: 90, Z: videoPacket(9, 1, 1)})
+				t.EvictIdle(layerT0.Add(30 * time.Second))
+			}
+		},
+		mark: func(l coder) { l.(*flow.Table).MarkCheckpointed() },
+		two: func() coder {
+			t := flow.NewTable()
+			t.Observe(&flow.Record{Time: layerT0, Flow: layerTuple(1), WireLen: 100})
+			t.Observe(&flow.Record{Time: layerT0, Flow: layerTuple(2), WireLen: 100})
+			return t
+		},
+		keyA: keyBytes(func(c *statecodec.Codec) { k := layerTuple(1); k.Code(c) }),
+		keyB: keyBytes(func(c *statecodec.Codec) { k := layerTuple(2); k.Code(c) }),
+	},
+	{
+		name:  "meeting.Dedup",
+		fresh: func() coder { return meeting.NewDedup() },
+		step: func(l coder, phase int) {
+			d := l.(*meeting.Dedup)
+			at := layerT0.Add(time.Duration(phase) * time.Minute)
+			for h := byte(1); h <= 6; h++ {
+				if phase == 1 && h%2 == 0 {
+					continue
+				}
+				// Hosts 1-3 and 4-6 carry copies of the same two SSRCs.
+				key := zoom.StreamKey{SSRC: uint32(100 + h%3), Type: zoom.TypeVideo}
+				d.Observe(meeting.StreamObs{Time: at, Flow: layerTuple(h), Key: key, Seq: uint16(phase), TS: uint32(3000 * phase)})
+			}
+			if phase == 1 {
+				d.Observe(meeting.StreamObs{Time: at, Flow: layerTuple(9), Key: zoom.StreamKey{SSRC: 900, Type: zoom.TypeAudio}, TS: 7})
+				d.Evict(layerT0.Add(30 * time.Second))
+			}
+		},
+		mark: func(l coder) { l.(*meeting.Dedup).MarkCheckpointed() },
+		two: func() coder {
+			d := meeting.NewDedup()
+			key := zoom.StreamKey{SSRC: 100, Type: zoom.TypeVideo}
+			d.Observe(meeting.StreamObs{Time: layerT0, Flow: layerTuple(1), Key: key, TS: 5})
+			d.Observe(meeting.StreamObs{Time: layerT0, Flow: layerTuple(2), Key: key, TS: 5})
+			return d
+		},
+		keyA: keyBytes(func(c *statecodec.Codec) {
+			id := flow.MediaStreamID{Flow: layerTuple(1), Key: zoom.StreamKey{SSRC: 100, Type: zoom.TypeVideo}}
+			id.Code(c)
+		}),
+		keyB: keyBytes(func(c *statecodec.Codec) {
+			id := flow.MediaStreamID{Flow: layerTuple(2), Key: zoom.StreamKey{SSRC: 100, Type: zoom.TypeVideo}}
+			id.Code(c)
+		}),
+	},
+	{
+		name:  "metrics.CopyMatcher",
+		fresh: func() coder { return metrics.NewCopyMatcher() },
+		step: func(l coder, phase int) {
+			cm := l.(*metrics.CopyMatcher)
+			at := layerT0.Add(time.Duration(phase) * time.Second)
+			up, down := layerTuple(1), layerTuple(2).Reverse()
+			for i := 0; i < 20; i++ {
+				seq := uint16(100*phase + i)
+				cm.Observe(meeting.UnifiedID(1+i%3), up, 98, seq, uint32(seq)*3000, at)
+				if i%2 == phase {
+					// The copy matches: a sample, and the pending entry dies.
+					cm.Observe(meeting.UnifiedID(1+i%3), down, 98, seq, uint32(seq)*3000, at.Add(7*time.Millisecond))
+				}
+			}
+			if phase == 1 {
+				// Match entries left pending by phase 0: tombstones for
+				// records the base checkpoint holds.
+				for i := 1; i < 20; i += 4 {
+					cm.Observe(meeting.UnifiedID(1+i%3), down, 98, uint16(i), uint32(i)*3000, at)
+				}
+			}
+		},
+		mark: func(l coder) { l.(*metrics.CopyMatcher).MarkCheckpointed() },
+		two: func() coder {
+			cm := metrics.NewCopyMatcher()
+			cm.Observe(1, layerTuple(1), 98, 1, 100, layerT0)
+			cm.Observe(1, layerTuple(1), 98, 2, 100, layerT0)
+			return cm
+		},
+		// (unified 1, pt 98, seq, ts 100) as Int, U8, U16, U32.
+		keyA: []byte{2, 98, 1, 100},
+		keyB: []byte{2, 98, 2, 100},
+	},
+	{
+		name:  "metrics.StreamMetrics",
+		fresh: func() coder { return new(metrics.StreamMetrics) },
+		step: func(l coder, phase int) {
+			sm := l.(*metrics.StreamMetrics)
+			if phase == 0 {
+				*sm = *metrics.NewStreamMetrics(zoom.TypeVideo)
+			}
+			for p := 0; p < 12; p++ {
+				n := 12*phase + p
+				zp := videoPacket(7, uint16(n), uint32(n/3)*3000) // three packets per frame
+				zp.RTP.Marker = n%3 == 2
+				sm.Observe(layerT0.Add(time.Duration(n)*11*time.Millisecond), 120, &zp.Media, &zp.RTP)
+			}
+			zp := videoPacket(7, uint16(900+phase), 1) // FEC substream: its own sequence space
+			zp.RTP.PayloadType = 110
+			sm.Observe(layerT0.Add(time.Duration(phase)*time.Second), 80, &zp.Media, &zp.RTP)
+		},
+		mark: func(coder) {},
+		two: func() coder {
+			sm := metrics.NewStreamMetrics(zoom.TypeVideo)
+			for _, seq := range []uint16{39000, 40000, 40001} {
+				zp := videoPacket(7, seq, 1)
+				sm.Observe(layerT0, 120, &zp.Media, &zp.RTP)
+			}
+			return sm
+		},
+		// The shared sequence tracker's seen set, {39000, 40000, 40001}:
+		// uvarints 40000 and 40001 (39000 keeps them out of the scalars).
+		keyA: []byte{0xc0, 0xb8, 0x02},
+		keyB: []byte{0xc1, 0xb8, 0x02},
+	},
+}
+
+// TestLayerCodecFullAndDelta: (i) a full record onto a fresh layer
+// re-encodes byte-identically; (ii) full@t0 + delta(t0→t1), with
+// evictions and tombstones in the interval, re-encodes byte-identically
+// to full@t1.
+func TestLayerCodecFullAndDelta(t *testing.T) {
+	for _, tc := range layerCases {
+		t.Run(tc.name, func(t *testing.T) {
+			live := tc.fresh()
+			tc.step(live, 0)
+			full0 := bytes.Clone(layerRecord(live, true))
+			tc.mark(live)
+
+			replica := tc.fresh()
+			if err := layerApply(replica, full0); err != nil {
+				t.Fatalf("full record onto a fresh layer: %v", err)
+			}
+			if got := layerRecord(replica, true); !bytes.Equal(got, full0) {
+				t.Fatalf("full → fresh layer → full differs (%d vs %d bytes)", len(got), len(full0))
+			}
+			tc.mark(replica)
+
+			tc.step(live, 1)
+			delta := bytes.Clone(layerRecord(live, false))
+			tc.mark(live)
+			if err := layerApply(replica, delta); err != nil {
+				t.Fatalf("delta onto its base: %v", err)
+			}
+			tc.mark(replica)
+			if got, want := layerRecord(replica, true), layerRecord(live, true); !bytes.Equal(got, want) {
+				t.Fatalf("full@t0 + delta differs from full@t1 (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestLayerCodecRejectsUnorderedKeys: (iii) a record whose two keys are
+// equal or descending is rejected with ErrCorrupt. The two same-sized
+// records are located in a real full record by their encoded keys and
+// swapped or doubled in place.
+func TestLayerCodecRejectsUnorderedKeys(t *testing.T) {
+	for _, tc := range layerCases {
+		t.Run(tc.name, func(t *testing.T) {
+			full := bytes.Clone(layerRecord(tc.two(), true))
+			i := bytes.Index(full, tc.keyA)
+			if i < 0 {
+				t.Fatal("first key not found in the record")
+			}
+			off := bytes.Index(full[i+len(tc.keyA):], tc.keyB)
+			if off < 0 {
+				t.Fatal("second key not found after the first")
+			}
+			j := i + len(tc.keyA) + off
+			size := j - i
+			if j+size > len(full) {
+				t.Fatalf("records at %d and %d are not the same size", i, j)
+			}
+			a, b := full[i:j], full[j:j+size]
+			splice := func(x, y []byte) []byte {
+				return bytes.Join([][]byte{full[:i], x, y, full[j+size:]}, nil)
+			}
+			if err := layerApply(tc.fresh(), splice(a, b)); err != nil {
+				t.Fatalf("splicing the records back in order broke the record: %v", err)
+			}
+			for name, rec := range map[string][]byte{"descending": splice(b, a), "equal": splice(a, a)} {
+				err := layerApply(tc.fresh(), rec)
+				if !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), "ascending") {
+					t.Errorf("%s keys: err = %v, want ErrCorrupt (keys not strictly ascending)", name, err)
+				}
+			}
+		})
+	}
+}
+
+// newEngine builds a sequential engine for one worker, a sharded one
+// for more.
+func newEngine(cfg Config, workers int) Engine {
+	if workers > 1 {
+		return NewParallelAnalyzer(cfg, workers)
+	}
+	return NewAnalyzer(cfg)
+}
+
+// TestCheckpointSmallestRecords restores the checkpoints whose elements
+// are as small as the format allows: a never-fed engine (every counter
+// and count one byte, idle shards ending the payload) and a trace
+// rebased to the Unix epoch (three-byte timestamps). A hostile-count
+// guard that overstates an element's minimum size rejects these valid
+// files; at every cut the restored engine must re-encode byte-identically
+// and finish with the uninterrupted run's summary.
+func TestCheckpointSmallestRecords(t *testing.T) {
+	tr, opts := seededTrace(t, 4)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	epoch := func(i int) time.Time { return time.Unix(0, 0).Add(tr.at[i].Sub(tr.at[0])) }
+	for _, workers := range []int{1, 4} {
+		ref := newEngine(cfg, workers)
+		for i := range tr.frames {
+			ref.Packet(epoch(i), tr.frames[i])
+		}
+		ref.Finish()
+		want := ref.Result().Summary()
+
+		for _, cut := range []int{0, 1, 2, 50, len(tr.frames) / 2, len(tr.frames)} {
+			eng := newEngine(cfg, workers)
+			for i := 0; i < cut; i++ {
+				eng.Packet(epoch(i), tr.frames[i])
+			}
+			ck := bytes.Clone(checkpointBytes(t, eng))
+			eng.Finish()
+			restored, err := RestoreAnalyzer(bytes.NewReader(ck), cfg)
+			if err != nil {
+				t.Fatalf("workers=%d cut=%d: restore: %v", workers, cut, err)
+			}
+			if again := checkpointBytes(t, restored); !bytes.Equal(again, ck) {
+				t.Errorf("workers=%d cut=%d: restored engine re-encodes differently (%d vs %d bytes)", workers, cut, len(again), len(ck))
+			}
+			for i := cut; i < len(tr.frames); i++ {
+				restored.Packet(epoch(i), tr.frames[i])
+			}
+			restored.Finish()
+			if got := restored.Result().Summary(); !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d cut=%d: resumed summary differs:\n got %+v\nwant %+v", workers, cut, got, want)
+			}
+		}
+	}
+}
+
+// TestCheckpointPrefixesRejected: (iv) every proper prefix of a small
+// engine's full and delta payloads — resealed with a valid CRC, so the
+// trailer check cannot do the rejecting — fails in RestoreAnalyzer or
+// ApplyDelta with an error: never a panic, never a usable engine.
+func TestCheckpointPrefixesRejected(t *testing.T) {
+	tr, opts := seededTrace(t, 1)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	base := func() Engine {
+		eng := NewAnalyzer(cfg)
+		for i := 0; i < 60; i++ {
+			eng.Packet(tr.at[i], tr.frames[i])
+		}
+		return eng
+	}
+	eng := base()
+	full := bytes.Clone(checkpointBytes(t, eng))
+	for i := 60; i < 90; i++ {
+		eng.Packet(tr.at[i], tr.frames[i])
+	}
+	var delta bytes.Buffer
+	if err := eng.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
+	}
+	eng.Finish()
+
+	reseal := func(rec []byte, n int) []byte {
+		b := bytes.Clone(rec[:n])
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	}
+	const hdr = len(checkpointMagic) + 2
+	for n := hdr; n < len(full)-4; n++ {
+		if got, err := RestoreAnalyzer(bytes.NewReader(reseal(full, n)), cfg); err == nil || got != nil {
+			t.Fatalf("full record cut to %d/%d bytes: restore = (%v, %v), want an error and no engine", n, len(full)-4, got, err)
+		}
+	}
+	for n := hdr; n < delta.Len()-4; n++ {
+		target := base()
+		if err := target.Checkpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := target.ApplyDelta(bytes.NewReader(reseal(delta.Bytes(), n))); err == nil {
+			t.Fatalf("delta record cut to %d/%d bytes applied without error", n, delta.Len()-4)
+		}
+		Discard(target)
+	}
+}

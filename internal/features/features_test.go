@@ -224,6 +224,21 @@ func TestWindowerDrainTiming(t *testing.T) {
 	}
 }
 
+// windowerState is w's full record; restoreWindower decodes one onto a
+// fresh windower, returning the decode error and the bytes left over.
+func windowerState(w *Windower) []byte {
+	var sw statecodec.Writer
+	w.Code(statecodec.NewEncoder(&sw, true))
+	return sw.Bytes()
+}
+
+func restoreWindower(b []byte) (*Windower, int, error) {
+	r := statecodec.NewReader(b)
+	w := NewWindower(0)
+	w.Code(statecodec.NewDecoder(r))
+	return w, r.Remaining(), r.Err()
+}
+
 func TestWindowerStateRoundTrip(t *testing.T) {
 	obs := steadyObs(3500*time.Millisecond, testFlow(50005), 13)
 	cut := len(obs) * 2 / 3
@@ -237,15 +252,12 @@ func TestWindowerStateRoundTrip(t *testing.T) {
 	for _, o := range obs[:cut] {
 		w.Observe(o)
 	}
-	var sw statecodec.Writer
-	w.State(&sw)
-	r := statecodec.NewReader(sw.Bytes())
-	w2 := RestoreWindower(r)
-	if w2 == nil || r.Err() != nil {
-		t.Fatalf("restore: %v", r.Err())
+	w2, left, err := restoreWindower(windowerState(w))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("restore left %d bytes", r.Remaining())
+	if left != 0 {
+		t.Fatalf("restore left %d bytes", left)
 	}
 	for _, o := range obs[cut:] {
 		w2.Observe(o)
@@ -263,11 +275,9 @@ func TestWindowerStateRoundTrip(t *testing.T) {
 		w3.Observe(o)
 	}
 	pre := w3.Drain()
-	var sw2 statecodec.Writer
-	w3.State(&sw2)
-	w4 := RestoreWindower(statecodec.NewReader(sw2.Bytes()))
-	if w4 == nil {
-		t.Fatal("restore failed")
+	w4, _, err := restoreWindower(windowerState(w3))
+	if err != nil {
+		t.Fatalf("restore failed: %v", err)
 	}
 	for _, o := range obs[cut:] {
 		w4.Observe(o)
@@ -279,29 +289,15 @@ func TestWindowerStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreWindowerRejectsBadVersion(t *testing.T) {
-	var sw statecodec.Writer
-	NewWindower(time.Second).State(&sw)
-	b := append([]byte{}, sw.Bytes()...)
-	b[0] = 99
-	r := statecodec.NewReader(b)
-	if w := RestoreWindower(r); w != nil || r.Err() == nil {
-		t.Fatal("version 99 accepted")
-	}
-}
-
 func TestRestoreWindowerRejectsTruncated(t *testing.T) {
 	obs := steadyObs(2*time.Second, testFlow(50006), 17)
 	w := NewWindower(time.Second)
 	for _, o := range obs {
 		w.Observe(o)
 	}
-	var sw statecodec.Writer
-	w.State(&sw)
-	b := sw.Bytes()
+	b := windowerState(w)
 	for _, n := range []int{1, len(b) / 2, len(b) - 1} {
-		r := statecodec.NewReader(b[:n])
-		if got := RestoreWindower(r); got != nil {
+		if _, _, err := restoreWindower(b[:n]); err == nil {
 			t.Fatalf("truncated state at %d bytes accepted", n)
 		}
 	}

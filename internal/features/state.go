@@ -1,209 +1,92 @@
 package features
 
 import (
-	"slices"
 	"time"
 
 	"zoomlens/internal/flow"
-	"zoomlens/internal/layers"
 	"zoomlens/internal/statecodec"
-	"zoomlens/internal/zoom"
 )
 
-// featuresStateV1 is the windower layer's state format version.
-const featuresStateV1 = 1
-
-// State encodes the windower — configuration, clock, per-stream
+// Code walks the windower through c — configuration, clock, per-stream
 // continuity state, open accumulators, and the undrained pending rows —
 // so a restored engine emits exactly the rows an uninterrupted run
-// would. Streams are written sorted by identity for byte-identical
-// checkpoints.
-func (w *Windower) State(sw *statecodec.Writer) {
-	sw.U8(featuresStateV1)
-	sw.Duration(w.window)
-	sw.Time(w.clock)
-	sw.I64(w.curIdx)
-	sw.Bool(w.started)
-
-	ids := make([]flow.MediaStreamID, 0, len(w.streams))
-	for id := range w.streams {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, flow.CompareStreamID)
-	sw.Int(len(ids))
-	for _, id := range ids {
-		s := w.streams[id]
-		id.Flow.EncodeTo(sw)
-		id.Key.EncodeTo(sw)
-		sw.Time(s.lastAt)
-		for i := range s.seqValid {
-			sw.Bool(s.seqValid[i])
-			sw.U16(s.lastSeq[i])
-		}
-		sw.Bool(s.tsValid)
-		sw.U32(s.lastTS)
-		sw.Bool(s.open)
-		if s.open {
-			encodeAcc(sw, &s.acc)
-		}
-	}
-
-	sw.Int(len(w.pending))
-	for i := range w.pending {
-		encodeRow(sw, &w.pending[i])
-	}
-}
-
-func encodeAcc(sw *statecodec.Writer, a *winAcc) {
-	sw.U64(a.pkts)
-	sw.U64(a.wireBytes)
-	sw.U64(a.payloadBytes)
-	sw.U64(a.iatN)
-	sw.F64(a.iatSum)
-	sw.F64(a.iatSumSq)
-	sw.F64(a.iatMin)
-	sw.F64(a.iatMax)
-	sw.Int(a.bursts)
-	sw.Int(a.curRun)
-	sw.Int(a.maxRun)
-	sw.F64(a.sizeSum)
-	sw.F64(a.sizeSumSq)
-	sw.Int(a.sizeMin)
-	sw.Int(a.sizeMax)
-	for _, c := range a.hist {
-		sw.U64(c)
-	}
-	sw.Int(a.seqLost)
-	sw.Int(a.seqDup)
-	sw.Int(a.frameMarks)
-}
-
-func decodeAcc(r *statecodec.Reader, a *winAcc) {
-	a.pkts = r.U64()
-	a.wireBytes = r.U64()
-	a.payloadBytes = r.U64()
-	a.iatN = r.U64()
-	a.iatSum = r.F64()
-	a.iatSumSq = r.F64()
-	a.iatMin = r.F64()
-	a.iatMax = r.F64()
-	a.bursts = r.Int()
-	a.curRun = r.Int()
-	a.maxRun = r.Int()
-	a.sizeSum = r.F64()
-	a.sizeSumSq = r.F64()
-	a.sizeMin = r.Int()
-	a.sizeMax = r.Int()
-	for i := range a.hist {
-		a.hist[i] = r.U64()
-	}
-	a.seqLost = r.Int()
-	a.seqDup = r.Int()
-	a.frameMarks = r.Int()
-}
-
-func encodeRow(sw *statecodec.Writer, r *Row) {
-	sw.Time(r.Start)
-	sw.Duration(r.Window)
-	r.ID.Flow.EncodeTo(sw)
-	r.ID.Key.EncodeTo(sw)
-	sw.U64(r.Packets)
-	sw.U64(r.WireBytes)
-	sw.U64(r.PayloadBytes)
-	sw.F64(r.IATMeanMS)
-	sw.F64(r.IATStdMS)
-	sw.F64(r.IATMinMS)
-	sw.F64(r.IATMaxMS)
-	sw.Int(r.Bursts)
-	sw.Int(r.MaxBurstPkts)
-	sw.F64(r.SizeMeanB)
-	sw.F64(r.SizeStdB)
-	sw.Int(r.SizeMinB)
-	sw.Int(r.SizeMaxB)
-	sw.F64(r.SizeEntropy)
-	sw.Int(r.SeqLost)
-	sw.Int(r.SeqDup)
-	sw.Int(r.FrameMarks)
-}
-
-func decodeRow(r *statecodec.Reader) Row {
-	var row Row
-	row.Start = r.Time().UTC()
-	row.Window = r.Duration()
-	row.ID.Flow = layers.DecodeFiveTuple(r)
-	row.ID.Key = zoom.DecodeStreamKey(r)
-	row.Packets = r.U64()
-	row.WireBytes = r.U64()
-	row.PayloadBytes = r.U64()
-	row.IATMeanMS = r.F64()
-	row.IATStdMS = r.F64()
-	row.IATMinMS = r.F64()
-	row.IATMaxMS = r.F64()
-	row.Bursts = r.Int()
-	row.MaxBurstPkts = r.Int()
-	row.SizeMeanB = r.F64()
-	row.SizeStdB = r.F64()
-	row.SizeMinB = r.Int()
-	row.SizeMaxB = r.Int()
-	row.SizeEntropy = r.F64()
-	row.SeqLost = r.Int()
-	row.SeqDup = r.Int()
-	row.FrameMarks = r.Int()
-	return row
-}
-
-// RestoreWindower decodes a windower encoded by State. The window
-// duration comes from the checkpoint (it is part of the emitted rows'
-// identity), so a restored engine keeps the original grid regardless of
-// the restoring process's configuration.
-func RestoreWindower(r *statecodec.Reader) *Windower {
-	r.Version("features.windower", featuresStateV1)
-	w := &Windower{
-		window:  r.Duration(),
-		clock:   r.Time(),
-		curIdx:  r.I64(),
-		started: r.Bool(),
-		streams: make(map[flow.MediaStreamID]*streamWin),
-	}
-	if w.window >= time.Millisecond {
-		w.setWindow(w.curIdx)
-	}
+// would. The windower has no dirty tracking (its live state is a
+// handful of open accumulators, bounded by idle eviction), so every
+// record carries it whole and a decoding pass needs a fresh receiver.
+// The window duration comes from the record (it is part of the emitted
+// rows' identity), so a restored engine keeps the original grid
+// regardless of the restoring process's configuration.
+func (w *Windower) Code(c *statecodec.Codec) {
+	c.Duration(&w.window)
+	c.Time(&w.clock)
+	c.I64(&w.curIdx)
+	c.Bool(&w.started)
 	if w.window < time.Millisecond {
-		if r.Err() == nil {
-			r.Failf("features.windower: bad window %v", w.window)
-		}
-		return nil
+		c.Failf("features.windower: bad window %v", w.window)
+		return
 	}
-	n := r.Count(8)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var id flow.MediaStreamID
-		id.Flow = layers.DecodeFiveTuple(r)
-		id.Key = zoom.DecodeStreamKey(r)
-		s := &streamWin{}
-		s.lastAt = r.Time()
-		for j := range s.seqValid {
-			s.seqValid[j] = r.Bool()
-			s.lastSeq[j] = r.U16()
+	w.setWindow(w.curIdx)
+
+	statecodec.Map(c, flow.StreamIDKey, &w.streams, nil, nil, func(_ flow.MediaStreamID, s *streamWin) {
+		c.Time(&s.lastAt)
+		for i := range s.seqValid {
+			c.Bool(&s.seqValid[i])
+			c.U16(&s.lastSeq[i])
 		}
-		s.tsValid = r.Bool()
-		s.lastTS = r.U32()
-		s.open = r.Bool()
-		if s.open {
-			decodeAcc(r, &s.acc)
+		c.Bool(&s.tsValid)
+		c.U32(&s.lastTS)
+		if c.Bool(&s.open); s.open {
+			s.acc.code(c)
 		}
-		if r.Err() == nil {
-			w.streams[id] = s
-		}
+	})
+	statecodec.Slice(c, &w.pending, 0, func(r *Row) { r.code(c) })
+}
+
+func (a *winAcc) code(c *statecodec.Codec) {
+	c.U64(&a.pkts)
+	c.U64(&a.wireBytes)
+	c.U64(&a.payloadBytes)
+	c.U64(&a.iatN)
+	c.F64(&a.iatSum)
+	c.F64(&a.iatSumSq)
+	c.F64(&a.iatMin)
+	c.F64(&a.iatMax)
+	c.Int(&a.bursts)
+	c.Int(&a.curRun)
+	c.Int(&a.maxRun)
+	c.F64(&a.sizeSum)
+	c.F64(&a.sizeSumSq)
+	c.Int(&a.sizeMin)
+	c.Int(&a.sizeMax)
+	for i := range a.hist {
+		c.U64(&a.hist[i])
 	}
-	np := r.Count(8)
-	for i := 0; i < np && r.Err() == nil; i++ {
-		row := decodeRow(r)
-		if r.Err() == nil {
-			w.pending = append(w.pending, row)
-		}
+	c.Int(&a.seqLost)
+	c.Int(&a.seqDup)
+	c.Int(&a.frameMarks)
+}
+
+func (r *Row) code(c *statecodec.Codec) {
+	if c.Time(&r.Start); !c.Encoding() {
+		r.Start = r.Start.UTC()
 	}
-	if r.Err() != nil {
-		return nil
-	}
-	return w
+	c.Duration(&r.Window)
+	r.ID.Code(c)
+	c.U64(&r.Packets)
+	c.U64(&r.WireBytes)
+	c.U64(&r.PayloadBytes)
+	c.F64(&r.IATMeanMS)
+	c.F64(&r.IATStdMS)
+	c.F64(&r.IATMinMS)
+	c.F64(&r.IATMaxMS)
+	c.Int(&r.Bursts)
+	c.Int(&r.MaxBurstPkts)
+	c.F64(&r.SizeMeanB)
+	c.F64(&r.SizeStdB)
+	c.Int(&r.SizeMinB)
+	c.Int(&r.SizeMaxB)
+	c.F64(&r.SizeEntropy)
+	c.Int(&r.SeqLost)
+	c.Int(&r.SeqDup)
+	c.Int(&r.FrameMarks)
 }

@@ -1,232 +1,65 @@
 package flow
 
 import (
-	"slices"
-
 	"zoomlens/internal/layers"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
-// Checkpoint boundary for the flow table. Limits are configuration, not
-// state: Restore keeps whatever SetLimits installed on the receiver, so
-// a checkpoint taken under one deployment's caps restores cleanly under
-// another's.
+// Checkpoint boundary for the flow table. A delta record re-serializes
+// only what changed since the previous checkpoint encode: records whose
+// dirty bit is set, plus deletion tombstones for entries evicted in
+// between; a full record is the same walk with every record selected.
+// The table arms itself at the first encode (MarkCheckpointed), so runs
+// that never checkpoint record no tombstones and pay only a
+// per-mutation bool store.
 
-// tableStateV2 added the protocol byte inside every encoded
-// zoom.StreamKey (the rtcproto plugin refactor). V1 state interleaves
-// keys without it and cannot be decoded; it is rejected by version.
-const (
-	tableStateV1 = 1
-	tableStateV2 = 2
-)
+// maxDeltaTombstones bounds the eviction backlog a delta is willing to
+// carry. Past it the table flags overflow and the next delta encode
+// reports itself unavailable, forcing the caller back to a full
+// snapshot (which resets everything).
+const maxDeltaTombstones = 1 << 20
 
-// encodeFlowStats writes one flow record (key included).
-func encodeFlowStats(w *statecodec.Writer, f *FlowStats) {
-	f.Flow.EncodeTo(w)
-	w.Time(f.FirstSeen)
-	w.Time(f.LastSeen)
-	w.U64(f.Packets)
-	w.U64(f.WireBytes)
-	w.U64(f.ServerBased)
-	w.U64(f.P2P)
-	var encapScratch [8]zoom.MediaType
-	encapKeys := encapScratch[:0]
-	for mt := range f.ByEncapType {
-		encapKeys = append(encapKeys, mt)
+func (t *Table) tombstoneFlow(k layers.FiveTuple) {
+	if !t.armed || t.overflow {
+		return
 	}
-	slices.Sort(encapKeys)
-	w.Int(len(encapKeys))
-	for _, mt := range encapKeys {
-		w.U8(uint8(mt))
-		w.U64(f.ByEncapType[mt])
+	if len(t.deadFlows) >= maxDeltaTombstones {
+		t.overflow = true
+		return
 	}
+	t.deadFlows = append(t.deadFlows, k)
 }
 
-// decodeFlowStatsInto fills f from the codec, returning its key.
-func decodeFlowStatsInto(r *statecodec.Reader, f *FlowStats) layers.FiveTuple {
-	k := layers.DecodeFiveTuple(r)
-	f.Flow = k
-	f.FirstSeen = r.Time()
-	f.LastSeen = r.Time()
-	f.Packets = r.U64()
-	f.WireBytes = r.U64()
-	f.ServerBased = r.U64()
-	f.P2P = r.U64()
-	ne := r.Count(2)
-	f.ByEncapType = make(map[zoom.MediaType]uint64, ne)
-	for j := 0; j < ne; j++ {
-		mt := zoom.MediaType(r.U8())
-		f.ByEncapType[mt] = r.U64()
+func (t *Table) tombstoneStream(id MediaStreamID) {
+	if !t.armed || t.overflow {
+		return
 	}
-	return k
+	if len(t.deadStreams) >= maxDeltaTombstones {
+		t.overflow = true
+		return
+	}
+	t.deadStreams = append(t.deadStreams, id)
 }
 
-// encodeStreamStats writes one stream record (key included).
-func encodeStreamStats(w *statecodec.Writer, s *StreamStats) {
-	s.ID.Flow.EncodeTo(w)
-	s.ID.Key.EncodeTo(w)
-	w.Time(s.FirstSeen)
-	w.Time(s.LastSeen)
-	w.U64(s.Packets)
-	w.U64(s.WireBytes)
-	w.U64(s.MediaBytes)
-	w.U32(s.FirstRTPTimestamp)
-	w.U32(s.LastRTPTimestamp)
-	w.U16(s.FirstSeq)
-	w.U16(s.LastSeq)
-	w.U64(s.RTCPPackets)
-	var ptScratch [16]uint8
-	pts := ptScratch[:0]
-	for pt := range s.Substreams {
-		pts = append(pts, pt)
-	}
-	slices.Sort(pts)
-	w.Int(len(pts))
-	for _, pt := range pts {
-		sub := s.Substreams[pt]
-		w.U8(pt)
-		w.U64(sub.Packets)
-		w.U64(sub.Bytes)
-	}
-}
+// DeltaOverflow reports whether the eviction backlog outgrew what a
+// delta can carry; the owner must fall back to a full snapshot.
+func (t *Table) DeltaOverflow() bool { return t.overflow }
 
-// decodeStreamStatsInto fills s from the codec, drawing substream records
-// from *subSlab (refilled in chunks), and returns the stream's key.
-func decodeStreamStatsInto(r *statecodec.Reader, s *StreamStats, subSlab *[]SubstreamStats) MediaStreamID {
-	id := MediaStreamID{Flow: layers.DecodeFiveTuple(r), Key: zoom.DecodeStreamKey(r)}
-	s.ID = id
-	s.FirstSeen = r.Time()
-	s.LastSeen = r.Time()
-	s.Packets = r.U64()
-	s.WireBytes = r.U64()
-	s.MediaBytes = r.U64()
-	s.FirstRTPTimestamp = r.U32()
-	s.LastRTPTimestamp = r.U32()
-	s.FirstSeq = r.U16()
-	s.LastSeq = r.U16()
-	s.RTCPPackets = r.U64()
-	np := r.Count(3)
-	s.Substreams = make(map[uint8]*SubstreamStats, np)
-	for j := 0; j < np; j++ {
-		if len(*subSlab) == 0 {
-			*subSlab = make([]SubstreamStats, 256)
-		}
-		sub := &(*subSlab)[0]
-		*subSlab = (*subSlab)[1:]
-		pt := r.U8()
-		*sub = SubstreamStats{PayloadType: pt, Packets: r.U64(), Bytes: r.U64()}
-		s.Substreams[pt] = sub
+// MarkCheckpointed resets delta tracking after a checkpoint encode or
+// decode: every record is now captured, so dirty bits and tombstones
+// clear and the table arms for the next delta.
+func (t *Table) MarkCheckpointed() {
+	for _, f := range t.flows {
+		f.dirty = false
 	}
-	return id
-}
-
-// encodeShareAggs writes the evicted-entry share aggregates; both the
-// full and delta codecs carry them whole (they are bounded by the small
-// media-type / payload-type domains, not by stream count).
-func (t *Table) encodeShareAggs(w *statecodec.Writer) {
-	encapKeys := make([]zoom.MediaType, 0, len(t.evictedEncap))
-	for mt := range t.evictedEncap {
-		encapKeys = append(encapKeys, mt)
+	for _, s := range t.streams {
+		s.dirty = false
 	}
-	slices.Sort(encapKeys)
-	w.Int(len(encapKeys))
-	for _, mt := range encapKeys {
-		a := t.evictedEncap[mt]
-		w.U8(uint8(mt))
-		w.U64(a.pkts)
-		w.U64(a.bytes)
-	}
-
-	ptKeys := make([]ptKey, 0, len(t.evictedPT))
-	for k := range t.evictedPT {
-		ptKeys = append(ptKeys, k)
-	}
-	slices.SortFunc(ptKeys, func(a, b ptKey) int {
-		if a.mt != b.mt {
-			return int(a.mt) - int(b.mt)
-		}
-		return int(a.pt) - int(b.pt)
-	})
-	w.Int(len(ptKeys))
-	for _, k := range ptKeys {
-		a := t.evictedPT[k]
-		w.U8(uint8(k.mt))
-		w.U8(k.pt)
-		w.U64(a.pkts)
-		w.U64(a.bytes)
-	}
-}
-
-func (t *Table) decodeShareAggs(r *statecodec.Reader) {
-	nee := r.Count(3)
-	t.evictedEncap = nil
-	if nee > 0 {
-		t.evictedEncap = make(map[zoom.MediaType]*shareAgg, nee)
-	}
-	for i := 0; i < nee; i++ {
-		mt := zoom.MediaType(r.U8())
-		t.evictedEncap[mt] = &shareAgg{pkts: r.U64(), bytes: r.U64()}
-	}
-
-	nep := r.Count(4)
-	t.evictedPT = nil
-	if nep > 0 {
-		t.evictedPT = make(map[ptKey]*shareAgg, nep)
-	}
-	for i := 0; i < nep; i++ {
-		k := ptKey{mt: zoom.MediaType(r.U8()), pt: r.U8()}
-		t.evictedPT[k] = &shareAgg{pkts: r.U64(), bytes: r.U64()}
-	}
-}
-
-func (t *Table) encodeScalars(w *statecodec.Writer) {
-	w.U64(t.totalPackets)
-	w.U64(t.totalBytes)
-	w.U64(t.ev.EvictedFlows)
-	w.U64(t.ev.EvictedStreams)
-	w.U64(t.ev.RejectedFlowPackets)
-	w.U64(t.ev.RejectedStreamPackets)
-	w.U64(t.ev.RejectedSubstreamPackets)
-}
-
-func (t *Table) decodeScalars(r *statecodec.Reader) {
-	t.totalPackets = r.U64()
-	t.totalBytes = r.U64()
-	t.ev.EvictedFlows = r.U64()
-	t.ev.EvictedStreams = r.U64()
-	t.ev.RejectedFlowPackets = r.U64()
-	t.ev.RejectedStreamPackets = r.U64()
-	t.ev.RejectedSubstreamPackets = r.U64()
-}
-
-// State encodes the table for a checkpoint. Maps are written in sorted
-// key order so identical state yields identical bytes.
-func (t *Table) State(w *statecodec.Writer) {
-	w.U8(tableStateV2)
-	t.encodeScalars(w)
-
-	flowKeys := make([]layers.FiveTuple, 0, len(t.flows))
-	for k := range t.flows {
-		flowKeys = append(flowKeys, k)
-	}
-	slices.SortFunc(flowKeys, layers.FiveTuple.Compare)
-	w.Int(len(flowKeys))
-	for _, k := range flowKeys {
-		encodeFlowStats(w, t.flows[k])
-	}
-
-	streamKeys := make([]MediaStreamID, 0, len(t.streams))
-	for k := range t.streams {
-		streamKeys = append(streamKeys, k)
-	}
-	slices.SortFunc(streamKeys, CompareStreamID)
-	w.Int(len(streamKeys))
-	for _, k := range streamKeys {
-		encodeStreamStats(w, t.streams[k])
-	}
-
-	t.encodeShareAggs(w)
+	t.deadFlows = t.deadFlows[:0]
+	t.deadStreams = t.deadStreams[:0]
+	t.overflow = false
+	t.armed = true
 }
 
 // CompareStreamID orders stream identifiers by (flow, key); checkpoint
@@ -238,49 +71,98 @@ func CompareStreamID(a, b MediaStreamID) int {
 	return a.Key.Compare(b.Key)
 }
 
-// Restore rebuilds the table from a checkpoint, replacing every live map
-// but preserving the limits installed on the receiver.
-func (t *Table) Restore(r *statecodec.Reader) error {
-	r.Version("flow.Table", tableStateV2)
-	t.decodeScalars(r)
+// Code walks the stream identifier's fields through c.
+func (id *MediaStreamID) Code(c *statecodec.Codec) {
+	id.Flow.Code(c)
+	id.Key.Code(c)
+}
 
-	// Flow and stream records decode into chunk-allocated slabs — one
-	// allocation per few thousand entries instead of one each, which is
-	// where a large table's restore time went. Chunking keeps a hostile
-	// count from forcing a huge allocation before decoding fails.
-	nf := r.Count(8)
-	flowSlab := []FlowStats{}
-	t.flows = make(map[layers.FiveTuple]*FlowStats, nf)
-	for i := 0; i < nf; i++ {
-		if len(flowSlab) == 0 {
-			flowSlab = make([]FlowStats, min(nf-i, 4096))
-		}
-		f := &flowSlab[0]
-		flowSlab = flowSlab[1:]
-		k := decodeFlowStatsInto(r, f)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		t.flows[k] = f
-	}
+// StreamIDKey is the stream identifier as a keyed-collection key.
+var StreamIDKey = &statecodec.Key[MediaStreamID]{
+	Min: layers.TupleKey.Min + zoom.StreamKeyKey.Min, Compare: CompareStreamID,
+	Code: func(c *statecodec.Codec, id MediaStreamID) MediaStreamID { id.Code(c); return id }}
 
-	ns := r.Count(12)
-	streamSlab := []StreamStats{}
-	var subSlab []SubstreamStats
-	t.streams = make(map[MediaStreamID]*StreamStats, ns)
-	for i := 0; i < ns; i++ {
-		if len(streamSlab) == 0 {
-			streamSlab = make([]StreamStats, min(ns-i, 4096))
-		}
-		s := &streamSlab[0]
-		streamSlab = streamSlab[1:]
-		id := decodeStreamStatsInto(r, s, &subSlab)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		t.streams[id] = s
-	}
+var (
+	u8Key        = statecodec.UintKey[uint8]()
+	mediaTypeKey = statecodec.UintKey[zoom.MediaType]()
+	ptKeyKey     = &statecodec.Key[ptKey]{Min: 2,
+		Compare: func(a, b ptKey) int {
+			if a.mt != b.mt {
+				return int(a.mt) - int(b.mt)
+			}
+			return int(a.pt) - int(b.pt)
+		},
+		Code: func(c *statecodec.Codec, k ptKey) ptKey {
+			c.U8((*uint8)(&k.mt))
+			c.U8(&k.pt)
+			return k
+		}}
+)
 
-	t.decodeShareAggs(r)
-	return r.Err()
+func (a *shareAgg) code(c *statecodec.Codec) {
+	c.U64(&a.pkts)
+	c.U64(&a.bytes)
+}
+
+// Code walks the table through c: scalars and the evicted-entry share
+// aggregates whole (both are small), tombstones for the flows and
+// streams evicted since the last checkpoint encode, then the dirty
+// records. Limits are configuration, not state: a decoding pass keeps
+// whatever SetLimits installed on the receiver, so a checkpoint taken
+// under one deployment's caps restores cleanly under another's. The
+// caller owns chain integrity (a delta must follow the checkpoint the
+// table was restored from), must check DeltaOverflow before a delta
+// encode and MarkCheckpointed after any successful pass; a table whose
+// decoding pass failed holds partially applied state and must be
+// discarded.
+func (t *Table) Code(c *statecodec.Codec) {
+	c.U64(&t.totalPackets)
+	c.U64(&t.totalBytes)
+	c.U64(&t.ev.EvictedFlows)
+	c.U64(&t.ev.EvictedStreams)
+	c.U64(&t.ev.RejectedFlowPackets)
+	c.U64(&t.ev.RejectedStreamPackets)
+	c.U64(&t.ev.RejectedSubstreamPackets)
+
+	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) { delete(t.flows, k) })
+	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) { delete(t.streams, id) })
+
+	statecodec.Map(c, layers.TupleKey, &t.flows, nil,
+		func(_ layers.FiveTuple, f *FlowStats) bool { return f.dirty },
+		func(k layers.FiveTuple, f *FlowStats) {
+			f.Flow = k
+			c.Time(&f.FirstSeen)
+			c.Time(&f.LastSeen)
+			c.U64(&f.Packets)
+			c.U64(&f.WireBytes)
+			c.U64(&f.ServerBased)
+			c.U64(&f.P2P)
+			statecodec.MapVal(c, mediaTypeKey, &f.ByEncapType, func(_ zoom.MediaType, n uint64) uint64 {
+				c.U64(&n)
+				return n
+			})
+		})
+	statecodec.Map(c, StreamIDKey, &t.streams, nil,
+		func(_ MediaStreamID, s *StreamStats) bool { return s.dirty },
+		func(id MediaStreamID, s *StreamStats) {
+			s.ID = id
+			c.Time(&s.FirstSeen)
+			c.Time(&s.LastSeen)
+			c.U64(&s.Packets)
+			c.U64(&s.WireBytes)
+			c.U64(&s.MediaBytes)
+			c.U32(&s.FirstRTPTimestamp)
+			c.U32(&s.LastRTPTimestamp)
+			c.U16(&s.FirstSeq)
+			c.U16(&s.LastSeq)
+			c.U64(&s.RTCPPackets)
+			statecodec.Map(c, u8Key, &s.Substreams, nil, nil, func(pt uint8, sub *SubstreamStats) {
+				sub.PayloadType = pt
+				c.U64(&sub.Packets)
+				c.U64(&sub.Bytes)
+			})
+		})
+
+	statecodec.Map(c, mediaTypeKey, &t.evictedEncap, nil, nil, func(_ zoom.MediaType, a *shareAgg) { a.code(c) })
+	statecodec.Map(c, ptKeyKey, &t.evictedPT, nil, nil, func(_ ptKey, a *shareAgg) { a.code(c) })
 }

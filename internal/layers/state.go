@@ -5,28 +5,22 @@ import (
 )
 
 // Checkpoint codec for the identity types other layers key their state
-// by. FiveTuple has no behavior to separate — its state is itself — so
-// it carries no version byte; the containing layer's version governs.
+// by. FiveTuple has no behavior to separate — its state is itself.
 
-// EncodeTo appends the tuple's wire form to w.
-func (ft FiveTuple) EncodeTo(w *statecodec.Writer) {
-	w.Addr(ft.Src)
-	w.Addr(ft.Dst)
-	w.U16(ft.SrcPort)
-	w.U16(ft.DstPort)
-	w.U8(ft.Proto)
+// Code walks the tuple's fields through c.
+func (ft *FiveTuple) Code(c *statecodec.Codec) {
+	c.Addr(&ft.Src)
+	c.Addr(&ft.Dst)
+	c.U16(&ft.SrcPort)
+	c.U16(&ft.DstPort)
+	c.U8(&ft.Proto)
 }
 
-// DecodeFiveTuple reads a tuple written by EncodeTo.
-func DecodeFiveTuple(r *statecodec.Reader) FiveTuple {
-	return FiveTuple{
-		Src:     r.Addr(),
-		Dst:     r.Addr(),
-		SrcPort: r.U16(),
-		DstPort: r.U16(),
-		Proto:   r.U8(),
-	}
-}
+// TupleKey is the tuple as a keyed-collection key: the one place its
+// deterministic order and smallest encoding (two invalid addresses, two
+// ports, the protocol byte) are declared.
+var TupleKey = &statecodec.Key[FiveTuple]{Min: 5, Compare: FiveTuple.Compare,
+	Code: func(c *statecodec.Codec, ft FiveTuple) FiveTuple { ft.Code(c); return ft }}
 
 // Compare orders tuples lexicographically by (Src, Dst, SrcPort,
 // DstPort, Proto). Checkpoint encoders sort map keys with it so

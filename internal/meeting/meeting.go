@@ -25,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/rtp"
 	"zoomlens/internal/zoom"
@@ -79,7 +80,7 @@ type Dedup struct {
 	// Dropped counts stream records turned away at MaxStreams.
 	Dropped uint64
 
-	streams map[flowKey]*streamState
+	streams map[flow.MediaStreamID]*streamState
 	// bySSRC indexes live streams for copy lookup.
 	bySSRC map[zoom.StreamKey][]*streamState
 	nextID UnifiedID
@@ -91,17 +92,12 @@ type Dedup struct {
 	dirtySSRC map[zoom.StreamKey]struct{}
 }
 
-type flowKey struct {
-	flow layers.FiveTuple
-	key  zoom.StreamKey
-}
-
 // NewDedup returns a detector with the default windows.
 func NewDedup() *Dedup {
 	return &Dedup{
 		TSWindow:   2 * zoom.VideoClockRate,
 		TimeWindow: 10 * time.Second,
-		streams:    make(map[flowKey]*streamState),
+		streams:    make(map[flow.MediaStreamID]*streamState),
 		bySSRC:     make(map[zoom.StreamKey][]*streamState),
 	}
 }
@@ -109,7 +105,7 @@ func NewDedup() *Dedup {
 // Observe ingests one media packet observation and returns the unified
 // stream ID it belongs to.
 func (d *Dedup) Observe(o StreamObs) UnifiedID {
-	k := flowKey{o.Flow, o.Key}
+	k := flow.MediaStreamID{Flow: o.Flow, Key: o.Key}
 	if s, ok := d.streams[k]; ok {
 		s.lastSeen = o.Time
 		s.lastTS = o.TS

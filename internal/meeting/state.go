@@ -1,129 +1,80 @@
 package meeting
 
 import (
-	"slices"
-
-	"zoomlens/internal/layers"
+	"zoomlens/internal/flow"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
-// Checkpoint boundary for step-1 duplicate detection. The bySSRC index
-// lists are ORDER-SENSITIVE state: matchExisting's strict less-than gap
-// comparison favors earlier entries on ties, so the checkpoint stores
-// each list as indices into a deterministically sorted stream table,
-// preserving insertion order exactly. (The step-2 Grouper is rebuilt
-// from records on every Meetings() call and carries no state here.)
+// Checkpoint boundary for step-1 duplicate detection. A delta record
+// re-serializes only stream records whose dirty bit is set, plus the
+// bySSRC lists of SSRC keys whose membership changed; a full record is
+// the same walk with everything selected. Stream records are never
+// deleted from d.streams — Evict only unlinks them from the index — so
+// there are no tombstones. (The step-2 Grouper is rebuilt from records
+// on every Meetings() call and carries no state here.)
 
-// dedupStateV2 added the protocol byte inside every encoded
-// zoom.StreamKey (the rtcproto plugin refactor); V1 state is rejected
-// by version.
-const (
-	dedupStateV1 = 1
-	dedupStateV2 = 2
-)
-
-// State encodes the detector for a checkpoint.
-func (d *Dedup) State(w *statecodec.Writer) {
-	w.U8(dedupStateV2)
-	w.I64(d.TSWindow)
-	w.Duration(d.TimeWindow)
-	w.Int(d.MaxStreams)
-	w.U64(d.Dropped)
-	w.I64(int64(d.nextID))
-
-	// Stream table, sorted by (flow, key) for deterministic bytes; index
-	// positions are what the bySSRC lists reference.
-	keys := make([]flowKey, 0, len(d.streams))
-	for k := range d.streams {
-		keys = append(keys, k)
+func (d *Dedup) markSSRCDirty(k zoom.StreamKey) {
+	if !d.armed {
+		return
 	}
-	slices.SortFunc(keys, func(a, b flowKey) int {
-		if c := a.flow.Compare(b.flow); c != 0 {
-			return c
-		}
-		return a.key.Compare(b.key)
-	})
-	index := make(map[*streamState]int, len(keys))
-	w.Int(len(keys))
-	for i, k := range keys {
-		s := d.streams[k]
-		index[s] = i
-		s.flow.EncodeTo(w)
-		s.key.EncodeTo(w)
-		w.I64(int64(s.unified))
-		w.Time(s.firstSeen)
-		w.Time(s.lastSeen)
-		w.U32(s.firstTS)
-		w.U32(s.lastTS)
-		w.Bool(s.evicted)
+	if d.dirtySSRC == nil {
+		d.dirtySSRC = make(map[zoom.StreamKey]struct{})
 	}
-
-	ssrcKeys := make([]zoom.StreamKey, 0, len(d.bySSRC))
-	for k := range d.bySSRC {
-		ssrcKeys = append(ssrcKeys, k)
-	}
-	slices.SortFunc(ssrcKeys, zoom.StreamKey.Compare)
-	w.Int(len(ssrcKeys))
-	for _, k := range ssrcKeys {
-		k.EncodeTo(w)
-		list := d.bySSRC[k]
-		w.Int(len(list))
-		for _, s := range list {
-			w.Int(index[s])
-		}
-	}
+	d.dirtySSRC[k] = struct{}{}
 }
 
-// Restore rebuilds the detector from a checkpoint, replacing all state
-// including the tunable windows (they were live when the checkpoint was
-// taken and a mid-run change would alter linkage decisions).
-func (d *Dedup) Restore(r *statecodec.Reader) error {
-	r.Version("meeting.Dedup", dedupStateV2)
-	d.TSWindow = r.I64()
-	d.TimeWindow = r.Duration()
-	d.MaxStreams = r.Int()
-	d.Dropped = r.U64()
-	d.nextID = UnifiedID(r.I64())
-
-	n := r.Count(12)
-	d.streams = make(map[flowKey]*streamState, n)
-	table := make([]*streamState, 0, n)
-	for i := 0; i < n; i++ {
-		s := &streamState{}
-		s.flow = layers.DecodeFiveTuple(r)
-		s.key = zoom.DecodeStreamKey(r)
-		s.unified = UnifiedID(r.I64())
-		s.firstSeen = r.Time()
-		s.lastSeen = r.Time()
-		s.firstTS = r.U32()
-		s.lastTS = r.U32()
-		s.evicted = r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		d.streams[flowKey{s.flow, s.key}] = s
-		table = append(table, s)
+// MarkCheckpointed resets delta tracking after a checkpoint encode or
+// decode, arming the detector for the next delta.
+func (d *Dedup) MarkCheckpointed() {
+	for _, s := range d.streams {
+		s.dirty = false
 	}
+	clear(d.dirtySSRC)
+	d.armed = true
+}
 
-	nk := r.Count(4)
-	d.bySSRC = make(map[zoom.StreamKey][]*streamState, nk)
-	for i := 0; i < nk; i++ {
-		k := zoom.DecodeStreamKey(r)
-		nl := r.Count(1)
-		list := make([]*streamState, 0, nl)
-		for j := 0; j < nl; j++ {
-			idx := r.Int()
-			if r.Err() != nil {
-				return r.Err()
+// Code walks the detector through c, including the tunable windows
+// (they were live when the checkpoint was taken and a mid-run change
+// would alter linkage decisions). The bySSRC lists are ORDER-SENSITIVE
+// state: matchExisting's strict less-than gap comparison favors earlier
+// entries on ties, so each list is written as an ordered sequence of
+// (flow, key) references that a decoding pass resolves against the
+// stream table, preserving insertion order exactly; an empty list
+// (a dirty key no longer indexed) deletes the key. Callers must call MarkCheckpointed after a
+// successful pass; a detector whose decoding pass failed holds
+// partially applied state and must be discarded.
+func (d *Dedup) Code(c *statecodec.Codec) {
+	c.I64(&d.TSWindow)
+	c.Duration(&d.TimeWindow)
+	c.Int(&d.MaxStreams)
+	c.U64(&d.Dropped)
+	c.Int((*int)(&d.nextID))
+
+	statecodec.Map(c, flow.StreamIDKey, &d.streams, nil,
+		func(_ flow.MediaStreamID, s *streamState) bool { return s.dirty },
+		func(id flow.MediaStreamID, s *streamState) {
+			s.flow, s.key = id.Flow, id.Key
+			c.Int((*int)(&s.unified))
+			c.Time(&s.firstSeen)
+			c.Time(&s.lastSeen)
+			c.U32(&s.firstTS)
+			c.U32(&s.lastTS)
+			c.Bool(&s.evicted)
+		})
+
+	statecodec.MapSet(c, zoom.StreamKeyKey, &d.bySSRC, d.dirtySSRC, func(_ zoom.StreamKey, list []*streamState) ([]*streamState, bool) {
+		statecodec.Slice(c, &list, 0, func(s **streamState) {
+			var ref flow.MediaStreamID
+			if c.Encoding() {
+				ref = flow.MediaStreamID{Flow: (*s).flow, Key: (*s).key}
 			}
-			if idx < 0 || idx >= len(table) {
-				r.Failf("meeting.Dedup dangling stream index %d of %d", idx, len(table))
-				return r.Err()
+			if ref.Code(c); !c.Encoding() {
+				if *s = d.streams[ref]; *s == nil {
+					c.Failf("meeting.Dedup dangling stream ref %v", ref.Flow)
+				}
 			}
-			list = append(list, table[idx])
-		}
-		d.bySSRC[k] = list
-	}
-	return r.Err()
+		})
+		return list, len(list) > 0 && c.Err() == nil
+	})
 }

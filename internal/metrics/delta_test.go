@@ -21,11 +21,23 @@ func copyFlow(host byte, port uint16) layers.FiveTuple {
 	}
 }
 
+// matcherRecord is cm's full or delta record; applyMatcher decodes one
+// onto cm.
+func matcherRecord(cm *CopyMatcher, full bool) []byte {
+	var w statecodec.Writer
+	cm.Code(statecodec.NewEncoder(&w, full))
+	return w.Bytes()
+}
+
+func applyMatcher(cm *CopyMatcher, rec []byte) error {
+	c := statecodec.NewDecoder(statecodec.NewReader(rec))
+	cm.Code(c)
+	return c.Err()
+}
+
 func matcherState(t *testing.T, cm *CopyMatcher) []byte {
 	t.Helper()
-	var w statecodec.Writer
-	cm.State(&w)
-	return w.Bytes()
+	return matcherRecord(cm, true)
 }
 
 // Drive the matcher through samples, refreshes, and deletions; full
@@ -43,11 +55,10 @@ func TestCopyMatcherDeltaRoundTrip(t *testing.T) {
 		}
 	}
 
-	var full statecodec.Writer
-	live.State(&full)
+	full := matcherRecord(live, true)
 	live.MarkCheckpointed()
 	replica := NewCopyMatcher()
-	if err := replica.Restore(statecodec.NewReader(full.Bytes())); err != nil {
+	if err := applyMatcher(replica, full); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	replica.MarkCheckpointed()
@@ -66,10 +77,9 @@ func TestCopyMatcherDeltaRoundTrip(t *testing.T) {
 	if live.DeltaOverflow() {
 		t.Fatal("unexpected delta overflow")
 	}
-	var delta statecodec.Writer
-	live.StateDelta(&delta)
+	delta := matcherRecord(live, false)
 	live.MarkCheckpointed()
-	if err := replica.ApplyDelta(statecodec.NewReader(delta.Bytes())); err != nil {
+	if err := applyMatcher(replica, delta); err != nil {
 		t.Fatalf("apply delta: %v", err)
 	}
 	replica.MarkCheckpointed()
@@ -80,9 +90,7 @@ func TestCopyMatcherDeltaRoundTrip(t *testing.T) {
 
 	// A second delta on top must also converge (chain discipline).
 	live.Observe(meeting.UnifiedID(5), up, 110, 9000, 1, t0.Add(4*time.Second))
-	var d2 statecodec.Writer
-	live.StateDelta(&d2)
-	if err := replica.ApplyDelta(statecodec.NewReader(d2.Bytes())); err != nil {
+	if err := applyMatcher(replica, matcherRecord(live, false)); err != nil {
 		t.Fatalf("apply second delta: %v", err)
 	}
 	if !bytes.Equal(matcherState(t, live), matcherState(t, replica)) {
@@ -101,11 +109,10 @@ func TestCopyMatcherDeltaCarriesGCEvictions(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		live.Observe(1, up, 98, uint16(i), uint32(i), t0)
 	}
-	var full statecodec.Writer
-	live.State(&full)
+	full := matcherRecord(live, true)
 	live.MarkCheckpointed()
 	replica := NewCopyMatcher()
-	if err := replica.Restore(statecodec.NewReader(full.Bytes())); err != nil {
+	if err := applyMatcher(replica, full); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	replica.MarkCheckpointed()
@@ -119,9 +126,7 @@ func TestCopyMatcherDeltaCarriesGCEvictions(t *testing.T) {
 		t.Fatalf("gc did not run: %d pending", live.Pending())
 	}
 
-	var delta statecodec.Writer
-	live.StateDelta(&delta)
-	if err := replica.ApplyDelta(statecodec.NewReader(delta.Bytes())); err != nil {
+	if err := applyMatcher(replica, matcherRecord(live, false)); err != nil {
 		t.Fatalf("apply delta: %v", err)
 	}
 	if !bytes.Equal(matcherState(t, live), matcherState(t, replica)) {
@@ -136,27 +141,12 @@ func TestCopyMatcherDeltaBaseMismatch(t *testing.T) {
 	live.MarkCheckpointed()
 	live.Observe(1, up, 98, 7, 100, t0)
 	live.Observe(1, down, 98, 7, 100, t0.Add(time.Millisecond))
-	var delta statecodec.Writer
-	live.StateDelta(&delta)
+	delta := matcherRecord(live, false)
 
 	// A matcher with a different sample count is the wrong base.
 	other := NewCopyMatcher()
 	other.Samples = append(other.Samples, RTTSample{Time: t0, RTT: time.Millisecond, Unified: 9})
-	if err := other.ApplyDelta(statecodec.NewReader(delta.Bytes())); err == nil {
+	if err := applyMatcher(other, delta); err == nil {
 		t.Fatal("delta applied onto wrong sample baseline")
-	}
-}
-
-func TestCopyMatcherDisarmStopsTracking(t *testing.T) {
-	cm := NewCopyMatcher()
-	cm.MarkCheckpointed()
-	cm.Observe(1, copyFlow(2, 52000), 98, 1, 1, t0)
-	if len(cm.dirty) != 1 {
-		t.Fatalf("dirty = %d, want 1", len(cm.dirty))
-	}
-	cm.Disarm()
-	cm.Observe(1, copyFlow(2, 52000), 98, 2, 2, t0)
-	if cm.dirty != nil || cm.dead != nil {
-		t.Fatal("disarmed matcher kept tracking")
 	}
 }

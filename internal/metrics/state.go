@@ -1,14 +1,11 @@
 package metrics
 
 import (
-	"slices"
+	"cmp"
 	"time"
 
-	"zoomlens/internal/layers"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/rtp"
 	"zoomlens/internal/statecodec"
-	"zoomlens/internal/zoom"
 )
 
 // Checkpoint boundary for the metric accumulators. StreamMetrics is the
@@ -17,446 +14,285 @@ import (
 // models — and every piece is mid-computation state that must survive a
 // restore exactly for the byte-identical-report invariant to hold.
 
-const (
-	streamMetricsStateV1 = 1
-	copyMatcherStateV1   = 1
+var (
+	u8Key  = statecodec.UintKey[uint8]()
+	u16Key = statecodec.UintKey[uint16]()
+	u32Key = statecodec.UintKey[uint32]()
 )
 
-func putSeries(w *statecodec.Writer, s *Series) {
-	w.String(s.Name)
-	w.Int(len(s.Samples))
-	for _, sm := range s.Samples {
-		w.Time(sm.Time)
-		w.F64(sm.Value)
-	}
+func (s *Series) code(c *statecodec.Codec) {
+	c.String(&s.Name)
+	statecodec.Slice(c, &s.Samples, 0, func(sm *Sample) {
+		c.Time(&sm.Time)
+		c.F64(&sm.Value)
+	})
 }
 
-func getSeries(r *statecodec.Reader, s *Series) {
-	s.Name = r.String()
-	n := r.Count(9)
-	s.Samples = nil
-	if n > 0 {
-		s.Samples = make([]Sample, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		s.Samples = append(s.Samples, Sample{Time: r.Time(), Value: r.F64()})
-	}
-}
+// Code walks the stream analyzer through c. A decoding pass needs a
+// zero receiver and builds everything from the record (not via
+// NewStreamMetrics): every field, including the type-dependent
+// stall/talk models, comes from the state.
+func (sm *StreamMetrics) Code(c *statecodec.Codec) {
+	c.F64(&sm.ClockRate)
+	c.U8((*uint8)(&sm.MediaType))
+	c.Duration(&sm.MaxIdleGap)
+	c.Bool(&sm.finished)
 
-// State encodes the stream analyzer for a checkpoint.
-func (sm *StreamMetrics) State(w *statecodec.Writer) {
-	w.U8(streamMetricsStateV1)
-	w.F64(sm.ClockRate)
-	w.U8(uint8(sm.MediaType))
-	w.Duration(sm.MaxIdleGap)
-	w.Bool(sm.finished)
+	c.U64(&sm.Packets)
+	c.U64(&sm.MediaBytes)
+	c.U64(&sm.WireBytes)
+	c.U64(&sm.FramesTotal)
+	c.U64(&sm.FramesIncomplete)
 
-	w.U64(sm.Packets)
-	w.U64(sm.MediaBytes)
-	w.U64(sm.WireBytes)
-	w.U64(sm.FramesTotal)
-	w.U64(sm.FramesIncomplete)
+	sm.FrameRate.code(c)
+	sm.EncoderRate.code(c)
+	sm.FrameSize.code(c)
+	sm.FrameDelay.code(c)
+	sm.JitterMS.code(c)
+	sm.Packetization.code(c)
+	sm.MediaRate.code(c)
+	sm.WireRate.code(c)
 
-	putSeries(w, &sm.FrameRate)
-	putSeries(w, &sm.EncoderRate)
-	putSeries(w, &sm.FrameSize)
-	putSeries(w, &sm.FrameDelay)
-	putSeries(w, &sm.JitterMS)
-	putSeries(w, &sm.Packetization)
-	putSeries(w, &sm.MediaRate)
-	putSeries(w, &sm.WireRate)
+	c.Bool(&sm.haveBin)
+	c.Time(&sm.binStart)
+	c.U64(&sm.binWire)
+	c.U64(&sm.binMedia)
 
-	w.Bool(sm.haveBin)
-	w.Time(sm.binStart)
-	w.U64(sm.binWire)
-	w.U64(sm.binMedia)
+	statecodec.Slice(c, &sm.frameObs, 0, func(fo *FrameObservation) {
+		c.Time(&fo.At)
+		c.U32(&fo.TS)
+	})
 
-	w.Int(len(sm.frameObs))
-	for _, fo := range sm.frameObs {
-		w.Time(fo.At)
-		w.U32(fo.TS)
-	}
-
-	// The shared main-space sequence tracker encodes once; substreams
+	// The shared main-space sequence tracker is walked once; substreams
 	// record only whether they reference it.
-	w.Bool(sm.mainSeq != nil)
-	if sm.mainSeq != nil {
-		sm.mainSeq.State(w)
+	if statecodec.Ptr(c, &sm.mainSeq, rtp.NewSeqTracker) {
+		sm.mainSeq.Code(c)
+	}
+	if statecodec.Ptr(c, &sm.Stall, NewStallDetector) {
+		sm.Stall.code(c)
+	}
+	if statecodec.Ptr(c, &sm.Talk, NewTalkTracker) {
+		sm.Talk.code(c)
 	}
 
-	w.Bool(sm.Stall != nil)
-	if sm.Stall != nil {
-		sm.Stall.state(w)
-	}
-	w.Bool(sm.Talk != nil)
-	if sm.Talk != nil {
-		sm.Talk.state(w)
-	}
-
-	// Stack-backed scratch: substream counts are tiny, and a checkpoint
-	// walks tens of thousands of streams — per-stream heap slices here
-	// dominate encode time via GC pressure.
-	var ptScratch [16]uint8
-	pts := ptScratch[:0]
-	for pt := range sm.subs {
-		pts = append(pts, pt)
-	}
-	slices.Sort(pts)
-	w.Int(len(pts))
-	for _, pt := range pts {
-		st := sm.subs[pt]
-		w.U8(pt)
-		w.Bool(st.isMain)
-		if !st.isMain {
-			st.seq.State(w) // FEC substreams own their sequence space
-		}
-		w.Duration(st.window.window)
-		w.Int(len(st.window.times))
-		for _, t := range st.window.times {
-			w.Time(t)
-		}
-		w.U32(st.encoder.lastTS)
-		w.Bool(st.encoder.seen)
-		w.Bool(st.jitter != nil)
-		if st.jitter != nil {
-			st.jitter.State(w)
-		}
-		var tsScratch [64]uint32
-		tss := tsScratch[:0]
-		for ts := range st.tsSeen {
-			tss = append(tss, ts)
-		}
-		slices.Sort(tss)
-		w.Int(len(tss))
-		for _, ts := range tss {
-			w.U32(ts)
-		}
-		st.assembler.state(w)
-	}
-}
-
-// RestoreStreamMetrics rebuilds a stream analyzer from a checkpoint. All
-// construction happens here (not via NewStreamMetrics): every field,
-// including the type-dependent stall/talk models, comes from the state.
-func RestoreStreamMetrics(r *statecodec.Reader) (*StreamMetrics, error) {
-	sm := new(StreamMetrics)
-	if err := RestoreStreamMetricsInto(r, sm); err != nil {
-		return nil, err
-	}
-	return sm, nil
-}
-
-// RestoreStreamMetricsInto is RestoreStreamMetrics decoding into
-// caller-provided (typically slab-allocated) storage: a checkpoint
-// restore walks tens of thousands of streams, and the per-stream struct
-// allocation dominates restore GC pressure when each one is separate.
-// Any previous contents of sm are discarded.
-func RestoreStreamMetricsInto(r *statecodec.Reader, sm *StreamMetrics) error {
-	r.Version("metrics.StreamMetrics", streamMetricsStateV1)
-	*sm = StreamMetrics{subs: make(map[uint8]*substreamState)}
-	sm.ClockRate = r.F64()
-	sm.MediaType = zoom.MediaType(r.U8())
-	sm.MaxIdleGap = r.Duration()
-	sm.finished = r.Bool()
-
-	sm.Packets = r.U64()
-	sm.MediaBytes = r.U64()
-	sm.WireBytes = r.U64()
-	sm.FramesTotal = r.U64()
-	sm.FramesIncomplete = r.U64()
-
-	getSeries(r, &sm.FrameRate)
-	getSeries(r, &sm.EncoderRate)
-	getSeries(r, &sm.FrameSize)
-	getSeries(r, &sm.FrameDelay)
-	getSeries(r, &sm.JitterMS)
-	getSeries(r, &sm.Packetization)
-	getSeries(r, &sm.MediaRate)
-	getSeries(r, &sm.WireRate)
-
-	sm.haveBin = r.Bool()
-	sm.binStart = r.Time()
-	sm.binWire = r.U64()
-	sm.binMedia = r.U64()
-
-	nfo := r.Count(5)
-	if nfo > 0 {
-		sm.frameObs = make([]FrameObservation, 0, nfo)
-	}
-	for i := 0; i < nfo; i++ {
-		sm.frameObs = append(sm.frameObs, FrameObservation{At: r.Time(), TS: r.U32()})
-	}
-
-	if r.Bool() {
-		sm.mainSeq = rtp.NewSeqTracker()
-		if err := sm.mainSeq.Restore(r); err != nil {
-			return err
-		}
-	}
-	if r.Bool() {
-		sm.Stall = NewStallDetector()
-		if err := sm.Stall.restore(r); err != nil {
-			return err
-		}
-	}
-	if r.Bool() {
-		sm.Talk = NewTalkTracker()
-		if err := sm.Talk.restore(r); err != nil {
-			return err
-		}
-	}
-
-	nsubs := r.Count(8)
-	for i := 0; i < nsubs; i++ {
-		pt := r.U8()
-		st := newSubBlock(sm.ClockRate)
-		st.isMain = r.Bool()
+	statecodec.Map(c, u8Key, &sm.subs, sm.newSub, nil, func(pt uint8, st *substreamState) {
+		c.Bool(&st.isMain)
 		if st.isMain {
-			if sm.mainSeq == nil {
-				r.Failf("metrics.StreamMetrics main substream %d without shared tracker", pt)
-				return r.Err()
+			if st.seq = sm.mainSeq; st.seq == nil {
+				c.Failf("metrics.StreamMetrics main substream %d without shared tracker", pt)
+				return
 			}
-			st.seq = sm.mainSeq
 		} else {
-			st.seq = rtp.NewSeqTracker()
-			if err := st.seq.Restore(r); err != nil {
-				return err
+			// FEC substreams own their sequence space.
+			if st.seq == nil {
+				st.seq = rtp.NewSeqTracker()
 			}
+			st.seq.Code(c)
 		}
-		if d := r.Duration(); d > 0 {
-			st.window.window = d
+		if c.Duration(&st.window.window); st.window.window <= 0 {
+			st.window.window = time.Second
 		}
-		nt := r.Count(3)
-		if nt > 0 {
-			st.window.times = make([]time.Time, 0, nt)
+		statecodec.Slice(c, &st.window.times, 0, c.Time)
+		c.U32(&st.encoder.lastTS)
+		c.Bool(&st.encoder.seen)
+		if statecodec.Ptr(c, &st.jitter, func() *rtp.Jitter { return new(rtp.Jitter) }) {
+			st.jitter.Code(c)
 		}
-		for j := 0; j < nt; j++ {
-			st.window.times = append(st.window.times, r.Time())
-		}
-		st.encoder.lastTS = r.U32()
-		st.encoder.seen = r.Bool()
-		if r.Bool() {
-			st.jitter = &rtp.Jitter{}
-			if err := st.jitter.Restore(r); err != nil {
-				return err
-			}
-		}
-		nts := r.Count(1)
-		if nts > 0 {
-			st.tsSeen = make(map[uint32]struct{}, nts)
-		}
-		for j := 0; j < nts; j++ {
-			st.tsSeen[r.U32()] = struct{}{}
-		}
-		st.assembler.OnFrame = func(f Frame, complete bool) {
-			sm.onFrame(st, f, complete)
-		}
-		if err := st.assembler.restore(r); err != nil {
-			return err
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		sm.subs[pt] = st
-	}
-	return r.Err()
+		statecodec.MapVal(c, u32Key, &st.tsSeen, nil)
+		st.assembler.code(c)
+	})
 }
 
-func (a *FrameAssembler) state(w *statecodec.Writer) {
-	w.Int(a.MaxOpenFrames)
-	w.U32(a.lastTS)
-	w.Bool(a.seen)
+func (a *FrameAssembler) code(c *statecodec.Codec) {
+	c.Int(&a.MaxOpenFrames)
+	c.U32(&a.lastTS)
+	c.Bool(&a.seen)
 	// Open frames in insertion (order-slice) order: flushOldest evicts
 	// the head, so the order is behavioral state.
-	w.Int(len(a.order))
-	for _, ts := range a.order {
-		of := a.open[ts]
-		w.U32(ts)
-		w.U16(of.frame.FrameSequence)
-		w.Time(of.frame.FirstPacket)
-		w.Time(of.frame.Completed)
-		w.Int(of.frame.Packets)
-		w.Int(of.frame.ExpectedPackets)
-		w.Int(of.frame.Bytes)
-		w.Bool(of.frame.SawMarker)
-		// Serialize in sorted order (not arrival order) so the encoding is
-		// canonical; dup detection is order-independent on restore.
-		var seqScratch [32]uint16
-		seqs := append(seqScratch[:0], of.seqs...)
-		slices.Sort(seqs)
-		w.Int(len(seqs))
-		for _, s := range seqs {
-			w.U16(s)
+	statecodec.Slice(c, &a.order, 0, func(ts *uint32) {
+		c.U32(ts)
+		of := a.open[*ts]
+		if !c.Encoding() {
+			if of != nil {
+				c.Failf("metrics.FrameAssembler duplicate open frame %d", *ts)
+				return
+			}
+			if a.open == nil {
+				a.open = make(map[uint32]*openFrame)
+			}
+			of = &openFrame{frame: Frame{RTPTimestamp: *ts}}
+			a.open[*ts] = of
 		}
-	}
+		c.U16(&of.frame.FrameSequence)
+		c.Time(&of.frame.FirstPacket)
+		c.Time(&of.frame.Completed)
+		c.Int(&of.frame.Packets)
+		c.Int(&of.frame.ExpectedPackets)
+		c.Int(&of.frame.Bytes)
+		c.Bool(&of.frame.SawMarker)
+		// The distinct sequence numbers seen are written sorted, not in
+		// arrival order, so the encoding is canonical; dup detection is
+		// order-independent on restore.
+		statecodec.Keys(c, u16Key, of.seqs, func(s uint16) {
+			if !c.Encoding() {
+				of.seqs = append(of.seqs, s)
+			}
+		})
+	})
 }
 
-func (a *FrameAssembler) restore(r *statecodec.Reader) error {
-	a.MaxOpenFrames = r.Int()
-	a.lastTS = r.U32()
-	a.seen = r.Bool()
-	n := r.Count(10)
-	a.open = nil
-	if n > 0 {
-		a.open = make(map[uint32]*openFrame, n)
+func (d *StallDetector) code(c *statecodec.Codec) {
+	c.Duration(&d.InitialBuffer)
+	c.Duration(&d.ResumeThreshold)
+	statecodec.Slice(c, &d.Events, 0, func(e *StallEvent) {
+		c.Time(&e.Start)
+		c.Duration(&e.Duration)
+		c.Int(&e.FramesLate)
+	})
+	c.Bool(&d.started)
+	c.Duration(&d.buffer)
+	c.Bool(&d.stalled)
+	c.Time(&d.stallAt)
+	c.Int(&d.lateRun)
+	c.Time(&d.lastSeen)
+}
+
+func (t *TalkTracker) code(c *statecodec.Codec) {
+	c.Duration(&t.MergeGap)
+	statecodec.Slice(c, &t.segments, 0, func(s *TalkSegment) {
+		c.Time(&s.Start)
+		c.Time(&s.End)
+	})
+	c.Bool(&t.open)
+	c.Time(&t.start)
+	c.Time(&t.last)
+	c.U64(&t.speakingPkts)
+	c.U64(&t.silentPkts)
+	c.U64(&t.unknownPkts)
+	c.Time(&t.firstSeen)
+	c.Time(&t.lastSeen)
+}
+
+// The copy matcher's state is a pending map (bounded by MaxPending, but
+// at the cap that is still tens of thousands of entries to sort and
+// re-serialize) plus an append-only Samples slice; writing both whole
+// into every delta record made the matcher the dominant cost of an
+// otherwise churn-proportional delta. Instead the matcher tracks, while
+// armed, which pending keys were upserted (dirty) or deleted (dead)
+// since the last checkpoint encode, and remembers the Samples length at
+// that encode — Samples only ever grows, so a delta carries just the
+// tail.
+
+// maxCopyDelta bounds the mutation backlog a delta is willing to carry;
+// past it the matcher flags overflow and the owner falls back to a full
+// snapshot (which resets everything).
+const maxCopyDelta = 1 << 20
+
+// touch records an upsert of k while armed. A key can flip between the
+// dirty and dead sets (matched then re-observed before the next
+// checkpoint); the sets stay disjoint so apply order cannot matter.
+func (cm *CopyMatcher) touch(k copyKey) {
+	if !cm.armed || cm.overflow {
+		return
 	}
-	a.order = nil
-	if n > 0 {
-		a.order = make([]uint32, 0, n)
+	delete(cm.dead, k)
+	if len(cm.dirty) >= maxCopyDelta {
+		cm.overflow = true
+		return
 	}
-	for i := 0; i < n; i++ {
-		ts := r.U32()
-		of := &openFrame{frame: Frame{RTPTimestamp: ts}}
-		of.frame.FrameSequence = r.U16()
-		of.frame.FirstPacket = r.Time()
-		of.frame.Completed = r.Time()
-		of.frame.Packets = r.Int()
-		of.frame.ExpectedPackets = r.Int()
-		of.frame.Bytes = r.Int()
-		of.frame.SawMarker = r.Bool()
-		ns := r.Count(1)
-		if ns > 0 {
-			of.seqs = make([]uint16, 0, ns)
+	if cm.dirty == nil {
+		cm.dirty = make(map[copyKey]struct{})
+	}
+	cm.dirty[k] = struct{}{}
+}
+
+// bury records a deletion of k while armed.
+func (cm *CopyMatcher) bury(k copyKey) {
+	if !cm.armed || cm.overflow {
+		return
+	}
+	delete(cm.dirty, k)
+	if len(cm.dead) >= maxCopyDelta {
+		cm.overflow = true
+		return
+	}
+	if cm.dead == nil {
+		cm.dead = make(map[copyKey]struct{})
+	}
+	cm.dead[k] = struct{}{}
+}
+
+// DeltaOverflow reports whether the mutation backlog outgrew what a
+// delta can carry; the owner must fall back to a full snapshot.
+func (cm *CopyMatcher) DeltaOverflow() bool { return cm.overflow }
+
+// MarkCheckpointed resets delta tracking after a checkpoint encode or
+// decode: the current state is fully captured, so the mutation sets
+// clear, the Samples baseline re-anchors, and the matcher arms for the
+// next delta.
+func (cm *CopyMatcher) MarkCheckpointed() {
+	clear(cm.dirty)
+	clear(cm.dead)
+	cm.ckSamples = len(cm.Samples)
+	cm.overflow = false
+	cm.armed = true
+}
+
+var copyKeyKey = &statecodec.Key[copyKey]{Min: 4,
+	Compare: func(a, b copyKey) int {
+		if c := cmp.Compare(a.unified, b.unified); c != 0 {
+			return c
 		}
-		for j := 0; j < ns; j++ {
-			of.seqs = append(of.seqs, r.U16())
+		if a.pt != b.pt {
+			return int(a.pt) - int(b.pt)
 		}
-		if r.Err() != nil {
-			return r.Err()
+		if a.seq != b.seq {
+			return int(a.seq) - int(b.seq)
 		}
-		a.open[ts] = of
-		a.order = append(a.order, ts)
-	}
-	return r.Err()
-}
+		return cmp.Compare(a.ts, b.ts)
+	},
+	Code: func(c *statecodec.Codec, k copyKey) copyKey {
+		c.Int((*int)(&k.unified))
+		c.U8(&k.pt)
+		c.U16(&k.seq)
+		c.U32(&k.ts)
+		return k
+	}}
 
-func (d *StallDetector) state(w *statecodec.Writer) {
-	w.Duration(d.InitialBuffer)
-	w.Duration(d.ResumeThreshold)
-	w.Int(len(d.Events))
-	for _, e := range d.Events {
-		w.Time(e.Start)
-		w.Duration(e.Duration)
-		w.Int(e.FramesLate)
-	}
-	w.Bool(d.started)
-	w.Duration(d.buffer)
-	w.Bool(d.stalled)
-	w.Time(d.stallAt)
-	w.Int(d.lateRun)
-	w.Time(d.lastSeen)
-}
+// Code walks the copy matcher through c. Pending observations are live
+// latency state: a downlink copy arriving after restore must still pair
+// with its uplink observation from before the checkpoint. The record
+// carries the Samples baseline its tail extends (0 for a full record),
+// so applying a delta to the wrong base state fails loudly. Callers
+// must check DeltaOverflow before a delta encode and call
+// MarkCheckpointed after any successful pass; a matcher whose decoding
+// pass failed may be partially mutated and must be discarded.
+func (cm *CopyMatcher) Code(c *statecodec.Codec) {
+	c.Duration(&cm.MaxAge)
+	c.Int(&cm.MaxPending)
 
-func (d *StallDetector) restore(r *statecodec.Reader) error {
-	d.InitialBuffer = r.Duration()
-	d.ResumeThreshold = r.Duration()
-	n := r.Count(3)
-	d.Events = nil
-	if n > 0 {
-		d.Events = make([]StallEvent, 0, n)
+	base := cm.ckSamples
+	if c.Full() {
+		base = 0
 	}
-	for i := 0; i < n; i++ {
-		d.Events = append(d.Events, StallEvent{Start: r.Time(), Duration: r.Duration(), FramesLate: r.Int()})
+	if c.Int(&base); !c.Encoding() && base != len(cm.Samples) {
+		c.Failf("metrics.CopyMatcher baseline %d samples does not match matcher at %d samples", base, len(cm.Samples))
+		return
 	}
-	d.started = r.Bool()
-	d.buffer = r.Duration()
-	d.stalled = r.Bool()
-	d.stallAt = r.Time()
-	d.lateRun = r.Int()
-	d.lastSeen = r.Time()
-	return r.Err()
-}
+	statecodec.Slice(c, &cm.Samples, base, func(s *RTTSample) {
+		c.Time(&s.Time)
+		c.Duration(&s.RTT)
+		c.Int((*int)(&s.Unified))
+	})
 
-func (t *TalkTracker) state(w *statecodec.Writer) {
-	w.Duration(t.MergeGap)
-	w.Int(len(t.segments))
-	for _, s := range t.segments {
-		w.Time(s.Start)
-		w.Time(s.End)
+	dead := make([]copyKey, 0, len(cm.dead))
+	for k := range cm.dead {
+		dead = append(dead, k)
 	}
-	w.Bool(t.open)
-	w.Time(t.start)
-	w.Time(t.last)
-	w.U64(t.speakingPkts)
-	w.U64(t.silentPkts)
-	w.U64(t.unknownPkts)
-	w.Time(t.firstSeen)
-	w.Time(t.lastSeen)
-}
-
-func (t *TalkTracker) restore(r *statecodec.Reader) error {
-	t.MergeGap = r.Duration()
-	n := r.Count(2)
-	t.segments = nil
-	if n > 0 {
-		t.segments = make([]TalkSegment, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		t.segments = append(t.segments, TalkSegment{Start: r.Time(), End: r.Time()})
-	}
-	t.open = r.Bool()
-	t.start = r.Time()
-	t.last = r.Time()
-	t.speakingPkts = r.U64()
-	t.silentPkts = r.U64()
-	t.unknownPkts = r.U64()
-	t.firstSeen = r.Time()
-	t.lastSeen = r.Time()
-	return r.Err()
-}
-
-// State encodes the copy matcher for a checkpoint. Pending observations
-// are live latency state: a downlink copy arriving after restore must
-// still pair with its uplink observation from before the checkpoint.
-func (cm *CopyMatcher) State(w *statecodec.Writer) {
-	w.U8(copyMatcherStateV1)
-	w.Duration(cm.MaxAge)
-	w.Int(cm.MaxPending)
-	w.Int(len(cm.Samples))
-	for _, s := range cm.Samples {
-		w.Time(s.Time)
-		w.Duration(s.RTT)
-		w.I64(int64(s.Unified))
-	}
-	keys := make([]copyKey, 0, len(cm.pending))
-	for k := range cm.pending {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareCopyKey)
-	w.Int(len(keys))
-	for _, k := range keys {
-		o := cm.pending[k]
-		w.I64(int64(k.unified))
-		w.U8(k.pt)
-		w.U16(k.seq)
-		w.U32(k.ts)
-		w.Time(o.at)
-		o.flow.EncodeTo(w)
-	}
-}
-
-// Restore rebuilds the matcher from a checkpoint, replacing all state.
-func (cm *CopyMatcher) Restore(r *statecodec.Reader) error {
-	r.Version("metrics.CopyMatcher", copyMatcherStateV1)
-	cm.MaxAge = r.Duration()
-	cm.MaxPending = r.Int()
-	n := r.Count(3)
-	cm.Samples = nil
-	if n > 0 {
-		cm.Samples = make([]RTTSample, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		cm.Samples = append(cm.Samples, RTTSample{Time: r.Time(), RTT: r.Duration(), Unified: meeting.UnifiedID(r.I64())})
-	}
-	np := r.Count(12)
-	cm.pending = make(map[copyKey]obs, np)
-	for i := 0; i < np; i++ {
-		k := copyKey{unified: meeting.UnifiedID(r.I64()), pt: r.U8(), seq: r.U16(), ts: r.U32()}
-		o := obs{at: r.Time(), flow: layers.DecodeFiveTuple(r)}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		cm.pending[k] = o
-	}
-	return r.Err()
+	statecodec.Tombstones(c, copyKeyKey, dead, func(k copyKey) { delete(cm.pending, k) })
+	statecodec.MapSet(c, copyKeyKey, &cm.pending, cm.dirty, func(_ copyKey, o obs) (obs, bool) {
+		c.Time(&o.at)
+		o.flow.Code(c)
+		return o, true
+	})
 }

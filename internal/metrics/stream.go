@@ -221,25 +221,29 @@ type subBlock struct {
 	assembler FrameAssembler
 }
 
-// newSubBlock returns a substream with window/encoder/assembler wired to
-// block-mates. The caller fills in isMain, seq, jitter, and the
-// assembler's OnFrame.
-func newSubBlock(clockRate float64) *substreamState {
+// newSub returns a substream with window/encoder/assembler wired to
+// block-mates and completed frames delivered to sm. The caller fills in
+// isMain, seq, and jitter.
+func (sm *StreamMetrics) newSub() *substreamState {
 	b := &subBlock{
 		window:    FrameRateWindow{window: time.Second},
-		encoder:   EncoderFrameRate{clockRate: clockRate},
+		encoder:   EncoderFrameRate{clockRate: sm.ClockRate},
 		assembler: FrameAssembler{MaxOpenFrames: 64},
 	}
 	b.st.window = &b.window
 	b.st.encoder = &b.encoder
 	b.st.assembler = &b.assembler
-	return &b.st
+	st := &b.st
+	b.assembler.OnFrame = func(f Frame, complete bool) {
+		sm.onFrame(st, f, complete)
+	}
+	return st
 }
 
 func (sm *StreamMetrics) sub(pt uint8) *substreamState {
 	st := sm.subs[pt]
 	if st == nil {
-		st = newSubBlock(sm.ClockRate)
+		st = sm.newSub()
 		st.isMain = !zoom.ClassifySubstream(sm.MediaType, pt).IsFEC()
 		// Sequence-number spaces: FEC uses its own sequence numbers; all
 		// other substreams of a stream share one space (§4.2.3 — audio
@@ -255,9 +259,6 @@ func (sm *StreamMetrics) sub(pt uint8) *substreamState {
 		}
 		if sm.ClockRate > 0 {
 			st.jitter = rtp.NewJitter(sm.ClockRate)
-		}
-		st.assembler.OnFrame = func(f Frame, complete bool) {
-			sm.onFrame(st, f, complete)
 		}
 		sm.subs[pt] = st
 	}

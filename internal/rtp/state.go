@@ -1,86 +1,39 @@
 package rtp
 
 import (
-	"slices"
-
 	"zoomlens/internal/statecodec"
 )
 
 // Checkpoint boundary for the RTP accumulators: the sequence tracker
 // and the jitter estimator are the innermost mutable state of every
-// metric engine, so they serialize here and the metrics layer composes
+// metric engine, so they are walked here and the metrics layer composes
 // them.
 
-const (
-	seqTrackerStateV1 = 1
-	jitterStateV1     = 1
-)
+var seqKey = statecodec.UintKey[uint32]()
 
-// State encodes the tracker for a checkpoint. The seen-window set is
-// written sorted so identical state yields identical bytes.
-func (t *SeqTracker) State(w *statecodec.Writer) {
-	w.U8(seqTrackerStateV1)
-	w.Bool(t.started)
-	w.U16(t.maxSeq)
-	w.U32(t.cycles)
-	w.U64(t.received)
-	w.U64(t.dups)
-	w.U64(t.reorder)
-	w.U32(t.baseExt)
-	w.U32(t.seenWindow)
-	var keyScratch [64]uint32
-	keys := keyScratch[:0]
-	for k := range t.seen {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U32(k)
-	}
+// Code walks the tracker's fields through c.
+func (t *SeqTracker) Code(c *statecodec.Codec) {
+	c.Bool(&t.started)
+	c.U16(&t.maxSeq)
+	c.U32(&t.cycles)
+	c.U64(&t.received)
+	c.U64(&t.dups)
+	c.U64(&t.reorder)
+	c.U32(&t.baseExt)
+	c.U32(&t.seenWindow)
+	statecodec.MapVal(c, seqKey, &t.seen, nil)
 }
 
-// Restore rebuilds the tracker from a checkpoint, replacing all state.
-func (t *SeqTracker) Restore(r *statecodec.Reader) error {
-	r.Version("rtp.SeqTracker", seqTrackerStateV1)
-	t.started = r.Bool()
-	t.maxSeq = r.U16()
-	t.cycles = r.U32()
-	t.received = r.U64()
-	t.dups = r.U64()
-	t.reorder = r.U64()
-	t.baseExt = r.U32()
-	t.seenWindow = r.U32()
-	n := r.Count(1)
-	t.seen = make(map[uint32]struct{}, n)
-	for i := 0; i < n; i++ {
-		t.seen[r.U32()] = struct{}{}
+// Code walks the estimator's fields through c. The clock rate is part
+// of the state: a decoding pass rebuilds the estimator without needing
+// the constructor arguments.
+func (j *Jitter) Code(c *statecodec.Codec) {
+	c.F64(&j.clockRate)
+	c.Bool(&j.started)
+	c.F64(&j.prevR)
+	c.U32(&j.prevS)
+	c.F64(&j.j)
+	if c.Err() == nil && !(j.clockRate > 0) {
+		c.Failf("rtp.Jitter clock rate %v", j.clockRate)
 	}
-	return r.Err()
-}
-
-// State encodes the estimator for a checkpoint. The clock rate is part
-// of the state: Restore rebuilds the estimator without needing the
-// constructor arguments.
-func (j *Jitter) State(w *statecodec.Writer) {
-	w.U8(jitterStateV1)
-	w.F64(j.clockRate)
-	w.Bool(j.started)
-	w.F64(j.prevR)
-	w.U32(j.prevS)
-	w.F64(j.j)
-}
-
-// Restore rebuilds the estimator from a checkpoint.
-func (j *Jitter) Restore(r *statecodec.Reader) error {
-	r.Version("rtp.Jitter", jitterStateV1)
-	j.clockRate = r.F64()
-	j.started = r.Bool()
-	j.prevR = r.F64()
-	j.prevS = r.U32()
-	j.j = r.F64()
-	if r.Err() == nil && !(j.clockRate > 0) {
-		r.Failf("rtp.Jitter clock rate %v", j.clockRate)
-	}
-	return r.Err()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 
@@ -49,6 +50,27 @@ type Meeting struct {
 	// P2PSwitchDelay is how long after the second join the direct
 	// connection activates ("within tens of seconds").
 	P2PSwitchDelay time.Duration
+	// stunSeq counts the STUN transactions this meeting has started.
+	stunSeq uint64
+}
+
+// nextTransactionID derives the next STUN transaction ID from (world
+// seed, meeting, per-meeting counter) by two rounds of the splitmix64
+// finalizer, so a seeded trace is reproducible byte for byte. It draws
+// from no rng stream: everything else a seed generates is unaffected.
+func (m *Meeting) nextTransactionID() stun.TransactionID {
+	mix := func(x uint64) uint64 {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		return x ^ x>>31
+	}
+	m.stunSeq++
+	hi := mix(uint64(m.w.Opts.Seed) ^ uint64(m.id)<<32 ^ m.stunSeq)
+	var id stun.TransactionID
+	binary.BigEndian.PutUint64(id[:8], hi)
+	binary.BigEndian.PutUint32(id[8:], uint32(mix(hi)))
+	return id
 }
 
 // ID returns the meeting's simulator-internal identifier (not present in
@@ -229,7 +251,7 @@ func (c *Client) sendSTUN() {
 	for i := 0; i < 3; i++ {
 		delay := time.Duration(i) * 200 * time.Millisecond
 		w.Eng.After(delay, func() {
-			tid := stun.NewTransactionID()
+			tid := c.meeting.nextTransactionID()
 			req := stun.NewBindingRequest(tid)
 			frame := c.builder.BuildUDP(src, zc, 64, req.Marshal())
 			p := w.pathToSFU(c)
@@ -262,7 +284,7 @@ func (c *Client) sendICESTUN() {
 	for i := 0; i < 3; i++ {
 		delay := time.Duration(i) * 150 * time.Millisecond
 		w.Eng.After(delay, func() {
-			tid := stun.NewTransactionID()
+			tid := c.meeting.nextTransactionID()
 			req := stun.NewBindingRequest(tid)
 			frame := c.builder.BuildUDP(src, srv, 64, req.Marshal())
 			p := w.pathToSFU(c)

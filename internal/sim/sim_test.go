@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"testing"
 	"time"
 
@@ -349,21 +350,42 @@ func TestQoSLatencyHeldForFiveSeconds(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossRuns holds a seed to its whole output: packet and
+// byte counts, and every frame byte the monitor sees — including the
+// STUN transaction IDs of a P2P exchange, which used to come from
+// crypto/rand and made two runs of one seed differ.
 func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() (uint64, uint64) {
+	run := func() (uint64, uint64, [sha256.Size]byte, int) {
 		opts := DefaultOptions()
 		opts.Seed = 77
 		w := NewWorld(opts)
 		m := w.NewMeeting()
+		m.EnableP2P(4 * time.Second)
 		m.Join(w.NewClient("a", true), DefaultMediaSet())
-		m.Join(w.NewClient("b", true), DefaultMediaSet())
+		m.Join(w.NewClient("b", false), DefaultMediaSet())
+		h := sha256.New()
+		stuns := 0
+		parser := &layers.Parser{}
+		w.Monitor = func(at time.Time, frame []byte) {
+			h.Write(frame)
+			var pkt layers.Packet
+			if parser.Parse(frame, &pkt) == nil && pkt.HasUDP && stun.Is(pkt.Payload) {
+				stuns++
+			}
+		}
 		w.Run(opts.Start.Add(10 * time.Second))
-		return w.MonitorPackets, w.MonitorBytes
+		return w.MonitorPackets, w.MonitorBytes, [sha256.Size]byte(h.Sum(nil)), stuns
 	}
-	p1, b1 := run()
-	p2, b2 := run()
+	p1, b1, h1, s1 := run()
+	p2, b2, h2, _ := run()
 	if p1 != p2 || b1 != b2 {
 		t.Errorf("non-deterministic: (%d,%d) vs (%d,%d)", p1, b1, p2, b2)
+	}
+	if s1 == 0 {
+		t.Fatal("no STUN exchange crossed the monitor; the frame digest proves nothing about transaction IDs")
+	}
+	if h1 != h2 {
+		t.Errorf("same seed, different frame bytes: %x vs %x", h1[:8], h2[:8])
 	}
 }
 

@@ -1,37 +1,60 @@
 // Package statecodec is the compact binary codec behind the analyzer's
-// checkpoint/restore boundary: every stateful layer encodes its pure
-// state through a Writer and rebuilds it through a Reader. The format is
-// length-prefixed and reflection-free — plain append/slice operations on
-// the hot path — so a 10k-stream checkpoint encodes in milliseconds.
+// checkpoint/restore boundary. The format is length-prefixed and
+// reflection-free — plain append/slice operations on the hot path — so
+// a 10k-stream checkpoint encodes in milliseconds.
 //
-// Conventions shared by every layer:
+// A layer lists its fields once. Every stateful layer has one method
+// that walks its fields through a Codec, which either wraps a Writer
+// (the pass encodes) or a Reader (the pass decodes): c.U64(&t.total)
+// writes the field in one direction and assigns it in the other, so the
+// two directions cannot drift apart and a new field is one line. The
+// collection helpers (Map, MapVal, MapSet, Keys, Tombstones, Slice)
+// own everything that used to be repeated per layer: deterministic key
+// order, the hostile-count guard, chunked slab allocation, and the
+// rejection of duplicate or unsorted keys. Writer and Reader remain for
+// callers that handle a value at a time (file headers, the ZLOB
+// observation log); the wire primitives exist once, in the Codec.
 //
-//   - Each layer's State() starts with a one-byte format version; its
-//     Restore() rejects versions it does not know. Bumping a layer's
-//     version invalidates only checkpoints containing that layer.
+// A full record is a delta with everything dirty. A delta pass writes,
+// per keyed collection, tombstones for the records deleted since the
+// last checkpoint and then the dirty records whole; a full pass
+// (NewEncoder's full flag) is the same walk with every record selected,
+// no tombstones and append-only baselines at 0. Decoding does not
+// distinguish the two: tombstones delete, records upsert, tails append
+// — onto a freshly built layer for a full record, onto the layer at the
+// record's base for a delta.
+//
+// Conventions:
+//
+//   - No layer carries a version byte of its own: the checkpoint
+//     payload's single version covers every layer's field list, and
+//     changing any list means bumping it.
 //   - Unsigned integers use uvarint; signed use zigzag varint; floats
 //     are fixed 8-byte IEEE bit patterns (exact round trip, bit for
 //     bit — the byte-identical-report invariant depends on it).
-//   - Collections are written as a count followed by the elements, in a
-//     deterministic (sorted or insertion) order chosen by the layer, so
-//     identical state always produces identical checkpoint bytes.
-//   - The Reader is hostile-input safe: it never panics, never
+//   - Collections are written as a count followed by the elements;
+//     keyed collections in strictly ascending key order, so identical
+//     state always produces identical checkpoint bytes.
+//   - Decoding is hostile-input safe: it never panics, never
 //     over-allocates (counts are validated against the bytes actually
-//     remaining), and goes sticky on the first error so decode code can
-//     run straight-line and check Err() once at the end.
+//     remaining, and slices and slabs grow a chunk at a time), and goes
+//     sticky on the first error so a walk can run straight-line and the
+//     caller checks Err() once at the end.
 package statecodec
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"time"
 )
 
-// ErrCorrupt is wrapped by every Reader failure: truncated input,
-// over-long counts, or malformed values.
+// ErrCorrupt is wrapped by every decoding failure: truncated input,
+// over-long counts, unordered keys, or malformed values.
 var ErrCorrupt = errors.New("statecodec: corrupt or truncated state")
 
 // Writer accumulates encoded state in memory. The zero value is ready to
@@ -63,7 +86,7 @@ func (w *Writer) Grow(n int) {
 	w.buf = nb
 }
 
-// U8 appends one byte (layer format versions, enums).
+// U8 appends one byte (enums, header bytes).
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
 // Bool appends a boolean as one byte.
@@ -98,23 +121,10 @@ func (w *Writer) F64(v float64) {
 // Duration appends a time.Duration.
 func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
 
-// Time appends a wall-clock instant as (second, nanosecond) with an
-// explicit zero flag, so the time.Time zero value round-trips as IsZero.
-// Monotonic readings are dropped — capture timestamps never carry them.
+// Time appends a wall-clock instant (see Codec.Time).
 func (w *Writer) Time(t time.Time) {
-	if t.IsZero() {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
-	w.I64(t.Unix())
-	w.I64(int64(t.Nanosecond()))
-}
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) PutBytes(b []byte) {
-	w.Int(len(b))
-	w.buf = append(w.buf, b...)
+	c := Codec{w: w}
+	c.Time(&t)
 }
 
 // String appends a length-prefixed string.
@@ -141,232 +151,623 @@ func (w *Writer) AddrPort(ap netip.AddrPort) {
 	w.U16(ap.Port())
 }
 
-// Reader decodes state encoded by Writer. All methods return the zero
-// value after the first error; call Err once at the end of a layer's
-// Restore.
-type Reader struct {
+// Codec is one direction-agnostic pass over a layer's fields: built over
+// a Writer it encodes them, over a Reader it assigns them. Field methods
+// take pointers so a layer names each field exactly once. A decoding
+// pass goes sticky on its first error: every later field decodes as the
+// zero value, so walks run straight-line and the owner checks Err once
+// at the end.
+type Codec struct {
+	w    *Writer // non-nil: the pass encodes
+	full bool
+
+	// Decoding input, position and sticky error.
 	b   []byte
 	off int
 	err error
 }
 
+// NewEncoder returns an encoding pass over w. A full pass selects every
+// record of every collection, writes no tombstones and starts
+// append-only tails at 0; a delta pass (full false) consults the
+// layers' dirty tracking.
+func NewEncoder(w *Writer, full bool) *Codec { return &Codec{w: w, full: full} }
+
+// NewDecoder returns the decoding pass over r's input: the two share
+// position and error, so the owner can read a header through r, hand
+// the walk the codec, and check r.Err and r.Remaining afterwards.
+func NewDecoder(r *Reader) *Codec { return &r.c }
+
+// Encoding reports the pass's direction. Walks consult it only where
+// the directions genuinely differ: validating decoded values, resolving
+// references, recomputing derived fields.
+func (c *Codec) Encoding() bool { return c.w != nil }
+
+// Full reports whether an encoding pass selects everything.
+func (c *Codec) Full() bool { return c.full }
+
+// Err returns the decoding pass's first error; encoding cannot fail.
+func (c *Codec) Err() error { return c.err }
+
+func (c *Codec) fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, c.off)
+	}
+}
+
+// Failf marks a decoding pass corrupt with a formatted reason. Layers
+// use it when a decoded value is in range for the codec but invalid for
+// the layer (a non-positive clock rate, a dangling reference); a no-op
+// when encoding.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.w == nil && c.err == nil {
+		c.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+}
+
+// Every scalar walk tests the direction before it touches *v: a
+// decoding pass writes into freshly allocated records, and reading the
+// destination first would stall on memory the pass is about to overwrite.
+
+// U8 walks one raw byte.
+func (c *Codec) U8(v *uint8) {
+	if c.w != nil {
+		c.w.U8(*v)
+		return
+	}
+	if c.err != nil || c.off >= len(c.b) {
+		c.fail("u8")
+		*v = 0
+		return
+	}
+	*v = c.b[c.off]
+	c.off++
+}
+
+// Bool walks a boolean. Any byte other than 0 or 1 is corruption.
+func (c *Codec) Bool(v *bool) {
+	if c.w != nil {
+		c.w.Bool(*v)
+		return
+	}
+	var b uint8
+	if c.U8(&b); b > 1 {
+		c.fail("bool")
+	}
+	*v = b == 1
+}
+
+// U64 walks an unsigned value as uvarint.
+func (c *Codec) U64(v *uint64) {
+	if c.w != nil {
+		c.w.U64(*v)
+		return
+	}
+	*v = 0
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("uvarint")
+		return
+	}
+	c.off += n
+	*v = x
+}
+
+// U32 walks an unsigned 32-bit value, rejecting overflow.
+func (c *Codec) U32(v *uint32) {
+	if c.w != nil {
+		c.w.U32(*v)
+		return
+	}
+	var x uint64
+	if c.U64(&x); x > math.MaxUint32 {
+		c.fail("u32 range")
+		x = 0
+	}
+	*v = uint32(x)
+}
+
+// U16 walks an unsigned 16-bit value, rejecting overflow.
+func (c *Codec) U16(v *uint16) {
+	if c.w != nil {
+		c.w.U16(*v)
+		return
+	}
+	var x uint64
+	if c.U64(&x); x > math.MaxUint16 {
+		c.fail("u16 range")
+		x = 0
+	}
+	*v = uint16(x)
+}
+
+// I64 walks a signed value as zigzag varint.
+func (c *Codec) I64(v *int64) {
+	if c.w != nil {
+		c.w.I64(*v)
+		return
+	}
+	*v = 0
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("varint")
+		return
+	}
+	c.off += n
+	*v = x
+}
+
+// Int walks a machine int.
+func (c *Codec) Int(v *int) {
+	if c.w != nil {
+		c.w.Int(*v)
+		return
+	}
+	var x int64
+	if c.I64(&x); int64(int(x)) != x {
+		c.fail("int range")
+		x = 0
+	}
+	*v = int(x)
+}
+
+// Duration walks a time.Duration.
+func (c *Codec) Duration(v *time.Duration) { c.I64((*int64)(v)) }
+
+// F64 walks a float as its fixed 8-byte bit pattern.
+func (c *Codec) F64(v *float64) {
+	if c.w != nil {
+		c.w.F64(*v)
+		return
+	}
+	if c.err != nil || c.off+8 > len(c.b) {
+		c.fail("f64")
+		*v = 0
+		return
+	}
+	*v = math.Float64frombits(binary.BigEndian.Uint64(c.b[c.off:]))
+	c.off += 8
+}
+
+// Time walks a wall-clock instant as (second, nanosecond) behind an
+// explicit zero flag, so the time.Time zero value round-trips as IsZero.
+// Monotonic readings are dropped — capture timestamps never carry them.
+func (c *Codec) Time(v *time.Time) {
+	if w := c.w; w != nil {
+		if v.IsZero() {
+			w.buf = append(w.buf, 0)
+			return
+		}
+		w.buf = append(w.buf, 1)
+		w.buf = binary.AppendVarint(w.buf, v.Unix())
+		w.buf = binary.AppendVarint(w.buf, int64(v.Nanosecond()))
+		return
+	}
+	// The commonest field by far, so decoded in one frame rather than
+	// through Bool and I64.
+	*v = time.Time{}
+	if c.err != nil || c.off >= len(c.b) || c.b[c.off] > 1 {
+		c.fail("time flag")
+		return
+	}
+	c.off++
+	if c.b[c.off-1] == 0 {
+		return
+	}
+	sec, n := binary.Varint(c.b[c.off:])
+	nsec, m := binary.Varint(c.b[c.off+max(n, 0):])
+	if n <= 0 || m <= 0 || nsec < 0 || nsec > 999_999_999 {
+		c.fail("time")
+		return
+	}
+	c.off += n + m
+	*v = time.Unix(sec, nsec)
+}
+
+// count reads a collection length and validates it against the bytes
+// remaining: each element costs at least minElemBytes, so a hostile
+// count cannot trigger a huge allocation.
+func (c *Codec) count(minElemBytes int) int {
+	if c.err != nil {
+		return 0
+	}
+	n, w := binary.Varint(c.b[c.off:])
+	left := len(c.b) - c.off - w
+	if minElemBytes > 1 {
+		left /= minElemBytes
+	}
+	if w <= 0 || n < 0 || n > int64(left) {
+		c.fail("count")
+		return 0
+	}
+	c.off += w
+	return int(n)
+}
+
+// String walks a length-prefixed string.
+func (c *Codec) String(v *string) {
+	if c.w != nil {
+		c.w.String(*v)
+		return
+	}
+	n := c.count(1)
+	*v = string(c.b[c.off : c.off+n])
+	c.off += n
+}
+
+// Addr walks a netip.Addr.
+func (c *Codec) Addr(v *netip.Addr) {
+	if c.w != nil {
+		c.w.Addr(*v)
+		return
+	}
+	*v = netip.Addr{}
+	var n uint8
+	if c.U8(&n); n == 0 {
+		return
+	}
+	if (n != 4 && n != 16) || c.off+int(n) > len(c.b) {
+		c.fail("addr length")
+		return
+	}
+	*v, _ = netip.AddrFromSlice(c.b[c.off : c.off+int(n)])
+	c.off += int(n)
+}
+
+// AddrPort walks a netip.AddrPort.
+func (c *Codec) AddrPort(v *netip.AddrPort) {
+	if c.w != nil {
+		c.w.AddrPort(*v)
+		return
+	}
+	var a netip.Addr
+	var p uint16
+	c.Addr(&a)
+	c.U16(&p)
+	*v = netip.AddrPortFrom(a, p)
+}
+
+// Reader decodes state encoded by Writer for callers that read a value
+// at a time (file headers, the ZLOB observation log) rather than walk a
+// layer: a thin facade over a decoding Codec, with its sticky-error and
+// zero-value-after-error behavior, offering the value types those
+// callers read.
+type Reader struct{ c Codec }
+
 // NewReader returns a reader over b. The reader never mutates b.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
+func NewReader(b []byte) *Reader { return &Reader{c: Codec{b: b}} }
 
 // Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error { return r.c.err }
 
 // Remaining reports how many bytes are left undecoded.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
+func (r *Reader) Remaining() int { return len(r.c.b) - r.c.off }
 
-func (r *Reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, r.off)
+// The value reads mirror the Codec walks of the same name.
+func (r *Reader) U8() (v uint8)       { r.c.U8(&v); return }
+func (r *Reader) U16() (v uint16)     { r.c.U16(&v); return }
+func (r *Reader) U32() (v uint32)     { r.c.U32(&v); return }
+func (r *Reader) U64() (v uint64)     { r.c.U64(&v); return }
+func (r *Reader) Int() (v int)        { r.c.Int(&v); return }
+func (r *Reader) Time() (v time.Time) { r.c.Time(&v); return }
+
+// Ptr walks the presence flag of an optional component and reports
+// whether it is present; a decoding pass replaces *p with mk() or nil.
+// The caller walks the component's fields when Ptr returns true.
+func Ptr[T any](c *Codec, p **T, mk func() *T) bool {
+	if c.w != nil {
+		c.w.Bool(*p != nil)
+		return *p != nil
+	}
+	var has bool
+	if c.Bool(&has); has {
+		*p = mk()
+	} else {
+		*p = nil
+	}
+	return has
+}
+
+// Slice walks s[from:]: an encoding pass writes those elements, a
+// decoding pass replaces them with the record's. Whole slices pass 0;
+// an append-only slice passes the baseline its owner walked just before
+// (its length at the last checkpoint, 0 on a full pass), so a delta
+// carries only the tail. The decoded slice grows a chunk at a time, so
+// the declared count needs no per-element size claim to be safe: a
+// hostile one runs out of input long before it runs out of memory.
+func Slice[T any](c *Codec, s *[]T, from int, elem func(*T)) {
+	if c.w != nil {
+		c.w.Int(len(*s) - from)
+		for i := from; i < len(*s); i++ {
+			elem(&(*s)[i])
+		}
+		return
+	}
+	n := c.count(1)
+	if from < 0 || from > len(*s) {
+		c.Failf("slice baseline %d outside [0, %d]", from, len(*s))
+		return
+	}
+	*s = (*s)[:from]
+	for n > 0 && c.err == nil {
+		chunk := min(n, slabChunk)
+		lo := len(*s)
+		if cap(*s)-lo < chunk {
+			grown := make([]T, lo+chunk)
+			copy(grown, *s)
+			*s = grown
+		} else {
+			*s = (*s)[:lo+chunk]
+			clear((*s)[lo:])
+		}
+		for i := lo; i < len(*s) && c.err == nil; i++ {
+			elem(&(*s)[i])
+		}
+		n -= chunk
 	}
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
+// Key describes a key type of the keyed collections: its smallest
+// encoding (the hostile-count guard's per-element floor, declared once
+// per type), the order records are written in, and its field walk. Code
+// takes and returns the key by value — an encoding pass writes k and
+// returns it, a decoding pass ignores k and returns the key read — so
+// keys never escape to the heap.
+type Key[K any] struct {
+	Min     int
+	Compare func(a, b K) int
+	Code    func(c *Codec, k K) K
 }
 
-// Bool reads a boolean. Any byte other than 0 or 1 is corruption.
-func (r *Reader) Bool() bool {
-	v := r.U8()
-	if v > 1 {
-		r.fail("bool")
-		return false
-	}
-	return v == 1
+// UintKey returns the Key of an unsigned integer type, written as a
+// uvarint and range-checked on decode.
+func UintKey[K ~uint8 | ~uint16 | ~uint32 | ~uint64]() *Key[K] {
+	return &Key[K]{Min: 1, Compare: cmp.Compare[K], Code: func(c *Codec, k K) K {
+		v := uint64(k)
+		c.U64(&v)
+		if uint64(K(v)) != v {
+			c.Failf("key %d out of range", v)
+		}
+		return K(v)
+	}}
 }
 
-// U64 reads a uvarint.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.off += n
-	return v
+// AddrPortKey orders endpoints by (address, port).
+var AddrPortKey = &Key[netip.AddrPort]{Min: 2, Compare: netip.AddrPort.Compare,
+	Code: func(c *Codec, k netip.AddrPort) netip.AddrPort { c.AddrPort(&k); return k }}
+
+// smallMap is how many selected records an encoding pass holds on the
+// stack. A checkpoint walks tens of thousands of streams, each with a
+// handful of tiny maps (substreams, recent sequence numbers): heap
+// scratch per map showed up as GC pressure that dominated encode time.
+const smallMap = 64
+
+// entry is one selected record of an encoding pass, collected with its
+// value while the map is iterated — in memory order — so the sorted walk
+// needs no lookup per key, which on a large map is a cache miss each.
+type entry[K, V any] struct {
+	k K
+	v V
 }
 
-// U32 reads an unsigned 32-bit value, rejecting overflow.
-func (r *Reader) U32() uint32 {
-	v := r.U64()
-	if v > math.MaxUint32 {
-		r.fail("u32 range")
-		return 0
+// put writes the selected entries in key order — their count, then each
+// key followed by elem: the encoding half of every keyed helper. It
+// sorts a permutation rather than the entries, so a comparison copies
+// two keys and a swap moves one int.
+func put[K, V any](c *Codec, key *Key[K], sel []entry[K, V], elem func(k K, v V)) {
+	var scratch [smallMap]int
+	order := scratch[:0]
+	if len(sel) > len(scratch) {
+		order = make([]int, 0, len(sel))
 	}
-	return uint32(v)
-}
-
-// U16 reads an unsigned 16-bit value, rejecting overflow.
-func (r *Reader) U16() uint16 {
-	v := r.U64()
-	if v > math.MaxUint16 {
-		r.fail("u16 range")
-		return 0
+	for i := range sel {
+		order = append(order, i)
 	}
-	return uint16(v)
-}
-
-// I64 reads a zigzag varint.
-func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Int reads a machine int.
-func (r *Reader) Int() int {
-	v := r.I64()
-	if int64(int(v)) != v {
-		r.fail("int range")
-		return 0
-	}
-	return int(v)
-}
-
-// F64 reads a fixed 8-byte float.
-func (r *Reader) F64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail("f64")
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-// Duration reads a time.Duration.
-func (r *Reader) Duration() time.Duration { return time.Duration(r.I64()) }
-
-// Time reads an instant written by Writer.Time.
-func (r *Reader) Time() time.Time {
-	if !r.Bool() || r.err != nil {
-		return time.Time{}
-	}
-	sec := r.I64()
-	nsec := r.I64()
-	if nsec < 0 || nsec > 999_999_999 {
-		r.fail("time nsec")
-		return time.Time{}
-	}
-	return time.Unix(sec, nsec)
-}
-
-// Count reads a collection length and validates it against both the
-// caller's ceiling and the bytes remaining (each element costs at least
-// minElemBytes, so a hostile count cannot trigger a huge allocation).
-func (r *Reader) Count(minElemBytes int) int {
-	n := r.Int()
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 {
-		r.fail("negative count")
-		return 0
-	}
-	if minElemBytes < 1 {
-		minElemBytes = 1
-	}
-	if n > r.Remaining()/minElemBytes {
-		r.fail("count exceeds input")
-		return 0
-	}
-	return n
-}
-
-// GetBytes reads a length-prefixed byte slice (copied out of the input).
-func (r *Reader) GetBytes() []byte {
-	n := r.Count(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
-	r.off += n
-	return out
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Count(1)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// Addr reads a netip.Addr.
-func (r *Reader) Addr() netip.Addr {
-	n := int(r.U8())
-	if r.err != nil || n == 0 {
-		return netip.Addr{}
-	}
-	if n != 4 && n != 16 {
-		r.fail("addr length")
-		return netip.Addr{}
-	}
-	if r.off+n > len(r.b) {
-		r.fail("addr bytes")
-		return netip.Addr{}
-	}
-	a, ok := netip.AddrFromSlice(r.b[r.off : r.off+n])
-	if !ok {
-		r.fail("addr value")
-		return netip.Addr{}
-	}
-	r.off += n
-	return a
-}
-
-// AddrPort reads a netip.AddrPort.
-func (r *Reader) AddrPort() netip.AddrPort {
-	a := r.Addr()
-	p := r.U16()
-	return netip.AddrPortFrom(a, p)
-}
-
-// Version reads a layer format version byte and errors unless it equals
-// want, giving every layer the same one-line version gate.
-func (r *Reader) Version(layer string, want uint8) {
-	got := r.U8()
-	if r.err == nil && got != want {
-		r.err = fmt.Errorf("%w: %s state version %d (supported: %d)", ErrCorrupt, layer, got, want)
+	slices.SortFunc(order, func(a, b int) int { return key.Compare(sel[a].k, sel[b].k) })
+	c.w.Int(len(sel))
+	for _, i := range order {
+		key.Code(c, sel[i].k)
+		if elem != nil {
+			elem(sel[i].k, sel[i].v)
+		}
 	}
 }
 
-// Failf marks the reader corrupt with a formatted reason. Layers use it
-// when a decoded value is in range for the codec but invalid for the
-// layer (a non-positive clock rate, a dangling index).
-func (r *Reader) Failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+// get is the decoding half: it reads the guarded count and hands each
+// key to elem, requiring every key to be strictly greater than the one
+// before — which rejects duplicate and unsorted records for every keyed
+// collection in one place. open, if non-nil, sees the count first.
+func get[K any](c *Codec, key *Key[K], open func(n int), elem func(k K, left int)) {
+	n := c.count(key.Min)
+	if open != nil {
+		open(n)
 	}
+	var prev K
+	for i := 0; i < n; i++ {
+		k := key.Code(c, prev)
+		if c.err == nil && i > 0 && key.Compare(prev, k) >= 0 {
+			c.fail("keys not strictly ascending")
+		}
+		if c.err != nil {
+			return
+		}
+		elem(k, n-i)
+		prev = k
+	}
+}
+
+// Keys walks a bare key sequence: sel names the keys an encoding pass
+// writes (ignored when decoding) and elem receives each key in order,
+// in both directions. The map helpers below cover keyed records; Keys
+// is for key-only collections the caller stores itself.
+func Keys[K any](c *Codec, key *Key[K], sel []K, elem func(k K)) {
+	if c.w == nil {
+		get(c, key, nil, func(k K, _ int) { elem(k) })
+		return
+	}
+	var scratch [smallMap]entry[K, struct{}]
+	ents := scratch[:0]
+	for _, k := range sel {
+		ents = append(ents, entry[K, struct{}]{k: k})
+	}
+	put(c, key, ents, func(k K, _ struct{}) { elem(k) })
+}
+
+// Tombstones walks the keys deleted since the last checkpoint: a delta
+// pass writes dead (duplicates skipped — a key can be evicted,
+// recreated and evicted again between checkpoints), a full pass writes
+// none, a decoding pass hands each key to del.
+func Tombstones[K comparable](c *Codec, key *Key[K], dead []K, del func(K)) {
+	if c.w != nil {
+		// A sorted copy: the layer's backlog stays as it is should the
+		// write after this encode fail.
+		dead = slices.Clone(dead)
+		if c.full {
+			dead = nil
+		}
+		slices.SortFunc(dead, key.Compare)
+		dead = slices.Compact(dead)
+	}
+	Keys(c, key, dead, del)
+}
+
+// slabChunk bounds one slab allocation of a decoding Map: one
+// allocation per few thousand records instead of one each (restore-side
+// GC pressure was the difference between meeting the recovery-path time
+// budget and missing it), yet never sized by a declared count alone, so
+// a hostile count cannot force a huge allocation before the first
+// record fails to decode.
+const slabChunk = 4096
+
+// Map walks a map of record pointers. An encoding pass writes the
+// records dirty selects (all of them on a full pass or when dirty is
+// nil); a decoding pass upserts: a key already present keeps its record
+// pointer — other structures may reference it — reset to the zero
+// value, a new key gets a record from a chunked slab, and with a
+// non-nil mk every record is replaced by mk() instead. Either way elem
+// then walks the record's fields. Decoding never leaves *m nil.
+func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func() *V, dirty func(K, *V) bool, elem func(k K, v *V)) {
+	if c.w != nil {
+		var scratch [smallMap]entry[K, *V]
+		sel := scratch[:0]
+		if (c.full || dirty == nil) && len(*m) > len(scratch) {
+			sel = make([]entry[K, *V], 0, len(*m))
+		}
+		for k, v := range *m {
+			if c.full || dirty == nil || dirty(k, v) {
+				sel = append(sel, entry[K, *V]{k, v})
+			}
+		}
+		put(c, key, sel, elem)
+		return
+	}
+	// Ascending keys cannot repeat, so a map that starts out empty (a
+	// full record onto a fresh layer) never needs the lookup.
+	fresh := len(*m) == 0
+	var slab []V
+	get(c, key, func(n int) {
+		if fresh {
+			*m = make(map[K]*V, n)
+		}
+	}, func(k K, left int) {
+		var v *V
+		if !fresh {
+			v = (*m)[k]
+		}
+		switch {
+		case mk != nil:
+			v = mk()
+		case v != nil:
+			var zero V
+			*v = zero
+		default:
+			if len(slab) == 0 {
+				slab = make([]V, min(left, slabChunk))
+			}
+			v, slab = &slab[0], slab[1:]
+		}
+		(*m)[k] = v
+		elem(k, v)
+	})
+}
+
+// MapVal walks a map of plain values that is always carried whole: an
+// encoding pass writes every entry, a decoding pass replaces the map's
+// contents (never leaving it nil). elem walks one value, by value for
+// the same reason Key.Code does; nil for a set.
+func MapVal[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, elem func(k K, v V) V) {
+	if c.w != nil {
+		var scratch [smallMap]entry[K, V]
+		sel := scratch[:0]
+		if len(*m) > len(scratch) {
+			sel = make([]entry[K, V], 0, len(*m))
+		}
+		for k, v := range *m {
+			sel = append(sel, entry[K, V]{k, v})
+		}
+		if elem == nil {
+			put(c, key, sel, nil)
+		} else {
+			put(c, key, sel, func(k K, v V) { elem(k, v) })
+		}
+		return
+	}
+	get(c, key, func(n int) {
+		if clear(*m); n > 0 || *m == nil {
+			*m = make(map[K]V, n)
+		}
+	}, func(k K, _ int) {
+		var v V
+		if elem != nil {
+			v = elem(k, v)
+		}
+		(*m)[k] = v
+	})
+}
+
+// MapSet walks a map of plain values whose dirty tracking is a key set:
+// an encoding pass writes the set's keys (every key of m on a full
+// pass), a decoding pass upserts. elem walks one value by value and
+// reports whether the entry exists: a set key missing from m is a
+// deletion, which elem must encode in the value (an empty list, say)
+// and recognize when decoding, where false deletes the key.
+func MapSet[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, set map[K]struct{}, elem func(k K, v V) (V, bool)) {
+	if c.w != nil {
+		var sel []entry[K, V]
+		if c.full {
+			sel = make([]entry[K, V], 0, len(*m))
+			for k, v := range *m {
+				sel = append(sel, entry[K, V]{k, v})
+			}
+		} else {
+			sel = make([]entry[K, V], 0, len(set))
+			for k := range set {
+				sel = append(sel, entry[K, V]{k, (*m)[k]})
+			}
+		}
+		put(c, key, sel, func(k K, v V) { elem(k, v) })
+		return
+	}
+	fresh := len(*m) == 0
+	get(c, key, func(n int) {
+		if fresh {
+			*m = make(map[K]V, n)
+		}
+	}, func(k K, _ int) {
+		var v V
+		if !fresh {
+			v = (*m)[k]
+		}
+		if v, keep := elem(k, v); keep {
+			(*m)[k] = v
+		} else {
+			delete(*m, k)
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package statecodec
 
 import (
+	"errors"
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 )
@@ -21,7 +21,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Duration(5 * time.Second)
 	w.Time(time.Unix(1700000000, 123456789))
 	w.Time(time.Time{})
-	w.PutBytes([]byte{1, 2, 3})
 	w.String("hello")
 	w.Addr(netip.MustParseAddr("10.1.2.3"))
 	w.Addr(netip.MustParseAddr("fd00::1"))
@@ -29,10 +28,15 @@ func TestRoundTrip(t *testing.T) {
 	w.AddrPort(netip.MustParseAddrPort("192.168.0.1:8801"))
 
 	r := NewReader(w.Bytes())
+	c := NewDecoder(r)
 	if got := r.U8(); got != 3 {
 		t.Fatalf("u8 = %d", got)
 	}
-	if !r.Bool() || r.Bool() {
+	var yes, no bool
+	if c.Bool(&yes); !yes {
+		t.Fatal("bool round trip")
+	}
+	if c.Bool(&no); no {
 		t.Fatal("bool round trip")
 	}
 	if got := r.U16(); got != 65535 {
@@ -44,17 +48,20 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U64(); got != 1<<62 {
 		t.Fatalf("u64 = %d", got)
 	}
-	if got := r.I64(); got != -42 {
-		t.Fatalf("i64 = %d", got)
+	var i64 int64
+	if c.I64(&i64); i64 != -42 {
+		t.Fatalf("i64 = %d", i64)
 	}
 	if got := r.Int(); got != -7 {
 		t.Fatalf("int = %d", got)
 	}
-	if got := r.F64(); got != 3.14159 {
-		t.Fatalf("f64 = %v", got)
+	var f64 float64
+	if c.F64(&f64); f64 != 3.14159 {
+		t.Fatalf("f64 = %v", f64)
 	}
-	if got := r.Duration(); got != 5*time.Second {
-		t.Fatalf("duration = %v", got)
+	var dur time.Duration
+	if c.Duration(&dur); dur != 5*time.Second {
+		t.Fatalf("duration = %v", dur)
 	}
 	want := time.Unix(1700000000, 123456789)
 	if got := r.Time(); !got.Equal(want) {
@@ -63,23 +70,23 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.Time(); !got.IsZero() {
 		t.Fatalf("zero time = %v", got)
 	}
-	if got := r.GetBytes(); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("bytes = %v", got)
+	var str string
+	if c.String(&str); str != "hello" {
+		t.Fatalf("string = %q", str)
 	}
-	if got := r.String(); got != "hello" {
-		t.Fatalf("string = %q", got)
+	var addr netip.Addr
+	if c.Addr(&addr); addr != netip.MustParseAddr("10.1.2.3") {
+		t.Fatalf("addr4 = %v", addr)
 	}
-	if got := r.Addr(); got != netip.MustParseAddr("10.1.2.3") {
-		t.Fatalf("addr4 = %v", got)
+	if c.Addr(&addr); addr != netip.MustParseAddr("fd00::1") {
+		t.Fatalf("addr6 = %v", addr)
 	}
-	if got := r.Addr(); got != netip.MustParseAddr("fd00::1") {
-		t.Fatalf("addr6 = %v", got)
+	if c.Addr(&addr); addr.IsValid() {
+		t.Fatalf("invalid addr = %v", addr)
 	}
-	if got := r.Addr(); got.IsValid() {
-		t.Fatalf("invalid addr = %v", got)
-	}
-	if got := r.AddrPort(); got != netip.MustParseAddrPort("192.168.0.1:8801") {
-		t.Fatalf("addrport = %v", got)
+	var ap netip.AddrPort
+	if c.AddrPort(&ap); ap != netip.MustParseAddrPort("192.168.0.1:8801") {
+		t.Fatalf("addrport = %v", ap)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -101,11 +108,17 @@ func TestTruncation(t *testing.T) {
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
+		c := NewDecoder(r)
+		var (
+			str string
+			f64 float64
+			ap  netip.AddrPort
+		)
 		r.U8()
 		r.Time()
-		_ = r.String()
-		r.F64()
-		r.AddrPort()
+		c.String(&str)
+		c.F64(&f64)
+		c.AddrPort(&ap)
 		if r.Err() == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))
 		}
@@ -118,26 +131,19 @@ func TestHostileCounts(t *testing.T) {
 	var w Writer
 	w.Int(1 << 40) // claims a petabyte of elements
 	r := NewReader(w.Bytes())
-	if n := r.Count(1); n != 0 || r.Err() == nil {
+	if n := NewDecoder(r).count(1); n != 0 || r.Err() == nil {
 		t.Fatalf("hostile count accepted: n=%d err=%v", n, r.Err())
 	}
-	if b := NewReader(w.Bytes()).GetBytes(); b != nil {
-		t.Fatalf("hostile byte length allocated %d bytes", len(b))
+	var str string
+	if NewDecoder(NewReader(w.Bytes())).String(&str); str != "" {
+		t.Fatalf("hostile string length allocated %d bytes", len(str))
 	}
-}
-
-func TestVersionGate(t *testing.T) {
-	var w Writer
-	w.U8(2)
-	r := NewReader(w.Bytes())
-	r.Version("flow", 1)
-	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "flow state version 2") {
-		t.Fatalf("version gate: %v", err)
-	}
-	r2 := NewReader(w.Bytes())
-	r2.Version("flow", 2)
-	if err := r2.Err(); err != nil {
-		t.Fatal(err)
+	var list []uint64
+	r = NewReader(w.Bytes())
+	c := NewDecoder(r)
+	Slice(c, &list, 0, c.U64)
+	if list != nil || r.Err() == nil {
+		t.Fatalf("hostile slice length allocated %d elements (err %v)", len(list), r.Err())
 	}
 }
 
@@ -152,5 +158,216 @@ func TestDeterministicEncoding(t *testing.T) {
 	a, b := enc(), enc()
 	if string(a) != string(b) {
 		t.Fatal("identical state encoded to different bytes")
+	}
+}
+
+// layer is a miniature stateful layer exercising every helper: scalars,
+// an optional component, a pointer map with dirty bits and tombstones, a
+// whole by-value map, a set-tracked by-value map, a key-only sequence
+// and an append-only tail.
+type layer struct {
+	n      uint64
+	at     time.Time
+	opt    *item
+	recs   map[uint32]*item
+	dead   []uint32
+	counts map[uint8]uint64
+	lists  map[uint16][]uint32
+	dirty  map[uint16]struct{}
+	seqs   []uint16
+	tail   []int64
+	base   int
+}
+
+type item struct {
+	v     int64
+	dirty bool
+}
+
+var (
+	u8k  = UintKey[uint8]()
+	u16k = UintKey[uint16]()
+	u32k = UintKey[uint32]()
+)
+
+func (l *layer) code(c *Codec) {
+	c.U64(&l.n)
+	c.Time(&l.at)
+	if Ptr(c, &l.opt, func() *item { return new(item) }) {
+		c.I64(&l.opt.v)
+	}
+	Tombstones(c, u32k, l.dead, func(k uint32) { delete(l.recs, k) })
+	Map(c, u32k, &l.recs, nil, func(_ uint32, it *item) bool { return it.dirty }, func(_ uint32, it *item) { c.I64(&it.v) })
+	MapVal(c, u8k, &l.counts, func(_ uint8, n uint64) uint64 { c.U64(&n); return n })
+	MapSet(c, u16k, &l.lists, l.dirty, func(_ uint16, list []uint32) ([]uint32, bool) {
+		Slice(c, &list, 0, c.U32)
+		return list, len(list) > 0
+	})
+	Keys(c, u16k, append([]uint16(nil), l.seqs...), func(s uint16) {
+		if !c.Encoding() {
+			l.seqs = append(l.seqs, s)
+		}
+	})
+	base := l.base
+	if c.Full() {
+		base = 0
+	}
+	c.Int(&base)
+	Slice(c, &l.tail, base, c.I64)
+}
+
+func (l *layer) record(full bool) []byte {
+	var w Writer
+	l.code(NewEncoder(&w, full))
+	return append([]byte(nil), w.Bytes()...)
+}
+
+func (l *layer) apply(t *testing.T, rec []byte) {
+	t.Helper()
+	r := NewReader(rec)
+	if l.code(NewDecoder(r)); r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("apply: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+}
+
+func (l *layer) mark() {
+	for _, it := range l.recs {
+		it.dirty = false
+	}
+	l.dead, l.base = nil, len(l.tail)
+	clear(l.dirty)
+}
+
+// TestCodecFullIsDeltaWithEverythingDirty drives the miniature layer the
+// way the engine drives the real ones: a full record onto a fresh layer
+// re-encodes byte-identically, and full@t0 + delta(t0→t1) — with an
+// upsert, a tombstone (twice for one key), a deleted list and a grown
+// tail in the interval — re-encodes byte-identically to full@t1.
+func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
+	live := &layer{
+		n: 7, at: time.Unix(1700000000, 5), opt: &item{v: -3},
+		recs:   map[uint32]*item{5: {v: 50}, 1 << 20: {v: -1}, 9: {v: 90}},
+		counts: map[uint8]uint64{200: 1, 3: 1 << 40},
+		lists:  map[uint16][]uint32{4: {9, 5}, 700: {1 << 20}},
+		dirty:  map[uint16]struct{}{},
+		seqs:   []uint16{9, 3, 300},
+		tail:   []int64{1, -2},
+	}
+	full0 := live.record(true)
+	live.mark()
+
+	replica := &layer{}
+	replica.apply(t, full0)
+	if got := replica.record(true); string(got) != string(full0) {
+		t.Fatal("full → fresh layer → full is not byte-identical")
+	}
+	replica.seqs = nil
+	replica.mark()
+
+	live.n, live.opt = 8, nil
+	delete(live.recs, 5)
+	live.dead = append(live.dead, 5, 5)
+	live.recs[9].v, live.recs[9].dirty = 91, true
+	live.recs[2] = &item{v: 20, dirty: true}
+	live.counts[4] = 4
+	delete(live.lists, 4)
+	live.lists[8] = []uint32{2}
+	live.dirty[4], live.dirty[8] = struct{}{}, struct{}{}
+	live.tail = append(live.tail, 3)
+	delta := live.record(false)
+	if len(delta) >= len(full0) {
+		t.Errorf("delta (%d bytes) is no smaller than the full record (%d)", len(delta), len(full0))
+	}
+
+	replica.seqs = nil
+	replica.apply(t, delta)
+	if got, want := replica.record(true), live.record(true); string(got) != string(want) {
+		t.Fatalf("full@t0 + delta != full@t1:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestCodecRejectsUnorderedKeys hand-builds, for every keyed helper, a
+// record whose keys repeat or descend: each must fail with ErrCorrupt.
+func TestCodecRejectsUnorderedKeys(t *testing.T) {
+	for _, order := range [][2]uint64{{7, 7}, {9, 3}} {
+		var w Writer
+		w.Int(2)
+		w.U64(order[0])
+		w.U64(order[1])
+		for name, walk := range map[string]func(c *Codec){
+			"Keys":       func(c *Codec) { Keys(c, u32k, nil, func(uint32) {}) },
+			"Tombstones": func(c *Codec) { Tombstones(c, u32k, nil, func(uint32) {}) },
+			"Map":        func(c *Codec) { Map(c, u32k, new(map[uint32]*item), nil, nil, func(uint32, *item) {}) },
+			"MapVal":     func(c *Codec) { MapVal(c, u32k, new(map[uint32]struct{}), nil) },
+			"MapSet": func(c *Codec) {
+				MapSet(c, u32k, new(map[uint32]bool), nil, func(_ uint32, b bool) (bool, bool) { return b, true })
+			},
+		} {
+			r := NewReader(w.Bytes())
+			if walk(NewDecoder(r)); !errors.Is(r.Err(), ErrCorrupt) {
+				t.Errorf("%s accepted keys %v (err %v)", name, order, r.Err())
+			}
+		}
+	}
+}
+
+// TestCodecMinimumElementsAtEndOfInput pins the hostile-count guard to
+// the smallest legal element: a collection of minimum-size elements
+// that ends exactly at end-of-input must decode. (An overstated
+// per-element minimum rejects it — the latent bug the hand-computed
+// Count claims carried.)
+func TestCodecMinimumElementsAtEndOfInput(t *testing.T) {
+	type obs struct {
+		at time.Time
+		ts uint32
+	}
+	zeros := make([]obs, 100) // zero Time + small U32: 2 bytes each
+	ports := map[netip.AddrPort]*item{}
+	for p := uint16(0); p < 100; p++ {
+		ports[netip.AddrPortFrom(netip.Addr{}, p)] = &item{} // invalid addr + small port + value: 3 bytes each
+	}
+	walk := func(c *Codec, s *[]obs, m *map[netip.AddrPort]*item) {
+		Slice(c, s, 0, func(o *obs) { c.Time(&o.at); c.U32(&o.ts) })
+		Map(c, AddrPortKey, m, nil, nil, func(_ netip.AddrPort, it *item) { c.I64(&it.v) })
+	}
+	var w Writer
+	walk(NewEncoder(&w, true), &zeros, &ports)
+	if want := 2 + 100*2 + 2 + 100*3; w.Len() != want {
+		t.Fatalf("fixture is %d bytes, want the %d-byte minimum", w.Len(), want)
+	}
+	var gotS []obs
+	var gotM map[netip.AddrPort]*item
+	r := NewReader(w.Bytes())
+	if walk(NewDecoder(r), &gotS, &gotM); r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("minimum-size collections rejected: %v (%d bytes left)", r.Err(), r.Remaining())
+	}
+	if len(gotS) != len(zeros) || len(gotM) != len(ports) {
+		t.Fatalf("decoded %d/%d elements, want %d/%d", len(gotS), len(gotM), len(zeros), len(ports))
+	}
+}
+
+// TestCodecTruncation decodes every proper prefix of the miniature
+// layer's full and delta records: each must fail, never panic.
+func TestCodecTruncation(t *testing.T) {
+	l := &layer{
+		opt:    &item{v: 1},
+		recs:   map[uint32]*item{1: {v: 1, dirty: true}, 2: {v: 2}},
+		dead:   []uint32{3},
+		counts: map[uint8]uint64{1: 1},
+		lists:  map[uint16][]uint32{1: {1, 2}},
+		dirty:  map[uint16]struct{}{1: {}},
+		seqs:   []uint16{1, 2},
+		tail:   []int64{1, 2, 3},
+		base:   1,
+	}
+	for _, full := range []bool{true, false} {
+		rec := l.record(full)
+		for cut := 0; cut < len(rec); cut++ {
+			r := NewReader(rec[:cut])
+			target := &layer{tail: []int64{1}}
+			if target.code(NewDecoder(r)); r.Err() == nil {
+				t.Fatalf("full=%v: prefix of %d/%d bytes decoded without error", full, cut, len(rec))
+			}
+		}
 	}
 }

@@ -1,87 +1,39 @@
 package tcprtt
 
 import (
-	"slices"
 	"time"
 
 	"zoomlens/internal/statecodec"
 )
 
-// Checkpoint boundary for the TCP RTT tracker: samples already taken
-// plus both directions' outstanding-segment tables (an ACK arriving
-// after restore must still match data sent before the checkpoint).
+var seqKey = statecodec.UintKey[uint32]()
 
-const trackerStateV1 = 1
-
-// State encodes the tracker for a checkpoint.
-func (t *Tracker) State(w *statecodec.Writer) {
-	w.U8(trackerStateV1)
-	w.Int(t.MaxOutstanding)
-	w.Int(len(t.Samples))
-	for _, s := range t.Samples {
-		w.Time(s.Time)
-		w.Duration(s.RTT)
-		w.U8(uint8(s.Side))
-	}
-	t.clientToServer.state(w)
-	t.serverToClient.state(w)
+// Code walks the tracker's state through c: samples already taken plus
+// both directions' outstanding-segment tables (an ACK arriving after
+// restore must still match data sent before the checkpoint).
+func (t *Tracker) Code(c *statecodec.Codec) {
+	c.Int(&t.MaxOutstanding)
+	statecodec.Slice(c, &t.Samples, 0, func(s *Sample) {
+		c.Time(&s.Time)
+		c.Duration(&s.RTT)
+		c.Int((*int)(&s.Side))
+	})
+	t.clientToServer.code(c)
+	t.serverToClient.code(c)
 }
 
-func (d *dirState) state(w *statecodec.Writer) {
-	w.Bool(d.started)
-	w.U32(d.highestEnd)
-	keys := make([]uint32, 0, len(d.outstanding))
-	for k := range d.outstanding {
-		keys = append(keys, k)
+func (d *dirState) code(c *statecodec.Codec) {
+	c.Bool(&d.started)
+	c.U32(&d.highestEnd)
+	if !c.Encoding() {
+		d.retx = make(map[uint32]bool)
 	}
-	slices.Sort(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U32(k)
-		w.Time(d.outstanding[k])
-		w.Bool(d.retx[k])
-	}
-}
-
-// Restore rebuilds the tracker from a checkpoint, replacing all state.
-func (t *Tracker) Restore(r *statecodec.Reader) error {
-	r.Version("tcprtt.Tracker", trackerStateV1)
-	t.MaxOutstanding = r.Int()
-	n := r.Count(3)
-	t.Samples = make([]Sample, 0, n)
-	for i := 0; i < n; i++ {
-		s := Sample{Time: r.Time(), RTT: r.Duration(), Side: Side(r.U8())}
-		if r.Err() != nil {
-			return r.Err()
+	statecodec.MapVal(c, seqKey, &d.outstanding, func(seq uint32, at time.Time) time.Time {
+		c.Time(&at)
+		retx := d.retx[seq]
+		if c.Bool(&retx); retx {
+			d.retx[seq] = true
 		}
-		t.Samples = append(t.Samples, s)
-	}
-	if err := t.clientToServer.restore(r); err != nil {
-		return err
-	}
-	if err := t.serverToClient.restore(r); err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-func (d *dirState) restore(r *statecodec.Reader) error {
-	d.started = r.Bool()
-	d.highestEnd = r.U32()
-	n := r.Count(3)
-	d.outstanding = make(map[uint32]time.Time, n)
-	d.retx = make(map[uint32]bool, n)
-	for i := 0; i < n; i++ {
-		k := r.U32()
-		at := r.Time()
-		retx := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		d.outstanding[k] = at
-		if retx {
-			d.retx[k] = true
-		}
-	}
-	return r.Err()
+		return at
+	})
 }

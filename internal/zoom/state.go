@@ -6,24 +6,18 @@ import (
 
 // Checkpoint codec for the substream-tracking identity: every stateful
 // layer above (flow table substream accounting, metric engines, stream
-// unification) keys on StreamKey, so it encodes here, once. Like
-// layers.FiveTuple, the key is pure state — the containing layer's
-// version byte governs.
+// unification) keys on StreamKey, so it is walked here, once.
 
-// EncodeTo appends the key's wire form to w. The Proto byte joined the
-// encoding when the key gained the field; every containing layer bumped
-// its version byte in the same change, so no reader ever sees a
-// Proto-less key under a current version.
-func (k StreamKey) EncodeTo(w *statecodec.Writer) {
-	w.U32(k.SSRC)
-	w.U8(uint8(k.Type))
-	w.U8(k.Proto)
+// Code walks the key's fields through c.
+func (k *StreamKey) Code(c *statecodec.Codec) {
+	c.U32(&k.SSRC)
+	c.U8((*uint8)(&k.Type))
+	c.U8(&k.Proto)
 }
 
-// DecodeStreamKey reads a key written by EncodeTo.
-func DecodeStreamKey(r *statecodec.Reader) StreamKey {
-	return StreamKey{SSRC: r.U32(), Type: MediaType(r.U8()), Proto: r.U8()}
-}
+// StreamKeyKey is the key as a keyed-collection key.
+var StreamKeyKey = &statecodec.Key[StreamKey]{Min: 3, Compare: StreamKey.Compare,
+	Code: func(c *statecodec.Codec, k StreamKey) StreamKey { k.Code(c); return k }}
 
 // Compare orders keys by (SSRC, Type, Proto) for deterministic
 // checkpoint encoding. Proto breaks ties last so all-Zoom state orders
