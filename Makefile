@@ -144,13 +144,18 @@ examples:
 # Then ROADMAP item 3's numbers: the size of the codec stack (the files
 # that say what each layer's state is) and how many serialization entry
 # points non-test code declares — one field walk per type means none of
-# the old paired names survive.
+# the old paired names survive. Last, the surface half of item 3: the
+# size of the shared driver, how many flags it registers, and how many
+# fields core.Config has.
 CODEC_STACK = internal/*/state.go internal/*/delta.go internal/core/checkpoint.go internal/statecodec/statecodec.go
 loc:
 	@cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l | xargs echo "internal/core non-test lines:"
 	@cat $$(ls internal/core/*.go | grep -v _test.go) | awk '/^[[:space:]]*$$/ {next} c {if (/\*\//) c=0; next} /^[[:space:]]*\/\// {next} /^[[:space:]]*\/\*/ {if (!/\*\//) c=1; next} {n++} END {print "internal/core non-blank non-comment lines:", n}'
 	@cat $$(ls $(CODEC_STACK) 2>/dev/null) | wc -l | xargs echo "codec stack lines:"
 	@grep -rhE '^func .*\b(State|Restore|StateDelta|ApplyDelta|state|restore|stateDelta|applyDelta)\(' --include='*.go' --exclude='*_test.go' internal cmd *.go | wc -l | xargs echo "paired serialization entry points (State/Restore/StateDelta/ApplyDelta):"
+	@cat $$(ls internal/engine/*.go | grep -v _test.go) | wc -l | xargs echo "internal/engine non-test lines:"
+	@cat $$(ls internal/engine/*.go internal/cliobs/*.go | grep -v _test.go) | grep -cE 'fs\.[A-Za-z]+Var\(' | xargs echo "shared-driver flags (internal/engine + internal/cliobs):"
+	@awk '/^type Config struct {/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z]* / {n++} END {print "core.Config fields:", n}' internal/core/core.go
 
 clean:
 	rm -rf bin

@@ -75,7 +75,9 @@ func TestClusterCLI(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			part := fmt.Sprintf("%s-%03d", prefix, i)
 			runToolSplit(t, bin, "zoomqoe", "-i", part+".pcapng", "-cluster-part", part, "-what", "loss")
-			for _, suffix := range []string{".state.zlcp", ".obs", ".status.json"} {
+			// The state is a one-record checkpoint chain under the base
+			// <part>.state.zlcp.
+			for _, suffix := range []string{".state.zlcp.00000000.full.zlcp", ".obs", ".status.json"} {
 				if _, err := os.Stat(part + suffix); err != nil {
 					t.Fatalf("worker %d left no %s artifact: %v", i, suffix, err)
 				}
@@ -165,11 +167,11 @@ func TestClusterCLI(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for _, part := range []string{prefix + "-0", prefix + "-1"} {
 			for {
-				if _, err := os.Stat(part + ".state.zlcp"); err == nil {
+				if _, err := os.Stat(part + ".state.zlcp.00000000.full.zlcp"); err == nil {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("worker artifact %s.state.zlcp never appeared", part)
+					t.Fatalf("worker state chain %s.state.zlcp never appeared", part)
 				}
 				time.Sleep(20 * time.Millisecond)
 			}

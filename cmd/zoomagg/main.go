@@ -9,10 +9,11 @@
 //	        -checkpoint-out merged.zlcp -summary
 //
 // Each -cluster-merge prefix names a worker's <prefix>.state.zlcp
-// shutdown checkpoint and <prefix>.obs observation log; -obs adds extra
-// logs (a migrated worker's first life). -checkpoint-out writes the
-// merged pre-Finish state as an ordinary checkpoint, so any reporting
-// tool can render the merged report: zoomqoe -restore merged.zlcp …
+// checkpoint chain base and <prefix>.obs observation log; -obs adds
+// extra logs (a migrated worker's first life). -checkpoint-out writes
+// the merged pre-Finish state as a one-record checkpoint chain, so any
+// reporting tool can render the merged report: zoomqoe -restore
+// merged.zlcp …
 //
 // Operational roll-ups (independent of the byte-identical path):
 //
@@ -42,10 +43,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("zoomagg: ")
 	var (
-		merge      = flag.String("cluster-merge", "", "comma-separated worker prefixes; each names <prefix>.state.zlcp and <prefix>.obs")
+		merge      = flag.String("cluster-merge", "", "comma-separated worker prefixes; each names the checkpoint chain base <prefix>.state.zlcp and <prefix>.obs")
 		extraObs   = flag.String("obs", "", "comma-separated extra observation logs (e.g. a migrated worker's first life)")
 		manifest   = flag.String("manifest", "", "splitter manifest path (required with -cluster-merge)")
-		ckOut      = flag.String("checkpoint-out", "", "write the merged pre-Finish engine state to this checkpoint path")
+		ckOut      = flag.String("checkpoint-out", "", "write the merged pre-Finish engine state as a checkpoint chain under this base path")
 		summary    = flag.Bool("summary", false, "finish the merged engine and print its summary JSON on stdout")
 		status     = flag.String("status", "", "comma-separated worker status JSON files to merge onto stdout")
 		metricsIn  = flag.String("metrics", "", "comma-separated Prometheus text dumps to merge onto stdout")
@@ -95,7 +96,7 @@ func main() {
 		// The checkpoint must capture the pre-Finish state — that is what
 		// keeps it restorable as a live engine (and what -restore expects).
 		if *ckOut != "" {
-			ck := engine.NewCheckpointer(*ckOut, 1, false, nil)
+			ck := engine.NewCheckpointer(*ckOut, 1, nil)
 			if err := ck.WriteFull(merged); err != nil {
 				log.Fatal(err)
 			}

@@ -21,9 +21,9 @@ import (
 	"zoomlens/internal/engine"
 )
 
-// LoadPart restores one worker's engine state (a legacy .zlcp file or a
-// chain base path, exactly as -restore accepts). Cluster workers run
-// sequentially, so a parallel-engine checkpoint is rejected — its
+// LoadPart restores one worker's engine state (a checkpoint chain base
+// or one checkpoint file, exactly as -restore accepts). Cluster workers
+// run sequentially, so a parallel-engine checkpoint is rejected — its
 // shard-partitioned state belongs to an in-process pipeline, not a
 // cluster part.
 func LoadPart(path string, cfg core.Config) (*core.Analyzer, error) {

@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 2
+	stateVersion = 3
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -278,7 +278,7 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 	defer p.cfg.trace("rotate")()
 	p.reconcile()
 	win := &pipeline{frontEnd: p.frontEnd, reconState: p.reconState, workers: 1}
-	win.o, win.feats = nil, nil
+	win.o, win.feats = noObs, nil
 	res := win.setInline(mergeShards(p.cfg, p.shards))
 	win.Finish()
 
@@ -307,8 +307,6 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 // tail. On a decoding error the shard may be partially mutated.
 func (sh *shard) code(c *statecodec.Codec) {
 	c.U64(&sh.ticks)
-	c.U64(&sh.compactEvery)
-	c.Duration(&sh.compactIdle)
 	c.U64(&sh.ZoomUDP)
 	c.U64(&sh.TCPPackets)
 	c.U64(&sh.STUNPackets)

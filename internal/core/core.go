@@ -65,18 +65,11 @@ type Config struct {
 	// MaxFinished caps archived finished streams; at the cap the oldest
 	// archive is dropped (and counted) to admit the newest.
 	MaxFinished int
-	// FlowTTL enables idle eviction: every MaintainEvery packets, flows,
-	// streams, TCP trackers, and metric engines idle longer than FlowTTL
-	// are evicted (metric engines are finalized and archived first), with
+	// FlowTTL enables idle eviction: every 4096 packets, flows, streams,
+	// TCP trackers, and metric engines idle longer than FlowTTL are
+	// evicted (metric engines are finalized and archived first), with
 	// their report contributions preserved.
 	FlowTTL time.Duration
-	// MaintainEvery is the eviction cadence in packets (default 4096
-	// when FlowTTL is set).
-	MaintainEvery uint64
-	// MaxCopyPending caps the RTT copy-matcher's pending map (§5.3
-	// method 1). Zero derives a bound from MaxStreams when that is set,
-	// otherwise the matcher's own default applies.
-	MaxCopyPending int
 	// Quarantine, when non-nil, receives the offending frame whenever
 	// per-packet processing panics (see Quarantine). It may be shared
 	// across analyzers; it is safe for concurrent use.
@@ -209,14 +202,11 @@ func (rec *reconState) observe(o ClusterObs) {
 	}
 }
 
-// effectiveMaxCopyPending resolves the copy-matcher cap: explicit config
-// wins; a bounded deployment without one still gets a cap derived from
-// the stream cap (pending entries are per unmatched packet, so scale
-// well above it); zero defers to the matcher's own default.
+// effectiveMaxCopyPending resolves the cap on the RTT copy-matcher's
+// pending map (§5.3 method 1): a bounded deployment gets one derived
+// from the stream cap (pending entries are per unmatched packet, so
+// scale well above it); zero defers to the matcher's own default.
 func effectiveMaxCopyPending(cfg Config) int {
-	if cfg.MaxCopyPending > 0 {
-		return cfg.MaxCopyPending
-	}
 	if cfg.MaxStreams > 0 {
 		return 256 * cfg.MaxStreams
 	}
@@ -226,9 +216,6 @@ func effectiveMaxCopyPending(cfg Config) int {
 // newPipeline builds the front end and reconciliation consumer for the
 // given shard count; the caller attaches the shards.
 func newPipeline(cfg Config, workers int) *pipeline {
-	if cfg.FlowTTL > 0 && cfg.MaintainEvery == 0 {
-		cfg.MaintainEvery = 4096
-	}
 	p := &pipeline{frontEnd: newFrontEnd(cfg, workers), reconState: newReconState(cfg), workers: workers}
 	p.o = newCoreObs(cfg.Obs, "", cfg)
 	return p
@@ -271,7 +258,7 @@ func (p *pipeline) PacketSeq(at time.Time, frame []byte, seq uint64) {
 		sh.process(seq, at, frame)
 	}
 	sh.tick(at)
-	if p.o != nil && p.Packets%obsUpdateEvery == 0 {
+	if p.o.on() && p.Packets%obsUpdateEvery == 0 {
 		p.updateGauges()
 	}
 }

@@ -542,17 +542,18 @@ func TestNATMergesMeetingsEndToEnd(t *testing.T) {
 }
 
 // TestCompactionBoundsMemoryWithoutChangingResults runs two meetings in
-// sequence with auto-compaction and checks that (a) the first meeting's
+// sequence under a 30 s FlowTTL and checks that (a) the first meeting's
 // streams are archived, (b) totals and meeting inference are unchanged
-// relative to an uncompacted analyzer.
+// relative to an analyzer that never evicts.
 func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
 	run := func(compact bool) (*Analyzer, int) {
 		opts := sim.DefaultOptions()
 		w := sim.NewWorld(opts)
-		a := analyzerFor(opts)
+		cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
 		if compact {
-			a.AutoCompact(5000, 30*time.Second)
+			cfg.FlowTTL = 30 * time.Second
 		}
+		a := NewAnalyzer(cfg)
 		w.Monitor = a.Packet
 		m1 := w.NewMeeting()
 		c1, c2 := w.NewClient("a", true), w.NewClient("b", true)
@@ -581,9 +582,9 @@ func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
 	if liveC >= liveP {
 		t.Errorf("live streams with compaction = %d, without = %d", liveC, liveP)
 	}
-	// Totals identical.
+	// Totals identical: evicted streams leave the live count, nothing else.
 	sp, sc := plain.Summary(), compacted.Summary()
-	if sp.Packets != sc.Packets || sp.ZoomUDP != sc.ZoomUDP || sp.Streams != sc.Streams {
+	if sp.Packets != sc.Packets || sp.ZoomUDP != sc.ZoomUDP || sp.Streams != sc.Streams+int(sc.EvictedStreams) {
 		t.Errorf("summaries diverge: %+v vs %+v", sp, sc)
 	}
 	if sp.Meetings != sc.Meetings {

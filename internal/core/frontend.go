@@ -35,8 +35,8 @@ type frontEnd struct {
 	// reconciliation can restore capture order.
 	seq uint64
 
-	// o holds the unlabeled live-metric handles (nil when Config.Obs is
-	// nil; every hook is nil-receiver safe).
+	// o holds the unlabeled live-metric handles (noObs unless an engine
+	// registered its own; a Router never does).
 	o *coreObs
 }
 
@@ -49,6 +49,7 @@ func newFrontEnd(cfg Config, n int) frontEnd {
 			CampusNetworks: cfg.CampusNetworks,
 			GenericRTC:     rtcproto.HasNonZoom(cfg.protos()),
 		}),
+		o: noObs,
 	}
 }
 
@@ -65,7 +66,8 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 	fe.seq = seq
 	fe.Packets++
 	fe.Bytes += uint64(len(frame))
-	fe.o.packetIn(len(frame))
+	fe.o.packets.Inc()
+	fe.o.bytes.Add(uint64(len(frame)))
 	if fe.FirstTS.IsZero() || at.Before(fe.FirstTS) {
 		fe.FirstTS = at
 	}
@@ -90,7 +92,7 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 		// that a frame is undecodable.
 		if err := fe.parser.Parse(frame, &fe.pkt); err != nil {
 			fe.Undecodable++
-			fe.o.undecodable()
+			fe.o.stageUndecodable.Inc()
 			return 0, false
 		}
 		verdict = fe.filter.Classify(&fe.pkt, at)
@@ -103,7 +105,7 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 	}
 	if !verdict.Keep() && !fe.cfg.PreFiltered {
 		fe.DroppedByFilter++
-		fe.o.filtered()
+		fe.o.stageFiltered.Inc()
 		return 0, false
 	}
 	if !hashable {
@@ -117,7 +119,7 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 // quarantine records one contained panic: the live counter and, when
 // configured, the offending frame in the forensic ring.
 func (cfg *Config) quarantine(o *coreObs, r any, at time.Time, frame []byte) {
-	o.panicRecovered()
+	o.panics.Inc()
 	if cfg.Quarantine != nil {
 		cfg.Quarantine.Add(at, frame, fmt.Sprintf("panic: %v", r))
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // This file binds the analyzer to the live observability layer
-// (internal/obs). A nil Config.Obs keeps every hook a single branch;
-// with a registry configured the pipeline maintains:
+// (internal/obs). A nil Config.Obs keeps every hook a single branch (the
+// nil check inside the obs handle it calls); with a registry configured
+// the pipeline maintains:
 //
 //   - per-decode-stage packet counters (the live Table 2 view),
 //   - state-table occupancy gauges against the PR 2 bounded-state caps
@@ -25,8 +26,10 @@ import (
 const obsUpdateEvery = 2048
 
 // coreObs holds one set of registered metric handles: the engine's (and
-// its inline shard's), or one ring-fed shard's. All methods are
-// nil-receiver safe.
+// its inline shard's), or one ring-fed shard's. The zero coreObs is
+// inert — its handles are nil, which every obs handle method accepts,
+// and its nil maps read as nil handles — so the packet path calls the
+// handles directly and only the periodic gauge refreshes ask on().
 type coreObs struct {
 	packets *obs.Counter
 	bytes   *obs.Counter
@@ -41,7 +44,7 @@ type coreObs struct {
 	// protoDecoded counts decoded media packets per protocol plugin
 	// (indexed by rtcproto.ID); protoUndecodable counts kept UDP
 	// payloads no plugin decoded.
-	protoDecodedC    [rtcproto.NumIDs]*obs.Counter
+	protoDecoded     [rtcproto.NumIDs]*obs.Counter
 	protoUndecodable *obs.Counter
 
 	panics    *obs.Counter
@@ -67,11 +70,18 @@ var (
 	shardTables = [4]string{"flows", "streams", "tcp", "finished"}
 )
 
+// noObs is the inert handle set of an engine without a registry. It is
+// shared: nothing ever writes to it.
+var noObs = new(coreObs)
+
+// on reports whether o holds registered handles.
+func (o *coreObs) on() bool { return o.prev != nil }
+
 // newCoreObs registers one set of metric handles; shard is the shard
 // label ("" for the engine's own, unlabeled handles).
 func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	if reg == nil {
-		return nil
+		return noObs
 	}
 	shardLbl := func(extra ...obs.Label) []obs.Label {
 		if shard == "" {
@@ -105,7 +115,7 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 		prev:     make(map[*obs.Counter]uint64),
 	}
 	for id := rtcproto.ID(0); id < rtcproto.NumIDs; id++ {
-		o.protoDecodedC[id] = reg.Counter("zoomlens_proto_decoded_total", "Decoded media packets per protocol plugin.", obs.L("proto", id.String()))
+		o.protoDecoded[id] = reg.Counter("zoomlens_proto_decoded_total", "Decoded media packets per protocol plugin.", obs.L("proto", id.String()))
 	}
 	for _, kind := range []string{"flows", "streams", "tcp", "archived"} {
 		o.evicted[kind] = reg.Counter("zoomlens_evicted_total", "State entries evicted by idle TTL.", obs.L("kind", kind))
@@ -130,92 +140,6 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	return o
 }
 
-func (o *coreObs) packetIn(wireLen int) {
-	if o == nil {
-		return
-	}
-	o.packets.Inc()
-	o.bytes.Add(uint64(wireLen))
-}
-
-func (o *coreObs) undecodable() {
-	if o == nil {
-		return
-	}
-	o.stageUndecodable.Inc()
-}
-
-func (o *coreObs) filtered() {
-	if o == nil {
-		return
-	}
-	o.stageFiltered.Inc()
-}
-
-func (o *coreObs) stun() {
-	if o == nil {
-		return
-	}
-	o.stageSTUN.Inc()
-}
-
-func (o *coreObs) tcp() {
-	if o == nil {
-		return
-	}
-	o.stageTCP.Inc()
-}
-
-func (o *coreObs) zoomUDP() {
-	if o == nil {
-		return
-	}
-	o.stageZoomUDP.Inc()
-}
-
-func (o *coreObs) protoDecoded(id rtcproto.ID) {
-	if o == nil {
-		return
-	}
-	o.protoDecodedC[id].Inc()
-}
-
-func (o *coreObs) protoUndecoded() {
-	if o == nil {
-		return
-	}
-	o.protoUndecodable.Inc()
-}
-
-func (o *coreObs) media() {
-	if o == nil {
-		return
-	}
-	o.stageMedia.Inc()
-}
-
-func (o *coreObs) panicRecovered() {
-	if o == nil {
-		return
-	}
-	o.panics.Inc()
-}
-
-func (o *coreObs) snapshot() {
-	if o == nil {
-		return
-	}
-	o.snapshots.Inc()
-}
-
-func (o *coreObs) shed(packets, bytes int) {
-	if o == nil {
-		return
-	}
-	o.shedPackets.Add(uint64(packets))
-	o.shedBytes.Add(uint64(bytes))
-}
-
 // mirror feeds a shared counter the delta between this analyzer's
 // cumulative count and what it last pushed, so shard analyzers can all
 // mirror into one counter without double counting.
@@ -230,9 +154,6 @@ func (o *coreObs) mirror(c *obs.Counter, cur uint64) {
 // analyzer's cumulative counters back to zero; without a baseline reset
 // the next mirror would compute cur-prev on uint64s and wrap.
 func (o *coreObs) resetMirrors() {
-	if o == nil {
-		return
-	}
 	for c := range o.prev {
 		delete(o.prev, c)
 	}
@@ -246,7 +167,7 @@ func (sh *shard) refreshGauges() (occ [4]int64) {
 	tot := sh.Flows.Totals()
 	occ = [4]int64{int64(tot.Flows), int64(tot.Streams), int64(len(sh.TCP)), int64(len(sh.Finished))}
 	o := sh.so
-	if o == nil {
+	if !o.on() {
 		return occ
 	}
 	for i, table := range shardTables {
@@ -269,7 +190,7 @@ func (sh *shard) refreshGauges() (occ [4]int64) {
 // or while reconciled; an inline engine calls it on a packet-count
 // cadence, every engine at each snapshot and at Finish.
 func (p *pipeline) updateGauges() {
-	if p.o == nil {
+	if !p.o.on() {
 		return
 	}
 	var sum [4]int64

@@ -146,7 +146,7 @@ func (sh *shard) run() {
 			it := &b.items[i]
 			sh.process(it.seq, it.at, b.data[it.off:it.end])
 			sh.tick(it.at)
-			if sh.so != nil && sh.ticks%obsUpdateEvery == 0 {
+			if sh.so.on() && sh.ticks%obsUpdateEvery == 0 {
 				sh.refreshGauges()
 			}
 		}
@@ -204,7 +204,8 @@ func (p *pipeline) ship(sh *shard) {
 	} else if !sh.ring.tryPush(b) {
 		p.ShedPackets += uint64(len(b.items))
 		p.ShedBytes += uint64(len(b.data))
-		p.o.shed(len(b.items), len(b.data))
+		p.o.shedPackets.Add(uint64(len(b.items)))
+		p.o.shedBytes.Add(uint64(len(b.data)))
 		putBatch(b)
 		return
 	}
@@ -321,7 +322,7 @@ func (p *pipeline) collapse() {
 	// mirrored their cumulative eviction stats; the merged shard holds
 	// those same cumulative counts, so letting it mirror too would
 	// double-count. Its gauges are redundant with the per-shard series.
-	p.o = nil
+	p.o = noObs
 	p.setInline(mergeShards(p.cfg, p.shards))
 }
 

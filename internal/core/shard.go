@@ -62,10 +62,6 @@ type shard struct {
 	// panicHook, when set, runs inside process's recover scope before
 	// the decode. Tests inject deterministic panics through it.
 	panicHook func(at time.Time, frame []byte)
-	// compactEvery/compactIdle are AutoCompact's settings. They ride in
-	// checkpoints with the state but survive rotation with the wiring.
-	compactEvery uint64
-	compactIdle  time.Duration
 
 	// Ring transport (nil on an inline shard): the batch under
 	// construction is owned by the front-end goroutine, the pending
@@ -188,8 +184,8 @@ func newShard(lim Config, so *coreObs) *shard {
 // scaleLimits divides the global state caps across shards: flows hash
 // roughly uniformly, so per-shard caps of ceil(cap/shards) keep the
 // aggregate close to the configured bound. Zero (unlimited) stays zero.
-// MaxMeetingStreams and MaxCopyPending stay global: they bound the
-// cross-flow reconciliation state, which is not sharded.
+// MaxMeetingStreams and the copy-matcher cap stay global: they bound
+// the cross-flow reconciliation state, which is not sharded.
 func scaleLimits(cfg Config, shards int) Config {
 	div := func(v int) int {
 		if v <= 0 {
@@ -224,13 +220,13 @@ func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
 		// Unreachable: the front end forwards only frames its scan or its
 		// own full parse accepted. Kept for defense in depth.
 		sh.ProtoUndecodable++
-		sh.so.undecodable()
+		sh.so.stageUndecodable.Inc()
 		return
 	}
 	switch {
 	case pkt.HasTCP:
 		sh.TCPPackets++
-		sh.so.tcp()
+		sh.so.stageTCP.Inc()
 		sh.observeTCP(at, pkt)
 	case pkt.HasUDP:
 		sh.observeUDP(seq, at, pkt, len(frame))
@@ -268,7 +264,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	// silently absorbed into STUNPackets.
 	if stun.Is(pkt.Payload) {
 		sh.STUNPackets++
-		sh.so.stun()
+		sh.so.stageSTUN.Inc()
 		return
 	}
 	if pkt.UDP.SrcPort == stun.Port || pkt.UDP.DstPort == stun.Port {
@@ -296,17 +292,17 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	}
 	if !decoded {
 		sh.ProtoUndecodable++
-		sh.so.undecodable()
-		sh.so.protoUndecoded()
+		sh.so.stageUndecodable.Inc()
+		sh.so.protoUndecodable.Inc()
 		return
 	}
 	proto := mo.Proto
 	zp := mo.Pkt
 	sh.ProtoDecoded[proto]++
-	sh.so.protoDecoded(proto)
+	sh.so.protoDecoded[proto].Inc()
 	if proto == rtcproto.IDZoom {
 		sh.ZoomUDP++
-		sh.so.zoomUDP()
+		sh.so.stageZoomUDP.Inc()
 	}
 	ft, ok := pkt.FiveTuple()
 	if !ok {
@@ -325,7 +321,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	if !zp.IsMedia() {
 		return
 	}
-	sh.so.media()
+	sh.so.stageMedia.Inc()
 	if st == nil {
 		// The flow table turned the packet away at a state cap (and
 		// counted it); skip stream-level state too so caps bound the
@@ -349,17 +345,16 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	sm.MarkDirty()
 }
 
-// tick advances the shard's maintenance clock by one packet and runs
-// whatever falls due: AutoCompact's compaction and Config.FlowTTL's idle
-// eviction, both on a packet-count cadence. An inline shard is ticked
-// for every frame offered to the engine, a ring-fed one for every frame
-// it ingests.
+// maintainEvery is the idle-eviction cadence in packets.
+const maintainEvery = 4096
+
+// tick advances the shard's maintenance clock by one packet and, every
+// maintainEvery packets, runs Config.FlowTTL's idle eviction. An inline
+// shard is ticked for every frame offered to the engine, a ring-fed one
+// for every frame it ingests.
 func (sh *shard) tick(at time.Time) {
 	sh.ticks++
-	if sh.compactEvery != 0 && sh.ticks%sh.compactEvery == 0 {
-		sh.Compact(at.Add(-sh.compactIdle))
-	}
-	if ttl := sh.lim.FlowTTL; ttl > 0 && sh.ticks%sh.lim.MaintainEvery == 0 {
+	if ttl := sh.lim.FlowTTL; ttl > 0 && sh.ticks%maintainEvery == 0 {
 		sh.EvictIdle(at.Add(-ttl))
 	}
 }
@@ -443,13 +438,6 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 	sh.Finished = append(sh.Finished, f)
 }
 
-// AutoCompact enables periodic compaction: every `every` packets, the
-// shard archives streams idle longer than idle. Zero disables.
-func (sh *shard) AutoCompact(every uint64, idle time.Duration) {
-	sh.compactEvery = every
-	sh.compactIdle = idle
-}
-
 // EvictIdle evicts every piece of per-flow state idle since before
 // cutoff: metric engines are finalized and archived, flow-table entries
 // fold into the report aggregates, idle TCP trackers are dropped. Counts
@@ -500,7 +488,7 @@ func (sh *shard) lookupStream(id flow.MediaStreamID) *metrics.StreamMetrics {
 // stream metric maps and TCP trackers partition across shards, so their
 // union is exact. A single part's state is adopted as it stands.
 func mergeShards(cfg Config, parts []*shard) *shard {
-	m := newShard(cfg, nil)
+	m := newShard(cfg, noObs)
 	if len(parts) == 1 {
 		m.shardState = parts[0].shardState
 		return m

@@ -60,7 +60,7 @@ type MeetingSnapshot struct {
 // sequential/parallel differential test relies on this).
 func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
 	defer p.cfg.trace("snapshot")()
-	p.o.snapshot()
+	p.o.snapshots.Inc()
 	p.reconcile()
 	p.updateGauges()
 	if window <= 0 {

@@ -2,27 +2,21 @@ package engine
 
 // Checkpoint lifecycle management for crash-safe continuous operation.
 //
-// Two layouts, selected by whether delta checkpoints are enabled:
+// A checkpoint destination <path> is an append-only chain of records
+// <path>.<seq>.full.zlcp / <path>.<seq>.delta.zlcp; nothing is ever
+// written at <path> itself. A delta record extends the state as of the
+// previous record in the sequence; restore loads the newest valid full
+// and replays every delta after it, falling back to older fulls when a
+// record is torn or corrupt. Writing a full prunes everything older than
+// the retention count's oldest surviving full (compaction). A run that
+// writes no deltas (-checkpoint-delta 0) leaves a chain of fulls only.
 //
-//   - Legacy (full-only): every checkpoint is a complete snapshot
-//     written atomically over <path>, with the previous generations
-//     rotated to <path>.1, <path>.2, … up to the retention count, so a
-//     full file torn by a crash mid-rename still leaves an older valid
-//     generation to restore from.
-//
-//   - Chain: checkpoints are an append-only sequence of files
-//     <path>.<seq>.full.zlcp / <path>.<seq>.delta.zlcp. A delta record
-//     extends the state as of the previous file in the sequence;
-//     restore loads the newest valid full and replays every delta after
-//     it, falling back to older fulls when a file is torn or corrupt.
-//     Writing a full prunes everything older than the retention count's
-//     oldest surviving full (compaction).
-//
-// Every file is written to a temp name in the destination directory,
-// fsynced, and renamed into place, so no reader — including the restore
-// path after a kill -9 — ever sees a partially written file under a
-// real checkpoint name. Orphaned temp files from a crash mid-write are
-// swept (and counted) at startup.
+// Every record is written to a temp name in the destination directory,
+// fsynced, and renamed into place under a sequence number no record
+// holds yet, so a write never touches an existing record and no reader
+// — including the restore path after a kill -9 — ever sees a partially
+// written file under a real checkpoint name. Orphaned temp files from a
+// crash mid-write are swept (and counted) at startup.
 
 import (
 	"errors"
@@ -51,14 +45,13 @@ type chainFile struct {
 	full bool
 }
 
-// Checkpointer owns one checkpoint destination: generation rotation or
-// delta-chain layout, atomic writes, startup temp-file cleanup, and the
-// counters the status line reports. Not safe for concurrent use (the
-// driver calls it from the ingest goroutine only).
+// Checkpointer owns one checkpoint chain: atomic writes, pruning,
+// startup temp-file cleanup, and the counters the status line reports.
+// Not safe for concurrent use (the driver calls it from the ingest
+// goroutine only).
 type Checkpointer struct {
 	path    string
-	keep    int
-	chain   bool
+	keep    int // fulls retained
 	metrics *obs.CheckpointMetrics
 
 	seq uint64 // next chain sequence number
@@ -71,23 +64,19 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer prepares a checkpoint destination: sweeps temp-file
-// debris from a previous crash and, in chain mode, resumes sequence
-// numbering after the newest existing chain file (so a restored run
-// appends to the chain it restored from instead of overwriting it).
-func NewCheckpointer(path string, keep int, chain bool, m *obs.CheckpointMetrics) *Checkpointer {
-	if keep < 1 {
-		keep = 1
+// debris from a previous crash and resumes sequence numbering after the
+// newest existing record (so a restored run appends to the chain it
+// restored from instead of overwriting it). A nil m records nothing.
+func NewCheckpointer(path string, keep int, m *obs.CheckpointMetrics) *Checkpointer {
+	if m == nil {
+		m = obs.NewCheckpointMetrics(nil)
 	}
-	c := &Checkpointer{path: path, keep: keep, chain: chain, metrics: m}
+	c := &Checkpointer{path: path, keep: max(keep, 1), metrics: m}
 	c.TmpCleaned = cleanOrphanedTmp(path)
-	if m != nil {
-		m.TmpCleaned.Add(uint64(c.TmpCleaned))
-	}
-	if chain {
-		for _, cf := range listChain(path) {
-			if cf.seq >= c.seq {
-				c.seq = cf.seq + 1
-			}
+	m.TmpCleaned.Add(uint64(c.TmpCleaned))
+	for _, cf := range listChain(path) {
+		if cf.seq >= c.seq {
+			c.seq = cf.seq + 1
 		}
 	}
 	return c
@@ -170,31 +159,29 @@ func atomicWrite(name string, write func(io.Writer) error) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteFull writes a complete snapshot: rotate-and-replace in legacy
-// mode, a new .full chain file (followed by pruning) in chain mode.
-func (c *Checkpointer) WriteFull(eng core.Engine) error {
+// write appends one record to the chain under the next sequence number
+// and counts it in n and written.
+func (c *Checkpointer) write(suffix string, encode func(io.Writer) error, n *int, written *obs.Counter) error {
 	start := time.Now()
-	var size int64
-	var err error
-	if c.chain {
-		name := c.chainName(c.seq, true)
-		size, err = atomicWrite(name, eng.Checkpoint)
-		if err == nil {
-			c.seq++
-			c.prune()
-		}
-	} else {
-		c.rotateGenerations()
-		size, err = atomicWrite(c.path, eng.Checkpoint)
-	}
+	size, err := atomicWrite(fmt.Sprintf("%s.%08d%s", c.path, c.seq, suffix), encode)
 	if err != nil {
-		if c.metrics != nil {
-			c.metrics.Failed.Inc()
-		}
 		return err
 	}
-	c.Fulls++
+	c.seq++
+	*n++
+	written.Inc()
 	c.metrics.Record(time.Since(start), size, time.Now())
+	return nil
+}
+
+// WriteFull writes a complete snapshot as the chain's next .full record,
+// then prunes.
+func (c *Checkpointer) WriteFull(eng core.Engine) error {
+	if err := c.write(chainSuffixFull, eng.Checkpoint, &c.Fulls, c.metrics.Written); err != nil {
+		c.metrics.Failed.Inc()
+		return err
+	}
+	c.prune()
 	return nil
 }
 
@@ -204,54 +191,14 @@ func (c *Checkpointer) WriteFull(eng core.Engine) error {
 // de-synchronizes the on-disk chain from the engine's in-memory anchor
 // — it falls back to a full snapshot, which re-anchors both.
 func (c *Checkpointer) WriteDelta(eng core.Engine) error {
-	if !c.chain {
-		return c.WriteFull(eng)
+	err := c.write(chainSuffixDelta, eng.CheckpointDelta, &c.Deltas, c.metrics.DeltaWritten)
+	if err == nil {
+		return nil
 	}
-	start := time.Now()
-	name := c.chainName(c.seq, false)
-	size, err := atomicWrite(name, eng.CheckpointDelta)
-	if err != nil {
-		if !errors.Is(err, core.ErrDeltaUnavailable) && c.metrics != nil {
-			c.metrics.Failed.Inc()
-		}
-		return c.WriteFull(eng)
+	if !errors.Is(err, core.ErrDeltaUnavailable) {
+		c.metrics.Failed.Inc()
 	}
-	c.seq++
-	c.Deltas++
-	if c.metrics != nil {
-		c.metrics.DeltaWritten.Inc()
-		c.metrics.DurationMS.Set(time.Since(start).Milliseconds())
-		c.metrics.SizeBytes.Set(size)
-		c.metrics.LastUnix.Set(time.Now().Unix())
-	}
-	return nil
-}
-
-func (c *Checkpointer) chainName(seq uint64, full bool) string {
-	suffix := chainSuffixDelta
-	if full {
-		suffix = chainSuffixFull
-	}
-	return fmt.Sprintf("%s.%08d%s", c.path, seq, suffix)
-}
-
-// rotateGenerations shifts <path> → <path>.1 → … before a legacy full
-// write, retaining keep generations total.
-func (c *Checkpointer) rotateGenerations() {
-	if c.keep < 2 {
-		return
-	}
-	os.Remove(legacyGenName(c.path, c.keep-1))
-	for i := c.keep - 1; i >= 1; i-- {
-		os.Rename(legacyGenName(c.path, i-1), legacyGenName(c.path, i))
-	}
-}
-
-func legacyGenName(path string, gen int) string {
-	if gen == 0 {
-		return path
-	}
-	return fmt.Sprintf("%s.%d", path, gen)
+	return c.WriteFull(eng)
 }
 
 // prune removes chain files older than the keep-th newest full. Deltas
@@ -285,41 +232,26 @@ func restoreFile(name string, cfg core.Config) (core.Engine, error) {
 	return core.RestoreAnalyzer(f, cfg)
 }
 
-// RestoreEngine rebuilds an engine from a checkpoint destination,
-// surviving torn or corrupt files: it walks from the newest valid state
-// backwards until one restores, counting every generation skipped.
-//
-// path may be a legacy checkpoint file (generation fallback: path,
-// path.1, …) or a chain base (newest valid full + its deltas, falling
-// back to older fulls; a delta that fails to apply truncates the chain
-// at that point). fallbacks reports how many candidate states were
-// skipped before success.
+// RestoreEngine rebuilds an engine from a checkpoint destination. When
+// path is an existing regular file — a record copied out of a chain by
+// hand, or bytes a library caller wrote with Engine.Checkpoint — that
+// one file is restored and nothing beside it is consulted. Otherwise
+// path is a chain base: the newest valid full plus its deltas, falling
+// back to older fulls when a record is torn or corrupt (a delta that
+// fails to apply truncates the chain at that point). fallbacks reports
+// how many candidate states were skipped before success.
 func RestoreEngine(path string, cfg core.Config, m *obs.CheckpointMetrics) (eng core.Engine, fallbacks int, err error) {
+	if fi, serr := os.Stat(path); serr == nil && fi.Mode().IsRegular() {
+		if eng, err = restoreFile(path, cfg); err != nil {
+			return nil, 0, fmt.Errorf("restoring %s: %w", path, err)
+		}
+		return eng, 0, nil
+	}
 	defer func() {
 		if m != nil && fallbacks > 0 {
 			m.Fallbacks.Add(uint64(fallbacks))
 		}
 	}()
-	if _, serr := os.Stat(path); serr == nil {
-		// Legacy layout: the base file exists. Try it, then its rotated
-		// generations.
-		var firstErr error
-		for gen := 0; ; gen++ {
-			name := legacyGenName(path, gen)
-			if _, serr := os.Stat(name); serr != nil {
-				break
-			}
-			eng, err := restoreFile(name, cfg)
-			if err == nil {
-				return eng, fallbacks, nil
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("restoring %s: %w", name, err)
-			}
-			fallbacks++
-		}
-		return nil, fallbacks, firstErr
-	}
 	files := listChain(path)
 	if len(files) == 0 {
 		return nil, 0, fmt.Errorf("restoring %s: no checkpoint file or chain found", path)

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestCheckpointerTmpCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck := NewCheckpointer(base, 2, true, nil)
+	ck := NewCheckpointer(base, 2, nil)
 	if ck.TmpCleaned != len(orphans) {
 		t.Errorf("TmpCleaned = %d, want %d", ck.TmpCleaned, len(orphans))
 	}
@@ -88,14 +89,19 @@ func TestCheckpointerTmpCleanup(t *testing.T) {
 	}
 }
 
-func TestCheckpointerLegacyGenerations(t *testing.T) {
-	recs, cfg := ckWorkload(t, 600)
+// TestCheckpointerFullOnlyRetention is the chain a run without
+// -checkpoint-delta leaves: full records only. keep fulls survive, older
+// ones are pruned, nothing is ever written at the base path itself, a
+// torn newest record falls back (and is counted), and a record copied
+// out by hand restores as one file with nothing beside it consulted.
+func TestCheckpointerFullOnlyRetention(t *testing.T) {
+	recs, cfg := ckWorkload(t, 800)
 	dir := t.TempDir()
 	base := filepath.Join(dir, "state.zlcp")
 
 	eng := core.NewAnalyzer(cfg)
-	ck := NewCheckpointer(base, 3, false, nil)
-	cuts := []int{200, 400, 600}
+	ck := NewCheckpointer(base, 3, nil)
+	cuts := []int{200, 400, 600, 800}
 	prev := 0
 	for _, cut := range cuts {
 		feedRecords(eng, recs, prev, cut)
@@ -105,14 +111,27 @@ func TestCheckpointerLegacyGenerations(t *testing.T) {
 		prev = cut
 	}
 	want := engineFingerprint(t, eng)
-
-	for _, name := range []string{base, base + ".1", base + ".2"} {
-		if _, err := os.Stat(name); err != nil {
-			t.Fatalf("generation %s missing: %v", filepath.Base(name), err)
-		}
+	if ck.Fulls != len(cuts) || ck.Deltas != 0 {
+		t.Fatalf("wrote %d fulls / %d deltas, want %d / 0", ck.Fulls, ck.Deltas, len(cuts))
 	}
 
-	// Pristine restore lands on the newest generation.
+	// Four fulls written at keep 3: seq 1-3 on disk, seq 0 pruned, and
+	// no file under the base name.
+	var got []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	wantNames := []string{"state.zlcp.00000001.full.zlcp", "state.zlcp.00000002.full.zlcp", "state.zlcp.00000003.full.zlcp"}
+	if !slices.Equal(got, wantNames) {
+		t.Fatalf("directory holds %v, want %v", got, wantNames)
+	}
+	newest := filepath.Join(dir, wantNames[2])
+
+	// Pristine restore lands on the newest record.
 	restored, fallbacks, err := RestoreEngine(base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -124,32 +143,60 @@ func TestCheckpointerLegacyGenerations(t *testing.T) {
 		t.Error("restored state differs from live state")
 	}
 
-	// Tear the newest generation: restore must fall back to .1 (the
-	// state as of the second cut).
-	if err := os.Truncate(base, 10); err != nil {
+	// A record copied out by hand restores as a single file.
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := filepath.Join(t.TempDir(), "copied.zlcp")
+	if err := os.WriteFile(single, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, fallbacks, err = RestoreEngine(single, cfg, nil)
+	if err != nil || fallbacks != 0 {
+		t.Fatalf("single-file restore: %v (%d fallbacks)", err, fallbacks)
+	}
+	if !bytes.Equal(engineFingerprint(t, restored), want) {
+		t.Error("single-file restore differs from live state")
+	}
+	// Torn, it fails outright: a file path names that file alone, even
+	// with a valid chain of the same base name sitting beside it.
+	if err := os.WriteFile(base, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RestoreEngine(base, cfg, nil); err == nil {
+		t.Error("torn single file restored (fell through to the chain beside it)")
+	}
+	if err := os.Remove(base); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the newest record: restore must fall back to the one before
+	// it (the state as of the third cut).
+	if err := os.Truncate(newest, 10); err != nil {
 		t.Fatal(err)
 	}
 	restored, fallbacks, err = RestoreEngine(base, cfg, nil)
 	if err != nil {
-		t.Fatalf("restore with torn newest generation: %v", err)
+		t.Fatalf("restore with torn newest record: %v", err)
 	}
 	if fallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1", fallbacks)
 	}
 	ref := core.NewAnalyzer(cfg)
-	feedRecords(ref, recs, 0, cuts[1])
+	feedRecords(ref, recs, 0, cuts[2])
 	if !bytes.Equal(engineFingerprint(t, restored), engineFingerprint(t, ref)) {
 		t.Error("fallback restore differs from reference state at the older cut")
 	}
 
-	// Every generation torn: restore must fail, reporting the first error.
-	for _, name := range []string{base + ".1", base + ".2"} {
-		if err := os.Truncate(name, 10); err != nil {
+	// Every record torn: restore must fail, reporting the first error.
+	for _, name := range wantNames[:2] {
+		if err := os.Truncate(filepath.Join(dir, name), 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, _, err := RestoreEngine(base, cfg, nil); err == nil {
-		t.Fatal("restore succeeded with every generation torn")
+		t.Fatal("restore succeeded with every record torn")
 	}
 }
 
@@ -159,7 +206,7 @@ func TestCheckpointerChainPrune(t *testing.T) {
 	base := filepath.Join(dir, "state.zlcp")
 
 	eng := core.NewAnalyzer(cfg)
-	ck := NewCheckpointer(base, 2, true, nil)
+	ck := NewCheckpointer(base, 2, nil)
 	// full, delta, delta, full, delta, full — pruning after the last full
 	// must keep the two newest fulls and the deltas between them.
 	plan := []struct {
@@ -229,7 +276,7 @@ func TestCheckpointerDeltaFallsBackToFull(t *testing.T) {
 
 	eng := core.NewAnalyzer(cfg)
 	feedRecords(eng, recs, 0, len(recs))
-	ck := NewCheckpointer(base, 2, true, nil)
+	ck := NewCheckpointer(base, 2, nil)
 	// No full checkpoint yet, so the delta chain is unarmed.
 	if err := ck.WriteDelta(eng); err != nil {
 		t.Fatal(err)
@@ -250,7 +297,7 @@ func TestCheckpointerSeqResume(t *testing.T) {
 
 	eng := core.NewAnalyzer(cfg)
 	feedRecords(eng, recs, 0, 100)
-	ck := NewCheckpointer(base, 4, true, nil)
+	ck := NewCheckpointer(base, 4, nil)
 	if err := ck.WriteFull(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +308,7 @@ func TestCheckpointerSeqResume(t *testing.T) {
 
 	// "Restart": a fresh Checkpointer over the same base must continue
 	// at the next sequence number.
-	ck2 := NewCheckpointer(base, 4, true, nil)
+	ck2 := NewCheckpointer(base, 4, nil)
 	if err := ck2.WriteFull(eng); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +335,7 @@ func TestChainRestoreTornFiles(t *testing.T) {
 		dir := t.TempDir()
 		base := filepath.Join(dir, "state.zlcp")
 		eng := core.NewAnalyzer(cfg)
-		ck := NewCheckpointer(base, 4, true, nil)
+		ck := NewCheckpointer(base, 4, nil)
 		var prints [][]byte
 		prev := 0
 		for i, cut := range cuts {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -31,8 +32,7 @@ import (
 )
 
 // Source is an opened capture input: a file or stdin ("-"), classic
-// pcap or pcapng. Records are iterated zero-copy via NextInto; Next
-// remains for callers that want owned copies.
+// pcap or pcapng. Records are iterated zero-copy via NextInto.
 type Source struct {
 	f      *os.File
 	stream *pcap.Stream
@@ -63,9 +63,6 @@ func Open(path string) (*Source, error) {
 // NextInto reads the next record into rec; rec.Data borrows the
 // reader's buffer and is valid only until the next call.
 func (s *Source) NextInto(rec *pcap.Record) error { return s.stream.NextInto(rec) }
-
-// Next returns the next record with caller-owned Data.
-func (s *Source) Next() (pcap.Record, error) { return s.stream.Next() }
 
 // Truncated reports whether the stream was cut mid-record.
 func (s *Source) Truncated() bool { return s.stream.Truncated() }
@@ -119,7 +116,7 @@ type Flags struct {
 	// ClusterPart runs this process as one cluster worker: the input is
 	// a splitter stream (pcapng frames stamped with global sequence
 	// numbers), media observations are exported to <part>.obs, the
-	// shutdown checkpoint defaults to <part>.state.zlcp, and the status
+	// checkpoint chain base defaults to <part>.state.zlcp, and the status
 	// JSON is mirrored to <part>.status.json for the aggregator.
 	ClusterPart string
 
@@ -144,11 +141,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.MaxStreams, "max-streams", 0, "cap concurrent media-stream records (0 = unlimited)")
 	fs.DurationVar(&f.FlowTTL, "flow-ttl", 0, "evict per-flow state idle longer than this, folding it into the report (0 = never)")
 	fs.StringVar(&f.QuarantinePath, "quarantine", "", "write frames whose processing panicked to this pcap for offline dissection")
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "write engine state to this path (atomic write-rename) every -checkpoint-interval of trace time and on shutdown")
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "checkpoint chain base path: engine state is written as records <path>.NNNNNNNN.{full,delta}.zlcp (atomic write-rename, never over an existing record) every -checkpoint-interval of trace time and on shutdown")
 	fs.DurationVar(&f.CheckpointInterval, "checkpoint-interval", time.Minute, "trace-clock cadence between periodic full checkpoints (with -checkpoint)")
-	fs.DurationVar(&f.CheckpointDelta, "checkpoint-delta", 0, "trace-clock cadence for incremental (delta) checkpoint records between fulls; enables the chain layout <checkpoint>.NNNNNNNN.{full,delta}.zlcp (0 = full snapshots only)")
-	fs.IntVar(&f.CheckpointKeep, "checkpoint-keep", 2, "full-checkpoint generations to retain for crash fallback; restore walks back through them when the newest is torn or corrupt")
-	fs.StringVar(&f.Restore, "restore", "", "resume from a checkpoint written by -checkpoint (a legacy file or a chain base path); the worker count comes from the file")
+	fs.DurationVar(&f.CheckpointDelta, "checkpoint-delta", 0, "trace-clock cadence for incremental (delta) checkpoint records between fulls (0 = the chain holds full records only)")
+	fs.IntVar(&f.CheckpointKeep, "checkpoint-keep", 2, "full checkpoint records to retain for crash fallback (older records are pruned); restore walks back through them when the newest is torn or corrupt")
+	fs.StringVar(&f.Restore, "restore", "", "resume from a checkpoint: the chain base path given to -checkpoint, or one checkpoint file; the worker count comes from the checkpoint")
 	fs.BoolVar(&f.Shed, "shed", false, "under overload, drop packet batches with accounting when an analysis shard's queue is full instead of stalling ingest (parallel engines; shed counts surface in the report and status line)")
 	fs.IntVar(&f.MaxFinished, "max-finished", 0, "cap archived finished streams; at the cap the oldest are dropped and counted (0 = unlimited)")
 	fs.DurationVar(&f.Rotate, "rotate", 0, "close and emit the report window every this much trace time, writing <rotate-out>-NNNN.json per window (0 = one report)")
@@ -157,7 +154,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.FeatureWindow, "feature-window", time.Second, "feature aggregation window on the capture clock (with -features or -predict)")
 	fs.BoolVar(&f.Predict, "predict", false, "classify each video feature window with the -model QoE model; predictions surface as zoomlens_qoe_* metrics and qoe_prediction JSON lines on the snapshot sink")
 	fs.StringVar(&f.Model, "model", "", "QoE model JSON for -predict (train one with zoomfeatures -train)")
-	fs.StringVar(&f.ClusterPart, "cluster-part", "", "run as one cluster worker under this path prefix: export media observations to <prefix>.obs, default the shutdown checkpoint to <prefix>.state.zlcp, and mirror the status JSON to <prefix>.status.json (input should be a zoomsplit stream; requires -workers 1)")
+	fs.StringVar(&f.ClusterPart, "cluster-part", "", "run as one cluster worker under this path prefix: export media observations to <prefix>.obs, default the checkpoint chain base to <prefix>.state.zlcp, and mirror the status JSON to <prefix>.status.json (input should be a zoomsplit stream; requires -workers 1)")
 	f.Obs = cliobs.Register(fs)
 	f.fs = fs
 	return f
@@ -198,8 +195,6 @@ type Run struct {
 	Interrupted bool
 	// Restored reports that the run resumed from a -restore checkpoint.
 	Restored bool
-	// Checkpoints counts checkpoint files written (periodic + shutdown).
-	Checkpoints int
 	// Rotations counts report windows closed by -rotate. With rotation
 	// on, the final report (run.Analyzer) covers only the last window;
 	// earlier windows live in the <rotate-out>-NNNN.json files. Only
@@ -209,28 +204,61 @@ type Run struct {
 	// RotateFailures counts report windows whose file write failed (the
 	// window's state is still folded forward into the run).
 	RotateFailures int
-	// DeltaCheckpoints counts incremental checkpoint records written
-	// (Checkpoints counts fulls; together they are the chain).
-	DeltaCheckpoints int
-	// RestoreFallbacks counts torn/corrupt checkpoint generations the
-	// restore path skipped before finding a valid state.
+	// RestoreFallbacks counts torn/corrupt checkpoint records the restore
+	// path skipped before finding a valid state.
 	RestoreFallbacks int
-	// TmpCleaned counts orphaned checkpoint temp files swept at startup
-	// (debris of a crash mid-write).
-	TmpCleaned int
 	// FeatureRows counts streaming feature rows drained to the -features
 	// CSV (and through the -predict model).
 	FeatureRows int
 	// Predictions counts video rows the -predict model classified.
 	Predictions int
 
+	// Checkpointer is the run's checkpoint chain and the home of its
+	// record counts (Fulls, Deltas, TmpCleaned); nil without -checkpoint.
+	Checkpointer *Checkpointer
+
 	quarantine  *core.Quarantine
 	quarPath    string
 	quarFlushed bool
 	statusPath  string
 	ckm         *obs.CheckpointMetrics
-	ck          *Checkpointer
 }
+
+// cadence is one trace-clock schedule: due reports, packet by packet,
+// whether another `every` of capture time has passed. The first
+// timestamp arms it; after that it fires on the first packet at or past
+// the deadline and moves the deadline past that packet by whole
+// multiples of every, so a quiet stretch or a far-forward timestamp
+// fires once, not once per missed period, in constant time. A timestamp
+// behind the deadline (a backward clock jump included) never fires and
+// never moves it. The zero every never fires.
+type cadence struct {
+	every time.Duration
+	next  time.Time
+}
+
+func (c *cadence) due(ts time.Time) bool {
+	switch {
+	case c.every <= 0:
+		return false
+	case c.next.IsZero():
+		c.rearm(ts)
+		return false
+	case ts.Before(c.next):
+		return false
+	}
+	// Sub saturates when the jump exceeds time.Duration's range; the
+	// deadline then restarts from ts itself.
+	if behind := ts.Sub(c.next); behind > math.MaxInt64-c.every {
+		c.rearm(ts)
+	} else {
+		c.next = c.next.Add((behind/c.every + 1) * c.every)
+	}
+	return true
+}
+
+// rearm sets the deadline one full period after ts.
+func (c *cadence) rearm(ts time.Time) { c.next = ts.Add(c.every) }
 
 // clusterEngine is the engine-side surface a cluster worker needs: an
 // observation sink for the aggregator's reconciliation replay, and
@@ -354,8 +382,7 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 		ckPath = f.ClusterPart + ".state.zlcp"
 	}
 	if ckPath != "" {
-		run.ck = NewCheckpointer(ckPath, f.CheckpointKeep, f.CheckpointDelta > 0, run.ckm)
-		run.TmpCleaned = run.ck.TmpCleaned
+		run.Checkpointer = NewCheckpointer(ckPath, f.CheckpointKeep, run.ckm)
 	}
 	if f.ClusterPart != "" {
 		run.statusPath = f.ClusterPart + ".status.json"
@@ -377,7 +404,7 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 		run.RestoreFallbacks = fallbacks
 		run.ckm.Restored.Inc()
 		if fallbacks > 0 {
-			log.Printf("restore: skipped %d torn or corrupt checkpoint generation(s)", fallbacks)
+			log.Printf("restore: skipped %d torn or corrupt checkpoint record(s)", fallbacks)
 		}
 		// The checkpoint's worker count always wins over -workers; warn
 		// whenever the flag was explicitly set to something else (a
@@ -459,11 +486,19 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 	sw := f.Obs.SnapshotWriter(setup, eng.Snapshot)
 	var lastTS time.Time
 	var rec pcap.Record
-	// Rotation, checkpoint, and feature-drain deadlines run on the trace
+	// Rotation, checkpoint, and feature-drain schedules run on the trace
 	// clock, armed by the first packet. Full checkpoints run on
 	// -checkpoint-interval; delta records on the (typically much
 	// shorter) -checkpoint-delta cadence between them.
-	var rotateAt, winStart, ckptAt, deltaAt, drainAt time.Time
+	rotate := cadence{every: f.Rotate}
+	var winStart time.Time
+	var full, delta, drain cadence
+	if run.Checkpointer != nil {
+		full.every, delta.every = f.CheckpointInterval, f.CheckpointDelta
+	}
+	if fsink != nil {
+		drain.every = fsink.every
+	}
 	ingestDone := setup.Stage("ingest")
 readLoop:
 	for {
@@ -495,17 +530,12 @@ readLoop:
 		}
 		// Rotate before ingesting: the packet that crosses the boundary
 		// opens the next window.
-		if f.Rotate > 0 {
-			if rotateAt.IsZero() {
-				rotateAt = rec.Timestamp.Add(f.Rotate)
-				winStart = rec.Timestamp
-			} else if !rec.Timestamp.Before(rotateAt) {
-				run.rotateWindow(eng, winStart, rec.Timestamp, f.RotateOut)
-				winStart = rec.Timestamp
-				for !rec.Timestamp.Before(rotateAt) {
-					rotateAt = rotateAt.Add(f.Rotate)
-				}
-			}
+		if winStart.IsZero() {
+			winStart = rec.Timestamp
+		}
+		if rotate.due(rec.Timestamp) {
+			run.rotateWindow(eng, winStart, rec.Timestamp, f.RotateOut)
+			winStart = rec.Timestamp
 		}
 		if clusterIngest != nil {
 			clusterIngest(&rec)
@@ -514,40 +544,17 @@ readLoop:
 		}
 		lastTS = rec.Timestamp
 		sw.Tick(rec.Timestamp)
-		if fsink != nil {
-			if drainAt.IsZero() {
-				drainAt = rec.Timestamp.Add(fsink.every)
-			} else if !rec.Timestamp.Before(drainAt) {
-				fsink.drain(eng.DrainFeatures())
-				for !rec.Timestamp.Before(drainAt) {
-					drainAt = drainAt.Add(fsink.every)
-				}
-			}
+		if drain.due(rec.Timestamp) {
+			fsink.drain(eng.DrainFeatures())
 		}
-		if run.ck != nil && f.CheckpointInterval > 0 {
-			if ckptAt.IsZero() {
-				ckptAt = rec.Timestamp.Add(f.CheckpointInterval)
-			} else if !rec.Timestamp.Before(ckptAt) {
-				run.writeFull(eng)
-				for !rec.Timestamp.Before(ckptAt) {
-					ckptAt = ckptAt.Add(f.CheckpointInterval)
-				}
-				// A full re-anchors the chain; push the next delta a full
-				// cadence out instead of writing one immediately after.
-				if f.CheckpointDelta > 0 {
-					deltaAt = rec.Timestamp.Add(f.CheckpointDelta)
-				}
-			}
+		if full.due(rec.Timestamp) {
+			run.ckptErr(run.Checkpointer.WriteFull(eng))
+			// A full re-anchors the chain; push the next delta a full
+			// cadence out instead of writing one immediately after.
+			delta.rearm(rec.Timestamp)
 		}
-		if run.ck != nil && f.CheckpointDelta > 0 {
-			if deltaAt.IsZero() {
-				deltaAt = rec.Timestamp.Add(f.CheckpointDelta)
-			} else if !rec.Timestamp.Before(deltaAt) {
-				run.writeDelta(eng)
-				for !rec.Timestamp.Before(deltaAt) {
-					deltaAt = deltaAt.Add(f.CheckpointDelta)
-				}
-			}
+		if delta.due(rec.Timestamp) {
+			run.ckptErr(run.Checkpointer.WriteDelta(eng))
 		}
 	}
 	ingestDone()
@@ -561,8 +568,8 @@ readLoop:
 	// file keeps its parallel payload (restorable at the same worker
 	// count); it covers every packet ingested, interrupt included. It is
 	// always a full snapshot — the next start restores from it alone.
-	if run.ck != nil {
-		run.writeFull(eng)
+	if run.Checkpointer != nil {
+		run.ckptErr(run.Checkpointer.WriteFull(eng))
 	}
 	eng.Finish()
 	// Finish closed every open feature window; the final drain picks the
@@ -604,28 +611,12 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeFull writes a periodic/shutdown full checkpoint. Failures are
-// logged and counted, not fatal — losing one checkpoint must not kill
-// the tap.
-func (r *Run) writeFull(eng core.Engine) {
-	if err := r.ck.WriteFull(eng); err != nil {
-		log.Printf("checkpoint %s: %v", r.ck.path, err)
-		return
+// ckptErr logs a failed checkpoint write (the Checkpointer counted it).
+// Not fatal — losing one checkpoint must not kill the tap.
+func (r *Run) ckptErr(err error) {
+	if err != nil {
+		log.Printf("checkpoint %s: %v", r.Checkpointer.path, err)
 	}
-	r.Checkpoints++
-}
-
-// writeDelta writes an incremental checkpoint record (falling back to a
-// full snapshot inside the Checkpointer when the engine has no chain to
-// extend). Same never-fatal policy as writeFull.
-func (r *Run) writeDelta(eng core.Engine) {
-	before := r.ck.Fulls
-	if err := r.ck.WriteDelta(eng); err != nil {
-		log.Printf("checkpoint %s: %v", r.ck.path, err)
-		return
-	}
-	r.Checkpoints += r.ck.Fulls - before
-	r.DeltaCheckpoints = r.ck.Deltas
 }
 
 // windowReport is the JSON written per rotated window: the window's
@@ -684,6 +675,10 @@ func (r *Run) EmitStatus() {
 		reason = "truncated_capture"
 	}
 	quarantined, quarDropped := r.flushQuarantine()
+	var ck Checkpointer // zero counts for a run without -checkpoint
+	if r.Checkpointer != nil {
+		ck = *r.Checkpointer
+	}
 	// Per-plugin decode counters mirror the zoomlens_proto_* metrics so
 	// a cluster aggregator (or an operator tailing stderr) sees the
 	// protocol mix without a metrics scrape.
@@ -695,7 +690,7 @@ func (r *Run) EmitStatus() {
 		`{"partial":%t,"reason":%q,"packets":%d,"flows":%d,"streams":%d,"evicted_flows":%d,"evicted_streams":%d,"rejected_packets":%d,"panics_recovered":%d,"quarantined":%d,"quarantine_dropped":%d,"shed_packets":%d,"shed_bytes":%d,"truncated":%t,"checkpoints":%d,"delta_checkpoints":%d,"restore_fallbacks":%d,"tmp_cleaned":%d,"restored":%t,"rotations":%d,"rotate_failures":%d%s,"proto_undecodable":%d,"stun_port_nonstun":%d}`,
 		r.Interrupted || s.Truncated, reason, s.Packets, s.Flows, s.Streams,
 		s.EvictedFlows, s.EvictedStreams, s.RejectedPackets, s.PanicsRecovered, quarantined, quarDropped,
-		s.ShedPackets, s.ShedBytes, s.Truncated, r.Checkpoints, r.DeltaCheckpoints, r.RestoreFallbacks, r.TmpCleaned,
+		s.ShedPackets, s.ShedBytes, s.Truncated, ck.Fulls, ck.Deltas, r.RestoreFallbacks, ck.TmpCleaned,
 		r.Restored, r.Rotations, r.RotateFailures, protoFields, s.Undecodable, s.STUNPortNonSTUN)
 	fmt.Fprintln(os.Stderr, line)
 	if r.statusPath != "" {

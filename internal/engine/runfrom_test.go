@@ -90,9 +90,9 @@ func TestRunFromShutdownLeaks(t *testing.T) {
 		if run.Rotations == 0 {
 			t.Error("rotation never fired mid-run")
 		}
-		if run.Checkpoints == 0 || run.DeltaCheckpoints == 0 {
+		if run.Checkpointer.Fulls == 0 || run.Checkpointer.Deltas == 0 {
 			t.Errorf("checkpoint chain inactive: %d fulls / %d deltas",
-				run.Checkpoints, run.DeltaCheckpoints)
+				run.Checkpointer.Fulls, run.Checkpointer.Deltas)
 		}
 		leakCheck(t, baseline)
 	})
@@ -123,7 +123,7 @@ func TestRunFromShutdownLeaks(t *testing.T) {
 		if !run.Interrupted {
 			t.Error("run not marked interrupted")
 		}
-		if run.Checkpoints == 0 {
+		if run.Checkpointer.Fulls == 0 {
 			t.Error("no shutdown checkpoint after SIGINT")
 		}
 		leakCheck(t, baseline)

@@ -166,11 +166,11 @@ func TestRestoreWorkerWarning(t *testing.T) {
 	cfg := core.Config{ZoomNetworks: nets}
 
 	parCk := filepath.Join(dir, "par.zlcp")
-	if err := NewCheckpointer(parCk, 1, false, nil).WriteFull(core.NewParallelAnalyzer(cfg, 2)); err != nil {
+	if err := NewCheckpointer(parCk, 1, nil).WriteFull(core.NewParallelAnalyzer(cfg, 2)); err != nil {
 		t.Fatal(err)
 	}
 	seqCk := filepath.Join(dir, "seq.zlcp")
-	if err := NewCheckpointer(seqCk, 1, false, nil).WriteFull(core.NewAnalyzer(cfg)); err != nil {
+	if err := NewCheckpointer(seqCk, 1, nil).WriteFull(core.NewAnalyzer(cfg)); err != nil {
 		t.Fatal(err)
 	}
 

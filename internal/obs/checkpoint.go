@@ -50,12 +50,12 @@ func NewCheckpointMetrics(r *Registry) *CheckpointMetrics {
 	}
 }
 
-// Record notes one successful checkpoint write.
+// Record notes the cost of one successful checkpoint write, full or
+// delta (the caller bumps Written or DeltaWritten).
 func (m *CheckpointMetrics) Record(d time.Duration, size int64, at time.Time) {
 	if m == nil {
 		return
 	}
-	m.Written.Inc()
 	m.DurationMS.Set(d.Milliseconds())
 	m.SizeBytes.Set(size)
 	m.LastUnix.Set(at.Unix())

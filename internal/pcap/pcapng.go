@@ -358,16 +358,6 @@ func OpenStream(r io.Reader) (*Stream, error) {
 	return &Stream{next: pr.Next, nextInto: pr.NextInto, truncated: pr.Truncated, nano: pr.Header().Nanosecond}, nil
 }
 
-// OpenAny is OpenStream without the truncation accessor, kept for
-// callers that only need the iterator.
-func OpenAny(r io.Reader) (func() (Record, error), error) {
-	s, err := OpenStream(r)
-	if err != nil {
-		return nil, err
-	}
-	return s.Next, nil
-}
-
 // bytesReader avoids importing bytes for one call site.
 type byteSliceReader struct {
 	b []byte

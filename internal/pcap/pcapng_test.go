@@ -181,16 +181,16 @@ func TestNGReaderRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestOpenAnyDispatch(t *testing.T) {
+func TestOpenStreamDispatch(t *testing.T) {
 	// Classic pcap.
 	var classic bytes.Buffer
 	pw, _ := NewWriter(&classic, WriterOptions{})
 	_ = pw.WriteRecord(time.Unix(5, 0), []byte{9, 9})
-	next, err := OpenAny(&classic)
+	cs, err := OpenStream(&classic)
 	if err != nil {
-		t.Fatalf("OpenAny(classic): %v", err)
+		t.Fatalf("OpenStream(classic): %v", err)
 	}
-	rec, err := next()
+	rec, err := cs.Next()
 	if err != nil || len(rec.Data) != 2 {
 		t.Errorf("classic rec = %v err=%v", rec, err)
 	}
@@ -200,18 +200,18 @@ func TestOpenAnyDispatch(t *testing.T) {
 	w.shb()
 	w.idb(1, 6)
 	w.epb(0, time.Unix(7, 0), 1_000_000, []byte{1, 2, 3})
-	next2, err := OpenAny(&w.buf)
+	ns, err := OpenStream(&w.buf)
 	if err != nil {
-		t.Fatalf("OpenAny(ng): %v", err)
+		t.Fatalf("OpenStream(ng): %v", err)
 	}
-	rec2, err := next2()
+	rec2, err := ns.Next()
 	if err != nil || len(rec2.Data) != 3 {
 		t.Errorf("ng rec = %v err=%v", rec2, err)
 	}
 
 	// Garbage.
-	if _, err := OpenAny(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6})); err == nil {
-		t.Error("OpenAny accepted garbage")
+	if _, err := OpenStream(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6})); err == nil {
+		t.Error("OpenStream accepted garbage")
 	}
 }
 
@@ -250,15 +250,15 @@ func TestNGWriterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNGWriterOpenAny(t *testing.T) {
+func TestNGWriterOpenStream(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewNGWriter(&buf, 1)
 	_ = w.WriteRecord(time.Unix(100, 0), []byte{0xaa, 0xbb})
-	next, err := OpenAny(&buf)
+	s, err := OpenStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := next()
+	rec, err := s.Next()
 	if err != nil || len(rec.Data) != 2 {
 		t.Fatalf("rec=%v err=%v", rec, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -39,21 +40,50 @@ func TestKill9RecoveryDifferential(t *testing.T) {
 		cut1, cut2 := n/3, 2*n/3
 
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", input.name, workers), func(t *testing.T) {
-				// The uninterrupted reference run.
-				ref := newEngineFor(cfg, workers)
-				for _, rec := range recs {
-					ref.Packet(rec.Timestamp, rec.Data)
-				}
-				ref.Finish()
-				want := renderReport(ref.Result())
+			// The uninterrupted reference run.
+			ref := newEngineFor(cfg, workers)
+			for _, rec := range recs {
+				ref.Packet(rec.Timestamp, rec.Data)
+			}
+			ref.Finish()
+			want := renderReport(ref.Result())
 
+			// resume reboots over what the doomed run left in base's
+			// directory: startup sweeps the debris, restore finds the cut2
+			// state, and the rest of the capture must complete the
+			// reference report.
+			resume := func(t *testing.T, base string, wantFallback bool) {
+				ck2 := engine.NewCheckpointer(base, 2, nil)
+				if ck2.TmpCleaned == 0 {
+					t.Error("startup did not sweep the orphaned temp file")
+				}
+				resumed, fallbacks, err := engine.RestoreEngine(base, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantFallback && fallbacks == 0 {
+					t.Error("no fallback counted for the torn record")
+				}
+				if !wantFallback && fallbacks != 0 {
+					t.Errorf("%d fallbacks with every record intact", fallbacks)
+				}
+				for _, rec := range recs[cut2:] {
+					resumed.Packet(rec.Timestamp, rec.Data)
+				}
+				resumed.Finish()
+				if got := renderReport(resumed.Result()); got != want {
+					t.Errorf("kill -9 recovery report diverges from the uninterrupted run\n%s",
+						firstDiffLine(want, got))
+				}
+			}
+
+			t.Run(fmt.Sprintf("%s/workers=%d", input.name, workers), func(t *testing.T) {
 				// The doomed run: full at cut1, delta at cut2, then a crash
 				// leaves a half-written delta and an orphaned temp file.
 				dir := t.TempDir()
 				base := filepath.Join(dir, "state.zlcp")
 				doomed := newEngineFor(cfg, workers)
-				ck := engine.NewCheckpointer(base, 2, true, nil)
+				ck := engine.NewCheckpointer(base, 2, nil)
 				for _, rec := range recs[:cut1] {
 					doomed.Packet(rec.Timestamp, rec.Data)
 				}
@@ -92,25 +122,59 @@ func TestKill9RecoveryDifferential(t *testing.T) {
 
 				// Reboot: startup sweeps the debris, restore walks back past
 				// the torn record to the cut2 state.
-				ck2 := engine.NewCheckpointer(base, 2, true, nil)
-				if ck2.TmpCleaned == 0 {
-					t.Error("startup did not sweep the orphaned temp file")
+				resume(t, base, true)
+			})
+
+			// The same crash without delta records (-checkpoint-delta 0):
+			// fulls at cut1 and cut2, then the kill lands while the third
+			// full is still being encoded into its temp file. Nothing under
+			// a record name was touched, so the cut2 full restores with no
+			// fallback.
+			t.Run(fmt.Sprintf("%s/workers=%d/fulls_only", input.name, workers), func(t *testing.T) {
+				dir := t.TempDir()
+				base := filepath.Join(dir, "state.zlcp")
+				doomed := newEngineFor(cfg, workers)
+				ck := engine.NewCheckpointer(base, 2, nil)
+				prev := 0
+				for _, cut := range []int{cut1, cut2} {
+					for _, rec := range recs[prev:cut] {
+						doomed.Packet(rec.Timestamp, rec.Data)
+					}
+					if err := ck.WriteFull(doomed); err != nil {
+						t.Fatal(err)
+					}
+					prev = cut
 				}
-				resumed, fallbacks, err := engine.RestoreEngine(base, cfg, nil)
+				for _, rec := range recs[cut2 : cut2+50] {
+					doomed.Packet(rec.Timestamp, rec.Data)
+				}
+				var next bytes.Buffer
+				if err := doomed.Checkpoint(&next); err != nil {
+					t.Fatal(err)
+				}
+				tmpName := base + ".00000002.full.zlcp.tmp-killed"
+				if err := os.WriteFile(tmpName, next.Bytes()[:next.Len()/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				// The directory holds chain records and the temp file,
+				// nothing else — in particular no file at base itself.
+				entries, err := os.ReadDir(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fallbacks == 0 {
-					t.Error("no fallback counted for the torn record")
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
 				}
-				for _, rec := range recs[cut2:] {
-					resumed.Packet(rec.Timestamp, rec.Data)
+				wantNames := []string{
+					"state.zlcp.00000000.full.zlcp",
+					"state.zlcp.00000001.full.zlcp",
+					filepath.Base(tmpName),
 				}
-				resumed.Finish()
-				if got := renderReport(resumed.Result()); got != want {
-					t.Errorf("kill -9 recovery report diverges from the uninterrupted run\n%s",
-						firstDiffLine(want, got))
+				if !slices.Equal(names, wantNames) {
+					t.Fatalf("doomed run left %v, want %v", names, wantNames)
 				}
+				resume(t, base, false)
 			})
 		}
 	}

@@ -141,7 +141,7 @@ func TestBenchSoakJSON(t *testing.T) {
 	if summary.Packets == 0 {
 		t.Fatal("soak run analyzed nothing")
 	}
-	fulls, deltas, rotations := run.Checkpoints, run.DeltaCheckpoints, run.Rotations
+	fulls, deltas, rotations := run.Checkpointer.Fulls, run.Checkpointer.Deltas, run.Rotations
 	if fulls < 2 {
 		t.Errorf("checkpoint chain wrote %d fulls, want >= 2", fulls)
 	}
