@@ -146,7 +146,10 @@ examples:
 # points non-test code declares — one field walk per type means none of
 # the old paired names survive. Last, the surface half of item 3: the
 # size of the shared driver, how many flags it registers, and how many
-# fields core.Config has.
+# fields core.Config and methods core.Engine have. Then the hand-built
+# concurrency in non-test code, so any creeping back is a visible number:
+# `go` statements (the shard workers and the metrics server) and
+# sync/atomic importers (internal/obs). Last, the size of the tools.
 CODEC_STACK = internal/*/state.go internal/*/delta.go internal/core/checkpoint.go internal/statecodec/statecodec.go
 loc:
 	@cat $$(ls internal/core/*.go | grep -v _test.go) | wc -l | xargs echo "internal/core non-test lines:"
@@ -156,6 +159,10 @@ loc:
 	@cat $$(ls internal/engine/*.go | grep -v _test.go) | wc -l | xargs echo "internal/engine non-test lines:"
 	@cat $$(ls internal/engine/*.go internal/cliobs/*.go | grep -v _test.go) | grep -cE 'fs\.[A-Za-z]+Var\(' | xargs echo "shared-driver flags (internal/engine + internal/cliobs):"
 	@awk '/^type Config struct {/ {in_cfg=1; next} in_cfg && /^}/ {exit} in_cfg && /^\t[A-Z][A-Za-z]* / {n++} END {print "core.Config fields:", n}' internal/core/core.go
+	@awk '/^type Engine interface {/ {in_if=1; next} in_if && /^}/ {exit} in_if && /^\t[A-Z][A-Za-z]*\(/ {n++} END {print "core.Engine methods:", n}' internal/core/engine.go
+	@grep -rhE '^[[:space:]]*go [a-zA-Z(]' --include='*.go' --exclude='*_test.go' internal cmd *.go | wc -l | xargs echo "go statements in non-test code:"
+	@grep -rlE '"sync/atomic"' --include='*.go' --exclude='*_test.go' internal cmd *.go | wc -l | xargs echo "sync/atomic importers in non-test code:"
+	@cat $$(ls cmd/*/*.go | grep -v _test.go) | wc -l | xargs echo "cmd non-test lines:"
 
 clean:
 	rm -rf bin

@@ -32,7 +32,6 @@ func checkpointStateAnalyzer(tb testing.TB, streams int) *Analyzer {
 		PreFiltered:       true,
 		MaxFlows:          4 * streams,
 		MaxStreams:        2 * streams,
-		MaxSubstreams:     4 * streams,
 		MaxMeetingStreams: 4 * streams,
 		MaxFinished:       streams,
 	}

@@ -6,6 +6,7 @@ package zoomlens
 // artifacts.
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -83,6 +84,27 @@ func TestCLIPipeline(t *testing.T) {
 	out = runTool(t, bin, "zoomcap", "-i", campusRaw, "-o", filtered, "-anon", "-anon-mode", "prefix", "-key", "k")
 	if !strings.Contains(out, "processed") || !strings.Contains(out, "dropped") {
 		t.Fatalf("zoomcap output: %s", out)
+	}
+	// Anonymization is a pure function of key and capture in both modes
+	// (two runs, identical bytes), and there is one write path: the
+	// retired -workers flag is an error, not a silently ignored option.
+	for _, mode := range []string{"prefix", "hash"} {
+		var runs [2][]byte
+		for i := range runs {
+			path := filepath.Join(work, "anon-"+mode+".pcap")
+			runTool(t, bin, "zoomcap", "-i", campusRaw, "-o", path, "-anon", "-anon-mode", mode, "-key", "k")
+			var err error
+			if runs[i], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(runs[0]) <= 24 || !bytes.Equal(runs[0], runs[1]) {
+			t.Fatalf("zoomcap -anon-mode %s: two runs wrote %d and %d bytes, want identical non-empty captures", mode, len(runs[0]), len(runs[1]))
+		}
+	}
+	usage, err := exec.Command(filepath.Join(bin, "zoomcap"), "-i", campusRaw, "-o", filepath.Join(work, "w.pcap"), "-anon", "-workers", "2").CombinedOutput()
+	if err == nil || !strings.Contains(string(usage), "flag provided but not defined: -workers") || !strings.Contains(string(usage), "Usage") {
+		t.Fatalf("zoomcap -workers 2: err %v, output:\n%s", err, usage)
 	}
 
 	// 3. Flows / meetings / reports / summary on the filtered capture.

@@ -5,9 +5,10 @@
 //
 // Usage:
 //
-//	zoomcap -i all.pcap -o zoom.pcap [-anon -key secret] [-workers N] [-resources]
+//	zoomcap -i all.pcap -o zoom.pcap [-anon -key secret] [-resources]
 //
 // The input may be classic pcap or pcapng, and "-i -" reads from stdin.
+// Kept records are anonymized and written in line, before the next read.
 //
 // With -metrics-addr the filter's verdict counters are served live in
 // Prometheus text format (plus expvar and pprof) — the software stand-in
@@ -16,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,9 +25,7 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -51,7 +51,6 @@ func main() {
 		anonMode  = flag.String("anon-mode", "hash", "anonymization mode: hash | prefix (prefix-preserving Crypto-PAn)")
 		key       = flag.String("key", "zoomlens", "anonymization key")
 		validate  = flag.Bool("validate-p2p", true, "reject P2P table hits whose payload is not Zoom media format")
-		workers   = flag.Int("workers", 1, "anonymization workers: 1 = in-line, 0 = one per CPU (only used with -anon)")
 		resources = flag.Bool("resources", false, "print the Table 5 hardware resource model and exit")
 		exportP4  = flag.Bool("export-p4", false, "print the generated P4 capture program and exit")
 	)
@@ -75,8 +74,8 @@ func main() {
 	}
 
 	// nextInto fills a record whose Data borrows the source's buffer —
-	// valid only until the next call. The filter and the in-line sink run
-	// before the next read, and the fan-out sink copies at enqueue.
+	// valid only until the next call. The filter, the anonymizer and the
+	// write all run before the next read.
 	var nextInto func(*pcap.Record) error
 	var truncated func() bool
 	var stopAt time.Time
@@ -112,7 +111,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer outF.Close()
 	w, err := pcap.NewWriter(outF, pcap.WriterOptions{Nanosecond: nano})
 	if err != nil {
 		log.Fatal(err)
@@ -130,25 +128,26 @@ func main() {
 		ValidateP2PPayload: *validate,
 	})
 	mirrorStats := statsMirror(setup, filter)
-	newAnonymizer := func() *capture.Anonymizer { return nil }
+	var anonymizer *capture.Anonymizer
 	if *anon {
 		switch *anonMode {
 		case "hash":
-			newAnonymizer = func() *capture.Anonymizer { return capture.NewAnonymizer([]byte(*key), campusNets) }
+			anonymizer = capture.NewAnonymizer([]byte(*key), campusNets)
 		case "prefix":
-			newAnonymizer = func() *capture.Anonymizer { return capture.NewPrefixAnonymizer([]byte(*key), campusNets) }
+			anonymizer = capture.NewPrefixAnonymizer([]byte(*key), campusNets)
 		default:
 			log.Fatalf("unknown -anon-mode %q", *anonMode)
 		}
 	}
-	write, closeSink := newSink(w, *anon, *workers, newAnonymizer)
 
-	// SIGINT/SIGTERM finishes the run instead of killing it: the sink is
-	// drained and closed, so the output pcap stays valid and complete up
-	// to the interruption — essential for -live captures.
+	// SIGINT/SIGTERM finishes the run instead of killing it: the output
+	// is closed, so the pcap stays valid and complete up to the
+	// interruption — essential for -live captures. A live receive error
+	// that is not the poll timeout ends the capture the same way.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	interrupted := false
+	var liveErr error
 
 	parser := &layers.Parser{}
 	var pkt layers.Packet
@@ -171,10 +170,14 @@ readLoop:
 			break
 		}
 		if err != nil {
-			if *live != "" {
-				continue // transient receive error on a live socket
+			if *live == "" {
+				log.Fatal(err)
 			}
-			log.Fatal(err)
+			if liveTimeout(err) {
+				continue
+			}
+			liveErr = err
+			break
 		}
 		seen++
 		if seen%1024 == 0 {
@@ -186,7 +189,10 @@ readLoop:
 		if !filter.Classify(&pkt, rec.Timestamp).Keep() {
 			continue
 		}
-		if err := write(rec.Timestamp, rec.Data); err != nil {
+		if anonymizer != nil {
+			anonymizer.AnonymizeInPlace(rec.Data)
+		}
+		if err := w.WriteRecord(rec.Timestamp, rec.Data); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -197,21 +203,32 @@ readLoop:
 	default:
 	}
 	signal.Stop(sig)
-	drainDone := setup.Stage("drain")
-	if err := closeSink(); err != nil {
+	if err := outF.Close(); err != nil {
 		log.Fatal(err)
 	}
-	drainDone()
 	mirrorStats()
 	st := filter.Stats()
 	note := ""
-	if interrupted {
+	if interrupted || liveErr != nil {
 		note = " (interrupted: output is a valid partial capture)"
 	} else if truncated != nil && truncated() {
 		note = " (input truncated mid-record: output covers the readable prefix)"
 	}
 	fmt.Printf("processed %d packets: server %d, stun %d, p2p %d (format-rejected %d), dropped %d%s\n",
 		st.Processed, st.ZoomServer, st.ZoomSTUN, st.ZoomP2P, st.P2PFormatRejected, st.Dropped, note)
+	if liveErr != nil {
+		setup.Close()
+		log.Fatal(liveErr)
+	}
+}
+
+// liveTimeout reports whether a live receive error is the socket's
+// poll timeout (SO_RCVTIMEO expiring with no packet), the one error the
+// read loop retries: it exists so the loop can re-check its stop
+// conditions. Anything else (ENETDOWN when the interface goes away) is
+// persistent, and retrying it would spin forever.
+func liveTimeout(err error) bool {
+	return errors.Is(err, syscall.EAGAIN) || errors.Is(err, syscall.EWOULDBLOCK)
 }
 
 // statsMirror publishes the filter's verdict counters to the metrics
@@ -241,86 +258,6 @@ func statsMirror(setup *cliobs.Setup, filter *capture.Filter) func() {
 		dropped.Store(st.Dropped)
 		p2pTable.Set(int64(st.P2PInserted) - int64(st.P2PEvicted))
 	}
-}
-
-// newSink returns the record write path. The caller's data is borrowed
-// (it aliases the reader's buffer and dies at the next read). Without
-// anonymization (or with one worker) records are written in-line —
-// anonymize the borrowed bytes in place, write, done before the next
-// read. With -anon and several workers, anonymization — the only
-// CPU-heavy per-packet stage left after filtering — fans out to a pool,
-// so each record is first copied into a pooled buffer at enqueue; a
-// single writer goroutine preserves capture order: every record enters
-// a FIFO alongside its shared work queue, and the writer completes FIFO
-// entries strictly in arrival order as workers finish them, recycling
-// each buffer after the write. Each worker owns a private Anonymizer
-// (the address cache is not goroutine-safe); the mapping is a pure
-// function of the key, so per-worker caches yield identical output
-// bytes regardless of which worker handles a packet.
-func newSink(w *pcap.Writer, anon bool, workers int, newAnonymizer func() *capture.Anonymizer) (func(time.Time, []byte) error, func() error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if !anon || workers == 1 {
-		anonymizer := newAnonymizer()
-		write := func(ts time.Time, data []byte) error {
-			if anonymizer != nil {
-				anonymizer.AnonymizeInPlace(data)
-			}
-			return w.WriteRecord(ts, data)
-		}
-		return write, func() error { return nil }
-	}
-
-	type job struct {
-		ts   time.Time
-		buf  *[]byte
-		done chan struct{}
-	}
-	bufPool := sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
-	depth := workers * 4
-	jobs := make(chan *job, depth)  // shared worker input
-	order := make(chan *job, depth) // arrival-order FIFO for the writer
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			anonymizer := newAnonymizer()
-			for j := range jobs {
-				anonymizer.AnonymizeInPlace(*j.buf)
-				close(j.done)
-			}
-		}()
-	}
-	var writeErr error
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for j := range order {
-			<-j.done
-			if writeErr == nil {
-				writeErr = w.WriteRecord(j.ts, *j.buf)
-			}
-			bufPool.Put(j.buf)
-		}
-	}()
-	write := func(ts time.Time, data []byte) error {
-		bp := bufPool.Get().(*[]byte)
-		*bp = append((*bp)[:0], data...)
-		j := &job{ts: ts, buf: bp, done: make(chan struct{})}
-		order <- j
-		jobs <- j
-		return nil
-	}
-	closeSink := func() error {
-		close(jobs)
-		close(order)
-		wg.Wait()
-		<-writerDone
-		return writeErr
-	}
-	return write, closeSink
 }
 
 func parsePrefixes(s string) ([]netip.Prefix, error) {

@@ -9,6 +9,7 @@
 package agg
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,7 +72,7 @@ func Aggregate(cfg core.Config, man cluster.Manifest, statePaths, obsPaths []str
 		readers = append(readers, or)
 	}
 	next, errf := cluster.MergeObs(readers)
-	merged := core.MergeCluster(cfg, parts, man.Head(), next)
+	merged := core.MergeCluster(cfg, parts, man.ClusterHead, next)
 	if err := errf(); err != nil {
 		return nil, fmt.Errorf("agg: observation replay: %w", err)
 	}
@@ -93,9 +94,7 @@ func MergeStatus(lines [][]byte) ([]byte, error) {
 			merged = m
 			continue
 		}
-		for k, v := range m {
-			merged[k] = mergeStatusValue(k, merged[k], v)
-		}
+		statusRules.merge("", merged, m)
 	}
 	if merged == nil {
 		return nil, fmt.Errorf("agg: no status lines")
@@ -103,29 +102,67 @@ func MergeStatus(lines [][]byte) ([]byte, error) {
 	return json.Marshal(merged)
 }
 
-func mergeStatusValue(key string, a, b any) any {
+// mergeRules are the per-key rules of a JSON roll-up: how two numbers
+// and two strings under the same key combine.
+type mergeRules struct {
+	num func(key string, a, b float64) float64
+	str func(key, a, b string) string
+}
+
+// statusRules: counters sum, the first non-empty string wins.
+var statusRules = mergeRules{
+	num: func(_ string, a, b float64) float64 { return a + b },
+	str: func(_, a, b string) string { return cmp.Or(a, b) },
+}
+
+// windowRules: summary fields sum, except that the window index is the
+// same by construction and Duration takes the max; the window bounds
+// take the union (RFC3339 timestamps order lexicographically) and every
+// other string keeps the first value.
+var windowRules = mergeRules{
+	num: func(key string, a, b float64) float64 {
+		switch key {
+		case "window":
+			return a
+		case "Duration":
+			return max(a, b)
+		}
+		return a + b
+	},
+	str: func(key, a, b string) string {
+		switch key {
+		case "start":
+			return min(a, b)
+		case "end":
+			return max(a, b)
+		}
+		return a
+	},
+}
+
+// merge folds b into a under key: numbers and strings by the rules,
+// bools OR, objects key by key (in place). A missing a yields b;
+// mismatched types keep a.
+func (r mergeRules) merge(key string, a, b any) any {
 	switch av := a.(type) {
 	case nil:
 		return b
 	case float64:
 		if bv, ok := b.(float64); ok {
-			return av + bv
+			return r.num(key, av, bv)
 		}
 	case bool:
 		if bv, ok := b.(bool); ok {
 			return av || bv
 		}
 	case string:
-		if av == "" {
-			if bv, ok := b.(string); ok {
-				return bv
-			}
+		if bv, ok := b.(string); ok {
+			return r.str(key, av, bv)
 		}
-		return av
 	case map[string]any:
 		if bv, ok := b.(map[string]any); ok {
 			for k, v := range bv {
-				av[k] = mergeStatusValue(k, av[k], v)
+				av[k] = r.merge(k, av[k], v)
 			}
 			return av
 		}
@@ -219,9 +256,7 @@ func MergeWindowFiles(prefixes []string, outPrefix string) (int, error) {
 		ms := byIndex[idx]
 		merged := ms[0]
 		for _, m := range ms[1:] {
-			for k, v := range m {
-				merged[k] = mergeWindowValue(k, merged[k], v)
-			}
+			windowRules.merge("", merged, m)
 		}
 		data, err := json.Marshal(merged)
 		if err != nil {
@@ -233,55 +268,4 @@ func MergeWindowFiles(prefixes []string, outPrefix string) (int, error) {
 		}
 	}
 	return len(indexes), nil
-}
-
-func mergeWindowValue(key string, a, b any) any {
-	switch av := a.(type) {
-	case nil:
-		return b
-	case float64:
-		bv, ok := b.(float64)
-		if !ok {
-			return a
-		}
-		switch key {
-		case "window":
-			return av // same index by construction
-		case "Duration":
-			if bv > av {
-				return bv
-			}
-			return av
-		default:
-			return av + bv
-		}
-	case bool:
-		if bv, ok := b.(bool); ok {
-			return av || bv
-		}
-	case string:
-		// RFC3339 timestamps order lexicographically: window bounds take
-		// the union, everything else keeps the first value.
-		if bv, ok := b.(string); ok {
-			switch key {
-			case "start":
-				if bv < av {
-					return bv
-				}
-			case "end":
-				if bv > av {
-					return bv
-				}
-			}
-		}
-		return av
-	case map[string]any:
-		if bv, ok := b.(map[string]any); ok {
-			for k, v := range bv {
-				av[k] = mergeWindowValue(k, av[k], v)
-			}
-			return av
-		}
-	}
-	return a
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"zoomlens/internal/capture"
@@ -77,53 +78,23 @@ func (s *Splitter) FilterStats() capture.FilterStats { return s.router.FilterSta
 
 // Manifest builds the split manifest for the aggregator.
 func (s *Splitter) Manifest(truncated bool) Manifest {
-	h := s.router.Head(truncated)
-	kept := make([]uint64, len(s.kept))
-	copy(kept, s.kept)
 	return Manifest{
-		Version:         1,
-		Workers:         len(s.outs),
-		Packets:         h.Packets,
-		Bytes:           h.Bytes,
-		Undecodable:     h.Undecodable,
-		DroppedByFilter: h.DroppedByFilter,
-		PanicsRecovered: h.PanicsRecovered,
-		Truncated:       h.Truncated,
-		FirstTS:         h.FirstTS,
-		LastTS:          h.LastTS,
-		KeptPerWorker:   kept,
+		Version:       1,
+		Workers:       len(s.outs),
+		ClusterHead:   s.router.Head(truncated),
+		KeptPerWorker: slices.Clone(s.kept),
 	}
 }
 
 // Manifest is the JSON file the splitter leaves beside its output
 // streams: the head counters the aggregator folds into the merged
-// report, plus the fan-out shape for sanity checks.
+// report (the embedded ClusterHead, its keys inline), plus the fan-out
+// shape for sanity checks.
 type Manifest struct {
-	Version         int       `json:"version"`
-	Workers         int       `json:"workers"`
-	Packets         uint64    `json:"packets"`
-	Bytes           uint64    `json:"bytes"`
-	Undecodable     uint64    `json:"undecodable"`
-	DroppedByFilter uint64    `json:"dropped_by_filter"`
-	PanicsRecovered uint64    `json:"panics_recovered"`
-	Truncated       bool      `json:"truncated"`
-	FirstTS         time.Time `json:"first_ts"`
-	LastTS          time.Time `json:"last_ts"`
-	KeptPerWorker   []uint64  `json:"kept_per_worker"`
-}
-
-// Head converts the manifest back to the merge-time head counters.
-func (m Manifest) Head() core.ClusterHead {
-	return core.ClusterHead{
-		Packets:         m.Packets,
-		Bytes:           m.Bytes,
-		Undecodable:     m.Undecodable,
-		DroppedByFilter: m.DroppedByFilter,
-		PanicsRecovered: m.PanicsRecovered,
-		Truncated:       m.Truncated,
-		FirstTS:         m.FirstTS,
-		LastTS:          m.LastTS,
-	}
+	Version int `json:"version"`
+	Workers int `json:"workers"`
+	core.ClusterHead
+	KeptPerWorker []uint64 `json:"kept_per_worker"`
 }
 
 // MarshalManifest renders m as indented JSON with a trailing newline.

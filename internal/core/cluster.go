@@ -56,7 +56,7 @@ type ClusterObs struct {
 // second, cross-process one is not supported — cluster workers run with
 // -workers 1.
 func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
-	if p.ringFed() {
+	if p.queueFed() {
 		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
 	}
 	p.shards[0].sink = sink
@@ -66,30 +66,31 @@ func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
 // ClusterHead is the head-counter struct: what the front end counts
 // about the capture as a whole, before any per-flow work. Every engine
 // embeds one; a cluster carries the splitter's across the process
-// boundary in the split manifest. Per-flow tallies (decode counts,
-// TCP/STUN tallies, evictions) live in the shards and are summed from
-// them instead.
+// boundary in the split manifest, under the JSON keys below. Per-flow
+// tallies (decode counts, TCP/STUN tallies, evictions) live in the
+// shards and are summed from them instead.
 type ClusterHead struct {
-	Packets uint64
-	Bytes   uint64
+	Packets uint64 `json:"packets"`
+	Bytes   uint64 `json:"bytes"`
 	// Undecodable counts frames the L2–L4 parser rejected (payloads no
 	// protocol plugin could decode are a shard's ProtoUndecodable).
-	Undecodable     uint64
-	DroppedByFilter uint64
+	Undecodable     uint64 `json:"undecodable"`
+	DroppedByFilter uint64 `json:"dropped_by_filter"`
 	// PanicsRecovered counts frames whose routing panicked and was
 	// contained (panics in per-flow processing are a shard's
 	// ShardPanics); each was quarantined when a Quarantine is configured.
-	PanicsRecovered uint64
+	PanicsRecovered uint64 `json:"panics_recovered"`
 	// ShedPackets/ShedBytes count packets dropped by overload shedding
-	// (Config.Shed) instead of being analyzed. Only ring-fed engines shed.
-	ShedPackets uint64
-	ShedBytes   uint64
+	// (Config.Shed) instead of being analyzed. Only queue-fed engines
+	// shed, so a splitter's manifest never carries them.
+	ShedPackets uint64 `json:"shed_packets,omitempty"`
+	ShedBytes   uint64 `json:"shed_bytes,omitempty"`
 	// Truncated reports that the capture was cut mid-record: everything
 	// up to the cut was analyzed and the results are valid partial
 	// results.
-	Truncated bool
-	FirstTS   time.Time
-	LastTS    time.Time
+	Truncated bool      `json:"truncated"`
+	FirstTS   time.Time `json:"first_ts"`
+	LastTS    time.Time `json:"last_ts"`
 }
 
 // Router is the front end on its own, for the splitter process: it

@@ -51,16 +51,20 @@ type Config struct {
 	// right default for one-shot trace analysis, where results must not
 	// depend on caps.
 
-	// MaxFlows, MaxStreams, and MaxSubstreams bound the flow table (see
-	// flow.Limits). Entries turned away at a cap are counted, not
-	// silently dropped.
-	MaxFlows      int
-	MaxStreams    int
-	MaxSubstreams int
-	// MaxTCP caps the number of TCP RTT trackers (one per Zoom control
-	// client endpoint).
-	MaxTCP int
-	// MaxMeetingStreams caps the duplicate-stream detector's records.
+	// MaxFlows and MaxStreams bound the flow table (see flow.Limits).
+	// Entries turned away at a cap are counted, not silently dropped. The
+	// caps a deployment cannot reach by flag follow from these two:
+	// MaxFlows also caps the TCP RTT trackers (one per Zoom control
+	// client endpoint), and a set MaxStreams caps each stream at
+	// maxSubstreams payload types and sizes the copy matcher's pending
+	// map (effectiveMaxCopyPending).
+	MaxFlows   int
+	MaxStreams int
+	// MaxMeetingStreams caps the duplicate-stream detector's records. It
+	// is not derived from MaxStreams like the others: the cross-flow Dedup
+	// is never aged in the queue-fed and cluster tiers (see
+	// shard.evictCross), so a derived cap would turn that slow leak into
+	// silently missing meetings. It waits for that fix.
 	MaxMeetingStreams int
 	// MaxFinished caps archived finished streams; at the cap the oldest
 	// archive is dropped (and counted) to admit the newest.
@@ -76,7 +80,7 @@ type Config struct {
 	Quarantine *Quarantine
 
 	// Shed lets the parallel dispatcher drop packets (with accounting)
-	// when a shard ring is full instead of blocking on it. Off by
+	// when a shard queue is full instead of blocking on it. Off by
 	// default: a blocked dispatcher preserves the byte-identical
 	// sequential-equivalence invariant, which shedding necessarily gives
 	// up. Live taps that must never stall ingest turn it on and watch
@@ -117,9 +121,9 @@ func (cfg Config) protos() []rtcproto.Plugin {
 // stages. With one shard it runs inline — the front end calls the shard
 // directly and the shard's observations go straight into the
 // reconciliation consumer, no goroutine and no frame copy. With more,
-// each shard is fed over its own SPSC ring (parallel.go) and logs its
-// observations for replay in capture order. Finish folds the shards of
-// a ring-fed pipeline into one inline shard, so from then on every
+// each shard is fed over its own bounded channel (parallel.go) and logs
+// its observations for replay in capture order. Finish folds the shards
+// of a queue-fed pipeline into one inline shard, so from then on every
 // pipeline is the sequential-equivalent result.
 type pipeline struct {
 	frontEnd
@@ -140,7 +144,7 @@ type pipeline struct {
 	chainArmed bool
 
 	// result is the report view of an inline pipeline (nil while shards
-	// are ring-fed: their state is not readable until Finish).
+	// are queue-fed: their state is not readable until Finish).
 	result *Analyzer
 }
 
@@ -166,7 +170,7 @@ type Analyzer struct {
 // every media observation in global capture order. Because they are
 // deterministic in observation order, it does not matter whether they
 // are fed packet by packet (inline), in batches at quiesce boundaries
-// (ring-fed shard logs), or all at once from worker logs (cluster).
+// (queue-fed shard logs), or all at once from worker logs (cluster).
 type reconState struct {
 	// Dedup unifies stream copies (§4.3); Copies matches them for §5.3
 	// method-1 RTT samples.
@@ -202,6 +206,16 @@ func (rec *reconState) observe(o ClusterObs) {
 	}
 }
 
+// maxSubstreams is the per-stream substream cap of a bounded deployment
+// (MaxStreams > 0): Zoom uses at most 6 RTP payload types per stream, so
+// 16 never refuses real traffic and stops a stream cycling through all
+// 128 from growing without bound.
+const maxSubstreams = 16
+
+// maxTCP is the cap on TCP RTT trackers: one per client endpoint, so the
+// flow cap bounds them too.
+func (cfg Config) maxTCP() int { return cfg.MaxFlows }
+
 // effectiveMaxCopyPending resolves the cap on the RTT copy-matcher's
 // pending map (§5.3 method 1): a bounded deployment gets one derived
 // from the stream cap (pending entries are per unmatched packet, so
@@ -235,7 +249,7 @@ func (p *pipeline) setInline(sh *shard) *Analyzer {
 func NewAnalyzer(cfg Config) *Analyzer { return NewParallelAnalyzer(cfg, 1).result }
 
 // Packet ingests one captured frame. The frame is borrowed for the
-// duration of the call — anything the engine retains (ring batches,
+// duration of the call — anything the engine retains (shard batches,
 // quarantined frames) is copied — so callers may reuse the buffer
 // immediately, including the borrowed Data of pcap.NextInto. Not safe
 // for concurrent use: one goroutine feeds the engine.
@@ -250,7 +264,7 @@ func (p *pipeline) PacketSeq(at time.Time, frame []byte, seq uint64) {
 	p.finished = false
 	idx, keep := p.route(at, frame, seq)
 	sh := p.shards[idx]
-	if p.ringFed() {
+	if p.queueFed() {
 		p.dispatch(sh, keep, seq, at, frame)
 		return
 	}
@@ -293,9 +307,9 @@ func (p *pipeline) Result() *Analyzer {
 	return p.result
 }
 
-// ringFed reports which transport the pipeline runs: shards on their own
-// goroutines behind rings, or (false) one inline shard.
-func (p *pipeline) ringFed() bool { return p.shards[0].ring != nil }
+// queueFed reports which transport the pipeline runs: shards on their own
+// goroutines behind batch queues, or (false) one inline shard.
+func (p *pipeline) queueFed() bool { return p.shards[0].queue != nil }
 
 // Workers returns the shard count the engine was built with.
 func (p *pipeline) Workers() int { return p.workers }

@@ -42,7 +42,7 @@ const maxCoreTombstones = 1 << 20
 // which must be torn down before the engine is dropped. Safe to call on
 // any engine, including nil results from a failed restore.
 func Discard(eng Engine) {
-	if pa, ok := eng.(*ParallelAnalyzer); ok && pa != nil && pa.ringFed() {
+	if pa, ok := eng.(*ParallelAnalyzer); ok && pa != nil && pa.queueFed() {
 		pa.stop()
 	}
 }

@@ -103,7 +103,7 @@ func TestDeltaCheckpointDifferential(t *testing.T) {
 				t.Errorf("summaries diverge:\nlive    %+v\nresumed %+v",
 					live.Result().Summary(), resumed.Result().Summary())
 			}
-			if !reflect.DeepEqual(live.StreamIDs(), resumed.StreamIDs()) {
+			if !reflect.DeepEqual(live.Result().StreamIDs(), resumed.Result().StreamIDs()) {
 				t.Error("stream identifier sets diverge")
 			}
 		})
@@ -301,7 +301,7 @@ func TestCheckpointCRCTrailer(t *testing.T) {
 }
 
 // TestShedAccounting exercises the overload-shedding path: a shedding
-// engine must never block on saturated shard rings, every dropped batch
+// engine must never block on saturated shard queues, every dropped batch
 // must be accounted in the summary, and with shedding off the engine
 // must instead apply backpressure and analyze everything.
 func TestShedAccounting(t *testing.T) {
@@ -317,7 +317,7 @@ func TestShedAccounting(t *testing.T) {
 			eng.Packet(tr.at[i], tr.frames[i])
 		}
 		eng.Finish()
-		s := eng.Summary()
+		s := eng.Result().Summary()
 		if s.ShedPackets != 0 || s.ShedBytes != 0 {
 			t.Errorf("shedding disabled but summary reports shed %d packets / %d bytes",
 				s.ShedPackets, s.ShedBytes)
@@ -331,13 +331,13 @@ func TestShedAccounting(t *testing.T) {
 		cfg := base
 		cfg.Shed = true
 		eng := NewParallelAnalyzer(cfg, 4)
-		// Tight-loop feeding outruns the small shard rings, so some
+		// Tight-loop feeding outruns the small shard queues, so some
 		// batches are shed; the call must never block.
 		for i := range tr.frames {
 			eng.Packet(tr.at[i], tr.frames[i])
 		}
 		eng.Finish()
-		s := eng.Summary()
+		s := eng.Result().Summary()
 		// The dispatcher counts every ingested packet; shed packets are a
 		// subset that never reached a shard.
 		if s.Packets != uint64(len(tr.frames)) {

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"zoomlens/internal/features"
-	"zoomlens/internal/flow"
-	"zoomlens/internal/meeting"
-	"zoomlens/internal/metrics"
 )
 
 // Engine is the analysis substrate behind every tool: the sequential
@@ -22,8 +19,8 @@ import (
 //
 // Call order: Packet (any number of times, capture order, one
 // goroutine), interleaved with Snapshot as desired; then Finish exactly
-// once; then the report accessors (Summary, Meetings, StreamIDs,
-// MetricsFor, Result).
+// once; then Result, whose *Analyzer holds the report accessors
+// (Summary, Meetings, StreamIDs, MetricsFor).
 type Engine interface {
 	// Packet ingests one captured frame, borrowed for the call.
 	Packet(at time.Time, frame []byte)
@@ -31,14 +28,6 @@ type Engine interface {
 	Finish()
 	// Snapshot returns per-meeting rolling metrics over the trailing window.
 	Snapshot(now time.Time, window time.Duration) []MeetingSnapshot
-	// Summary computes the capture roll-up (after Finish).
-	Summary() Summary
-	// Meetings runs the §4.3 grouping (after Finish).
-	Meetings() []meeting.Meeting
-	// StreamIDs returns observed stream identifiers in deterministic order.
-	StreamIDs() []flow.MediaStreamID
-	// MetricsFor returns the metric engine of one stream.
-	MetricsFor(id flow.MediaStreamID) (*metrics.StreamMetrics, bool)
 	// Result returns the sequential-equivalent merged analyzer (after
 	// Finish; the parallel engine panics before it).
 	Result() *Analyzer

@@ -15,7 +15,7 @@ import (
 // frontEnd is the capture stage: the one piece of the pipeline that must
 // see every packet in global capture order, and therefore runs exactly
 // once per deployment — in front of the inline shard of a sequential
-// engine, in front of the shard rings of a parallel one, and inside the
+// engine, in front of the shard queues of a parallel one, and inside the
 // splitter process of a cluster (Router). It owns the stateful capture
 // filter (the P2P table is armed by STUN on one flow and consulted by
 // media on another), the flow-hash shard routing, the global capture

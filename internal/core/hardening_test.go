@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zoomlens/internal/faultpcap"
+	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/rtp"
@@ -156,7 +157,7 @@ func TestPanicQuarantineDifferential(t *testing.T) {
 		pa.SetPanicHook(hook)
 		tr.feed(pa.Packet)
 		pa.Finish()
-		ps := pa.Summary()
+		ps := pa.Result().Summary()
 		if ss != ps {
 			t.Fatalf("parallel(%d) summary diverges under injected panics:\nsequential %+v\nparallel   %+v", workers, ss, ps)
 		}
@@ -190,7 +191,19 @@ func TestPanicQuarantineDifferential(t *testing.T) {
 // random source endpoint with a random SSRC — the worst case for state
 // growth, since every packet asks the analyzer for a new flow, stream,
 // and metric engine.
-func floodFrame(rng *rand.Rand, dst netip.AddrPort, at time.Time) []byte {
+func floodFrame(rng *rand.Rand, dst netip.AddrPort) []byte {
+	return zoomAudioFrame(rng, floodSrc(rng), dst, rng.Uint32(), 99)
+}
+
+// floodSrc draws a random campus-side endpoint.
+func floodSrc(rng *rand.Rand) netip.AddrPort {
+	return netip.AddrPortFrom(
+		netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(254))}),
+		uint16(1024+rng.Intn(60000)),
+	)
+}
+
+func zoomAudioFrame(rng *rand.Rand, src, dst netip.AddrPort, ssrc uint32, pt uint8) []byte {
 	zp := zoom.Packet{
 		ServerBased: true,
 		SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: uint16(rng.Intn(1 << 16)), Direction: zoom.DirToSFU},
@@ -201,10 +214,10 @@ func floodFrame(rng *rand.Rand, dst netip.AddrPort, at time.Time) []byte {
 		},
 		RTP: rtp.Packet{
 			Header: rtp.Header{
-				PayloadType:    99,
+				PayloadType:    pt,
 				SequenceNumber: uint16(rng.Intn(1 << 16)),
 				Timestamp:      rng.Uint32(),
-				SSRC:           rng.Uint32(),
+				SSRC:           ssrc,
 			},
 			Payload: []byte{0xde, 0xad, 0xbe, 0xef},
 		},
@@ -213,17 +226,16 @@ func floodFrame(rng *rand.Rand, dst netip.AddrPort, at time.Time) []byte {
 	if err != nil {
 		panic(err)
 	}
-	src := netip.AddrPortFrom(
-		netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(254))}),
-		uint16(1024+rng.Intn(60000)),
-	)
 	return layers.EthernetIPv4UDP(src, dst, 64, payload)
 }
 
-// TestFloodHoldsCaps feeds one million adversarial packets — every one a
-// valid Zoom media packet from a fresh random flow and SSRC — and
-// verifies the configured caps hold the hot state flat throughout, with
-// everything turned away or aged out accounted for in the summary.
+// TestFloodHoldsCaps feeds one million adversarial packets — valid Zoom
+// media packets from fresh random flows and SSRCs, TCP SYNs from fresh
+// endpoints toward the Zoom prefix, and one long-lived stream cycling
+// through all 128 RTP payload types — and verifies the caps a deployment
+// can set (and the ones derived from them) hold the hot state flat
+// throughout, with everything turned away or aged out accounted for in
+// the summary.
 func TestFloodHoldsCaps(t *testing.T) {
 	const (
 		packets    = 1_000_000
@@ -231,11 +243,10 @@ func TestFloodHoldsCaps(t *testing.T) {
 		maxStreams = 1024
 	)
 	cfg := Config{
+		ZoomNetworks:      []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
 		PreFiltered:       true,
 		MaxFlows:          maxFlows,
 		MaxStreams:        maxStreams,
-		MaxSubstreams:     4 * maxStreams,
-		MaxTCP:            64,
 		MaxMeetingStreams: 2 * maxStreams,
 		MaxFinished:       maxStreams,
 		FlowTTL:           5 * time.Second,
@@ -243,18 +254,34 @@ func TestFloodHoldsCaps(t *testing.T) {
 	a := NewAnalyzer(cfg)
 	rng := rand.New(rand.NewSource(99))
 	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
+	dstTCP := netip.AddrPortFrom(dst.Addr(), 443)
+	cyclerSrc := netip.MustParseAddrPort("10.9.9.9:40000")
+	cycler := flow.MediaStreamID{
+		Flow: layers.FiveTuple{Src: cyclerSrc.Addr(), SrcPort: cyclerSrc.Port(), Dst: dst.Addr(), DstPort: dst.Port(), Proto: layers.ProtoUDP},
+		Key:  zoom.StreamKey{SSRC: 0xc1c1e5, Type: zoom.TypeAudio},
+	}
 	start := time.Date(2022, 3, 1, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < packets; i++ {
 		// 50 µs per packet = 20 kpps for 50 s: several FlowTTL windows,
 		// so eviction churns while the flood sustains.
 		at := start.Add(time.Duration(i) * 50 * time.Microsecond)
-		a.Packet(at, floodFrame(rng, dst, at))
+		switch {
+		case i%64 == 0:
+			a.Packet(at, zoomAudioFrame(rng, cyclerSrc, dst, cycler.Key.SSRC, uint8(i/64%128)))
+		case i%8 == 1:
+			a.Packet(at, layers.EthernetIPv4TCP(floodSrc(rng), dstTCP, 64, rng.Uint32(), 0, layers.TCPSyn, 65535, nil))
+		default:
+			a.Packet(at, floodFrame(rng, dst))
+		}
 		if i%100_000 == 0 {
 			if n := a.Flows.Totals().Flows; n > maxFlows {
 				t.Fatalf("packet %d: %d live flows exceeds cap %d", i, n, maxFlows)
 			}
 			if n := a.Flows.Totals().Streams; n > maxStreams {
 				t.Fatalf("packet %d: %d live streams exceeds cap %d", i, n, maxStreams)
+			}
+			if n := len(a.TCP); n > maxFlows {
+				t.Fatalf("packet %d: %d TCP trackers exceed the derived cap %d", i, n, maxFlows)
 			}
 		}
 	}
@@ -268,6 +295,14 @@ func TestFloodHoldsCaps(t *testing.T) {
 	}
 	if n := len(a.StreamMetrics); n > maxStreams {
 		t.Errorf("%d live metric engines exceed stream cap %d", n, maxStreams)
+	}
+	if n := len(a.TCP); n > maxFlows {
+		t.Errorf("%d TCP trackers exceed the derived cap %d", n, maxFlows)
+	}
+	if st, ok := a.Flows.Stream(cycler); !ok {
+		t.Error("the payload-type cycling stream is not live")
+	} else if n := len(st.Substreams); n != maxSubstreams {
+		t.Errorf("cycling stream holds %d substreams, want the derived cap %d", n, maxSubstreams)
 	}
 	if n := len(a.Finished); n > cfg.MaxFinished {
 		t.Errorf("%d archived streams exceed MaxFinished %d", n, cfg.MaxFinished)
@@ -299,5 +334,9 @@ func TestFloodHoldsCaps(t *testing.T) {
 	}
 	if ev.RejectedFlowPackets == 0 {
 		t.Error("flood never hit the flow cap")
+	}
+	if ev.RejectedSubstreamPackets == 0 || a.RejectedTCPPackets == 0 {
+		t.Errorf("flood never hit a derived cap: rejected substream packets %d, TCP packets %d",
+			ev.RejectedSubstreamPackets, a.RejectedTCPPackets)
 	}
 }

@@ -26,7 +26,7 @@ import (
 const obsUpdateEvery = 2048
 
 // coreObs holds one set of registered metric handles: the engine's (and
-// its inline shard's), or one ring-fed shard's. The zero coreObs is
+// its inline shard's), or one queue-fed shard's. The zero coreObs is
 // inert — its handles are nil, which every obs handle method accepts,
 // and its nil maps read as nil handles — so the packet path calls the
 // handles directly and only the periodic gauge refreshes ask on().
@@ -105,8 +105,8 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 		panics:    reg.Counter("zoomlens_panics_recovered_total", "Packets whose processing panicked and was quarantined."),
 		snapshots: reg.Counter("zoomlens_snapshots_total", "QoE snapshots taken."),
 
-		shedPackets: reg.Counter("zoomlens_shed_packets_total", "Packets dropped at full shard rings under overload shedding."),
-		shedBytes:   reg.Counter("zoomlens_shed_bytes_total", "Wire bytes dropped at full shard rings under overload shedding."),
+		shedPackets: reg.Counter("zoomlens_shed_packets_total", "Packets dropped at full shard queues under overload shedding."),
+		shedBytes:   reg.Counter("zoomlens_shed_bytes_total", "Wire bytes dropped at full shard queues under overload shedding."),
 
 		evicted:  make(map[string]*obs.Counter),
 		rejected: make(map[string]*obs.Counter),
@@ -129,7 +129,7 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	}
 	o.caps["flows"].Set(int64(cfg.MaxFlows))
 	o.caps["streams"].Set(int64(cfg.MaxStreams))
-	o.caps["tcp"].Set(int64(cfg.MaxTCP))
+	o.caps["tcp"].Set(int64(cfg.maxTCP()))
 	o.caps["dedup_streams"].Set(int64(cfg.MaxMeetingStreams))
 	cp := effectiveMaxCopyPending(cfg)
 	if cp == 0 {
@@ -161,7 +161,7 @@ func (o *coreObs) resetMirrors() {
 
 // refreshGauges updates the shard's occupancy gauges and its
 // eviction/rejection mirrors, returning the occupancies in shardTables
-// order. A ring-fed shard calls it on a
+// order. A queue-fed shard calls it on a
 // packet-count cadence from its own goroutine.
 func (sh *shard) refreshGauges() (occ [4]int64) {
 	tot := sh.Flows.Totals()

@@ -158,7 +158,7 @@ func TestShardQueueDepthDrains(t *testing.T) {
 	depth := func(shard string) int64 {
 		return reg.Gauge("zoomlens_shard_queue_depth", "", obs.L("shard", shard)).Value()
 	}
-	// A quiesce boundary (Snapshot) must leave every ring empty and say so.
+	// A quiesce boundary (Snapshot) must leave every queue empty and say so.
 	pa.Snapshot(tr.at[len(tr.at)-1], time.Second)
 	for i := 0; i < workers; i++ {
 		if got := depth(string(rune('0' + i))); got != 0 {

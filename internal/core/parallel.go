@@ -1,6 +1,6 @@
 package core
 
-// The ring transport: how a pipeline with more than one shard spreads
+// The queue transport: how a pipeline with more than one shard spreads
 // per-flow work over cores.
 //
 // Per-flow independence makes the pipeline shardable: all heavy
@@ -10,7 +10,7 @@ package core
 // preserves exact per-flow processing order while spreading the work.
 // The front end stays thin — header scan, capture filter, shard hash —
 // then copies the frame into a per-shard batch and hands full batches
-// over an SPSC ring; the shard goroutine owns the decode.
+// over a bounded channel; the shard goroutine owns the decode.
 //
 // The cross-flow stages cannot be sharded. Shards log a compact
 // observation per media packet into pooled chunks instead, each tagged
@@ -25,10 +25,10 @@ package core
 import (
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"zoomlens/internal/flow"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/obs"
 )
@@ -37,8 +37,12 @@ const (
 	// shardBatchSize is how many packets the front end buffers per shard
 	// before handing the batch to the worker.
 	shardBatchSize = 256
-	// shardQueueDepth bounds each shard's ring; a full ring blocks the
-	// front end (backpressure) instead of buffering unboundedly.
+	// shardQueueDepth is the capacity of each shard's batch channel: deep
+	// enough that a shard stays busy while the front end fills the next
+	// batch, shallow enough that a full queue blocks the front end
+	// (backpressure) with at most ~1k frames buffered per shard. The
+	// hand-off is amortised over shardBatchSize packets, so the batching,
+	// not the queue behind it, is what the throughput depends on.
 	shardQueueDepth = 4
 	// reconEvery is the periodic reconciliation cadence in packets: even
 	// a run that never snapshots or checkpoints drains the shard
@@ -71,11 +75,11 @@ type pitem struct {
 // ParallelAnalyzer is the sharded multi-core engine: one front-end
 // goroutine (the caller's) plus one goroutine per shard. Feed packets in
 // capture order via Packet (or a whole file via ReadPCAP), call Finish
-// once, then read results — through the delegating accessors or via
-// Result(), which returns the merged *Analyzer. Results are
-// byte-identical to the sequential Analyzer at any worker count; with
-// one worker it is the sequential engine (one inline shard, no
-// goroutine, no frame copy). Memory is bounded by ring backpressure.
+// once, then read results via Result(), which returns the merged
+// *Analyzer. Results are byte-identical to the sequential Analyzer at any
+// worker count; with one worker it is the sequential engine (one inline
+// shard, no goroutine, no frame copy). Memory is bounded by queue
+// backpressure.
 type ParallelAnalyzer struct {
 	*pipeline
 }
@@ -97,11 +101,11 @@ func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 		label := strconv.Itoa(i)
 		sh := newShard(lim, newCoreObs(cfg.Obs, label, lim))
 		sh.sink = sh.logObs
-		sh.ring = newSPSCRing(shardQueueDepth)
+		sh.queue = make(chan *pbatch, shardQueueDepth)
 		sh.done = make(chan struct{})
 		if cfg.Obs != nil {
 			sh.depth = cfg.Obs.Gauge("zoomlens_shard_queue_depth",
-				"Batches queued per shard ring.", obs.L("shard", label))
+				"Batches queued per shard.", obs.L("shard", label))
 		}
 		p.shards[i] = sh
 		go sh.run()
@@ -109,34 +113,15 @@ func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 	return &ParallelAnalyzer{p}
 }
 
-// Summary computes the capture roll-up (after Finish).
-func (pa *ParallelAnalyzer) Summary() Summary { return pa.Result().Summary() }
-
-// Meetings runs the §4.3 grouping (after Finish).
-func (pa *ParallelAnalyzer) Meetings() []meeting.Meeting { return pa.Result().Meetings() }
-
-// StreamIDs returns observed stream identifiers in deterministic order
-// (after Finish).
-func (pa *ParallelAnalyzer) StreamIDs() []flow.MediaStreamID { return pa.Result().StreamIDs() }
-
-// MetricsFor returns the metric engine of one stream (after Finish).
-func (pa *ParallelAnalyzer) MetricsFor(id flow.MediaStreamID) (*metrics.StreamMetrics, bool) {
-	return pa.Result().MetricsFor(id)
-}
-
-// run is a ring-fed shard's goroutine: drain batches until the ring
+// run is a queue-fed shard's goroutine: drain batches until the queue
 // closes.
 func (sh *shard) run() {
 	defer close(sh.done)
-	for {
-		b, ok := sh.ring.pop()
-		if !ok {
-			return
-		}
+	for b := range sh.queue {
 		// Consumer-side backlog update: the front end only writes the
 		// gauge on enqueue, so without this an idle shard would report its
 		// last backlog forever.
-		sh.depth.Set(int64(sh.ring.len()))
+		sh.depth.Set(int64(len(sh.queue)))
 		if b.sync != nil {
 			b.sync <- struct{}{}
 			putBatch(b)
@@ -154,7 +139,33 @@ func (sh *shard) run() {
 	}
 }
 
-// logObs is a ring-fed shard's sink: append to the pending chain.
+// obsChunkLen is the number of media observations per pooled chunk.
+// Chunks are recycled as soon as a reconciliation pass consumes them, so
+// the steady-state log footprint is one partially filled chunk per shard
+// plus whatever accumulated since the last quiesce boundary.
+const obsChunkLen = 512
+
+// obsChunk is one fixed-size segment of a shard's media-observation log,
+// chained oldest-first. The owning shard goroutine appends; the
+// dispatcher consumes whole chains at quiesce boundaries (the sync-batch
+// ack provides the happens-before edge in both directions).
+type obsChunk struct {
+	next *obsChunk
+	n    int
+	e    [obsChunkLen]ClusterObs
+}
+
+var obsChunkPool = sync.Pool{New: func() any { return new(obsChunk) }}
+
+func getObsChunk() *obsChunk { return obsChunkPool.Get().(*obsChunk) }
+
+func putObsChunk(c *obsChunk) {
+	c.n = 0
+	c.next = nil
+	obsChunkPool.Put(c)
+}
+
+// logObs is a queue-fed shard's sink: append to the pending chain.
 func (sh *shard) logObs(o ClusterObs) {
 	c := sh.obsTail
 	if c == nil || c.n == obsChunkLen {
@@ -171,7 +182,7 @@ func (sh *shard) logObs(o ClusterObs) {
 	c.n++
 }
 
-// dispatch is the ring-fed half of PacketSeq: copy a kept frame into
+// dispatch is the queue-fed half of PacketSeq: copy a kept frame into
 // its shard's batch under construction, ship the batch when full, and
 // reconcile on the periodic cadence.
 func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {
@@ -192,7 +203,7 @@ func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, fram
 	}
 }
 
-// ship hands a full batch to its shard: blocking on a full ring, or —
+// ship hands a full batch to its shard: blocking on a full queue, or —
 // under Config.Shed — dropping the whole batch with accounting instead
 // of stalling ingest (live capture would otherwise lose packets
 // invisibly in the kernel).
@@ -200,48 +211,52 @@ func (p *pipeline) ship(sh *shard) {
 	b := sh.cur
 	sh.cur = nil
 	if !p.cfg.Shed {
-		sh.ring.push(b)
-	} else if !sh.ring.tryPush(b) {
-		p.ShedPackets += uint64(len(b.items))
-		p.ShedBytes += uint64(len(b.data))
-		p.o.shedPackets.Add(uint64(len(b.items)))
-		p.o.shedBytes.Add(uint64(len(b.data)))
-		putBatch(b)
-		return
+		sh.queue <- b
+	} else {
+		select {
+		case sh.queue <- b:
+		default:
+			p.ShedPackets += uint64(len(b.items))
+			p.ShedBytes += uint64(len(b.data))
+			p.o.shedPackets.Add(uint64(len(b.items)))
+			p.o.shedBytes.Add(uint64(len(b.data)))
+			putBatch(b)
+			return
+		}
 	}
 	// Producer-side backlog sample; the shard updates the same gauge on
 	// dequeue, so it tracks both directions.
-	sh.depth.Set(int64(sh.ring.len()))
+	sh.depth.Set(int64(len(sh.queue)))
 }
 
 // reconcile brings the cross-flow state up to date with every packet
-// routed so far. Ring-fed shards are parked at a barrier — partial
-// batches flushed, rings drained; on return their state is safely
+// routed so far. Queue-fed shards are parked at a barrier — partial
+// batches flushed, queues drained; on return their state is safely
 // readable from this goroutine (the ack receive is the happens-before
 // edge) and stays frozen until more work is dispatched — and their
 // pending observations are replayed in global capture order: a k-way
 // merge by sequence number (each chain is already sorted, shards consume
-// their ring FIFO), after which the consumed chunks are recycled. An
+// their queue FIFO), after which the consumed chunks are recycled. An
 // inline pipeline has nothing pending.
 func (p *pipeline) reconcile() {
-	if !p.ringFed() {
+	if !p.queueFed() {
 		return
 	}
 	ack := make(chan struct{}, len(p.shards))
 	for _, sh := range p.shards {
 		if sh.cur != nil && len(sh.cur.items) > 0 {
-			sh.ring.push(sh.cur)
+			sh.queue <- sh.cur
 			sh.cur = nil
 		}
 		sb := getBatch()
 		sb.sync = ack
-		sh.ring.push(sb)
+		sh.queue <- sb
 	}
 	for range p.shards {
 		<-ack
 	}
 	for _, sh := range p.shards {
-		// Every ring is drained; report the quiesced backlog explicitly
+		// Every queue is drained; report the quiesced backlog explicitly
 		// (the shard-side update raced the last enqueue sample).
 		sh.depth.Set(0)
 	}
@@ -291,15 +306,15 @@ func (p *pipeline) replayLogs() {
 	}
 }
 
-// stop flushes and closes every ring and waits for the shard goroutines
+// stop flushes and closes every queue and waits for the shard goroutines
 // to exit; afterwards their state belongs to the caller's goroutine.
 func (p *pipeline) stop() {
 	for _, sh := range p.shards {
 		if sh.cur != nil && len(sh.cur.items) > 0 {
-			sh.ring.push(sh.cur)
+			sh.queue <- sh.cur
 		}
 		sh.cur = nil
-		sh.ring.close()
+		close(sh.queue)
 	}
 	for _, sh := range p.shards {
 		<-sh.done
@@ -307,11 +322,11 @@ func (p *pipeline) stop() {
 	}
 }
 
-// collapse is Finish's first half for a ring-fed pipeline: stop the
+// collapse is Finish's first half for a queue-fed pipeline: stop the
 // shards, reconcile what they still had logged, and fold their state
 // into one inline shard. An inline pipeline is already collapsed.
 func (p *pipeline) collapse() {
-	if !p.ringFed() {
+	if !p.queueFed() {
 		return
 	}
 	defer p.cfg.trace("merge")()

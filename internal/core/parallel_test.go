@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,13 +94,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(seq.Meetings(), par.Meetings()) {
 		t.Errorf("meetings diverge:\nsequential %+v\nparallel   %+v", seq.Meetings(), par.Meetings())
 	}
-	sids, pids := seq.StreamIDs(), pa.StreamIDs()
+	sids, pids := seq.StreamIDs(), pa.Result().StreamIDs()
 	if !reflect.DeepEqual(sids, pids) {
 		t.Fatalf("stream IDs diverge:\nsequential %v\nparallel   %v", sids, pids)
 	}
 	for _, id := range sids {
 		ss, _ := seq.MetricsFor(id)
-		ps, ok := pa.MetricsFor(id)
+		ps, ok := pa.Result().MetricsFor(id)
 		if !ok {
 			t.Fatalf("stream %v missing from parallel result", id)
 		}
@@ -171,7 +172,7 @@ func TestParallelWorkerCounts(t *testing.T) {
 		pa := NewParallelAnalyzer(cfg, workers)
 		tr.feed(pa.Packet)
 		pa.Finish()
-		if got := pa.Summary(); got != want {
+		if got := pa.Result().Summary(); got != want {
 			t.Errorf("workers=%d: summary %+v, want %+v", workers, got, want)
 		}
 	}
@@ -192,7 +193,7 @@ func TestParallelReadPCAP(t *testing.T) {
 	pa := NewParallelAnalyzer(cfg, 4)
 	tr.feed(pa.Packet)
 	pa.Finish()
-	if got, want := pa.Summary(), seq.Summary(); got != want {
+	if got, want := pa.Result().Summary(), seq.Summary(); got != want {
 		t.Fatalf("summary = %+v, want %+v", got, want)
 	}
 	// Finish twice is safe.
@@ -256,4 +257,110 @@ func TestShardAffinity(t *testing.T) {
 	if u1 != u2 {
 		t.Error("same UDP flow routed to different shards")
 	}
+}
+
+// TestQueueBackpressure pins what the shard queue is for. With one shard
+// held inside its per-packet hook, a blocking engine's front end must
+// stop within (shardQueueDepth+2) batches of that shard — the queue, the
+// batch the shard holds and the one the front end cannot hand over — so
+// memory stays bounded however far the shard falls behind, and once
+// released the run must still equal the sequential engine's. A shedding
+// engine in the same position must never block, and must count exactly
+// the frames no shard analysed.
+func TestQueueBackpressure(t *testing.T) {
+	tr, opts := seededTrace(t, 10)
+	base := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+		PreFiltered:    true,
+	}
+	const workers, bound = 2, (shardQueueDepth + 2) * shardBatchSize
+	onHeld := func(frame []byte) bool {
+		var ri rawInfo
+		return rawScan(frame, &ri) && shardFor(&base, workers, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort) == 0
+	}
+
+	// hold starts an engine whose shard 0 parks on its first frame until
+	// release is called, and a feeder goroutine offering the whole trace.
+	// counts reports how many shard-0 frames the feeder has offered and how
+	// many frames the shards have taken up.
+	hold := func(cfg Config) (pa *ParallelAnalyzer, fed <-chan struct{}, release func(), counts func() (int, int)) {
+		var mu sync.Mutex
+		var offered, analysed int
+		gate, entered, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		pa = NewParallelAnalyzer(cfg, workers)
+		pa.SetPanicHook(func(_ time.Time, frame []byte) {
+			mu.Lock()
+			analysed++
+			mu.Unlock()
+			if onHeld(frame) {
+				once.Do(func() { close(entered) })
+				<-gate
+			}
+		})
+		go func() {
+			defer close(done)
+			for i, frame := range tr.frames {
+				if onHeld(frame) {
+					mu.Lock()
+					offered++
+					mu.Unlock()
+				}
+				pa.Packet(tr.at[i], frame)
+			}
+		}()
+		<-entered
+		counts = func() (int, int) {
+			mu.Lock()
+			defer mu.Unlock()
+			return offered, analysed
+		}
+		return pa, done, func() { close(gate) }, counts
+	}
+
+	seq := NewAnalyzer(base)
+	tr.feed(seq.Packet)
+	seq.Finish()
+
+	t.Run("blocking", func(t *testing.T) {
+		pa, fed, release, counts := hold(base)
+		select {
+		case <-fed:
+			t.Fatal("the front end consumed the whole trace while a shard was held: no backpressure")
+		case <-time.After(200 * time.Millisecond):
+		}
+		if offered, _ := counts(); offered > bound {
+			t.Errorf("front end accepted %d frames for the held shard, want at most %d", offered, bound)
+		}
+		release()
+		<-fed
+		pa.Finish()
+		got := pa.Result()
+		if gs, ws := got.Summary(), seq.Summary(); gs != ws {
+			t.Errorf("summary after backpressure diverges:\nsequential %+v\nparallel   %+v", ws, gs)
+		}
+		if !reflect.DeepEqual(got.Meetings(), seq.Meetings()) || !reflect.DeepEqual(got.StreamIDs(), seq.StreamIDs()) {
+			t.Error("meetings or stream identifiers after backpressure diverge from the sequential engine's")
+		}
+	})
+
+	t.Run("shedding", func(t *testing.T) {
+		cfg := base
+		cfg.Shed = true
+		pa, fed, release, counts := hold(cfg)
+		select {
+		case <-fed:
+		case <-time.After(time.Minute):
+			t.Fatal("Packet blocked on a held shard under Config.Shed")
+		}
+		release()
+		pa.Finish()
+		a := pa.Result()
+		_, analysed := counts()
+		kept := a.Packets - a.DroppedByFilter - a.Undecodable
+		if a.ShedPackets == 0 || a.ShedPackets != kept-uint64(analysed) {
+			t.Errorf("shed %d packets, want the %d kept frames minus the %d analysed", a.ShedPackets, kept, analysed)
+		}
+	})
 }

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // framePool is the one pool behind every transient frame copy the
-// package makes: ring batches bound for a shard, quiesce sync batches,
+// package makes: shard batches bound for a shard, quiesce sync batches,
 // and quarantine forensic copies all draw *pbatch values from
 // it and return them when drained. One pool instead of one per consumer
 // means a burst in any path (a quarantine storm, a deep shard backlog)

@@ -26,7 +26,7 @@ import (
 //
 //   - inline (sequential engine): the front end calls process directly
 //     and the sink is the reconciliation consumer itself;
-//   - ring-fed (parallel engine): a goroutine drains an SPSC ring of
+//   - queue-fed (parallel engine): a goroutine drains a bounded channel of
 //     frame batches and the sink appends to a chunked log the front-end
 //     goroutine replays in capture order at quiesce boundaries;
 //   - cluster worker: an inline shard in its own process, fed by the
@@ -45,7 +45,7 @@ type shard struct {
 	// copies what it keeps).
 	rec flow.Record
 	// so holds this shard's live-metric handles: the engine's own when
-	// inline, shard-labeled occupancy gauges when ring-fed.
+	// inline, shard-labeled occupancy gauges when queue-fed.
 	so *coreObs
 
 	// sink receives every media-stream observation, tagged with the
@@ -55,7 +55,7 @@ type shard struct {
 	sink func(ClusterObs)
 	// evictCross, set on inline shards only, forwards idle eviction to
 	// the cross-flow Dedup on the shard's own cadence, as the sequential
-	// engine always has. The reconciled Dedup of ring-fed and cluster
+	// engine always has. The reconciled Dedup of queue-fed and cluster
 	// shards is never aged; the results agree as long as FlowTTL is not
 	// shorter than Dedup.TimeWindow.
 	evictCross func(cutoff time.Time)
@@ -63,11 +63,11 @@ type shard struct {
 	// the decode. Tests inject deterministic panics through it.
 	panicHook func(at time.Time, frame []byte)
 
-	// Ring transport (nil on an inline shard): the batch under
+	// Queue transport (nil on an inline shard): the batch under
 	// construction is owned by the front-end goroutine, the pending
 	// observation chain is appended by the shard goroutine and consumed
 	// at quiesce boundaries.
-	ring             *spscRing
+	queue            chan *pbatch
 	done             chan struct{}
 	cur              *pbatch
 	depth            *obs.Gauge
@@ -169,11 +169,11 @@ func newShardState(lim Config) shardState {
 		tcpSeen:       make(map[netip.AddrPort]time.Time),
 		dirtyTCP:      make(map[netip.AddrPort]struct{}),
 	}
-	st.Flows.SetLimits(flow.Limits{
-		MaxFlows:      lim.MaxFlows,
-		MaxStreams:    lim.MaxStreams,
-		MaxSubstreams: lim.MaxSubstreams,
-	})
+	limits := flow.Limits{MaxFlows: lim.MaxFlows, MaxStreams: lim.MaxStreams}
+	if lim.MaxStreams > 0 {
+		limits.MaxSubstreams = maxSubstreams
+	}
+	st.Flows.SetLimits(limits)
 	return st
 }
 
@@ -195,8 +195,6 @@ func scaleLimits(cfg Config, shards int) Config {
 	}
 	cfg.MaxFlows = div(cfg.MaxFlows)
 	cfg.MaxStreams = div(cfg.MaxStreams)
-	cfg.MaxSubstreams = div(cfg.MaxSubstreams)
-	cfg.MaxTCP = div(cfg.MaxTCP)
 	cfg.MaxFinished = div(cfg.MaxFinished)
 	return cfg
 }
@@ -204,7 +202,7 @@ func scaleLimits(cfg Config, shards int) Config {
 // process decodes and analyzes one frame the front end kept. A panic
 // anywhere in it is contained — counted, quarantined, the packet
 // abandoned — so one hostile frame cannot take down a production tap
-// (or, ring-fed, kill the process from a shard goroutine).
+// (or, queue-fed, kill the process from a shard goroutine).
 func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -243,7 +241,7 @@ func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
 	}
 	tr := sh.TCP[client]
 	if tr == nil {
-		if sh.lim.MaxTCP > 0 && len(sh.TCP) >= sh.lim.MaxTCP {
+		if lim := sh.lim.maxTCP(); lim > 0 && len(sh.TCP) >= lim {
 			sh.RejectedTCPPackets++
 			return
 		}
@@ -350,7 +348,7 @@ const maintainEvery = 4096
 
 // tick advances the shard's maintenance clock by one packet and, every
 // maintainEvery packets, runs Config.FlowTTL's idle eviction. An inline
-// shard is ticked for every frame offered to the engine, a ring-fed one
+// shard is ticked for every frame offered to the engine, a queue-fed one
 // for every frame it ingests.
 func (sh *shard) tick(at time.Time) {
 	sh.ticks++
