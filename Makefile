@@ -122,7 +122,9 @@ soak-smoke:
 # The checkpoint decoder faces hostile bytes too (a corrupt or truncated
 # checkpoint file must never panic or half-restore); its target caps
 # minimize time because each exec restores a full engine. The front-end
-# target holds the raw header scan to the full parser, frame by frame.
+# target holds the raw header scan to the full parser, frame by frame,
+# and the prefix-set target holds the merged-range search to the plain
+# netip.Prefix.Contains scan it replaced.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzRTPParse -fuzztime=$(FUZZTIME) ./internal/rtp/
@@ -131,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWebRTCParse -fuzztime=$(FUZZTIME) ./internal/webrtc/
 	$(GO) test -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzFrontEndVsParser -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz=FuzzPrefixSetVsScan -fuzztime=$(FUZZTIME) ./internal/capture/
 	$(GO) test -fuzz=FuzzQoSLog -fuzztime=$(FUZZTIME) ./internal/qos/
 
 examples:

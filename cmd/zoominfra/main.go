@@ -25,11 +25,15 @@ import (
 	"sort"
 
 	"zoomlens"
+	"zoomlens/internal/capture"
 	"zoomlens/internal/engine"
 	"zoomlens/internal/infra"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 )
+
+// owners is every network owner, in report order.
+var owners = []infra.Owner{infra.OwnerZoomAS, infra.OwnerAWS, infra.OwnerOracle, infra.OwnerOther}
 
 func main() {
 	log.SetFlags(0)
@@ -45,7 +49,7 @@ func main() {
 
 	fmt.Println("Address space by owner:")
 	shares := inv.OwnerShare()
-	for _, owner := range []infra.Owner{infra.OwnerZoomAS, infra.OwnerAWS, infra.OwnerOracle, infra.OwnerOther} {
+	for _, owner := range owners {
 		fmt.Printf("  %-22s %5.1f%%\n", owner, 100*shares[owner])
 	}
 	fmt.Println()
@@ -70,19 +74,21 @@ func crossCheck(inv *infra.Inventory, path string) error {
 	}
 	defer src.Close()
 
-	zoomNets := zoomlens.DefaultZoomNetworks()
-	inZoom := func(a netip.Addr) bool {
-		for _, p := range zoomNets {
-			if p.Contains(a) {
-				return true
-			}
-		}
-		return false
+	inZoom := capture.NewPrefixSet(zoomlens.DefaultZoomNetworks())
+	// One prefix set per owner. The inventory's networks are disjoint, so
+	// at most one of them claims an address.
+	netsOf := make(map[infra.Owner][]netip.Prefix)
+	for _, n := range inv.Networks {
+		netsOf[n.Owner] = append(netsOf[n.Owner], n.Prefix)
+	}
+	ownerSets := make([]*capture.PrefixSet, len(owners))
+	for i, owner := range owners {
+		ownerSets[i] = capture.NewPrefixSet(netsOf[owner])
 	}
 	ownerOf := func(a netip.Addr) (infra.Owner, bool) {
-		for _, n := range inv.Networks {
-			if n.Prefix.Contains(a) {
-				return n.Owner, true
+		for i, set := range ownerSets {
+			if set.Contains(a) {
+				return owners[i], true
 			}
 		}
 		return 0, false
@@ -107,7 +113,7 @@ func crossCheck(inv *infra.Inventory, path string) error {
 			continue
 		}
 		for _, a := range []netip.Addr{pkt.SrcAddr(), pkt.DstAddr()} {
-			if a.IsValid() && inZoom(a) {
+			if a.IsValid() && inZoom.Contains(a) {
 				servers[a]++
 			}
 		}
@@ -136,7 +142,7 @@ func crossCheck(inv *infra.Inventory, path string) error {
 	}
 	fmt.Printf("  %d distinct Zoom server addresses observed\n", len(servers))
 	fmt.Println("  observed packets by owner:")
-	for _, owner := range []infra.Owner{infra.OwnerZoomAS, infra.OwnerAWS, infra.OwnerOracle, infra.OwnerOther} {
+	for _, owner := range owners {
 		if byOwner[owner] > 0 {
 			fmt.Printf("    %-22s %d\n", owner, byOwner[owner])
 		}

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -59,8 +60,34 @@ func ingestTrace(tb testing.TB) (pcapBytes, ngBytes []byte) {
 
 // ingestReadPass drains one serialized capture with the zero-copy
 // reader, returning the record count.
-func ingestReadPass(raw []byte) (int, error) {
-	s, err := pcap.OpenStream(bytes.NewReader(raw))
+func ingestReadPass(raw []byte) (int, error) { return ingestReadStream(bytes.NewReader(raw)) }
+
+// ingestTraceFile writes one serialized capture to a temp file, so the
+// read can be measured the way the tools pay for it: through an *os.File
+// (page-cache warm — the file was just written), one read(2) per
+// underlying Read. An in-memory reader has no syscalls and cannot see
+// how many of them a record costs.
+func ingestTraceFile(tb testing.TB, raw []byte) string {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "trace")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// ingestReadFilePass is ingestReadPass over a real file.
+func ingestReadFilePass(path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return ingestReadStream(f)
+}
+
+func ingestReadStream(r io.Reader) (int, error) {
+	s, err := pcap.OpenStream(r)
 	if err != nil {
 		return 0, err
 	}
@@ -107,7 +134,8 @@ func ingestAnalyzePass(raw []byte, cfg Config, workers int) error {
 }
 
 // BenchmarkIngestPath measures the three layers of the hot loop: the
-// pure zero-copy record read for both formats, and the full
+// pure zero-copy record read for both formats — from memory, and from a
+// real file, where each underlying Read is a system call — and the full
 // read+analyze pipeline sequentially and sharded. ns/pkt and pkts/s are
 // derived per-packet metrics on top of the usual per-pass numbers.
 func BenchmarkIngestPath(b *testing.B) {
@@ -118,35 +146,32 @@ func BenchmarkIngestPath(b *testing.B) {
 	for _, f := range frames {
 		total += int64(len(f))
 	}
+	rawFile, ngFile := ingestTraceFile(b, raw), ingestTraceFile(b, ngRaw)
 
-	b.Run("read/pcap", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(total)
-		for i := 0; i < b.N; i++ {
-			got, err := ingestReadPass(raw)
-			if err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		pass func() (int, error)
+	}{
+		{"read/pcap", func() (int, error) { return ingestReadPass(raw) }},
+		{"read/pcapng", func() (int, error) { return ingestReadPass(ngRaw) }},
+		{"read/pcap-file", func() (int, error) { return ingestReadFilePass(rawFile) }},
+		{"read/pcapng-file", func() (int, error) { return ingestReadFilePass(ngFile) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				got, err := bc.pass()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != n {
+					b.Fatalf("read %d records, trace has %d", got, n)
+				}
 			}
-			if got != n {
-				b.Fatalf("read %d records, trace has %d", got, n)
-			}
-		}
-		reportPerPacket(b, n)
-	})
-	b.Run("read/pcapng", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(total)
-		for i := 0; i < b.N; i++ {
-			got, err := ingestReadPass(ngRaw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got != n {
-				b.Fatalf("read %d records, trace has %d", got, n)
-			}
-		}
-		reportPerPacket(b, n)
-	})
+			reportPerPacket(b, n)
+		})
+	}
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -265,11 +290,20 @@ func TestBenchIngestJSON(t *testing.T) {
 			"analyze/seq":      {NsPerPacket: 2588.66, BytesPerPacket: 1248.67, AllocsPerPacket: 3.678, PacketsPerSec: 386_300},
 			"analyze/workers4": {NsPerPacket: 3257.25, BytesPerPacket: 2436.27, AllocsPerPacket: 3.719, PacketsPerSec: 307_008},
 		},
+		// The file-backed reads measured with this test at the commit before
+		// the read window (PR 18), when every record cost two read(2) calls.
+		"baseline_pre_window": map[string]row{
+			"read/pcap-file":   {NsPerPacket: 1010.0, BytesPerPacket: 0.101, AllocsPerPacket: 0.00084, PacketsPerSec: 990_112},
+			"read/pcapng-file": {NsPerPacket: 1012.7, BytesPerPacket: 0.106, AllocsPerPacket: 0.00100, PacketsPerSec: 987_449},
+		},
 	}
 	seq := measure(func() error { return ingestAnalyzePass(raw, cfg, 1) })
 	w4 := measure(func() error { return ingestAnalyzePass(raw, cfg, 4) })
 	report["read/pcap"] = measure(func() error { _, err := ingestReadPass(raw); return err })
 	report["read/pcapng"] = measure(func() error { _, err := ingestReadPass(ngRaw); return err })
+	rawFile, ngFile := ingestTraceFile(t, raw), ingestTraceFile(t, ngRaw)
+	report["read/pcap-file"] = measure(func() error { _, err := ingestReadFilePass(rawFile); return err })
+	report["read/pcapng-file"] = measure(func() error { _, err := ingestReadFilePass(ngFile); return err })
 	report["analyze/seq"] = seq
 	report["analyze/workers4"] = w4
 	report["gomaxprocs"] = runtime.GOMAXPROCS(0)

@@ -90,8 +90,8 @@ const DefaultP2PTimeout = 60 * time.Second
 // use; the Tofino pipeline it models is inherently sequential per packet.
 type Filter struct {
 	cfg      Config
-	zoomNets *prefixMatcher
-	campus   *prefixMatcher
+	zoomNets *PrefixSet
+	campus   *PrefixSet
 	p2p      map[netip.AddrPort]time.Time // campus-side STUN endpoints
 	stats    FilterStats
 }
@@ -122,14 +122,20 @@ func NewFilter(cfg Config) *Filter {
 	}
 	return &Filter{
 		cfg:      cfg,
-		zoomNets: newPrefixMatcher(cfg.ZoomNetworks),
-		campus:   newPrefixMatcher(cfg.CampusNetworks),
+		zoomNets: NewPrefixSet(cfg.ZoomNetworks),
+		campus:   NewPrefixSet(cfg.CampusNetworks),
 		p2p:      make(map[netip.AddrPort]time.Time),
 	}
 }
 
 // Stats returns a copy of the decision counters.
 func (f *Filter) Stats() FilterStats { return f.stats }
+
+// ZoomNetworks and CampusNetworks return the filter's two prefix sets,
+// for layers behind it that must tell servers from clients exactly as
+// the filter did.
+func (f *Filter) ZoomNetworks() *PrefixSet   { return f.zoomNets }
+func (f *Filter) CampusNetworks() *PrefixSet { return f.campus }
 
 // Classify runs one decoded packet through the pipeline and returns the
 // verdict. ts is the capture timestamp, used for P2P table aging.
@@ -160,7 +166,7 @@ func (f *Filter) ClassifyFlow(src, dst netip.Addr, hasUDP bool, srcPort, dstPort
 
 	// Stage 1: stateless match on Zoom server networks (TCP 443 control
 	// traffic and UDP 8801 media both land here).
-	if f.zoomNets.contains(src) || f.zoomNets.contains(dst) {
+	if f.zoomNets.Contains(src) || f.zoomNets.Contains(dst) {
 		// Stage 2: STUN exchanges with a Zoom server on port 3478 arm the
 		// P2P tables with the campus endpoint (IP + ephemeral port).
 		if hasUDP && (srcPort == stun.Port || dstPort == stun.Port) && stun.Is(payload) {
@@ -182,8 +188,9 @@ func (f *Filter) ClassifyFlow(src, dst netip.Addr, hasUDP bool, srcPort, dstPort
 	}
 
 	// Stage 3: stateful P2P lookup — non-server UDP whose campus-side
-	// endpoint was recently seen in a STUN exchange.
-	if hasUDP {
+	// endpoint was recently seen in a STUN exchange. An empty table has
+	// nothing to hit, refresh or expire, so it is not probed.
+	if hasUDP && len(f.p2p) > 0 {
 		if f.lookupP2P(netip.AddrPortFrom(src, srcPort), ts) ||
 			f.lookupP2P(netip.AddrPortFrom(dst, dstPort), ts) {
 			if f.cfg.ValidateP2PPayload && !f.validP2PPayload(payload) {
@@ -221,7 +228,7 @@ func (f *Filter) registerSTUN(src, dst netip.Addr, srcPort, dstPort uint16, ts t
 	default:
 		return
 	}
-	if f.campus.any() && !f.campus.contains(ep.Addr()) {
+	if f.campus.Len() > 0 && !f.campus.Contains(ep.Addr()) {
 		// With campus knowledge, only campus endpoints are registered
 		// (the P4 program writes "the campus peer's address").
 		return
@@ -273,30 +280,6 @@ func ValidateP2P(payload []byte) bool {
 	return err == nil
 }
 
-// prefixMatcher is a longest-prefix-match set. The Tofino implements this
-// in TCAM; a sorted slice scan is plenty here (Zoom publishes ~117
-// prefixes).
-type prefixMatcher struct {
-	prefixes []netip.Prefix
-}
-
-func newPrefixMatcher(ps []netip.Prefix) *prefixMatcher {
-	m := &prefixMatcher{prefixes: make([]netip.Prefix, len(ps))}
-	copy(m.prefixes, ps)
-	return m
-}
-
-func (m *prefixMatcher) any() bool { return len(m.prefixes) > 0 }
-
-func (m *prefixMatcher) contains(a netip.Addr) bool {
-	for _, p := range m.prefixes {
-		if p.Contains(a) {
-			return true
-		}
-	}
-	return false
-}
-
 // Anonymizer replaces campus addresses with a one-way mapping, modeling
 // the ONTAS-based anonymization stage of the capture program (§6.1).
 // Two modes are available: keyed-hash (default — stable pseudorandom
@@ -306,7 +289,7 @@ func (m *prefixMatcher) contains(a netip.Addr) bool {
 // server-side analysis still works.
 type Anonymizer struct {
 	key    []byte
-	campus *prefixMatcher
+	campus *PrefixSet
 	cache  map[netip.Addr]netip.Addr
 	prefix *PrefixPreservingAnonymizer
 }
@@ -316,14 +299,14 @@ type Anonymizer struct {
 func NewAnonymizer(key []byte, campus []netip.Prefix) *Anonymizer {
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &Anonymizer{key: k, campus: newPrefixMatcher(campus), cache: make(map[netip.Addr]netip.Addr)}
+	return &Anonymizer{key: k, campus: NewPrefixSet(campus), cache: make(map[netip.Addr]netip.Addr)}
 }
 
 // NewPrefixAnonymizer builds a prefix-preserving (Crypto-PAn style)
 // anonymizer for campus addresses.
 func NewPrefixAnonymizer(key []byte, campus []netip.Prefix) *Anonymizer {
 	return &Anonymizer{
-		campus: newPrefixMatcher(campus),
+		campus: NewPrefixSet(campus),
 		prefix: NewPrefixPreservingAnonymizer(key),
 	}
 }
@@ -331,7 +314,7 @@ func NewPrefixAnonymizer(key []byte, campus []netip.Prefix) *Anonymizer {
 // Addr returns the anonymized form of a: campus addresses map one-way
 // per the anonymizer's mode; other addresses are returned unchanged.
 func (an *Anonymizer) Addr(a netip.Addr) netip.Addr {
-	if !an.campus.contains(a) {
+	if !an.campus.Contains(a) {
 		return a
 	}
 	if an.prefix != nil {

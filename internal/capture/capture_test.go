@@ -261,37 +261,40 @@ func TestResourceModelWithoutAnonymization(t *testing.T) {
 
 func ap(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
-func BenchmarkClassifyServer(b *testing.B) {
-	f := newTestFilter()
-	raw := layers.EthernetIPv4UDP(ap("10.8.1.2:52000"), ap("52.81.3.4:8801"), 64, make([]byte, 1100))
+// benchClassify times Filter.Classify on one packet to dst, at the unit
+// tests' two-prefix list and at production list size (the 117 networks
+// of DefaultZoomNetworks, which is where a linear scan would show); with
+// the P2P table empty, as on a tap that has seen no STUN yet, and armed
+// with one endpoint, which is what makes stage 3 probe it.
+func benchClassify(b *testing.B, dst string, want Verdict) {
+	raw := layers.EthernetIPv4UDP(ap("10.8.1.2:52000"), ap(dst), 64, make([]byte, 600))
 	var p layers.Packet
 	if err := (&layers.Parser{}).Parse(raw, &p); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := f.Classify(&p, t0); v != KeepServer {
-			b.Fatal(v)
-		}
+	run := func(name string, nets []netip.Prefix, armed bool) {
+		b.Run(name, func(b *testing.B) {
+			f := NewFilter(Config{ZoomNetworks: nets, CampusNetworks: campusNets})
+			if armed {
+				f.registerSTUN(netip.MustParseAddr("10.8.9.9"), nets[0].Addr(), 40000, stun.Port, t0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if v := f.Classify(&p, t0); v != want {
+					b.Fatal(v)
+				}
+			}
+		})
 	}
+	run("prefixes=2", zoomNets, false)
+	run("prefixes=117", defaultZoomNetworks(), false)
+	run("prefixes=117/p2p-armed", defaultZoomNetworks(), true)
 }
 
-func BenchmarkClassifyDrop(b *testing.B) {
-	f := newTestFilter()
-	raw := layers.EthernetIPv4UDP(ap("10.8.1.2:52000"), ap("93.184.1.1:443"), 64, make([]byte, 600))
-	var p layers.Packet
-	if err := (&layers.Parser{}).Parse(raw, &p); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := f.Classify(&p, t0); v != Drop {
-			b.Fatal(v)
-		}
-	}
-}
+func BenchmarkClassifyServer(b *testing.B) { benchClassify(b, "52.81.3.4:8801", KeepServer) }
+
+func BenchmarkClassifyDrop(b *testing.B) { benchClassify(b, "93.184.1.1:443", Drop) }
 
 // TestP2PPortReuseFalsePositiveFiltered reproduces §4.1's false-positive
 // scenario: after a meeting's STUN exchange, a different application

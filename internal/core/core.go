@@ -362,34 +362,16 @@ func (p *pipeline) SetPanicHook(h func(at time.Time, frame []byte)) {
 	}
 }
 
-func (cfg Config) isZoomAddr(addr netip.Addr) bool {
-	for _, p := range cfg.ZoomNetworks {
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
-func (cfg Config) isCampusAddr(addr netip.Addr) bool {
-	for _, p := range cfg.CampusNetworks {
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // clientOf is the protocol-aware client derivation every grouping
 // consumer (Meetings, MeetingReports, snapshots) uses: Zoom streams keep
 // the Zoom-server convention, other protocols use campus membership.
-func (cfg Config) clientOf() func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort {
-	return meeting.ClientOfProto(cfg.isZoomAddr, cfg.isCampusAddr)
+func (fe *frontEnd) clientOf() func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort {
+	return meeting.ClientOfProto(fe.filter.ZoomNetworks().Contains, fe.filter.CampusNetworks().Contains)
 }
 
 // Meetings runs the §4.3 grouping over everything observed.
 func (a *Analyzer) Meetings() []meeting.Meeting {
-	return meeting.Group(a.Dedup.RecordsBy(a.cfg.clientOf()))
+	return meeting.Group(a.Dedup.RecordsBy(a.clientOf()))
 }
 
 // Summary is the Table 6 style capture roll-up, extended with the

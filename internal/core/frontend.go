@@ -113,7 +113,7 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 		// flow to hash, and whichever shard gets it ignores it.
 		return 0, true
 	}
-	return shardFor(&fe.cfg, fe.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
+	return shardOf(fe.filter.ZoomNetworks(), fe.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
 }
 
 // quarantine records one contained panic: the live counter and, when
@@ -214,19 +214,20 @@ func rawScan(frame []byte, ri *rawInfo) bool {
 	return true
 }
 
-// shardFor hashes flow features to one of n shards: FNV-1a over the
+// shardOf hashes flow features to one of n shards: FNV-1a over the
 // directed five-tuple for UDP, so every packet of a flow — and of any
 // media stream on it — lands on one shard in order; over the client
 // endpoint for TCP, the key the RTT trackers use, so both directions of
-// every connection of one tracker share a shard.
-func shardFor(cfg *Config, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
+// every connection of one tracker share a shard (zoom tells which end
+// is the client, as shard.observeTCP does).
+func shardOf(zoom *capture.PrefixSet, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
 	if n == 1 {
 		return 0
 	}
 	var h uint64 = 14695981039346656037 // FNV-1a offset basis
 	if isTCP {
 		client, cport := dst, dstPort
-		if cfg.isZoomAddr(dst) && !cfg.isZoomAddr(src) {
+		if zoom.Contains(dst) && !zoom.Contains(src) {
 			client, cport = src, srcPort
 		}
 		a16 := client.As16()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/capture"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
@@ -275,9 +276,10 @@ func TestQueueBackpressure(t *testing.T) {
 		PreFiltered:    true,
 	}
 	const workers, bound = 2, (shardQueueDepth + 2) * shardBatchSize
+	zoom := capture.NewPrefixSet(base.ZoomNetworks)
 	onHeld := func(frame []byte) bool {
 		var ri rawInfo
-		return rawScan(frame, &ri) && shardFor(&base, workers, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort) == 0
+		return rawScan(frame, &ri) && shardOf(zoom, workers, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort) == 0
 	}
 
 	// hold starts an engine whose shard 0 parks on its first frame until
@@ -363,4 +365,11 @@ func TestQueueBackpressure(t *testing.T) {
 			t.Errorf("shed %d packets, want the %d kept frames minus the %d analysed", a.ShedPackets, kept, analysed)
 		}
 	})
+}
+
+// shardFor is shardOf for a bare Config: the reference shard a test
+// expects a frame to land on, computed from a prefix set of its own
+// rather than the front end's.
+func shardFor(cfg *Config, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
+	return shardOf(capture.NewPrefixSet(cfg.ZoomNetworks), n, isTCP, src, dst, srcPort, dstPort)
 }

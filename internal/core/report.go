@@ -62,7 +62,7 @@ type MeetingReport struct {
 
 // MeetingReports computes roll-ups for every inferred meeting.
 func (a *Analyzer) MeetingReports() []MeetingReport {
-	records := a.Dedup.RecordsBy(a.cfg.clientOf())
+	records := a.Dedup.RecordsBy(a.clientOf())
 	meetings := meeting.Group(records)
 
 	// Index stream records by unified ID for meeting membership, and

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"zoomlens/internal/capture"
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
@@ -37,7 +38,10 @@ type shard struct {
 
 	// lim is this shard's share of the configuration: the state caps
 	// divided across the shards (see scaleLimits).
-	lim    Config
+	lim Config
+	// zoom is the Zoom server prefix set: it tells a TCP segment's
+	// client end from its server end.
+	zoom   *capture.PrefixSet
 	protos []rtcproto.Plugin
 	dec    layers.Parser
 	dpkt   layers.Packet
@@ -178,7 +182,7 @@ func newShardState(lim Config) shardState {
 }
 
 func newShard(lim Config, so *coreObs) *shard {
-	return &shard{shardState: newShardState(lim), lim: lim, protos: lim.protos(), so: so}
+	return &shard{shardState: newShardState(lim), lim: lim, zoom: capture.NewPrefixSet(lim.ZoomNetworks), protos: lim.protos(), so: so}
 }
 
 // scaleLimits divides the global state caps across shards: flows hash
@@ -232,7 +236,7 @@ func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
 }
 
 func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
-	fromClient := sh.lim.isZoomAddr(pkt.DstAddr()) && !sh.lim.isZoomAddr(pkt.SrcAddr())
+	fromClient := sh.zoom.Contains(pkt.DstAddr()) && !sh.zoom.Contains(pkt.SrcAddr())
 	var client netip.AddrPort
 	if fromClient {
 		client = netip.AddrPortFrom(pkt.SrcAddr(), pkt.TCP.SrcPort)

@@ -67,7 +67,7 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		window = time.Second
 	}
 	cut := now.Add(-window)
-	recs := p.Dedup.RecordsBy(p.cfg.clientOf())
+	recs := p.Dedup.RecordsBy(p.clientOf())
 	meetings := meeting.Group(recs)
 	if len(meetings) == 0 {
 		return nil

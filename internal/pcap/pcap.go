@@ -77,22 +77,21 @@ type Record struct {
 
 // Reader reads records from a pcap stream.
 type Reader struct {
-	r         io.Reader
+	w         *window
 	order     binary.ByteOrder
 	hdr       Header
 	truncated bool
-	scratch   [recordHeaderLen]byte
-	// buf is the reused record body buffer NextInto lends out; it grows
-	// to the largest record seen and is never returned to the caller's
-	// ownership.
-	buf []byte
 }
 
 // NewReader parses the global header from r and returns a Reader
-// positioned at the first record.
-func NewReader(r io.Reader) (*Reader, error) {
-	var buf [globalHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+// positioned at the first record. The Reader reads r through a window of
+// its own (see window), so it may have consumed more of r than the
+// records it has returned.
+func NewReader(r io.Reader) (*Reader, error) { return newReader(newWindow(r)) }
+
+func newReader(w *window) (*Reader, error) {
+	buf, err := w.next(globalHeaderLen)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
 	var order binary.ByteOrder
@@ -109,7 +108,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, ErrBadMagic
 	}
-	rd := &Reader{r: r, order: order}
+	rd := &Reader{w: w, order: order}
 	rd.hdr = Header{
 		Nanosecond:   nano,
 		VersionMajor: order.Uint16(buf[4:6]),
@@ -131,12 +130,14 @@ func (r *Reader) Header() Header { return r.hdr }
 func (r *Reader) Truncated() bool { return r.truncated }
 
 // NextInto reads the next record into rec without allocating: rec.Data
-// borrows a buffer owned by the Reader and is valid only until the next
+// is a slice of the stream's read window (of the oversize buffer, for a
+// record larger than the window) and is valid only until the next
 // NextInto or Next call. Callers that retain the bytes must copy them.
 // io.EOF marks a clean end of stream; a cut mid-record yields io.EOF
 // with Truncated() set.
 func (r *Reader) NextInto(rec *Record) error {
-	if _, err := io.ReadFull(r.r, r.scratch[:]); err != nil {
+	hdr, err := r.w.peek(recordHeaderLen)
+	if err != nil {
 		if err == io.EOF {
 			return io.EOF
 		}
@@ -146,10 +147,10 @@ func (r *Reader) NextInto(rec *Record) error {
 		}
 		return fmt.Errorf("pcap: reading record header: %w", err)
 	}
-	sec := r.order.Uint32(r.scratch[0:4])
-	sub := r.order.Uint32(r.scratch[4:8])
-	capLen := r.order.Uint32(r.scratch[8:12])
-	origLen := r.order.Uint32(r.scratch[12:16])
+	sec := r.order.Uint32(hdr[0:4])
+	sub := r.order.Uint32(hdr[4:8])
+	capLen := r.order.Uint32(hdr[8:12])
+	origLen := r.order.Uint32(hdr[12:16])
 	if capLen > r.hdr.SnapLen && r.hdr.SnapLen != 0 {
 		return fmt.Errorf("pcap: record capture length %d exceeds snap length %d", capLen, r.hdr.SnapLen)
 	}
@@ -157,12 +158,11 @@ func (r *Reader) NextInto(rec *Record) error {
 	if capLen > sanityCap {
 		return fmt.Errorf("pcap: implausible record capture length %d", capLen)
 	}
-	if int(capLen) > cap(r.buf) {
-		r.buf = make([]byte, capLen)
-	}
-	data := r.buf[:capLen]
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	// Header and body leave the window as one slice (hdr is stale from
+	// here on: the refill may have moved it).
+	whole, err := r.w.next(recordHeaderLen + int(capLen))
+	if err != nil {
+		if err == io.ErrUnexpectedEOF {
 			r.truncated = true
 			return io.EOF
 		}
@@ -174,7 +174,7 @@ func (r *Reader) NextInto(rec *Record) error {
 	}
 	rec.Timestamp = time.Unix(int64(sec), nsec).UTC()
 	rec.OriginalLen = int(origLen)
-	rec.Data = data
+	rec.Data = whole[recordHeaderLen:]
 	rec.PacketID = 0
 	rec.HasPacketID = false
 	return nil
@@ -201,7 +201,10 @@ type Writer struct {
 	w       io.Writer
 	nano    bool
 	snapLen uint32
-	scratch [recordHeaderLen]byte
+	// scratch is the reused buffer each record is assembled in, so a
+	// record reaches w as exactly one Write: a reader on the other end of
+	// a pipe never observes half of one.
+	scratch []byte
 }
 
 // WriterOptions configures NewWriter.
@@ -247,23 +250,19 @@ func (w *Writer) WriteRecord(ts time.Time, data []byte) error {
 	if uint32(len(data)) > w.snapLen {
 		data = data[:w.snapLen]
 	}
-	le := binary.LittleEndian
-	sec := ts.Unix()
-	var sub int64
-	if w.nano {
-		sub = int64(ts.Nanosecond())
-	} else {
-		sub = int64(ts.Nanosecond()) / 1000
+	sub := ts.Nanosecond()
+	if !w.nano {
+		sub /= 1000
 	}
-	le.PutUint32(w.scratch[0:4], uint32(sec))
-	le.PutUint32(w.scratch[4:8], uint32(sub))
-	le.PutUint32(w.scratch[8:12], uint32(len(data)))
-	le.PutUint32(w.scratch[12:16], uint32(origLen))
-	if _, err := w.w.Write(w.scratch[:]); err != nil {
-		return fmt.Errorf("pcap: writing record header: %w", err)
-	}
-	if _, err := w.w.Write(data); err != nil {
-		return fmt.Errorf("pcap: writing record body: %w", err)
+	b := w.scratch[:0]
+	b = binary.LittleEndian.AppendUint32(b, uint32(ts.Unix()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(sub))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(origLen))
+	b = append(b, data...)
+	w.scratch = b
+	if _, err := w.w.Write(b); err != nil {
+		return fmt.Errorf("pcap: writing record: %w", err)
 	}
 	return nil
 }

@@ -32,19 +32,12 @@ var ErrNotPcapng = errors.New("pcap: not a pcapng stream")
 
 // NGReader reads packets from a pcapng stream.
 type NGReader struct {
-	r     io.Reader
+	w     *window
 	order binary.ByteOrder
 	// interfaces carries per-interface metadata of the current section.
 	interfaces []ngInterface
 	snapLen    uint32
 	truncated  bool
-	// buf is the reused block buffer; record Data returned by NextInto
-	// aliases it and is valid only until the next block is read.
-	buf []byte
-	// hdr is the persistent block-header scratch: a local would escape
-	// through the io.Reader interface call and cost one heap allocation
-	// per block.
-	hdr [8]byte
 }
 
 // Truncated reports whether the stream ended mid-block (a cut capture).
@@ -59,9 +52,12 @@ type ngInterface struct {
 }
 
 // NewNGReader parses the leading section header and returns a reader.
-func NewNGReader(r io.Reader) (*NGReader, error) {
-	ng := &NGReader{r: r}
-	btype, body, err := ng.readBlockHeaderless()
+// Like NewReader, it reads r through a window of its own.
+func NewNGReader(r io.Reader) (*NGReader, error) { return newNGReader(newWindow(r)) }
+
+func newNGReader(w *window) (*NGReader, error) {
+	ng := &NGReader{w: w}
+	btype, body, err := ng.readBlock()
 	if err != nil {
 		return nil, err
 	}
@@ -74,22 +70,25 @@ func NewNGReader(r io.Reader) (*NGReader, error) {
 	return ng, nil
 }
 
-// readBlockHeaderless reads one block assuming little-endian lengths
-// (resolved properly once the SHB fixes the byte order; the SHB's own
-// type code is order-independent).
-func (ng *NGReader) readBlockHeaderless() (uint32, []byte, error) {
-	if _, err := io.ReadFull(ng.r, ng.hdr[:]); err != nil {
+// readBlock returns the type and body of the next block, sliced out of
+// the stream's window (valid until the next readBlock). A section header
+// fixes the byte order for the blocks after it; its own type code reads
+// the same in both. io.EOF is a clean end of stream, between blocks;
+// io.ErrUnexpectedEOF a cut inside one.
+func (ng *NGReader) readBlock() (uint32, []byte, error) {
+	hdr, err := ng.w.peek(8)
+	if err != nil {
 		return 0, nil, err
 	}
-	btype := binary.LittleEndian.Uint32(ng.hdr[0:4])
+	btype := binary.LittleEndian.Uint32(hdr[0:4])
+	kind, minTotal, maxTotal := "block", uint32(12), uint32(1<<26)
 	if btype == blockSHB {
-		// Peek the byte-order magic to determine endianness before
-		// trusting the length.
-		var bom [4]byte
-		if _, err := io.ReadFull(ng.r, bom[:]); err != nil {
-			return 0, nil, midEOF(err)
+		// The byte-order magic decides endianness before the length can
+		// be trusted.
+		if hdr, err = ng.w.peek(12); err != nil {
+			return 0, nil, err
 		}
-		switch binary.LittleEndian.Uint32(bom[:]) {
+		switch binary.LittleEndian.Uint32(hdr[8:12]) {
 		case byteOrderMagic:
 			ng.order = binary.LittleEndian
 		case 0x4d3c2b1a:
@@ -97,48 +96,21 @@ func (ng *NGReader) readBlockHeaderless() (uint32, []byte, error) {
 		default:
 			return 0, nil, ErrNotPcapng
 		}
-		total := ng.order.Uint32(ng.hdr[4:8])
-		if total < 16 || total%4 != 0 || total > 1<<20 {
-			return 0, nil, fmt.Errorf("pcap: bad SHB length %d", total)
-		}
-		body := ng.grow(int(total - 8))
-		copy(body, bom[:])
-		if _, err := io.ReadFull(ng.r, body[4:]); err != nil {
-			return 0, nil, midEOF(err)
-		}
-		return btype, body[:total-12], nil
+		kind, minTotal, maxTotal = "SHB", 16, 1<<20
 	}
 	if ng.order == nil {
 		return 0, nil, ErrNotPcapng
 	}
-	total := ng.order.Uint32(ng.hdr[4:8])
-	if total < 12 || total%4 != 0 || total > 1<<26 {
-		return 0, nil, fmt.Errorf("pcap: bad block length %d", total)
+	btype = ng.order.Uint32(hdr[0:4])
+	total := ng.order.Uint32(hdr[4:8])
+	if total < minTotal || total%4 != 0 || total > maxTotal {
+		return 0, nil, fmt.Errorf("pcap: bad %s length %d", kind, total)
 	}
-	body := ng.grow(int(total - 8))
-	if _, err := io.ReadFull(ng.r, body); err != nil {
-		return 0, nil, midEOF(err)
+	blk, err := ng.w.next(int(total))
+	if err != nil {
+		return 0, nil, err
 	}
-	return btype, body[:total-12], nil
-}
-
-// grow returns ng.buf resized to n bytes, reallocating only when the
-// block is larger than any seen before.
-func (ng *NGReader) grow(n int) []byte {
-	if n > cap(ng.buf) {
-		ng.buf = make([]byte, n)
-	}
-	return ng.buf[:n]
-}
-
-// midEOF upgrades a bare io.EOF hit after a block header was already
-// consumed to io.ErrUnexpectedEOF, so Next can tell a clean end of
-// stream from a mid-block cut.
-func midEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return btype, blk[8 : total-4], nil
 }
 
 func (ng *NGReader) parseSHB(body []byte) error {
@@ -193,13 +165,14 @@ func pow10(n uint8) uint64 {
 }
 
 // NextInto reads the next packet record into rec, skipping non-packet
-// blocks, without allocating: rec.Data borrows the reader's block
-// buffer and is valid only until the next NextInto or Next call.
+// blocks, without allocating: rec.Data is a slice of the stream's read
+// window (of the oversize buffer, for a block larger than the window)
+// and is valid only until the next NextInto or Next call.
 // io.EOF marks a clean end of stream; a cut mid-block yields io.EOF
 // with Truncated() set.
 func (ng *NGReader) NextInto(rec *Record) error {
 	for {
-		btype, body, err := ng.readBlockHeaderless()
+		btype, body, err := ng.readBlock()
 		if err == io.EOF {
 			return io.EOF
 		}
@@ -337,41 +310,27 @@ func (s *Stream) Truncated() bool { return s.truncated() }
 func (s *Stream) Nanosecond() bool { return s.nano }
 
 // OpenStream sniffs the stream and returns a record iterator for either
-// classic pcap or pcapng. It reads the first four bytes to decide.
+// classic pcap or pcapng. It owns the stream's one read window: the
+// first four bytes are peeked in it to decide the format, and the chosen
+// reader consumes the same window from the start.
 func OpenStream(r io.Reader) (*Stream, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	w := newWindow(r)
+	magic, err := w.peek(4)
+	if err != nil {
 		return nil, fmt.Errorf("pcap: sniffing magic: %w", err)
 	}
-	joined := io.MultiReader(bytesReader(magic[:]), r)
-	if binary.LittleEndian.Uint32(magic[:]) == blockSHB {
-		ng, err := NewNGReader(joined)
+	if binary.LittleEndian.Uint32(magic) == blockSHB {
+		ng, err := newNGReader(w)
 		if err != nil {
 			return nil, err
 		}
 		return &Stream{next: ng.Next, nextInto: ng.NextInto, truncated: ng.Truncated, nano: true}, nil
 	}
-	pr, err := NewReader(joined)
+	pr, err := newReader(w)
 	if err != nil {
 		return nil, err
 	}
 	return &Stream{next: pr.Next, nextInto: pr.NextInto, truncated: pr.Truncated, nano: pr.Header().Nanosecond}, nil
-}
-
-// bytesReader avoids importing bytes for one call site.
-type byteSliceReader struct {
-	b []byte
-}
-
-func bytesReader(b []byte) io.Reader { return &byteSliceReader{b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // NGWriter writes pcapng streams (one section, one Ethernet interface,
@@ -379,6 +338,9 @@ func (r *byteSliceReader) Read(p []byte) (int, error) {
 // opens in modern Wireshark without conversion.
 type NGWriter struct {
 	w io.Writer
+	// scratch is the reused buffer each block is assembled in — header,
+	// body, padding, trailer — so a block reaches w as exactly one Write.
+	scratch []byte
 }
 
 // NewNGWriter emits the section header and interface description and
@@ -386,21 +348,21 @@ type NGWriter struct {
 func NewNGWriter(w io.Writer, linkType uint16) (*NGWriter, error) {
 	ng := &NGWriter{w: w}
 	// SHB: byte-order magic, version 1.0, unknown section length.
-	shb := make([]byte, 16)
-	binary.LittleEndian.PutUint32(shb[0:4], byteOrderMagic)
-	binary.LittleEndian.PutUint16(shb[4:6], 1)
-	for i := 8; i < 16; i++ {
-		shb[i] = 0xff
-	}
-	if err := ng.writeBlock(blockSHB, shb); err != nil {
+	b := ng.begin(blockSHB)
+	b = binary.LittleEndian.AppendUint32(b, byteOrderMagic)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
+	if err := ng.end(b); err != nil {
 		return nil, err
 	}
 	// IDB: link type, snaplen 0, if_tsresol = 9 (nanoseconds).
-	idb := make([]byte, 8, 20)
-	binary.LittleEndian.PutUint16(idb[0:2], linkType)
-	idb = append(idb, 9, 0, 1, 0, 9, 0, 0, 0) // option 9 len 1 value 9 + pad
-	idb = append(idb, 0, 0, 0, 0)             // opt_endofopt
-	if err := ng.writeBlock(blockIDB, idb); err != nil {
+	b = ng.begin(blockIDB)
+	b = binary.LittleEndian.AppendUint16(b, linkType)
+	b = append(b, 0, 0, 0, 0, 0, 0)       // reserved, snaplen
+	b = append(b, 9, 0, 1, 0, 9, 0, 0, 0) // option 9 len 1 value 9 + pad
+	b = append(b, 0, 0, 0, 0)             // opt_endofopt
+	if err := ng.end(b); err != nil {
 		return nil, err
 	}
 	return ng, nil
@@ -408,15 +370,7 @@ func NewNGWriter(w io.Writer, linkType uint16) (*NGWriter, error) {
 
 // WriteRecord appends one enhanced packet block.
 func (ng *NGWriter) WriteRecord(ts time.Time, data []byte) error {
-	raw := uint64(ts.UnixNano())
-	body := make([]byte, 20, 20+len(data))
-	binary.LittleEndian.PutUint32(body[0:4], 0) // interface 0
-	binary.LittleEndian.PutUint32(body[4:8], uint32(raw>>32))
-	binary.LittleEndian.PutUint32(body[8:12], uint32(raw))
-	binary.LittleEndian.PutUint32(body[12:16], uint32(len(data)))
-	binary.LittleEndian.PutUint32(body[16:20], uint32(len(data)))
-	body = append(body, data...)
-	return ng.writeBlock(blockEPB, body)
+	return ng.end(ng.packet(ts, data))
 }
 
 // WriteRecordID appends one enhanced packet block carrying an
@@ -425,43 +379,50 @@ func (ng *NGWriter) WriteRecord(ts time.Time, data []byte) error {
 // worker processes can reconstruct the exact cross-worker capture order
 // the byte-identical merge invariant depends on.
 func (ng *NGWriter) WriteRecordID(ts time.Time, data []byte, id uint64) error {
-	raw := uint64(ts.UnixNano())
-	pad := (4 - len(data)%4) % 4
-	body := make([]byte, 20, 20+len(data)+pad+16)
-	binary.LittleEndian.PutUint32(body[0:4], 0) // interface 0
-	binary.LittleEndian.PutUint32(body[4:8], uint32(raw>>32))
-	binary.LittleEndian.PutUint32(body[8:12], uint32(raw))
-	binary.LittleEndian.PutUint32(body[12:16], uint32(len(data)))
-	binary.LittleEndian.PutUint32(body[16:20], uint32(len(data)))
-	body = append(body, data...)
-	for i := 0; i < pad; i++ {
-		body = append(body, 0) // options start 32-bit aligned
-	}
-	body = append(body, 5, 0, 8, 0) // epb_packetid, length 8
-	body = binary.LittleEndian.AppendUint64(body, id)
-	body = append(body, 0, 0, 0, 0) // opt_endofopt
-	return ng.writeBlock(blockEPB, body)
+	b := pad4(ng.packet(ts, data)) // options start 32-bit aligned
+	b = append(b, 5, 0, 8, 0)      // epb_packetid, length 8
+	b = binary.LittleEndian.AppendUint64(b, id)
+	b = append(b, 0, 0, 0, 0) // opt_endofopt
+	return ng.end(b)
 }
 
-func (ng *NGWriter) writeBlock(btype uint32, body []byte) error {
-	pad := (4 - len(body)%4) % 4
-	total := uint32(12 + len(body) + pad)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], btype)
-	binary.LittleEndian.PutUint32(hdr[4:8], total)
-	if _, err := ng.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := ng.w.Write(body); err != nil {
-		return err
-	}
-	if pad > 0 {
-		if _, err := ng.w.Write(make([]byte, pad)); err != nil {
-			return err
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], total)
-	_, err := ng.w.Write(tail[:])
+// packet begins an enhanced packet block in the scratch buffer: the
+// fixed fields and the packet data, options and trailer still to come.
+func (ng *NGWriter) packet(ts time.Time, data []byte) []byte {
+	raw := uint64(ts.UnixNano())
+	b := ng.begin(blockEPB)
+	b = binary.LittleEndian.AppendUint32(b, 0) // interface 0
+	b = binary.LittleEndian.AppendUint32(b, uint32(raw>>32))
+	b = binary.LittleEndian.AppendUint32(b, uint32(raw))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
+	return append(b, data...)
+}
+
+// begin starts a block in the scratch buffer: the type code and a
+// placeholder for the total length, which end fills in.
+func (ng *NGWriter) begin(btype uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(ng.scratch[:0], btype)
+	return append(b, 0, 0, 0, 0)
+}
+
+// end pads the block body to 32 bits, writes the total length before and
+// after it, and hands the whole block to the underlying writer in one
+// Write.
+func (ng *NGWriter) end(b []byte) error {
+	b = pad4(b)
+	total := uint32(len(b) + 4)
+	binary.LittleEndian.PutUint32(b[4:8], total)
+	b = binary.LittleEndian.AppendUint32(b, total)
+	ng.scratch = b
+	_, err := ng.w.Write(b)
 	return err
+}
+
+// pad4 zero-pads b to a multiple of four bytes.
+func pad4(b []byte) []byte {
+	for len(b)%4 != 0 {
+		b = append(b, 0)
+	}
+	return b
 }

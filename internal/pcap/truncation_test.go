@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -137,5 +138,50 @@ func TestOpenStreamTruncated(t *testing.T) {
 				t.Error("Stream.Truncated() false after a mid-record cut")
 			}
 		})
+	}
+}
+
+// TestCutAtEveryOffset cuts a small capture at every byte offset, for
+// classic pcap and pcapng in both byte orders, fed whole and a byte at a
+// time (so the cut lands at every position relative to a window refill).
+// A cut inside the leading header cannot be opened; from there on every
+// record wholly before the cut comes back identical, followed by a clean
+// io.EOF, and Truncated() is set exactly when the cut fell inside a
+// record or block.
+func TestCutAtEveryOffset(t *testing.T) {
+	payloads := smallPayloads()
+	for _, c := range contractCaptures(payloads) {
+		for name, wrap := range map[string]func(io.Reader) io.Reader{
+			"plain":    func(r io.Reader) io.Reader { return r },
+			"one-byte": iotest.OneByteReader,
+		} {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				for cut := 0; cut <= len(c.raw); cut++ {
+					if cut < c.bounds[0] {
+						if _, err := OpenStream(wrap(bytes.NewReader(c.raw[:cut]))); err == nil {
+							t.Fatalf("cut at %d: opened a stream with %d of %d header bytes", cut, cut, c.bounds[0])
+						}
+						continue
+					}
+					recs, truncated := readAll(t, wrap(bytes.NewReader(c.raw[:cut])))
+					want, clean := 0, false
+					for _, end := range c.packets {
+						if end <= cut {
+							want++
+						}
+					}
+					for _, b := range c.bounds {
+						clean = clean || b == cut
+					}
+					if len(recs) != want {
+						t.Fatalf("cut at %d: recovered %d records, want %d", cut, len(recs), want)
+					}
+					checkRecords(t, recs, payloads)
+					if truncated == clean {
+						t.Fatalf("cut at %d: Truncated() = %v, want %v", cut, truncated, !clean)
+					}
+				}
+			})
+		}
 	}
 }

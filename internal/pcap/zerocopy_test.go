@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -53,8 +54,13 @@ func zcNG(t *testing.T) []byte {
 }
 
 // TestNextIntoBorrowsBuffer pins the lifetime contract: the Data slice
-// filled by NextInto is invalidated by the next read (the reader reuses
-// its buffer), while Next returns stable caller-owned copies.
+// filled by NextInto is a slice of the stream's read window and is
+// invalidated by the next read, while Next returns stable caller-owned
+// copies. The stream is fed a byte at a time so that every record
+// refills the window — the moment a borrowed slice goes stale; with
+// larger reads the same happens whenever a record straddles the end of
+// what the window holds (TestWindowLendsInPlace has the other half: no
+// copy between refills).
 func TestNextIntoBorrowsBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -64,7 +70,7 @@ func TestNextIntoBorrowsBuffer(t *testing.T) {
 		{"pcapng", zcNG(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := OpenStream(bytes.NewReader(tc.raw))
+			s, err := OpenStream(iotest.OneByteReader(bytes.NewReader(tc.raw)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,10 +85,10 @@ func TestNextIntoBorrowsBuffer(t *testing.T) {
 			if err := s.NextInto(&rec); err != nil {
 				t.Fatal(err)
 			}
-			// Record 1 is shorter than record 0, so it lands in the same
-			// backing array: the borrowed slice must now see the new bytes.
+			// The refill for record 1 restarted the window at its front, where
+			// record 0 was: the borrowed slice must now see the new bytes.
 			if bytes.Equal(borrowed[:len(zcPayloads[1])], zcPayloads[0][:len(zcPayloads[1])]) {
-				t.Error("previous Data survived the next read; buffer is not reused (copy crept back in)")
+				t.Error("previous Data survived the next read; the window is not reused (copy crept back in)")
 			}
 
 			owned, err := s.Next()
