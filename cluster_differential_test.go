@@ -51,12 +51,18 @@ func feedWorkerStream(t *testing.T, a *Analyzer, stream []byte) {
 }
 
 // clusterRun models one full cluster run over recs at the given fan-out
-// width and returns the merged report. migrateAt >= 0 drains and
-// migrates every worker at that input-packet index: the splitter
-// rotates all streams, each worker checkpoints, is discarded, and a
-// restored successor consumes the post-cut stream, appending to the
-// same observation log.
+// width and returns the merged report.
 func clusterRun(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt int) string {
+	t.Helper()
+	return renderReport(clusterMerge(t, cfg, recs, workers, migrateAt))
+}
+
+// clusterMerge is the cluster run behind clusterRun, returning the
+// merged, finished analyzer. migrateAt >= 0 drains and migrates every
+// worker at that input-packet index: the splitter rotates all streams,
+// each worker checkpoints, is discarded, and a restored successor
+// consumes the post-cut stream, appending to the same observation log.
+func clusterMerge(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt int) *Analyzer {
 	t.Helper()
 
 	// Splitter tier.
@@ -153,7 +159,7 @@ func clusterRun(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt
 		t.Fatal(err)
 	}
 	merged.Finish()
-	return renderReport(merged)
+	return merged
 }
 
 // headAccounting is everything the front end records about a capture.

@@ -31,7 +31,6 @@ import (
 
 	"zoomlens"
 	"zoomlens/internal/capture"
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/engine"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/obs"
@@ -54,7 +53,7 @@ func main() {
 		resources = flag.Bool("resources", false, "print the Table 5 hardware resource model and exit")
 		exportP4  = flag.Bool("export-p4", false, "print the generated P4 capture program and exit")
 	)
-	obsFlags := cliobs.RegisterMetrics(flag.CommandLine)
+	obsFlags := engine.RegisterMetrics(flag.CommandLine)
 	flag.Parse()
 
 	if *resources {
@@ -235,7 +234,7 @@ func liveTimeout(err error) bool {
 // registry. The filter itself stays untouched — its stats are plain
 // fields — so the mirror copies them into atomic handles on a packet
 // cadence. Returns a no-op when -metrics-addr is off.
-func statsMirror(setup *cliobs.Setup, filter *capture.Filter) func() {
+func statsMirror(setup *engine.ObsSetup, filter *capture.Filter) func() {
 	reg := setup.Registry
 	if reg == nil {
 		return func() {}

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"zoomlens"
-	"zoomlens/internal/cliobs"
+	"zoomlens/internal/engine"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/qos"
@@ -44,7 +44,7 @@ func main() {
 		format   = flag.String("format", "pcap", "output format: pcap | pcapng")
 		qosOut   = flag.String("qos-out", "", "meeting mode: write the clients' ground-truth QoS series (the SDK view) to this path for training/labeling")
 	)
-	obsFlags := cliobs.RegisterMetrics(flag.CommandLine)
+	obsFlags := engine.RegisterMetrics(flag.CommandLine)
 	flag.Parse()
 
 	setup, err := obsFlags.Apply()

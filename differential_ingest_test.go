@@ -3,8 +3,8 @@ package zoomlens
 // Differential test for the engine layer: the same serialized capture,
 // replayed through the zero-copy ingest loop at several worker counts,
 // must render byte-identical reports. This is the end-to-end guard for
-// the decode-once dispatcher and the Rebase slice retargeting — a bug in
-// either shows up as a diverging stream table or metric series here.
+// the raw-scan dispatcher and the batch transport — a bug in either
+// shows up as a diverging stream table or metric series here.
 
 import (
 	"bytes"

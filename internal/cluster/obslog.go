@@ -41,16 +41,31 @@ const (
 type ObsWriter struct {
 	w   io.Writer
 	enc statecodec.Writer
-	// ids walks the stream identity types onto enc through their one
-	// field list.
-	ids *statecodec.Codec
+	// c is the encoding pass over enc that codeObs walks records through.
+	c   *statecodec.Codec
 	err error
+}
+
+// codeObs is a record's one field list: ObsWriter.Add and ObsReader.Next
+// both walk it.
+func codeObs(c *statecodec.Codec, o *core.ClusterObs) {
+	c.U64(&o.Seq)
+	c.Time(&o.At)
+	o.Flow.Code(c)
+	o.Key.Code(c)
+	c.U8(&o.PT)
+	c.U16(&o.RTPSeq)
+	c.U32(&o.RTPTS)
+	wire, payload := uint32(o.WireLen), uint32(o.PayloadLen)
+	c.U32(&wire)
+	c.U32(&payload)
+	o.WireLen, o.PayloadLen = int(wire), int(payload)
 }
 
 // NewObsWriter starts a new log segment on w.
 func NewObsWriter(w io.Writer) *ObsWriter {
 	ow := &ObsWriter{w: w}
-	ow.ids = statecodec.NewEncoder(&ow.enc, true)
+	ow.c = statecodec.NewEncoder(&ow.enc, true)
 	for i := 0; i < len(obsMagic); i++ {
 		ow.enc.U8(obsMagic[i])
 	}
@@ -64,15 +79,7 @@ func (ow *ObsWriter) Add(o core.ClusterObs) {
 		return
 	}
 	ow.enc.U8(obsTagRecord)
-	ow.enc.U64(o.Seq)
-	ow.enc.Time(o.At)
-	o.Flow.Code(ow.ids)
-	o.Key.Code(ow.ids)
-	ow.enc.U8(o.PT)
-	ow.enc.U16(o.RTPSeq)
-	ow.enc.U32(o.RTPTS)
-	ow.enc.U32(uint32(o.WireLen))
-	ow.enc.U32(uint32(o.PayloadLen))
+	codeObs(ow.c, &o)
 	if ow.enc.Len() >= obsFlushLen {
 		ow.flush()
 	}
@@ -101,15 +108,16 @@ func (ow *ObsWriter) Err() error { return ow.err }
 // splitter order; a migrated worker's appended segment continues where
 // the first life stopped).
 type ObsReader struct {
-	r   *statecodec.Reader
-	ids *statecodec.Codec
+	r *statecodec.Reader
+	// c is the decoding pass over r's input.
+	c *statecodec.Codec
 }
 
 // NewObsReader validates the leading segment header and returns a
 // reader over data.
 func NewObsReader(data []byte) (*ObsReader, error) {
 	or := &ObsReader{r: statecodec.NewReader(data)}
-	or.ids = statecodec.NewDecoder(or.r)
+	or.c = statecodec.NewDecoder(or.r)
 	if err := or.header(); err != nil {
 		return nil, err
 	}
@@ -130,46 +138,32 @@ func (or *ObsReader) header() error {
 }
 
 // Next returns the next observation, ok=false at a clean end of log.
-// A decode error ends the stream with the error.
+// A decode error ends the stream: it is returned, with no record, by
+// this and every later call.
 func (or *ObsReader) Next() (core.ClusterObs, bool, error) {
-	for {
-		if or.r.Err() != nil {
-			return core.ClusterObs{}, false, or.r.Err()
-		}
-		if or.r.Remaining() == 0 {
-			return core.ClusterObs{}, false, nil
-		}
+	for or.r.Err() == nil && or.r.Remaining() > 0 {
 		switch tag := or.r.U8(); tag {
 		case obsTagRecord:
 			var o core.ClusterObs
-			o.Seq = or.r.U64()
-			o.At = or.r.Time()
-			o.Flow.Code(or.ids)
-			o.Key.Code(or.ids)
-			o.PT = or.r.U8()
-			o.RTPSeq = or.r.U16()
-			o.RTPTS = or.r.U32()
-			o.WireLen = int(or.r.U32())
-			o.PayloadLen = int(or.r.U32())
-			if err := or.r.Err(); err != nil {
-				return core.ClusterObs{}, false, err
+			if codeObs(or.c, &o); or.r.Err() == nil {
+				return o, true, nil
 			}
-			return o, true, nil
 		case obsMagic[0]:
 			// A new segment header (an appended second life): consume the
 			// rest of the magic and the version, then continue.
 			for i := 1; i < len(obsMagic); i++ {
 				if or.r.U8() != obsMagic[i] {
-					return core.ClusterObs{}, false, fmt.Errorf("cluster: corrupt observation log (bad segment magic)")
+					or.c.Failf("cluster: corrupt observation log (bad segment magic)")
 				}
 			}
 			if v := or.r.U8(); v != obsVersion {
-				return core.ClusterObs{}, false, fmt.Errorf("cluster: observation log version %d not supported", v)
+				or.c.Failf("cluster: observation log version %d not supported", v)
 			}
 		default:
-			return core.ClusterObs{}, false, fmt.Errorf("cluster: corrupt observation log (tag 0x%02x)", tag)
+			or.c.Failf("cluster: corrupt observation log (tag 0x%02x)", tag)
 		}
 	}
+	return core.ClusterObs{}, false, or.r.Err()
 }
 
 // MergeObs k-way merges per-worker observation logs into one stream in

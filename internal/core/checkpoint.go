@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 3
+	stateVersion = 4
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -337,7 +337,7 @@ func (sh *shard) code(c *statecodec.Codec) {
 		delete(sh.TCP, client)
 		delete(sh.tcpSeen, client)
 	})
-	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, tcprtt.NewTracker,
+	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil,
 		func(client netip.AddrPort, _ *tcprtt.Tracker) bool { _, ok := sh.dirtyTCP[client]; return ok },
 		func(client netip.AddrPort, tr *tcprtt.Tracker) {
 			tr.Code(c)

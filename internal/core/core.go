@@ -61,18 +61,22 @@ type Config struct {
 	MaxFlows   int
 	MaxStreams int
 	// MaxMeetingStreams caps the duplicate-stream detector's records. It
-	// is not derived from MaxStreams like the others: the cross-flow Dedup
-	// is never aged in the queue-fed and cluster tiers (see
-	// shard.evictCross), so a derived cap would turn that slow leak into
-	// silently missing meetings. It waits for that fix.
+	// is not derived from MaxStreams like the others because it bounds a
+	// different quantity: MaxStreams is how many streams are live at
+	// once (idle ones are evicted), while the detector keeps one record
+	// for every stream seen since the report window opened — the
+	// meetings are grouped from them — so the right cap grows with the
+	// window's length, not with concurrency.
 	MaxMeetingStreams int
 	// MaxFinished caps archived finished streams; at the cap the oldest
 	// archive is dropped (and counted) to admit the newest.
 	MaxFinished int
-	// FlowTTL enables idle eviction: every 4096 packets, flows, streams,
-	// TCP trackers, and metric engines idle longer than FlowTTL are
-	// evicted (metric engines are finalized and archived first), with
-	// their report contributions preserved.
+	// FlowTTL enables idle eviction of per-flow state: every 4096
+	// packets, flows, streams, TCP trackers, and metric engines idle
+	// longer than FlowTTL are evicted (metric engines are finalized and
+	// archived first), with their report contributions preserved. The
+	// cross-flow stream detector is not its business: that ages on its
+	// own linkage window (meeting.Dedup.Observe).
 	FlowTTL time.Duration
 	// Quarantine, when non-nil, receives the offending frame whenever
 	// per-packet processing panics (see Quarantine). It may be shared
@@ -239,7 +243,6 @@ func newPipeline(cfg Config, workers int) *pipeline {
 // into the reconciliation consumer.
 func (p *pipeline) setInline(sh *shard) *Analyzer {
 	sh.sink = p.observe
-	sh.evictCross = func(cutoff time.Time) { p.Dedup.Evict(cutoff) }
 	p.n, p.shards = 1, []*shard{sh}
 	p.result = &Analyzer{p, sh}
 	return p.result

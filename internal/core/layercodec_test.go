@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
+	"zoomlens/internal/obs"
 	"zoomlens/internal/rtp"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
@@ -391,5 +393,104 @@ func TestCheckpointPrefixesRejected(t *testing.T) {
 			t.Fatalf("delta record cut to %d/%d bytes applied without error", n, delta.Len()-4)
 		}
 		Discard(target)
+	}
+}
+
+// TestRestoreTakesCapsFromConfig: caps are configuration, so a restored
+// engine runs under the restoring process's, not under the ones the
+// checkpointing process happened to have. A checkpoint taken at the
+// small caps and restored under the large ones must install the large
+// ones everywhere a cap lives — the copy matcher, the duplicate
+// detector, the flow table, the cap gauges — and enforce them.
+func TestRestoreTakesCapsFromConfig(t *testing.T) {
+	small := Config{
+		ZoomNetworks: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
+		PreFiltered:  true,
+		MaxFlows:     10, MaxStreams: 10, MaxMeetingStreams: 7,
+	}
+	rng := rand.New(rand.NewSource(7))
+	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
+	flood := func(a *Analyzer, from, n int) {
+		for i := from; i < from+n; i++ {
+			a.Packet(layerT0.Add(time.Duration(i)*time.Millisecond), floodFrame(rng, dst))
+		}
+	}
+	a := NewAnalyzer(small)
+	flood(a, 0, 40)
+	if got := a.Flows.Totals().Flows; got != small.MaxFlows {
+		t.Fatalf("capped run holds %d flows, want the cap %d", got, small.MaxFlows)
+	}
+	if a.Dedup.Len() != small.MaxMeetingStreams || a.Dedup.Dropped == 0 {
+		t.Fatalf("capped run: %d dedup records, %d dropped; want the cap %d reached", a.Dedup.Len(), a.Dedup.Dropped, small.MaxMeetingStreams)
+	}
+	rejected := a.Flows.Evictions().RejectedFlowPackets
+	ck := bytes.Clone(checkpointBytes(t, a))
+
+	large := small
+	large.MaxFlows, large.MaxStreams, large.MaxMeetingStreams = 1000, 1000, 99
+	large.Obs = obs.NewRegistry()
+	eng, err := RestoreAnalyzer(bytes.NewReader(ck), large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := eng.(*Analyzer)
+	if got, want := r.Copies.MaxPending, 256*large.MaxStreams; got != want {
+		t.Errorf("restored Copies.MaxPending = %d, want %d from the restoring config", got, want)
+	}
+	if got := r.Dedup.MaxStreams; got != large.MaxMeetingStreams {
+		t.Errorf("restored Dedup.MaxStreams = %d, want %d from the restoring config", got, large.MaxMeetingStreams)
+	}
+	dropped := r.Dedup.Dropped
+	flood(r, 40, 40)
+	if got := r.Flows.Totals().Flows; got != small.MaxFlows+40 {
+		t.Errorf("restored run holds %d flows after 40 new ones, want %d", got, small.MaxFlows+40)
+	}
+	if got := r.Flows.Evictions().RejectedFlowPackets; got != rejected {
+		t.Errorf("restored flow table rejected %d more packets under a cap of %d", got-rejected, large.MaxFlows)
+	}
+	if got := r.Dedup.Len(); got != small.MaxMeetingStreams+40 || r.Dedup.Dropped != dropped {
+		t.Errorf("restored detector holds %d records (%d more dropped), want %d and none", got, r.Dedup.Dropped-dropped, small.MaxMeetingStreams+40)
+	}
+	r.Finish()
+	out := promDump(t, large.Obs)
+	for _, want := range []string{
+		`zoomlens_state_cap{table="flows"} 1000`,
+		`zoomlens_state_cap{table="streams"} 1000`,
+		`zoomlens_state_cap{table="dedup_streams"} 99`,
+		`zoomlens_state_cap{table="copy_pending"} 256000`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestFreshCheckpointCarriesNoConfiguration: the full checkpoint of an
+// engine that has seen no packet holds no trace of the caps, the TTL or
+// the shed switch it was built with. (The worker count and the feature
+// window are the record's on purpose and held fixed.)
+func TestFreshCheckpointCarriesNoConfiguration(t *testing.T) {
+	nets := []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")}
+	for _, workers := range []int{1, 2} {
+		record := func(cfg Config) []byte {
+			cfg.ZoomNetworks, cfg.FeatureWindow = nets, time.Second
+			eng := newEngine(cfg, workers)
+			defer Discard(eng)
+			return bytes.Clone(checkpointBytes(t, eng))
+		}
+		want := record(Config{})
+		for _, cfg := range []Config{
+			{MaxFlows: 10},
+			{MaxStreams: 10},
+			{MaxMeetingStreams: 7},
+			{MaxFinished: 5},
+			{FlowTTL: 500 * time.Millisecond},
+			{Shed: true},
+			{MaxFlows: 1000, MaxStreams: 1000, MaxMeetingStreams: 99, MaxFinished: 1000, FlowTTL: time.Minute, Shed: true},
+		} {
+			if got := record(cfg); !bytes.Equal(got, want) {
+				t.Errorf("workers=%d: checkpoint of a packet-less engine under %+v differs from the unconfigured one's (%d vs %d bytes)", workers, cfg, len(got), len(want))
+			}
+		}
 	}
 }

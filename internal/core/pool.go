@@ -25,8 +25,8 @@ const (
 func getBatch() *pbatch { return framePool.Get().(*pbatch) }
 
 // putBatch resets a batch and returns it to the pool. The caller must
-// be the last holder: items, data, and any packet slices rebased onto
-// data become invalid the moment it lands back in the pool.
+// be the last holder: items, data, and any packet slices into data
+// become invalid the moment it lands back in the pool.
 func putBatch(b *pbatch) {
 	if cap(b.items) > maxPooledBatchItems {
 		b.items = nil

@@ -57,12 +57,6 @@ type shard struct {
 	// matching and feature windows correlate packets across flows, so
 	// they cannot live in a shard.
 	sink func(ClusterObs)
-	// evictCross, set on inline shards only, forwards idle eviction to
-	// the cross-flow Dedup on the shard's own cadence, as the sequential
-	// engine always has. The reconciled Dedup of queue-fed and cluster
-	// shards is never aged; the results agree as long as FlowTTL is not
-	// shorter than Dedup.TimeWindow.
-	evictCross func(cutoff time.Time)
 	// panicHook, when set, runs inside process's recover scope before
 	// the decode. Tests inject deterministic panics through it.
 	panicHook func(at time.Time, frame []byte)
@@ -415,9 +409,6 @@ func (sh *shard) Compact(cutoff time.Time) int {
 		delete(sh.StreamMetrics, f.ID)
 		sh.tombstoneStreamMetric(f.ID)
 	}
-	if len(victims) > 0 && sh.evictCross != nil {
-		sh.evictCross(cutoff)
-	}
 	return len(victims)
 }
 
@@ -447,9 +438,6 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	sh.Compact(cutoff)
 	sh.Flows.EvictIdle(cutoff)
-	if sh.evictCross != nil {
-		sh.evictCross(cutoff)
-	}
 	for client, seen := range sh.tcpSeen {
 		if seen.After(cutoff) {
 			continue

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/pcap"
 )
 
@@ -145,7 +144,7 @@ func TestRunFromFarFutureTimestamp(t *testing.T) {
 	t.Run("rotate_full_drain", func(t *testing.T) {
 		dir := t.TempDir()
 		f := &Flags{
-			Obs:                &cliobs.Flags{},
+			Obs:                &ObsFlags{},
 			Workers:            1,
 			Rotate:             time.Second,
 			RotateOut:          filepath.Join(dir, "window"),
@@ -195,7 +194,7 @@ func TestRunFromFarFutureTimestamp(t *testing.T) {
 	// are deltas, and shutdown writes the second full.
 	t.Run("delta", func(t *testing.T) {
 		f := &Flags{
-			Obs:             &cliobs.Flags{},
+			Obs:             &ObsFlags{},
 			Workers:         1,
 			Checkpoint:      filepath.Join(t.TempDir(), "state.zlcp"),
 			CheckpointDelta: time.Second,

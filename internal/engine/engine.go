@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/cluster"
 	"zoomlens/internal/core"
 	"zoomlens/internal/obs"
@@ -80,8 +79,8 @@ func (s *Source) Close() error {
 }
 
 // Flags holds the common analysis-tool flag values: input, engine
-// sizing, bounded-state caps, quarantine, and the cliobs observability
-// set.
+// sizing, bounded-state caps, quarantine, and the observability set
+// (obs.go).
 type Flags struct {
 	Input          string
 	Proto          string
@@ -90,7 +89,7 @@ type Flags struct {
 	MaxStreams     int
 	FlowTTL        time.Duration
 	QuarantinePath string
-	Obs            *cliobs.Flags
+	Obs            *ObsFlags
 
 	// Checkpoint/restore and report rotation (all trace-clock driven, so
 	// offline replays behave exactly like the live tap they replay).
@@ -155,7 +154,9 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Predict, "predict", false, "classify each video feature window with the -model QoE model; predictions surface as zoomlens_qoe_* metrics and qoe_prediction JSON lines on the snapshot sink")
 	fs.StringVar(&f.Model, "model", "", "QoE model JSON for -predict (train one with zoomfeatures -train)")
 	fs.StringVar(&f.ClusterPart, "cluster-part", "", "run as one cluster worker under this path prefix: export media observations to <prefix>.obs, default the checkpoint chain base to <prefix>.state.zlcp, and mirror the status JSON to <prefix>.status.json (input should be a zoomsplit stream; requires -workers 1)")
-	f.Obs = cliobs.Register(fs)
+	f.Obs = RegisterMetrics(fs)
+	fs.DurationVar(&f.Obs.SnapshotInterval, "snapshot-interval", 0, "emit per-meeting QoE snapshots as JSON lines every interval of trace time (0 = disabled)")
+	fs.StringVar(&f.Obs.SnapshotOut, "snapshot-out", "", "snapshot destination path (empty or \"-\" = stderr)")
 	f.fs = fs
 	return f
 }
@@ -189,7 +190,7 @@ type Run struct {
 	// Analyzer is the merged sequential-equivalent result.
 	Analyzer *core.Analyzer
 	// Setup is the run's observability state.
-	Setup *cliobs.Setup
+	Setup *ObsSetup
 	// Interrupted reports a SIGINT/SIGTERM graceful stop: the report
 	// covers every packet read before the signal.
 	Interrupted bool
@@ -483,7 +484,7 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	// Periodic QoE snapshots fire on the capture clock, so offline
 	// replays emit exactly what a live tap would have.
-	sw := f.Obs.SnapshotWriter(setup, eng.Snapshot)
+	sw := &core.SnapshotWriter{Interval: f.Obs.SnapshotInterval, W: setup.snapW, Snap: eng.Snapshot}
 	var lastTS time.Time
 	var rec pcap.Record
 	// Rotation, checkpoint, and feature-drain schedules run on the trace

@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/features"
 	"zoomlens/internal/obs"
 	"zoomlens/internal/predict"
@@ -48,7 +47,7 @@ type featureSink struct {
 
 // newFeatureSink builds the sink from the parsed flags. window is the
 // effective feature window (already defaulted by the caller).
-func newFeatureSink(f *Flags, setup *cliobs.Setup, window time.Duration) (*featureSink, error) {
+func newFeatureSink(f *Flags, setup *ObsSetup, window time.Duration) (*featureSink, error) {
 	s := &featureSink{every: 5 * window}
 	if s.every < 5*time.Second {
 		s.every = 5 * time.Second
@@ -83,7 +82,7 @@ func newFeatureSink(f *Flags, setup *cliobs.Setup, window time.Duration) (*featu
 			return nil, err
 		}
 		s.model = m
-		s.jsonW = setup.SnapshotSink()
+		s.jsonW = setup.snapW
 		s.enc = json.NewEncoder(s.jsonW)
 		if setup.Registry != nil {
 			for lab := 0; lab < features.NumLabels; lab++ {

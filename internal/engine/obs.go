@@ -1,9 +1,9 @@
-// Package cliobs wires the shared live-observability surface of the
-// zoomlens command-line tools: the -metrics-addr endpoint (Prometheus
-// text format, expvar, pprof), the -trace stage-timing report, and — for
-// the analysis tools — -snapshot-interval / -snapshot-out periodic QoE
-// snapshots.
-package cliobs
+package engine
+
+// The live-observability surface every zoomlens command-line tool
+// shares: the -metrics-addr endpoint (Prometheus text format, expvar,
+// pprof), the -trace stage-timing report, and — for the analysis tools —
+// -snapshot-interval / -snapshot-out periodic QoE snapshots.
 
 import (
 	"flag"
@@ -13,22 +13,22 @@ import (
 	"os"
 	"time"
 
-	"zoomlens/internal/core"
 	"zoomlens/internal/obs"
 )
 
-// Flags holds the shared observability flag values.
-type Flags struct {
+// ObsFlags holds the shared observability flag values.
+type ObsFlags struct {
 	MetricsAddr      string
 	Trace            bool
 	SnapshotInterval time.Duration
 	SnapshotOut      string
 }
 
-// RegisterMetrics installs the endpoint and tracing flags (the subset
-// every tool supports).
-func RegisterMetrics(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
+// RegisterMetrics installs the endpoint and tracing flags: the subset
+// every tool supports. Register adds the QoE snapshot pair for the
+// analysis tools (the snapshots come from an Analyzer).
+func RegisterMetrics(fs *flag.FlagSet) *ObsFlags {
+	f := &ObsFlags{}
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "",
 		"serve live metrics on this address: Prometheus text at /metrics, expvar, pprof (empty = disabled; use 127.0.0.1:0 for an ephemeral port)")
 	fs.BoolVar(&f.Trace, "trace", false,
@@ -36,19 +36,8 @@ func RegisterMetrics(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Register installs all shared flags, including the QoE snapshot pair
-// (analysis tools only — the snapshots come from an Analyzer).
-func Register(fs *flag.FlagSet) *Flags {
-	f := RegisterMetrics(fs)
-	fs.DurationVar(&f.SnapshotInterval, "snapshot-interval", 0,
-		"emit per-meeting QoE snapshots as JSON lines every interval of trace time (0 = disabled)")
-	fs.StringVar(&f.SnapshotOut, "snapshot-out", "",
-		"snapshot destination path (empty or \"-\" = stderr)")
-	return f
-}
-
-// Setup is one run's live observability state.
-type Setup struct {
+// ObsSetup is one run's live observability state.
+type ObsSetup struct {
 	// Registry is non-nil when -metrics-addr is set; hand it to
 	// core.Config.Obs.
 	Registry *obs.Registry
@@ -59,14 +48,18 @@ type Setup struct {
 	stats *obs.StageStats
 	srv   *http.Server
 	snapF *os.File
+	// snapW is the destination -snapshot-out selected (stderr by
+	// default). The periodic snapshots and the driver's live QoE
+	// prediction records share it, so one flag steers all trace-time
+	// JSON lines.
 	snapW io.Writer
 }
 
 // Apply builds the run's observability from the parsed flags. The
 // endpoint address is logged so callers (and tests, with port 0) can
 // find it. Call Close before exiting.
-func (f *Flags) Apply() (*Setup, error) {
-	s := &Setup{snapW: os.Stderr}
+func (f *ObsFlags) Apply() (*ObsSetup, error) {
+	s := &ObsSetup{snapW: os.Stderr}
 	if f.MetricsAddr != "" {
 		s.Registry = obs.NewRegistry()
 		srv, addr, err := obs.Serve(f.MetricsAddr, s.Registry)
@@ -99,26 +92,13 @@ func (f *Flags) Apply() (*Setup, error) {
 	return s, nil
 }
 
-// SnapshotWriter builds the trace-time snapshot writer; with a zero
-// interval it ignores every Tick, so callers can wire it
-// unconditionally.
-func (f *Flags) SnapshotWriter(s *Setup, snap func(time.Time, time.Duration) []core.MeetingSnapshot) *core.SnapshotWriter {
-	return &core.SnapshotWriter{Interval: f.SnapshotInterval, W: s.snapW, Snap: snap}
-}
-
-// SnapshotSink returns the destination the -snapshot-out flag selected
-// (stderr by default). Line-oriented side channels — the engine
-// driver's live QoE prediction records — share it with the periodic
-// snapshots, so one flag steers all trace-time JSON lines.
-func (s *Setup) SnapshotSink() io.Writer { return s.snapW }
-
 // Stage times one CLI stage under the configured tracer (no-op when
 // tracing is off). Use as: defer setup.Stage("ingest")().
-func (s *Setup) Stage(name string) func() { return obs.Stage(s.Tracer, name) }
+func (s *ObsSetup) Stage(name string) func() { return obs.Stage(s.Tracer, name) }
 
 // Close shuts the endpoint down, closes the snapshot file, and prints
 // the stage report.
-func (s *Setup) Close() {
+func (s *ObsSetup) Close() {
 	if s == nil {
 		return
 	}

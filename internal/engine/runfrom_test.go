@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
@@ -43,7 +42,7 @@ func leakCheck(t *testing.T, baseline int) {
 // driver has.
 func soakFlags(dir string) *Flags {
 	return &Flags{
-		Obs:                &cliobs.Flags{},
+		Obs:                &ObsFlags{},
 		Workers:            4,
 		Checkpoint:         filepath.Join(dir, "state.zlcp"),
 		CheckpointInterval: 200 * time.Millisecond,

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/core"
 	"zoomlens/internal/pcap"
 )
@@ -31,7 +30,7 @@ func TestRotateFailureAccounting(t *testing.T) {
 	dir := t.TempDir()
 	next, nets := genSource(t, 2000)
 	f := &Flags{
-		Obs:       &cliobs.Flags{},
+		Obs:       &ObsFlags{},
 		Workers:   1,
 		Rotate:    300 * time.Millisecond,
 		RotateOut: filepath.Join(dir, "missing-dir", "window"),
@@ -69,7 +68,7 @@ func TestRotateFailureAccounting(t *testing.T) {
 	// numbers the files contiguously from zero.
 	next2, nets2 := genSource(t, 2000)
 	ok := &Flags{
-		Obs:       &cliobs.Flags{},
+		Obs:       &ObsFlags{},
 		Workers:   1,
 		Rotate:    300 * time.Millisecond,
 		RotateOut: filepath.Join(dir, "window"),
@@ -96,7 +95,7 @@ func TestSourceErrorFlushesQuarantine(t *testing.T) {
 	qpath := filepath.Join(t.TempDir(), "quarantine.pcap")
 	next, nets := genSource(t, 1<<30)
 	f := &Flags{
-		Obs:            &cliobs.Flags{},
+		Obs:            &ObsFlags{},
 		Workers:        1,
 		QuarantinePath: qpath,
 	}
@@ -181,7 +180,7 @@ func TestRestoreWorkerWarning(t *testing.T) {
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		f.Obs = &cliobs.Flags{}
+		f.Obs = &ObsFlags{}
 		return f
 	}
 

@@ -350,9 +350,6 @@ func (w *Windower) Drain() []Row {
 	return rows
 }
 
-// PendingRows reports how many emitted rows await Drain.
-func (w *Windower) PendingRows() int { return len(w.pending) }
-
 // BatchRows replays a recorded observation sequence through a fresh
 // windower and returns every row: the batch mode of the same streaming
 // pipeline, used by offline dataset builds and the streaming-vs-batch

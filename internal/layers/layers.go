@@ -143,28 +143,6 @@ type Packet struct {
 	Payload     []byte
 }
 
-// Rebase re-points every slice in p that aliases old onto the
-// equivalent range of fresh, which must hold a copy of the same frame
-// bytes. The decoder only ever derives Payload and TCP.Options by
-// reslicing its input, so each view's offset within old is recoverable
-// by cap arithmetic: for s := old[i:j:*], cap(s) == cap(old)-i. This
-// lets a dispatcher decode a frame once in a transient buffer, copy the
-// bytes somewhere stable, and ship the decoded Packet along without
-// re-decoding.
-func (p *Packet) Rebase(old, fresh []byte) {
-	if p.Payload != nil {
-		p.Payload = rebased(p.Payload, old, fresh)
-	}
-	if p.TCP.Options != nil {
-		p.TCP.Options = rebased(p.TCP.Options, old, fresh)
-	}
-}
-
-func rebased(s, old, fresh []byte) []byte {
-	off := cap(old) - cap(s)
-	return fresh[off : off+len(s)]
-}
-
 // SrcAddr returns the network-layer source address, or the zero Addr if no
 // IP layer was decoded.
 func (p *Packet) SrcAddr() netip.Addr {

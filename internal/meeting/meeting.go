@@ -22,6 +22,7 @@ package meeting
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,7 +54,8 @@ type streamState struct {
 	lastTS    uint32
 	flow      layers.FiveTuple
 	key       zoom.StreamKey
-	// evicted marks states removed from the copy-linkage index by Evict.
+	// evicted marks states Evict has removed from the copy-linkage
+	// index; the stream's next packet puts it back.
 	evicted bool
 	// dirty marks the record as mutated since the last checkpoint encode
 	// (delta checkpoints re-serialize only dirty records).
@@ -64,26 +66,25 @@ type streamState struct {
 // either lands in an existing stream or creates one, possibly linking it
 // to an existing unified stream.
 type Dedup struct {
-	// TSWindow is the maximum RTP-timestamp distance between an existing
-	// stream's most recent timestamp and a new stream's first timestamp
-	// for them to be considered copies. The default (§4.3.2 "a small
-	// range") corresponds to two seconds of 90 kHz video.
-	TSWindow int64
-	// TimeWindow bounds the wall-clock gap for the same linkage.
-	TimeWindow time.Duration
 	// MaxStreams caps the number of stream records the detector retains
 	// (0 = unlimited). At the cap, observations for new streams are
 	// assigned fresh unified IDs but not stored — they are invisible to
 	// Records() and counted in Dropped, so a flood of garbage streams
-	// cannot grow the detector without bound.
+	// cannot grow the detector without bound. It is configuration:
+	// whoever builds the detector sets it (core: Config.MaxMeetingStreams)
+	// and no checkpoint record carries it.
 	MaxStreams int
 	// Dropped counts stream records turned away at MaxStreams.
 	Dropped uint64
 
 	streams map[flow.MediaStreamID]*streamState
-	// bySSRC indexes live streams for copy lookup.
+	// bySSRC indexes streams for copy lookup, each list in order of first
+	// appearance. Streams idle longer than linkWindow age out of it (see
+	// Observe).
 	bySSRC map[zoom.StreamKey][]*streamState
 	nextID UnifiedID
+	// observed counts observations: the clock ageing runs on.
+	observed uint64
 
 	// Delta-checkpoint tracking (see delta.go). armed turns on
 	// dirty-SSRC-list recording; it is set by the first checkpoint
@@ -92,24 +93,52 @@ type Dedup struct {
 	dirtySSRC map[zoom.StreamKey]struct{}
 }
 
-// NewDedup returns a detector with the default windows.
+// The linkage window of §4.3.2 ("a small range"): a new stream is a copy
+// of an existing one with the same SSRC and type on another 5-tuple when
+// both distances below hold.
+const (
+	// tsWindow is the maximum RTP-timestamp distance between the existing
+	// stream's most recent timestamp and the new stream's first: two
+	// seconds of 90 kHz video.
+	tsWindow = 2 * zoom.VideoClockRate
+	// linkWindow is the maximum capture-clock gap between the existing
+	// stream's last packet and the new stream's first.
+	linkWindow = 10 * time.Second
+	// ageEvery is how many observations pass between two sweeps that
+	// unlink streams idle longer than linkWindow.
+	ageEvery = 4096
+)
+
+// NewDedup returns an empty detector.
 func NewDedup() *Dedup {
 	return &Dedup{
-		TSWindow:   2 * zoom.VideoClockRate,
-		TimeWindow: 10 * time.Second,
-		streams:    make(map[flow.MediaStreamID]*streamState),
-		bySSRC:     make(map[zoom.StreamKey][]*streamState),
+		streams: make(map[flow.MediaStreamID]*streamState),
+		bySSRC:  make(map[zoom.StreamKey][]*streamState),
 	}
 }
 
 // Observe ingests one media packet observation and returns the unified
 // stream ID it belongs to.
+//
+// Every ageEvery-th observation first unlinks the streams idle for more
+// than linkWindow at its timestamp. matchExisting refuses exactly those
+// candidates and a stream's next packet links it again where it stood,
+// so while capture timestamps do not decrease ageing changes no result;
+// it only keeps the index the size of what is live. The cadence counts
+// observations and nothing else, so every engine fed the same
+// observation sequence ages identically.
 func (d *Dedup) Observe(o StreamObs) UnifiedID {
+	if d.observed++; d.observed%ageEvery == 0 {
+		d.Evict(o.Time.Add(-linkWindow))
+	}
 	k := flow.MediaStreamID{Flow: o.Flow, Key: o.Key}
 	if s, ok := d.streams[k]; ok {
 		s.lastSeen = o.Time
 		s.lastTS = o.TS
 		s.dirty = true
+		if s.evicted {
+			d.relink(s)
+		}
 		return s.unified
 	}
 	s := &streamState{
@@ -145,14 +174,14 @@ func (d *Dedup) matchExisting(o StreamObs) UnifiedID {
 		if cand.flow == o.Flow {
 			continue
 		}
-		if o.Time.Sub(cand.lastSeen) > d.TimeWindow || cand.firstSeen.After(o.Time) {
+		if o.Time.Sub(cand.lastSeen) > linkWindow || cand.firstSeen.After(o.Time) {
 			continue
 		}
 		gap := rtp.TSDiff(cand.lastTS, o.TS)
 		if gap < 0 {
 			gap = -gap
 		}
-		if gap <= d.TSWindow && gap < bestGap {
+		if gap <= tsWindow && gap < bestGap {
 			bestGap = gap
 			best = cand.unified
 		}
@@ -172,31 +201,46 @@ type StreamRecord struct {
 	Client netip.AddrPort
 }
 
-// Evict drops live-matching state for streams idle since before cutoff.
-// Their identity survives in the records the detector has already
-// produced (and reproduces via Records); only the copy-linkage indexes
-// shrink, so very old streams can no longer be linked to new ones —
-// which is also correct, since the TimeWindow would reject them anyway.
+// Evict unlinks the streams idle since before cutoff from the
+// copy-lookup index, which is all it walks. Their records stay (Records
+// reproduces them); they can no longer be linked to new streams until
+// their own next packet.
 func (d *Dedup) Evict(cutoff time.Time) {
-	for _, s := range d.streams {
-		if s.evicted || s.lastSeen.After(cutoff) {
+	for key, list := range d.bySSRC {
+		kept := list[:0]
+		for _, s := range list {
+			if s.lastSeen.Before(cutoff) {
+				s.evicted = true
+				s.dirty = true
+				continue
+			}
+			kept = append(kept, s)
+		}
+		if len(kept) == len(list) {
 			continue
 		}
-		// Remove from the SSRC index but keep the record for Records().
-		list := d.bySSRC[s.key]
-		for i, cand := range list {
-			if cand == s {
-				d.bySSRC[s.key] = append(list[:i], list[i+1:]...)
-				break
-			}
+		clear(list[len(kept):])
+		if len(kept) == 0 {
+			delete(d.bySSRC, key)
+		} else {
+			d.bySSRC[key] = kept
 		}
-		if len(d.bySSRC[s.key]) == 0 {
-			delete(d.bySSRC, s.key)
-		}
-		s.evicted = true
-		s.dirty = true
-		d.markSSRCDirty(s.key)
+		d.markSSRCDirty(key)
 	}
+}
+
+// relink puts a stream that resumed after Evict back into the index,
+// in order of first appearance: matchExisting breaks ties in favour of
+// the earlier entry.
+func (d *Dedup) relink(s *streamState) {
+	list := d.bySSRC[s.key]
+	i := len(list)
+	for i > 0 && list[i-1].firstSeen.After(s.firstSeen) {
+		i--
+	}
+	d.bySSRC[s.key] = slices.Insert(list, i, s)
+	s.evicted = false
+	d.markSSRCDirty(s.key)
 }
 
 // Len reports the number of retained stream records (for the

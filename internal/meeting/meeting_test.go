@@ -1,6 +1,7 @@
 package meeting
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -225,5 +226,136 @@ func BenchmarkDedupObserve(b *testing.B) {
 		obs.TS = uint32(i) * 2970
 		d.Observe(obs)
 		at = at.Add(33 * time.Millisecond)
+	}
+}
+
+// indexed reports whether the stream on flow is in the copy-lookup index.
+func indexed(d *Dedup, flow layers.FiveTuple, key zoom.StreamKey) bool {
+	for _, s := range d.bySSRC[key] {
+		if s.flow == flow {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDedupAgesOnItsOwnWindow pins the ageing rule: the sweep runs on
+// the ageEvery-th observation, unlinks what has been idle for more than
+// linkWindow at that observation's timestamp and nothing else, keeps the
+// records, and the stream's next packet links it again.
+func TestDedupAgesOnItsOwnWindow(t *testing.T) {
+	d := NewDedup()
+	idle := feed(d, up1, vKey, t0, 0, 10000, 10)
+	busy := ft(c2, 61500, sfu, 8801)
+	aKey := zoom.StreamKey{SSRC: 7, Type: zoom.TypeAudio}
+	late := t0.Add(linkWindow + time.Second)
+	for i := 10; i < ageEvery-1; i++ {
+		d.Observe(StreamObs{Time: late, Flow: busy, Key: aKey, Seq: uint16(i), TS: uint32(i)})
+	}
+	if !indexed(d, up1, vKey) {
+		t.Fatal("stream unlinked before the sweep's observation")
+	}
+	d.Observe(StreamObs{Time: late, Flow: busy, Key: aKey})
+	if indexed(d, up1, vKey) || !indexed(d, busy, aKey) {
+		t.Fatalf("after the sweep: idle stream indexed %v (want false), busy stream indexed %v (want true)", indexed(d, up1, vKey), indexed(d, busy, aKey))
+	}
+	if d.Len() != 2 {
+		t.Fatalf("ageing dropped a record: %d left", d.Len())
+	}
+	if id := feed(d, up1, vKey, late, 10, 10000+10*2970, 1); id != idle {
+		t.Errorf("resumed stream changed unified ID %d → %d", idle, id)
+	}
+	if !indexed(d, up1, vKey) {
+		t.Error("resumed stream was not linked again")
+	}
+	// Linked again, it takes copies like a stream that never left.
+	if id := feed(d, down2, vKey, late.Add(40*time.Millisecond), 10, 10000+10*2970, 1); id != idle {
+		t.Errorf("copy of the resumed stream got unified ID %d, want %d", id, idle)
+	}
+}
+
+// TestDedupAgeingIsInvisible: under non-decreasing timestamps, sweeping
+// the index — here before every single observation, the most a cadence
+// could do — changes no unified ID against a detector that never sweeps
+// (the sequences stay under ageEvery observations). The workload has
+// what ageing could break: streams that pause past the window and
+// resume, and copies that appear on new five-tuples before and after.
+func TestDedupAgeingIsInvisible(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type src struct {
+			flow layers.FiveTuple
+			key  zoom.StreamKey
+			ts   uint32
+		}
+		var srcs []src
+		never, swept := NewDedup(), NewDedup()
+		at := t0
+		for i := 0; i < ageEvery-1; i++ {
+			at = at.Add(time.Duration(rng.Intn(600)) * time.Millisecond)
+			if len(srcs) < 4 || rng.Intn(40) == 0 {
+				// A new five-tuple: half the time a copy of an existing
+				// stream's SSRC near its RTP clock, else unrelated.
+				s := src{flow: ft(c1, uint16(1024+len(srcs)), sfu, 8801), key: zoom.StreamKey{SSRC: uint32(rng.Intn(6)), Type: zoom.TypeVideo}, ts: rng.Uint32()}
+				if len(srcs) > 0 && rng.Intn(2) == 0 {
+					o := srcs[rng.Intn(len(srcs))]
+					s.key, s.ts = o.key, o.ts+uint32(rng.Intn(3*zoom.VideoClockRate))
+				}
+				srcs = append(srcs, s)
+			}
+			// Low-numbered sources speak rarely, so they pause for long.
+			s := &srcs[rng.Intn(1+rng.Intn(len(srcs)))]
+			s.ts += 2970
+			o := StreamObs{Time: at, Flow: s.flow, Key: s.key, TS: s.ts}
+			swept.Evict(at.Add(-linkWindow))
+			if a, b := never.Observe(o), swept.Observe(o); a != b {
+				t.Fatalf("seed %d observation %d: unified ID %d without ageing, %d with", seed, i, a, b)
+			}
+		}
+		var resumed int
+		for _, s := range swept.streams {
+			if !s.evicted && s.lastSeen.Sub(s.firstSeen) > 2*linkWindow {
+				resumed++
+			}
+		}
+		if len(never.bySSRC) == 0 || resumed == 0 {
+			t.Fatalf("seed %d: workload exercises nothing (index %d keys, %d long-lived streams)", seed, len(never.bySSRC), resumed)
+		}
+	}
+}
+
+// TestDedupHostileClockAtSweep pins what a wild timestamp does when it
+// lands on a sweep. Far forward: every stream not seen at that instant
+// is unlinked, each until its own next packet, so only a copy that
+// first appears in between is missed. Backward: the sweep unlinks
+// nothing it would not have at the right time.
+func TestDedupHostileClockAtSweep(t *testing.T) {
+	pad := func(d *Dedup, at time.Time, n int) {
+		for i := 0; i < n; i++ {
+			d.Observe(StreamObs{Time: at, Flow: ft(c2, 61500, sfu, 8801), Key: zoom.StreamKey{SSRC: 7, Type: zoom.TypeAudio}, TS: uint32(i)})
+		}
+	}
+	d := NewDedup()
+	id := feed(d, up1, vKey, t0, 0, 10000, 10)
+	pad(d, t0.Add(time.Second), ageEvery-11)
+	d.Observe(StreamObs{Time: t0.Add(100 * 365 * 24 * time.Hour), Flow: ft(c2, 61501, sfu, 8801), Key: zoom.StreamKey{SSRC: 8, Type: zoom.TypeAudio}})
+	if indexed(d, up1, vKey) {
+		t.Fatal("far-forward sweep left an idle stream linked")
+	}
+	if got := feed(d, down2, vKey, t0.Add(2*time.Second), 10, 10000+10*2970, 1); got == id {
+		t.Error("a copy linked to a stream the sweep had unlinked")
+	}
+	feed(d, up1, vKey, t0.Add(2*time.Second), 10, 10000+10*2970, 1)
+	other := ft(sfu, 8801, "10.8.3.3", 61000)
+	if got := feed(d, other, vKey, t0.Add(2*time.Second+40*time.Millisecond), 11, 10000+11*2970, 1); got != id {
+		t.Errorf("after the original's next packet a new copy got unified ID %d, want %d", got, id)
+	}
+
+	d = NewDedup()
+	feed(d, up1, vKey, t0, 0, 10000, 10)
+	pad(d, t0.Add(time.Second), ageEvery-11)
+	d.Observe(StreamObs{Time: t0.Add(-time.Hour), Flow: ft(c2, 61501, sfu, 8801), Key: zoom.StreamKey{SSRC: 8, Type: zoom.TypeAudio}})
+	if !indexed(d, up1, vKey) {
+		t.Error("backward sweep unlinked a live stream")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // re-serializes only stream records whose dirty bit is set, plus the
 // bySSRC lists of SSRC keys whose membership changed; a full record is
 // the same walk with everything selected. Stream records are never
-// deleted from d.streams — Evict only unlinks them from the index — so
+// deleted from d.streams — ageing only unlinks them from the index — so
 // there are no tombstones. (The step-2 Grouper is rebuilt from records
 // on every Meetings() call and carries no state here.)
 
@@ -34,9 +34,10 @@ func (d *Dedup) MarkCheckpointed() {
 	d.armed = true
 }
 
-// Code walks the detector through c, including the tunable windows
-// (they were live when the checkpoint was taken and a mid-run change
-// would alter linkage decisions). The bySSRC lists are ORDER-SENSITIVE
+// Code walks the detector through c: counters (the ageing clock among
+// them), stream records and the index. The linkage windows are constants
+// and MaxStreams is the builder's configuration; neither is in the
+// record. The bySSRC lists are ORDER-SENSITIVE
 // state: matchExisting's strict less-than gap comparison favors earlier
 // entries on ties, so each list is written as an ordered sequence of
 // (flow, key) references that a decoding pass resolves against the
@@ -45,11 +46,9 @@ func (d *Dedup) MarkCheckpointed() {
 // successful pass; a detector whose decoding pass failed holds
 // partially applied state and must be discarded.
 func (d *Dedup) Code(c *statecodec.Codec) {
-	c.I64(&d.TSWindow)
-	c.Duration(&d.TimeWindow)
-	c.Int(&d.MaxStreams)
 	c.U64(&d.Dropped)
 	c.Int((*int)(&d.nextID))
+	c.U64(&d.observed)
 
 	statecodec.Map(c, flow.StreamIDKey, &d.streams, nil,
 		func(_ flow.MediaStreamID, s *streamState) bool { return s.dirty },

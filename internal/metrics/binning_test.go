@@ -110,18 +110,3 @@ func TestRateSeriesShortGapUnchanged(t *testing.T) {
 		}
 	}
 }
-
-// TestRateSeriesGapCapDisabled checks MaxIdleGap=0 restores the old
-// exhaustive gap-fill behaviour.
-func TestRateSeriesGapCapDisabled(t *testing.T) {
-	sm := NewStreamMetrics(zoom.TypeVideo)
-	sm.MaxIdleGap = 0
-	start := time.Unix(1700000000, 0)
-	observeAt(sm, start, 1)
-	observeAt(sm, start.Add(5*time.Minute), 2)
-	sm.Finish()
-
-	if n := len(sm.WireRate.Samples); n != 301 {
-		t.Fatalf("WireRate has %d samples with cap disabled, want 301", n)
-	}
-}

@@ -49,9 +49,6 @@ func (f *Frame) Delay() time.Duration { return f.Completed.Sub(f.FirstPacket) }
 // marker-bit packet and all preceding packets are present, falling back
 // to "next frame started" as a completion signal for marker-less frames.
 type FrameAssembler struct {
-	// MaxOpenFrames bounds memory; oldest incomplete frames are flushed
-	// (and reported incomplete) beyond it.
-	MaxOpenFrames int
 	// OnFrame receives every completed (or flushed) frame in completion
 	// order. Flushed incomplete frames have SawMarker==false and
 	// Packets < ExpectedPackets (when the latter is known).
@@ -72,14 +69,9 @@ type openFrame struct {
 	seqs []uint16
 }
 
-// NewFrameAssembler returns an assembler delivering frames to onFrame.
-func NewFrameAssembler(onFrame func(Frame, bool)) *FrameAssembler {
-	return &FrameAssembler{
-		MaxOpenFrames: 64,
-		OnFrame:       onFrame,
-		open:          make(map[uint32]*openFrame),
-	}
-}
+// maxOpenFrames bounds an assembler's memory: beyond it the oldest
+// incomplete frame is flushed (and reported incomplete).
+const maxOpenFrames = 64
 
 // Observe ingests one RTP media packet of the substream.
 func (a *FrameAssembler) Observe(at time.Time, media *zoom.MediaEncap, pkt *rtp.Packet) {
@@ -137,7 +129,7 @@ func (a *FrameAssembler) Observe(at time.Time, media *zoom.MediaEncap, pkt *rtp.
 
 	if a.isComplete(of) {
 		a.finish(ts, true)
-	} else if len(a.open) > a.MaxOpenFrames {
+	} else if len(a.open) > maxOpenFrames {
 		a.flushOldest()
 	}
 }
@@ -167,7 +159,7 @@ func (a *FrameAssembler) finish(ts uint32, complete bool) {
 	if a.OnFrame != nil {
 		a.OnFrame(of.frame, complete)
 	}
-	if len(a.free) < a.MaxOpenFrames {
+	if len(a.free) < maxOpenFrames {
 		a.free = append(a.free, of)
 	}
 }
@@ -207,19 +199,10 @@ func (a *FrameAssembler) Flush() {
 }
 
 // FrameRateWindow implements §5.2 method 1: a sliding one-second window
-// of completed frames whose occupancy is the delivered frame rate.
+// of completed frames whose occupancy is the delivered frame rate. The
+// zero value is an empty window.
 type FrameRateWindow struct {
-	window time.Duration
-	times  []time.Time // completion times, oldest first
-}
-
-// NewFrameRateWindow returns a window of the given width (the paper uses
-// one second).
-func NewFrameRateWindow(window time.Duration) *FrameRateWindow {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &FrameRateWindow{window: window}
+	times []time.Time // completion times, oldest first
 }
 
 // Add records a completed frame and returns the frame rate at that
@@ -232,7 +215,7 @@ func (w *FrameRateWindow) Add(completed time.Time) float64 {
 // Rate evicts frames older than the window relative to now and returns
 // the current rate in frames per second.
 func (w *FrameRateWindow) Rate(now time.Time) float64 {
-	cut := now.Add(-w.window)
+	cut := now.Add(-time.Second)
 	i := 0
 	for i < len(w.times) && !w.times[i].After(cut) {
 		i++
@@ -240,7 +223,7 @@ func (w *FrameRateWindow) Rate(now time.Time) float64 {
 	if i > 0 {
 		w.times = append(w.times[:0], w.times[i:]...)
 	}
-	return float64(len(w.times)) * float64(time.Second) / float64(w.window)
+	return float64(len(w.times))
 }
 
 // EncoderFrameRate implements §5.2 method 2: the encoder's intended frame
@@ -250,11 +233,6 @@ type EncoderFrameRate struct {
 	clockRate float64
 	lastTS    uint32
 	seen      bool
-}
-
-// NewEncoderFrameRate returns an estimator for a given RTP clock rate.
-func NewEncoderFrameRate(clockRate float64) *EncoderFrameRate {
-	return &EncoderFrameRate{clockRate: clockRate}
 }
 
 // Observe feeds the RTP timestamp of each new frame (in decode order) and

@@ -26,12 +26,11 @@ type RTTSample struct {
 // seq, timestamp) participate because unified IDs already encode
 // SSRC/timestamp proximity and the age limit bounds time.
 type CopyMatcher struct {
-	// MaxAge bounds how long a first observation waits for its copy.
-	MaxAge time.Duration
 	// MaxPending triggers garbage collection of the pending map beyond
 	// this many entries, bounding matcher state on long captures. Zero
-	// selects DefaultMaxPending; wire it to the analyzer's bounded-state
-	// caps in continuous deployments.
+	// selects DefaultMaxPending. It is configuration: whoever builds the
+	// matcher sets it (core derives it from Config.MaxStreams), and no
+	// checkpoint record carries it.
 	MaxPending int
 	// Samples receives each RTT measurement.
 	Samples []RTTSample
@@ -64,9 +63,12 @@ type obs struct {
 	flow layers.FiveTuple
 }
 
-// NewCopyMatcher returns a matcher with a 5-second age bound.
+// copyMaxAge bounds how long a first observation waits for its copy.
+const copyMaxAge = 5 * time.Second
+
+// NewCopyMatcher returns an empty matcher.
 func NewCopyMatcher() *CopyMatcher {
-	return &CopyMatcher{MaxAge: 5 * time.Second, pending: make(map[copyKey]obs)}
+	return &CopyMatcher{pending: make(map[copyKey]obs)}
 }
 
 // Observe ingests one media packet observation annotated with its
@@ -77,7 +79,7 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 	if prev, ok := cm.pending[k]; ok {
 		if prev.flow != flow {
 			age := at.Sub(prev.at)
-			if age >= 0 && age <= cm.MaxAge {
+			if age >= 0 && age <= copyMaxAge {
 				s := RTTSample{Time: at, RTT: age, Unified: unified}
 				cm.Samples = append(cm.Samples, s)
 				delete(cm.pending, k)
@@ -114,12 +116,12 @@ func (cm *CopyMatcher) maxPending() int {
 // gauges).
 func (cm *CopyMatcher) Pending() int { return len(cm.pending) }
 
-// gc removes entries older than MaxAge; if the map is still over the
-// cap (a burst of unmatched observations younger than MaxAge), the age
+// gc removes entries older than copyMaxAge; if the map is still over the
+// cap (a burst of unmatched observations younger than that), the age
 // bound halves until the map fits, keeping the newest entries — a
 // deterministic eviction order, so capped runs stay reproducible.
 func (cm *CopyMatcher) gc(now time.Time) {
-	age := cm.MaxAge
+	age := copyMaxAge
 	for {
 		for k, o := range cm.pending {
 			if now.Sub(o.at) > age {
@@ -137,7 +139,6 @@ func (cm *CopyMatcher) gc(now time.Time) {
 // SeriesMS renders the samples as a millisecond time series.
 func (cm *CopyMatcher) SeriesMS() Series {
 	var s Series
-	s.Name = "rtt_ms"
 	for _, sm := range cm.Samples {
 		s.Add(sm.Time, float64(sm.RTT)/float64(time.Millisecond))
 	}

@@ -296,7 +296,7 @@ func TestCopyMatcherIgnoresSameFlowAndStale(t *testing.T) {
 }
 
 func TestFrameRateWindowEviction(t *testing.T) {
-	w := NewFrameRateWindow(time.Second)
+	w := new(FrameRateWindow)
 	for i := 0; i < 30; i++ {
 		w.Add(t0.Add(time.Duration(i) * 33 * time.Millisecond))
 	}
@@ -310,7 +310,7 @@ func TestFrameRateWindowEviction(t *testing.T) {
 }
 
 func TestEncoderFrameRate(t *testing.T) {
-	e := NewEncoderFrameRate(90000)
+	e := &EncoderFrameRate{clockRate: 90000}
 	if _, _, ok := e.Observe(1000); ok {
 		t.Error("first frame should not produce a rate")
 	}

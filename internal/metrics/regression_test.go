@@ -13,7 +13,7 @@ import (
 // not advance the baseline, or the next in-order frame measures an
 // inflated ΔRTP (and a deflated frame rate).
 func TestEncoderFrameRateReorderingKeepsBaseline(t *testing.T) {
-	e := NewEncoderFrameRate(90000)
+	e := &EncoderFrameRate{clockRate: 90000}
 	e.Observe(3000)
 	if fps, _, ok := e.Observe(6000); !ok || fps != 30 {
 		t.Fatalf("in-order frame: fps=%v ok=%v, want 30", fps, ok)
@@ -59,7 +59,7 @@ func TestCopyMatcherStaleRefreshTakesObservingFlow(t *testing.T) {
 	cm := NewCopyMatcher()
 	cm.Observe(1, flowA, 98, 7, 100, t0)
 	// The copy on flow B arrives after MaxAge: no sample, entry refreshed.
-	stale := t0.Add(cm.MaxAge + time.Second)
+	stale := t0.Add(copyMaxAge + time.Second)
 	if _, ok := cm.Observe(1, flowB, 98, 7, 100, stale); ok {
 		t.Fatal("stale copy produced a sample")
 	}
@@ -95,7 +95,7 @@ func TestCopyMatcherMaxPending(t *testing.T) {
 	if cm.Pending() != 64 {
 		t.Fatalf("pending = %d, want 64", cm.Pending())
 	}
-	late := t0.Add(cm.MaxAge + time.Second)
+	late := t0.Add(copyMaxAge + time.Second)
 	cm.Observe(1, flowA, 98, 1000, 1000, late)
 	if got := cm.Pending(); got != 1 {
 		t.Fatalf("pending after GC = %d, want 1 (stale entries collected at cap)", got)

@@ -90,7 +90,7 @@ func TestQuickBinsContiguousAndOrdered(t *testing.T) {
 
 func TestQuickFrameRateWindowNeverNegativeAndEvicts(t *testing.T) {
 	f := func(gapsMS []uint16) bool {
-		w := NewFrameRateWindow(time.Second)
+		w := new(FrameRateWindow)
 		at := t0
 		for _, g := range gapsMS {
 			at = at.Add(time.Duration(g%500) * time.Millisecond)

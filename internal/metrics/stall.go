@@ -28,15 +28,18 @@ type StallEvent struct {
 	FramesLate int
 }
 
+// The jitter-buffer model's conferencing-scale parameters.
+const (
+	// stallInitialBuffer is the media time buffered before playback
+	// starts (Zoom-like conferencing buffers are small).
+	stallInitialBuffer = 120 * time.Millisecond
+	// stallResumeThreshold is the media time that must accumulate after
+	// a stall before playback resumes.
+	stallResumeThreshold = 60 * time.Millisecond
+)
+
 // StallDetector accumulates frame delivery timing and predicts stalls.
 type StallDetector struct {
-	// InitialBuffer is the media time buffered before playback starts
-	// (Zoom-like conferencing buffers are small; default 120 ms).
-	InitialBuffer time.Duration
-	// ResumeThreshold is the media time that must accumulate after a
-	// stall before playback resumes (default 60 ms).
-	ResumeThreshold time.Duration
-
 	// Events is the list of completed stalls.
 	Events []StallEvent
 
@@ -48,13 +51,8 @@ type StallDetector struct {
 	lastSeen time.Time
 }
 
-// NewStallDetector returns a detector with conferencing-scale defaults.
-func NewStallDetector() *StallDetector {
-	return &StallDetector{
-		InitialBuffer:   120 * time.Millisecond,
-		ResumeThreshold: 60 * time.Millisecond,
-	}
-}
+// NewStallDetector returns an empty detector.
+func NewStallDetector() *StallDetector { return new(StallDetector) }
 
 // ObserveFrame feeds one completed frame: completed is its delivery
 // time, delay the §5.5 frame delay (first→last packet), packetization
@@ -66,7 +64,7 @@ func (d *StallDetector) ObserveFrame(completed time.Time, delay, packetization t
 	}
 	if !d.started {
 		d.started = true
-		d.buffer = d.InitialBuffer
+		d.buffer = stallInitialBuffer
 		d.lastSeen = completed
 	}
 
@@ -101,7 +99,7 @@ func (d *StallDetector) ObserveFrame(completed time.Time, delay, packetization t
 		d.stallAt = completed
 		d.buffer = 0
 		return true
-	case d.stalled && d.buffer >= d.ResumeThreshold:
+	case d.stalled && d.buffer >= stallResumeThreshold:
 		d.Events = append(d.Events, StallEvent{
 			Start:      d.stallAt,
 			Duration:   completed.Sub(d.stallAt),

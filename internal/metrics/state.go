@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"cmp"
-	"time"
 
-	"zoomlens/internal/rtp"
 	"zoomlens/internal/statecodec"
 )
 
@@ -21,21 +19,23 @@ var (
 )
 
 func (s *Series) code(c *statecodec.Codec) {
-	c.String(&s.Name)
 	statecodec.Slice(c, &s.Samples, 0, func(sm *Sample) {
 		c.Time(&sm.Time)
 		c.F64(&sm.Value)
 	})
 }
 
-// Code walks the stream analyzer through c. A decoding pass needs a
-// zero receiver and builds everything from the record (not via
-// NewStreamMetrics): every field, including the type-dependent
-// stall/talk models, comes from the state.
+// Code walks the stream analyzer through c. The record carries the
+// media type and what was accumulated from packets; a decoding pass
+// makes the receiver (whatever it held) the empty analyzer of that type
+// the way NewStreamMetrics does, builds substreams with newSub, and
+// fills both in — so a restored stream has the clock, the models and
+// the limits of the code that restores it.
 func (sm *StreamMetrics) Code(c *statecodec.Codec) {
-	c.F64(&sm.ClockRate)
-	c.U8((*uint8)(&sm.MediaType))
-	c.Duration(&sm.MaxIdleGap)
+	mt := sm.MediaType
+	if c.U8((*uint8)(&mt)); !c.Encoding() {
+		sm.init(mt)
+	}
 	c.Bool(&sm.finished)
 
 	c.U64(&sm.Packets)
@@ -63,48 +63,36 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 		c.U32(&fo.TS)
 	})
 
-	// The shared main-space sequence tracker is walked once; substreams
-	// record only whether they reference it.
-	if statecodec.Ptr(c, &sm.mainSeq, rtp.NewSeqTracker) {
-		sm.mainSeq.Code(c)
-	}
-	if statecodec.Ptr(c, &sm.Stall, NewStallDetector) {
+	if sm.Stall != nil {
 		sm.Stall.code(c)
 	}
-	if statecodec.Ptr(c, &sm.Talk, NewTalkTracker) {
+	if sm.Talk != nil {
 		sm.Talk.code(c)
 	}
 
-	statecodec.Map(c, u8Key, &sm.subs, sm.newSub, nil, func(pt uint8, st *substreamState) {
-		c.Bool(&st.isMain)
-		if st.isMain {
-			if st.seq = sm.mainSeq; st.seq == nil {
-				c.Failf("metrics.StreamMetrics main substream %d without shared tracker", pt)
-				return
-			}
-		} else {
-			// FEC substreams own their sequence space.
-			if st.seq == nil {
-				st.seq = rtp.NewSeqTracker()
-			}
+	statecodec.Map(c, u8Key, &sm.subs, sm.newSub, nil, func(_ uint8, st *substreamState) {
+		// FEC substreams own their sequence space; the shared main
+		// space follows the substreams, once.
+		if !st.isMain {
 			st.seq.Code(c)
-		}
-		if c.Duration(&st.window.window); st.window.window <= 0 {
-			st.window.window = time.Second
 		}
 		statecodec.Slice(c, &st.window.times, 0, c.Time)
 		c.U32(&st.encoder.lastTS)
 		c.Bool(&st.encoder.seen)
-		if statecodec.Ptr(c, &st.jitter, func() *rtp.Jitter { return new(rtp.Jitter) }) {
+		if st.jitter != nil {
 			st.jitter.Code(c)
 		}
 		statecodec.MapVal(c, u32Key, &st.tsSeen, nil)
 		st.assembler.code(c)
 	})
+	// newSub created the shared tracker with the first main substream,
+	// in either direction.
+	if sm.mainSeq != nil {
+		sm.mainSeq.Code(c)
+	}
 }
 
 func (a *FrameAssembler) code(c *statecodec.Codec) {
-	c.Int(&a.MaxOpenFrames)
 	c.U32(&a.lastTS)
 	c.Bool(&a.seen)
 	// Open frames in insertion (order-slice) order: flushOldest evicts
@@ -142,8 +130,6 @@ func (a *FrameAssembler) code(c *statecodec.Codec) {
 }
 
 func (d *StallDetector) code(c *statecodec.Codec) {
-	c.Duration(&d.InitialBuffer)
-	c.Duration(&d.ResumeThreshold)
 	statecodec.Slice(c, &d.Events, 0, func(e *StallEvent) {
 		c.Time(&e.Start)
 		c.Duration(&e.Duration)
@@ -158,7 +144,6 @@ func (d *StallDetector) code(c *statecodec.Codec) {
 }
 
 func (t *TalkTracker) code(c *statecodec.Codec) {
-	c.Duration(&t.MergeGap)
 	statecodec.Slice(c, &t.segments, 0, func(s *TalkSegment) {
 		c.Time(&s.Start)
 		c.Time(&s.End)
@@ -268,9 +253,6 @@ var copyKeyKey = &statecodec.Key[copyKey]{Min: 4,
 // MarkCheckpointed after any successful pass; a matcher whose decoding
 // pass failed may be partially mutated and must be discarded.
 func (cm *CopyMatcher) Code(c *statecodec.Codec) {
-	c.Duration(&cm.MaxAge)
-	c.Int(&cm.MaxPending)
-
 	base := cm.ckSamples
 	if c.Full() {
 		base = 0

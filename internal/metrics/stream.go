@@ -16,7 +16,6 @@ type Sample struct {
 
 // Series is an append-only time series.
 type Series struct {
-	Name    string
 	Samples []Sample
 }
 
@@ -101,12 +100,12 @@ func (s *Series) Bin(origin time.Time, width time.Duration, agg string) []Sample
 // or more flows after unification) and produces every per-stream metric
 // in Table 4.
 type StreamMetrics struct {
-	// ClockRate is the stream's RTP clock. Video uses
-	// zoom.VideoClockRate; for audio/screen share the paper (and we)
-	// treat the clock as unknown and skip wall-clock jitter.
-	ClockRate float64
-
 	MediaType zoom.MediaType
+
+	// clockRate is the stream's RTP clock, which follows from MediaType:
+	// video uses zoom.VideoClockRate; for audio/screen share the paper
+	// (and we) treat the clock as unknown (0) and skip wall-clock jitter.
+	clockRate float64
 
 	// Per-substream state, keyed by RTP payload type.
 	subs map[uint8]*substreamState
@@ -157,15 +156,6 @@ type StreamMetrics struct {
 	// appended a spurious zero-rate sample per invocation).
 	finished bool
 
-	// MaxIdleGap caps zero-rate gap-fill in the rate series: when the
-	// stream is silent for longer than this, the rate bins skip ahead to
-	// the next packet instead of emitting one zero sample per elapsed
-	// second (an idle stream spanning a 12-hour campus trace would
-	// otherwise append ~43k useless samples per series). Zero disables
-	// the cap. The semantics mirror Compact's idle archiving: a stream
-	// idle that long is effectively over until it speaks again.
-	MaxIdleGap time.Duration
-
 	// dirty marks the accumulator as mutated since the last checkpoint
 	// encode; delta checkpoints re-serialize only dirty streams.
 	dirty bool
@@ -182,8 +172,14 @@ func (sm *StreamMetrics) Dirty() bool { return sm.dirty }
 // captures the stream).
 func (sm *StreamMetrics) ClearDirty() { sm.dirty = false }
 
-// DefaultMaxIdleGap is the default rate-series gap-fill cap.
-const DefaultMaxIdleGap = 60 * time.Second
+// maxIdleGap caps zero-rate gap-fill in the rate series: when the
+// stream is silent for longer than this, the rate bins skip ahead to the
+// next packet instead of emitting one zero sample per elapsed second (an
+// idle stream spanning a 12-hour campus trace would otherwise append
+// ~43k useless samples per series). The semantics mirror Compact's idle
+// archiving: a stream idle that long is effectively over until it
+// speaks again.
+const maxIdleGap = 60 * time.Second
 
 type substreamState struct {
 	assembler *FrameAssembler
@@ -197,15 +193,24 @@ type substreamState struct {
 
 // NewStreamMetrics builds an analyzer for one stream.
 func NewStreamMetrics(mt zoom.MediaType) *StreamMetrics {
-	sm := &StreamMetrics{MediaType: mt, subs: make(map[uint8]*substreamState), MaxIdleGap: DefaultMaxIdleGap}
+	sm := new(StreamMetrics)
+	sm.init(mt)
+	return sm
+}
+
+// init makes sm the empty analyzer of a stream of type mt. Everything
+// that is not accumulated from packets follows from mt here — the RTP
+// clock and which of the stall and talk models run — so a checkpoint
+// record carries the type and nothing derived from it.
+func (sm *StreamMetrics) init(mt zoom.MediaType) {
+	*sm = StreamMetrics{MediaType: mt}
 	if mt == zoom.TypeVideo {
-		sm.ClockRate = zoom.VideoClockRate
+		sm.clockRate = zoom.VideoClockRate
 		sm.Stall = NewStallDetector()
 	}
 	if mt == zoom.TypeAudio {
 		sm.Talk = NewTalkTracker()
 	}
-	return sm
 }
 
 // subBlock bundles a substream's value components into one allocation.
@@ -221,15 +226,13 @@ type subBlock struct {
 	assembler FrameAssembler
 }
 
-// newSub returns a substream with window/encoder/assembler wired to
-// block-mates and completed frames delivered to sm. The caller fills in
-// isMain, seq, and jitter.
-func (sm *StreamMetrics) newSub() *substreamState {
-	b := &subBlock{
-		window:    FrameRateWindow{window: time.Second},
-		encoder:   EncoderFrameRate{clockRate: sm.ClockRate},
-		assembler: FrameAssembler{MaxOpenFrames: 64},
-	}
+// newSub returns the empty substream of payload type pt: window,
+// encoder and assembler wired to block-mates, completed frames delivered
+// to sm, and the sequence space and jitter estimator the stream's type
+// and pt call for. The packet path and a decoding pass both build
+// substreams here.
+func (sm *StreamMetrics) newSub(pt uint8) *substreamState {
+	b := &subBlock{encoder: EncoderFrameRate{clockRate: sm.clockRate}}
 	b.st.window = &b.window
 	b.st.encoder = &b.encoder
 	b.st.assembler = &b.assembler
@@ -237,29 +240,32 @@ func (sm *StreamMetrics) newSub() *substreamState {
 	b.assembler.OnFrame = func(f Frame, complete bool) {
 		sm.onFrame(st, f, complete)
 	}
+	st.isMain = !zoom.ClassifySubstream(sm.MediaType, pt).IsFEC()
+	// Sequence-number spaces: FEC uses its own sequence numbers; all
+	// other substreams of a stream share one space (§4.2.3 — audio
+	// types 99/112 interleave within a single counter). Share the
+	// tracker accordingly so mode flips do not register false loss.
+	if st.isMain {
+		if sm.mainSeq == nil {
+			sm.mainSeq = rtp.NewSeqTracker()
+		}
+		st.seq = sm.mainSeq
+	} else {
+		st.seq = rtp.NewSeqTracker()
+	}
+	if sm.clockRate > 0 {
+		st.jitter = rtp.NewJitter(sm.clockRate)
+	}
 	return st
 }
 
 func (sm *StreamMetrics) sub(pt uint8) *substreamState {
 	st := sm.subs[pt]
 	if st == nil {
-		st = sm.newSub()
-		st.isMain = !zoom.ClassifySubstream(sm.MediaType, pt).IsFEC()
-		// Sequence-number spaces: FEC uses its own sequence numbers; all
-		// other substreams of a stream share one space (§4.2.3 — audio
-		// types 99/112 interleave within a single counter). Share the
-		// tracker accordingly so mode flips do not register false loss.
-		if st.isMain {
-			if sm.mainSeq == nil {
-				sm.mainSeq = rtp.NewSeqTracker()
-			}
-			st.seq = sm.mainSeq
-		} else {
-			st.seq = rtp.NewSeqTracker()
+		if sm.subs == nil {
+			sm.subs = make(map[uint8]*substreamState)
 		}
-		if sm.ClockRate > 0 {
-			st.jitter = rtp.NewJitter(sm.ClockRate)
-		}
+		st = sm.newSub(pt)
 		sm.subs[pt] = st
 	}
 	return st
@@ -331,7 +337,7 @@ func (sm *StreamMetrics) onFrame(st *substreamState, f Frame, complete bool) {
 	sm.FrameDelay.Add(f.Completed, float64(f.Delay())/float64(time.Millisecond))
 	rate := st.window.Add(f.Completed)
 	sm.FrameRate.Add(f.Completed, rate)
-	if sm.ClockRate > 0 {
+	if sm.clockRate > 0 {
 		if fps, pt, ok := st.encoder.Observe(f.RTPTimestamp); ok {
 			sm.EncoderRate.Add(f.Completed, fps)
 			sm.Packetization.Add(f.Completed, float64(pt)/float64(time.Millisecond))
@@ -347,7 +353,7 @@ func (sm *StreamMetrics) binAdd(at time.Time, wire, media int) {
 		sm.haveBin = true
 		sm.binStart = at.Truncate(time.Second)
 	}
-	if sm.MaxIdleGap > 0 && at.Sub(sm.binStart) > sm.MaxIdleGap {
+	if at.Sub(sm.binStart) > maxIdleGap {
 		// Long idle gap: flush the open bin, emit nothing for the silent
 		// span, and resume at the current second.
 		sm.flushBin()

@@ -12,9 +12,6 @@ import (
 // sound), fixed 40-byte PT 99 packets during silence, and PT 113 when
 // the mode cannot be determined (mobile clients).
 type TalkTracker struct {
-	// MergeGap joins speaking segments separated by less than this.
-	MergeGap time.Duration
-
 	segments []TalkSegment
 	open     bool
 	start    time.Time
@@ -36,10 +33,11 @@ type TalkSegment struct {
 // Duration returns the segment length.
 func (s TalkSegment) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// NewTalkTracker returns a tracker with a 500 ms merge gap.
-func NewTalkTracker() *TalkTracker {
-	return &TalkTracker{MergeGap: 500 * time.Millisecond}
-}
+// talkMergeGap joins speaking segments separated by less than this.
+const talkMergeGap = 500 * time.Millisecond
+
+// NewTalkTracker returns an empty tracker.
+func NewTalkTracker() *TalkTracker { return new(TalkTracker) }
 
 // Observe feeds one audio packet of the stream.
 func (t *TalkTracker) Observe(at time.Time, pt uint8) {
@@ -50,7 +48,7 @@ func (t *TalkTracker) Observe(at time.Time, pt uint8) {
 	switch zoom.ClassifySubstream(zoom.TypeAudio, pt) {
 	case zoom.SubAudioSpeaking:
 		t.speakingPkts++
-		if t.open && at.Sub(t.last) <= t.MergeGap {
+		if t.open && at.Sub(t.last) <= talkMergeGap {
 			t.last = at
 			return
 		}
@@ -70,7 +68,7 @@ func (t *TalkTracker) Observe(at time.Time, pt uint8) {
 }
 
 func (t *TalkTracker) closeIfStale(at time.Time) {
-	if t.open && at.Sub(t.last) > t.MergeGap {
+	if t.open && at.Sub(t.last) > talkMergeGap {
 		t.segments = append(t.segments, TalkSegment{Start: t.start, End: t.last})
 		t.open = false
 	}

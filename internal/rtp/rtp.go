@@ -391,7 +391,3 @@ func (j *Jitter) Observe(arrival float64, ts uint32) float64 {
 
 // Seconds returns the current jitter estimate in seconds.
 func (j *Jitter) Seconds() float64 { return j.j / j.clockRate }
-
-// TimestampUnits returns the current jitter estimate in RTP timestamp
-// units.
-func (j *Jitter) TimestampUnits() float64 { return j.j }

@@ -24,16 +24,12 @@ func (t *SeqTracker) Code(c *statecodec.Codec) {
 	statecodec.MapVal(c, seqKey, &t.seen, nil)
 }
 
-// Code walks the estimator's fields through c. The clock rate is part
-// of the state: a decoding pass rebuilds the estimator without needing
-// the constructor arguments.
+// Code walks the estimator's fields through c. The clock rate is the
+// constructor's argument, not state: a decoding pass needs a receiver
+// from NewJitter.
 func (j *Jitter) Code(c *statecodec.Codec) {
-	c.F64(&j.clockRate)
 	c.Bool(&j.started)
 	c.F64(&j.prevR)
 	c.U32(&j.prevS)
 	c.F64(&j.j)
-	if c.Err() == nil && !(j.clockRate > 0) {
-		c.Failf("rtp.Jitter clock rate %v", j.clockRate)
-	}
 }

@@ -650,9 +650,10 @@ const slabChunk = 4096
 // nil); a decoding pass upserts: a key already present keeps its record
 // pointer — other structures may reference it — reset to the zero
 // value, a new key gets a record from a chunked slab, and with a
-// non-nil mk every record is replaced by mk() instead. Either way elem
-// then walks the record's fields. Decoding never leaves *m nil.
-func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func() *V, dirty func(K, *V) bool, elem func(k K, v *V)) {
+// non-nil mk every record is replaced by mk(key) instead — the layer's
+// own constructor, where an empty record is not the zero value. Either
+// way elem then walks the record's fields. Decoding never leaves *m nil.
+func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func(K) *V, dirty func(K, *V) bool, elem func(k K, v *V)) {
 	if c.w != nil {
 		var scratch [smallMap]entry[K, *V]
 		sel := scratch[:0]
@@ -682,7 +683,7 @@ func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func() *V, 
 		}
 		switch {
 		case mk != nil:
-			v = mk()
+			v = mk(k)
 		case v != nil:
 			var zero V
 			*v = zero

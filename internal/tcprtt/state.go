@@ -12,7 +12,6 @@ var seqKey = statecodec.UintKey[uint32]()
 // both directions' outstanding-segment tables (an ACK arriving after
 // restore must still match data sent before the checkpoint).
 func (t *Tracker) Code(c *statecodec.Codec) {
-	c.Int(&t.MaxOutstanding)
 	statecodec.Slice(c, &t.Samples, 0, func(s *Sample) {
 		c.Time(&s.Time)
 		c.Duration(&s.RTT)

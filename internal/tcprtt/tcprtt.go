@@ -47,11 +47,13 @@ type Sample struct {
 	Side Side
 }
 
-// Tracker measures one TCP connection. Create with NewTracker, feed every
-// packet of the connection (both directions) to Observe in capture order.
+// maxOutstanding bounds the per-direction table of unacked segments.
+const maxOutstanding = 4096
+
+// Tracker measures one TCP connection. Feed every packet of the
+// connection (both directions) to Observe in capture order. The zero
+// value is an empty tracker.
 type Tracker struct {
-	// MaxOutstanding bounds the per-direction table of unacked segments.
-	MaxOutstanding int
 	// Samples accumulates measurements in arrival order.
 	Samples []Sample
 
@@ -77,12 +79,8 @@ func (d *dirState) init() {
 	}
 }
 
-// NewTracker returns a tracker for one connection. clientIsSrc tells
-// Observe which direction is client→server: pass the client's 5-tuple
-// orientation via the first argument of Observe instead (fromClient).
-func NewTracker() *Tracker {
-	return &Tracker{MaxOutstanding: 4096}
-}
+// NewTracker returns an empty tracker for one connection.
+func NewTracker() *Tracker { return new(Tracker) }
 
 // Observe ingests one TCP packet. fromClient reports the packet's
 // direction (true: client→server). The TCP header and payload length come
@@ -119,7 +117,7 @@ func (t *Tracker) Observe(at time.Time, fromClient bool, tcp *layers.TCP, payloa
 				sendDir.started = true
 			}
 		}
-		if len(sendDir.outstanding) > t.MaxOutstanding {
+		if len(sendDir.outstanding) > maxOutstanding {
 			sendDir.evictBefore(at.Add(-10 * time.Second))
 		}
 	}

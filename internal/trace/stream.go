@@ -130,9 +130,6 @@ func (g *StreamGen) newStream() soakStream {
 	}
 }
 
-// Emitted returns how many records the generator has produced.
-func (g *StreamGen) Emitted() int { return g.emitted }
-
 // Now returns the current trace-clock time.
 func (g *StreamGen) Now() time.Time { return g.now }
 

@@ -20,9 +20,12 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/rtcproto"
+	"zoomlens/internal/rtp"
 	"zoomlens/internal/trace"
+	"zoomlens/internal/zoom"
 )
 
 // mixedCampus is a fast mixed-app campus workload: roughly half the
@@ -188,6 +191,92 @@ func TestProtoDifferentialMixedApps(t *testing.T) {
 		}
 	})
 	t.Run("head-accounting", func(t *testing.T) { checkHeadAccounting(t, cfg, recs) })
+	t.Run("short-ttl-dedup", checkShortTTLDedup)
+}
+
+// lateCopyTrace is a synthetic capture in which a stream's copy first
+// appears long after the original went idle, yet inside the §4.3.2
+// linkage window: client A sends 50 video frames to the SFU and stops;
+// a third client's audio stream then runs for more than 4,096 packets
+// (one whole idle-eviction cadence); 1.55 s after A's last packet the
+// SFU starts forwarding A's stream — same SSRC, RTP clock 1.5 s further
+// on — to client B on a second five-tuple.
+func lateCopyTrace() (recs []pcap.Record, cfg Config) {
+	sfu := netip.MustParseAddrPort("203.0.113.7:8801")
+	a, b, c := netip.MustParseAddrPort("10.8.1.2:52000"), netip.MustParseAddrPort("10.8.7.7:61000"), netip.MustParseAddrPort("10.8.9.9:40000")
+	start := time.Date(2022, 5, 5, 10, 0, 0, 0, time.UTC)
+	var bld layers.Builder
+	add := func(at time.Duration, src, dst netip.AddrPort, dir uint8, mt zoom.MediaType, ssrc uint32, pt uint8, seq uint16, ts uint32) {
+		zp := zoom.Packet{
+			ServerBased: true,
+			SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: seq, Direction: dir},
+			Media:       zoom.MediaEncap{Type: mt, Sequence: seq, Timestamp: ts, FrameSequence: seq, PacketsInFrame: 1},
+			RTP: rtp.Packet{
+				Header:  rtp.Header{PayloadType: pt, SequenceNumber: seq, Timestamp: ts, SSRC: ssrc, Marker: true},
+				Payload: make([]byte, 200),
+			},
+		}
+		payload, err := zp.Marshal()
+		if err != nil {
+			panic(err)
+		}
+		recs = append(recs, pcap.Record{Timestamp: start.Add(at), Data: bytes.Clone(bld.BuildUDP(src, dst, 64, payload))})
+	}
+	const frame, ticks = 33 * time.Millisecond, 2970 // one 30 fps frame on the wall and RTP clocks
+	for i := 0; i < 50; i++ {
+		add(time.Duration(i)*frame, a, sfu, zoom.DirToSFU, zoom.TypeVideo, 100, 98, uint16(i), uint32(1000+i*ticks))
+	}
+	idle := 49 * frame
+	for i := 0; i < 4300; i++ {
+		add(idle+50*time.Millisecond+time.Duration(i)*300*time.Microsecond, c, sfu, zoom.DirToSFU, zoom.TypeAudio, 200, 112, uint16(i), uint32(i*320))
+	}
+	for i := 0; i < 30; i++ {
+		add(idle+1550*time.Millisecond+time.Duration(i)*frame, sfu, b, zoom.DirFromSFU, zoom.TypeVideo, 100, 98, uint16(50+i), uint32(1000+49*ticks+135000+i*ticks))
+	}
+	return recs, Config{
+		ZoomNetworks:   []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
+		CampusNetworks: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+	}
+}
+
+// checkShortTTLDedup is the row for a FlowTTL far shorter than the
+// linkage window: idle eviction of per-flow state must not reach into
+// the cross-flow duplicate detector, which ages on its own window and on
+// the observation sequence alone. The meetings and the detector's
+// records, unified IDs included, are the same in all three tiers and the
+// same as with no TTL at all.
+func checkShortTTLDedup(t *testing.T) {
+	recs, cfg := lateCopyTrace()
+	view := func(a *Analyzer) string {
+		noClient := func(layers.FiveTuple) netip.AddrPort { return netip.AddrPort{} }
+		return fmt.Sprintf("meetings %+v\nrecords %+v", a.Meetings(), a.Dedup.Records(noClient))
+	}
+	run := func(cfg Config, workers int) *Analyzer {
+		eng := newEngineFor(cfg, workers)
+		for _, rec := range recs {
+			eng.Packet(rec.Timestamp, rec.Data)
+		}
+		eng.Finish()
+		return eng.Result()
+	}
+	ref := run(cfg, 1)
+	want := view(ref)
+	if ms := ref.Meetings(); len(ms) != 2 || len(ms[0].Clients) != 2 {
+		t.Fatalf("without a TTL the late copy must join its original's meeting (2 meetings, the first with both clients); got %+v", ms)
+	}
+	cfg.FlowTTL = 500 * time.Millisecond
+	for _, workers := range []int{1, 2, 4} {
+		a := run(cfg, workers)
+		if workers == 1 && a.Summary().EvictedStreams == 0 {
+			t.Fatal("the TTL never evicted the idle original: the trace does not exercise the cadence")
+		}
+		if got := view(a); got != want {
+			t.Errorf("workers=%d at FlowTTL %v diverges from the run without a TTL:\n got %s\nwant %s", workers, cfg.FlowTTL, got, want)
+		}
+	}
+	if got := view(clusterMerge(t, cfg, recs, 2, -1)); got != want {
+		t.Errorf("2-way cluster merge at FlowTTL %v diverges from the run without a TTL:\n got %s\nwant %s", cfg.FlowTTL, got, want)
+	}
 }
 
 // TestProtoZoomOnlyUnchanged pins the refactor's backward-compatibility

@@ -10,8 +10,9 @@ package zoomlens
 // cheaper than full snapshots at production stream counts.
 //
 // Plain `go test` runs a laptop-scale shape; `make soak-smoke` sets
-// BENCH_SOAK_OUT to run the full 100k-stream shape and snapshot the
-// numbers into BENCH_soak.json.
+// BENCH_SOAK_OUT to run the full 100k-stream shape and write its numbers
+// there (a temp file, unless the caller names a path; `make bench`
+// names BENCH_soak.json).
 
 import (
 	"bufio"
@@ -25,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"zoomlens/internal/cliobs"
 	"zoomlens/internal/engine"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
@@ -100,7 +100,7 @@ func TestBenchSoakJSON(t *testing.T) {
 	span := time.Duration(packets) * gcfg.Interval
 	dir := t.TempDir()
 	f := &engine.Flags{
-		Obs:                &cliobs.Flags{},
+		Obs:                &engine.ObsFlags{},
 		Workers:            4,
 		Checkpoint:         dir + "/state.zlcp",
 		CheckpointInterval: span / 6,

@@ -43,27 +43,18 @@ package zoomlens
 
 import (
 	"io"
-	"net"
-	"net/http"
 	"net/netip"
 
 	"zoomlens/internal/analysis"
 	"zoomlens/internal/capture"
 	"zoomlens/internal/core"
 	"zoomlens/internal/entropy"
-	"zoomlens/internal/flow"
 	"zoomlens/internal/infra"
-	"zoomlens/internal/media"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/obs"
-	"zoomlens/internal/pcap"
-	"zoomlens/internal/qos"
 	"zoomlens/internal/rtp"
 	"zoomlens/internal/sim"
-	"zoomlens/internal/stun"
-	"zoomlens/internal/tcprtt"
 	"zoomlens/internal/trace"
 	"zoomlens/internal/zoom"
 )
@@ -83,11 +74,6 @@ type (
 	Config = core.Config
 	// Summary is the Table 6 style capture roll-up.
 	Summary = core.Summary
-	// MeetingReport rolls stream metrics up to meetings and
-	// participants, localizing degradation (§4.3's motivation).
-	MeetingReport = core.MeetingReport
-	// ParticipantReport is the per-participant quality roll-up.
-	ParticipantReport = core.ParticipantReport
 )
 
 // NewAnalyzer builds the end-to-end pipeline.
@@ -108,67 +94,14 @@ func RestoreAnalyzer(r io.Reader, cfg Config) (Engine, error) {
 	return core.RestoreAnalyzer(r, cfg)
 }
 
-// Live observability (metrics endpoint, stage tracing, QoE snapshots).
+// Live observability (metric handles, QoE snapshots).
 type (
-	// MetricsRegistry collects the pipeline's counters, gauges, and
-	// histograms; wire one through Config.Obs and serve it with
-	// ServeMetrics.
-	MetricsRegistry = obs.Registry
-	// MetricLabel is one name=value label on a metric handle.
-	MetricLabel = obs.Label
 	// MetricCounter is a monotonically increasing metric handle.
 	MetricCounter = obs.Counter
-	// MetricGauge is a settable instantaneous metric handle.
-	MetricGauge = obs.Gauge
-	// Tracer receives per-stage wall-clock timings (Config.Tracer).
-	Tracer = obs.Tracer
-	// StageStats is an in-memory Tracer that renders a timing report.
-	StageStats = obs.StageStats
-	// MultiTracer fans stage timings out to several tracers.
-	MultiTracer = obs.MultiTracer
 	// MeetingSnapshot is one meeting's rolling QoE state, emitted as one
 	// JSON line per meeting per snapshot interval.
 	MeetingSnapshot = core.MeetingSnapshot
-	// SnapshotWriter emits JSON-line snapshots on a trace-time cadence.
-	SnapshotWriter = core.SnapshotWriter
 )
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewStageStats builds an in-memory stage-timing tracer.
-func NewStageStats() *StageStats { return obs.NewStageStats() }
-
-// NewRegistryTracer builds a Tracer that records stage timings as
-// counters and histograms in the registry.
-func NewRegistryTracer(reg *MetricsRegistry) Tracer { return obs.NewRegistryTracer(reg) }
-
-// ServeMetrics starts an HTTP endpoint on addr exposing the registry in
-// Prometheus text format at /metrics, plus expvar and net/http/pprof.
-// It returns the server and the bound address (useful with port 0).
-func ServeMetrics(addr string, reg *MetricsRegistry) (*http.Server, net.Addr, error) {
-	return obs.Serve(addr, reg)
-}
-
-// StageTimer times one stage under tr (nil-safe): call the returned
-// function when the stage completes.
-func StageTimer(tr Tracer, stage string) func() { return obs.Stage(tr, stage) }
-
-// Production hardening (bounded state, panic containment).
-type (
-	// Quarantine is the forensic ring buffer of frames whose processing
-	// panicked; see Config.Quarantine.
-	Quarantine = core.Quarantine
-	// QuarantinedFrame is one captured offender in a Quarantine.
-	QuarantinedFrame = core.QuarantinedFrame
-	// FinishedStream is an archived, finalized stream (Compact / idle
-	// eviction).
-	FinishedStream = core.FinishedStream
-)
-
-// NewQuarantine builds a forensic frame ring holding up to capacity
-// frames (a default capacity if capacity <= 0).
-func NewQuarantine(capacity int) *Quarantine { return core.NewQuarantine(capacity) }
 
 // Zoom wire format (§4.2).
 type (
@@ -182,8 +115,6 @@ type (
 	MediaType = zoom.MediaType
 	// Substream classifies (media type, RTP payload type) pairs.
 	Substream = zoom.Substream
-	// StreamKey identifies a media stream within a flow.
-	StreamKey = zoom.StreamKey
 )
 
 // Media encapsulation type values (Table 2).
@@ -207,105 +138,23 @@ type (
 	Filter = capture.Filter
 	// FilterConfig parameterizes the filter.
 	FilterConfig = capture.Config
-	// Verdict is a filter decision.
-	Verdict = capture.Verdict
-	// Anonymizer hides campus addresses with a keyed one-way hash.
-	Anonymizer = capture.Anonymizer
-	// PipelineModel is the Tofino resource model behind Table 5.
-	PipelineModel = capture.PipelineModel
 )
 
 // NewFilter builds the capture filter.
 func NewFilter(cfg FilterConfig) *Filter { return capture.NewFilter(cfg) }
 
-// NewAnonymizer builds a keyed address anonymizer.
-func NewAnonymizer(key []byte, campus []netip.Prefix) *Anonymizer {
-	return capture.NewAnonymizer(key, campus)
-}
-
-// Stream and meeting structure (§4.3, Figure 6).
-type (
-	// FlowTable tracks flows, streams, and substreams.
-	FlowTable = flow.Table
-	// StreamStats is per-stream accounting.
-	StreamStats = flow.StreamStats
-	// MediaStreamID identifies one observed stream.
-	MediaStreamID = flow.MediaStreamID
-	// Dedup detects stream copies (grouping step 1).
-	Dedup = meeting.Dedup
-	// Meeting is an inferred meeting (grouping step 2).
-	Meeting = meeting.Meeting
-	// UnifiedID identifies a logical stream across copies.
-	UnifiedID = meeting.UnifiedID
-)
-
-// NewFlowTable returns an empty flow/stream table.
-func NewFlowTable() *FlowTable { return flow.NewTable() }
-
-// NewDedup returns a duplicate-stream detector.
-func NewDedup() *Dedup { return meeting.NewDedup() }
-
 // Metrics (§5).
 type (
 	// StreamMetrics computes every per-stream metric of Table 4.
 	StreamMetrics = metrics.StreamMetrics
-	// Series is a metric time series.
-	Series = metrics.Series
 	// Sample is one metric sample.
 	Sample = metrics.Sample
-	// CopyMatcher produces RTT samples from stream copies (§5.3).
-	CopyMatcher = metrics.CopyMatcher
-	// TCPRTTTracker measures control-connection RTTs (§5.3 method 2).
-	TCPRTTTracker = tcprtt.Tracker
 	// Frame is one reassembled media frame.
 	Frame = metrics.Frame
-	// StallDetector predicts playback stalls from frame delay vs
-	// packetization time (§5.5).
-	StallDetector = metrics.StallDetector
-	// TalkTracker quantifies speaking time from the audio substream
-	// split (§4.2.3).
-	TalkTracker = metrics.TalkTracker
-	// TalkStats summarizes a participant's speaking behaviour.
-	TalkStats = metrics.TalkStats
-	// ClockRateEstimate is the §5.2 clock-rate sweep result.
-	ClockRateEstimate = metrics.ClockRateEstimate
-	// FrameObservation is one (arrival, RTP timestamp) pair.
-	FrameObservation = metrics.FrameObservation
 )
 
-// InferClockRate sweeps candidate RTP clock rates over frame
-// observations — the §5.2 methodology that discovered Zoom's 90 kHz
-// video clock.
-func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
-	return metrics.InferClockRate(frames)
-}
-
-// GenerateLuaDissector emits the Wireshark plugin (Appendix C),
-// generated from the implemented wire format.
-func GenerateLuaDissector() string { return zoom.GenerateLuaDissector() }
-
-// GenerateP4 emits the capture-filter P4 program (§6.1, Figure 13) for
-// the given server prefixes.
-func GenerateP4(zoomNets []netip.Prefix, p2pTableEntries int) string {
-	return capture.GenerateP4(zoomNets, p2pTableEntries)
-}
-
-// NewStreamMetrics builds a per-stream metric engine.
-func NewStreamMetrics(mt MediaType) *StreamMetrics { return metrics.NewStreamMetrics(mt) }
-
-// Protocol codecs.
-type (
-	// RTPPacket is a decoded RTP packet.
-	RTPPacket = rtp.Packet
-	// RTCPCompound is a decoded RTCP compound packet.
-	RTCPCompound = rtp.CompoundPacket
-	// STUNMessage is a decoded STUN message.
-	STUNMessage = stun.Message
-	// PcapReader reads classic libpcap streams.
-	PcapReader = pcap.Reader
-	// PcapWriter writes classic libpcap streams.
-	PcapWriter = pcap.Writer
-)
+// RTPPacket is a decoded RTP packet.
+type RTPPacket = rtp.Packet
 
 // Entropy-based header analysis (§4.2.1, Figures 3–5).
 type (
@@ -335,20 +184,12 @@ type (
 	WorldOptions = sim.Options
 	// SimClient is one simulated participant endpoint.
 	SimClient = sim.Client
-	// SimMeeting is one simulated meeting.
-	SimMeeting = sim.Meeting
 	// MediaSet selects the media a participant sends.
 	MediaSet = sim.MediaSet
 	// Congestion is a scheduled link impairment episode.
 	Congestion = netsim.Congestion
-	// QoSRecorder is the SDK-like ground-truth statistics log.
-	QoSRecorder = qos.Recorder
 	// CampusConfig shapes a campus-scale workload.
 	CampusConfig = trace.Config
-	// MeetingPlan is one scheduled campus meeting.
-	MeetingPlan = trace.MeetingPlan
-	// VideoConfig parameterizes the video source model.
-	VideoConfig = media.VideoConfig
 )
 
 // NewWorld builds a simulated campus world.
@@ -363,9 +204,6 @@ func DefaultMediaSet() MediaSet { return sim.DefaultMediaSet() }
 // DefaultCampusConfig is a laptop-scale 12-hour campus day.
 func DefaultCampusConfig() CampusConfig { return trace.DefaultConfig() }
 
-// CampusSchedule draws a meeting plan for a campus day.
-func CampusSchedule(cfg CampusConfig) []MeetingPlan { return trace.Schedule(cfg) }
-
 // Statistics toolkit.
 type (
 	// CDF is an empirical distribution.
@@ -377,22 +215,11 @@ type (
 // NewCDF builds an empirical CDF.
 func NewCDF(samples []float64) *CDF { return analysis.NewCDF(samples) }
 
-// PlotCDFs renders labeled CDFs as an ASCII chart (the terminal
-// rendering of the Figure 15 panels).
-func PlotCDFs(series map[string]*CDF, xMax float64, width, height int) string {
-	return analysis.PlotCDFs(series, xMax, width, height)
-}
-
 // Pearson computes the correlation coefficient of paired samples.
 func Pearson(x, y []float64) float64 { return analysis.Pearson(x, y) }
 
-// Infrastructure survey (Appendix B, Table 7).
-type (
-	// Inventory is the modeled Zoom server footprint.
-	Inventory = infra.Inventory
-	// SurveyResult is the Table 7 reproduction.
-	SurveyResult = infra.SurveyResult
-)
+// Inventory is the modeled Zoom server footprint (Appendix B, Table 7).
+type Inventory = infra.Inventory
 
 // BuildInventory constructs the synthetic Zoom footprint.
 func BuildInventory(seed int64) *Inventory { return infra.Build(seed) }
