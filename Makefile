@@ -33,13 +33,14 @@ bench:
 	$(MAKE) qoe-smoke PREDICT_OUT=$(CURDIR)/BENCH_predict.json
 	$(MAKE) soak-smoke SOAK_OUT=$(CURDIR)/BENCH_soak.json
 
-# One iteration of the pipeline benchmark (catches a broken perf
-# harness without paying for a real measurement run) plus the
-# parallel-vs-sequential throughput tripwire at its conservative smoke
-# floor.
+# One iteration of the pipeline benchmark and of the per-stream metric
+# layer's own (catches a broken perf harness without paying for a real
+# measurement run) plus the parallel-vs-sequential throughput tripwire at
+# its conservative smoke floor.
 bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkAnalyzerPipeline -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkIngestPath -benchtime 1x .
+	$(GO) test -run XXX -bench 'BenchmarkStreamMetricsObserve|BenchmarkSeqTrackerObserve' -benchmem -benchtime 1x ./internal/metrics/ ./internal/rtp/
 	BENCH_RATIO_SMOKE=1 $(GO) test -count=1 -run TestIngestWorkerRatioSmoke -v .
 
 # bench_out runs command $(3) with environment variable $(1) naming the
@@ -140,10 +141,12 @@ soak-smoke:
 # and the prefix-set target holds the merged-range search to the plain
 # netip.Prefix.Contains scan it replaced. The observation-log target
 # feeds the ZLOB reader — a file from another process — torn, mistagged
-# and misversioned logs.
+# and misversioned logs. The sequence-tracker target walks the duplicate
+# window with arbitrary sequence numbers.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzRTPParse -fuzztime=$(FUZZTIME) ./internal/rtp/
+	$(GO) test -fuzz=FuzzSeqTracker -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -fuzz=FuzzSTUNParse -fuzztime=$(FUZZTIME) ./internal/stun/
 	$(GO) test -fuzz=FuzzLayersParse -fuzztime=$(FUZZTIME) ./internal/layers/
 	$(GO) test -fuzz=FuzzWebRTCParse -fuzztime=$(FUZZTIME) ./internal/webrtc/
@@ -169,7 +172,9 @@ examples:
 # fields core.Config and methods core.Engine have. Then the hand-built
 # concurrency in non-test code, so any creeping back is a visible number:
 # `go` statements (the shard workers and the metrics server) and
-# sync/atomic importers (internal/obs). Then the size of the tools.
+# sync/atomic importers (internal/obs). Then the size of the tools, and
+# of the per-stream accumulators with the maps left in them (ROADMAP 1(d):
+# StreamMetrics.subs, report-time bins and sets, the CopyMatcher's three).
 #
 # Last, three counts for "configuration is not state" and the surface
 # diet. (1) Tunables serialized by a Code walk, which must stay 0. The
@@ -199,6 +204,8 @@ loc:
 	@grep -rhE '^[[:space:]]*go [a-zA-Z(]' --include='*.go' --exclude='*_test.go' internal cmd *.go | wc -l | xargs echo "go statements in non-test code:"
 	@grep -rlE '"sync/atomic"' --include='*.go' --exclude='*_test.go' internal cmd *.go | wc -l | xargs echo "sync/atomic importers in non-test code:"
 	@cat $$(ls cmd/*/*.go | grep -v _test.go) | wc -l | xargs echo "cmd non-test lines:"
+	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | wc -l | xargs echo "internal/rtp + internal/metrics non-test lines:"
+	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/rtp + internal/metrics non-test code:"
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"
 	@d=$$(mktemp) u=$$(mktemp); \

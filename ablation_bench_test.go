@@ -275,9 +275,9 @@ func BenchmarkAblationFrameRateMethods(b *testing.B) {
 		w := v.CongestionWindows[1]
 		for _, s := range v.EstimatedFPS {
 			switch {
-			case s.Time.Before(w.Start) && s.Time.After(w.Start.Add(-20*time.Second)):
+			case s.Time().Before(w.Start) && s.Time().After(w.Start.Add(-20*time.Second)):
 				pre = append(pre, s.Value)
-			case s.Time.After(w.Start) && s.Time.Before(w.End):
+			case s.Time().After(w.Start) && s.Time().Before(w.End):
 				during = append(during, s.Value)
 			}
 		}

@@ -185,21 +185,21 @@ func fpsSeriesSummary(v *ValidationResult) string {
 	body := "t[s]  est-fps  qos-fps\n"
 	qos := map[int64]float64{}
 	for _, s := range v.QoSFPS {
-		qos[s.Time.Unix()] = s.Value
+		qos[s.Time().Unix()] = s.Value
 	}
 	if len(v.EstimatedFPS) == 0 {
 		return body
 	}
-	t0 := v.EstimatedFPS[0].Time.Unix()
+	t0 := v.EstimatedFPS[0].Time().Unix()
 	for i, s := range v.EstimatedFPS {
 		if i%15 != 0 {
 			continue
 		}
-		q, ok := qos[s.Time.Unix()]
+		q, ok := qos[s.Time().Unix()]
 		if !ok {
 			continue
 		}
-		body += fmt.Sprintf("%4d  %7.1f  %7.1f\n", s.Time.Unix()-t0, s.Value, q)
+		body += fmt.Sprintf("%4d  %7.1f  %7.1f\n", s.Time().Unix()-t0, s.Value, q)
 	}
 	return body
 }
@@ -302,7 +302,7 @@ func BenchmarkFig14MediaBitRate(b *testing.B) {
 		for mt, ss := range series {
 			idx[mt] = map[int64]float64{}
 			for _, s := range ss {
-				idx[mt][s.Time.Unix()] = s.Value
+				idx[mt][s.Time().Unix()] = s.Value
 			}
 		}
 		start := r.Cfg.Start.Unix()

@@ -14,6 +14,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"zoomlens/internal/pcap"
 )
@@ -54,6 +55,56 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 	raw, ngRaw := ingestTrace(t)
 	_, _, cfg := benchTrace(t)
 
+	differential := func(t *testing.T, recs []pcap.Record, workers int) {
+		// The uninterrupted reference run.
+		ref := newEngineFor(cfg, workers)
+		for _, rec := range recs {
+			ref.Packet(rec.Timestamp, rec.Data)
+		}
+		ref.Finish()
+		want := renderReport(ref.Result())
+		if !strings.Contains(want, "stream ") {
+			t.Fatalf("reference report is streamless:\n%.400s", want)
+		}
+
+		// Checkpoint at several cut points, including pathological
+		// ones (before any packet, after the last).
+		cuts := []int{0, 1, len(recs) / 3, len(recs) / 2, 2 * len(recs) / 3, len(recs) - 1, len(recs)}
+		for _, cut := range cuts {
+			first := newEngineFor(cfg, workers)
+			for _, rec := range recs[:cut] {
+				first.Packet(rec.Timestamp, rec.Data)
+			}
+			var ckpt bytes.Buffer
+			if err := first.Checkpoint(&ckpt); err != nil {
+				t.Fatalf("cut=%d: checkpoint: %v", cut, err)
+			}
+
+			// A second checkpoint of untouched state must be
+			// byte-identical (deterministic encoding).
+			var again bytes.Buffer
+			if err := first.Checkpoint(&again); err != nil {
+				t.Fatalf("cut=%d: re-checkpoint: %v", cut, err)
+			}
+			if !bytes.Equal(ckpt.Bytes(), again.Bytes()) {
+				t.Fatalf("cut=%d: repeated checkpoint of identical state differs", cut)
+			}
+
+			resumed, err := RestoreAnalyzer(bytes.NewReader(ckpt.Bytes()), cfg)
+			if err != nil {
+				t.Fatalf("cut=%d: restore: %v", cut, err)
+			}
+			for _, rec := range recs[cut:] {
+				resumed.Packet(rec.Timestamp, rec.Data)
+			}
+			resumed.Finish()
+			if got := renderReport(resumed.Result()); got != want {
+				t.Errorf("cut=%d: restored report diverges from uninterrupted run (lens %d vs %d)",
+					cut, len(got), len(want))
+			}
+		}
+	}
+
 	for _, input := range []struct {
 		name string
 		data []byte
@@ -65,58 +116,20 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 		if len(recs) < 100 {
 			t.Fatalf("%s trace too short for a meaningful split: %d packets", input.name, len(recs))
 		}
-
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", input.name, workers), func(t *testing.T) {
-				// The uninterrupted reference run.
-				ref := newEngineFor(cfg, workers)
-				for _, rec := range recs {
-					ref.Packet(rec.Timestamp, rec.Data)
-				}
-				ref.Finish()
-				want := renderReport(ref.Result())
-				if !strings.Contains(want, "stream ") {
-					t.Fatalf("reference report is streamless:\n%.400s", want)
-				}
-
-				// Checkpoint at several cut points, including pathological
-				// ones (before any packet, after the last).
-				cuts := []int{0, 1, len(recs) / 3, len(recs) / 2, 2 * len(recs) / 3, len(recs) - 1, len(recs)}
-				for _, cut := range cuts {
-					first := newEngineFor(cfg, workers)
-					for _, rec := range recs[:cut] {
-						first.Packet(rec.Timestamp, rec.Data)
-					}
-					var ckpt bytes.Buffer
-					if err := first.Checkpoint(&ckpt); err != nil {
-						t.Fatalf("cut=%d: checkpoint: %v", cut, err)
-					}
-
-					// A second checkpoint of untouched state must be
-					// byte-identical (deterministic encoding).
-					var again bytes.Buffer
-					if err := first.Checkpoint(&again); err != nil {
-						t.Fatalf("cut=%d: re-checkpoint: %v", cut, err)
-					}
-					if !bytes.Equal(ckpt.Bytes(), again.Bytes()) {
-						t.Fatalf("cut=%d: repeated checkpoint of identical state differs", cut)
-					}
-
-					resumed, err := RestoreAnalyzer(bytes.NewReader(ckpt.Bytes()), cfg)
-					if err != nil {
-						t.Fatalf("cut=%d: restore: %v", cut, err)
-					}
-					for _, rec := range recs[cut:] {
-						resumed.Packet(rec.Timestamp, rec.Data)
-					}
-					resumed.Finish()
-					if got := renderReport(resumed.Result()); got != want {
-						t.Errorf("cut=%d: restored report diverges from uninterrupted run (lens %d vs %d)",
-							cut, len(got), len(want))
-					}
-				}
+				differential(t, recs, workers)
 			})
 		}
+		// Once more on a host whose zone is not UTC. The capture readers
+		// stamp UTC, so every clock time a report prints (series seconds,
+		// RTT samples, meeting spans) must come back from a checkpoint as
+		// UTC too, not as the restoring host's local time.
+		t.Run(input.name+"/workers=2/local=UTC-5", func(t *testing.T) {
+			defer func(l *time.Location) { time.Local = l }(time.Local)
+			time.Local = time.FixedZone("UTC-5", -5*60*60)
+			differential(t, recs, 2)
+		})
 	}
 }
 

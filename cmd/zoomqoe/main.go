@@ -65,20 +65,20 @@ func main() {
 			if len(origin) == 0 {
 				continue
 			}
-			start := origin[0].Time
+			start := origin[0].Time()
 			rate := sm.MediaRate.Bin(start, time.Second, "mean")
 			fps := index(sm.FrameRate.Bin(start, time.Second, "last"))
 			enc := index(sm.EncoderRate.Bin(start, time.Second, "mean"))
 			size := index(sm.FrameSize.Bin(start, time.Second, "mean"))
 			jit := index(sm.JitterMS.Bin(start, time.Second, "mean"))
 			for _, s := range rate {
-				sec := s.Time.Unix()
+				sec := s.Time().Unix()
 				w.Write([]string{
 					strconv.FormatUint(uint64(id.Key.SSRC), 10),
 					rtcproto.NameOf(id.Key.Proto),
 					id.Key.Type.String(),
 					id.Flow.String(),
-					s.Time.Format("15:04:05"),
+					s.Time().Format("15:04:05"),
 					fmt.Sprintf("%.1f", s.Value/1000),
 					fmt.Sprintf("%.1f", fps[sec]),
 					fmt.Sprintf("%.1f", enc[sec]),
@@ -173,7 +173,7 @@ func main() {
 func index(samples []zoomlens.Sample) map[int64]float64 {
 	out := make(map[int64]float64, len(samples))
 	for _, s := range samples {
-		out[s.Time.Unix()] = s.Value
+		out[s.Time().Unix()] = s.Value
 	}
 	return out
 }

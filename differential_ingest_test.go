@@ -18,8 +18,8 @@ import (
 )
 
 // renderReport flattens everything the CLIs print into one string:
-// summary, per-stream loss stats, per-flow counters, meetings, and
-// participant roll-ups.
+// summary, per-stream loss stats, series and talk time, RTT samples,
+// per-flow counters, meetings, and participant roll-ups.
 func renderReport(a *Analyzer) string {
 	var b strings.Builder
 	s := a.Summary()
@@ -30,11 +30,20 @@ func renderReport(a *Analyzer) string {
 		fmt.Fprintf(&b, "stream %d %s %s %s pkts=%d media=%d frames=%d loss=%+v\n",
 			id.Key.SSRC, rtcproto.NameOf(id.Key.Proto), id.Key.Type, id.Flow, sm.Packets, sm.MediaBytes, sm.FramesTotal, ls)
 		for _, smp := range sm.MediaRate.Samples {
-			fmt.Fprintf(&b, "  rate %s %.6f\n", smp.Time.Format("15:04:05.000000000"), smp.Value)
+			fmt.Fprintf(&b, "  rate %s %.6f\n", smp.Time().Format("15:04:05.000000000"), smp.Value)
 		}
 		for _, smp := range sm.JitterMS.Samples {
-			fmt.Fprintf(&b, "  jit %s %.6f\n", smp.Time.Format("15:04:05.000000000"), smp.Value)
+			fmt.Fprintf(&b, "  jit %s %.6f\n", smp.Time().Format("15:04:05.000000000"), smp.Value)
 		}
+		if sm.Talk != nil {
+			fmt.Fprintf(&b, "  talk %+v\n", sm.Talk.Stats())
+			for _, seg := range sm.Talk.Segments() {
+				fmt.Fprintf(&b, "  spoke %s..%s\n", seg.Start.Format("15:04:05.000"), seg.End.Format("15:04:05.000"))
+			}
+		}
+	}
+	for _, smp := range a.Copies.Samples {
+		fmt.Fprintf(&b, "rtt %s %v %d\n", smp.Time.Format("15:04:05.000"), smp.RTT, smp.Unified)
 	}
 	for _, fl := range a.Flows.Flows() {
 		fmt.Fprintf(&b, "flow %s pkts=%d bytes=%d sb=%d p2p=%d\n",
@@ -52,34 +61,37 @@ func renderReport(a *Analyzer) string {
 	return b.String()
 }
 
+// replayCapture runs a serialized capture through the zero-copy ingest
+// loop into a sequential (workers 1) or sharded engine and returns the
+// finished result.
+func replayCapture(t *testing.T, serialized []byte, cfg Config, workers int) *Analyzer {
+	t.Helper()
+	s, err := pcap.OpenStream(bytes.NewReader(serialized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngineFor(cfg, workers)
+	var rec pcap.Record
+	for {
+		err := s.NextInto(&rec)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Packet(rec.Timestamp, rec.Data)
+	}
+	eng.Finish()
+	return eng.Result()
+}
+
 func TestIngestDifferentialWorkers(t *testing.T) {
 	raw, ngRaw := ingestTrace(t)
 	_, _, cfg := benchTrace(t)
 
 	replay := func(serialized []byte, workers int) string {
-		s, err := pcap.OpenStream(bytes.NewReader(serialized))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eng Engine
-		if workers > 1 {
-			eng = NewParallelAnalyzer(cfg, workers)
-		} else {
-			eng = NewAnalyzer(cfg)
-		}
-		var rec pcap.Record
-		for {
-			err := s.NextInto(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Packet(rec.Timestamp, rec.Data)
-		}
-		eng.Finish()
-		return renderReport(eng.Result())
+		return renderReport(replayCapture(t, serialized, cfg, workers))
 	}
 
 	want := replay(raw, 1)

@@ -59,7 +59,7 @@ func main() {
 	for mt, ss := range series {
 		idx[mt] = map[int64]float64{}
 		for _, s := range ss {
-			idx[mt][s.Time.Unix()] = s.Value
+			idx[mt][s.Time().Unix()] = s.Value
 		}
 	}
 	fmt.Println("  time      video   audio  screen")

@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("  t[s]   estimate   zoom-qos")
 	qosFPS := map[int64]float64{}
 	for _, s := range v.QoSFPS {
-		qosFPS[s.Time.Unix()] = s.Value
+		qosFPS[s.Time().Unix()] = s.Value
 	}
 	inCongestion := func(t time.Time) string {
 		for _, w := range v.CongestionWindows {
@@ -38,18 +38,18 @@ func main() {
 	}
 	var start time.Time
 	if len(v.EstimatedFPS) > 0 {
-		start = v.EstimatedFPS[0].Time
+		start = v.EstimatedFPS[0].Time()
 	}
 	var mae = v.FPSMae
 	for i, s := range v.EstimatedFPS {
 		if i%10 != 0 {
 			continue
 		}
-		q, ok := qosFPS[s.Time.Unix()]
+		q, ok := qosFPS[s.Time().Unix()]
 		if !ok {
 			continue
 		}
-		fmt.Printf("  %4d   %8.1f   %8.1f%s\n", int(s.Time.Sub(start).Seconds()), s.Value, q, inCongestion(s.Time))
+		fmt.Printf("  %4d   %8.1f   %8.1f%s\n", int(s.Time().Sub(start).Seconds()), s.Value, q, inCongestion(s.Time()))
 	}
 	fmt.Printf("  mean absolute error: %.2f fps\n\n", mae)
 

@@ -7,6 +7,7 @@ import (
 	"zoomlens/internal/analysis"
 	"zoomlens/internal/entropy"
 	"zoomlens/internal/layers"
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/sim"
 	"zoomlens/internal/stun"
@@ -94,7 +95,7 @@ func binsToSeries(bins map[int64]float64) []Sample {
 	}
 	out := make([]Sample, 0, max-min+1)
 	for k := min; k <= max; k++ {
-		out = append(out, Sample{Time: time.Unix(k, 0).UTC(), Value: bins[k]})
+		out = append(out, Sample{At: k * int64(time.Second), Value: bins[k]})
 	}
 	return out
 }
@@ -111,7 +112,7 @@ func (r *CampusResult) MediaRateSeries() map[MediaType][]Sample {
 			agg[id.Key.Type] = m
 		}
 		for _, s := range sm.MediaRate.Samples {
-			m[s.Time.Unix()] += s.Value / 1e6
+			m[s.Time().Unix()] += s.Value / 1e6
 		}
 	}
 	out := map[MediaType][]Sample{}
@@ -187,19 +188,19 @@ func (r *CampusResult) JitterCorrelation() (rBitrate, rFrameRate float64, n int)
 		byTime := map[int64][3]float64{}
 		for _, s := range j {
 			if s.Value > 0 {
-				byTime[s.Time.Unix()] = [3]float64{s.Value, -1, -1}
+				byTime[s.Time().Unix()] = [3]float64{s.Value, -1, -1}
 			}
 		}
 		for _, s := range br {
-			if v, ok := byTime[s.Time.Unix()]; ok {
+			if v, ok := byTime[s.Time().Unix()]; ok {
 				v[1] = s.Value / 1e6
-				byTime[s.Time.Unix()] = v
+				byTime[s.Time().Unix()] = v
 			}
 		}
 		for _, s := range fr {
-			if v, ok := byTime[s.Time.Unix()]; ok {
+			if v, ok := byTime[s.Time().Unix()]; ok {
 				v[2] = s.Value
-				byTime[s.Time.Unix()] = v
+				byTime[s.Time().Unix()] = v
 			}
 		}
 		for _, v := range byTime {
@@ -303,19 +304,19 @@ func RunValidation(seconds int, seed int64) *ValidationResult {
 	res.EstimatedRTTMS = a.Copies.SeriesMS().Samples
 
 	for _, e := range bob.QoS().Entries {
-		res.QoSFPS = append(res.QoSFPS, Sample{Time: e.Time, Value: e.VideoFPS})
-		res.QoSLatencyMS = append(res.QoSLatencyMS, Sample{Time: e.Time, Value: e.LatencyMS})
-		res.QoSJitterMS = append(res.QoSJitterMS, Sample{Time: e.Time, Value: e.JitterMS})
+		res.QoSFPS = append(res.QoSFPS, Sample{At: metrics.Nanos(e.Time), Value: e.VideoFPS})
+		res.QoSLatencyMS = append(res.QoSLatencyMS, Sample{At: metrics.Nanos(e.Time), Value: e.LatencyMS})
+		res.QoSJitterMS = append(res.QoSJitterMS, Sample{At: metrics.Nanos(e.Time), Value: e.JitterMS})
 	}
 
 	// FPS accuracy: join estimate and truth on the second.
 	est := map[int64]float64{}
 	for _, s := range res.EstimatedFPS {
-		est[s.Time.Unix()] = s.Value
+		est[s.Time().Unix()] = s.Value
 	}
 	var e, q []float64
 	for _, s := range res.QoSFPS {
-		if v, ok := est[s.Time.Unix()]; ok {
+		if v, ok := est[s.Time().Unix()]; ok {
 			e = append(e, v)
 			q = append(q, s.Value)
 		}

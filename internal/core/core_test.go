@@ -221,9 +221,9 @@ func TestEndToEndJitterRisesUnderCongestion(t *testing.T) {
 		sm, _ := a.MetricsFor(id)
 		for _, s := range sm.JitterMS.Samples {
 			switch {
-			case s.Time.After(congStart.Add(3*time.Second)) && s.Time.Before(congEnd):
+			case s.Time().After(congStart.Add(3*time.Second)) && s.Time().Before(congEnd):
 				busy = append(busy, s.Value)
-			case s.Time.Before(congStart):
+			case s.Time().Before(congStart):
 				quiet = append(quiet, s.Value)
 			}
 		}

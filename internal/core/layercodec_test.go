@@ -203,6 +203,14 @@ var layerCases = []struct {
 			zp := videoPacket(7, uint16(900+phase), 1) // FEC substream: its own sequence space
 			zp.RTP.PayloadType = 110
 			sm.Observe(layerT0.Add(time.Duration(phase)*time.Second), 80, &zp.Media, &zp.RTP)
+			// Three frames that stay open (one packet of two each), so the
+			// record carries a part-filled sequence window, timestamp ring
+			// and open-frame list, and the delta extends all three.
+			for f := 0; f < 3; f++ {
+				zp := videoPacket(7, uint16(500+10*phase+f), uint32(100+10*phase+f)*3000)
+				zp.Media.PacketsInFrame = 2
+				sm.Observe(layerT0.Add(time.Duration(phase)*time.Second), 120, &zp.Media, &zp.RTP)
+			}
 		},
 		mark: func(coder) {},
 		two: func() coder {
@@ -213,8 +221,9 @@ var layerCases = []struct {
 			}
 			return sm
 		},
-		// The shared sequence tracker's seen set, {39000, 40000, 40001}:
-		// uvarints 40000 and 40001 (39000 keeps them out of the scalars).
+		// The open frame's distinct sequence numbers, {39000, 40000,
+		// 40001}: uvarints 40000 and 40001 (39000 keeps them out of the
+		// scalars).
 		keyA: []byte{0xc0, 0xb8, 0x02},
 		keyB: []byte{0xc1, 0xb8, 0x02},
 	},
@@ -290,6 +299,54 @@ func TestLayerCodecRejectsUnorderedKeys(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLayerCodecRejectsOverfullWindows: a stream record whose timestamp
+// ring or open-frame list claims more than its 64 entries, or whose
+// open-frame list names a frame twice, is rejected. The counts and
+// timestamps are found in a real record by the bytes around them.
+func TestLayerCodecRejectsOverfullWindows(t *testing.T) {
+	const tsA, tsB = 0x01020304, 0x01020305
+	sm := metrics.NewStreamMetrics(zoom.TypeVideo)
+	for i, ts := range []uint32{tsA, tsB} { // two frames, both left open
+		zp := videoPacket(7, uint16(i), ts)
+		zp.Media.PacketsInFrame = 2
+		sm.Observe(layerT0, 120, &zp.Media, &zp.RTP)
+	}
+	full := bytes.Clone(layerRecord(sm, true))
+	a, b := binary.AppendUvarint(nil, tsA), binary.AppendUvarint(nil, tsB)
+	two, sixtyFive := binary.AppendVarint(nil, 2), binary.AppendVarint(nil, 65)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// patch replaces old, which must follow before exactly once, by repl.
+	patch := func(before, old, repl []byte) []byte {
+		if bytes.Count(full, cat(before, old)) != 1 {
+			t.Fatalf("% x does not occur once in the record", cat(before, old))
+		}
+		return bytes.Replace(full, cat(before, old), cat(before, repl), 1)
+	}
+	// The ring: count, the timestamps oldest first, the newest. The
+	// assembler: newest timestamp, seen, count, then each frame from its
+	// timestamp, the first frame's fields starting with frame sequence 0
+	// and layerT0.
+	ringTail, listHead := cat(a, b, b), cat(b, []byte{1})
+	frameA := cat(a, []byte{0}, binary.AppendVarint(nil, layerT0.UnixNano()))
+	for _, tc := range []struct {
+		name, want string
+		rec        []byte
+	}{
+		{"unmodified", "", full},
+		{"ring of 65", "tsRing of 65", bytes.Replace(full, cat(two, ringTail), cat(sixtyFive, ringTail), 1)},
+		{"65 open frames", "65 open frames", patch(listHead, two, sixtyFive)},
+		{"open frame twice", "duplicate open frame", patch(cat(listHead, two), frameA, cat(b, frameA[len(a):]))},
+	} {
+		err := layerApply(new(metrics.StreamMetrics), tc.rec)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (!errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want ErrCorrupt (%s)", tc.name, err, tc.want)
+		}
 	}
 }
 

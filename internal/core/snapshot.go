@@ -93,16 +93,17 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		}
 	}
 
+	cutNS, nowNS := metrics.Nanos(cut), metrics.Nanos(now)
 	windowed := func(ser *metrics.Series) []metrics.Sample {
 		// Samples are appended in time order; take the tail inside
 		// (cut, now].
 		ss := ser.Samples
 		lo := len(ss)
-		for lo > 0 && ss[lo-1].Time.After(cut) {
+		for lo > 0 && ss[lo-1].At > cutNS {
 			lo--
 		}
 		hi := len(ss)
-		for hi > lo && ss[hi-1].Time.After(now) {
+		for hi > lo && ss[hi-1].At > nowNS {
 			hi--
 		}
 		return ss[lo:hi]

@@ -15,19 +15,19 @@ import (
 func TestBinPreOriginSample(t *testing.T) {
 	origin := time.Unix(1700000000, 0)
 	var s Series
-	s.Add(origin.Add(-500*time.Millisecond), 100) // belongs in bin -1
-	s.Add(origin.Add(200*time.Millisecond), 10)   // bin 0
-	s.Add(origin.Add(700*time.Millisecond), 20)   // bin 0
+	s.Add(Nanos(origin.Add(-500*time.Millisecond)), 100) // belongs in bin -1
+	s.Add(Nanos(origin.Add(200*time.Millisecond)), 10)   // bin 0
+	s.Add(Nanos(origin.Add(700*time.Millisecond)), 20)   // bin 0
 
 	got := s.Bin(origin, time.Second, "mean")
 	if len(got) != 2 {
 		t.Fatalf("got %d bins, want 2: %+v", len(got), got)
 	}
-	if want := origin.Add(-time.Second); !got[0].Time.Equal(want) || got[0].Value != 100 {
-		t.Errorf("bin -1 = %v/%v, want %v/100", got[0].Time, got[0].Value, want)
+	if want := origin.Add(-time.Second); !got[0].Time().Equal(want) || got[0].Value != 100 {
+		t.Errorf("bin -1 = %v/%v, want %v/100", got[0].Time(), got[0].Value, want)
 	}
-	if !got[1].Time.Equal(origin) || got[1].Value != 15 {
-		t.Errorf("bin 0 = %v/%v, want %v/15 (pre-origin sample leaked in?)", got[1].Time, got[1].Value, origin)
+	if !got[1].Time().Equal(origin) || got[1].Value != 15 {
+		t.Errorf("bin 0 = %v/%v, want %v/15 (pre-origin sample leaked in?)", got[1].Time(), got[1].Value, origin)
 	}
 }
 
@@ -37,15 +37,15 @@ func TestBinPreOriginSample(t *testing.T) {
 func TestBinPreOriginExactBoundary(t *testing.T) {
 	origin := time.Unix(1700000000, 0)
 	var s Series
-	s.Add(origin.Add(-2*time.Second), 7) // exactly bin -2
-	s.Add(origin, 3)                     // bin 0
+	s.Add(Nanos(origin.Add(-2*time.Second)), 7) // exactly bin -2
+	s.Add(Nanos(origin), 3)                     // bin 0
 
 	got := s.Bin(origin, time.Second, "sum")
 	if len(got) != 3 {
 		t.Fatalf("got %d bins, want 3: %+v", len(got), got)
 	}
-	if want := origin.Add(-2 * time.Second); !got[0].Time.Equal(want) || got[0].Value != 7 {
-		t.Errorf("bin -2 = %v/%v, want %v/7", got[0].Time, got[0].Value, want)
+	if want := origin.Add(-2 * time.Second); !got[0].Time().Equal(want) || got[0].Value != 7 {
+		t.Errorf("bin -2 = %v/%v, want %v/7", got[0].Time(), got[0].Value, want)
 	}
 	if got[1].Value != 0 {
 		t.Errorf("bin -1 = %v, want empty 0", got[1].Value)
@@ -82,11 +82,11 @@ func TestRateSeriesLongGapCapped(t *testing.T) {
 		t.Fatalf("MediaRate has %d samples after a 12h gap, want a handful", n)
 	}
 	// Both active seconds must still be represented.
-	times := map[time.Time]bool{}
+	times := map[int64]bool{}
 	for _, s := range sm.WireRate.Samples {
-		times[s.Time] = true
+		times[s.At] = true
 	}
-	if !times[start.Truncate(time.Second)] || !times[start.Add(12*time.Hour).Truncate(time.Second)] {
+	if !times[start.UnixNano()] || !times[start.Add(12*time.Hour).UnixNano()] {
 		t.Errorf("active seconds missing from rate series: %+v", sm.WireRate.Samples)
 	}
 }

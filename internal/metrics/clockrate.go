@@ -30,10 +30,10 @@ type ClockRateEstimate struct {
 	Frames int
 }
 
-// FrameObservation is one completed frame's (arrival time, RTP
-// timestamp) pair, in order.
+// FrameObservation is one completed frame's (arrival time in Unix
+// nanoseconds, RTP timestamp) pair, in order.
 type FrameObservation struct {
-	At time.Time
+	At int64
 	TS uint32
 }
 
@@ -51,7 +51,7 @@ func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
 	}
 	var deltas []delta
 	for i := 1; i < len(frames); i++ {
-		dt := frames[i].At.Sub(frames[i-1].At).Seconds()
+		dt := time.Duration(frames[i].At - frames[i-1].At).Seconds()
 		dc := float64(int32(frames[i].TS - frames[i-1].TS))
 		if dt <= 0 || dt > 2 || dc <= 0 {
 			continue

@@ -20,7 +20,7 @@ func framesAtClock(rate float64, fps float64, n int, jitter time.Duration, seed 
 		if jitter > 0 {
 			j = time.Duration(rng.Int63n(int64(jitter)))
 		}
-		out = append(out, FrameObservation{At: at.Add(j), TS: ts})
+		out = append(out, FrameObservation{At: Nanos(at.Add(j)), TS: ts})
 		at = at.Add(period)
 		ts += uint32(rate / fps)
 	}
@@ -63,7 +63,7 @@ func TestInferClockRateRejectsNoise(t *testing.T) {
 	at := t0
 	for i := 0; i < 100; i++ {
 		at = at.Add(time.Duration(1+rng.Intn(80)) * time.Millisecond)
-		frames = append(frames, FrameObservation{At: at, TS: rng.Uint32() % (1 << 20)})
+		frames = append(frames, FrameObservation{At: Nanos(at), TS: rng.Uint32() % (1 << 20)})
 	}
 	// Mostly decreasing/random timestamps: few usable transitions or a
 	// huge error either way.

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"zoomlens/internal/rtp"
@@ -18,10 +19,13 @@ type Frame struct {
 	RTPTimestamp uint32
 	// FrameSequence is the Zoom frame sequence number (video only).
 	FrameSequence uint16
+	// SawMarker reports whether the RTP marker bit was seen (set on the
+	// last packet of a frame).
+	SawMarker bool
 	// FirstPacket and Completed are the arrival times of the frame's
-	// first and last packet at the monitor.
-	FirstPacket time.Time
-	Completed   time.Time
+	// first and last packet at the monitor, in Unix nanoseconds.
+	FirstPacket int64
+	Completed   int64
 	// Packets is the number of distinct packets observed.
 	Packets int
 	// ExpectedPackets is the Zoom "# packets in frame" header value
@@ -30,14 +34,11 @@ type Frame struct {
 	// Bytes is the summed RTP payload size: the frame size metric of
 	// §5.2.
 	Bytes int
-	// SawMarker reports whether the RTP marker bit was seen (set on the
-	// last packet of a frame).
-	SawMarker bool
 }
 
 // Delay returns the frame delay of §5.5: time from first packet to full
 // delivery. High values indicate retransmissions within the frame.
-func (f *Frame) Delay() time.Duration { return f.Completed.Sub(f.FirstPacket) }
+func (f *Frame) Delay() time.Duration { return time.Duration(f.Completed - f.FirstPacket) }
 
 // FrameAssembler groups a substream's RTP packets into frames by RTP
 // timestamp and decides completion.
@@ -54,15 +55,16 @@ type FrameAssembler struct {
 	// Packets < ExpectedPackets (when the latter is known).
 	OnFrame func(Frame, bool) // (frame, complete)
 
-	open   map[uint32]*openFrame
-	order  []uint32 // insertion order of open frames
-	free   []*openFrame
+	// open holds the incomplete frames in the order they started, one to
+	// three in practice, so a packet finds its frame by scanning from the
+	// newest. Past len, up to cap, are finished frames' seqs buffers to reuse.
+	open   []openFrame
 	lastTS uint32
 	seen   bool
 }
 
 type openFrame struct {
-	frame Frame
+	Frame
 	// seqs holds the distinct sequence numbers seen for this frame.
 	// Frames are at most a few hundred packets, so a linear dup scan over
 	// a reused slice beats a per-frame map allocation on the hot path.
@@ -73,128 +75,93 @@ type openFrame struct {
 // incomplete frame is flushed (and reported incomplete).
 const maxOpenFrames = 64
 
-// Observe ingests one RTP media packet of the substream.
-func (a *FrameAssembler) Observe(at time.Time, media *zoom.MediaEncap, pkt *rtp.Packet) {
-	if a.open == nil {
-		// Lazily built so a restored-but-idle assembler costs no map.
-		a.open = make(map[uint32]*openFrame)
-	}
+// Observe ingests one RTP media packet of the substream, seen at the
+// given Unix nanosecond.
+func (a *FrameAssembler) Observe(at int64, media *zoom.MediaEncap, pkt *rtp.Packet) {
 	ts := pkt.Timestamp
-	of := a.open[ts]
-	if of == nil {
-		if n := len(a.free); n > 0 {
-			of = a.free[n-1]
-			a.free[n-1] = nil
-			a.free = a.free[:n-1]
-			of.frame = Frame{RTPTimestamp: ts, FirstPacket: at}
-			of.seqs = of.seqs[:0]
-		} else {
-			of = &openFrame{frame: Frame{RTPTimestamp: ts, FirstPacket: at}}
-		}
-		if media.Type == zoom.TypeVideo {
-			of.frame.FrameSequence = media.FrameSequence
-			of.frame.ExpectedPackets = int(media.PacketsInFrame)
-		}
-		a.open[ts] = of
-		a.order = append(a.order, ts)
+	i := len(a.open) - 1
+	for i >= 0 && a.open[i].RTPTimestamp != ts {
+		i--
+	}
+	if i < 0 {
 		// A new frame starting is a completion hint for older marker-less
 		// frames without a packet count: finish any frame strictly older
 		// than the previous timestamp.
 		if a.seen && rtp.TSDiff(a.lastTS, ts) > 0 {
 			a.flushOlderThan(ts)
 		}
-	}
-	for _, s := range of.seqs {
-		if s == pkt.SequenceNumber {
-			return // Zoom retransmission: same seq, do not double count
+		if i = len(a.open); i < cap(a.open) {
+			a.open = a.open[:i+1]
+		} else {
+			a.open = append(a.open, openFrame{})
 		}
+		of := &a.open[i]
+		of.Frame, of.seqs = Frame{RTPTimestamp: ts, FirstPacket: at, Completed: at}, of.seqs[:0]
+		if media.Type == zoom.TypeVideo {
+			of.FrameSequence = media.FrameSequence
+			of.ExpectedPackets = int(media.PacketsInFrame)
+		}
+	}
+	of := &a.open[i]
+	if slices.Contains(of.seqs, pkt.SequenceNumber) {
+		return // Zoom retransmission: same seq, do not double count
 	}
 	of.seqs = append(of.seqs, pkt.SequenceNumber)
-	of.frame.Packets++
-	of.frame.Bytes += len(pkt.Payload)
-	if pkt.Marker {
-		of.frame.SawMarker = true
-	}
-	if at.After(of.frame.Completed) {
-		of.frame.Completed = at
-	}
-	if a.seen {
-		if rtp.TSDiff(a.lastTS, ts) > 0 {
-			a.lastTS = ts
-		}
-	} else {
-		a.lastTS = ts
-		a.seen = true
+	of.Packets++
+	of.Bytes += len(pkt.Payload)
+	of.SawMarker = of.SawMarker || pkt.Marker
+	of.Completed = max(of.Completed, at)
+	if !a.seen || rtp.TSDiff(a.lastTS, ts) > 0 {
+		a.lastTS, a.seen = ts, true
 	}
 
-	if a.isComplete(of) {
-		a.finish(ts, true)
+	if of.isComplete() {
+		a.finish(i, true)
 	} else if len(a.open) > maxOpenFrames {
-		a.flushOldest()
+		a.finish(0, false)
 	}
 }
 
-func (a *FrameAssembler) isComplete(of *openFrame) bool {
-	if of.frame.ExpectedPackets > 0 {
-		return of.frame.Packets >= of.frame.ExpectedPackets
+func (of *openFrame) isComplete() bool {
+	if of.ExpectedPackets > 0 {
+		return of.Packets >= of.ExpectedPackets
 	}
 	// Without a count, the marker bit ends the frame. Single-packet
 	// frames (all Zoom audio) carry the marker or complete on next-frame
 	// start via flushOlderThan.
-	return of.frame.SawMarker
+	return of.SawMarker
 }
 
-func (a *FrameAssembler) finish(ts uint32, complete bool) {
-	of := a.open[ts]
-	if of == nil {
-		return
-	}
-	delete(a.open, ts)
-	for i, v := range a.order {
-		if v == ts {
-			a.order = append(a.order[:i], a.order[i+1:]...)
-			break
-		}
-	}
+// finish reports open frame i and removes it, keeping the order of the
+// rest and parking its seqs buffer past the end for reuse.
+func (a *FrameAssembler) finish(i int, complete bool) {
+	of := a.open[i]
+	copy(a.open[i:], a.open[i+1:])
+	a.open[len(a.open)-1] = of
+	a.open = a.open[:len(a.open)-1]
 	if a.OnFrame != nil {
-		a.OnFrame(of.frame, complete)
-	}
-	if len(a.free) < maxOpenFrames {
-		a.free = append(a.free, of)
+		a.OnFrame(of.Frame, complete)
 	}
 }
 
-// flushOlderThan completes marker-less, countless frames older than ts.
+// flushOlderThan completes marker-less, countless frames older than ts,
+// oldest-started first.
 func (a *FrameAssembler) flushOlderThan(ts uint32) {
-	var stale []uint32
-	for ots, of := range a.open {
-		if ots == ts {
-			continue
-		}
-		if of.frame.ExpectedPackets == 0 && rtp.TSDiff(ots, ts) > 0 {
-			stale = append(stale, ots)
+	for i := 0; i < len(a.open); {
+		if of := &a.open[i]; of.ExpectedPackets == 0 && rtp.TSDiff(of.RTPTimestamp, ts) > 0 {
+			a.finish(i, true)
+		} else {
+			i++
 		}
 	}
-	for _, ots := range stale {
-		a.finish(ots, true)
-	}
-}
-
-func (a *FrameAssembler) flushOldest() {
-	if len(a.order) == 0 {
-		return
-	}
-	a.finish(a.order[0], false)
 }
 
 // Flush completes all open frames (end of stream). Frames with a known
 // packet count that is not met are reported incomplete.
 func (a *FrameAssembler) Flush() {
-	for len(a.order) > 0 {
-		ts := a.order[0]
-		of := a.open[ts]
-		complete := of != nil && (a.isComplete(of) || of.frame.ExpectedPackets == 0)
-		a.finish(ts, complete)
+	for len(a.open) > 0 {
+		of := &a.open[0]
+		a.finish(0, of.isComplete() || of.ExpectedPackets == 0)
 	}
 }
 
@@ -202,28 +169,32 @@ func (a *FrameAssembler) Flush() {
 // of completed frames whose occupancy is the delivered frame rate. The
 // zero value is an empty window.
 type FrameRateWindow struct {
-	times []time.Time // completion times, oldest first
+	// times[head:] are the completion times inside the window, oldest
+	// first, in Unix nanoseconds; times[:head] have left it and are
+	// dropped once they are half the slice.
+	times []int64
+	head  int
 }
 
 // Add records a completed frame and returns the frame rate at that
 // instant (frames completed in the trailing window, per second).
-func (w *FrameRateWindow) Add(completed time.Time) float64 {
+func (w *FrameRateWindow) Add(completed int64) float64 {
 	w.times = append(w.times, completed)
 	return w.Rate(completed)
 }
 
 // Rate evicts frames older than the window relative to now and returns
 // the current rate in frames per second.
-func (w *FrameRateWindow) Rate(now time.Time) float64 {
-	cut := now.Add(-time.Second)
-	i := 0
-	for i < len(w.times) && !w.times[i].After(cut) {
-		i++
+func (w *FrameRateWindow) Rate(now int64) float64 {
+	cut := now - int64(time.Second)
+	for w.head < len(w.times) && w.times[w.head] <= cut {
+		w.head++
 	}
-	if i > 0 {
-		w.times = append(w.times[:0], w.times[i:]...)
+	if w.head*2 > len(w.times) {
+		w.times = w.times[:copy(w.times, w.times[w.head:])]
+		w.head = 0
 	}
-	return float64(len(w.times))
+	return float64(len(w.times) - w.head)
 }
 
 // EncoderFrameRate implements §5.2 method 2: the encoder's intended frame

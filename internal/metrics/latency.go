@@ -140,7 +140,7 @@ func (cm *CopyMatcher) gc(now time.Time) {
 func (cm *CopyMatcher) SeriesMS() Series {
 	var s Series
 	for _, sm := range cm.Samples {
-		s.Add(sm.Time, float64(sm.RTT)/float64(time.Millisecond))
+		s.Add(Nanos(sm.Time), float64(sm.RTT)/float64(time.Millisecond))
 	}
 	return s
 }

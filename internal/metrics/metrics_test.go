@@ -228,9 +228,9 @@ func TestFECDoesNotInflateFrames(t *testing.T) {
 
 func TestSeriesBin(t *testing.T) {
 	var s Series
-	s.Add(t0.Add(100*time.Millisecond), 10)
-	s.Add(t0.Add(600*time.Millisecond), 20)
-	s.Add(t0.Add(2500*time.Millisecond), 30)
+	s.Add(Nanos(t0.Add(100*time.Millisecond)), 10)
+	s.Add(Nanos(t0.Add(600*time.Millisecond)), 20)
+	s.Add(Nanos(t0.Add(2500*time.Millisecond)), 30)
 	bins := s.Bin(t0, time.Second, "mean")
 	if len(bins) != 3 {
 		t.Fatalf("bins = %d, want 3 (including empty middle)", len(bins))
@@ -298,13 +298,13 @@ func TestCopyMatcherIgnoresSameFlowAndStale(t *testing.T) {
 func TestFrameRateWindowEviction(t *testing.T) {
 	w := new(FrameRateWindow)
 	for i := 0; i < 30; i++ {
-		w.Add(t0.Add(time.Duration(i) * 33 * time.Millisecond))
+		w.Add(Nanos(t0.Add(time.Duration(i) * 33 * time.Millisecond)))
 	}
-	if r := w.Rate(t0.Add(time.Second)); r < 28 || r > 31 {
+	if r := w.Rate(Nanos(t0.Add(time.Second))); r < 28 || r > 31 {
 		t.Errorf("rate = %v", r)
 	}
 	// Ten seconds later everything evicts.
-	if r := w.Rate(t0.Add(11 * time.Second)); r != 0 {
+	if r := w.Rate(Nanos(t0.Add(11 * time.Second))); r != 0 {
 		t.Errorf("rate after idle = %v, want 0", r)
 	}
 }

@@ -20,7 +20,7 @@ func genSeries(rng *rand.Rand) Series {
 	at := t0.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 	for i := 0; i < n; i++ {
 		at = at.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
-		s.Add(at, float64(rng.Intn(1000)))
+		s.Add(Nanos(at), float64(rng.Intn(1000)))
 	}
 	return s
 }
@@ -71,7 +71,7 @@ func TestQuickBinsContiguousAndOrdered(t *testing.T) {
 	f := func(s Series) bool {
 		bins := s.Bin(t0, time.Second, "mean")
 		for i := 1; i < len(bins); i++ {
-			if bins[i].Time.Sub(bins[i-1].Time) != time.Second {
+			if bins[i].Time().Sub(bins[i-1].Time()) != time.Second {
 				return false
 			}
 		}
@@ -94,12 +94,12 @@ func TestQuickFrameRateWindowNeverNegativeAndEvicts(t *testing.T) {
 		at := t0
 		for _, g := range gapsMS {
 			at = at.Add(time.Duration(g%500) * time.Millisecond)
-			if w.Add(at) < 0 {
+			if w.Add(Nanos(at)) < 0 {
 				return false
 			}
 		}
 		// After a long idle everything evicts.
-		return w.Rate(at.Add(time.Hour)) == 0
+		return w.Rate(Nanos(at.Add(time.Hour))) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"cmp"
+	"slices"
 
 	"zoomlens/internal/statecodec"
 )
@@ -15,12 +16,11 @@ import (
 var (
 	u8Key  = statecodec.UintKey[uint8]()
 	u16Key = statecodec.UintKey[uint16]()
-	u32Key = statecodec.UintKey[uint32]()
 )
 
 func (s *Series) code(c *statecodec.Codec) {
 	statecodec.Slice(c, &s.Samples, 0, func(sm *Sample) {
-		c.Time(&sm.Time)
+		c.I64(&sm.At)
 		c.F64(&sm.Value)
 	})
 }
@@ -54,12 +54,12 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	sm.WireRate.code(c)
 
 	c.Bool(&sm.haveBin)
-	c.Time(&sm.binStart)
+	c.I64(&sm.binStart)
 	c.U64(&sm.binWire)
 	c.U64(&sm.binMedia)
 
 	statecodec.Slice(c, &sm.frameObs, 0, func(fo *FrameObservation) {
-		c.Time(&fo.At)
+		c.I64(&fo.At)
 		c.U32(&fo.TS)
 	})
 
@@ -76,13 +76,13 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 		if !st.isMain {
 			st.seq.Code(c)
 		}
-		statecodec.Slice(c, &st.window.times, 0, c.Time)
+		statecodec.Slice(c, &st.window.times, st.window.head, c.I64) // what is still inside the window
 		c.U32(&st.encoder.lastTS)
 		c.Bool(&st.encoder.seen)
 		if st.jitter != nil {
 			st.jitter.Code(c)
+			st.tsSeen.code(c)
 		}
-		statecodec.MapVal(c, u32Key, &st.tsSeen, nil)
 		st.assembler.code(c)
 	})
 	// newSub created the shared tracker with the first main substream,
@@ -92,32 +92,50 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	}
 }
 
+// code walks the timestamps the ring holds, oldest first, so a ring
+// decodes filled from position 0 however far the encoder's had turned.
+func (r *tsRing) code(c *statecodec.Codec) {
+	n := min(r.added, len(r.ts))
+	if c.Int(&n); n < 0 || n > len(r.ts) {
+		c.Failf("metrics.tsRing of %d timestamps", n)
+		return
+	}
+	if !c.Encoding() {
+		r.added = n
+	}
+	for i := range n {
+		c.U32(&r.ts[(r.added-n+i)%len(r.ts)])
+	}
+	c.U32(&r.newest)
+}
+
 func (a *FrameAssembler) code(c *statecodec.Codec) {
 	c.U32(&a.lastTS)
 	c.Bool(&a.seen)
-	// Open frames in insertion (order-slice) order: flushOldest evicts
-	// the head, so the order is behavioral state.
-	statecodec.Slice(c, &a.order, 0, func(ts *uint32) {
-		c.U32(ts)
-		of := a.open[*ts]
-		if !c.Encoding() {
-			if of != nil {
-				c.Failf("metrics.FrameAssembler duplicate open frame %d", *ts)
-				return
-			}
-			if a.open == nil {
-				a.open = make(map[uint32]*openFrame)
-			}
-			of = &openFrame{frame: Frame{RTPTimestamp: *ts}}
-			a.open[*ts] = of
+	// Open frames in the order they started: a flush evicts the head, so
+	// the order is behavioral state.
+	n := len(a.open)
+	if c.Int(&n); n < 0 || n > maxOpenFrames {
+		c.Failf("metrics.FrameAssembler with %d open frames", n)
+		return
+	}
+	if !c.Encoding() {
+		a.open = make([]openFrame, n)
+	}
+	for i := range a.open {
+		of := &a.open[i]
+		c.U32(&of.RTPTimestamp)
+		if !c.Encoding() && slices.ContainsFunc(a.open[:i], func(o openFrame) bool { return o.RTPTimestamp == of.RTPTimestamp }) {
+			c.Failf("metrics.FrameAssembler duplicate open frame %d", of.RTPTimestamp)
+			return
 		}
-		c.U16(&of.frame.FrameSequence)
-		c.Time(&of.frame.FirstPacket)
-		c.Time(&of.frame.Completed)
-		c.Int(&of.frame.Packets)
-		c.Int(&of.frame.ExpectedPackets)
-		c.Int(&of.frame.Bytes)
-		c.Bool(&of.frame.SawMarker)
+		c.U16(&of.FrameSequence)
+		c.I64(&of.FirstPacket)
+		c.I64(&of.Completed)
+		c.Int(&of.Packets)
+		c.Int(&of.ExpectedPackets)
+		c.Int(&of.Bytes)
+		c.Bool(&of.SawMarker)
 		// The distinct sequence numbers seen are written sorted, not in
 		// arrival order, so the encoding is canonical; dup detection is
 		// order-independent on restore.
@@ -126,7 +144,7 @@ func (a *FrameAssembler) code(c *statecodec.Codec) {
 				of.seqs = append(of.seqs, s)
 			}
 		})
-	})
+	}
 }
 
 func (d *StallDetector) code(c *statecodec.Codec) {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -8,10 +10,30 @@ import (
 	"zoomlens/internal/zoom"
 )
 
-// Sample is one timestamped metric value.
+// Sample is one timestamped metric value: 16 bytes and no pointer, so a
+// series is memory the collector never scans.
 type Sample struct {
-	Time  time.Time
+	At    int64 // capture time in Unix nanoseconds (see Nanos)
 	Value float64
+}
+
+// Time returns the capture time, in UTC as the capture readers stamp it.
+func (s Sample) Time() time.Time { return time.Unix(0, s.At).UTC() }
+
+// Nanos returns t in Unix nanoseconds, the form the per-stream
+// accumulators keep capture times in. That spans the years 1678 to 2262,
+// UnixNano is undefined outside them and a capture file can claim any
+// instant, so a time in or beyond either end's last second is held at
+// that end.
+func Nanos(t time.Time) int64 {
+	const limit = math.MaxInt64 / int64(time.Second)
+	switch sec := t.Unix(); {
+	case sec >= limit:
+		return math.MaxInt64
+	case sec <= -limit:
+		return math.MinInt64
+	}
+	return t.UnixNano()
 }
 
 // Series is an append-only time series.
@@ -19,8 +41,8 @@ type Series struct {
 	Samples []Sample
 }
 
-// Add appends a sample.
-func (s *Series) Add(t time.Time, v float64) { s.Samples = append(s.Samples, Sample{t, v}) }
+// Add appends a sample taken at Unix nanosecond at.
+func (s *Series) Add(at int64, v float64) { s.Samples = append(s.Samples, Sample{at, v}) }
 
 // Values returns just the sample values.
 func (s *Series) Values() []float64 {
@@ -49,7 +71,7 @@ func (s *Series) Bin(origin time.Time, width time.Duration, agg string) []Sample
 	for _, sm := range s.Samples {
 		// Floor division: samples earlier than origin must land in
 		// negative bins, not get truncated toward zero into bin 0.
-		d := sm.Time.Sub(origin)
+		d := sm.Time().Sub(origin)
 		idx := int64(d / width)
 		if d < 0 && d%width != 0 {
 			idx--
@@ -91,7 +113,7 @@ func (s *Series) Bin(origin time.Time, width time.Duration, agg string) []Sample
 				v = a.sum / float64(a.count)
 			}
 		}
-		out = append(out, Sample{t, v})
+		out = append(out, Sample{Nanos(t), v})
 	}
 	return out
 }
@@ -142,8 +164,8 @@ type StreamMetrics struct {
 	// frame for clock-rate inference (§5.2's parameter sweep).
 	frameObs []FrameObservation
 
-	// rate accounting in one-second bins
-	binStart  time.Time
+	// rate accounting in one-second bins; binStart in Unix nanoseconds
+	binStart  int64
 	binWire   uint64
 	binMedia  uint64
 	haveBin   bool
@@ -186,9 +208,32 @@ type substreamState struct {
 	seq       *rtp.SeqTracker
 	window    *FrameRateWindow
 	encoder   *EncoderFrameRate
-	jitter    *rtp.Jitter
 	isMain    bool
-	tsSeen    map[uint32]struct{}
+	jitter    *rtp.Jitter // with the timestamps it sampled, when the clock rate is known
+	tsSeen    *tsRing
+}
+
+// tsRing remembers a substream's most recent distinct frame timestamps,
+// as many as an assembler keeps frames open, so that "have I seen this
+// frame" and "is this frame still open" share one horizon.
+type tsRing struct {
+	ts     [maxOpenFrames]uint32
+	added  int    // timestamps ever added; the next goes to ts[added%len(ts)]
+	newest uint32 // the furthest-ahead of them
+}
+
+// seen reports whether ts is among the remembered timestamps, and
+// remembers it if not. A timestamp ahead of every earlier one — nearly
+// every frame's first packet — is new without a search.
+func (r *tsRing) seen(ts uint32) bool {
+	if r.added == 0 || rtp.TSDiff(r.newest, ts) > 0 {
+		r.newest = ts
+	} else if slices.Contains(r.ts[:min(r.added, len(r.ts))], ts) {
+		return true
+	}
+	r.ts[r.added%len(r.ts)] = ts
+	r.added++
+	return false
 }
 
 // NewStreamMetrics builds an analyzer for one stream.
@@ -217,8 +262,7 @@ func (sm *StreamMetrics) init(mt zoom.MediaType) {
 // Substream construction runs once per (stream, payload type) — tens of
 // thousands of times during a checkpoint restore — and four separately
 // allocated husks per substream showed up as measurable GC pressure
-// there; the assembler's open-frame map is allocated lazily for the
-// same reason (most restored assemblers have no open frames).
+// there.
 type subBlock struct {
 	st        substreamState
 	window    FrameRateWindow
@@ -255,6 +299,7 @@ func (sm *StreamMetrics) newSub(pt uint8) *substreamState {
 	}
 	if sm.clockRate > 0 {
 		st.jitter = rtp.NewJitter(sm.clockRate)
+		st.tsSeen = new(tsRing)
 	}
 	return st
 }
@@ -273,7 +318,8 @@ func (sm *StreamMetrics) sub(pt uint8) *substreamState {
 
 // Observe ingests one media packet belonging to this stream. wireLen is
 // the packet's on-the-wire length.
-func (sm *StreamMetrics) Observe(at time.Time, wireLen int, media *zoom.MediaEncap, pkt *rtp.Packet) {
+func (sm *StreamMetrics) Observe(t time.Time, wireLen int, media *zoom.MediaEncap, pkt *rtp.Packet) {
+	at := Nanos(t)
 	sm.finished = false
 	sm.Packets++
 	sm.MediaBytes += uint64(len(pkt.Payload))
@@ -281,50 +327,20 @@ func (sm *StreamMetrics) Observe(at time.Time, wireLen int, media *zoom.MediaEnc
 	sm.binAdd(at, wireLen, len(pkt.Payload))
 
 	if sm.Talk != nil {
-		sm.Talk.Observe(at, pkt.PayloadType)
+		sm.Talk.Observe(t, pkt.PayloadType)
 	}
 	st := sm.sub(pkt.PayloadType)
 	st.seq.Observe(pkt.SequenceNumber)
 	if !st.isMain {
 		return // FEC substreams share timestamps; do not double-count frames
 	}
-	if st.jitter != nil {
-		// Frame-level jitter: sample on the first packet of each frame.
-		// The assembler tells us it is the first by tracking open frames,
-		// but observing per packet with identical timestamps is idempotent
-		// for D calculation only if we filter; cheapest correct filter is
-		// to sample when this timestamp has not been seen yet.
-		if !st.seenTS(pkt.Timestamp) {
-			j := st.jitter.Observe(timeToSeconds(at), pkt.Timestamp)
-			sm.JitterMS.Add(at, j*1000)
-		}
+	// Frame-level jitter: sample on the first packet of each frame, which
+	// is the one whose timestamp the substream has not seen yet.
+	if st.jitter != nil && !st.tsSeen.seen(pkt.Timestamp) {
+		j := st.jitter.Observe(float64(at)/float64(time.Second), pkt.Timestamp)
+		sm.JitterMS.Add(at, j*1000)
 	}
 	st.assembler.Observe(at, media, pkt)
-}
-
-// seenTS tracks recently seen frame timestamps per substream for jitter
-// first-packet detection.
-func (st *substreamState) seenTS(ts uint32) bool {
-	if st.tsSeen == nil {
-		st.tsSeen = make(map[uint32]struct{})
-	}
-	if _, ok := st.tsSeen[ts]; ok {
-		return true
-	}
-	st.tsSeen[ts] = struct{}{}
-	// Sweep only when the map is well above the steady-state live set
-	// (~300 timestamps for a 90 kHz clock over the 10 s retention window),
-	// so each full-map sweep reclaims hundreds of stale entries and the
-	// cost amortizes to O(1) per insert. A 256 threshold sat below the
-	// live set and degenerated into a full sweep on every insert.
-	if len(st.tsSeen) > 1024 {
-		for k := range st.tsSeen {
-			if rtp.TSDiff(k, ts) > 90000*10 {
-				delete(st.tsSeen, k)
-			}
-		}
-	}
-	return false
 }
 
 func (sm *StreamMetrics) onFrame(st *substreamState, f Frame, complete bool) {
@@ -342,24 +358,25 @@ func (sm *StreamMetrics) onFrame(st *substreamState, f Frame, complete bool) {
 			sm.EncoderRate.Add(f.Completed, fps)
 			sm.Packetization.Add(f.Completed, float64(pt)/float64(time.Millisecond))
 			if sm.Stall != nil {
-				sm.Stall.ObserveFrame(f.Completed, f.Delay(), pt)
+				sm.Stall.ObserveFrame(time.Unix(0, f.Completed).UTC(), f.Delay(), pt)
 			}
 		}
 	}
 }
 
-func (sm *StreamMetrics) binAdd(at time.Time, wire, media int) {
+func (sm *StreamMetrics) binAdd(at int64, wire, media int) {
+	second := at - at%int64(time.Second)
 	if !sm.haveBin {
 		sm.haveBin = true
-		sm.binStart = at.Truncate(time.Second)
+		sm.binStart = second
 	}
-	if at.Sub(sm.binStart) > maxIdleGap {
+	if at-sm.binStart > int64(maxIdleGap) {
 		// Long idle gap: flush the open bin, emit nothing for the silent
 		// span, and resume at the current second.
 		sm.flushBin()
-		sm.binStart = at.Truncate(time.Second)
+		sm.binStart = second
 	}
-	for at.Sub(sm.binStart) >= time.Second {
+	for at-sm.binStart >= int64(time.Second) {
 		sm.flushBin()
 	}
 	sm.binWire += uint64(wire)
@@ -369,7 +386,7 @@ func (sm *StreamMetrics) binAdd(at time.Time, wire, media int) {
 func (sm *StreamMetrics) flushBin() {
 	sm.WireRate.Add(sm.binStart, float64(sm.binWire)*8)
 	sm.MediaRate.Add(sm.binStart, float64(sm.binMedia)*8)
-	sm.binStart = sm.binStart.Add(time.Second)
+	sm.binStart += min(int64(time.Second), math.MaxInt64-sm.binStart) // no further than Nanos goes
 	sm.binWire, sm.binMedia = 0, 0
 }
 
@@ -386,7 +403,7 @@ func (sm *StreamMetrics) Finish() {
 	if sm.haveBin {
 		sm.flushBin()
 		if sm.Stall != nil {
-			sm.Stall.Finish(sm.binStart)
+			sm.Stall.Finish(time.Unix(0, sm.binStart).UTC())
 		}
 	}
 	if sm.Talk != nil {
@@ -422,8 +439,4 @@ func (sm *StreamMetrics) SubstreamPTs() []uint8 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func timeToSeconds(t time.Time) float64 {
-	return float64(t.UnixNano()) / float64(time.Second)
 }

@@ -198,6 +198,11 @@ func TSDiff(a, b uint32) int64 {
 // analysis to estimate loss and retransmissions, noting that Zoom
 // retransmits with the *same* sequence number, so duplicates usually mean
 // retransmission.
+//
+// A packet within seqWindow of the highest sequence number seen is a
+// duplicate exactly when its number was received before; one further
+// behind counts as reordered (the tracker cannot tell). The zero value
+// is an empty tracker.
 type SeqTracker struct {
 	started  bool
 	maxSeq   uint16
@@ -207,38 +212,38 @@ type SeqTracker struct {
 	reorder  uint64
 	baseExt  uint32
 
-	// seen is a sliding window bitmap of recently received extended
-	// sequence numbers, used to distinguish duplicates from reorderings.
-	seen       map[uint32]struct{}
-	seenWindow uint32
+	// seen has one bit per sequence number in (maxSeq-seqWindow, maxSeq],
+	// at position seq%seqWindow (seqWindow divides 65,536, so positions
+	// carry across the 16-bit wrap); advancing maxSeq clears what it passes.
+	seen [seqWindow / 64]uint64
 }
 
-// NewSeqTracker returns a tracker with the default 512-packet duplicate
-// window.
-func NewSeqTracker() *SeqTracker {
-	return &SeqTracker{seen: make(map[uint32]struct{}), seenWindow: 512}
-}
+// seqWindow is how far behind the highest a duplicate is still recognized.
+const seqWindow = 1024
+
+// NewSeqTracker returns an empty tracker.
+func NewSeqTracker() *SeqTracker { return new(SeqTracker) }
 
 // Observe records seq and classifies it. kind describes the packet's
 // relationship to the stream so far.
 func (t *SeqTracker) Observe(seq uint16) SeqKind {
+	word, bit := &t.seen[seq%seqWindow/64], uint64(1)<<(seq%64)
 	if !t.started {
-		t.started = true
-		t.maxSeq = seq
-		t.baseExt = uint32(seq)
-		t.received = 1
-		t.remember(uint32(seq))
+		t.started, t.maxSeq, t.baseExt, t.received = true, seq, uint32(seq), 1
+		*word |= bit
 		return SeqInOrder
 	}
 	t.received++
-	ext := t.extend(seq)
-	if _, dup := t.seen[ext]; dup {
-		t.dups++
-		return SeqDuplicate
-	}
-	t.remember(ext)
-	switch d := SeqDiff(t.maxSeq, seq); {
-	case d > 0:
+	d := SeqDiff(t.maxSeq, seq)
+	if d > 0 {
+		if d >= seqWindow {
+			t.seen = [seqWindow / 64]uint64{}
+		} else {
+			for s := t.maxSeq + 1; s != seq; s++ {
+				t.seen[s%seqWindow/64] &^= 1 << (s % 64)
+			}
+		}
+		*word |= bit
 		if seq < t.maxSeq { // wrapped
 			t.cycles += 1 << 16
 		}
@@ -247,40 +252,16 @@ func (t *SeqTracker) Observe(seq uint16) SeqKind {
 			return SeqInOrder
 		}
 		return SeqGap
-	case d == 0:
-		t.dups++
-		return SeqDuplicate
-	default:
-		t.reorder++
-		return SeqReordered
 	}
-}
-
-func (t *SeqTracker) extend(seq uint16) uint32 {
-	ext := t.cycles | uint32(seq)
-	// If seq appears to be just behind maxSeq across a wrap boundary,
-	// attribute it to the previous cycle.
-	if seq > t.maxSeq && seq-t.maxSeq > 0x8000 && t.cycles > 0 {
-		ext -= 1 << 16
-	}
-	// If seq is ahead across the wrap (wrap not yet counted), it belongs
-	// to the next cycle.
-	if seq < t.maxSeq && t.maxSeq-seq > 0x8000 {
-		ext += 1 << 16
-	}
-	return ext
-}
-
-func (t *SeqTracker) remember(ext uint32) {
-	t.seen[ext] = struct{}{}
-	if len(t.seen) > int(t.seenWindow)*2 {
-		floor := ext - t.seenWindow
-		for k := range t.seen {
-			if k < floor {
-				delete(t.seen, k)
-			}
+	if d > -seqWindow {
+		if *word&bit != 0 {
+			t.dups++
+			return SeqDuplicate
 		}
+		*word |= bit
 	}
+	t.reorder++
+	return SeqReordered
 }
 
 // SeqKind classifies an observed sequence number.

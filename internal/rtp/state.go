@@ -9,8 +9,6 @@ import (
 // metric engine, so they are walked here and the metrics layer composes
 // them.
 
-var seqKey = statecodec.UintKey[uint32]()
-
 // Code walks the tracker's fields through c.
 func (t *SeqTracker) Code(c *statecodec.Codec) {
 	c.Bool(&t.started)
@@ -20,8 +18,26 @@ func (t *SeqTracker) Code(c *statecodec.Codec) {
 	c.U64(&t.dups)
 	c.U64(&t.reorder)
 	c.U32(&t.baseExt)
-	c.U32(&t.seenWindow)
-	statecodec.MapVal(c, seqKey, &t.seen, nil)
+	// The window's words from the one holding maxSeq backwards, less the
+	// all-zero tail: a young stream's record is a word or two.
+	const words = len(t.seen)
+	top, n := int(t.maxSeq%seqWindow/64)+words, words
+	for c.Encoding() && n > 0 && t.seen[(top-n+1)%words] == 0 {
+		n--
+	}
+	if c.Int(&n); n < 0 || n > words {
+		c.Failf("rtp.SeqTracker window of %d words", n)
+		return
+	}
+	if !c.Encoding() {
+		t.seen = [words]uint64{}
+	}
+	for i := 0; i < n; i++ {
+		c.U64(&t.seen[(top-i)%words])
+	}
+	if holdsTop := t.seen[top%words]>>(t.maxSeq%64)&1 == 1; holdsTop != t.started || !t.started && n > 0 {
+		c.Failf("rtp.SeqTracker window does not match its highest sequence number")
+	}
 }
 
 // Code walks the estimator's fields through c. The clock rate is the

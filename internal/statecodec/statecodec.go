@@ -337,7 +337,10 @@ func (c *Codec) F64(v *float64) {
 
 // Time walks a wall-clock instant as (second, nanosecond) behind an
 // explicit zero flag, so the time.Time zero value round-trips as IsZero.
-// Monotonic readings are dropped — capture timestamps never carry them.
+// Monotonic readings are dropped — capture timestamps never carry them —
+// and an instant decodes in UTC, the zone both capture readers stamp, so
+// a restored run prints the clock an uninterrupted one does whatever the
+// host's zone.
 func (c *Codec) Time(v *time.Time) {
 	if w := c.w; w != nil {
 		if v.IsZero() {
@@ -367,7 +370,7 @@ func (c *Codec) Time(v *time.Time) {
 		return
 	}
 	c.off += n + m
-	*v = time.Unix(sec, nsec)
+	*v = time.Unix(sec, nsec).UTC()
 }
 
 // count reads a collection length and validates it against the bytes

@@ -64,7 +64,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("duration = %v", dur)
 	}
 	want := time.Unix(1700000000, 123456789)
-	if got := r.Time(); !got.Equal(want) {
+	// Written from the host's zone, read back in UTC like a capture stamp.
+	if got := r.Time(); !got.Equal(want) || got.Location() != time.UTC {
 		t.Fatalf("time = %v", got)
 	}
 	if got := r.Time(); !got.IsZero() {

@@ -5,15 +5,19 @@ package zoomlens
 // adversarial — may panic it or corrupt its state.
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
+	"zoomlens/internal/pcap"
 	"zoomlens/internal/rtp"
 	"zoomlens/internal/stun"
 	"zoomlens/internal/zoom"
@@ -225,5 +229,110 @@ func TestGroupingOrderInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHostileClockBeyondNanosecondRange: the per-stream accumulators
+// keep capture time as int64 Unix nanoseconds (years 1678–2262), and a
+// pcapng enhanced packet block can claim far more. Two video packets in
+// the middle of the trace are repeated under such stamps — the year 3000,
+// and the largest 64-bit count of an interface ticking in microseconds.
+// The run must finish, agree with itself at two workers, hold those two
+// instants at the representation's last nanosecond rather than wrap
+// them, and leave every sample taken before them, and every other
+// stream, as the clean capture has them.
+func TestHostileClockBeyondNanosecondRange(t *testing.T) {
+	at, frames, cfg := benchTrace(t)
+
+	// micros is what NGWriter must be handed for its 64-bit field to
+	// carry n once the interface is patched to microsecond ticks below.
+	micros := func(n uint64) time.Time { return time.Unix(0, int64(n)) }
+	stamps := []time.Time{
+		micros(uint64(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()) * 1e6),
+		micros(math.MaxUint64),
+	}
+	write := func(hostile bool) []byte {
+		var buf bytes.Buffer
+		ng, err := pcap.NewNGWriter(&buf, uint16(pcap.LinkTypeEthernet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parser, left := &layers.Parser{}, stamps
+		var pkt layers.Packet
+		for i := range frames {
+			if err := ng.WriteRecord(micros(uint64(at[i].UnixMicro())), frames[i]); err != nil {
+				t.Fatal(err)
+			}
+			if !hostile || i < len(frames)/2 || len(left) == 0 || parser.Parse(frames[i], &pkt) != nil || !pkt.HasUDP {
+				continue
+			}
+			if zp, err := zoom.ParsePacket(pkt.Payload, zoom.ModeAuto); err == nil && zp.Media.Type == zoom.TypeVideo {
+				if err := ng.WriteRecord(left[0], frames[i]); err != nil {
+					t.Fatal(err)
+				}
+				left = left[1:]
+			}
+		}
+		if hostile && len(left) > 0 {
+			t.Fatal("no video packet in the second half of the trace")
+		}
+		// The interface description's if_tsresol option: 9 (nanoseconds) → 6.
+		resol := []byte{9, 0, 1, 0, 9, 0, 0, 0}
+		i := bytes.Index(buf.Bytes(), resol)
+		if i < 0 || i > 64 {
+			t.Fatal("if_tsresol option not found in the interface description")
+		}
+		buf.Bytes()[i+4] = 6
+		return buf.Bytes()
+	}
+	replay := func(serialized []byte, workers int) *Analyzer { return replayCapture(t, serialized, cfg, workers) }
+
+	clean, hostile := replay(write(false), 1), replay(write(true), 1)
+	if got, want := renderReport(replay(write(true), 2)), renderReport(hostile); got != want {
+		t.Errorf("workers=2 report diverges from sequential on the hostile capture (lens %d vs %d)", len(got), len(want))
+	}
+
+	cut := at[len(frames)/2].UnixNano() // nothing hostile was written before this instant
+	before := func(ss []Sample, margin time.Duration) []Sample {
+		i := 0
+		for i < len(ss) && ss[i].At+int64(margin) <= cut {
+			i++
+		}
+		return ss[:i]
+	}
+	touched, saturated := 0, 0
+	for _, id := range clean.StreamIDs() {
+		want, _ := clean.MetricsFor(id)
+		got, ok := hostile.MetricsFor(id)
+		if !ok {
+			t.Fatalf("stream %v missing from the hostile run", id)
+		}
+		if got.Packets == want.Packets {
+			// No hostile record reached this stream.
+			if !slices.Equal(got.JitterMS.Samples, want.JitterMS.Samples) || !slices.Equal(got.MediaRate.Samples, want.MediaRate.Samples) ||
+				!slices.Equal(got.FrameSize.Samples, want.FrameSize.Samples) {
+				t.Errorf("stream %v saw no hostile record and its series changed", id)
+			}
+			continue
+		}
+		touched++
+		for name, pair := range map[string][2][]Sample{
+			"jitter":     {before(got.JitterMS.Samples, 0), before(want.JitterMS.Samples, 0)},
+			"frame size": {before(got.FrameSize.Samples, 0), before(want.FrameSize.Samples, 0)},
+			// A rate sample is stamped with the start of its second.
+			"media rate": {before(got.MediaRate.Samples, time.Second), before(want.MediaRate.Samples, time.Second)},
+		} {
+			if len(pair[1]) == 0 || !slices.Equal(pair[0], pair[1]) {
+				t.Errorf("stream %v: %s samples taken before the hostile record changed (%d vs %d)", id, name, len(pair[0]), len(pair[1]))
+			}
+		}
+		for _, s := range got.WireRate.Samples {
+			if s.Time().Year() == 2262 {
+				saturated++
+			}
+		}
+	}
+	if touched == 0 || saturated == 0 {
+		t.Errorf("%d streams received a hostile record and %d samples sit at the end of the nanosecond range; want both above zero", touched, saturated)
 	}
 }

@@ -178,9 +178,9 @@ func TestRunValidationFigure10(t *testing.T) {
 	for _, w := range v.CongestionWindows {
 		var in, out []float64
 		for _, s := range v.EstimatedFPS {
-			if s.Time.After(w.Start.Add(3*time.Second)) && s.Time.Before(w.End) {
+			if s.Time().After(w.Start.Add(3*time.Second)) && s.Time().Before(w.End) {
 				in = append(in, s.Value)
-			} else if s.Time.Before(w.Start) && s.Time.After(w.Start.Add(-15*time.Second)) {
+			} else if s.Time().Before(w.Start) && s.Time().After(w.Start.Add(-15*time.Second)) {
 				out = append(out, s.Value)
 			}
 		}
