@@ -40,7 +40,7 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkAnalyzerPipeline -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkIngestPath -benchtime 1x .
-	$(GO) test -run XXX -bench 'BenchmarkStreamMetricsObserve|BenchmarkSeqTrackerObserve' -benchmem -benchtime 1x ./internal/metrics/ ./internal/rtp/
+	$(GO) test -run XXX -bench 'BenchmarkStreamMetricsObserve|BenchmarkCopyMatcherObserve|BenchmarkSeqTrackerObserve' -benchmem -benchtime 1x ./internal/metrics/ ./internal/rtp/
 	BENCH_RATIO_SMOKE=1 $(GO) test -count=1 -run TestIngestWorkerRatioSmoke -v .
 
 # bench_out runs command $(3) with environment variable $(1) naming the
@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzRTPParse -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -fuzz=FuzzSeqTracker -fuzztime=$(FUZZTIME) ./internal/rtp/
+	$(GO) test -fuzz=FuzzCopyMatcher -fuzztime=$(FUZZTIME) ./internal/metrics/
 	$(GO) test -fuzz=FuzzSTUNParse -fuzztime=$(FUZZTIME) ./internal/stun/
 	$(GO) test -fuzz=FuzzLayersParse -fuzztime=$(FUZZTIME) ./internal/layers/
 	$(GO) test -fuzz=FuzzWebRTCParse -fuzztime=$(FUZZTIME) ./internal/webrtc/

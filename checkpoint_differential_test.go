@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 )
 
@@ -55,7 +56,7 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 	raw, ngRaw := ingestTrace(t)
 	_, _, cfg := benchTrace(t)
 
-	differential := func(t *testing.T, recs []pcap.Record, workers int) {
+	differential := func(t *testing.T, recs []pcap.Record, workers int, extraCuts ...int) {
 		// The uninterrupted reference run.
 		ref := newEngineFor(cfg, workers)
 		for _, rec := range recs {
@@ -70,7 +71,7 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 		// Checkpoint at several cut points, including pathological
 		// ones (before any packet, after the last).
 		cuts := []int{0, 1, len(recs) / 3, len(recs) / 2, 2 * len(recs) / 3, len(recs) - 1, len(recs)}
-		for _, cut := range cuts {
+		for _, cut := range append(cuts, extraCuts...) {
 			first := newEngineFor(cfg, workers)
 			for _, rec := range recs[:cut] {
 				first.Packet(rec.Timestamp, rec.Data)
@@ -116,9 +117,22 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 		if len(recs) < 100 {
 			t.Fatalf("%s trace too short for a meaningful split: %d packets", input.name, len(recs))
 		}
+		// One more cut, between an uplink packet and its downlink copy: the
+		// checkpoint carries the uplink's observation in a copy-matcher
+		// ring that by mid-trace has doubled several times, and the copy
+		// must find it there after the restore.
+		copyCut := lastCopyAfter(recs, cfg, len(recs)/2)
+		if copyCut < 0 {
+			t.Fatalf("%s trace pairs no copy in its second half", input.name)
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", input.name, workers), func(t *testing.T) {
-				differential(t, recs, workers)
+				differential(t, recs, workers, copyCut)
+			})
+		}
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d/aged-out-base", input.name, workers), func(t *testing.T) {
+				agedOutBase(t, recs, cfg, workers)
 			})
 		}
 		// Once more on a host whose zone is not UTC. The capture readers
@@ -130,6 +144,110 @@ func TestCheckpointRestoreDifferential(t *testing.T) {
 			time.Local = time.FixedZone("UTC-5", -5*60*60)
 			differential(t, recs, 2)
 		})
+	}
+}
+
+// lastCopyAfter returns the index of the last packet past from that
+// completed an RTT sample: the downlink copy of an uplink packet seen
+// earlier.
+func lastCopyAfter(recs []pcap.Record, cfg Config, from int) int {
+	a := NewAnalyzer(cfg)
+	last := -1
+	for i, rec := range recs {
+		n := len(a.Copies.Samples)
+		a.Packet(rec.Timestamp, rec.Data)
+		if i > from && len(a.Copies.Samples) > n {
+			last = i
+		}
+	}
+	return last
+}
+
+// agedOutBase: a delta whose base holds streams the live copy matcher
+// has since aged out. Half the trace, a full checkpoint, then only the
+// busiest flow carries on — six seconds later and for long enough that
+// the matcher's ageing cadence comes round and drops every other stream
+// the checkpoint holds — then a delta. The full record rolled forward by
+// the delta must be the live engine: the same bytes now, the same report
+// at the end.
+func agedOutBase(t *testing.T, recs []pcap.Record, cfg Config, workers int) {
+	var parser layers.Parser
+	var pkt layers.Packet
+	flowOf := func(rec pcap.Record) (layers.FiveTuple, bool) {
+		if parser.Parse(rec.Data, &pkt) != nil || !pkt.HasUDP {
+			return layers.FiveTuple{}, false
+		}
+		return pkt.FiveTuple()
+	}
+	counts := make(map[layers.FiveTuple]int)
+	var busiest layers.FiveTuple
+	for _, rec := range recs {
+		if ft, ok := flowOf(rec); ok {
+			if counts[ft]++; counts[ft] > counts[busiest] {
+				busiest = ft
+			}
+		}
+	}
+	half := len(recs) / 2
+	trace := append([]pcap.Record(nil), recs[:half]...)
+	span := recs[len(recs)-1].Timestamp.Sub(recs[0].Timestamp) + time.Second
+	for pass := 0; len(trace) < half+3*4096; pass++ {
+		shift := recs[half].Timestamp.Sub(recs[0].Timestamp) + 6*time.Second + time.Duration(pass)*span
+		for _, rec := range recs {
+			if ft, ok := flowOf(rec); ok && ft == busiest {
+				trace = append(trace, pcap.Record{Timestamp: rec.Timestamp.Add(shift), Data: rec.Data})
+			}
+		}
+	}
+	mid := half + 2*4096
+
+	feed := func(eng Engine, from, to int) {
+		for _, rec := range trace[from:to] {
+			eng.Packet(rec.Timestamp, rec.Data)
+		}
+	}
+	ref := newEngineFor(cfg, workers)
+	feed(ref, 0, len(trace))
+	ref.Finish()
+	want := renderReport(ref.Result())
+
+	live := newEngineFor(cfg, workers)
+	feed(live, 0, half)
+	var full, delta, liveCk, resumedCk bytes.Buffer
+	if err := live.Checkpoint(&full); err != nil {
+		t.Fatal(err)
+	}
+	waiting := 0
+	if a, ok := live.(*Analyzer); ok {
+		waiting = a.Copies.Pending()
+	}
+	feed(live, half, mid)
+	if a, ok := live.(*Analyzer); ok && a.Copies.Pending() >= waiting/2 {
+		t.Fatalf("%d observations waited at the checkpoint, %d after the others fell silent: nothing aged out", waiting, a.Copies.Pending())
+	}
+	if err := live.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := RestoreAnalyzer(bytes.NewReader(full.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.ApplyDelta(bytes.NewReader(delta.Bytes())); err != nil {
+		t.Fatalf("apply delta: %v", err)
+	}
+	if err := live.Checkpoint(&liveCk); err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Checkpoint(&resumedCk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveCk.Bytes(), resumedCk.Bytes()) {
+		t.Fatalf("full + delta encodes differently from the live engine (%d vs %d bytes)", resumedCk.Len(), liveCk.Len())
+	}
+	feed(resumed, mid, len(trace))
+	resumed.Finish()
+	if got := renderReport(resumed.Result()); got != want {
+		t.Errorf("restored report diverges from the uninterrupted run (lens %d vs %d)", len(got), len(want))
 	}
 }
 

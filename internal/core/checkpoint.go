@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 5
+	stateVersion = 6
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -328,7 +328,7 @@ func (sh *shard) code(c *statecodec.Codec) {
 
 	sh.Flows.Code(c)
 
-	statecodec.Tombstones(c, flow.StreamIDKey, sh.deadStreams, func(id flow.MediaStreamID) { delete(sh.StreamMetrics, id) })
+	statecodec.Tombstones(c, flow.StreamIDKey, sh.deadStreams, sh.forgetStreamMetric)
 	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics, nil,
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) bool { return sm.Dirty() },
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })

@@ -59,7 +59,7 @@ func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
 	if p.queueFed() {
 		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
 	}
-	p.shards[0].sink = sink
+	p.shards[0].sink = func(o *ClusterObs) { sink(*o) }
 	return nil
 }
 
@@ -134,7 +134,7 @@ func MergeCluster(cfg Config, parts []*Analyzer, head ClusterHead, next func() (
 	cfg.Obs = nil // the workers already fed the live metrics
 	p := newPipeline(cfg, 1)
 	for o, ok := next(); ok; o, ok = next() {
-		p.observe(o)
+		p.observe(&o)
 	}
 	shards := make([]*shard, len(parts))
 	for i, a := range parts {

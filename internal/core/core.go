@@ -56,8 +56,8 @@ type Config struct {
 	// caps a deployment cannot reach by flag follow from these two:
 	// MaxFlows also caps the TCP RTT trackers (one per Zoom control
 	// client endpoint), and a set MaxStreams caps each stream at
-	// maxSubstreams payload types and sizes the copy matcher's pending
-	// map (effectiveMaxCopyPending).
+	// maxSubstreams payload types and caps the copy matcher
+	// (effectiveMaxCopyPending).
 	MaxFlows   int
 	MaxStreams int
 	// MaxMeetingStreams caps the duplicate-stream detector's records. It
@@ -195,8 +195,8 @@ func newReconState(cfg Config) reconState {
 	return rec
 }
 
-// observe consumes one media observation.
-func (rec *reconState) observe(o ClusterObs) {
+// observe consumes one media observation, which it does not keep.
+func (rec *reconState) observe(o *ClusterObs) {
 	unified := rec.Dedup.Observe(meeting.StreamObs{
 		Time: o.At, Flow: o.Flow, Key: o.Key, Seq: o.RTPSeq, TS: o.RTPTS,
 	})
@@ -220,10 +220,10 @@ const maxSubstreams = 16
 // flow cap bounds them too.
 func (cfg Config) maxTCP() int { return cfg.MaxFlows }
 
-// effectiveMaxCopyPending resolves the cap on the RTT copy-matcher's
-// pending map (§5.3 method 1): a bounded deployment gets one derived
-// from the stream cap (pending entries are per unmatched packet, so
-// scale well above it); zero defers to the matcher's own default.
+// effectiveMaxCopyPending resolves the cap on the RTT copy matcher's
+// waiting observations (§5.3 method 1): a bounded deployment gets one
+// derived from the stream cap (they are per unmatched packet, so scale
+// well above it); zero defers to the matcher's own default.
 func effectiveMaxCopyPending(cfg Config) int {
 	if cfg.MaxStreams > 0 {
 		return 256 * cfg.MaxStreams

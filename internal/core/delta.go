@@ -80,7 +80,7 @@ func (p *pipeline) ApplyDelta(rd io.Reader) error {
 // finished engine reports unavailable (the driver's shutdown checkpoint
 // is a full one anyway).
 func (p *pipeline) deltaReady() bool {
-	ready := p.chainArmed && !p.finished && !p.Copies.DeltaOverflow()
+	ready := p.chainArmed && !p.finished
 	for _, sh := range p.shards {
 		ready = ready && !sh.deltaOverflow && !sh.Flows.DeltaOverflow()
 	}

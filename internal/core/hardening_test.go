@@ -283,6 +283,9 @@ func TestFloodHoldsCaps(t *testing.T) {
 			if n := len(a.TCP); n > maxFlows {
 				t.Fatalf("packet %d: %d TCP trackers exceed the derived cap %d", i, n, maxFlows)
 			}
+			if n := a.Copies.Pending(); n > 256*maxStreams {
+				t.Fatalf("packet %d: %d observations wait in the copy matcher, derived cap %d", i, n, 256*maxStreams)
+			}
 		}
 	}
 	a.Finish()
@@ -306,6 +309,9 @@ func TestFloodHoldsCaps(t *testing.T) {
 	}
 	if n := len(a.Finished); n > cfg.MaxFinished {
 		t.Errorf("%d archived streams exceed MaxFinished %d", n, cfg.MaxFinished)
+	}
+	if n := a.Copies.Pending(); n > 256*maxStreams {
+		t.Errorf("%d observations wait in the copy matcher, derived cap %d", n, 256*maxStreams)
 	}
 	noClient := func(layers.FiveTuple) netip.AddrPort { return netip.AddrPort{} }
 	if n := len(a.Dedup.Records(noClient)); n > cfg.MaxMeetingStreams {

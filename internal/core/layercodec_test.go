@@ -179,12 +179,13 @@ var layerCases = []struct {
 		two: func() coder {
 			cm := metrics.NewCopyMatcher()
 			cm.Observe(1, layerTuple(1), 98, 1, 100, layerT0)
-			cm.Observe(1, layerTuple(1), 98, 2, 100, layerT0)
+			cm.Observe(2, layerTuple(1), 98, 1, 100, layerT0)
 			return cm
 		},
-		// (unified 1, pt 98, seq, ts 100) as Int, U8, U16, U32.
-		keyA: []byte{2, 98, 1, 100},
-		keyB: []byte{2, 98, 2, 100},
+		// Two stream records: the unified id as Int, then the stream's
+		// latest observation time.
+		keyA: binary.AppendVarint([]byte{2}, layerT0.UnixNano()),
+		keyB: binary.AppendVarint([]byte{4}, layerT0.UnixNano()),
 	},
 	{
 		name:  "metrics.StreamMetrics",

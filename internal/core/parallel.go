@@ -166,7 +166,7 @@ func putObsChunk(c *obsChunk) {
 }
 
 // logObs is a queue-fed shard's sink: append to the pending chain.
-func (sh *shard) logObs(o ClusterObs) {
+func (sh *shard) logObs(o *ClusterObs) {
 	c := sh.obsTail
 	if c == nil || c.n == obsChunkLen {
 		nc := getObsChunk()
@@ -178,7 +178,7 @@ func (sh *shard) logObs(o ClusterObs) {
 		sh.obsTail = nc
 		c = nc
 	}
-	c.e[c.n] = o
+	c.e[c.n] = *o
 	c.n++
 }
 
@@ -293,7 +293,7 @@ func (p *pipeline) replayLogs() {
 		if best < 0 {
 			break
 		}
-		p.observe(cur[best].c.e[cur[best].i])
+		p.observe(&cur[best].c.e[cur[best].i])
 		cur[best].i++
 	}
 	for _, sh := range p.shards {

@@ -45,9 +45,12 @@ type shard struct {
 	protos []rtcproto.Plugin
 	dec    layers.Parser
 	dpkt   layers.Packet
-	// rec is the reused flow observation passed to Flows.Observe (which
-	// copies what it keeps).
+	// mo is the reused decode of the packet in hand; rec, the reused flow
+	// observation passed to Flows.Observe (which copies what it keeps);
+	// obs, the reused media observation handed to sink.
+	mo  rtcproto.MediaObs
 	rec flow.Record
+	obs ClusterObs
 	// so holds this shard's live-metric handles: the engine's own when
 	// inline, shard-labeled occupancy gauges when queue-fed.
 	so *coreObs
@@ -55,8 +58,9 @@ type shard struct {
 	// sink receives every media-stream observation, tagged with the
 	// packet's global sequence number. Stream unification, RTP copy
 	// matching and feature windows correlate packets across flows, so
-	// they cannot live in a shard.
-	sink func(ClusterObs)
+	// they cannot live in a shard. The observation is the shard's to
+	// reuse once sink returns.
+	sink func(*ClusterObs)
 	// panicHook, when set, runs inside process's recover scope before
 	// the decode. Tests inject deterministic panics through it.
 	panicHook func(at time.Time, frame []byte)
@@ -275,14 +279,13 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	// packet ownership is deterministic and independent of decode
 	// strictness. Probes are mutually exclusive by construction (Zoom
 	// first bytes < 0x80, RTP version bits require 0x80..0xBF).
-	var mo rtcproto.MediaObs
 	decoded := false
 	for _, p := range sh.protos {
 		if !p.Probe(pkt.Payload) {
 			continue
 		}
 		var err error
-		mo, err = p.Decode(pkt.Payload)
+		sh.mo, err = p.Decode(pkt.Payload)
 		decoded = err == nil
 		break
 	}
@@ -292,8 +295,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		sh.so.protoUndecodable.Inc()
 		return
 	}
-	proto := mo.Proto
-	zp := mo.Pkt
+	proto, zp := sh.mo.Proto, &sh.mo.Pkt
 	sh.ProtoDecoded[proto]++
 	sh.so.protoDecoded[proto].Inc()
 	if proto == rtcproto.IDZoom {
@@ -310,7 +312,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		WireLen:       wireLen,
 		UDPPayloadLen: len(pkt.Payload),
 		Proto:         uint8(proto),
-		Z:             zp,
+		Z:             *zp,
 	}
 	st := sh.Flows.Observe(&sh.rec)
 
@@ -325,17 +327,22 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		return
 	}
 	key := zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
-	sh.sink(ClusterObs{
+	sh.obs = ClusterObs{
 		Seq: seq, At: at, Flow: ft, Key: key,
 		WireLen: wireLen, PayloadLen: len(pkt.Payload),
 		PT: zp.RTP.PayloadType, RTPSeq: zp.RTP.SequenceNumber, RTPTS: zp.RTP.Timestamp,
-	})
+	}
+	sh.sink(&sh.obs)
 
-	id := flow.MediaStreamID{Flow: ft, Key: key}
-	sm := sh.StreamMetrics[id]
+	// The stream's record carries its metric engine from the second packet
+	// on; StreamMetrics stays the registry everything else reads.
+	sm, _ := st.Owner.(*metrics.StreamMetrics)
 	if sm == nil {
-		sm = metrics.NewStreamMetrics(zp.Media.Type)
-		sh.StreamMetrics[id] = sm
+		if sm = sh.StreamMetrics[st.ID]; sm == nil {
+			sm = metrics.NewStreamMetrics(zp.Media.Type)
+			sh.StreamMetrics[st.ID] = sm
+		}
+		st.Owner = sm
 	}
 	sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
 	sm.MarkDirty()
@@ -406,10 +413,19 @@ func (sh *shard) Compact(cutoff time.Time) int {
 	for _, f := range victims {
 		f.Metrics.Finish()
 		sh.archiveFinished(f)
-		delete(sh.StreamMetrics, f.ID)
+		sh.forgetStreamMetric(f.ID)
 		sh.tombstoneStreamMetric(f.ID)
 	}
 	return len(victims)
+}
+
+// forgetStreamMetric removes a stream's metric engine from the registry
+// and from the handle its flow-table record may still carry.
+func (sh *shard) forgetStreamMetric(id flow.MediaStreamID) {
+	delete(sh.StreamMetrics, id)
+	if st, ok := sh.Flows.Stream(id); ok {
+		st.Owner = nil
+	}
 }
 
 // archiveFinished appends to the archive, enforcing Config.MaxFinished

@@ -69,6 +69,12 @@ type StreamStats struct {
 	Substreams        map[uint8]*SubstreamStats
 	RTCPPackets       uint64
 
+	// Owner is the table's driver's to use: a handle to whatever it keeps
+	// per stream, so a packet the table has already resolved to this
+	// record needs no second lookup there. The table never reads it and no
+	// record carries it: a decoded or absorbed record has none.
+	Owner any
+
 	// dirty marks the record as mutated since the last checkpoint encode
 	// (delta checkpoints re-serialize only dirty records).
 	dirty bool
@@ -380,7 +386,8 @@ func (t *Table) Streams() []*StreamStats {
 }
 
 // Absorb merges src's flows, streams, and totals into t, leaving src
-// unchanged. The sharded parallel analyzer calls it at merge time; shard
+// unchanged but for the Owner handles, which it drops: t's driver is
+// another one. The sharded parallel analyzer calls it at merge time; shard
 // tables are keyed by disjoint five-tuple sets there, but overlapping
 // keys are combined correctly anyway (counters summed, first/last seen
 // widened) so Absorb is safe for general table union.
@@ -431,10 +438,12 @@ func (t *Table) Absorb(src *Table) {
 	}
 	for k, s := range src.streams {
 		dst := t.streams[k]
+		s.Owner = nil
 		if dst == nil {
 			t.streams[k] = s
 			continue
 		}
+		dst.Owner = nil
 		if s.FirstSeen.Before(dst.FirstSeen) {
 			dst.FirstSeen = s.FirstSeen
 			dst.FirstRTPTimestamp = s.FirstRTPTimestamp

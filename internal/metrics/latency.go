@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"zoomlens/internal/layers"
@@ -21,88 +22,258 @@ type RTTSample struct {
 // sequence numbers measure the round trip from the monitor to the SFU
 // and back (Figure 11, solid lines).
 //
-// Matching is keyed on (unified stream, payload type, sequence number);
-// all four features of the duplicate-detection heuristic (time, SSRC,
-// seq, timestamp) participate because unified IDs already encode
-// SSRC/timestamp proximity and the age limit bounds time.
+// Matching is keyed on (unified stream, payload type, sequence number,
+// RTP timestamp); all four features of the duplicate-detection heuristic
+// (time, SSRC, seq, timestamp) participate because unified IDs already
+// encode SSRC/timestamp proximity and the age limit bounds time.
+//
+// An observation waits for its copy in a ring of its unified stream and
+// payload type, at position seq mod the ring's length, so the packet
+// path hashes one 8-byte id and never inserts into or deletes from a
+// map. It waits for copyMaxAge, or until the stream has moved maxRing
+// sequence numbers past it, whichever ends first.
 type CopyMatcher struct {
-	// MaxPending triggers garbage collection of the pending map beyond
-	// this many entries, bounding matcher state on long captures. Zero
-	// selects DefaultMaxPending. It is configuration: whoever builds the
-	// matcher sets it (core derives it from Config.MaxStreams), and no
-	// checkpoint record carries it.
+	// MaxPending caps the observations waiting for a copy, bounding
+	// matcher state on long captures; it also caps the streams the
+	// matcher follows, and ring memory at minRing slots per permitted
+	// observation. Zero selects DefaultMaxPending. It is configuration:
+	// whoever builds the matcher sets it (core derives it from
+	// Config.MaxStreams), and no checkpoint record carries it.
 	MaxPending int
 	// Samples receives each RTT measurement.
 	Samples []RTTSample
 
-	pending map[copyKey]obs
+	// streams is keyed by unified id — a map, not a slice: a detector at
+	// its own cap hands out a fresh id per packet.
+	streams map[meeting.UnifiedID]*copyStream
+	// pending counts the slots that hold an observation, slots the ones
+	// allocated, over every ring.
+	pending, slots int
+	// observed counts observations, the clock ageing runs on; from
+	// nextSweep on, a matcher at its cap may pay for another slot sweep.
+	observed, nextSweep uint64
+	// swept counts the slots ageing has visited: what tests bound the work
+	// of a hostile clock by.
+	swept uint64
 
-	// Delta-checkpoint tracking (see delta.go): armed by
-	// MarkCheckpointed, nil/false on matchers that never checkpoint so
-	// the hot path pays only a branch.
-	dirty     map[copyKey]struct{}
-	dead      map[copyKey]struct{}
+	// Delta-checkpoint tracking (see state.go): the streams of the last
+	// checkpoint dropped since, and the Samples length at it.
+	dead      []meeting.UnifiedID
 	ckSamples int
-	armed     bool
-	overflow  bool
 }
 
-// DefaultMaxPending is the pending-entry GC threshold when MaxPending is
-// unset.
-const DefaultMaxPending = 1 << 16
+const (
+	// DefaultMaxPending is the cap on waiting observations when MaxPending
+	// is unset.
+	DefaultMaxPending = 1 << 16
+	// copyMaxAge bounds how long a first observation waits for its copy.
+	copyMaxAge = 5 * time.Second
+	// copyAgeEvery is how many observations pass between two sweeps that
+	// drop the streams idle longer than copyMaxAge: a count of
+	// observations and nothing else, as meeting.Dedup ages, so every
+	// engine fed the same observation sequence ages identically.
+	copyAgeEvery = 4096
+	// A ring starts at minRing slots and doubles up to maxRing — the
+	// sequence window of rtp.SeqTracker — while two observations that are
+	// both still waiting would share a slot.
+	minRing = 16
+	maxRing = 1024
+	// maxCopyFlows is how many five-tuples one unified stream can name: a
+	// slot holds the ordinal in a byte.
+	maxCopyFlows = 255
+)
 
-type copyKey struct {
-	unified meeting.UnifiedID
-	pt      uint8
-	seq     uint16
-	ts      uint32
+// copyStream is one unified stream's matcher state.
+type copyStream struct {
+	// last is the time of the stream's latest observation.
+	last int64
+	// flows are the five-tuples the stream was seen on; slots name them by
+	// position.
+	flows []layers.FiveTuple
+	// rings holds one ring per payload type, ascending.
+	rings []copyRing
+	// dirty marks a stream observed since the last checkpoint encode, base
+	// one that checkpoint holds.
+	dirty, base bool
+	// The first few five-tuples and rings, and the first ring's first
+	// slots, live in the record itself: few streams have more, so most
+	// are one allocation.
+	flows0 [3]layers.FiveTuple
+	rings0 [2]copyRing
+	slots0 [minRing]copySlot
 }
 
-type obs struct {
-	at   time.Time
-	flow layers.FiveTuple
+func newCopyStream() *copyStream {
+	s := new(copyStream)
+	s.flows, s.rings = s.flows0[:0], s.rings0[:0]
+	return s
 }
 
-// copyMaxAge bounds how long a first observation waits for its copy.
-const copyMaxAge = 5 * time.Second
+type copyRing struct {
+	pt uint8
+	// dirty marks a ring with dirty slots, or grown, since the last
+	// checkpoint encode.
+	dirty bool
+	slots []copySlot
+}
+
+// copySlot is one waiting observation, found at seq mod the ring length.
+type copySlot struct {
+	at    int64 // capture time in Unix nanoseconds (see Nanos)
+	ts    uint32
+	seq   uint16
+	flow  uint8 // ordinal in copyStream.flows
+	flags uint8
+}
+
+const (
+	slotLive  = 1 << iota // holds an observation
+	slotDirty             // written or emptied since the last checkpoint encode
+)
+
+// copyStale reports whether something observed at time at is more than
+// copyMaxAge old at now. A time after now is not: its age is negative.
+func copyStale(now, at int64) bool {
+	return now > at && uint64(now-at) > uint64(copyMaxAge)
+}
 
 // NewCopyMatcher returns an empty matcher.
 func NewCopyMatcher() *CopyMatcher {
-	return &CopyMatcher{pending: make(map[copyKey]obs)}
+	return &CopyMatcher{streams: make(map[meeting.UnifiedID]*copyStream)}
+}
+
+// ring returns the stream's ring for pt, nil if it has none.
+func (s *copyStream) ring(pt uint8) *copyRing {
+	for i := range s.rings {
+		if s.rings[i].pt == pt {
+			return &s.rings[i]
+		}
+	}
+	return nil
+}
+
+// addRing gives the stream an empty ring for pt, which it must not have.
+func (cm *CopyMatcher) addRing(s *copyStream, pt uint8) *copyRing {
+	i := 0
+	for i < len(s.rings) && s.rings[i].pt < pt {
+		i++
+	}
+	slots := s.slots0[:]
+	if len(s.rings) > 0 {
+		slots = make([]copySlot, minRing)
+	}
+	s.rings = slices.Insert(s.rings, i, copyRing{pt: pt, dirty: true, slots: slots})
+	cm.slots += minRing
+	return &s.rings[i]
 }
 
 // Observe ingests one media packet observation annotated with its
 // unified stream ID and returns an RTT sample if this packet pairs with
 // an earlier copy on a different flow.
 func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple, pt uint8, seq uint16, ts uint32, at time.Time) (RTTSample, bool) {
-	k := copyKey{unified, pt, seq, ts}
-	if prev, ok := cm.pending[k]; ok {
-		if prev.flow != flow {
-			age := at.Sub(prev.at)
-			if age >= 0 && age <= copyMaxAge {
-				s := RTTSample{Time: at, RTT: age, Unified: unified}
-				cm.Samples = append(cm.Samples, s)
-				delete(cm.pending, k)
-				cm.bury(k)
-				return s, true
+	now := Nanos(at)
+	if cm.observed++; cm.observed%copyAgeEvery == 0 {
+		cm.sweep(now, false)
+	}
+	s := cm.streams[unified]
+	ord := -1
+	var r *copyRing
+	if s != nil {
+		s.last, s.dirty = now, true
+		ord = slices.Index(s.flows, flow)
+		r = s.ring(pt)
+	}
+	if r != nil {
+		sl := &r.slots[int(seq)&(len(r.slots)-1)]
+		if sl.flags&slotLive != 0 && sl.seq == seq && sl.ts == ts &&
+			int(sl.flow) != ord && now >= sl.at && uint64(now-sl.at) <= uint64(copyMaxAge) {
+			rs := RTTSample{Time: at, RTT: time.Duration(now - sl.at), Unified: unified}
+			if len(cm.Samples) == cap(cm.Samples) {
+				// Doubling: append's 1.25× steps copy a long series five
+				// times over, and that was most of a pairing's cost.
+				cm.Samples = slices.Grow(cm.Samples, max(len(cm.Samples), 64))
 			}
+			cm.Samples = append(cm.Samples, rs)
+			sl.flags = slotDirty
+			r.dirty = true
+			cm.pending--
+			return rs, true
 		}
-		// Same flow (a retransmission) or stale: refresh the pending
-		// observation so later copies match the most recent send. The
-		// refreshed entry must carry the *observing* packet's flow — a
-		// stale cross-flow copy supersedes the old observation entirely,
-		// and keeping the old flow with the new timestamp would let a
-		// later same-flow packet pair against it as a bogus RTT sample.
-		cm.pending[k] = obs{at: at, flow: flow}
-		cm.touch(k)
-		return RTTSample{}, false
 	}
-	cm.pending[k] = obs{at: at, flow: flow}
-	cm.touch(k)
-	if len(cm.pending) > cm.maxPending() {
-		cm.gc(at)
+	// Not a copy: the same flow again (a retransmission), too late or too
+	// early for what waits there, or nothing waiting. The observation
+	// takes the slot with the observing packet's flow and time — a stale
+	// cross-flow copy supersedes the old observation entirely, and keeping
+	// the old flow with the new time would let a later same-flow packet
+	// pair against it as a bogus RTT sample.
+	if s == nil {
+		if cm.atCap(now) {
+			return RTTSample{}, false
+		}
+		s = newCopyStream()
+		s.last, s.dirty = now, true
+		cm.streams[unified] = s
 	}
+	if ord < 0 {
+		if len(s.flows) == maxCopyFlows {
+			return RTTSample{}, false
+		}
+		ord = len(s.flows)
+		s.flows = append(s.flows, flow)
+	}
+	if r == nil {
+		if cm.atCap(now) || !cm.room(minRing) {
+			return RTTSample{}, false
+		}
+		r = cm.addRing(s, pt)
+	}
+	sl := cm.place(r, seq, now)
+	if sl.flags&slotLive == 0 {
+		if cm.atCap(now) {
+			return RTTSample{}, false
+		}
+		cm.pending++
+	}
+	*sl = copySlot{at: now, ts: ts, seq: seq, flow: uint8(ord), flags: slotLive | slotDirty}
+	r.dirty = true
 	return RTTSample{}, false
+}
+
+// place returns the slot for seq, first doubling the ring while that
+// slot holds an observation of another sequence number that is not yet
+// stale, a longer ring would part the two, and the slot budget allows.
+// What the slot holds after that is overwritten: the newest observation
+// wins.
+func (cm *CopyMatcher) place(r *copyRing, seq uint16, now int64) *copySlot {
+	for {
+		n := len(r.slots)
+		sl := &r.slots[int(seq)&(n-1)]
+		if sl.flags&slotLive == 0 || (sl.seq^seq)&(maxRing-1) == 0 || copyStale(now, sl.at) ||
+			n == maxRing || !cm.room(n) {
+			return sl
+		}
+		cm.grow(r)
+	}
+}
+
+// grow doubles the ring. An observation moves to its sequence number's
+// position in the longer ring; a dirty slot dirties both positions it
+// splits into, since a replica's copy of it may hold an observation that
+// lands on either.
+func (cm *CopyMatcher) grow(r *copyRing) {
+	old := r.slots
+	n := len(old)
+	r.slots = make([]copySlot, 2*n)
+	for i, sl := range old {
+		if sl.flags&slotDirty != 0 {
+			r.slots[i].flags, r.slots[i+n].flags = slotDirty, slotDirty
+		}
+		if sl.flags&slotLive != 0 {
+			r.slots[int(sl.seq)&(2*n-1)] = sl
+		}
+	}
+	r.dirty = true
+	cm.slots += n
 }
 
 func (cm *CopyMatcher) maxPending() int {
@@ -112,27 +283,70 @@ func (cm *CopyMatcher) maxPending() int {
 	return DefaultMaxPending
 }
 
-// Pending reports the pending-map occupancy (for the observability
-// gauges).
-func (cm *CopyMatcher) Pending() int { return len(cm.pending) }
+// room reports whether the slot budget allows n more slots.
+func (cm *CopyMatcher) room(n int) bool { return cm.slots+n <= cm.maxPending()*minRing }
 
-// gc removes entries older than copyMaxAge; if the map is still over the
-// cap (a burst of unmatched observations younger than that), the age
-// bound halves until the map fits, keeping the newest entries — a
-// deterministic eviction order, so capped runs stay reproducible.
-func (cm *CopyMatcher) gc(now time.Time) {
-	age := copyMaxAge
-	for {
-		for k, o := range cm.pending {
-			if now.Sub(o.at) > age {
-				delete(cm.pending, k)
-				cm.bury(k)
+// Pending reports how many observations wait for a copy (for the
+// observability gauges).
+func (cm *CopyMatcher) Pending() int { return cm.pending }
+
+// atCap reports whether the matcher must turn a new observation or
+// stream away. A matcher at its cap first empties the slots that went
+// stale — but sweeps at most once per copyAgeEvery observations, so a
+// cap that stays full (a burst younger than copyMaxAge, or a clock that
+// jumped back and left every slot dated in the future) costs the packets
+// behind it a comparison each, not a sweep each.
+func (cm *CopyMatcher) atCap(now int64) bool {
+	limit := cm.maxPending()
+	if cm.pending < limit && len(cm.streams) < limit {
+		return false
+	}
+	if cm.observed >= cm.nextSweep {
+		cm.nextSweep = cm.observed + copyAgeEvery
+		cm.sweep(now, true)
+	}
+	return cm.pending >= limit || len(cm.streams) >= limit
+}
+
+// sweep drops every stream whose latest observation is stale and, when
+// slots is set, empties the stale slots of the others.
+func (cm *CopyMatcher) sweep(now int64, slots bool) {
+	for id, s := range cm.streams {
+		if copyStale(now, s.last) {
+			cm.drop(id, s)
+			continue
+		}
+		if !slots {
+			continue
+		}
+		for ri := range s.rings {
+			r := &s.rings[ri]
+			cm.swept += uint64(len(r.slots))
+			for i := range r.slots {
+				if sl := &r.slots[i]; sl.flags&slotLive != 0 && copyStale(now, sl.at) {
+					sl.flags = slotDirty
+					r.dirty, s.dirty = true, true
+					cm.pending--
+				}
 			}
 		}
-		if len(cm.pending) <= cm.maxPending() || age < time.Millisecond {
-			return
+	}
+}
+
+// drop forgets a stream and everything waiting in it.
+func (cm *CopyMatcher) drop(id meeting.UnifiedID, s *copyStream) {
+	for _, r := range s.rings {
+		cm.slots -= len(r.slots)
+		cm.swept += uint64(len(r.slots))
+		for _, sl := range r.slots {
+			if sl.flags&slotLive != 0 {
+				cm.pending--
+			}
 		}
-		age /= 2
+	}
+	delete(cm.streams, id)
+	if s.base {
+		cm.dead = append(cm.dead, id)
 	}
 }
 

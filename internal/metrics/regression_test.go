@@ -80,35 +80,49 @@ func TestCopyMatcherStaleRefreshTakesObservingFlow(t *testing.T) {
 	}
 }
 
-// TestCopyMatcherMaxPending checks the GC threshold honors the
-// configured cap instead of the old hardcoded 1<<16, and that occupancy
-// is observable.
+// TestCopyMatcherMaxPending checks that the configured cap, not the
+// default, bounds the waiting observations; that a matcher at the cap
+// makes room by emptying stale slots; that one full of fresh
+// observations turns new ones away instead; and that occupancy is
+// observable.
 func TestCopyMatcherMaxPending(t *testing.T) {
 	flowA := layers.FiveTuple{Src: netip.MustParseAddr("10.8.1.2"), Dst: netip.MustParseAddr("52.81.3.4"), SrcPort: 52000, DstPort: 8801, Proto: layers.ProtoUDP}
+	flowB := flowA.Reverse()
 	cm := NewCopyMatcher()
 	cm.MaxPending = 64
 
-	// Old entries age out once the cap is crossed.
 	for i := 0; i < 64; i++ {
 		cm.Observe(1, flowA, 98, uint16(i), uint32(i), t0)
 	}
 	if cm.Pending() != 64 {
 		t.Fatalf("pending = %d, want 64", cm.Pending())
 	}
+	// Another stream's first observation finds the matcher at the cap:
+	// the 64 stale ones make way.
 	late := t0.Add(copyMaxAge + time.Second)
-	cm.Observe(1, flowA, 98, 1000, 1000, late)
+	cm.Observe(2, flowA, 98, 1000, 1000, late)
 	if got := cm.Pending(); got != 1 {
-		t.Fatalf("pending after GC = %d, want 1 (stale entries collected at cap)", got)
+		t.Fatalf("pending after the sweep = %d, want 1 (stale observations collected at the cap)", got)
+	}
+	if _, ok := cm.Observe(2, flowB, 98, 1000, 1000, late.Add(time.Millisecond)); !ok {
+		t.Fatal("the observation admitted at the cap did not pair with its copy")
 	}
 
-	// A burst younger than MaxAge still shrinks deterministically: the
-	// age bound halves until the map fits, keeping the newest entries.
+	// A burst younger than copyMaxAge: the cap holds, what was admitted
+	// keeps its full horizon, and what came after is turned away.
 	cm2 := NewCopyMatcher()
 	cm2.MaxPending = 16
+	at := func(i int) time.Time { return t0.Add(time.Duration(i) * 10 * time.Millisecond) }
 	for i := 0; i < 200; i++ {
-		cm2.Observe(1, flowA, 98, uint16(i), uint32(i), t0.Add(time.Duration(i)*10*time.Millisecond))
+		cm2.Observe(1, flowA, 98, uint16(i), uint32(i), at(i))
+		if got := cm2.Pending(); got > 16 {
+			t.Fatalf("pending = %d after %d fresh observations, cap 16", got, i+1)
+		}
 	}
-	if got := cm2.Pending(); got > 16+1 {
-		t.Fatalf("pending after burst = %d, want <= 17", got)
+	if _, ok := cm2.Observe(1, flowB, 98, 3, 3, at(200)); !ok {
+		t.Error("an observation admitted below the cap lost its copy")
+	}
+	if _, ok := cm2.Observe(1, flowB, 98, 150, 150, at(200)); ok {
+		t.Error("an observation turned away at the cap produced a sample")
 	}
 }

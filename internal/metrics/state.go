@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 
+	"zoomlens/internal/layers"
+	"zoomlens/internal/meeting"
 	"zoomlens/internal/statecodec"
 )
 
@@ -176,100 +178,57 @@ func (t *TalkTracker) code(c *statecodec.Codec) {
 	c.Time(&t.lastSeen)
 }
 
-// The copy matcher's state is a pending map (bounded by MaxPending, but
-// at the cap that is still tens of thousands of entries to sort and
-// re-serialize) plus an append-only Samples slice; writing both whole
-// into every delta record made the matcher the dominant cost of an
-// otherwise churn-proportional delta. Instead the matcher tracks, while
-// armed, which pending keys were upserted (dirty) or deleted (dead)
-// since the last checkpoint encode, and remembers the Samples length at
-// that encode — Samples only ever grows, so a delta carries just the
-// tail.
-
-// maxCopyDelta bounds the mutation backlog a delta is willing to carry;
-// past it the matcher flags overflow and the owner falls back to a full
-// snapshot (which resets everything).
-const maxCopyDelta = 1 << 20
-
-// touch records an upsert of k while armed. A key can flip between the
-// dirty and dead sets (matched then re-observed before the next
-// checkpoint); the sets stay disjoint so apply order cannot matter.
-func (cm *CopyMatcher) touch(k copyKey) {
-	if !cm.armed || cm.overflow {
-		return
-	}
-	delete(cm.dead, k)
-	if len(cm.dirty) >= maxCopyDelta {
-		cm.overflow = true
-		return
-	}
-	if cm.dirty == nil {
-		cm.dirty = make(map[copyKey]struct{})
-	}
-	cm.dirty[k] = struct{}{}
-}
-
-// bury records a deletion of k while armed.
-func (cm *CopyMatcher) bury(k copyKey) {
-	if !cm.armed || cm.overflow {
-		return
-	}
-	delete(cm.dirty, k)
-	if len(cm.dead) >= maxCopyDelta {
-		cm.overflow = true
-		return
-	}
-	if cm.dead == nil {
-		cm.dead = make(map[copyKey]struct{})
-	}
-	cm.dead[k] = struct{}{}
-}
-
-// DeltaOverflow reports whether the mutation backlog outgrew what a
-// delta can carry; the owner must fall back to a full snapshot.
-func (cm *CopyMatcher) DeltaOverflow() bool { return cm.overflow }
+// The copy matcher's delta is proportional to change. Every write to a
+// slot — an observation stored, matched away or aged out — sets the
+// slot's dirty bit and its ring's and stream's; a delta record carries
+// the dirty streams' headers, the dirty rings' lengths and the dirty
+// slots, whole or as "now empty". Streams dropped since the last
+// checkpoint travel as tombstones, but only those that checkpoint holds,
+// so the backlog is bounded by the stream table and no delta can
+// overflow. Samples only ever grows, so a delta carries just the tail
+// past the length at the last encode.
 
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
-// decode: the current state is fully captured, so the mutation sets
-// clear, the Samples baseline re-anchors, and the matcher arms for the
-// next delta.
+// decode: the current state is fully captured, so the dirty bits and
+// tombstones clear, every stream becomes part of the base and the
+// Samples baseline re-anchors.
 func (cm *CopyMatcher) MarkCheckpointed() {
-	clear(cm.dirty)
-	clear(cm.dead)
+	for _, s := range cm.streams {
+		s.base = true
+		if !s.dirty {
+			continue
+		}
+		s.dirty = false
+		for ri := range s.rings {
+			r := &s.rings[ri]
+			if !r.dirty {
+				continue
+			}
+			r.dirty = false
+			for i := range r.slots {
+				r.slots[i].flags &^= slotDirty
+			}
+		}
+	}
+	cm.dead = cm.dead[:0]
 	cm.ckSamples = len(cm.Samples)
-	cm.overflow = false
-	cm.armed = true
 }
 
-var copyKeyKey = &statecodec.Key[copyKey]{Min: 4,
-	Compare: func(a, b copyKey) int {
-		if c := cmp.Compare(a.unified, b.unified); c != 0 {
-			return c
-		}
-		if a.pt != b.pt {
-			return int(a.pt) - int(b.pt)
-		}
-		if a.seq != b.seq {
-			return int(a.seq) - int(b.seq)
-		}
-		return cmp.Compare(a.ts, b.ts)
-	},
-	Code: func(c *statecodec.Codec, k copyKey) copyKey {
-		c.Int((*int)(&k.unified))
-		c.U8(&k.pt)
-		c.U16(&k.seq)
-		c.U32(&k.ts)
-		return k
+var unifiedKey = &statecodec.Key[meeting.UnifiedID]{Min: 1, Compare: cmp.Compare[meeting.UnifiedID],
+	Code: func(c *statecodec.Codec, id meeting.UnifiedID) meeting.UnifiedID {
+		c.Int((*int)(&id))
+		return id
 	}}
 
-// Code walks the copy matcher through c. Pending observations are live
+// Code walks the copy matcher through c. Waiting observations are live
 // latency state: a downlink copy arriving after restore must still pair
 // with its uplink observation from before the checkpoint. The record
 // carries the Samples baseline its tail extends (0 for a full record),
-// so applying a delta to the wrong base state fails loudly. Callers
-// must check DeltaOverflow before a delta encode and call
-// MarkCheckpointed after any successful pass; a matcher whose decoding
-// pass failed may be partially mutated and must be discarded.
+// so applying a delta to the wrong base state fails loudly; then the
+// ageing clock, the tombstones, and the selected streams in id order,
+// their rings in payload-type order, their slots in slot order. Callers
+// must call MarkCheckpointed after any successful pass; a matcher whose
+// decoding pass failed may be partially mutated and must be discarded.
 func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 	base := cm.ckSamples
 	if c.Full() {
@@ -284,15 +243,118 @@ func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 		c.Duration(&s.RTT)
 		c.Int((*int)(&s.Unified))
 	})
+	c.U64(&cm.observed)
+	c.U64(&cm.nextSweep)
 
-	dead := make([]copyKey, 0, len(cm.dead))
-	for k := range cm.dead {
-		dead = append(dead, k)
-	}
-	statecodec.Tombstones(c, copyKeyKey, dead, func(k copyKey) { delete(cm.pending, k) })
-	statecodec.MapSet(c, copyKeyKey, &cm.pending, cm.dirty, func(_ copyKey, o obs) (obs, bool) {
-		c.Time(&o.at)
-		o.flow.Code(c)
-		return o, true
+	statecodec.Tombstones(c, unifiedKey, cm.dead, func(id meeting.UnifiedID) {
+		if s := cm.streams[id]; s != nil {
+			cm.drop(id, s)
+		}
 	})
+	var sel []meeting.UnifiedID
+	if c.Encoding() {
+		for id, s := range cm.streams {
+			if c.Full() || s.dirty {
+				sel = append(sel, id)
+			}
+		}
+	}
+	statecodec.Keys(c, unifiedKey, sel, func(id meeting.UnifiedID) {
+		s := cm.streams[id]
+		if s == nil {
+			s = newCopyStream()
+			cm.streams[id] = s
+		}
+		c.I64(&s.last)
+		statecodec.Slice(c, &s.flows, 0, func(ft *layers.FiveTuple) { ft.Code(c) })
+		if len(s.flows) > maxCopyFlows {
+			c.Failf("metrics.CopyMatcher stream on %d five-tuples", len(s.flows))
+			return
+		}
+		var buf [8]uint8
+		pts := buf[:0]
+		for i := range s.rings {
+			if c.Full() || s.rings[i].dirty {
+				pts = append(pts, s.rings[i].pt)
+			}
+		}
+		statecodec.Keys(c, u8Key, pts, func(pt uint8) {
+			r := s.ring(pt)
+			if r == nil {
+				r = cm.addRing(s, pt)
+			}
+			cm.codeRing(c, r, len(s.flows))
+		})
+	})
+}
+
+// codeRing walks one ring: its length — a decoding pass grows its own to
+// it, exactly as the packet path would have — then the selected slots in
+// slot order, live ones on a full pass and dirty ones, live or emptied,
+// on a delta. flows is how many five-tuples a slot may name.
+func (cm *CopyMatcher) codeRing(c *statecodec.Codec, r *copyRing, flows int) {
+	n := len(r.slots)
+	if c.Int(&n); n < len(r.slots) || n > maxRing || n&(n-1) != 0 {
+		c.Failf("metrics.CopyMatcher ring of %d slots onto one of %d", n, len(r.slots))
+		return
+	}
+	for len(r.slots) < n {
+		cm.grow(r)
+	}
+	sel := uint8(slotDirty)
+	if c.Full() {
+		sel = slotLive
+	}
+	count := 0
+	if c.Encoding() {
+		for i := range r.slots {
+			if r.slots[i].flags&sel != 0 {
+				count++
+			}
+		}
+	}
+	if c.Int(&count); count < 0 || count > n {
+		c.Failf("metrics.CopyMatcher ring of %d slots with %d records", n, count)
+		return
+	}
+	for at := -1; count > 0; count-- {
+		pos := at + 1
+		for c.Encoding() && r.slots[pos].flags&sel == 0 {
+			pos++
+		}
+		if c.Int(&pos); pos <= at || pos >= n {
+			c.Failf("metrics.CopyMatcher slot %d after slot %d of %d", pos, at, n)
+			return
+		}
+		at = pos
+		sl := &r.slots[pos]
+		e := *sl
+		live := e.flags&slotLive != 0
+		if c.Bool(&live); live {
+			c.U16(&e.seq)
+			c.U32(&e.ts)
+			c.I64(&e.at)
+			c.U8(&e.flow)
+		}
+		if c.Encoding() {
+			continue
+		}
+		switch {
+		case c.Err() != nil:
+			return
+		case !live:
+			e = copySlot{}
+		case int(e.seq)&(n-1) != pos || int(e.flow) >= flows:
+			c.Failf("metrics.CopyMatcher slot %d holds sequence number %d of flow %d (%d known)", pos, e.seq, e.flow, flows)
+			return
+		default:
+			e.flags = slotLive
+		}
+		if sl.flags&slotLive != 0 {
+			cm.pending--
+		}
+		if *sl = e; live {
+			cm.pending++
+		}
+	}
 }

@@ -415,18 +415,21 @@ func (sm *StreamMetrics) Finish() {
 // sequence spaces (the shared main space plus each FEC space).
 func (sm *StreamMetrics) LossStats() rtp.Stats {
 	var out rtp.Stats
-	seen := map[*rtp.SeqTracker]struct{}{}
-	for _, st := range sm.subs {
-		if _, dup := seen[st.seq]; dup {
-			continue
-		}
-		seen[st.seq] = struct{}{}
-		s := st.seq.Stats()
+	add := func(t *rtp.SeqTracker) {
+		s := t.Stats()
 		out.Received += s.Received
 		out.Duplicates += s.Duplicates
 		out.Reordered += s.Reordered
 		out.ExpectedSpan += s.ExpectedSpan
 		out.EstimatedLost += s.EstimatedLost
+	}
+	if sm.mainSeq != nil {
+		add(sm.mainSeq)
+	}
+	for _, st := range sm.subs {
+		if !st.isMain {
+			add(st.seq)
+		}
 	}
 	return out
 }
