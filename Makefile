@@ -105,11 +105,14 @@ cluster-smoke:
 # sequential, parallel, and 2-way cluster engines, pcap and pcapng), the
 # zoom-only backward-compatibility golden (-proto zoom == default set on
 # a pure Zoom trace), the plugin/capture unit suites, and the CLI-level
-# per-app counter exposure.
+# per-app counter exposure. The mixed-app differential's short-ttl-dedup
+# row is also the -flow-ttl read-side row (same stream IDs and per-ID
+# packet sums from Streams() in all three tiers, 2-way cluster merge
+# included); its in-package twin at workers 1/2/4 rides the last line.
 proto-smoke:
 	$(GO) test -count=1 -run 'TestProtoDifferentialMixedApps|TestProtoZoomOnlyUnchanged|TestCLIProtoCountersExposed' -v .
 	$(GO) test -count=1 ./internal/rtcproto/ ./internal/webrtc/
-	$(GO) test -count=1 -run 'TestSTUNPortRequiresFraming|TestWebRTCEndToEnd|TestProtoPinnedToZoom|TestCheckpointRejected' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestSTUNPortRequiresFraming|TestWebRTCEndToEnd|TestProtoPinnedToZoom|TestCheckpointRejected|TestCompactionBoundsMemoryWithoutChangingResults' -v ./internal/core/
 
 # The header-free QoE inference loop, end to end: the feature-row
 # differentials (sequential/parallel/cluster engines byte-identical from

@@ -50,8 +50,8 @@ func BenchmarkAblationDataplaneAccuracy(b *testing.B) {
 	keyOf := func(ft layers.FiveTuple, ssrc uint32, mt MediaType) string {
 		return fmt.Sprintf("%s|%d|%d", ft, ssrc, mt)
 	}
-	for _, id := range r.Analyzer.StreamIDs() {
-		sm, _ := r.Analyzer.MetricsFor(id)
+	for _, seg := range r.Analyzer.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		truth[keyOf(id.Flow, id.Key.SSRC, id.Key.Type)] = exact{frames: sm.FramesTotal, pkts: sm.Packets}
 	}
 
@@ -69,8 +69,8 @@ func BenchmarkAblationDataplaneAccuracy(b *testing.B) {
 				for _, s := range mon.Snapshot() {
 					_ = s
 				}
-				for _, id := range r.Analyzer.StreamIDs() {
-					sm, _ := r.Analyzer.MetricsFor(id)
+				for _, seg := range r.Analyzer.Streams() {
+					id, sm := seg.ID, seg.Metrics
 					slot, ok := mon.Lookup(id.Flow, id.Key.SSRC, id.Key.Type)
 					if !ok || sm.FramesTotal == 0 {
 						continue

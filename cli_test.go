@@ -7,6 +7,7 @@ package zoomlens
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -116,6 +117,31 @@ func TestCLIPipeline(t *testing.T) {
 	}
 	if out = runTool(t, bin, "zoomflows", "-i", meeting, "-what", "reports"); !strings.Contains(out, "video_fps") {
 		t.Fatalf("reports csv: %s", out)
+	}
+
+	// 3b. -flow-ttl moves idle streams between containers, never out of a
+	// report: the per-stream and per-participant reports list the rows the
+	// run that never evicts lists.
+	rowKeys := func(tool, what, ttl string, cols int) (map[string]bool, runStatus) {
+		stdout, stderr := stdoutOf(t, bin, tool, "-i", filtered, "-what", what, "-flow-ttl", ttl)
+		keys := map[string]bool{}
+		for _, line := range strings.Split(strings.TrimSpace(stdout), "\n")[1:] {
+			keys[strings.Join(strings.SplitN(line, ",", cols+1)[:cols], ",")] = true
+		}
+		return keys, parseStatus(t, stderr)
+	}
+	for _, row := range []struct {
+		tool, what string
+		cols       int // leading CSV columns that identify a row
+	}{{"zoomqoe", "loss", 4}, {"zoomflows", "streams", 4}, {"zoomflows", "reports", 3}} {
+		want, _ := rowKeys(row.tool, row.what, "0", row.cols)
+		got, st := rowKeys(row.tool, row.what, "5s", row.cols)
+		if st.EvictedStreams == 0 {
+			t.Fatalf("%s -what %s -flow-ttl 5s evicted nothing: the row tests nothing", row.tool, row.what)
+		}
+		if len(want) == 0 || !maps.Equal(got, want) {
+			t.Errorf("%s -what %s: %d rows under -flow-ttl 5s (%d streams evicted), %d without", row.tool, row.what, len(got), st.EvictedStreams, len(want))
+		}
 	}
 
 	// 4. Metrics: series, rtt, loss, talk, clock.

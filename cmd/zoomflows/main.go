@@ -48,17 +48,16 @@ func main() {
 	switch *what {
 	case "streams":
 		w.Write([]string{"ssrc", "proto", "type", "flow", "first_seen", "last_seen", "packets", "media_bytes", "frames", "lost", "dups"})
-		for _, id := range a.StreamIDs() {
-			sm, _ := a.MetricsFor(id)
-			st, _ := a.Flows.Stream(id)
+		for _, seg := range a.Streams() {
+			id, sm := seg.ID, seg.Metrics
 			loss := sm.LossStats()
 			w.Write([]string{
 				strconv.FormatUint(uint64(id.Key.SSRC), 10),
 				rtcproto.NameOf(id.Key.Proto),
 				id.Key.Type.String(),
 				id.Flow.String(),
-				st.FirstSeen.Format("15:04:05.000"),
-				st.LastSeen.Format("15:04:05.000"),
+				seg.FirstSeen.Format("15:04:05.000"),
+				seg.LastSeen.Format("15:04:05.000"),
 				strconv.FormatUint(sm.Packets, 10),
 				strconv.FormatUint(sm.MediaBytes, 10),
 				strconv.FormatUint(sm.FramesTotal, 10),

@@ -53,11 +53,11 @@ func main() {
 	switch *what {
 	case "series":
 		w.Write([]string{"ssrc", "proto", "type", "flow", "second", "media_kbps", "fps_delivered", "fps_encoder", "mean_frame_bytes", "jitter_ms"})
-		for _, id := range a.StreamIDs() {
+		for _, seg := range a.Streams() {
+			id, sm := seg.ID, seg.Metrics
 			if *ssrc != 0 && uint64(id.Key.SSRC) != *ssrc {
 				continue
 			}
-			sm, _ := a.MetricsFor(id)
 			if sm.Packets == 0 {
 				continue
 			}
@@ -109,8 +109,8 @@ func main() {
 			rtt = sum / time.Duration(n)
 		}
 		w.Write([]string{"ssrc", "proto", "type", "flow", "received", "expected_span", "lost", "duplicates", "reordered", "suspected_retx_frames", "strong_retx_frames"})
-		for _, id := range a.StreamIDs() {
-			sm, _ := a.MetricsFor(id)
+		for _, seg := range a.Streams() {
+			id, sm := seg.ID, seg.Metrics
 			ls := sm.LossStats()
 			est := sm.EstimateRetransmissions(rtt)
 			w.Write([]string{
@@ -129,11 +129,11 @@ func main() {
 		}
 	case "talk":
 		w.Write([]string{"ssrc", "flow", "mode_known", "speaking_s", "observed_s", "fraction", "segments"})
-		for _, id := range a.StreamIDs() {
+		for _, seg := range a.Streams() {
+			id, sm := seg.ID, seg.Metrics
 			if *ssrc != 0 && uint64(id.Key.SSRC) != *ssrc {
 				continue
 			}
-			sm, _ := a.MetricsFor(id)
 			if sm.Talk == nil {
 				continue
 			}
@@ -150,8 +150,8 @@ func main() {
 		}
 	case "clock":
 		w.Write([]string{"ssrc", "type", "flow", "clock_hz", "rel_err", "frames"})
-		for _, id := range a.StreamIDs() {
-			sm, _ := a.MetricsFor(id)
+		for _, seg := range a.Streams() {
+			id, sm := seg.ID, seg.Metrics
 			est, ok := metrics.InferClockRate(sm.FrameObservations())
 			if !ok {
 				continue

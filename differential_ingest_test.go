@@ -24,8 +24,8 @@ func renderReport(a *Analyzer) string {
 	var b strings.Builder
 	s := a.Summary()
 	fmt.Fprintf(&b, "summary %+v\n", s)
-	for _, id := range a.StreamIDs() {
-		sm, _ := a.MetricsFor(id)
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		ls := sm.LossStats()
 		fmt.Fprintf(&b, "stream %d %s %s %s pkts=%d media=%d frames=%d loss=%+v\n",
 			id.Key.SSRC, rtcproto.NameOf(id.Key.Proto), id.Key.Type, id.Flow, sm.Packets, sm.MediaBytes, sm.FramesTotal, ls)

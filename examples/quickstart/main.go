@@ -46,8 +46,8 @@ func main() {
 	}
 
 	fmt.Println("\nper-stream metrics:")
-	for _, id := range analyzer.StreamIDs() {
-		sm, _ := analyzer.MetricsFor(id)
+	for _, seg := range analyzer.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if sm.Packets < 100 {
 			continue
 		}

@@ -104,8 +104,8 @@ func binsToSeries(bins map[int64]float64) []Sample {
 // type in one-second bins (Mbit/s).
 func (r *CampusResult) MediaRateSeries() map[MediaType][]Sample {
 	agg := map[MediaType]map[int64]float64{}
-	for _, id := range r.Analyzer.StreamIDs() {
-		sm, _ := r.Analyzer.MetricsFor(id)
+	for _, seg := range r.Analyzer.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		m := agg[id.Key.Type]
 		if m == nil {
 			m = map[int64]float64{}
@@ -141,8 +141,8 @@ func (r *CampusResult) Distributions(minPackets uint64) *Distributions {
 		FrameSize:    map[MediaType][]float64{},
 		JitterMS:     map[MediaType][]float64{},
 	}
-	for _, id := range r.Analyzer.StreamIDs() {
-		sm, _ := r.Analyzer.MetricsFor(id)
+	for _, seg := range r.Analyzer.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if sm.Packets < minPackets {
 			continue
 		}
@@ -177,11 +177,11 @@ func (r *CampusResult) Distributions(minPackets uint64) *Distributions {
 // paper's finding is the *absence* of correlation.
 func (r *CampusResult) JitterCorrelation() (rBitrate, rFrameRate float64, n int) {
 	var jit1, rate1, jit2, fps1 []float64
-	for _, id := range r.Analyzer.StreamIDs() {
+	for _, seg := range r.Analyzer.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != TypeVideo {
 			continue
 		}
-		sm, _ := r.Analyzer.MetricsFor(id)
 		j := sm.JitterMS.Bin(r.Cfg.Start, time.Second, "mean")
 		br := sm.MediaRate.Bin(r.Cfg.Start, time.Second, "mean")
 		fr := sm.FrameRate.Bin(r.Cfg.Start, time.Second, "last")
@@ -285,12 +285,12 @@ func RunValidation(seconds int, seed int64) *ValidationResult {
 	// The stream under test: Alice's video as delivered to Bob (the
 	// downlink crosses the congested WanDown leg).
 	var target *StreamMetrics
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != TypeVideo {
 			continue
 		}
 		if id.Flow.Dst == bob.Addr {
-			sm, _ := a.MetricsFor(id)
 			if target == nil || sm.Packets > target.Packets {
 				target = sm
 			}

@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"time"
 
 	"zoomlens/internal/features"
-	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
@@ -74,9 +72,12 @@ type Config struct {
 	// FlowTTL enables idle eviction of per-flow state: every 4096
 	// packets, flows, streams, TCP trackers, and metric engines idle
 	// longer than FlowTTL are evicted (metric engines are finalized and
-	// archived first), with their report contributions preserved. The
-	// cross-flow stream detector is not its business: that ages on its
-	// own linkage window (meeting.Dedup.Observe).
+	// archived first). Preserved: every total, every stream's rows in
+	// every report (Streams lists the archive) and each ID's packet and
+	// byte sums. Not preserved: loss, jitter and frame continuity across
+	// the idle gap of a stream that resumes (a new StreamSegment). The
+	// cross-flow stream detector ages on its own linkage window
+	// (meeting.Dedup.Observe), not on this.
 	FlowTTL time.Duration
 	// Quarantine, when non-nil, receives the offending frame whenever
 	// per-packet processing panics (see Quarantine). It may be shared
@@ -365,17 +366,15 @@ func (p *pipeline) SetPanicHook(h func(at time.Time, frame []byte)) {
 	}
 }
 
-// clientOf is the protocol-aware client derivation every grouping
-// consumer (Meetings, MeetingReports, snapshots) uses: Zoom streams keep
-// the Zoom-server convention, other protocols use campus membership.
+// clientOf is the protocol-aware client derivation of the roll-up: Zoom
+// streams keep the Zoom-server convention, other protocols use campus
+// membership.
 func (fe *frontEnd) clientOf() func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort {
 	return meeting.ClientOfProto(fe.filter.ZoomNetworks().Contains, fe.filter.CampusNetworks().Contains)
 }
 
 // Meetings runs the §4.3 grouping over everything observed.
-func (a *Analyzer) Meetings() []meeting.Meeting {
-	return meeting.Group(a.Dedup.RecordsBy(a.clientOf()))
-}
+func (a *Analyzer) Meetings() []meeting.Meeting { return a.rollup().meetings }
 
 // Summary is the Table 6 style capture roll-up, extended with the
 // hardening counters a continuous deployment needs to trust partial
@@ -443,39 +442,4 @@ func (a *Analyzer) Summary() Summary {
 		ShedBytes:       a.ShedBytes,
 		Truncated:       a.Truncated,
 	}
-}
-
-// StreamIDs returns the observed stream identifiers in deterministic
-// order.
-func (a *Analyzer) StreamIDs() []flow.MediaStreamID {
-	// Flow keys are rendered once up front: calling Flow.String() inside
-	// the comparator allocates O(n log n) strings.
-	type keyed struct {
-		id      flow.MediaStreamID
-		flowKey string
-	}
-	ks := make([]keyed, 0, len(a.StreamMetrics))
-	for id := range a.StreamMetrics {
-		ks = append(ks, keyed{id: id, flowKey: id.Flow.String()})
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].id.Key.SSRC != ks[j].id.Key.SSRC {
-			return ks[i].id.Key.SSRC < ks[j].id.Key.SSRC
-		}
-		if ks[i].id.Key.Type != ks[j].id.Key.Type {
-			return ks[i].id.Key.Type < ks[j].id.Key.Type
-		}
-		return ks[i].flowKey < ks[j].flowKey
-	})
-	out := make([]flow.MediaStreamID, len(ks))
-	for i, k := range ks {
-		out[i] = k.id
-	}
-	return out
-}
-
-// MetricsFor returns the metric engine of one stream.
-func (a *Analyzer) MetricsFor(id flow.MediaStreamID) (*metrics.StreamMetrics, bool) {
-	sm, ok := a.StreamMetrics[id]
-	return sm, ok
 }

@@ -84,11 +84,11 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 	// Find a video stream with enough frames and check steady-state
 	// frame rate ≈ 28 and most frames < 2000 B.
 	var checked int
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		if sm.FramesTotal < 200 {
 			continue
 		}
@@ -214,11 +214,11 @@ func TestEndToEndJitterRisesUnderCongestion(t *testing.T) {
 	congStart := opts.Start.Add(20 * time.Second)
 	congEnd := opts.Start.Add(30 * time.Second)
 	var quiet, busy []float64
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		for _, s := range sm.JitterMS.Samples {
 			switch {
 			case s.Time().After(congStart.Add(3*time.Second)) && s.Time().Before(congEnd):
@@ -250,9 +250,8 @@ func TestEndToEndLossProducesDuplicates(t *testing.T) {
 	a.Finish()
 
 	var dups uint64
-	for _, id := range a.StreamIDs() {
-		sm, _ := a.MetricsFor(id)
-		dups += sm.LossStats().Duplicates
+	for _, seg := range a.Streams() {
+		dups += seg.Metrics.LossStats().Duplicates
 	}
 	if dups == 0 {
 		t.Error("no duplicates observed despite lossy WAN (§5.5: retransmissions appear as duplicates)")
@@ -383,8 +382,8 @@ func BenchmarkAnalyzerThroughput(b *testing.B) {
 func TestClockRateDiscoveryEndToEnd(t *testing.T) {
 	a, _ := runMeetingCapture(t, 20, false)
 	var videoChecked, audioChecked int
-	for _, id := range a.StreamIDs() {
-		sm, _ := a.MetricsFor(id)
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		obs := sm.FrameObservations()
 		if len(obs) < 100 {
 			continue
@@ -416,11 +415,11 @@ func TestClockRateDiscoveryEndToEnd(t *testing.T) {
 func TestTalkTimeEndToEnd(t *testing.T) {
 	a, _ := runMeetingCapture(t, 60, false)
 	var checked int
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeAudio {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		if sm.Talk == nil || sm.Packets < 300 {
 			continue
 		}
@@ -458,11 +457,11 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 	a.Finish()
 
 	var checked int
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeScreenShare {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		if sm.Packets < 20 {
 			continue
 		}
@@ -489,11 +488,11 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 	// While the screen share is active, other participants' video drops
 	// to thumbnail rate (a user-driven effect, §5.1).
 	var sawReduced bool
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		for _, s := range sm.EncoderRate.Samples {
 			if s.Value > 12 && s.Value < 16 {
 				sawReduced = true
@@ -542,19 +541,28 @@ func TestNATMergesMeetingsEndToEnd(t *testing.T) {
 }
 
 // TestCompactionBoundsMemoryWithoutChangingResults runs two meetings in
-// sequence under a 30 s FlowTTL and checks that (a) the first meeting's
-// streams are archived, (b) totals and meeting inference are unchanged
-// relative to an analyzer that never evicts.
+// sequence, the second with a participant whose streams pause for longer
+// than the TTL and resume, with and without a 30 s FlowTTL at 1, 2 and 4
+// workers.
+// Eviction must move streams between containers and never out of a
+// report: the archive fills and the live map shrinks, while totals,
+// meetings, the ID set of Streams, each ID's packet sum, the snapshot's
+// cumulative packets and every participant's video attributes stay those
+// of the engine that never evicts.
 func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
-	run := func(compact bool) (*Analyzer, int) {
+	type result struct {
+		a        *Analyzer
+		packets  map[flow.MediaStreamID]uint64
+		segments map[flow.MediaStreamID]int
+		snapshot uint64
+		zeroFPS  map[netip.Addr]bool
+	}
+	run := func(ttl time.Duration, workers int) result {
 		opts := sim.DefaultOptions()
 		w := sim.NewWorld(opts)
-		cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
-		if compact {
-			cfg.FlowTTL = 30 * time.Second
-		}
-		a := NewAnalyzer(cfg)
-		w.Monitor = a.Packet
+		cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}, FlowTTL: ttl}
+		pa := NewParallelAnalyzer(cfg, workers)
+		w.Monitor = pa.Packet
 		m1 := w.NewMeeting()
 		c1, c2 := w.NewClient("a", true), w.NewClient("b", true)
 		m1.Join(c1, sim.DefaultMediaSet())
@@ -562,39 +570,85 @@ func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
 		w.Run(opts.Start.Add(20 * time.Second))
 		m1.Leave(c1)
 		m1.Leave(c2)
-		// A quiet minute, then a second meeting.
+		// A quiet minute, then a second meeting whose second participant
+		// drops out for 70 s and rejoins on the same ports and SSRCs.
 		w.Eng.Schedule(opts.Start.Add(80*time.Second), func() {
 			m2 := w.NewMeeting()
 			m2.Join(w.NewClient("c", true), sim.DefaultMediaSet())
-			m2.Join(w.NewClient("d", true), sim.DefaultMediaSet())
+			d := w.NewClient("d", true)
+			m2.Join(d, sim.DefaultMediaSet())
+			w.Eng.Schedule(opts.Start.Add(90*time.Second), func() { m2.Leave(d) })
+			w.Eng.Schedule(opts.Start.Add(160*time.Second), func() { m2.Join(d, sim.DefaultMediaSet()) })
 		})
-		w.Run(opts.Start.Add(110 * time.Second))
-		a.Finish()
-		live := len(a.StreamMetrics)
-		return a, live
+		end := opts.Start.Add(180 * time.Second)
+		w.Run(end)
+		res := result{packets: map[flow.MediaStreamID]uint64{}, segments: map[flow.MediaStreamID]int{}, zeroFPS: map[netip.Addr]bool{}}
+		for _, ms := range pa.Snapshot(end, time.Second) {
+			res.snapshot += ms.Packets
+		}
+		pa.Finish()
+		res.a = pa.Result()
+		var prev StreamSegment
+		for _, seg := range res.a.Streams() {
+			res.packets[seg.ID] += seg.Metrics.Packets
+			res.segments[seg.ID]++
+			// A segment brings its own bounds, and an ID's segments come
+			// oldest first with the live one last.
+			if seg.FirstSeen.IsZero() || seg.LastSeen.Before(seg.FirstSeen) {
+				t.Errorf("ttl=%v workers=%d: segment of %v spans %v..%v", ttl, workers, seg.ID, seg.FirstSeen, seg.LastSeen)
+			}
+			if prev.ID == seg.ID && (!prev.Archived || prev.LastSeen.After(seg.FirstSeen)) {
+				t.Errorf("ttl=%v workers=%d: segments of %v out of order: %+v then %+v", ttl, workers, seg.ID, prev, seg)
+			}
+			prev = seg
+		}
+		for _, rep := range res.a.MeetingReports() {
+			for _, p := range rep.Participants {
+				res.zeroFPS[p.Client] = p.VideoFPSMean == 0
+			}
+		}
+		return res
 	}
-	plain, liveP := run(false)
-	compacted, liveC := run(true)
-
-	if len(compacted.Finished) == 0 {
-		t.Fatal("nothing archived")
-	}
-	if liveC >= liveP {
-		t.Errorf("live streams with compaction = %d, without = %d", liveC, liveP)
-	}
-	// Totals identical: evicted streams leave the live count, nothing else.
-	sp, sc := plain.Summary(), compacted.Summary()
-	if sp.Packets != sc.Packets || sp.ZoomUDP != sc.ZoomUDP || sp.Streams != sc.Streams+int(sc.EvictedStreams) {
-		t.Errorf("summaries diverge: %+v vs %+v", sp, sc)
-	}
-	if sp.Meetings != sc.Meetings {
-		t.Errorf("meetings diverge: %d vs %d", sp.Meetings, sc.Meetings)
-	}
-	// All streams reachable via AllStreamMetrics.
-	count := 0
-	compacted.AllStreamMetrics(func(id flow.MediaStreamID, sm *metrics.StreamMetrics) { count++ })
-	if count != sp.Streams {
-		t.Errorf("AllStreamMetrics visited %d, want %d", count, sp.Streams)
+	plain := run(0, 1)
+	for _, workers := range []int{1, 2, 4} {
+		got := run(30*time.Second, workers)
+		if len(got.a.Finished) == 0 {
+			t.Fatalf("workers=%d: nothing archived", workers)
+		}
+		if liveC, liveP := len(got.a.StreamMetrics), len(plain.a.StreamMetrics); liveC >= liveP {
+			t.Errorf("workers=%d: live streams with compaction = %d, without = %d", workers, liveC, liveP)
+		}
+		// Totals identical: evicted streams leave the live count, nothing else.
+		sp, sc := plain.a.Summary(), got.a.Summary()
+		if sp.Packets != sc.Packets || sp.ZoomUDP != sc.ZoomUDP || sp.Meetings != sc.Meetings {
+			t.Errorf("workers=%d: summaries diverge: %+v vs %+v", workers, sp, sc)
+		}
+		if len(got.packets) != len(plain.packets) {
+			t.Errorf("workers=%d: Streams lists %d stream IDs, want %d", workers, len(got.packets), len(plain.packets))
+		}
+		resumed := 0
+		for id, want := range plain.packets {
+			if got.packets[id] != want {
+				t.Errorf("workers=%d: stream %v: segments sum to %d packets, want %d", workers, id, got.packets[id], want)
+			}
+			if got.segments[id] > 1 {
+				resumed++
+			}
+		}
+		if resumed == 0 {
+			t.Errorf("workers=%d: no stream idled out and resumed as a second segment", workers)
+		}
+		if got.snapshot != plain.snapshot {
+			t.Errorf("workers=%d: snapshot cumulative packets = %d, want %d", workers, got.snapshot, plain.snapshot)
+		}
+		for client, zero := range got.zeroFPS {
+			if zero && !plain.zeroFPS[client] {
+				t.Errorf("workers=%d: participant %v reports no video frame rate under eviction", workers, client)
+			}
+		}
+		if len(got.zeroFPS) != len(plain.zeroFPS) {
+			t.Errorf("workers=%d: %d participants reported, want %d", workers, len(got.zeroFPS), len(plain.zeroFPS))
+		}
 	}
 }
 
@@ -624,11 +678,11 @@ func TestRetxHeuristicEndToEnd(t *testing.T) {
 	rtt := rttSum / time.Duration(len(a.Copies.Samples))
 
 	var strong, analyzed int
-	for _, id := range a.StreamIDs() {
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		sm, _ := a.MetricsFor(id)
 		est := sm.EstimateRetransmissions(rtt)
 		analyzed += est.FramesAnalyzed
 		strong += est.StrongRetxFrames

@@ -103,7 +103,7 @@ func TestDeltaCheckpointDifferential(t *testing.T) {
 				t.Errorf("summaries diverge:\nlive    %+v\nresumed %+v",
 					live.Result().Summary(), resumed.Result().Summary())
 			}
-			if !reflect.DeepEqual(live.Result().StreamIDs(), resumed.Result().StreamIDs()) {
+			if !reflect.DeepEqual(streamIDs(live.Result()), streamIDs(resumed.Result())) {
 				t.Error("stream identifier sets diverge")
 			}
 		})

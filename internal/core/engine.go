@@ -20,7 +20,7 @@ import (
 // Call order: Packet (any number of times, capture order, one
 // goroutine), interleaved with Snapshot as desired; then Finish exactly
 // once; then Result, whose *Analyzer holds the report accessors
-// (Summary, Meetings, StreamIDs, MetricsFor).
+// (Summary, Meetings, MeetingReports, Streams).
 type Engine interface {
 	// Packet ingests one captured frame, borrowed for the call.
 	Packet(at time.Time, frame []byte)

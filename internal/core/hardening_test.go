@@ -81,12 +81,12 @@ func TestDifferentialUnderFaults(t *testing.T) {
 				if ps := par.Summary(); ss != ps {
 					t.Fatalf("parallel(%d) summary diverges:\nsequential %+v\nparallel   %+v", workers, ss, ps)
 				}
-				if !reflect.DeepEqual(seq.StreamIDs(), par.StreamIDs()) {
+				if !reflect.DeepEqual(streamIDs(seq), streamIDs(par)) {
 					t.Fatalf("parallel(%d) stream IDs diverge", workers)
 				}
-				for _, id := range seq.StreamIDs() {
-					sm, _ := seq.MetricsFor(id)
-					pm, ok := par.MetricsFor(id)
+				for _, seg := range seq.Streams() {
+					id, sm := seg.ID, seg.Metrics
+					pm, ok := par.StreamMetrics[id]
 					if !ok {
 						t.Fatalf("parallel(%d): stream %v missing", workers, id)
 					}

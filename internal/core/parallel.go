@@ -28,8 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"zoomlens/internal/flow"
-	"zoomlens/internal/metrics"
 	"zoomlens/internal/obs"
 )
 
@@ -339,15 +337,4 @@ func (p *pipeline) collapse() {
 	// double-count. Its gauges are redundant with the per-shard series.
 	p.o = noObs
 	p.setInline(mergeShards(p.cfg, p.shards))
-}
-
-// lookup resolves a stream record to its shard's metric engine (live,
-// then archived). Valid only while reconciled.
-func (p *pipeline) lookup(id flow.MediaStreamID) *metrics.StreamMetrics {
-	for _, sh := range p.shards {
-		if sm := sh.lookupStream(id); sm != nil {
-			return sm
-		}
-	}
-	return nil
 }

@@ -95,13 +95,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(seq.Meetings(), par.Meetings()) {
 		t.Errorf("meetings diverge:\nsequential %+v\nparallel   %+v", seq.Meetings(), par.Meetings())
 	}
-	sids, pids := seq.StreamIDs(), pa.Result().StreamIDs()
+	sids, pids := streamIDs(seq), streamIDs(par)
 	if !reflect.DeepEqual(sids, pids) {
 		t.Fatalf("stream IDs diverge:\nsequential %v\nparallel   %v", sids, pids)
 	}
 	for _, id := range sids {
-		ss, _ := seq.MetricsFor(id)
-		ps, ok := pa.Result().MetricsFor(id)
+		ss := seq.StreamMetrics[id]
+		ps, ok := par.StreamMetrics[id]
 		if !ok {
 			t.Fatalf("stream %v missing from parallel result", id)
 		}
@@ -342,7 +342,7 @@ func TestQueueBackpressure(t *testing.T) {
 		if gs, ws := got.Summary(), seq.Summary(); gs != ws {
 			t.Errorf("summary after backpressure diverges:\nsequential %+v\nparallel   %+v", ws, gs)
 		}
-		if !reflect.DeepEqual(got.Meetings(), seq.Meetings()) || !reflect.DeepEqual(got.StreamIDs(), seq.StreamIDs()) {
+		if !reflect.DeepEqual(got.Meetings(), seq.Meetings()) || !reflect.DeepEqual(streamIDs(got), streamIDs(seq)) {
 			t.Error("meetings or stream identifiers after backpressure diverge from the sequential engine's")
 		}
 	})

@@ -133,7 +133,7 @@ func TestWebRTCEndToEnd(t *testing.T) {
 	if a.ZoomUDP != 0 {
 		t.Errorf("ZoomUDP = %d, want 0 (nothing here is Zoom)", a.ZoomUDP)
 	}
-	ids := a.StreamIDs()
+	ids := streamIDs(a.Result())
 	if len(ids) != 2 {
 		t.Fatalf("streams = %d, want 2 (audio up, video down)", len(ids))
 	}
@@ -184,8 +184,8 @@ func TestProtoPinnedToZoom(t *testing.T) {
 	if got := a.DroppedByFilter; got == 0 {
 		t.Error("DroppedByFilter = 0, want the RTP flow dropped (GenericRTC arming off)")
 	}
-	if len(a.StreamIDs()) != 0 {
-		t.Errorf("streams = %d, want 0", len(a.StreamIDs()))
+	if n := len(a.Streams()); n != 0 {
+		t.Errorf("streams = %d, want 0", n)
 	}
 }
 

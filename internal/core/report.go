@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
 	"zoomlens/internal/flow"
 	"zoomlens/internal/meeting"
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/zoom"
 )
@@ -60,64 +63,164 @@ type MeetingReport struct {
 	MeanRTT time.Duration
 }
 
+// rollup is the §4.3 grouping behind every report: the Dedup's stream
+// records in their deterministic order, the meetings grouped from them,
+// and each unified stream's meeting as an index into meetings.
+type rollup struct {
+	records   []meeting.StreamRecord
+	meetings  []meeting.Meeting
+	meetingOf map[meeting.UnifiedID]int
+}
+
+// rollup groups everything reconciled so far.
+func (p *pipeline) rollup() rollup {
+	ru := rollup{records: p.Dedup.RecordsBy(p.clientOf())}
+	ru.meetings = meeting.Group(ru.records)
+	ru.meetingOf = make(map[meeting.UnifiedID]int, len(ru.records))
+	for i, m := range ru.meetings {
+		for _, u := range m.Streams {
+			ru.meetingOf[u] = i
+		}
+	}
+	return ru
+}
+
+// StreamSegment is one metric engine's share of a stream: the packets of
+// one stream record (flow + SSRC + type) between two idle evictions.
+// Without Config.FlowTTL every stream is one live segment; with it, a
+// stream that idles out and resumes has several under one ID — counters
+// sum over them, loss, jitter and frame assembly restart in each.
+type StreamSegment struct {
+	ID      flow.MediaStreamID
+	Metrics *metrics.StreamMetrics
+	// FirstSeen and LastSeen bound the segment's packets: a live
+	// segment's are its flow-table entry's, an archived one's end is the
+	// archive entry's and its start the stream's first packet (the Dedup
+	// record), or, for a resumed segment, the second its first rate bin
+	// opened in.
+	FirstSeen, LastSeen time.Time
+	// Archived marks a segment finalized and moved out of the live map by
+	// idle eviction.
+	Archived bool
+}
+
+// Streams returns every stream segment the engine holds, archived and
+// live, ordered by SSRC, media type and flow; an ID's segments are
+// adjacent, oldest first. Eviction moves a stream between containers,
+// never out of this list (Config.MaxFinished's counted head-drop is the
+// only way out). Call from the ingest goroutine: a parallel engine parks
+// its shards and reconciles first.
+func (p *pipeline) Streams() []StreamSegment {
+	p.reconcile()
+	var byID map[flow.MediaStreamID]meeting.StreamRecord
+	record := func(id flow.MediaStreamID) meeting.StreamRecord {
+		if byID == nil {
+			byID = make(map[flow.MediaStreamID]meeting.StreamRecord, p.Dedup.Len())
+			for _, r := range p.Dedup.RecordsBy(p.clientOf()) {
+				byID[flow.MediaStreamID{Flow: r.Flow, Key: r.Key}] = r
+			}
+		}
+		return byID[id]
+	}
+	// Flow keys are rendered once up front: calling Flow.String() inside
+	// the comparator allocates O(n log n) strings.
+	type keyed struct {
+		StreamSegment
+		flowKey string
+	}
+	var ks []keyed
+	add := func(seg StreamSegment) { ks = append(ks, keyed{seg, seg.ID.Flow.String()}) }
+	for _, sh := range p.shards {
+		for _, f := range sh.Finished {
+			seg := StreamSegment{ID: f.ID, Metrics: f.Metrics, FirstSeen: record(f.ID).Start, LastSeen: f.LastSeen, Archived: true}
+			if ss := f.Metrics.MediaRate.Samples; len(ss) > 0 && ss[0].Time().After(seg.FirstSeen) {
+				seg.FirstSeen = ss[0].Time()
+			}
+			add(seg)
+		}
+		for id, sm := range sh.StreamMetrics {
+			seg := StreamSegment{ID: id, Metrics: sm}
+			if st, ok := sh.Flows.Stream(id); ok {
+				seg.FirstSeen, seg.LastSeen = st.FirstSeen, st.LastSeen
+			}
+			add(seg)
+		}
+	}
+	// A stream's packets all reach one shard, whose archive is in idle-out
+	// order and was listed before its live map: a stable sort keeps each
+	// ID's segments oldest first.
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.ID.Key.SSRC, b.ID.Key.SSRC), cmp.Compare(a.ID.Key.Type, b.ID.Key.Type), cmp.Compare(a.flowKey, b.flowKey))
+	})
+	out := make([]StreamSegment, len(ks))
+	for i := range ks {
+		out[i] = ks[i].StreamSegment
+	}
+	return out
+}
+
+// streamsByID indexes Streams for the by-ID consumers.
+func (p *pipeline) streamsByID() map[flow.MediaStreamID][]StreamSegment {
+	segs := p.Streams()
+	byID := make(map[flow.MediaStreamID][]StreamSegment, len(segs))
+	for _, s := range segs {
+		byID[s.ID] = append(byID[s.ID], s)
+	}
+	return byID
+}
+
 // MeetingReports computes roll-ups for every inferred meeting.
 func (a *Analyzer) MeetingReports() []MeetingReport {
-	records := a.Dedup.RecordsBy(a.clientOf())
-	meetings := meeting.Group(records)
-
-	// Index stream records by unified ID for meeting membership, and
-	// map each stream record to its metrics.
-	type obsStream struct {
-		rec meeting.StreamRecord
-	}
-	byUnified := map[meeting.UnifiedID][]obsStream{}
-	for _, r := range records {
-		byUnified[r.Unified] = append(byUnified[r.Unified], obsStream{rec: r})
+	ru := a.rollup()
+	byID := a.streamsByID()
+	out := make([]MeetingReport, len(ru.meetings))
+	perClient := make([]map[netip.Addr]*ParticipantReport, len(ru.meetings))
+	for i, m := range ru.meetings {
+		out[i] = MeetingReport{Meeting: m, App: rtcproto.NameOf(m.Proto)}
+		perClient[i] = map[netip.Addr]*ParticipantReport{}
 	}
 
-	// RTT samples per unified stream.
-	rttByUnified := map[meeting.UnifiedID][]time.Duration{}
+	// Records fold into their participant by unified stream, then in
+	// record order.
+	slices.SortStableFunc(ru.records, func(x, y meeting.StreamRecord) int { return cmp.Compare(x.Unified, y.Unified) })
+	for _, rec := range ru.records {
+		clients := perClient[ru.meetingOf[rec.Unified]]
+		cl := rec.Client.Addr()
+		pr := clients[cl]
+		if pr == nil {
+			pr = &ParticipantReport{Client: cl}
+			clients[cl] = pr
+		}
+		pr.Streams++
+		// Quality attributes only from the participant's uplink
+		// records: an SFU-forwarded copy inherits the *sender's*
+		// impairments, so charging it to the receiver would smear
+		// one bad path across the whole meeting.
+		if rec.Flow.Src == cl {
+			for _, seg := range byID[flow.MediaStreamID{Flow: rec.Flow, Key: rec.Key}] {
+				accumulateStream(seg.Metrics, pr)
+			}
+		}
+	}
+
+	// Monitor↔SFU RTT samples carry their unified stream.
+	rttN := make([]int, len(out))
 	for _, s := range a.Copies.Samples {
-		rttByUnified[s.Unified] = append(rttByUnified[s.Unified], s.RTT)
+		if mi, ok := ru.meetingOf[s.Unified]; ok {
+			out[mi].MeanRTT += s.RTT
+			rttN[mi]++
+		}
 	}
 
-	var out []MeetingReport
-	for _, m := range meetings {
-		rep := MeetingReport{Meeting: m, App: rtcproto.NameOf(m.Proto)}
-		perClient := map[netip.Addr]*ParticipantReport{}
-		var rttSum time.Duration
-		var rttN int
-		for _, uid := range m.Streams {
-			for _, rtt := range rttByUnified[uid] {
-				rttSum += rtt
-				rttN++
-			}
-			for _, os := range byUnified[uid] {
-				cl := os.rec.Client.Addr()
-				pr := perClient[cl]
-				if pr == nil {
-					pr = &ParticipantReport{Client: cl}
-					perClient[cl] = pr
-				}
-				pr.Streams++
-				// Quality attributes only from the participant's uplink
-				// records: an SFU-forwarded copy inherits the *sender's*
-				// impairments, so charging it to the receiver would smear
-				// one bad path across the whole meeting.
-				if os.rec.Flow.Src == cl {
-					a.accumulateStream(os.rec, pr)
-				}
-			}
+	for i := range out {
+		rep := &out[i]
+		if rttN[i] > 0 {
+			rep.MeanRTT /= time.Duration(rttN[i])
 		}
-		if rttN > 0 {
-			rep.MeanRTT = rttSum / time.Duration(rttN)
-		}
-		for _, pr := range perClient {
+		for _, pr := range perClient[i] {
 			rep.Participants = append(rep.Participants, *pr)
 		}
-		sort.Slice(rep.Participants, func(i, j int) bool {
-			return rep.Participants[i].Client.Compare(rep.Participants[j].Client) < 0
-		})
+		slices.SortFunc(rep.Participants, func(x, y ParticipantReport) int { return x.Client.Compare(y.Client) })
 		markDegraded(rep.Participants)
 		degraded := 0
 		for _, p := range rep.Participants {
@@ -126,28 +229,22 @@ func (a *Analyzer) MeetingReports() []MeetingReport {
 			}
 		}
 		rep.MeetingWideDegradation = len(rep.Participants) > 1 && degraded*2 > len(rep.Participants)
-		out = append(out, rep)
 	}
 	return out
 }
 
-// accumulateStream folds one stream record's metrics into a participant
-// report (means weighted by stream count are adequate at this
-// granularity).
-func (a *Analyzer) accumulateStream(rec meeting.StreamRecord, pr *ParticipantReport) {
-	id := streamIDFor(rec)
-	sm, ok := a.StreamMetrics[id]
-	if !ok {
-		return
-	}
+// accumulateStream folds one segment of an uplink stream record into a
+// participant report (means weighted by segment count are adequate at
+// this granularity).
+func accumulateStream(sm *metrics.StreamMetrics, pr *ParticipantReport) {
 	loss := sm.LossStats()
 	if loss.ExpectedSpan > 0 {
-		pr.LossRate = max64(pr.LossRate, float64(loss.EstimatedLost)/float64(loss.ExpectedSpan))
+		pr.LossRate = max(pr.LossRate, float64(loss.EstimatedLost)/float64(loss.ExpectedSpan))
 	}
 	if loss.Received > 0 {
-		pr.RetransmissionRate = max64(pr.RetransmissionRate, float64(loss.Duplicates)/float64(loss.Received))
+		pr.RetransmissionRate = max(pr.RetransmissionRate, float64(loss.Duplicates)/float64(loss.Received))
 	}
-	if rec.Key.Type == zoom.TypeVideo {
+	if sm.MediaType == zoom.TypeVideo {
 		if n := len(sm.FrameRate.Samples); n > 0 {
 			var sum float64
 			for _, s := range sm.FrameRate.Samples[n/2:] {
@@ -162,7 +259,7 @@ func (a *Analyzer) accumulateStream(rec meeting.StreamRecord, pr *ParticipantRep
 				vals[i] = s.Value
 			}
 			sort.Float64s(vals)
-			pr.JitterP50MS = max64(pr.JitterP50MS, vals[n/2])
+			pr.JitterP50MS = max(pr.JitterP50MS, vals[n/2])
 		}
 	}
 }
@@ -172,17 +269,6 @@ func combineMean(prev, next float64, prevN int) float64 {
 		return next
 	}
 	return (prev*float64(prevN-1) + next) / float64(prevN)
-}
-
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func streamIDFor(rec meeting.StreamRecord) flow.MediaStreamID {
-	return flow.MediaStreamID{Flow: rec.Flow, Key: rec.Key}
 }
 
 // markDegraded flags participants whose jitter or loss is well above

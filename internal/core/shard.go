@@ -389,7 +389,7 @@ func compareFinished(a, b FinishedStream) int {
 
 // Compact finalizes and archives every stream whose last packet is
 // older than cutoff, returning how many were archived. Archived streams
-// disappear from StreamIDs/MetricsFor and appear in Finished; flow-level
+// move from StreamMetrics to Finished (Streams lists both); flow-level
 // accounting (Tables 2/3/6) is unaffected. Streams whose flow-table
 // entry has already been evicted are archived unconditionally — keeping
 // their metric engines live would leak, since nothing will ever touch
@@ -463,30 +463,6 @@ func (sh *shard) EvictIdle(cutoff time.Time) {
 		sh.tombstoneTCP(client)
 		sh.EvictedTCP++
 	}
-}
-
-// AllStreamMetrics visits live and finished streams alike.
-func (sh *shard) AllStreamMetrics(visit func(flow.MediaStreamID, *metrics.StreamMetrics)) {
-	for _, f := range sh.Finished {
-		visit(f.ID, f.Metrics)
-	}
-	for id, sm := range sh.StreamMetrics {
-		visit(id, sm)
-	}
-}
-
-// lookupStream finds a stream's metric engine among live then archived
-// streams; nil when this shard does not hold it.
-func (sh *shard) lookupStream(id flow.MediaStreamID) *metrics.StreamMetrics {
-	if sm := sh.StreamMetrics[id]; sm != nil {
-		return sm
-	}
-	for i := range sh.Finished {
-		if sh.Finished[i].ID == id {
-			return sh.Finished[i].Metrics
-		}
-	}
-	return nil
 }
 
 // mergeShards folds the states of parts into one fresh inline shard

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 
 	"zoomlens/internal/flow"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 )
 
@@ -17,7 +14,7 @@ import (
 // byte-identical to a run without (the differential test pins this).
 //
 // Time is trace time (packet capture timestamps), not wall clock: the
-// SnapshotWriter fires off the packet stream's own clock, which makes
+// driver fires Snapshot off the packet stream's own clock, which makes
 // offline replays emit the same snapshots a live tap would have.
 
 // MeetingSnapshot is one meeting's rolling QoE state, emitted as one
@@ -61,35 +58,30 @@ type MeetingSnapshot struct {
 func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
 	defer p.cfg.trace("snapshot")()
 	p.o.snapshots.Inc()
-	p.reconcile()
+	byID := p.streamsByID() // parks the shards and reconciles first
 	p.updateGauges()
 	if window <= 0 {
 		window = time.Second
 	}
 	cut := now.Add(-window)
-	recs := p.Dedup.RecordsBy(p.clientOf())
-	meetings := meeting.Group(recs)
-	if len(meetings) == 0 {
+	ru := p.rollup()
+	if len(ru.meetings) == 0 {
 		return nil
 	}
 
-	byUnified := make(map[meeting.UnifiedID]int, len(recs))
-	out := make([]MeetingSnapshot, len(meetings))
+	out := make([]MeetingSnapshot, len(ru.meetings))
 	type agg struct {
 		fpsSum, fpsN float64
 		jitSum, jitN float64
 		rttSum, rttN float64
 		mediaBits    float64
 	}
-	aggs := make([]agg, len(meetings))
-	for i, m := range meetings {
+	aggs := make([]agg, len(ru.meetings))
+	for i, m := range ru.meetings {
 		out[i] = MeetingSnapshot{
 			Time:         now,
 			Meeting:      m.ID,
 			Participants: m.Participants(),
-		}
-		for _, u := range m.Streams {
-			byUnified[u] = i
 		}
 	}
 
@@ -109,31 +101,27 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		return ss[lo:hi]
 	}
 
-	for _, r := range recs {
-		mi, ok := byUnified[r.Unified]
-		if !ok {
-			continue
-		}
+	for _, r := range ru.records {
+		mi := ru.meetingOf[r.Unified]
 		out[mi].Streams++
-		sm := p.lookup(flow.MediaStreamID{Flow: r.Flow, Key: r.Key})
-		if sm == nil {
-			continue
-		}
-		out[mi].Packets += sm.Packets
-		ls := sm.LossStats()
-		out[mi].Lost += ls.EstimatedLost
-		out[mi].Retransmits += ls.Duplicates
 		a := &aggs[mi]
-		for _, smp := range windowed(&sm.MediaRate) {
-			a.mediaBits += smp.Value
-		}
-		for _, smp := range windowed(&sm.FrameRate) {
-			a.fpsSum += smp.Value
-			a.fpsN++
-		}
-		for _, smp := range windowed(&sm.JitterMS) {
-			a.jitSum += smp.Value
-			a.jitN++
+		for _, seg := range byID[flow.MediaStreamID{Flow: r.Flow, Key: r.Key}] {
+			sm := seg.Metrics
+			out[mi].Packets += sm.Packets
+			ls := sm.LossStats()
+			out[mi].Lost += ls.EstimatedLost
+			out[mi].Retransmits += ls.Duplicates
+			for _, smp := range windowed(&sm.MediaRate) {
+				a.mediaBits += smp.Value
+			}
+			for _, smp := range windowed(&sm.FrameRate) {
+				a.fpsSum += smp.Value
+				a.fpsN++
+			}
+			for _, smp := range windowed(&sm.JitterMS) {
+				a.jitSum += smp.Value
+				a.jitN++
+			}
 		}
 	}
 
@@ -147,7 +135,7 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		if rs.Time.After(now) {
 			continue
 		}
-		if mi, ok := byUnified[rs.Unified]; ok {
+		if mi, ok := ru.meetingOf[rs.Unified]; ok {
 			aggs[mi].rttSum += float64(rs.RTT) / float64(time.Millisecond)
 			aggs[mi].rttN++
 		}
@@ -172,61 +160,4 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		}
 	}
 	return out
-}
-
-// SnapshotWriter emits JSON-line snapshots on a trace-time cadence: call
-// Tick with every packet's capture timestamp and it snapshots whenever
-// the interval elapses. The interval doubles as the trailing window.
-type SnapshotWriter struct {
-	// Interval is the cadence and trailing window; zero disables Tick.
-	Interval time.Duration
-	// W receives one JSON line per meeting per firing.
-	W io.Writer
-	// Snap produces the snapshot (Engine.Snapshot).
-	Snap func(now time.Time, window time.Duration) []MeetingSnapshot
-
-	next time.Time
-	err  error
-}
-
-// Tick advances trace time. The first tick only arms the timer; after
-// that, at most one snapshot fires per tick (bursts do not backfill).
-func (w *SnapshotWriter) Tick(at time.Time) {
-	if w == nil || w.Interval <= 0 {
-		return
-	}
-	if w.next.IsZero() {
-		w.next = at.Add(w.Interval)
-		return
-	}
-	if at.Before(w.next) {
-		return
-	}
-	w.next = at.Add(w.Interval)
-	w.emit(at)
-}
-
-// Flush takes one final snapshot at the given time (end of capture).
-func (w *SnapshotWriter) Flush(at time.Time) {
-	if w == nil || w.Interval <= 0 {
-		return
-	}
-	w.emit(at)
-}
-
-func (w *SnapshotWriter) emit(at time.Time) {
-	enc := json.NewEncoder(w.W)
-	for _, ms := range w.Snap(at, w.Interval) {
-		if err := enc.Encode(ms); err != nil && w.err == nil {
-			w.err = err
-		}
-	}
-}
-
-// Err reports the first write error, if any.
-func (w *SnapshotWriter) Err() error {
-	if w == nil {
-		return nil
-	}
-	return w.err
 }

@@ -7,7 +7,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zoomlens/internal/flow"
 )
+
+// streamIDs lists the ID of every stream segment, in Streams order.
+func streamIDs(a *Analyzer) []flow.MediaStreamID {
+	var ids []flow.MediaStreamID
+	for _, seg := range a.Streams() {
+		ids = append(ids, seg.ID)
+	}
+	return ids
+}
 
 // reportBytes renders an analyzer's complete results as a deterministic
 // byte blob: summary, meetings, every stream's loss stats and series,
@@ -24,8 +35,8 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 	}
 	must(a.Summary())
 	must(a.Meetings())
-	for _, id := range a.StreamIDs() {
-		sm, _ := a.MetricsFor(id)
+	for _, seg := range a.Streams() {
+		id, sm := seg.ID, seg.Metrics
 		must(id)
 		must(sm.LossStats())
 		must(sm.FrameRate.Samples)
@@ -58,46 +69,50 @@ func TestSnapshotsDoNotPerturbResults(t *testing.T) {
 	base.Finish()
 	want := reportBytes(t, base)
 
-	// Sequential with snapshots every 2 seconds of trace time.
-	seq := NewAnalyzer(cfg)
-	var seqSnaps bytes.Buffer
-	sw := &SnapshotWriter{Interval: interval, W: &seqSnaps, Snap: seq.Snapshot}
-	tr.feed(func(at time.Time, frame []byte) {
-		seq.Packet(at, frame)
-		sw.Tick(at)
-	})
-	seq.Finish()
-	if err := sw.Err(); err != nil {
-		t.Fatal(err)
+	// snapshotting feeds the trace through eng, writing a JSON-lines
+	// snapshot after the first packet an interval or more past the
+	// previous one.
+	snapshotting := func(eng Engine) []byte {
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		next := tr.at[0].Add(interval)
+		tr.feed(func(at time.Time, frame []byte) {
+			eng.Packet(at, frame)
+			if at.Before(next) {
+				return
+			}
+			next = at.Add(interval)
+			for _, ms := range eng.Snapshot(at, interval) {
+				if err := enc.Encode(ms); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		eng.Finish()
+		return out.Bytes()
 	}
+
+	seq := NewAnalyzer(cfg)
+	seqSnaps := snapshotting(seq)
 	if got := reportBytes(t, seq); !bytes.Equal(got, want) {
 		t.Error("sequential report changed when snapshots were enabled")
 	}
 
-	// 4-worker parallel with the same snapshot cadence.
+	// 4-worker parallel with the same snapshot schedule.
 	pa := NewParallelAnalyzer(cfg, 4)
-	var parSnaps bytes.Buffer
-	pw := &SnapshotWriter{Interval: interval, W: &parSnaps, Snap: pa.Snapshot}
-	tr.feed(func(at time.Time, frame []byte) {
-		pa.Packet(at, frame)
-		pw.Tick(at)
-	})
-	pa.Finish()
-	if err := pw.Err(); err != nil {
-		t.Fatal(err)
-	}
+	parSnaps := snapshotting(pa)
 	if got := reportBytes(t, pa.Result()); !bytes.Equal(got, want) {
 		t.Error("parallel report changed when snapshots were enabled")
 	}
 
 	// The snapshot stream is itself deterministic across modes: the same
 	// packet prefix quiesced at the same boundary yields the same bytes.
-	if !bytes.Equal(seqSnaps.Bytes(), parSnaps.Bytes()) {
+	if !bytes.Equal(seqSnaps, parSnaps) {
 		t.Errorf("snapshot streams diverge between sequential and parallel:\n--- sequential\n%s--- parallel\n%s",
-			&seqSnaps, &parSnaps)
+			seqSnaps, parSnaps)
 	}
 
-	checkSnapshotStream(t, seqSnaps.String(), interval)
+	checkSnapshotStream(t, string(seqSnaps), interval)
 }
 
 // checkSnapshotStream validates the JSON-lines snapshot output: every

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"zoomlens/internal/core"
 	"zoomlens/internal/pcap"
 )
 
@@ -186,6 +190,40 @@ func TestRunFromFarFutureTimestamp(t *testing.T) {
 		ctl.Close()
 		if run.FeatureRows == 0 || run.FeatureRows != ctl.FeatureRows {
 			t.Errorf("FeatureRows = %d, clean trace %d", run.FeatureRows, ctl.FeatureRows)
+		}
+	})
+
+	// The snapshot schedule: the same four firings (packets 1001 and
+	// 2001, the jump, the record a period past it); the end-of-capture
+	// snapshot repeats the last instant.
+	t.Run("snapshot", func(t *testing.T) {
+		out := filepath.Join(t.TempDir(), "snapshots.jsonl")
+		f := &Flags{Obs: &ObsFlags{SnapshotInterval: time.Second, SnapshotOut: out}, Workers: 1}
+		next, jumpTook := hostile(t)
+		run, err := f.RunFrom(nets, next, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Close()
+		if d := jumpTook(); d > time.Second {
+			t.Errorf("the far-future record held the ingest loop for %v", d)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instants []time.Time
+		for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+			var ms core.MeetingSnapshot
+			if err := json.Unmarshal(line, &ms); err != nil {
+				t.Fatalf("snapshot line %q: %v", line, err)
+			}
+			if n := len(instants); n == 0 || !instants[n-1].Equal(ms.Time) {
+				instants = append(instants, ms.Time)
+			}
+		}
+		if len(instants) != 4 || !instants[2].Equal(farTS) || !instants[3].Equal(farTS.Add(time.Second)) {
+			t.Errorf("snapshots at %v, want two on the original clock, the jump and the record a period past it", instants)
 		}
 	})
 

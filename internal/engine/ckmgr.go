@@ -159,6 +159,17 @@ func atomicWrite(name string, write func(io.Writer) error) (int64, error) {
 	return cw.n, nil
 }
 
+// writeFileAtomic is os.WriteFile through atomicWrite, for the files
+// other processes merge (window reports, the cluster status mirror): a
+// kill mid-write leaves nothing under name, never a torn file.
+func writeFileAtomic(name string, data []byte) error {
+	_, err := atomicWrite(name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
+}
+
 // write appends one record to the chain under the next sequence number
 // and counts it in n and written.
 func (c *Checkpointer) write(suffix string, encode func(io.Writer) error, n *int, written *obs.Counter) error {

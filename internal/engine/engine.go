@@ -482,16 +482,26 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	// Periodic QoE snapshots fire on the capture clock, so offline
-	// replays emit exactly what a live tap would have.
-	sw := &core.SnapshotWriter{Interval: f.Obs.SnapshotInterval, W: setup.snapW, Snap: eng.Snapshot}
 	var lastTS time.Time
 	var rec pcap.Record
-	// Rotation, checkpoint, and feature-drain schedules run on the trace
-	// clock, armed by the first packet. Full checkpoints run on
+	// Rotation, snapshot, checkpoint, and feature-drain schedules run on
+	// the trace clock, armed by the first packet — so offline replays
+	// emit exactly what a live tap would have. Full checkpoints run on
 	// -checkpoint-interval; delta records on the (typically much
 	// shorter) -checkpoint-delta cadence between them.
 	rotate := cadence{every: f.Rotate}
+	// Per-meeting QoE snapshots: one JSON line per meeting per firing,
+	// the interval doubling as the trailing window.
+	snap := cadence{every: f.Obs.SnapshotInterval}
+	snapEnc := json.NewEncoder(setup.snapW)
+	var snapErr error
+	emitSnapshots := func(at time.Time) {
+		for _, ms := range eng.Snapshot(at, f.Obs.SnapshotInterval) {
+			if err := snapEnc.Encode(ms); err != nil && snapErr == nil {
+				snapErr = err
+			}
+		}
+	}
 	var winStart time.Time
 	var full, delta, drain cadence
 	if run.Checkpointer != nil {
@@ -544,7 +554,9 @@ readLoop:
 			eng.Packet(rec.Timestamp, rec.Data)
 		}
 		lastTS = rec.Timestamp
-		sw.Tick(rec.Timestamp)
+		if snap.due(rec.Timestamp) {
+			emitSnapshots(rec.Timestamp)
+		}
 		if drain.due(rec.Timestamp) {
 			fsink.drain(eng.DrainFeatures())
 		}
@@ -586,11 +598,12 @@ readLoop:
 	// Finishing emits no observations, so the log is complete here; it
 	// must be on disk before the aggregator can be pointed at it.
 	closeObsLog()
-	if !lastTS.IsZero() {
-		sw.Flush(lastTS)
+	// One final snapshot at the end of the capture.
+	if snap.every > 0 && !lastTS.IsZero() {
+		emitSnapshots(lastTS)
 	}
-	if err := sw.Err(); err != nil {
-		log.Printf("snapshots: %v", err)
+	if snapErr != nil {
+		log.Printf("snapshots: %v", snapErr)
 	}
 	run.Analyzer = eng.Result()
 	if truncated() {
@@ -641,7 +654,7 @@ func (r *Run) rotateWindow(eng core.Engine, start, end time.Time, prefix string)
 		Window: r.Rotations, Start: start, End: end, Summary: win.Summary(),
 	})
 	if err == nil {
-		err = os.WriteFile(path, append(data, '\n'), 0o644)
+		err = writeFileAtomic(path, append(data, '\n'))
 	}
 	if err != nil {
 		log.Printf("rotate %s: %v", path, err)
@@ -695,7 +708,7 @@ func (r *Run) EmitStatus() {
 		r.Restored, r.Rotations, r.RotateFailures, protoFields, s.Undecodable, s.STUNPortNonSTUN)
 	fmt.Fprintln(os.Stderr, line)
 	if r.statusPath != "" {
-		if err := os.WriteFile(r.statusPath, []byte(line+"\n"), 0o644); err != nil {
+		if err := writeFileAtomic(r.statusPath, []byte(line+"\n")); err != nil {
 			log.Printf("status file: %v", err)
 		}
 	}

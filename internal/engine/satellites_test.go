@@ -88,6 +88,72 @@ func TestRotateFailureAccounting(t *testing.T) {
 	}
 }
 
+// TestReportFilesWrittenLikeCheckpoints covers the two files other
+// processes merge — the rotated window reports and the cluster status
+// mirror. They land by write-to-temp-then-rename: a reader holding the
+// previous file never sees it rewritten in place, and a write that
+// fails leaves neither a partial file nor a temp file behind, counts as
+// a rotate failure and does not consume a window index.
+func TestReportFilesWrittenLikeCheckpoints(t *testing.T) {
+	rotating := func(prefix string) *Run {
+		t.Helper()
+		next, nets := genSource(t, 2000)
+		f := &Flags{Obs: &ObsFlags{}, Workers: 1, Rotate: 300 * time.Millisecond, RotateOut: prefix}
+		run, err := f.RunFrom(nets, next, func() bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(run.Close)
+		return run
+	}
+
+	// The first window's name is taken by a non-empty directory, so the
+	// rename fails after the temp file was written in full.
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "window-0000.json", "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	run := rotating(filepath.Join(dir, "window"))
+	if run.RotateFailures == 0 || run.Rotations != 0 {
+		t.Errorf("%d rotations, %d failures with the first window name unwritable, want 0 and every window", run.Rotations, run.RotateFailures)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].IsDir() {
+		t.Errorf("failed window writes left files behind or consumed an index: %v", entries)
+	}
+
+	// A second name for the files a previous run left: rewriting them in
+	// place would change what that name reads.
+	dir = t.TempDir()
+	window, status := filepath.Join(dir, "window-0000.json"), filepath.Join(dir, "part.status.json")
+	for _, name := range []string{window, status} {
+		if err := os.WriteFile(name, []byte("previous"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Link(name, name+".held"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run = rotating(filepath.Join(dir, "window"))
+	run.statusPath = status
+	run.EmitStatus()
+	if run.Rotations == 0 {
+		t.Fatal("no window rotated")
+	}
+	for name, want := range map[string]string{window: `"summary":`, status: `"rotations":`} {
+		data, err := os.ReadFile(name)
+		if err != nil || !strings.Contains(string(data), want) {
+			t.Errorf("%s = %q (%v), want a report containing %s", name, data, err, want)
+		}
+		if held, err := os.ReadFile(name + ".held"); err != nil || string(held) != "previous" {
+			t.Errorf("%s was rewritten in place: the held copy reads %q (%v)", name, held, err)
+		}
+	}
+}
+
 // TestSourceErrorFlushesQuarantine injects panics into processing and
 // then fails the record source mid-run: the teardown path must still
 // write the quarantined frames out for offline dissection.

@@ -24,9 +24,6 @@ func (b *Builder) Bytes() []byte {
 	return out
 }
 
-// AppendRaw appends arbitrary bytes (a payload).
-func (b *Builder) AppendRaw(p []byte) { b.buf = append(b.buf, p...) }
-
 // EthernetIPv4UDP builds a complete Ethernet+IPv4+UDP packet around
 // payload, with correct lengths and checksums. MAC addresses are derived
 // deterministically from the IP addresses (this repository never needs

@@ -100,12 +100,6 @@ func (w *World) NewClientWithAddr(name string, campus bool, addr netip.Addr) *Cl
 	return c
 }
 
-// MediaAddrPort returns the client's current media endpoint for a
-// given media type (P2P mode uses one port for everything).
-func (c *Client) MediaAddrPort() netip.AddrPort {
-	return netip.AddrPortFrom(c.Addr, c.mediaPort)
-}
-
 // portFor returns the client-side UDP port carrying mt in the current
 // meeting mode.
 func (c *Client) portFor(mt zoom.MediaType) uint16 {

@@ -453,12 +453,9 @@ func (r *Reader) Err() error { return r.c.err }
 func (r *Reader) Remaining() int { return len(r.c.b) - r.c.off }
 
 // The value reads mirror the Codec walks of the same name.
-func (r *Reader) U8() (v uint8)       { r.c.U8(&v); return }
-func (r *Reader) U16() (v uint16)     { r.c.U16(&v); return }
-func (r *Reader) U32() (v uint32)     { r.c.U32(&v); return }
-func (r *Reader) U64() (v uint64)     { r.c.U64(&v); return }
-func (r *Reader) Int() (v int)        { r.c.Int(&v); return }
-func (r *Reader) Time() (v time.Time) { r.c.Time(&v); return }
+func (r *Reader) U8() (v uint8)   { r.c.U8(&v); return }
+func (r *Reader) U64() (v uint64) { r.c.U64(&v); return }
+func (r *Reader) Int() (v int)    { r.c.Int(&v); return }
 
 // Ptr walks the presence flag of an optional component and reports
 // whether it is present; a decoding pass replaces *p with mk() or nil.

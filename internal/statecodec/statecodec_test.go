@@ -39,11 +39,13 @@ func TestRoundTrip(t *testing.T) {
 	if c.Bool(&no); no {
 		t.Fatal("bool round trip")
 	}
-	if got := r.U16(); got != 65535 {
-		t.Fatalf("u16 = %d", got)
+	var u16 uint16
+	if c.U16(&u16); u16 != 65535 {
+		t.Fatalf("u16 = %d", u16)
 	}
-	if got := r.U32(); got != 0xdeadbeef {
-		t.Fatalf("u32 = %x", got)
+	var u32 uint32
+	if c.U32(&u32); u32 != 0xdeadbeef {
+		t.Fatalf("u32 = %x", u32)
 	}
 	if got := r.U64(); got != 1<<62 {
 		t.Fatalf("u64 = %d", got)
@@ -65,10 +67,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 	want := time.Unix(1700000000, 123456789)
 	// Written from the host's zone, read back in UTC like a capture stamp.
-	if got := r.Time(); !got.Equal(want) || got.Location() != time.UTC {
+	var got time.Time
+	if c.Time(&got); !got.Equal(want) || got.Location() != time.UTC {
 		t.Fatalf("time = %v", got)
 	}
-	if got := r.Time(); !got.IsZero() {
+	if c.Time(&got); !got.IsZero() {
 		t.Fatalf("zero time = %v", got)
 	}
 	var str string
@@ -111,12 +114,13 @@ func TestTruncation(t *testing.T) {
 		r := NewReader(full[:cut])
 		c := NewDecoder(r)
 		var (
+			at  time.Time
 			str string
 			f64 float64
 			ap  netip.AddrPort
 		)
 		r.U8()
-		r.Time()
+		c.Time(&at)
 		c.String(&str)
 		c.F64(&f64)
 		c.AddrPort(&ap)

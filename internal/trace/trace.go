@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
-	"zoomlens/internal/media"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/sim"
 )
@@ -369,6 +368,3 @@ func randomAddrIn(rng *rand.Rand, p netip.Prefix) netip.Addr {
 	v |= host
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
-
-// MediaDefaults re-exported for workload construction convenience.
-var MediaDefaults = media.DefaultVideoConfig

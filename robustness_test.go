@@ -301,9 +301,9 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 		return ss[:i]
 	}
 	touched, saturated := 0, 0
-	for _, id := range clean.StreamIDs() {
-		want, _ := clean.MetricsFor(id)
-		got, ok := hostile.MetricsFor(id)
+	for _, seg := range clean.Streams() {
+		id, want := seg.ID, seg.Metrics
+		got, ok := hostile.StreamMetrics[id]
 		if !ok {
 			t.Fatalf("stream %v missing from the hostile run", id)
 		}

@@ -32,9 +32,8 @@
 //		ZoomNetworks: zoomlens.DefaultZoomNetworks(),
 //	})
 //	if err := a.ReadPCAP(f); err != nil { ... }
-//	for _, id := range a.StreamIDs() {
-//		m, _ := a.MetricsFor(id)
-//		fmt.Println(id.Key, m.FramesTotal, m.LossStats())
+//	for _, s := range a.Streams() {
+//		fmt.Println(s.ID.Key, s.Metrics.FramesTotal, s.Metrics.LossStats())
 //	}
 //	for _, meeting := range a.Meetings() {
 //		fmt.Println(meeting.ID, meeting.Participants())
