@@ -118,7 +118,8 @@ proto-smoke:
 # differentials (sequential/parallel/cluster engines byte-identical from
 # pcap and pcapng, streaming == batch, checkpoint resume mid-drain), the
 # train-on-one-meeting / score-a-held-out-meeting accuracy smoke, and
-# the feature-layer ingest-overhead gate (≤1.10x the featureless path).
+# the feature-layer ingest-overhead gate (≤200 ns per packet over the
+# featureless path).
 # The gate's numbers go to PREDICT_OUT when the caller names a path (CI
 # uploads it; `make bench` names BENCH_predict.json), else to a temp file.
 PREDICT_OUT ?=
@@ -142,12 +143,15 @@ soak-smoke:
 # minimize time because each exec restores a full engine. The front-end
 # target holds the raw header scan to the full parser, frame by frame,
 # and the prefix-set target holds the merged-range search to the plain
-# netip.Prefix.Contains scan it replaced. The observation-log target
+# netip.Prefix.Contains scan it replaced. The in-place target holds
+# zoom.Packet.Parse into a used receiver to a parse into a fresh one.
+# The observation-log target
 # feeds the ZLOB reader — a file from another process — torn, mistagged
 # and misversioned logs. The sequence-tracker target walks the duplicate
 # window with arbitrary sequence numbers.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
+	$(GO) test -fuzz=FuzzPacketParseInPlace -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzRTPParse -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -fuzz=FuzzSeqTracker -fuzztime=$(FUZZTIME) ./internal/rtp/
 	$(GO) test -fuzz=FuzzCopyMatcher -fuzztime=$(FUZZTIME) ./internal/metrics/
@@ -210,6 +214,7 @@ loc:
 	@cat $$(ls cmd/*/*.go | grep -v _test.go) | wc -l | xargs echo "cmd non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | wc -l | xargs echo "internal/rtp + internal/metrics non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/rtp + internal/metrics non-test code:"
+	@$(GO) test -count=1 -run TestFrameRecordSize -v ./internal/metrics/ | grep -o 'bytes per finished frame: [0-9]*'
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"
 	@d=$$(mktemp) u=$$(mktemp); \

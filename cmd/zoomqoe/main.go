@@ -25,7 +25,6 @@ import (
 
 	"zoomlens"
 	"zoomlens/internal/engine"
-	"zoomlens/internal/metrics"
 	"zoomlens/internal/rtcproto"
 )
 
@@ -67,9 +66,9 @@ func main() {
 			}
 			start := origin[0].Time()
 			rate := sm.MediaRate.Bin(start, time.Second, "mean")
-			fps := index(sm.FrameRate.Bin(start, time.Second, "last"))
-			enc := index(sm.EncoderRate.Bin(start, time.Second, "mean"))
-			size := index(sm.FrameSize.Bin(start, time.Second, "mean"))
+			fps := index(sm.FrameRate().Bin(start, time.Second, "last"))
+			enc := index(sm.EncoderRate().Bin(start, time.Second, "mean"))
+			size := index(sm.FrameSize().Bin(start, time.Second, "mean"))
 			jit := index(sm.JitterMS.Bin(start, time.Second, "mean"))
 			for _, s := range rate {
 				sec := s.Time().Unix()
@@ -91,7 +90,7 @@ func main() {
 		w.Write([]string{"time", "rtt_ms", "unified_stream"})
 		for _, s := range a.Copies.Samples {
 			w.Write([]string{
-				s.Time.Format("15:04:05.000"),
+				s.Time().Format("15:04:05.000"),
 				fmt.Sprintf("%.2f", float64(s.RTT)/1e6),
 				strconv.Itoa(int(s.Unified)),
 			})
@@ -152,7 +151,7 @@ func main() {
 		w.Write([]string{"ssrc", "type", "flow", "clock_hz", "rel_err", "frames"})
 		for _, seg := range a.Streams() {
 			id, sm := seg.ID, seg.Metrics
-			est, ok := metrics.InferClockRate(sm.FrameObservations())
+			est, ok := sm.InferClockRate()
 			if !ok {
 				continue
 			}

@@ -43,7 +43,7 @@ func renderReport(a *Analyzer) string {
 		}
 	}
 	for _, smp := range a.Copies.Samples {
-		fmt.Fprintf(&b, "rtt %s %v %d\n", smp.Time.Format("15:04:05.000"), smp.RTT, smp.Unified)
+		fmt.Fprintf(&b, "rtt %s %v %d\n", smp.Time().Format("15:04:05.000"), smp.RTT, smp.Unified)
 	}
 	for _, fl := range a.Flows.Flows() {
 		fmt.Fprintf(&b, "flow %s pkts=%d bytes=%d sb=%d p2p=%d\n",

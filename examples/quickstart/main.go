@@ -53,8 +53,8 @@ func main() {
 		}
 		loss := sm.LossStats()
 		var fps float64
-		if n := len(sm.FrameRate.Samples); n > 0 {
-			fps = sm.FrameRate.Samples[n-1].Value
+		if frames := sm.Frames(); len(frames) > 0 {
+			fps = float64(frames[len(frames)-1].Rate) // §5.2 method 1 at the last finished frame
 		}
 		fmt.Printf("  %-18s %-45s pkts=%-6d frames=%-5d fps≈%-5.1f mediaB=%-8d lost=%d dup=%d\n",
 			id.Key, id.Flow, sm.Packets, sm.FramesTotal, fps, sm.MediaBytes,

@@ -153,12 +153,12 @@ func (r *CampusResult) Distributions(minPackets uint64) *Distributions {
 		// Frame rate per one-second bin, including zero-frame bins
 		// (screen sharing spends ~15 % of seconds at 0 fps, §6.2).
 		if mt == TypeVideo || mt == TypeScreenShare {
-			for _, s := range sm.FrameRate.Bin(r.Cfg.Start, time.Second, "last") {
+			for _, s := range sm.FrameRate().Bin(r.Cfg.Start, time.Second, "last") {
 				d.FrameRate[mt] = append(d.FrameRate[mt], s.Value)
 			}
 		}
-		for _, s := range sm.FrameSize.Samples {
-			d.FrameSize[mt] = append(d.FrameSize[mt], s.Value)
+		for _, f := range sm.Frames() {
+			d.FrameSize[mt] = append(d.FrameSize[mt], float64(f.Bytes))
 		}
 		// Jitter only where the clock rate is known (video, §6.2).
 		if mt == TypeVideo {
@@ -184,7 +184,7 @@ func (r *CampusResult) JitterCorrelation() (rBitrate, rFrameRate float64, n int)
 		}
 		j := sm.JitterMS.Bin(r.Cfg.Start, time.Second, "mean")
 		br := sm.MediaRate.Bin(r.Cfg.Start, time.Second, "mean")
-		fr := sm.FrameRate.Bin(r.Cfg.Start, time.Second, "last")
+		fr := sm.FrameRate().Bin(r.Cfg.Start, time.Second, "last")
 		byTime := map[int64][3]float64{}
 		for _, s := range j {
 			if s.Value > 0 {
@@ -299,7 +299,7 @@ func RunValidation(seconds int, seed int64) *ValidationResult {
 	if target == nil {
 		return res
 	}
-	res.EstimatedFPS = target.FrameRate.Bin(opts.Start, time.Second, "last")
+	res.EstimatedFPS = target.FrameRate().Bin(opts.Start, time.Second, "last")
 	res.EstimatedJitterMS = target.JitterMS.Samples
 	res.EstimatedRTTMS = a.Copies.SeriesMS().Samples
 

@@ -93,10 +93,10 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 			continue
 		}
 		checked++
-		n := len(sm.FrameRate.Samples)
+		n := len(sm.FrameRate().Samples)
 		var sum float64
 		var cnt int
-		for _, s := range sm.FrameRate.Samples[n/2:] {
+		for _, s := range sm.FrameRate().Samples[n/2:] {
 			sum += s.Value
 			cnt++
 		}
@@ -105,7 +105,7 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 			t.Errorf("stream %v: mean fps = %v, want ≈28", id.Key, fps)
 		}
 		var under2000, frames int
-		for _, s := range sm.FrameSize.Samples {
+		for _, s := range sm.FrameSize().Samples {
 			frames++
 			if s.Value < 2000 {
 				under2000++
@@ -471,7 +471,7 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 		}
 		// Frame sizes have the documented small-median shape.
 		var under500, frames int
-		for _, s := range sm.FrameSize.Samples {
+		for _, s := range sm.FrameSize().Samples {
 			frames++
 			if s.Value < 500 {
 				under500++
@@ -493,7 +493,7 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		for _, s := range sm.EncoderRate.Samples {
+		for _, s := range sm.EncoderRate().Samples {
 			if s.Value > 12 && s.Value < 16 {
 				sawReduced = true
 			}

@@ -115,11 +115,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("stream %v frame counts diverge", id)
 		}
 		for name, pair := range map[string][2][]metrics.Sample{
-			"frame_rate": {ss.FrameRate.Samples, ps.FrameRate.Samples},
+			"frame_rate": {ss.FrameRate().Samples, ps.FrameRate().Samples},
 			"media_rate": {ss.MediaRate.Samples, ps.MediaRate.Samples},
 			"wire_rate":  {ss.WireRate.Samples, ps.WireRate.Samples},
 			"jitter_ms":  {ss.JitterMS.Samples, ps.JitterMS.Samples},
-			"frame_size": {ss.FrameSize.Samples, ps.FrameSize.Samples},
+			"frame_size": {ss.FrameSize().Samples, ps.FrameSize().Samples},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Errorf("stream %v series %s diverges (%d vs %d samples)", id, name, len(pair[0]), len(pair[1]))

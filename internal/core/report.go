@@ -245,10 +245,11 @@ func accumulateStream(sm *metrics.StreamMetrics, pr *ParticipantReport) {
 		pr.RetransmissionRate = max(pr.RetransmissionRate, float64(loss.Duplicates)/float64(loss.Received))
 	}
 	if sm.MediaType == zoom.TypeVideo {
-		if n := len(sm.FrameRate.Samples); n > 0 {
+		if frames := sm.Frames(); len(frames) > 0 {
+			n := len(frames)
 			var sum float64
-			for _, s := range sm.FrameRate.Samples[n/2:] {
-				sum += s.Value
+			for _, f := range frames[n/2:] {
+				sum += float64(f.Rate)
 			}
 			pr.videoStreams++
 			pr.VideoFPSMean = combineMean(pr.VideoFPSMean, sum/float64(n-n/2), pr.videoStreams)

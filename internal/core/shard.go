@@ -45,10 +45,11 @@ type shard struct {
 	protos []rtcproto.Plugin
 	dec    layers.Parser
 	dpkt   layers.Packet
-	// mo is the reused decode of the packet in hand; rec, the reused flow
-	// observation passed to Flows.Observe (which copies what it keeps);
-	// obs, the reused media observation handed to sink.
-	mo  rtcproto.MediaObs
+	// rec is the one record of the packet in hand: the plugin decodes into
+	// rec.Z, Flows.Observe reads the whole (and copies what it keeps), the
+	// metric engine reads rec.Z again. Its slices borrow the frame, which
+	// is the front end's to reuse once process returns. obs is the reused
+	// media observation handed to sink.
 	rec flow.Record
 	obs ClusterObs
 	// so holds this shard's live-metric handles: the engine's own when
@@ -275,27 +276,25 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	sh.UDPKeptPackets++
 	sh.UDPKeptBytes += uint64(wireLen)
 	// Protocol plugin chain: the first plugin whose Probe accepts the
-	// payload claims it — whether or not its Decode then succeeds — so
+	// payload claims it — whether or not its DecodeInto then succeeds — so
 	// packet ownership is deterministic and independent of decode
 	// strictness. Probes are mutually exclusive by construction (Zoom
 	// first bytes < 0x80, RTP version bits require 0x80..0xBF).
-	decoded := false
+	rec, zp := &sh.rec, &sh.rec.Z
+	var owner rtcproto.Plugin
 	for _, p := range sh.protos {
-		if !p.Probe(pkt.Payload) {
-			continue
+		if p.Probe(pkt.Payload) {
+			owner = p
+			break
 		}
-		var err error
-		sh.mo, err = p.Decode(pkt.Payload)
-		decoded = err == nil
-		break
 	}
-	if !decoded {
+	if owner == nil || owner.DecodeInto(pkt.Payload, zp) != nil {
 		sh.ProtoUndecodable++
 		sh.so.stageUndecodable.Inc()
 		sh.so.protoUndecodable.Inc()
 		return
 	}
-	proto, zp := sh.mo.Proto, &sh.mo.Pkt
+	proto := owner.ID()
 	sh.ProtoDecoded[proto]++
 	sh.so.protoDecoded[proto].Inc()
 	if proto == rtcproto.IDZoom {
@@ -306,15 +305,9 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	if !ok {
 		return
 	}
-	sh.rec = flow.Record{
-		Time:          at,
-		Flow:          ft,
-		WireLen:       wireLen,
-		UDPPayloadLen: len(pkt.Payload),
-		Proto:         uint8(proto),
-		Z:             *zp,
-	}
-	st := sh.Flows.Observe(&sh.rec)
+	rec.Time, rec.Flow, rec.Proto = at, ft, uint8(proto)
+	rec.WireLen, rec.UDPPayloadLen = wireLen, len(pkt.Payload)
+	st := sh.Flows.Observe(rec)
 
 	if !zp.IsMedia() {
 		return
@@ -326,13 +319,12 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		// whole pipeline, not just the table.
 		return
 	}
-	key := zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
-	sh.obs = ClusterObs{
-		Seq: seq, At: at, Flow: ft, Key: key,
-		WireLen: wireLen, PayloadLen: len(pkt.Payload),
-		PT: zp.RTP.PayloadType, RTPSeq: zp.RTP.SequenceNumber, RTPTS: zp.RTP.Timestamp,
-	}
-	sh.sink(&sh.obs)
+	o := &sh.obs
+	o.Seq, o.At, o.Flow = seq, at, ft
+	o.Key = zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
+	o.WireLen, o.PayloadLen = wireLen, len(pkt.Payload)
+	o.PT, o.RTPSeq, o.RTPTS = zp.RTP.PayloadType, zp.RTP.SequenceNumber, zp.RTP.Timestamp
+	sh.sink(o)
 
 	// The stream's record carries its metric engine from the second packet
 	// on; StreamMetrics stays the registry everything else reads.

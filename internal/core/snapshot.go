@@ -87,18 +87,7 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 
 	cutNS, nowNS := metrics.Nanos(cut), metrics.Nanos(now)
 	windowed := func(ser *metrics.Series) []metrics.Sample {
-		// Samples are appended in time order; take the tail inside
-		// (cut, now].
-		ss := ser.Samples
-		lo := len(ss)
-		for lo > 0 && ss[lo-1].At > cutNS {
-			lo--
-		}
-		hi := len(ss)
-		for hi > lo && ss[hi-1].At > nowNS {
-			hi--
-		}
-		return ss[lo:hi]
+		return windowTail(ser.Samples, func(s *metrics.Sample) int64 { return s.At }, cutNS, nowNS)
 	}
 
 	for _, r := range ru.records {
@@ -114,8 +103,9 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 			for _, smp := range windowed(&sm.MediaRate) {
 				a.mediaBits += smp.Value
 			}
-			for _, smp := range windowed(&sm.FrameRate) {
-				a.fpsSum += smp.Value
+			// The frame-rate series, read off the frame log's tail.
+			for _, f := range windowTail(sm.Frames(), func(f *metrics.FrameRecord) int64 { return f.At }, cutNS, nowNS) {
+				a.fpsSum += float64(f.Rate)
 				a.fpsN++
 			}
 			for _, smp := range windowed(&sm.JitterMS) {
@@ -128,11 +118,11 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 	// RTT samples carry their unified stream; fold each into its meeting.
 	ss := p.Copies.Samples
 	lo := len(ss)
-	for lo > 0 && ss[lo-1].Time.After(cut) {
+	for lo > 0 && ss[lo-1].At > cutNS {
 		lo--
 	}
 	for _, rs := range ss[lo:] {
-		if rs.Time.After(now) {
+		if rs.At > nowNS {
 			continue
 		}
 		if mi, ok := ru.meetingOf[rs.Unified]; ok {
@@ -160,4 +150,19 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 		}
 	}
 	return out
+}
+
+// windowTail returns the trailing elements of s timed inside (cut, now],
+// at giving an element's time in Unix nanoseconds: s is appended in time
+// order, so the window is a suffix less the elements past now.
+func windowTail[T any](s []T, at func(*T) int64, cut, now int64) []T {
+	lo := len(s)
+	for lo > 0 && at(&s[lo-1]) > cut {
+		lo--
+	}
+	hi := len(s)
+	for hi > lo && at(&s[hi-1]) > now {
+		hi--
+	}
+	return s[lo:hi]
 }

@@ -39,12 +39,12 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 		id, sm := seg.ID, seg.Metrics
 		must(id)
 		must(sm.LossStats())
-		must(sm.FrameRate.Samples)
+		must(sm.FrameRate().Samples)
 		must(sm.MediaRate.Samples)
 		must(sm.WireRate.Samples)
 		must(sm.JitterMS.Samples)
-		must(sm.FrameSize.Samples)
-		must(sm.FrameDelay.Samples)
+		must(sm.FrameSize().Samples)
+		must(sm.FrameDelay().Samples)
 	}
 	must(a.Copies.Samples)
 	return b.Bytes()

@@ -238,10 +238,13 @@ type cadence struct {
 	next  time.Time
 }
 
-func (c *cadence) due(ts time.Time) bool {
+// due is small enough to inline, so a schedule that is off costs the
+// read loop one compare per record, not a call.
+func (c *cadence) due(ts time.Time) bool { return c.every > 0 && c.fire(ts) }
+
+// fire is due for a schedule that is on.
+func (c *cadence) fire(ts time.Time) bool {
 	switch {
-	case c.every <= 0:
-		return false
 	case c.next.IsZero():
 		c.rearm(ts)
 		return false

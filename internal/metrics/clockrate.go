@@ -41,6 +41,18 @@ type FrameObservation struct {
 // returns the best. ok is false with fewer than 8 usable transitions or
 // when even the best candidate mismatches badly (no periodic structure).
 func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
+	return sweepClockRates(len(frames), func(i int) (int64, uint32) { return frames[i].At, frames[i].TS })
+}
+
+// InferClockRate runs the sweep over the stream's finished frames, read
+// from the frame log in place.
+func (sm *StreamMetrics) InferClockRate() (ClockRateEstimate, bool) {
+	return sweepClockRates(len(sm.frames), func(i int) (int64, uint32) { return sm.frames[i].At, sm.frames[i].TS })
+}
+
+// sweepClockRates is the sweep over n frames, frame(i) giving the i-th's
+// completion time and RTP timestamp.
+func sweepClockRates(n int, frame func(i int) (at int64, ts uint32)) (ClockRateEstimate, bool) {
 	var best ClockRateEstimate
 	best.Error = math.Inf(1)
 	// Usable transitions: positive time and timestamp deltas, bounded
@@ -50,9 +62,11 @@ func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
 		dc float64 // clock ticks
 	}
 	var deltas []delta
-	for i := 1; i < len(frames); i++ {
-		dt := time.Duration(frames[i].At - frames[i-1].At).Seconds()
-		dc := float64(int32(frames[i].TS - frames[i-1].TS))
+	for i := 1; i < n; i++ {
+		prevAt, prevTS := frame(i - 1)
+		at, ts := frame(i)
+		dt := time.Duration(at - prevAt).Seconds()
+		dc := float64(int32(ts - prevTS))
 		if dt <= 0 || dt > 2 || dc <= 0 {
 			continue
 		}
@@ -80,8 +94,9 @@ func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
 // FrameObservations extracts (completion time, RTP timestamp) pairs
 // from a stream's completed frames, for clock inference.
 func (sm *StreamMetrics) FrameObservations() []FrameObservation {
-	// FrameSize samples are recorded once per frame at completion, but
-	// they don't carry the timestamp; reconstruct from the jitter series
-	// is wrong. Instead the assembler path records them here.
-	return sm.frameObs
+	out := make([]FrameObservation, len(sm.frames))
+	for i := range sm.frames {
+		out[i] = FrameObservation{At: sm.frames[i].At, TS: sm.frames[i].TS}
+	}
+	return out
 }

@@ -41,7 +41,7 @@ func (m *mapMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple, p
 	k := mapKey{unified, pt, seq, ts}
 	if prev, ok := m.pending[k]; ok && prev.flow != flow {
 		if age := at.Sub(prev.at); age >= 0 && age <= copyMaxAge {
-			s := RTTSample{Time: at, RTT: age, Unified: unified}
+			s := RTTSample{At: Nanos(at), RTT: age, Unified: unified}
 			m.samples = append(m.samples, s)
 			delete(m.pending, k)
 			return s, true

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -40,6 +41,101 @@ type Frame struct {
 // delivery. High values indicate retransmissions within the frame.
 func (f *Frame) Delay() time.Duration { return time.Duration(f.Completed - f.FirstPacket) }
 
+// FrameRecord is one finished frame as a stream's frame log keeps it:
+// everything the per-frame metrics of §5 need, in 40 bytes without a
+// pointer, so a finished frame costs one append and the log is memory
+// the collector never scans.
+//
+// Rate and DeltaTS are what the substream's two frame-rate estimators
+// answered when the frame finished. They are stored rather than
+// recomputed from At and TS because frames do not finish in time order
+// — one flushed incomplete finishes long after newer ones — and a
+// replayed window would then disagree with the live one; stored, every
+// series is a function of one record.
+type FrameRecord struct {
+	// At is when the frame's last packet arrived, in Unix nanoseconds
+	// (see Nanos); Delay is how long after its first that was, §5.5's
+	// frame delay, in nanoseconds.
+	At    int64
+	Delay int64
+	// TS is the frame's RTP timestamp.
+	TS uint32
+	// Bytes is the summed RTP payload, the frame size of §5.2. A frame
+	// holds at most 65,536 distinct sequence numbers of at most 65,507
+	// payload bytes each, which fits; onFrame saturates regardless.
+	Bytes uint32
+	// Rate is §5.2 method 1, the delivered frame rate: how many of the
+	// substream's frames finished in the second ending at At, this one
+	// included.
+	Rate uint32
+	// DeltaTS is §5.2 method 2: the RTP ticks from the substream's
+	// previous frame to this one, 0 when that gives no sample (the first
+	// frame, a timestamp that does not advance, a stream without a clock).
+	DeltaTS uint32
+	// PT is the RTP payload type of the frame's substream.
+	PT uint8
+	// Complete is false for a frame flushed with packets missing.
+	Complete bool
+}
+
+// saturate32 holds a count, which is never negative, to 32 bits.
+func saturate32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
+
+// Frames returns the stream's frame log, one record per finished frame
+// in the order they finished. It is the stream's own memory: read it,
+// do not keep or change it. Reports that need a count or a tail read it
+// directly; the accessors below build a whole Series from it.
+func (sm *StreamMetrics) Frames() []FrameRecord { return sm.frames }
+
+// frameSeries builds the series whose sample for a frame is value's,
+// skipping the frames it has none for.
+func (sm *StreamMetrics) frameSeries(value func(*FrameRecord) (float64, bool)) Series {
+	s := Series{Samples: make([]Sample, 0, len(sm.frames))}
+	for i := range sm.frames {
+		if v, ok := value(&sm.frames[i]); ok {
+			s.Add(sm.frames[i].At, v)
+		}
+	}
+	return s
+}
+
+// FrameRate is §5.2 method 1, sampled at each frame completion.
+func (sm *StreamMetrics) FrameRate() Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) { return float64(f.Rate), true })
+}
+
+// EncoderRate is §5.2 method 2, in frames per second.
+func (sm *StreamMetrics) EncoderRate() Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
+		if f.DeltaTS == 0 {
+			return 0, false
+		}
+		return encoderRate(f.DeltaTS, sm.clockRate), true
+	})
+}
+
+// FrameSize is the bytes per frame.
+func (sm *StreamMetrics) FrameSize() Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) { return float64(f.Bytes), true })
+}
+
+// FrameDelay is §5.5's frame delay in milliseconds.
+func (sm *StreamMetrics) FrameDelay() Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
+		return float64(f.Delay) / float64(time.Millisecond), true
+	})
+}
+
+// Packetization is the encoder's time per frame in milliseconds.
+func (sm *StreamMetrics) Packetization() Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
+		if f.DeltaTS == 0 {
+			return 0, false
+		}
+		return float64(packetization(f.DeltaTS, sm.clockRate)) / float64(time.Millisecond), true
+	})
+}
+
 // FrameAssembler groups a substream's RTP packets into frames by RTP
 // timestamp and decides completion.
 //
@@ -52,8 +148,9 @@ func (f *Frame) Delay() time.Duration { return time.Duration(f.Completed - f.Fir
 type FrameAssembler struct {
 	// OnFrame receives every completed (or flushed) frame in completion
 	// order. Flushed incomplete frames have SawMarker==false and
-	// Packets < ExpectedPackets (when the latter is known).
-	OnFrame func(Frame, bool) // (frame, complete)
+	// Packets < ExpectedPackets (when the latter is known). The frame is
+	// the assembler's, lent for the call.
+	OnFrame func(*Frame, bool) // (frame, complete)
 
 	// open holds the incomplete frames in the order they started, one to
 	// three in practice, so a packet finds its frame by scanning from the
@@ -135,12 +232,16 @@ func (of *openFrame) isComplete() bool {
 // finish reports open frame i and removes it, keeping the order of the
 // rest and parking its seqs buffer past the end for reuse.
 func (a *FrameAssembler) finish(i int, complete bool) {
-	of := a.open[i]
-	copy(a.open[i:], a.open[i+1:])
-	a.open[len(a.open)-1] = of
-	a.open = a.open[:len(a.open)-1]
+	last := len(a.open) - 1
+	if i != last { // seldom: the frame that finishes is nearly always the newest
+		of := a.open[i]
+		copy(a.open[i:], a.open[i+1:])
+		a.open[last] = of
+	}
+	parked := &a.open[last]
+	a.open = a.open[:last]
 	if a.OnFrame != nil {
-		a.OnFrame(of.Frame, complete)
+		a.OnFrame(&parked.Frame, complete)
 	}
 }
 
@@ -178,14 +279,14 @@ type FrameRateWindow struct {
 
 // Add records a completed frame and returns the frame rate at that
 // instant (frames completed in the trailing window, per second).
-func (w *FrameRateWindow) Add(completed int64) float64 {
+func (w *FrameRateWindow) Add(completed int64) int {
 	w.times = append(w.times, completed)
 	return w.Rate(completed)
 }
 
 // Rate evicts frames older than the window relative to now and returns
 // the current rate in frames per second.
-func (w *FrameRateWindow) Rate(now int64) float64 {
+func (w *FrameRateWindow) Rate(now int64) int {
 	cut := now - int64(time.Second)
 	for w.head < len(w.times) && w.times[w.head] <= cut {
 		w.head++
@@ -194,7 +295,7 @@ func (w *FrameRateWindow) Rate(now int64) float64 {
 		w.times = w.times[:copy(w.times, w.times[w.head:])]
 		w.head = 0
 	}
-	return float64(len(w.times) - w.head)
+	return len(w.times) - w.head
 }
 
 // EncoderFrameRate implements §5.2 method 2: the encoder's intended frame
@@ -209,11 +310,22 @@ type EncoderFrameRate struct {
 // Observe feeds the RTP timestamp of each new frame (in decode order) and
 // returns (frame rate in fps, packetization time, ok). ok is false for
 // the first frame and for non-increasing timestamps.
-func (e *EncoderFrameRate) Observe(ts uint32) (fps float64, packetization time.Duration, ok bool) {
+func (e *EncoderFrameRate) Observe(ts uint32) (fps float64, packetizationTime time.Duration, ok bool) {
+	d := e.delta(ts)
+	if d == 0 {
+		return 0, 0, false
+	}
+	return encoderRate(d, e.clockRate), packetization(d, e.clockRate), true
+}
+
+// delta feeds the RTP timestamp of each new frame and returns ΔRTP, the
+// ticks since the frame before it: 0 for the first frame and for
+// non-increasing timestamps.
+func (e *EncoderFrameRate) delta(ts uint32) uint32 {
 	if !e.seen {
 		e.seen = true
 		e.lastTS = ts
-		return 0, 0, false
+		return 0
 	}
 	d := rtp.TSDiff(e.lastTS, ts)
 	if d <= 0 {
@@ -221,10 +333,16 @@ func (e *EncoderFrameRate) Observe(ts uint32) (fps float64, packetization time.D
 		// Advancing lastTS here would regress it, inflating the next
 		// in-order frame's ΔRTP and skewing both the method-2 frame rate
 		// and the packetization time fed to stall analysis.
-		return 0, 0, false
+		return 0
 	}
 	e.lastTS = ts
-	fps = e.clockRate / float64(d)
-	packetization = time.Duration(float64(d) / e.clockRate * float64(time.Second))
-	return fps, packetization, true
+	return uint32(d)
+}
+
+// encoderRate is FR = clockRate / ΔRTP, in frames per second.
+func encoderRate(delta uint32, clockRate float64) float64 { return clockRate / float64(delta) }
+
+// packetization is FR⁻¹, the media time one frame spans.
+func packetization(delta uint32, clockRate float64) time.Duration {
+	return time.Duration(float64(delta) / clockRate * float64(time.Second))
 }

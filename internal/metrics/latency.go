@@ -8,13 +8,17 @@ import (
 	"zoomlens/internal/meeting"
 )
 
-// RTTSample is one latency measurement.
+// RTTSample is one latency measurement: 24 bytes and no pointer, like
+// Sample.
 type RTTSample struct {
-	Time time.Time
-	RTT  time.Duration
+	At  int64 // capture time of the later copy in Unix nanoseconds (see Nanos)
+	RTT time.Duration
 	// Unified is the stream whose copies produced the sample.
 	Unified meeting.UnifiedID
 }
+
+// Time returns the capture time, in UTC as the capture readers stamp it.
+func (s RTTSample) Time() time.Time { return time.Unix(0, s.At).UTC() }
 
 // CopyMatcher implements §5.3 method 1: when the monitor sees both the
 // uplink copy of a stream (client → SFU) and a downlink copy of the same
@@ -187,7 +191,7 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 		sl := &r.slots[int(seq)&(len(r.slots)-1)]
 		if sl.flags&slotLive != 0 && sl.seq == seq && sl.ts == ts &&
 			int(sl.flow) != ord && now >= sl.at && uint64(now-sl.at) <= uint64(copyMaxAge) {
-			rs := RTTSample{Time: at, RTT: time.Duration(now - sl.at), Unified: unified}
+			rs := RTTSample{At: now, RTT: time.Duration(now - sl.at), Unified: unified}
 			if len(cm.Samples) == cap(cm.Samples) {
 				// Doubling: append's 1.25× steps copy a long series five
 				// times over, and that was most of a pairing's cost.
@@ -354,7 +358,7 @@ func (cm *CopyMatcher) drop(id meeting.UnifiedID, s *copyStream) {
 func (cm *CopyMatcher) SeriesMS() Series {
 	var s Series
 	for _, sm := range cm.Samples {
-		s.Add(Nanos(sm.Time), float64(sm.RTT)/float64(time.Millisecond))
+		s.Add(sm.At, float64(sm.RTT)/float64(time.Millisecond))
 	}
 	return s
 }

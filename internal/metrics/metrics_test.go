@@ -57,23 +57,23 @@ func TestFrameAssemblyVideo(t *testing.T) {
 		t.Errorf("incomplete = %d", sm.FramesIncomplete)
 	}
 	// Frame size = 3 packets × 1000 B.
-	for _, s := range sm.FrameSize.Samples {
+	for _, s := range sm.FrameSize().Samples {
 		if s.Value != 3000 {
 			t.Fatalf("frame size = %v, want 3000", s.Value)
 		}
 	}
 	// After warm-up the window rate should be ~30 fps.
-	last := sm.FrameRate.Samples[len(sm.FrameRate.Samples)-1]
+	last := sm.FrameRate().Samples[len(sm.FrameRate().Samples)-1]
 	if last.Value < 28 || last.Value > 31 {
 		t.Errorf("method-1 frame rate = %v, want ~30", last.Value)
 	}
 	// Method 2 must agree exactly for a constant-rate encoder.
-	enc := sm.EncoderRate.Samples[len(sm.EncoderRate.Samples)-1]
+	enc := sm.EncoderRate().Samples[len(sm.EncoderRate().Samples)-1]
 	if enc.Value < 29.9 || enc.Value > 30.1 {
 		t.Errorf("method-2 frame rate = %v, want 30", enc.Value)
 	}
 	// Packetization time 1/30 s ≈ 33.3 ms.
-	pt := sm.Packetization.Samples[0].Value
+	pt := sm.Packetization().Samples[0].Value
 	if pt < 33 || pt < 33.0 && pt > 34 {
 		t.Errorf("packetization = %v ms", pt)
 	}
@@ -99,13 +99,13 @@ func TestEncoderRateDivergesUnderCongestion(t *testing.T) {
 	}
 	sm.Finish()
 	// Encoder rate stays 30; delivered rate fluctuates above/below.
-	for _, s := range sm.EncoderRate.Samples {
+	for _, s := range sm.EncoderRate().Samples {
 		if s.Value < 29.9 || s.Value > 30.1 {
 			t.Fatalf("encoder rate = %v", s.Value)
 		}
 	}
 	var sawLow bool
-	for _, s := range sm.FrameRate.Samples[5:] {
+	for _, s := range sm.FrameRate().Samples[5:] {
 		if s.Value < 20 {
 			sawLow = true
 		}
@@ -129,7 +129,7 @@ func TestFrameDelayReflectsRetransmission(t *testing.T) {
 	if sm.FramesTotal != 1 {
 		t.Fatalf("frames = %d", sm.FramesTotal)
 	}
-	if d := sm.FrameDelay.Samples[0].Value; d < 129 || d > 131 {
+	if d := sm.FrameDelay().Samples[0].Value; d < 129 || d > 131 {
 		t.Errorf("frame delay = %v ms, want ~130", d)
 	}
 }
@@ -147,7 +147,7 @@ func TestDuplicatePacketsNotDoubleCounted(t *testing.T) {
 	if sm.FramesTotal != 1 {
 		t.Fatalf("frames = %d", sm.FramesTotal)
 	}
-	if sz := sm.FrameSize.Samples[0].Value; sz != 1000 {
+	if sz := sm.FrameSize().Samples[0].Value; sz != 1000 {
 		t.Errorf("frame size = %v, want 1000 (dup not double-counted)", sz)
 	}
 	loss := sm.LossStats()

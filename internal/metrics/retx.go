@@ -42,17 +42,18 @@ func (sm *StreamMetrics) EstimateRetransmissions(rtt time.Duration) RetxFrameEst
 	}
 	rttMS := float64(rtt) / float64(time.Millisecond)
 	strongMS := rttMS + float64(RetxTimeout)/float64(time.Millisecond)
-	for i, d := range sm.FrameDelay.Samples {
-		// Pair with frame sizes to skip single-packet frames: their
-		// delay is 0 and analyzing them would dilute the rate.
-		if i < len(sm.FrameSize.Samples) && sm.FrameDelay.Samples[i].Value == 0 {
+	for i := range sm.frames {
+		// Skip single-packet frames: their delay is 0 and analyzing them
+		// would dilute the rate.
+		ms := float64(sm.frames[i].Delay) / float64(time.Millisecond)
+		if ms == 0 {
 			continue
 		}
 		est.FramesAnalyzed++
-		if d.Value > rttMS {
+		if ms > rttMS {
 			est.SuspectedRetxFrames++
 		}
-		if d.Value > strongMS {
+		if ms > strongMS {
 			est.StrongRetxFrames++
 		}
 	}

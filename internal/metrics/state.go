@@ -46,12 +46,7 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	c.U64(&sm.FramesTotal)
 	c.U64(&sm.FramesIncomplete)
 
-	sm.FrameRate.code(c)
-	sm.EncoderRate.code(c)
-	sm.FrameSize.code(c)
-	sm.FrameDelay.code(c)
 	sm.JitterMS.code(c)
-	sm.Packetization.code(c)
 	sm.MediaRate.code(c)
 	sm.WireRate.code(c)
 
@@ -59,11 +54,6 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	c.I64(&sm.binStart)
 	c.U64(&sm.binWire)
 	c.U64(&sm.binMedia)
-
-	statecodec.Slice(c, &sm.frameObs, 0, func(fo *FrameObservation) {
-		c.I64(&fo.At)
-		c.U32(&fo.TS)
-	})
 
 	if sm.Stall != nil {
 		sm.Stall.code(c)
@@ -92,6 +82,28 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	if sm.mainSeq != nil {
 		sm.mainSeq.Code(c)
 	}
+
+	// The frame log goes last: a record names its substream, so a
+	// decoding pass can hold each one against the substreams just built.
+	statecodec.Slice(c, &sm.frames, 0, func(f *FrameRecord) {
+		c.I64(&f.At)
+		c.I64(&f.Delay)
+		c.U32(&f.TS)
+		c.U32(&f.Bytes)
+		c.U32(&f.Rate)
+		c.U32(&f.DeltaTS)
+		c.U8(&f.PT)
+		c.Bool(&f.Complete)
+		if c.Encoding() || c.Err() != nil {
+			return
+		}
+		switch {
+		case f.DeltaTS != 0 && sm.clockRate == 0:
+			c.Failf("metrics.StreamMetrics frame with ΔRTP %d on a %s stream, which has no clock", f.DeltaTS, sm.MediaType)
+		case sm.subs[f.PT] == nil:
+			c.Failf("metrics.StreamMetrics frame of payload type %d, which has no substream", f.PT)
+		}
+	})
 }
 
 // code walks the timestamps the ring holds, oldest first, so a ring
@@ -239,7 +251,7 @@ func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 		return
 	}
 	statecodec.Slice(c, &cm.Samples, base, func(s *RTTSample) {
-		c.Time(&s.Time)
+		c.I64(&s.At)
 		c.Duration(&s.RTT)
 		c.Int((*int)(&s.Unified))
 	})

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"zoomlens/internal/rtp"
@@ -45,7 +44,7 @@ type Series struct {
 func (s *Series) Add(at int64, v float64) { s.Samples = append(s.Samples, Sample{at, v}) }
 
 // Values returns just the sample values.
-func (s *Series) Values() []float64 {
+func (s Series) Values() []float64 {
 	out := make([]float64, len(s.Samples))
 	for i, sm := range s.Samples {
 		out[i] = sm.Value
@@ -56,7 +55,7 @@ func (s *Series) Values() []float64 {
 // Bin aggregates the series into fixed bins of the given width starting
 // at origin, applying agg ("mean", "sum", "count", "last") per bin.
 // Empty bins between the first and last sample yield 0.
-func (s *Series) Bin(origin time.Time, width time.Duration, agg string) []Sample {
+func (s Series) Bin(origin time.Time, width time.Duration, agg string) []Sample {
 	if len(s.Samples) == 0 {
 		return nil
 	}
@@ -132,14 +131,16 @@ type StreamMetrics struct {
 	// Per-substream state, keyed by RTP payload type.
 	subs map[uint8]*substreamState
 
-	// Series produced. Frame-indexed series carry one sample per frame;
-	// rate series carry one sample per packet bin flush.
-	FrameRate     Series // §5.2 method 1, sampled at each frame completion
-	EncoderRate   Series // §5.2 method 2
-	FrameSize     Series // bytes per frame
-	FrameDelay    Series // §5.5, milliseconds
-	JitterMS      Series // §5.4 frame-level jitter, milliseconds
-	Packetization Series // milliseconds per frame
+	// frames is the frame log: one record per finished frame, in the
+	// order frames finished. Every per-frame series (FrameRate,
+	// EncoderRate, FrameSize, FrameDelay, Packetization) and the
+	// clock-rate sweep's input are views of it; see Frames.
+	frames []FrameRecord
+
+	// JitterMS is the §5.4 frame-level jitter in milliseconds. It is
+	// sampled at a frame's first packet, not at its completion, so it has
+	// its own cardinality and stays a stored series.
+	JitterMS Series
 
 	// Counters.
 	Packets          uint64
@@ -159,10 +160,6 @@ type StreamMetrics struct {
 	// Talk quantifies speaking time from the audio substream split
 	// (§4.2.3); only active for audio streams.
 	Talk *TalkTracker
-
-	// frameObs records (completion time, RTP timestamp) per completed
-	// frame for clock-rate inference (§5.2's parameter sweep).
-	frameObs []FrameObservation
 
 	// rate accounting in one-second bins; binStart in Unix nanoseconds
 	binStart  int64
@@ -208,6 +205,7 @@ type substreamState struct {
 	seq       *rtp.SeqTracker
 	window    *FrameRateWindow
 	encoder   *EncoderFrameRate
+	pt        uint8
 	isMain    bool
 	jitter    *rtp.Jitter // with the timestamps it sampled, when the clock rate is known
 	tsSeen    *tsRing
@@ -281,7 +279,8 @@ func (sm *StreamMetrics) newSub(pt uint8) *substreamState {
 	b.st.encoder = &b.encoder
 	b.st.assembler = &b.assembler
 	st := &b.st
-	b.assembler.OnFrame = func(f Frame, complete bool) {
+	st.pt = pt
+	b.assembler.OnFrame = func(f *Frame, complete bool) {
 		sm.onFrame(st, f, complete)
 	}
 	st.isMain = !zoom.ClassifySubstream(sm.MediaType, pt).IsFEC()
@@ -343,25 +342,33 @@ func (sm *StreamMetrics) Observe(t time.Time, wireLen int, media *zoom.MediaEnca
 	st.assembler.Observe(at, media, pkt)
 }
 
-func (sm *StreamMetrics) onFrame(st *substreamState, f Frame, complete bool) {
+// onFrame appends the finished frame's one record to the log. The two
+// frame-rate estimators run live — the stall model needs each frame's
+// packetization time as it finishes — and the record keeps what they
+// answered, so a view never replays them.
+func (sm *StreamMetrics) onFrame(st *substreamState, f *Frame, complete bool) {
 	sm.FramesTotal++
-	sm.frameObs = append(sm.frameObs, FrameObservation{At: f.Completed, TS: f.RTPTimestamp})
 	if !complete {
 		sm.FramesIncomplete++
 	}
-	sm.FrameSize.Add(f.Completed, float64(f.Bytes))
-	sm.FrameDelay.Add(f.Completed, float64(f.Delay())/float64(time.Millisecond))
-	rate := st.window.Add(f.Completed)
-	sm.FrameRate.Add(f.Completed, rate)
+	rec := FrameRecord{
+		At:       f.Completed,
+		Delay:    f.Completed - f.FirstPacket,
+		TS:       f.RTPTimestamp,
+		Bytes:    saturate32(f.Bytes),
+		Rate:     saturate32(st.window.Add(f.Completed)),
+		PT:       st.pt,
+		Complete: complete,
+	}
 	if sm.clockRate > 0 {
-		if fps, pt, ok := st.encoder.Observe(f.RTPTimestamp); ok {
-			sm.EncoderRate.Add(f.Completed, fps)
-			sm.Packetization.Add(f.Completed, float64(pt)/float64(time.Millisecond))
+		if d := st.encoder.delta(f.RTPTimestamp); d > 0 {
+			rec.DeltaTS = d
 			if sm.Stall != nil {
-				sm.Stall.ObserveFrame(time.Unix(0, f.Completed).UTC(), f.Delay(), pt)
+				sm.Stall.ObserveFrame(time.Unix(0, f.Completed).UTC(), f.Delay(), packetization(d, sm.clockRate))
 			}
 		}
 	}
+	sm.frames = append(sm.frames, rec)
 }
 
 func (sm *StreamMetrics) binAdd(at int64, wire, media int) {
@@ -397,8 +404,10 @@ func (sm *StreamMetrics) Finish() {
 		return
 	}
 	sm.finished = true
-	for _, st := range sm.subs {
-		st.assembler.Flush()
+	// In payload-type order, not map order: the frames still open at the
+	// end of several substreams land in the log the same way every run.
+	for _, pt := range sm.SubstreamPTs() {
+		sm.subs[pt].assembler.Flush()
 	}
 	if sm.haveBin {
 		sm.flushBin()
@@ -440,6 +449,6 @@ func (sm *StreamMetrics) SubstreamPTs() []uint8 {
 	for pt := range sm.subs {
 		out = append(out, pt)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

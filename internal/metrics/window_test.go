@@ -31,7 +31,7 @@ func TestFlushOlderThanOrder(t *testing.T) {
 		audioPacket(sm, t0.Add(time.Millisecond), 2, 2000, 20)
 		audioPacket(sm, t0.Add(2*time.Millisecond), 3, 1000, 10)
 		audioPacket(sm, t0.Add(3*time.Millisecond), 4, 4000, 40)
-		if got, want := sm.FrameSize.Values(), []float64{30, 20, 10}; !slices.Equal(got, want) {
+		if got, want := sm.FrameSize().Values(), []float64{30, 20, 10}; !slices.Equal(got, want) {
 			t.Fatalf("repetition %d: stale frames completed as %v, want %v", rep, got, want)
 		}
 	}

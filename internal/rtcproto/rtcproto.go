@@ -80,7 +80,13 @@ type Plugin interface {
 	// succeeds, so Probe must be strict enough not to steal another
 	// protocol's packets.
 	Probe(payload []byte) bool
-	// Decode fully parses payload. Probe(payload) is a precondition.
+	// DecodeInto fully parses payload into pkt, whatever pkt held, as the
+	// normalized container of a packet of protocol ID(). Probe(payload)
+	// is a precondition. On error pkt is the zero Packet. pkt's slices
+	// alias payload.
+	DecodeInto(payload []byte, pkt *zoom.Packet) error
+	// Decode is DecodeInto by value, tagged with ID(): the zero MediaObs
+	// on error.
 	Decode(payload []byte) (MediaObs, error)
 }
 
@@ -99,12 +105,15 @@ func (zoomPlugin) Probe(payload []byte) bool {
 	return payload[0] == zoom.SFUTypeMedia || zoom.MediaType(payload[0]).HeaderLen() > 0
 }
 
-func (zoomPlugin) Decode(payload []byte) (MediaObs, error) {
-	zp, err := zoom.ParsePacket(payload, zoom.ModeAuto)
-	if err != nil {
-		return MediaObs{}, err
+func (zoomPlugin) DecodeInto(payload []byte, pkt *zoom.Packet) error {
+	return pkt.Parse(payload, zoom.ModeAuto)
+}
+
+func (p zoomPlugin) Decode(payload []byte) (mo MediaObs, err error) {
+	if err = p.DecodeInto(payload, &mo.Pkt); err == nil {
+		mo.Proto = p.ID()
 	}
-	return MediaObs{Proto: IDZoom, Pkt: zp}, nil
+	return mo, err
 }
 
 // webrtcPlugin adapts internal/webrtc, normalizing its packets into
@@ -118,35 +127,41 @@ func (webrtcPlugin) ID() ID       { return IDWebRTC }
 
 func (webrtcPlugin) Probe(payload []byte) bool { return webrtc.Probe(payload) }
 
-func (webrtcPlugin) Decode(payload []byte) (MediaObs, error) {
+func (webrtcPlugin) DecodeInto(payload []byte, pkt *zoom.Packet) error {
+	*pkt = zoom.Packet{}
 	wp, err := webrtc.Parse(payload)
 	if err != nil {
-		return MediaObs{}, err
+		return err
 	}
-	var zp zoom.Packet
 	if wp.IsRTCP {
-		zp.Media = zoom.MediaEncap{Type: zoom.TypeRTCPSR}
+		pkt.Media.Type = zoom.TypeRTCPSR
 		if len(wp.RTCP.SenderReports) > 0 {
-			sr := wp.RTCP.SenderReports[0]
-			zp.Media.Timestamp = sr.RTPTS
+			pkt.Media.Timestamp = wp.RTCP.SenderReports[0].RTPTS
 		}
 		if len(wp.RTCP.SDES) > 0 {
-			zp.Media.Type = zoom.TypeRTCPSRSDES
+			pkt.Media.Type = zoom.TypeRTCPSRSDES
 		}
-		zp.RTCP = wp.RTCP
-		return MediaObs{Proto: IDWebRTC, Pkt: zp}, nil
+		pkt.RTCP = wp.RTCP
+		return nil
 	}
 	mt := zoom.TypeVideo
 	if wp.Kind == webrtc.KindAudio {
 		mt = zoom.TypeAudio
 	}
-	zp.Media = zoom.MediaEncap{
+	pkt.Media = zoom.MediaEncap{
 		Type:      mt,
 		Sequence:  wp.RTP.SequenceNumber,
 		Timestamp: wp.RTP.Timestamp,
 	}
-	zp.RTP = wp.RTP
-	return MediaObs{Proto: IDWebRTC, Pkt: zp}, nil
+	pkt.RTP = wp.RTP
+	return nil
+}
+
+func (p webrtcPlugin) Decode(payload []byte) (mo MediaObs, err error) {
+	if err = p.DecodeInto(payload, &mo.Pkt); err == nil {
+		mo.Proto = p.ID()
+	}
+	return mo, err
 }
 
 // canonical is the full plugin family in probe order.

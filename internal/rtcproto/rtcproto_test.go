@@ -1,6 +1,7 @@
 package rtcproto
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,5 +227,77 @@ func TestZoomPluginDecode(t *testing.T) {
 	}
 	if mo.Pkt.Media.Type != zoom.TypeAudio || mo.Pkt.RTP.SSRC != 5 {
 		t.Errorf("decoded packet mismatch: %+v", mo.Pkt)
+	}
+}
+
+// TestDecodeIntoMatchesDecode: for both plugins, decoding a payload into
+// a packet that already holds any other payload's decode — RTCP sender
+// reports, CSRC lists, SFU framing — gives what Decode returns for it
+// by value, and a refused payload leaves the zero packet.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	marshal := func(b []byte, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	busy := rtp.Header{PayloadType: 96, Marker: true, SequenceNumber: 9, Timestamp: 1, SSRC: 2,
+		CSRC: []uint32{5, 6}, Extension: true, ExtensionProfile: 0xbede, ExtensionData: []byte{1, 2, 3, 4}}
+	sr := rtp.SenderReport{SSRC: 7, RTPTS: 1234, PacketCount: 10, OctetCount: 1000}
+	zoomRTCP := func(mt zoom.MediaType) []byte {
+		p := zoom.Packet{ServerBased: true, SFU: zoom.SFUEncap{Type: zoom.SFUTypeMedia}, Media: zoom.MediaEncap{Type: mt},
+			RTCP: rtp.CompoundPacket{SenderReports: []rtp.SenderReport{sr}}}
+		return marshal(p.Marshal())
+	}
+	zoomMedia := func(mt zoom.MediaType, serverBased bool, h rtp.Header) []byte {
+		p := zoom.Packet{ServerBased: serverBased, SFU: zoom.SFUEncap{Type: zoom.SFUTypeMedia, Direction: zoom.DirFromSFU},
+			Media: zoom.MediaEncap{Type: mt, Sequence: 3, Timestamp: 90000, PacketsInFrame: 2},
+			RTP:   rtp.Packet{Header: h, Payload: make([]byte, 300)}}
+		return marshal(p.Marshal())
+	}
+	for _, tc := range []struct {
+		plugin   Plugin
+		fixtures [][]byte
+	}{
+		{Zoom(), [][]byte{
+			zoomMedia(zoom.TypeVideo, true, busy),
+			zoomMedia(zoom.TypeAudio, false, rtp.Header{PayloadType: zoom.PTAudioSpeak, SSRC: 5}),
+			zoomMedia(zoom.TypeScreenShare, true, rtp.Header{PayloadType: zoom.PTScreenShare, SSRC: 6}),
+			zoomRTCP(zoom.TypeRTCPSR),
+			zoomRTCP(zoom.TypeRTCPSRSDES),
+			zoomMedia(zoom.TypeVideo, true, busy)[:zoom.SFUEncapLen+30], // claimed by the probe, refused by the decode
+			{byte(zoom.TypeVideo)},
+		}},
+		{WebRTC(), [][]byte{
+			marshal((&rtp.Packet{Header: busy, Payload: make([]byte, 1100)}).Marshal()),
+			marshal((&rtp.Packet{Header: rtp.Header{PayloadType: 111, SSRC: 3}, Payload: make([]byte, 80)}).Marshal()),
+			rtp.MarshalSR(sr, false),
+			rtp.MarshalSR(sr, true),
+			{0x8f, 205, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2}, // transport feedback: claimed, not modeled
+		}},
+	} {
+		for i, dirt := range tc.fixtures {
+			for j, payload := range tc.fixtures {
+				if !tc.plugin.Probe(payload) {
+					t.Fatalf("%s: fixture %d is not the plugin's", tc.plugin.Name(), j)
+				}
+				var pkt zoom.Packet
+				_ = tc.plugin.DecodeInto(dirt, &pkt) // an error only means a clean receiver
+				err := tc.plugin.DecodeInto(payload, &pkt)
+				mo, wantErr := tc.plugin.Decode(payload)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("%s: fixture %d after %d: DecodeInto err = %v, Decode err = %v", tc.plugin.Name(), j, i, err, wantErr)
+				}
+				if !reflect.DeepEqual(pkt, mo.Pkt) {
+					t.Errorf("%s: fixture %d after %d: DecodeInto left %+v, Decode returned %+v", tc.plugin.Name(), j, i, pkt, mo.Pkt)
+				}
+				if err == nil && mo.Proto != tc.plugin.ID() {
+					t.Errorf("%s: Decode tagged fixture %d %v", tc.plugin.Name(), j, mo.Proto)
+				}
+				if err != nil && !reflect.DeepEqual(mo, MediaObs{}) {
+					t.Errorf("%s: fixture %d refused, yet Decode returned %+v", tc.plugin.Name(), j, mo)
+				}
+			}
+		}
 	}
 }

@@ -56,13 +56,16 @@ type Packet struct {
 // ExtensionData alias data.
 func Parse(data []byte) (Packet, error) {
 	var p Packet
-	if err := p.parse(data); err != nil {
+	if err := p.Parse(data); err != nil {
 		return Packet{}, err
 	}
 	return p, nil
 }
 
-func (p *Packet) parse(data []byte) error {
+// Parse decodes an RTP packet from data into p, whatever p held: on
+// success every field is the packet's, Payload and ExtensionData
+// aliasing data; on error p is partly written and must not be read.
+func (p *Packet) Parse(data []byte) error {
 	if len(data) < HeaderLen {
 		return fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, HeaderLen, len(data))
 	}

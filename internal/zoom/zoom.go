@@ -276,68 +276,75 @@ const (
 // is the SFU media type marker and the inner parse succeeds.
 func ParsePacket(payload []byte, mode Mode) (Packet, error) {
 	var p Packet
-	tryServer := func() error {
-		sfu, rest, err := ParseSFUEncap(payload)
-		if err != nil {
-			return err
-		}
-		if sfu.Type != SFUTypeMedia {
-			return fmt.Errorf("%w: sfu type %d", ErrUnknownType, sfu.Type)
-		}
-		if err := p.parseInner(rest); err != nil {
-			return err
-		}
-		p.ServerBased = true
-		p.SFU = sfu
-		return nil
-	}
-	switch mode {
-	case ModeServer:
-		return p, firstErr(tryServer(), &p)
-	case ModeP2P:
-		return p, firstErr(p.parseInner(payload), &p)
-	default:
-		if len(payload) > 0 && payload[0] == SFUTypeMedia {
-			if err := tryServer(); err == nil {
-				return p, nil
-			}
-			p = Packet{}
-		}
-		if err := p.parseInner(payload); err == nil {
-			return p, nil
-		}
-		p = Packet{}
-		return p, firstErr(tryServer(), &p)
-	}
+	err := p.Parse(payload, mode)
+	return p, err
 }
 
-func firstErr(err error, p *Packet) error {
+// Parse is ParsePacket in place: it decodes payload into p, whatever p
+// held before, so a caller with one long-lived Packet parses without
+// copying one. On error p is the zero Packet.
+func (p *Packet) Parse(payload []byte, mode Mode) error {
+	var err error
+	switch mode {
+	case ModeServer:
+		err = p.parseServer(payload)
+	case ModeP2P:
+		err = p.parseInner(payload)
+	default:
+		if len(payload) > 0 && payload[0] == SFUTypeMedia && p.parseServer(payload) == nil {
+			return nil
+		}
+		if p.parseInner(payload) == nil {
+			return nil
+		}
+		// Neither layout fits; report why the server-based one does not.
+		err = p.parseServer(payload)
+	}
 	if err != nil {
 		*p = Packet{}
 	}
 	return err
 }
 
+// parseServer decodes an SFU encapsulation and what it carries. Like
+// parseInner it writes every field of p on success and leaves p partly
+// written on error.
+func (p *Packet) parseServer(payload []byte) error {
+	sfu, rest, err := ParseSFUEncap(payload)
+	if err != nil {
+		return err
+	}
+	if sfu.Type != SFUTypeMedia {
+		return fmt.Errorf("%w: sfu type %d", ErrUnknownType, sfu.Type)
+	}
+	if err := p.parseInner(rest); err != nil {
+		return err
+	}
+	p.ServerBased, p.SFU = true, sfu
+	return nil
+}
+
+// parseInner decodes a media encapsulation and its RTP or RTCP body as a
+// peer-to-peer packet.
 func (p *Packet) parseInner(data []byte) error {
 	media, rest, err := ParseMediaEncap(data)
 	if err != nil {
 		return err
 	}
-	switch {
-	case media.Type.IsRTP():
-		rp, err := rtp.Parse(rest)
-		if err != nil {
+	// A media type with a header length is one or the other.
+	if media.Type.IsRTP() {
+		if err := p.RTP.Parse(rest); err != nil {
 			return fmt.Errorf("zoom: media type %s: %w", media.Type, err)
 		}
-		p.RTP = rp
-	case media.Type.IsRTCP():
+		p.RTCP = rtp.CompoundPacket{}
+	} else {
 		cp, err := rtp.ParseCompound(rest)
 		if err != nil {
 			return fmt.Errorf("zoom: media type %s: %w", media.Type, err)
 		}
-		p.RTCP = cp
+		p.RTP, p.RTCP = rtp.Packet{}, cp
 	}
-	p.Media = media
+	p.ServerBased, p.SFU, p.Media = false, SFUEncap{}, media
 	return nil
 }
 

@@ -7,7 +7,8 @@ package zoomlens
 // meeting it never saw. TestBenchPredictJSON additionally snapshots the
 // feature layer's ingest overhead and the held-out accuracy into
 // BENCH_predict.json (env-gated; `make qoe-smoke` sets the variable)
-// and gates the overhead at ≤1.10× the featureless ingest path.
+// and gates the overhead at ≤200 ns per packet over the featureless
+// ingest path.
 
 import (
 	"encoding/json"
@@ -121,9 +122,12 @@ func TestQoESmoke(t *testing.T) {
 
 // TestBenchPredictJSON snapshots the QoE layer's numbers into the file
 // named by BENCH_PREDICT_OUT: the feature windower's per-packet ingest
-// overhead relative to a featureless run (gated at ≤1.10×) and the
-// held-out evaluation of a freshly trained model. A plain `go test`
-// skips it.
+// overhead over a featureless run and the held-out evaluation of a
+// freshly trained model. The gate is on the cost the layer adds
+// (features − base ≤ maxFeatureOverheadNs per packet), not on its ratio
+// to the base: the base is what every ingest optimisation shrinks, so a
+// ratio gate tightens with each one though the feature layer did not
+// move. A plain `go test` skips it.
 func TestBenchPredictJSON(t *testing.T) {
 	out := os.Getenv("BENCH_PREDICT_OUT")
 	if out == "" {
@@ -136,10 +140,10 @@ func TestBenchPredictJSON(t *testing.T) {
 	n := len(frames)
 
 	// The two variants are measured back to back inside each round and
-	// the gate takes the best paired ratio: pairing cancels the slow
-	// thermal/scheduler drift that dominates run-to-run variance on a
-	// shared box, which a tight ratio gate would otherwise misread as
-	// feature-layer cost.
+	// the gate takes the pair with the smallest difference: pairing
+	// cancels the slow thermal/scheduler drift that dominates run-to-run
+	// variance on a shared box, which a tight gate would otherwise
+	// misread as feature-layer cost.
 	measure := func(cfg Config) float64 {
 		res := testing.Benchmark(func(b *testing.B) {
 			for j := 0; j < b.N; j++ {
@@ -151,14 +155,15 @@ func TestBenchPredictJSON(t *testing.T) {
 		return float64(res.NsPerOp()) / float64(n)
 	}
 	measure(baseCfg) // warmup
-	baseNs, featNs, ratio := 0.0, 0.0, 0.0
+	baseNs, featNs := 0.0, 0.0
 	for round := 0; round < 6; round++ {
 		b := measure(baseCfg)
 		f := measure(featCfg)
-		if r := f / b; round == 0 || r < ratio {
-			baseNs, featNs, ratio = b, f, r
+		if round == 0 || f-b < featNs-baseNs {
+			baseNs, featNs = b, f
 		}
 	}
+	ratio := featNs / baseNs
 
 	train := qoeLabeledRows(t, 1, 2*time.Minute)
 	heldout := qoeLabeledRows(t, 7, 90*time.Second)
@@ -191,11 +196,12 @@ func TestBenchPredictJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("feature overhead %.3fx (%.0f → %.0f ns/pkt); held-out accuracy %.3f (baseline %.3f)\n",
-		ratio, baseNs, featNs, ev.Accuracy, ev.Baseline)
+	fmt.Printf("feature overhead +%.0f ns/pkt, %.3fx (%.0f → %.0f ns/pkt); held-out accuracy %.3f (baseline %.3f)\n",
+		featNs-baseNs, ratio, baseNs, featNs, ev.Accuracy, ev.Baseline)
 
-	if ratio > 1.10 {
-		t.Errorf("feature layer overhead %.3fx exceeds the 1.10x gate", ratio)
+	const maxFeatureOverheadNs = 200
+	if featNs-baseNs > maxFeatureOverheadNs {
+		t.Errorf("feature layer adds %.0f ns per packet, over the %d ns gate", featNs-baseNs, maxFeatureOverheadNs)
 	}
 	if ev.Accuracy <= ev.Baseline {
 		t.Errorf("held-out accuracy %.3f does not beat baseline %.3f", ev.Accuracy, ev.Baseline)

@@ -310,7 +310,7 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 		if got.Packets == want.Packets {
 			// No hostile record reached this stream.
 			if !slices.Equal(got.JitterMS.Samples, want.JitterMS.Samples) || !slices.Equal(got.MediaRate.Samples, want.MediaRate.Samples) ||
-				!slices.Equal(got.FrameSize.Samples, want.FrameSize.Samples) {
+				!slices.Equal(got.FrameSize().Samples, want.FrameSize().Samples) {
 				t.Errorf("stream %v saw no hostile record and its series changed", id)
 			}
 			continue
@@ -318,7 +318,7 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 		touched++
 		for name, pair := range map[string][2][]Sample{
 			"jitter":     {before(got.JitterMS.Samples, 0), before(want.JitterMS.Samples, 0)},
-			"frame size": {before(got.FrameSize.Samples, 0), before(want.FrameSize.Samples, 0)},
+			"frame size": {before(got.FrameSize().Samples, 0), before(want.FrameSize().Samples, 0)},
 			// A rate sample is stamped with the start of its second.
 			"media rate": {before(got.MediaRate.Samples, time.Second), before(want.MediaRate.Samples, time.Second)},
 		} {
