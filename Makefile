@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-short bench bench-smoke bench-check checkpoint-check alloc-check ablation cover tools examples ci fuzz-smoke soak-smoke cluster-smoke proto-smoke qoe-smoke loc clean
+.PHONY: all build fmt-check test test-short bench bench-smoke bench-check checkpoint-check alloc-check ablation cover tools examples ci fuzz-smoke soak-smoke cluster-smoke proto-smoke qoe-smoke loc clean
 
 all: build test
 
@@ -10,6 +10,11 @@ build:
 
 tools:
 	$(GO) build -o bin/ ./cmd/...
+
+# Any file gofmt would rewrite fails the build: one unformatted file sat in
+# the tree for three PRs because nothing looked.
+fmt-check:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) vet ./...
@@ -33,14 +38,17 @@ bench:
 	$(MAKE) qoe-smoke PREDICT_OUT=$(CURDIR)/BENCH_predict.json
 	$(MAKE) soak-smoke SOAK_OUT=$(CURDIR)/BENCH_soak.json
 
-# One iteration of the pipeline benchmark and of the per-stream metric
-# layer's own (catches a broken perf harness without paying for a real
-# measurement run) plus the parallel-vs-sequential throughput tripwire at
+# One iteration of the pipeline benchmark, of the per-stream metric
+# layer's own and of the flow table's and the duplicate detector's (a
+# packet on a one-stream flow and on a 50,000-stream one; a record found by
+# key and by handle) — catches a broken perf harness without paying for a
+# real measurement run — plus the parallel-vs-sequential throughput tripwire at
 # its conservative smoke floor.
 bench-smoke:
 	$(GO) test -run XXX -bench BenchmarkAnalyzerPipeline -benchtime 1x .
 	$(GO) test -run XXX -bench BenchmarkIngestPath -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkStreamMetricsObserve|BenchmarkCopyMatcherObserve|BenchmarkSeqTrackerObserve' -benchmem -benchtime 1x ./internal/metrics/ ./internal/rtp/
+	$(GO) test -run XXX -bench 'BenchmarkTableObserve|BenchmarkDedupObserve' -benchmem -benchtime 1x ./internal/flow/ ./internal/meeting/
 	BENCH_RATIO_SMOKE=1 $(GO) test -count=1 -run TestIngestWorkerRatioSmoke -v .
 
 # bench_out runs command $(3) with environment variable $(1) naming the
@@ -78,6 +86,7 @@ cover:
 # analyzer, metrics endpoint, and snapshot barrier are all concurrency.
 ci:
 	$(GO) build ./...
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
@@ -181,8 +190,10 @@ examples:
 # concurrency in non-test code, so any creeping back is a visible number:
 # `go` statements (the shard workers and the metrics server) and
 # sync/atomic importers (internal/obs). Then the size of the tools, and
-# of the per-stream accumulators with the maps left in them (ROADMAP 1(d):
-# StreamMetrics.subs, report-time bins and sets, the CopyMatcher's three).
+# of the per-stream accumulators with the maps left in them (report-time
+# bins and sets, the CopyMatcher's streams), and the maps named across the
+# three packages a media packet's state lives in (ROADMAP item 2: 42 before
+# a flow owned its streams, 37 after).
 #
 # Last, three counts for "configuration is not state" and the surface
 # diet. (1) Tunables serialized by a Code walk, which must stay 0. The
@@ -214,6 +225,7 @@ loc:
 	@cat $$(ls cmd/*/*.go | grep -v _test.go) | wc -l | xargs echo "cmd non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | wc -l | xargs echo "internal/rtp + internal/metrics non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/rtp + internal/metrics non-test code:"
+	@cat $$(ls internal/flow/*.go internal/meeting/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/flow + internal/meeting + internal/metrics non-test code:"
 	@$(GO) test -count=1 -run TestFrameRecordSize -v ./internal/metrics/ | grep -o 'bytes per finished frame: [0-9]*'
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
+	"zoomlens/internal/meeting"
 	"zoomlens/internal/zoom"
 )
 
@@ -47,6 +48,12 @@ type ClusterObs struct {
 	PT         uint8
 	RTPSeq     uint16
 	RTPTS      uint32
+
+	// dedup is the producing shard's handle to the stream's duplicate-
+	// detector record (see streamOwner), for the reconciliation consumer of
+	// the same process; nil on an observation from anywhere else. It is
+	// never serialized.
+	dedup *meeting.Handle
 }
 
 // SetClusterSink diverts the engine's media observations to sink instead
@@ -59,7 +66,11 @@ func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
 	if p.queueFed() {
 		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
 	}
-	p.shards[0].sink = func(o *ClusterObs) { sink(*o) }
+	p.shards[0].sink = func(o *ClusterObs) {
+		c := *o
+		c.dedup = nil // the consumer is another process's
+		sink(c)
+	}
 	return nil
 }
 

@@ -198,7 +198,7 @@ func newReconState(cfg Config) reconState {
 
 // observe consumes one media observation, which it does not keep.
 func (rec *reconState) observe(o *ClusterObs) {
-	unified := rec.Dedup.Observe(meeting.StreamObs{
+	unified := rec.Dedup.ObserveBy(o.dedup, &meeting.StreamObs{
 		Time: o.At, Flow: o.Flow, Key: o.Key, Seq: o.RTPSeq, TS: o.RTPTS,
 	})
 	rec.Copies.Observe(unified, o.Flow, o.PT, o.RTPSeq, o.RTPTS, o.At)

@@ -18,8 +18,8 @@ import (
 // The ring keeps the most recent capacity frames. It is safe for
 // concurrent use — parallel analyzer shards share one ring.
 type Quarantine struct {
-	mu     sync.Mutex
-	cap    int
+	mu      sync.Mutex
+	cap     int
 	frames  []QuarantinedFrame // ring storage, oldest at (next % cap) once full
 	next    int
 	total   uint64

@@ -8,12 +8,12 @@ import (
 	"zoomlens/internal/capture"
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
+	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/obs"
 	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/stun"
 	"zoomlens/internal/tcprtt"
-	"zoomlens/internal/zoom"
 )
 
 // A shard is the per-flow half of the pipeline: everything whose state
@@ -319,25 +319,41 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		// whole pipeline, not just the table.
 		return
 	}
+	// The stream's record carries what the engine keeps per stream from the
+	// second packet on; StreamMetrics stays the registry everything else
+	// reads.
+	own, _ := st.Owner.(*streamOwner)
+	if own == nil {
+		own = new(streamOwner)
+		if own.sm = sh.StreamMetrics[st.ID]; own.sm == nil {
+			own.sm = metrics.NewStreamMetrics(zp.Media.Type)
+			sh.StreamMetrics[st.ID] = own.sm
+		}
+		st.Owner = own
+	}
 	o := &sh.obs
 	o.Seq, o.At, o.Flow = seq, at, ft
-	o.Key = zoom.StreamKey{SSRC: zp.RTP.SSRC, Type: zp.Media.Type, Proto: uint8(proto)}
+	o.Key = st.ID.Key
 	o.WireLen, o.PayloadLen = wireLen, len(pkt.Payload)
 	o.PT, o.RTPSeq, o.RTPTS = zp.RTP.PayloadType, zp.RTP.SequenceNumber, zp.RTP.Timestamp
+	o.dedup = &own.dedup
 	sh.sink(o)
 
-	// The stream's record carries its metric engine from the second packet
-	// on; StreamMetrics stays the registry everything else reads.
-	sm, _ := st.Owner.(*metrics.StreamMetrics)
-	if sm == nil {
-		if sm = sh.StreamMetrics[st.ID]; sm == nil {
-			sm = metrics.NewStreamMetrics(zp.Media.Type)
-			sh.StreamMetrics[st.ID] = sm
-		}
-		st.Owner = sm
-	}
-	sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
-	sm.MarkDirty()
+	own.sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
+	own.sm.MarkDirty()
+}
+
+// streamOwner is what a shard hangs on a flow-table stream record
+// (flow.StreamStats.Owner), the last two links of the chain flow → stream →
+// substream → owner → Dedup record: the stream's metric engine, and the
+// reconciliation consumer's handle to the stream's record in the duplicate
+// detector. The shard only ever takes the handle's address, to send it
+// along with each observation; reading and writing it is the
+// reconciliation goroutine's alone. It lives and dies with the stream
+// record: idle eviction, Rotate and restore all start from an empty one.
+type streamOwner struct {
+	sm    *metrics.StreamMetrics
+	dedup meeting.Handle
 }
 
 // maintainEvery is the idle-eviction cadence in packets.

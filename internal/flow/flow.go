@@ -11,6 +11,7 @@
 package flow
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -52,6 +53,12 @@ type SubstreamStats struct {
 	Bytes       uint64 // RTP payload bytes
 }
 
+// EncapCount is a flow's packet count for one media encapsulation type.
+type EncapCount struct {
+	Type    zoom.MediaType
+	Packets uint64
+}
+
 // StreamStats is the per-media-stream accounting record.
 type StreamStats struct {
 	ID         MediaStreamID
@@ -66,8 +73,10 @@ type StreamStats struct {
 	LastRTPTimestamp  uint32
 	FirstSeq          uint16
 	LastSeq           uint16
-	Substreams        map[uint8]*SubstreamStats
-	RTCPPackets       uint64
+	// Substreams is ascending by payload type: real streams carry at most
+	// three, so the packet path scans it.
+	Substreams  []SubstreamStats
+	RTCPPackets uint64
 
 	// Owner is the table's driver's to use: a handle to whatever it keeps
 	// per stream, so a packet the table has already resolved to this
@@ -80,7 +89,39 @@ type StreamStats struct {
 	dirty bool
 }
 
-// FlowStats is the per-5-tuple accounting record.
+// smallList is the capacity a record's substream or encapsulation-type
+// list starts with: what real traffic fills, in one allocation instead of
+// one per doubling.
+const smallList = 4
+
+// Substream returns the counters of payload type pt, nil if the stream
+// has carried none. The pointer is good until the stream's next packet.
+func (s *StreamStats) Substream(pt uint8) *SubstreamStats {
+	for i := range s.Substreams {
+		if s.Substreams[i].PayloadType == pt {
+			return &s.Substreams[i]
+		}
+	}
+	return nil
+}
+
+// addSubstream inserts payload type pt, which the stream does not hold,
+// in order.
+func (s *StreamStats) addSubstream(pt uint8) *SubstreamStats {
+	i := 0
+	for i < len(s.Substreams) && s.Substreams[i].PayloadType < pt {
+		i++
+	}
+	if s.Substreams == nil {
+		s.Substreams = make([]SubstreamStats, 0, smallList)
+	}
+	s.Substreams = slices.Insert(s.Substreams, i, SubstreamStats{PayloadType: pt})
+	return &s.Substreams[i]
+}
+
+// FlowStats is the per-5-tuple accounting record, and the root of
+// Figure 6's hierarchy: the flow owns its media streams, so the one
+// five-tuple lookup a packet pays reaches everything below it.
 type FlowStats struct {
 	Flow        layers.FiveTuple
 	FirstSeen   time.Time
@@ -90,11 +131,38 @@ type FlowStats struct {
 	ServerBased uint64 // packets with an SFU encapsulation
 	P2P         uint64
 	// ByEncapType counts packets per media encapsulation type value
-	// (Table 2).
-	ByEncapType map[zoom.MediaType]uint64
+	// (Table 2), ascending by type: a handful of types pass the decoders.
+	ByEncapType []EncapCount
+
+	// streams indexes the flow's media streams by packKey. A map, not a
+	// list: a hostile sender can cycle SSRCs on one five-tuple, and the
+	// 8-byte key keeps the lookup on the runtime's fast path.
+	streams map[uint64]*StreamStats
 
 	// dirty marks the record as mutated since the last checkpoint encode.
 	dirty bool
+}
+
+// packKey packs a stream key into the flow's index key, in an order that
+// agrees with StreamKey.Compare.
+func packKey(k zoom.StreamKey) uint64 {
+	return uint64(k.SSRC)<<16 | uint64(k.Type)<<8 | uint64(k.Proto)
+}
+
+// encap returns the flow's count for encapsulation type mt, inserting it
+// in order if the flow has none. The pointer is good until the next call.
+func (f *FlowStats) encap(mt zoom.MediaType) *EncapCount {
+	i := 0
+	for i < len(f.ByEncapType) && f.ByEncapType[i].Type < mt {
+		i++
+	}
+	if i == len(f.ByEncapType) || f.ByEncapType[i].Type != mt {
+		if f.ByEncapType == nil {
+			f.ByEncapType = make([]EncapCount, 0, smallList)
+		}
+		f.ByEncapType = slices.Insert(f.ByEncapType, i, EncapCount{Type: mt})
+	}
+	return &f.ByEncapType[i]
 }
 
 // Limits bounds the table's hot maps for long-lived deployments: a
@@ -140,8 +208,9 @@ type shareAgg struct{ pkts, bytes uint64 }
 
 // Table demultiplexes records into flows and streams.
 type Table struct {
-	flows   map[layers.FiveTuple]*FlowStats
-	streams map[MediaStreamID]*StreamStats
+	flows map[layers.FiveTuple]*FlowStats
+	// streams counts the stream records the flows hold between them.
+	streams int
 
 	// Totals for Table 2/6.
 	totalPackets uint64
@@ -165,10 +234,7 @@ type Table struct {
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		flows:   make(map[layers.FiveTuple]*FlowStats),
-		streams: make(map[MediaStreamID]*StreamStats),
-	}
+	return &Table{flows: make(map[layers.FiveTuple]*FlowStats)}
 }
 
 // SetLimits installs state bounds; it can be called once, before any
@@ -192,14 +258,14 @@ func (t *Table) Observe(r *Record) *StreamStats {
 			t.ev.RejectedFlowPackets++
 			return nil
 		}
-		f = &FlowStats{Flow: r.Flow, FirstSeen: r.Time, ByEncapType: make(map[zoom.MediaType]uint64)}
+		f = &FlowStats{Flow: r.Flow, FirstSeen: r.Time}
 		t.flows[r.Flow] = f
 	}
 	f.LastSeen = r.Time
 	f.dirty = true
 	f.Packets++
 	f.WireBytes += uint64(r.WireLen)
-	f.ByEncapType[r.Z.Media.Type]++
+	f.encap(r.Z.Media.Type).Packets++
 	if r.Z.ServerBased {
 		f.ServerBased++
 	} else {
@@ -216,7 +282,7 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		// only (33/34), so find any existing stream on this flow with the
 		// SSRC.
 		ssrc := r.Z.RTCP.SenderReports[0].SSRC
-		if s := t.findStreamBySSRC(r.Flow, ssrc, r.Proto); s != nil {
+		if s := f.findStreamBySSRC(ssrc, r.Proto); s != nil {
 			s.RTCPPackets++
 			s.LastSeen = r.Time
 			s.dirty = true
@@ -227,21 +293,20 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		return nil
 	}
 
-	id := MediaStreamID{Flow: r.Flow, Key: key}
-	s := t.streams[id]
+	s := f.streams[packKey(key)]
 	if s == nil {
-		if t.limits.MaxStreams > 0 && len(t.streams) >= t.limits.MaxStreams {
+		if t.limits.MaxStreams > 0 && t.streams >= t.limits.MaxStreams {
 			t.ev.RejectedStreamPackets++
 			return nil
 		}
 		s = &StreamStats{
-			ID:                id,
+			ID:                MediaStreamID{Flow: r.Flow, Key: key},
 			FirstSeen:         r.Time,
 			FirstRTPTimestamp: r.Z.RTP.Timestamp,
 			FirstSeq:          r.Z.RTP.SequenceNumber,
-			Substreams:        make(map[uint8]*SubstreamStats),
 		}
-		t.streams[id] = s
+		f.addStream(s)
+		t.streams++
 	}
 	s.LastSeen = r.Time
 	s.dirty = true
@@ -250,39 +315,49 @@ func (t *Table) Observe(r *Record) *StreamStats {
 	s.MediaBytes += uint64(len(r.Z.RTP.Payload))
 	s.LastRTPTimestamp = r.Z.RTP.Timestamp
 	s.LastSeq = r.Z.RTP.SequenceNumber
-	sub := s.Substreams[r.Z.RTP.PayloadType]
+	sub := s.Substream(r.Z.RTP.PayloadType)
 	if sub == nil {
 		if t.limits.MaxSubstreams > 0 && len(s.Substreams) >= t.limits.MaxSubstreams {
 			t.ev.RejectedSubstreamPackets++
 			return s
 		}
-		sub = &SubstreamStats{PayloadType: r.Z.RTP.PayloadType}
-		s.Substreams[r.Z.RTP.PayloadType] = sub
+		sub = s.addSubstream(r.Z.RTP.PayloadType)
 	}
 	sub.Packets++
 	sub.Bytes += uint64(len(r.Z.RTP.Payload))
 	return s
 }
 
-// EvictIdle removes every flow and stream whose last packet is not after
-// cutoff, folding their Table 2/3 contributions into hidden aggregates so
-// EncapShares, PayloadTypeShares, and Totals still count them. It returns
-// the number of flows and streams evicted. Because a flow's LastSeen is
-// at least as recent as any of its streams', a pass never evicts a flow
-// while keeping one of its streams.
-func (t *Table) EvictIdle(cutoff time.Time) (flows, streams int) {
-	for id, s := range t.streams {
-		if s.LastSeen.After(cutoff) {
-			continue
-		}
-		t.foldStream(s)
-		delete(t.streams, id)
-		t.tombstoneStream(id)
-		t.ev.EvictedStreams++
-		streams++
+// addStream puts s, which the flow does not hold, into the flow's index.
+func (f *FlowStats) addStream(s *StreamStats) {
+	if f.streams == nil {
+		f.streams = make(map[uint64]*StreamStats)
 	}
+	f.streams[packKey(s.ID.Key)] = s
+}
+
+// EvictIdle removes every stream whose last packet is not after cutoff,
+// and every such flow that is left holding no stream, folding their Table
+// 2/3 contributions into hidden aggregates so EncapShares,
+// PayloadTypeShares, and Totals still count them. It returns the number of
+// flows and streams evicted. A flow holding a live stream is never
+// evicted, whatever its own LastSeen says: that is the time of the flow's
+// latest packet in capture order, which under a backward capture clock can
+// be earlier than one of its streams'.
+func (t *Table) EvictIdle(cutoff time.Time) (flows, streams int) {
 	for k, f := range t.flows {
-		if f.LastSeen.After(cutoff) {
+		for pk, s := range f.streams {
+			if s.LastSeen.After(cutoff) {
+				continue
+			}
+			t.foldStream(s)
+			delete(f.streams, pk)
+			t.streams--
+			t.tombstoneStream(s.ID)
+			t.ev.EvictedStreams++
+			streams++
+		}
+		if f.LastSeen.After(cutoff) || len(f.streams) > 0 {
 			continue
 		}
 		t.foldFlow(f)
@@ -313,8 +388,8 @@ func (t *Table) foldStream(s *StreamStats) {
 	if t.evictedPT == nil {
 		t.evictedPT = make(map[ptKey]*shareAgg)
 	}
-	for pt, sub := range s.Substreams {
-		k := ptKey{s.ID.Key.Type, pt}
+	for _, sub := range s.Substreams {
+		k := ptKey{s.ID.Key.Type, sub.PayloadType}
 		p := t.evictedPT[k]
 		if p == nil {
 			p = &shareAgg{}
@@ -329,21 +404,31 @@ func (t *Table) foldFlow(f *FlowStats) {
 	// Streams carry their own packet counts; a flow's independent Table 2
 	// contribution is its RTCP packets (EncapShares counts those from
 	// flows, not streams).
-	for mt, n := range f.ByEncapType {
-		if !mt.IsRTCP() {
-			continue
+	for _, e := range f.ByEncapType {
+		if e.Type.IsRTCP() {
+			t.evictedEncapAgg(e.Type).pkts += e.Packets
 		}
-		t.evictedEncapAgg(mt).pkts += n
 	}
 }
 
-func (t *Table) findStreamBySSRC(ft layers.FiveTuple, ssrc uint32, proto uint8) *StreamStats {
-	for _, mt := range []zoom.MediaType{zoom.TypeVideo, zoom.TypeAudio, zoom.TypeScreenShare} {
-		if s, ok := t.streams[MediaStreamID{Flow: ft, Key: zoom.StreamKey{SSRC: ssrc, Type: mt, Proto: proto}}]; ok {
+// findStreamBySSRC returns the flow's stream with the SSRC, video before
+// audio before screen share.
+func (f *FlowStats) findStreamBySSRC(ssrc uint32, proto uint8) *StreamStats {
+	for _, mt := range [...]zoom.MediaType{zoom.TypeVideo, zoom.TypeAudio, zoom.TypeScreenShare} {
+		if s := f.streams[packKey(zoom.StreamKey{SSRC: ssrc, Type: mt, Proto: proto})]; s != nil {
 			return s
 		}
 	}
 	return nil
+}
+
+// eachStream calls fn for every stream record, in no particular order.
+func (t *Table) eachStream(fn func(*StreamStats)) {
+	for _, f := range t.flows {
+		for _, s := range f.streams {
+			fn(s)
+		}
+	}
 }
 
 // Flows returns all flow records, ordered by first-seen time. Flow keys
@@ -367,12 +452,12 @@ func (t *Table) Flows() []*FlowStats {
 
 // Streams returns all stream records, ordered by first-seen time.
 func (t *Table) Streams() []*StreamStats {
-	out := make([]*StreamStats, 0, len(t.streams))
-	keys := make(map[*StreamStats]string, len(t.streams))
-	for _, s := range t.streams {
+	out := make([]*StreamStats, 0, t.streams)
+	keys := make(map[*StreamStats]string, t.streams)
+	t.eachStream(func(s *StreamStats) {
 		out = append(out, s)
 		keys[s] = s.ID.Flow.String()
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
 			return out[i].FirstSeen.Before(out[j].FirstSeen)
@@ -387,10 +472,12 @@ func (t *Table) Streams() []*StreamStats {
 
 // Absorb merges src's flows, streams, and totals into t, leaving src
 // unchanged but for the Owner handles, which it drops: t's driver is
-// another one. The sharded parallel analyzer calls it at merge time; shard
-// tables are keyed by disjoint five-tuple sets there, but overlapping
-// keys are combined correctly anyway (counters summed, first/last seen
-// widened) so Absorb is safe for general table union.
+// another one. A flow only src holds is adopted with its streams, record
+// and index, so src is not to be fed afterwards. The sharded parallel
+// analyzer calls it at merge time; shard tables are keyed by disjoint
+// five-tuple sets there, but overlapping keys are combined correctly
+// anyway (counters summed, first/last seen widened) so Absorb is safe for
+// general table union.
 func (t *Table) Absorb(src *Table) {
 	t.totalPackets += src.totalPackets
 	t.totalBytes += src.totalBytes
@@ -417,9 +504,13 @@ func (t *Table) Absorb(src *Table) {
 		d.bytes += a.bytes
 	}
 	for k, f := range src.flows {
+		for _, s := range f.streams {
+			s.Owner = nil
+		}
 		dst := t.flows[k]
 		if dst == nil {
 			t.flows[k] = f
+			t.streams += len(f.streams)
 			continue
 		}
 		if f.FirstSeen.Before(dst.FirstSeen) {
@@ -432,48 +523,59 @@ func (t *Table) Absorb(src *Table) {
 		dst.WireBytes += f.WireBytes
 		dst.ServerBased += f.ServerBased
 		dst.P2P += f.P2P
-		for mt, n := range f.ByEncapType {
-			dst.ByEncapType[mt] += n
+		for _, e := range f.ByEncapType {
+			dst.encap(e.Type).Packets += e.Packets
 		}
-	}
-	for k, s := range src.streams {
-		dst := t.streams[k]
-		s.Owner = nil
-		if dst == nil {
-			t.streams[k] = s
-			continue
-		}
-		dst.Owner = nil
-		if s.FirstSeen.Before(dst.FirstSeen) {
-			dst.FirstSeen = s.FirstSeen
-			dst.FirstRTPTimestamp = s.FirstRTPTimestamp
-			dst.FirstSeq = s.FirstSeq
-		}
-		if s.LastSeen.After(dst.LastSeen) {
-			dst.LastSeen = s.LastSeen
-			dst.LastRTPTimestamp = s.LastRTPTimestamp
-			dst.LastSeq = s.LastSeq
-		}
-		dst.Packets += s.Packets
-		dst.WireBytes += s.WireBytes
-		dst.MediaBytes += s.MediaBytes
-		dst.RTCPPackets += s.RTCPPackets
-		for pt, sub := range s.Substreams {
-			d := dst.Substreams[pt]
-			if d == nil {
-				dst.Substreams[pt] = sub
-				continue
+		for pk, s := range f.streams {
+			if d := dst.streams[pk]; d != nil {
+				d.absorb(s)
+			} else {
+				dst.addStream(s)
+				t.streams++
 			}
-			d.Packets += sub.Packets
-			d.Bytes += sub.Bytes
 		}
 	}
 }
 
-// Stream looks up one stream record.
+// absorb adds s, another table's record of the same stream, into dst.
+func (dst *StreamStats) absorb(s *StreamStats) {
+	dst.Owner = nil
+	if s.FirstSeen.Before(dst.FirstSeen) {
+		dst.FirstSeen = s.FirstSeen
+		dst.FirstRTPTimestamp = s.FirstRTPTimestamp
+		dst.FirstSeq = s.FirstSeq
+	}
+	if s.LastSeen.After(dst.LastSeen) {
+		dst.LastSeen = s.LastSeen
+		dst.LastRTPTimestamp = s.LastRTPTimestamp
+		dst.LastSeq = s.LastSeq
+	}
+	dst.Packets += s.Packets
+	dst.WireBytes += s.WireBytes
+	dst.MediaBytes += s.MediaBytes
+	dst.RTCPPackets += s.RTCPPackets
+	for _, sub := range s.Substreams {
+		d := dst.Substream(sub.PayloadType)
+		if d == nil {
+			d = dst.addSubstream(sub.PayloadType)
+		}
+		d.Packets += sub.Packets
+		d.Bytes += sub.Bytes
+	}
+}
+
+// Stream looks up one stream record: the flow, then the flow's index.
 func (t *Table) Stream(id MediaStreamID) (*StreamStats, bool) {
-	s, ok := t.streams[id]
-	return s, ok
+	s := t.flows[id.Flow].stream(id.Key)
+	return s, s != nil
+}
+
+// stream returns the flow's stream with key k; a nil flow holds none.
+func (f *FlowStats) stream(k zoom.StreamKey) *StreamStats {
+	if f == nil {
+		return nil
+	}
+	return f.streams[packKey(k)]
 }
 
 // Totals summarizes the table for the Table 6 reproduction.
@@ -490,7 +592,7 @@ func (t *Table) Totals() Totals {
 		Packets: t.totalPackets,
 		Bytes:   t.totalBytes,
 		Flows:   len(t.flows),
-		Streams: len(t.streams),
+		Streams: t.streams,
 	}
 }
 
@@ -510,7 +612,7 @@ type EncapTypeShare struct {
 func (t *Table) EncapShares(totalPackets, totalBytes uint64) []EncapTypeShare {
 	type agg struct{ pkts, bytes uint64 }
 	byType := map[zoom.MediaType]*agg{}
-	for _, s := range t.streams {
+	t.eachStream(func(s *StreamStats) {
 		a := byType[s.ID.Key.Type]
 		if a == nil {
 			a = &agg{}
@@ -518,20 +620,20 @@ func (t *Table) EncapShares(totalPackets, totalBytes uint64) []EncapTypeShare {
 		}
 		a.pkts += s.Packets
 		a.bytes += s.WireBytes
-	}
+	})
 	// RTCP packets are not in stream records' packet counts; count them
 	// from flows.
 	for _, f := range t.flows {
-		for mt, n := range f.ByEncapType {
-			if !mt.IsRTCP() {
+		for _, e := range f.ByEncapType {
+			if !e.Type.IsRTCP() {
 				continue
 			}
-			a := byType[mt]
+			a := byType[e.Type]
 			if a == nil {
 				a = &agg{}
-				byType[mt] = a
+				byType[e.Type] = a
 			}
-			a.pkts += n
+			a.pkts += e.Packets
 		}
 	}
 	// Evicted entries still count toward the report.
@@ -575,9 +677,9 @@ type PayloadTypeShare struct {
 func (t *Table) PayloadTypeShares(totalPackets, totalBytes uint64) []PayloadTypeShare {
 	type agg struct{ pkts, bytes uint64 }
 	byKey := map[ptKey]*agg{}
-	for _, s := range t.streams {
-		for pt, sub := range s.Substreams {
-			k := ptKey{s.ID.Key.Type, pt}
+	t.eachStream(func(s *StreamStats) {
+		for _, sub := range s.Substreams {
+			k := ptKey{s.ID.Key.Type, sub.PayloadType}
 			a := byKey[k]
 			if a == nil {
 				a = &agg{}
@@ -586,7 +688,7 @@ func (t *Table) PayloadTypeShares(totalPackets, totalBytes uint64) []PayloadType
 			a.pkts += sub.Packets
 			a.bytes += sub.Bytes
 		}
-	}
+	})
 	// Evicted substreams still count toward the report.
 	for k, ea := range t.evictedPT {
 		a := byKey[k]

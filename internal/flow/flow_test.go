@@ -85,13 +85,13 @@ func TestObserveBuildsStreamsAndSubstreams(t *testing.T) {
 	if len(video.Substreams) != 2 {
 		t.Errorf("video substreams = %d, want 2", len(video.Substreams))
 	}
-	if video.Substreams[zoom.PTVideoMain].Packets != 10 || video.Substreams[zoom.PTFEC].Packets != 3 {
+	if video.Substream(zoom.PTVideoMain).Packets != 10 || video.Substream(zoom.PTFEC).Packets != 3 {
 		t.Errorf("substream split = %+v", video.Substreams)
 	}
 	if video.MediaBytes != 10*1000+3*400 {
 		t.Errorf("video media bytes = %d", video.MediaBytes)
 	}
-	if audio.Packets != 5 || audio.Substreams[zoom.PTAudioSpeak].Bytes != 600 {
+	if audio.Packets != 5 || audio.Substream(zoom.PTAudioSpeak).Bytes != 600 {
 		t.Errorf("audio = %+v", audio)
 	}
 	if got := tbl.Totals(); got.Flows != 1 || got.Streams != 2 || got.Packets != 18 {
@@ -126,8 +126,8 @@ func TestRTCPAttributedToStream(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d", len(flows))
 	}
-	if flows[0].ByEncapType[zoom.TypeRTCPSR] != 2 {
-		t.Errorf("RTCP count = %d", flows[0].ByEncapType[zoom.TypeRTCPSR])
+	if got := flows[0].encap(zoom.TypeRTCPSR).Packets; got != 2 {
+		t.Errorf("RTCP count = %d", got)
 	}
 }
 

@@ -52,9 +52,9 @@ func (t *Table) DeltaOverflow() bool { return t.overflow }
 func (t *Table) MarkCheckpointed() {
 	for _, f := range t.flows {
 		f.dirty = false
-	}
-	for _, s := range t.streams {
-		s.dirty = false
+		for _, s := range f.streams {
+			s.dirty = false
+		}
 	}
 	t.deadFlows = t.deadFlows[:0]
 	t.deadStreams = t.deadStreams[:0]
@@ -107,13 +107,18 @@ func (a *shareAgg) code(c *statecodec.Codec) {
 // Code walks the table through c: scalars and the evicted-entry share
 // aggregates whole (both are small), tombstones for the flows and
 // streams evicted since the last checkpoint encode, then the dirty
-// records. Limits are configuration, not state: a decoding pass keeps
-// whatever SetLimits installed on the receiver, so a checkpoint taken
-// under one deployment's caps restores cleanly under another's. The
-// caller owns chain integrity (a delta must follow the checkpoint the
-// table was restored from), must check DeltaOverflow before a delta
-// encode and MarkCheckpointed after any successful pass; a table whose
-// decoding pass failed holds partially applied state and must be
+// records: flows in five-tuple order, then streams in (flow, key) order —
+// StreamIDKey's, which is also the order of walking each flow's index in
+// turn, so the record reads as it did when the table kept the streams in a
+// map of their own. A decoding pass hangs each stream on its flow and
+// refuses one whose flow the table does not hold; a flow's tombstone takes
+// the flow's streams with it. Limits are configuration, not state: a
+// decoding pass keeps whatever SetLimits installed on the receiver, so a
+// checkpoint taken under one deployment's caps restores cleanly under
+// another's. The caller owns chain integrity (a delta must follow the
+// checkpoint the table was restored from), must check DeltaOverflow before
+// a delta encode and MarkCheckpointed after any successful pass; a table
+// whose decoding pass failed holds partially applied state and must be
 // discarded.
 func (t *Table) Code(c *statecodec.Codec) {
 	c.U64(&t.totalPackets)
@@ -124,10 +129,22 @@ func (t *Table) Code(c *statecodec.Codec) {
 	c.U64(&t.ev.RejectedStreamPackets)
 	c.U64(&t.ev.RejectedSubstreamPackets)
 
-	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) { delete(t.flows, k) })
-	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) { delete(t.streams, id) })
+	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) {
+		if f := t.flows[k]; f != nil {
+			t.streams -= len(f.streams)
+			delete(t.flows, k)
+		}
+	})
+	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) {
+		if f := t.flows[id.Flow]; f.stream(id.Key) != nil {
+			delete(f.streams, packKey(id.Key))
+			t.streams--
+		}
+	})
 
-	statecodec.Map(c, layers.TupleKey, &t.flows, nil,
+	statecodec.Map(c, layers.TupleKey, &t.flows,
+		// A flow a delta updates keeps its streams: only the dirty ones follow.
+		func(f *FlowStats) { *f = FlowStats{streams: f.streams, ByEncapType: f.ByEncapType[:0]} },
 		func(_ layers.FiveTuple, f *FlowStats) bool { return f.dirty },
 		func(k layers.FiveTuple, f *FlowStats) {
 			f.Flow = k
@@ -137,31 +154,75 @@ func (t *Table) Code(c *statecodec.Codec) {
 			c.U64(&f.WireBytes)
 			c.U64(&f.ServerBased)
 			c.U64(&f.P2P)
-			statecodec.MapVal(c, mediaTypeKey, &f.ByEncapType, func(_ zoom.MediaType, n uint64) uint64 {
-				c.U64(&n)
-				return n
-			})
+			var buf [8]zoom.MediaType
+			types := buf[:0]
+			for _, e := range f.ByEncapType {
+				types = append(types, e.Type)
+			}
+			statecodec.Keys(c, mediaTypeKey, types, func(mt zoom.MediaType) { c.U64(&f.encap(mt).Packets) })
 		})
-	statecodec.Map(c, StreamIDKey, &t.streams, nil,
-		func(_ MediaStreamID, s *StreamStats) bool { return s.dirty },
-		func(id MediaStreamID, s *StreamStats) {
-			s.ID = id
-			c.Time(&s.FirstSeen)
-			c.Time(&s.LastSeen)
-			c.U64(&s.Packets)
-			c.U64(&s.WireBytes)
-			c.U64(&s.MediaBytes)
-			c.U32(&s.FirstRTPTimestamp)
-			c.U32(&s.LastRTPTimestamp)
-			c.U16(&s.FirstSeq)
-			c.U16(&s.LastSeq)
-			c.U64(&s.RTCPPackets)
-			statecodec.Map(c, u8Key, &s.Substreams, nil, nil, func(pt uint8, sub *SubstreamStats) {
-				sub.PayloadType = pt
-				c.U64(&sub.Packets)
-				c.U64(&sub.Bytes)
-			})
+
+	// The streams hang off the flows, so the walk gathers the selected ones
+	// itself and finds or creates each decoded one on its flow.
+	type streamEntry = statecodec.Entry[MediaStreamID, *StreamStats]
+	var (
+		streams    []streamEntry
+		streamSlab statecodec.Slab[StreamStats]
+	)
+	if c.Encoding() {
+		if c.Full() {
+			streams = make([]streamEntry, 0, t.streams)
+		}
+		for _, f := range t.flows {
+			for _, s := range f.streams {
+				if c.Full() || s.dirty {
+					streams = append(streams, streamEntry{K: s.ID, V: s})
+				}
+			}
+		}
+	}
+	statecodec.Records(c, StreamIDKey, streams, func(id MediaStreamID, s *StreamStats, left int) {
+		if !c.Encoding() {
+			f := t.flows[id.Flow]
+			if f == nil {
+				c.Failf("flow.Table stream %v on flow %v, which the table does not hold", id.Key, id.Flow)
+				return
+			}
+			s = f.stream(id.Key)
+			fresh := s == nil
+			if fresh {
+				s = streamSlab.New(left)
+			}
+			*s = StreamStats{ID: id, Substreams: s.Substreams[:0]} // the driver's Owner handle goes too
+			if fresh {
+				f.addStream(s)
+				t.streams++
+			}
+		}
+		c.Time(&s.FirstSeen)
+		c.Time(&s.LastSeen)
+		c.U64(&s.Packets)
+		c.U64(&s.WireBytes)
+		c.U64(&s.MediaBytes)
+		c.U32(&s.FirstRTPTimestamp)
+		c.U32(&s.LastRTPTimestamp)
+		c.U16(&s.FirstSeq)
+		c.U16(&s.LastSeq)
+		c.U64(&s.RTCPPackets)
+		var buf [8]uint8
+		pts := buf[:0]
+		for i := range s.Substreams {
+			pts = append(pts, s.Substreams[i].PayloadType)
+		}
+		statecodec.Keys(c, u8Key, pts, func(pt uint8) {
+			sub := s.Substream(pt)
+			if sub == nil {
+				sub = s.addSubstream(pt)
+			}
+			c.U64(&sub.Packets)
+			c.U64(&sub.Bytes)
 		})
+	})
 
 	statecodec.Map(c, mediaTypeKey, &t.evictedEncap, nil, nil, func(_ zoom.MediaType, a *shareAgg) { a.code(c) })
 	statecodec.Map(c, ptKeyKey, &t.evictedPT, nil, nil, func(_ ptKey, a *shareAgg) { a.code(c) })

@@ -117,8 +117,25 @@ func NewDedup() *Dedup {
 	}
 }
 
+// Handle is a stream's shortcut to its record in one detector, kept by
+// whoever feeds the detector on its own per-stream state so that a packet
+// of a known stream costs no lookup. The zero Handle is empty. It names
+// the detector that filled it, and no other detector follows it: a driver
+// that replaces its detector (a new report window, a restore) need not
+// chase the handles down. It is process-local and never serialized.
+type Handle struct {
+	d *Dedup
+	s *streamState
+}
+
 // Observe ingests one media packet observation and returns the unified
 // stream ID it belongs to.
+func (d *Dedup) Observe(o StreamObs) UnifiedID { return d.ObserveBy(nil, &o) }
+
+// ObserveBy is Observe for a caller that keeps a Handle for o's stream:
+// the record is reached through h when this detector filled it, and found
+// by key — filling h — otherwise. A nil h is Observe. The caller must hand
+// the same stream the same handle; the handle is the detector's to write.
 //
 // Every ageEvery-th observation first unlinks the streams idle for more
 // than linkWindow at its timestamp. matchExisting refuses exactly those
@@ -127,47 +144,48 @@ func NewDedup() *Dedup {
 // it only keeps the index the size of what is live. The cadence counts
 // observations and nothing else, so every engine fed the same
 // observation sequence ages identically.
-func (d *Dedup) Observe(o StreamObs) UnifiedID {
+func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 	if d.observed++; d.observed%ageEvery == 0 {
 		d.Evict(o.Time.Add(-linkWindow))
 	}
-	k := flow.MediaStreamID{Flow: o.Flow, Key: o.Key}
-	if s, ok := d.streams[k]; ok {
-		s.lastSeen = o.Time
-		s.lastTS = o.TS
-		s.dirty = true
-		if s.evicted {
-			d.relink(s)
+	var s *streamState
+	if h != nil && h.d == d {
+		s = h.s
+	}
+	if s == nil {
+		k := flow.MediaStreamID{Flow: o.Flow, Key: o.Key}
+		if s = d.streams[k]; s == nil {
+			s = &streamState{firstSeen: o.Time, firstTS: o.TS, flow: o.Flow, key: o.Key}
+			// Step 1 linkage: same SSRC+type on a different 5-tuple with an
+			// RTP timestamp in range.
+			s.unified = d.matchExisting(o)
+			if s.unified == 0 {
+				d.nextID++
+				s.unified = d.nextID
+			}
+			if d.MaxStreams > 0 && len(d.streams) >= d.MaxStreams {
+				// Not stored, so there is nothing for a handle to name.
+				d.Dropped++
+				return s.unified
+			}
+			d.streams[k] = s
+			d.bySSRC[o.Key] = append(d.bySSRC[o.Key], s)
+			d.markSSRCDirty(o.Key)
 		}
-		return s.unified
+		if h != nil {
+			*h = Handle{d, s}
+		}
 	}
-	s := &streamState{
-		firstSeen: o.Time,
-		lastSeen:  o.Time,
-		firstTS:   o.TS,
-		lastTS:    o.TS,
-		flow:      o.Flow,
-		key:       o.Key,
-	}
-	// Step 1 linkage: same SSRC+type on a different 5-tuple with an RTP
-	// timestamp in range.
-	s.unified = d.matchExisting(o)
-	if s.unified == 0 {
-		d.nextID++
-		s.unified = d.nextID
-	}
-	if d.MaxStreams > 0 && len(d.streams) >= d.MaxStreams {
-		d.Dropped++
-		return s.unified
-	}
+	s.lastSeen = o.Time
+	s.lastTS = o.TS
 	s.dirty = true
-	d.streams[k] = s
-	d.bySSRC[o.Key] = append(d.bySSRC[o.Key], s)
-	d.markSSRCDirty(o.Key)
+	if s.evicted {
+		d.relink(s)
+	}
 	return s.unified
 }
 
-func (d *Dedup) matchExisting(o StreamObs) UnifiedID {
+func (d *Dedup) matchExisting(o *StreamObs) UnifiedID {
 	best := UnifiedID(0)
 	var bestGap int64 = 1 << 62
 	for _, cand := range d.bySSRC[o.Key] {

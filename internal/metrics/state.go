@@ -62,7 +62,13 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 		sm.Talk.code(c)
 	}
 
-	statecodec.Map(c, u8Key, &sm.subs, sm.newSub, nil, func(_ uint8, st *substreamState) {
+	var buf [8]uint8
+	pts := buf[:0]
+	for _, st := range sm.subs {
+		pts = append(pts, st.pt)
+	}
+	statecodec.Keys(c, u8Key, pts, func(pt uint8) {
+		st := sm.sub(pt)
 		// FEC substreams own their sequence space; the shared main
 		// space follows the substreams, once.
 		if !st.isMain {
@@ -100,7 +106,7 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 		switch {
 		case f.DeltaTS != 0 && sm.clockRate == 0:
 			c.Failf("metrics.StreamMetrics frame with ΔRTP %d on a %s stream, which has no clock", f.DeltaTS, sm.MediaType)
-		case sm.subs[f.PT] == nil:
+		case sm.find(f.PT) == nil:
 			c.Failf("metrics.StreamMetrics frame of payload type %d, which has no substream", f.PT)
 		}
 	})

@@ -128,8 +128,9 @@ type StreamMetrics struct {
 	// (and we) treat the clock as unknown (0) and skip wall-clock jitter.
 	clockRate float64
 
-	// Per-substream state, keyed by RTP payload type.
-	subs map[uint8]*substreamState
+	// Per-substream state, ascending by RTP payload type: a stream carries
+	// a handful, so the packet path scans.
+	subs []*substreamState
 
 	// frames is the frame log: one record per finished frame, in the
 	// order frames finished. Every per-frame series (FrameRate,
@@ -303,14 +304,30 @@ func (sm *StreamMetrics) newSub(pt uint8) *substreamState {
 	return st
 }
 
-func (sm *StreamMetrics) sub(pt uint8) *substreamState {
-	st := sm.subs[pt]
-	if st == nil {
-		if sm.subs == nil {
-			sm.subs = make(map[uint8]*substreamState)
+// find returns the substream of payload type pt, nil if there is none.
+func (sm *StreamMetrics) find(pt uint8) *substreamState {
+	for _, st := range sm.subs {
+		if st.pt == pt {
+			return st
 		}
+	}
+	return nil
+}
+
+// sub returns the substream of payload type pt, building it in its place
+// in the order if it is the type's first packet.
+func (sm *StreamMetrics) sub(pt uint8) *substreamState {
+	st := sm.find(pt)
+	if st == nil {
 		st = sm.newSub(pt)
-		sm.subs[pt] = st
+		i := 0
+		for i < len(sm.subs) && sm.subs[i].pt < pt {
+			i++
+		}
+		if sm.subs == nil {
+			sm.subs = make([]*substreamState, 0, 4) // what a real stream fills, in one allocation
+		}
+		sm.subs = slices.Insert(sm.subs, i, st)
 	}
 	return st
 }
@@ -404,10 +421,10 @@ func (sm *StreamMetrics) Finish() {
 		return
 	}
 	sm.finished = true
-	// In payload-type order, not map order: the frames still open at the
-	// end of several substreams land in the log the same way every run.
-	for _, pt := range sm.SubstreamPTs() {
-		sm.subs[pt].assembler.Flush()
+	// In payload-type order: the frames still open at the end of several
+	// substreams land in the log the same way every run.
+	for _, st := range sm.subs {
+		st.assembler.Flush()
 	}
 	if sm.haveBin {
 		sm.flushBin()
@@ -446,9 +463,8 @@ func (sm *StreamMetrics) LossStats() rtp.Stats {
 // SubstreamPTs returns the payload types observed, sorted.
 func (sm *StreamMetrics) SubstreamPTs() []uint8 {
 	out := make([]uint8, 0, len(sm.subs))
-	for pt := range sm.subs {
-		out = append(out, pt)
+	for _, st := range sm.subs {
+		out = append(out, st.pt)
 	}
-	slices.Sort(out)
 	return out
 }

@@ -548,19 +548,19 @@ var AddrPortKey = &Key[netip.AddrPort]{Min: 2, Compare: netip.AddrPort.Compare,
 // scratch per map showed up as GC pressure that dominated encode time.
 const smallMap = 64
 
-// entry is one selected record of an encoding pass, collected with its
-// value while the map is iterated — in memory order — so the sorted walk
-// needs no lookup per key, which on a large map is a cache miss each.
-type entry[K, V any] struct {
-	k K
-	v V
+// Entry is one selected record of an encoding pass, collected with its
+// value while the collection is iterated — in memory order — so the sorted
+// walk needs no lookup per key, which on a large map is a cache miss each.
+type Entry[K, V any] struct {
+	K K
+	V V
 }
 
 // put writes the selected entries in key order — their count, then each
 // key followed by elem: the encoding half of every keyed helper. It
 // sorts a permutation rather than the entries, so a comparison copies
 // two keys and a swap moves one int.
-func put[K, V any](c *Codec, key *Key[K], sel []entry[K, V], elem func(k K, v V)) {
+func put[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V)) {
 	var scratch [smallMap]int
 	order := scratch[:0]
 	if len(sel) > len(scratch) {
@@ -569,12 +569,12 @@ func put[K, V any](c *Codec, key *Key[K], sel []entry[K, V], elem func(k K, v V)
 	for i := range sel {
 		order = append(order, i)
 	}
-	slices.SortFunc(order, func(a, b int) int { return key.Compare(sel[a].k, sel[b].k) })
+	slices.SortFunc(order, func(a, b int) int { return key.Compare(sel[a].K, sel[b].K) })
 	c.w.Int(len(sel))
 	for _, i := range order {
-		key.Code(c, sel[i].k)
+		key.Code(c, sel[i].K)
 		if elem != nil {
-			elem(sel[i].k, sel[i].v)
+			elem(sel[i].K, sel[i].V)
 		}
 	}
 }
@@ -611,18 +611,37 @@ func Keys[K any](c *Codec, key *Key[K], sel []K, elem func(k K)) {
 		get(c, key, nil, func(k K, _ int) { elem(k) })
 		return
 	}
-	var scratch [smallMap]entry[K, struct{}]
+	var scratch [smallMap]Entry[K, struct{}]
 	ents := scratch[:0]
 	for _, k := range sel {
-		ents = append(ents, entry[K, struct{}]{k: k})
+		ents = append(ents, Entry[K, struct{}]{K: k})
 	}
 	put(c, key, ents, func(k K, _ struct{}) { elem(k) })
+}
+
+// Records walks the keyed records of a collection the caller stores
+// itself — one nested under another record, say, where Map would need a
+// compound key per lookup. An encoding pass writes sel in key order and
+// hands elem each key with its record; a decoding pass hands elem each key
+// read, ascending, with the zero V and how many records are left, this one
+// included, for elem to find or create the record and fill it.
+func Records[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V, left int)) {
+	if c.w != nil {
+		put(c, key, sel, func(k K, v V) { elem(k, v, 0) })
+		return
+	}
+	get(c, key, nil, func(k K, left int) {
+		var v V
+		elem(k, v, left)
+	})
 }
 
 // Tombstones walks the keys deleted since the last checkpoint: a delta
 // pass writes dead (duplicates skipped — a key can be evicted,
 // recreated and evicted again between checkpoints), a full pass writes
-// none, a decoding pass hands each key to del.
+// none, a decoding pass hands each key to del. An encoding pass never
+// calls del: a key evicted and recreated since the last checkpoint is
+// live in the layer that is writing.
 func Tombstones[K comparable](c *Codec, key *Key[K], dead []K, del func(K)) {
 	if c.w != nil {
 		// A sorted copy: the layer's backlog stays as it is should the
@@ -633,6 +652,7 @@ func Tombstones[K comparable](c *Codec, key *Key[K], dead []K, del func(K)) {
 		}
 		slices.SortFunc(dead, key.Compare)
 		dead = slices.Compact(dead)
+		del = func(K) {}
 	}
 	Keys(c, key, dead, del)
 }
@@ -645,24 +665,39 @@ func Tombstones[K comparable](c *Codec, key *Key[K], dead []K, del func(K)) {
 // record fails to decode.
 const slabChunk = 4096
 
+// Slab hands a decoding pass its new records out of chunked allocations.
+// The zero Slab is ready.
+type Slab[V any] struct{ free []V }
+
+// New returns a zero record; left is how many the pass may still need,
+// this one included.
+func (s *Slab[V]) New(left int) *V {
+	if len(s.free) == 0 {
+		s.free = make([]V, max(1, min(left, slabChunk)))
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
+}
+
 // Map walks a map of record pointers. An encoding pass writes the
 // records dirty selects (all of them on a full pass or when dirty is
 // nil); a decoding pass upserts: a key already present keeps its record
 // pointer — other structures may reference it — reset to the zero
-// value, a new key gets a record from a chunked slab, and with a
-// non-nil mk every record is replaced by mk(key) instead — the layer's
-// own constructor, where an empty record is not the zero value. Either
-// way elem then walks the record's fields. Decoding never leaves *m nil.
-func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func(K) *V, dirty func(K, *V) bool, elem func(k K, v *V)) {
+// value, or by reset where the record holds something no record of this
+// walk carries (a flow's stream index), and a new key gets a zero record
+// from a chunked slab. Either way elem then walks the record's fields.
+// Decoding never leaves *m nil.
+func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, reset func(*V), dirty func(K, *V) bool, elem func(k K, v *V)) {
 	if c.w != nil {
-		var scratch [smallMap]entry[K, *V]
+		var scratch [smallMap]Entry[K, *V]
 		sel := scratch[:0]
 		if (c.full || dirty == nil) && len(*m) > len(scratch) {
-			sel = make([]entry[K, *V], 0, len(*m))
+			sel = make([]Entry[K, *V], 0, len(*m))
 		}
 		for k, v := range *m {
 			if c.full || dirty == nil || dirty(k, v) {
-				sel = append(sel, entry[K, *V]{k, v})
+				sel = append(sel, Entry[K, *V]{k, v})
 			}
 		}
 		put(c, key, sel, elem)
@@ -671,7 +706,7 @@ func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func(K) *V,
 	// Ascending keys cannot repeat, so a map that starts out empty (a
 	// full record onto a fresh layer) never needs the lookup.
 	fresh := len(*m) == 0
-	var slab []V
+	var slab Slab[V]
 	get(c, key, func(n int) {
 		if fresh {
 			*m = make(map[K]*V, n)
@@ -682,18 +717,15 @@ func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func(K) *V,
 			v = (*m)[k]
 		}
 		switch {
-		case mk != nil:
-			v = mk(k)
-		case v != nil:
+		case v == nil:
+			v = slab.New(left)
+			(*m)[k] = v
+		case reset != nil:
+			reset(v)
+		default:
 			var zero V
 			*v = zero
-		default:
-			if len(slab) == 0 {
-				slab = make([]V, min(left, slabChunk))
-			}
-			v, slab = &slab[0], slab[1:]
 		}
-		(*m)[k] = v
 		elem(k, v)
 	})
 }
@@ -704,13 +736,13 @@ func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, mk func(K) *V,
 // the same reason Key.Code does; nil for a set.
 func MapVal[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, elem func(k K, v V) V) {
 	if c.w != nil {
-		var scratch [smallMap]entry[K, V]
+		var scratch [smallMap]Entry[K, V]
 		sel := scratch[:0]
 		if len(*m) > len(scratch) {
-			sel = make([]entry[K, V], 0, len(*m))
+			sel = make([]Entry[K, V], 0, len(*m))
 		}
 		for k, v := range *m {
-			sel = append(sel, entry[K, V]{k, v})
+			sel = append(sel, Entry[K, V]{k, v})
 		}
 		if elem == nil {
 			put(c, key, sel, nil)
@@ -740,16 +772,16 @@ func MapVal[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, elem func(k 
 // and recognize when decoding, where false deletes the key.
 func MapSet[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, set map[K]struct{}, elem func(k K, v V) (V, bool)) {
 	if c.w != nil {
-		var sel []entry[K, V]
+		var sel []Entry[K, V]
 		if c.full {
-			sel = make([]entry[K, V], 0, len(*m))
+			sel = make([]Entry[K, V], 0, len(*m))
 			for k, v := range *m {
-				sel = append(sel, entry[K, V]{k, v})
+				sel = append(sel, Entry[K, V]{k, v})
 			}
 		} else {
-			sel = make([]entry[K, V], 0, len(set))
+			sel = make([]Entry[K, V], 0, len(set))
 			for k := range set {
-				sel = append(sel, entry[K, V]{k, (*m)[k]})
+				sel = append(sel, Entry[K, V]{k, (*m)[k]})
 			}
 		}
 		put(c, key, sel, func(k K, v V) { elem(k, v) })

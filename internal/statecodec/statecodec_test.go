@@ -291,6 +291,33 @@ func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
 	}
 }
 
+// TestMapResetsHeldRecords: a decoding Map keeps the pointer of a record
+// it already holds and clears it — to the zero value, or through the
+// reset hook, which decides what outlives the record's fields.
+func TestMapResetsHeldRecords(t *testing.T) {
+	src := map[uint32]*item{1: {v: 10}, 2: {v: 20}}
+	var w Writer
+	walk := func(c *Codec, m *map[uint32]*item, reset func(*item)) {
+		Map(c, u32k, m, reset, nil, func(_ uint32, it *item) { c.I64(&it.v) })
+	}
+	walk(NewEncoder(&w, true), &src, nil)
+	for _, keep := range []bool{false, true} {
+		held := &item{v: -1, dirty: true}
+		dst := map[uint32]*item{1: held}
+		var reset func(*item)
+		if keep {
+			reset = func(it *item) { it.v = 0 }
+		}
+		r := NewReader(w.Bytes())
+		if walk(NewDecoder(r), &dst, reset); r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		if dst[1] != held || held.v != 10 || held.dirty != keep || dst[2] == nil || *dst[2] != (item{v: 20}) {
+			t.Errorf("reset hook %v: held %+v (same pointer %v), new %+v", keep, *held, dst[1] == held, dst[2])
+		}
+	}
+}
+
 // TestCodecRejectsUnorderedKeys hand-builds, for every keyed helper, a
 // record whose keys repeat or descend: each must fail with ErrCorrupt.
 func TestCodecRejectsUnorderedKeys(t *testing.T) {

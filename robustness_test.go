@@ -119,15 +119,18 @@ func TestQuickZoomParseMarshalStable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(out) != len(data) {
-			return false
-		}
-		for i := range out {
-			if out[i] != data[i] {
-				return false
+		// The parser strips RTP padding and rtp.AppendMarshal never emits
+		// it, so a padded packet (one corrupted byte away from the
+		// generator's: about one run in sixty draws one) re-marshals to
+		// the input without its pad bytes and with the P bit clear.
+		want := data
+		if zp.RTP.Padding {
+			want = append([]byte(nil), data[:len(data)-int(data[len(data)-1])]...)
+			if hdr := len(want) - zp.RTP.MarshaledLen(); hdr >= 0 {
+				want[hdr] &^= 0x20
 			}
 		}
-		return true
+		return bytes.Equal(out, want)
 	}
 	cfg := &quick.Config{
 		MaxCount: 2000,
