@@ -17,7 +17,7 @@ import (
 	"time"
 )
 
-// runStatus mirrors the JSON status object zoomqoe/zoomflows emit on
+// runStatus mirrors the JSON status object zoomqoe emits on
 // stderr.
 type runStatus struct {
 	Partial         bool   `json:"partial"`
@@ -124,12 +124,12 @@ func TestCLITruncatedCapturePartialReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(filepath.Join(bin, "zoomflows"), "-i", cut, "-what", "summary")
+	cmd := exec.Command(filepath.Join(bin, "zoomqoe"), "-i", cut, "-what", "summary")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("zoomflows failed on truncated capture: %v\nstderr:\n%s", err, stderr.String())
+		t.Fatalf("zoomqoe failed on truncated capture: %v\nstderr:\n%s", err, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "truncated=true") {
 		t.Errorf("summary does not flag truncation: %s", stdout.String())
@@ -143,7 +143,7 @@ func TestCLITruncatedCapturePartialReport(t *testing.T) {
 	}
 }
 
-// TestCLIBoundedStateFlags runs zoomflows with a one-flow cap and an
+// TestCLIBoundedStateFlags runs zoomqoe with a one-flow cap and an
 // aggressive TTL and requires the rejections to surface in the status.
 func TestCLIBoundedStateFlags(t *testing.T) {
 	bin := buildCLI(t)
@@ -151,14 +151,14 @@ func TestCLIBoundedStateFlags(t *testing.T) {
 	meeting := filepath.Join(work, "meeting.pcap")
 	simMeeting(t, bin, meeting)
 
-	cmd := exec.Command(filepath.Join(bin, "zoomflows"),
+	cmd := exec.Command(filepath.Join(bin, "zoomqoe"),
 		"-i", meeting, "-what", "summary", "-max-flows", "1", "-flow-ttl", "2s",
 		"-quarantine", filepath.Join(work, "quarantine.pcap"))
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("zoomflows with caps failed: %v\nstderr:\n%s", err, stderr.String())
+		t.Fatalf("zoomqoe with caps failed: %v\nstderr:\n%s", err, stderr.String())
 	}
 	st := parseStatus(t, stderr.String())
 	if st.RejectedPackets == 0 {

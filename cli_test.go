@@ -57,6 +57,11 @@ func runTool(t *testing.T, dir, name string, args ...string) string {
 	return string(out)
 }
 
+// dataLines returns a CSV report's lines after its header.
+func dataLines(csv string) []string {
+	return strings.Split(strings.TrimSpace(csv), "\n")[1:]
+}
+
 func TestCLIPipeline(t *testing.T) {
 	bin := buildCLI(t)
 	work := t.TempDir()
@@ -74,10 +79,10 @@ func TestCLIPipeline(t *testing.T) {
 	runTool(t, bin, "zoomsim", "-o", p2pPcap, "-mode", "meeting", "-duration", "25s", "-p2p", "-screen")
 	ngPcap := filepath.Join(work, "meeting.pcapng")
 	runTool(t, bin, "zoomsim", "-o", ngPcap, "-mode", "meeting", "-duration", "10s", "-format", "pcapng")
-	if out := runTool(t, bin, "zoomflows", "-i", ngPcap, "-what", "summary"); !strings.Contains(out, "streams=8") {
+	if out := runTool(t, bin, "zoomqoe", "-i", ngPcap, "-what", "summary"); !strings.Contains(out, "streams=8") {
 		t.Fatalf("pcapng summary: %s", out)
 	}
-	if out := runTool(t, bin, "zoomflows", "-i", p2pPcap, "-what", "flows"); !strings.Contains(out, "p2p") {
+	if out := runTool(t, bin, "zoomqoe", "-i", p2pPcap, "-what", "flows"); !strings.Contains(out, "p2p") {
 		t.Fatalf("p2p flows: %s", out)
 	}
 
@@ -109,38 +114,59 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// 3. Flows / meetings / reports / summary on the filtered capture.
-	if out = runTool(t, bin, "zoomflows", "-i", filtered, "-what", "summary"); !strings.Contains(out, "meetings=") {
+	if out = runTool(t, bin, "zoomqoe", "-i", filtered, "-what", "summary"); !strings.Contains(out, "meetings=") {
 		t.Fatalf("summary: %s", out)
 	}
-	if out = runTool(t, bin, "zoomflows", "-i", meeting, "-what", "meetings"); strings.Count(out, "\n") < 2 {
+	if out = runTool(t, bin, "zoomqoe", "-i", meeting, "-what", "meetings"); strings.Count(out, "\n") < 2 {
 		t.Fatalf("meetings csv: %s", out)
 	}
-	if out = runTool(t, bin, "zoomflows", "-i", meeting, "-what", "reports"); !strings.Contains(out, "video_fps") {
+	if out = runTool(t, bin, "zoomqoe", "-i", meeting, "-what", "reports"); !strings.Contains(out, "video_fps") {
 		t.Fatalf("reports csv: %s", out)
 	}
 
 	// 3b. -flow-ttl moves idle streams between containers, never out of a
 	// report: the per-stream and per-participant reports list the rows the
 	// run that never evicts lists.
-	rowKeys := func(tool, what, ttl string, cols int) (map[string]bool, runStatus) {
-		stdout, stderr := stdoutOf(t, bin, tool, "-i", filtered, "-what", what, "-flow-ttl", ttl)
+	rowKeys := func(what, ttl string, cols int) (map[string]bool, runStatus) {
+		stdout, stderr := stdoutOf(t, bin, "zoomqoe", "-i", filtered, "-what", what, "-flow-ttl", ttl)
 		keys := map[string]bool{}
-		for _, line := range strings.Split(strings.TrimSpace(stdout), "\n")[1:] {
+		for _, line := range dataLines(stdout) {
 			keys[strings.Join(strings.SplitN(line, ",", cols+1)[:cols], ",")] = true
 		}
 		return keys, parseStatus(t, stderr)
 	}
 	for _, row := range []struct {
-		tool, what string
-		cols       int // leading CSV columns that identify a row
-	}{{"zoomqoe", "loss", 4}, {"zoomflows", "streams", 4}, {"zoomflows", "reports", 3}} {
-		want, _ := rowKeys(row.tool, row.what, "0", row.cols)
-		got, st := rowKeys(row.tool, row.what, "5s", row.cols)
+		what string
+		cols int // leading CSV columns that identify a row
+	}{{"loss", 4}, {"streams", 4}, {"reports", 3}} {
+		want, _ := rowKeys(row.what, "0", row.cols)
+		got, st := rowKeys(row.what, "5s", row.cols)
 		if st.EvictedStreams == 0 {
-			t.Fatalf("%s -what %s -flow-ttl 5s evicted nothing: the row tests nothing", row.tool, row.what)
+			t.Fatalf("zoomqoe -what %s -flow-ttl 5s evicted nothing: the row tests nothing", row.what)
 		}
 		if len(want) == 0 || !maps.Equal(got, want) {
-			t.Errorf("%s -what %s: %d rows under -flow-ttl 5s (%d streams evicted), %d without", row.tool, row.what, len(got), st.EvictedStreams, len(want))
+			t.Errorf("zoomqoe -what %s: %d rows under -flow-ttl 5s (%d streams evicted), %d without", row.what, len(got), st.EvictedStreams, len(want))
+		}
+	}
+
+	// 3c. -ssrc restricts every per-stream output to that SSRC's rows:
+	// fewer data lines than without it, never none, and no other SSRC's.
+	for _, what := range []string{"series", "loss", "talk", "clock", "streams"} {
+		stdout, _ := stdoutOf(t, bin, "zoomqoe", "-i", meeting, "-what", what)
+		all := dataLines(stdout)
+		if len(all) == 0 {
+			t.Fatalf("zoomqoe -what %s printed no data lines", what)
+		}
+		ssrc, _, _ := strings.Cut(all[0], ",")
+		stdout, _ = stdoutOf(t, bin, "zoomqoe", "-i", meeting, "-what", what, "-ssrc", ssrc)
+		one := dataLines(stdout)
+		if len(one) == 0 || len(one) >= len(all) {
+			t.Errorf("zoomqoe -what %s: %d data lines with -ssrc %s, %d without", what, len(one), ssrc, len(all))
+		}
+		for _, line := range one {
+			if !strings.HasPrefix(line, ssrc+",") {
+				t.Errorf("zoomqoe -what %s -ssrc %s printed another stream's row: %s", what, ssrc, line)
+			}
 		}
 	}
 

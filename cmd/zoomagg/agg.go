@@ -1,12 +1,13 @@
-// Package agg is the cluster aggregator tier: it merges per-worker
-// engine states and observation logs into one sequential-equivalent
-// analyzer (byte-identical to a single-engine run over the same
-// capture), and merges the operational outputs — status JSON lines,
-// Prometheus text expositions, rotated window reports — into one
-// meeting-level view. It sits above internal/cluster because restoring
-// worker state rides the engine driver's chain-aware checkpoint
-// restore (internal/engine), which the cluster package must not import.
-package agg
+// The aggregator proper: worker engine states and observation logs
+// merged into one sequential-equivalent analyzer (byte-identical to a
+// single-engine run over the same capture), and the operational outputs
+// — status JSON lines, Prometheus text expositions, rotated window
+// reports — merged into one meeting-level view. It lives beside main
+// rather than in internal/cluster because restoring worker state rides
+// the engine driver's chain-aware checkpoint restore (internal/engine),
+// which the cluster package must not import.
+
+package main
 
 import (
 	"cmp"
@@ -22,38 +23,38 @@ import (
 	"zoomlens/internal/engine"
 )
 
-// LoadPart restores one worker's engine state (a checkpoint chain base
+// loadPart restores one worker's engine state (a checkpoint chain base
 // or one checkpoint file, exactly as -restore accepts). Cluster workers
 // run sequentially, so a parallel-engine checkpoint is rejected — its
 // shard-partitioned state belongs to an in-process pipeline, not a
 // cluster part.
-func LoadPart(path string, cfg core.Config) (*core.Analyzer, error) {
+func loadPart(path string, cfg core.Config) (*core.Analyzer, error) {
 	eng, _, err := engine.RestoreEngine(path, cfg, nil)
 	if err != nil {
-		return nil, fmt.Errorf("agg: part %s: %w", path, err)
+		return nil, fmt.Errorf("part %s: %w", path, err)
 	}
 	a, ok := eng.(*core.Analyzer)
 	if !ok {
 		core.Discard(eng)
-		return nil, fmt.Errorf("agg: part %s holds a parallel engine state; cluster workers run with -workers 1", path)
+		return nil, fmt.Errorf("part %s holds a parallel engine state; cluster workers run with -workers 1", path)
 	}
 	return a, nil
 }
 
-// Aggregate merges a cluster run: the manifest's head counters, each
+// aggregate merges a cluster run: the manifest's head counters, each
 // worker's pre-Finish engine state, and the k-way merged observation
 // logs. The returned analyzer has not been finished — Checkpoint it to
 // keep the merged state portable, or Finish it to read the report.
 // obsPaths may exceed statePaths when a migrated worker left logs from
 // more than one life; order does not matter (the merge is by sequence
 // number).
-func Aggregate(cfg core.Config, man cluster.Manifest, statePaths, obsPaths []string) (*core.Analyzer, error) {
+func aggregate(cfg core.Config, man cluster.Manifest, statePaths, obsPaths []string) (*core.Analyzer, error) {
 	// Workers ran pre-filtered (the splitter already classified), but
 	// the merged analyzer stands in for a single engine over the raw
 	// capture; it must not inherit the workers' PreFiltered view.
 	parts := make([]*core.Analyzer, 0, len(statePaths))
 	for _, p := range statePaths {
-		a, err := LoadPart(p, cfg)
+		a, err := loadPart(p, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -63,32 +64,32 @@ func Aggregate(cfg core.Config, man cluster.Manifest, statePaths, obsPaths []str
 	for _, p := range obsPaths {
 		data, err := os.ReadFile(p)
 		if err != nil {
-			return nil, fmt.Errorf("agg: obs log: %w", err)
+			return nil, fmt.Errorf("obs log: %w", err)
 		}
 		or, err := cluster.NewObsReader(data)
 		if err != nil {
-			return nil, fmt.Errorf("agg: obs log %s: %w", p, err)
+			return nil, fmt.Errorf("obs log %s: %w", p, err)
 		}
 		readers = append(readers, or)
 	}
 	next, errf := cluster.MergeObs(readers)
 	merged := core.MergeCluster(cfg, parts, man.ClusterHead, next)
 	if err := errf(); err != nil {
-		return nil, fmt.Errorf("agg: observation replay: %w", err)
+		return nil, fmt.Errorf("observation replay: %w", err)
 	}
 	return merged, nil
 }
 
-// MergeStatus merges per-worker status JSON lines into one object:
+// mergeStatus merges per-worker status JSON lines into one object:
 // numeric fields sum, booleans OR, strings keep the first non-empty
 // value. It is an operational roll-up (counts of what the fleet did),
 // not part of the byte-identical report path.
-func MergeStatus(lines [][]byte) ([]byte, error) {
+func mergeStatus(lines [][]byte) ([]byte, error) {
 	var merged map[string]any
 	for i, ln := range lines {
 		var m map[string]any
 		if err := json.Unmarshal(ln, &m); err != nil {
-			return nil, fmt.Errorf("agg: status line %d: %w", i, err)
+			return nil, fmt.Errorf("status line %d: %w", i, err)
 		}
 		if merged == nil {
 			merged = m
@@ -97,7 +98,7 @@ func MergeStatus(lines [][]byte) ([]byte, error) {
 		statusRules.merge("", merged, m)
 	}
 	if merged == nil {
-		return nil, fmt.Errorf("agg: no status lines")
+		return nil, fmt.Errorf("no status lines")
 	}
 	return json.Marshal(merged)
 }
@@ -170,12 +171,12 @@ func (r mergeRules) merge(key string, a, b any) any {
 	return a
 }
 
-// MergeProm merges Prometheus text expositions: samples with the same
+// mergeProm merges Prometheus text expositions: samples with the same
 // series (name plus label set) sum; HELP/TYPE headers and series order
 // follow the first exposition they appear in. Counters sum exactly;
 // gauges sum too, which is the meaningful cluster roll-up for the
 // occupancy and backlog gauges the engine exports.
-func MergeProm(dumps []string) string {
+func mergeProm(dumps []string) string {
 	type series struct {
 		key   string
 		value float64
@@ -226,13 +227,13 @@ func MergeProm(dumps []string) string {
 	return b.String()
 }
 
-// MergeWindowFiles merges per-worker rotated window reports: for every
+// mergeWindowFiles merges per-worker rotated window reports: for every
 // window index present under any prefix, the workers' files merge into
 // <outPrefix>-NNNN.json (numeric summary fields sum, Duration and End
 // take the max, Start the min). Worker windows rotate on each worker's
 // own trace clock, so this is an approximate operational view — the
 // byte-identical path is the state + observation-log merge.
-func MergeWindowFiles(prefixes []string, outPrefix string) (int, error) {
+func mergeWindowFiles(prefixes []string, outPrefix string) (int, error) {
 	byIndex := map[int][]map[string]any{}
 	for _, p := range prefixes {
 		for idx := 0; ; idx++ {
@@ -242,7 +243,7 @@ func MergeWindowFiles(prefixes []string, outPrefix string) (int, error) {
 			}
 			var m map[string]any
 			if err := json.Unmarshal(data, &m); err != nil {
-				return 0, fmt.Errorf("agg: window %s-%04d.json: %w", p, idx, err)
+				return 0, fmt.Errorf("window %s-%04d.json: %w", p, idx, err)
 			}
 			byIndex[idx] = append(byIndex[idx], m)
 		}

@@ -1,4 +1,4 @@
-package agg
+package main
 
 import (
 	"encoding/json"
@@ -12,7 +12,7 @@ import (
 func TestMergeStatus(t *testing.T) {
 	a := []byte(`{"partial":false,"reason":"","packets":10,"rotations":1,"truncated":false}`)
 	b := []byte(`{"partial":true,"reason":"interrupted","packets":32,"rotations":2,"truncated":false}`)
-	out, err := MergeStatus([][]byte{a, b})
+	out, err := mergeStatus([][]byte{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,15 @@ func TestMergeStatus(t *testing.T) {
 	if m["reason"] != "interrupted" {
 		t.Errorf("reason = %v, want first non-empty string", m["reason"])
 	}
-	if _, err := MergeStatus(nil); err == nil {
-		t.Error("MergeStatus(nil) did not fail")
+	if _, err := mergeStatus(nil); err == nil {
+		t.Error("mergeStatus(nil) did not fail")
 	}
 }
 
 func TestMergeProm(t *testing.T) {
 	d1 := "# HELP x packets\n# TYPE x counter\nx 3\ny{shard=\"0\"} 1\n"
 	d2 := "# HELP x packets\n# TYPE x counter\nx 4\ny{shard=\"1\"} 5\n"
-	out := MergeProm([]string{d1, d2})
+	out := mergeProm([]string{d1, d2})
 	for _, want := range []string{
 		"# HELP x packets\n",
 		"x 7\n",
@@ -73,7 +73,7 @@ func TestMergeWindowFiles(t *testing.T) {
 	write("b", 0, `{"window":0,"start":"2022-01-01T00:00:10Z","end":"2022-01-01T00:01:30Z","summary":{"Packets":7}}`)
 	write("a", 1, `{"window":1,"start":"2022-01-01T00:01:00Z","end":"2022-01-01T00:02:00Z","summary":{"Packets":2}}`)
 
-	n, err := MergeWindowFiles([]string{filepath.Join(dir, "a"), filepath.Join(dir, "b")}, filepath.Join(dir, "out"))
+	n, err := mergeWindowFiles([]string{filepath.Join(dir, "a"), filepath.Join(dir, "b")}, filepath.Join(dir, "out"))
 	if err != nil {
 		t.Fatal(err)
 	}

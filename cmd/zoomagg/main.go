@@ -33,7 +33,6 @@ import (
 
 	"zoomlens"
 	"zoomlens/internal/cluster"
-	"zoomlens/internal/cluster/agg"
 	"zoomlens/internal/core"
 	"zoomlens/internal/engine"
 	"zoomlens/internal/features"
@@ -89,7 +88,7 @@ func main() {
 			}
 			cfg.FeatureWindow = fw
 		}
-		merged, err := agg.Aggregate(cfg, man, states, obsPaths)
+		merged, err := aggregate(cfg, man, states, obsPaths)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -142,7 +141,7 @@ func main() {
 			}
 			lines = append(lines, data)
 		}
-		out, err := agg.MergeStatus(lines)
+		out, err := mergeStatus(lines)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -159,11 +158,11 @@ func main() {
 			}
 			dumps = append(dumps, string(data))
 		}
-		fmt.Print(agg.MergeProm(dumps))
+		fmt.Print(mergeProm(dumps))
 	}
 	if *windows != "" {
 		did = true
-		n, err := agg.MergeWindowFiles(splitList(*windows), *windowsOut)
+		n, err := mergeWindowFiles(splitList(*windows), *windowsOut)
 		if err != nil {
 			log.Fatal(err)
 		}

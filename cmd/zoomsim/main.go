@@ -1,8 +1,7 @@
 // Command zoomsim synthesizes Zoom traffic into a pcap file: either a
 // controlled two-party experiment (like the paper's §5 validation runs)
 // or a campus-scale day (§6). The output is byte-exact Zoom wire format
-// and can be fed to zoomcap, zoomflows, zoomqoe, zoomdissect, or any
-// pcap tool.
+// and can be fed to zoomcap, zoomqoe, zoomdissect, or any pcap tool.
 //
 // Usage:
 //

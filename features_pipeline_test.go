@@ -6,9 +6,9 @@ package zoomlens
 // at any worker count, or a split → worker fleet → aggregator cluster
 // run), no matter the capture container (classic pcap or pcapng), no
 // matter the drain cadence, and across a mid-trace checkpoint/restore.
-// The batch mode (BatchRows over a recorded observation sequence) is
-// the same pipeline replayed, so it too must reproduce the streaming
-// rows exactly.
+// A recorded observation sequence replayed through a windower of its
+// own is the same pipeline, so it too must reproduce the streaming rows
+// exactly.
 
 import (
 	"bytes"
@@ -160,8 +160,8 @@ func TestFeaturesPipelineDifferential(t *testing.T) {
 
 // TestFeaturesStreamingVsBatch replays the engine's own observation
 // stream (recorded through the cluster sink — the same header-free view
-// the windower consumes) through BatchRows and requires the batch rows
-// to reproduce the streaming rows exactly.
+// the windower consumes) through a fresh windower in one batch and
+// requires the batch rows to reproduce the streaming rows exactly.
 func TestFeaturesStreamingVsBatch(t *testing.T) {
 	raw, _ := ingestTrace(t)
 	cfg := featureCfg(t)
@@ -174,10 +174,11 @@ func TestFeaturesStreamingVsBatch(t *testing.T) {
 	ref.Finish()
 	want := featureCSV(t, ref.DrainFeatures())
 
-	var obsSeq []features.Obs
+	batch, observed := features.NewWindower(cfg.FeatureWindow), 0
 	tap := NewAnalyzer(cfg)
 	if err := tap.SetClusterSink(func(o core.ClusterObs) {
-		obsSeq = append(obsSeq, features.Obs{
+		observed++
+		batch.Observe(features.Obs{
 			At: o.At, Flow: o.Flow, Key: o.Key,
 			WireLen: o.WireLen, PayloadLen: o.PayloadLen,
 			PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
@@ -189,11 +190,12 @@ func TestFeaturesStreamingVsBatch(t *testing.T) {
 		tap.Packet(rec.Timestamp, rec.Data)
 	}
 	tap.Finish()
-	if len(obsSeq) == 0 {
+	if observed == 0 {
 		t.Fatal("observation tap saw nothing")
 	}
+	batch.FinishFlush()
 
-	got := featureCSV(t, features.BatchRows(obsSeq, cfg.FeatureWindow))
+	got := featureCSV(t, batch.Drain())
 	if got != want {
 		t.Errorf("batch rows diverge from streaming (lens %d vs %d)\nfirst diff: %s",
 			len(got), len(want), firstDiffLine(want, got))

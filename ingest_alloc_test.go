@@ -10,6 +10,7 @@ package zoomlens
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"zoomlens/internal/pcap"
@@ -78,7 +79,11 @@ func TestIngestReadAllocsZero(t *testing.T) {
 // AllocsPerRun runs a GC between passes, so sync.Pool reuse is not
 // flattered here); a regression that reintroduces a per-packet frame
 // copy, a per-frame record, a per-batch buffer or a heap-allocated
-// observation per media packet blows them.
+// observation per media packet blows them. The last row is memory
+// parity over 20 passes with the batch pool warm: the sharded engine may
+// allocate at most 1.25x the sequential engine's bytes per packet (131
+// and 143 here; a shard batch pool dropping and regrowing oversized
+// buffers once sat at ~1.6x).
 func TestIngestAnalyzeAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement over the full trace is slow")
@@ -108,4 +113,31 @@ func TestIngestAnalyzeAllocsBounded(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("bytes", func(t *testing.T) {
+		// One P, as AllocsPerRun measures: sync.Pool caches per P, so this
+		// is what makes the pool's hit rate, and the reading, repeatable.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		bytesPerPacket := func(workers int) float64 {
+			const passes = 20
+			pass := func() {
+				if err := ingestAnalyzePass(raw, cfg, workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // fills the batch pool
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < passes; i++ {
+				pass()
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*n)
+		}
+		seq, w4 := bytesPerPacket(1), bytesPerPacket(4)
+		t.Logf("analyze/seq %.0f B/pkt, analyze/workers4 %.0f B/pkt (%.2fx)", seq, w4, w4/seq)
+		if w4 > 1.25*seq {
+			t.Errorf("analyze/workers4 at %.0f B/pkt vs seq %.0f B/pkt — batch pool retaining oversized buffers", w4, seq)
+		}
+	})
 }

@@ -3,7 +3,7 @@
 // processes as pcapng streams, the observation-log format workers use
 // to export their cross-flow media observations, and the split manifest
 // that carries the splitter's head counters to the aggregator. The
-// aggregator itself lives in cluster/agg (it needs the engine driver's
+// aggregator itself lives in cmd/zoomagg (it needs the engine driver's
 // checkpoint-restore machinery; this package stays importable by the
 // driver).
 package cluster

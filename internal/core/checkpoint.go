@@ -333,18 +333,10 @@ func (sh *shard) code(c *statecodec.Codec) {
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) bool { return sm.Dirty() },
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })
 
-	statecodec.Tombstones(c, statecodec.AddrPortKey, sh.deadTCP, func(client netip.AddrPort) {
-		delete(sh.TCP, client)
-		delete(sh.tcpSeen, client)
-	})
+	statecodec.Tombstones(c, statecodec.AddrPortKey, sh.deadTCP, func(client netip.AddrPort) { delete(sh.TCP, client) })
 	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil,
-		func(client netip.AddrPort, _ *tcprtt.Tracker) bool { _, ok := sh.dirtyTCP[client]; return ok },
-		func(client netip.AddrPort, tr *tcprtt.Tracker) {
-			tr.Code(c)
-			seen := sh.tcpSeen[client]
-			c.Time(&seen)
-			sh.tcpSeen[client] = seen
-		})
+		func(_ netip.AddrPort, tr *tcprtt.Tracker) bool { return tr.Dirty() },
+		func(_ netip.AddrPort, tr *tcprtt.Tracker) { tr.Code(c) })
 
 	// The archive only ever drops from the head (MaxFinished) and
 	// appends at the tail, so the record carries the baseline length,

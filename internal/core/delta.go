@@ -98,7 +98,9 @@ func (p *pipeline) markCheckpointed() {
 		for _, sm := range sh.StreamMetrics {
 			sm.ClearDirty()
 		}
-		clear(sh.dirtyTCP)
+		for _, tr := range sh.TCP {
+			tr.ClearDirty()
+		}
 		sh.deadStreams = sh.deadStreams[:0]
 		sh.deadTCP = sh.deadTCP[:0]
 		sh.deltaOverflow = false
@@ -122,11 +124,7 @@ func (sh *shard) tombstoneStreamMetric(id flow.MediaStreamID) {
 }
 
 func (sh *shard) tombstoneTCP(client netip.AddrPort) {
-	if !sh.deltaArmed {
-		return
-	}
-	delete(sh.dirtyTCP, client)
-	if sh.deltaOverflow {
+	if !sh.deltaArmed || sh.deltaOverflow {
 		return
 	}
 	if len(sh.deadTCP) >= maxCoreTombstones {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
@@ -410,5 +411,119 @@ func TestCheckpointDeterministicUnderEviction(t *testing.T) {
 		if got, _ := run(); !bytes.Equal(got, want) {
 			t.Fatalf("run %d: checkpoint differs from the first run's over the same capture (%d vs %d bytes)", i+2, len(got), len(want))
 		}
+	}
+}
+
+// TestTCPTrackerIdleEviction follows one control connection's RTT
+// tracker through its whole life under FlowTTL: observed, captured by a
+// full checkpoint, idled past the TTL while another connection keeps the
+// maintenance clock running, evicted (EvictedTCP) at the packet at which
+// an engine restored from that checkpoint evicts it too, carried to a
+// replica as a delta tombstone, and recreated when the client speaks
+// again.
+func TestTCPTrackerIdleEviction(t *testing.T) {
+	server := netip.MustParseAddrPort("203.0.113.7:443")
+	idle := netip.MustParseAddrPort("10.0.0.5:50000")
+	busy := netip.MustParseAddrPort("10.0.0.6:50001")
+	cfg := Config{ZoomNetworks: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")}, FlowTTL: time.Second}
+	start := time.Date(2022, 3, 1, 12, 0, 0, 0, time.UTC)
+
+	// exchange is one data segment from client and the server's ACK
+	// 2 ms later: two packets, one RTT sample.
+	exchange := func(eng Engine, client netip.AddrPort, at time.Time, round int) {
+		seq := uint32(1000 + 100*round)
+		eng.Packet(at, layers.EthernetIPv4TCP(client, server, 64, seq, 1, layers.TCPAck|layers.TCPPsh, 65535, make([]byte, 100)))
+		eng.Packet(at.Add(2*time.Millisecond), layers.EthernetIPv4TCP(server, client, 64, 1, seq+100, layers.TCPAck, 65535, nil))
+	}
+	restore := func(ck []byte) *Analyzer {
+		eng, err := RestoreAnalyzer(bytes.NewReader(ck), cfg)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		return eng.(*Analyzer)
+	}
+
+	live := NewAnalyzer(cfg)
+	for round := 0; round < 5; round++ {
+		exchange(live, idle, start.Add(time.Duration(round)*10*time.Millisecond), round)
+	}
+	if tr := live.TCP[idle]; tr == nil || len(tr.Samples) != 5 {
+		t.Fatalf("idle connection's tracker before the checkpoint: %+v", tr)
+	}
+	full := checkpointBytes(t, live)
+	resumed := restore(full)
+
+	// The busy connection carries the clock 4 s forward, far past the
+	// TTL, across the shard's first maintenance tick; both engines must
+	// drop the idle tracker on the same packet.
+	evictedAt := func(a *Analyzer) int {
+		at, packets := -1, int(a.Summary().Packets)
+		for round := 0; round < maintainEvery/2; round++ {
+			exchange(a, busy, start.Add(time.Second+time.Duration(round)*time.Millisecond), round)
+			packets += 2
+			if at < 0 && a.EvictedTCP > 0 {
+				at = packets
+			}
+		}
+		return at
+	}
+	liveAt, resumedAt := evictedAt(live), evictedAt(resumed)
+	if liveAt != maintainEvery || resumedAt != liveAt {
+		t.Fatalf("idle tracker evicted at packet %d live, %d restored; want both at the maintenance tick, packet %d", liveAt, resumedAt, maintainEvery)
+	}
+	for name, a := range map[string]*Analyzer{"live": live, "restored": resumed} {
+		if a.EvictedTCP != 1 || a.TCP[idle] != nil || a.TCP[busy] == nil {
+			t.Errorf("%s engine after the tick: EvictedTCP %d, idle tracker %v, busy tracker %v; want 1, gone, kept",
+				name, a.EvictedTCP, a.TCP[idle] != nil, a.TCP[busy] != nil)
+		}
+	}
+
+	// The delta cut after the eviction deletes the tracker from a replica
+	// that still holds it, and adds the busy one; the restored engine cuts
+	// the same record.
+	cutDelta := func(a *Analyzer) []byte {
+		var delta bytes.Buffer
+		if err := a.CheckpointDelta(&delta); err != nil {
+			t.Fatalf("delta: %v", err)
+		}
+		return delta.Bytes()
+	}
+	replay := func(delta []byte) *Analyzer {
+		replica := restore(full)
+		if replica.TCP[idle] == nil {
+			t.Fatal("replica restored without the idle tracker; the tombstone has nothing to delete")
+		}
+		if err := replica.ApplyDelta(bytes.NewReader(delta)); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		return replica
+	}
+	delta := cutDelta(live)
+	if !bytes.Equal(delta, cutDelta(resumed)) {
+		t.Error("restored engine's delta differs from the live engine's after the same packets")
+	}
+	replica := replay(delta)
+	if replica.TCP[idle] != nil || replica.TCP[busy] == nil || replica.EvictedTCP != 1 {
+		t.Errorf("replica after the delta: idle tracker %v, busy tracker %v, EvictedTCP %d; want gone, present, 1",
+			replica.TCP[idle] != nil, replica.TCP[busy] != nil, replica.EvictedTCP)
+	}
+	if !bytes.Equal(checkpointBytes(t, replica), checkpointBytes(t, live)) {
+		t.Error("delta-replayed state encodes differently from the engine the delta was cut from")
+	}
+
+	// Evicted and back within one checkpoint interval: the delta carries
+	// the tombstone and the new tracker, which starts from nothing.
+	back := restore(full)
+	evictedAt(back)
+	exchange(back, idle, start.Add(6*time.Second), 0)
+	if tr := back.TCP[idle]; tr == nil || len(tr.Samples) != 1 {
+		t.Fatalf("returning connection's tracker: %+v, want a fresh one with 1 sample", tr)
+	}
+	replica = replay(cutDelta(back))
+	if tr := replica.TCP[idle]; tr == nil || len(tr.Samples) != 1 {
+		t.Errorf("replica's tracker for the returning connection: %+v, want 1 sample", tr)
+	}
+	if !bytes.Equal(checkpointBytes(t, replica), checkpointBytes(t, back)) {
+		t.Error("delta-replayed state encodes differently from the live engine after the connection returned")
 	}
 }

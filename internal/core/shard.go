@@ -135,10 +135,9 @@ type shardState struct {
 	// analyzed independently, as the paper does).
 	StreamMetrics map[flow.MediaStreamID]*metrics.StreamMetrics
 	// TCP holds one RTT tracker per Zoom control connection, keyed by
-	// the client-side endpoint; tcpSeen tracks their activity for idle
-	// eviction.
-	TCP     map[netip.AddrPort]*tcprtt.Tracker
-	tcpSeen map[netip.AddrPort]time.Time
+	// the client-side endpoint. A tracker keeps its own last-seen time
+	// (idle eviction) and dirty bit (delta checkpoints).
+	TCP map[netip.AddrPort]*tcprtt.Tracker
 	// Finished holds archived streams from Compact.
 	Finished []FinishedStream
 
@@ -149,15 +148,13 @@ type shardState struct {
 	ticks uint64
 
 	// Delta-checkpoint tracking (see delta.go). deltaArmed turns on
-	// tombstone/dirty-set recording; it is set by the first checkpoint
-	// encode, so runs that never checkpoint pay nothing beyond the
-	// per-record dirty bools. The archive is append-plus-head-drop only,
-	// so a delta carries the baseline length (ckFinishedLen), how many
-	// baseline entries were since dropped (ckHeadDrops), and the
-	// appended tail.
+	// tombstone recording; it is set by the first checkpoint encode, so
+	// runs that never checkpoint pay nothing beyond the per-record dirty
+	// bools. The archive is append-plus-head-drop only, so a delta carries
+	// the baseline length (ckFinishedLen), how many baseline entries were
+	// since dropped (ckHeadDrops), and the appended tail.
 	deltaArmed    bool
 	deltaOverflow bool
-	dirtyTCP      map[netip.AddrPort]struct{}
 	deadTCP       []netip.AddrPort
 	deadStreams   []flow.MediaStreamID
 	ckFinishedLen int
@@ -169,8 +166,6 @@ func newShardState(lim Config) shardState {
 		Flows:         flow.NewTable(),
 		StreamMetrics: make(map[flow.MediaStreamID]*metrics.StreamMetrics),
 		TCP:           make(map[netip.AddrPort]*tcprtt.Tracker),
-		tcpSeen:       make(map[netip.AddrPort]time.Time),
-		dirtyTCP:      make(map[netip.AddrPort]struct{}),
 	}
 	limits := flow.Limits{MaxFlows: lim.MaxFlows, MaxStreams: lim.MaxStreams}
 	if lim.MaxStreams > 0 {
@@ -250,10 +245,6 @@ func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
 		}
 		tr = tcprtt.NewTracker()
 		sh.TCP[client] = tr
-	}
-	sh.tcpSeen[client] = at
-	if sh.deltaArmed {
-		sh.dirtyTCP[client] = struct{}{}
 	}
 	tr.Observe(at, fromClient, &pkt.TCP, len(pkt.Payload))
 }
@@ -462,12 +453,11 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	sh.Compact(cutoff)
 	sh.Flows.EvictIdle(cutoff)
-	for client, seen := range sh.tcpSeen {
-		if seen.After(cutoff) {
+	for client, tr := range sh.TCP {
+		if tr.LastSeen().After(cutoff) {
 			continue
 		}
 		delete(sh.TCP, client)
-		delete(sh.tcpSeen, client)
 		sh.tombstoneTCP(client)
 		sh.EvictedTCP++
 	}
@@ -491,9 +481,6 @@ func mergeShards(cfg Config, parts []*shard) *shard {
 		}
 		for client, tr := range p.TCP {
 			m.TCP[client] = tr
-		}
-		for client, seen := range p.tcpSeen {
-			m.tcpSeen[client] = seen
 		}
 		m.Finished = append(m.Finished, p.Finished...)
 	}

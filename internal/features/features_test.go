@@ -28,6 +28,17 @@ func testFlow(srcPort uint16) layers.FiveTuple {
 	}
 }
 
+// batchRows replays a recorded observation sequence through a fresh
+// windower and returns every row.
+func batchRows(obs []Obs, window time.Duration) []Row {
+	w := NewWindower(window)
+	for _, o := range obs {
+		w.Observe(o)
+	}
+	w.FinishFlush()
+	return w.Drain()
+}
+
 // steadyObs builds a steady 30 pps video stream over the given span.
 func steadyObs(span time.Duration, ft layers.FiveTuple, ssrc uint32) []Obs {
 	var obs []Obs
@@ -54,7 +65,7 @@ func steadyObs(span time.Duration, ft layers.FiveTuple, ssrc uint32) []Obs {
 
 func TestWindowerSteadyStream(t *testing.T) {
 	obs := steadyObs(5*time.Second, testFlow(50000), 42)
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	if len(rows) < 5 || len(rows) > 6 {
 		t.Fatalf("rows = %d for a 5 s stream at 1 s windows", len(rows))
 	}
@@ -117,7 +128,7 @@ func TestWindowerOracleColumns(t *testing.T) {
 			mangled = append(mangled, o) // duplicate
 		}
 	}
-	rows := BatchRows(mangled, time.Second)
+	rows := batchRows(mangled, time.Second)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -142,7 +153,7 @@ func TestWindowerBursts(t *testing.T) {
 		}
 		at = at.Add(100 * time.Millisecond)
 	}
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -167,7 +178,7 @@ func TestWindowerEntropy(t *testing.T) {
 		obs = append(obs, Obs{At: at, Flow: ft, Key: zoom.StreamKey{SSRC: 2, Type: zoom.TypeAudio}, WireLen: size, RTPSeq: uint16(i)})
 		at = at.Add(20 * time.Millisecond)
 	}
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -192,7 +203,7 @@ func TestWindowerEmissionOrder(t *testing.T) {
 			j++
 		}
 	}
-	rows := BatchRows(merged, time.Second)
+	rows := batchRows(merged, time.Second)
 	for i := 1; i < len(rows); i++ {
 		p, c := rows[i-1], rows[i]
 		if p.Start.After(c.Start) {
@@ -209,7 +220,7 @@ func TestWindowerEmissionOrder(t *testing.T) {
 // same sequence as one final drain.
 func TestWindowerDrainTiming(t *testing.T) {
 	obs := steadyObs(4*time.Second, testFlow(50004), 11)
-	want := BatchRows(obs, time.Second)
+	want := batchRows(obs, time.Second)
 
 	w := NewWindower(time.Second)
 	var got []Row
@@ -244,7 +255,7 @@ func TestWindowerStateRoundTrip(t *testing.T) {
 	cut := len(obs) * 2 / 3
 
 	// Uninterrupted run.
-	want := BatchRows(obs, time.Second)
+	want := batchRows(obs, time.Second)
 
 	// Run to the cut, checkpoint mid-window with rows pending, restore,
 	// run the rest.
@@ -305,7 +316,7 @@ func TestRestoreWindowerRejectsTruncated(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	obs := steadyObs(3*time.Second, testFlow(50007), 21)
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, rows); err != nil {
 		t.Fatal(err)
@@ -376,7 +387,7 @@ func TestLabelFromQoS(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	obs := steadyObs(5*time.Second, testFlow(50008), 23)
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	var entries []qos.Entry
 	for i := 0; i < 5; i++ {
 		entries = append(entries, qos.Entry{
@@ -408,7 +419,7 @@ func TestJoin(t *testing.T) {
 // the closing window.
 func TestJoinWindowEdge(t *testing.T) {
 	obs := steadyObs(2*time.Second, testFlow(50009), 29)
-	rows := BatchRows(obs, time.Second)
+	rows := batchRows(obs, time.Second)
 	if len(rows) < 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

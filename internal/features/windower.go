@@ -349,16 +349,3 @@ func (w *Windower) Drain() []Row {
 	w.pending = nil
 	return rows
 }
-
-// BatchRows replays a recorded observation sequence through a fresh
-// windower and returns every row: the batch mode of the same streaming
-// pipeline, used by offline dataset builds and the streaming-vs-batch
-// differential tests.
-func BatchRows(obs []Obs, window time.Duration) []Row {
-	w := NewWindower(window)
-	for _, o := range obs {
-		w.Observe(o)
-	}
-	w.FinishFlush()
-	return w.Drain()
-}

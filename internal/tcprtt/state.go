@@ -10,7 +10,8 @@ var seqKey = statecodec.UintKey[uint32]()
 
 // Code walks the tracker's state through c: samples already taken plus
 // both directions' outstanding-segment tables (an ACK arriving after
-// restore must still match data sent before the checkpoint).
+// restore must still match data sent before the checkpoint), then the
+// last-seen time idle eviction reads.
 func (t *Tracker) Code(c *statecodec.Codec) {
 	statecodec.Slice(c, &t.Samples, 0, func(s *Sample) {
 		c.Time(&s.Time)
@@ -19,6 +20,7 @@ func (t *Tracker) Code(c *statecodec.Codec) {
 	})
 	t.clientToServer.code(c)
 	t.serverToClient.code(c)
+	c.Time(&t.lastSeen)
 }
 
 func (d *dirState) code(c *statecodec.Codec) {

@@ -59,6 +59,12 @@ type Tracker struct {
 
 	clientToServer dirState // data sent by client, acked by server
 	serverToClient dirState
+
+	// lastSeen is the time of the latest packet (what idle eviction
+	// reads); dirty marks a tracker observed since the last checkpoint
+	// encode.
+	lastSeen time.Time
+	dirty    bool
 }
 
 type dirState struct {
@@ -82,10 +88,22 @@ func (d *dirState) init() {
 // NewTracker returns an empty tracker for one connection.
 func NewTracker() *Tracker { return new(Tracker) }
 
+// LastSeen returns the time of the latest packet observed.
+func (t *Tracker) LastSeen() time.Time { return t.lastSeen }
+
+// Dirty reports whether the tracker saw a packet since the last
+// checkpoint encode.
+func (t *Tracker) Dirty() bool { return t.dirty }
+
+// ClearDirty resets the mutation flag (called when a checkpoint encode
+// captures the tracker).
+func (t *Tracker) ClearDirty() { t.dirty = false }
+
 // Observe ingests one TCP packet. fromClient reports the packet's
 // direction (true: client→server). The TCP header and payload length come
 // from the decoded packet.
 func (t *Tracker) Observe(at time.Time, fromClient bool, tcp *layers.TCP, payloadLen int) {
+	t.lastSeen, t.dirty = at, true
 	var sendDir, ackDir *dirState
 	var side Side
 	if fromClient {

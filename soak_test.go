@@ -4,19 +4,18 @@ package zoomlens
 // materialized) synthetic workload with steady stream churn runs
 // through the production driver — rotation, full + delta checkpoint
 // chain, idle eviction, finished-archive cap all on — on a compressed
-// trace clock. The gates are the continuous-operation claims: memory
-// bounded (no growth retained after the run), goroutines flat, the
-// checkpoint chain active, and incremental checkpoints materially
-// cheaper than full snapshots at production stream counts.
+// trace clock. The structural gates are the continuous-operation claims:
+// the checkpoint chain, rotation and idle eviction all active, goroutines
+// flat, and no memory retained after the run.
 //
-// Plain `go test` runs a laptop-scale shape; `make soak-smoke` sets
-// BENCH_SOAK_OUT to run the full 100k-stream shape and write its numbers
-// there (a temp file, unless the caller names a path; `make bench`
-// names BENCH_soak.json).
+// TestSoak runs a laptop-scale shape under plain `go test`.
+// BenchmarkSoak (`make soak-smoke`) holds 100k streams live and adds what
+// only that shape can say: the resident-set peak and the cost of an
+// incremental checkpoint at a production stream count.
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"io"
 	"net/netip"
 	"os"
@@ -66,23 +65,19 @@ func heapInUse() uint64 {
 	return ms.HeapAlloc
 }
 
-func TestBenchSoakJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: soak harness")
-	}
-	out := os.Getenv("BENCH_SOAK_OUT")
-	fullShape := out != ""
+// soakRun is what one soak reports beyond its pass/fail gates.
+type soakRun struct {
+	wall      time.Duration
+	peakRSSKB int64 // highest resident set sampled during the run
+	retained  int64 // live heap after the run minus before it, bytes
+}
 
-	// The laptop shape keeps plain `go test` fast; the soak-smoke shape
-	// holds 100k+ concurrent streams live through the driver.
-	streams, packets := 2000, 100_000
-	if fullShape {
-		streams, packets = 100_000, 1_500_000
-	}
-
+// soak streams packets of a churning workload holding streams concurrent
+// streams through the production driver and applies the structural gates.
+func soak(tb testing.TB, streams, packets int) soakRun {
+	tb.Helper()
 	goroutinesBefore := runtime.NumGoroutine()
 	heapBefore := heapInUse()
-	rssBefore := readRSSKB()
 
 	gcfg := trace.DefaultStreamConfig()
 	gcfg.Streams = streams
@@ -91,14 +86,14 @@ func TestBenchSoakJSON(t *testing.T) {
 	gcfg.ChurnEvery = 64
 	gen, err := trace.NewStreamGen(gcfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	// Cadences scale with the trace span so both shapes exercise every
 	// mechanism: several windows, several fulls, an order of magnitude
 	// more deltas, and idle sweeps that actually catch churned streams.
 	span := time.Duration(packets) * gcfg.Interval
-	dir := t.TempDir()
+	dir := tb.TempDir()
 	f := &engine.Flags{
 		Obs:                &engine.ObsFlags{},
 		Workers:            4,
@@ -114,14 +109,12 @@ func TestBenchSoakJSON(t *testing.T) {
 
 	// Sample peak RSS from inside the record source — the driver owns
 	// the loop, so this is the only hook that sees the run mid-flight.
-	peakRSS := rssBefore
+	peakRSS := readRSSKB()
 	sampled := 0
 	next := func(rec *pcap.Record) error {
 		sampled++
 		if sampled%50_000 == 0 {
-			if rss := readRSSKB(); rss > peakRSS {
-				peakRSS = rss
-			}
+			peakRSS = max(peakRSS, readRSSKB())
 		}
 		return gen.Next(rec)
 	}
@@ -129,120 +122,134 @@ func TestBenchSoakJSON(t *testing.T) {
 	start := time.Now()
 	run, err := f.RunFrom([]netip.Prefix{gcfg.ZoomNet}, next, func() bool { return false })
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	wall := time.Since(start)
 	run.Close()
-	if rss := readRSSKB(); rss > peakRSS {
-		peakRSS = rss
-	}
+	peakRSS = max(peakRSS, readRSSKB())
 
 	summary := run.Analyzer.Summary()
 	if summary.Packets == 0 {
-		t.Fatal("soak run analyzed nothing")
+		tb.Fatal("soak run analyzed nothing")
 	}
-	fulls, deltas, rotations := run.Checkpointer.Fulls, run.Checkpointer.Deltas, run.Rotations
-	if fulls < 2 {
-		t.Errorf("checkpoint chain wrote %d fulls, want >= 2", fulls)
+	if fulls := run.Checkpointer.Fulls; fulls < 2 {
+		tb.Errorf("checkpoint chain wrote %d fulls, want >= 2", fulls)
 	}
-	if deltas < 3 {
-		t.Errorf("checkpoint chain wrote %d deltas, want >= 3", deltas)
+	if deltas := run.Checkpointer.Deltas; deltas < 3 {
+		tb.Errorf("checkpoint chain wrote %d deltas, want >= 3", deltas)
 	}
-	if rotations < 1 {
-		t.Errorf("rotation never fired (%d windows)", rotations)
+	if run.Rotations < 1 {
+		tb.Errorf("rotation never fired (%d windows)", run.Rotations)
 	}
-	evictions := summary.EvictedFlows + summary.EvictedStreams
-	if evictions == 0 {
-		t.Error("churned soak evicted nothing: idle eviction inactive")
+	if summary.EvictedFlows+summary.EvictedStreams == 0 {
+		tb.Error("churned soak evicted nothing: idle eviction inactive")
 	}
+	tb.Logf("soak: %d streams, %d packets in %.1fs; %d fulls + %d deltas, %d rotations, %d evictions",
+		streams, packets, wall.Seconds(), run.Checkpointer.Fulls, run.Checkpointer.Deltas, run.Rotations,
+		summary.EvictedFlows+summary.EvictedStreams)
 
 	// Leak gates. Goroutines must return to the pre-run baseline, and
 	// live heap must return near it once the run's result is released —
 	// any per-packet or per-window state retained past the run is a leak
-	// this catches at 1.5M packets.
+	// this catches.
 	run = nil
 	deadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore+2 {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines not flat after soak: %d vs %d baseline\n%s",
+			tb.Fatalf("goroutines not flat after soak: %d vs %d baseline\n%s",
 				runtime.NumGoroutine(), goroutinesBefore, buf)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	heapAfter := heapInUse()
-	const heapCeiling = 256 << 20
-	if heapAfter > heapBefore+heapCeiling {
-		t.Errorf("live heap grew %d MB across the soak (ceiling 256 MB): retained state leaked",
-			(heapAfter-heapBefore)>>20)
+	retained := int64(heapInUse()) - int64(heapBefore)
+	if retained > 256<<20 {
+		tb.Errorf("live heap grew %d MB across the soak (ceiling 256 MB): retained state leaked", retained>>20)
 	}
+	return soakRun{wall: wall, peakRSSKB: peakRSS, retained: retained}
+}
 
-	// Incremental-checkpoint economics at the soak's stream count: a
-	// full snapshot of every stream versus a delta record after ~1% of
-	// streams changed. The steady-state claim is that delta cost scales
-	// with churn, not with total streams.
+// TestSoak is the laptop shape of the soak: every structural gate, plus
+// the deterministic half of the incremental-checkpoint claim — a delta
+// after 1% of the streams changed is a small fraction of a full
+// snapshot's bytes (what it costs in time is BenchmarkSoak's gate).
+func TestSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: soak harness")
+	}
+	const streams = 2000
+	soak(t, streams, 100_000)
+
 	a := checkpointStateAnalyzer(t, streams)
-	fullMS := bestEncodeMS(t, 3, a.Checkpoint)
+	var full, delta bytes.Buffer
+	if err := a.Checkpoint(&full); err != nil {
+		t.Fatal(err)
+	}
 	touchStreams(t, a, streams/100)
-	deltaMS := bestEncodeMS(t, 3, a.CheckpointDelta)
-	ratio := fullMS / deltaMS
-
-	report := map[string]any{
-		"streams":              streams,
-		"packets":              packets,
-		"wall_seconds":         wall.Seconds(),
-		"packets_per_second":   float64(packets) / wall.Seconds(),
-		"full_checkpoints":     fulls,
-		"delta_checkpoints":    deltas,
-		"rotations":            rotations,
-		"evictions":            evictions,
-		"rss_before_kb":        rssBefore,
-		"rss_peak_kb":          peakRSS,
-		"heap_before_bytes":    heapBefore,
-		"heap_after_bytes":     heapAfter,
-		"full_encode_ms":       fullMS,
-		"delta_encode_ms":      deltaMS,
-		"delta_speedup":        ratio,
-		"delta_speedup_floor":  5,
-		"goroutines_baseline":  goroutinesBefore,
-		"goroutines_after":     runtime.NumGoroutine(),
-		"touched_stream_share": 0.01,
+	if err := a.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
 	}
-
-	if fullShape {
-		if ratio < 5 {
-			t.Errorf("delta checkpoint only %.1fx cheaper than full at %d streams (floor 5x): full %.2fms, delta %.2fms",
-				ratio, streams, fullMS, deltaMS)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	} else if ratio < 2 {
-		// The laptop shape still sanity-checks the scaling direction.
-		t.Errorf("delta checkpoint not cheaper than full at %d streams: full %.2fms, delta %.2fms",
-			streams, fullMS, deltaMS)
+	if delta.Len()*20 > full.Len() {
+		t.Errorf("delta after 1%% of %d streams changed is %d bytes, full snapshot %d: want under a twentieth",
+			streams, delta.Len(), full.Len())
 	}
-	t.Logf("soak: %d streams, %d packets in %.1fs (%.0f pkt/s); %d fulls + %d deltas; full %.2fms vs delta %.2fms (%.1fx); RSS %d -> peak %d MB",
-		streams, packets, wall.Seconds(), float64(packets)/wall.Seconds(),
-		fulls, deltas, fullMS, deltaMS, ratio, rssBefore>>10, peakRSS>>10)
+}
+
+// Budgets of the 100k-stream shape, each 1.5x what this tree measures on
+// the 2-vCPU sandbox (DESIGN §11, "The soak, measured").
+const (
+	// The resident set peaks at the Go heap goal, not at retained state:
+	// ~650 MB live at the last collection — per-stream state x 100k and
+	// one full checkpoint's encode buffer — doubled by GOGC=100, ~1.3 GB
+	// (GOGC=50 brings the same run to ~0.97 GB).
+	soakPeakRSSBudgetMB = 1900
+	// A delta record after 1% of 100k streams changed: ~130 ms, nearly all
+	// of it an O(total streams) walk for dirty bits (ROADMAP item 2).
+	// Gated on its own cost, not on its ratio to a full encode, which every
+	// codec optimisation shrinks.
+	soakDeltaBudgetMS = 200
+)
+
+// BenchmarkSoak is the full shape: 100k concurrent streams with churn,
+// 1.5M packets. Beyond the structural gates it reports throughput, the
+// resident-set peak, the heap retained after the run and the cost of a
+// full and of a 1%-touched delta checkpoint at that stream count, and
+// fails over the peak and delta budgets.
+func BenchmarkSoak(b *testing.B) {
+	const streams, packets = 100_000, 1_500_000
+	for i := 0; i < b.N; i++ {
+		res := soak(b, streams, packets)
+
+		a := checkpointStateAnalyzer(b, streams)
+		fullMS := bestEncodeMS(b, 3, a.Checkpoint)
+		touchStreams(b, a, streams/100)
+		deltaMS := bestEncodeMS(b, 3, a.CheckpointDelta)
+
+		b.ReportMetric(float64(packets)/res.wall.Seconds(), "pkts/s")
+		b.ReportMetric(float64(res.peakRSSKB)/1024, "rss-peak-MB")
+		b.ReportMetric(float64(res.retained)/(1<<20), "retained-heap-MB")
+		b.ReportMetric(fullMS, "full-ms")
+		b.ReportMetric(deltaMS, "delta-ms")
+		if mb := res.peakRSSKB >> 10; mb > soakPeakRSSBudgetMB {
+			b.Errorf("resident set peaked at %d MB, budget %d MB", mb, soakPeakRSSBudgetMB)
+		}
+		if deltaMS > soakDeltaBudgetMS {
+			b.Errorf("delta checkpoint after 1%% of %d streams changed took %.1f ms, budget %d ms (full %.1f ms)",
+				streams, deltaMS, soakDeltaBudgetMS, fullMS)
+		}
+	}
 }
 
 // bestEncodeMS times encode best-of-n (the minimum is the least noisy
 // estimator for a deterministic CPU-bound encode).
-func bestEncodeMS(t *testing.T, n int, encode func(io.Writer) error) float64 {
-	t.Helper()
+func bestEncodeMS(tb testing.TB, n int, encode func(io.Writer) error) float64 {
+	tb.Helper()
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < n; i++ {
 		start := time.Now()
 		if err := encode(io.Discard); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if d := time.Since(start); d < best {
 			best = d
@@ -254,8 +261,8 @@ func bestEncodeMS(t *testing.T, n int, encode func(io.Writer) error) float64 {
 // touchStreams dirties the first n streams of a checkpointStateAnalyzer
 // by feeding each one more packet with the identities the builder used
 // (src pattern keyed on the stream index, SSRC s+1).
-func touchStreams(t *testing.T, a *Analyzer, n int) {
-	t.Helper()
+func touchStreams(tb testing.TB, a *Analyzer, n int) {
+	tb.Helper()
 	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
 	at := time.Date(2022, 3, 1, 12, 30, 0, 0, time.UTC)
 	const p = 4 // continues the builder's per-stream sequence
@@ -284,7 +291,7 @@ func touchStreams(t *testing.T, a *Analyzer, n int) {
 		}
 		payload, err := zp.Marshal()
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		a.Packet(at, layers.EthernetIPv4UDP(src, dst, 64, payload))
 	}
