@@ -77,6 +77,12 @@ func checkpointStateAnalyzer(tb testing.TB, streams int) *Analyzer {
 // restore (a crashed tap must be back on the wire promptly).
 const checkpointBudget = 100 * time.Millisecond
 
+// deltaActiveBudget is 1.5x what a delta record with all 10k streams
+// dirty costs to encode on the 2-vCPU sandbox: 41-46 ms for the one cold
+// pass `make checkpoint-check` times (28-35 ms averaged over ten; the full
+// record of the same state, 50-62 ms).
+const deltaActiveBudget = 65 * time.Millisecond
+
 func BenchmarkCheckpoint(b *testing.B) {
 	overBudget := func(b *testing.B, streams int, what string) {
 		b.StopTimer()
@@ -112,6 +118,30 @@ func BenchmarkCheckpoint(b *testing.B) {
 				}
 			}
 			overBudget(b, streams, "restores")
+		})
+		// The record a busy tap cuts every cadence tick: every stream took a
+		// packet since the last checkpoint, so every stream's head travels
+		// — but of its logs only the tail. Timed by hand: each pass needs
+		// the streams dirtied again first.
+		b.Run(fmt.Sprintf("delta-active/streams=%d", streams), func(b *testing.B) {
+			var rec bytes.Buffer
+			var spent time.Duration
+			for i := 0; i < b.N; i++ {
+				touchStreams(b, a, streams)
+				rec.Reset()
+				start := time.Now()
+				if err := a.CheckpointDelta(&rec); err != nil {
+					b.Fatal(err)
+				}
+				spent += time.Since(start)
+			}
+			per := spent / time.Duration(b.N)
+			b.ReportMetric(float64(per.Nanoseconds())/1e6, "delta-ms")
+			b.ReportMetric(float64(rec.Len()), "delta-bytes")
+			b.ReportMetric(float64(rec.Len())/float64(size), "delta/full")
+			if streams == 10000 && per > deltaActiveBudget {
+				b.Errorf("10k-stream delta with every stream dirty encodes in %v, budget is %v", per, deltaActiveBudget)
+			}
 		})
 	}
 }

@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 7
+	stateVersion = 8
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -79,16 +79,14 @@ func writeCheckpointHeader(w *statecodec.Writer, kind uint8) {
 	w.U8(kind)
 }
 
-// sealCheckpoint appends the CRC trailer to the encoded record and
-// writes the whole file in one Write.
-func sealCheckpoint(w io.Writer, enc *statecodec.Writer) error {
+// sealCheckpoint appends the CRC trailer to the record that starts at
+// offset start of enc.
+func sealCheckpoint(enc *statecodec.Writer, start int) {
 	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(enc.Bytes(), crcTable))
+	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(enc.Bytes()[start:], crcTable))
 	for _, b := range tr {
 		enc.U8(b)
 	}
-	_, err := w.Write(enc.Bytes())
-	return err
 }
 
 // openCheckpoint slurps a checkpoint stream, validates its magic, file
@@ -149,34 +147,50 @@ func openCheckpoint(rd io.Reader, wantKind uint8) (shards int, r *statecodec.Rea
 }
 
 // encode writes one checkpoint record — full, or delta when the chain is
-// armed — and re-anchors the chain at the state just written.
+// armed — and re-anchors the chain at the state just written. Handed a
+// *statecodec.Writer (the driver's chain owns one and resets it per
+// record) it appends the record to it and that is all; any other writer
+// gets the record in one Write from a buffer sized for it and dropped
+// afterwards. Either way the engine keeps nothing.
 func (p *pipeline) encode(w io.Writer, delta bool) error {
 	p.reconcile()
-	var enc statecodec.Writer
-	if delta {
-		if !p.deltaReady() {
-			return ErrDeltaUnavailable
-		}
-		enc.Grow(1 << 16)
-		writeCheckpointHeader(&enc, engineKindDelta)
-	} else {
-		// Reserve once instead of doubling through megabytes (streams
-		// dominate at roughly 800 bytes each on production-shaped state).
-		hint := 4096
-		for _, sh := range p.shards {
-			hint += 1024 * (len(sh.StreamMetrics) + len(sh.Finished))
-		}
-		enc.Grow(hint)
-		writeCheckpointHeader(&enc, engineKindFull)
+	if delta && !p.deltaReady() {
+		return ErrDeltaUnavailable
 	}
+	enc, direct := w.(*statecodec.Writer)
+	if !direct {
+		enc = new(statecodec.Writer)
+	}
+	// Reserve once instead of doubling through megabytes: a stream's head
+	// (sequence window, timestamp ring, open frames) with its flow-table,
+	// detector and matcher records is well under 1 KiB, and an archived
+	// stream, which travels with its whole history, under 2.
+	hint := 4096
+	for _, sh := range p.shards {
+		if delta {
+			hint += 1024*len(sh.dirtyStreams) + 2048*(len(sh.Finished)-sh.ckFinishedLen+sh.ckHeadDrops)
+		} else {
+			hint += 1024*len(sh.StreamMetrics) + 2048*len(sh.Finished)
+		}
+	}
+	enc.Grow(hint)
+	start := enc.Len()
+	kind := uint8(engineKindFull)
+	if delta {
+		kind = engineKindDelta
+	}
+	writeCheckpointHeader(enc, kind)
 	enc.U8(stateVersion)
 	enc.Int(len(p.shards))
 	if delta {
 		enc.U64(p.ckPackets)
 	}
-	p.code(statecodec.NewEncoder(&enc, !delta))
-	if err := sealCheckpoint(w, &enc); err != nil {
-		return err
+	p.code(statecodec.NewEncoder(enc, !delta))
+	sealCheckpoint(enc, start)
+	if !direct {
+		if _, err := w.Write(enc.Bytes()); err != nil {
+			return err
+		}
 	}
 	p.markCheckpointed()
 	return nil
@@ -224,11 +238,11 @@ func (p *pipeline) code(c *statecodec.Codec) {
 }
 
 // Checkpoint serializes the engine's complete mutable state to w in one
-// Write, so RestoreAnalyzer can resume the run with byte-identical
-// results. Call it between Packet calls (a parallel engine parks its
-// shards and reconciles first). A successful encode also resets delta
-// tracking: the next CheckpointDelta describes mutations relative to
-// this snapshot.
+// Write (appended in place when w is a *statecodec.Writer; see encode), so
+// RestoreAnalyzer can resume the run with byte-identical results. Call it
+// between Packet calls (a parallel engine parks its shards and reconciles
+// first). A successful encode also resets delta tracking: the next
+// CheckpointDelta describes mutations relative to this snapshot.
 func (p *pipeline) Checkpoint(w io.Writer) error {
 	defer p.cfg.trace("checkpoint")()
 	return p.encode(w, false)
@@ -329,19 +343,22 @@ func (sh *shard) code(c *statecodec.Codec) {
 	sh.Flows.Code(c)
 
 	statecodec.Tombstones(c, flow.StreamIDKey, sh.deadStreams, sh.forgetStreamMetric)
-	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics, nil,
-		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) bool { return sm.Dirty() },
+	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics,
+		// A stream a delta updates keeps its logs: only their tails follow
+		// (StreamMetrics.Code resets the rest).
+		func(*metrics.StreamMetrics) {},
+		sh.dirtyStreams,
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })
 
 	statecodec.Tombstones(c, statecodec.AddrPortKey, sh.deadTCP, func(client netip.AddrPort) { delete(sh.TCP, client) })
-	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil,
-		func(_ netip.AddrPort, tr *tcprtt.Tracker) bool { return tr.Dirty() },
+	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil, sh.dirtyTCP,
 		func(_ netip.AddrPort, tr *tcprtt.Tracker) { tr.Code(c) })
 
 	// The archive only ever drops from the head (MaxFinished) and
 	// appends at the tail, so the record carries the baseline length,
 	// how many baseline entries were head-dropped since, and the
-	// appended tail (a full record: baseline 0, everything appended).
+	// appended tail (a full record: baseline 0, everything appended). An
+	// archived stream is final, so its entry carries its logs whole.
 	base, drops := sh.ckFinishedLen, sh.ckHeadDrops
 	if c.Full() {
 		base, drops = 0, 0
@@ -361,6 +378,6 @@ func (sh *shard) code(c *statecodec.Codec) {
 		if f.Metrics == nil {
 			f.Metrics = new(metrics.StreamMetrics)
 		}
-		f.Metrics.Code(c)
+		f.Metrics.CodeWhole(c)
 	})
 }

@@ -290,6 +290,10 @@ func (p *pipeline) Finish() {
 		return
 	}
 	p.finished = true
+	// Finish appends to every live stream's logs without dirty tracking, so
+	// like a rotation it ends the chain's lineage: an engine fed again
+	// after it needs a full checkpoint before its next delta.
+	p.chainArmed = false
 	p.collapse()
 	defer p.cfg.trace("finish")()
 	for _, sm := range p.shards[0].StreamMetrics {
@@ -419,6 +423,15 @@ type Summary struct {
 
 // Summary computes the capture roll-up.
 func (a *Analyzer) Summary() Summary {
+	s := a.Counters()
+	s.Meetings = len(a.Meetings())
+	return s
+}
+
+// Counters is Summary without the §4.3 meeting grouping — Meetings is 0 —
+// for a caller that prints no meeting figure (the status line) and should
+// not pay for a roll-up over every stream record to get its counters.
+func (a *Analyzer) Counters() Summary {
 	tot := a.Flows.Totals()
 	ev := a.Flows.Evictions()
 	return Summary{
@@ -433,7 +446,6 @@ func (a *Analyzer) Summary() Summary {
 		Undecodable:     a.Undecodable + a.ProtoUndecodable,
 		Flows:           tot.Flows,
 		Streams:         tot.Streams,
-		Meetings:        len(a.Meetings()),
 		EvictedFlows:    ev.EvictedFlows,
 		EvictedStreams:  ev.EvictedStreams,
 		RejectedPackets: ev.RejectedFlowPackets + ev.RejectedStreamPackets + ev.RejectedSubstreamPackets + a.RejectedTCPPackets,

@@ -32,9 +32,11 @@ import (
 // Finish. The caller falls back to a full checkpoint.
 var ErrDeltaUnavailable = fmt.Errorf("core: delta checkpoint unavailable (write a full checkpoint)")
 
-// maxCoreTombstones bounds the eviction backlog a delta carries; past it
-// the next delta encode reports unavailable and the caller writes a full
-// checkpoint (which resets the backlog).
+// maxCoreTombstones bounds each backlog a shard keeps for the next delta
+// — the two tombstone lists and the two dirty lists (an evicted record
+// stays on its dirty list, and so in memory, until the next checkpoint);
+// past it the next delta encode reports unavailable and the caller writes
+// a full checkpoint (which resets them).
 const maxCoreTombstones = 1 << 20
 
 // Discard releases an engine whose delta apply (or restore) failed: a
@@ -75,10 +77,10 @@ func (p *pipeline) ApplyDelta(rd io.Reader) error {
 	return p.decode(r, true)
 }
 
-// deltaReady reports whether a delta encode is currently possible.
-// Finish mutates every live metric engine without dirty tracking, so a
-// finished engine reports unavailable (the driver's shutdown checkpoint
-// is a full one anyway).
+// deltaReady reports whether a delta encode is currently possible. Finish
+// disarms the chain, and a checkpoint restored from a finished engine
+// arrives finished, so either way a finished engine reports unavailable
+// (the driver's shutdown checkpoint is a full one anyway).
 func (p *pipeline) deltaReady() bool {
 	ready := p.chainArmed && !p.finished
 	for _, sh := range p.shards {
@@ -89,18 +91,25 @@ func (p *pipeline) deltaReady() bool {
 
 // markCheckpointed re-anchors the chain after any checkpoint encode,
 // restore, or delta apply: the current state is now fully captured, so
-// every layer's dirty bits and tombstones clear and tracking arms.
+// every layer's dirty lists — and through them the dirty bits — and
+// tombstones clear and tracking arms. It visits what changed since the
+// last checkpoint and nothing else.
 func (p *pipeline) markCheckpointed() {
 	p.Dedup.MarkCheckpointed()
 	p.Copies.MarkCheckpointed()
 	for _, sh := range p.shards {
 		sh.Flows.MarkCheckpointed()
-		for _, sm := range sh.StreamMetrics {
-			sm.ClearDirty()
+		for _, e := range sh.dirtyStreams {
+			e.V.ClearDirty()
 		}
-		for _, tr := range sh.TCP {
-			tr.ClearDirty()
+		for _, e := range sh.dirtyTCP {
+			e.V.ClearDirty()
 		}
+		// Cleared, not just cut: a listed record evicted since is otherwise
+		// held by the list's spare capacity.
+		clear(sh.dirtyStreams)
+		clear(sh.dirtyTCP)
+		sh.dirtyStreams, sh.dirtyTCP = sh.dirtyStreams[:0], sh.dirtyTCP[:0]
 		sh.deadStreams = sh.deadStreams[:0]
 		sh.deadTCP = sh.deadTCP[:0]
 		sh.deltaOverflow = false
@@ -112,24 +121,28 @@ func (p *pipeline) markCheckpointed() {
 	p.chainArmed = true
 }
 
-func (sh *shard) tombstoneStreamMetric(id flow.MediaStreamID) {
+// recording reports whether a tracking list n entries long takes
+// another: the shard is armed and no list has outgrown the bound. Past
+// it the shard stops recording until a full checkpoint starts over.
+func (sh *shard) recording(n int) bool {
 	if !sh.deltaArmed || sh.deltaOverflow {
-		return
+		return false
 	}
-	if len(sh.deadStreams) >= maxCoreTombstones {
+	if n >= maxCoreTombstones {
 		sh.deltaOverflow = true
-		return
+		return false
 	}
-	sh.deadStreams = append(sh.deadStreams, id)
+	return true
+}
+
+func (sh *shard) tombstoneStreamMetric(id flow.MediaStreamID) {
+	if sh.recording(len(sh.deadStreams)) {
+		sh.deadStreams = append(sh.deadStreams, id)
+	}
 }
 
 func (sh *shard) tombstoneTCP(client netip.AddrPort) {
-	if !sh.deltaArmed || sh.deltaOverflow {
-		return
+	if sh.recording(len(sh.deadTCP)) {
+		sh.deadTCP = append(sh.deadTCP, client)
 	}
-	if len(sh.deadTCP) >= maxCoreTombstones {
-		sh.deltaOverflow = true
-		return
-	}
-	sh.deadTCP = append(sh.deadTCP, client)
 }

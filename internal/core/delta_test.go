@@ -10,6 +10,7 @@ import (
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/trace"
 )
 
@@ -106,6 +107,154 @@ func TestDeltaCheckpointDifferential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(streamIDs(live.Result()), streamIDs(resumed.Result())) {
 				t.Error("stream identifier sets diverge")
+			}
+		})
+	}
+}
+
+// TestDeltaCheckpointChains holds the chains a dirty stream's log tails
+// can go wrong on to the same standard as the differential above: after
+// every record, full plus deltas so far must re-encode byte-identically
+// to the live engine's own full at that point. Three deltas in a row (a
+// tail must start where the previous record's ended, not where the full's
+// did); a stream that idles out between two deltas (its archive entry
+// carries its logs whole, its live record dies by tombstone); and one that
+// idles out and is back before the next delta (its new record starts its
+// logs from nothing, on a replica that still holds the old one).
+func TestDeltaCheckpointChains(t *testing.T) {
+	tr, opts := seededTrace(t, 20)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	n := len(tr.frames)
+
+	// The quiet flow is the capture's busiest media five-tuple; a step can
+	// withhold its packets so that it idles out while the others go on.
+	var dec layers.Parser
+	var pkt layers.Packet
+	tupleOf := func(i int) (layers.FiveTuple, bool) {
+		if dec.Parse(tr.frames[i], &pkt) != nil || !pkt.HasUDP {
+			return layers.FiveTuple{}, false
+		}
+		return pkt.FiveTuple()
+	}
+	ref := NewAnalyzer(cfg)
+	tr.feed(ref.Packet)
+	var quiet layers.FiveTuple
+	var most uint64
+	for id, sm := range ref.StreamMetrics {
+		if sm.Packets > most {
+			quiet, most = id.Flow, sm.Packets
+		}
+	}
+	feed := func(from, to int, withhold bool) func(*Analyzer) {
+		return func(a *Analyzer) {
+			for i := from; i < to; i++ {
+				if ft, ok := tupleOf(i); withhold && ok && ft == quiet {
+					continue
+				}
+				a.Packet(tr.at[i], tr.frames[i])
+			}
+		}
+	}
+	// evict ages out what has been silent for two seconds at frame i: the
+	// quiet flow's streams once a quarter of the capture was withheld.
+	evict := func(i int) func(*Analyzer) {
+		return func(a *Analyzer) { a.EvictIdle(tr.at[i-1].Add(-2 * time.Second)) }
+	}
+	steps := func(fs ...func(*Analyzer)) func(*Analyzer) {
+		return func(a *Analyzer) {
+			for _, f := range fs {
+				f(a)
+			}
+		}
+	}
+	onQuiet := func(a *Analyzer) (live int, archived int) {
+		for id := range a.StreamMetrics {
+			if id.Flow == quiet {
+				live++
+			}
+		}
+		for _, f := range a.Finished {
+			if f.ID.Flow == quiet {
+				archived++
+			}
+		}
+		return live, archived
+	}
+
+	q := n / 5
+	for _, tc := range []struct {
+		name  string
+		chain []func(*Analyzer) // a full after the first step, a delta after each later one
+		check func(t *testing.T, replica *Analyzer)
+	}{
+		{
+			name:  "three_deltas",
+			chain: []func(*Analyzer){feed(0, q, false), feed(q, 2*q, false), feed(2*q, 3*q, false), feed(3*q, 4*q, false)},
+		},
+		{
+			name:  "evicted_between_deltas",
+			chain: []func(*Analyzer){feed(0, q, false), feed(q, 2*q, false), steps(feed(2*q, 4*q, true), evict(4*q))},
+			check: func(t *testing.T, replica *Analyzer) {
+				if live, archived := onQuiet(replica); live != 0 || archived == 0 {
+					t.Errorf("replica holds %d live and %d archived streams of the flow that idled out; want 0 and some", live, archived)
+				}
+			},
+		},
+		{
+			name: "evicted_and_back",
+			chain: []func(*Analyzer){feed(0, q, false), feed(q, 2*q, false),
+				steps(feed(2*q, 4*q, true), evict(4*q), feed(4*q, n, false))},
+			check: func(t *testing.T, replica *Analyzer) {
+				if live, archived := onQuiet(replica); live == 0 || archived == 0 {
+					t.Errorf("replica holds %d live and %d archived streams of the flow that came back; want some of each", live, archived)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := NewAnalyzer(cfg)
+			var records, fulls [][]byte // records[0] is the full; fulls[i] the live engine's full after records[i]
+			for i, step := range tc.chain {
+				step(live)
+				var rec bytes.Buffer
+				var err error
+				if i == 0 {
+					err = live.Checkpoint(&rec)
+				} else {
+					err = live.CheckpointDelta(&rec)
+				}
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				records = append(records, rec.Bytes())
+				fulls = append(fulls, bytes.Clone(checkpointBytes(t, live)))
+			}
+			eng, err := RestoreAnalyzer(bytes.NewReader(records[0]), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replica := eng.(*Analyzer)
+			for i := 1; i < len(records); i++ {
+				if err := replica.ApplyDelta(bytes.NewReader(records[i])); err != nil {
+					t.Fatalf("delta %d: %v", i, err)
+				}
+				if got := checkpointBytes(t, replica); !bytes.Equal(got, fulls[i]) {
+					t.Fatalf("after delta %d the replica encodes differently from the live engine (%d vs %d bytes)", i, len(got), len(fulls[i]))
+				}
+			}
+			if first, last := len(records[1]), len(records[len(records)-1]); tc.name == "three_deltas" && last > first*5/4 {
+				t.Errorf("equal shares of the capture, yet the third delta is %d bytes and the first %d: deltas that grow with the chain re-send history", last, first)
+			}
+			if tc.check != nil {
+				tc.check(t, replica)
+			}
+			live.Finish()
+			replica.Finish()
+			if !bytes.Equal(reportBytes(t, live), reportBytes(t, replica)) {
+				t.Error("the finished replica reports differently from the live engine")
 			}
 		})
 	}
@@ -525,5 +674,68 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointBytes(t, replica), checkpointBytes(t, back)) {
 		t.Error("delta-replayed state encodes differently from the live engine after the connection returned")
+	}
+}
+
+// writeCounter records how a record reached a plain io.Writer.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestCheckpointWriterContract: a plain io.Writer receives a record, full
+// or delta, in exactly one Write; a *statecodec.Writer — what the driver's
+// chain hands the engine — has the same bytes appended after what it
+// already holds, with the CRC over the record alone.
+func TestCheckpointWriterContract(t *testing.T) {
+	tr, opts := seededTrace(t, 4)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	build := func() *Analyzer {
+		a := NewAnalyzer(cfg)
+		for i := 0; i < len(tr.frames)/2; i++ {
+			a.Packet(tr.at[i], tr.frames[i])
+		}
+		return a
+	}
+	more := func(a *Analyzer) {
+		for i := len(tr.frames) / 2; i < len(tr.frames); i++ {
+			a.Packet(tr.at[i], tr.frames[i])
+		}
+	}
+	plain, direct := build(), build()
+	var full, delta writeCounter
+	var enc statecodec.Writer
+	enc.U8(0xEE) // already holds something: the record must not disturb or include it
+	if err := plain.Checkpoint(&full); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.Checkpoint(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if full.writes != 1 {
+		t.Errorf("full checkpoint reached a plain writer in %d Writes, want 1", full.writes)
+	}
+	if got := enc.Bytes(); got[0] != 0xEE || !bytes.Equal(got[1:], full.Bytes()) {
+		t.Errorf("full checkpoint appended to a statecodec.Writer differs from the one written (%d vs %d bytes)", len(got)-1, full.Len())
+	}
+	more(plain)
+	more(direct)
+	enc.Reset()
+	if err := plain.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.CheckpointDelta(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if delta.writes != 1 {
+		t.Errorf("delta checkpoint reached a plain writer in %d Writes, want 1", delta.writes)
+	}
+	if !bytes.Equal(enc.Bytes(), delta.Bytes()) {
+		t.Errorf("delta appended to a statecodec.Writer differs from the one written (%d vs %d bytes)", enc.Len(), delta.Len())
 	}
 }

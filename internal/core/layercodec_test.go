@@ -195,6 +195,7 @@ var layerCases = []struct {
 			if phase == 0 {
 				*sm = *metrics.NewStreamMetrics(zoom.TypeVideo)
 			}
+			sm.MarkDirty() // as the shard does before a packet: notes where the logs stood
 			for p := 0; p < 12; p++ {
 				n := 12*phase + p
 				zp := videoPacket(7, uint16(n), uint32(n/3)*3000) // three packets per frame
@@ -213,7 +214,7 @@ var layerCases = []struct {
 				sm.Observe(layerT0.Add(time.Duration(phase)*time.Second), 120, &zp.Media, &zp.RTP)
 			}
 		},
-		mark: func(coder) {},
+		mark: func(l coder) { l.(*metrics.StreamMetrics).ClearDirty() },
 		two: func() coder {
 			sm := metrics.NewStreamMetrics(zoom.TypeVideo)
 			for _, seq := range []uint16{39000, 40000, 40001} {
@@ -233,7 +234,8 @@ var layerCases = []struct {
 // TestLayerCodecFullAndDelta: (i) a full record onto a fresh layer
 // re-encodes byte-identically; (ii) full@t0 + delta(t0→t1), with
 // evictions and tombstones in the interval, re-encodes byte-identically
-// to full@t1.
+// to full@t1 — and so do the two deltas after it, each cut from where the
+// one before left off, not from the full.
 func TestLayerCodecFullAndDelta(t *testing.T) {
 	for _, tc := range layerCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,15 +253,17 @@ func TestLayerCodecFullAndDelta(t *testing.T) {
 			}
 			tc.mark(replica)
 
-			tc.step(live, 1)
-			delta := bytes.Clone(layerRecord(live, false))
-			tc.mark(live)
-			if err := layerApply(replica, delta); err != nil {
-				t.Fatalf("delta onto its base: %v", err)
-			}
-			tc.mark(replica)
-			if got, want := layerRecord(replica, true), layerRecord(live, true); !bytes.Equal(got, want) {
-				t.Fatalf("full@t0 + delta differs from full@t1 (%d vs %d bytes)", len(got), len(want))
+			for phase := 1; phase <= 3; phase++ {
+				tc.step(live, phase)
+				delta := bytes.Clone(layerRecord(live, false))
+				tc.mark(live)
+				if err := layerApply(replica, delta); err != nil {
+					t.Fatalf("delta %d onto its base: %v", phase, err)
+				}
+				tc.mark(replica)
+				if got, want := layerRecord(replica, true), layerRecord(live, true); !bytes.Equal(got, want) {
+					t.Fatalf("full@t0 + %d deltas differs from full@t%d (%d vs %d bytes)", phase, phase, len(got), len(want))
+				}
 			}
 		})
 	}
@@ -347,6 +351,74 @@ func TestLayerCodecRejectsOverfullWindows(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.want != "" && (!errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want ErrCorrupt (%s)", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestDeltaRejectsEditedLogBaseline: a delta record in which one of a
+// stream's six log baselines was changed — and the CRC trailer resealed, so
+// the trailer cannot do the rejecting — is refused with ErrCorrupt: its
+// tails would land on the wrong place in the logs the engine holds. The
+// stream's record is found in the engine's delta by encoding the stream
+// alone; its baselines follow the media type byte.
+func TestDeltaRejectsEditedLogBaseline(t *testing.T) {
+	tr, opts := seededTrace(t, 10)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	n := len(tr.frames)
+	live := NewAnalyzer(cfg)
+	for i := 0; i < n/2; i++ {
+		live.Packet(tr.at[i], tr.frames[i])
+	}
+	full := bytes.Clone(checkpointBytes(t, live))
+	for i := n / 2; i < 3*n/4; i++ {
+		live.Packet(tr.at[i], tr.frames[i])
+	}
+	// A video stream the delta will carry, with history behind each log
+	// that has a tail, so every edited baseline is a real position.
+	var streamRec []byte
+	for _, seg := range live.Streams() { // in ID order: the same stream every run
+		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && sm.Dirty() && len(sm.Frames()) > 40 && len(sm.MediaRate.Samples) > 2 {
+			streamRec = bytes.Clone(layerRecord(sm, false))
+			break
+		}
+	}
+	if streamRec == nil {
+		t.Fatal("no dirty video stream with history in the live engine")
+	}
+	var buf bytes.Buffer
+	if err := live.CheckpointDelta(&buf); err != nil {
+		t.Fatal(err)
+	}
+	delta := buf.Bytes()
+	at := bytes.Index(delta, streamRec)
+	if at < 0 || bytes.Count(delta, streamRec) != 1 {
+		t.Fatalf("the stream's record occurs %d times in the delta, want once", bytes.Count(delta, streamRec))
+	}
+	apply := func(rec []byte) error {
+		target, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer Discard(target) // a failed apply leaves it half-written
+		return target.ApplyDelta(bytes.NewReader(rec))
+	}
+	if err := apply(delta); err != nil {
+		t.Fatalf("unedited delta: %v", err)
+	}
+	// The baselines are zigzag varints: +2 on one's first byte moves it one
+	// position forward without changing its length.
+	off := at + 1
+	for _, name := range []string{"frames", "jitter", "media rate", "wire rate", "stalls", "talk"} {
+		_, size := binary.Varint(delta[off:])
+		if size <= 0 || delta[off]&0x7f >= 0x7e {
+			t.Fatalf("%s baseline at %d (% x) cannot be moved in place", name, off, delta[off:off+2])
+		}
+		edited := bytes.Clone(delta[:len(delta)-4])
+		edited[off] += 2
+		off += size
+		edited = binary.LittleEndian.AppendUint32(edited, crc32.Checksum(edited, crcTable))
+		if err := apply(edited); !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), "log baselines") {
+			t.Errorf("%s baseline moved by one: err = %v, want ErrCorrupt (log baselines)", name, err)
 		}
 	}
 }

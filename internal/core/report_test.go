@@ -34,6 +34,16 @@ func TestMeetingReportHealthy(t *testing.T) {
 	if r.MeanRTT <= 0 {
 		t.Error("no RTT estimate for the meeting")
 	}
+	// The status line's counters are the summary's, less the one figure
+	// that costs a meeting roll-up.
+	sum := a.Summary()
+	if sum.Meetings != 1 {
+		t.Errorf("summary counts %d meetings, want 1", sum.Meetings)
+	}
+	sum.Meetings = 0
+	if got := a.Counters(); got != sum {
+		t.Errorf("Counters() = %+v, want Summary() without its meeting count: %+v", got, sum)
+	}
 }
 
 // TestMeetingReportSingleAffectedParticipant gives one participant a

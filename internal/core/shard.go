@@ -12,6 +12,7 @@ import (
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/obs"
 	"zoomlens/internal/rtcproto"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/stun"
 	"zoomlens/internal/tcprtt"
 )
@@ -147,16 +148,20 @@ type shardState struct {
 	// (see tick).
 	ticks uint64
 
-	// Delta-checkpoint tracking (see delta.go). deltaArmed turns on
-	// tombstone recording; it is set by the first checkpoint encode, so
-	// runs that never checkpoint pay nothing beyond the per-record dirty
-	// bools. The archive is append-plus-head-drop only, so a delta carries
-	// the baseline length (ckFinishedLen), how many baseline entries were
-	// since dropped (ckHeadDrops), and the appended tail.
+	// Delta-checkpoint tracking (see delta.go). deltaArmed turns it on; it
+	// is set by the first checkpoint encode, so runs that never checkpoint
+	// pay a compare per packet. A metric engine or tracker is marked dirty
+	// exactly when it is put on its dirty list, so clearing through the
+	// lists clears every bit. The archive is append-plus-head-drop only, so
+	// a delta carries the baseline length (ckFinishedLen), how many
+	// baseline entries were since dropped (ckHeadDrops), and the appended
+	// tail.
 	deltaArmed    bool
 	deltaOverflow bool
 	deadTCP       []netip.AddrPort
 	deadStreams   []flow.MediaStreamID
+	dirtyTCP      statecodec.Entries[netip.AddrPort, tcprtt.Tracker]
+	dirtyStreams  statecodec.Entries[flow.MediaStreamID, metrics.StreamMetrics]
 	ckFinishedLen int
 	ckHeadDrops   int
 }
@@ -246,6 +251,10 @@ func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
 		tr = tcprtt.NewTracker()
 		sh.TCP[client] = tr
 	}
+	if sh.deltaArmed && !tr.Dirty() && sh.recording(len(sh.dirtyTCP)) {
+		tr.MarkDirty()
+		sh.dirtyTCP = append(sh.dirtyTCP, statecodec.Entry[netip.AddrPort, *tcprtt.Tracker]{K: client, V: tr})
+	}
 	tr.Observe(at, fromClient, &pkt.TCP, len(pkt.Payload))
 }
 
@@ -330,8 +339,13 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	o.dedup = &own.dedup
 	sh.sink(o)
 
+	// Marked before the packet lands: the first mark after a checkpoint
+	// notes where the stream's logs stood at it.
+	if sh.deltaArmed && !own.sm.Dirty() && sh.recording(len(sh.dirtyStreams)) {
+		own.sm.MarkDirty()
+		sh.dirtyStreams = append(sh.dirtyStreams, statecodec.Entry[flow.MediaStreamID, *metrics.StreamMetrics]{K: st.ID, V: own.sm})
+	}
 	own.sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
-	own.sm.MarkDirty()
 }
 
 // streamOwner is what a shard hangs on a flow-table stream record
@@ -476,10 +490,13 @@ func mergeShards(cfg Config, parts []*shard) *shard {
 	for _, p := range parts {
 		m.shardCounters.add(&p.shardCounters)
 		m.Flows.Absorb(p.Flows)
+		// Adopted records are on none of the merged shard's dirty lists.
 		for id, sm := range p.StreamMetrics {
+			sm.ClearDirty()
 			m.StreamMetrics[id] = sm
 		}
 		for client, tr := range p.TCP {
+			tr.ClearDirty()
 			m.TCP[client] = tr
 		}
 		m.Finished = append(m.Finished, p.Finished...)

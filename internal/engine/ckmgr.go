@@ -13,15 +13,22 @@ package engine
 //
 // Every record is written to a temp name in the destination directory,
 // fsynced, and renamed into place under a sequence number no record
-// holds yet, so a write never touches an existing record and no reader
-// — including the restore path after a kill -9 — ever sees a partially
-// written file under a real checkpoint name. Orphaned temp files from a
-// crash mid-write are swept (and counted) at startup.
+// holds yet, and the directory is fsynced after the rename, so a write
+// never touches an existing record and no reader — including the restore
+// path after a kill -9 — ever sees a partially written file under a real
+// checkpoint name. Orphaned temp files from a crash mid-write are swept
+// (and counted) at startup.
+//
+// The engine's caller pays for the encode only. A record is encoded on
+// the caller's goroutine into the chain's one buffer and handed to a
+// writer goroutine for the temp file, the write, the two syncs, the
+// rename and (after a full) the prune; at most one record is in flight,
+// and the next one waits for it before it encodes, so the buffer is never
+// written while it is read and records land in sequence order.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,6 +38,7 @@ import (
 
 	"zoomlens/internal/core"
 	"zoomlens/internal/obs"
+	"zoomlens/internal/statecodec"
 )
 
 const (
@@ -48,7 +56,9 @@ type chainFile struct {
 // Checkpointer owns one checkpoint chain: atomic writes, pruning,
 // startup temp-file cleanup, and the counters the status line reports.
 // Not safe for concurrent use (the driver calls it from the ingest
-// goroutine only).
+// goroutine only); the writer goroutine it starts per record touches
+// nothing of it but the bytes of buf, and only until Wait has received
+// its result.
 type Checkpointer struct {
 	path    string
 	keep    int // fulls retained
@@ -56,11 +66,37 @@ type Checkpointer struct {
 
 	seq uint64 // next chain sequence number
 
+	// buf is the chain's one record buffer: the engine encodes each record
+	// straight into it, so it grows to the largest record once.
+	buf statecodec.Writer
+	// flight is the record being made durable, nil when none is. A record
+	// that failed leaves the files behind the engine's in-memory anchor,
+	// so needFull makes the next record a full one, which re-anchors both.
+	flight   *flight
+	needFull bool
+	stalled  time.Duration // total time Start* waited for a record in flight
+
 	// TmpCleaned is how many orphaned temp files startup removed.
 	TmpCleaned int
-	// Fulls and Deltas count records written this run.
+	// Fulls and Deltas count the records this run made durable.
 	Fulls  int
 	Deltas int
+}
+
+// flight is one record on its way to the disk.
+type flight struct {
+	full   bool
+	size   int64
+	encode time.Duration
+	// done receives the writer goroutine's one result: how long the disk
+	// took, and the error that stopped it.
+	done chan flightResult
+}
+
+type flightResult struct {
+	write time.Duration
+	at    time.Time // when the writer goroutine finished
+	err   error
 }
 
 // NewCheckpointer prepares a checkpoint destination: sweeps temp-file
@@ -133,16 +169,22 @@ func listChain(path string) []chainFile {
 	return out
 }
 
-// atomicWrite encodes via write into a temp file next to name, fsyncs,
-// and renames it over name. Returns the encoded size.
-func atomicWrite(name string, write func(io.Writer) error) (int64, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".tmp-")
+// atomicWrite writes data to a temp file next to name, fsyncs it, renames
+// it over name and fsyncs the directory: a kill mid-write leaves nothing
+// under name, never a torn file. The two syncs cover different failures.
+// The file's makes the contents durable before the rename can be, so a
+// power loss never leaves a complete name on incomplete data; the
+// directory's makes the rename itself durable, so a record that later
+// records build on cannot vanish in a power loss that its successors
+// survive (a killed process loses neither: the kernel still holds both).
+func atomicWrite(name string, data []byte) error {
+	dir := filepath.Dir(name)
+	tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp-")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	tmpName := tmp.Name()
-	cw := &countWriter{w: tmp}
-	err = write(cw)
+	_, err = tmp.Write(data)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -154,62 +196,123 @@ func atomicWrite(name string, write func(io.Writer) error) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(tmpName)
-		return 0, err
-	}
-	return cw.n, nil
-}
-
-// writeFileAtomic is os.WriteFile through atomicWrite, for the files
-// other processes merge (window reports, the cluster status mirror): a
-// kill mid-write leaves nothing under name, never a torn file.
-func writeFileAtomic(name string, data []byte) error {
-	_, err := atomicWrite(name, func(w io.Writer) error {
-		_, err := w.Write(data)
 		return err
-	})
-	return err
-}
-
-// write appends one record to the chain under the next sequence number
-// and counts it in n and written.
-func (c *Checkpointer) write(suffix string, encode func(io.Writer) error, n *int, written *obs.Counter) error {
-	start := time.Now()
-	size, err := atomicWrite(fmt.Sprintf("%s.%08d%s", c.path, c.seq, suffix), encode)
+	}
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	c.seq++
-	*n++
-	written.Inc()
-	c.metrics.Record(time.Since(start), size, time.Now())
-	return nil
-}
-
-// WriteFull writes a complete snapshot as the chain's next .full record,
-// then prunes.
-func (c *Checkpointer) WriteFull(eng core.Engine) error {
-	if err := c.write(chainSuffixFull, eng.Checkpoint, &c.Fulls, c.metrics.Written); err != nil {
-		c.metrics.Failed.Inc()
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	c.prune()
-	return nil
+	return err
 }
 
-// WriteDelta writes an incremental record extending the chain. When the
-// engine cannot produce one (chain not armed, tombstone overflow, or a
-// rotation broke the lineage) — or the write itself fails, which
-// de-synchronizes the on-disk chain from the engine's in-memory anchor
-// — it falls back to a full snapshot, which re-anchors both.
-func (c *Checkpointer) WriteDelta(eng core.Engine) error {
-	err := c.write(chainSuffixDelta, eng.CheckpointDelta, &c.Deltas, c.metrics.DeltaWritten)
-	if err == nil {
+// start waits out the record in flight, encodes the next one — a delta
+// unless full is set, the chain needs re-anchoring or the engine cannot
+// cut one — and hands it to a writer goroutine. It returns the earlier
+// record's failure if it had one (counted; the record started now is then
+// a full), else this record's own encode error.
+func (c *Checkpointer) start(eng core.Engine, full bool) error {
+	waited := time.Now()
+	prev := c.Wait()
+	c.stalled += time.Since(waited)
+	c.metrics.StallMS.Store(uint64(c.stalled.Milliseconds()))
+
+	began := time.Now()
+	c.buf.Reset()
+	full = full || c.needFull
+	if !full {
+		switch err := eng.CheckpointDelta(&c.buf); {
+		case errors.Is(err, core.ErrDeltaUnavailable):
+			full = true // chain not armed, backlog overflow, or a rotation broke the lineage
+		case err != nil:
+			c.metrics.Failed.Inc()
+			return err
+		}
+	}
+	if full {
+		if err := eng.Checkpoint(&c.buf); err != nil {
+			c.metrics.Failed.Inc()
+			return err
+		}
+	}
+	suffix := chainSuffixDelta
+	if full {
+		suffix = chainSuffixFull
+	}
+	name := fmt.Sprintf("%s.%08d%s", c.path, c.seq, suffix)
+	c.seq++
+	fl := &flight{full: full, size: int64(c.buf.Len()), encode: time.Since(began), done: make(chan flightResult, 1)}
+	c.flight = fl
+	data := c.buf.Bytes()
+	go func() {
+		t0 := time.Now()
+		err := atomicWrite(name, data)
+		if err == nil && full {
+			c.prune()
+		}
+		at := time.Now()
+		fl.done <- flightResult{at.Sub(t0), at, err}
+	}()
+	return prev
+}
+
+// Wait returns once no record is in flight, with the error of the one
+// that was if it failed. A durable record is counted here, so Fulls,
+// Deltas and the metrics never run ahead of the disk; a failed one is
+// counted as a failure and makes the next record a full.
+func (c *Checkpointer) Wait() error {
+	fl := c.flight
+	if fl == nil {
 		return nil
 	}
-	if !errors.Is(err, core.ErrDeltaUnavailable) {
+	c.flight = nil
+	res := <-fl.done
+	if res.err != nil {
+		c.needFull = true
 		c.metrics.Failed.Inc()
+		return res.err
 	}
-	return c.WriteFull(eng)
+	c.needFull = false
+	if fl.full {
+		c.Fulls++
+		c.metrics.Written.Inc()
+	} else {
+		c.Deltas++
+		c.metrics.DeltaWritten.Inc()
+	}
+	c.metrics.Record(fl.encode, res.write, fl.size, res.at)
+	return nil
+}
+
+// StartFull encodes a complete snapshot as the chain's next .full record
+// and returns while it is being written (a writer goroutine also prunes
+// once it is durable). Its error is that of the record that was in
+// flight, if it failed, or of the encode.
+func (c *Checkpointer) StartFull(eng core.Engine) error { return c.start(eng, true) }
+
+// StartDelta is StartFull for an incremental record extending the chain.
+// When the engine cannot produce one (chain not armed, backlog overflow,
+// or a rotation broke the lineage) — or an earlier write failed, which
+// de-synchronizes the on-disk chain from the engine's in-memory anchor —
+// the record is a full snapshot instead, which re-anchors both.
+func (c *Checkpointer) StartDelta(eng core.Engine) error { return c.start(eng, false) }
+
+// WriteFull is StartFull and Wait: it returns when the record is durable.
+func (c *Checkpointer) WriteFull(eng core.Engine) error {
+	return errors.Join(c.StartFull(eng), c.Wait())
+}
+
+// WriteDelta is StartDelta and Wait, and when the record did not land it
+// writes the full that re-anchors the chain before it returns.
+func (c *Checkpointer) WriteDelta(eng core.Engine) error {
+	err := errors.Join(c.StartDelta(eng), c.Wait())
+	if c.needFull {
+		return c.WriteFull(eng)
+	}
+	return err
 }
 
 // prune removes chain files older than the keep-th newest full. Deltas

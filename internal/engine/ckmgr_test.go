@@ -8,8 +8,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"zoomlens/internal/core"
+	"zoomlens/internal/obs"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
@@ -459,4 +461,142 @@ func TestChainRestoreTornFiles(t *testing.T) {
 			t.Fatal("restore succeeded with no chain at all")
 		}
 	})
+}
+
+// TestCheckpointerWriterFailure: a record is encoded on the caller's
+// goroutine and written behind it, so a disk failure arrives late. The
+// chain directory goes away while a delta is in flight; the call that next
+// waits for that record reports and counts the failure, the record after
+// it is a full whatever was asked for, and at every point RestoreEngine on
+// what the directory holds yields the last state that was made durable.
+func TestCheckpointerWriterFailure(t *testing.T) {
+	recs, cfg := ckWorkload(t, 500)
+
+	// setup writes a full at packet 100 and a delta at 200, both durable.
+	setup := func(t *testing.T) (eng *core.Analyzer, ck *Checkpointer, m *obs.CheckpointMetrics, dir, base string, durable []byte) {
+		dir = filepath.Join(t.TempDir(), "chain")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		base = filepath.Join(dir, "state.zlcp")
+		m = obs.NewCheckpointMetrics(obs.NewRegistry())
+		eng, ck = core.NewAnalyzer(cfg), NewCheckpointer(base, 2, m)
+		feedRecords(eng, recs, 0, 100)
+		if err := ck.WriteFull(eng); err != nil {
+			t.Fatal(err)
+		}
+		feedRecords(eng, recs, 100, 200)
+		if err := ck.WriteDelta(eng); err != nil {
+			t.Fatal(err)
+		}
+		return eng, ck, m, dir, base, bytes.Clone(engineFingerprint(t, eng))
+	}
+	restoresTo := func(t *testing.T, base string, want []byte, what string) {
+		t.Helper()
+		restored, _, err := RestoreEngine(base, cfg, nil)
+		if err != nil {
+			t.Fatalf("restore %s: %v", what, err)
+		}
+		if !bytes.Equal(engineFingerprint(t, restored), want) {
+			t.Errorf("restore %s does not yield the last durable state", what)
+		}
+	}
+
+	t.Run("surfaces_at_wait", func(t *testing.T) {
+		eng, ck, m, dir, base, durable := setup(t)
+		feedRecords(eng, recs, 200, 300)
+		// engineFingerprint re-anchored the chain at packet 200 without
+		// changing state, so this delta extends the durable one.
+		if err := os.Rename(dir, dir+".gone"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.StartDelta(eng); err != nil {
+			t.Fatalf("StartDelta with the disk gone: %v; the encode cannot fail, the write has not been waited for", err)
+		}
+		if err := ck.Wait(); err == nil {
+			t.Fatal("Wait returned nil for a record whose directory is gone")
+		}
+		if ck.Fulls != 1 || ck.Deltas != 1 || m.Failed.Value() != 1 || m.DeltaWritten.Value() != 1 {
+			t.Errorf("after the failure: %d fulls / %d deltas / %d failures (metric: %d deltas); want 1 / 1 / 1 (1): only durable records count",
+				ck.Fulls, ck.Deltas, m.Failed.Value(), m.DeltaWritten.Value())
+		}
+		if err := os.Rename(dir+".gone", dir); err != nil {
+			t.Fatal(err)
+		}
+		restoresTo(t, base, durable, "after the failed delta")
+
+		feedRecords(eng, recs, 300, 400)
+		if err := ck.WriteDelta(eng); err != nil {
+			t.Fatalf("the record after a failure: %v", err)
+		}
+		if ck.Fulls != 2 || ck.Deltas != 1 {
+			t.Errorf("the record after a failure: %d fulls / %d deltas, want 2 / 1 (a delta cannot extend a chain that lost a record)", ck.Fulls, ck.Deltas)
+		}
+		restoresTo(t, base, engineFingerprint(t, eng), "after the re-anchoring full")
+	})
+
+	t.Run("surfaces_at_next_start", func(t *testing.T) {
+		eng, ck, m, _, base, _ := setup(t)
+		feedRecords(eng, recs, 200, 300)
+		// The next record's name is taken by a directory: its rename fails
+		// however late the writer goroutine runs.
+		if err := os.Mkdir(base+".00000002"+chainSuffixDelta, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.StartDelta(eng); err != nil {
+			t.Fatal(err)
+		}
+		feedRecords(eng, recs, 300, 400)
+		if err := ck.StartDelta(eng); err == nil {
+			t.Error("the call after a failed record reported nothing")
+		}
+		if m.Failed.Value() != 1 {
+			t.Errorf("failures counted = %d, want 1", m.Failed.Value())
+		}
+		if err := os.Remove(base + ".00000002" + chainSuffixDelta); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Wait(); err != nil {
+			t.Fatalf("the full after the failure: %v", err)
+		}
+		if ck.Fulls != 2 || ck.Deltas != 1 {
+			t.Errorf("after recovery: %d fulls / %d deltas, want 2 / 1", ck.Fulls, ck.Deltas)
+		}
+		restoresTo(t, base, engineFingerprint(t, eng), "after the re-anchoring full")
+		if left, _ := filepath.Glob(base + "*.tmp-*"); len(left) != 0 {
+			t.Errorf("temp files left behind: %v", left)
+		}
+	})
+}
+
+// TestCheckpointRecordsOverlapIngest runs the driver with a delta cadence
+// of two packets, so nearly every record is still being written when the
+// next is due and the writer goroutine reads the chain's buffer while the
+// read loop ingests: under -race this is the test of who may touch that
+// buffer when. What lands must still be a chain: it restores, without a
+// fallback, to the state the run ended in.
+func TestCheckpointRecordsOverlapIngest(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		next, nets := genSource(t, 1200)
+		f := soakFlags(t.TempDir())
+		f.Workers = workers
+		f.CheckpointInterval, f.CheckpointDelta, f.Rotate = 100*time.Millisecond, 2*time.Millisecond, 0
+		run, err := f.RunFrom(nets, next, func() bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Close()
+		ck := run.Checkpointer
+		if ck.Deltas < 200 || ck.Fulls < 4 {
+			t.Errorf("workers=%d: %d fulls / %d deltas durable, want a record every other packet", workers, ck.Fulls, ck.Deltas)
+		}
+		restored, fallbacks, err := RestoreEngine(f.Checkpoint, core.Config{ZoomNetworks: nets}, nil)
+		if err != nil || fallbacks != 0 {
+			t.Fatalf("workers=%d: restoring the chain: %d fallbacks, err %v", workers, fallbacks, err)
+		}
+		restored.Finish()
+		if got, want := restored.Result().Counters(), run.Analyzer.Counters(); got != want {
+			t.Errorf("workers=%d: the chain restores to\n%+v\nthe run ended at\n%+v", workers, got, want)
+		}
+	}
 }

@@ -533,6 +533,9 @@ readLoop:
 			// the run up to this point are exactly the ones worth
 			// dissecting offline.
 			signal.Stop(sig)
+			if run.Checkpointer != nil {
+				run.ckptErr(run.Checkpointer.Wait())
+			}
 			core.Discard(eng)
 			run.flushQuarantine()
 			closeObsLog()
@@ -563,14 +566,17 @@ readLoop:
 		if drain.due(rec.Timestamp) {
 			fsink.drain(eng.DrainFeatures())
 		}
+		// A periodic record costs the read loop its encode; the file lands
+		// behind it (see Checkpointer), and a write that fails surfaces at
+		// the next record, which is then a full.
 		if full.due(rec.Timestamp) {
-			run.ckptErr(run.Checkpointer.WriteFull(eng))
+			run.ckptErr(run.Checkpointer.StartFull(eng))
 			// A full re-anchors the chain; push the next delta a full
 			// cadence out instead of writing one immediately after.
 			delta.rearm(rec.Timestamp)
 		}
 		if delta.due(rec.Timestamp) {
-			run.ckptErr(run.Checkpointer.WriteDelta(eng))
+			run.ckptErr(run.Checkpointer.StartDelta(eng))
 		}
 	}
 	ingestDone()
@@ -585,6 +591,7 @@ readLoop:
 	// count); it covers every packet ingested, interrupt included. It is
 	// always a full snapshot — the next start restores from it alone.
 	if run.Checkpointer != nil {
+		// Waits out the last periodic record first, then for its own.
 		run.ckptErr(run.Checkpointer.WriteFull(eng))
 	}
 	eng.Finish()
@@ -613,19 +620,6 @@ readLoop:
 		run.Analyzer.Truncated = true
 	}
 	return run, nil
-}
-
-// countWriter counts bytes on their way to the underlying writer so a
-// checkpoint's size can be reported without buffering it twice.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // ckptErr logs a failed checkpoint write (the Checkpointer counted it).
@@ -657,7 +651,7 @@ func (r *Run) rotateWindow(eng core.Engine, start, end time.Time, prefix string)
 		Window: r.Rotations, Start: start, End: end, Summary: win.Summary(),
 	})
 	if err == nil {
-		err = writeFileAtomic(path, append(data, '\n'))
+		err = atomicWrite(path, append(data, '\n'))
 	}
 	if err != nil {
 		log.Printf("rotate %s: %v", path, err)
@@ -683,7 +677,7 @@ func (r *Run) Close() { r.Setup.Close() }
 // and the hardening counters an operator needs to trust it. It also
 // flushes the panic quarantine when one was requested.
 func (r *Run) EmitStatus() {
-	s := r.Analyzer.Summary()
+	s := r.Analyzer.Counters() // the line has no meetings field
 	reason := ""
 	switch {
 	case r.Interrupted:
@@ -692,9 +686,9 @@ func (r *Run) EmitStatus() {
 		reason = "truncated_capture"
 	}
 	quarantined, quarDropped := r.flushQuarantine()
-	var ck Checkpointer // zero counts for a run without -checkpoint
-	if r.Checkpointer != nil {
-		ck = *r.Checkpointer
+	var fulls, deltas, tmpCleaned int // zero for a run without -checkpoint
+	if ck := r.Checkpointer; ck != nil {
+		fulls, deltas, tmpCleaned = ck.Fulls, ck.Deltas, ck.TmpCleaned
 	}
 	// Per-plugin decode counters mirror the zoomlens_proto_* metrics so
 	// a cluster aggregator (or an operator tailing stderr) sees the
@@ -707,11 +701,11 @@ func (r *Run) EmitStatus() {
 		`{"partial":%t,"reason":%q,"packets":%d,"flows":%d,"streams":%d,"evicted_flows":%d,"evicted_streams":%d,"rejected_packets":%d,"panics_recovered":%d,"quarantined":%d,"quarantine_dropped":%d,"shed_packets":%d,"shed_bytes":%d,"truncated":%t,"checkpoints":%d,"delta_checkpoints":%d,"restore_fallbacks":%d,"tmp_cleaned":%d,"restored":%t,"rotations":%d,"rotate_failures":%d%s,"proto_undecodable":%d,"stun_port_nonstun":%d}`,
 		r.Interrupted || s.Truncated, reason, s.Packets, s.Flows, s.Streams,
 		s.EvictedFlows, s.EvictedStreams, s.RejectedPackets, s.PanicsRecovered, quarantined, quarDropped,
-		s.ShedPackets, s.ShedBytes, s.Truncated, ck.Fulls, ck.Deltas, r.RestoreFallbacks, ck.TmpCleaned,
+		s.ShedPackets, s.ShedBytes, s.Truncated, fulls, deltas, r.RestoreFallbacks, tmpCleaned,
 		r.Restored, r.Rotations, r.RotateFailures, protoFields, s.Undecodable, s.STUNPortNonSTUN)
 	fmt.Fprintln(os.Stderr, line)
 	if r.statusPath != "" {
-		if err := writeFileAtomic(r.statusPath, []byte(line+"\n")); err != nil {
+		if err := atomicWrite(r.statusPath, []byte(line+"\n")); err != nil {
 			log.Printf("status file: %v", err)
 		}
 	}

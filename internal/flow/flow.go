@@ -223,13 +223,17 @@ type Table struct {
 	evictedEncap map[zoom.MediaType]*shareAgg
 	evictedPT    map[ptKey]*shareAgg
 
-	// Delta-checkpoint tracking (see delta.go). armed turns on deletion
-	// tombstones; it is set by the first checkpoint encode, so runs that
-	// never checkpoint pay nothing.
-	armed       bool
-	overflow    bool
-	deadFlows   []layers.FiveTuple
-	deadStreams []MediaStreamID
+	// Delta-checkpoint tracking (see state.go). armed turns it on; it is
+	// set by the first checkpoint encode, so runs that never checkpoint
+	// pay a compare per packet. A record's dirty bit is set exactly when
+	// the record is put on its dirty list, so clearing through the lists
+	// clears every bit.
+	armed        bool
+	overflow     bool
+	deadFlows    []layers.FiveTuple
+	deadStreams  []MediaStreamID
+	dirtyFlows   dirtyFlows
+	dirtyStreams []*StreamStats
 }
 
 // NewTable returns an empty table.
@@ -262,7 +266,9 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		t.flows[r.Flow] = f
 	}
 	f.LastSeen = r.Time
-	f.dirty = true
+	if t.armed && !f.dirty {
+		t.markFlow(f)
+	}
 	f.Packets++
 	f.WireBytes += uint64(r.WireLen)
 	f.encap(r.Z.Media.Type).Packets++
@@ -285,7 +291,9 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		if s := f.findStreamBySSRC(ssrc, r.Proto); s != nil {
 			s.RTCPPackets++
 			s.LastSeen = r.Time
-			s.dirty = true
+			if t.armed && !s.dirty {
+				t.markStream(s)
+			}
 			return s
 		}
 		return nil
@@ -309,7 +317,9 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		t.streams++
 	}
 	s.LastSeen = r.Time
-	s.dirty = true
+	if t.armed && !s.dirty {
+		t.markStream(s)
+	}
 	s.Packets++
 	s.WireBytes += uint64(r.WireLen)
 	s.MediaBytes += uint64(len(r.Z.RTP.Payload))
@@ -504,8 +514,10 @@ func (t *Table) Absorb(src *Table) {
 		d.bytes += a.bytes
 	}
 	for k, f := range src.flows {
+		// An adopted record is on none of this table's lists.
+		f.dirty = false
 		for _, s := range f.streams {
-			s.Owner = nil
+			s.Owner, s.dirty = nil, false
 		}
 		dst := t.flows[k]
 		if dst == nil {

@@ -583,8 +583,21 @@ func (t *oracleTable) Code(c *statecodec.Codec) {
 	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) { delete(t.flows, k) })
 	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) { delete(t.streams, id) })
 
+	// The oracle keeps dirty bits only; it lists them for the codec here.
+	var dirtyFlows statecodec.Entries[layers.FiveTuple, oracleFlow]
+	for k, f := range t.flows {
+		if f.dirty {
+			dirtyFlows = append(dirtyFlows, statecodec.Entry[layers.FiveTuple, *oracleFlow]{K: k, V: f})
+		}
+	}
+	var dirtyStreams statecodec.Entries[MediaStreamID, oracleStream]
+	for id, s := range t.streams {
+		if s.dirty {
+			dirtyStreams = append(dirtyStreams, statecodec.Entry[MediaStreamID, *oracleStream]{K: id, V: s})
+		}
+	}
 	statecodec.Map(c, layers.TupleKey, &t.flows, nil,
-		func(_ layers.FiveTuple, f *oracleFlow) bool { return f.dirty },
+		dirtyFlows,
 		func(k layers.FiveTuple, f *oracleFlow) {
 			f.Flow = k
 			c.Time(&f.FirstSeen)
@@ -599,7 +612,7 @@ func (t *oracleTable) Code(c *statecodec.Codec) {
 			})
 		})
 	statecodec.Map(c, StreamIDKey, &t.streams, nil,
-		func(_ MediaStreamID, s *oracleStream) bool { return s.dirty },
+		dirtyStreams,
 		func(id MediaStreamID, s *oracleStream) {
 			s.ID = id
 			c.Time(&s.FirstSeen)

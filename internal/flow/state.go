@@ -7,55 +7,87 @@ import (
 )
 
 // Checkpoint boundary for the flow table. A delta record re-serializes
-// only what changed since the previous checkpoint encode: records whose
-// dirty bit is set, plus deletion tombstones for entries evicted in
+// only what changed since the previous checkpoint encode: the records on
+// the table's dirty lists, plus deletion tombstones for entries evicted in
 // between; a full record is the same walk with every record selected.
 // The table arms itself at the first encode (MarkCheckpointed), so runs
-// that never checkpoint record no tombstones and pay only a
-// per-mutation bool store.
+// that never checkpoint record nothing and pay a compare per packet.
 
-// maxDeltaTombstones bounds the eviction backlog a delta is willing to
-// carry. Past it the table flags overflow and the next delta encode
-// reports itself unavailable, forcing the caller back to a full
-// snapshot (which resets everything).
+// maxDeltaTombstones bounds each backlog a delta is willing to carry:
+// the two tombstone lists and the two dirty lists (an evicted record
+// stays on its dirty list, and so in memory, until the next checkpoint).
+// Past it the table flags overflow and stops recording, and the next
+// delta encode reports itself unavailable, forcing the caller back to a
+// full snapshot (which resets everything).
 const maxDeltaTombstones = 1 << 20
 
-func (t *Table) tombstoneFlow(k layers.FiveTuple) {
+// recording reports whether a tracking list n entries long takes
+// another: the table is armed and no list has outgrown the bound.
+func (t *Table) recording(n int) bool {
 	if !t.armed || t.overflow {
-		return
+		return false
 	}
-	if len(t.deadFlows) >= maxDeltaTombstones {
+	if n >= maxDeltaTombstones {
 		t.overflow = true
-		return
+		return false
 	}
-	t.deadFlows = append(t.deadFlows, k)
+	return true
+}
+
+func (t *Table) tombstoneFlow(k layers.FiveTuple) {
+	if t.recording(len(t.deadFlows)) {
+		t.deadFlows = append(t.deadFlows, k)
+	}
 }
 
 func (t *Table) tombstoneStream(id MediaStreamID) {
-	if !t.armed || t.overflow {
-		return
+	if t.recording(len(t.deadStreams)) {
+		t.deadStreams = append(t.deadStreams, id)
 	}
-	if len(t.deadStreams) >= maxDeltaTombstones {
-		t.overflow = true
-		return
-	}
-	t.deadStreams = append(t.deadStreams, id)
 }
 
-// DeltaOverflow reports whether the eviction backlog outgrew what a
-// delta can carry; the owner must fall back to a full snapshot.
+// dirtyFlows lists flow records for statecodec.Map; a record holds its
+// own key.
+type dirtyFlows []*FlowStats
+
+func (d dirtyFlows) Len() int                                { return len(d) }
+func (d dirtyFlows) At(i int) (layers.FiveTuple, *FlowStats) { return d[i].Flow, d[i] }
+
+// markFlow puts a clean flow record on the dirty list.
+func (t *Table) markFlow(f *FlowStats) {
+	if t.recording(len(t.dirtyFlows)) {
+		f.dirty = true
+		t.dirtyFlows = append(t.dirtyFlows, f)
+	}
+}
+
+// markStream puts a clean stream record on the dirty list.
+func (t *Table) markStream(s *StreamStats) {
+	if t.recording(len(t.dirtyStreams)) {
+		s.dirty = true
+		t.dirtyStreams = append(t.dirtyStreams, s)
+	}
+}
+
+// DeltaOverflow reports whether a backlog outgrew what a delta can
+// carry; the owner must fall back to a full snapshot.
 func (t *Table) DeltaOverflow() bool { return t.overflow }
 
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
-// decode: every record is now captured, so dirty bits and tombstones
-// clear and the table arms for the next delta.
+// decode: every record is now captured, so the listed records' dirty bits
+// and the lists themselves clear, and the table arms for the next delta.
 func (t *Table) MarkCheckpointed() {
-	for _, f := range t.flows {
+	for _, f := range t.dirtyFlows {
 		f.dirty = false
-		for _, s := range f.streams {
-			s.dirty = false
-		}
 	}
+	for _, s := range t.dirtyStreams {
+		s.dirty = false
+	}
+	// Cleared, not just cut: a listed record that was evicted since is
+	// otherwise held by the list's spare capacity.
+	clear(t.dirtyFlows)
+	clear(t.dirtyStreams)
+	t.dirtyFlows, t.dirtyStreams = t.dirtyFlows[:0], t.dirtyStreams[:0]
 	t.deadFlows = t.deadFlows[:0]
 	t.deadStreams = t.deadStreams[:0]
 	t.overflow = false
@@ -145,7 +177,7 @@ func (t *Table) Code(c *statecodec.Codec) {
 	statecodec.Map(c, layers.TupleKey, &t.flows,
 		// A flow a delta updates keeps its streams: only the dirty ones follow.
 		func(f *FlowStats) { *f = FlowStats{streams: f.streams, ByEncapType: f.ByEncapType[:0]} },
-		func(_ layers.FiveTuple, f *FlowStats) bool { return f.dirty },
+		t.dirtyFlows,
 		func(k layers.FiveTuple, f *FlowStats) {
 			f.Flow = k
 			c.Time(&f.FirstSeen)
@@ -169,15 +201,18 @@ func (t *Table) Code(c *statecodec.Codec) {
 		streams    []streamEntry
 		streamSlab statecodec.Slab[StreamStats]
 	)
-	if c.Encoding() {
-		if c.Full() {
-			streams = make([]streamEntry, 0, t.streams)
-		}
-		for _, f := range t.flows {
-			for _, s := range f.streams {
-				if c.Full() || s.dirty {
-					streams = append(streams, streamEntry{K: s.ID, V: s})
-				}
+	switch {
+	case !c.Encoding():
+	case c.Full():
+		streams = make([]streamEntry, 0, t.streams)
+		t.eachStream(func(s *StreamStats) { streams = append(streams, streamEntry{K: s.ID, V: s}) })
+	default:
+		streams = make([]streamEntry, 0, len(t.dirtyStreams))
+		for _, s := range t.dirtyStreams {
+			// A listed record evicted since is skipped; its key may be a
+			// new record's by now.
+			if f := t.flows[s.ID.Flow]; f.stream(s.ID.Key) == s {
+				streams = append(streams, streamEntry{K: s.ID, V: s})
 			}
 		}
 	}

@@ -86,10 +86,14 @@ type Dedup struct {
 	// observed counts observations: the clock ageing runs on.
 	observed uint64
 
-	// Delta-checkpoint tracking (see delta.go). armed turns on
-	// dirty-SSRC-list recording; it is set by the first checkpoint
-	// encode, so runs that never checkpoint pay nothing.
+	// Delta-checkpoint tracking (see state.go). armed turns on the dirty
+	// list and dirty-SSRC-list recording; it is set by the first
+	// checkpoint encode, so runs that never checkpoint pay a compare per
+	// observation. dirty lists the records whose dirty bit is set, each
+	// once; records are never deleted, so the list is no longer than the
+	// table.
 	armed     bool
+	dirty     dirtyStreams
 	dirtySSRC map[zoom.StreamKey]struct{}
 }
 
@@ -178,7 +182,7 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 	}
 	s.lastSeen = o.Time
 	s.lastTS = o.TS
-	s.dirty = true
+	d.markDirty(s)
 	if s.evicted {
 		d.relink(s)
 	}
@@ -229,7 +233,7 @@ func (d *Dedup) Evict(cutoff time.Time) {
 		for _, s := range list {
 			if s.lastSeen.Before(cutoff) {
 				s.evicted = true
-				s.dirty = true
+				d.markDirty(s)
 				continue
 			}
 			kept = append(kept, s)

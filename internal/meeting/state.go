@@ -7,12 +7,30 @@ import (
 )
 
 // Checkpoint boundary for step-1 duplicate detection. A delta record
-// re-serializes only stream records whose dirty bit is set, plus the
+// re-serializes only the stream records on the dirty list, plus the
 // bySSRC lists of SSRC keys whose membership changed; a full record is
 // the same walk with everything selected. Stream records are never
 // deleted from d.streams — ageing only unlinks them from the index — so
 // there are no tombstones. (The step-2 Grouper is rebuilt from records
 // on every Meetings() call and carries no state here.)
+
+// dirtyStreams lists stream records for statecodec.Map; a record holds
+// its own key.
+type dirtyStreams []*streamState
+
+func (d dirtyStreams) Len() int { return len(d) }
+func (d dirtyStreams) At(i int) (flow.MediaStreamID, *streamState) {
+	return flow.MediaStreamID{Flow: d[i].flow, Key: d[i].key}, d[i]
+}
+
+// markDirty puts a record mutated for the first time since the last
+// checkpoint encode on the dirty list.
+func (d *Dedup) markDirty(s *streamState) {
+	if d.armed && !s.dirty {
+		s.dirty = true
+		d.dirty = append(d.dirty, s)
+	}
+}
 
 func (d *Dedup) markSSRCDirty(k zoom.StreamKey) {
 	if !d.armed {
@@ -27,9 +45,10 @@ func (d *Dedup) markSSRCDirty(k zoom.StreamKey) {
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
 // decode, arming the detector for the next delta.
 func (d *Dedup) MarkCheckpointed() {
-	for _, s := range d.streams {
+	for _, s := range d.dirty {
 		s.dirty = false
 	}
+	d.dirty = d.dirty[:0]
 	clear(d.dirtySSRC)
 	d.armed = true
 }
@@ -51,7 +70,7 @@ func (d *Dedup) Code(c *statecodec.Codec) {
 	c.U64(&d.observed)
 
 	statecodec.Map(c, flow.StreamIDKey, &d.streams, nil,
-		func(_ flow.MediaStreamID, s *streamState) bool { return s.dirty },
+		d.dirty,
 		func(id flow.MediaStreamID, s *streamState) {
 			s.flow, s.key = id.Flow, id.Key
 			c.Int((*int)(&s.unified))

@@ -60,9 +60,16 @@ type CopyMatcher struct {
 	// of a hostile clock by.
 	swept uint64
 
-	// Delta-checkpoint tracking (see state.go): the streams of the last
-	// checkpoint dropped since, and the Samples length at it.
+	// Delta-checkpoint tracking (see state.go). dirtyBit is slotDirty once
+	// the first checkpoint armed the tracking and 0 before it, so a run
+	// that never checkpoints sets no dirty state at all. dirty lists the
+	// live streams observed since the last checkpoint, each once (drop
+	// unlists); dead the streams of that checkpoint dropped since; epoch
+	// counts checkpoints and ckSamples is the Samples length at the last.
+	dirtyBit  uint8
+	dirty     []*copyStream
 	dead      []meeting.UnifiedID
+	epoch     uint32
 	ckSamples int
 }
 
@@ -89,6 +96,7 @@ const (
 
 // copyStream is one unified stream's matcher state.
 type copyStream struct {
+	id meeting.UnifiedID
 	// last is the time of the stream's latest observation.
 	last int64
 	// flows are the five-tuples the stream was seen on; slots name them by
@@ -96,9 +104,13 @@ type copyStream struct {
 	flows []layers.FiveTuple
 	// rings holds one ring per payload type, ascending.
 	rings []copyRing
-	// dirty marks a stream observed since the last checkpoint encode, base
-	// one that checkpoint holds.
-	dirty, base bool
+	// dirty marks a stream observed since the last checkpoint encode —
+	// listed is then its place on the matcher's dirty list — and born is the
+	// matcher's epoch when the stream appeared: the last checkpoint holds
+	// the streams of earlier epochs.
+	dirty  bool
+	listed int32
+	born   uint32
 	// The first few five-tuples and rings, and the first ring's first
 	// slots, live in the record itself: few streams have more, so most
 	// are one allocation.
@@ -107,10 +119,22 @@ type copyStream struct {
 	slots0 [minRing]copySlot
 }
 
-func newCopyStream() *copyStream {
-	s := new(copyStream)
+// newStream gives the matcher an empty stream for id, which it must not
+// hold.
+func (cm *CopyMatcher) newStream(id meeting.UnifiedID) *copyStream {
+	s := &copyStream{id: id, born: cm.epoch}
 	s.flows, s.rings = s.flows0[:0], s.rings0[:0]
+	cm.streams[id] = s
 	return s
+}
+
+// touch lists a stream changed for the first time since the last
+// checkpoint.
+func (cm *CopyMatcher) touch(s *copyStream) {
+	if cm.dirtyBit != 0 && !s.dirty {
+		s.dirty, s.listed = true, int32(len(cm.dirty))
+		cm.dirty = append(cm.dirty, s)
+	}
 }
 
 type copyRing struct {
@@ -166,7 +190,7 @@ func (cm *CopyMatcher) addRing(s *copyStream, pt uint8) *copyRing {
 	if len(s.rings) > 0 {
 		slots = make([]copySlot, minRing)
 	}
-	s.rings = slices.Insert(s.rings, i, copyRing{pt: pt, dirty: true, slots: slots})
+	s.rings = slices.Insert(s.rings, i, copyRing{pt: pt, dirty: cm.dirtyBit != 0, slots: slots})
 	cm.slots += minRing
 	return &s.rings[i]
 }
@@ -183,7 +207,8 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 	ord := -1
 	var r *copyRing
 	if s != nil {
-		s.last, s.dirty = now, true
+		s.last = now
+		cm.touch(s)
 		ord = slices.Index(s.flows, flow)
 		r = s.ring(pt)
 	}
@@ -198,8 +223,8 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 				cm.Samples = slices.Grow(cm.Samples, max(len(cm.Samples), 64))
 			}
 			cm.Samples = append(cm.Samples, rs)
-			sl.flags = slotDirty
-			r.dirty = true
+			sl.flags = cm.dirtyBit
+			r.dirty = cm.dirtyBit != 0
 			cm.pending--
 			return rs, true
 		}
@@ -214,9 +239,9 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 		if cm.atCap(now) {
 			return RTTSample{}, false
 		}
-		s = newCopyStream()
-		s.last, s.dirty = now, true
-		cm.streams[unified] = s
+		s = cm.newStream(unified)
+		s.last = now
+		cm.touch(s)
 	}
 	if ord < 0 {
 		if len(s.flows) == maxCopyFlows {
@@ -238,8 +263,8 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 		}
 		cm.pending++
 	}
-	*sl = copySlot{at: now, ts: ts, seq: seq, flow: uint8(ord), flags: slotLive | slotDirty}
-	r.dirty = true
+	*sl = copySlot{at: now, ts: ts, seq: seq, flow: uint8(ord), flags: slotLive | cm.dirtyBit}
+	r.dirty = cm.dirtyBit != 0
 	return RTTSample{}, false
 }
 
@@ -276,7 +301,7 @@ func (cm *CopyMatcher) grow(r *copyRing) {
 			r.slots[int(sl.seq)&(2*n-1)] = sl
 		}
 	}
-	r.dirty = true
+	r.dirty = cm.dirtyBit != 0
 	cm.slots += n
 }
 
@@ -328,8 +353,9 @@ func (cm *CopyMatcher) sweep(now int64, slots bool) {
 			cm.swept += uint64(len(r.slots))
 			for i := range r.slots {
 				if sl := &r.slots[i]; sl.flags&slotLive != 0 && copyStale(now, sl.at) {
-					sl.flags = slotDirty
-					r.dirty, s.dirty = true, true
+					sl.flags = cm.dirtyBit
+					r.dirty = cm.dirtyBit != 0
+					cm.touch(s)
 					cm.pending--
 				}
 			}
@@ -349,7 +375,15 @@ func (cm *CopyMatcher) drop(id meeting.UnifiedID, s *copyStream) {
 		}
 	}
 	delete(cm.streams, id)
-	if s.base {
+	if s.dirty {
+		// Unlisted, so the list names live streams only and holds no
+		// dropped one in memory: the last entry takes the place.
+		last := cm.dirty[len(cm.dirty)-1]
+		cm.dirty[s.listed], last.listed = last, s.listed
+		cm.dirty[len(cm.dirty)-1] = nil
+		cm.dirty = cm.dirty[:len(cm.dirty)-1]
+	}
+	if s.born != cm.epoch {
 		cm.dead = append(cm.dead, id)
 	}
 }

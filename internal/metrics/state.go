@@ -20,8 +20,9 @@ var (
 	u16Key = statecodec.UintKey[uint16]()
 )
 
-func (s *Series) code(c *statecodec.Codec) {
-	statecodec.Slice(c, &s.Samples, 0, func(sm *Sample) {
+// code walks the samples from index from on (see statecodec.Slice).
+func (s *Series) code(c *statecodec.Codec, from int) {
+	statecodec.Slice(c, &s.Samples, from, func(sm *Sample) {
 		c.I64(&sm.At)
 		c.F64(&sm.Value)
 	})
@@ -29,14 +30,52 @@ func (s *Series) code(c *statecodec.Codec) {
 
 // Code walks the stream analyzer through c. The record carries the
 // media type and what was accumulated from packets; a decoding pass
-// makes the receiver (whatever it held) the empty analyzer of that type
-// the way NewStreamMetrics does, builds substreams with newSub, and
-// fills both in — so a restored stream has the clock, the models and
-// the limits of the code that restores it.
-func (sm *StreamMetrics) Code(c *statecodec.Codec) {
+// makes the receiver the empty analyzer of that type the way
+// NewStreamMetrics does, builds substreams with newSub, and fills both
+// in — so a restored stream has the clock, the models and the limits of
+// the code that restores it.
+//
+// The six append-only logs travel as tails. A delta pass writes each from
+// the length MarkDirty noted, a full pass from 0, and the record says from
+// where; a decoding pass keeps the logs the receiver holds, refuses a
+// record that does not start where they end, and appends. Everything else
+// — counters, the open rate bin, the models' heads, the substreams — is
+// carried whole.
+func (sm *StreamMetrics) Code(c *statecodec.Codec) { sm.code(c, c.Full()) }
+
+// CodeWhole is Code for a stream no later record will extend — one
+// archived at idle eviction: an encoding pass writes its logs from 0
+// whatever the pass's kind.
+func (sm *StreamMetrics) CodeWhole(c *statecodec.Codec) { sm.code(c, true) }
+
+func (sm *StreamMetrics) code(c *statecodec.Codec, whole bool) {
 	mt := sm.MediaType
 	if c.U8((*uint8)(&mt)); !c.Encoding() {
+		held := *sm
 		sm.init(mt)
+		if held.MediaType == mt {
+			sm.frames, sm.JitterMS, sm.MediaRate, sm.WireRate = held.frames, held.JitterMS, held.MediaRate, held.WireRate
+			if sm.Stall != nil && held.Stall != nil {
+				sm.Stall.Events = held.Stall.Events
+			}
+			if sm.Talk != nil && held.Talk != nil {
+				sm.Talk.segments = held.Talk.segments
+			}
+		}
+	}
+	from := sm.base
+	if whole {
+		from = logLens{}
+	}
+	c.Int(&from.frames)
+	c.Int(&from.jitter)
+	c.Int(&from.media)
+	c.Int(&from.wire)
+	c.Int(&from.stalls)
+	c.Int(&from.talk)
+	if held := sm.logLens(); !c.Encoding() && from != held {
+		c.Failf("metrics.StreamMetrics log baselines %+v do not match the stream's logs at %+v", from, held)
+		return
 	}
 	c.Bool(&sm.finished)
 
@@ -46,9 +85,9 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	c.U64(&sm.FramesTotal)
 	c.U64(&sm.FramesIncomplete)
 
-	sm.JitterMS.code(c)
-	sm.MediaRate.code(c)
-	sm.WireRate.code(c)
+	sm.JitterMS.code(c, from.jitter)
+	sm.MediaRate.code(c, from.media)
+	sm.WireRate.code(c, from.wire)
 
 	c.Bool(&sm.haveBin)
 	c.I64(&sm.binStart)
@@ -56,10 +95,10 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 	c.U64(&sm.binMedia)
 
 	if sm.Stall != nil {
-		sm.Stall.code(c)
+		sm.Stall.code(c, from.stalls)
 	}
 	if sm.Talk != nil {
-		sm.Talk.code(c)
+		sm.Talk.code(c, from.talk)
 	}
 
 	var buf [8]uint8
@@ -91,7 +130,7 @@ func (sm *StreamMetrics) Code(c *statecodec.Codec) {
 
 	// The frame log goes last: a record names its substream, so a
 	// decoding pass can hold each one against the substreams just built.
-	statecodec.Slice(c, &sm.frames, 0, func(f *FrameRecord) {
+	statecodec.Slice(c, &sm.frames, from.frames, func(f *FrameRecord) {
 		c.I64(&f.At)
 		c.I64(&f.Delay)
 		c.U32(&f.TS)
@@ -167,8 +206,8 @@ func (a *FrameAssembler) code(c *statecodec.Codec) {
 	}
 }
 
-func (d *StallDetector) code(c *statecodec.Codec) {
-	statecodec.Slice(c, &d.Events, 0, func(e *StallEvent) {
+func (d *StallDetector) code(c *statecodec.Codec, from int) {
+	statecodec.Slice(c, &d.Events, from, func(e *StallEvent) {
 		c.Time(&e.Start)
 		c.Duration(&e.Duration)
 		c.Int(&e.FramesLate)
@@ -181,8 +220,8 @@ func (d *StallDetector) code(c *statecodec.Codec) {
 	c.Time(&d.lastSeen)
 }
 
-func (t *TalkTracker) code(c *statecodec.Codec) {
-	statecodec.Slice(c, &t.segments, 0, func(s *TalkSegment) {
+func (t *TalkTracker) code(c *statecodec.Codec, from int) {
+	statecodec.Slice(c, &t.segments, from, func(s *TalkSegment) {
 		c.Time(&s.Start)
 		c.Time(&s.End)
 	})
@@ -207,15 +246,12 @@ func (t *TalkTracker) code(c *statecodec.Codec) {
 // past the length at the last encode.
 
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
-// decode: the current state is fully captured, so the dirty bits and
-// tombstones clear, every stream becomes part of the base and the
-// Samples baseline re-anchors.
+// decode: the current state is fully captured, so the listed streams'
+// dirty bits, the list and the tombstones clear, every stream becomes
+// part of the base (the epoch moves on) and the Samples baseline
+// re-anchors. The first call arms the tracking.
 func (cm *CopyMatcher) MarkCheckpointed() {
-	for _, s := range cm.streams {
-		s.base = true
-		if !s.dirty {
-			continue
-		}
+	for _, s := range cm.dirty {
 		s.dirty = false
 		for ri := range s.rings {
 			r := &s.rings[ri]
@@ -228,8 +264,12 @@ func (cm *CopyMatcher) MarkCheckpointed() {
 			}
 		}
 	}
+	clear(cm.dirty)
+	cm.dirty = cm.dirty[:0]
 	cm.dead = cm.dead[:0]
 	cm.ckSamples = len(cm.Samples)
+	cm.epoch++
+	cm.dirtyBit = slotDirty
 }
 
 var unifiedKey = &statecodec.Key[meeting.UnifiedID]{Min: 1, Compare: cmp.Compare[meeting.UnifiedID],
@@ -270,18 +310,28 @@ func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 		}
 	})
 	var sel []meeting.UnifiedID
-	if c.Encoding() {
-		for id, s := range cm.streams {
-			if c.Full() || s.dirty {
-				sel = append(sel, id)
-			}
+	switch {
+	case !c.Encoding():
+	case c.Full():
+		sel = make([]meeting.UnifiedID, 0, len(cm.streams))
+		for id := range cm.streams {
+			sel = append(sel, id)
+		}
+	default:
+		sel = make([]meeting.UnifiedID, 0, len(cm.dirty))
+		for _, s := range cm.dirty {
+			sel = append(sel, s.id)
 		}
 	}
 	statecodec.Keys(c, unifiedKey, sel, func(id meeting.UnifiedID) {
 		s := cm.streams[id]
 		if s == nil {
-			s = newCopyStream()
-			cm.streams[id] = s
+			s = cm.newStream(id)
+		}
+		if !c.Encoding() {
+			// Building rings on an armed matcher dirties them; listed, the
+			// stream is cleaned with the rest after the pass.
+			cm.touch(s)
 		}
 		c.I64(&s.last)
 		statecodec.Slice(c, &s.flows, 0, func(ft *layers.FiveTuple) { ft.Code(c) })

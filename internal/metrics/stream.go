@@ -177,12 +177,41 @@ type StreamMetrics struct {
 	finished bool
 
 	// dirty marks the accumulator as mutated since the last checkpoint
-	// encode; delta checkpoints re-serialize only dirty streams.
+	// encode; delta checkpoints re-serialize only dirty streams, and of
+	// their logs only what lies past base, the lengths MarkDirty found.
 	dirty bool
+	base  logLens
+}
+
+// logLens holds the lengths of a stream's six append-only logs: the frame
+// log, the three stored series, the stall events and the talk segments.
+// Every writer of one appends and nothing rewrites an element, so the
+// lengths at a checkpoint say exactly which part of each log that
+// checkpoint holds.
+type logLens struct {
+	frames, jitter, media, wire, stalls, talk int
+}
+
+func (sm *StreamMetrics) logLens() logLens {
+	n := logLens{frames: len(sm.frames), jitter: len(sm.JitterMS.Samples), media: len(sm.MediaRate.Samples), wire: len(sm.WireRate.Samples)}
+	if sm.Stall != nil {
+		n.stalls = len(sm.Stall.Events)
+	}
+	if sm.Talk != nil {
+		n.talk = len(sm.Talk.segments)
+	}
+	return n
 }
 
 // MarkDirty flags the stream as mutated since the last checkpoint encode.
-func (sm *StreamMetrics) MarkDirty() { sm.dirty = true }
+// Call it before the mutation: the first call after a checkpoint notes how
+// long the logs are, which is how long they were at that checkpoint, and a
+// delta record carries them from there.
+func (sm *StreamMetrics) MarkDirty() {
+	if !sm.dirty {
+		sm.dirty, sm.base = true, sm.logLens()
+	}
+}
 
 // Dirty reports whether the stream mutated since the last checkpoint
 // encode.

@@ -3,8 +3,10 @@ package obs
 import "time"
 
 // CheckpointMetrics instruments the engine driver's checkpoint writer
-// and report rotation: how many checkpoints were written (or failed),
-// how long the last one took, how big it was, and when it landed (the
+// and report rotation: how many checkpoints became durable (or failed),
+// what the last one cost the packet path (encode) and the writer
+// goroutine (write, sync, rename), how long ingest has waited for the
+// disk in total, how big the last record was, and when it landed (the
 // age an operator alerts on is time() - zoomlens_checkpoint_last_unix).
 // Every method is safe on a nil receiver and on handles from a nil
 // Registry, matching the rest of the package.
@@ -16,9 +18,16 @@ type CheckpointMetrics struct {
 	// RotateFailures counts windows whose report file could not be
 	// written; Rotations counts only successful window emissions.
 	RotateFailures *Counter
-	DurationMS     *Gauge
-	SizeBytes      *Gauge
-	LastUnix       *Gauge
+	// EncodeMS is the time the ingest goroutine spent encoding the last
+	// record; WriteMS the time the writer goroutine then took to make it
+	// durable, which ingest does not wait for unless the next record is
+	// due first — StallMS totals those waits, and stays near 0 on a disk
+	// that keeps up.
+	EncodeMS  *Gauge
+	WriteMS   *Gauge
+	StallMS   *Counter
+	SizeBytes *Gauge
+	LastUnix  *Gauge
 
 	// DeltaWritten counts incremental (delta) checkpoint records;
 	// Written counts fulls only, so the two partition the chain.
@@ -35,28 +44,31 @@ type CheckpointMetrics struct {
 // yields inert handles).
 func NewCheckpointMetrics(r *Registry) *CheckpointMetrics {
 	return &CheckpointMetrics{
-		Written:        r.Counter("zoomlens_checkpoints_written_total", "Checkpoints written successfully."),
+		Written:        r.Counter("zoomlens_checkpoints_written_total", "Full checkpoint records made durable."),
 		Failed:         r.Counter("zoomlens_checkpoint_failures_total", "Checkpoint writes that failed."),
 		Restored:       r.Counter("zoomlens_checkpoint_restores_total", "Runs resumed from a checkpoint."),
 		Rotations:      r.Counter("zoomlens_report_rotations_total", "Report windows rotated out."),
 		RotateFailures: r.Counter("zoomlens_report_rotation_failures_total", "Report windows whose file write failed."),
-		DurationMS:     r.Gauge("zoomlens_checkpoint_duration_ms", "Wall-clock duration of the last checkpoint write."),
+		EncodeMS:       r.Gauge("zoomlens_checkpoint_encode_ms", "Time the ingest goroutine spent encoding the last checkpoint record."),
+		WriteMS:        r.Gauge("zoomlens_checkpoint_write_ms", "Time the writer goroutine took to write, sync and rename the last checkpoint record."),
+		StallMS:        r.Counter("zoomlens_checkpoint_stall_ms_total", "Time the ingest goroutine spent waiting for a checkpoint record still being written."),
 		SizeBytes:      r.Gauge("zoomlens_checkpoint_size_bytes", "Encoded size of the last checkpoint."),
 		LastUnix:       r.Gauge("zoomlens_checkpoint_last_unix", "Unix time of the last successful checkpoint."),
 
-		DeltaWritten: r.Counter("zoomlens_checkpoint_deltas_total", "Incremental (delta) checkpoint records written."),
+		DeltaWritten: r.Counter("zoomlens_checkpoint_deltas_total", "Incremental (delta) checkpoint records made durable."),
 		Fallbacks:    r.Counter("zoomlens_checkpoint_restore_fallbacks_total", "Corrupt checkpoint generations skipped during restore."),
 		TmpCleaned:   r.Counter("zoomlens_checkpoint_tmp_cleaned_total", "Orphaned checkpoint temp files removed at startup."),
 	}
 }
 
-// Record notes the cost of one successful checkpoint write, full or
-// delta (the caller bumps Written or DeltaWritten).
-func (m *CheckpointMetrics) Record(d time.Duration, size int64, at time.Time) {
+// Record notes the cost of one checkpoint record that became durable,
+// full or delta (the caller bumps Written or DeltaWritten).
+func (m *CheckpointMetrics) Record(encode, write time.Duration, size int64, at time.Time) {
 	if m == nil {
 		return
 	}
-	m.DurationMS.Set(d.Milliseconds())
+	m.EncodeMS.Set(encode.Milliseconds())
+	m.WriteMS.Set(write.Milliseconds())
 	m.SizeBytes.Set(size)
 	m.LastUnix.Set(at.Unix())
 }

@@ -86,6 +86,14 @@ func (w *Writer) Grow(n int) {
 	w.buf = nb
 }
 
+// Write appends p as it is, so a Writer can stand wherever an io.Writer
+// is asked for; an encoder that recognizes one appends to it directly
+// instead (see core's Checkpoint). It never fails.
+func (w *Writer) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
 // U8 appends one byte (enums, header bytes).
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
@@ -680,24 +688,54 @@ func (s *Slab[V]) New(left int) *V {
 	return v
 }
 
-// Map walks a map of record pointers. An encoding pass writes the
-// records dirty selects (all of them on a full pass or when dirty is
-// nil); a decoding pass upserts: a key already present keeps its record
-// pointer — other structures may reference it — reset to the zero
-// value, or by reset where the record holds something no record of this
-// walk carries (a flow's stream index), and a new key gets a zero record
-// from a chunked slab. Either way elem then walks the record's fields.
-// Decoding never leaves *m nil.
-func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, reset func(*V), dirty func(K, *V) bool, elem func(k K, v *V)) {
+// Dirty is a layer's list of the records of one keyed collection that
+// changed since the last checkpoint: the layer appends a record when it
+// sets the record's dirty bit and empties the list when it clears the
+// bits, so a delta pass reads what changed without visiting what did not.
+type Dirty[K comparable, V any] interface {
+	Len() int
+	At(i int) (K, *V)
+}
+
+// Entries is the Dirty of a collection whose records do not hold their
+// own key.
+type Entries[K comparable, V any] []Entry[K, *V]
+
+func (e Entries[K, V]) Len() int         { return len(e) }
+func (e Entries[K, V]) At(i int) (K, *V) { return e[i].K, e[i].V }
+
+// Map walks a map of record pointers. A full encoding pass writes every
+// record. A delta pass writes the records dirty lists, less the entries
+// the map no longer holds under that key (a record evicted since it was
+// listed, whose key may since have been given to a new record), so its
+// cost follows what changed, not what the map holds; a nil dirty is a
+// collection carried whole in every record. A decoding pass upserts: a
+// key already present keeps its record pointer — other structures may
+// reference it — reset to the zero value, or by reset where the record
+// holds something no record of this walk carries (a flow's stream index,
+// a stream's logs), and a new key gets a zero record from a chunked slab.
+// Either way elem then walks the record's fields. Decoding never leaves *m
+// nil.
+func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, reset func(*V), dirty Dirty[K, V], elem func(k K, v *V)) {
 	if c.w != nil {
 		var scratch [smallMap]Entry[K, *V]
 		sel := scratch[:0]
-		if (c.full || dirty == nil) && len(*m) > len(scratch) {
-			sel = make([]Entry[K, *V], 0, len(*m))
-		}
-		for k, v := range *m {
-			if c.full || dirty == nil || dirty(k, v) {
+		if c.full || dirty == nil {
+			if len(*m) > len(scratch) {
+				sel = make([]Entry[K, *V], 0, len(*m))
+			}
+			for k, v := range *m {
 				sel = append(sel, Entry[K, *V]{k, v})
+			}
+		} else {
+			n := dirty.Len()
+			if n > len(scratch) {
+				sel = make([]Entry[K, *V], 0, n)
+			}
+			for i := 0; i < n; i++ {
+				if k, v := dirty.At(i); (*m)[k] == v {
+					sel = append(sel, Entry[K, *V]{k, v})
+				}
 			}
 		}
 		put(c, key, sel, elem)

@@ -202,7 +202,15 @@ func (l *layer) code(c *Codec) {
 		c.I64(&l.opt.v)
 	}
 	Tombstones(c, u32k, l.dead, func(k uint32) { delete(l.recs, k) })
-	Map(c, u32k, &l.recs, nil, func(_ uint32, it *item) bool { return it.dirty }, func(_ uint32, it *item) { c.I64(&it.v) })
+	// The dirty records, and two listed ones the map no longer holds under
+	// their keys, which a delta pass must skip.
+	changed := Entries[uint32, item]{{9, &item{v: -9}}, {404, &item{v: -404}}}
+	for k, it := range l.recs {
+		if it.dirty {
+			changed = append(changed, Entry[uint32, *item]{k, it})
+		}
+	}
+	Map(c, u32k, &l.recs, nil, changed, func(_ uint32, it *item) { c.I64(&it.v) })
 	MapVal(c, u8k, &l.counts, func(_ uint8, n uint64) uint64 { c.U64(&n); return n })
 	MapSet(c, u16k, &l.lists, l.dirty, func(_ uint16, list []uint32) ([]uint32, bool) {
 		Slice(c, &list, 0, c.U32)

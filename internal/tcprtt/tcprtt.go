@@ -61,8 +61,8 @@ type Tracker struct {
 	serverToClient dirState
 
 	// lastSeen is the time of the latest packet (what idle eviction
-	// reads); dirty marks a tracker observed since the last checkpoint
-	// encode.
+	// reads); dirty marks a tracker its owner has listed as observed since
+	// the last checkpoint encode (MarkDirty).
 	lastSeen time.Time
 	dirty    bool
 }
@@ -91,9 +91,13 @@ func NewTracker() *Tracker { return new(Tracker) }
 // LastSeen returns the time of the latest packet observed.
 func (t *Tracker) LastSeen() time.Time { return t.lastSeen }
 
-// Dirty reports whether the tracker saw a packet since the last
-// checkpoint encode.
+// Dirty reports whether the tracker's owner has listed it as observed
+// since the last checkpoint encode.
 func (t *Tracker) Dirty() bool { return t.dirty }
+
+// MarkDirty flags the tracker as observed since the last checkpoint
+// encode; its owner calls it when it lists the tracker for the next delta.
+func (t *Tracker) MarkDirty() { t.dirty = true }
 
 // ClearDirty resets the mutation flag (called when a checkpoint encode
 // captures the tracker).
@@ -103,7 +107,7 @@ func (t *Tracker) ClearDirty() { t.dirty = false }
 // direction (true: client→server). The TCP header and payload length come
 // from the decoded packet.
 func (t *Tracker) Observe(at time.Time, fromClient bool, tcp *layers.TCP, payloadLen int) {
-	t.lastSeen, t.dirty = at, true
+	t.lastSeen = at
 	var sendDir, ackDir *dirState
 	var side Side
 	if fromClient {

@@ -195,7 +195,12 @@ func firstDiffLine(want, got string) string {
 // TestCLISigkillRecovery delivers a real SIGKILL to a checkpointing
 // zoomqoe mid-capture, then proves a second invocation restores from
 // the chain the dead process left behind: -restore succeeds, the
-// status line reports the recovery, and the tool renders a report.
+// status line reports the recovery, and the tool renders a report. The
+// first life cuts a delta every 100 ms of a capture it drains in a
+// fraction of a second, so its writer goroutine is busy nearly all the
+// time and the kill often lands on a record in flight: that may leave a
+// temp file, never a torn record under a chain name — the restore skips
+// nothing and the second life sweeps what it finds.
 func TestCLISigkillRecovery(t *testing.T) {
 	bin := buildCLI(t)
 	work := t.TempDir()
@@ -211,7 +216,7 @@ func TestCLISigkillRecovery(t *testing.T) {
 	// and checkpointing when the kill lands.
 	cmd := exec.Command(filepath.Join(bin, "zoomqoe"),
 		"-i", "-", "-what", "loss", "-workers", "2",
-		"-checkpoint", ckBase, "-checkpoint-interval", "5s", "-checkpoint-delta", "1s")
+		"-checkpoint", ckBase, "-checkpoint-interval", "5s", "-checkpoint-delta", "100ms")
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +248,8 @@ func TestCLISigkillRecovery(t *testing.T) {
 	if !ok || ee.Sys().(syscall.WaitStatus).Signal() != syscall.SIGKILL {
 		t.Fatalf("expected death by SIGKILL, got %v", err)
 	}
+	inFlight, _ := filepath.Glob(ckBase + "*.tmp-*")
+	t.Logf("the kill left %d temp file(s) of a record in flight", len(inFlight))
 	// Plant crash debris the second life must sweep.
 	if err := os.WriteFile(ckBase+".tmp-crashed", []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
@@ -271,8 +278,14 @@ func TestCLISigkillRecovery(t *testing.T) {
 	if status["restored"] != true {
 		t.Errorf("status restored = %v, want true", status["restored"])
 	}
-	if n, _ := status["tmp_cleaned"].(float64); n < 1 {
-		t.Errorf("status tmp_cleaned = %v, want >= 1", status["tmp_cleaned"])
+	if n, _ := status["tmp_cleaned"].(float64); int(n) != 1+len(inFlight) {
+		t.Errorf("status tmp_cleaned = %v, want %d (the planted file and what the kill left)", status["tmp_cleaned"], 1+len(inFlight))
+	}
+	if left, _ := filepath.Glob(ckBase + "*.tmp-*"); len(left) != 0 {
+		t.Errorf("temp files survive the second life: %v", left)
+	}
+	if n, _ := status["restore_fallbacks"].(float64); n != 0 {
+		t.Errorf("status restore_fallbacks = %v, want 0: the kill left a torn record under a chain name", status["restore_fallbacks"])
 	}
 	if n, _ := status["checkpoints"].(float64); n < 1 {
 		t.Errorf("status checkpoints = %v, want >= 1", status["checkpoints"])
