@@ -77,13 +77,15 @@ cover:
 
 # Mirrors the .github/workflows/ci.yml jobs (test, race, smoke) in
 # sequence: the race detector matters here because the sharded parallel
-# analyzer, metrics endpoint, and snapshot barrier are all concurrency.
+# analyzer (shards, the reconciler fed by cuts, the quiesce), the metrics
+# endpoint and the checkpoint writer are all concurrency.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure' ./internal/core
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
@@ -188,7 +190,8 @@ examples:
 # flags it registers, how many fields core.Config and methods core.Engine
 # have, and how many binaries cmd/ builds. Then the hand-built
 # concurrency in non-test code, so any creeping back is a visible number:
-# `go` statements (the shard workers and the metrics server) and
+# `go` statements (the shard workers, the reconciler, the checkpoint
+# writer and the metrics server) and
 # sync/atomic importers (internal/obs). Then the size of the tools, and
 # of the per-stream accumulators with the maps left in them (report-time
 # bins and sets, the CopyMatcher's streams), the maps named across the

@@ -25,7 +25,7 @@ package core
 // every record dirty, no tombstones and baselines at 0, so it applies
 // to a freshly built engine and can bootstrap one. A sequential engine
 // writes one shard payload, a parallel one N. Shard observation logs are
-// never serialized: the encode reconciles first, so the logs are empty
+// never serialized: the encode quiesces first, so the logs are empty
 // and the reconciliation state reflects every packet routed.
 //
 // Each format has exactly one version; anything else is rejected with
@@ -153,7 +153,7 @@ func openCheckpoint(rd io.Reader, wantKind uint8) (shards int, r *statecodec.Rea
 // gets the record in one Write from a buffer sized for it and dropped
 // afterwards. Either way the engine keeps nothing.
 func (p *pipeline) encode(w io.Writer, delta bool) error {
-	p.reconcile()
+	p.quiesce()
 	if delta && !p.deltaReady() {
 		return ErrDeltaUnavailable
 	}
@@ -240,9 +240,9 @@ func (p *pipeline) code(c *statecodec.Codec) {
 // Checkpoint serializes the engine's complete mutable state to w in one
 // Write (appended in place when w is a *statecodec.Writer; see encode), so
 // RestoreAnalyzer can resume the run with byte-identical results. Call it
-// between Packet calls (a parallel engine parks its shards and reconciles
-// first). A successful encode also resets delta tracking: the next
-// CheckpointDelta describes mutations relative to this snapshot.
+// between Packet calls (a parallel engine quiesces first). A successful
+// encode also resets delta tracking: the next CheckpointDelta describes
+// mutations relative to this snapshot.
 func (p *pipeline) Checkpoint(w io.Writer) error {
 	defer p.cfg.trace("checkpoint")()
 	return p.encode(w, false)
@@ -268,7 +268,11 @@ func RestoreAnalyzer(rd io.Reader, cfg Config) (Engine, error) {
 		return nil, fmt.Errorf("%w: %d workers but only %d payload bytes", statecodec.ErrCorrupt, workers, r.Remaining())
 	}
 	pa := NewParallelAnalyzer(cfg, workers)
-	if err := pa.decode(r, false); err != nil {
+	err = pa.decode(r, false)
+	if err == nil {
+		err = pa.checkAffinity()
+	}
+	if err != nil {
 		Discard(pa)
 		return nil, err
 	}
@@ -290,7 +294,7 @@ func RestoreAnalyzer(rd io.Reader, cfg Config) (Engine, error) {
 // timestamps still come from its packets.
 func (p *pipeline) Rotate(now time.Time) *Analyzer {
 	defer p.cfg.trace("rotate")()
-	p.reconcile()
+	p.quiesce()
 	win := &pipeline{frontEnd: p.frontEnd, reconState: p.reconState, workers: 1}
 	win.o, win.feats = noObs, nil
 	res := win.setInline(mergeShards(p.cfg, p.shards))

@@ -127,14 +127,19 @@ func (cfg Config) protos() []rtcproto.Plugin {
 // directly and the shard's observations go straight into the
 // reconciliation consumer, no goroutine and no frame copy. With more,
 // each shard is fed over its own bounded channel (parallel.go) and logs
-// its observations for replay in capture order. Finish folds the shards
-// of a queue-fed pipeline into one inline shard, so from then on every
-// pipeline is the sequential-equivalent result.
+// its observations, which a reconciliation goroutine replays in capture
+// order. Finish folds the shards of a queue-fed pipeline into one inline
+// shard, so from then on every pipeline is the sequential-equivalent
+// result.
 type pipeline struct {
 	frontEnd
+	// reconState belongs to the reconciliation goroutine between quiesce
+	// points while the shards are queue-fed, to the caller otherwise.
 	reconState
 	shards  []*shard
 	workers int
+	// recon is a queue-fed pipeline's reconciliation goroutine.
+	recon *reconciler
 
 	// finished makes Finish idempotent: ReadPCAP finishes internally, so
 	// a caller following it with its own Finish must not flush (and
@@ -174,8 +179,8 @@ type Analyzer struct {
 // reconState is the reconciliation consumer: the cross-flow stages, fed
 // every media observation in global capture order. Because they are
 // deterministic in observation order, it does not matter whether they
-// are fed packet by packet (inline), in batches at quiesce boundaries
-// (queue-fed shard logs), or all at once from worker logs (cluster).
+// are fed packet by packet (inline), one cut at a time (queue-fed shard
+// logs), or all at once from worker logs (cluster).
 type reconState struct {
 	// Dedup unifies stream copies (§4.3); Copies matches them for §5.3
 	// method-1 RTT samples.
@@ -329,7 +334,7 @@ func (p *pipeline) DrainFeatures() []features.Row {
 	if p.feats == nil {
 		return nil
 	}
-	p.reconcile()
+	p.quiesce()
 	return p.feats.Drain()
 }
 

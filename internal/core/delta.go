@@ -40,9 +40,10 @@ var ErrDeltaUnavailable = fmt.Errorf("core: delta checkpoint unavailable (write 
 const maxCoreTombstones = 1 << 20
 
 // Discard releases an engine whose delta apply (or restore) failed: a
-// parallel engine that has not finished still owns shard goroutines,
-// which must be torn down before the engine is dropped. Safe to call on
-// any engine, including nil results from a failed restore.
+// parallel engine that has not finished still owns shard goroutines and
+// a reconciliation goroutine, which must be torn down before the engine
+// is dropped. Safe to call on any engine, including nil results from a
+// failed restore.
 func Discard(eng Engine) {
 	if pa, ok := eng.(*ParallelAnalyzer); ok && pa != nil && pa.queueFed() {
 		pa.stop()
@@ -73,7 +74,7 @@ func (p *pipeline) ApplyDelta(rd io.Reader) error {
 	if shards != len(p.shards) {
 		return fmt.Errorf("%w: delta for %d workers applied to %d-worker engine", statecodec.ErrCorrupt, shards, len(p.shards))
 	}
-	p.reconcile()
+	p.quiesce()
 	return p.decode(r, true)
 }
 

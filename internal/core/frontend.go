@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -214,42 +215,62 @@ func rawScan(frame []byte, ri *rawInfo) bool {
 	return true
 }
 
-// shardOf hashes flow features to one of n shards: FNV-1a over the
-// directed five-tuple for UDP, so every packet of a flow — and of any
-// media stream on it — lands on one shard in order; over the client
-// endpoint for TCP, the key the RTT trackers use, so both directions of
-// every connection of one tracker share a shard (zoom tells which end
-// is the client, as shard.observeTCP does).
+// shardOf hashes flow features to one of n shards: over the directed
+// five-tuple for UDP, so every packet of a flow — and of any media stream
+// on it — lands on one shard in order; over the client endpoint for TCP,
+// the key the RTT trackers use, so both directions of every connection of
+// one tracker share a shard (zoom tells which end is the client, as
+// shard.observeTCP does). The hash reads 8-byte words — the addresses
+// (see hashAddr), then ports and protocol packed into one — and ends in
+// a full-avalanche finalizer; the shard is the high word of hash × n, a
+// multiply where h % n would be a 64-bit divide.
 func shardOf(zoom *capture.PrefixSet, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
 	if n == 1 {
 		return 0
 	}
-	var h uint64 = 14695981039346656037 // FNV-1a offset basis
+	var h uint64
 	if isTCP {
 		client, cport := dst, dstPort
 		if zoom.Contains(dst) && !zoom.Contains(src) {
 			client, cport = src, srcPort
 		}
-		a16 := client.As16()
-		h = fnv1a(h, a16[:])
-		tail := [3]byte{byte(cport >> 8), byte(cport), layers.ProtoTCP}
-		h = fnv1a(h, tail[:])
-		return int(h % uint64(n))
+		h = hashAddr(h, client)
+		h = hashWord(h, uint64(cport)<<8|uint64(layers.ProtoTCP))
+	} else {
+		h = hashAddr(h, src)
+		h = hashAddr(h, dst)
+		h = hashWord(h, uint64(srcPort)<<24|uint64(dstPort)<<8|uint64(layers.ProtoUDP))
 	}
-	s16, d16 := src.As16(), dst.As16()
-	h = fnv1a(h, s16[:])
-	sp := [2]byte{byte(srcPort >> 8), byte(srcPort)}
-	h = fnv1a(h, sp[:])
-	h = fnv1a(h, d16[:])
-	tail := [3]byte{byte(dstPort >> 8), byte(dstPort), layers.ProtoUDP}
-	h = fnv1a(h, tail[:])
-	return int(h % uint64(n))
+	hi, _ := bits.Mul64(mix64(h), uint64(n))
+	return int(hi)
 }
 
-func fnv1a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// hashAddr folds an address into h: an IPv4 address as one word, any
+// other as the two halves of its 16-byte form. (The 16-byte copy is the
+// slow part — two 8-byte stores read back as one 16-byte load defeat
+// store forwarding — so the common case skips it.)
+func hashAddr(h uint64, a netip.Addr) uint64 {
+	if a.Is4() {
+		b := a.As4()
+		return hashWord(h, uint64(binary.BigEndian.Uint32(b[:])))
 	}
-	return h
+	b := a.As16()
+	h = hashWord(h, binary.BigEndian.Uint64(b[:8]))
+	return hashWord(h, binary.BigEndian.Uint64(b[8:]))
+}
+
+// hashWord folds one word into h: one multiply, and a rotate that brings
+// the product's well-mixed high bits down to where the next word lands.
+func hashWord(h, w uint64) uint64 {
+	return bits.RotateLeft64((h^w)*0x9e3779b97f4a7c15, 31)
+}
+
+// mix64 is splitmix64's finalizer: every output bit depends on every
+// input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }

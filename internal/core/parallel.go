@@ -14,21 +14,30 @@ package core
 //
 // The cross-flow stages cannot be sharded. Shards log a compact
 // observation per media packet into pooled chunks instead, each tagged
-// with the front end's sequence number, and the front-end goroutine
-// replays the logs through the one reconciliation consumer in global
-// capture order (a k-way merge) at every quiesce boundary: Snapshot,
-// Checkpoint, Rotate, DrainFeatures, a periodic cadence, and Finish.
-// The consumers are deterministic in observation order, so replaying in
+// with the front end's sequence number, and one reconciliation goroutine
+// replays the logs through the reconciliation consumer in global capture
+// order (a k-way merge). The logs reach it in cuts: every reconEvery
+// packets the front end queues a cut marker behind each shard's batches
+// and goes on without waiting; each shard answers the marker with its
+// chain of everything before it, and the reconciler merges the n chains
+// of one cut while the shards and the front end carry on with the next.
+// A quiesce — Snapshot, Checkpoint, ApplyDelta, Rotate, DrainFeatures,
+// Streams, Finish — is the same cut plus a wait for the reconciler to
+// replay it; on return every shard and the reconciliation state are the
+// caller's to read and write until more work is dispatched. The
+// consumers are deterministic in observation order, so replaying in
 // batches is indistinguishable from feeding them packet by packet — and
 // the merged result is byte-identical to the sequential engine's.
 
 import (
+	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"zoomlens/internal/obs"
+	"zoomlens/internal/statecodec"
 )
 
 const (
@@ -42,29 +51,33 @@ const (
 	// hand-off is amortised over shardBatchSize packets, so the batching,
 	// not the queue behind it, is what the throughput depends on.
 	shardQueueDepth = 4
-	// reconEvery is the periodic reconciliation cadence in packets: even
-	// a run that never snapshots or checkpoints drains the shard
-	// observation logs (and recycles their chunks) this often, so the logs
-	// hold at most this many packets' observations (128 bytes each) however
-	// long the run, and the cross-flow pass is spread over the run instead
-	// of left for Finish. Measured on the 400 k-packet campus capture at
-	// two workers: 2^14 / 2^16 / 2^18 / 2^20 peak at 48 / 55 / 82 / 97 MB,
-	// and 2^16 is the fastest of the four (a barrier per 65 k packets costs
-	// less than first-touching the memory it saves).
-	reconEvery = 1 << 16
+	// reconEvery is the periodic cut cadence in packets: even a run that
+	// never snapshots or checkpoints hands the shard observation logs to
+	// the reconciler (which recycles their chunks) this often, so the logs
+	// hold at most about (cutQueueDepth+2) × reconEvery packets'
+	// observations (128 bytes each) however long the run. Measured with
+	// the reconciler on the 400 k-packet campus capture at two workers
+	// (DESIGN §5): of 2^14 / 2^15 / 2^16, 2^14 is the smallest and no
+	// slower.
+	reconEvery = 1 << 14
+	// cutQueueDepth is how many cuts may wait for the reconciler behind
+	// the one it is replaying. A full cut queue blocks the front end, so
+	// a reconciler that falls behind slows ingest instead of letting the
+	// logs grow. Depths 1 and 2 measured level (DESIGN §5); 1 bounds the
+	// logs tighter.
+	cutQueueDepth = 1
 )
 
 // pbatch is one unit of work handed to a shard: frames copied
 // back-to-back into data, with per-packet offsets in items. A batch with
-// sync set carries no packets; the shard acknowledges on the channel
-// after draining everything queued before it (the quiesce barrier — the
-// ack's happens-before edge makes the shard's state safely readable from
-// the front-end goroutine until more work is sent). Batches come from
-// and return to the package-wide framePool.
+// cut set is a cut marker and carries no packets: the shard sends its
+// observation chain — everything it logged for the batches queued before
+// the marker — on cut and starts a new one. Batches come from and return
+// to the package-wide framePool.
 type pbatch struct {
 	items []pitem
 	data  []byte
-	sync  chan<- struct{}
+	cut   chan<- *obsChunk
 }
 
 // pitem is one packet within a batch: the capture metadata and the
@@ -75,14 +88,38 @@ type pitem struct {
 	off, end int32
 }
 
+// cut is one hand-over point in the packet stream, as the reconciler
+// receives it: every shard sends one chain on chains, and quiesce asks
+// the reconciler to report on idle once the cut is replayed.
+type cut struct {
+	chains  chan *obsChunk
+	quiesce bool
+}
+
+// reconciler is a queue-fed pipeline's reconciliation goroutine as the
+// front end sees it. Between quiesce points the goroutine owns
+// reconState; the front end only hands it cuts.
+type reconciler struct {
+	cuts chan cut      // bounded: cutQueueDepth
+	idle chan struct{} // one send per replayed quiesce cut
+	done chan struct{} // closed when the goroutine exits
+
+	// backlog counts cuts handed over and not yet replayed; stallMS the
+	// time the front end waited on a full cut queue or a quiesce (nil
+	// handles without a registry). stalled is stallMS's unrounded source.
+	backlog *obs.Gauge
+	stallMS *obs.Counter
+	stalled time.Duration
+}
+
 // ParallelAnalyzer is the sharded multi-core engine: one front-end
-// goroutine (the caller's) plus one goroutine per shard. Feed packets in
-// capture order via Packet (or a whole file via ReadPCAP), call Finish
-// once, then read results via Result(), which returns the merged
-// *Analyzer. Results are byte-identical to the sequential Analyzer at any
-// worker count; with one worker it is the sequential engine (one inline
-// shard, no goroutine, no frame copy). Memory is bounded by queue
-// backpressure.
+// goroutine (the caller's), one goroutine per shard and one
+// reconciliation goroutine. Feed packets in capture order via Packet (or
+// a whole file via ReadPCAP), call Finish once, then read results via
+// Result(), which returns the merged *Analyzer. Results are
+// byte-identical to the sequential Analyzer at any worker count; with one
+// worker it is the sequential engine (one inline shard, no goroutine, no
+// frame copy). Memory is bounded by queue backpressure.
 type ParallelAnalyzer struct {
 	*pipeline
 }
@@ -113,6 +150,13 @@ func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 		p.shards[i] = sh
 		go sh.run()
 	}
+	rc := &reconciler{cuts: make(chan cut, cutQueueDepth), idle: make(chan struct{}, 1), done: make(chan struct{})}
+	if cfg.Obs != nil {
+		rc.backlog = cfg.Obs.Gauge("zoomlens_reconcile_backlog_cuts", "Cuts handed to the reconciliation goroutine and not yet replayed.")
+		rc.stallMS = cfg.Obs.Counter("zoomlens_reconcile_stall_ms_total", "Time the front end waited on a full cut queue or for a quiesce.")
+	}
+	p.recon = rc
+	go p.reconcile(rc)
 	return &ParallelAnalyzer{p}
 }
 
@@ -125,8 +169,9 @@ func (sh *shard) run() {
 		// gauge on enqueue, so without this an idle shard would report its
 		// last backlog forever.
 		sh.depth.Set(int64(len(sh.queue)))
-		if b.sync != nil {
-			b.sync <- struct{}{}
+		if b.cut != nil {
+			b.cut <- sh.obsHead
+			sh.obsHead, sh.obsTail = nil, nil
 			putBatch(b)
 			continue
 		}
@@ -143,15 +188,15 @@ func (sh *shard) run() {
 }
 
 // obsChunkLen is the number of media observations per pooled chunk.
-// Chunks are recycled as soon as a reconciliation pass consumes them, so
-// the steady-state log footprint is one partially filled chunk per shard
-// plus whatever accumulated since the last quiesce boundary.
+// Chunks are recycled as soon as the reconciler replays them, so the
+// log footprint is what the shards logged since the oldest cut not yet
+// replayed.
 const obsChunkLen = 512
 
 // obsChunk is one fixed-size segment of a shard's media-observation log,
-// chained oldest-first. The owning shard goroutine appends; the
-// dispatcher consumes whole chains at quiesce boundaries (the sync-batch
-// ack provides the happens-before edge in both directions).
+// chained oldest-first. The owning shard goroutine appends; at a cut
+// marker it sends the whole chain to the reconciler, which replays and
+// recycles it (the send is the happens-before edge).
 type obsChunk struct {
 	next *obsChunk
 	n    int
@@ -187,7 +232,7 @@ func (sh *shard) logObs(o *ClusterObs) {
 
 // dispatch is the queue-fed half of PacketSeq: copy a kept frame into
 // its shard's batch under construction, ship the batch when full, and
-// reconcile on the periodic cadence.
+// cut on the periodic cadence.
 func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {
 	if keep {
 		if sh.cur == nil {
@@ -202,7 +247,7 @@ func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, fram
 		}
 	}
 	if seq%reconEvery == 0 {
-		p.reconcile()
+		p.cut(false)
 	}
 }
 
@@ -232,51 +277,118 @@ func (p *pipeline) ship(sh *shard) {
 	sh.depth.Set(int64(len(sh.queue)))
 }
 
-// reconcile brings the cross-flow state up to date with every packet
-// routed so far. Queue-fed shards are parked at a barrier — partial
-// batches flushed, queues drained; on return their state is safely
-// readable from this goroutine (the ack receive is the happens-before
-// edge) and stays frozen until more work is dispatched — and their
-// pending observations are replayed in global capture order: a k-way
-// merge by sequence number (each chain is already sorted, shards consume
-// their queue FIFO), after which the consumed chunks are recycled. An
-// inline pipeline has nothing pending.
-func (p *pipeline) reconcile() {
-	if !p.queueFed() {
+// cut hands everything routed so far to the reconciler without waiting
+// for it: each shard's partial batch is flushed and a marker queued
+// behind it, and the cut joins the reconciler's bounded queue (blocking
+// while it is full). A cut marker is never shed: under Config.Shed a
+// periodic cut that would block — a full shard queue or a full cut queue
+// — is skipped instead, and the logs wait for the next one.
+func (p *pipeline) cut(quiesce bool) {
+	rc := p.recon
+	if p.cfg.Shed && !quiesce && !p.cutFits() {
 		return
 	}
-	ack := make(chan struct{}, len(p.shards))
+	c := cut{chains: make(chan *obsChunk, len(p.shards)), quiesce: quiesce}
 	for _, sh := range p.shards {
-		if sh.cur != nil && len(sh.cur.items) > 0 {
+		if sh.cur != nil {
 			sh.queue <- sh.cur
 			sh.cur = nil
 		}
-		sb := getBatch()
-		sb.sync = ack
-		sh.queue <- sb
+		b := getBatch()
+		b.cut = c.chains
+		sh.queue <- b
 	}
-	for range p.shards {
-		<-ack
+	rc.backlog.Add(1)
+	select {
+	case rc.cuts <- c:
+	default:
+		rc.timed(func() { rc.cuts <- c })
 	}
+}
+
+// cutFits reports whether a cut can be queued without blocking: the front
+// end is the only producer on every queue involved, so free slots seen
+// here can only grow before it uses them.
+func (p *pipeline) cutFits() bool {
+	if len(p.recon.cuts) == cap(p.recon.cuts) {
+		return false
+	}
+	for _, sh := range p.shards {
+		need := 1
+		if sh.cur != nil {
+			need = 2
+		}
+		if cap(sh.queue)-len(sh.queue) < need {
+			return false
+		}
+	}
+	return true
+}
+
+// quiesce brings a queue-fed pipeline to rest at the current packet: a
+// cut, then a wait for the reconciler to replay it. On return every shard
+// has drained its queue and every observation is replayed; the chain of
+// channel operations (marker → shard → chain → reconciler → idle) is the
+// happens-before edge that makes shard state and reconState the caller's
+// to read and write until more work is dispatched. An inline pipeline is
+// always at rest.
+func (p *pipeline) quiesce() {
+	if !p.queueFed() {
+		return
+	}
+	p.cut(true)
+	p.recon.timed(func() { <-p.recon.idle })
 	for _, sh := range p.shards {
 		// Every queue is drained; report the quiesced backlog explicitly
 		// (the shard-side update raced the last enqueue sample).
 		sh.depth.Set(0)
 	}
-	p.replayLogs()
 }
 
-// replayLogs feeds every pending shard observation through the
-// reconciliation consumer in sequence order. Call only while the shards
-// are parked or have exited.
-func (p *pipeline) replayLogs() {
+// timed runs a blocking hand-over, adding the wait to the stall counter
+// when one is registered.
+func (rc *reconciler) timed(wait func()) {
+	if rc.stallMS == nil {
+		wait()
+		return
+	}
+	t0 := time.Now()
+	wait()
+	ms := rc.stalled.Milliseconds()
+	rc.stalled += time.Since(t0)
+	rc.stallMS.Add(uint64(rc.stalled.Milliseconds() - ms))
+}
+
+// reconcile is the reconciliation goroutine: for each cut, in order,
+// collect one chain per shard and replay them. It exits when stop closes
+// the cut queue, after replaying what was queued.
+func (p *pipeline) reconcile(rc *reconciler) {
+	defer close(rc.done)
+	chains := make([]*obsChunk, len(p.shards))
+	observe := p.observe
+	for c := range rc.cuts {
+		for i := range chains {
+			chains[i] = <-c.chains
+		}
+		replay(chains, observe)
+		rc.backlog.Add(-1)
+		if c.quiesce {
+			rc.idle <- struct{}{}
+		}
+	}
+}
+
+// replay feeds one cut's chains — each already in sequence order, since a
+// shard consumes its queue FIFO — to observe in global capture order (a
+// k-way merge by sequence number), then recycles the chunks.
+func replay(chains []*obsChunk, observe func(*ClusterObs)) {
 	type cursor struct {
 		c *obsChunk
 		i int
 	}
-	cur := make([]cursor, len(p.shards))
-	for si, sh := range p.shards {
-		cur[si] = cursor{c: sh.obsHead}
+	cur := make([]cursor, len(chains))
+	for si, c := range chains {
+		cur[si] = cursor{c: c}
 	}
 	for {
 		best := -1
@@ -296,45 +408,70 @@ func (p *pipeline) replayLogs() {
 		if best < 0 {
 			break
 		}
-		p.observe(&cur[best].c.e[cur[best].i])
+		observe(&cur[best].c.e[cur[best].i])
 		cur[best].i++
 	}
-	for _, sh := range p.shards {
-		for c := sh.obsHead; c != nil; {
+	for _, c := range chains {
+		for c != nil {
 			nc := c.next
 			putObsChunk(c)
 			c = nc
 		}
-		sh.obsHead, sh.obsTail = nil, nil
 	}
 }
 
-// stop flushes and closes every queue and waits for the shard goroutines
-// to exit; afterwards their state belongs to the caller's goroutine.
+// stop closes every queue, waits for the shard goroutines to exit, then
+// closes the cut queue and waits for the reconciler, which replays the
+// cuts still queued first. Afterwards every piece of state belongs to the
+// caller's goroutine. Batches under construction and observations logged
+// after the last cut are dropped: collapse quiesces first, and Discard
+// wants none of it.
 func (p *pipeline) stop() {
 	for _, sh := range p.shards {
-		if sh.cur != nil && len(sh.cur.items) > 0 {
-			sh.queue <- sh.cur
-		}
-		sh.cur = nil
 		close(sh.queue)
 	}
 	for _, sh := range p.shards {
 		<-sh.done
 		sh.depth.Set(0)
 	}
+	close(p.recon.cuts)
+	<-p.recon.done
 }
 
-// collapse is Finish's first half for a queue-fed pipeline: stop the
-// shards, reconcile what they still had logged, and fold their state
-// into one inline shard. An inline pipeline is already collapsed.
+// checkAffinity refuses shards holding a stream or a TCP tracker the flow
+// hash sends elsewhere: a parallel checkpoint written by a build with
+// another shardOf (or under other Zoom networks). Resumed, the flow's next
+// packets would open a second record on another shard, and the merge
+// would keep one of the two.
+func (p *pipeline) checkAffinity() error {
+	zoom := p.filter.ZoomNetworks()
+	for i, sh := range p.shards {
+		for id := range sh.StreamMetrics {
+			f := id.Flow
+			if shardOf(zoom, p.n, false, f.Src, f.Dst, f.SrcPort, f.DstPort) != i {
+				return fmt.Errorf("%w: shard %d of %d holds stream %v, which this build's flow hash routes elsewhere", statecodec.ErrCorrupt, i, p.n, f)
+			}
+		}
+		for c := range sh.TCP {
+			// Source and destination both the client: shardOf takes it as the client.
+			if shardOf(zoom, p.n, true, c.Addr(), c.Addr(), c.Port(), c.Port()) != i {
+				return fmt.Errorf("%w: shard %d of %d holds the TCP tracker of %v, which this build's flow hash routes elsewhere", statecodec.ErrCorrupt, i, p.n, c)
+			}
+		}
+	}
+	return nil
+}
+
+// collapse is Finish's first half for a queue-fed pipeline: quiesce,
+// stop the shards and the reconciler, and fold the shards' state into
+// one inline shard. An inline pipeline is already collapsed.
 func (p *pipeline) collapse() {
 	if !p.queueFed() {
 		return
 	}
 	defer p.cfg.trace("merge")()
+	p.quiesce()
 	p.stop()
-	p.replayLogs()
 	p.updateGauges()
 	// The shards and the front end already fed the shared counters and
 	// mirrored their cumulative eviction stats; the merged shard holds

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"sync"
@@ -11,8 +15,12 @@ import (
 	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
+	"zoomlens/internal/obs"
+	"zoomlens/internal/pcap"
 	"zoomlens/internal/sim"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/stun"
+	"zoomlens/internal/trace"
 )
 
 // capturedTrace records a simulated capture so the same packets can be
@@ -260,16 +268,27 @@ func TestShardAffinity(t *testing.T) {
 	}
 }
 
-// TestQueueBackpressure pins what the shard queue is for. With one shard
-// held inside its per-packet hook, a blocking engine's front end must
-// stop within (shardQueueDepth+2) batches of that shard — the queue, the
-// batch the shard holds and the one the front end cannot hand over — so
-// memory stays bounded however far the shard falls behind, and once
-// released the run must still equal the sequential engine's. A shedding
-// engine in the same position must never block, and must count exactly
-// the frames no shard analysed.
+// TestQueueBackpressure pins what the shard queue and the cut queue are
+// for. With one shard held inside its per-packet hook, a blocking engine's
+// front end must stop within (shardQueueDepth+2) batches of that shard —
+// the queue, the batch the shard holds and the one the front end cannot
+// hand over — so memory stays bounded however far the shard falls behind,
+// and once released the run must still equal the sequential engine's. A
+// shedding engine in the same position must never block, and must count
+// exactly the frames no shard analysed. The cut rows hold the shard a few
+// hundred packets before a periodic cut, so the cut is issued while the
+// shard is held: its marker takes a slot of the held queue (the frame
+// bound still holds), the reconciler waits for the held shard's chain, and
+// at most cutQueueDepth+1 cuts may be outstanding — the one the reconciler
+// is collecting and a full cut queue — before the front end stops; under
+// shedding the second cut finds the held queue full and is skipped, never
+// waited for.
 func TestQueueBackpressure(t *testing.T) {
-	tr, opts := seededTrace(t, 10)
+	short, opts := seededTrace(t, 10)
+	long, _ := seededTrace(t, 60)
+	if len(long.frames) <= 2*reconEvery {
+		t.Fatalf("the cut rows need two cuts, %d packets; the trace has %d", 2*reconEvery, len(long.frames))
+	}
 	base := Config{
 		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
 		CampusNetworks: []netip.Prefix{opts.CampusNet},
@@ -282,89 +301,123 @@ func TestQueueBackpressure(t *testing.T) {
 		return rawScan(frame, &ri) && shardOf(zoom, workers, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort) == 0
 	}
 
-	// hold starts an engine whose shard 0 parks on its first frame until
-	// release is called, and a feeder goroutine offering the whole trace.
-	// counts reports how many shard-0 frames the feeder has offered and how
-	// many frames the shards have taken up.
-	hold := func(cfg Config) (pa *ParallelAnalyzer, fed <-chan struct{}, release func(), counts func() (int, int)) {
+	// hold starts an engine whose shard 0 parks on its first frame timed at
+	// or after from until release is called, and a feeder goroutine
+	// offering the whole trace. counts reports how many shard-0 frames the
+	// feeder has offered, how many of them shard 0 had taken up when it
+	// parked (the parked one included), and how many frames the shards
+	// have taken up in all.
+	type counts struct{ offered, held, analysed int }
+	hold := func(cfg Config, tr *capturedTrace, from time.Time) (pa *ParallelAnalyzer, fed <-chan struct{}, release func(), read func() counts) {
 		var mu sync.Mutex
-		var offered, analysed int
+		var c counts
+		taken := 0
 		gate, entered, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		pa = NewParallelAnalyzer(cfg, workers)
-		pa.SetPanicHook(func(_ time.Time, frame []byte) {
+		pa.SetPanicHook(func(at time.Time, frame []byte) {
 			mu.Lock()
-			analysed++
+			c.analysed++
 			mu.Unlock()
-			if onHeld(frame) {
-				once.Do(func() { close(entered) })
-				<-gate
+			if !onHeld(frame) {
+				return
 			}
+			taken++ // shard 0's goroutine only
+			if at.Before(from) {
+				return
+			}
+			once.Do(func() {
+				mu.Lock()
+				c.held = taken
+				mu.Unlock()
+				close(entered)
+				<-gate
+			})
 		})
 		go func() {
 			defer close(done)
 			for i, frame := range tr.frames {
 				if onHeld(frame) {
 					mu.Lock()
-					offered++
+					c.offered++
 					mu.Unlock()
 				}
 				pa.Packet(tr.at[i], frame)
 			}
 		}()
 		<-entered
-		counts = func() (int, int) {
+		read = func() counts {
 			mu.Lock()
 			defer mu.Unlock()
-			return offered, analysed
+			return c
 		}
-		return pa, done, func() { close(gate) }, counts
+		return pa, done, func() { close(gate) }, read
 	}
 
-	seq := NewAnalyzer(base)
-	tr.feed(seq.Packet)
-	seq.Finish()
+	for _, row := range []struct {
+		name string
+		tr   *capturedTrace
+		from time.Time
+	}{
+		{"", short, time.Time{}},
+		// A few hundred packets before the first periodic cut.
+		{"cut_in_flight/", long, long.at[reconEvery-300]},
+	} {
+		seq := NewAnalyzer(base)
+		row.tr.feed(seq.Packet)
+		seq.Finish()
 
-	t.Run("blocking", func(t *testing.T) {
-		pa, fed, release, counts := hold(base)
-		select {
-		case <-fed:
-			t.Fatal("the front end consumed the whole trace while a shard was held: no backpressure")
-		case <-time.After(200 * time.Millisecond):
-		}
-		if offered, _ := counts(); offered > bound {
-			t.Errorf("front end accepted %d frames for the held shard, want at most %d", offered, bound)
-		}
-		release()
-		<-fed
-		pa.Finish()
-		got := pa.Result()
-		if gs, ws := got.Summary(), seq.Summary(); gs != ws {
-			t.Errorf("summary after backpressure diverges:\nsequential %+v\nparallel   %+v", ws, gs)
-		}
-		if !reflect.DeepEqual(got.Meetings(), seq.Meetings()) || !reflect.DeepEqual(streamIDs(got), streamIDs(seq)) {
-			t.Error("meetings or stream identifiers after backpressure diverge from the sequential engine's")
-		}
-	})
+		t.Run(row.name+"blocking", func(t *testing.T) {
+			cfg := base
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			backlog := reg.Gauge("zoomlens_reconcile_backlog_cuts", "")
+			pa, fed, release, read := hold(cfg, row.tr, row.from)
+			select {
+			case <-fed:
+				t.Fatal("the front end consumed the whole trace while a shard was held: no backpressure")
+			case <-time.After(200 * time.Millisecond):
+			}
+			if c := read(); c.offered-c.held+1 > bound {
+				t.Errorf("front end accepted %d frames for the held shard past the one it holds, want at most %d", c.offered-c.held, bound-1)
+			}
+			if b := backlog.Value(); b > cutQueueDepth+1 || (!row.from.IsZero() && b < 1) {
+				t.Errorf("%d cuts outstanding while a shard is held, want 1 to %d", b, cutQueueDepth+1)
+			}
+			release()
+			<-fed
+			pa.Finish()
+			got := pa.Result()
+			if gs, ws := got.Summary(), seq.Summary(); gs != ws {
+				t.Errorf("summary after backpressure diverges:\nsequential %+v\nparallel   %+v", ws, gs)
+			}
+			if !reflect.DeepEqual(got.Meetings(), seq.Meetings()) || !reflect.DeepEqual(streamIDs(got), streamIDs(seq)) {
+				t.Error("meetings or stream identifiers after backpressure diverge from the sequential engine's")
+			}
+			if b := backlog.Value(); b != 0 {
+				t.Errorf("%d cuts outstanding after Finish, want 0", b)
+			}
+		})
 
-	t.Run("shedding", func(t *testing.T) {
-		cfg := base
-		cfg.Shed = true
-		pa, fed, release, counts := hold(cfg)
-		select {
-		case <-fed:
-		case <-time.After(time.Minute):
-			t.Fatal("Packet blocked on a held shard under Config.Shed")
-		}
-		release()
-		pa.Finish()
-		a := pa.Result()
-		_, analysed := counts()
-		kept := a.Packets - a.DroppedByFilter - a.Undecodable
-		if a.ShedPackets == 0 || a.ShedPackets != kept-uint64(analysed) {
-			t.Errorf("shed %d packets, want the %d kept frames minus the %d analysed", a.ShedPackets, kept, analysed)
-		}
-	})
+		t.Run(row.name+"shedding", func(t *testing.T) {
+			cfg := base
+			cfg.Shed = true
+			pa, fed, release, read := hold(cfg, row.tr, row.from)
+			select {
+			case <-fed:
+			case <-time.After(time.Minute):
+				t.Fatal("Packet blocked on a held shard under Config.Shed")
+			}
+			release()
+			pa.Finish()
+			a := pa.Result()
+			analysed := read().analysed
+			kept := a.Packets - a.DroppedByFilter - a.Undecodable
+			if a.ShedPackets == 0 || a.ShedPackets != kept-uint64(analysed) {
+				t.Errorf("shed %d packets, want the %d kept frames minus the %d analysed", a.ShedPackets, kept, analysed)
+			}
+		})
+	}
 }
 
 // shardFor is shardOf for a bare Config: the reference shard a test
@@ -372,4 +425,194 @@ func TestQueueBackpressure(t *testing.T) {
 // rather than the front end's.
 func shardFor(cfg *Config, n int, isTCP bool, src, dst netip.Addr, srcPort, dstPort uint16) int {
 	return shardOf(capture.NewPrefixSet(cfg.ZoomNetworks), n, isTCP, src, dst, srcPort, dstPort)
+}
+
+// TestQuiesceInterleavingDifferential holds the cut and the quiesce to
+// the sequential engine while they interleave every way they can: a
+// trace longer than 8 periodic cuts, and every 400 packets — plus just
+// before, on and just after each cut, so a quiesce lands with a periodic
+// cut pending — one of Snapshot, Checkpoint, CheckpointDelta,
+// DrainFeatures and Rotate. Snapshot lines, feature rows, every rotated
+// window's report and the final one must be byte-identical to the
+// sequential engine's at 2 and 4 workers; each full record must restore
+// and re-encode to itself, and a replica rolled forward by each delta
+// must re-encode to the live engine's full. Run it under -race: the
+// reconciler owns reconState between quiesce points and nothing else may
+// touch it.
+func TestQuiesceInterleavingDifferential(t *testing.T) {
+	tr, opts := seededTrace(t, 20)
+	// Pad the meetings with synthetic streams over the same span, merged by
+	// capture time, to more than 8 cuts.
+	gcfg := trace.DefaultStreamConfig()
+	gcfg.Streams, gcfg.ChurnEvery = 100, 0
+	gcfg.Packets = 8*reconEvery + reconEvery/2
+	gcfg.Start = tr.at[0]
+	gcfg.Interval = tr.at[len(tr.at)-1].Sub(tr.at[0]) / time.Duration(gcfg.Packets)
+	gcfg.ZoomNet, gcfg.CampusNet = opts.ZoomNet, opts.CampusNet
+	gen, err := trace.NewStreamGen(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := &capturedTrace{}
+	var rec pcap.Record
+	i := 0
+	for gen.Next(&rec) == nil {
+		for ; i < len(tr.at) && !tr.at[i].After(rec.Timestamp); i++ {
+			merged.record(tr.at[i], tr.frames[i])
+		}
+		merged.record(rec.Timestamp, rec.Data)
+	}
+	for ; i < len(tr.at); i++ {
+		merged.record(tr.at[i], tr.frames[i])
+	}
+	if n := len(merged.frames); n <= 8*reconEvery {
+		t.Fatalf("%d packets: fewer than 8 cuts", n)
+	}
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+		FeatureWindow:  time.Second,
+	}
+
+	// run feeds the merged trace through a fresh engine, quiescing on the
+	// schedule, and returns everything the engine emitted.
+	run := func(t *testing.T, workers int) []byte {
+		var out bytes.Buffer
+		eng := newTestEngine(cfg, workers)
+		var replica Engine
+		defer func() { Discard(replica) }()
+		ops := []func(at time.Time){
+			func(at time.Time) {
+				for _, ms := range eng.Snapshot(at, 2*time.Second) {
+					fmt.Fprintf(&out, "snapshot %+v\n", ms)
+				}
+			},
+			func(time.Time) {
+				full := checkpointBytes(t, eng)
+				Discard(replica)
+				if replica, err = RestoreAnalyzer(bytes.NewReader(full), cfg); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				if again := checkpointBytes(t, replica); !bytes.Equal(again, full) {
+					t.Fatalf("a restored full re-encodes to %d bytes, the record is %d", len(again), len(full))
+				}
+			},
+			func(time.Time) {
+				var delta bytes.Buffer
+				if err := eng.CheckpointDelta(&delta); errors.Is(err, ErrDeltaUnavailable) {
+					fmt.Fprintln(&out, "delta unavailable")
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if err := replica.ApplyDelta(&delta); err != nil {
+					t.Fatalf("apply delta: %v", err)
+				}
+				if live, rolled := checkpointBytes(t, eng), checkpointBytes(t, replica); !bytes.Equal(live, rolled) {
+					t.Fatalf("full + deltas re-encodes to %d bytes, the live engine to %d", len(rolled), len(live))
+				}
+			},
+			func(time.Time) {
+				for _, r := range eng.DrainFeatures() {
+					fmt.Fprintf(&out, "row %+v\n", r)
+				}
+			},
+			func(at time.Time) {
+				out.Write(reportBytes(t, eng.Rotate(at)))
+			},
+		}
+		const every = 400
+		near := map[int]int{reconEvery - 1: 0, 0: 1, 1: 2}
+		for i := range merged.frames {
+			at := merged.at[i]
+			eng.Packet(at, merged.frames[i])
+			k := i + 1
+			if k%every == 0 {
+				ops[k/every%len(ops)](at)
+			}
+			if d, ok := near[k%reconEvery]; ok && k > 1 {
+				ops[(k/reconEvery+d)%len(ops)](at)
+			}
+		}
+		eng.Finish()
+		for _, r := range eng.DrainFeatures() {
+			fmt.Fprintf(&out, "row %+v\n", r)
+		}
+		out.Write(reportBytes(t, eng.Result()))
+		return out.Bytes()
+	}
+
+	want := run(t, 1)
+	if !bytes.Contains(want, []byte("snapshot ")) || !bytes.Contains(want, []byte("row ")) {
+		t.Fatal("the schedule emitted no snapshot line or no feature row: it tests nothing")
+	}
+	for _, workers := range []int{2, 4} {
+		if got := run(t, workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: emitted %d bytes that differ from the sequential engine's %d", workers, len(got), len(want))
+		}
+	}
+}
+
+// TestReplayOrder: one cut's chains, each longer than a chunk and of very
+// different lengths, replay in strictly increasing sequence order with
+// nothing lost or repeated.
+func TestReplayOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	weights := []int{70, 1, 25, 4} // per-shard share of the packets
+	chains := make([]*shard, len(weights))
+	for i := range chains {
+		chains[i] = &shard{}
+	}
+	const n = 6 * obsChunkLen
+	for seq := uint64(1); seq <= n; seq++ {
+		r, si := rng.Intn(100), 0
+		for r >= weights[si] {
+			r -= weights[si]
+			si++
+		}
+		chains[si].logObs(&ClusterObs{Seq: seq})
+	}
+	if c := chains[0].obsHead; c == nil || c.next == nil || c.next.next == nil {
+		t.Fatal("the heavy shard's chain spans fewer than three chunks")
+	}
+	heads := make([]*obsChunk, len(chains))
+	for i, sh := range chains {
+		heads[i] = sh.obsHead
+	}
+	var got []uint64
+	replay(heads, func(o *ClusterObs) { got = append(got, o.Seq) })
+	if len(got) != n {
+		t.Fatalf("replayed %d observations, logged %d", len(got), n)
+	}
+	for i, s := range got {
+		if s != uint64(i+1) {
+			t.Fatalf("observation %d has seq %d, want %d", i, s, i+1)
+		}
+	}
+}
+
+// TestRestoreRefusesForeignShardAffinity: a parallel checkpoint whose
+// shards hold flows this build's hash routes elsewhere — one written by a
+// build with another shardOf, modelled here by two shards trading places —
+// is refused as corrupt instead of resumed with every such flow split
+// across two shards.
+func TestRestoreRefusesForeignShardAffinity(t *testing.T) {
+	tr, opts := seededTrace(t, 6)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	pa := NewParallelAnalyzer(cfg, 2)
+	defer Discard(pa)
+	tr.feed(pa.Packet)
+	own, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, pa)), cfg)
+	if err != nil {
+		t.Fatalf("restoring the engine's own checkpoint: %v", err)
+	}
+	Discard(own)
+	pa.shards[0], pa.shards[1] = pa.shards[1], pa.shards[0]
+	if eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, pa)), cfg); !errors.Is(err, statecodec.ErrCorrupt) {
+		Discard(eng)
+		t.Fatalf("restoring shards in each other's places: err = %v, want ErrCorrupt", err)
+	}
 }

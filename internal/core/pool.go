@@ -3,11 +3,12 @@ package core
 import "sync"
 
 // framePool is the one pool behind every transient frame copy the
-// package makes: shard batches bound for a shard, quiesce sync batches,
-// and quarantine forensic copies all draw *pbatch values from
-// it and return them when drained. One pool instead of one per consumer
-// means a burst in any path (a quarantine storm, a deep shard backlog)
-// reuses buffers warmed by the others rather than growing its own.
+// package makes: shard batches bound for a shard, the cut markers queued
+// behind them, and quarantine forensic copies all draw *pbatch values
+// from it and return them when drained. One pool instead of one per
+// consumer means a burst in any path (a quarantine storm, a deep shard
+// backlog) reuses buffers warmed by the others rather than growing its
+// own.
 var framePool = sync.Pool{New: func() any { return new(pbatch) }}
 
 // A pooled batch normally holds at most shardBatchSize frames; the caps
@@ -38,6 +39,6 @@ func putBatch(b *pbatch) {
 	} else {
 		b.data = b.data[:0]
 	}
-	b.sync = nil
+	b.cut = nil
 	framePool.Put(b)
 }

@@ -108,10 +108,10 @@ type StreamSegment struct {
 // live, ordered by SSRC, media type and flow; an ID's segments are
 // adjacent, oldest first. Eviction moves a stream between containers,
 // never out of this list (Config.MaxFinished's counted head-drop is the
-// only way out). Call from the ingest goroutine: a parallel engine parks
-// its shards and reconciles first.
+// only way out). Call from the ingest goroutine: a parallel engine
+// quiesces first.
 func (p *pipeline) Streams() []StreamSegment {
-	p.reconcile()
+	p.quiesce()
 	var byID map[flow.MediaStreamID]meeting.StreamRecord
 	record := func(id flow.MediaStreamID) meeting.StreamRecord {
 		if byID == nil {

@@ -29,8 +29,9 @@ import (
 //   - inline (sequential engine): the front end calls process directly
 //     and the sink is the reconciliation consumer itself;
 //   - queue-fed (parallel engine): a goroutine drains a bounded channel of
-//     frame batches and the sink appends to a chunked log the front-end
-//     goroutine replays in capture order at quiesce boundaries;
+//     frame batches and the sink appends to a chunked log, handed at each
+//     cut to the reconciliation goroutine, which replays it in capture
+//     order;
 //   - cluster worker: an inline shard in its own process, fed by the
 //     splitter's pcapng stream, whose sink writes the ZLOB log the
 //     aggregator replays.
@@ -69,8 +70,8 @@ type shard struct {
 
 	// Queue transport (nil on an inline shard): the batch under
 	// construction is owned by the front-end goroutine, the pending
-	// observation chain is appended by the shard goroutine and consumed
-	// at quiesce boundaries.
+	// observation chain is appended by the shard goroutine and handed to
+	// the reconciler at each cut marker.
 	queue            chan *pbatch
 	done             chan struct{}
 	cur              *pbatch

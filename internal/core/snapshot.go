@@ -49,16 +49,16 @@ type MeetingSnapshot struct {
 
 // Snapshot returns the per-meeting rolling metrics at trace time now
 // over the trailing window. Read-only; call between packets, from the
-// ingest goroutine (a parallel engine parks its shards and reconciles
-// first, so results match the sequential engine's at the same packet
-// boundary). Meetings are ordered by start time (the Meetings() order).
+// ingest goroutine (a parallel engine quiesces first, so results match
+// the sequential engine's at the same packet boundary). Meetings are
+// ordered by start time (the Meetings() order).
 // Aggregation iterates the dedup records in their deterministic order,
 // so identical engine state yields byte-identical snapshots (the
 // sequential/parallel differential test relies on this).
 func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
 	defer p.cfg.trace("snapshot")()
 	p.o.snapshots.Inc()
-	byID := p.streamsByID() // parks the shards and reconciles first
+	byID := p.streamsByID() // quiesces a parallel engine first
 	p.updateGauges()
 	if window <= 0 {
 		window = time.Second

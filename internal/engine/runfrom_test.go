@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/core"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
@@ -20,7 +21,12 @@ import (
 // and allows a small runtime-internal slack.
 func leakCheck(t *testing.T, baseline int) {
 	t.Helper()
-	const slack = 2
+	leakCheckSlack(t, baseline, 2)
+}
+
+// leakCheckSlack is leakCheck allowing slack goroutines over baseline.
+func leakCheckSlack(t *testing.T, baseline, slack int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -159,6 +165,111 @@ func TestRunFromShutdownLeaks(t *testing.T) {
 		if _, err := f.RunFrom(nets, next, func() bool { return false }); err == nil {
 			t.Fatal("run restored from garbage")
 		}
+		leakCheck(t, baseline)
+	})
+}
+
+// TestReconcilerShutdownLeaks: a parallel engine's reconciliation goroutine
+// never outlives the engine, on any path that ends one. Each row runs two
+// workers over more than three of the engine's periodic cuts (2^14
+// packets each), so the reconciler has done real work, then ends the
+// engine one way: Discard of a live engine, Finish, a restore whose delta
+// fails to apply (RestoreEngine discards that engine and falls back to
+// the full), RunFrom's teardown after a source error, and RunFrom's clean
+// end. One leaked goroutine is the failure, so the check allows no slack;
+// a warm-up run starts the process-wide signal relay first.
+func TestReconcilerShutdownLeaks(t *testing.T) {
+	const packets = 50_000
+	leakCheck := func(t *testing.T, baseline int) {
+		t.Helper()
+		leakCheckSlack(t, baseline, 0)
+	}
+	warm, wnets := genSource(t, 10)
+	if _, err := (&Flags{Obs: &ObsFlags{}, Workers: 2}).RunFrom(wnets, warm, func() bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(t *testing.T, eng core.Engine, n int) {
+		next, _ := genSource(t, n)
+		var rec pcap.Record
+		for next(&rec) == nil {
+			eng.Packet(rec.Timestamp, rec.Data)
+		}
+	}
+	_, nets := genSource(t, 1)
+	cfg := core.Config{ZoomNetworks: nets}
+
+	t.Run("discard", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		eng := core.NewParallelAnalyzer(cfg, 2)
+		feed(t, eng, packets)
+		core.Discard(eng)
+		leakCheck(t, baseline)
+	})
+
+	t.Run("finish", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		eng := core.NewParallelAnalyzer(cfg, 2)
+		feed(t, eng, packets)
+		eng.Finish()
+		leakCheck(t, baseline)
+	})
+
+	t.Run("failed_delta_restore", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		path := filepath.Join(t.TempDir(), "ck")
+		ck := NewCheckpointer(path, 2, nil)
+		live := core.NewParallelAnalyzer(cfg, 2)
+		feed(t, live, packets)
+		for _, write := range []func(core.Engine) error{ck.WriteFull, ck.WriteDelta, ck.WriteDelta} {
+			feed(t, live, 1000)
+			if err := write(live); err != nil {
+				t.Fatal(err)
+			}
+		}
+		core.Discard(live)
+		// Without the first delta the second one's base does not match, and
+		// it fails after the restored engine has quiesced.
+		chain := listChain(path)
+		if len(chain) != 3 || chain[1].full {
+			t.Fatalf("chain %+v, want a full and two deltas", chain)
+		}
+		if err := os.Remove(chain[1].name); err != nil {
+			t.Fatal(err)
+		}
+		eng, fallbacks, err := RestoreEngine(path, cfg, nil)
+		if err != nil || fallbacks != 1 {
+			t.Fatalf("restore: %v after %d fallbacks, want the full after 1", err, fallbacks)
+		}
+		core.Discard(eng)
+		leakCheck(t, baseline)
+	})
+
+	t.Run("source_error", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		next, nets := genSource(t, 1<<30)
+		n := 0
+		failing := func(rec *pcap.Record) error {
+			if n++; n > packets {
+				return fmt.Errorf("injected capture fault")
+			}
+			return next(rec)
+		}
+		f := &Flags{Obs: &ObsFlags{}, Workers: 2}
+		if _, err := f.RunFrom(nets, failing, func() bool { return false }); err == nil {
+			t.Fatal("run succeeded past an injected source fault")
+		}
+		leakCheck(t, baseline)
+	})
+
+	t.Run("clean_eof", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		next, nets := genSource(t, packets)
+		f := &Flags{Obs: &ObsFlags{}, Workers: 2}
+		run, err := f.RunFrom(nets, next, func() bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Close()
 		leakCheck(t, baseline)
 	})
 }
