@@ -155,6 +155,8 @@ soak-smoke:
 # and the prefix-set target holds the merged-range search to the plain
 # netip.Prefix.Contains scan it replaced. The in-place target holds
 # zoom.Packet.Parse into a used receiver to a parse into a fresh one.
+# The reader target holds each capture reader's in-window fast path to
+# its refill path (the same bytes read whole and one byte per Read).
 # The observation-log target
 # feeds the ZLOB reader — a file from another process — torn, mistagged
 # and misversioned logs. The sequence-tracker target walks the duplicate
@@ -171,6 +173,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCheckpointRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzFrontEndVsParser -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzPrefixSetVsScan -fuzztime=$(FUZZTIME) ./internal/capture/
+	$(GO) test -fuzz=FuzzReaderFastVsSlow -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz=FuzzQoSLog -fuzztime=$(FUZZTIME) ./internal/qos/
 	$(GO) test -fuzz=FuzzObsLogDecode -fuzztime=$(FUZZTIME) ./internal/cluster/
 

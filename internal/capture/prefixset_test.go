@@ -1,6 +1,8 @@
 package capture
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"net/netip"
 	"slices"
 	"testing"
@@ -12,7 +14,7 @@ import (
 // package imports this one): the 117 prefixes a production filter holds.
 func defaultZoomNetworks() []netip.Prefix {
 	var out []netip.Prefix
-	for _, n := range infra.Build(1).Networks {
+	for _, n := range infra.Networks() {
 		out = append(out, n.Prefix)
 	}
 	return out
@@ -75,6 +77,52 @@ func edgeAddrs(ps []netip.Prefix) []netip.Addr {
 	return out
 }
 
+// slash16Edges returns, for each IPv4 prefix, the first and last address
+// of every /16 it touches and the addresses one below and one above
+// each — where the /16 index and the range search must agree. A prefix
+// touching more than 16 /16s contributes its first and last eight.
+func slash16Edges(ps []netip.Prefix) []netip.Addr {
+	var out []netip.Addr
+	for _, p := range ps {
+		if !p.IsValid() || !p.Addr().Is4() {
+			continue
+		}
+		a4 := p.Masked().Addr().As4()
+		lo := binary.BigEndian.Uint32(a4[:]) >> 16
+		hi := lo | (1<<16-1)>>min(p.Bits(), 16)
+		for b := lo; b <= hi; b++ {
+			if hi-lo >= 16 && b == lo+8 {
+				b = hi - 7
+			}
+			first := netip.AddrFrom4([4]byte{byte(b >> 8), byte(b), 0, 0})
+			last := netip.AddrFrom4([4]byte{byte(b >> 8), byte(b), 255, 255})
+			out = append(out, first, last)
+			if p := first.Prev(); p.IsValid() {
+				out = append(out, p)
+			}
+			if n := last.Next(); n.IsValid() {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
+// indexEdgeLists are the lists that put the /16 index at its edges:
+// ranges that start or end inside a /16, one range spanning many /16s
+// (it merges from prefixes of seven lengths and starts and ends mid-/16),
+// and the two ends of the address space.
+func indexEdgeLists() map[string][]netip.Prefix {
+	pfx := netip.MustParsePrefix
+	return map[string][]netip.Prefix{
+		"mid16":  {pfx("10.8.128.0/17"), pfx("10.9.0.0/18"), pfx("10.9.200.0/21"), pfx("10.11.255.255/32")},
+		"span16": {pfx("10.8.128.0/17"), pfx("10.9.0.0/16"), pfx("10.10.0.0/15"), pfx("10.12.0.0/14"), pfx("10.16.0.0/12"), pfx("10.32.0.0/13"), pfx("10.40.0.0/17")},
+		"all4":   {pfx("0.0.0.0/0")},
+		"top":    {pfx("255.255.255.255/32")},
+		"bottom": {pfx("0.0.0.0/32"), pfx("0.1.0.0/31")},
+	}
+}
+
 func TestPrefixSetMatchesScan(t *testing.T) {
 	pfx := netip.MustParsePrefix
 	lists := map[string][]netip.Prefix{
@@ -92,6 +140,9 @@ func TestPrefixSetMatchesScan(t *testing.T) {
 		"mapped":      {pfx("::ffff:10.8.0.0/112"), pfx("10.9.0.0/16")},
 		"mixed":       {pfx("2001:db8::/32"), pfx("52.81.0.0/16"), pfx("fd00::/8"), pfx("149.137.0.0/17")},
 	}
+	for name, ps := range indexEdgeLists() {
+		lists["index/"+name] = ps
+	}
 	extra := []netip.Addr{
 		{}, netip.MustParseAddr("0.0.0.0"), netip.MustParseAddr("255.255.255.255"),
 		netip.MustParseAddr("::"), netip.MustParseAddr("::1"), netip.MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"),
@@ -103,6 +154,7 @@ func TestPrefixSetMatchesScan(t *testing.T) {
 			addrs := append(edgeAddrs(ps), extra...)
 			for _, other := range lists {
 				addrs = append(addrs, edgeAddrs(other)...)
+				addrs = append(addrs, slash16Edges(other)...)
 			}
 			checkSetVsScan(t, ps, addrs)
 		})
@@ -212,6 +264,9 @@ func FuzzPrefixSetVsScan(f *testing.F) {
 	} {
 		seed(ps, edgeAddrs(ps))
 	}
+	for _, ps := range indexEdgeLists() {
+		seed(ps, append(edgeAddrs(ps), slash16Edges(ps)...))
+	}
 	// Hand-built records for what seed cannot express: invalid lengths,
 	// unmasked and IPv4-mapped prefixes, mapped and zoned addresses.
 	f.Add(slices.Concat([]byte{3},
@@ -243,12 +298,45 @@ func FuzzPrefixSetVsScan(f *testing.F) {
 	})
 }
 
+// tapMixLen is the length of tapMix's stream, a power of two so that the
+// benchmark's index into it is a mask, not a division.
+const tapMixLen = 4096
+
+// tapMix is a seeded stream of tapMixLen IPv4 addresses shaped like a
+// border tap's (bench/'s tap_background): ~98 % drawn from the campus
+// /16 and the three outside networks its background frames travel
+// between, the rest from inside ps.
+func tapMix(ps []netip.Prefix) []netip.Addr {
+	rng := rand.New(rand.NewSource(1))
+	pfx := netip.MustParsePrefix
+	background := []netip.Prefix{pfx("10.8.0.0/16"), pfx("93.184.0.0/16"), pfx("151.101.0.0/16"), pfx("142.250.0.0/15")}
+	in := func(p netip.Prefix) netip.Addr {
+		a4 := p.Masked().Addr().As4()
+		v := binary.BigEndian.Uint32(a4[:]) | rng.Uint32()>>p.Bits()
+		return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+	}
+	out := make([]netip.Addr, tapMixLen)
+	for i := range out {
+		if rng.Intn(50) == 0 {
+			out[i] = in(ps[rng.Intn(len(ps))])
+		} else {
+			out[i] = in(background[rng.Intn(len(background))])
+		}
+	}
+	return out
+}
+
+var containsSink int
+
 // BenchmarkPrefixSetContains measures one membership test at production
 // list size against the scan it replaced, for an address the set rejects
 // (the border-tap case) and one it accepts: on the modelled Zoom
 // networks, which merge into one range, and on a scattered list of the
 // same length, which does not merge at all and is probed in one of its
-// gaps, the full depth of the search.
+// gaps, the full depth of the search. Those rows repeat one address,
+// which trains the branch predictor; the tap-mix row walks tapMix's
+// stream instead, whose rejects land above and below the ranges at
+// random, as a tap's do.
 func BenchmarkPrefixSetContains(b *testing.B) {
 	for _, list := range []struct {
 		name   string
@@ -282,5 +370,21 @@ func BenchmarkPrefixSetContains(b *testing.B) {
 				}
 			})
 		}
+		b.Run(list.name+"/tap-mix/set", func(b *testing.B) {
+			mix := tapMix(list.ps)
+			for _, a := range mix {
+				if set.Contains(a) != scanContains(list.ps, a) {
+					b.Fatalf("Contains(%v) disagrees with the scan", a)
+				}
+			}
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if set.Contains(mix[i%tapMixLen]) {
+					hits++
+				}
+			}
+			containsSink = hits
+		})
 	}
 }

@@ -303,10 +303,13 @@ func TestQueueBackpressure(t *testing.T) {
 
 	// hold starts an engine whose shard 0 parks on its first frame timed at
 	// or after from until release is called, and a feeder goroutine
-	// offering the whole trace. counts reports how many shard-0 frames the
-	// feeder has offered, how many of them shard 0 had taken up when it
-	// parked (the parked one included), and how many frames the shards
-	// have taken up in all.
+	// offering the whole trace; it returns once shard 0 has parked or the
+	// feed has ended. (Under Shed the feed can end first: the batches that
+	// held shard 0's frames from that point on were shed, and its last
+	// partial batch stays in the front end until Finish.) counts reports
+	// how many shard-0 frames the feeder has offered, how many of them
+	// shard 0 had taken up when it parked (the parked one included), and
+	// how many frames the shards have taken up in all.
 	type counts struct{ offered, held, analysed int }
 	hold := func(cfg Config, tr *capturedTrace, from time.Time) (pa *ParallelAnalyzer, fed <-chan struct{}, release func(), read func() counts) {
 		var mu sync.Mutex
@@ -345,7 +348,10 @@ func TestQueueBackpressure(t *testing.T) {
 				pa.Packet(tr.at[i], frame)
 			}
 		}()
-		<-entered
+		select {
+		case <-entered:
+		case <-done:
+		}
 		read = func() counts {
 			mu.Lock()
 			defer mu.Unlock()
@@ -375,6 +381,11 @@ func TestQueueBackpressure(t *testing.T) {
 			pa, fed, release, read := hold(cfg, row.tr, row.from)
 			select {
 			case <-fed:
+				release()
+				pa.Finish()
+				if read().held == 0 {
+					t.Fatal("the feed ended before shard 0 reached its hold point")
+				}
 				t.Fatal("the front end consumed the whole trace while a shard was held: no backpressure")
 			case <-time.After(200 * time.Millisecond):
 			}

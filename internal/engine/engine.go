@@ -514,13 +514,14 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 		drain.every = fsink.every
 	}
 	ingestDone := setup.Stage("ingest")
-readLoop:
 	for {
-		select {
-		case <-sig:
+		// Polled before every record, so a sparse live source stops at the
+		// next record after a signal, not some records later. A length read
+		// takes no lock (a select with a default case would take the
+		// channel's); the signal stays queued for the check after the loop.
+		if len(sig) > 0 {
 			run.Interrupted = true
-			break readLoop
-		default:
+			break
 		}
 		err := next(&rec)
 		if err == io.EOF {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -167,6 +168,45 @@ func TestRunFromShutdownLeaks(t *testing.T) {
 		}
 		leakCheck(t, baseline)
 	})
+}
+
+// TestInterruptStopsAtNextRecord: the read loop looks for a signal before
+// every record, so a sparse live source is not read on for long after
+// one. The source raises SIGINT while serving a record and serves each
+// later record 50 ms apart; the driver may ask for at most one of them —
+// the one it may already be waiting for when the signal lands. A loop
+// that polled every N records would read on for up to N-1 more.
+func TestInterruptStopsAtNextRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: signal-driven test")
+	}
+	next, nets := genSource(t, 1<<30)
+	const at, most = 100, 20
+	served, after := 0, 0
+	sparse := func(rec *pcap.Record) error {
+		if served >= at {
+			if after++; after > most {
+				return io.EOF
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		served++
+		if served == at {
+			syscall.Kill(os.Getpid(), syscall.SIGINT)
+		}
+		return next(rec)
+	}
+	run, err := (&Flags{Obs: &ObsFlags{}, Workers: 1}).RunFrom(nets, sparse, func() bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Close()
+	if !run.Interrupted {
+		t.Error("run not marked interrupted")
+	}
+	if after > 1 {
+		t.Errorf("the driver asked for %d records after the signal, want at most 1", after)
+	}
 }
 
 // TestReconcilerShutdownLeaks: a parallel engine's reconciliation goroutine

@@ -108,22 +108,16 @@ type Inventory struct {
 	locations map[string]Location
 }
 
-// Build constructs the synthetic inventory: 117 networks whose sizes sum
-// to 427,168 addresses, owner split ≈36.7 % AS30103 / 39.6 % AWS /
-// 23.2 % Oracle / 0.5 % other, with the MMRs and ZCs of each location
-// assigned addresses inside AS30103 space (as the paper observed: all
-// media servers live in Zoom's own AS).
-func Build(seed int64) *Inventory {
-	rng := rand.New(rand.NewSource(seed))
-	inv := &Inventory{
-		rdns:      make(map[netip.Addr]string),
-		geo:       make(map[netip.Addr]string),
-		locations: make(map[string]Location),
-	}
-	// Prefix plan: exactly 117 networks of sizes /16../27 summing to
-	// exactly 427,168 addresses with the paper's owner split:
-	//   AS30103 156,672 (36.7 %)  AWS 169,152 (39.6 %)
-	//   Oracle   99,456 (23.3 %)  other 1,888 (0.4 %)
+// Networks is the synthetic prefix plan: exactly 117 networks of sizes
+// /16../27 summing to exactly 427,168 addresses with the paper's owner
+// split, laid out contiguously from 52.81.0.0, each aligned to its size:
+//
+//	AS30103 156,672 (36.7 %)  AWS 169,152 (39.6 %)
+//	Oracle   99,456 (23.3 %)  other 1,888 (0.4 %)
+//
+// It is Build's Networks without the server placement, for callers that
+// need only the prefixes (a capture filter, at every process start).
+func Networks() []Network {
 	plan := []struct {
 		bits  int
 		count int
@@ -137,6 +131,7 @@ func Build(seed int64) *Inventory {
 		{25, 1, OwnerAWS}, {25, 19, OwnerOracle}, {25, 1, OwnerOther},
 		{27, 2, OwnerAWS}, {27, 55, OwnerOther},
 	}
+	var nets []Network
 	base := netip.MustParseAddr("52.81.0.0").As4()
 	cursor := uint32(base[0])<<24 | uint32(base[1])<<16 | uint32(base[2])<<8 | uint32(base[3])
 	for _, pl := range plan {
@@ -147,12 +142,26 @@ func Build(seed int64) *Inventory {
 				cursor += size - rem
 			}
 			addr := netip.AddrFrom4([4]byte{byte(cursor >> 24), byte(cursor >> 16), byte(cursor >> 8), byte(cursor)})
-			inv.Networks = append(inv.Networks, Network{
+			nets = append(nets, Network{
 				Prefix: netip.PrefixFrom(addr, pl.bits),
 				Owner:  pl.owner,
 			})
 			cursor += size
 		}
+	}
+	return nets
+}
+
+// Build constructs the synthetic inventory: the Networks plan, with the
+// MMRs and ZCs of each location assigned addresses inside AS30103 space
+// (as the paper observed: all media servers live in Zoom's own AS).
+func Build(seed int64) *Inventory {
+	rng := rand.New(rand.NewSource(seed))
+	inv := &Inventory{
+		Networks:  Networks(),
+		rdns:      make(map[netip.Addr]string),
+		geo:       make(map[netip.Addr]string),
+		locations: make(map[string]Location),
 	}
 
 	// Place servers: MMRs and ZCs get addresses in AS30103 prefixes.

@@ -78,9 +78,55 @@ type Record struct {
 // Reader reads records from a pcap stream.
 type Reader struct {
 	w         *window
-	order     binary.ByteOrder
+	order     order
 	hdr       Header
 	truncated bool
+}
+
+// order is a stream's byte order, fixed by its header. The decoders
+// branch on it and read with binary.LittleEndian or binary.BigEndian
+// directly, where the binary.ByteOrder interface would cost a call per
+// field of every record header.
+type order uint8
+
+const (
+	noOrder order = iota // a pcapng stream before its first section header
+	littleEndian
+	bigEndian
+)
+
+func (o order) u16(b []byte) uint16 {
+	if o == bigEndian {
+		return binary.BigEndian.Uint16(b)
+	}
+	return binary.LittleEndian.Uint16(b)
+}
+
+func (o order) u32(b []byte) uint32 {
+	if o == bigEndian {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+func (o order) u64(b []byte) uint64 {
+	if o == bigEndian {
+		return binary.BigEndian.Uint64(b)
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// words decodes the four 32-bit fields of b[0:16] in one branch: a
+// classic record header, or an enhanced packet block's timestamp and
+// lengths.
+func (o order) words(b []byte) (w0, w1, w2, w3 uint32) {
+	b = b[:16]
+	if o == bigEndian {
+		return binary.BigEndian.Uint32(b[0:4]), binary.BigEndian.Uint32(b[4:8]),
+			binary.BigEndian.Uint32(b[8:12]), binary.BigEndian.Uint32(b[12:16])
+	}
+	return binary.LittleEndian.Uint32(b[0:4]), binary.LittleEndian.Uint32(b[4:8]),
+		binary.LittleEndian.Uint32(b[8:12]), binary.LittleEndian.Uint32(b[12:16])
 }
 
 // NewReader parses the global header from r and returns a Reader
@@ -94,27 +140,27 @@ func newReader(w *window) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	var order binary.ByteOrder
+	var o order
 	var nano bool
 	switch binary.LittleEndian.Uint32(buf[0:4]) {
 	case MagicMicroseconds:
-		order, nano = binary.LittleEndian, false
+		o, nano = littleEndian, false
 	case MagicNanoseconds:
-		order, nano = binary.LittleEndian, true
+		o, nano = littleEndian, true
 	case magicMicrosecondsSwapped:
-		order, nano = binary.BigEndian, false
+		o, nano = bigEndian, false
 	case magicNanosecondsSwapped:
-		order, nano = binary.BigEndian, true
+		o, nano = bigEndian, true
 	default:
 		return nil, ErrBadMagic
 	}
-	rd := &Reader{w: w, order: order}
+	rd := &Reader{w: w, order: o}
 	rd.hdr = Header{
 		Nanosecond:   nano,
-		VersionMajor: order.Uint16(buf[4:6]),
-		VersionMinor: order.Uint16(buf[6:8]),
-		SnapLen:      order.Uint32(buf[16:20]),
-		LinkType:     order.Uint32(buf[20:24]),
+		VersionMajor: o.u16(buf[4:6]),
+		VersionMinor: o.u16(buf[6:8]),
+		SnapLen:      o.u32(buf[16:20]),
+		LinkType:     o.u32(buf[20:24]),
 	}
 	return rd, nil
 }
@@ -135,22 +181,26 @@ func (r *Reader) Truncated() bool { return r.truncated }
 // NextInto or Next call. Callers that retain the bytes must copy them.
 // io.EOF marks a clean end of stream; a cut mid-record yields io.EOF
 // with Truncated() set.
+//
+// A record the window already holds, header and body, is sliced out of
+// it after one length check; a refill, an oversize record and a cut go
+// through the window's peek and next.
 func (r *Reader) NextInto(rec *Record) error {
-	hdr, err := r.w.peek(recordHeaderLen)
-	if err != nil {
-		if err == io.EOF {
-			return io.EOF
+	w := r.w
+	if w.hi-w.lo < recordHeaderLen {
+		if _, err := w.peek(recordHeaderLen); err != nil {
+			if err == io.EOF {
+				return io.EOF
+			}
+			if err == io.ErrUnexpectedEOF {
+				r.truncated = true
+				return io.EOF
+			}
+			return fmt.Errorf("pcap: reading record header: %w", err)
 		}
-		if err == io.ErrUnexpectedEOF {
-			r.truncated = true
-			return io.EOF
-		}
-		return fmt.Errorf("pcap: reading record header: %w", err)
 	}
-	sec := r.order.Uint32(hdr[0:4])
-	sub := r.order.Uint32(hdr[4:8])
-	capLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
+	whole := w.buf[w.lo:w.hi]
+	sec, sub, capLen, origLen := r.order.words(whole)
 	if capLen > r.hdr.SnapLen && r.hdr.SnapLen != 0 {
 		return fmt.Errorf("pcap: record capture length %d exceeds snap length %d", capLen, r.hdr.SnapLen)
 	}
@@ -158,15 +208,19 @@ func (r *Reader) NextInto(rec *Record) error {
 	if capLen > sanityCap {
 		return fmt.Errorf("pcap: implausible record capture length %d", capLen)
 	}
-	// Header and body leave the window as one slice (hdr is stale from
-	// here on: the refill may have moved it).
-	whole, err := r.w.next(recordHeaderLen + int(capLen))
-	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			r.truncated = true
-			return io.EOF
+	// Header and body leave the window as one slice.
+	n := recordHeaderLen + int(capLen)
+	if n <= len(whole) {
+		w.lo += n
+	} else {
+		var err error
+		if whole, err = w.next(n); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				r.truncated = true
+				return io.EOF
+			}
+			return fmt.Errorf("pcap: reading record body: %w", err)
 		}
-		return fmt.Errorf("pcap: reading record body: %w", err)
 	}
 	nsec := int64(sub)
 	if !r.hdr.Nanosecond {
@@ -174,7 +228,7 @@ func (r *Reader) NextInto(rec *Record) error {
 	}
 	rec.Timestamp = time.Unix(int64(sec), nsec).UTC()
 	rec.OriginalLen = int(origLen)
-	rec.Data = whole[recordHeaderLen:]
+	rec.Data = whole[recordHeaderLen:n]
 	rec.PacketID = 0
 	rec.HasPacketID = false
 	return nil

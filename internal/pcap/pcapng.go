@@ -33,7 +33,7 @@ var ErrNotPcapng = errors.New("pcap: not a pcapng stream")
 // NGReader reads packets from a pcapng stream.
 type NGReader struct {
 	w     *window
-	order binary.ByteOrder
+	order order // noOrder until the first section header
 	// interfaces carries per-interface metadata of the current section.
 	interfaces []ngInterface
 	snapLen    uint32
@@ -74,41 +74,51 @@ func newNGReader(w *window) (*NGReader, error) {
 // the stream's window (valid until the next readBlock). A section header
 // fixes the byte order for the blocks after it; its own type code reads
 // the same in both. io.EOF is a clean end of stream, between blocks;
-// io.ErrUnexpectedEOF a cut inside one.
+// io.ErrUnexpectedEOF a cut inside one. Like the classic reader, a block
+// the window already holds is sliced out of it after one length check.
 func (ng *NGReader) readBlock() (uint32, []byte, error) {
-	hdr, err := ng.w.peek(8)
-	if err != nil {
-		return 0, nil, err
+	w := ng.w
+	if w.hi-w.lo < 8 {
+		if _, err := w.peek(8); err != nil {
+			return 0, nil, err
+		}
 	}
-	btype := binary.LittleEndian.Uint32(hdr[0:4])
+	blk := w.buf[w.lo:w.hi]
+	btype := binary.LittleEndian.Uint32(blk[0:4])
 	kind, minTotal, maxTotal := "block", uint32(12), uint32(1<<26)
 	if btype == blockSHB {
 		// The byte-order magic decides endianness before the length can
 		// be trusted.
-		if hdr, err = ng.w.peek(12); err != nil {
-			return 0, nil, err
+		if len(blk) < 12 {
+			if _, err := w.peek(12); err != nil {
+				return 0, nil, err
+			}
+			blk = w.buf[w.lo:w.hi]
 		}
-		switch binary.LittleEndian.Uint32(hdr[8:12]) {
+		switch binary.LittleEndian.Uint32(blk[8:12]) {
 		case byteOrderMagic:
-			ng.order = binary.LittleEndian
+			ng.order = littleEndian
 		case 0x4d3c2b1a:
-			ng.order = binary.BigEndian
+			ng.order = bigEndian
 		default:
 			return 0, nil, ErrNotPcapng
 		}
 		kind, minTotal, maxTotal = "SHB", 16, 1<<20
 	}
-	if ng.order == nil {
+	if ng.order == noOrder {
 		return 0, nil, ErrNotPcapng
 	}
-	btype = ng.order.Uint32(hdr[0:4])
-	total := ng.order.Uint32(hdr[4:8])
+	btype, total := ng.order.u32(blk[0:4]), ng.order.u32(blk[4:8])
 	if total < minTotal || total%4 != 0 || total > maxTotal {
 		return 0, nil, fmt.Errorf("pcap: bad %s length %d", kind, total)
 	}
-	blk, err := ng.w.next(int(total))
-	if err != nil {
-		return 0, nil, err
+	if n := int(total); n <= len(blk) {
+		w.lo += n
+	} else {
+		var err error
+		if blk, err = w.next(n); err != nil {
+			return 0, nil, err
+		}
 	}
 	return btype, blk[8 : total-4], nil
 }
@@ -127,14 +137,14 @@ func (ng *NGReader) parseIDB(body []byte) error {
 		return fmt.Errorf("pcap: IDB too short")
 	}
 	iface := ngInterface{
-		linkType:       ng.order.Uint16(body[0:2]),
+		linkType:       ng.order.u16(body[0:2]),
 		unitsPerSecond: 1_000_000, // default: microseconds
 	}
 	// Options begin at offset 8: scan for if_tsresol (code 9).
 	opts := body[8:]
 	for len(opts) >= 4 {
-		code := ng.order.Uint16(opts[0:2])
-		olen := int(ng.order.Uint16(opts[2:4]))
+		code := ng.order.u16(opts[0:2])
+		olen := int(ng.order.u16(opts[2:4]))
 		padded := (olen + 3) &^ 3
 		if len(opts) < 4+padded {
 			break
@@ -142,7 +152,9 @@ func (ng *NGReader) parseIDB(body []byte) error {
 		if code == 9 && olen >= 1 {
 			v := opts[4]
 			if v&0x80 != 0 {
-				iface.unitsPerSecond = 1 << (v & 0x7f)
+				// Capped like pow10: a shift of 64 or more would make
+				// the unit zero, and every timestamp a division by it.
+				iface.unitsPerSecond = 1 << min(v&0x7f, 63)
 			} else {
 				iface.unitsPerSecond = pow10(v)
 			}
@@ -220,11 +232,8 @@ func (ng *NGReader) parseEPB(body []byte, rec *Record) error {
 	if len(body) < 20 {
 		return fmt.Errorf("pcap: EPB too short")
 	}
-	ifIdx := ng.order.Uint32(body[0:4])
-	tsHigh := ng.order.Uint32(body[4:8])
-	tsLow := ng.order.Uint32(body[8:12])
-	capLen := ng.order.Uint32(body[12:16])
-	origLen := ng.order.Uint32(body[16:20])
+	ifIdx := ng.order.u32(body[0:4])
+	tsHigh, tsLow, capLen, origLen := ng.order.words(body[4:20])
 	if int(capLen) > len(body)-20 {
 		return fmt.Errorf("pcap: EPB capture length %d exceeds block", capLen)
 	}
@@ -246,14 +255,14 @@ func (ng *NGReader) parseEPB(body []byte, rec *Record) error {
 	// global capture sequence number).
 	opts := body[20+((int(capLen)+3)&^3):]
 	for len(opts) >= 4 {
-		code := ng.order.Uint16(opts[0:2])
-		olen := int(ng.order.Uint16(opts[2:4]))
+		code := ng.order.u16(opts[0:2])
+		olen := int(ng.order.u16(opts[2:4]))
 		padded := (olen + 3) &^ 3
 		if len(opts) < 4+padded {
 			break
 		}
 		if code == 5 && olen == 8 {
-			rec.PacketID = ng.order.Uint64(opts[4:12])
+			rec.PacketID = ng.order.u64(opts[4:12])
 			rec.HasPacketID = true
 		}
 		if code == 0 {
@@ -268,7 +277,7 @@ func (ng *NGReader) parseSPB(body []byte, rec *Record) error {
 	if len(body) < 4 {
 		return fmt.Errorf("pcap: SPB too short")
 	}
-	origLen := ng.order.Uint32(body[0:4])
+	origLen := ng.order.u32(body[0:4])
 	capLen := uint32(len(body) - 4)
 	if ng.snapLen > 0 && origLen < capLen {
 		capLen = origLen

@@ -225,11 +225,12 @@ func BuildInventory(seed int64) *Inventory { return infra.Build(seed) }
 
 // DefaultZoomNetworks returns the modeled Zoom server prefixes (the
 // stand-in for Zoom's published list; the simulator's servers live in
-// the first of these).
+// the first of these). It computes the inventory's prefix plan alone:
+// every tool calls it at start-up, and none of them needs the servers.
 func DefaultZoomNetworks() []netip.Prefix {
-	inv := infra.Build(1)
-	out := make([]netip.Prefix, 0, len(inv.Networks))
-	for _, n := range inv.Networks {
+	nets := infra.Networks()
+	out := make([]netip.Prefix, 0, len(nets))
+	for _, n := range nets {
 		out = append(out, n.Prefix)
 	}
 	return out

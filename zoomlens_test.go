@@ -2,6 +2,8 @@ package zoomlens
 
 import (
 	"math"
+	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -335,10 +337,30 @@ func TestTable7Totals(t *testing.T) {
 	}
 }
 
+// TestDefaultZoomNetworks: the start-up list is the inventory's prefixes,
+// in the inventory's order, though it is computed without the inventory.
 func TestDefaultZoomNetworks(t *testing.T) {
 	nets := DefaultZoomNetworks()
 	if len(nets) != 117 {
 		t.Errorf("networks = %d, want 117", len(nets))
+	}
+	var want []netip.Prefix
+	for _, n := range BuildInventory(1).Networks {
+		want = append(want, n.Prefix)
+	}
+	if !slices.Equal(nets, want) {
+		t.Errorf("DefaultZoomNetworks() = %v,\nthe inventory's prefixes are %v", nets, want)
+	}
+}
+
+// BenchmarkDefaultZoomNetworks is what every tool pays at start-up for
+// its prefix list.
+func BenchmarkDefaultZoomNetworks(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(DefaultZoomNetworks()) != 117 {
+			b.Fatal("wrong list")
+		}
 	}
 }
 
