@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build fmt-check test test-short bench bench-smoke bench-check checkpoint-check alloc-check ablation cover tools examples ci tree-clean fuzz-smoke soak-smoke cluster-smoke proto-smoke qoe-smoke loc clean
+.PHONY: all build fmt-check exports-check test test-short bench bench-smoke bench-check checkpoint-check alloc-check ablation cover tools examples ci tree-clean fuzz-smoke soak-smoke cluster-smoke proto-smoke qoe-smoke loc clean
 
 all: build test
 
@@ -82,6 +82,7 @@ cover:
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
+	$(MAKE) exports-check
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
@@ -160,7 +161,10 @@ soak-smoke:
 # The observation-log target
 # feeds the ZLOB reader — a file from another process — torn, mistagged
 # and misversioned logs. The sequence-tracker target walks the duplicate
-# window with arbitrary sequence numbers.
+# window with arbitrary sequence numbers. The two loaders of files
+# written elsewhere face hostile bytes too: a QoE model must load to
+# finite probabilities or be refused, and a splitter manifest that loads
+# must survive a marshal → load cycle unchanged.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzPacketParseInPlace -fuzztime=$(FUZZTIME) ./internal/zoom/
@@ -176,6 +180,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReaderFastVsSlow -fuzztime=$(FUZZTIME) ./internal/pcap/
 	$(GO) test -fuzz=FuzzQoSLog -fuzztime=$(FUZZTIME) ./internal/qos/
 	$(GO) test -fuzz=FuzzObsLogDecode -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -fuzz=FuzzModelLoad -fuzztime=$(FUZZTIME) ./internal/predict/
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -215,10 +221,10 @@ examples:
 # record's on purpose (they identify the emitted rows). (2) Non-test
 # packages under internal/. (3) Exported top-level identifiers (funcs,
 # methods, types, one-per-line vars and consts) declared in internal/
-# whose name appears nowhere else in non-test code, comments stripped: a
-# by-name heuristic — it cannot see a method reached only through an
-# interface (Less, Swap), and a shared name hides a dead one — so read it
-# as a trend, not a list.
+# whose name appears nowhere else in non-test code, comments stripped,
+# printed with their names. It is a by-name heuristic: it cannot see a
+# method reached only through an interface (Less, Swap), which
+# exports.allow lists, and a shared name hides a dead one.
 CODEC_STACK = internal/*/state.go internal/*/delta.go internal/core/checkpoint.go internal/statecodec/statecodec.go
 TUNABLE = (Max[A-Z][A-Za-z]*|([A-Z][A-Za-z]*)?Window|[cC]lockRate|[A-Z][A-Za-z]*(Gap|Threshold|Buffer|Age)|Name|window)
 loc:
@@ -242,11 +248,28 @@ loc:
 	@cat internal/core/delta.go internal/flow/state.go internal/meeting/state.go internal/metrics/state.go | awk '/^func .*[mM]arkCheckpointed\(\)/ {f=1; next} f && /^}/ {f=0} f && /range [A-Za-z.]*\.(flows|streams|StreamMetrics|TCP)([^A-Za-z]|$$)/ {n++} END {print "range loops over record maps in markCheckpointed + the layers\047 MarkCheckpointed (target 0):", n+0}'
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"
-	@d=$$(mktemp) u=$$(mktemp); \
+	@dead=$$($(DEAD_EXPORTS)); echo "exported identifiers in internal/ with no non-test reference:" $$(echo "$$dead" | grep -c .) "("$$dead")"
+	@-$(MAKE) -s exports-check
+
+# The unreferenced exports (the heuristic described above loc), one name
+# a line. exports-check holds them to exports.allow: every one must be
+# listed there with a reason, and every entry there must still be one —
+# so a new dead export, a stale entry or a blank reason fails make ci.
+DEAD_EXPORTS = d=$$(mktemp) u=$$(mktemp); \
 	grep -rhoE '^(func (\([^)]*\) )?|type |var |const )[A-Z][A-Za-z0-9_]*' --include='*.go' --exclude='*_test.go' internal | sed -E 's/.*[ )]//' | sort | uniq -c > $$d; \
 	find internal cmd examples bench -name '*.go' ! -name '*_test.go' | xargs cat $$(ls *.go | grep -v _test.go) | sed 's://.*::' | grep -oE '\b[A-Z][A-Za-z0-9_]*\b' | sort | uniq -c > $$u; \
-	awk 'NR==FNR {d[$$2]=$$1; next} ($$2 in d) && $$1==d[$$2] {n++} END {print "exported identifiers in internal/ with no non-test reference:", n+0}' $$d $$u; \
+	awk 'NR==FNR {d[$$2]=$$1; next} ($$2 in d) && $$1==d[$$2] {print $$2}' $$d $$u; \
 	rm -f $$d $$u
+exports-check:
+	@f=$$(mktemp); { $(DEAD_EXPORTS); } > $$f; \
+	awk -v dead=$$f 'FILENAME == dead {isdead[$$1] = 1; next} \
+		/^[[:space:]]*(#|$$)/ {next} \
+		{allowed[$$1] = 1; n++} \
+		NF < 2 {print "exports.allow:" FNR ": " $$1 " has no reason"; bad = 1} \
+		!($$1 in isdead) {print "exports.allow:" FNR ": " $$1 " is referenced or gone: drop the entry"; bad = 1} \
+		END {for (x in isdead) if (!(x in allowed)) {print "unreferenced export " x ": delete it, move it into the test that uses it, unexport it, or list it in exports.allow with a reason"; bad = 1} \
+			if (!bad) print "exports-check: 0 unreferenced exports outside exports.allow;", n + 0, "allowlisted, each with a reason"; \
+			exit bad}' $$f exports.allow; s=$$?; rm -f $$f; exit $$s
 
 clean:
 	rm -rf bin

@@ -8,8 +8,6 @@ package zoomlens
 //
 // Covered ablations:
 //
-//   - dataplane accuracy vs table size (§8: approximate data structures
-//     limiting accuracy);
 //   - meeting grouping with vs without step 1's unified stream IDs
 //     (§4.3.2: "this identifier greatly increases the accuracy");
 //   - frame-level vs naive packet-level jitter (§5.4 / Figure 12: RTP
@@ -27,7 +25,6 @@ import (
 	"time"
 
 	"zoomlens/internal/capture"
-	"zoomlens/internal/dataplane"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
 	"zoomlens/internal/rtp"
@@ -36,86 +33,6 @@ import (
 	"zoomlens/internal/trace"
 	"zoomlens/internal/zoom"
 )
-
-// BenchmarkAblationDataplaneAccuracy compares the fixed-memory
-// data-plane monitor against the exact pipeline at several table sizes.
-func BenchmarkAblationDataplaneAccuracy(b *testing.B) {
-	// One campus excerpt, analyzed exactly once.
-	r := campus(b)
-	type exact struct {
-		frames uint64
-		pkts   uint64
-	}
-	truth := map[string]exact{}
-	keyOf := func(ft layers.FiveTuple, ssrc uint32, mt MediaType) string {
-		return fmt.Sprintf("%s|%d|%d", ft, ssrc, mt)
-	}
-	for _, seg := range r.Analyzer.Streams() {
-		id, sm := seg.ID, seg.Metrics
-		truth[keyOf(id.Flow, id.Key.SSRC, id.Key.Type)] = exact{frames: sm.FramesTotal, pkts: sm.Packets}
-	}
-
-	// Re-parse the capture (regenerate deterministically) through the
-	// data-plane monitor at each table size.
-	for _, slots := range []int{64, 256, 1024, 8192} {
-		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mon := dataplane.NewMonitor(dataplane.Config{Slots: slots})
-				replayCampusInto(mon)
-				// Accuracy: relative frame-count error over streams that
-				// survived in the table.
-				var relErrSum float64
-				var matched int
-				for _, s := range mon.Snapshot() {
-					_ = s
-				}
-				for _, seg := range r.Analyzer.Streams() {
-					id, sm := seg.ID, seg.Metrics
-					slot, ok := mon.Lookup(id.Flow, id.Key.SSRC, id.Key.Type)
-					if !ok || sm.FramesTotal == 0 {
-						continue
-					}
-					matched++
-					relErrSum += math.Abs(float64(slot.Frames)-float64(sm.FramesTotal)) / float64(sm.FramesTotal)
-				}
-				if i == 0 {
-					coverage := float64(matched) / float64(len(truth))
-					b.ReportMetric(coverage, "stream-coverage")
-					if matched > 0 {
-						b.ReportMetric(relErrSum/float64(matched), "frame-count-rel-err")
-					}
-					b.ReportMetric(float64(mon.Collisions), "collisions")
-				}
-			}
-		})
-	}
-}
-
-// replayCampusInto regenerates the campus fixture's packets and feeds
-// the media ones to the data-plane monitor.
-func replayCampusInto(mon *dataplane.Monitor) {
-	cfg := smallCampus()
-	opts := sim.DefaultOptions()
-	opts.Seed = cfg.Seed
-	opts.Start = cfg.Start
-	opts.SkipExternalDelivery = true
-	w := sim.NewWorld(opts)
-	parser := &layers.Parser{}
-	var pkt layers.Packet
-	w.Monitor = func(at time.Time, frame []byte) {
-		if parser.Parse(frame, &pkt) != nil || !pkt.HasUDP {
-			return
-		}
-		zp, err := zoom.ParsePacket(pkt.Payload, zoom.ModeAuto)
-		if err != nil {
-			return
-		}
-		ft, _ := pkt.FiveTuple()
-		mon.Process(at, ft, &zp)
-	}
-	runner := newCampusRunner(cfg, w)
-	runner()
-}
 
 // newCampusRunner installs the campus schedule and returns a closure
 // that runs it — the same sequence RunCampus performs, so the replay

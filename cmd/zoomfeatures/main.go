@@ -24,7 +24,7 @@
 //
 // Extract mode takes the shared driver's input, engine-sizing,
 // bounded-state, checkpoint/rotation, and live-observability flags
-// (internal/engine); -predict/-model classify live during extraction.
+// (internal/engine); -model classifies live during extraction.
 // None of the observability flags changes the CSV.
 package main
 

@@ -1,8 +1,7 @@
 // Command zoominfra reproduces the Appendix B infrastructure analysis:
 // it sweeps the modeled Zoom address space, resolves reverse DNS, parses
-// the zoom<loc><id><type>.<loc>.zoom.us naming scheme, cross-checks with
-// the GeoIP model, and prints Table 7 along with the ownership split of
-// the address space.
+// the zoom<loc><id><type>.<loc>.zoom.us naming scheme, and prints
+// Table 7 along with the ownership split of the address space.
 //
 // With -i it additionally cross-checks a capture against the inventory:
 // which Zoom server addresses the trace actually talked to, how the

@@ -56,21 +56,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
 }
 
-// Points samples the CDF at n evenly spaced values across the sample
-// range, for plotting (x, P(X≤x)).
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n < 2 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out = append(out, [2]float64{x, c.At(x)})
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of samples.
 func Mean(samples []float64) float64 {
 	if len(samples) == 0 {
@@ -81,20 +66,6 @@ func Mean(samples []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(samples))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	m := Mean(samples)
-	var ss float64
-	for _, v := range samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples)))
 }
 
 // Pearson computes the correlation coefficient between paired samples.
@@ -192,41 +163,3 @@ func (t *Table) String() string {
 func F(v float64, decimals int) string {
 	return fmt.Sprintf("%.*f", decimals, v)
 }
-
-// Histogram counts samples into fixed-width buckets over [lo, hi);
-// values outside clamp to the edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram builds a histogram with n buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	n := len(h.Buckets)
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Fraction returns the share of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
-}
-
-// Total returns the sample count.
-func (h *Histogram) Total() int { return h.total }

@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestClassifyServerTraffic(t *testing.T) {
 		t.Errorf("reverse verdict = %v, want KeepServer", v)
 	}
 	// TCP 443 control traffic to a Zoom server.
-	rawTCP := layers.EthernetIPv4TCP(ap("10.8.1.2:40000"), ap("52.81.3.4:443"), 64, 1, 1, layers.TCPAck, 100, nil)
+	rawTCP := new(layers.Builder).BuildTCP(ap("10.8.1.2:40000"), ap("52.81.3.4:443"), 64, 1, 1, layers.TCPAck, 100, nil)
 	if v := f.Classify(decode(t, rawTCP), t0); v != KeepServer {
 		t.Errorf("tcp verdict = %v, want KeepServer", v)
 	}
@@ -60,7 +61,7 @@ func TestClassifyDropsNonZoom(t *testing.T) {
 }
 
 func stunPacket(client, server netip.AddrPort) []byte {
-	m := stun.NewBindingRequest(stun.NewTransactionID())
+	m := stun.NewBindingRequest(stun.TransactionID{7})
 	return layers.EthernetIPv4UDP(client, server, 64, m.Marshal())
 }
 
@@ -206,7 +207,10 @@ func TestAnonymizeInPlacePreservesParsability(t *testing.T) {
 	if p.IPv4.Dst != netip.MustParseAddr("52.81.3.4") {
 		t.Error("server address should be preserved")
 	}
-	if !layers.VerifyIPv4Checksum(raw[14:34]) {
+	// The rewritten IPv4 header, checksum included, is the one a frame
+	// built with the anonymized source carries.
+	built := layers.EthernetIPv4UDP(netip.AddrPortFrom(p.IPv4.Src, 52000), ap("52.81.3.4:8801"), 64, []byte("payload"))
+	if !bytes.Equal(raw[14:34], built[14:34]) {
 		t.Error("IPv4 checksum invalid after anonymization")
 	}
 	if string(p.Payload) != "payload" {

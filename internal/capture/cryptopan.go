@@ -83,22 +83,3 @@ func (a *PrefixPreservingAnonymizer) Addr(addr netip.Addr) netip.Addr {
 	a.mu.Unlock()
 	return netip.AddrFrom4(out)
 }
-
-// CommonPrefixLen returns the length of the longest common bit prefix of
-// two IPv4 addresses (a test/verification helper for the
-// prefix-preservation property).
-func CommonPrefixLen(x, y netip.Addr) int {
-	a, b := x.As4(), y.As4()
-	av := binary.BigEndian.Uint32(a[:])
-	bv := binary.BigEndian.Uint32(b[:])
-	d := av ^ bv
-	if d == 0 {
-		return 32
-	}
-	n := 0
-	for d&0x80000000 == 0 {
-		n++
-		d <<= 1
-	}
-	return n
-}

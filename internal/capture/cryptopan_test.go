@@ -1,11 +1,20 @@
 package capture
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
 )
+
+// commonPrefixLen returns the length of the longest common bit prefix of
+// two IPv4 addresses: the quantity prefix preservation keeps.
+func commonPrefixLen(x, y netip.Addr) int {
+	a, b := x.As4(), y.As4()
+	return bits.LeadingZeros32(binary.BigEndian.Uint32(a[:]) ^ binary.BigEndian.Uint32(b[:]))
+}
 
 func TestPrefixPreservation(t *testing.T) {
 	an := NewPrefixPreservingAnonymizer([]byte("secret"))
@@ -26,8 +35,8 @@ func TestPrefixPreservation(t *testing.T) {
 		}
 		ax := an.Addr(u32addr(x))
 		ay := an.Addr(u32addr(y))
-		wantShared := CommonPrefixLen(u32addr(x), u32addr(y))
-		got := CommonPrefixLen(ax, ay)
+		wantShared := commonPrefixLen(u32addr(x), u32addr(y))
+		got := commonPrefixLen(ax, ay)
 		if got != wantShared {
 			t.Fatalf("trial %d: original share %d bits, anonymized share %d", trial, wantShared, got)
 		}
@@ -80,7 +89,7 @@ func TestQuickPrefixPropertyAdjacent(t *testing.T) {
 		b := bit % 32
 		x := v
 		y := v ^ (1 << (31 - b)) // differ exactly at position b
-		return CommonPrefixLen(an.Addr(u32addr(x)), an.Addr(u32addr(y))) == int(b)
+		return commonPrefixLen(an.Addr(u32addr(x)), an.Addr(u32addr(y))) == int(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -114,11 +123,11 @@ func TestAnonymizerPrefixMode(t *testing.T) {
 	if aa == a {
 		t.Error("campus address unchanged")
 	}
-	if CommonPrefixLen(aa, ab) < 24 {
-		t.Errorf("same /24 inputs diverge at bit %d", CommonPrefixLen(aa, ab))
+	if commonPrefixLen(aa, ab) < 24 {
+		t.Errorf("same /24 inputs diverge at bit %d", commonPrefixLen(aa, ab))
 	}
-	if CommonPrefixLen(aa, ac) < 16 || CommonPrefixLen(aa, ac) >= 24 {
-		t.Errorf("same /16 inputs share %d bits", CommonPrefixLen(aa, ac))
+	if commonPrefixLen(aa, ac) < 16 || commonPrefixLen(aa, ac) >= 24 {
+		t.Errorf("same /16 inputs share %d bits", commonPrefixLen(aa, ac))
 	}
 	// Server addresses untouched.
 	srv := netip.MustParseAddr("52.81.3.4")

@@ -121,12 +121,22 @@ func ReadManifest(path string) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := parseManifest(data)
+	if err != nil {
 		return Manifest{}, fmt.Errorf("cluster: manifest %s: %w", path, err)
 	}
+	return m, nil
+}
+
+// parseManifest decodes a manifest's bytes, which come from another
+// process.
+func parseManifest(data []byte) (Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Manifest{}, err
+	}
 	if m.Version != 1 {
-		return Manifest{}, fmt.Errorf("cluster: manifest %s: version %d not supported", path, m.Version)
+		return Manifest{}, fmt.Errorf("version %d not supported", m.Version)
 	}
 	return m, nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"zoomlens/internal/flow"
-	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/sim"
@@ -384,11 +383,10 @@ func TestClockRateDiscoveryEndToEnd(t *testing.T) {
 	var videoChecked, audioChecked int
 	for _, seg := range a.Streams() {
 		id, sm := seg.ID, seg.Metrics
-		obs := sm.FrameObservations()
-		if len(obs) < 100 {
+		if len(sm.Frames()) < 100 {
 			continue
 		}
-		est, ok := metrics.InferClockRate(obs)
+		est, ok := sm.InferClockRate()
 		if !ok {
 			continue
 		}

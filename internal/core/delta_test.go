@@ -581,8 +581,8 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	// 2 ms later: two packets, one RTT sample.
 	exchange := func(eng Engine, client netip.AddrPort, at time.Time, round int) {
 		seq := uint32(1000 + 100*round)
-		eng.Packet(at, layers.EthernetIPv4TCP(client, server, 64, seq, 1, layers.TCPAck|layers.TCPPsh, 65535, make([]byte, 100)))
-		eng.Packet(at.Add(2*time.Millisecond), layers.EthernetIPv4TCP(server, client, 64, 1, seq+100, layers.TCPAck, 65535, nil))
+		eng.Packet(at, new(layers.Builder).BuildTCP(client, server, 64, seq, 1, layers.TCPAck|layers.TCPPsh, 65535, make([]byte, 100)))
+		eng.Packet(at.Add(2*time.Millisecond), new(layers.Builder).BuildTCP(server, client, 64, 1, seq+100, layers.TCPAck, 65535, nil))
 	}
 	restore := func(ck []byte) *Analyzer {
 		eng, err := RestoreAnalyzer(bytes.NewReader(ck), cfg)

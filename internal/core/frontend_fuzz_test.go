@@ -41,7 +41,7 @@ func FuzzFrontEndVsParser(f *testing.F) {
 	arm := layers.EthernetIPv4UDP(client, stunSrv, 64, req.Marshal())
 
 	udp := layers.EthernetIPv4UDP(client, server, 64, []byte{5, 0, 1, 2, 3, 4, 5, 6})
-	tcp := layers.EthernetIPv4TCP(client, netip.AddrPortFrom(server.Addr(), 443), 64, 100, 0, layers.TCPSyn, 1024, []byte("hello"))
+	tcp := new(layers.Builder).BuildTCP(client, netip.AddrPortFrom(server.Addr(), 443), 64, 100, 0, layers.TCPSyn, 1024, []byte("hello"))
 	p2p := layers.EthernetIPv4UDP(client, peer, 64, []byte{0x90, 0x60, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2})
 	seeds := [][]byte{
 		udp, tcp, p2p, arm,

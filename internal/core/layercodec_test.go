@@ -158,7 +158,11 @@ var layerCases = []struct {
 		step: func(l coder, phase int) {
 			cm := l.(*metrics.CopyMatcher)
 			at := layerT0.Add(time.Duration(phase) * time.Second)
-			up, down := layerTuple(1), layerTuple(2).Reverse()
+			up := layerTuple(1)
+			down := layers.FiveTuple{
+				Src: netip.AddrFrom4([4]byte{52, 81, 3, 4}), Dst: netip.AddrFrom4([4]byte{10, 8, 0, 2}),
+				SrcPort: 8801, DstPort: 40000, Proto: layers.ProtoUDP,
+			}
 			for i := 0; i < 20; i++ {
 				seq := uint16(100*phase + i)
 				cm.Observe(meeting.UnifiedID(1+i%3), up, 98, seq, uint32(seq)*3000, at)

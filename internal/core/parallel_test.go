@@ -253,8 +253,8 @@ func TestShardAffinity(t *testing.T) {
 	}
 	client := netip.MustParseAddrPort("10.8.0.10:50000")
 	server := netip.MustParseAddrPort("203.0.113.7:443")
-	up := route(layers.EthernetIPv4TCP(client, server, 64, 100, 0, layers.TCPSyn, 1024, nil))
-	down := route(layers.EthernetIPv4TCP(server, client, 64, 1, 101, layers.TCPSyn|layers.TCPAck, 1024, nil))
+	up := route(new(layers.Builder).BuildTCP(client, server, 64, 100, 0, layers.TCPSyn, 1024, nil))
+	down := route(new(layers.Builder).BuildTCP(server, client, 64, 1, 101, layers.TCPSyn|layers.TCPAck, 1024, nil))
 	if up != down {
 		t.Errorf("TCP directions on different shards: %d vs %d", up, down)
 	}

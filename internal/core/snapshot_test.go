@@ -44,7 +44,7 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 		must(sm.WireRate.Samples)
 		must(sm.JitterMS.Samples)
 		must(sm.FrameSize().Samples)
-		must(sm.FrameDelay().Samples)
+		must(sm.Frames())
 	}
 	must(a.Copies.Samples)
 	return b.Bytes()

@@ -305,16 +305,6 @@ func (c *Checkpointer) WriteFull(eng core.Engine) error {
 	return errors.Join(c.StartFull(eng), c.Wait())
 }
 
-// WriteDelta is StartDelta and Wait, and when the record did not land it
-// writes the full that re-anchors the chain before it returns.
-func (c *Checkpointer) WriteDelta(eng core.Engine) error {
-	err := errors.Join(c.StartDelta(eng), c.Wait())
-	if c.needFull {
-		return c.WriteFull(eng)
-	}
-	return err
-}
-
 // prune removes chain files older than the keep-th newest full. Deltas
 // between retained fulls stay — fallback restore may need them.
 func (c *Checkpointer) prune() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -15,6 +16,16 @@ import (
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
+
+// WriteDelta is StartDelta and Wait, and when the record did not land it
+// writes the full that re-anchors the chain before it returns.
+func (c *Checkpointer) WriteDelta(eng core.Engine) error {
+	err := errors.Join(c.StartDelta(eng), c.Wait())
+	if c.needFull {
+		return c.WriteFull(eng)
+	}
+	return err
+}
 
 // ckWorkload returns a deterministic packet workload (timestamps +
 // frames, Data copied out of the generator's reused buffer) and the

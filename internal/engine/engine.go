@@ -109,7 +109,6 @@ type Flags struct {
 	// header-free pipeline: windower rows → CSV and/or model).
 	Features      string
 	FeatureWindow time.Duration
-	Predict       bool
 	Model         string
 
 	// ClusterPart runs this process as one cluster worker: the input is
@@ -150,9 +149,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.Rotate, "rotate", 0, "close and emit the report window every this much trace time, writing <rotate-out>-NNNN.json per window (0 = one report)")
 	fs.StringVar(&f.RotateOut, "rotate-out", "zoomlens-window", "path prefix for rotated window report files")
 	fs.StringVar(&f.Features, "features", "", "stream per-stream feature rows (header-free QoE inputs) as versioned CSV to this path; \"-\" = stdout")
-	fs.DurationVar(&f.FeatureWindow, "feature-window", time.Second, "feature aggregation window on the capture clock (with -features or -predict)")
-	fs.BoolVar(&f.Predict, "predict", false, "classify each video feature window with the -model QoE model; predictions surface as zoomlens_qoe_* metrics and qoe_prediction JSON lines on the snapshot sink")
-	fs.StringVar(&f.Model, "model", "", "QoE model JSON for -predict (train one with zoomfeatures -train)")
+	fs.DurationVar(&f.FeatureWindow, "feature-window", time.Second, "feature aggregation window on the capture clock (with -features or -model)")
+	fs.StringVar(&f.Model, "model", "", "QoE model JSON (train one with zoomfeatures -train): classify each video feature window with it; predictions surface as zoomlens_qoe_* metrics and qoe_prediction JSON lines on the snapshot sink")
 	fs.StringVar(&f.ClusterPart, "cluster-part", "", "run as one cluster worker under this path prefix: export media observations to <prefix>.obs, default the checkpoint chain base to <prefix>.state.zlcp, and mirror the status JSON to <prefix>.status.json (input should be a zoomsplit stream; requires -workers 1)")
 	f.Obs = RegisterMetrics(fs)
 	fs.DurationVar(&f.Obs.SnapshotInterval, "snapshot-interval", 0, "emit per-meeting QoE snapshots as JSON lines every interval of trace time (0 = disabled)")
@@ -209,9 +207,9 @@ type Run struct {
 	// path skipped before finding a valid state.
 	RestoreFallbacks int
 	// FeatureRows counts streaming feature rows drained to the -features
-	// CSV (and through the -predict model).
+	// CSV (and through the -model QoE model).
 	FeatureRows int
-	// Predictions counts video rows the -predict model classified.
+	// Predictions counts video rows the -model QoE model classified.
 	Predictions int
 
 	// Checkpointer is the run's checkpoint chain and the home of its
@@ -354,13 +352,13 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 		cfg.PreFiltered = true
 	}
 	var fsink *featureSink
-	if f.Features != "" || f.Predict {
+	if f.Features != "" || f.Model != "" {
 		if f.ClusterPart != "" {
 			// A worker's observations ride the cluster sink instead of the
 			// local reconciliation path, so its windower would see nothing;
 			// the aggregator builds the rows (zoomagg -features).
 			setup.Close()
-			return nil, errors.New("engine: -features/-predict are unavailable with -cluster-part; feature rows for a cluster run come from zoomagg -features")
+			return nil, errors.New("engine: -features/-model are unavailable with -cluster-part; feature rows for a cluster run come from zoomagg -features")
 		}
 		fw := f.FeatureWindow
 		if fw <= 0 {

@@ -4,13 +4,12 @@ package engine
 // the header-free pipeline. The engine's windower emits feature rows on
 // the capture clock; the driver drains them periodically (drain cadence
 // never affects row content or order), appends them to the -features
-// CSV, and — with -predict — runs each video row through the loaded
+// CSV, and — with -model — runs each video row through the loaded
 // model, surfacing predictions as Prometheus series and as JSON lines
 // on the snapshot sink.
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -54,7 +53,7 @@ func newFeatureSink(f *Flags, setup *ObsSetup, window time.Duration) (*featureSi
 	}
 	switch f.Features {
 	case "":
-		// -predict without a CSV: inference only.
+		// -model without a CSV: inference only.
 	case "-":
 		s.csv = features.NewCSVWriter(os.Stdout)
 	default:
@@ -65,11 +64,7 @@ func newFeatureSink(f *Flags, setup *ObsSetup, window time.Duration) (*featureSi
 		s.csvF = cf
 		s.csv = features.NewCSVWriter(cf)
 	}
-	if f.Predict {
-		if f.Model == "" {
-			s.discard()
-			return nil, errors.New("engine: -predict requires -model (train one with zoomfeatures -train)")
-		}
+	if f.Model != "" {
 		mf, err := os.Open(f.Model)
 		if err != nil {
 			s.discard()

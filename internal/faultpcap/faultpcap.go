@@ -57,10 +57,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("Fault(%d)", int(f))
 }
 
-// Faults lists every corruption mode (excluding the None control), for
-// tests that iterate the full matrix.
-func Faults() []Fault { return []Fault{Truncate, BitFlip, TimestampJump, Duplicate} }
-
 // Options parameterizes the injection.
 type Options struct {
 	Fault Fault

@@ -49,7 +49,7 @@ func readAll(t *testing.T, capture []byte) ([]pcap.Record, bool) {
 
 func TestApplyDeterministic(t *testing.T) {
 	src := smallCapture(t, 50)
-	for _, f := range Faults() {
+	for _, f := range []Fault{Truncate, BitFlip, TimestampJump, Duplicate} {
 		a, err := Apply(src, Options{Fault: f, Seed: 7})
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)

@@ -12,12 +12,9 @@ import (
 	"zoomlens/internal/zoom"
 )
 
-// FormatVersion is the feature-CSV format version. v2 added the
-// proto/app columns (PR 9 application tags) and the streaming-window
-// layout; readers reject other versions.
-const FormatVersion = 2
-
-// versionLine is the first line of every feature CSV.
+// versionLine is the first line of every feature CSV. Format v2 added the
+// proto/app columns (application tags) and the streaming-window layout;
+// readers reject other versions.
 const versionLine = "#zoomlens-features v2"
 
 // Columns is the CSV header, in emission order.

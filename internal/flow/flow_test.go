@@ -181,7 +181,7 @@ func TestPayloadTypeSharesTable3Shape(t *testing.T) {
 		tbl.Observe(mediaRecord(ftA, t0, zoom.TypeAudio, zoom.PTAudioSpeak, 2, uint16(i), uint32(i), 120))
 	}
 	for i := 0; i < 26; i++ {
-		tbl.Observe(mediaRecord(ftA, t0, zoom.TypeAudio, zoom.PTAudioSilent, 2, uint16(3000+i), uint32(i), zoom.SilentAudioPayloadLen))
+		tbl.Observe(mediaRecord(ftA, t0, zoom.TypeAudio, zoom.PTAudioSilent, 2, uint16(3000+i), uint32(i), 40))
 	}
 	tot := tbl.Totals()
 	shares := tbl.PayloadTypeShares(tot.Packets, tot.Bytes)

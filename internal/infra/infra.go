@@ -3,9 +3,8 @@
 // networks, 427,168 addresses split across Zoom's AS30103, AWS, and
 // Oracle Cloud), the reverse-DNS naming scheme
 // zoom<location><id><type>.<location>.zoom.us for multimedia routers
-// (MMR) and zone controllers (ZC), and a GeoIP database — and implements
-// the analysis pipeline (rDNS sweep + Geo aggregation) that regenerates
-// Table 7.
+// (MMR) and zone controllers (ZC) — and implements the analysis pipeline
+// (rDNS sweep + per-location aggregation) that regenerates Table 7.
 //
 // The inventory is synthetic but faithful in structure and totals: 5,452
 // MMRs and 256 ZCs distributed over the locations of Table 7.
@@ -101,9 +100,6 @@ type Inventory struct {
 	Networks []Network
 	// rdns maps server addresses to hostnames.
 	rdns map[netip.Addr]string
-	// geo maps server addresses to location codes (per-address, as a
-	// lookup service like ipinfo.io behaves).
-	geo map[netip.Addr]string
 	// locations indexes Locations() by code.
 	locations map[string]Location
 }
@@ -160,7 +156,6 @@ func Build(seed int64) *Inventory {
 	inv := &Inventory{
 		Networks:  Networks(),
 		rdns:      make(map[netip.Addr]string),
-		geo:       make(map[netip.Addr]string),
 		locations: make(map[string]Location),
 	}
 
@@ -192,12 +187,10 @@ func Build(seed int64) *Inventory {
 		for i := 0; i < loc.MMRs; i++ {
 			a := nextAddr()
 			inv.rdns[a] = fmt.Sprintf("zoom%s%dmmr.%s.zoom.us", loc.Code, i+1, loc.Code)
-			inv.geo[a] = loc.Code
 		}
 		for i := 0; i < loc.ZCs; i++ {
 			a := nextAddr()
 			inv.rdns[a] = fmt.Sprintf("zoom%s%dzc.%s.zoom.us", loc.Code, i+1, loc.Code)
-			inv.geo[a] = loc.Code
 		}
 	}
 	_ = rng
@@ -227,13 +220,6 @@ func (inv *Inventory) OwnerShare() map[Owner]float64 {
 func (inv *Inventory) ReverseDNS(a netip.Addr) (string, bool) {
 	name, ok := inv.rdns[a]
 	return name, ok
-}
-
-// GeoLookup returns the location code of an address (the ipinfo.io
-// stand-in).
-func (inv *Inventory) GeoLookup(a netip.Addr) (string, bool) {
-	code, ok := inv.geo[a]
-	return code, ok
 }
 
 // ParsedName is the result of decoding a hostname against the scheme
@@ -303,8 +289,8 @@ type SurveyResult struct {
 }
 
 // Survey sweeps every address of every network, resolving rDNS, parsing
-// the naming scheme, cross-checking with GeoIP, and aggregating counts
-// per location — exactly the Appendix B methodology.
+// the naming scheme and aggregating counts per location — the Appendix B
+// methodology, less its GeoIP cross-check.
 func (inv *Inventory) Survey() SurveyResult {
 	var res SurveyResult
 	counts := map[string]*LocationCount{}

@@ -127,30 +127,6 @@ func TestServersLiveInZoomAS(t *testing.T) {
 	}
 }
 
-func TestGeoLookupConsistentWithNaming(t *testing.T) {
-	inv := Build(1)
-	mismatches := 0
-	for a, name := range inv.rdns {
-		p, ok := ParseName(name)
-		if !ok {
-			t.Fatalf("unparseable name %q", name)
-		}
-		code, ok := inv.GeoLookup(a)
-		if !ok {
-			t.Fatalf("no geo for %v", a)
-		}
-		if code != p.Location {
-			mismatches++
-		}
-	}
-	// The paper notes one site (Frankfurt) whose GeoIP disagrees with
-	// the naming scheme; our model keeps them consistent, so mismatches
-	// only arise from /24s shared across sites at boundaries.
-	if frac := float64(mismatches) / float64(len(inv.rdns)); frac > 0.02 {
-		t.Errorf("geo/name mismatch fraction = %v", frac)
-	}
-}
-
 func TestBuildDeterministic(t *testing.T) {
 	a, b := Build(7), Build(7)
 	if len(a.Networks) != len(b.Networks) {

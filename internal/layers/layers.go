@@ -201,11 +201,6 @@ type FiveTuple struct {
 	Proto   uint8
 }
 
-// Reverse returns the tuple with endpoints swapped.
-func (ft FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: ft.Dst, Dst: ft.Src, SrcPort: ft.DstPort, DstPort: ft.SrcPort, Proto: ft.Proto}
-}
-
 // String renders the tuple as "src:sport->dst:dport/proto".
 func (ft FiveTuple) String() string {
 	proto := "?"

@@ -34,7 +34,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	if p.IPv4.TTL != 64 {
 		t.Errorf("TTL = %d, want 64", p.IPv4.TTL)
 	}
-	if !VerifyIPv4Checksum(raw[14:34]) {
+	if internetChecksum(raw[14:34]) != 0 {
 		t.Error("IPv4 checksum invalid")
 	}
 }
@@ -42,7 +42,7 @@ func TestUDPRoundTrip(t *testing.T) {
 func TestTCPRoundTrip(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
 	src, dst := ap("10.8.1.2:44123"), ap("52.81.1.9:443")
-	raw := EthernetIPv4TCP(src, dst, 57, 1000, 2000, TCPAck|TCPPsh, 65535, payload)
+	raw := new(Builder).BuildTCP(src, dst, 57, 1000, 2000, TCPAck|TCPPsh, 65535, payload)
 
 	var p Packet
 	ps := &Parser{First: FirstEthernet}
@@ -83,13 +83,6 @@ func TestFiveTuple(t *testing.T) {
 	want := FiveTuple{Src: src.Addr(), Dst: dst.Addr(), SrcPort: src.Port(), DstPort: dst.Port(), Proto: ProtoUDP}
 	if ft != want {
 		t.Errorf("ft = %+v, want %+v", ft, want)
-	}
-	if ft.Reverse().Reverse() != ft {
-		t.Error("double Reverse not identity")
-	}
-	rev := ft.Reverse()
-	if rev.Src != dst.Addr() || rev.SrcPort != dst.Port() {
-		t.Errorf("Reverse = %+v", rev)
 	}
 	if got := ft.String(); got != "10.8.1.2:52143->52.81.1.9:8801/udp" {
 		t.Errorf("String = %q", got)
@@ -227,7 +220,7 @@ func TestQuickUDPPayloadRoundTrip(t *testing.T) {
 		return bytes.Equal(p.Payload, payload) &&
 			p.UDP.SrcPort == sport && p.UDP.DstPort == dport &&
 			p.IPv4.Src == src.Addr() && p.IPv4.Dst == dst.Addr() &&
-			VerifyIPv4Checksum(raw[14:34])
+			internetChecksum(raw[14:34]) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -240,7 +233,7 @@ func TestQuickTCPRoundTrip(t *testing.T) {
 			payload = payload[:1400]
 		}
 		src, dst := ap("10.9.9.9:32000"), ap("52.81.0.1:443")
-		raw := EthernetIPv4TCP(src, dst, 60, seq, ack, TCPFlags(flags&0x3f), 4096, payload)
+		raw := new(Builder).BuildTCP(src, dst, 60, seq, ack, TCPFlags(flags&0x3f), 4096, payload)
 		var p Packet
 		if err := (&Parser{}).Parse(raw, &p); err != nil {
 			return false

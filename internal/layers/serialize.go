@@ -35,15 +35,6 @@ func EthernetIPv4UDP(src, dst netip.AddrPort, ttl uint8, payload []byte) []byte 
 	return b.Bytes()
 }
 
-// EthernetIPv4TCP builds a complete Ethernet+IPv4+TCP packet. The TCP
-// header uses no options.
-func EthernetIPv4TCP(src, dst netip.AddrPort, ttl uint8, seq, ack uint32, flags TCPFlags, window uint16, payload []byte) []byte {
-	var b Builder
-	b.appendEthernet(src.Addr(), dst.Addr(), EtherTypeIPv4)
-	b.appendIPv4TCP(src, dst, ttl, seq, ack, flags, window, payload)
-	return b.Bytes()
-}
-
 // BuildUDP appends into b (after Reset) and returns the assembled bytes.
 // It is the allocation-conscious variant of EthernetIPv4UDP for the
 // simulator hot path.
@@ -54,7 +45,8 @@ func (b *Builder) BuildUDP(src, dst netip.AddrPort, ttl uint8, payload []byte) [
 	return b.Bytes()
 }
 
-// BuildTCP is the allocation-conscious variant of EthernetIPv4TCP.
+// BuildTCP builds a complete Ethernet+IPv4+TCP packet like BuildUDP; the
+// TCP header uses no options.
 func (b *Builder) BuildTCP(src, dst netip.AddrPort, ttl uint8, seq, ack uint32, flags TCPFlags, window uint16, payload []byte) []byte {
 	b.Reset()
 	b.appendEthernet(src.Addr(), dst.Addr(), EtherTypeIPv4)
@@ -166,15 +158,6 @@ func transportChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// VerifyIPv4Checksum reports whether the IPv4 header checksum of a decoded
-// packet's raw header bytes is valid.
-func VerifyIPv4Checksum(header []byte) bool {
-	if len(header) < 20 {
-		return false
-	}
-	return internetChecksum(header) == 0
 }
 
 // EthernetIPv6UDP builds a complete Ethernet+IPv6+UDP packet around

@@ -87,9 +87,6 @@ func NewVideoSource(cfg VideoConfig, seed int64) *VideoSource {
 // frames), Zoom's response to congestion or thumbnail display (§6.2).
 func (v *VideoSource) SetReduced(r bool) { v.reduced = r }
 
-// Reduced reports the current mode.
-func (v *VideoSource) Reduced() bool { return v.reduced }
-
 // CurrentFPS returns the momentary target frame rate.
 func (v *VideoSource) CurrentFPS() float64 {
 	if v.reduced {

@@ -48,7 +48,7 @@ func TestVideoReducedMode(t *testing.T) {
 		t.Errorf("fps = %v", v.CurrentFPS())
 	}
 	v.SetReduced(true)
-	if !v.Reduced() || v.CurrentFPS() != 14 {
+	if !v.reduced || v.CurrentFPS() != 14 {
 		t.Errorf("reduced fps = %v", v.CurrentFPS())
 	}
 	var total time.Duration

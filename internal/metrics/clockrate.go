@@ -90,13 +90,3 @@ func sweepClockRates(n int, frame func(i int) (at int64, ts uint32)) (ClockRateE
 	// Jitter perturbs dt; accept up to 25 % mean mismatch.
 	return best, best.Error < 0.25
 }
-
-// FrameObservations extracts (completion time, RTP timestamp) pairs
-// from a stream's completed frames, for clock inference.
-func (sm *StreamMetrics) FrameObservations() []FrameObservation {
-	out := make([]FrameObservation, len(sm.frames))
-	for i := range sm.frames {
-		out[i] = FrameObservation{At: sm.frames[i].At, TS: sm.frames[i].TS}
-	}
-	return out
-}

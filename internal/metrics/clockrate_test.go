@@ -91,11 +91,10 @@ func TestInferClockRateFromStreamMetrics(t *testing.T) {
 		ts += 90000 / 28
 	}
 	sm.Finish()
-	obs := sm.FrameObservations()
-	if len(obs) < 100 {
-		t.Fatalf("observations = %d", len(obs))
+	if n := len(sm.Frames()); n < 100 {
+		t.Fatalf("frames = %d", n)
 	}
-	est, ok := InferClockRate(obs)
+	est, ok := sm.InferClockRate()
 	if !ok || est.ClockRate != 90000 {
 		t.Errorf("est = %+v ok=%v", est, ok)
 	}

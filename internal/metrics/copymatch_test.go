@@ -181,7 +181,7 @@ func TestCopyMatcherAgainstMap(t *testing.T) {
 }
 
 func TestCopyMatcherHorizonEdges(t *testing.T) {
-	up, down := copyFlow(2, 52000), copyFlow(9, 61000).Reverse()
+	up, down := copyFlow(2, 52000), reverse(copyFlow(9, 61000))
 	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
 
 	// The sequence horizon: an observation survives the next 1,023
@@ -283,7 +283,7 @@ func bitsFor(n int) int {
 // year, or to an instant Nanos has to saturate — costs at most one sweep
 // per copyAgeEvery observations, and the cap holds.
 func TestCopyMatcherBackwardClockAtCap(t *testing.T) {
-	up, down := copyFlow(2, 52000), copyFlow(9, 61000).Reverse()
+	up, down := copyFlow(2, 52000), reverse(copyFlow(9, 61000))
 	for _, tc := range []struct {
 		name string
 		jump time.Time
@@ -425,7 +425,7 @@ func BenchmarkCopyMatcherObserve(b *testing.B) {
 	var up, down [streams]layers.FiveTuple
 	for u := range up {
 		up[u] = copyFlow(byte(u), uint16(40000+u))
-		down[u] = up[u].Reverse()
+		down[u] = reverse(up[u])
 	}
 	cm := NewCopyMatcher()
 	b.ReportAllocs()

@@ -22,6 +22,11 @@ func copyFlow(host byte, port uint16) layers.FiveTuple {
 	}
 }
 
+// reverse returns the tuple of the opposite direction.
+func reverse(ft layers.FiveTuple) layers.FiveTuple {
+	return layers.FiveTuple{Src: ft.Dst, Dst: ft.Src, SrcPort: ft.DstPort, DstPort: ft.SrcPort, Proto: ft.Proto}
+}
+
 // matcherRecord is cm's full or delta record; applyMatcher decodes one
 // onto cm.
 func matcherRecord(cm *CopyMatcher, full bool) []byte {
@@ -47,7 +52,7 @@ func matcherState(t *testing.T, cm *CopyMatcher) []byte {
 func TestCopyMatcherDeltaRoundTrip(t *testing.T) {
 	live := NewCopyMatcher()
 	up := copyFlow(2, 52000)
-	down := copyFlow(9, 61000).Reverse()
+	down := reverse(copyFlow(9, 61000))
 	for i := 0; i < 50; i++ {
 		at := t0.Add(time.Duration(i) * 33 * time.Millisecond)
 		live.Observe(meeting.UnifiedID(1+i%3), up, 98, uint16(i), uint32(i*2970), at)
@@ -148,7 +153,7 @@ func TestCopyMatcherDeltaCarriesGCEvictions(t *testing.T) {
 func TestCopyMatcherDeltaBaseMismatch(t *testing.T) {
 	live := NewCopyMatcher()
 	up := copyFlow(2, 52000)
-	down := copyFlow(9, 61000).Reverse()
+	down := reverse(copyFlow(9, 61000))
 	live.MarkCheckpointed()
 	live.Observe(1, up, 98, 7, 100, t0)
 	live.Observe(1, down, 98, 7, 100, t0.Add(time.Millisecond))

@@ -17,6 +17,24 @@ import (
 	"zoomlens/internal/zoom"
 )
 
+// frameDelay is §5.5's frame delay and packetizationMS the encoder's time
+// per frame, both in milliseconds: the frame log's Delay and DeltaTS
+// columns as series, in the units the oracle keeps.
+func frameDelay(sm *StreamMetrics) Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
+		return float64(f.Delay) / float64(time.Millisecond), true
+	})
+}
+
+func packetizationMS(sm *StreamMetrics) Series {
+	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
+		if f.DeltaTS == 0 {
+			return 0, false
+		}
+		return float64(packetization(f.DeltaTS, sm.clockRate)) / float64(time.Millisecond), true
+	})
+}
+
 // seriesOracle is the per-frame bookkeeping the frame log replaced, kept
 // as the reference: every finished frame is appended to five stored
 // series and the clock sweep's observation list, with its own window and
@@ -144,15 +162,19 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 			{"FrameRate", sm.FrameRate().Samples, o.FrameRate.Samples},
 			{"EncoderRate", sm.EncoderRate().Samples, o.EncoderRate.Samples},
 			{"FrameSize", sm.FrameSize().Samples, o.FrameSize.Samples},
-			{"FrameDelay", sm.FrameDelay().Samples, o.FrameDelay.Samples},
-			{"Packetization", sm.Packetization().Samples, o.Packetization.Samples},
+			{"FrameDelay", frameDelay(sm).Samples, o.FrameDelay.Samples},
+			{"Packetization", packetizationMS(sm).Samples, o.Packetization.Samples},
 		} {
 			if !slices.Equal(v.got, v.want) {
 				t.Fatalf("%s: %s has %d samples, the oracle %d; first difference at %d", when, v.name, len(v.got), len(v.want), firstDiff(v.got, v.want))
 			}
 		}
-		if got := sm.FrameObservations(); !slices.Equal(got, o.frameObs) {
-			t.Fatalf("%s: FrameObservations has %d, the oracle %d", when, len(got), len(o.frameObs))
+		got := make([]FrameObservation, len(sm.Frames()))
+		for i, f := range sm.Frames() {
+			got[i] = FrameObservation{At: f.At, TS: f.TS}
+		}
+		if !slices.Equal(got, o.frameObs) {
+			t.Fatalf("%s: the frame log's (At, TS) pairs are %d, the oracle's %d", when, len(got), len(o.frameObs))
 		}
 		if sm.FramesTotal != o.FramesTotal || sm.FramesIncomplete != o.FramesIncomplete || int(sm.FramesTotal) != len(sm.Frames()) {
 			t.Fatalf("%s: frames %d (%d incomplete, %d logged), the oracle %d (%d)", when, sm.FramesTotal, sm.FramesIncomplete, len(sm.Frames()), o.FramesTotal, o.FramesIncomplete)

@@ -119,23 +119,6 @@ func (sm *StreamMetrics) FrameSize() Series {
 	return sm.frameSeries(func(f *FrameRecord) (float64, bool) { return float64(f.Bytes), true })
 }
 
-// FrameDelay is §5.5's frame delay in milliseconds.
-func (sm *StreamMetrics) FrameDelay() Series {
-	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
-		return float64(f.Delay) / float64(time.Millisecond), true
-	})
-}
-
-// Packetization is the encoder's time per frame in milliseconds.
-func (sm *StreamMetrics) Packetization() Series {
-	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
-		if f.DeltaTS == 0 {
-			return 0, false
-		}
-		return float64(packetization(f.DeltaTS, sm.clockRate)) / float64(time.Millisecond), true
-	})
-}
-
 // FrameAssembler groups a substream's RTP packets into frames by RTP
 // timestamp and decides completion.
 //

@@ -73,7 +73,7 @@ func TestFrameAssemblyVideo(t *testing.T) {
 		t.Errorf("method-2 frame rate = %v, want 30", enc.Value)
 	}
 	// Packetization time 1/30 s ≈ 33.3 ms.
-	pt := sm.Packetization().Samples[0].Value
+	pt := packetizationMS(sm).Samples[0].Value
 	if pt < 33 || pt < 33.0 && pt > 34 {
 		t.Errorf("packetization = %v ms", pt)
 	}
@@ -129,7 +129,7 @@ func TestFrameDelayReflectsRetransmission(t *testing.T) {
 	if sm.FramesTotal != 1 {
 		t.Fatalf("frames = %d", sm.FramesTotal)
 	}
-	if d := sm.FrameDelay().Samples[0].Value; d < 129 || d > 131 {
+	if d := frameDelay(sm).Samples[0].Value; d < 129 || d > 131 {
 		t.Errorf("frame delay = %v ms, want ~130", d)
 	}
 }
@@ -221,7 +221,7 @@ func TestFECDoesNotInflateFrames(t *testing.T) {
 	if sm.MediaBytes != 1200 {
 		t.Errorf("media bytes = %d, want 1200 (FEC still counts for rate)", sm.MediaBytes)
 	}
-	if got := sm.SubstreamPTs(); len(got) != 2 || got[0] != 98 || got[1] != 110 {
+	if got := substreamPTs(sm); len(got) != 2 || got[0] != 98 || got[1] != 110 {
 		t.Errorf("substreams = %v", got)
 	}
 }
@@ -277,7 +277,7 @@ func TestCopyMatcherRTT(t *testing.T) {
 func TestCopyMatcherIgnoresSameFlowAndStale(t *testing.T) {
 	cm := NewCopyMatcher()
 	up := layers.FiveTuple{Src: netip.MustParseAddr("10.8.1.2"), Dst: netip.MustParseAddr("52.81.3.4"), SrcPort: 52000, DstPort: 8801, Proto: layers.ProtoUDP}
-	down := up.Reverse()
+	down := reverse(up)
 	cm.Observe(1, up, 98, 7, 100, t0)
 	// Retransmission on the same flow: no sample.
 	if _, ok := cm.Observe(1, up, 98, 7, 100, t0.Add(time.Millisecond)); ok {

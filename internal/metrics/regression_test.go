@@ -87,7 +87,7 @@ func TestCopyMatcherStaleRefreshTakesObservingFlow(t *testing.T) {
 // observable.
 func TestCopyMatcherMaxPending(t *testing.T) {
 	flowA := layers.FiveTuple{Src: netip.MustParseAddr("10.8.1.2"), Dst: netip.MustParseAddr("52.81.3.4"), SrcPort: 52000, DstPort: 8801, Proto: layers.ProtoUDP}
-	flowB := flowA.Reverse()
+	flowB := reverse(flowA)
 	cm := NewCopyMatcher()
 	cm.MaxPending = 64
 

@@ -111,12 +111,6 @@ func (d *StallDetector) ObserveFrame(completed time.Time, delay, packetization t
 	return false
 }
 
-// Stalled reports whether playback is currently starved.
-func (d *StallDetector) Stalled() bool { return d.stalled }
-
-// BufferedMedia returns the current modeled buffer level.
-func (d *StallDetector) BufferedMedia() time.Duration { return d.buffer }
-
 // Finish closes an open stall at the given end-of-stream time.
 func (d *StallDetector) Finish(end time.Time) {
 	if d.stalled {
@@ -127,13 +121,4 @@ func (d *StallDetector) Finish(end time.Time) {
 		})
 		d.stalled = false
 	}
-}
-
-// TotalStallTime sums all stall durations.
-func (d *StallDetector) TotalStallTime() time.Duration {
-	var sum time.Duration
-	for _, e := range d.Events {
-		sum += e.Duration
-	}
-	return sum
 }

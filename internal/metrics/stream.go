@@ -134,8 +134,8 @@ type StreamMetrics struct {
 
 	// frames is the frame log: one record per finished frame, in the
 	// order frames finished. Every per-frame series (FrameRate,
-	// EncoderRate, FrameSize, FrameDelay, Packetization) and the
-	// clock-rate sweep's input are views of it; see Frames.
+	// EncoderRate, FrameSize) and the clock-rate sweep's input are views
+	// of it; see Frames.
 	frames []FrameRecord
 
 	// JitterMS is the §5.4 frame-level jitter in milliseconds. It is
@@ -485,15 +485,6 @@ func (sm *StreamMetrics) LossStats() rtp.Stats {
 		if !st.isMain {
 			add(st.seq)
 		}
-	}
-	return out
-}
-
-// SubstreamPTs returns the payload types observed, sorted.
-func (sm *StreamMetrics) SubstreamPTs() []uint8 {
-	out := make([]uint8, 0, len(sm.subs))
-	for _, st := range sm.subs {
-		out = append(out, st.pt)
 	}
 	return out
 }

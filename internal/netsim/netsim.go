@@ -43,20 +43,6 @@ func (e *Engine) Schedule(at time.Time, f func()) {
 // After schedules f after a virtual delay.
 func (e *Engine) After(d time.Duration, f func()) { e.Schedule(e.now.Add(d), f) }
 
-// Every schedules f at a fixed period until the predicate (if non-nil)
-// returns false.
-func (e *Engine) Every(period time.Duration, f func(), while func() bool) {
-	var tick func()
-	tick = func() {
-		if while != nil && !while() {
-			return
-		}
-		f()
-		e.After(period, tick)
-	}
-	e.After(period, tick)
-}
-
 // Run dispatches events until the queue is empty or the clock passes
 // until. Events at exactly until still run.
 func (e *Engine) Run(until time.Time) {

@@ -76,16 +76,6 @@ func TestEnginePastEventsRunNow(t *testing.T) {
 	}
 }
 
-func TestEveryStopsOnPredicate(t *testing.T) {
-	e := NewEngine(t0)
-	n := 0
-	e.Every(time.Second, func() { n++ }, func() bool { return n < 5 })
-	e.Run(t0.Add(time.Hour))
-	if n != 5 {
-		t.Errorf("n = %d, want 5", n)
-	}
-}
-
 func TestLinkDelivery(t *testing.T) {
 	e := NewEngine(t0)
 	l := NewLink(e, 20*time.Millisecond, 0, 0, 1)

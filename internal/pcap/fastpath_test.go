@@ -32,7 +32,7 @@ func classicUnderTest(r io.Reader) (func(*Record) error, func() bool, error) {
 }
 
 func ngUnderTest(r io.Reader) (func(*Record) error, func() bool, error) {
-	ng, err := NewNGReader(r)
+	ng, err := newNGReader(newWindow(r))
 	if err != nil {
 		return nil, nil, err
 	}

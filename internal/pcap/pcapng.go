@@ -51,10 +51,7 @@ type ngInterface struct {
 	unitsPerSecond uint64
 }
 
-// NewNGReader parses the leading section header and returns a reader.
-// Like NewReader, it reads r through a window of its own.
-func NewNGReader(r io.Reader) (*NGReader, error) { return newNGReader(newWindow(r)) }
-
+// newNGReader parses the leading section header and returns a reader.
 func newNGReader(w *window) (*NGReader, error) {
 	ng := &NGReader{w: w}
 	btype, body, err := ng.readBlock()

@@ -78,7 +78,7 @@ func TestNGReaderMicroseconds(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
 	w.epb(0, ts, 1_000_000, payload)
 
-	ng, err := NewNGReader(&w.buf)
+	ng, err := newNGReader(newWindow(&w.buf))
 	if err != nil {
 		t.Fatalf("NewNGReader: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestNGReaderNanosecondResolution(t *testing.T) {
 	ts := time.Date(2022, 5, 5, 12, 0, 0, 123456789, time.UTC)
 	w.epb(0, ts, 1_000_000_000, []byte{0xaa})
 
-	ng, err := NewNGReader(&w.buf)
+	ng, err := newNGReader(newWindow(&w.buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestNGReaderSkipsUnknownBlocks(t *testing.T) {
 	w.idb(1, 0)
 	w.block(0x00000005, make([]byte, 12)) // interface statistics: skip
 	w.epb(0, time.Unix(1000, 0), 1_000_000, []byte{7})
-	ng, err := NewNGReader(&w.buf)
+	ng, err := newNGReader(newWindow(&w.buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestNGReaderMultiSection(t *testing.T) {
 	w.idb(1, 9)
 	w.epb(0, time.Unix(20, 0).Add(5*time.Nanosecond), 1_000_000_000, []byte{2})
 
-	ng, err := NewNGReader(&w.buf)
+	ng, err := newNGReader(newWindow(&w.buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestNGReaderMultiSection(t *testing.T) {
 }
 
 func TestNGReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewNGReader(bytes.NewReader(make([]byte, 64))); err == nil {
+	if _, err := newNGReader(newWindow(bytes.NewReader(make([]byte, 64)))); err == nil {
 		t.Error("accepted zero stream")
 	}
 	// SHB type but bad byte-order magic.
@@ -176,7 +176,7 @@ func TestNGReaderRejectsGarbage(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[0:4], blockSHB)
 	binary.LittleEndian.PutUint32(hdr[4:8], 28)
 	b.Write(hdr)
-	if _, err := NewNGReader(&b); err == nil {
+	if _, err := newNGReader(newWindow(&b)); err == nil {
 		t.Error("accepted bad byte-order magic")
 	}
 }
@@ -228,7 +228,7 @@ func TestNGWriterRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := NewNGReader(&buf)
+	r, err := newNGReader(newWindow(&buf))
 	if err != nil {
 		t.Fatalf("reading own output: %v", err)
 	}

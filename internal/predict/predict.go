@@ -79,6 +79,19 @@ type Model struct {
 // modelVersion is the current JSON encoding version.
 const modelVersion = 1
 
+// Bounds that keep every class score finite. Load refuses a model with a
+// mean or weight beyond maxParam, or a std below the smallest normal
+// float64 (a subnormal std standardizes any input off the mean to ±Inf);
+// Predict holds each standardized input to ±maxInput. A score is then at
+// most (dims+1)·maxParam·maxInput in magnitude, far from overflow, so the
+// softmax never sees Inf − Inf and never yields NaN. Trained models sit
+// orders of magnitude inside both bounds.
+const (
+	maxParam = 1e12
+	maxInput = 1e12
+	minStd   = 0x1p-1022 // smallest normal float64
+)
+
 // TrainOptions tunes the gradient descent. The zero value selects the
 // defaults.
 type TrainOptions struct {
@@ -228,7 +241,11 @@ func (m *Model) softmaxStd(x []float64, probs []float64) {
 func (m *Model) Predict(r *features.Row) (features.Label, []float64) {
 	x := Vector(r)
 	for j := range x {
-		x[j] = (x[j] - m.Mean[j]) / m.Std[j]
+		v := (x[j] - m.Mean[j]) / m.Std[j]
+		if math.IsNaN(v) { // an input the extractor never produces
+			v = 0
+		}
+		x[j] = max(-maxInput, min(maxInput, v))
 	}
 	probs := make([]float64, len(m.Weights))
 	m.softmaxStd(x, probs)
@@ -276,8 +293,18 @@ func Load(r io.Reader) (*Model, error) {
 		}
 	}
 	for j, s := range m.Std {
-		if s == 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		if !(s >= minStd) || math.IsInf(s, 0) {
 			return nil, fmt.Errorf("predict: model std[%d] = %v is unusable", j, s)
+		}
+		if !(math.Abs(m.Mean[j]) <= maxParam) {
+			return nil, fmt.Errorf("predict: model mean[%d] = %v is out of range", j, m.Mean[j])
+		}
+	}
+	for k, w := range m.Weights {
+		for j, v := range w {
+			if !(math.Abs(v) <= maxParam) {
+				return nil, fmt.Errorf("predict: model weight [%d][%d] = %v is out of range", k, j, v)
+			}
 		}
 	}
 	return &m, nil

@@ -115,6 +115,9 @@ func TestLoadRejects(t *testing.T) {
 	encode := func(mut func(*Model)) string {
 		c := *m
 		c.Features = append([]string(nil), m.Features...)
+		c.Mean = append([]float64(nil), m.Mean...)
+		c.Std = append([]float64(nil), m.Std...)
+		c.Weights = [][]float64{append([]float64(nil), m.Weights[0]...), m.Weights[1], m.Weights[2]}
 		mut(&c)
 		var buf bytes.Buffer
 		if err := c.Save(&buf); err != nil {
@@ -128,6 +131,10 @@ func TestLoadRejects(t *testing.T) {
 		"feature rename":  encode(func(c *Model) { c.Features[0] = "other" }),
 		"feature missing": encode(func(c *Model) { c.Features = c.Features[:len(c.Features)-1] }),
 		"zero std":        encode(func(c *Model) { c.Std = make([]float64, len(c.Std)) }),
+		"subnormal std":   encode(func(c *Model) { c.Std[3] = 1e-310 }),
+		"negative std":    encode(func(c *Model) { c.Std[3] = -1 }),
+		"huge mean":       encode(func(c *Model) { c.Mean[0] = 1e300 }),
+		"huge weight":     encode(func(c *Model) { c.Weights[0][2] = -1e300 }),
 		"short weights":   encode(func(c *Model) { c.Weights = c.Weights[:1] }),
 	}
 	for name, in := range cases {
@@ -157,17 +164,53 @@ func TestPredictProbabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, probs := m.Predict(&rows[0].Row)
+	checkProbs(t, probs)
+}
+
+// TestHostileStdNeverLabelsGood is the regression test for a model file
+// with a subnormal std: standardizing any input off the mean gave ±Inf, a
+// zero weight times that made every class score NaN, and Predict's
+// comparisons all failing returned "good" for every window. Load refuses
+// the file, and Predict on such a model still returns probabilities that
+// are finite and sum to 1.
+func TestHostileStdNeverLabelsGood(t *testing.T) {
+	rows := synthRows(5)
+	m, err := Train(rows, TrainOptions{Epochs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Std[0] = 1e-310
+	for k := range m.Weights {
+		m.Weights[k][0] = 0
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Error("Load accepted a model with std 1e-310")
+	}
+	for i := range rows {
+		_, probs := m.Predict(&rows[i].Row)
+		checkProbs(t, probs)
+	}
+}
+
+// checkProbs fails unless probs is a probability vector over the labels:
+// finite entries in [0, 1] that sum to 1.
+func checkProbs(t *testing.T, probs []float64) {
+	t.Helper()
 	if len(probs) != features.NumLabels {
 		t.Fatalf("got %d probabilities", len(probs))
 	}
 	var sum float64
 	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("probability %v out of range", p)
+		if !(p >= 0 && p <= 1) {
+			t.Fatalf("probability %v out of range: %v", p, probs)
 		}
 		sum += p
 	}
 	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("probabilities sum to %v", sum)
+		t.Fatalf("probabilities sum to %v: %v", sum, probs)
 	}
 }

@@ -25,9 +25,7 @@ import (
 	"time"
 )
 
-// LogVersion is the current ground-truth log format version.
-const LogVersion = 1
-
+// The version line names the log format; readers reject other versions.
 const (
 	logVersionLine = "#zoomlens-qos v1"
 	logHeader      = "client,time,video_fps,latency_ms,jitter_ms"

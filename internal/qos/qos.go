@@ -54,14 +54,3 @@ func (r *Recorder) Record(at time.Time, s Stats) {
 	s.LatencyMS = r.heldLatency
 	r.Entries = append(r.Entries, Entry{Time: at, Stats: s})
 }
-
-// Between returns entries within [from, to).
-func (r *Recorder) Between(from, to time.Time) []Entry {
-	var out []Entry
-	for _, e := range r.Entries {
-		if !e.Time.Before(from) && e.Time.Before(to) {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -27,14 +27,3 @@ func TestLatencyHeldAcrossRefreshWindow(t *testing.T) {
 		t.Errorf("fps = %v", r.Entries[3].VideoFPS)
 	}
 }
-
-func TestBetween(t *testing.T) {
-	r := NewRecorder("c1")
-	for i := 0; i < 10; i++ {
-		r.Record(t0.Add(time.Duration(i)*time.Second), Stats{VideoFPS: float64(i)})
-	}
-	got := r.Between(t0.Add(3*time.Second), t0.Add(6*time.Second))
-	if len(got) != 3 || got[0].VideoFPS != 3 || got[2].VideoFPS != 5 {
-		t.Errorf("between = %+v", got)
-	}
-}

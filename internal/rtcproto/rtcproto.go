@@ -253,15 +253,3 @@ func HasNonZoom(set []Plugin) bool {
 	}
 	return false
 }
-
-// SetNames renders a plugin set back to its canonical flag spelling.
-func SetNames(set []Plugin) string {
-	if len(set) == len(canonical) {
-		return "auto"
-	}
-	names := make([]string, len(set))
-	for i, p := range set {
-		names[i] = p.Name()
-	}
-	return strings.Join(names, ",")
-}

@@ -80,23 +80,6 @@ type CompoundPacket struct {
 	HasBye bool
 }
 
-// ReferencedSSRCs returns every SSRC mentioned anywhere in the compound
-// packet. The paper's RTCP discovery method (§4.2.1) searches payloads for
-// SSRC values already seen in RTP packets.
-func (c *CompoundPacket) ReferencedSSRCs() []uint32 {
-	var out []uint32
-	for _, sr := range c.SenderReports {
-		out = append(out, sr.SSRC)
-		for _, rr := range sr.Reports {
-			out = append(out, rr.SSRC)
-		}
-	}
-	for _, s := range c.SDES {
-		out = append(out, s.SSRC)
-	}
-	return out
-}
-
 // ParseCompound parses an RTCP compound packet.
 func ParseCompound(data []byte) (CompoundPacket, error) {
 	var c CompoundPacket

@@ -77,10 +77,6 @@ func TestSRWithEmptySDES(t *testing.T) {
 	if c.SDES[0].CNAME != "" {
 		t.Errorf("SDES CNAME = %q, want empty", c.SDES[0].CNAME)
 	}
-	ssrcs := c.ReferencedSSRCs()
-	if len(ssrcs) != 2 || ssrcs[0] != 42 || ssrcs[1] != 42 {
-		t.Errorf("ReferencedSSRCs = %v", ssrcs)
-	}
 }
 
 func TestSRWithReceptionReports(t *testing.T) {

@@ -175,12 +175,6 @@ func (p *Packet) Marshal() ([]byte, error) {
 	return p.AppendMarshal(make([]byte, 0, p.MarshaledLen()))
 }
 
-// SeqLess reports whether sequence number a is before b in RFC 1982 serial
-// number arithmetic (16-bit).
-func SeqLess(a, b uint16) bool {
-	return a != b && b-a < 0x8000
-}
-
 // SeqDiff returns the signed distance from a to b (b-a) interpreting the
 // 16-bit values as serial numbers: positive when b is ahead of a.
 func SeqDiff(a, b uint16) int {

@@ -7,11 +7,9 @@
 package stun
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	mrand "math/rand"
 	"net/netip"
 )
 
@@ -48,21 +46,6 @@ var (
 // TransactionID is the 96-bit STUN transaction identifier.
 type TransactionID [12]byte
 
-// NewTransactionID returns a cryptographically random transaction ID.
-// Transaction IDs here only need uniqueness (they label simulated
-// exchanges, never secure real ones), so if the system entropy source
-// fails the function falls back to math/rand instead of panicking — a
-// measurement tap must not crash because /dev/urandom hiccupped.
-func NewTransactionID() TransactionID {
-	var id TransactionID
-	if _, err := rand.Read(id[:]); err != nil {
-		for i := range id {
-			id[i] = byte(mrand.Int())
-		}
-	}
-	return id
-}
-
 // Attribute is a raw STUN attribute.
 type Attribute struct {
 	Type  uint16
@@ -75,9 +58,6 @@ type Message struct {
 	TransactionID TransactionID
 	Attributes    []Attribute
 }
-
-// IsBindingRequest reports whether the message is a binding request.
-func (m *Message) IsBindingRequest() bool { return m.Type == TypeBindingRequest }
 
 // IsBindingResponse reports whether the message is a binding success
 // response.

@@ -52,7 +52,6 @@ func FuzzZoomParse(f *testing.F) {
 			}
 			// Exercise the accessors a capped analyzer calls per packet.
 			_ = p.IsMedia()
-			_ = p.MediaPayloadLen()
 			out, err := p.Marshal()
 			if err != nil {
 				// Legal: e.g. a parsed RTCP compound without a sender

@@ -113,10 +113,6 @@ const (
 	PTAudioMobile uint8 = 113 // audio, mode unknown (mobile clients)
 )
 
-// SilentAudioPayloadLen is the fixed RTP payload size of silent-mode audio
-// packets (type 99 in audio streams).
-const SilentAudioPayloadLen = 40
-
 // VideoClockRate is the RTP timestamp clock of Zoom video streams
 // discovered in §5.2 (also RFC 3551's recommendation for video).
 const VideoClockRate = 90000
@@ -248,15 +244,6 @@ type Packet struct {
 
 // IsMedia reports whether the packet carries an RTP media payload.
 func (p *Packet) IsMedia() bool { return p.Media.Type.IsRTP() }
-
-// MediaPayloadLen returns the RTP payload length of a media packet (the
-// quantity summed for per-media bit rates, §5.1), or 0 for RTCP.
-func (p *Packet) MediaPayloadLen() int {
-	if !p.IsMedia() {
-		return 0
-	}
-	return len(p.RTP.Payload)
-}
 
 // Mode distinguishes server-based from peer-to-peer payload layouts.
 type Mode int

@@ -112,10 +112,12 @@ func TestHeaderLenTable2(t *testing.T) {
 }
 
 func TestAudioRoundTrip(t *testing.T) {
+	// Silent-mode audio (type 99) carries a fixed 40-byte RTP payload.
+	const silentPayloadLen = 40
 	for _, pt := range []uint8{PTAudioSpeak, PTAudioSilent, PTAudioMobile} {
 		payload := []byte("opus-ish")
 		if pt == PTAudioSilent {
-			payload = make([]byte, SilentAudioPayloadLen)
+			payload = make([]byte, silentPayloadLen)
 		}
 		p := Packet{
 			ServerBased: true,
@@ -137,8 +139,8 @@ func TestAudioRoundTrip(t *testing.T) {
 		if got.Media.Type != TypeAudio || got.RTP.PayloadType != pt {
 			t.Errorf("pt %d: got type %v pt %d", pt, got.Media.Type, got.RTP.PayloadType)
 		}
-		if pt == PTAudioSilent && got.MediaPayloadLen() != SilentAudioPayloadLen {
-			t.Errorf("silent payload len = %d", got.MediaPayloadLen())
+		if pt == PTAudioSilent && len(got.RTP.Payload) != silentPayloadLen {
+			t.Errorf("silent payload len = %d", len(got.RTP.Payload))
 		}
 	}
 }

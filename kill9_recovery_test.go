@@ -11,6 +11,7 @@ package zoomlens
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -93,7 +94,7 @@ func TestKill9RecoveryDifferential(t *testing.T) {
 				for _, rec := range recs[cut1:cut2] {
 					doomed.Packet(rec.Timestamp, rec.Data)
 				}
-				if err := ck.WriteDelta(doomed); err != nil {
+				if err := errors.Join(ck.StartDelta(doomed), ck.Wait()); err != nil {
 					t.Fatal(err)
 				}
 				// The kill lands mid-write of the next delta: the record is
@@ -104,7 +105,7 @@ func TestKill9RecoveryDifferential(t *testing.T) {
 				for _, rec := range recs[cut2 : cut2+50] {
 					doomed.Packet(rec.Timestamp, rec.Data)
 				}
-				if err := ck.WriteDelta(doomed); err != nil {
+				if err := errors.Join(ck.StartDelta(doomed), ck.Wait()); err != nil {
 					t.Fatal(err)
 				}
 				tornName := base + ".00000002.delta.zlcp"

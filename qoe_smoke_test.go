@@ -9,13 +9,21 @@ package zoomlens
 // featureless ingest path.
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
+	"zoomlens/internal/engine"
 	"zoomlens/internal/features"
 	"zoomlens/internal/netsim"
+	"zoomlens/internal/pcap"
 	"zoomlens/internal/predict"
 	"zoomlens/internal/qos"
 	"zoomlens/internal/zoom"
@@ -112,6 +120,110 @@ func TestQoESmoke(t *testing.T) {
 	}
 	if ev.Accuracy < 0.80 {
 		t.Errorf("held-out accuracy %.3f below the 0.80 floor", ev.Accuracy)
+	}
+}
+
+// TestRunFromPredictions runs RunFrom's live QoE path end to end on
+// the shared benchmark trace: a run without -model classifies nothing and
+// writes no prediction line; a run with a model trained here on the first
+// run's rows classifies every video row exactly once, each as one
+// qoe_prediction line on the snapshot sink, and leaves the rows as they
+// were.
+func TestRunFromPredictions(t *testing.T) {
+	raw, _ := ingestTrace(t)
+	_, _, cfg := benchTrace(t)
+	dir := t.TempDir()
+	runWith := func(name, model string) (*engine.Run, string, []byte) {
+		t.Helper()
+		csv, snap := filepath.Join(dir, name+".csv"), filepath.Join(dir, name+".jsonl")
+		f := &engine.Flags{Obs: &engine.ObsFlags{SnapshotOut: snap}, Workers: 1, Features: csv, Model: model}
+		s, err := pcap.OpenStream(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := f.RunFrom(cfg.ZoomNetworks, s.NextInto, s.Truncated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Close()
+		rows, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run, snap, rows
+	}
+	predictionLines := func(path string) []map[string]any {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []map[string]any
+		sc := bufio.NewScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			var line map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if line["type"] == "qoe_prediction" {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+
+	plain, plainSnap, plainCSV := runWith("plain", "")
+	if plain.Predictions != 0 || len(predictionLines(plainSnap)) != 0 {
+		t.Fatalf("a run without -model made %d predictions", plain.Predictions)
+	}
+	rows, err := features.ReadCSV(bytes.NewReader(plainCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The labels are arbitrary: the test needs a valid model, not a good one.
+	var labeled []features.LabeledRow
+	for _, r := range rows {
+		if r.ID.Key.Type == zoom.TypeVideo {
+			labeled = append(labeled, features.LabeledRow{Row: r, Label: features.Label(len(labeled) % features.NumLabels)})
+		}
+	}
+	if len(labeled) == 0 {
+		t.Fatal("the trace yielded no video rows")
+	}
+	model, err := predict.Train(labeled, predict.TrainOptions{Epochs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(dir, "model.json")
+	mf, err := os.Create(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.Save(mf); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	live, liveSnap, liveCSV := runWith("live", modelPath)
+	if !bytes.Equal(liveCSV, plainCSV) {
+		t.Error("-model changed the feature rows")
+	}
+	lines := predictionLines(liveSnap)
+	if live.Predictions != len(labeled) || len(lines) != len(labeled) {
+		t.Fatalf("%d predictions, %d qoe_prediction lines; want one per video row (%d)", live.Predictions, len(lines), len(labeled))
+	}
+	for _, l := range lines {
+		lab, _ := l["label"].(string)
+		sum := 0.0
+		for _, k := range []string{"p_good", "p_degraded", "p_bad"} {
+			p, _ := l[k].(float64)
+			sum += p
+		}
+		if (lab != "good" && lab != "degraded" && lab != "bad") || math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("prediction line %v: label %q, probabilities sum to %v", l, lab, sum)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func TestShardBalance(t *testing.T) {
 			src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(rng.Intn(223) + 1), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}), port())
 			dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(rng.Intn(223) + 1), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}), port())
 			if i%10 < 4 {
-				random = append(random, layers.EthernetIPv4TCP(src, dst, 64, 1, 0, layers.TCPSyn, 1024, nil))
+				random = append(random, new(layers.Builder).BuildTCP(src, dst, 64, 1, 0, layers.TCPSyn, 1024, nil))
 			} else {
 				random = append(random, layers.EthernetIPv4UDP(src, dst, 64, []byte{0}))
 			}
