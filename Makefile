@@ -225,6 +225,12 @@ examples:
 # printed with their names. It is a by-name heuristic: it cannot see a
 # method reached only through an interface (Less, Swap), which
 # exports.allow lists, and a shared name hides a dead one.
+#
+# Then the shape of the per-stream records, so that a field no output
+# reads cannot creep back unseen: the fields of flow.StreamStats and of
+# metrics.StreamMetrics, and the append-only logs a stream carries (the
+# fields of metrics.logLens, one per log a delta writes as a tail; six
+# before the dead per-stream state went, four after).
 CODEC_STACK = internal/*/state.go internal/*/delta.go internal/core/checkpoint.go internal/statecodec/statecodec.go
 TUNABLE = (Max[A-Z][A-Za-z]*|([A-Z][A-Za-z]*)?Window|[cC]lockRate|[A-Z][A-Za-z]*(Gap|Threshold|Buffer|Age)|Name|window)
 loc:
@@ -250,6 +256,15 @@ loc:
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"
 	@dead=$$($(DEAD_EXPORTS)); echo "exported identifiers in internal/ with no non-test reference:" $$(echo "$$dead" | grep -c .) "("$$dead")"
 	@-$(MAKE) -s exports-check
+	@printf 'flow.StreamStats fields: '; $(call STRUCT_FIELDS,StreamStats,internal/flow/flow.go)
+	@printf 'metrics.StreamMetrics fields: '; $(call STRUCT_FIELDS,StreamMetrics,internal/metrics/stream.go)
+	@printf 'append-only logs per stream (metrics.logLens): '; $(call STRUCT_FIELDS,logLens,internal/metrics/stream.go)
+
+# The fields struct $(1) in file $(2) declares, in order, then how many:
+# every name on a field line, its type and comment dropped.
+STRUCT_FIELDS = awk '/^type $(1) struct {/ {f=1; next} f && /^}/ {exit} \
+	f && /^\t[A-Za-z_]/ {sub(/\/\/.*/, ""); for (i = 1; i < NF; i++) {x = $$i; sub(/,$$/, "", x); printf "%s%s", sep, x; sep = " "; n++}} \
+	END {print " (" n + 0 ")"}' $(2)
 
 # The unreferenced exports (the heuristic described above loc), one name
 # a line. exports-check holds them to exports.allow: every one must be

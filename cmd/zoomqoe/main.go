@@ -185,7 +185,7 @@ func main() {
 				seg.LastSeen.Format("15:04:05.000"),
 				strconv.FormatUint(sm.Packets, 10),
 				strconv.FormatUint(sm.MediaBytes, 10),
-				strconv.FormatUint(sm.FramesTotal, 10),
+				strconv.FormatUint(sm.FramesTotal(), 10),
 				strconv.FormatUint(loss.EstimatedLost, 10),
 				strconv.FormatUint(loss.Duplicates, 10),
 			})

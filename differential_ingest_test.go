@@ -28,7 +28,7 @@ func renderReport(a *Analyzer) string {
 		id, sm := seg.ID, seg.Metrics
 		ls := sm.LossStats()
 		fmt.Fprintf(&b, "stream %d %s %s %s pkts=%d media=%d frames=%d loss=%+v\n",
-			id.Key.SSRC, rtcproto.NameOf(id.Key.Proto), id.Key.Type, id.Flow, sm.Packets, sm.MediaBytes, sm.FramesTotal, ls)
+			id.Key.SSRC, rtcproto.NameOf(id.Key.Proto), id.Key.Type, id.Flow, sm.Packets, sm.MediaBytes, sm.FramesTotal(), ls)
 		for _, smp := range sm.MediaRate.Samples {
 			fmt.Fprintf(&b, "  rate %s %.6f\n", smp.Time().Format("15:04:05.000000000"), smp.Value)
 		}

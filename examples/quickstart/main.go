@@ -57,7 +57,7 @@ func main() {
 			fps = float64(frames[len(frames)-1].Rate) // §5.2 method 1 at the last finished frame
 		}
 		fmt.Printf("  %-18s %-45s pkts=%-6d frames=%-5d fps≈%-5.1f mediaB=%-8d lost=%d dup=%d\n",
-			id.Key, id.Flow, sm.Packets, sm.FramesTotal, fps, sm.MediaBytes,
+			id.Key, id.Flow, sm.Packets, sm.FramesTotal(), fps, sm.MediaBytes,
 			loss.EstimatedLost, loss.Duplicates)
 	}
 

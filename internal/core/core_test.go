@@ -88,7 +88,7 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		if sm.FramesTotal < 200 {
+		if sm.FramesTotal() < 200 {
 			continue
 		}
 		checked++
@@ -464,7 +464,7 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 			continue
 		}
 		checked++
-		if sm.FramesTotal == 0 {
+		if sm.FramesTotal() == 0 {
 			t.Errorf("screen share stream %v assembled no frames", id.Key)
 		}
 		// Frame sizes have the documented small-median shape.

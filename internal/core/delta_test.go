@@ -28,10 +28,11 @@ func checkpointBytes(t *testing.T, eng Engine) []byte {
 // equivalence gate: full checkpoint at cut1, delta records at cut2 and
 // cut3, then a restore-and-replay (full + deltas) must land on state
 // whose own full-checkpoint encoding is byte-identical to the live
-// engine's — and finishing both must produce identical results — at one
-// worker and sharded.
+// engine's — and finishing both must produce identical results, stall
+// predictions included (no report prints them) — at one worker and
+// sharded.
 func TestDeltaCheckpointDifferential(t *testing.T) {
-	tr, opts := seededTrace(t, 20)
+	tr, opts := seededTrace(t, 20, freeze(11*time.Second))
 	cfg := Config{
 		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
 		CampusNetworks: []netip.Prefix{opts.CampusNet},
@@ -107,6 +108,17 @@ func TestDeltaCheckpointDifferential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(streamIDs(live.Result()), streamIDs(resumed.Result())) {
 				t.Error("stream identifier sets diverge")
+			}
+			stalls := 0
+			for _, id := range streamIDs(live.Result()) {
+				want, got := live.Result().StreamMetrics[id].Stalls(), resumed.Result().StreamMetrics[id].Stalls()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("stream %v: stalls %+v after the chain, %+v live", id, got, want)
+				}
+				stalls += len(want)
+			}
+			if stalls == 0 {
+				t.Error("the live run predicts no stall: the comparison checks nothing")
 			}
 		})
 	}
@@ -517,7 +529,7 @@ func newTestEngine(cfg Config, workers int) Engine {
 }
 
 // TestCheckpointDeterministicUnderEviction is the regression test for
-// the archive-order leak: Compact used to archive while ranging over the
+// the archive-order leak: idle eviction used to archive while ranging over the
 // StreamMetrics map, so two runs over the same capture could archive the
 // victims of one eviction pass in different orders — different full
 // checkpoint bytes, and different streams dropped at MaxFinished. With

@@ -360,7 +360,7 @@ func TestLayerCodecRejectsOverfullWindows(t *testing.T) {
 }
 
 // TestDeltaRejectsEditedLogBaseline: a delta record in which one of a
-// stream's six log baselines was changed — and the CRC trailer resealed, so
+// stream's four log baselines was changed — and the CRC trailer resealed, so
 // the trailer cannot do the rejecting — is refused with ErrCorrupt: its
 // tails would land on the wrong place in the logs the engine holds. The
 // stream's record is found in the engine's delta by encoding the stream
@@ -412,7 +412,7 @@ func TestDeltaRejectsEditedLogBaseline(t *testing.T) {
 	// The baselines are zigzag varints: +2 on one's first byte moves it one
 	// position forward without changing its length.
 	off := at + 1
-	for _, name := range []string{"frames", "jitter", "media rate", "wire rate", "stalls", "talk"} {
+	for _, name := range []string{"frames", "jitter", "media rate", "talk"} {
 		_, size := binary.Varint(delta[off:])
 		if size <= 0 || delta[off]&0x7f >= 0x7e {
 			t.Fatalf("%s baseline at %d (% x) cannot be moved in place", name, off, delta[off:off+2])

@@ -46,7 +46,8 @@ func (tr *capturedTrace) feed(pkt func(time.Time, []byte)) {
 // seededTrace simulates a small campus: one three-party SFU meeting with
 // a congestion episode and WAN loss, plus a two-party meeting that goes
 // P2P (exercising STUN, the mode transition, and copy-rich paths).
-func seededTrace(t testing.TB, seconds int) (*capturedTrace, sim.Options) {
+// episodes are further impairments of the WAN downlink.
+func seededTrace(t testing.TB, seconds int, episodes ...netsim.Congestion) (*capturedTrace, sim.Options) {
 	t.Helper()
 	opts := sim.DefaultOptions()
 	opts.WanLoss = 0.01
@@ -68,8 +69,17 @@ func seededTrace(t testing.TB, seconds int) (*capturedTrace, sim.Options) {
 		ExtraJitter: 25 * time.Millisecond,
 		LossRate:    0.02,
 	})
+	w.WanDown.Episodes = append(w.WanDown.Episodes, episodes...)
 	w.Run(opts.Start.Add(time.Duration(seconds) * time.Second))
 	return tr, opts
+}
+
+// freeze is a downlink delivery freeze from at seconds into the trace:
+// for two seconds every packet is held 600 ms longer, which drains a
+// receiver's jitter buffer, so the streams it hits predict stalls.
+func freeze(at time.Duration) netsim.Congestion {
+	start := sim.DefaultOptions().Start.Add(at)
+	return netsim.Congestion{Start: start, End: start.Add(2 * time.Second), ExtraDelay: 600 * time.Millisecond}
 }
 
 // TestParallelMatchesSequential is the differential gate for the sharded
@@ -79,7 +89,7 @@ func seededTrace(t testing.TB, seconds int) (*capturedTrace, sim.Options) {
 // RTT samples, and TCP RTT decomposition. Run under -race this also
 // exercises the worker pool for data races.
 func TestParallelMatchesSequential(t *testing.T) {
-	tr, opts := seededTrace(t, 20)
+	tr, opts := seededTrace(t, 20, freeze(8*time.Second))
 	cfg := Config{
 		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
 		CampusNetworks: []netip.Prefix{opts.CampusNet},
@@ -107,6 +117,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(sids, pids) {
 		t.Fatalf("stream IDs diverge:\nsequential %v\nparallel   %v", sids, pids)
 	}
+	stalls := 0
 	for _, id := range sids {
 		ss := seq.StreamMetrics[id]
 		ps, ok := par.StreamMetrics[id]
@@ -116,16 +127,19 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if ss.LossStats() != ps.LossStats() {
 			t.Errorf("stream %v loss stats diverge: %+v vs %+v", id, ss.LossStats(), ps.LossStats())
 		}
-		if ss.Packets != ps.Packets || ss.MediaBytes != ps.MediaBytes || ss.WireBytes != ps.WireBytes {
+		if ss.Packets != ps.Packets || ss.MediaBytes != ps.MediaBytes {
 			t.Errorf("stream %v counters diverge", id)
 		}
-		if ss.FramesTotal != ps.FramesTotal || ss.FramesIncomplete != ps.FramesIncomplete {
-			t.Errorf("stream %v frame counts diverge", id)
+		if ss.FramesTotal() != ps.FramesTotal() {
+			t.Errorf("stream %v frame counts diverge: %d vs %d", id, ss.FramesTotal(), ps.FramesTotal())
 		}
+		if !reflect.DeepEqual(ss.Stalls(), ps.Stalls()) {
+			t.Errorf("stream %v stalls diverge: %+v vs %+v", id, ss.Stalls(), ps.Stalls())
+		}
+		stalls += len(ss.Stalls())
 		for name, pair := range map[string][2][]metrics.Sample{
 			"frame_rate": {ss.FrameRate().Samples, ps.FrameRate().Samples},
 			"media_rate": {ss.MediaRate.Samples, ps.MediaRate.Samples},
-			"wire_rate":  {ss.WireRate.Samples, ps.WireRate.Samples},
 			"jitter_ms":  {ss.JitterMS.Samples, ps.JitterMS.Samples},
 			"frame_size": {ss.FrameSize().Samples, ps.FrameSize().Samples},
 		} {
@@ -133,6 +147,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Errorf("stream %v series %s diverges (%d vs %d samples)", id, name, len(pair[0]), len(pair[1]))
 			}
 		}
+	}
+	if stalls == 0 {
+		t.Error("no stream predicts a stall: the stall rows check nothing")
 	}
 	if !reflect.DeepEqual(seq.Copies.Samples, par.Copies.Samples) {
 		t.Errorf("RTT samples diverge: %d vs %d", len(seq.Copies.Samples), len(par.Copies.Samples))

@@ -140,7 +140,7 @@ type shardState struct {
 	// the client-side endpoint. A tracker keeps its own last-seen time
 	// (idle eviction) and dirty bit (delta checkpoints).
 	TCP map[netip.AddrPort]*tcprtt.Tracker
-	// Finished holds archived streams from Compact.
+	// Finished holds the streams EvictIdle archived.
 	Finished []FinishedStream
 
 	shardCounters
@@ -401,38 +401,6 @@ func compareFinished(a, b FinishedStream) int {
 	return flow.CompareStreamID(a.ID, b.ID)
 }
 
-// Compact finalizes and archives every stream whose last packet is
-// older than cutoff, returning how many were archived. Archived streams
-// move from StreamMetrics to Finished (Streams lists both); flow-level
-// accounting (Tables 2/3/6) is unaffected. Streams whose flow-table
-// entry has already been evicted are archived unconditionally — keeping
-// their metric engines live would leak, since nothing will ever touch
-// them again. Victims are archived in compareFinished order, not map
-// order, so the archive (and which entries MaxFinished drops) is the
-// same on every run.
-func (sh *shard) Compact(cutoff time.Time) int {
-	var victims []FinishedStream
-	for id, sm := range sh.StreamMetrics {
-		st, ok := sh.Flows.Stream(id)
-		if ok && st.LastSeen.After(cutoff) {
-			continue
-		}
-		last := cutoff
-		if ok {
-			last = st.LastSeen
-		}
-		victims = append(victims, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
-	}
-	slices.SortFunc(victims, compareFinished)
-	for _, f := range victims {
-		f.Metrics.Finish()
-		sh.archiveFinished(f)
-		sh.forgetStreamMetric(f.ID)
-		sh.tombstoneStreamMetric(f.ID)
-	}
-	return len(victims)
-}
-
 // forgetStreamMetric removes a stream's metric engine from the registry
 // and from the handle its flow-table record may still carry.
 func (sh *shard) forgetStreamMetric(id flow.MediaStreamID) {
@@ -465,8 +433,34 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 // cutoff: metric engines are finalized and archived, flow-table entries
 // fold into the report aggregates, idle TCP trackers are dropped. Counts
 // of everything evicted surface in Summary.
+//
+// An archived stream moves from StreamMetrics to Finished (Streams lists
+// both); flow-level accounting (Tables 2/3/6) is unaffected. A stream
+// whose flow-table entry is already gone is archived whatever the cutoff
+// — keeping its metric engine live would leak, since nothing will ever
+// touch it again. Streams are archived in compareFinished order, not map
+// order, so the archive (and which entries MaxFinished drops) is the same
+// on every run.
 func (sh *shard) EvictIdle(cutoff time.Time) {
-	sh.Compact(cutoff)
+	var victims []FinishedStream
+	for id, sm := range sh.StreamMetrics {
+		st, ok := sh.Flows.Stream(id)
+		if ok && st.LastSeen.After(cutoff) {
+			continue
+		}
+		last := cutoff
+		if ok {
+			last = st.LastSeen
+		}
+		victims = append(victims, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
+	}
+	slices.SortFunc(victims, compareFinished)
+	for _, f := range victims {
+		f.Metrics.Finish()
+		sh.archiveFinished(f)
+		sh.forgetStreamMetric(f.ID)
+		sh.tombstoneStreamMetric(f.ID)
+	}
 	sh.Flows.EvictIdle(cutoff)
 	for client, tr := range sh.TCP {
 		if tr.LastSeen().After(cutoff) {

@@ -41,7 +41,7 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 		must(sm.LossStats())
 		must(sm.FrameRate().Samples)
 		must(sm.MediaRate.Samples)
-		must(sm.WireRate.Samples)
+		must(sm.Stalls())
 		must(sm.JitterMS.Samples)
 		must(sm.FrameSize().Samples)
 		must(sm.Frames())

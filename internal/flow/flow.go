@@ -61,22 +61,14 @@ type EncapCount struct {
 
 // StreamStats is the per-media-stream accounting record.
 type StreamStats struct {
-	ID         MediaStreamID
-	FirstSeen  time.Time
-	LastSeen   time.Time
-	Packets    uint64
-	WireBytes  uint64
-	MediaBytes uint64 // RTP payload bytes across substreams
-	// FirstRTPTimestamp and LastRTPTimestamp are the stream's RTP
-	// timestamp range, consumed by duplicate-stream detection.
-	FirstRTPTimestamp uint32
-	LastRTPTimestamp  uint32
-	FirstSeq          uint16
-	LastSeq           uint16
+	ID        MediaStreamID
+	FirstSeen time.Time
+	LastSeen  time.Time
+	Packets   uint64
+	WireBytes uint64
 	// Substreams is ascending by payload type: real streams carry at most
 	// three, so the packet path scans it.
-	Substreams  []SubstreamStats
-	RTCPPackets uint64
+	Substreams []SubstreamStats
 
 	// Owner is the table's driver's to use: a handle to whatever it keeps
 	// per stream, so a packet the table has already resolved to this
@@ -289,7 +281,6 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		// SSRC.
 		ssrc := r.Z.RTCP.SenderReports[0].SSRC
 		if s := f.findStreamBySSRC(ssrc, r.Proto); s != nil {
-			s.RTCPPackets++
 			s.LastSeen = r.Time
 			if t.armed && !s.dirty {
 				t.markStream(s)
@@ -307,12 +298,7 @@ func (t *Table) Observe(r *Record) *StreamStats {
 			t.ev.RejectedStreamPackets++
 			return nil
 		}
-		s = &StreamStats{
-			ID:                MediaStreamID{Flow: r.Flow, Key: key},
-			FirstSeen:         r.Time,
-			FirstRTPTimestamp: r.Z.RTP.Timestamp,
-			FirstSeq:          r.Z.RTP.SequenceNumber,
-		}
+		s = &StreamStats{ID: MediaStreamID{Flow: r.Flow, Key: key}, FirstSeen: r.Time}
 		f.addStream(s)
 		t.streams++
 	}
@@ -322,9 +308,6 @@ func (t *Table) Observe(r *Record) *StreamStats {
 	}
 	s.Packets++
 	s.WireBytes += uint64(r.WireLen)
-	s.MediaBytes += uint64(len(r.Z.RTP.Payload))
-	s.LastRTPTimestamp = r.Z.RTP.Timestamp
-	s.LastSeq = r.Z.RTP.SequenceNumber
 	sub := s.Substream(r.Z.RTP.PayloadType)
 	if sub == nil {
 		if t.limits.MaxSubstreams > 0 && len(s.Substreams) >= t.limits.MaxSubstreams {
@@ -554,18 +537,12 @@ func (dst *StreamStats) absorb(s *StreamStats) {
 	dst.Owner = nil
 	if s.FirstSeen.Before(dst.FirstSeen) {
 		dst.FirstSeen = s.FirstSeen
-		dst.FirstRTPTimestamp = s.FirstRTPTimestamp
-		dst.FirstSeq = s.FirstSeq
 	}
 	if s.LastSeen.After(dst.LastSeen) {
 		dst.LastSeen = s.LastSeen
-		dst.LastRTPTimestamp = s.LastRTPTimestamp
-		dst.LastSeq = s.LastSeq
 	}
 	dst.Packets += s.Packets
 	dst.WireBytes += s.WireBytes
-	dst.MediaBytes += s.MediaBytes
-	dst.RTCPPackets += s.RTCPPackets
 	for _, sub := range s.Substreams {
 		d := dst.Substream(sub.PayloadType)
 		if d == nil {

@@ -88,8 +88,8 @@ func TestObserveBuildsStreamsAndSubstreams(t *testing.T) {
 	if video.Substream(zoom.PTVideoMain).Packets != 10 || video.Substream(zoom.PTFEC).Packets != 3 {
 		t.Errorf("substream split = %+v", video.Substreams)
 	}
-	if video.MediaBytes != 10*1000+3*400 {
-		t.Errorf("video media bytes = %d", video.MediaBytes)
+	if video.Substream(zoom.PTVideoMain).Bytes != 10*1000 || video.Substream(zoom.PTFEC).Bytes != 3*400 {
+		t.Errorf("video substream bytes = %+v", video.Substreams)
 	}
 	if audio.Packets != 5 || audio.Substream(zoom.PTAudioSpeak).Bytes != 600 {
 		t.Errorf("audio = %+v", audio)
@@ -115,8 +115,9 @@ func TestRTCPAttributedToStream(t *testing.T) {
 	if s == nil {
 		t.Fatal("RTCP not attributed")
 	}
-	if s.RTCPPackets != 1 {
-		t.Errorf("RTCPPackets = %d", s.RTCPPackets)
+	// The report moves the stream's last-seen time, not its media counts.
+	if !s.LastSeen.Equal(t0.Add(time.Second)) || s.Packets != 1 {
+		t.Errorf("after the report: last seen %v, %d packets", s.LastSeen, s.Packets)
 	}
 	// RTCP for an unknown SSRC returns nil but still counts at flow level.
 	if got := tbl.Observe(rtcpRecord(ftA, t0.Add(2*time.Second), 999)); got != nil {
@@ -196,21 +197,5 @@ func TestPayloadTypeSharesTable3Shape(t *testing.T) {
 		if s.PayloadType == 99 && s.Media != zoom.TypeAudio {
 			t.Errorf("PT 99 attributed to %v", s.Media)
 		}
-	}
-}
-
-func TestStreamTimestampRangeTracked(t *testing.T) {
-	tbl := NewTable()
-	tbl.Observe(mediaRecord(ftA, t0, zoom.TypeVideo, zoom.PTVideoMain, 5, 10, 1000, 900))
-	tbl.Observe(mediaRecord(ftA, t0.Add(33*time.Millisecond), zoom.TypeVideo, zoom.PTVideoMain, 5, 11, 3970, 900))
-	s, ok := tbl.Stream(MediaStreamID{Flow: ftA, Key: zoom.StreamKey{SSRC: 5, Type: zoom.TypeVideo}})
-	if !ok {
-		t.Fatal("stream missing")
-	}
-	if s.FirstRTPTimestamp != 1000 || s.LastRTPTimestamp != 3970 {
-		t.Errorf("ts range = [%d,%d]", s.FirstRTPTimestamp, s.LastRTPTimestamp)
-	}
-	if s.FirstSeq != 10 || s.LastSeq != 11 {
-		t.Errorf("seq range = [%d,%d]", s.FirstSeq, s.LastSeq)
 	}
 }

@@ -2,8 +2,10 @@ package flow
 
 // The table as it was before a flow owned its streams — two maps, the
 // streams keyed by the 64-byte MediaStreamID, ByEncapType and Substreams
-// maps on the records — kept verbatim but for the type names as the
-// reference TestTableAgainstTwoMapOracle holds Table to.
+// maps on the records — kept verbatim but for the type names and the
+// stream fields no output read (the RTP timestamp and sequence ranges, the
+// media-byte and RTCP counts), as the reference
+// TestTableAgainstTwoMapOracle holds Table to.
 
 import (
 	"sort"
@@ -28,15 +30,7 @@ type oracleStream struct {
 	LastSeen   time.Time
 	Packets    uint64
 	WireBytes  uint64
-	MediaBytes uint64 // RTP payload bytes across substreams
-	// FirstRTPTimestamp and LastRTPTimestamp are the stream's RTP
-	// timestamp range, consumed by duplicate-stream detection.
-	FirstRTPTimestamp uint32
-	LastRTPTimestamp  uint32
-	FirstSeq          uint16
-	LastSeq           uint16
-	Substreams        map[uint8]*oracleSubstream
-	RTCPPackets       uint64
+	Substreams map[uint8]*oracleSubstream
 
 	// Owner is the table's driver's to use: a handle to whatever it keeps
 	// per stream, so a packet the table has already resolved to this
@@ -145,7 +139,6 @@ func (t *oracleTable) Observe(r *Record) *oracleStream {
 		// SSRC.
 		ssrc := r.Z.RTCP.SenderReports[0].SSRC
 		if s := t.findStreamBySSRC(r.Flow, ssrc, r.Proto); s != nil {
-			s.RTCPPackets++
 			s.LastSeen = r.Time
 			s.dirty = true
 			return s
@@ -162,22 +155,13 @@ func (t *oracleTable) Observe(r *Record) *oracleStream {
 			t.ev.RejectedStreamPackets++
 			return nil
 		}
-		s = &oracleStream{
-			ID:                id,
-			FirstSeen:         r.Time,
-			FirstRTPTimestamp: r.Z.RTP.Timestamp,
-			FirstSeq:          r.Z.RTP.SequenceNumber,
-			Substreams:        make(map[uint8]*oracleSubstream),
-		}
+		s = &oracleStream{ID: id, FirstSeen: r.Time, Substreams: make(map[uint8]*oracleSubstream)}
 		t.streams[id] = s
 	}
 	s.LastSeen = r.Time
 	s.dirty = true
 	s.Packets++
 	s.WireBytes += uint64(r.WireLen)
-	s.MediaBytes += uint64(len(r.Z.RTP.Payload))
-	s.LastRTPTimestamp = r.Z.RTP.Timestamp
-	s.LastSeq = r.Z.RTP.SequenceNumber
 	sub := s.Substreams[r.Z.RTP.PayloadType]
 	if sub == nil {
 		if t.limits.MaxSubstreams > 0 && len(s.Substreams) >= t.limits.MaxSubstreams {
@@ -374,18 +358,12 @@ func (t *oracleTable) Absorb(src *oracleTable) {
 		dst.Owner = nil
 		if s.FirstSeen.Before(dst.FirstSeen) {
 			dst.FirstSeen = s.FirstSeen
-			dst.FirstRTPTimestamp = s.FirstRTPTimestamp
-			dst.FirstSeq = s.FirstSeq
 		}
 		if s.LastSeen.After(dst.LastSeen) {
 			dst.LastSeen = s.LastSeen
-			dst.LastRTPTimestamp = s.LastRTPTimestamp
-			dst.LastSeq = s.LastSeq
 		}
 		dst.Packets += s.Packets
 		dst.WireBytes += s.WireBytes
-		dst.MediaBytes += s.MediaBytes
-		dst.RTCPPackets += s.RTCPPackets
 		for pt, sub := range s.Substreams {
 			d := dst.Substreams[pt]
 			if d == nil {
@@ -619,12 +597,6 @@ func (t *oracleTable) Code(c *statecodec.Codec) {
 			c.Time(&s.LastSeen)
 			c.U64(&s.Packets)
 			c.U64(&s.WireBytes)
-			c.U64(&s.MediaBytes)
-			c.U32(&s.FirstRTPTimestamp)
-			c.U32(&s.LastRTPTimestamp)
-			c.U16(&s.FirstSeq)
-			c.U16(&s.LastSeq)
-			c.U64(&s.RTCPPackets)
 			statecodec.Map(c, u8Key, &s.Substreams, nil, nil, func(pt uint8, sub *oracleSubstream) {
 				sub.PayloadType = pt
 				c.U64(&sub.Packets)

@@ -238,12 +238,6 @@ func (t *Table) Code(c *statecodec.Codec) {
 		c.Time(&s.LastSeen)
 		c.U64(&s.Packets)
 		c.U64(&s.WireBytes)
-		c.U64(&s.MediaBytes)
-		c.U32(&s.FirstRTPTimestamp)
-		c.U32(&s.LastRTPTimestamp)
-		c.U16(&s.FirstSeq)
-		c.U16(&s.LastSeq)
-		c.U64(&s.RTCPPackets)
 		var buf [8]uint8
 		pts := buf[:0]
 		for i := range s.Substreams {

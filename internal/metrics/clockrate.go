@@ -30,22 +30,10 @@ type ClockRateEstimate struct {
 	Frames int
 }
 
-// FrameObservation is one completed frame's (arrival time in Unix
-// nanoseconds, RTP timestamp) pair, in order.
-type FrameObservation struct {
-	At int64
-	TS uint32
-}
-
-// InferClockRate sweeps the candidates over consecutive frame pairs and
-// returns the best. ok is false with fewer than 8 usable transitions or
-// when even the best candidate mismatches badly (no periodic structure).
-func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
-	return sweepClockRates(len(frames), func(i int) (int64, uint32) { return frames[i].At, frames[i].TS })
-}
-
-// InferClockRate runs the sweep over the stream's finished frames, read
-// from the frame log in place.
+// InferClockRate sweeps the candidates over consecutive pairs of the
+// stream's finished frames, read from the frame log in place, and returns
+// the best. ok is false with fewer than 8 usable transitions or when even
+// the best candidate mismatches badly (no periodic structure).
 func (sm *StreamMetrics) InferClockRate() (ClockRateEstimate, bool) {
 	return sweepClockRates(len(sm.frames), func(i int) (int64, uint32) { return sm.frames[i].At, sm.frames[i].TS })
 }

@@ -9,6 +9,20 @@ import (
 	"zoomlens/internal/zoom"
 )
 
+// FrameObservation is one completed frame's (arrival time in Unix
+// nanoseconds, RTP timestamp) pair, in order.
+type FrameObservation struct {
+	At int64
+	TS uint32
+}
+
+// InferClockRate is the sweep over a list of frames instead of a stream's
+// frame log: the synthetic clocks below, and the frame-log oracle's own
+// observations (framelog_test.go).
+func InferClockRate(frames []FrameObservation) (ClockRateEstimate, bool) {
+	return sweepClockRates(len(frames), func(i int) (int64, uint32) { return frames[i].At, frames[i].TS })
+}
+
 func framesAtClock(rate float64, fps float64, n int, jitter time.Duration, seed int64) []FrameObservation {
 	rng := rand.New(rand.NewSource(seed))
 	var out []FrameObservation

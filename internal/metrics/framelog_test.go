@@ -38,8 +38,8 @@ func packetizationMS(sm *StreamMetrics) Series {
 // seriesOracle is the per-frame bookkeeping the frame log replaced, kept
 // as the reference: every finished frame is appended to five stored
 // series and the clock sweep's observation list, with its own window and
-// encoder estimator per substream. It shares only the FrameAssembler
-// with StreamMetrics.
+// encoder estimator per substream, and fed to a live stall model. It
+// shares only the FrameAssembler with StreamMetrics.
 type seriesOracle struct {
 	mt        zoom.MediaType
 	clockRate float64
@@ -48,7 +48,7 @@ type seriesOracle struct {
 	FrameRate, EncoderRate, FrameSize, FrameDelay, Packetization Series
 	frameObs                                                     []FrameObservation
 	FramesTotal, FramesIncomplete                                uint64
-	Stall                                                        *StallDetector
+	Stall                                                        *StallDetector // video only
 }
 
 type oracleSub struct {
@@ -57,11 +57,27 @@ type oracleSub struct {
 	encoder   EncoderFrameRate
 }
 
+// Observe feeds the RTP timestamp of each new frame (in decode order) and
+// returns (frame rate in fps, packetization time, ok): the estimator as
+// the oracle runs it. ok is false for the first frame and for
+// non-increasing timestamps.
+func (e *EncoderFrameRate) Observe(ts uint32) (fps float64, packetizationTime time.Duration, ok bool) {
+	d := e.delta(ts)
+	if d == 0 {
+		return 0, 0, false
+	}
+	return encoderRate(d, e.clockRate), packetization(d, e.clockRate), true
+}
+
+// Delay returns the frame delay of §5.5: time from first packet to full
+// delivery, as the oracle stores it (the log's Delay column).
+func (f *Frame) Delay() time.Duration { return time.Duration(f.Completed - f.FirstPacket) }
+
 func newSeriesOracle(mt zoom.MediaType) *seriesOracle {
 	o := &seriesOracle{mt: mt, subs: make(map[uint8]*oracleSub)}
 	if mt == zoom.TypeVideo {
 		o.clockRate = zoom.VideoClockRate
-		o.Stall = NewStallDetector()
+		o.Stall = new(StallDetector)
 	}
 	return o
 }
@@ -99,9 +115,10 @@ func (o *seriesOracle) onFrame(st *oracleSub, f Frame, complete bool) {
 	}
 }
 
-// Finish flushes the substreams in payload-type order and closes an open
-// stall at end.
-func (o *seriesOracle) Finish(end time.Time) {
+// Finish flushes the substreams in payload-type order. It leaves the
+// stall model open: a Finish that more packets follow is no stall
+// boundary (see stalls).
+func (o *seriesOracle) Finish() {
 	pts := make([]uint8, 0, len(o.subs))
 	for pt := range o.subs {
 		pts = append(pts, pt)
@@ -110,9 +127,20 @@ func (o *seriesOracle) Finish(end time.Time) {
 	for _, pt := range pts {
 		o.subs[pt].assembler.Flush()
 	}
-	if o.Stall != nil {
-		o.Stall.Finish(end)
+}
+
+// stalls is what the live stall model has predicted so far, with a stall
+// still open closed at end if the stream is finished there.
+func (o *seriesOracle) stalls(finished bool, end time.Time) []StallEvent {
+	if o.Stall == nil {
+		return nil
 	}
+	d := *o.Stall
+	d.Events = slices.Clone(d.Events)
+	if finished {
+		d.Finish(end)
+	}
+	return d.Events
 }
 
 // estimateRetransmissions is EstimateRetransmissions as it read the
@@ -176,8 +204,8 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 		if !slices.Equal(got, o.frameObs) {
 			t.Fatalf("%s: the frame log's (At, TS) pairs are %d, the oracle's %d", when, len(got), len(o.frameObs))
 		}
-		if sm.FramesTotal != o.FramesTotal || sm.FramesIncomplete != o.FramesIncomplete || int(sm.FramesTotal) != len(sm.Frames()) {
-			t.Fatalf("%s: frames %d (%d incomplete, %d logged), the oracle %d (%d)", when, sm.FramesTotal, sm.FramesIncomplete, len(sm.Frames()), o.FramesTotal, o.FramesIncomplete)
+		if sm.FramesTotal() != o.FramesTotal || incomplete(sm) != o.FramesIncomplete {
+			t.Fatalf("%s: frames %d (%d incomplete), the oracle %d (%d)", when, sm.FramesTotal(), incomplete(sm), o.FramesTotal, o.FramesIncomplete)
 		}
 		for _, rtt := range []time.Duration{time.Millisecond, 30 * time.Millisecond} {
 			if got, want := sm.EstimateRetransmissions(rtt), o.estimateRetransmissions(rtt); got != want {
@@ -189,13 +217,13 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 		if gotClock != wantClock || gotOK != wantOK {
 			t.Fatalf("%s: clock sweep %+v %v, the oracle %+v %v", when, gotClock, gotOK, wantClock, wantOK)
 		}
-		if o.Stall != nil && !reflect.DeepEqual(sm.Stall.Events, o.Stall.Events) {
-			t.Fatalf("%s: %d stall events, the oracle %d", when, len(sm.Stall.Events), len(o.Stall.Events))
+		if got, want := sm.Stalls(), o.stalls(sm.finished, time.Unix(0, sm.binStart).UTC()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stalls %+v, the oracle %+v", when, got, want)
 		}
 	}
 	finish := func(when string) {
 		sm.Finish()
-		o.Finish(time.Unix(0, sm.binStart).UTC())
+		o.Finish()
 		check(when)
 	}
 	for i := range packets {
@@ -209,6 +237,17 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 	}
 	finish("Finish at the end")
 	return sm
+}
+
+// incomplete counts the frames the log holds as flushed incomplete.
+func incomplete(sm *StreamMetrics) uint64 {
+	var n uint64
+	for _, f := range sm.Frames() {
+		if !f.Complete {
+			n++
+		}
+	}
+	return n
 }
 
 func firstDiff(a, b []Sample) int {
@@ -314,9 +353,9 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 
 				packets := generateStream(mt, seed, 400, true)
 				sm := against(t, mt, packets, len(packets)/3)
-				if mt == zoom.TypeVideo && (sm.FramesIncomplete == 0 || len(sm.EncoderRate().Samples) == 0 || len(sm.Stall.Events) == 0) {
+				if mt == zoom.TypeVideo && (incomplete(sm) == 0 || len(sm.EncoderRate().Samples) == 0 || len(sm.Stalls()) == 0) {
 					t.Errorf("the impaired stream has %d incomplete frames, %d encoder-rate samples, %d stalls: want some of each",
-						sm.FramesIncomplete, len(sm.EncoderRate().Samples), len(sm.Stall.Events))
+						incomplete(sm), len(sm.EncoderRate().Samples), len(sm.Stalls()))
 				}
 
 				full := streamRecord(sm)
@@ -324,8 +363,8 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 				if err := applyStream(restored, full); err != nil {
 					t.Fatalf("full record onto a fresh stream: %v", err)
 				}
-				if !slices.Equal(restored.Frames(), sm.Frames()) {
-					t.Error("restored frame log differs")
+				if !slices.Equal(restored.Frames(), sm.Frames()) || !reflect.DeepEqual(restored.Stalls(), sm.Stalls()) {
+					t.Error("restored frame log or stalls differ")
 				}
 				if again := streamRecord(restored); !bytes.Equal(again, full) {
 					t.Errorf("full → fresh → full differs (%d vs %d bytes)", len(again), len(full))

@@ -37,10 +37,6 @@ type Frame struct {
 	Bytes int
 }
 
-// Delay returns the frame delay of §5.5: time from first packet to full
-// delivery. High values indicate retransmissions within the frame.
-func (f *Frame) Delay() time.Duration { return time.Duration(f.Completed - f.FirstPacket) }
-
 // FrameRecord is one finished frame as a stream's frame log keeps it:
 // everything the per-frame metrics of §5 need, in 40 bytes without a
 // pointer, so a finished frame costs one append and the log is memory
@@ -86,6 +82,9 @@ func saturate32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
 // do not keep or change it. Reports that need a count or a tail read it
 // directly; the accessors below build a whole Series from it.
 func (sm *StreamMetrics) Frames() []FrameRecord { return sm.frames }
+
+// FramesTotal is how many frames the stream finished: the log's length.
+func (sm *StreamMetrics) FramesTotal() uint64 { return uint64(len(sm.frames)) }
 
 // frameSeries builds the series whose sample for a frame is value's,
 // skipping the frames it has none for.
@@ -282,23 +281,13 @@ func (w *FrameRateWindow) Rate(now int64) int {
 }
 
 // EncoderFrameRate implements §5.2 method 2: the encoder's intended frame
-// rate FR = clockRate / ΔRTP between consecutive frames. It also yields
-// the packetization time FR⁻¹ used by the stall analysis of §5.5.
+// rate FR = clockRate / ΔRTP between consecutive frames. The ΔRTP it
+// answers also gives the packetization time FR⁻¹ the stall analysis of
+// §5.5 uses.
 type EncoderFrameRate struct {
 	clockRate float64
 	lastTS    uint32
 	seen      bool
-}
-
-// Observe feeds the RTP timestamp of each new frame (in decode order) and
-// returns (frame rate in fps, packetization time, ok). ok is false for
-// the first frame and for non-increasing timestamps.
-func (e *EncoderFrameRate) Observe(ts uint32) (fps float64, packetizationTime time.Duration, ok bool) {
-	d := e.delta(ts)
-	if d == 0 {
-		return 0, 0, false
-	}
-	return encoderRate(d, e.clockRate), packetization(d, e.clockRate), true
 }
 
 // delta feeds the RTP timestamp of each new frame and returns ΔRTP, the

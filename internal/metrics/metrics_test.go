@@ -50,11 +50,13 @@ func TestFrameAssemblyVideo(t *testing.T) {
 	sm := NewStreamMetrics(zoom.TypeVideo)
 	feedVideo(sm, t0, 60, 3, 30, 1000)
 	sm.Finish()
-	if sm.FramesTotal != 60 {
-		t.Fatalf("frames = %d, want 60", sm.FramesTotal)
+	if sm.FramesTotal() != 60 {
+		t.Fatalf("frames = %d, want 60", sm.FramesTotal())
 	}
-	if sm.FramesIncomplete != 0 {
-		t.Errorf("incomplete = %d", sm.FramesIncomplete)
+	for _, f := range sm.Frames() {
+		if !f.Complete {
+			t.Errorf("incomplete frame %+v", f)
+		}
 	}
 	// Frame size = 3 packets × 1000 B.
 	for _, s := range sm.FrameSize().Samples {
@@ -126,8 +128,8 @@ func TestFrameDelayReflectsRetransmission(t *testing.T) {
 	// Third packet lost, retransmitted after 100ms+RTT (§5.5).
 	sm.Observe(t0.Add(130*time.Millisecond), 570, &media, mk(2, true))
 	sm.Finish()
-	if sm.FramesTotal != 1 {
-		t.Fatalf("frames = %d", sm.FramesTotal)
+	if sm.FramesTotal() != 1 {
+		t.Fatalf("frames = %d", sm.FramesTotal())
 	}
 	if d := frameDelay(sm).Samples[0].Value; d < 129 || d > 131 {
 		t.Errorf("frame delay = %v ms, want ~130", d)
@@ -144,8 +146,8 @@ func TestDuplicatePacketsNotDoubleCounted(t *testing.T) {
 	sm.Observe(t0.Add(time.Millisecond), 570, &media, mk(0)) // retransmission
 	sm.Observe(t0.Add(2*time.Millisecond), 570, &media, mk(1))
 	sm.Finish()
-	if sm.FramesTotal != 1 {
-		t.Fatalf("frames = %d", sm.FramesTotal)
+	if sm.FramesTotal() != 1 {
+		t.Fatalf("frames = %d", sm.FramesTotal())
 	}
 	if sz := sm.FrameSize().Samples[0].Value; sz != 1000 {
 		t.Errorf("frame size = %v, want 1000 (dup not double-counted)", sz)
@@ -170,8 +172,8 @@ func TestAudioFramesCompleteViaNextFrame(t *testing.T) {
 		ts += 320
 	}
 	sm.Finish()
-	if sm.FramesTotal != 50 {
-		t.Errorf("audio frames = %d, want 50", sm.FramesTotal)
+	if sm.FramesTotal() != 50 {
+		t.Errorf("audio frames = %d, want 50", sm.FramesTotal())
 	}
 }
 
@@ -186,10 +188,6 @@ func TestMediaRateBins(t *testing.T) {
 	mid := sm.MediaRate.Samples[1]
 	if mid.Value < 400000 || mid.Value > 560000 {
 		t.Errorf("media rate = %v bps, want ≈480k", mid.Value)
-	}
-	wire := sm.WireRate.Samples[1]
-	if wire.Value <= mid.Value {
-		t.Error("wire rate should exceed media rate")
 	}
 }
 
@@ -215,8 +213,8 @@ func TestFECDoesNotInflateFrames(t *testing.T) {
 	sm.Observe(t0, 970, &media, &main)
 	sm.Observe(t0.Add(time.Millisecond), 370, &media, &fec)
 	sm.Finish()
-	if sm.FramesTotal != 1 {
-		t.Errorf("frames = %d, want 1 (FEC must not create frames)", sm.FramesTotal)
+	if sm.FramesTotal() != 1 {
+		t.Errorf("frames = %d, want 1 (FEC must not create frames)", sm.FramesTotal())
 	}
 	if sm.MediaBytes != 1200 {
 		t.Errorf("media bytes = %d, want 1200 (FEC still counts for rate)", sm.MediaBytes)

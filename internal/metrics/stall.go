@@ -14,7 +14,8 @@ import (
 // completed frame contributes its packetization time (the media it
 // covers) and consumes the wall-clock delay it took to be delivered.
 // Sustained delivery deficits drain the buffer; when the modeled buffer
-// is empty, playback stalls until enough media accumulates again.
+// is empty, playback stalls until enough media accumulates again. A
+// stream keeps no detector: Stalls replays one over the frame log.
 
 // StallEvent is one predicted playback stall.
 type StallEvent struct {
@@ -50,9 +51,6 @@ type StallDetector struct {
 	lateRun  int
 	lastSeen time.Time
 }
-
-// NewStallDetector returns an empty detector.
-func NewStallDetector() *StallDetector { return new(StallDetector) }
 
 // ObserveFrame feeds one completed frame: completed is its delivery
 // time, delay the §5.5 frame delay (first→last packet), packetization
@@ -121,4 +119,22 @@ func (d *StallDetector) Finish(end time.Time) {
 		})
 		d.stalled = false
 	}
+}
+
+// Stalls is §5.5's stall prediction for the stream: a fresh detector fed,
+// in the order frames finished, every logged frame with an encoder-rate
+// sample — its completion time, its delay and the packetization time its
+// ΔRTP spans — and, on a finished stream, closed at the end of the last
+// rate bin. A stream without an RTP clock logs no ΔRTP and predicts none.
+func (sm *StreamMetrics) Stalls() []StallEvent {
+	var d StallDetector
+	for i := range sm.frames {
+		if f := &sm.frames[i]; f.DeltaTS > 0 {
+			d.ObserveFrame(time.Unix(0, f.At).UTC(), time.Duration(f.Delay), packetization(f.DeltaTS, sm.clockRate))
+		}
+	}
+	if sm.finished {
+		d.Finish(time.Unix(0, sm.binStart).UTC())
+	}
+	return d.Events
 }

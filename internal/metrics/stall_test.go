@@ -9,7 +9,7 @@ import (
 )
 
 func TestStallDetectorHealthyStreamNeverStalls(t *testing.T) {
-	d := NewStallDetector()
+	d := new(StallDetector)
 	at := t0
 	const pt = 33 * time.Millisecond
 	for i := 0; i < 1000; i++ {
@@ -27,7 +27,7 @@ func TestStallDetectorHealthyStreamNeverStalls(t *testing.T) {
 }
 
 func TestStallDetectorStallsWhenDeliveryStops(t *testing.T) {
-	d := NewStallDetector()
+	d := new(StallDetector)
 	at := t0
 	const pt = 33 * time.Millisecond
 	for i := 0; i < 30; i++ {
@@ -59,7 +59,7 @@ func TestStallDetectorStallsWhenDeliveryStops(t *testing.T) {
 func TestStallDetectorChronicLateness(t *testing.T) {
 	// Every frame takes twice its packetization time to deliver: the
 	// buffer must drain and stall within a bounded number of frames.
-	d := NewStallDetector()
+	d := new(StallDetector)
 	at := t0
 	const pt = 33 * time.Millisecond
 	stalledAt := -1
@@ -80,7 +80,7 @@ func TestStallDetectorChronicLateness(t *testing.T) {
 }
 
 func TestStallDetectorFinishClosesOpenStall(t *testing.T) {
-	d := NewStallDetector()
+	d := new(StallDetector)
 	at := t0
 	const pt = 33 * time.Millisecond
 	d.ObserveFrame(at, time.Millisecond, pt)
@@ -97,9 +97,6 @@ func TestStallDetectorFinishClosesOpenStall(t *testing.T) {
 
 func TestStreamMetricsStallIntegration(t *testing.T) {
 	sm := NewStreamMetrics(zoom.TypeVideo)
-	if sm.Stall == nil {
-		t.Fatal("video stream has no stall detector")
-	}
 	// 60 healthy frames, then a 3-second freeze, then recovery.
 	ts := uint32(0)
 	at := t0
@@ -118,11 +115,18 @@ func TestStreamMetricsStallIntegration(t *testing.T) {
 		send(0)
 	}
 	sm.Finish()
-	if len(sm.Stall.Events) == 0 {
+	if len(sm.Stalls()) == 0 {
 		t.Error("no stall detected across a 3-second freeze")
 	}
-	// Audio streams have no clock, hence no stall detector.
-	if NewStreamMetrics(zoom.TypeAudio).Stall != nil {
-		t.Error("audio stream unexpectedly has a stall detector")
+	// Audio streams have no clock, hence no ΔRTP to model stalls from.
+	audio := NewStreamMetrics(zoom.TypeAudio)
+	for i := range 100 {
+		media := zoom.MediaEncap{Type: zoom.TypeAudio, Timestamp: uint32(i) * 320}
+		pkt := rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTAudioSpeak, SequenceNumber: uint16(i), Timestamp: uint32(i) * 320, SSRC: 2, Marker: true}, Payload: make([]byte, 100)}
+		audio.Observe(t0.Add(time.Duration(i)*time.Second), 170, &media, &pkt) // a frame every second: far behind
+	}
+	audio.Finish()
+	if len(audio.Frames()) == 0 || len(audio.Stalls()) != 0 {
+		t.Errorf("audio stream: %d frames, %d stalls; want frames and no stall", len(audio.Frames()), len(audio.Stalls()))
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Checkpoint boundary for the metric accumulators. StreamMetrics is the
 // deepest composite in the system — per-substream frame assemblers,
-// shared sequence trackers, jitter estimators, rate bins, stall and talk
-// models — and every piece is mid-computation state that must survive a
+// shared sequence trackers, jitter estimators, rate bins, the talk model
+// — and every piece is mid-computation state that must survive a
 // restore exactly for the byte-identical-report invariant to hold.
 
 var (
@@ -35,12 +35,12 @@ func (s *Series) code(c *statecodec.Codec, from int) {
 // in — so a restored stream has the clock, the models and the limits of
 // the code that restores it.
 //
-// The six append-only logs travel as tails. A delta pass writes each from
+// The four append-only logs travel as tails. A delta pass writes each from
 // the length MarkDirty noted, a full pass from 0, and the record says from
 // where; a decoding pass keeps the logs the receiver holds, refuses a
 // record that does not start where they end, and appends. Everything else
-// — counters, the open rate bin, the models' heads, the substreams — is
-// carried whole.
+// — counters, the open rate bin, the talk model's head, the substreams —
+// is carried whole.
 func (sm *StreamMetrics) Code(c *statecodec.Codec) { sm.code(c, c.Full()) }
 
 // CodeWhole is Code for a stream no later record will extend — one
@@ -54,10 +54,7 @@ func (sm *StreamMetrics) code(c *statecodec.Codec, whole bool) {
 		held := *sm
 		sm.init(mt)
 		if held.MediaType == mt {
-			sm.frames, sm.JitterMS, sm.MediaRate, sm.WireRate = held.frames, held.JitterMS, held.MediaRate, held.WireRate
-			if sm.Stall != nil && held.Stall != nil {
-				sm.Stall.Events = held.Stall.Events
-			}
+			sm.frames, sm.JitterMS, sm.MediaRate = held.frames, held.JitterMS, held.MediaRate
 			if sm.Talk != nil && held.Talk != nil {
 				sm.Talk.segments = held.Talk.segments
 			}
@@ -70,8 +67,6 @@ func (sm *StreamMetrics) code(c *statecodec.Codec, whole bool) {
 	c.Int(&from.frames)
 	c.Int(&from.jitter)
 	c.Int(&from.media)
-	c.Int(&from.wire)
-	c.Int(&from.stalls)
 	c.Int(&from.talk)
 	if held := sm.logLens(); !c.Encoding() && from != held {
 		c.Failf("metrics.StreamMetrics log baselines %+v do not match the stream's logs at %+v", from, held)
@@ -81,22 +76,14 @@ func (sm *StreamMetrics) code(c *statecodec.Codec, whole bool) {
 
 	c.U64(&sm.Packets)
 	c.U64(&sm.MediaBytes)
-	c.U64(&sm.WireBytes)
-	c.U64(&sm.FramesTotal)
-	c.U64(&sm.FramesIncomplete)
 
 	sm.JitterMS.code(c, from.jitter)
 	sm.MediaRate.code(c, from.media)
-	sm.WireRate.code(c, from.wire)
 
 	c.Bool(&sm.haveBin)
 	c.I64(&sm.binStart)
-	c.U64(&sm.binWire)
 	c.U64(&sm.binMedia)
 
-	if sm.Stall != nil {
-		sm.Stall.code(c, from.stalls)
-	}
 	if sm.Talk != nil {
 		sm.Talk.code(c, from.talk)
 	}
@@ -204,20 +191,6 @@ func (a *FrameAssembler) code(c *statecodec.Codec) {
 			}
 		})
 	}
-}
-
-func (d *StallDetector) code(c *statecodec.Codec, from int) {
-	statecodec.Slice(c, &d.Events, from, func(e *StallEvent) {
-		c.Time(&e.Start)
-		c.Duration(&e.Duration)
-		c.Int(&e.FramesLate)
-	})
-	c.Bool(&d.started)
-	c.Duration(&d.buffer)
-	c.Bool(&d.stalled)
-	c.Time(&d.stallAt)
-	c.Int(&d.lateRun)
-	c.Time(&d.lastSeen)
 }
 
 func (t *TalkTracker) code(c *statecodec.Codec, from int) {

@@ -144,19 +144,11 @@ type StreamMetrics struct {
 	JitterMS Series
 
 	// Counters.
-	Packets          uint64
-	MediaBytes       uint64
-	WireBytes        uint64
-	FramesTotal      uint64
-	FramesIncomplete uint64
+	Packets    uint64
+	MediaBytes uint64 // RTP payload bytes
 
 	// mainSeq is the shared non-FEC sequence tracker (see sub()).
 	mainSeq *rtp.SeqTracker
-
-	// Stall predicts playback stalls from frame delay vs packetization
-	// time (§5.5's future-work analysis); only active when the clock
-	// rate is known.
-	Stall *StallDetector
 
 	// Talk quantifies speaking time from the audio substream split
 	// (§4.2.3); only active for audio streams.
@@ -164,11 +156,9 @@ type StreamMetrics struct {
 
 	// rate accounting in one-second bins; binStart in Unix nanoseconds
 	binStart  int64
-	binWire   uint64
 	binMedia  uint64
 	haveBin   bool
 	MediaRate Series // bits per second, one sample per elapsed second
-	WireRate  Series
 
 	// finished guards Finish against double invocation: ReadPCAP calls
 	// Finish internally, and a second Finish must not re-flush the open
@@ -183,20 +173,16 @@ type StreamMetrics struct {
 	base  logLens
 }
 
-// logLens holds the lengths of a stream's six append-only logs: the frame
-// log, the three stored series, the stall events and the talk segments.
-// Every writer of one appends and nothing rewrites an element, so the
-// lengths at a checkpoint say exactly which part of each log that
-// checkpoint holds.
+// logLens holds the lengths of a stream's four append-only logs: the frame
+// log, the two stored series and the talk segments. Every writer of one
+// appends and nothing rewrites an element, so the lengths at a checkpoint
+// say exactly which part of each log that checkpoint holds.
 type logLens struct {
-	frames, jitter, media, wire, stalls, talk int
+	frames, jitter, media, talk int
 }
 
 func (sm *StreamMetrics) logLens() logLens {
-	n := logLens{frames: len(sm.frames), jitter: len(sm.JitterMS.Samples), media: len(sm.MediaRate.Samples), wire: len(sm.WireRate.Samples)}
-	if sm.Stall != nil {
-		n.stalls = len(sm.Stall.Events)
-	}
+	n := logLens{frames: len(sm.frames), jitter: len(sm.JitterMS.Samples), media: len(sm.MediaRate.Samples)}
 	if sm.Talk != nil {
 		n.talk = len(sm.Talk.segments)
 	}
@@ -225,7 +211,7 @@ func (sm *StreamMetrics) ClearDirty() { sm.dirty = false }
 // stream is silent for longer than this, the rate bins skip ahead to the
 // next packet instead of emitting one zero sample per elapsed second (an
 // idle stream spanning a 12-hour campus trace would otherwise append
-// ~43k useless samples per series). The semantics mirror Compact's idle
+// ~43k useless samples per series). The semantics mirror idle eviction's
 // archiving: a stream idle that long is effectively over until it
 // speaks again.
 const maxIdleGap = 60 * time.Second
@@ -273,13 +259,12 @@ func NewStreamMetrics(mt zoom.MediaType) *StreamMetrics {
 
 // init makes sm the empty analyzer of a stream of type mt. Everything
 // that is not accumulated from packets follows from mt here — the RTP
-// clock and which of the stall and talk models run — so a checkpoint
-// record carries the type and nothing derived from it.
+// clock and whether the talk model runs — so a checkpoint record carries
+// the type and nothing derived from it.
 func (sm *StreamMetrics) init(mt zoom.MediaType) {
 	*sm = StreamMetrics{MediaType: mt}
 	if mt == zoom.TypeVideo {
 		sm.clockRate = zoom.VideoClockRate
-		sm.Stall = NewStallDetector()
 	}
 	if mt == zoom.TypeAudio {
 		sm.Talk = NewTalkTracker()
@@ -361,15 +346,15 @@ func (sm *StreamMetrics) sub(pt uint8) *substreamState {
 	return st
 }
 
-// Observe ingests one media packet belonging to this stream. wireLen is
-// the packet's on-the-wire length.
+// Observe ingests one media packet belonging to this stream. wireLen, the
+// packet's on-the-wire length, is not used: the flow table counts wire
+// bytes, and nothing reads them per stream.
 func (sm *StreamMetrics) Observe(t time.Time, wireLen int, media *zoom.MediaEncap, pkt *rtp.Packet) {
 	at := Nanos(t)
 	sm.finished = false
 	sm.Packets++
 	sm.MediaBytes += uint64(len(pkt.Payload))
-	sm.WireBytes += uint64(wireLen)
-	sm.binAdd(at, wireLen, len(pkt.Payload))
+	sm.binAdd(at, len(pkt.Payload))
 
 	if sm.Talk != nil {
 		sm.Talk.Observe(t, pkt.PayloadType)
@@ -389,14 +374,9 @@ func (sm *StreamMetrics) Observe(t time.Time, wireLen int, media *zoom.MediaEnca
 }
 
 // onFrame appends the finished frame's one record to the log. The two
-// frame-rate estimators run live — the stall model needs each frame's
-// packetization time as it finishes — and the record keeps what they
-// answered, so a view never replays them.
+// frame-rate estimators run live and the record keeps what they answered,
+// so a view never replays them.
 func (sm *StreamMetrics) onFrame(st *substreamState, f *Frame, complete bool) {
-	sm.FramesTotal++
-	if !complete {
-		sm.FramesIncomplete++
-	}
 	rec := FrameRecord{
 		At:       f.Completed,
 		Delay:    f.Completed - f.FirstPacket,
@@ -407,17 +387,12 @@ func (sm *StreamMetrics) onFrame(st *substreamState, f *Frame, complete bool) {
 		Complete: complete,
 	}
 	if sm.clockRate > 0 {
-		if d := st.encoder.delta(f.RTPTimestamp); d > 0 {
-			rec.DeltaTS = d
-			if sm.Stall != nil {
-				sm.Stall.ObserveFrame(time.Unix(0, f.Completed).UTC(), f.Delay(), packetization(d, sm.clockRate))
-			}
-		}
+		rec.DeltaTS = st.encoder.delta(f.RTPTimestamp)
 	}
 	sm.frames = append(sm.frames, rec)
 }
 
-func (sm *StreamMetrics) binAdd(at int64, wire, media int) {
+func (sm *StreamMetrics) binAdd(at int64, media int) {
 	second := at - at%int64(time.Second)
 	if !sm.haveBin {
 		sm.haveBin = true
@@ -432,15 +407,13 @@ func (sm *StreamMetrics) binAdd(at int64, wire, media int) {
 	for at-sm.binStart >= int64(time.Second) {
 		sm.flushBin()
 	}
-	sm.binWire += uint64(wire)
 	sm.binMedia += uint64(media)
 }
 
 func (sm *StreamMetrics) flushBin() {
-	sm.WireRate.Add(sm.binStart, float64(sm.binWire)*8)
 	sm.MediaRate.Add(sm.binStart, float64(sm.binMedia)*8)
 	sm.binStart += min(int64(time.Second), math.MaxInt64-sm.binStart) // no further than Nanos goes
-	sm.binWire, sm.binMedia = 0, 0
+	sm.binMedia = 0
 }
 
 // Finish flushes assemblers and the open rate bin. Finish is
@@ -457,9 +430,6 @@ func (sm *StreamMetrics) Finish() {
 	}
 	if sm.haveBin {
 		sm.flushBin()
-		if sm.Stall != nil {
-			sm.Stall.Finish(time.Unix(0, sm.binStart).UTC())
-		}
 	}
 	if sm.Talk != nil {
 		sm.Talk.Finish()

@@ -11,6 +11,11 @@ import (
 // packets flow while the participant speaks (or emits significant
 // sound), fixed 40-byte PT 99 packets during silence, and PT 113 when
 // the mode cannot be determined (mobile clients).
+//
+// A capture clock may step back. The open segment's end (last) and the
+// latest time seen (lastSeen) never move backward and the earliest
+// (firstSeen) never forward, so no segment ends before it starts and the
+// observed span is the latest time seen less the earliest.
 type TalkTracker struct {
 	segments []TalkSegment
 	open     bool
@@ -41,15 +46,19 @@ func NewTalkTracker() *TalkTracker { return new(TalkTracker) }
 
 // Observe feeds one audio packet of the stream.
 func (t *TalkTracker) Observe(at time.Time, pt uint8) {
-	if t.firstSeen.IsZero() {
+	if t.firstSeen.IsZero() || at.Before(t.firstSeen) {
 		t.firstSeen = at
 	}
-	t.lastSeen = at
+	if at.After(t.lastSeen) {
+		t.lastSeen = at
+	}
 	switch zoom.ClassifySubstream(zoom.TypeAudio, pt) {
 	case zoom.SubAudioSpeaking:
 		t.speakingPkts++
 		if t.open && at.Sub(t.last) <= talkMergeGap {
-			t.last = at
+			if at.After(t.last) {
+				t.last = at
+			}
 			return
 		}
 		if t.open {

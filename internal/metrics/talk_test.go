@@ -105,3 +105,58 @@ func TestTalkTrackerViaStreamMetrics(t *testing.T) {
 		t.Error("video stream has a talk tracker")
 	}
 }
+
+// TestTalkTrackerHostileClock runs the tracker under five capture clocks:
+// monotone, a duplicate stamp, a step 1 s back, one 1 year ahead and one
+// to the year 3000. The odd packet goes inside the first speaking spurt
+// and again after the last packet. No segment may end before it starts,
+// and the observed span may not be shorter than the monotone run's.
+func TestTalkTrackerHostileClock(t *testing.T) {
+	// 2 s speaking, 3 s silence, 1 s speaking.
+	type packet struct {
+		at time.Time
+		pt uint8
+	}
+	var run []packet
+	at := t0
+	for _, part := range []struct {
+		pt  uint8
+		n   int
+		gap time.Duration
+	}{{zoom.PTAudioSpeak, 100, 20 * time.Millisecond}, {zoom.PTAudioSilent, 30, 100 * time.Millisecond}, {zoom.PTAudioSpeak, 50, 20 * time.Millisecond}} {
+		for range part.n {
+			run = append(run, packet{at, part.pt})
+			at = at.Add(part.gap)
+		}
+	}
+	span := run[len(run)-1].at.Sub(run[0].at)
+	for _, clock := range []struct {
+		name string
+		odd  func(prev time.Time) time.Time
+	}{
+		{"monotone", func(prev time.Time) time.Time { return prev.Add(10 * time.Millisecond) }},
+		{"duplicate", func(prev time.Time) time.Time { return prev }},
+		{"1 s backward", func(prev time.Time) time.Time { return prev.Add(-time.Second) }},
+		{"1 year forward", func(prev time.Time) time.Time { return prev.AddDate(1, 0, 0) }},
+		{"year 3000", func(time.Time) time.Time { return time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC) }},
+	} {
+		t.Run(clock.name, func(t *testing.T) {
+			tr := NewTalkTracker()
+			for i, p := range run {
+				tr.Observe(p.at, p.pt)
+				if i == 20 || i == len(run)-1 {
+					tr.Observe(clock.odd(p.at), zoom.PTAudioSpeak)
+				}
+			}
+			tr.Finish()
+			for _, s := range tr.Segments() {
+				if s.Duration() < 0 {
+					t.Errorf("segment %v → %v has negative length", s.Start, s.End)
+				}
+			}
+			if st := tr.Stats(); st.Speaking < 0 || st.Observed < span {
+				t.Errorf("speaking %v, observed %v: want both non-negative and observed at least %v", st.Speaking, st.Observed, span)
+			}
+		})
+	}
+}

@@ -153,7 +153,7 @@ func TestNanosSaturates(t *testing.T) {
 	observeAt(sm, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), 2)
 	observeAt(sm, t0.Add(time.Second), 3)
 	sm.Finish()
-	for _, s := range sm.WireRate.Samples {
+	for _, s := range sm.MediaRate.Samples {
 		if s.At < Nanos(t0)-int64(time.Second) {
 			t.Errorf("rate sample at %d: the bin clock wrapped", s.At)
 		}

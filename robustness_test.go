@@ -329,7 +329,7 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 				t.Errorf("stream %v: %s samples taken before the hostile record changed (%d vs %d)", id, name, len(pair[0]), len(pair[1]))
 			}
 		}
-		for _, s := range got.WireRate.Samples {
+		for _, s := range got.MediaRate.Samples {
 			if s.Time().Year() == 2262 {
 				saturated++
 			}

@@ -33,7 +33,7 @@
 //	})
 //	if err := a.ReadPCAP(f); err != nil { ... }
 //	for _, s := range a.Streams() {
-//		fmt.Println(s.ID.Key, s.Metrics.FramesTotal, s.Metrics.LossStats())
+//		fmt.Println(s.ID.Key, s.Metrics.FramesTotal(), s.Metrics.LossStats())
 //	}
 //	for _, meeting := range a.Meetings() {
 //		fmt.Println(meeting.ID, meeting.Participants())
