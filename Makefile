@@ -259,12 +259,32 @@ loc:
 	@printf 'flow.StreamStats fields: '; $(call STRUCT_FIELDS,StreamStats,internal/flow/flow.go)
 	@printf 'metrics.StreamMetrics fields: '; $(call STRUCT_FIELDS,StreamMetrics,internal/metrics/stream.go)
 	@printf 'append-only logs per stream (metrics.logLens): '; $(call STRUCT_FIELDS,logLens,internal/metrics/stream.go)
+	@printf 'delta backlog caps and overflow flags (target 0): '; $(BACKLOG_CAPS)
+	@printf 'keyed record types declaring their own dirty field (target 0): '; $(DIRTY_RECORDS)
 
 # The fields struct $(1) in file $(2) declares, in order, then how many:
 # every name on a field line, its type and comment dropped.
 STRUCT_FIELDS = awk '/^type $(1) struct {/ {f=1; next} f && /^}/ {exit} \
 	f && /^\t[A-Za-z_]/ {sub(/\/\/.*/, ""); for (i = 1; i < NF; i++) {x = $$i; sub(/,$$/, "", x); printf "%s%s", sep, x; sep = " "; n++}} \
 	END {print " (" n + 0 ")"}' $(2)
+
+# Non-test Go under internal/, the input of the two counts below.
+INTERNAL_GO = $$(find internal -name '*.go' ! -name '*_test.go')
+
+# The bounds a layer once put on its delta backlog because nothing else
+# bounded it: a tombstone cap (const max*Tombstones) or an overflow flag
+# (a bool field named *overflow / *Overflow). Under the change-log rule
+# the backlog is bounded by the table (there were four).
+BACKLOG_CAPS = cat $(INTERNAL_GO) | awk '/^const [A-Za-z]*Tombstones[[:space:]]/ {x = $$2} /^\t[A-Za-z]*[oO]verflow[[:space:]]+bool/ {x = $$1} \
+	x != "" {printf "%s%s", sep, x; sep = " "; n++; x = ""} END {print " (" n + 0 ")"}'
+
+# The record types held in a map by pointer (the keyed collections a
+# delta selects from) whose struct declares a field named dirty: each is
+# a layer tracking changes by hand instead of through its change log.
+DIRTY_RECORDS = cat $(INTERNAL_GO) | awk '/^type [A-Za-z]+ struct {/ {ty = $$2; next} /^}/ {ty = ""} \
+	ty != "" && /^\tdirty[[:space:]]/ {dirty[ty] = 1} \
+	{while (match($$0, /map\[[^]]*\]\*[A-Za-z.]+/)) {m = substr($$0, RSTART, RLENGTH); sub(/.*\*([A-Za-z]+\.)?/, "", m); held[m] = 1; $$0 = substr($$0, RSTART + RLENGTH)}} \
+	END {for (t in dirty) if (t in held) {printf "%s%s", sep, t; sep = " "; n++} print " (" n + 0 ")"}'
 
 # The unreferenced exports (the heuristic described above loc), one name
 # a line. exports-check holds them to exports.allow: every one must be

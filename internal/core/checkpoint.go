@@ -168,7 +168,8 @@ func (p *pipeline) encode(w io.Writer, delta bool) error {
 	hint := 4096
 	for _, sh := range p.shards {
 		if delta {
-			hint += 1024*len(sh.dirtyStreams) + 2048*(len(sh.Finished)-sh.ckFinishedLen+sh.ckHeadDrops)
+			changed, dead := sh.streamLog.Backlog()
+			hint += 1024*changed + 64*dead + 2048*(len(sh.Finished)-sh.ckFinishedLen+sh.ckHeadDrops)
 		} else {
 			hint += 1024*len(sh.StreamMetrics) + 2048*len(sh.Finished)
 		}
@@ -320,8 +321,8 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 }
 
 // code walks the shard's state: counters and maintenance clock whole
-// (cheap), the flow table's own walk, then tombstones and dirty records
-// for the stream metric engines and TCP trackers, and the archive's
+// (cheap), the flow table's own walk, then the change logs' tombstones
+// and records for the stream metric engines and TCP trackers, and the archive's
 // tail. On a decoding error the shard may be partially mutated.
 func (sh *shard) code(c *statecodec.Codec) {
 	c.U64(&sh.ticks)
@@ -346,16 +347,16 @@ func (sh *shard) code(c *statecodec.Codec) {
 
 	sh.Flows.Code(c)
 
-	statecodec.Tombstones(c, flow.StreamIDKey, sh.deadStreams, sh.forgetStreamMetric)
+	statecodec.Tombstones(c, flow.StreamIDKey, &sh.streamLog, sh.forgetStreamMetric)
 	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics,
 		// A stream a delta updates keeps its logs: only their tails follow
 		// (StreamMetrics.Code resets the rest).
 		func(*metrics.StreamMetrics) {},
-		sh.dirtyStreams,
+		&sh.streamLog,
 		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })
 
-	statecodec.Tombstones(c, statecodec.AddrPortKey, sh.deadTCP, func(client netip.AddrPort) { delete(sh.TCP, client) })
-	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil, sh.dirtyTCP,
+	statecodec.Tombstones(c, statecodec.AddrPortKey, &sh.tcpLog, func(client netip.AddrPort) { delete(sh.TCP, client) })
+	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil, &sh.tcpLog,
 		func(_ netip.AddrPort, tr *tcprtt.Tracker) { tr.Code(c) })
 
 	// The archive only ever drops from the head (MaxFinished) and

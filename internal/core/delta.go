@@ -4,10 +4,11 @@ package core
 // engine — linear in total stream count, which at the paper's 12-hour
 // scale means paying for hundreds of thousands of idle streams on every
 // cadence tick. A delta record instead carries only what changed since
-// the previous checkpoint encode: per-layer dirty bits select the
-// records to re-serialize, tombstones carry the deletions, and the
-// bounded cross-flow layers (capture filter, feature windower) ride
-// along whole. Steady-state checkpoint cost therefore scales with churn.
+// the previous checkpoint encode: each keyed collection's change log
+// (statecodec.ChangeLog) selects the records to re-serialize and the
+// deletions to announce, and the bounded cross-flow layers (capture
+// filter, feature windower) ride along whole. Steady-state checkpoint
+// cost therefore scales with churn.
 //
 // Chain discipline: a delta extends the engine state as of the last
 // checkpoint encode (full or delta) and records that state's packet
@@ -20,24 +21,15 @@ package core
 import (
 	"fmt"
 	"io"
-	"net/netip"
 
-	"zoomlens/internal/flow"
 	"zoomlens/internal/statecodec"
 )
 
 // ErrDeltaUnavailable reports that the engine cannot produce a delta
-// record right now — no full checkpoint has armed the chain yet, the
-// eviction backlog outgrew the tombstone cap, or the engine is past
-// Finish. The caller falls back to a full checkpoint.
+// record right now — no full checkpoint has armed the chain yet, a
+// rotation broke the lineage, or the engine is past Finish. The caller
+// falls back to a full checkpoint.
 var ErrDeltaUnavailable = fmt.Errorf("core: delta checkpoint unavailable (write a full checkpoint)")
-
-// maxCoreTombstones bounds each backlog a shard keeps for the next delta
-// — the two tombstone lists and the two dirty lists (an evicted record
-// stays on its dirty list, and so in memory, until the next checkpoint);
-// past it the next delta encode reports unavailable and the caller writes
-// a full checkpoint (which resets them).
-const maxCoreTombstones = 1 << 20
 
 // Discard releases an engine whose delta apply (or restore) failed: a
 // parallel engine that has not finished still owns shard goroutines and
@@ -52,8 +44,8 @@ func Discard(eng Engine) {
 
 // CheckpointDelta writes a delta record covering everything since the
 // last checkpoint encode, or ErrDeltaUnavailable when no chain is armed
-// (no full checkpoint yet, tombstone overflow, a rotation broke the
-// lineage, or the engine has finished) — the caller then writes a full
+// (no full checkpoint yet, a rotation broke the lineage, or the engine
+// has finished) — the caller then writes a full
 // checkpoint instead. A successful encode re-anchors the chain at the
 // current state.
 func (p *pipeline) CheckpointDelta(w io.Writer) error {
@@ -82,68 +74,22 @@ func (p *pipeline) ApplyDelta(rd io.Reader) error {
 // disarms the chain, and a checkpoint restored from a finished engine
 // arrives finished, so either way a finished engine reports unavailable
 // (the driver's shutdown checkpoint is a full one anyway).
-func (p *pipeline) deltaReady() bool {
-	ready := p.chainArmed && !p.finished
-	for _, sh := range p.shards {
-		ready = ready && !sh.deltaOverflow && !sh.Flows.DeltaOverflow()
-	}
-	return ready
-}
+func (p *pipeline) deltaReady() bool { return p.chainArmed && !p.finished }
 
 // markCheckpointed re-anchors the chain after any checkpoint encode,
 // restore, or delta apply: the current state is now fully captured, so
-// every layer's dirty lists — and through them the dirty bits — and
-// tombstones clear and tracking arms. It visits what changed since the
-// last checkpoint and nothing else.
+// every layer's change logs empty and arm. It visits what changed since
+// the last checkpoint and nothing else.
 func (p *pipeline) markCheckpointed() {
 	p.Dedup.MarkCheckpointed()
 	p.Copies.MarkCheckpointed()
 	for _, sh := range p.shards {
 		sh.Flows.MarkCheckpointed()
-		for _, e := range sh.dirtyStreams {
-			e.V.ClearDirty()
-		}
-		for _, e := range sh.dirtyTCP {
-			e.V.ClearDirty()
-		}
-		// Cleared, not just cut: a listed record evicted since is otherwise
-		// held by the list's spare capacity.
-		clear(sh.dirtyStreams)
-		clear(sh.dirtyTCP)
-		sh.dirtyStreams, sh.dirtyTCP = sh.dirtyStreams[:0], sh.dirtyTCP[:0]
-		sh.deadStreams = sh.deadStreams[:0]
-		sh.deadTCP = sh.deadTCP[:0]
-		sh.deltaOverflow = false
+		sh.streamLog.MarkCheckpointed()
+		sh.tcpLog.MarkCheckpointed()
 		sh.ckFinishedLen = len(sh.Finished)
 		sh.ckHeadDrops = 0
-		sh.deltaArmed = true
 	}
 	p.ckPackets = p.Packets
 	p.chainArmed = true
-}
-
-// recording reports whether a tracking list n entries long takes
-// another: the shard is armed and no list has outgrown the bound. Past
-// it the shard stops recording until a full checkpoint starts over.
-func (sh *shard) recording(n int) bool {
-	if !sh.deltaArmed || sh.deltaOverflow {
-		return false
-	}
-	if n >= maxCoreTombstones {
-		sh.deltaOverflow = true
-		return false
-	}
-	return true
-}
-
-func (sh *shard) tombstoneStreamMetric(id flow.MediaStreamID) {
-	if sh.recording(len(sh.deadStreams)) {
-		sh.deadStreams = append(sh.deadStreams, id)
-	}
-}
-
-func (sh *shard) tombstoneTCP(client netip.AddrPort) {
-	if sh.recording(len(sh.deadTCP)) {
-		sh.deadTCP = append(sh.deadTCP, client)
-	}
 }

@@ -3,15 +3,20 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
+	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
+	"zoomlens/internal/meeting"
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/statecodec"
 	"zoomlens/internal/trace"
+	"zoomlens/internal/zoom"
 )
 
 // checkpointBytes encodes a full checkpoint and fails the test on error.
@@ -749,5 +754,155 @@ func TestCheckpointWriterContract(t *testing.T) {
 	}
 	if !bytes.Equal(enc.Bytes(), delta.Bytes()) {
 		t.Errorf("delta appended to a statecodec.Writer differs from the one written (%d vs %d bytes)", enc.Len(), delta.Len())
+	}
+}
+
+// TestDeltaBacklogBoundedByTable churns each keyed collection a delta
+// selects from — the flow table's flows and streams, a shard's stream
+// engines and TCP trackers, the copy matcher's streams — through six
+// generations of records between two checkpoints: each round brings a
+// generation in and evicts the one before, so the collection holds one
+// generation while five times that many records pass through it. After
+// every round the change list may hold no more than the live records and
+// the tombstones no more than the base's, and at the end the tombstones
+// are exactly the base's records: the ones born and evicted in between
+// leave none. The full record from the first checkpoint plus the delta
+// from the second, applied to a replica, must re-encode to the live
+// layer's own full record.
+func TestDeltaBacklogBoundedByTable(t *testing.T) {
+	const n, rounds = 64, 5
+	at := func(r int) time.Time { return layerT0.Add(time.Duration(r) * 10 * time.Second) }
+	type layer struct {
+		round   func(r int) // generation r in, generation r-1 out
+		live    func() int
+		backlog func() (changed, dead int)
+		// full and delta encode a record and re-anchor; replica rebuilds a
+		// layer from both and returns its full record, then live's.
+		full, delta func() []byte
+		replica     func(full, delta []byte) (got, want []byte)
+	}
+	codecLayer := func(l interface {
+		coder
+		MarkCheckpointed()
+	}, fresh func() coder) (full, delta func() []byte, replica func(full, delta []byte) (got, want []byte)) {
+		enc := func(full bool) func() []byte {
+			return func() []byte {
+				b := bytes.Clone(layerRecord(l, full))
+				l.MarkCheckpointed()
+				return b
+			}
+		}
+		return enc(true), enc(false), func(full, delta []byte) (got, want []byte) {
+			r := fresh()
+			if err := layerApply(r, full); err != nil {
+				t.Fatalf("full record onto a fresh layer: %v", err)
+			}
+			r.(interface{ MarkCheckpointed() }).MarkCheckpointed()
+			if err := layerApply(r, delta); err != nil {
+				t.Fatalf("delta onto its base: %v", err)
+			}
+			return layerRecord(r, true), layerRecord(l, true)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		fresh func() layer
+	}{
+		{"flow.Table", func() layer {
+			tbl := flow.NewTable()
+			l := layer{
+				round: func(r int) {
+					for i := range n {
+						ft := layerTuple(byte(i))
+						ft.SrcPort = uint16(10000 + r)
+						tbl.Observe(&flow.Record{Time: at(r), Flow: ft, WireLen: 100, Z: videoPacket(uint32(i), uint16(r), 1)})
+					}
+					tbl.EvictIdle(at(r).Add(-time.Second))
+				},
+				live:    func() int { tot := tbl.Totals(); return tot.Flows + tot.Streams },
+				backlog: tbl.Backlog,
+			}
+			l.full, l.delta, l.replica = codecLayer(tbl, func() coder { return flow.NewTable() })
+			return l
+		}},
+		{"metrics.CopyMatcher", func() layer {
+			cm := metrics.NewCopyMatcher()
+			l := layer{
+				// 64 observations on each of 64 streams: the matcher's ageing
+				// sweep, once every 4,096 observations, runs at each round's
+				// last one and drops the generation before, idle 10 s.
+				round: func(r int) {
+					for seq := range n {
+						for i := range n {
+							cm.Observe(meeting.UnifiedID(1+r*n+i), layerTuple(byte(i)), 98, uint16(seq), uint32(seq), at(r))
+						}
+					}
+				},
+				live:    func() int { return n },
+				backlog: cm.Backlog,
+			}
+			l.full, l.delta, l.replica = codecLayer(cm, func() coder { return metrics.NewCopyMatcher() })
+			return l
+		}},
+		{"shard", func() layer {
+			cfg := Config{ZoomNetworks: []netip.Prefix{netip.MustParsePrefix("52.81.0.0/16")}, CampusNetworks: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")}}
+			a := NewAnalyzer(cfg)
+			rng := rand.New(rand.NewSource(1))
+			sfu := netip.MustParseAddrPort("52.81.3.4:8801")
+			return layer{
+				round: func(r int) {
+					for i := range n {
+						client := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 8, byte(r), byte(i)}), 52000)
+						a.Packet(at(r), zoomAudioFrame(rng, client, sfu, uint32(r*n+i), zoom.PTAudioSpeak))
+						a.Packet(at(r), new(layers.Builder).BuildTCP(client, netip.AddrPortFrom(sfu.Addr(), 443), 64, 1, 0, layers.TCPSyn, 65535, nil))
+					}
+					a.EvictIdle(at(r).Add(-time.Second))
+				},
+				live: func() int { return len(a.StreamMetrics) + len(a.TCP) },
+				backlog: func() (changed, dead int) {
+					sc, sd := a.streamLog.Backlog()
+					tc, td := a.tcpLog.Backlog()
+					return sc + tc, sd + td
+				},
+				full: func() []byte { return bytes.Clone(checkpointBytes(t, a)) },
+				delta: func() []byte {
+					var buf bytes.Buffer
+					if err := a.CheckpointDelta(&buf); err != nil {
+						t.Fatalf("delta: %v", err)
+					}
+					return buf.Bytes()
+				},
+				replica: func(full, delta []byte) (got, want []byte) {
+					r, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+					if err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+					if err := r.ApplyDelta(bytes.NewReader(delta)); err != nil {
+						t.Fatalf("delta onto its base: %v", err)
+					}
+					return checkpointBytes(t, r), checkpointBytes(t, a)
+				},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tc.fresh()
+			l.round(0)
+			base := l.live()
+			full := l.full()
+			for r := 1; r <= rounds; r++ {
+				l.round(r)
+				changed, dead := l.backlog()
+				if live := l.live(); changed > live || dead > base {
+					t.Fatalf("round %d: %d listed of %d live records, %d tombstones of %d base records", r, changed, live, dead, base)
+				}
+			}
+			if _, dead := l.backlog(); dead != base {
+				t.Errorf("%d tombstones after the base's %d records were all evicted: want exactly those", dead, base)
+			}
+			if got, want := l.replica(full, l.delta()); !bytes.Equal(got, want) {
+				t.Errorf("full + delta onto a replica re-encodes to %d bytes, the live layer's full record is %d", len(got), len(want))
+			}
+		})
 	}
 }

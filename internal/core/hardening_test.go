@@ -229,6 +229,29 @@ func zoomAudioFrame(rng *rand.Rand, src, dst netip.AddrPort, ssrc uint32, pt uin
 	return layers.EthernetIPv4UDP(src, dst, 64, payload)
 }
 
+// TestQuarantineRingKeepsNewest: a ring of two fed three frames keeps the
+// last two, oldest first and byte for byte, and counts the one it shed.
+// Add copies: the caller's buffer is reused between the calls.
+func TestQuarantineRingKeepsNewest(t *testing.T) {
+	q := NewQuarantine(2)
+	t0 := time.Date(2022, 5, 5, 10, 0, 0, 0, time.UTC)
+	buf := make([]byte, 0, 8)
+	want := [][]byte{{1}, {2, 2}, {3, 3, 3}}
+	for i, f := range want {
+		buf = append(buf[:0], f...)
+		q.Add(t0.Add(time.Duration(i)*time.Second), buf, "panic")
+	}
+	got := q.Frames()
+	if len(got) != 2 || q.Total() != 3 || q.Dropped() != 1 {
+		t.Fatalf("%d frames kept, %d total, %d dropped; want 2, 3, 1", len(got), q.Total(), q.Dropped())
+	}
+	for i, f := range got {
+		if w := want[i+1]; !bytes.Equal(f.Frame, w) || !f.Time.Equal(t0.Add(time.Duration(i+1)*time.Second)) || f.Reason != "panic" {
+			t.Errorf("frame %d = %v at %v (%q), want %v at %v", i, f.Frame, f.Time, f.Reason, w, t0.Add(time.Duration(i+1)*time.Second))
+		}
+	}
+}
+
 // TestFloodHoldsCaps feeds one million adversarial packets — valid Zoom
 // media packets from fresh random flows and SSRCs, TCP SYNs from fresh
 // endpoints toward the Zoom prefix, and one long-lived stream cycling

@@ -218,7 +218,7 @@ var layerCases = []struct {
 				sm.Observe(layerT0.Add(time.Duration(phase)*time.Second), 120, &zp.Media, &zp.RTP)
 			}
 		},
-		mark: func(l coder) { l.(*metrics.StreamMetrics).ClearDirty() },
+		mark: func(coder) {}, // step's MarkDirty re-anchors the baselines
 		two: func() coder {
 			sm := metrics.NewStreamMetrics(zoom.TypeVideo)
 			for _, seq := range []uint16{39000, 40000, 40001} {
@@ -379,9 +379,13 @@ func TestDeltaRejectsEditedLogBaseline(t *testing.T) {
 	}
 	// A video stream the delta will carry, with history behind each log
 	// that has a tail, so every edited baseline is a real position.
+	listed := make(map[*metrics.StreamMetrics]bool)
+	for _, e := range live.streamLog.Changed() {
+		listed[e.V] = true
+	}
 	var streamRec []byte
 	for _, seg := range live.Streams() { // in ID order: the same stream every run
-		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && sm.Dirty() && len(sm.Frames()) > 40 && len(sm.MediaRate.Samples) > 2 {
+		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && listed[sm] && len(sm.Frames()) > 40 && len(sm.MediaRate.Samples) > 2 {
 			streamRec = bytes.Clone(layerRecord(sm, false))
 			break
 		}

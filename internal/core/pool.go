@@ -3,20 +3,16 @@ package core
 import "sync"
 
 // framePool is the one pool behind every transient frame copy the
-// package makes: shard batches bound for a shard, the cut markers queued
-// behind them, and quarantine forensic copies all draw *pbatch values
-// from it and return them when drained. One pool instead of one per
-// consumer means a burst in any path (a quarantine storm, a deep shard
-// backlog) reuses buffers warmed by the others rather than growing its
-// own.
+// package makes: shard batches bound for a shard and the cut markers
+// queued behind them draw *pbatch values from it and return them when
+// drained.
 var framePool = sync.Pool{New: func() any { return new(pbatch) }}
 
 // A pooled batch normally holds at most shardBatchSize frames; the caps
 // below bound what a pooled batch may retain. A batch that grew past
-// them (a burst of jumbo frames, a quarantine copy of a pathological
-// capture) drops its buffer on put instead of pinning the high-water
-// mark in the pool forever — that retention is what once held workers-4
-// at ~1.6x the sequential bytes/packet.
+// them (a burst of jumbo frames) drops its buffer on put instead of
+// pinning the high-water mark in the pool forever — that retention is
+// what once held workers-4 at ~1.6x the sequential bytes/packet.
 const (
 	maxPooledBatchData  = shardBatchSize * 2048 // 512 KiB of frame bytes
 	maxPooledBatchItems = 4 * shardBatchSize

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"io"
 	"sync"
 	"time"
@@ -31,11 +32,6 @@ type QuarantinedFrame struct {
 	Time   time.Time
 	Reason string
 	Frame  []byte
-
-	// buf backs Frame while the entry sits in the ring; it is drawn from
-	// the package framePool and recycled when the slot is overwritten.
-	// Entries returned by Frames carry a fresh copy and a nil buf.
-	buf *pbatch
 }
 
 // DefaultQuarantineCapacity bounds the forensic ring when the caller
@@ -52,12 +48,11 @@ func NewQuarantine(capacity int) *Quarantine {
 	return &Quarantine{cap: capacity}
 }
 
-// Add deposits one frame. The frame bytes are copied into a pooled
-// buffer; callers may reuse their buffer.
+// Add deposits one frame. The frame bytes are copied; callers may reuse
+// their buffer. This is the panic path, not the packet path, so the copy
+// is a plain allocation.
 func (q *Quarantine) Add(at time.Time, frame []byte, reason string) {
-	b := getBatch()
-	b.data = append(b.data, frame...)
-	qf := QuarantinedFrame{Time: at, Reason: reason, Frame: b.data, buf: b}
+	qf := QuarantinedFrame{Time: at, Reason: reason, Frame: bytes.Clone(frame)}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.total++
@@ -65,9 +60,6 @@ func (q *Quarantine) Add(at time.Time, frame []byte, reason string) {
 		q.frames = append(q.frames, qf)
 		q.next = len(q.frames) % q.cap
 		return
-	}
-	if old := q.frames[q.next].buf; old != nil {
-		putBatch(old)
 	}
 	q.dropped++
 	q.frames[q.next] = qf
@@ -91,26 +83,18 @@ func (q *Quarantine) Dropped() uint64 {
 	return q.dropped
 }
 
-// Frames returns the retained frames, oldest first. Frame bytes are
-// fresh copies owned by the caller: the ring's own storage is pooled
-// and recycled as newer offenders overwrite old slots.
+// Frames returns the retained frames, oldest first. The frame bytes are
+// the ring's own copies, which nothing writes once deposited: read them,
+// do not modify them.
 func (q *Quarantine) Frames() []QuarantinedFrame {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]QuarantinedFrame, 0, len(q.frames))
 	if len(q.frames) < q.cap {
-		out = append(out, q.frames...)
-	} else {
-		out = append(out, q.frames[q.next:]...)
-		out = append(out, q.frames[:q.next]...)
+		return append(out, q.frames...)
 	}
-	for i := range out {
-		cp := make([]byte, len(out[i].Frame))
-		copy(cp, out[i].Frame)
-		out[i].Frame = cp
-		out[i].buf = nil
-	}
-	return out
+	out = append(out, q.frames[q.next:]...)
+	return append(out, q.frames[:q.next]...)
 }
 
 // WritePCAP flushes the retained frames, oldest first, as a classic

@@ -138,7 +138,7 @@ type shardState struct {
 	StreamMetrics map[flow.MediaStreamID]*metrics.StreamMetrics
 	// TCP holds one RTT tracker per Zoom control connection, keyed by
 	// the client-side endpoint. A tracker keeps its own last-seen time
-	// (idle eviction) and dirty bit (delta checkpoints).
+	// (idle eviction).
 	TCP map[netip.AddrPort]*tcprtt.Tracker
 	// Finished holds the streams EvictIdle archived.
 	Finished []FinishedStream
@@ -149,20 +149,13 @@ type shardState struct {
 	// (see tick).
 	ticks uint64
 
-	// Delta-checkpoint tracking (see delta.go). deltaArmed turns it on; it
-	// is set by the first checkpoint encode, so runs that never checkpoint
-	// pay a compare per packet. A metric engine or tracker is marked dirty
-	// exactly when it is put on its dirty list, so clearing through the
-	// lists clears every bit. The archive is append-plus-head-drop only, so
-	// a delta carries the baseline length (ckFinishedLen), how many
-	// baseline entries were since dropped (ckHeadDrops), and the appended
-	// tail.
-	deltaArmed    bool
-	deltaOverflow bool
-	deadTCP       []netip.AddrPort
-	deadStreams   []flow.MediaStreamID
-	dirtyTCP      statecodec.Entries[netip.AddrPort, tcprtt.Tracker]
-	dirtyStreams  statecodec.Entries[flow.MediaStreamID, metrics.StreamMetrics]
+	// Delta-checkpoint tracking (see delta.go): the change logs of the
+	// metric engines and the trackers. The archive is append-plus-head-drop
+	// only, so a delta carries the baseline length (ckFinishedLen), how
+	// many baseline entries were since dropped (ckHeadDrops), and the
+	// appended tail.
+	streamLog     statecodec.ChangeLog[flow.MediaStreamID, metrics.StreamMetrics]
+	tcpLog        statecodec.ChangeLog[netip.AddrPort, tcprtt.Tracker]
 	ckFinishedLen int
 	ckHeadDrops   int
 }
@@ -249,13 +242,10 @@ func (sh *shard) observeTCP(at time.Time, pkt *layers.Packet) {
 			sh.RejectedTCPPackets++
 			return
 		}
-		tr = tcprtt.NewTracker()
+		tr = &tcprtt.Tracker{Mark: sh.tcpLog.NewMark()}
 		sh.TCP[client] = tr
 	}
-	if sh.deltaArmed && !tr.Dirty() && sh.recording(len(sh.dirtyTCP)) {
-		tr.MarkDirty()
-		sh.dirtyTCP = append(sh.dirtyTCP, statecodec.Entry[netip.AddrPort, *tcprtt.Tracker]{K: client, V: tr})
-	}
+	sh.tcpLog.Touch(&tr.Mark, &client, tr)
 	tr.Observe(at, fromClient, &pkt.TCP, len(pkt.Payload))
 }
 
@@ -328,6 +318,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		own = new(streamOwner)
 		if own.sm = sh.StreamMetrics[st.ID]; own.sm == nil {
 			own.sm = metrics.NewStreamMetrics(zp.Media.Type)
+			own.sm.Mark = sh.streamLog.NewMark()
 			sh.StreamMetrics[st.ID] = own.sm
 		}
 		st.Owner = own
@@ -340,11 +331,10 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	o.dedup = &own.dedup
 	sh.sink(o)
 
-	// Marked before the packet lands: the first mark after a checkpoint
+	// Listed before the packet lands: the first touch after a checkpoint
 	// notes where the stream's logs stood at it.
-	if sh.deltaArmed && !own.sm.Dirty() && sh.recording(len(sh.dirtyStreams)) {
+	if sh.streamLog.Touch(&own.sm.Mark, &st.ID, own.sm) {
 		own.sm.MarkDirty()
-		sh.dirtyStreams = append(sh.dirtyStreams, statecodec.Entry[flow.MediaStreamID, *metrics.StreamMetrics]{K: st.ID, V: own.sm})
 	}
 	own.sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
 }
@@ -417,13 +407,12 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 		drop := len(sh.Finished) - sh.lim.MaxFinished + 1
 		sh.FinishedDropped += uint64(drop)
 		sh.Finished = append(sh.Finished[:0], sh.Finished[drop:]...)
-		if sh.deltaArmed {
-			// Account head drops against the checkpoint baseline first;
-			// drops past it consumed entries appended since the last
-			// checkpoint, which simply never reach a delta.
-			if eat := min(drop, sh.ckFinishedLen-sh.ckHeadDrops); eat > 0 {
-				sh.ckHeadDrops += eat
-			}
+		// Account head drops against the checkpoint baseline first; drops
+		// past it consumed entries appended since the last checkpoint,
+		// which simply never reach a delta. (Before the first checkpoint
+		// the baseline is empty.)
+		if eat := min(drop, sh.ckFinishedLen-sh.ckHeadDrops); eat > 0 {
+			sh.ckHeadDrops += eat
 		}
 	}
 	sh.Finished = append(sh.Finished, f)
@@ -459,7 +448,7 @@ func (sh *shard) EvictIdle(cutoff time.Time) {
 		f.Metrics.Finish()
 		sh.archiveFinished(f)
 		sh.forgetStreamMetric(f.ID)
-		sh.tombstoneStreamMetric(f.ID)
+		sh.streamLog.Drop(&f.Metrics.Mark, f.ID)
 	}
 	sh.Flows.EvictIdle(cutoff)
 	for client, tr := range sh.TCP {
@@ -467,7 +456,7 @@ func (sh *shard) EvictIdle(cutoff time.Time) {
 			continue
 		}
 		delete(sh.TCP, client)
-		sh.tombstoneTCP(client)
+		sh.tcpLog.Drop(&tr.Mark, client)
 		sh.EvictedTCP++
 	}
 }
@@ -485,13 +474,13 @@ func mergeShards(cfg Config, parts []*shard) *shard {
 	for _, p := range parts {
 		m.shardCounters.add(&p.shardCounters)
 		m.Flows.Absorb(p.Flows)
-		// Adopted records are on none of the merged shard's dirty lists.
+		// Adopted records are on none of the merged shard's lists.
 		for id, sm := range p.StreamMetrics {
-			sm.ClearDirty()
+			sm.Mark = statecodec.Mark{}
 			m.StreamMetrics[id] = sm
 		}
 		for client, tr := range p.TCP {
-			tr.ClearDirty()
+			tr.Mark = statecodec.Mark{}
 			m.TCP[client] = tr
 		}
 		m.Finished = append(m.Finished, p.Finished...)

@@ -226,7 +226,7 @@ func (c *Checkpointer) start(eng core.Engine, full bool) error {
 	if !full {
 		switch err := eng.CheckpointDelta(&c.buf); {
 		case errors.Is(err, core.ErrDeltaUnavailable):
-			full = true // chain not armed, backlog overflow, or a rotation broke the lineage
+			full = true // chain not armed, a rotation broke the lineage, or the engine finished
 		case err != nil:
 			c.metrics.Failed.Inc()
 			return err
@@ -294,8 +294,8 @@ func (c *Checkpointer) Wait() error {
 func (c *Checkpointer) StartFull(eng core.Engine) error { return c.start(eng, true) }
 
 // StartDelta is StartFull for an incremental record extending the chain.
-// When the engine cannot produce one (chain not armed, backlog overflow,
-// or a rotation broke the lineage) — or an earlier write failed, which
+// When the engine cannot produce one (chain not armed, a rotation broke
+// the lineage, or the engine finished) — or an earlier write failed, which
 // de-synchronizes the on-disk chain from the engine's in-memory anchor —
 // the record is a full snapshot instead, which re-anchors both.
 func (c *Checkpointer) StartDelta(eng core.Engine) error { return c.start(eng, false) }

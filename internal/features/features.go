@@ -33,6 +33,7 @@ import (
 
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/qos"
 	"zoomlens/internal/zoom"
 )
@@ -112,9 +113,11 @@ func (r Row) WireKbps() float64 {
 
 // windowIndex floors t onto the absolute window grid: index i covers
 // [i*window, (i+1)*window) on the Unix timeline. A timestamp exactly on
-// an edge belongs to the window it opens.
+// an edge belongs to the window it opens; one outside the int64
+// nanosecond span saturates to its edge (metrics.Nanos) instead of
+// wrapping onto another window.
 func windowIndex(t time.Time, window time.Duration) int64 {
-	return t.UnixNano() / int64(window)
+	return metrics.Nanos(t) / int64(window)
 }
 
 // Label is a coarse quality label for supervised training.

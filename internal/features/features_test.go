@@ -473,3 +473,59 @@ func TestWindowerIdleEviction(t *testing.T) {
 		t.Fatalf("idle stream not evicted: %d streams live", len(w.streams))
 	}
 }
+
+// TestWindowerHostileClock runs the windower under five capture clocks:
+// monotone, a duplicate stamp, a step 1 s back, one 1 year ahead and one
+// to the year 3000. The odd packet, marked by its size, goes after the
+// 21st packet and again after the last. Every packet fed lands in exactly
+// one row — but the year-3000 ones, which the nanosecond grid cannot hold:
+// they land in none, and the rows are the clean capture's. (They once
+// wrapped round to a 2022 window and were folded into its row.)
+func TestWindowerHostileClock(t *testing.T) {
+	const oddLen = 1234
+	clean := steadyObs(5*time.Second, testFlow(50000), 42)
+	want := batchRows(clean, time.Second)
+	for _, clock := range []struct {
+		name string
+		odd  func(prev time.Time) time.Time
+	}{
+		{"monotone", func(prev time.Time) time.Time { return prev.Add(10 * time.Millisecond) }},
+		{"duplicate", func(prev time.Time) time.Time { return prev }},
+		{"1 s backward", func(prev time.Time) time.Time { return prev.Add(-time.Second) }},
+		{"1 year forward", func(prev time.Time) time.Time { return prev.AddDate(1, 0, 0) }},
+		{"year 3000", func(time.Time) time.Time { return time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC) }},
+	} {
+		t.Run(clock.name, func(t *testing.T) {
+			var obs []Obs
+			for i, o := range clean {
+				obs = append(obs, o)
+				if i == 20 || i == len(clean)-1 {
+					o.At, o.WireLen = clock.odd(o.At), oddLen
+					obs = append(obs, o)
+				}
+			}
+			rows := batchRows(obs, time.Second)
+			var pkts uint64
+			for _, r := range rows {
+				pkts += r.Packets
+				if r.Start.Year() > 2262 || r.Start.UnixNano()%int64(time.Second) != 0 {
+					t.Errorf("row starts at %v, off the grid", r.Start)
+				}
+			}
+			if clock.name != "year 3000" {
+				if pkts != uint64(len(obs)) {
+					t.Errorf("rows hold %d packets, %d were fed", pkts, len(obs))
+				}
+				return
+			}
+			for _, r := range rows {
+				if r.SizeMaxB == oddLen {
+					t.Errorf("row at %v holds %d packets, year-3000 ones among them", r.Start, r.Packets)
+				}
+			}
+			if !reflect.DeepEqual(rows, want) {
+				t.Errorf("rows differ from the clean capture's: %d rows, %d packets (clean: %d rows)", len(rows), pkts, len(want))
+			}
+		})
+	}
+}

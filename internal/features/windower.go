@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"zoomlens/internal/flow"
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/zoom"
 )
 
@@ -125,13 +126,20 @@ func (w *Windower) Window() time.Duration { return w.window }
 
 // Observe feeds one media observation. Observations must arrive in
 // global capture order (the order the analyzer's reconciliation path
-// produces).
+// produces). One stamped outside the grid's span, the int64 Unix
+// nanoseconds of years 1678–2262, has no window: it is skipped. Clamped
+// to the span's edge it would open the edge window, and by the clock
+// rule above every later packet would fold into that one row.
 func (w *Windower) Observe(o Obs) {
+	ns := metrics.Nanos(o.At)
+	if ns == math.MaxInt64 || ns == math.MinInt64 {
+		return
+	}
 	if o.At.After(w.clock) || !w.started {
 		if !w.started {
 			w.setWindow(windowIndex(o.At, w.window))
 			w.started = true
-		} else if o.At.UnixNano() >= w.curEndNs {
+		} else if ns >= w.curEndNs {
 			w.closeOpen()
 			w.setWindow(windowIndex(o.At, w.window))
 		}

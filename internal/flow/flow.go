@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -76,9 +77,8 @@ type StreamStats struct {
 	// record carries it: a decoded or absorbed record has none.
 	Owner any
 
-	// dirty marks the record as mutated since the last checkpoint encode
-	// (delta checkpoints re-serialize only dirty records).
-	dirty bool
+	// mark is the record's entry in the table's stream change log.
+	mark statecodec.Mark
 }
 
 // smallList is the capacity a record's substream or encapsulation-type
@@ -131,8 +131,8 @@ type FlowStats struct {
 	// 8-byte key keeps the lookup on the runtime's fast path.
 	streams map[uint64]*StreamStats
 
-	// dirty marks the record as mutated since the last checkpoint encode.
-	dirty bool
+	// mark is the record's entry in the table's flow change log.
+	mark statecodec.Mark
 }
 
 // packKey packs a stream key into the flow's index key, in an order that
@@ -215,17 +215,10 @@ type Table struct {
 	evictedEncap map[zoom.MediaType]*shareAgg
 	evictedPT    map[ptKey]*shareAgg
 
-	// Delta-checkpoint tracking (see state.go). armed turns it on; it is
-	// set by the first checkpoint encode, so runs that never checkpoint
-	// pay a compare per packet. A record's dirty bit is set exactly when
-	// the record is put on its dirty list, so clearing through the lists
-	// clears every bit.
-	armed        bool
-	overflow     bool
-	deadFlows    []layers.FiveTuple
-	deadStreams  []MediaStreamID
-	dirtyFlows   dirtyFlows
-	dirtyStreams []*StreamStats
+	// Delta-checkpoint tracking (see state.go): what changed since the
+	// last checkpoint, and what of it was evicted.
+	flowLog   statecodec.ChangeLog[layers.FiveTuple, FlowStats]
+	streamLog statecodec.ChangeLog[MediaStreamID, StreamStats]
 }
 
 // NewTable returns an empty table.
@@ -254,13 +247,11 @@ func (t *Table) Observe(r *Record) *StreamStats {
 			t.ev.RejectedFlowPackets++
 			return nil
 		}
-		f = &FlowStats{Flow: r.Flow, FirstSeen: r.Time}
+		f = &FlowStats{Flow: r.Flow, FirstSeen: r.Time, mark: t.flowLog.NewMark()}
 		t.flows[r.Flow] = f
 	}
 	f.LastSeen = r.Time
-	if t.armed && !f.dirty {
-		t.markFlow(f)
-	}
+	t.flowLog.Touch(&f.mark, &f.Flow, f)
 	f.Packets++
 	f.WireBytes += uint64(r.WireLen)
 	f.encap(r.Z.Media.Type).Packets++
@@ -282,9 +273,7 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		ssrc := r.Z.RTCP.SenderReports[0].SSRC
 		if s := f.findStreamBySSRC(ssrc, r.Proto); s != nil {
 			s.LastSeen = r.Time
-			if t.armed && !s.dirty {
-				t.markStream(s)
-			}
+			t.streamLog.Touch(&s.mark, &s.ID, s)
 			return s
 		}
 		return nil
@@ -298,14 +287,12 @@ func (t *Table) Observe(r *Record) *StreamStats {
 			t.ev.RejectedStreamPackets++
 			return nil
 		}
-		s = &StreamStats{ID: MediaStreamID{Flow: r.Flow, Key: key}, FirstSeen: r.Time}
+		s = &StreamStats{ID: MediaStreamID{Flow: r.Flow, Key: key}, FirstSeen: r.Time, mark: t.streamLog.NewMark()}
 		f.addStream(s)
 		t.streams++
 	}
 	s.LastSeen = r.Time
-	if t.armed && !s.dirty {
-		t.markStream(s)
-	}
+	t.streamLog.Touch(&s.mark, &s.ID, s)
 	s.Packets++
 	s.WireBytes += uint64(r.WireLen)
 	sub := s.Substream(r.Z.RTP.PayloadType)
@@ -346,7 +333,7 @@ func (t *Table) EvictIdle(cutoff time.Time) (flows, streams int) {
 			t.foldStream(s)
 			delete(f.streams, pk)
 			t.streams--
-			t.tombstoneStream(s.ID)
+			t.streamLog.Drop(&s.mark, s.ID)
 			t.ev.EvictedStreams++
 			streams++
 		}
@@ -355,7 +342,7 @@ func (t *Table) EvictIdle(cutoff time.Time) (flows, streams int) {
 		}
 		t.foldFlow(f)
 		delete(t.flows, k)
-		t.tombstoneFlow(k)
+		t.flowLog.Drop(&f.mark, k)
 		t.ev.EvictedFlows++
 		flows++
 	}
@@ -498,9 +485,9 @@ func (t *Table) Absorb(src *Table) {
 	}
 	for k, f := range src.flows {
 		// An adopted record is on none of this table's lists.
-		f.dirty = false
+		f.mark = statecodec.Mark{}
 		for _, s := range f.streams {
-			s.Owner, s.dirty = nil, false
+			s.Owner, s.mark = nil, statecodec.Mark{}
 		}
 		dst := t.flows[k]
 		if dst == nil {

@@ -38,9 +38,8 @@ type oracleStream struct {
 	// record carries it: a decoded or absorbed record has none.
 	Owner any
 
-	// dirty marks the record as mutated since the last checkpoint encode
-	// (delta checkpoints re-serialize only dirty records).
-	dirty bool
+	// mark is the record's entry in the table's stream change log.
+	mark statecodec.Mark
 }
 
 // oracleFlow is the per-5-tuple accounting record.
@@ -56,8 +55,8 @@ type oracleFlow struct {
 	// (Table 2).
 	ByEncapType map[zoom.MediaType]uint64
 
-	// dirty marks the record as mutated since the last checkpoint encode.
-	dirty bool
+	// mark is the record's entry in the table's flow change log.
+	mark statecodec.Mark
 }
 
 // oracleTable demultiplexes records into flows and streams.
@@ -76,13 +75,9 @@ type oracleTable struct {
 	evictedEncap map[zoom.MediaType]*shareAgg
 	evictedPT    map[ptKey]*shareAgg
 
-	// Delta-checkpoint tracking (see delta.go). armed turns on deletion
-	// tombstones; it is set by the first checkpoint encode, so runs that
-	// never checkpoint pay nothing.
-	armed       bool
-	overflow    bool
-	deadFlows   []layers.FiveTuple
-	deadStreams []MediaStreamID
+	// Delta-checkpoint tracking, under the Table's rule.
+	flowLog   statecodec.ChangeLog[layers.FiveTuple, oracleFlow]
+	streamLog statecodec.ChangeLog[MediaStreamID, oracleStream]
 }
 
 // newOracleTable returns an empty table.
@@ -114,11 +109,11 @@ func (t *oracleTable) Observe(r *Record) *oracleStream {
 			t.ev.RejectedFlowPackets++
 			return nil
 		}
-		f = &oracleFlow{Flow: r.Flow, FirstSeen: r.Time, ByEncapType: make(map[zoom.MediaType]uint64)}
+		f = &oracleFlow{Flow: r.Flow, FirstSeen: r.Time, ByEncapType: make(map[zoom.MediaType]uint64), mark: t.flowLog.NewMark()}
 		t.flows[r.Flow] = f
 	}
 	f.LastSeen = r.Time
-	f.dirty = true
+	t.flowLog.Touch(&f.mark, &f.Flow, f)
 	f.Packets++
 	f.WireBytes += uint64(r.WireLen)
 	f.ByEncapType[r.Z.Media.Type]++
@@ -140,7 +135,7 @@ func (t *oracleTable) Observe(r *Record) *oracleStream {
 		ssrc := r.Z.RTCP.SenderReports[0].SSRC
 		if s := t.findStreamBySSRC(r.Flow, ssrc, r.Proto); s != nil {
 			s.LastSeen = r.Time
-			s.dirty = true
+			t.streamLog.Touch(&s.mark, &s.ID, s)
 			return s
 		}
 		return nil
@@ -155,11 +150,11 @@ func (t *oracleTable) Observe(r *Record) *oracleStream {
 			t.ev.RejectedStreamPackets++
 			return nil
 		}
-		s = &oracleStream{ID: id, FirstSeen: r.Time, Substreams: make(map[uint8]*oracleSubstream)}
+		s = &oracleStream{ID: id, FirstSeen: r.Time, Substreams: make(map[uint8]*oracleSubstream), mark: t.streamLog.NewMark()}
 		t.streams[id] = s
 	}
 	s.LastSeen = r.Time
-	s.dirty = true
+	t.streamLog.Touch(&s.mark, &s.ID, s)
 	s.Packets++
 	s.WireBytes += uint64(r.WireLen)
 	sub := s.Substreams[r.Z.RTP.PayloadType]
@@ -189,7 +184,7 @@ func (t *oracleTable) EvictIdle(cutoff time.Time) (flows, streams int) {
 		}
 		t.foldStream(s)
 		delete(t.streams, id)
-		t.tombstoneStream(id)
+		t.streamLog.Drop(&s.mark, id)
 		t.ev.EvictedStreams++
 		streams++
 	}
@@ -199,7 +194,7 @@ func (t *oracleTable) EvictIdle(cutoff time.Time) (flows, streams int) {
 		}
 		t.foldFlow(f)
 		delete(t.flows, k)
-		t.tombstoneFlow(k)
+		t.flowLog.Drop(&f.mark, k)
 		t.ev.EvictedFlows++
 		flows++
 	}
@@ -329,6 +324,7 @@ func (t *oracleTable) Absorb(src *oracleTable) {
 		d.bytes += a.bytes
 	}
 	for k, f := range src.flows {
+		f.mark = statecodec.Mark{} // on none of this table's lists
 		dst := t.flows[k]
 		if dst == nil {
 			t.flows[k] = f
@@ -350,7 +346,7 @@ func (t *oracleTable) Absorb(src *oracleTable) {
 	}
 	for k, s := range src.streams {
 		dst := t.streams[k]
-		s.Owner = nil
+		s.Owner, s.mark = nil, statecodec.Mark{}
 		if dst == nil {
 			t.streams[k] = s
 			continue
@@ -496,46 +492,11 @@ func (t *oracleTable) PayloadTypeShares(totalPackets, totalBytes uint64) []Paylo
 	return out
 }
 
-func (t *oracleTable) tombstoneFlow(k layers.FiveTuple) {
-	if !t.armed || t.overflow {
-		return
-	}
-	if len(t.deadFlows) >= maxDeltaTombstones {
-		t.overflow = true
-		return
-	}
-	t.deadFlows = append(t.deadFlows, k)
-}
-
-func (t *oracleTable) tombstoneStream(id MediaStreamID) {
-	if !t.armed || t.overflow {
-		return
-	}
-	if len(t.deadStreams) >= maxDeltaTombstones {
-		t.overflow = true
-		return
-	}
-	t.deadStreams = append(t.deadStreams, id)
-}
-
-// DeltaOverflow reports whether the eviction backlog outgrew what a
-// delta can carry; the owner must fall back to a full snapshot.
-func (t *oracleTable) DeltaOverflow() bool { return t.overflow }
-
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
-// decode: every record is now captured, so dirty bits and tombstones
-// clear and the table arms for the next delta.
+// decode: both logs re-anchor and arm.
 func (t *oracleTable) MarkCheckpointed() {
-	for _, f := range t.flows {
-		f.dirty = false
-	}
-	for _, s := range t.streams {
-		s.dirty = false
-	}
-	t.deadFlows = t.deadFlows[:0]
-	t.deadStreams = t.deadStreams[:0]
-	t.overflow = false
-	t.armed = true
+	t.flowLog.MarkCheckpointed()
+	t.streamLog.MarkCheckpointed()
 }
 
 // Code walks the table through c: scalars and the evicted-entry share
@@ -545,10 +506,9 @@ func (t *oracleTable) MarkCheckpointed() {
 // whatever SetLimits installed on the receiver, so a checkpoint taken
 // under one deployment's caps restores cleanly under another's. The
 // caller owns chain integrity (a delta must follow the checkpoint the
-// table was restored from), must check DeltaOverflow before a delta
-// encode and MarkCheckpointed after any successful pass; a table whose
-// decoding pass failed holds partially applied state and must be
-// discarded.
+// table was restored from) and must call MarkCheckpointed after any
+// successful pass; a table whose decoding pass failed holds partially
+// applied state and must be discarded.
 func (t *oracleTable) Code(c *statecodec.Codec) {
 	c.U64(&t.totalPackets)
 	c.U64(&t.totalBytes)
@@ -558,24 +518,11 @@ func (t *oracleTable) Code(c *statecodec.Codec) {
 	c.U64(&t.ev.RejectedStreamPackets)
 	c.U64(&t.ev.RejectedSubstreamPackets)
 
-	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) { delete(t.flows, k) })
-	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) { delete(t.streams, id) })
+	statecodec.Tombstones(c, layers.TupleKey, &t.flowLog, func(k layers.FiveTuple) { delete(t.flows, k) })
+	statecodec.Tombstones(c, StreamIDKey, &t.streamLog, func(id MediaStreamID) { delete(t.streams, id) })
 
-	// The oracle keeps dirty bits only; it lists them for the codec here.
-	var dirtyFlows statecodec.Entries[layers.FiveTuple, oracleFlow]
-	for k, f := range t.flows {
-		if f.dirty {
-			dirtyFlows = append(dirtyFlows, statecodec.Entry[layers.FiveTuple, *oracleFlow]{K: k, V: f})
-		}
-	}
-	var dirtyStreams statecodec.Entries[MediaStreamID, oracleStream]
-	for id, s := range t.streams {
-		if s.dirty {
-			dirtyStreams = append(dirtyStreams, statecodec.Entry[MediaStreamID, *oracleStream]{K: id, V: s})
-		}
-	}
 	statecodec.Map(c, layers.TupleKey, &t.flows, nil,
-		dirtyFlows,
+		&t.flowLog,
 		func(k layers.FiveTuple, f *oracleFlow) {
 			f.Flow = k
 			c.Time(&f.FirstSeen)
@@ -590,7 +537,7 @@ func (t *oracleTable) Code(c *statecodec.Codec) {
 			})
 		})
 	statecodec.Map(c, StreamIDKey, &t.streams, nil,
-		dirtyStreams,
+		&t.streamLog,
 		func(id MediaStreamID, s *oracleStream) {
 			s.ID = id
 			c.Time(&s.FirstSeen)

@@ -7,91 +7,25 @@ import (
 )
 
 // Checkpoint boundary for the flow table. A delta record re-serializes
-// only what changed since the previous checkpoint encode: the records on
-// the table's dirty lists, plus deletion tombstones for entries evicted in
-// between; a full record is the same walk with every record selected.
-// The table arms itself at the first encode (MarkCheckpointed), so runs
-// that never checkpoint record nothing and pay a compare per packet.
-
-// maxDeltaTombstones bounds each backlog a delta is willing to carry:
-// the two tombstone lists and the two dirty lists (an evicted record
-// stays on its dirty list, and so in memory, until the next checkpoint).
-// Past it the table flags overflow and stops recording, and the next
-// delta encode reports itself unavailable, forcing the caller back to a
-// full snapshot (which resets everything).
-const maxDeltaTombstones = 1 << 20
-
-// recording reports whether a tracking list n entries long takes
-// another: the table is armed and no list has outgrown the bound.
-func (t *Table) recording(n int) bool {
-	if !t.armed || t.overflow {
-		return false
-	}
-	if n >= maxDeltaTombstones {
-		t.overflow = true
-		return false
-	}
-	return true
-}
-
-func (t *Table) tombstoneFlow(k layers.FiveTuple) {
-	if t.recording(len(t.deadFlows)) {
-		t.deadFlows = append(t.deadFlows, k)
-	}
-}
-
-func (t *Table) tombstoneStream(id MediaStreamID) {
-	if t.recording(len(t.deadStreams)) {
-		t.deadStreams = append(t.deadStreams, id)
-	}
-}
-
-// dirtyFlows lists flow records for statecodec.Map; a record holds its
-// own key.
-type dirtyFlows []*FlowStats
-
-func (d dirtyFlows) Len() int                                { return len(d) }
-func (d dirtyFlows) At(i int) (layers.FiveTuple, *FlowStats) { return d[i].Flow, d[i] }
-
-// markFlow puts a clean flow record on the dirty list.
-func (t *Table) markFlow(f *FlowStats) {
-	if t.recording(len(t.dirtyFlows)) {
-		f.dirty = true
-		t.dirtyFlows = append(t.dirtyFlows, f)
-	}
-}
-
-// markStream puts a clean stream record on the dirty list.
-func (t *Table) markStream(s *StreamStats) {
-	if t.recording(len(t.dirtyStreams)) {
-		s.dirty = true
-		t.dirtyStreams = append(t.dirtyStreams, s)
-	}
-}
-
-// DeltaOverflow reports whether a backlog outgrew what a delta can
-// carry; the owner must fall back to a full snapshot.
-func (t *Table) DeltaOverflow() bool { return t.overflow }
+// only what changed since the previous checkpoint encode — the flows and
+// streams on the table's two change logs, plus tombstones for the ones of
+// that checkpoint evicted in between; a full record is the same walk with
+// every record selected.
 
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
-// decode: every record is now captured, so the listed records' dirty bits
-// and the lists themselves clear, and the table arms for the next delta.
+// decode: every record is now captured, so both logs re-anchor and arm.
 func (t *Table) MarkCheckpointed() {
-	for _, f := range t.dirtyFlows {
-		f.dirty = false
-	}
-	for _, s := range t.dirtyStreams {
-		s.dirty = false
-	}
-	// Cleared, not just cut: a listed record that was evicted since is
-	// otherwise held by the list's spare capacity.
-	clear(t.dirtyFlows)
-	clear(t.dirtyStreams)
-	t.dirtyFlows, t.dirtyStreams = t.dirtyFlows[:0], t.dirtyStreams[:0]
-	t.deadFlows = t.deadFlows[:0]
-	t.deadStreams = t.deadStreams[:0]
-	t.overflow = false
-	t.armed = true
+	t.flowLog.MarkCheckpointed()
+	t.streamLog.MarkCheckpointed()
+}
+
+// Backlog reports what the next delta carries: the flows and streams
+// listed since the last checkpoint, and the tombstones of that
+// checkpoint's flows and streams evicted since.
+func (t *Table) Backlog() (changed, dead int) {
+	fc, fd := t.flowLog.Backlog()
+	sc, sd := t.streamLog.Backlog()
+	return fc + sc, fd + sd
 }
 
 // CompareStreamID orders stream identifiers by (flow, key); checkpoint
@@ -138,7 +72,7 @@ func (a *shareAgg) code(c *statecodec.Codec) {
 
 // Code walks the table through c: scalars and the evicted-entry share
 // aggregates whole (both are small), tombstones for the flows and
-// streams evicted since the last checkpoint encode, then the dirty
+// streams of the last checkpoint evicted since, then the changed
 // records: flows in five-tuple order, then streams in (flow, key) order —
 // StreamIDKey's, which is also the order of walking each flow's index in
 // turn, so the record reads as it did when the table kept the streams in a
@@ -148,10 +82,9 @@ func (a *shareAgg) code(c *statecodec.Codec) {
 // decoding pass keeps whatever SetLimits installed on the receiver, so a
 // checkpoint taken under one deployment's caps restores cleanly under
 // another's. The caller owns chain integrity (a delta must follow the
-// checkpoint the table was restored from), must check DeltaOverflow before
-// a delta encode and MarkCheckpointed after any successful pass; a table
-// whose decoding pass failed holds partially applied state and must be
-// discarded.
+// checkpoint the table was restored from) and must call MarkCheckpointed
+// after any successful pass; a table whose decoding pass failed holds
+// partially applied state and must be discarded.
 func (t *Table) Code(c *statecodec.Codec) {
 	c.U64(&t.totalPackets)
 	c.U64(&t.totalBytes)
@@ -161,13 +94,13 @@ func (t *Table) Code(c *statecodec.Codec) {
 	c.U64(&t.ev.RejectedStreamPackets)
 	c.U64(&t.ev.RejectedSubstreamPackets)
 
-	statecodec.Tombstones(c, layers.TupleKey, t.deadFlows, func(k layers.FiveTuple) {
+	statecodec.Tombstones(c, layers.TupleKey, &t.flowLog, func(k layers.FiveTuple) {
 		if f := t.flows[k]; f != nil {
 			t.streams -= len(f.streams)
 			delete(t.flows, k)
 		}
 	})
-	statecodec.Tombstones(c, StreamIDKey, t.deadStreams, func(id MediaStreamID) {
+	statecodec.Tombstones(c, StreamIDKey, &t.streamLog, func(id MediaStreamID) {
 		if f := t.flows[id.Flow]; f.stream(id.Key) != nil {
 			delete(f.streams, packKey(id.Key))
 			t.streams--
@@ -175,9 +108,9 @@ func (t *Table) Code(c *statecodec.Codec) {
 	})
 
 	statecodec.Map(c, layers.TupleKey, &t.flows,
-		// A flow a delta updates keeps its streams: only the dirty ones follow.
+		// A flow a delta updates keeps its streams: only the changed ones follow.
 		func(f *FlowStats) { *f = FlowStats{streams: f.streams, ByEncapType: f.ByEncapType[:0]} },
-		t.dirtyFlows,
+		&t.flowLog,
 		func(k layers.FiveTuple, f *FlowStats) {
 			f.Flow = k
 			c.Time(&f.FirstSeen)
@@ -207,14 +140,7 @@ func (t *Table) Code(c *statecodec.Codec) {
 		streams = make([]streamEntry, 0, t.streams)
 		t.eachStream(func(s *StreamStats) { streams = append(streams, streamEntry{K: s.ID, V: s}) })
 	default:
-		streams = make([]streamEntry, 0, len(t.dirtyStreams))
-		for _, s := range t.dirtyStreams {
-			// A listed record evicted since is skipped; its key may be a
-			// new record's by now.
-			if f := t.flows[s.ID.Flow]; f.stream(s.ID.Key) == s {
-				streams = append(streams, streamEntry{K: s.ID, V: s})
-			}
-		}
+		streams = t.streamLog.Changed()
 	}
 	statecodec.Records(c, StreamIDKey, streams, func(id MediaStreamID, s *StreamStats, left int) {
 		if !c.Encoding() {

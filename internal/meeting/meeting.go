@@ -29,6 +29,7 @@ import (
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/rtp"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -52,14 +53,12 @@ type streamState struct {
 	lastSeen  time.Time
 	firstTS   uint32
 	lastTS    uint32
-	flow      layers.FiveTuple
-	key       zoom.StreamKey
+	id        flow.MediaStreamID
 	// evicted marks states Evict has removed from the copy-linkage
 	// index; the stream's next packet puts it back.
 	evicted bool
-	// dirty marks the record as mutated since the last checkpoint encode
-	// (delta checkpoints re-serialize only dirty records).
-	dirty bool
+	// mark is the record's entry in the detector's change log.
+	mark statecodec.Mark
 }
 
 // Dedup performs step 1. It is deliberately streaming: each observation
@@ -86,14 +85,11 @@ type Dedup struct {
 	// observed counts observations: the clock ageing runs on.
 	observed uint64
 
-	// Delta-checkpoint tracking (see state.go). armed turns on the dirty
-	// list and dirty-SSRC-list recording; it is set by the first
-	// checkpoint encode, so runs that never checkpoint pay a compare per
-	// observation. dirty lists the records whose dirty bit is set, each
-	// once; records are never deleted, so the list is no longer than the
-	// table.
-	armed     bool
-	dirty     dirtyStreams
+	// Delta-checkpoint tracking (see state.go): the records changed since
+	// the last checkpoint, and the SSRC keys whose index list changed
+	// (recorded once log is armed). Records are never deleted, so the log
+	// holds no tombstone.
+	log       statecodec.ChangeLog[flow.MediaStreamID, streamState]
 	dirtySSRC map[zoom.StreamKey]struct{}
 }
 
@@ -159,7 +155,7 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 	if s == nil {
 		k := flow.MediaStreamID{Flow: o.Flow, Key: o.Key}
 		if s = d.streams[k]; s == nil {
-			s = &streamState{firstSeen: o.Time, firstTS: o.TS, flow: o.Flow, key: o.Key}
+			s = &streamState{firstSeen: o.Time, firstTS: o.TS, id: k, mark: d.log.NewMark()}
 			// Step 1 linkage: same SSRC+type on a different 5-tuple with an
 			// RTP timestamp in range.
 			s.unified = d.matchExisting(o)
@@ -182,7 +178,7 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 	}
 	s.lastSeen = o.Time
 	s.lastTS = o.TS
-	d.markDirty(s)
+	d.log.Touch(&s.mark, &s.id, s)
 	if s.evicted {
 		d.relink(s)
 	}
@@ -193,7 +189,7 @@ func (d *Dedup) matchExisting(o *StreamObs) UnifiedID {
 	best := UnifiedID(0)
 	var bestGap int64 = 1 << 62
 	for _, cand := range d.bySSRC[o.Key] {
-		if cand.flow == o.Flow {
+		if cand.id.Flow == o.Flow {
 			continue
 		}
 		if o.Time.Sub(cand.lastSeen) > linkWindow || cand.firstSeen.After(o.Time) {
@@ -233,7 +229,7 @@ func (d *Dedup) Evict(cutoff time.Time) {
 		for _, s := range list {
 			if s.lastSeen.Before(cutoff) {
 				s.evicted = true
-				d.markDirty(s)
+				d.log.Touch(&s.mark, &s.id, s)
 				continue
 			}
 			kept = append(kept, s)
@@ -255,14 +251,14 @@ func (d *Dedup) Evict(cutoff time.Time) {
 // in order of first appearance: matchExisting breaks ties in favour of
 // the earlier entry.
 func (d *Dedup) relink(s *streamState) {
-	list := d.bySSRC[s.key]
+	list := d.bySSRC[s.id.Key]
 	i := len(list)
 	for i > 0 && list[i-1].firstSeen.After(s.firstSeen) {
 		i--
 	}
-	d.bySSRC[s.key] = slices.Insert(list, i, s)
+	d.bySSRC[s.id.Key] = slices.Insert(list, i, s)
 	s.evicted = false
-	d.markSSRCDirty(s.key)
+	d.markSSRCDirty(s.id.Key)
 }
 
 // Len reports the number of retained stream records (for the
@@ -287,15 +283,15 @@ func (d *Dedup) RecordsBy(clientOf func(layers.FiveTuple, zoom.StreamKey) netip.
 	for _, s := range d.streams {
 		out = append(out, StreamRecord{
 			Unified: s.unified,
-			Flow:    s.flow,
-			Key:     s.key,
+			Flow:    s.id.Flow,
+			Key:     s.id.Key,
 			Start:   s.firstSeen,
 			End:     s.lastSeen,
-			Client:  clientOf(s.flow, s.key),
+			Client:  clientOf(s.id.Flow, s.id.Key),
 		})
 		// Rendered once up front: String() inside the comparator would
 		// allocate O(n log n) strings.
-		flowKeys = append(flowKeys, s.flow.String())
+		flowKeys = append(flowKeys, s.id.Flow.String())
 	}
 	order := make([]int, len(out))
 	for i := range order {

@@ -232,7 +232,7 @@ func BenchmarkDedupObserve(b *testing.B) {
 // indexed reports whether the stream on flow is in the copy-lookup index.
 func indexed(d *Dedup, flow layers.FiveTuple, key zoom.StreamKey) bool {
 	for _, s := range d.bySSRC[key] {
-		if s.flow == flow {
+		if s.id.Flow == flow {
 			return true
 		}
 	}

@@ -7,33 +7,15 @@ import (
 )
 
 // Checkpoint boundary for step-1 duplicate detection. A delta record
-// re-serializes only the stream records on the dirty list, plus the
+// re-serializes only the stream records on the change log, plus the
 // bySSRC lists of SSRC keys whose membership changed; a full record is
 // the same walk with everything selected. Stream records are never
 // deleted from d.streams — ageing only unlinks them from the index — so
 // there are no tombstones. (The step-2 Grouper is rebuilt from records
 // on every Meetings() call and carries no state here.)
 
-// dirtyStreams lists stream records for statecodec.Map; a record holds
-// its own key.
-type dirtyStreams []*streamState
-
-func (d dirtyStreams) Len() int { return len(d) }
-func (d dirtyStreams) At(i int) (flow.MediaStreamID, *streamState) {
-	return flow.MediaStreamID{Flow: d[i].flow, Key: d[i].key}, d[i]
-}
-
-// markDirty puts a record mutated for the first time since the last
-// checkpoint encode on the dirty list.
-func (d *Dedup) markDirty(s *streamState) {
-	if d.armed && !s.dirty {
-		s.dirty = true
-		d.dirty = append(d.dirty, s)
-	}
-}
-
 func (d *Dedup) markSSRCDirty(k zoom.StreamKey) {
-	if !d.armed {
+	if !d.log.Armed() {
 		return
 	}
 	if d.dirtySSRC == nil {
@@ -45,12 +27,8 @@ func (d *Dedup) markSSRCDirty(k zoom.StreamKey) {
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
 // decode, arming the detector for the next delta.
 func (d *Dedup) MarkCheckpointed() {
-	for _, s := range d.dirty {
-		s.dirty = false
-	}
-	d.dirty = d.dirty[:0]
+	d.log.MarkCheckpointed()
 	clear(d.dirtySSRC)
-	d.armed = true
 }
 
 // Code walks the detector through c: counters (the ageing clock among
@@ -70,9 +48,9 @@ func (d *Dedup) Code(c *statecodec.Codec) {
 	c.U64(&d.observed)
 
 	statecodec.Map(c, flow.StreamIDKey, &d.streams, nil,
-		d.dirty,
+		&d.log,
 		func(id flow.MediaStreamID, s *streamState) {
-			s.flow, s.key = id.Flow, id.Key
+			s.id = id
 			c.Int((*int)(&s.unified))
 			c.Time(&s.firstSeen)
 			c.Time(&s.lastSeen)
@@ -85,7 +63,7 @@ func (d *Dedup) Code(c *statecodec.Codec) {
 		statecodec.Slice(c, &list, 0, func(s **streamState) {
 			var ref flow.MediaStreamID
 			if c.Encoding() {
-				ref = flow.MediaStreamID{Flow: (*s).flow, Key: (*s).key}
+				ref = (*s).id
 			}
 			if ref.Code(c); !c.Encoding() {
 				if *s = d.streams[ref]; *s == nil {

@@ -135,8 +135,8 @@ func TestCopyMatcherDeltaCarriesGCEvictions(t *testing.T) {
 	if got := live.Pending(); got > 64 {
 		t.Fatalf("pending = %d past the cap of 64", got)
 	}
-	if len(live.streams) != 1 || len(live.dead) != 1 {
-		t.Fatalf("%d streams, %d tombstones after the idle sweep, want 1 and 1", len(live.streams), len(live.dead))
+	if _, dead := live.log.Backlog(); len(live.streams) != 1 || dead != 1 {
+		t.Fatalf("%d streams, %d tombstones after the idle sweep, want 1 and 1", len(live.streams), dead)
 	}
 
 	if err := applyMatcher(replica, matcherRecord(live, false)); err != nil {

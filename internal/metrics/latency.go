@@ -6,6 +6,7 @@ import (
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
+	"zoomlens/internal/statecodec"
 )
 
 // RTTSample is one latency measurement: 24 bytes and no pointer, like
@@ -62,14 +63,12 @@ type CopyMatcher struct {
 
 	// Delta-checkpoint tracking (see state.go). dirtyBit is slotDirty once
 	// the first checkpoint armed the tracking and 0 before it, so a run
-	// that never checkpoints sets no dirty state at all. dirty lists the
-	// live streams observed since the last checkpoint, each once (drop
-	// unlists); dead the streams of that checkpoint dropped since; epoch
-	// counts checkpoints and ckSamples is the Samples length at the last.
+	// that never checkpoints sets no dirty state at all. log holds the
+	// streams observed since the last checkpoint and the ones of that
+	// checkpoint dropped since; ckSamples is the Samples length at the
+	// last.
 	dirtyBit  uint8
-	dirty     []*copyStream
-	dead      []meeting.UnifiedID
-	epoch     uint32
+	log       statecodec.ChangeLog[meeting.UnifiedID, copyStream]
 	ckSamples int
 }
 
@@ -104,13 +103,8 @@ type copyStream struct {
 	flows []layers.FiveTuple
 	// rings holds one ring per payload type, ascending.
 	rings []copyRing
-	// dirty marks a stream observed since the last checkpoint encode —
-	// listed is then its place on the matcher's dirty list — and born is the
-	// matcher's epoch when the stream appeared: the last checkpoint holds
-	// the streams of earlier epochs.
-	dirty  bool
-	listed int32
-	born   uint32
+	// mark is the stream's entry in the matcher's change log.
+	mark statecodec.Mark
 	// The first few five-tuples and rings, and the first ring's first
 	// slots, live in the record itself: few streams have more, so most
 	// are one allocation.
@@ -122,7 +116,7 @@ type copyStream struct {
 // newStream gives the matcher an empty stream for id, which it must not
 // hold.
 func (cm *CopyMatcher) newStream(id meeting.UnifiedID) *copyStream {
-	s := &copyStream{id: id, born: cm.epoch}
+	s := &copyStream{id: id, mark: cm.log.NewMark()}
 	s.flows, s.rings = s.flows0[:0], s.rings0[:0]
 	cm.streams[id] = s
 	return s
@@ -130,12 +124,7 @@ func (cm *CopyMatcher) newStream(id meeting.UnifiedID) *copyStream {
 
 // touch lists a stream changed for the first time since the last
 // checkpoint.
-func (cm *CopyMatcher) touch(s *copyStream) {
-	if cm.dirtyBit != 0 && !s.dirty {
-		s.dirty, s.listed = true, int32(len(cm.dirty))
-		cm.dirty = append(cm.dirty, s)
-	}
-}
+func (cm *CopyMatcher) touch(s *copyStream) { cm.log.Touch(&s.mark, &s.id, s) }
 
 type copyRing struct {
 	pt uint8
@@ -375,17 +364,7 @@ func (cm *CopyMatcher) drop(id meeting.UnifiedID, s *copyStream) {
 		}
 	}
 	delete(cm.streams, id)
-	if s.dirty {
-		// Unlisted, so the list names live streams only and holds no
-		// dropped one in memory: the last entry takes the place.
-		last := cm.dirty[len(cm.dirty)-1]
-		cm.dirty[s.listed], last.listed = last, s.listed
-		cm.dirty[len(cm.dirty)-1] = nil
-		cm.dirty = cm.dirty[:len(cm.dirty)-1]
-	}
-	if s.born != cm.epoch {
-		cm.dead = append(cm.dead, id)
-	}
+	cm.log.Drop(&s.mark, id)
 }
 
 // SeriesMS renders the samples as a millisecond time series.

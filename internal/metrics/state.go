@@ -210,22 +210,19 @@ func (t *TalkTracker) code(c *statecodec.Codec, from int) {
 
 // The copy matcher's delta is proportional to change. Every write to a
 // slot — an observation stored, matched away or aged out — sets the
-// slot's dirty bit and its ring's and stream's; a delta record carries
-// the dirty streams' headers, the dirty rings' lengths and the dirty
-// slots, whole or as "now empty". Streams dropped since the last
-// checkpoint travel as tombstones, but only those that checkpoint holds,
-// so the backlog is bounded by the stream table and no delta can
-// overflow. Samples only ever grows, so a delta carries just the tail
-// past the length at the last encode.
+// slot's dirty bit and its ring's, and lists its stream on the change
+// log; a delta record carries the listed streams' headers, the dirty
+// rings' lengths and the dirty slots, whole or as "now empty", after the
+// log's tombstones. Samples only ever grows, so a delta carries just the
+// tail past the length at the last encode.
 
 // MarkCheckpointed resets delta tracking after a checkpoint encode or
 // decode: the current state is fully captured, so the listed streams'
-// dirty bits, the list and the tombstones clear, every stream becomes
-// part of the base (the epoch moves on) and the Samples baseline
-// re-anchors. The first call arms the tracking.
+// ring and slot bits clear, the log re-anchors and the Samples baseline
+// moves on. The first call arms the tracking.
 func (cm *CopyMatcher) MarkCheckpointed() {
-	for _, s := range cm.dirty {
-		s.dirty = false
+	for _, e := range cm.log.Changed() {
+		s := e.V
 		for ri := range s.rings {
 			r := &s.rings[ri]
 			if !r.dirty {
@@ -237,13 +234,15 @@ func (cm *CopyMatcher) MarkCheckpointed() {
 			}
 		}
 	}
-	clear(cm.dirty)
-	cm.dirty = cm.dirty[:0]
-	cm.dead = cm.dead[:0]
+	cm.log.MarkCheckpointed()
 	cm.ckSamples = len(cm.Samples)
-	cm.epoch++
 	cm.dirtyBit = slotDirty
 }
+
+// Backlog reports what the next delta carries: the streams listed since
+// the last checkpoint, and the tombstones of that checkpoint's streams
+// dropped since.
+func (cm *CopyMatcher) Backlog() (changed, dead int) { return cm.log.Backlog() }
 
 var unifiedKey = &statecodec.Key[meeting.UnifiedID]{Min: 1, Compare: cmp.Compare[meeting.UnifiedID],
 	Code: func(c *statecodec.Codec, id meeting.UnifiedID) meeting.UnifiedID {
@@ -277,31 +276,28 @@ func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 	c.U64(&cm.observed)
 	c.U64(&cm.nextSweep)
 
-	statecodec.Tombstones(c, unifiedKey, cm.dead, func(id meeting.UnifiedID) {
+	statecodec.Tombstones(c, unifiedKey, &cm.log, func(id meeting.UnifiedID) {
 		if s := cm.streams[id]; s != nil {
 			cm.drop(id, s)
 		}
 	})
-	var sel []meeting.UnifiedID
+	type streamEntry = statecodec.Entry[meeting.UnifiedID, *copyStream]
+	var sel []streamEntry
 	switch {
 	case !c.Encoding():
 	case c.Full():
-		sel = make([]meeting.UnifiedID, 0, len(cm.streams))
-		for id := range cm.streams {
-			sel = append(sel, id)
+		sel = make([]streamEntry, 0, len(cm.streams))
+		for id, s := range cm.streams {
+			sel = append(sel, streamEntry{K: id, V: s})
 		}
 	default:
-		sel = make([]meeting.UnifiedID, 0, len(cm.dirty))
-		for _, s := range cm.dirty {
-			sel = append(sel, s.id)
-		}
+		sel = cm.log.Changed()
 	}
-	statecodec.Keys(c, unifiedKey, sel, func(id meeting.UnifiedID) {
-		s := cm.streams[id]
-		if s == nil {
-			s = cm.newStream(id)
-		}
+	statecodec.Records(c, unifiedKey, sel, func(id meeting.UnifiedID, s *copyStream, _ int) {
 		if !c.Encoding() {
+			if s = cm.streams[id]; s == nil {
+				s = cm.newStream(id)
+			}
 			// Building rings on an armed matcher dirties them; listed, the
 			// stream is cleaned with the rest after the pass.
 			cm.touch(s)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zoomlens/internal/rtp"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -166,11 +167,11 @@ type StreamMetrics struct {
 	// appended a spurious zero-rate sample per invocation).
 	finished bool
 
-	// dirty marks the accumulator as mutated since the last checkpoint
-	// encode; delta checkpoints re-serialize only dirty streams, and of
-	// their logs only what lies past base, the lengths MarkDirty found.
-	dirty bool
-	base  logLens
+	// Mark is the stream's entry in the change log of whoever keys it; a
+	// delta record carries of its logs only what lies past base, the
+	// lengths MarkDirty found.
+	Mark statecodec.Mark
+	base logLens
 }
 
 // logLens holds the lengths of a stream's four append-only logs: the frame
@@ -189,23 +190,11 @@ func (sm *StreamMetrics) logLens() logLens {
 	return n
 }
 
-// MarkDirty flags the stream as mutated since the last checkpoint encode.
-// Call it before the mutation: the first call after a checkpoint notes how
-// long the logs are, which is how long they were at that checkpoint, and a
-// delta record carries them from there.
-func (sm *StreamMetrics) MarkDirty() {
-	if !sm.dirty {
-		sm.dirty, sm.base = true, sm.logLens()
-	}
-}
-
-// Dirty reports whether the stream mutated since the last checkpoint
-// encode.
-func (sm *StreamMetrics) Dirty() bool { return sm.dirty }
-
-// ClearDirty resets the mutation flag (called when a checkpoint encode
-// captures the stream).
-func (sm *StreamMetrics) ClearDirty() { sm.dirty = false }
+// MarkDirty notes how long the stream's logs are. Its owner calls it when
+// it lists the stream after a checkpoint, before the mutation: that is how
+// long they were at the checkpoint, and a delta record carries them from
+// there.
+func (sm *StreamMetrics) MarkDirty() { sm.base = sm.logLens() }
 
 // maxIdleGap caps zero-rate gap-fill in the rate series: when the
 // stream is silent for longer than this, the rate bins skip ahead to the

@@ -16,8 +16,9 @@
 // observation log); the wire primitives exist once, in the Codec.
 //
 // A full record is a delta with everything dirty. A delta pass writes,
-// per keyed collection, tombstones for the records deleted since the
-// last checkpoint and then the dirty records whole; a full pass
+// per keyed collection, what the collection's ChangeLog holds: tombstones
+// for the base's records deleted since the last checkpoint, then the
+// records changed since, whole; a full pass
 // (NewEncoder's full flag) is the same walk with every record selected,
 // no tombstones and append-only baselines at 0. Decoding does not
 // distinguish the two: tombstones delete, records upsert, tails append
@@ -79,6 +80,14 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 // megabytes; growing from zero copies the prefix a couple dozen times).
 func (w *Writer) Grow(n int) {
 	if n <= cap(w.buf)-len(w.buf) {
+		return
+	}
+	if len(w.buf) == 0 {
+		// Nothing to copy: let go of the old buffer first, so a collection
+		// the allocation sets off does not count both (a checkpoint chain
+		// regrows its reset buffer when a full record outgrows it).
+		w.buf = nil
+		w.buf = make([]byte, 0, n)
 		return
 	}
 	nb := make([]byte, len(w.buf), len(w.buf)+n)
@@ -178,7 +187,7 @@ type Codec struct {
 // NewEncoder returns an encoding pass over w. A full pass selects every
 // record of every collection, writes no tombstones and starts
 // append-only tails at 0; a delta pass (full false) consults the
-// layers' dirty tracking.
+// layers' change logs.
 func NewEncoder(w *Writer, full bool) *Codec { return &Codec{w: w, full: full} }
 
 // NewDecoder returns the decoding pass over r's input: the two share
@@ -644,22 +653,20 @@ func Records[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, 
 	})
 }
 
-// Tombstones walks the keys deleted since the last checkpoint: a delta
-// pass writes dead (duplicates skipped — a key can be evicted,
-// recreated and evicted again between checkpoints), a full pass writes
-// none, a decoding pass hands each key to del. An encoding pass never
-// calls del: a key evicted and recreated since the last checkpoint is
-// live in the layer that is writing.
-func Tombstones[K comparable](c *Codec, key *Key[K], dead []K, del func(K)) {
+// Tombstones walks the keys log says were deleted since the last
+// checkpoint: a delta pass writes them, a full pass writes none, a
+// decoding pass hands each key to del. An encoding pass never calls del:
+// a key evicted and recreated since the last checkpoint is live in the
+// layer that is writing.
+func Tombstones[K, V any](c *Codec, key *Key[K], log *ChangeLog[K, V], del func(K)) {
+	var dead []K
 	if c.w != nil {
-		// A sorted copy: the layer's backlog stays as it is should the
-		// write after this encode fail.
-		dead = slices.Clone(dead)
-		if c.full {
-			dead = nil
+		if !c.full && log != nil {
+			// A sorted copy: the log stays as it is should the write after
+			// this encode fail.
+			dead = slices.Clone(log.dead)
+			slices.SortFunc(dead, key.Compare)
 		}
-		slices.SortFunc(dead, key.Compare)
-		dead = slices.Compact(dead)
 		del = func(K) {}
 	}
 	Keys(c, key, dead, del)
@@ -688,55 +695,124 @@ func (s *Slab[V]) New(left int) *V {
 	return v
 }
 
-// Dirty is a layer's list of the records of one keyed collection that
-// changed since the last checkpoint: the layer appends a record when it
-// sets the record's dirty bit and empties the list when it clears the
-// bits, so a delta pass reads what changed without visiting what did not.
-type Dirty[K comparable, V any] interface {
-	Len() int
-	At(i int) (K, *V)
+// Mark is a record's entry in the ChangeLog of the collection that holds
+// it: where the record sits on the change list, 0 when it is not listed,
+// and the log's epoch when the record was born. Each record carries its
+// own; the zero Mark is a record the last checkpoint holds and nothing
+// has touched since, which is what a decoding pass builds.
+type Mark struct {
+	at   int32
+	born uint32
 }
 
-// Entries is the Dirty of a collection whose records do not hold their
-// own key.
-type Entries[K comparable, V any] []Entry[K, *V]
+// ChangeLog decides, for one keyed collection, which records a delta
+// carries and which deletions it announces, under one rule:
+//
+//   - a record is listed once, on its first touch after a checkpoint;
+//   - a record the collection drops leaves the list (swap-remove);
+//   - a dropped record leaves a tombstone only if it was born before the
+//     last checkpoint, so it is one the base holds.
+//
+// Both lists are therefore bounded by the collection: the change list by
+// the live records, the tombstones by the base's, and no key is
+// tombstoned twice between two checkpoints. The log arms at its first
+// MarkCheckpointed, so a run that never checkpoints lists nothing and
+// pays a compare per touch. The zero ChangeLog is ready.
+type ChangeLog[K, V any] struct {
+	armed bool
+	// epoch counts checkpoints: a record born in an earlier epoch is in
+	// the base.
+	epoch   uint32
+	changed []Entry[K, *V]
+	marks   []*Mark // marks[i] is changed[i]'s
+	dead    []K
+}
 
-func (e Entries[K, V]) Len() int         { return len(e) }
-func (e Entries[K, V]) At(i int) (K, *V) { return e[i].K, e[i].V }
+// Armed reports whether a checkpoint has armed the log.
+func (l *ChangeLog[K, V]) Armed() bool { return l.armed }
+
+// NewMark returns the mark of a record the collection creates now.
+func (l *ChangeLog[K, V]) NewMark() Mark { return Mark{born: l.epoch} }
+
+// Touch lists v under *k unless it is already listed or the log is not
+// armed, and reports whether it listed it. Call it before the mutation.
+// The key is passed by reference because the packet path touches a record
+// per packet and lists it once per checkpoint: it is copied only then.
+func (l *ChangeLog[K, V]) Touch(m *Mark, k *K, v *V) bool {
+	if !l.armed || m.at != 0 {
+		return false
+	}
+	l.changed = append(l.changed, Entry[K, *V]{*k, v})
+	l.marks = append(l.marks, m)
+	m.at = int32(len(l.changed))
+	return true
+}
+
+// Drop records that the collection no longer holds the record marked m
+// under k.
+func (l *ChangeLog[K, V]) Drop(m *Mark, k K) {
+	if i := int(m.at) - 1; i >= 0 {
+		// The last entry takes the place, so the list holds live records
+		// only and keeps no dropped one in memory.
+		last := len(l.changed) - 1
+		l.changed[i], l.marks[i] = l.changed[last], l.marks[last]
+		l.marks[i].at = m.at
+		l.changed[last], l.marks[last] = Entry[K, *V]{}, nil
+		l.changed, l.marks = l.changed[:last], l.marks[:last]
+		m.at = 0
+	}
+	if l.armed && m.born < l.epoch {
+		l.dead = append(l.dead, k)
+	}
+}
+
+// Changed returns the records listed since the last checkpoint, in no
+// particular order. The slice is the log's own.
+func (l *ChangeLog[K, V]) Changed() []Entry[K, *V] { return l.changed }
+
+// Backlog reports how many records are listed and how many tombstones
+// wait for the next delta.
+func (l *ChangeLog[K, V]) Backlog() (changed, dead int) { return len(l.changed), len(l.dead) }
+
+// MarkCheckpointed re-anchors the log after a checkpoint encode or
+// decode: every record is now in the base, so the lists empty, the epoch
+// moves on and the log is armed.
+func (l *ChangeLog[K, V]) MarkCheckpointed() {
+	for _, m := range l.marks {
+		m.at = 0
+	}
+	// Cleared, not just cut: the spare capacity would otherwise hold
+	// records the collection drops later.
+	clear(l.changed)
+	clear(l.marks)
+	l.changed, l.marks, l.dead = l.changed[:0], l.marks[:0], l.dead[:0]
+	l.epoch++
+	l.armed = true
+}
 
 // Map walks a map of record pointers. A full encoding pass writes every
-// record. A delta pass writes the records dirty lists, less the entries
-// the map no longer holds under that key (a record evicted since it was
-// listed, whose key may since have been given to a new record), so its
-// cost follows what changed, not what the map holds; a nil dirty is a
-// collection carried whole in every record. A decoding pass upserts: a
+// record. A delta pass writes the records log lists, so its cost follows
+// what changed, not what the map holds; a nil log is a collection carried
+// whole in every record. A decoding pass upserts: a
 // key already present keeps its record pointer — other structures may
 // reference it — reset to the zero value, or by reset where the record
 // holds something no record of this walk carries (a flow's stream index,
 // a stream's logs), and a new key gets a zero record from a chunked slab.
 // Either way elem then walks the record's fields. Decoding never leaves *m
 // nil.
-func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, reset func(*V), dirty Dirty[K, V], elem func(k K, v *V)) {
+func Map[K comparable, V any](c *Codec, key *Key[K], m *map[K]*V, reset func(*V), log *ChangeLog[K, V], elem func(k K, v *V)) {
 	if c.w != nil {
+		if !c.full && log != nil {
+			put(c, key, log.changed, elem)
+			return
+		}
 		var scratch [smallMap]Entry[K, *V]
 		sel := scratch[:0]
-		if c.full || dirty == nil {
-			if len(*m) > len(scratch) {
-				sel = make([]Entry[K, *V], 0, len(*m))
-			}
-			for k, v := range *m {
-				sel = append(sel, Entry[K, *V]{k, v})
-			}
-		} else {
-			n := dirty.Len()
-			if n > len(scratch) {
-				sel = make([]Entry[K, *V], 0, n)
-			}
-			for i := 0; i < n; i++ {
-				if k, v := dirty.At(i); (*m)[k] == v {
-					sel = append(sel, Entry[K, *V]{k, v})
-				}
-			}
+		if len(*m) > len(scratch) {
+			sel = make([]Entry[K, *V], 0, len(*m))
+		}
+		for k, v := range *m {
+			sel = append(sel, Entry[K, *V]{k, v})
 		}
 		put(c, key, sel, elem)
 		return

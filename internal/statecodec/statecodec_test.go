@@ -167,7 +167,7 @@ func TestDeterministicEncoding(t *testing.T) {
 }
 
 // layer is a miniature stateful layer exercising every helper: scalars,
-// an optional component, a pointer map with dirty bits and tombstones, a
+// an optional component, a pointer map with a change log, a
 // whole by-value map, a set-tracked by-value map, a key-only sequence
 // and an append-only tail.
 type layer struct {
@@ -175,7 +175,7 @@ type layer struct {
 	at     time.Time
 	opt    *item
 	recs   map[uint32]*item
-	dead   []uint32
+	log    ChangeLog[uint32, item]
 	counts map[uint8]uint64
 	lists  map[uint16][]uint32
 	dirty  map[uint16]struct{}
@@ -185,8 +185,8 @@ type layer struct {
 }
 
 type item struct {
-	v     int64
-	dirty bool
+	v    int64
+	mark Mark
 }
 
 var (
@@ -201,16 +201,8 @@ func (l *layer) code(c *Codec) {
 	if Ptr(c, &l.opt, func() *item { return new(item) }) {
 		c.I64(&l.opt.v)
 	}
-	Tombstones(c, u32k, l.dead, func(k uint32) { delete(l.recs, k) })
-	// The dirty records, and two listed ones the map no longer holds under
-	// their keys, which a delta pass must skip.
-	changed := Entries[uint32, item]{{9, &item{v: -9}}, {404, &item{v: -404}}}
-	for k, it := range l.recs {
-		if it.dirty {
-			changed = append(changed, Entry[uint32, *item]{k, it})
-		}
-	}
-	Map(c, u32k, &l.recs, nil, changed, func(_ uint32, it *item) { c.I64(&it.v) })
+	Tombstones(c, u32k, &l.log, func(k uint32) { delete(l.recs, k) })
+	Map(c, u32k, &l.recs, nil, &l.log, func(_ uint32, it *item) { c.I64(&it.v) })
 	MapVal(c, u8k, &l.counts, func(_ uint8, n uint64) uint64 { c.U64(&n); return n })
 	MapSet(c, u16k, &l.lists, l.dirty, func(_ uint16, list []uint32) ([]uint32, bool) {
 		Slice(c, &list, 0, c.U32)
@@ -244,18 +236,35 @@ func (l *layer) apply(t *testing.T, rec []byte) {
 }
 
 func (l *layer) mark() {
-	for _, it := range l.recs {
-		it.dirty = false
-	}
-	l.dead, l.base = nil, len(l.tail)
+	l.log.MarkCheckpointed()
+	l.base = len(l.tail)
 	clear(l.dirty)
+}
+
+// put sets record k to v, creating it if the layer holds none, the way a
+// packet path touches a record.
+func (l *layer) put(k uint32, v int64) {
+	it := l.recs[k]
+	if it == nil {
+		it = &item{mark: l.log.NewMark()}
+		l.recs[k] = it
+	}
+	l.log.Touch(&it.mark, &k, it)
+	it.v = v
+}
+
+// del drops record k, the way eviction does.
+func (l *layer) del(k uint32) {
+	l.log.Drop(&l.recs[k].mark, k)
+	delete(l.recs, k)
 }
 
 // TestCodecFullIsDeltaWithEverythingDirty drives the miniature layer the
 // way the engine drives the real ones: a full record onto a fresh layer
 // re-encodes byte-identically, and full@t0 + delta(t0→t1) — with an
-// upsert, a tombstone (twice for one key), a deleted list and a grown
-// tail in the interval — re-encodes byte-identically to full@t1.
+// upsert, a tombstone, a key dropped and created again, a record born and
+// dropped (which leaves no tombstone), a deleted list and a grown tail in
+// the interval — re-encodes byte-identically to full@t1.
 func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
 	live := &layer{
 		n: 7, at: time.Unix(1700000000, 5), opt: &item{v: -3},
@@ -278,10 +287,17 @@ func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
 	replica.mark()
 
 	live.n, live.opt = 8, nil
-	delete(live.recs, 5)
-	live.dead = append(live.dead, 5, 5)
-	live.recs[9].v, live.recs[9].dirty = 91, true
-	live.recs[2] = &item{v: 20, dirty: true}
+	live.del(5)
+	live.put(9, 91)
+	live.put(2, 20)
+	live.put(1<<20, -2)
+	live.del(1 << 20)
+	live.put(1<<20, -3)
+	live.put(6, 60)
+	live.del(6)
+	if changed, dead := live.log.Backlog(); changed != 3 || dead != 2 {
+		t.Fatalf("backlog %d changed, %d tombstones; want 3 and 2 (5 and 1<<20: the born-and-dropped 6 leaves none)", changed, dead)
+	}
 	live.counts[4] = 4
 	delete(live.lists, 4)
 	live.lists[8] = []uint32{2}
@@ -310,7 +326,7 @@ func TestMapResetsHeldRecords(t *testing.T) {
 	}
 	walk(NewEncoder(&w, true), &src, nil)
 	for _, keep := range []bool{false, true} {
-		held := &item{v: -1, dirty: true}
+		held := &item{v: -1, mark: Mark{at: 3}}
 		dst := map[uint32]*item{1: held}
 		var reset func(*item)
 		if keep {
@@ -320,7 +336,7 @@ func TestMapResetsHeldRecords(t *testing.T) {
 		if walk(NewDecoder(r), &dst, reset); r.Err() != nil {
 			t.Fatal(r.Err())
 		}
-		if dst[1] != held || held.v != 10 || held.dirty != keep || dst[2] == nil || *dst[2] != (item{v: 20}) {
+		if dst[1] != held || held.v != 10 || (held.mark == Mark{at: 3}) != keep || dst[2] == nil || *dst[2] != (item{v: 20}) {
 			t.Errorf("reset hook %v: held %+v (same pointer %v), new %+v", keep, *held, dst[1] == held, dst[2])
 		}
 	}
@@ -336,7 +352,7 @@ func TestCodecRejectsUnorderedKeys(t *testing.T) {
 		w.U64(order[1])
 		for name, walk := range map[string]func(c *Codec){
 			"Keys":       func(c *Codec) { Keys(c, u32k, nil, func(uint32) {}) },
-			"Tombstones": func(c *Codec) { Tombstones(c, u32k, nil, func(uint32) {}) },
+			"Tombstones": func(c *Codec) { Tombstones(c, u32k, (*ChangeLog[uint32, item])(nil), func(uint32) {}) },
 			"Map":        func(c *Codec) { Map(c, u32k, new(map[uint32]*item), nil, nil, func(uint32, *item) {}) },
 			"MapVal":     func(c *Codec) { MapVal(c, u32k, new(map[uint32]struct{}), nil) },
 			"MapSet": func(c *Codec) {
@@ -391,15 +407,18 @@ func TestCodecMinimumElementsAtEndOfInput(t *testing.T) {
 func TestCodecTruncation(t *testing.T) {
 	l := &layer{
 		opt:    &item{v: 1},
-		recs:   map[uint32]*item{1: {v: 1, dirty: true}, 2: {v: 2}},
-		dead:   []uint32{3},
+		recs:   map[uint32]*item{1: {v: 1}, 2: {v: 2}, 3: {v: 3}},
 		counts: map[uint8]uint64{1: 1},
 		lists:  map[uint16][]uint32{1: {1, 2}},
-		dirty:  map[uint16]struct{}{1: {}},
+		dirty:  map[uint16]struct{}{},
 		seqs:   []uint16{1, 2},
-		tail:   []int64{1, 2, 3},
-		base:   1,
+		tail:   []int64{1},
 	}
+	l.mark()
+	l.put(1, 11)
+	l.del(3)
+	l.dirty[1] = struct{}{}
+	l.tail = append(l.tail, 2, 3)
 	for _, full := range []bool{true, false} {
 		rec := l.record(full)
 		for cut := 0; cut < len(rec); cut++ {

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
+	"zoomlens/internal/statecodec"
 )
 
 // Side labels which leg of the path a sample measured, relative to the
@@ -61,10 +62,11 @@ type Tracker struct {
 	serverToClient dirState
 
 	// lastSeen is the time of the latest packet (what idle eviction
-	// reads); dirty marks a tracker its owner has listed as observed since
-	// the last checkpoint encode (MarkDirty).
+	// reads).
 	lastSeen time.Time
-	dirty    bool
+
+	// Mark is the tracker's entry in the change log of whoever keys it.
+	Mark statecodec.Mark
 }
 
 type dirState struct {
@@ -90,18 +92,6 @@ func NewTracker() *Tracker { return new(Tracker) }
 
 // LastSeen returns the time of the latest packet observed.
 func (t *Tracker) LastSeen() time.Time { return t.lastSeen }
-
-// Dirty reports whether the tracker's owner has listed it as observed
-// since the last checkpoint encode.
-func (t *Tracker) Dirty() bool { return t.dirty }
-
-// MarkDirty flags the tracker as observed since the last checkpoint
-// encode; its owner calls it when it lists the tracker for the next delta.
-func (t *Tracker) MarkDirty() { t.dirty = true }
-
-// ClearDirty resets the mutation flag (called when a checkpoint encode
-// captures the tracker).
-func (t *Tracker) ClearDirty() { t.dirty = false }
 
 // Observe ingests one TCP packet. fromClient reports the packet's
 // direction (true: client→server). The TCP header and payload length come

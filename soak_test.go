@@ -232,7 +232,7 @@ const (
 	// (GOGC=50 brings the same run to ~0.97 GB).
 	soakPeakRSSBudgetMB = 1900
 	// A delta record after 1% of 100k streams changed: ~4.3 ms, the cost
-	// of the 1,000 records on the dirty lists (it was ~130-160 ms while
+	// of the 1,000 records on the change logs (it was ~130-160 ms while
 	// selecting them and clearing their bits walked all 100k). Gated on its
 	// own cost, not on its ratio to a full encode, which every codec
 	// optimisation shrinks.
