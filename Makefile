@@ -63,8 +63,8 @@ bench-check:
 checkpoint-check:
 	$(BENCH_ONE) -bench 'BenchmarkCheckpoint/.*/streams=10000' -benchmem .
 
-# The ingest allocation budget, enforced: zero allocations per record in
-# the zero-copy readers, bounded allocations per packet end to end, and
+# The ingest allocation budget, enforced: zero allocations per record and
+# per batch in the zero-copy readers, bounded allocations per packet end to end, and
 # the sharded engine within 1.25x of the sequential one's bytes per packet.
 alloc-check:
 	$(GO) test -count=1 -run 'TestIngestReadAllocsZero|TestIngestAnalyzeAllocsBounded' -v .

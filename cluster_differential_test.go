@@ -34,19 +34,21 @@ func feedWorkerStream(t *testing.T, a *Analyzer, stream []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec pcap.Record
+	var recs [pcap.BatchLen]pcap.Record
 	for {
-		err := s.NextInto(&rec)
+		n, err := s.NextBatch(recs[:])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rec.HasPacketID {
-			t.Fatal("splitter stream record lacks epb_packetid")
+		for _, rec := range recs[:n] {
+			if !rec.HasPacketID {
+				t.Fatal("splitter stream record lacks epb_packetid")
+			}
 		}
-		a.PacketSeq(rec.Timestamp, rec.Data, rec.PacketID)
+		a.IngestSeq(recs[:n])
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 const readerWarmup = 256
 
 // TestIngestReadAllocsZero pins the zero-copy record readers at exactly
-// zero allocations per record once their reused buffer has grown.
+// zero allocations per record once their reused buffer has grown, and
+// their batch reads at zero per batch.
 func TestIngestReadAllocsZero(t *testing.T) {
 	raw, ngRaw := ingestTrace(t)
 
@@ -66,6 +67,35 @@ func TestIngestReadAllocsZero(t *testing.T) {
 			t.Errorf("pcapng NextInto: %v allocs/record at steady state, want 0", allocs)
 		}
 	})
+
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{{"pcap-batch", raw}, {"pcapng-batch", ngRaw}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := pcap.OpenStream(bytes.NewReader(c.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs [pcap.BatchLen]pcap.Record
+			read := 0
+			next := func() {
+				n, err := s.NextBatch(recs[:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				read += n
+			}
+			next()
+			allocs := testing.AllocsPerRun(50, next)
+			if allocs != 0 {
+				t.Errorf("NextBatch: %v allocs/batch at steady state, want 0", allocs)
+			}
+			if read < 52*pcap.BatchLen/8 {
+				t.Errorf("%d records in 52 batches: the runs are too short to measure batches", read)
+			}
+		})
+	}
 }
 
 // TestIngestAnalyzeAllocsBounded pins the full read+analyze pipeline's

@@ -9,7 +9,7 @@ package core
 //     stream, stamped with the global sequence number.
 //   - A worker process is a sequential Analyzer run with
 //     Config.PreFiltered (the splitter already filtered): its inline
-//     shard is the worker's shard, fed through PacketSeq, with
+//     shard is the worker's shard, fed through IngestSeq, with
 //     SetClusterSink swapping the shard's sink from the local
 //     reconciliation consumer to the ZLOB observation log. Its
 //     checkpoint, written before Finish, is the exportable shard state.
@@ -124,6 +124,12 @@ func NewRouter(cfg Config, n int) *Router {
 // whose classification panics). Packets, the count of frames offered so
 // far, is the sequence number to stamp on a forwarded frame.
 func (r *Router) Route(at time.Time, frame []byte) (shard int, keep bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.contain(p, at, frame)
+			shard, keep = 0, false
+		}
+	}()
 	return r.route(at, frame, r.seq+1)
 }
 

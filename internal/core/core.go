@@ -257,21 +257,72 @@ func (p *pipeline) setInline(sh *shard) *Analyzer {
 // NewAnalyzer builds a sequential analyzer: the one-worker engine.
 func NewAnalyzer(cfg Config) *Analyzer { return NewParallelAnalyzer(cfg, 1).result }
 
-// Packet ingests one captured frame. The frame is borrowed for the
-// duration of the call — anything the engine retains (shard batches,
-// quarantined frames) is copied — so callers may reuse the buffer
-// immediately, including the borrowed Data of pcap.NextInto. Not safe
-// for concurrent use: one goroutine feeds the engine.
-func (p *pipeline) Packet(at time.Time, frame []byte) { p.PacketSeq(at, frame, p.seq+1) }
+// Packet ingests one captured frame: a run of one (see Ingest). The
+// frame is borrowed for the duration of the call — anything the engine
+// retains (shard batches, quarantined frames) is copied — so callers may
+// reuse the buffer immediately. Not safe for concurrent use: one
+// goroutine feeds the engine.
+func (p *pipeline) Packet(at time.Time, frame []byte) {
+	recs := [1]pcap.Record{{Timestamp: at, Data: frame}}
+	p.Ingest(recs[:])
+}
 
-// PacketSeq is Packet with an externally assigned global capture
-// sequence number (the cluster splitter's epb_packetid) in place of the
-// engine's own count. The number tags the media observations this
-// packet produces, so the aggregator can restore global capture order
-// across workers.
-func (p *pipeline) PacketSeq(at time.Time, frame []byte, seq uint64) {
+// Ingest ingests a run of captured records in capture order, each under
+// the engine's next global sequence number. The records and their Data
+// are borrowed for the call, like Packet's frame.
+func (p *pipeline) Ingest(recs []pcap.Record) { p.ingest(recs, false) }
+
+// IngestSeq is Ingest with externally assigned global capture sequence
+// numbers: each record's PacketID (the cluster splitter's epb_packetid)
+// in place of the engine's own count. The number tags the media
+// observations the packet produces, so the aggregator can restore global
+// capture order across workers.
+func (p *pipeline) IngestSeq(recs []pcap.Record) { p.ingest(recs, true) }
+
+func (p *pipeline) ingest(recs []pcap.Record, stamped bool) {
+	for i := 0; i < len(recs); {
+		i = p.ingestRun(recs, i, stamped)
+	}
+}
+
+// ingestRun routes recs[i:] and delivers each kept frame to its shard,
+// under one deferred recover for the run instead of one per frame. A
+// panic while routing record i is contained exactly as a per-frame guard
+// would contain it — counted, quarantined, the frame dropped and still
+// ticked or dispatched — and ingestRun returns i+1 for the caller to
+// resume there. A panic anywhere else (a shard's own processing contains
+// its panics) is not the front end's and propagates.
+func (p *pipeline) ingestRun(recs []pcap.Record, i int, stamped bool) (next int) {
 	p.finished = false
-	idx, keep := p.route(at, frame, seq)
+	routing := false
+	defer func() {
+		if !routing {
+			return
+		}
+		r := recover()
+		rec := &recs[i]
+		p.contain(r, rec.Timestamp, rec.Data)
+		p.deliver(0, false, p.seq, rec.Timestamp, rec.Data)
+		next = i + 1
+	}()
+	for ; i < len(recs); i++ {
+		rec := &recs[i]
+		seq := p.seq + 1
+		if stamped {
+			seq = rec.PacketID
+		}
+		routing = true
+		idx, keep := p.route(rec.Timestamp, rec.Data, seq)
+		routing = false
+		p.deliver(idx, keep, seq, rec.Timestamp, rec.Data)
+	}
+	return i
+}
+
+// deliver is the shard half of ingest for one routed frame: a kept frame
+// is processed inline or batched for its queue-fed shard, and every frame
+// advances the maintenance clock (inline) or the cut cadence (queued).
+func (p *pipeline) deliver(idx int, keep bool, seq uint64, at time.Time, frame []byte) {
 	sh := p.shards[idx]
 	if p.queueFed() {
 		p.dispatch(sh, keep, seq, at, frame)
@@ -347,16 +398,16 @@ func (p *pipeline) ReadPCAP(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	var rec pcap.Record
+	var recs [pcap.BatchLen]pcap.Record
 	for {
-		err := s.NextInto(&rec)
+		n, err := s.NextBatch(recs[:])
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		p.Packet(rec.Timestamp, rec.Data)
+		p.Ingest(recs[:n])
 	}
 	if s.Truncated() {
 		p.Truncated = true

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zoomlens/internal/features"
+	"zoomlens/internal/pcap"
 )
 
 // Engine is the analysis substrate behind every tool: the sequential
@@ -12,18 +13,22 @@ import (
 // views of one pipeline — so callers choose a worker count without
 // branching on the concrete type.
 //
-// Buffer ownership: the frame passed to Packet is borrowed for the
-// duration of the call only — the engine copies whatever it needs to
-// retain (shard batches, quarantined frames), so callers may reuse the
-// buffer immediately, including the borrowed Data of pcap.NextInto.
+// Buffer ownership: the frame passed to Packet, like the records passed
+// to Ingest, is borrowed for the duration of the call only — the engine
+// copies whatever it needs to retain (shard batches, quarantined frames),
+// so callers may reuse the buffer immediately, including the borrowed
+// Data of pcap.Stream.NextInto and NextBatch.
 //
-// Call order: Packet (any number of times, capture order, one
+// Call order: Packet or Ingest (any number of times, capture order, one
 // goroutine), interleaved with Snapshot as desired; then Finish exactly
 // once; then Result, whose *Analyzer holds the report accessors
 // (Summary, Meetings, MeetingReports, Streams).
 type Engine interface {
 	// Packet ingests one captured frame, borrowed for the call.
 	Packet(at time.Time, frame []byte)
+	// Ingest ingests a run of records in capture order, borrowed for the
+	// call: Packet for each, under one panic guard for the run.
+	Ingest(recs []pcap.Record)
 	// Finish flushes all per-stream state; call once after the last packet.
 	Finish()
 	// Snapshot returns per-meeting rolling metrics over the trailing window.

@@ -39,6 +39,9 @@ type frontEnd struct {
 	// o holds the unlabeled live-metric handles (noObs unless an engine
 	// registered its own; a Router never does).
 	o *coreObs
+	// panicHook, when set, runs in route after the frame is counted.
+	// Tests inject deterministic front-end panics through it.
+	panicHook func(at time.Time, frame []byte)
 }
 
 func newFrontEnd(cfg Config, n int) frontEnd {
@@ -60,28 +63,29 @@ func (fe *frontEnd) FilterStats() capture.FilterStats { return fe.filter.Stats()
 // route accounts one offered frame under sequence number seq and decides
 // its fate: keep reports whether the frame goes on to per-flow analysis
 // and shard names the shard that owns its flow. Undecodable and
-// filter-dropped frames are counted here and go no further. A panic in
-// the scanner or the filter is contained: counted, quarantined, and the
-// frame dropped.
+// filter-dropped frames are counted here and go no further. route does
+// not contain its own panics: its callers do (pipeline.ingestRun,
+// Router.Route), and hand a frame that panicked to contain.
 func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, keep bool) {
 	fe.seq = seq
 	fe.Packets++
 	fe.Bytes += uint64(len(frame))
 	fe.o.packets.Inc()
 	fe.o.bytes.Add(uint64(len(frame)))
-	if fe.FirstTS.IsZero() || at.Before(fe.FirstTS) {
-		fe.FirstTS = at
-	}
+	// A frame in capture order costs one compare. FirstTS is set only
+	// with LastTS at or after it, so a frame past LastTS is never before
+	// FirstTS; only the first frame and an out-of-order one look at it.
 	if at.After(fe.LastTS) {
 		fe.LastTS = at
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			fe.PanicsRecovered++
-			fe.cfg.quarantine(fe.o, r, at, frame)
-			shard, keep = 0, false
+		if fe.FirstTS.IsZero() {
+			fe.FirstTS = at
 		}
-	}()
+	} else if fe.FirstTS.IsZero() || at.Before(fe.FirstTS) {
+		fe.FirstTS = at
+	}
+	if fe.panicHook != nil {
+		fe.panicHook(at, frame)
+	}
 	var ri rawInfo
 	var verdict capture.Verdict
 	hashable := true
@@ -115,6 +119,13 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 		return 0, true
 	}
 	return shardOf(fe.filter.ZoomNetworks(), fe.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
+}
+
+// contain accounts a frame whose routing panicked: counted, quarantined,
+// and dropped.
+func (fe *frontEnd) contain(r any, at time.Time, frame []byte) {
+	fe.PanicsRecovered++
+	fe.cfg.quarantine(fe.o, r, at, frame)
 }
 
 // quarantine records one contained panic: the live counter and, when

@@ -230,7 +230,7 @@ func (sh *shard) logObs(o *ClusterObs) {
 	c.n++
 }
 
-// dispatch is the queue-fed half of PacketSeq: copy a kept frame into
+// dispatch is the queue-fed half of deliver: copy a kept frame into
 // its shard's batch under construction, ship the batch when full, and
 // cut on the periodic cadence.
 func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {

@@ -110,6 +110,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if s, p := seq.Summary(), par.Summary(); s != p {
 		t.Fatalf("summary diverges:\nsequential %+v\nparallel   %+v", s, p)
 	}
+	checkConservation(t, "sequential", seq)
+	checkConservation(t, "parallel", par)
 	if !reflect.DeepEqual(seq.Meetings(), par.Meetings()) {
 		t.Errorf("meetings diverge:\nsequential %+v\nparallel   %+v", seq.Meetings(), par.Meetings())
 	}
@@ -201,6 +203,7 @@ func TestParallelWorkerCounts(t *testing.T) {
 		if got := pa.Result().Summary(); got != want {
 			t.Errorf("workers=%d: summary %+v, want %+v", workers, got, want)
 		}
+		checkConservation(t, fmt.Sprintf("workers=%d", workers), pa.Result())
 	}
 }
 
@@ -444,6 +447,7 @@ func TestQueueBackpressure(t *testing.T) {
 			if a.ShedPackets == 0 || a.ShedPackets != kept-uint64(analysed) {
 				t.Errorf("shed %d packets, want the %d kept frames minus the %d analysed", a.ShedPackets, kept, analysed)
 			}
+			checkConservation(t, "shedding", a)
 		})
 	}
 }

@@ -108,6 +108,12 @@ type shardCounters struct {
 	EvictedTCP         uint64
 	RejectedTCPPackets uint64
 	FinishedDropped    uint64
+	// transportless counts kept frames with no transport header (a
+	// non-first fragment, or another IP protocol under
+	// Config.PreFiltered): the one terminal bucket of a kept frame no
+	// report reads, kept so that packet conservation can be checked. A
+	// checkpoint does not carry it, so a restored engine counts from zero.
+	transportless uint64
 }
 
 func (c *shardCounters) add(o *shardCounters) {
@@ -125,6 +131,7 @@ func (c *shardCounters) add(o *shardCounters) {
 	c.EvictedTCP += o.EvictedTCP
 	c.RejectedTCPPackets += o.RejectedTCPPackets
 	c.FinishedDropped += o.FinishedDropped
+	c.transportless += o.transportless
 }
 
 // shardState is everything a shard accumulates, apart from its wiring:
@@ -225,6 +232,8 @@ func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
 		sh.observeTCP(at, pkt)
 	case pkt.HasUDP:
 		sh.observeUDP(seq, at, pkt, len(frame))
+	default:
+		sh.transportless++
 	}
 }
 

@@ -267,7 +267,7 @@ func (c *cadence) rearm(ts time.Time) { c.next = ts.Add(c.every) }
 // sequence-stamped ingest carrying the splitter's global packet ids.
 type clusterEngine interface {
 	SetClusterSink(func(core.ClusterObs)) error
-	PacketSeq(at time.Time, frame []byte, seq uint64)
+	IngestSeq(recs []pcap.Record)
 }
 
 // Run builds an engine from the flags, streams the whole input through
@@ -304,18 +304,18 @@ func (f *Flags) Run(zoomNets []netip.Prefix) (*Run, error) {
 	// must already be scrapeable (and announced on stderr) while the run
 	// waits.
 	var stream *pcap.Stream
-	next := func(rec *pcap.Record) error {
+	next := func(recs []pcap.Record) (int, error) {
 		if stream == nil {
 			var err error
 			stream, err = pcap.OpenStream(file)
 			if err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return stream.NextInto(rec)
+		return stream.NextBatch(recs)
 	}
 	truncated := func() bool { return stream != nil && stream.Truncated() }
-	return f.RunFrom(zoomNets, next, truncated)
+	return f.runFrom(zoomNets, next, truncated)
 }
 
 // RunFrom is Run with the record source abstracted: next fills rec with
@@ -324,8 +324,21 @@ func (f *Flags) Run(zoomNets []netip.Prefix) (*Run, error) {
 // reports whether the source was cut mid-record. It powers both the
 // file/stdin path (Run) and synthetic sources — the soak harness drives
 // a generated workload through the exact production pipeline, signals,
-// checkpoints, and rotation included.
+// checkpoints, and rotation included. Each record is a batch of its own,
+// so the signal is polled before every record.
 func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, truncated func() bool) (*Run, error) {
+	return f.runFrom(zoomNets, func(recs []pcap.Record) (int, error) {
+		if err := next(&recs[0]); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}, truncated)
+}
+
+// runFrom is the read loop behind Run and RunFrom: next reads a batch of
+// records as pcap.Stream.NextBatch does (n > 0 with a nil error, io.EOF
+// at the end; each rec.Data valid until the following call).
+func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, error), truncated func() bool) (*Run, error) {
 	protos, err := rtcproto.ParseSet(f.Proto)
 	if err != nil {
 		return nil, err
@@ -431,7 +444,7 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 	// Cluster-part wiring: divert media observations to <prefix>.obs
 	// (append mode, so a migrated worker's second life extends the same
 	// log) and stamp ingest with the splitter's global sequence numbers.
-	var clusterIngest func(*pcap.Record)
+	ingest := eng.Ingest
 	var obsLog *cluster.ObsWriter
 	var obsFile *os.File
 	closeObsLog := func() {
@@ -467,24 +480,25 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 			return nil, cerr
 		}
 		var localSeq uint64
-		clusterIngest = func(rec *pcap.Record) {
-			seq := rec.PacketID
-			if !rec.HasPacketID {
-				// Not a splitter stream (plain pcap, or pcapng without
-				// epb_packetid): a local 1-based counter preserves this
-				// worker's own order. Cross-worker order needs the
-				// splitter's ids.
-				localSeq++
-				seq = localSeq
+		ingest = func(recs []pcap.Record) {
+			for i := range recs {
+				if !recs[i].HasPacketID {
+					// Not a splitter stream (plain pcap, or pcapng without
+					// epb_packetid): a local 1-based counter preserves
+					// this worker's own order. Cross-worker order needs
+					// the splitter's ids.
+					localSeq++
+					recs[i].PacketID = localSeq
+				}
 			}
-			ce.PacketSeq(rec.Timestamp, rec.Data, seq)
+			ce.IngestSeq(recs)
 		}
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var lastTS time.Time
-	var rec pcap.Record
+	var recs [pcap.BatchLen]pcap.Record
 	// Rotation, snapshot, checkpoint, and feature-drain schedules run on
 	// the trace clock, armed by the first packet — so offline replays
 	// emit exactly what a live tap would have. Full checkpoints run on
@@ -511,17 +525,19 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 	if fsink != nil {
 		drain.every = fsink.every
 	}
+	scheduled := rotate.every > 0 || snap.every > 0 || full.every > 0 || delta.every > 0 || drain.every > 0
 	ingestDone := setup.Stage("ingest")
 	for {
-		// Polled before every record, so a sparse live source stops at the
-		// next record after a signal, not some records later. A length read
-		// takes no lock (a select with a default case would take the
-		// channel's); the signal stays queued for the check after the loop.
+		// Polled before every batch, and a batch holds only records that
+		// had arrived when it was read, so a sparse live source stops at
+		// the next record after a signal. A length read takes no lock (a
+		// select with a default case would take the channel's); the signal
+		// stays queued for the check after the loop.
 		if len(sig) > 0 {
 			run.Interrupted = true
 			break
 		}
-		err := next(&rec)
+		n, err := next(recs[:])
 		if err == io.EOF {
 			break
 		}
@@ -544,39 +560,59 @@ func (f *Flags) RunFrom(zoomNets []netip.Prefix, next func(*pcap.Record) error, 
 			setup.Close()
 			return nil, err
 		}
-		// Rotate before ingesting: the packet that crosses the boundary
-		// opens the next window.
-		if winStart.IsZero() {
-			winStart = rec.Timestamp
+		batch := recs[:n]
+		if !scheduled {
+			ingest(batch)
+			continue
 		}
-		if rotate.due(rec.Timestamp) {
-			run.rotateWindow(eng, winStart, rec.Timestamp, f.RotateOut)
-			winStart = rec.Timestamp
+		// The batch is cut into runs at every record where a schedule
+		// fires, so each rotation, snapshot and checkpoint lands on the
+		// same record boundary as with one record per batch.
+		start := 0
+		for i := range batch {
+			ts := batch[i].Timestamp
+			// Rotate before ingesting: the packet that crosses the
+			// boundary opens the next window.
+			if winStart.IsZero() {
+				winStart = ts
+			}
+			if rotate.due(ts) {
+				ingest(batch[start:i])
+				start = i
+				run.rotateWindow(eng, winStart, ts, f.RotateOut)
+				winStart = ts
+			}
+			lastTS = ts
+			// The rest fire after the record. A full re-anchors the
+			// chain, so it pushes the next delta a full cadence out
+			// instead of writing one right after it.
+			snapDue, drainDue, fullDue := snap.due(ts), drain.due(ts), full.due(ts)
+			if fullDue {
+				delta.rearm(ts)
+			}
+			deltaDue := delta.due(ts)
+			if !snapDue && !drainDue && !fullDue && !deltaDue {
+				continue
+			}
+			ingest(batch[start : i+1])
+			start = i + 1
+			if snapDue {
+				emitSnapshots(ts)
+			}
+			if drainDue {
+				fsink.drain(eng.DrainFeatures())
+			}
+			// A periodic record costs the read loop its encode; the file
+			// lands behind it (see Checkpointer), and a write that fails
+			// surfaces at the next record, which is then a full.
+			if fullDue {
+				run.ckptErr(run.Checkpointer.StartFull(eng))
+			}
+			if deltaDue {
+				run.ckptErr(run.Checkpointer.StartDelta(eng))
+			}
 		}
-		if clusterIngest != nil {
-			clusterIngest(&rec)
-		} else {
-			eng.Packet(rec.Timestamp, rec.Data)
-		}
-		lastTS = rec.Timestamp
-		if snap.due(rec.Timestamp) {
-			emitSnapshots(rec.Timestamp)
-		}
-		if drain.due(rec.Timestamp) {
-			fsink.drain(eng.DrainFeatures())
-		}
-		// A periodic record costs the read loop its encode; the file lands
-		// behind it (see Checkpointer), and a write that fails surfaces at
-		// the next record, which is then a full.
-		if full.due(rec.Timestamp) {
-			run.ckptErr(run.Checkpointer.StartFull(eng))
-			// A full re-anchors the chain; push the next delta a full
-			// cadence out instead of writing one immediately after.
-			delta.rearm(rec.Timestamp)
-		}
-		if delta.due(rec.Timestamp) {
-			run.ckptErr(run.Checkpointer.StartDelta(eng))
-		}
+		ingest(batch[start:])
 	}
 	ingestDone()
 	select {

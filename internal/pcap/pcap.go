@@ -183,24 +183,25 @@ func (r *Reader) Truncated() bool { return r.truncated }
 // with Truncated() set.
 //
 // A record the window already holds, header and body, is sliced out of
-// it after one length check; a refill, an oversize record and a cut go
-// through the window's peek and next.
+// it after one length check (held); a refill, an oversize record, a cut
+// and a record that fails a check go through the window's peek and next.
 func (r *Reader) NextInto(rec *Record) error {
-	w := r.w
-	if w.hi-w.lo < recordHeaderLen {
-		if _, err := w.peek(recordHeaderLen); err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			if err == io.ErrUnexpectedEOF {
-				r.truncated = true
-				return io.EOF
-			}
-			return fmt.Errorf("pcap: reading record header: %w", err)
-		}
+	if r.held(rec) {
+		return nil
 	}
-	whole := w.buf[w.lo:w.hi]
-	sec, sub, capLen, origLen := r.order.words(whole)
+	w := r.w
+	hdr, err := w.peek(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF {
+			return io.EOF
+		}
+		if err == io.ErrUnexpectedEOF {
+			r.truncated = true
+			return io.EOF
+		}
+		return fmt.Errorf("pcap: reading record header: %w", err)
+	}
+	sec, sub, capLen, origLen := r.order.words(hdr)
 	if capLen > r.hdr.SnapLen && r.hdr.SnapLen != 0 {
 		return fmt.Errorf("pcap: record capture length %d exceeds snap length %d", capLen, r.hdr.SnapLen)
 	}
@@ -210,28 +211,63 @@ func (r *Reader) NextInto(rec *Record) error {
 	}
 	// Header and body leave the window as one slice.
 	n := recordHeaderLen + int(capLen)
-	if n <= len(whole) {
-		w.lo += n
-	} else {
-		var err error
-		if whole, err = w.next(n); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				r.truncated = true
-				return io.EOF
-			}
-			return fmt.Errorf("pcap: reading record body: %w", err)
+	whole, err := w.next(n)
+	if err != nil {
+		if err == io.ErrUnexpectedEOF {
+			r.truncated = true
+			return io.EOF
 		}
+		return fmt.Errorf("pcap: reading record body: %w", err)
 	}
+	r.fill(rec, sec, sub, origLen, whole[recordHeaderLen:n])
+	return nil
+}
+
+// fill sets rec from a record header's fields and its body.
+func (r *Reader) fill(rec *Record, sec, sub, origLen uint32, data []byte) {
 	nsec := int64(sub)
 	if !r.hdr.Nanosecond {
 		nsec *= 1000
 	}
 	rec.Timestamp = time.Unix(int64(sec), nsec).UTC()
 	rec.OriginalLen = int(origLen)
-	rec.Data = whole[recordHeaderLen:n]
+	rec.Data = data
 	rec.PacketID = 0
 	rec.HasPacketID = false
-	return nil
+}
+
+// nextBatch is Stream.NextBatch for classic pcap: the first record as
+// NextInto reads it, then every record the window already holds whole.
+func (r *Reader) nextBatch(recs []Record) (int, error) {
+	if err := r.NextInto(&recs[0]); err != nil {
+		return 0, err
+	}
+	n := 1
+	for n < len(recs) && r.held(&recs[n]) {
+		n++
+	}
+	return n, nil
+}
+
+// held reads the next record into rec if the window holds it whole and
+// it passes NextInto's checks. Otherwise it consumes nothing and reports
+// false, for NextInto's refill path to read the record or report what is
+// wrong with it.
+func (r *Reader) held(rec *Record) bool {
+	w := r.w
+	whole := w.buf[w.lo:w.hi]
+	if len(whole) < recordHeaderLen {
+		return false
+	}
+	sec, sub, capLen, origLen := r.order.words(whole)
+	// A record the window holds whole is far under NextInto's sanity cap.
+	n := recordHeaderLen + int(capLen)
+	if n > len(whole) || capLen > r.hdr.SnapLen && r.hdr.SnapLen != 0 {
+		return false
+	}
+	w.lo += n
+	r.fill(rec, sec, sub, origLen, whole[recordHeaderLen:n])
+	return true
 }
 
 // Next returns the next record, or io.EOF at a clean end of stream. The

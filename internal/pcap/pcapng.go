@@ -92,14 +92,11 @@ func (ng *NGReader) readBlock() (uint32, []byte, error) {
 			}
 			blk = w.buf[w.lo:w.hi]
 		}
-		switch binary.LittleEndian.Uint32(blk[8:12]) {
-		case byteOrderMagic:
-			ng.order = littleEndian
-		case 0x4d3c2b1a:
-			ng.order = bigEndian
-		default:
+		o := shbOrder(blk)
+		if o == noOrder {
 			return 0, nil, ErrNotPcapng
 		}
+		ng.order = o
 		kind, minTotal, maxTotal = "SHB", 16, 1<<20
 	}
 	if ng.order == noOrder {
@@ -192,23 +189,91 @@ func (ng *NGReader) NextInto(rec *Record) error {
 			}
 			return err
 		}
-		switch btype {
-		case blockSHB:
-			if err := ng.parseSHB(body); err != nil {
-				return err
-			}
-		case blockIDB:
-			if err := ng.parseIDB(body); err != nil {
-				return err
-			}
-		case blockEPB:
-			return ng.parseEPB(body, rec)
-		case blockSPB:
-			return ng.parseSPB(body, rec)
-		default:
-			// skip
+		if packet, err := ng.block(btype, body, rec); packet || err != nil {
+			return err
 		}
 	}
+}
+
+// block parses one block: a packet block into rec (packet reports it),
+// a section or interface header into the reader's state. Other block
+// types are skipped.
+func (ng *NGReader) block(btype uint32, body []byte, rec *Record) (packet bool, err error) {
+	switch btype {
+	case blockSHB:
+		return false, ng.parseSHB(body)
+	case blockIDB:
+		return false, ng.parseIDB(body)
+	case blockEPB:
+		return true, ng.parseEPB(body, rec)
+	case blockSPB:
+		return true, ng.parseSPB(body, rec)
+	}
+	return false, nil
+}
+
+// nextBatch is Stream.NextBatch for pcapng: the first packet record as
+// NextInto reads it, then every one the window already holds whole,
+// with the blocks between them.
+func (ng *NGReader) nextBatch(recs []Record) (int, error) {
+	if err := ng.NextInto(&recs[0]); err != nil {
+		return 0, err
+	}
+	n := 1
+	for n < len(recs) && ng.held(&recs[n]) {
+		n++
+	}
+	return n, nil
+}
+
+// held reads the next packet record into rec, with the non-packet blocks
+// before it, while the window holds each block whole. It reports false
+// at the first block it does not hold, or that fails to parse; that block
+// is left unconsumed, for the next NextInto to read or to report.
+func (ng *NGReader) held(rec *Record) bool {
+	for ng.holds() {
+		lo := ng.w.lo
+		btype, body, err := ng.readBlock()
+		packet := false
+		if err == nil {
+			packet, err = ng.block(btype, body, rec)
+		}
+		if err != nil {
+			ng.w.lo = lo
+			return false
+		}
+		if packet {
+			return true
+		}
+	}
+	return false
+}
+
+// holds reports whether the window holds the next block whole, so that
+// readBlock slices it out without a refill. A block whose header
+// readBlock will refuse counts as held: the refusal needs no read.
+func (ng *NGReader) holds() bool {
+	blk := ng.w.buf[ng.w.lo:ng.w.hi]
+	if len(blk) < 12 {
+		return false
+	}
+	o := ng.order
+	if binary.LittleEndian.Uint32(blk[0:4]) == blockSHB {
+		o = shbOrder(blk)
+	}
+	return o == noOrder || int(o.u32(blk[4:8])) <= len(blk)
+}
+
+// shbOrder is the byte order a section header's byte-order magic
+// (blk[8:12]) declares, or noOrder for a bad magic.
+func shbOrder(blk []byte) order {
+	switch binary.LittleEndian.Uint32(blk[8:12]) {
+	case byteOrderMagic:
+		return littleEndian
+	case 0x4d3c2b1a:
+		return bigEndian
+	}
+	return noOrder
 }
 
 // Next returns the next packet record, skipping non-packet blocks. The
@@ -293,6 +358,7 @@ func (ng *NGReader) parseSPB(body []byte, rec *Record) error {
 type Stream struct {
 	next      func() (Record, error)
 	nextInto  func(*Record) error
+	nextBatch func([]Record) (int, error)
 	truncated func() bool
 	nano      bool
 }
@@ -306,6 +372,25 @@ func (s *Stream) Next() (Record, error) { return s.next() }
 // borrows the underlying reader's buffer and is valid only until the
 // next NextInto or Next call.
 func (s *Stream) NextInto(rec *Record) error { return s.nextInto(rec) }
+
+// BatchLen is the length of the record array NextBatch callers read
+// runs into. A constant, not a knob: a run costs its reader one call and
+// the engine one panic guard, and 256 records of a border tap's mix (141
+// bytes a record on average) fill a quarter of a read window.
+const BatchLen = 256
+
+// NextBatch reads a run of records into recs and returns how many it
+// read, without allocating. The first record is read as NextInto reads
+// it, waiting for its bytes if it must; the rest are the records that
+// follow it whole in the read window, so one call makes at most one
+// refill of the window, and a live source's record is returned as soon
+// as it has arrived. Every rec.Data borrows the reader's buffer and is
+// valid until the next NextBatch, NextInto or Next call. A record the
+// window holds only in part, or that is malformed, ends the run: it is
+// read, or its error reported, by the next call. So n > 0 comes with a
+// nil error, and io.EOF (clean end or cut — see Truncated) with n = 0.
+// recs must not be empty.
+func (s *Stream) NextBatch(recs []Record) (int, error) { return s.nextBatch(recs) }
 
 // Truncated reports whether the underlying stream was cut mid-record.
 func (s *Stream) Truncated() bool { return s.truncated() }
@@ -330,13 +415,13 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Stream{next: ng.Next, nextInto: ng.NextInto, truncated: ng.Truncated, nano: true}, nil
+		return &Stream{next: ng.Next, nextInto: ng.NextInto, nextBatch: ng.nextBatch, truncated: ng.Truncated, nano: true}, nil
 	}
 	pr, err := newReader(w)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{next: pr.Next, nextInto: pr.NextInto, truncated: pr.Truncated, nano: pr.Header().Nanosecond}, nil
+	return &Stream{next: pr.Next, nextInto: pr.NextInto, nextBatch: pr.nextBatch, truncated: pr.Truncated, nano: pr.Header().Nanosecond}, nil
 }
 
 // NGWriter writes pcapng streams (one section, one Ethernet interface,
