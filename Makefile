@@ -164,7 +164,8 @@ soak-smoke:
 # window with arbitrary sequence numbers. The two loaders of files
 # written elsewhere face hostile bytes too: a QoE model must load to
 # finite probabilities or be refused, and a splitter manifest that loads
-# must survive a marshal → load cycle unchanged.
+# must survive a marshal → load cycle unchanged. The checkpoint-key
+# target holds each key's sort prefix to the key's order.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzPacketParseInPlace -fuzztime=$(FUZZTIME) ./internal/zoom/
@@ -182,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzObsLogDecode -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzModelLoad -fuzztime=$(FUZZTIME) ./internal/predict/
+	$(GO) test -fuzz=FuzzKeyPrefixOrder -fuzztime=$(FUZZTIME) ./internal/flow/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -64,6 +64,7 @@ func clusterRun(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt
 // worker at that input-packet index: the splitter rotates all streams,
 // each worker checkpoints, is discarded, and a restored successor
 // consumes the post-cut stream, appending to the same observation log.
+// Every run must conserve packets across the tiers.
 func clusterMerge(t *testing.T, cfg Config, recs []pcap.Record, workers, migrateAt int) *Analyzer {
 	t.Helper()
 
@@ -161,7 +162,25 @@ func clusterMerge(t *testing.T, cfg Config, recs []pcap.Record, workers, migrate
 		t.Fatal(err)
 	}
 	merged.Finish()
+	checkClusterConservation(t, merged)
 	return merged
+}
+
+// checkClusterConservation asserts packet conservation across the
+// cluster's tiers: every frame the splitter read ends in exactly one
+// terminal bucket, either of the merged head (the splitter's, plus what a
+// worker's own front end turned away) or of a worker shard (the merge
+// sums them). The buckets are those of core's conservationGap but the
+// shards' transport-less frames, which a worker's state export does not
+// carry.
+func checkClusterConservation(t *testing.T, merged *Analyzer) {
+	t.Helper()
+	h := merged.ClusterHead
+	out := h.DroppedByFilter + h.Undecodable + h.PanicsRecovered + h.ShedPackets +
+		merged.TCPPackets + merged.STUNPackets + merged.UDPKeptPackets
+	if out != h.Packets {
+		t.Errorf("splitter read %d frames, terminal buckets hold %d (head %+v)", h.Packets, out, h)
+	}
 }
 
 // headAccounting is everything the front end records about a capture.

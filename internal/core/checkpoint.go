@@ -214,8 +214,8 @@ func (p *pipeline) decode(r *statecodec.Reader, delta bool) error {
 	if n := r.Remaining(); n > 0 {
 		return fmt.Errorf("%w: %d trailing bytes after checkpoint payload", statecodec.ErrCorrupt, n)
 	}
-	p.markCheckpointed()
-	return nil
+	p.markCheckpointed() // a failed check's engine is discarded all the same
+	return p.checkShards()
 }
 
 // code is the engine's one field walk, shared by both record kinds and
@@ -269,11 +269,7 @@ func RestoreAnalyzer(rd io.Reader, cfg Config) (Engine, error) {
 		return nil, fmt.Errorf("%w: %d workers but only %d payload bytes", statecodec.ErrCorrupt, workers, r.Remaining())
 	}
 	pa := NewParallelAnalyzer(cfg, workers)
-	err = pa.decode(r, false)
-	if err == nil {
-		err = pa.checkAffinity()
-	}
-	if err != nil {
+	if err := pa.decode(r, false); err != nil {
 		Discard(pa)
 		return nil, err
 	}
@@ -347,7 +343,13 @@ func (sh *shard) code(c *statecodec.Codec) {
 
 	sh.Flows.Code(c)
 
-	statecodec.Tombstones(c, flow.StreamIDKey, &sh.streamLog, sh.forgetStreamMetric)
+	statecodec.Tombstones(c, flow.StreamIDKey, &sh.streamLog, func(id flow.MediaStreamID) {
+		// The engine leaves the registry and the stream record's handle.
+		delete(sh.StreamMetrics, id)
+		if st, ok := sh.Flows.Stream(id); ok {
+			st.Owner = nil
+		}
+	})
 	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics,
 		// A stream a delta updates keeps its logs: only their tails follow
 		// (StreamMetrics.Code resets the rest).

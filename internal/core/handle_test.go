@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -311,5 +313,112 @@ func TestDeltaEncodeKeepsReturningStream(t *testing.T) {
 	}
 	if !bytes.Equal(reports[0], reports[1]) || !bytes.Equal(reports[0], reports[2]) {
 		t.Errorf("reports differ: no checkpoints %d bytes, checkpointed %d, restored %d", len(reports[0]), len(reports[1]), len(reports[2]))
+	}
+}
+
+// oldSweepVictims is the idle sweep's choice as it was made before the
+// sweep walked the flow table: a walk of the metric registry, one
+// flow-table lookup per engine, a stream the table no longer holds
+// archived at the cutoff, then compareFinished order.
+func oldSweepVictims(sh *shard, cutoff time.Time) []FinishedStream {
+	var victims []FinishedStream
+	for id, sm := range sh.StreamMetrics {
+		st, ok := sh.Flows.Stream(id)
+		if ok && st.LastSeen.After(cutoff) {
+			continue
+		}
+		last := cutoff
+		if ok {
+			last = st.LastSeen
+		}
+		victims = append(victims, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
+	}
+	slices.SortFunc(victims, compareFinished)
+	return victims
+}
+
+// checkSweep runs one idle sweep on sh, which must have no archive cap,
+// and fails unless it archived exactly what oldSweepVictims chose, in the
+// same order, and left none of it live. It returns how many it archived.
+func checkSweep(t *testing.T, where string, sh *shard, cutoff time.Time) int {
+	t.Helper()
+	want := oldSweepVictims(sh, cutoff)
+	from := len(sh.Finished)
+	sh.EvictIdle(cutoff)
+	got := sh.Finished[from:]
+	if len(got) != len(want) {
+		t.Fatalf("%s: the sweep archived %d streams, the map walk %d", where, len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; g.ID != w.ID || !g.LastSeen.Equal(w.LastSeen) || g.Metrics != w.Metrics {
+			t.Fatalf("%s: archive entry %d is %v idle since %v, the map walk's %v idle since %v", where, i, g.ID, g.LastSeen, w.ID, w.LastSeen)
+		}
+		if _, live := sh.StreamMetrics[w.ID]; live {
+			t.Fatalf("%s: archived stream %v is still live", where, w.ID)
+		}
+	}
+	return len(got)
+}
+
+// TestSweepMatchesMapWalk holds the idle sweep, which finds its victims on
+// the flow table's stream records, to the walk of the metric registry it
+// replaced: at every sweep the same streams are archived in the same
+// order. The sweeps run every 256 packets, inline and queue-fed, through
+// a P2P switch that idles the meeting's SFU streams, a full checkpoint
+// and a delta from which a restored engine takes over (swept at once,
+// while none of its stream records carries an owner), a rotation (whose
+// window is the shards' merge) and Finish's merge.
+func TestSweepMatchesMapWalk(t *testing.T) {
+	tr, opts := seededTrace(t, 30)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	const ttl = time.Second
+	n := len(tr.frames)
+	far := tr.at[n-1].Add(time.Hour)
+	for _, workers := range []int{1, 2} {
+		eng := newTestEngine(cfg, workers)
+		archived := 0
+		sweep := func(what string, cutoff time.Time) {
+			p := pipelineOf(eng)
+			p.quiesce()
+			for s, sh := range p.shards {
+				archived += checkSweep(t, fmt.Sprintf("workers=%d %s shard %d", workers, what, s), sh, cutoff)
+			}
+		}
+		var full []byte
+		for i := range tr.frames {
+			eng.Packet(tr.at[i], tr.frames[i])
+			if i%256 == 255 {
+				sweep(fmt.Sprintf("packet %d", i), tr.at[i].Add(-ttl))
+			}
+			switch i {
+			case n / 3:
+				full = checkpointBytes(t, eng)
+			case n / 2:
+				var delta bytes.Buffer
+				if err := eng.CheckpointDelta(&delta); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.ApplyDelta(&delta); err != nil {
+					t.Fatal(err)
+				}
+				Discard(eng)
+				eng = restored
+				// No stream record of the restored engine has an owner yet:
+				// everything not seen on this very packet goes.
+				sweep("after restore", tr.at[i])
+			case 2 * n / 3:
+				win := eng.Rotate(tr.at[i])
+				archived += checkSweep(t, fmt.Sprintf("workers=%d rotated window", workers), win.shard, far)
+			}
+		}
+		eng.Finish()
+		sweep("after Finish", far)
+		if archived == 0 {
+			t.Errorf("workers=%d: no sweep archived a stream", workers)
+		}
 	}
 }

@@ -438,18 +438,26 @@ func (p *pipeline) stop() {
 	<-p.recon.done
 }
 
-// checkAffinity refuses shards holding a stream or a TCP tracker the flow
-// hash sends elsewhere: a parallel checkpoint written by a build with
-// another shardOf (or under other Zoom networks). Resumed, the flow's next
-// packets would open a second record on another shard, and the merge
-// would keep one of the two.
-func (p *pipeline) checkAffinity() error {
+// checkShards runs after every restore and delta apply. It refuses
+// shards holding a stream or a TCP tracker the flow hash sends elsewhere:
+// a parallel checkpoint written by a build with another shardOf (or under
+// other Zoom networks). Resumed, the flow's next packets would open a
+// second record on another shard, and the merge would keep one of the
+// two. It also refuses a stream metric engine whose stream the shard's
+// flow table does not hold, which the engine never writes: the idle sweep
+// finds engines through the table's records, so it would never archive
+// one. Every engine is checked, not only a delta's, because a delta's
+// tombstone can drop the stream record of an engine it does not carry.
+func (p *pipeline) checkShards() error {
 	zoom := p.filter.ZoomNetworks()
 	for i, sh := range p.shards {
 		for id := range sh.StreamMetrics {
 			f := id.Flow
 			if shardOf(zoom, p.n, false, f.Src, f.Dst, f.SrcPort, f.DstPort) != i {
 				return fmt.Errorf("%w: shard %d of %d holds stream %v, which this build's flow hash routes elsewhere", statecodec.ErrCorrupt, i, p.n, f)
+			}
+			if _, ok := sh.Flows.Stream(id); !ok {
+				return fmt.Errorf("%w: shard %d holds the metrics of stream %v on %v, which its flow table does not hold", statecodec.ErrCorrupt, i, id.Key, f)
 			}
 		}
 		for c := range sh.TCP {

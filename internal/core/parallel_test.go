@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -646,5 +647,62 @@ func TestRestoreRefusesForeignShardAffinity(t *testing.T) {
 	if eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, pa)), cfg); !errors.Is(err, statecodec.ErrCorrupt) {
 		Discard(eng)
 		t.Fatalf("restoring shards in each other's places: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRestoreRefusesDanglingStreamMetrics: a record whose shard holds the
+// metric engine of a stream its flow table does not hold — state the
+// engine never writes, made here by evicting the table's streams behind
+// the shard's back — is refused as corrupt, with the reason: the idle
+// sweep finds engines through the table's stream records, so such an
+// engine would never be archived. Three records: a full one, a delta that
+// rewrites engines whose stream records it tombstones, and a delta that
+// only tombstones the stream records.
+func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
+	tr, opts := seededTrace(t, 6)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	n := len(tr.frames)
+	far := tr.at[n-1].Add(time.Hour)
+	feed := func(a *Analyzer, from, to int) {
+		for i := from; i < to; i++ {
+			a.Packet(tr.at[i], tr.frames[i])
+		}
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), "which its flow table does not hold") {
+			t.Errorf("%s with dangling stream metrics: err = %v, want ErrCorrupt naming the stream", what, err)
+		}
+	}
+
+	live := NewAnalyzer(cfg)
+	feed(live, 0, n/2)
+	live.Flows.EvictIdle(far)
+	eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
+	Discard(eng)
+	refused("full record", err)
+
+	for _, touched := range []bool{true, false} {
+		live := NewAnalyzer(cfg)
+		feed(live, 0, n/2)
+		base := bytes.Clone(checkpointBytes(t, live))
+		if touched {
+			feed(live, n/2, 3*n/4)
+		}
+		live.Flows.EvictIdle(far)
+		var delta bytes.Buffer
+		if err := live.CheckpointDelta(&delta); err != nil {
+			t.Fatal(err)
+		}
+		target, err := RestoreAnalyzer(bytes.NewReader(base), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = target.ApplyDelta(&delta)
+		Discard(target)
+		refused(fmt.Sprintf("delta (engines rewritten: %v)", touched), err)
 	}
 }

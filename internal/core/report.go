@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"zoomlens/internal/flow"
+	"zoomlens/internal/layers"
 	"zoomlens/internal/meeting"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/rtcproto"
@@ -122,40 +123,33 @@ func (p *pipeline) Streams() []StreamSegment {
 		}
 		return byID[id]
 	}
-	// Flow keys are rendered once up front: calling Flow.String() inside
-	// the comparator allocates O(n log n) strings.
-	type keyed struct {
-		StreamSegment
-		flowKey string
-	}
-	var ks []keyed
-	add := func(seg StreamSegment) { ks = append(ks, keyed{seg, seg.ID.Flow.String()}) }
+	var out []StreamSegment
 	for _, sh := range p.shards {
 		for _, f := range sh.Finished {
 			seg := StreamSegment{ID: f.ID, Metrics: f.Metrics, FirstSeen: record(f.ID).Start, LastSeen: f.LastSeen, Archived: true}
 			if ss := f.Metrics.MediaRate.Samples; len(ss) > 0 && ss[0].Time().After(seg.FirstSeen) {
 				seg.FirstSeen = ss[0].Time()
 			}
-			add(seg)
+			out = append(out, seg)
 		}
 		for id, sm := range sh.StreamMetrics {
 			seg := StreamSegment{ID: id, Metrics: sm}
 			if st, ok := sh.Flows.Stream(id); ok {
 				seg.FirstSeen, seg.LastSeen = st.FirstSeen, st.LastSeen
 			}
-			add(seg)
+			out = append(out, seg)
 		}
 	}
 	// A stream's packets all reach one shard, whose archive is in idle-out
 	// order and was listed before its live map: a stable sort keeps each
 	// ID's segments oldest first.
-	slices.SortStableFunc(ks, func(a, b keyed) int {
-		return cmp.Or(cmp.Compare(a.ID.Key.SSRC, b.ID.Key.SSRC), cmp.Compare(a.ID.Key.Type, b.ID.Key.Type), cmp.Compare(a.flowKey, b.flowKey))
+	names := layers.TupleNames{}
+	slices.SortStableFunc(out, func(a, b StreamSegment) int {
+		if c := cmp.Or(cmp.Compare(a.ID.Key.SSRC, b.ID.Key.SSRC), cmp.Compare(a.ID.Key.Type, b.ID.Key.Type)); c != 0 {
+			return c
+		}
+		return cmp.Compare(names.Of(a.ID.Flow), names.Of(b.ID.Flow))
 	})
-	out := make([]StreamSegment, len(ks))
-	for i := range ks {
-		out[i] = ks[i].StreamSegment
-	}
 	return out
 }
 

@@ -400,15 +400,6 @@ func compareFinished(a, b FinishedStream) int {
 	return flow.CompareStreamID(a.ID, b.ID)
 }
 
-// forgetStreamMetric removes a stream's metric engine from the registry
-// and from the handle its flow-table record may still carry.
-func (sh *shard) forgetStreamMetric(id flow.MediaStreamID) {
-	delete(sh.StreamMetrics, id)
-	if st, ok := sh.Flows.Stream(id); ok {
-		st.Owner = nil
-	}
-}
-
 // archiveFinished appends to the archive, enforcing Config.MaxFinished
 // by dropping (and counting) the oldest entry.
 func (sh *shard) archiveFinished(f FinishedStream) {
@@ -433,33 +424,30 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 // of everything evicted surface in Summary.
 //
 // An archived stream moves from StreamMetrics to Finished (Streams lists
-// both); flow-level accounting (Tables 2/3/6) is unaffected. A stream
-// whose flow-table entry is already gone is archived whatever the cutoff
-// — keeping its metric engine live would leak, since nothing will ever
-// touch it again. Streams are archived in compareFinished order, not map
-// order, so the archive (and which entries MaxFinished drops) is the same
-// on every run.
+// both); flow-level accounting (Tables 2/3/6) is unaffected. The flow
+// table's walk finds the victims: every StreamMetrics key has a stream
+// record (restore enforces it, checkShards), whose owner, or one lookup,
+// gives the engine. Streams are archived in compareFinished order, not
+// map order, so the archive (and which entries MaxFinished drops) is the
+// same on every run.
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	var victims []FinishedStream
-	for id, sm := range sh.StreamMetrics {
-		st, ok := sh.Flows.Stream(id)
-		if ok && st.LastSeen.After(cutoff) {
-			continue
+	sh.Flows.EvictIdleFunc(cutoff, func(st *flow.StreamStats) {
+		var sm *metrics.StreamMetrics
+		if own, _ := st.Owner.(*streamOwner); own != nil {
+			sm = own.sm
+		} else if sm = sh.StreamMetrics[st.ID]; sm == nil {
+			return // a stream no media packet reached: nothing to archive
 		}
-		last := cutoff
-		if ok {
-			last = st.LastSeen
-		}
-		victims = append(victims, FinishedStream{ID: id, LastSeen: last, Metrics: sm})
-	}
+		victims = append(victims, FinishedStream{ID: st.ID, LastSeen: st.LastSeen, Metrics: sm})
+	})
 	slices.SortFunc(victims, compareFinished)
 	for _, f := range victims {
 		f.Metrics.Finish()
 		sh.archiveFinished(f)
-		sh.forgetStreamMetric(f.ID)
+		delete(sh.StreamMetrics, f.ID)
 		sh.streamLog.Drop(&f.Metrics.Mark, f.ID)
 	}
-	sh.Flows.EvictIdle(cutoff)
 	for client, tr := range sh.TCP {
 		if tr.LastSeen().After(cutoff) {
 			continue

@@ -126,19 +126,13 @@ type FlowStats struct {
 	// (Table 2), ascending by type: a handful of types pass the decoders.
 	ByEncapType []EncapCount
 
-	// streams indexes the flow's media streams by packKey. A map, not a
-	// list: a hostile sender can cycle SSRCs on one five-tuple, and the
-	// 8-byte key keeps the lookup on the runtime's fast path.
+	// streams indexes the flow's media streams by StreamKey.Prefix. A map,
+	// not a list: a hostile sender can cycle SSRCs on one five-tuple, and
+	// the 8-byte key keeps the lookup on the runtime's fast path.
 	streams map[uint64]*StreamStats
 
 	// mark is the record's entry in the table's flow change log.
 	mark statecodec.Mark
-}
-
-// packKey packs a stream key into the flow's index key, in an order that
-// agrees with StreamKey.Compare.
-func packKey(k zoom.StreamKey) uint64 {
-	return uint64(k.SSRC)<<16 | uint64(k.Type)<<8 | uint64(k.Proto)
 }
 
 // encap returns the flow's count for encapsulation type mt, inserting it
@@ -281,7 +275,7 @@ func (t *Table) Observe(r *Record) *StreamStats {
 		return nil
 	}
 
-	s := f.streams[packKey(key)]
+	s := f.streams[key.Prefix()]
 	if s == nil {
 		if t.limits.MaxStreams > 0 && t.streams >= t.limits.MaxStreams {
 			t.ev.RejectedStreamPackets++
@@ -313,7 +307,7 @@ func (f *FlowStats) addStream(s *StreamStats) {
 	if f.streams == nil {
 		f.streams = make(map[uint64]*StreamStats)
 	}
-	f.streams[packKey(s.ID.Key)] = s
+	f.streams[s.ID.Key.Prefix()] = s
 }
 
 // EvictIdle removes every stream whose last packet is not after cutoff,
@@ -325,10 +319,20 @@ func (f *FlowStats) addStream(s *StreamStats) {
 // latest packet in capture order, which under a backward capture clock can
 // be earlier than one of its streams'.
 func (t *Table) EvictIdle(cutoff time.Time) (flows, streams int) {
+	return t.EvictIdleFunc(cutoff, nil)
+}
+
+// EvictIdleFunc is EvictIdle handing each evicted stream record to
+// evicted, if set, in no particular order: a driver that keeps state per
+// stream finds its victims in the same walk, with no lookup of its own.
+func (t *Table) EvictIdleFunc(cutoff time.Time, evicted func(*StreamStats)) (flows, streams int) {
 	for k, f := range t.flows {
 		for pk, s := range f.streams {
 			if s.LastSeen.After(cutoff) {
 				continue
+			}
+			if evicted != nil {
+				evicted(s)
 			}
 			t.foldStream(s)
 			delete(f.streams, pk)
@@ -395,7 +399,7 @@ func (t *Table) foldFlow(f *FlowStats) {
 // audio before screen share.
 func (f *FlowStats) findStreamBySSRC(ssrc uint32, proto uint8) *StreamStats {
 	for _, mt := range [...]zoom.MediaType{zoom.TypeVideo, zoom.TypeAudio, zoom.TypeScreenShare} {
-		if s := f.streams[packKey(zoom.StreamKey{SSRC: ssrc, Type: mt, Proto: proto})]; s != nil {
+		if s := f.streams[zoom.StreamKey{SSRC: ssrc, Type: mt, Proto: proto}.Prefix()]; s != nil {
 			return s
 		}
 	}
@@ -411,33 +415,29 @@ func (t *Table) eachStream(fn func(*StreamStats)) {
 	}
 }
 
-// Flows returns all flow records, ordered by first-seen time. Flow keys
-// are rendered once before sorting: String() inside the comparator would
-// allocate O(n log n) strings.
+// Flows returns all flow records, ordered by first-seen time, ties broken
+// by the flow's string.
 func (t *Table) Flows() []*FlowStats {
 	out := make([]*FlowStats, 0, len(t.flows))
-	keys := make(map[*FlowStats]string, len(t.flows))
 	for _, f := range t.flows {
 		out = append(out, f)
-		keys[f] = f.Flow.String()
 	}
+	names := layers.TupleNames{}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
 			return out[i].FirstSeen.Before(out[j].FirstSeen)
 		}
-		return keys[out[i]] < keys[out[j]]
+		return names.Of(out[i].Flow) < names.Of(out[j].Flow)
 	})
 	return out
 }
 
-// Streams returns all stream records, ordered by first-seen time.
+// Streams returns all stream records, ordered by first-seen time, ties
+// broken by SSRC and then by the flow's string.
 func (t *Table) Streams() []*StreamStats {
 	out := make([]*StreamStats, 0, t.streams)
-	keys := make(map[*StreamStats]string, t.streams)
-	t.eachStream(func(s *StreamStats) {
-		out = append(out, s)
-		keys[s] = s.ID.Flow.String()
-	})
+	t.eachStream(func(s *StreamStats) { out = append(out, s) })
+	names := layers.TupleNames{}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
 			return out[i].FirstSeen.Before(out[j].FirstSeen)
@@ -445,7 +445,7 @@ func (t *Table) Streams() []*StreamStats {
 		if out[i].ID.Key.SSRC != out[j].ID.Key.SSRC {
 			return out[i].ID.Key.SSRC < out[j].ID.Key.SSRC
 		}
-		return keys[out[i]] < keys[out[j]]
+		return names.Of(out[i].ID.Flow) < names.Of(out[j].ID.Flow)
 	})
 	return out
 }
@@ -551,7 +551,7 @@ func (f *FlowStats) stream(k zoom.StreamKey) *StreamStats {
 	if f == nil {
 		return nil
 	}
-	return f.streams[packKey(k)]
+	return f.streams[k.Prefix()]
 }
 
 // Totals summarizes the table for the Table 6 reproduction.

@@ -43,10 +43,12 @@ func (id *MediaStreamID) Code(c *statecodec.Codec) {
 	id.Key.Code(c)
 }
 
-// StreamIDKey is the stream identifier as a keyed-collection key.
+// StreamIDKey is the stream identifier as a keyed-collection key. Its
+// prefix is the flow's: the streams of one flow tie on it.
 var StreamIDKey = &statecodec.Key[MediaStreamID]{
 	Min: layers.TupleKey.Min + zoom.StreamKeyKey.Min, Compare: CompareStreamID,
-	Code: func(c *statecodec.Codec, id MediaStreamID) MediaStreamID { id.Code(c); return id }}
+	Prefix: func(id MediaStreamID) uint64 { return id.Flow.Prefix() },
+	Code:   func(c *statecodec.Codec, id MediaStreamID) MediaStreamID { id.Code(c); return id }}
 
 var (
 	u8Key        = statecodec.UintKey[uint8]()
@@ -102,7 +104,7 @@ func (t *Table) Code(c *statecodec.Codec) {
 	})
 	statecodec.Tombstones(c, StreamIDKey, &t.streamLog, func(id MediaStreamID) {
 		if f := t.flows[id.Flow]; f.stream(id.Key) != nil {
-			delete(f.streams, packKey(id.Key))
+			delete(f.streams, id.Key.Prefix())
 			t.streams--
 		}
 	})

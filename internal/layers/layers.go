@@ -213,6 +213,22 @@ func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s", ft.Src, ft.SrcPort, ft.Dst, ft.DstPort, proto)
 }
 
+// TupleNames renders tuples for the tie-breaks of report orders, which
+// compare two tuples' strings only when everything before them ties: each
+// tuple is rendered on demand and once, not one Sprintf per record up
+// front. The zero value is not usable; make one per sort.
+type TupleNames map[FiveTuple]string
+
+// Of returns ft's String, rendering it on first use.
+func (m TupleNames) Of(ft FiveTuple) string {
+	s, ok := m[ft]
+	if !ok {
+		s = ft.String()
+		m[ft] = s
+	}
+	return s
+}
+
 // FiveTuple extracts the flow key of a decoded packet. ok is false when
 // either the network or transport layer is missing.
 func (p *Packet) FiveTuple() (ft FiveTuple, ok bool) {

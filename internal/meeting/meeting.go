@@ -279,7 +279,6 @@ func (d *Dedup) Records(clientOf func(layers.FiveTuple) netip.AddrPort) []Stream
 // per-protocol endpoint conventions (see ClientOfProto).
 func (d *Dedup) RecordsBy(clientOf func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort) []StreamRecord {
 	out := make([]StreamRecord, 0, len(d.streams))
-	flowKeys := make([]string, 0, len(d.streams))
 	for _, s := range d.streams {
 		out = append(out, StreamRecord{
 			Unified: s.unified,
@@ -289,10 +288,8 @@ func (d *Dedup) RecordsBy(clientOf func(layers.FiveTuple, zoom.StreamKey) netip.
 			End:     s.lastSeen,
 			Client:  clientOf(s.id.Flow, s.id.Key),
 		})
-		// Rendered once up front: String() inside the comparator would
-		// allocate O(n log n) strings.
-		flowKeys = append(flowKeys, s.id.Flow.String())
 	}
+	names := layers.TupleNames{}
 	order := make([]int, len(out))
 	for i := range order {
 		order[i] = i
@@ -302,8 +299,8 @@ func (d *Dedup) RecordsBy(clientOf func(layers.FiveTuple, zoom.StreamKey) netip.
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
 		}
-		if flowKeys[i] != flowKeys[j] {
-			return flowKeys[i] < flowKeys[j]
+		if ni, nj := names.Of(out[i].Flow), names.Of(out[j].Flow); ni != nj {
+			return ni < nj
 		}
 		// Full tiebreak keeps the order deterministic when two streams of
 		// one flow start on the same packet timestamp.

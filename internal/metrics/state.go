@@ -245,6 +245,8 @@ func (cm *CopyMatcher) MarkCheckpointed() {
 func (cm *CopyMatcher) Backlog() (changed, dead int) { return cm.log.Backlog() }
 
 var unifiedKey = &statecodec.Key[meeting.UnifiedID]{Min: 1, Compare: cmp.Compare[meeting.UnifiedID],
+	// The sign bit flipped: the id's order, exact, as an unsigned word.
+	Prefix: func(id meeting.UnifiedID) uint64 { return uint64(id) ^ 1<<63 },
 	Code: func(c *statecodec.Codec, id meeting.UnifiedID) meeting.UnifiedID {
 		c.Int((*int)(&id))
 		return id

@@ -536,16 +536,24 @@ func Slice[T any](c *Codec, s *[]T, from int, elem func(*T)) {
 // takes and returns the key by value — an encoding pass writes k and
 // returns it, a decoding pass ignores k and returns the key read — so
 // keys never escape to the heap.
+//
+// Prefix, when set, packs the leading part of Compare's order into a
+// word, so an encoding pass sorts words and compares whole keys only
+// where two words tie. It must be monotone: Compare(a, b) < 0 implies
+// Prefix(a) <= Prefix(b). The order, and so every byte written, is
+// Compare's either way.
 type Key[K any] struct {
 	Min     int
 	Compare func(a, b K) int
+	Prefix  func(k K) uint64
 	Code    func(c *Codec, k K) K
 }
 
 // UintKey returns the Key of an unsigned integer type, written as a
-// uvarint and range-checked on decode.
+// uvarint and range-checked on decode. Its prefix is the value itself,
+// so sorting never falls back to Compare.
 func UintKey[K ~uint8 | ~uint16 | ~uint32 | ~uint64]() *Key[K] {
-	return &Key[K]{Min: 1, Compare: cmp.Compare[K], Code: func(c *Codec, k K) K {
+	return &Key[K]{Min: 1, Compare: cmp.Compare[K], Prefix: func(k K) uint64 { return uint64(k) }, Code: func(c *Codec, k K) K {
 		v := uint64(k)
 		c.U64(&v)
 		if uint64(K(v)) != v {
@@ -573,27 +581,77 @@ type Entry[K, V any] struct {
 	V V
 }
 
+// ranked is one entry of put's permutation: the key's prefix (0 for a
+// key type without one) and the entry's index.
+type ranked struct {
+	prefix uint64
+	i      int
+}
+
 // put writes the selected entries in key order — their count, then each
 // key followed by elem: the encoding half of every keyed helper. It
-// sorts a permutation rather than the entries, so a comparison copies
-// two keys and a swap moves one int.
+// sorts a permutation rather than the entries, by prefix, so a swap moves
+// two words and only entries whose prefixes tie copy their keys into
+// Compare. More than smallMap entries — the collections that hold every
+// flow or stream — sort by radix, fewer by comparison.
 func put[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V)) {
-	var scratch [smallMap]int
+	var scratch [smallMap]ranked
 	order := scratch[:0]
 	if len(sel) > len(scratch) {
-		order = make([]int, 0, len(sel))
+		order = make([]ranked, 0, 2*len(sel)) // the second half is the radix sort's
 	}
 	for i := range sel {
-		order = append(order, i)
+		var p uint64
+		if key.Prefix != nil {
+			p = key.Prefix(sel[i].K)
+		}
+		order = append(order, ranked{p, i})
 	}
-	slices.SortFunc(order, func(a, b int) int { return key.Compare(sel[a].K, sel[b].K) })
-	c.w.Int(len(sel))
-	for _, i := range order {
-		key.Code(c, sel[i].K)
-		if elem != nil {
-			elem(sel[i].K, sel[i].V)
+	if len(order) > smallMap {
+		order = radixSort(order, order[len(order):cap(order)])
+	} else {
+		slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(a.prefix, b.prefix) })
+	}
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		for hi = lo + 1; hi < len(order) && order[hi].prefix == order[lo].prefix; hi++ {
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b ranked) int { return key.Compare(sel[a.i].K, sel[b.i].K) })
 		}
 	}
+	c.w.Int(len(sel))
+	for _, r := range order {
+		key.Code(c, sel[r.i].K)
+		if elem != nil {
+			elem(sel[r.i].K, sel[r.i].V)
+		}
+	}
+}
+
+// radixSort sorts order by prefix a byte at a time, lowest first,
+// skipping a byte every prefix shares; tmp is scratch of order's length.
+// It returns whichever of the two holds the result.
+func radixSort(order, tmp []ranked) []ranked {
+	for shift := 0; shift < 64; shift += 8 {
+		var at [256]int
+		for _, r := range order {
+			at[byte(r.prefix>>shift)]++
+		}
+		if at[byte(order[0].prefix>>shift)] == len(order) {
+			continue
+		}
+		pos := 0
+		for d, n := range at {
+			at[d], pos = pos, pos+n
+		}
+		for _, r := range order {
+			d := byte(r.prefix >> shift)
+			tmp[at[d]] = r
+			at[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 // get is the decoding half: it reads the guarded count and hands each
@@ -662,10 +720,9 @@ func Tombstones[K, V any](c *Codec, key *Key[K], log *ChangeLog[K, V], del func(
 	var dead []K
 	if c.w != nil {
 		if !c.full && log != nil {
-			// A sorted copy: the log stays as it is should the write after
-			// this encode fail.
-			dead = slices.Clone(log.dead)
-			slices.SortFunc(dead, key.Compare)
+			// Keys sorts a permutation, so the log stays as it is should
+			// the write after this encode fail.
+			dead = log.dead
 		}
 		del = func(K) {}
 	}

@@ -16,8 +16,15 @@ func (k *StreamKey) Code(c *statecodec.Codec) {
 }
 
 // StreamKeyKey is the key as a keyed-collection key.
-var StreamKeyKey = &statecodec.Key[StreamKey]{Min: 3, Compare: StreamKey.Compare,
+var StreamKeyKey = &statecodec.Key[StreamKey]{Min: 3, Compare: StreamKey.Compare, Prefix: StreamKey.Prefix,
 	Code: func(c *statecodec.Codec, k StreamKey) StreamKey { k.Code(c); return k }}
+
+// Prefix packs the key into one word in Compare's order. The packing is
+// exact, so a checkpoint sort by it never falls back to Compare, and the
+// flow table indexes a flow's streams by it.
+func (k StreamKey) Prefix() uint64 {
+	return uint64(k.SSRC)<<16 | uint64(k.Type)<<8 | uint64(k.Proto)
+}
 
 // Compare orders keys by (SSRC, Type, Proto) for deterministic
 // checkpoint encoding. Proto breaks ties last so all-Zoom state orders
