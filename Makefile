@@ -43,11 +43,13 @@ bench:
 # packet on a one-stream flow and on a 50,000-stream one; a record found by
 # key and by handle) — catches a broken perf harness without paying for a
 # real measurement run — plus the parallel-vs-sequential throughput tripwire at
-# its conservative smoke floor.
+# its conservative smoke floor, and the simulator's frames per second and
+# cost and allocations per tapped frame.
 bench-smoke:
 	$(BENCH_ONE) -bench 'BenchmarkAnalyzerPipeline|BenchmarkIngestPath|BenchmarkIngestWorkerRatio' .
 	$(BENCH_ONE) -bench 'BenchmarkStreamMetricsObserve|BenchmarkCopyMatcherObserve|BenchmarkSeqTrackerObserve' -benchmem ./internal/metrics/ ./internal/rtp/
 	$(BENCH_ONE) -bench 'BenchmarkTableObserve|BenchmarkDedupObserve' -benchmem ./internal/flow/ ./internal/meeting/
+	$(BENCH_ONE) -bench BenchmarkSimulateCampus .
 
 # The repo benchmark is its own module (bench/go.mod), so the root
 # `go test ./...` never compiles it: vet and test it here, against the
@@ -66,8 +68,9 @@ checkpoint-check:
 # The ingest allocation budget, enforced: zero allocations per record and
 # per batch in the zero-copy readers, bounded allocations per packet end to end, and
 # the sharded engine within 1.25x of the sequential one's bytes per packet.
+# Then the simulator's: bounded allocations per frame the monitor sees.
 alloc-check:
-	$(GO) test -count=1 -run 'TestIngestReadAllocsZero|TestIngestAnalyzeAllocsBounded' -v .
+	$(GO) test -count=1 -run 'TestIngestReadAllocsZero|TestIngestAnalyzeAllocsBounded|TestSimAllocsPerFrameBounded' -v .
 
 ablation:
 	$(GO) test -bench=Ablation -benchtime 1x -run XXX .
@@ -165,7 +168,10 @@ soak-smoke:
 # written elsewhere face hostile bytes too: a QoE model must load to
 # finite probabilities or be refused, and a splitter manifest that loads
 # must survive a marshal → load cycle unchanged. The checkpoint-key
-# target holds each key's sort prefix to the key's order.
+# target holds each key's sort prefix to the key's order. The simulator
+# is the oracle every accuracy figure is scored against, so its two
+# rewritten kernels face their references: the word-wise checksums the
+# RFC 1071 16-bit loop, and the typed event heap a container/heap engine.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzZoomParse -fuzztime=$(FUZZTIME) ./internal/zoom/
 	$(GO) test -fuzz=FuzzPacketParseInPlace -fuzztime=$(FUZZTIME) ./internal/zoom/
@@ -184,6 +190,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -fuzz=FuzzModelLoad -fuzztime=$(FUZZTIME) ./internal/predict/
 	$(GO) test -fuzz=FuzzKeyPrefixOrder -fuzztime=$(FUZZTIME) ./internal/flow/
+	$(GO) test -fuzz=FuzzChecksum -fuzztime=$(FUZZTIME) ./internal/layers/
+	$(GO) test -fuzz=FuzzEngineVsHeap -fuzztime=$(FUZZTIME) ./internal/netsim/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -18,9 +18,12 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"zoomlens/internal/trace"
 )
 
 var printOnce sync.Map
@@ -485,4 +488,27 @@ func BenchmarkFig17PacketRate(b *testing.B) {
 		}
 		_ = n
 	}
+}
+
+// BenchmarkSimulateCampus times the simulator alone: a two-minute campus
+// day in the benchmark harness's shape (60 meetings an hour at peak,
+// off-campus delivery elided), every tapped frame discarded. It reports
+// tapped frames per second and the cost and heap allocations per tapped
+// frame.
+func BenchmarkSimulateCampus(b *testing.B) {
+	cfg := trace.DefaultConfig()
+	cfg.Duration = 2 * time.Minute
+	cfg.MeetingsPerHourPeak = 60
+	frames := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simulateCampus(cfg, true, func(time.Time, []byte) { frames++ })
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(frames)/b.Elapsed().Seconds(), "frames/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(frames), "allocs/frame")
 }

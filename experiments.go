@@ -240,20 +240,13 @@ type ValidationResult struct {
 	CongestionWindows []Congestion
 }
 
-// RunValidation reproduces the §5 controlled experiment behind Figures
-// 10a–10c: a two-party on-campus meeting of the given duration with two
-// injected congestion episodes, analyzed passively at the border and
-// compared against the receiving client's QoS log.
-func RunValidation(seconds int, seed int64) *ValidationResult {
+// validationWorld builds RunValidation's world, not yet run: a two-party
+// on-campus meeting whose downlink WAN leg carries two congestion
+// episodes. It returns the receiving client and the episodes.
+func validationWorld(seconds int, seed int64) (*sim.World, *sim.Client, []Congestion) {
 	opts := sim.DefaultOptions()
 	opts.Seed = seed
 	w := sim.NewWorld(opts)
-	a := NewAnalyzer(Config{
-		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
-		CampusNetworks: []netip.Prefix{opts.CampusNet},
-	})
-	w.Monitor = a.Packet
-
 	m := w.NewMeeting()
 	alice := w.NewClient("alice", true)
 	bob := w.NewClient("bob", true)
@@ -277,10 +270,25 @@ func RunValidation(seconds int, seed int64) *ValidationResult {
 		LossRate:    0.03,
 	}
 	w.WanDown.Episodes = append(w.WanDown.Episodes, e1, e2)
+	return w, bob, []Congestion{e1, e2}
+}
+
+// RunValidation reproduces the §5 controlled experiment behind Figures
+// 10a–10c: a two-party on-campus meeting of the given duration with two
+// injected congestion episodes, analyzed passively at the border and
+// compared against the receiving client's QoS log.
+func RunValidation(seconds int, seed int64) *ValidationResult {
+	w, bob, episodes := validationWorld(seconds, seed)
+	opts := w.Opts
+	a := NewAnalyzer(Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	})
+	w.Monitor = a.Packet
 	w.Run(opts.Start.Add(time.Duration(seconds) * time.Second))
 	a.Finish()
 
-	res := &ValidationResult{CongestionWindows: []Congestion{e1, e2}}
+	res := &ValidationResult{CongestionWindows: episodes}
 
 	// The stream under test: Alice's video as delivered to Bob (the
 	// downlink crosses the congested WanDown leg).

@@ -35,23 +35,37 @@ func EthernetIPv4UDP(src, dst netip.AddrPort, ttl uint8, payload []byte) []byte 
 	return b.Bytes()
 }
 
-// BuildUDP appends into b (after Reset) and returns the assembled bytes.
-// It is the allocation-conscious variant of EthernetIPv4UDP for the
-// simulator hot path.
+// BuildUDP appends into b (after Reset) and returns a copy of the
+// assembled bytes, which the caller owns.
 func (b *Builder) BuildUDP(src, dst netip.AddrPort, ttl uint8, payload []byte) []byte {
+	b.FrameUDP(src, dst, ttl, payload)
+	return b.Bytes()
+}
+
+// FrameUDP is BuildUDP without the copy: the frame it returns is b's
+// buffer, lent until b's next use. The simulator's tap frames into one
+// Builder this way.
+func (b *Builder) FrameUDP(src, dst netip.AddrPort, ttl uint8, payload []byte) []byte {
 	b.Reset()
 	b.appendEthernet(src.Addr(), dst.Addr(), EtherTypeIPv4)
 	b.appendIPv4UDP(src, dst, ttl, payload)
-	return b.Bytes()
+	return b.buf
 }
 
 // BuildTCP builds a complete Ethernet+IPv4+TCP packet like BuildUDP; the
 // TCP header uses no options.
 func (b *Builder) BuildTCP(src, dst netip.AddrPort, ttl uint8, seq, ack uint32, flags TCPFlags, window uint16, payload []byte) []byte {
+	b.FrameTCP(src, dst, ttl, seq, ack, flags, window, payload)
+	return b.Bytes()
+}
+
+// FrameTCP is BuildTCP without the copy, lending the frame like
+// FrameUDP.
+func (b *Builder) FrameTCP(src, dst netip.AddrPort, ttl uint8, seq, ack uint32, flags TCPFlags, window uint16, payload []byte) []byte {
 	b.Reset()
 	b.appendEthernet(src.Addr(), dst.Addr(), EtherTypeIPv4)
 	b.appendIPv4TCP(src, dst, ttl, seq, ack, flags, window, payload)
-	return b.Bytes()
+	return b.buf
 }
 
 func macFor(a netip.Addr) [6]byte {
@@ -121,43 +135,46 @@ func (b *Builder) appendIPv4Header(src, dst netip.Addr, ttl uint8, proto uint8, 
 }
 
 // internetChecksum computes the RFC 1071 ones-complement checksum of data.
-func internetChecksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+func internetChecksum(data []byte) uint16 { return foldChecksum(onesSum(0, data)) }
+
+// onesSum adds data to acc as big-endian 32-bit words, then a trailing
+// 16-bit word and a trailing odd byte padded with zero as RFC 1071 pads
+// it. Because 2^16 is 1 modulo 0xffff, the folded result equals the
+// RFC's 16-bit sum; the 64-bit accumulator cannot overflow before 2^32
+// words.
+func onesSum(acc uint64, data []byte) uint64 {
+	for ; len(data) >= 8; data = data[8:] {
+		acc += uint64(binary.BigEndian.Uint32(data)) + uint64(binary.BigEndian.Uint32(data[4:]))
 	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
+	if len(data) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
+	if len(data) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
 	}
-	return ^uint16(sum)
+	if len(data) == 1 {
+		acc += uint64(data[0]) << 8
+	}
+	return acc
+}
+
+// foldChecksum folds a ones-complement sum to 16 bits and complements it.
+func foldChecksum(acc uint64) uint16 {
+	for acc > 0xffff {
+		acc = acc&0xffff + acc>>16
+	}
+	return ^uint16(acc)
 }
 
 // transportChecksum computes the UDP/TCP checksum including the IPv4
 // pseudo-header.
 func transportChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 {
-	var pseudo [12]byte
 	s4, d4 := src.As4(), dst.As4()
-	copy(pseudo[0:4], s4[:])
-	copy(pseudo[4:8], d4[:])
-	pseudo[9] = proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(segment)))
-	var sum uint32
-	for i := 0; i < 12; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(pseudo[i : i+2]))
-	}
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[i : i+2]))
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	acc := uint64(binary.BigEndian.Uint32(s4[:])) + uint64(binary.BigEndian.Uint32(d4[:])) +
+		uint64(proto) + uint64(uint16(len(segment)))
+	return foldChecksum(onesSum(acc, segment))
 }
 
 // EthernetIPv6UDP builds a complete Ethernet+IPv6+UDP packet around
@@ -212,18 +229,5 @@ func transportChecksum6(src, dst netip.Addr, proto uint8, segment []byte) uint16
 	copy(pseudo[16:32], d16[:])
 	binary.BigEndian.PutUint32(pseudo[32:36], uint32(len(segment)))
 	pseudo[39] = proto
-	var sum uint32
-	for i := 0; i < len(pseudo); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(pseudo[i : i+2]))
-	}
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[i : i+2]))
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return foldChecksum(onesSum(onesSum(0, pseudo[:]), segment))
 }

@@ -10,35 +10,37 @@
 package netsim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
 
-// Engine is a run-to-completion discrete event simulator.
+// Engine is a run-to-completion discrete event simulator. Events wait by
+// value in a binary min-heap ordered on (time, scheduling sequence), a
+// strict total order, so equal-time events fire in the order they were
+// scheduled and scheduling allocates nothing per event.
 type Engine struct {
+	start time.Time
 	now   time.Time
-	queue eventQueue
+	// nowNS is now as nanoseconds since start: events are keyed by
+	// their offset from the engine's start, which unlike UnixNano stays
+	// defined for any start date (offsets saturate 292 years out, as
+	// time.Duration does).
+	nowNS int64
+	queue []event
 	seq   uint64 // tiebreaker for deterministic ordering
 }
 
 // NewEngine starts the virtual clock at start.
 func NewEngine(start time.Time) *Engine {
-	return &Engine{now: start}
+	return &Engine{start: start, now: start}
 }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time (in UTC once an event has run).
 func (e *Engine) Now() time.Time { return e.now }
 
 // Schedule runs f at the given virtual time. Times in the past run "now"
 // (immediately on the next dispatch), preserving causal order.
-func (e *Engine) Schedule(at time.Time, f func()) {
-	if at.Before(e.now) {
-		at = e.now
-	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: at.UnixNano(), seq: e.seq, f: f})
-}
+func (e *Engine) Schedule(at time.Time, f func()) { e.push(at, f, nil) }
 
 // After schedules f after a virtual delay.
 func (e *Engine) After(d time.Duration, f func()) { e.Schedule(e.now.Add(d), f) }
@@ -46,45 +48,87 @@ func (e *Engine) After(d time.Duration, f func()) { e.Schedule(e.now.Add(d), f) 
 // Run dispatches events until the queue is empty or the clock passes
 // until. Events at exactly until still run.
 func (e *Engine) Run(until time.Time) {
-	lim := until.UnixNano()
-	for e.queue.Len() > 0 {
-		ev := e.queue[0]
-		if ev.at > lim {
-			return
+	lim := int64(until.Sub(e.start))
+	for len(e.queue) > 0 && e.queue[0].at <= lim {
+		ev := e.pop()
+		e.nowNS = ev.at
+		e.now = e.start.Add(time.Duration(ev.at)).UTC()
+		if ev.arrive != nil {
+			ev.arrive(e.now)
+		} else {
+			ev.f()
 		}
-		heap.Pop(&e.queue)
-		e.now = time.Unix(0, ev.at).UTC()
-		ev.f()
 	}
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 type event struct {
-	at  int64 // UnixNano; avoids time.Time comparison cost in the hot heap
+	at  int64 // nanoseconds since the engine's start
 	seq uint64
 	f   func()
+	// arrive, when set, runs instead of f and is handed the event's
+	// time: Link.Send's callback, scheduled without a closure around it.
+	arrive func(time.Time)
 }
 
-type eventQueue []*event
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push queues f (or arrive) at at, clamped to now, sifting the new event
+// up from the heap's end.
+func (e *Engine) push(at time.Time, f func(), arrive func(time.Time)) {
+	e.seq++
+	ev := event{at: int64(at.Sub(e.start)), seq: e.seq, f: f, arrive: arrive}
+	if ev.at < e.nowNS {
+		ev.at = e.nowNS
 	}
-	return q[i].seq < q[j].seq
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// pop removes the earliest event, sifting the last one down from the
+// root into the hole.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // release the callbacks
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Congestion is a scheduled impairment episode on a link, modeling the
@@ -157,7 +201,7 @@ func (l *Link) Send(deliver func(arrival time.Time)) (ok bool, arrival time.Time
 		delay += time.Duration(l.rng.Int63n(int64(jitter)))
 	}
 	at := now.Add(delay)
-	l.eng.Schedule(at, func() { deliver(at) })
+	l.eng.push(at, nil, deliver)
 	return true, at
 }
 

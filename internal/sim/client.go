@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"time"
 
-	"zoomlens/internal/layers"
 	"zoomlens/internal/media"
 	"zoomlens/internal/qos"
 	"zoomlens/internal/rtp"
@@ -48,6 +47,9 @@ type Client struct {
 	w     *World
 	rng   *rand.Rand
 	links clientLinks
+	// toSFU and fromSFU are the client's paths to and from the server
+	// side, built once.
+	toSFU, fromSFU path
 
 	meeting *Meeting
 	set     MediaSet
@@ -65,8 +67,6 @@ type Client struct {
 	senders []*streamSender
 	recv    *receiver
 	tcp     *controlConn
-
-	builder layers.Builder
 
 	// Rate-adaptation hysteresis (driven by receiver feedback).
 	badSeconds  int
@@ -97,6 +97,7 @@ func (w *World) NewClientWithAddr(name string, campus bool, addr netip.Addr) *Cl
 		rng:    rand.New(rand.NewSource(w.rng.Int63())),
 	}
 	c.links = w.newClientLinks(campus, c.rng.Int63())
+	c.toSFU, c.fromSFU = w.pathToSFU(c), w.pathFromSFU(c)
 	return c
 }
 
@@ -386,7 +387,7 @@ func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
 
 // wirePacket carries both the bytes and the metadata the receiving side
 // needs (the receiver could re-parse, but the simulator keeps ground
-// truth attached).
+// truth attached). Only framing at the tap reads payload.
 type wirePacket struct {
 	payload   []byte // UDP payload (Zoom encapsulations + RTP/RTCP)
 	mediaType zoom.MediaType
@@ -422,32 +423,7 @@ func (s *streamSender) buildWebRTCPacket(payloadLen int, marker bool, nPkts uint
 	if s.mediaType == zoom.TypeAudio {
 		pt = webrtcPTAudio
 	}
-	rp := rtp.Packet{
-		Header: rtp.Header{
-			PayloadType:    pt,
-			SequenceNumber: s.mainSeq,
-			Timestamp:      s.rtpTS,
-			SSRC:           s.ssrc,
-			Marker:         marker,
-		},
-		Payload: s.c.encryptedPayload(payloadLen),
-	}
-	wire, err := rp.Marshal()
-	if err != nil {
-		panic("sim: marshal webrtc packet: " + err.Error())
-	}
-	return &wirePacket{
-		payload:   wire,
-		mediaType: s.mediaType,
-		pt:        pt,
-		ssrc:      s.ssrc,
-		rtpSeq:    s.mainSeq,
-		rtpTS:     s.rtpTS,
-		marker:    marker,
-		frameSeq:  s.frameSeq,
-		nPkts:     nPkts,
-		sender:    s.c,
-	}
+	return s.rtpPacket(make([]byte, 0, rtp.HeaderLen+payloadLen), pt, s.mainSeq, payloadLen, marker, nPkts, false)
 }
 
 func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, nPkts uint8, hasCount, fec bool) *wirePacket {
@@ -461,42 +437,45 @@ func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, n
 	}
 	*seq++
 	p2p := s.c.meeting.mode == modeP2P
-	zp := zoom.Packet{
-		ServerBased: !p2p,
-		Media: zoom.MediaEncap{
-			Type:      s.mediaType,
-			Sequence:  s.mediaSeq,
-			Timestamp: s.rtpTS,
-		},
-		RTP: rtp.Packet{
-			Header: rtp.Header{
-				PayloadType:    pt,
-				SequenceNumber: *seq,
-				Timestamp:      s.rtpTS,
-				SSRC:           s.ssrc,
-				Marker:         marker,
-			},
-			Payload: s.c.encryptedPayload(payloadLen),
-		},
-	}
+	media := zoom.MediaEncap{Type: s.mediaType, Sequence: s.mediaSeq, Timestamp: s.rtpTS}
 	if hasCount && s.mediaType == zoom.TypeVideo {
-		zp.Media.FrameSequence = s.frameSeq
-		zp.Media.PacketsInFrame = nPkts
+		media.FrameSequence = s.frameSeq
+		media.PacketsInFrame = nPkts
 	}
+	wire := make([]byte, 0, zoom.SFUEncapLen+s.mediaType.HeaderLen()+rtp.HeaderLen+payloadLen)
 	if !p2p {
 		s.c.sfuSeq++
-		zp.SFU = zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.c.sfuSeq, Direction: zoom.DirToSFU}
+		sfuHdr := zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.c.sfuSeq, Direction: zoom.DirToSFU}
+		wire = sfuHdr.AppendMarshal(wire)
 	}
-	wire, err := zp.Marshal()
+	wire, err := media.AppendMarshal(wire)
 	if err != nil {
 		panic("sim: marshal media packet: " + err.Error())
 	}
+	return s.rtpPacket(wire, pt, *seq, payloadLen, marker, nPkts, p2p)
+}
+
+// rtpPacket appends an RTP header and payloadLen bytes of ciphertext to
+// wire, which the caller sized for them, and attaches the packet's
+// ground truth.
+func (s *streamSender) rtpPacket(wire []byte, pt uint8, seq uint16, payloadLen int, marker bool, nPkts uint8, p2p bool) *wirePacket {
+	hdr := rtp.Packet{Header: rtp.Header{
+		PayloadType:    pt,
+		SequenceNumber: seq,
+		Timestamp:      s.rtpTS,
+		SSRC:           s.ssrc,
+		Marker:         marker,
+	}}
+	wire, err := hdr.AppendMarshal(wire)
+	if err != nil {
+		panic("sim: marshal rtp header: " + err.Error())
+	}
 	return &wirePacket{
-		payload:   wire,
+		payload:   s.c.appendEncrypted(wire, payloadLen),
 		mediaType: s.mediaType,
 		pt:        pt,
 		ssrc:      s.ssrc,
-		rtpSeq:    *seq,
+		rtpSeq:    seq,
 		rtpTS:     s.rtpTS,
 		marker:    marker,
 		frameSeq:  s.frameSeq,
@@ -506,7 +485,7 @@ func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, n
 	}
 }
 
-// entropyPool is a shared block of random bytes that encryptedPayload
+// entropyPool is a shared block of random bytes that appendEncrypted
 // slices at random offsets: each payload still looks uniformly random at
 // any fixed offset across packets (what §4.2.1's analysis expects of
 // ciphertext) at a fraction of the cost of per-packet rng.Read.
@@ -517,22 +496,19 @@ var entropyPool = func() []byte {
 	return b
 }()
 
-// encryptedPayload produces pseudorandom bytes standing in for SRTP
-// ciphertext.
-func (c *Client) encryptedPayload(n int) []byte {
+// appendEncrypted appends n pseudorandom bytes standing in for SRTP
+// ciphertext to dst.
+func (c *Client) appendEncrypted(dst []byte, n int) []byte {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	b := make([]byte, n)
-	off := c.rng.Intn(len(entropyPool) - 1)
-	for copied := 0; copied < n; {
-		m := copy(b[copied:], entropyPool[off:])
-		copied += m
-		off = 0
+	start := len(dst)
+	for off := c.rng.Intn(len(entropyPool) - 1); len(dst)-start < n; off = 0 {
+		dst = append(dst, entropyPool[off:min(len(entropyPool), off+n-(len(dst)-start))]...)
 	}
 	// Perturb a position so no two payloads are byte-identical.
-	b[c.rng.Intn(n)] ^= byte(1 + c.rng.Intn(255))
-	return b
+	dst[start+c.rng.Intn(n)] ^= byte(1 + c.rng.Intn(255))
+	return dst
 }
 
 // tickRTCP emits one sender report per active stream each second.
@@ -603,14 +579,14 @@ func (c *Client) tickControl() {
 	if c.meeting.mode != modeP2P {
 		c.sfuSeq++
 		hdr := zoom.SFUEncap{Type: 0x07, Sequence: c.sfuSeq, Direction: zoom.DirToSFU}
-		payload := hdr.AppendMarshal(nil)
-		payload = append(payload, c.encryptedPayload(40+c.rng.Intn(80))...)
+		n := 40 + c.rng.Intn(80)
+		payload := c.appendEncrypted(hdr.AppendMarshal(make([]byte, 0, zoom.SFUEncapLen+n)), n)
 		c.transmitMedia(nil, &wirePacket{payload: payload, sender: c, mediaType: 0}, 0)
 	}
 	c.w.Eng.After(80*time.Millisecond+time.Duration(c.rng.Intn(int(80*time.Millisecond))), c.tickControl)
 }
 
-// transmitMedia frames the packet in UDP/IP and sends it toward the
+// transmitMedia addresses the packet and sends it toward the
 // meeting's current destination (SFU or peer), retrying on loss up to
 // `retries` times with the same RTP sequence number (§5.5).
 func (c *Client) transmitMedia(s *streamSender, pkt *wirePacket, retries int) {
@@ -636,13 +612,12 @@ func (c *Client) transmitMedia(s *streamSender, pkt *wirePacket, retries int) {
 		if m.app == AppWebRTC {
 			dst = c.w.WebRTCAddrPort()
 		}
-		p = c.w.pathToSFU(c)
+		p = &c.toSFU
 	} else {
 		return // packet built for a mode the meeting already left
 	}
-	srcPort := c.portFor(flowMediaType(pkt))
-	frame := c.builder.BuildUDP(netip.AddrPortFrom(c.Addr, srcPort), dst, 64, pkt.payload)
-	p.deliver(frame,
+	src := netip.AddrPortFrom(c.Addr, c.portFor(flowMediaType(pkt)))
+	p.deliver(segment{src: src, dst: dst, ttl: 64, payload: pkt.payload},
 		func(arrive time.Time) {
 			if to != nil {
 				to.receiveMedia(arrive, pkt)

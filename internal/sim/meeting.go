@@ -243,24 +243,23 @@ func (m *Meeting) prepareP2P() {
 // controller on UDP 3478 (cleartext, crossing the monitor for campus
 // clients).
 func (c *Client) sendSTUN() {
-	w := c.w
-	zc := netip.AddrPortFrom(w.Opts.ZCAddr, stun.Port)
-	src := netip.AddrPortFrom(c.Addr, c.p2pPort)
 	// Several binding requests, as observed ("a series of STUN binding
 	// requests").
+	c.stunExchange(netip.AddrPortFrom(c.w.Opts.ZCAddr, stun.Port), c.p2pPort, 200*time.Millisecond)
+}
+
+// stunExchange sends three binding requests from the client's port to
+// server, spacing apart; the server answers each with the reflexive
+// address.
+func (c *Client) stunExchange(server netip.AddrPort, port uint16, spacing time.Duration) {
+	src := netip.AddrPortFrom(c.Addr, port)
 	for i := 0; i < 3; i++ {
-		delay := time.Duration(i) * 200 * time.Millisecond
-		w.Eng.After(delay, func() {
+		c.w.Eng.After(time.Duration(i)*spacing, func() {
 			tid := c.meeting.nextTransactionID()
 			req := stun.NewBindingRequest(tid)
-			frame := c.builder.BuildUDP(src, zc, 64, req.Marshal())
-			p := w.pathToSFU(c)
-			p.deliver(frame, func(at time.Time) {
-				// Zone controller answers with the reflexive address.
+			c.toSFU.deliver(segment{src: src, dst: server, ttl: 64, payload: req.Marshal()}, func(time.Time) {
 				resp := stun.NewBindingResponse(tid, src)
-				respFrame := w.sfu.builder.BuildUDP(zc, src, 57, resp.Marshal())
-				rp := w.pathFromSFU(c)
-				rp.deliver(respFrame, nil, nil)
+				c.fromSFU.deliver(segment{src: server, dst: src, ttl: 57, payload: resp.Marshal()}, nil, nil)
 			}, nil)
 		})
 	}
@@ -278,24 +277,7 @@ const webrtcICEDelay = 500 * time.Millisecond
 // filter's endpoint table (GenericRTC mode) — the server's address
 // carries no Zoom-prefix hint.
 func (c *Client) sendICESTUN() {
-	w := c.w
-	srv := netip.AddrPortFrom(w.Opts.WebRTCAddr, stun.Port)
-	src := netip.AddrPortFrom(c.Addr, c.mediaPort)
-	for i := 0; i < 3; i++ {
-		delay := time.Duration(i) * 150 * time.Millisecond
-		w.Eng.After(delay, func() {
-			tid := c.meeting.nextTransactionID()
-			req := stun.NewBindingRequest(tid)
-			frame := c.builder.BuildUDP(src, srv, 64, req.Marshal())
-			p := w.pathToSFU(c)
-			p.deliver(frame, func(at time.Time) {
-				resp := stun.NewBindingResponse(tid, src)
-				respFrame := w.sfu.builder.BuildUDP(srv, src, 57, resp.Marshal())
-				rp := w.pathFromSFU(c)
-				rp.deliver(respFrame, nil, nil)
-			}, nil)
-		})
-	}
+	c.stunExchange(netip.AddrPortFrom(c.w.Opts.WebRTCAddr, stun.Port), c.mediaPort, 150*time.Millisecond)
 }
 
 // switchToP2P moves the meeting to the direct connection: both clients
@@ -365,19 +347,16 @@ func (cc *controlConn) tick() {
 	reqSeq, reqAck := cc.seq, cc.ack
 	cc.seq += uint32(reqLen)
 
-	req := c.builder.BuildTCP(client, server, 64, reqSeq, reqAck, layers.TCPAck|layers.TCPPsh, 65535, c.encryptedPayload(reqLen))
-	up := w.pathToSFU(c)
-	up.deliver(req, func(time.Time) {
+	c.toSFU.deliver(segment{src: client, dst: server, ttl: 64, tcp: true, seq: reqSeq, ack: reqAck,
+		flags: layers.TCPAck | layers.TCPPsh, payload: c.appendEncrypted(nil, reqLen)}, func(time.Time) {
 		// Server response: ACK of the request plus its own data.
 		respSeq := cc.ack
 		cc.ack += uint32(respLen)
-		resp := w.sfu.builder.BuildTCP(server, client, 57, respSeq, cc.seq, layers.TCPAck|layers.TCPPsh, 65535, c.encryptedPayload(respLen))
-		down := w.pathFromSFU(c)
-		down.deliver(resp, func(time.Time) {
+		c.fromSFU.deliver(segment{src: server, dst: client, ttl: 57, tcp: true, seq: respSeq, ack: cc.seq,
+			flags: layers.TCPAck | layers.TCPPsh, payload: c.appendEncrypted(nil, respLen)}, func(time.Time) {
 			// Client ACKs the response.
-			fin := c.builder.BuildTCP(client, server, 64, cc.seq, cc.ack, layers.TCPAck, 65535, nil)
-			up2 := w.pathToSFU(c)
-			up2.deliver(fin, nil, nil)
+			c.toSFU.deliver(segment{src: client, dst: server, ttl: 64, tcp: true, seq: cc.seq, ack: cc.ack,
+				flags: layers.TCPAck}, nil, nil)
 		}, nil)
 	}, nil)
 

@@ -155,8 +155,7 @@ func (r *receiver) currentPathRTT(now time.Time) time.Duration {
 			return pathRTT(p, now)
 		}
 	}
-	up := c.w.pathToSFU(c)
-	return pathRTT(up, now)
+	return pathRTT(&c.toSFU, now)
 }
 
 func pathRTT(p *path, now time.Time) time.Duration {

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"time"
 
-	"zoomlens/internal/layers"
 	"zoomlens/internal/zoom"
 )
 
@@ -15,8 +14,7 @@ import (
 type sfu struct {
 	w *World
 	// sfuSeq numbers outgoing SFU encapsulations per destination client.
-	sfuSeq  map[*Client]uint16
-	builder layers.Builder
+	sfuSeq map[*Client]uint16
 }
 
 func newSFU(w *World) *sfu {
@@ -50,50 +48,45 @@ func (s *sfu) receive(at time.Time, from *Client, pkt *wirePacket) {
 
 // forward re-wraps and sends one packet to a downlink participant.
 func (s *sfu) forward(to *Client, pkt *wirePacket) {
-	var payload []byte
-	src := s.w.SFUAddrPort()
+	seg := segment{src: s.w.SFUAddrPort(), ttl: 57, payload: pkt.payload}
 	if to.meeting.app == AppWebRTC {
 		// The standards SFU relays the RTP packet unchanged (header
 		// rewriting is out of model) from its media port.
-		payload = pkt.payload
-		src = s.w.WebRTCAddrPort()
+		seg.src = s.w.WebRTCAddrPort()
 	} else {
 		s.sfuSeq[to]++
 		// Rebuild the SFU encapsulation with the from-SFU direction while
 		// leaving the inner media encapsulation and RTP bytes untouched:
 		// Zoom's SFU does not translate timestamps or sequence numbers.
-		inner := pkt.payload[zoom.SFUEncapLen:]
-		hdr := zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.sfuSeq[to], Direction: zoom.DirFromSFU}
-		payload = hdr.AppendMarshal(make([]byte, 0, zoom.SFUEncapLen+len(inner)))
-		payload = append(payload, inner...)
+		seg.fromSFU, seg.sfuSeq = true, s.sfuSeq[to]
+		seg.payload = pkt.payload[zoom.SFUEncapLen:]
 	}
-
-	frame := s.builder.BuildUDP(src, netip.AddrPortFrom(to.Addr, to.portFor(flowMediaType(pkt))), 57, payload)
-	p := s.w.pathFromSFU(to)
-	fwd := *pkt
-	fwd.payload = payload
-	p.deliver(frame,
-		func(arrive time.Time) { to.receiveMedia(arrive, &fwd) },
+	seg.dst = netip.AddrPortFrom(to.Addr, to.portFor(flowMediaType(pkt)))
+	p := &to.fromSFU
+	p.deliver(seg,
+		func(arrive time.Time) { to.receiveMedia(arrive, pkt) },
 		func() {
 			// Downlink loss: the SFU retransmits to this client with the
 			// same RTP sequence number after the NACK timeout.
 			s.w.Eng.After(retxTimeout+p.rttHint, func() {
 				if to.active && to.meeting != nil && to.meeting.mode == modeSFU {
-					s.retransmit(to, &fwd, frame, p, 1)
+					s.retransmit(to, pkt, seg, 1)
 				}
 			})
 		},
 	)
 }
 
-func (s *sfu) retransmit(to *Client, pkt *wirePacket, frame []byte, p *path, retries int) {
-	p.deliver(frame,
+// retransmit re-sends seg, framing the same bytes again.
+func (s *sfu) retransmit(to *Client, pkt *wirePacket, seg segment, retries int) {
+	p := &to.fromSFU
+	p.deliver(seg,
 		func(arrive time.Time) { to.receiveMedia(arrive, pkt) },
 		func() {
 			if retries > 0 {
 				s.w.Eng.After(retxTimeout+p.rttHint, func() {
 					if to.active {
-						s.retransmit(to, pkt, frame, p, retries-1)
+						s.retransmit(to, pkt, seg, retries-1)
 					}
 				})
 			}

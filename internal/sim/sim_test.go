@@ -24,6 +24,8 @@ func runCapture(t *testing.T, w *World, until time.Time) []captured {
 	var out []captured
 	parser := &layers.Parser{}
 	w.Monitor = func(at time.Time, frame []byte) {
+		// The frame is lent for the call, and c keeps slices of it.
+		frame = append([]byte(nil), frame...)
 		var c captured
 		c.at = at
 		if err := parser.Parse(frame, &c.pkt); err != nil {

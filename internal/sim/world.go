@@ -39,6 +39,7 @@ import (
 	"net/netip"
 	"time"
 
+	"zoomlens/internal/layers"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/zoom"
 )
@@ -103,7 +104,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// MonitorFunc receives every frame crossing the campus border.
+// MonitorFunc receives every frame crossing the campus border. The frame
+// is lent for the duration of the call, as the analyzer's Packet and the
+// capture readers lend theirs: a monitor that keeps a frame, or anything
+// parsed out of it, past its return must copy it.
 type MonitorFunc func(at time.Time, frame []byte)
 
 // World owns the engine, topology, and the SFU.
@@ -118,6 +122,10 @@ type World struct {
 	nextExt    uint32
 	nextMeet   int
 	sfu        *sfu
+
+	// frames and sfuPayload are the tap's reused framing buffers.
+	frames     layers.Builder
+	sfuPayload []byte
 
 	// WanUp/WanDown are the border↔SFU legs shared by all campus
 	// clients; congestion episodes are typically installed here.
@@ -171,8 +179,39 @@ func (w *World) ephemeralPort() uint16 {
 	return uint16(49152 + w.rng.Intn(16000))
 }
 
-// tap delivers a frame copy to the monitor with the border timestamp.
-func (w *World) tap(at time.Time, frame []byte) {
+// segment is one packet in flight: its addressing and payload, not yet
+// framed. World.tap frames it only where it crosses the monitor, so a
+// leg no tap sees never builds a frame.
+type segment struct {
+	src, dst netip.AddrPort
+	ttl      uint8
+	// tcp selects a TCP segment with seq, ack and flags; otherwise UDP.
+	tcp      bool
+	seq, ack uint32
+	flags    layers.TCPFlags
+	// fromSFU prefixes payload with a from-SFU Zoom encapsulation
+	// numbered sfuSeq: an SFU forward carries the inner payload it
+	// relays rather than a re-wrapped copy per destination.
+	fromSFU bool
+	sfuSeq  uint16
+	payload []byte
+}
+
+// tap frames s into the world's reused buffer and lends the frame to the
+// monitor, stamped with the border-crossing time.
+func (w *World) tap(at time.Time, s segment) {
+	payload := s.payload
+	if s.fromSFU {
+		hdr := zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.sfuSeq, Direction: zoom.DirFromSFU}
+		w.sfuPayload = append(hdr.AppendMarshal(w.sfuPayload[:0]), payload...)
+		payload = w.sfuPayload
+	}
+	var frame []byte
+	if s.tcp {
+		frame = w.frames.FrameTCP(s.src, s.dst, s.ttl, s.seq, s.ack, s.flags, 65535, payload)
+	} else {
+		frame = w.frames.FrameUDP(s.src, s.dst, s.ttl, payload)
+	}
 	w.MonitorPackets++
 	w.MonitorBytes += uint64(len(frame))
 	if w.Monitor != nil {
@@ -181,14 +220,13 @@ func (w *World) tap(at time.Time, frame []byte) {
 }
 
 // path is an ordered pair of legs with an optional monitor tap between
-// them. Packets traverse leg[0], are tapped, then traverse leg[1]. For
+// them. Packets traverse pre, are tapped, then traverse post. For
 // off-campus endpoints a path may have a single leg and no tap.
 type path struct {
 	w *World
-	// pre is the leg before the border (nil if the sender is external
-	// and the receiver is too — fully outside, never tapped).
+	// pre is the leg before the border.
 	pre *netsim.Link
-	// post is the leg after the border.
+	// post is the leg after the border (nil if the path is one leg).
 	post *netsim.Link
 	// tapped reports whether this path crosses the border.
 	tapped bool
@@ -196,43 +234,24 @@ type path struct {
 	rttHint time.Duration
 }
 
-// deliver sends one frame along the path. onArrive (optional) runs at
-// final delivery; onLost runs if any leg drops the packet.
-func (p *path) deliver(frame []byte, onArrive func(at time.Time), onLost func()) {
-	fail := onLost
-	if fail == nil {
-		fail = func() {}
+// deliver sends s along the path. onArrive (optional) runs at final
+// delivery; onLost (optional) runs if any leg drops the packet.
+func (p *path) deliver(s segment, onArrive func(at time.Time), onLost func()) {
+	if onArrive == nil {
+		onArrive = func(time.Time) {}
 	}
-	arrive := onArrive
-	if arrive == nil {
-		arrive = func(time.Time) {}
-	}
-	switch {
-	case p.pre != nil && p.post != nil:
-		ok, _ := p.pre.Send(func(at time.Time) {
-			if p.tapped {
-				p.w.tap(at, frame)
-			}
-			ok2, _ := p.post.Send(func(at2 time.Time) { arrive(at2) })
-			if !ok2 {
-				fail()
-			}
-		})
-		if !ok {
-			fail()
+	ok, _ := p.pre.Send(func(at time.Time) {
+		if p.tapped {
+			p.w.tap(at, s)
 		}
-	case p.pre != nil:
-		ok, _ := p.pre.Send(func(at time.Time) {
-			if p.tapped {
-				p.w.tap(at, frame)
-			}
-			arrive(at)
-		})
-		if !ok {
-			fail()
+		if p.post == nil {
+			onArrive(at)
+		} else if ok, _ := p.post.Send(onArrive); !ok && onLost != nil {
+			onLost()
 		}
-	default:
-		arrive(p.w.Now())
+	})
+	if !ok && onLost != nil {
+		onLost()
 	}
 }
 
@@ -297,25 +316,25 @@ func (w *World) newClientLinks(campus bool, seed int64) clientLinks {
 }
 
 // pathToSFU builds the client→SFU path.
-func (w *World) pathToSFU(c *Client) *path {
+func (w *World) pathToSFU(c *Client) path {
 	if c.Campus {
-		return &path{
+		return path{
 			w: w, pre: c.links.up, post: w.WanUp, tapped: true,
 			rttHint: 2 * (w.Opts.CampusDelay + w.Opts.WanDelay),
 		}
 	}
-	return &path{w: w, pre: c.links.up, tapped: false, rttHint: 2 * w.Opts.WanDelay}
+	return path{w: w, pre: c.links.up, tapped: false, rttHint: 2 * w.Opts.WanDelay}
 }
 
 // pathFromSFU builds the SFU→client path.
-func (w *World) pathFromSFU(c *Client) *path {
+func (w *World) pathFromSFU(c *Client) path {
 	if c.Campus {
-		return &path{
+		return path{
 			w: w, pre: w.WanDown, post: c.links.down, tapped: true,
 			rttHint: 2 * (w.Opts.CampusDelay + w.Opts.WanDelay),
 		}
 	}
-	return &path{w: w, pre: c.links.down, tapped: false, rttHint: 2 * w.Opts.WanDelay}
+	return path{w: w, pre: c.links.down, tapped: false, rttHint: 2 * w.Opts.WanDelay}
 }
 
 // pathP2P builds the a→b direct path. It crosses the border (and is

@@ -198,6 +198,9 @@ type Runner struct {
 	W   *sim.World
 	Cfg Config
 	rng *rand.Rand
+	// frames and payload are the background ticks' reused buffers.
+	frames  layers.Builder
+	payload []byte
 
 	// ActiveMeetings gauges concurrency over time (diagnostics).
 	started, ended int
@@ -338,28 +341,26 @@ func (r *Runner) tickBackground() {
 	}
 	// Emit a small burst each 100 ms tick.
 	n := poisson(r.rng, rate/10)
-	var b layers.Builder
 	for i := 0; i < n; i++ {
 		src := netip.AddrPortFrom(randomAddrIn(r.rng, r.W.Opts.CampusNet), uint16(30000+r.rng.Intn(30000)))
-		dst := netip.AddrPortFrom(randomAddrIn(r.rng, netip.MustParsePrefix("93.184.0.0/16")), 443)
-		payload := make([]byte, 40+r.rng.Intn(1200))
-		r.rng.Read(payload)
-		frame := b.BuildUDP(src, dst, 64, payload)
-		r.W.Eng.After(0, func() {}) // keep engine time coherent
-		r.tapBackground(now, frame)
+		dst := netip.AddrPortFrom(randomAddrIn(r.rng, backgroundNet), 443)
+		r.payload = append(r.payload[:0], make([]byte, 40+r.rng.Intn(1200))...)
+		r.rng.Read(r.payload)
+		frame := r.frames.FrameUDP(src, dst, 64, r.payload)
+		if r.W.Monitor != nil {
+			r.W.Monitor(now, frame)
+		}
+		r.W.MonitorPackets++
+		r.W.MonitorBytes += uint64(len(frame))
 	}
 	if now.Sub(r.Cfg.Start) < r.Cfg.Duration {
 		r.W.Eng.After(100*time.Millisecond, r.tickBackground)
 	}
 }
 
-func (r *Runner) tapBackground(at time.Time, frame []byte) {
-	if r.W.Monitor != nil {
-		r.W.Monitor(at, frame)
-	}
-	r.W.MonitorPackets++
-	r.W.MonitorBytes += uint64(len(frame))
-}
+// backgroundNet is where background traffic goes: outside both the
+// campus and Zoom's prefixes.
+var backgroundNet = netip.MustParsePrefix("93.184.0.0/16")
 
 func randomAddrIn(rng *rand.Rand, p netip.Prefix) netip.Addr {
 	a := p.Addr().As4()
