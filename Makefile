@@ -81,7 +81,8 @@ cover:
 # Mirrors the .github/workflows/ci.yml jobs (test, race, smoke) in
 # sequence: the race detector matters here because the sharded parallel
 # analyzer (shards, the reconciler fed by cuts, the quiesce), the metrics
-# endpoint and the checkpoint writer are all concurrency.
+# endpoint and the checkpoint writer are all concurrency — and so are the
+# live series, which the shard goroutines feed from their own tallies.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
@@ -89,7 +90,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure' ./internal/core
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates' ./internal/core
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
@@ -241,6 +242,11 @@ examples:
 # metrics.StreamMetrics, and the append-only logs a stream carries (the
 # fields of metrics.logLens, one per log a delta writes as a tail; six
 # before the dead per-stream state went, four after).
+#
+# Last, the per-event live-metric calls in internal/core: an .Inc( or
+# .Add( on a coreObs handle (o.… or so.…), the snapshot counter aside.
+# The live series mirror the engine's tallies at refresh points
+# (internal/core/obs.go), so the packet path makes none (there were 15).
 CODEC_STACK = internal/*/state.go internal/*/delta.go internal/core/checkpoint.go internal/statecodec/statecodec.go
 TUNABLE = (Max[A-Z][A-Za-z]*|([A-Z][A-Za-z]*)?Window|[cC]lockRate|[A-Z][A-Za-z]*(Gap|Threshold|Buffer|Age)|Name|window)
 loc:
@@ -271,6 +277,7 @@ loc:
 	@printf 'append-only logs per stream (metrics.logLens): '; $(call STRUCT_FIELDS,logLens,internal/metrics/stream.go)
 	@printf 'delta backlog caps and overflow flags (target 0): '; $(BACKLOG_CAPS)
 	@printf 'keyed record types declaring their own dirty field (target 0): '; $(DIRTY_RECORDS)
+	@cat $$(ls internal/core/*.go | grep -v _test.go) | grep -E '\bs?o\.[A-Za-z]+(\[[^]]*\])?\.(Inc|Add)\(' | grep -vc '\.snapshots\.' | xargs echo "per-event live-metric calls in internal/core (target 0):"
 
 # The fields struct $(1) in file $(2) declares, in order, then how many:
 # every name on a field line, its type and comment dropped.

@@ -167,19 +167,15 @@ func clusterMerge(t *testing.T, cfg Config, recs []pcap.Record, workers, migrate
 }
 
 // checkClusterConservation asserts packet conservation across the
-// cluster's tiers: every frame the splitter read ends in exactly one
-// terminal bucket, either of the merged head (the splitter's, plus what a
-// worker's own front end turned away) or of a worker shard (the merge
-// sums them). The buckets are those of core's conservationGap but the
-// shards' transport-less frames, which a worker's state export does not
-// carry.
+// cluster's tiers (core's AccountingGap): every frame the splitter read
+// ends in exactly one terminal bucket, either of the merged head (the
+// splitter's, plus what a worker's own front end turned away) or of a
+// worker shard (the merge sums them, and the workers' checkpoints carry
+// every one).
 func checkClusterConservation(t *testing.T, merged *Analyzer) {
 	t.Helper()
-	h := merged.ClusterHead
-	out := h.DroppedByFilter + h.Undecodable + h.PanicsRecovered + h.ShedPackets +
-		merged.TCPPackets + merged.STUNPackets + merged.UDPKeptPackets
-	if out != h.Packets {
-		t.Errorf("splitter read %d frames, terminal buckets hold %d (head %+v)", h.Packets, out, h)
+	if gap, _ := merged.AccountingGap(); gap != 0 {
+		t.Errorf("splitter read %d frames, terminal buckets off by %d (head %+v)", merged.Packets, gap, merged.ClusterHead)
 	}
 }
 

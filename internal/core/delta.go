@@ -66,7 +66,8 @@ func (p *pipeline) ApplyDelta(rd io.Reader) error {
 	if shards != len(p.shards) {
 		return fmt.Errorf("%w: delta for %d workers applied to %d-worker engine", statecodec.ErrCorrupt, shards, len(p.shards))
 	}
-	p.quiesce()
+	// No refresh: an engine a failed chain restore discards feeds nothing.
+	p.rest()
 	return p.decode(r, true)
 }
 

@@ -11,29 +11,6 @@ import (
 	"zoomlens/internal/pcap"
 )
 
-// conservationGap sums the terminal buckets a frame can end in — front
-// end: filtered, undecodable, routing panicked, shed; shard: TCP, STUN,
-// kept UDP (decoded or not), kept without a transport header — and
-// returns how far the sum falls short of the frames the front end
-// counted in (negative: a frame counted twice). A panic inside a
-// shard's processing is not a bucket of its own: it may strike after
-// the frame was counted, so the engines this is checked on have none.
-func conservationGap(fe *frontEnd, sc *shardCounters) int64 {
-	out := fe.DroppedByFilter + fe.Undecodable + fe.PanicsRecovered + fe.ShedPackets +
-		sc.TCPPackets + sc.STUNPackets + sc.UDPKeptPackets + sc.transportless
-	return int64(fe.Packets) - int64(out)
-}
-
-// checkConservation asserts packet conservation on a finished engine's
-// result: every frame read ends in exactly one terminal bucket.
-func checkConservation(t *testing.T, name string, a *Analyzer) {
-	t.Helper()
-	if gap := conservationGap(&a.frontEnd, &a.shardCounters); gap != 0 {
-		t.Errorf("%s: %d frames in, terminal buckets off by %d (head %+v, shard %+v)",
-			name, a.Packets, gap, a.ClusterHead, a.shardCounters)
-	}
-}
-
 // TestIngestContainsFrontEndPanicPerFrame holds Ingest's one panic guard
 // per run to the per-frame guard it replaced: a front-end panic on record
 // 137 of a 300-record run is counted once, quarantines exactly that

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"net/netip"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/obs"
+	"zoomlens/internal/rtcproto"
 )
 
 // promDump renders a registry for assertion.
@@ -134,6 +140,201 @@ func TestParallelObsAggregates(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	// Every live series is an engine tally, pushed. After Finish each
+	// cumulative series equals its tally summed over the run's windows and
+	// the gap gauge reads 0; mid-run a series lags its tally by at most
+	// obsUpdateEvery frames of the goroutine that owns it. Rows: 1, 2 and
+	// 4 workers; runs resumed mid-trace from a full+delta chain, after a
+	// restore attempt that fails on a torn delta and is discarded, whose
+	// series must equal the uninterrupted run's; and runs rotated once.
+	// The trace is longer, every 16th frame is off the Zoom networks, and
+	// idle eviction and a stream cap are on, so that every series moves.
+	long, _ := seededTrace(t, 30)
+	var at []time.Time
+	var frames [][]byte
+	stray := layers.EthernetIPv4UDP(netip.MustParseAddrPort("192.0.2.1:5000"), netip.MustParseAddrPort("192.0.2.2:5001"), 64, []byte{1, 2, 3, 4})
+	for i := range long.frames {
+		if i%16 == 0 {
+			at, frames = append(at, long.at[i]), append(frames, stray)
+		}
+		at, frames = append(at, long.at[i]), append(frames, long.frames[i])
+	}
+	n := len(frames)
+	cfg.FlowTTL, cfg.MaxStreams = 2*time.Second, 16
+	uninterrupted := make(map[int]map[string]uint64)
+	for _, row := range []struct {
+		workers          int
+		restored, rotate bool
+	}{
+		{workers: 1}, {workers: 2}, {workers: 4},
+		{workers: 1, restored: true}, {workers: 2, restored: true},
+		{workers: 1, rotate: true}, {workers: 2, rotate: true},
+	} {
+		name := fmt.Sprintf("workers=%d/restored=%v/rotated=%v", row.workers, row.restored, row.rotate)
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := cfg
+			cfg.Obs = reg
+			var eng Engine
+			from := 0
+			if !row.restored {
+				eng = NewParallelAnalyzer(cfg, row.workers)
+			} else {
+				src := cfg
+				src.Obs = nil
+				live := NewParallelAnalyzer(src, row.workers)
+				for ; from < n/4; from++ {
+					live.Packet(at[from], frames[from])
+				}
+				full := bytes.Clone(checkpointBytes(t, live))
+				for ; from < n/2; from++ {
+					live.Packet(at[from], frames[from])
+				}
+				var delta bytes.Buffer
+				if err := live.CheckpointDelta(&delta); err != nil {
+					t.Fatal(err)
+				}
+				Discard(live)
+				restore := func(delta []byte) (Engine, error) {
+					eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+					if err == nil {
+						err = eng.ApplyDelta(bytes.NewReader(delta))
+					}
+					return eng, err
+				}
+				// Cut short and resealed, so that it fails in the decode.
+				torn := bytes.Clone(delta.Bytes()[:delta.Len()/2])
+				torn = binary.LittleEndian.AppendUint32(torn, crc32.Checksum(torn, crcTable))
+				discarded, err := restore(torn)
+				if err == nil {
+					t.Fatal("a torn delta applied")
+				}
+				Discard(discarded)
+				if eng, err = restore(delta.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var windows []*Analyzer
+			for i := from; i < n; i++ {
+				eng.Packet(at[i], frames[i])
+				if i == (from+n)/2 {
+					lagging(t, reg, eng)
+					if row.rotate {
+						windows = append(windows, eng.Rotate(at[i]))
+					}
+				}
+			}
+			eng.Finish()
+			windows = append(windows, eng.Result())
+			got, want := seriesValues(t, reg), tallies(windows...)
+			for key, tally := range want {
+				if got[key] != tally {
+					t.Errorf("%s = %d, want its tally %d", key, got[key], tally)
+				}
+			}
+			for _, key := range []string{
+				`zoomlens_decode_stage_packets_total{stage="filtered"}`,
+				`zoomlens_evicted_total{kind="streams"}`,
+				`zoomlens_rejected_packets_total{reason="stream"}`,
+			} {
+				if want[key] == 0 {
+					t.Errorf("%s never moved: the row does not test it", key)
+				}
+			}
+			if got := reg.Gauge("zoomlens_accounting_gap", "").Value(); got != 0 {
+				t.Errorf("zoomlens_accounting_gap = %d after Finish, want 0", got)
+			}
+			switch {
+			case row.restored:
+				for key, v := range uninterrupted[row.workers] {
+					if got[key] != v {
+						t.Errorf("restored run: %s = %d, want the uninterrupted run's %d", key, got[key], v)
+					}
+				}
+			case !row.rotate:
+				uninterrupted[row.workers] = want
+			}
+		})
+	}
+}
+
+// tallies returns, per cumulative live series, the engine tally it
+// mirrors summed over the given windows of one run.
+func tallies(windows ...*Analyzer) map[string]uint64 {
+	m := make(map[string]uint64)
+	for _, a := range windows {
+		s, ev := a.Counters(), a.Flows.Evictions()
+		for key, v := range map[string]uint64{
+			"zoomlens_packets_total": a.Packets,
+			"zoomlens_bytes_total":   a.Bytes,
+			`zoomlens_decode_stage_packets_total{stage="undecodable"}`: s.Undecodable,
+			`zoomlens_decode_stage_packets_total{stage="filtered"}`:    a.DroppedByFilter,
+			`zoomlens_decode_stage_packets_total{stage="stun"}`:        a.STUNPackets,
+			`zoomlens_decode_stage_packets_total{stage="tcp"}`:         a.TCPPackets,
+			`zoomlens_decode_stage_packets_total{stage="zoom_udp"}`:    a.ZoomUDP,
+			`zoomlens_decode_stage_packets_total{stage="media"}`:       a.mediaPackets,
+			`zoomlens_proto_decoded_total{proto="zoom"}`:               a.ProtoDecoded[rtcproto.IDZoom],
+			`zoomlens_proto_decoded_total{proto="webrtc"}`:             a.ProtoDecoded[rtcproto.IDWebRTC],
+			"zoomlens_proto_undecodable_total":                         a.ProtoUndecodable,
+			"zoomlens_panics_recovered_total":                          s.PanicsRecovered,
+			"zoomlens_shed_packets_total":                              a.ShedPackets,
+			"zoomlens_shed_bytes_total":                                a.ShedBytes,
+			`zoomlens_evicted_total{kind="flows"}`:                     ev.EvictedFlows,
+			`zoomlens_evicted_total{kind="streams"}`:                   ev.EvictedStreams,
+			`zoomlens_evicted_total{kind="tcp"}`:                       a.EvictedTCP,
+			`zoomlens_evicted_total{kind="archived"}`:                  uint64(len(a.Finished)) + a.FinishedDropped,
+			`zoomlens_rejected_packets_total{reason="flow"}`:           ev.RejectedFlowPackets,
+			`zoomlens_rejected_packets_total{reason="stream"}`:         ev.RejectedStreamPackets,
+			`zoomlens_rejected_packets_total{reason="substream"}`:      ev.RejectedSubstreamPackets,
+			`zoomlens_rejected_packets_total{reason="tcp"}`:            a.RejectedTCPPackets,
+		} {
+			m[key] += v
+		}
+	}
+	return m
+}
+
+// seriesValues reads every sample of a registry's exposition by series.
+func seriesValues(t *testing.T, reg *obs.Registry) map[string]uint64 {
+	t.Helper()
+	m := make(map[string]uint64)
+	for _, line := range strings.Split(promDump(t, reg), "\n") {
+		if sp := strings.LastIndexByte(line, ' '); sp > 0 && !strings.HasPrefix(line, "#") {
+			v, _ := strconv.ParseInt(line[sp+1:], 10, 64)
+			m[line[:sp]] = uint64(v)
+		}
+	}
+	return m
+}
+
+// lagging checks the freshness bound mid-run: a series trails its tally
+// by at most obsUpdateEvery frames. Inline, the front end owns every
+// tally and every frame-counting series is compared; queue-fed, only the
+// front end's own.
+func lagging(t *testing.T, reg *obs.Registry, eng Engine) {
+	t.Helper()
+	var want map[string]uint64
+	switch e := eng.(type) {
+	case *Analyzer:
+		want = tallies(e)
+		for key := range want {
+			if strings.Contains(key, "bytes") || strings.HasPrefix(key, "zoomlens_evicted_total") {
+				delete(want, key) // not one per frame
+			}
+		}
+	case *ParallelAnalyzer:
+		want = map[string]uint64{
+			"zoomlens_packets_total":                                e.Packets,
+			`zoomlens_decode_stage_packets_total{stage="filtered"}`: e.DroppedByFilter,
+		}
+	}
+	got := seriesValues(t, reg)
+	for key, tally := range want {
+		if got[key] > tally || tally-got[key] > obsUpdateEvery {
+			t.Errorf("mid-run %s = %d against its tally %d: more than %d frames behind", key, got[key], tally, obsUpdateEvery)
 		}
 	}
 }

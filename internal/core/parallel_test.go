@@ -83,6 +83,17 @@ func freeze(at time.Duration) netsim.Congestion {
 	return netsim.Congestion{Start: start, End: start.Add(2 * time.Second), ExtraDelay: 600 * time.Millisecond}
 }
 
+// checkConservation asserts packet conservation (AccountingGap) on an
+// engine at rest that had no shard panic: every frame read ends in
+// exactly one terminal bucket.
+func checkConservation(t *testing.T, name string, a *Analyzer) {
+	t.Helper()
+	if gap, panics := a.AccountingGap(); gap != 0 || panics != 0 {
+		t.Errorf("%s: %d frames in, terminal buckets off by %d with %d shard panics (head %+v, shard %+v)",
+			name, a.Packets, gap, panics, a.ClusterHead, a.shardCounters)
+	}
+}
+
 // TestParallelMatchesSequential is the differential gate for the sharded
 // pipeline: a 4-worker parallel analyzer must produce results identical
 // to the sequential analyzer on the same seeded campus trace — summary,
@@ -657,7 +668,9 @@ func TestRestoreRefusesForeignShardAffinity(t *testing.T) {
 // sweep finds engines through the table's stream records, so such an
 // engine would never be archived. Three records: a full one, a delta that
 // rewrites engines whose stream records it tombstones, and a delta that
-// only tombstones the stream records.
+// only tombstones the stream records. A record whose tallies break packet
+// conservation is refused too, and valid states at one and two workers
+// and a cluster merge still restore.
 func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
 	tr, opts := seededTrace(t, 6)
 	cfg := Config{
@@ -704,5 +717,84 @@ func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
 		err = target.ApplyDelta(&delta)
 		Discard(target)
 		refused(fmt.Sprintf("delta (engines rewritten: %v)", touched), err)
+	}
+
+	// A state that does not conserve packets is refused as well, naming
+	// both sums: a full record with one bucket's tally patched up (more
+	// frames out than in), and a delta with the transport-less tally
+	// patched up. The engine's own encode writes and seals each record.
+	unconserved := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), "frames in but") || !strings.Contains(err.Error(), "in terminal buckets") {
+			t.Errorf("%s with a patched tally: err = %v, want ErrCorrupt naming both sums", what, err)
+		}
+	}
+	live = NewAnalyzer(cfg)
+	feed(live, 0, n/2)
+	live.TCPPackets++
+	eng, err = RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
+	Discard(eng)
+	unconserved("full record", err)
+
+	live = NewAnalyzer(cfg)
+	feed(live, 0, n/2)
+	base := bytes.Clone(checkpointBytes(t, live))
+	feed(live, n/2, 3*n/4)
+	live.transportless++
+	var delta bytes.Buffer
+	if err := live.CheckpointDelta(&delta); err != nil {
+		t.Fatal(err)
+	}
+	target, err := RestoreAnalyzer(bytes.NewReader(base), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = target.ApplyDelta(&delta)
+	Discard(target)
+	unconserved("delta", err)
+
+	// Valid states still restore: at one worker, at two, and a cluster
+	// merge (a splitter, two pre-filtered workers and their replayed
+	// observations).
+	for _, workers := range []int{1, 2} {
+		pa := NewParallelAnalyzer(cfg, workers)
+		tr.feed(pa.Packet)
+		eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, pa)), cfg)
+		if err != nil {
+			t.Errorf("workers=%d: valid state refused: %v", workers, err)
+		}
+		Discard(eng)
+		Discard(pa)
+	}
+	r := NewRouter(cfg, 2)
+	wcfg := cfg
+	wcfg.PreFiltered = true
+	parts := []*Analyzer{NewAnalyzer(wcfg), NewAnalyzer(wcfg)}
+	// The workers run inline, a frame at a time, so their observations
+	// arrive here already in capture order.
+	var logged []ClusterObs
+	for _, a := range parts {
+		if err := a.SetClusterSink(func(o ClusterObs) { logged = append(logged, o) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range tr.frames {
+		if w, keep := r.Route(tr.at[i], tr.frames[i]); keep {
+			parts[w].IngestSeq([]pcap.Record{{Timestamp: tr.at[i], Data: tr.frames[i], PacketID: r.Packets}})
+		}
+	}
+	merged := MergeCluster(cfg, parts, r.Head(false), func() (ClusterObs, bool) {
+		if len(logged) == 0 {
+			return ClusterObs{}, false
+		}
+		o := logged[0]
+		logged = logged[1:]
+		return o, true
+	})
+	checkConservation(t, "cluster merge", merged)
+	if eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, merged)), cfg); err != nil {
+		t.Errorf("cluster merge: valid state refused: %v", err)
+	} else {
+		Discard(eng)
 	}
 }

@@ -54,8 +54,8 @@ type shard struct {
 	// media observation handed to sink.
 	rec flow.Record
 	obs ClusterObs
-	// so holds this shard's live-metric handles: the engine's own when
-	// inline, shard-labeled occupancy gauges when queue-fed.
+	// so holds this shard's live-metric handles and tallies' feeds: the
+	// engine's own set when inline, a shard-labeled one when queue-fed.
 	so *coreObs
 
 	// sink receives every media-stream observation, tagged with the
@@ -80,27 +80,26 @@ type shard struct {
 }
 
 // shardCounters are the packet tallies a shard keeps; merged results sum
-// them across shards.
+// them across shards, Summary reports them (with the head counters'
+// share of undecodable frames and panics), and the live series mirror
+// them. A kept frame ends in one of TCPPackets, STUNPackets,
+// UDPKeptPackets (decoded or not: the Table 2/3 denominators) and
+// transportless (AccountingGap).
 type shardCounters struct {
 	ZoomUDP     uint64
 	TCPPackets  uint64
 	STUNPackets uint64
-	// STUNPortNonSTUN counts packets on the well-known STUN port whose
-	// payload lacks STUN framing. They are not in STUNPackets; they fall
-	// through to the protocol decoders like any other UDP payload.
+	// STUNPortNonSTUN counts packets on the STUN port whose payload lacks
+	// STUN framing: they go on to the protocol decoders.
 	STUNPortNonSTUN uint64
 	// ProtoDecoded counts decoded media packets per protocol plugin,
 	// indexed by rtcproto.ID; ProtoUndecodable counts kept UDP payloads
-	// no plugin decoded (Summary.Undecodable adds the frames the front
-	// end could not parse).
+	// no plugin decoded.
 	ProtoDecoded     [rtcproto.NumIDs]uint64
 	ProtoUndecodable uint64
-	// UDPKeptPackets/UDPKeptBytes cover kept UDP traffic whether or not
-	// it decoded — the Table 2/3 denominators.
-	UDPKeptPackets uint64
-	UDPKeptBytes   uint64
-	// ShardPanics counts packets whose per-flow processing panicked and
-	// was contained (Summary.PanicsRecovered adds the front end's).
+	UDPKeptPackets   uint64
+	UDPKeptBytes     uint64
+	// ShardPanics counts contained panics in per-flow processing.
 	ShardPanics uint64
 	// EvictedTCP and RejectedTCPPackets are the TCP-tracker counterparts
 	// of the flow table's eviction stats; FinishedDropped counts archived
@@ -110,10 +109,10 @@ type shardCounters struct {
 	FinishedDropped    uint64
 	// transportless counts kept frames with no transport header (a
 	// non-first fragment, or another IP protocol under
-	// Config.PreFiltered): the one terminal bucket of a kept frame no
-	// report reads, kept so that packet conservation can be checked. A
-	// checkpoint does not carry it, so a restored engine counts from zero.
+	// Config.PreFiltered); mediaPackets counts decoded media packets,
+	// whether or not a state cap then refused them. No report reads them.
 	transportless uint64
+	mediaPackets  uint64
 }
 
 func (c *shardCounters) add(o *shardCounters) {
@@ -132,6 +131,7 @@ func (c *shardCounters) add(o *shardCounters) {
 	c.RejectedTCPPackets += o.RejectedTCPPackets
 	c.FinishedDropped += o.FinishedDropped
 	c.transportless += o.transportless
+	c.mediaPackets += o.mediaPackets
 }
 
 // shardState is everything a shard accumulates, apart from its wiring:
@@ -182,7 +182,9 @@ func newShardState(lim Config) shardState {
 }
 
 func newShard(lim Config, so *coreObs) *shard {
-	return &shard{shardState: newShardState(lim), lim: lim, zoom: capture.NewPrefixSet(lim.ZoomNetworks), protos: lim.protos(), so: so}
+	sh := &shard{shardState: newShardState(lim), lim: lim, zoom: capture.NewPrefixSet(lim.ZoomNetworks), protos: lim.protos(), so: so}
+	so.feedShard(sh)
+	return sh
 }
 
 // scaleLimits divides the global state caps across shards: flows hash
@@ -220,15 +222,14 @@ func (sh *shard) process(seq uint64, at time.Time, frame []byte) {
 	pkt := &sh.dpkt
 	if err := sh.dec.Parse(frame, pkt); err != nil {
 		// Unreachable: the front end forwards only frames its scan or its
-		// own full parse accepted. Kept for defense in depth.
-		sh.ProtoUndecodable++
-		sh.so.stageUndecodable.Inc()
+		// own full parse accepted. Kept for defense in depth, in the
+		// bucket of a frame with no transport header to read.
+		sh.transportless++
 		return
 	}
 	switch {
 	case pkt.HasTCP:
 		sh.TCPPackets++
-		sh.so.stageTCP.Inc()
 		sh.observeTCP(at, pkt)
 	case pkt.HasUDP:
 		sh.observeUDP(seq, at, pkt, len(frame))
@@ -265,7 +266,6 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	// silently absorbed into STUNPackets.
 	if stun.Is(pkt.Payload) {
 		sh.STUNPackets++
-		sh.so.stageSTUN.Inc()
 		return
 	}
 	if pkt.UDP.SrcPort == stun.Port || pkt.UDP.DstPort == stun.Port {
@@ -290,16 +290,12 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	}
 	if owner == nil || owner.DecodeInto(pkt.Payload, zp) != nil {
 		sh.ProtoUndecodable++
-		sh.so.stageUndecodable.Inc()
-		sh.so.protoUndecodable.Inc()
 		return
 	}
 	proto := owner.ID()
 	sh.ProtoDecoded[proto]++
-	sh.so.protoDecoded[proto].Inc()
 	if proto == rtcproto.IDZoom {
 		sh.ZoomUDP++
-		sh.so.stageZoomUDP.Inc()
 	}
 	ft, ok := pkt.FiveTuple()
 	if !ok {
@@ -312,7 +308,7 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	if !zp.IsMedia() {
 		return
 	}
-	sh.so.stageMedia.Inc()
+	sh.mediaPackets++
 	if st == nil {
 		// The flow table turned the packet away at a state cap (and
 		// counted it); skip stream-level state too so caps bound the

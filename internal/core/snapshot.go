@@ -58,8 +58,7 @@ type MeetingSnapshot struct {
 func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapshot {
 	defer p.cfg.trace("snapshot")()
 	p.o.snapshots.Inc()
-	byID := p.streamsByID() // quiesces a parallel engine first
-	p.updateGauges()
+	byID := p.streamsByID() // quiesces first
 	if window <= 0 {
 		window = time.Second
 	}

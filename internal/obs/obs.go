@@ -8,8 +8,11 @@
 // watching a live tap needs to see packets per decode stage, state-table
 // occupancy against the bounded-state caps, recovered panics, and
 // rolling QoE — while the capture is still running, not after Finish.
-// Everything here is cheap enough for the per-packet hot path: one
-// atomic add per event, no locks after registration.
+// Counters and gauges are single atomics with no locks after
+// registration. The analyzer does not add to them per event: it counts
+// each event once in its own tallies and pushes what they gained every
+// few thousand frames and at every quiesce (internal/core/obs.go), so
+// the hot path pays nothing per packet.
 package obs
 
 import (
