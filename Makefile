@@ -82,7 +82,8 @@ cover:
 # sequence: the race detector matters here because the sharded parallel
 # analyzer (shards, the reconciler fed by cuts, the quiesce), the metrics
 # endpoint and the checkpoint writer are all concurrency — and so are the
-# live series, which the shard goroutines feed from their own tallies.
+# live series, which the shard goroutines feed from their own tallies, and
+# the idle-eviction stamps, which ride the shard queues.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
@@ -90,7 +91,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates' ./internal/core
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential' ./internal/core
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
@@ -122,9 +123,10 @@ cluster-smoke:
 # zoom-only backward-compatibility golden (-proto zoom == default set on
 # a pure Zoom trace), the plugin/capture unit suites, and the CLI-level
 # per-app counter exposure. The mixed-app differential's short-ttl-dedup
-# row is also the -flow-ttl read-side row (same stream IDs and per-ID
-# packet sums from Streams() in all three tiers, 2-way cluster merge
-# included); its in-package twin at workers 1/2/4 rides the last line.
+# row is also the -flow-ttl read-side row (the same segments from
+# Streams() at 1/2/4 workers, and the same stream IDs and per-ID packet
+# sums in all three tiers, 2-way cluster merge included); its in-package
+# twin at workers 1/2/4 rides the last line.
 proto-smoke:
 	$(GO) test -count=1 -run 'TestProtoDifferentialMixedApps|TestProtoZoomOnlyUnchanged|TestCLIProtoCountersExposed' -v .
 	$(GO) test -count=1 ./internal/rtcproto/ ./internal/webrtc/

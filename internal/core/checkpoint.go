@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 10
+	stateVersion = 11
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -316,12 +316,11 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 	return res
 }
 
-// code walks the shard's state: counters and maintenance clock whole
-// (cheap), the flow table's own walk, then the change logs' tombstones
-// and records for the stream metric engines and TCP trackers, and the archive's
-// tail. On a decoding error the shard may be partially mutated.
+// code walks the shard's state: counters whole (cheap), the flow table's
+// own walk, then the change logs' tombstones and records for the stream
+// metric engines and TCP trackers, and the archive's tail. On a decoding
+// error the shard may be partially mutated.
 func (sh *shard) code(c *statecodec.Codec) {
-	c.U64(&sh.ticks)
 	c.U64(&sh.ZoomUDP)
 	c.U64(&sh.TCPPackets)
 	c.U64(&sh.STUNPackets)

@@ -69,15 +69,15 @@ type Config struct {
 	// MaxFinished caps archived finished streams; at the cap the oldest
 	// archive is dropped (and counted) to admit the newest.
 	MaxFinished int
-	// FlowTTL enables idle eviction of per-flow state: every 4096
-	// packets, flows, streams, TCP trackers, and metric engines idle
-	// longer than FlowTTL are evicted (metric engines are finalized and
-	// archived first). Preserved: every total, every stream's rows in
-	// every report (Streams lists the archive) and each ID's packet and
-	// byte sums. Not preserved: loss, jitter and frame continuity across
-	// the idle gap of a stream that resumes (a new StreamSegment). The
-	// cross-flow stream detector ages on its own linkage window
-	// (meeting.Dedup.Observe), not on this.
+	// FlowTTL enables idle eviction of per-flow state: every 4096 frames
+	// routed (a cluster worker's: received), flows, streams, TCP trackers
+	// and metric engines idle longer than FlowTTL are evicted in every
+	// shard (metric engines are finalized and archived first). Preserved:
+	// every total, every stream's rows in every report (Streams lists the
+	// archive) and each ID's packet and byte sums. Not preserved: loss,
+	// jitter and frame continuity across the idle gap of a stream that
+	// resumes (a new StreamSegment). The cross-flow stream detector ages
+	// on its own linkage window (meeting.Dedup.Observe), not on this.
 	FlowTTL time.Duration
 	// Quarantine, when non-nil, receives the offending frame whenever
 	// per-packet processing panics (see Quarantine). It may be shared
@@ -291,9 +291,9 @@ func (p *pipeline) ingest(recs []pcap.Record, stamped bool) {
 // under one deferred recover for the run instead of one per frame. A
 // panic while routing record i is contained exactly as a per-frame guard
 // would contain it — counted, quarantined, the frame dropped and still
-// ticked or dispatched — and ingestRun returns i+1 for the caller to
-// resume there. A panic anywhere else (a shard's own processing contains
-// its panics) is not the front end's and propagates.
+// delivered — and ingestRun returns i+1 for the caller to resume there. A
+// panic anywhere else (a shard's own processing contains its panics) is
+// not the front end's and propagates.
 func (p *pipeline) ingestRun(recs []pcap.Record, i int, stamped bool) (next int) {
 	p.finished = false
 	routing := false
@@ -322,8 +322,8 @@ func (p *pipeline) ingestRun(recs []pcap.Record, i int, stamped bool) (next int)
 }
 
 // deliver is the shard half of ingest for one routed frame: a kept frame
-// is processed inline or batched for its queue-fed shard, and every frame
-// advances the maintenance clock (inline) or the cut cadence (queued).
+// is processed inline or batched for its queue-fed shard, and a due
+// eviction (evictDue) runs after it, or rides every queue (dispatch).
 // Every obsUpdateEvery frames it pushes the front end's feeds (inline: all).
 func (p *pipeline) deliver(idx int, keep bool, seq uint64, at time.Time, frame []byte) {
 	sh := p.shards[idx]
@@ -337,7 +337,9 @@ func (p *pipeline) deliver(idx int, keep bool, seq uint64, at time.Time, frame [
 	if keep {
 		sh.process(seq, at, frame)
 	}
-	sh.tick(at)
+	if p.evictDue() {
+		sh.EvictIdle(at.Add(-p.cfg.FlowTTL))
+	}
 	if p.o.on() && p.Packets%obsUpdateEvery == 0 {
 		p.updateGauges()
 	}

@@ -546,7 +546,9 @@ func TestNATMergesMeetingsEndToEnd(t *testing.T) {
 // report: the archive fills and the live map shrinks, while totals,
 // meetings, the ID set of Streams, each ID's packet sum, the snapshot's
 // cumulative packets and every participant's video attributes stay those
-// of the engine that never evicts.
+// of the engine that never evicts. The engine evicts on one clock, so at
+// 2 and 4 workers the report is byte-identical to the 1-worker TTL run's,
+// segment by segment.
 func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
 	type result struct {
 		a        *Analyzer
@@ -608,8 +610,14 @@ func TestCompactionBoundsMemoryWithoutChangingResults(t *testing.T) {
 		return res
 	}
 	plain := run(0, 1)
+	var seq []byte
 	for _, workers := range []int{1, 2, 4} {
 		got := run(30*time.Second, workers)
+		if report := reportBytes(t, got.a); workers == 1 {
+			seq = report
+		} else if !bytes.Equal(report, seq) {
+			t.Errorf("workers=%d: the TTL run's report differs from the 1-worker TTL run's (%d vs %d bytes)", workers, len(report), len(seq))
+		}
 		if len(got.a.Finished) == 0 {
 			t.Fatalf("workers=%d: nothing archived", workers)
 		}

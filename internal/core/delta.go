@@ -79,12 +79,14 @@ func (p *pipeline) deltaReady() bool { return p.chainArmed && !p.finished }
 
 // markCheckpointed re-anchors the chain after any checkpoint encode,
 // restore, or delta apply: the current state is now fully captured, so
-// every layer's change logs empty and arm. It visits what changed since
-// the last checkpoint and nothing else.
+// every layer's change logs empty and arm, and the live series rebase. It
+// visits what changed since the last checkpoint and nothing else.
 func (p *pipeline) markCheckpointed() {
 	p.Dedup.MarkCheckpointed()
 	p.Copies.MarkCheckpointed()
+	p.o.rebase()
 	for _, sh := range p.shards {
+		sh.so.rebase()
 		sh.Flows.MarkCheckpointed()
 		sh.streamLog.MarkCheckpointed()
 		sh.tcpLog.MarkCheckpointed()

@@ -620,7 +620,7 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	resumed := restore(full)
 
 	// The busy connection carries the clock 4 s forward, far past the
-	// TTL, across the shard's first maintenance tick; both engines must
+	// TTL, across the engine's first eviction point; both engines must
 	// drop the idle tracker on the same packet.
 	evictedAt := func(a *Analyzer) int {
 		at, packets := -1, int(a.Summary().Packets)

@@ -117,6 +117,15 @@ func (fe *frontEnd) route(at time.Time, frame []byte, seq uint64) (shard int, ke
 	return shardOf(fe.filter.ZoomNetworks(), fe.n, ri.isTCP, ri.src, ri.dst, ri.srcPort, ri.dstPort), true
 }
 
+// maintainEvery is the idle-eviction cadence in frames routed.
+const maintainEvery = 4096
+
+// evictDue is the engine's one eviction clock: under Config.FlowTTL, after
+// every maintainEvery frames routed (Packets, panicked ones included) the
+// engine evicts what is idle since the frame's time less the TTL, in every
+// shard wherever it runs. It is a per-frame check, kept cheap to inline.
+func (fe *frontEnd) evictDue() bool { return fe.cfg.FlowTTL > 0 && fe.Packets%maintainEvery == 0 }
+
 // contain accounts a frame whose routing panicked: counted, quarantined,
 // and dropped.
 func (fe *frontEnd) contain(r any, at time.Time, frame []byte) {

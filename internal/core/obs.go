@@ -77,11 +77,9 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	return o
 }
 
-// feed lists one tally as a source of the series name{labels}. A restored
-// engine's first push adds the chain's totals; the help text says so.
+// feed lists one tally as a source of the series name{labels}.
 func (o *coreObs) feed(tally func() uint64, name, help string, labels ...obs.Label) {
 	if o.on() {
-		help += " After a restore it resumes at the checkpoint chain's total, so rate() spikes once."
 		o.feeds = append(o.feeds, feed{series: o.reg.Counter(name, help, labels...), tally: tally})
 	}
 }
@@ -138,11 +136,14 @@ func (o *coreObs) push() {
 	}
 }
 
-// rebase zeroes the baselines once Rotate has re-seeded the tallies
-// (after a push, so the series already hold the closed window).
+// rebase sets every baseline to its tally: after Rotate re-seeds them, and
+// at each checkpoint encode (already pushed) or restore, so a restored
+// process's series count its own frames, as counters do across a restart;
+// the chain's totals stay in the reports.
 func (o *coreObs) rebase() {
 	for i := range o.feeds {
-		o.feeds[i].base = 0
+		f := &o.feeds[i]
+		f.base = f.tally()
 	}
 }
 

@@ -149,7 +149,11 @@ func TestParallelObsAggregates(t *testing.T) {
 	// obsUpdateEvery frames of the goroutine that owns it. Rows: 1, 2 and
 	// 4 workers; runs resumed mid-trace from a full+delta chain, after a
 	// restore attempt that fails on a torn delta and is discarded, whose
-	// series must equal the uninterrupted run's; and runs rotated once.
+	// series count only the tallies' gain since the restore (a counter is
+	// process-local) and, added to the chain's tallies, equal the
+	// uninterrupted run's; and runs rotated once. The chain ends a quarter
+	// into the trace, before its idle sweep evicts, so that the evicted
+	// series move after the restore.
 	// The trace is longer, every 16th frame is off the Zoom networks, and
 	// idle eviction and a stream cap are on, so that every series moves.
 	long, _ := seededTrace(t, 30)
@@ -179,6 +183,7 @@ func TestParallelObsAggregates(t *testing.T) {
 			cfg := cfg
 			cfg.Obs = reg
 			var eng Engine
+			var chain map[string]uint64 // restored: the tallies the chain holds
 			from := 0
 			if !row.restored {
 				eng = NewParallelAnalyzer(cfg, row.workers)
@@ -186,18 +191,19 @@ func TestParallelObsAggregates(t *testing.T) {
 				src := cfg
 				src.Obs = nil
 				live := NewParallelAnalyzer(src, row.workers)
-				for ; from < n/4; from++ {
+				for ; from < n/8; from++ {
 					live.Packet(at[from], frames[from])
 				}
 				full := bytes.Clone(checkpointBytes(t, live))
-				for ; from < n/2; from++ {
+				for ; from < n/4; from++ {
 					live.Packet(at[from], frames[from])
 				}
 				var delta bytes.Buffer
 				if err := live.CheckpointDelta(&delta); err != nil {
 					t.Fatal(err)
 				}
-				Discard(live)
+				live.Finish() // counts nothing more
+				chain = tallies(live.Result())
 				restore := func(delta []byte) (Engine, error) {
 					eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
 					if err == nil {
@@ -221,7 +227,7 @@ func TestParallelObsAggregates(t *testing.T) {
 			for i := from; i < n; i++ {
 				eng.Packet(at[i], frames[i])
 				if i == (from+n)/2 {
-					lagging(t, reg, eng)
+					lagging(t, reg, eng, chain)
 					if row.rotate {
 						windows = append(windows, eng.Rotate(at[i]))
 					}
@@ -230,6 +236,9 @@ func TestParallelObsAggregates(t *testing.T) {
 			eng.Finish()
 			windows = append(windows, eng.Result())
 			got, want := seriesValues(t, reg), tallies(windows...)
+			for key := range want {
+				want[key] -= chain[key]
+			}
 			for key, tally := range want {
 				if got[key] != tally {
 					t.Errorf("%s = %d, want its tally %d", key, got[key], tally)
@@ -250,8 +259,8 @@ func TestParallelObsAggregates(t *testing.T) {
 			switch {
 			case row.restored:
 				for key, v := range uninterrupted[row.workers] {
-					if got[key] != v {
-						t.Errorf("restored run: %s = %d, want the uninterrupted run's %d", key, got[key], v)
+					if got[key]+chain[key] != v {
+						t.Errorf("restored run: %s = %d after the chain's %d, want the uninterrupted run's %d in all", key, got[key], chain[key], v)
 					}
 				}
 			case !row.rotate:
@@ -310,11 +319,11 @@ func seriesValues(t *testing.T, reg *obs.Registry) map[string]uint64 {
 	return m
 }
 
-// lagging checks the freshness bound mid-run: a series trails its tally
-// by at most obsUpdateEvery frames. Inline, the front end owns every
-// tally and every frame-counting series is compared; queue-fed, only the
-// front end's own.
-func lagging(t *testing.T, reg *obs.Registry, eng Engine) {
+// lagging checks the freshness bound mid-run: a series trails its tally's
+// gain over base (what a restore brought, or nil) by at most
+// obsUpdateEvery frames. Inline, the front end owns every tally and every
+// frame-counting series is compared; queue-fed, only the front end's own.
+func lagging(t *testing.T, reg *obs.Registry, eng Engine, base map[string]uint64) {
 	t.Helper()
 	var want map[string]uint64
 	switch e := eng.(type) {
@@ -333,7 +342,7 @@ func lagging(t *testing.T, reg *obs.Registry, eng Engine) {
 	}
 	got := seriesValues(t, reg)
 	for key, tally := range want {
-		if got[key] > tally || tally-got[key] > obsUpdateEvery {
+		if tally -= base[key]; got[key] > tally || tally-got[key] > obsUpdateEvery {
 			t.Errorf("mid-run %s = %d against its tally %d: more than %d frames behind", key, got[key], tally, obsUpdateEvery)
 		}
 	}

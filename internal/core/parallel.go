@@ -1,32 +1,25 @@
 package core
 
 // The queue transport: how a pipeline with more than one shard spreads
-// per-flow work over cores.
-//
-// Per-flow independence makes the pipeline shardable: all heavy
-// per-packet work (frame decode, encapsulation parsing, frame assembly,
-// jitter, loss, rate series, TCP RTT matching) only ever touches state
-// keyed by the packet's flow, so hashing each flow to one of N shards
-// preserves exact per-flow processing order while spreading the work.
-// The front end stays thin — header scan, capture filter, shard hash —
-// then copies the frame into a per-shard batch and hands full batches
-// over a bounded channel; the shard goroutine owns the decode.
+// per-flow work over cores. All heavy per-packet work (decode, frame
+// assembly, jitter, loss, rates, TCP RTT) touches only state keyed by the
+// packet's flow, so hashing each flow to one of N shards keeps per-flow
+// order while spreading the work. The front end stays thin — header
+// scan, capture filter, shard hash — and hands each shard batches of
+// copied frames over a bounded channel; the shard goroutine decodes.
 //
 // The cross-flow stages cannot be sharded. Shards log a compact
-// observation per media packet into pooled chunks instead, each tagged
-// with the front end's sequence number, and one reconciliation goroutine
-// replays the logs through the reconciliation consumer in global capture
-// order (a k-way merge). The logs reach it in cuts: every reconEvery
-// packets the front end queues a cut marker behind each shard's batches
-// and goes on without waiting; each shard answers the marker with its
-// chain of everything before it, and the reconciler merges the n chains
-// of one cut while the shards and the front end carry on with the next.
-// A quiesce — Snapshot, Checkpoint, ApplyDelta, Rotate, DrainFeatures,
-// Streams, Finish — is the same cut plus a wait for the reconciler to
-// replay it; on return every shard and the reconciliation state are the
-// caller's to read and write until more work is dispatched. The
-// consumers are deterministic in observation order, so replaying in
-// batches is indistinguishable from feeding them packet by packet — and
+// observation per media packet into pooled chunks, tagged with the front
+// end's sequence number, and one reconciliation goroutine replays the
+// logs in global capture order (a k-way merge). The logs reach it in
+// cuts: every reconEvery packets the front end queues a cut marker behind
+// each shard's batches and goes on; each shard answers with its chain of
+// everything before the marker, and the reconciler merges one cut's
+// chains while the shards and the front end carry on. A quiesce —
+// Snapshot, Checkpoint, ApplyDelta, Rotate, DrainFeatures, Streams,
+// Finish — is a cut plus a wait for its replay; on return every shard and
+// the reconciliation state are the caller's until more work is
+// dispatched. The consumers are deterministic in observation order, so
 // the merged result is byte-identical to the sequential engine's.
 
 import (
@@ -72,12 +65,14 @@ const (
 // back-to-back into data, with per-packet offsets in items. A batch with
 // cut set is a cut marker and carries no packets: the shard sends its
 // observation chain — everything it logged for the batches queued before
-// the marker — on cut and starts a new one. Batches come from and return
-// to the package-wide framePool.
+// the marker — on cut and starts a new one. After a stamped batch's frames
+// (evict) the shard evicts what is idle since cutoff. Batches are pooled.
 type pbatch struct {
-	items []pitem
-	data  []byte
-	cut   chan<- *obsChunk
+	items  []pitem
+	data   []byte
+	cut    chan<- *obsChunk
+	evict  bool
+	cutoff time.Time
 }
 
 // pitem is one packet within a batch: the capture metadata and the
@@ -157,9 +152,10 @@ func NewParallelAnalyzer(cfg Config, workers int) *ParallelAnalyzer {
 }
 
 // run is a queue-fed shard's goroutine: drain batches until the queue
-// closes.
+// closes. frames counts what it processed, for the live-refresh cadence.
 func (sh *shard) run() {
 	defer close(sh.done)
+	var frames uint64
 	for b := range sh.queue {
 		// Consumer-side backlog update: the front end only writes the
 		// gauge on enqueue, so without this an idle shard would report its
@@ -174,11 +170,13 @@ func (sh *shard) run() {
 		for i := range b.items {
 			it := &b.items[i]
 			sh.process(it.seq, it.at, b.data[it.off:it.end])
-			sh.tick(it.at)
-			if sh.so.on() && sh.ticks%obsUpdateEvery == 0 {
+			if frames++; sh.so.on() && frames%obsUpdateEvery == 0 {
 				sh.so.push()
 				sh.refreshGauges()
 			}
+		}
+		if b.evict {
+			sh.EvictIdle(b.cutoff)
 		}
 		putBatch(b)
 	}
@@ -227,9 +225,10 @@ func (sh *shard) logObs(o *ClusterObs) {
 	c.n++
 }
 
-// dispatch is the queue-fed half of deliver: copy a kept frame into
-// its shard's batch under construction, ship the batch when full, and
-// cut on the periodic cadence.
+// dispatch is the queue-fed half of deliver: batch a kept frame for its
+// shard, stamp a due eviction on every shard's batch (an empty one if need
+// be) and ship it, so each sweeps after exactly the frames routed to it
+// before, and cut on the periodic cadence.
 func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {
 	if keep {
 		if sh.cur == nil {
@@ -243,15 +242,24 @@ func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, fram
 			p.ship(sh)
 		}
 	}
+	if p.evictDue() {
+		for _, s := range p.shards {
+			if s.cur == nil {
+				s.cur = getBatch()
+			}
+			s.cur.evict, s.cur.cutoff = true, at.Add(-p.cfg.FlowTTL)
+			p.ship(s)
+		}
+	}
 	if seq%reconEvery == 0 {
 		p.cut(false)
 	}
 }
 
-// ship hands a full batch to its shard: blocking on a full queue, or —
-// under Config.Shed — dropping the whole batch with accounting instead
-// of stalling ingest (live capture would otherwise lose packets
-// invisibly in the kernel).
+// ship hands a batch to its shard: blocking on a full queue, or — under
+// Config.Shed — dropping it with accounting instead of stalling ingest
+// (live capture would otherwise lose packets invisibly in the kernel); a
+// shed stamp goes with it, and the next one sweeps what it would have.
 func (p *pipeline) ship(sh *shard) {
 	b := sh.cur
 	sh.cur = nil
@@ -440,17 +448,14 @@ func (p *pipeline) stop() {
 	<-p.recon.done
 }
 
-// checkShards runs after every restore and delta apply. It refuses
-// shards holding a stream or a TCP tracker the flow hash sends elsewhere:
-// a parallel checkpoint written by a build with another shardOf (or under
-// other Zoom networks). Resumed, the flow's next packets would open a
-// second record on another shard, and the merge would keep one of the
-// two. It also refuses a stream metric engine whose stream the shard's
-// flow table does not hold, which the engine never writes: the idle sweep
-// finds engines through the table's records, so it would never archive
-// one. Every engine is checked, not only a delta's, because a delta's
-// tombstone can drop the stream record of an engine it does not carry.
-// Last, it refuses tallies that do not conserve packets (AccountingGap).
+// checkShards runs after every restore and delta apply. It refuses a
+// stream or TCP tracker on a shard the flow hash does not send it to (a
+// checkpoint from a build with another shardOf or other Zoom networks):
+// its flow's next packets would open a second record elsewhere. It refuses
+// a stream metric engine whose stream record the shard's flow table lacks,
+// which the idle sweep, walking the table, would never archive; every
+// engine, since a delta's tombstone can drop the record of one it does not
+// carry. Last, it refuses tallies that do not conserve packets.
 func (p *pipeline) checkShards() error {
 	zoom := p.filter.ZoomNetworks()
 	for i, sh := range p.shards {

@@ -35,6 +35,6 @@ func putBatch(b *pbatch) {
 	} else {
 		b.data = b.data[:0]
 	}
-	b.cut = nil
+	b.cut, b.evict = nil, false
 	framePool.Put(b)
 }

@@ -152,10 +152,6 @@ type shardState struct {
 
 	shardCounters
 
-	// ticks counts the packets this shard's maintenance clock has seen
-	// (see tick).
-	ticks uint64
-
 	// Delta-checkpoint tracking (see delta.go): the change logs of the
 	// metric engines and the trackers. The archive is append-plus-head-drop
 	// only, so a delta carries the baseline length (ckFinishedLen), how
@@ -357,20 +353,6 @@ type streamOwner struct {
 	dedup meeting.Handle
 }
 
-// maintainEvery is the idle-eviction cadence in packets.
-const maintainEvery = 4096
-
-// tick advances the shard's maintenance clock by one packet and, every
-// maintainEvery packets, runs Config.FlowTTL's idle eviction. An inline
-// shard is ticked for every frame offered to the engine, a queue-fed one
-// for every frame it ingests.
-func (sh *shard) tick(at time.Time) {
-	sh.ticks++
-	if ttl := sh.lim.FlowTTL; ttl > 0 && sh.ticks%maintainEvery == 0 {
-		sh.EvictIdle(at.Add(-ttl))
-	}
-}
-
 // The rest of this file keeps memory bounded over long captures (the
 // paper's deployment ran for 12+ hours against ~60 k streams): streams
 // that have gone idle are finalized, their metric engines archived, and
@@ -415,17 +397,13 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 }
 
 // EvictIdle evicts every piece of per-flow state idle since before
-// cutoff: metric engines are finalized and archived, flow-table entries
-// fold into the report aggregates, idle TCP trackers are dropped. Counts
-// of everything evicted surface in Summary.
-//
-// An archived stream moves from StreamMetrics to Finished (Streams lists
-// both); flow-level accounting (Tables 2/3/6) is unaffected. The flow
-// table's walk finds the victims: every StreamMetrics key has a stream
-// record (restore enforces it, checkShards), whose owner, or one lookup,
-// gives the engine. Streams are archived in compareFinished order, not
-// map order, so the archive (and which entries MaxFinished drops) is the
-// same on every run.
+// cutoff: metric engines are finalized and moved from StreamMetrics to
+// Finished (Streams lists both), flow-table entries fold into the report
+// aggregates, idle TCP trackers are dropped; Summary counts them all. The
+// flow table's walk finds the victims: every StreamMetrics key has a
+// stream record (checkShards), whose owner, or one lookup, gives the
+// engine. Archiving in compareFinished order, not map order, makes the
+// archive (and what MaxFinished drops) the same on every run.
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	var victims []FinishedStream
 	sh.Flows.EvictIdleFunc(cutoff, func(st *flow.StreamStats) {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -334,8 +335,13 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 }
 
 // WriteRecord appends one packet. Data longer than the snap length is
-// truncated, with OriginalLen preserved.
+// truncated, with OriginalLen preserved. A timestamp the format's
+// unsigned 32-bit seconds cannot hold — before 1970 or after
+// 2106-02-07 06:28:15 UTC — is refused, and nothing is written.
 func (w *Writer) WriteRecord(ts time.Time, data []byte) error {
+	if sec := ts.Unix(); sec < 0 || sec > math.MaxUint32 {
+		return fmt.Errorf("pcap: timestamp %s outside the pcap range 1970 to 2106-02-07 06:28:15 UTC", ts.UTC().Format(time.RFC3339Nano))
+	}
 	origLen := len(data)
 	if uint32(len(data)) > w.snapLen {
 		data = data[:w.snapLen]

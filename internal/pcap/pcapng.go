@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -459,9 +460,14 @@ func NewNGWriter(w io.Writer, linkType uint16) (*NGWriter, error) {
 	return ng, nil
 }
 
-// WriteRecord appends one enhanced packet block.
+// WriteRecord appends one enhanced packet block. A timestamp outside
+// the block's range (see packet) is refused, and nothing is written.
 func (ng *NGWriter) WriteRecord(ts time.Time, data []byte) error {
-	return ng.end(ng.packet(ts, data))
+	b, err := ng.packet(ts, data)
+	if err != nil {
+		return err
+	}
+	return ng.end(b)
 }
 
 // WriteRecordID appends one enhanced packet block carrying an
@@ -470,8 +476,12 @@ func (ng *NGWriter) WriteRecord(ts time.Time, data []byte) error {
 // worker processes can reconstruct the exact cross-worker capture order
 // the byte-identical merge invariant depends on.
 func (ng *NGWriter) WriteRecordID(ts time.Time, data []byte, id uint64) error {
-	b := pad4(ng.packet(ts, data)) // options start 32-bit aligned
-	b = append(b, 5, 0, 8, 0)      // epb_packetid, length 8
+	b, err := ng.packet(ts, data)
+	if err != nil {
+		return err
+	}
+	b = pad4(b)               // options start 32-bit aligned
+	b = append(b, 5, 0, 8, 0) // epb_packetid, length 8
 	b = binary.LittleEndian.AppendUint64(b, id)
 	b = append(b, 0, 0, 0, 0) // opt_endofopt
 	return ng.end(b)
@@ -479,7 +489,13 @@ func (ng *NGWriter) WriteRecordID(ts time.Time, data []byte, id uint64) error {
 
 // packet begins an enhanced packet block in the scratch buffer: the
 // fixed fields and the packet data, options and trailer still to come.
-func (ng *NGWriter) packet(ts time.Time, data []byte) []byte {
+// The timestamp is nanoseconds since 1970 as UnixNano gives them, so a
+// time before 1970 or after 2262-04-11 23:47:16.854775807 UTC, where
+// UnixNano is not defined, is refused.
+func (ng *NGWriter) packet(ts time.Time, data []byte) ([]byte, error) {
+	if ts.Before(time.Unix(0, 0)) || ts.After(time.Unix(0, math.MaxInt64)) {
+		return nil, fmt.Errorf("pcapng: timestamp %s outside the writer's range 1970 to 2262-04-11 23:47:16.854775807 UTC", ts.UTC().Format(time.RFC3339Nano))
+	}
 	raw := uint64(ts.UnixNano())
 	b := ng.begin(blockEPB)
 	b = binary.LittleEndian.AppendUint32(b, 0) // interface 0
@@ -487,7 +503,7 @@ func (ng *NGWriter) packet(ts time.Time, data []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(raw))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(data)))
-	return append(b, data...)
+	return append(b, data...), nil
 }
 
 // begin starts a block in the scratch buffer: the type code and a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 	"time"
 )
@@ -144,6 +145,95 @@ func TestWritersAllocateNothingPerRecord(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, func() { write() }); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per record, want 0", name, allocs)
+		}
+	}
+}
+
+// TestWritersRefuseUnrepresentableTimes: each writer writes a timestamp
+// its format holds exactly, and refuses one it cannot hold instead of
+// writing another time — classic pcap has unsigned 32-bit seconds (1970
+// to 2106-02-07 06:28:15 UTC), the pcapng writer 64-bit nanoseconds since
+// 1970 as UnixNano gives them (to 2262-04-11 23:47:16.854775807 UTC). A
+// refused record leaves nothing in the stream: what reads back is the
+// record before it.
+func TestWritersRefuseUnrepresentableTimes(t *testing.T) {
+	base := time.Date(2022, 5, 5, 10, 0, 0, 1000, time.UTC)
+	lastNG := time.Unix(0, math.MaxInt64).UTC()
+	for _, tc := range []struct {
+		name         string
+		at           time.Time
+		pcapOK, ngOK bool
+	}{
+		{"monotone", base.Add(time.Second), true, true},
+		{"1 s backward", base.Add(-time.Second), true, true},
+		{"last pcap second", time.Date(2106, 2, 7, 6, 28, 15, 999999000, time.UTC), true, true},
+		{"first second past pcap", time.Date(2106, 2, 7, 6, 28, 16, 0, time.UTC), false, true},
+		{"2107", time.Date(2107, 1, 1, 0, 0, 0, 0, time.UTC), false, true},
+		{"last pcapng second", lastNG.Truncate(time.Second), false, true},
+		{"last pcapng nanosecond", lastNG, false, true},
+		{"past pcapng", lastNG.Add(time.Nanosecond), false, false},
+		{"year 3000", time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), false, false},
+		{"1969", time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC), false, false},
+		{"1970", time.Unix(0, 0).UTC(), true, true},
+	} {
+		for _, w := range []struct {
+			format string
+			ok     bool
+			res    time.Duration // the resolution the format stores
+			open   func(io.Writer) (func(time.Time, []byte) error, error)
+		}{
+			{"pcap-us", tc.pcapOK, time.Microsecond, func(out io.Writer) (func(time.Time, []byte) error, error) {
+				w, err := NewWriter(out, WriterOptions{})
+				return w.WriteRecord, err
+			}},
+			{"pcap-ns", tc.pcapOK, time.Nanosecond, func(out io.Writer) (func(time.Time, []byte) error, error) {
+				w, err := NewWriter(out, WriterOptions{Nanosecond: true})
+				return w.WriteRecord, err
+			}},
+			{"pcapng", tc.ngOK, time.Nanosecond, func(out io.Writer) (func(time.Time, []byte) error, error) {
+				w, err := NewNGWriter(out, uint16(LinkTypeEthernet))
+				return w.WriteRecord, err
+			}},
+			{"pcapng-packetid", tc.ngOK, time.Nanosecond, func(out io.Writer) (func(time.Time, []byte) error, error) {
+				w, err := NewNGWriter(out, uint16(LinkTypeEthernet))
+				return func(at time.Time, data []byte) error { return w.WriteRecordID(at, data, 7) }, err
+			}},
+		} {
+			var buf bytes.Buffer
+			write, err := w.open(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(base, []byte{1, 2, 3, 4}); err != nil {
+				t.Fatalf("%s: the base record: %v", w.format, err)
+			}
+			err = write(tc.at, []byte{5, 6, 7, 8})
+			if (err == nil) != w.ok {
+				t.Errorf("%s/%s: writing %v returned %v, want ok=%v", tc.name, w.format, tc.at, err, w.ok)
+				continue
+			}
+			want := []time.Time{base}
+			if w.ok {
+				want = append(want, tc.at.Truncate(w.res))
+			}
+			s, err := OpenStream(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []time.Time
+			var rec Record
+			for s.NextInto(&rec) == nil {
+				got = append(got, rec.Timestamp)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s/%s: %d records read back, want %d", tc.name, w.format, len(got), len(want))
+				continue
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Errorf("%s/%s: record %d reads back at %v, want %v", tc.name, w.format, i, got[i].UTC(), want[i])
+				}
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ package zoomlens
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -249,11 +250,10 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 
 	// micros is what NGWriter must be handed for its 64-bit field to
 	// carry n once the interface is patched to microsecond ticks below.
+	// The writer refuses a time past its own range, so the hostile counts
+	// are patched into their blocks' timestamp fields instead.
 	micros := func(n uint64) time.Time { return time.Unix(0, int64(n)) }
-	stamps := []time.Time{
-		micros(uint64(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()) * 1e6),
-		micros(math.MaxUint64),
-	}
+	stamps := []uint64{uint64(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC).Unix()) * 1e6, math.MaxUint64}
 	write := func(hostile bool) []byte {
 		var buf bytes.Buffer
 		ng, err := pcap.NewNGWriter(&buf, uint16(pcap.LinkTypeEthernet))
@@ -270,9 +270,15 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 				continue
 			}
 			if zp, err := zoom.ParsePacket(pkt.Payload, zoom.ModeAuto); err == nil && zp.Media.Type == zoom.TypeVideo {
-				if err := ng.WriteRecord(left[0], frames[i]); err != nil {
+				off := buf.Len()
+				if err := ng.WriteRecord(at[i], frames[i]); err != nil {
 					t.Fatal(err)
 				}
+				// The enhanced packet block's timestamp, high word then low,
+				// follows its type, length and interface ID.
+				epb := buf.Bytes()[off:]
+				binary.LittleEndian.PutUint32(epb[12:], uint32(left[0]>>32))
+				binary.LittleEndian.PutUint32(epb[16:], uint32(left[0]))
 				left = left[1:]
 			}
 		}
