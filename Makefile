@@ -82,8 +82,9 @@ cover:
 # sequence: the race detector matters here because the sharded parallel
 # analyzer (shards, the reconciler fed by cuts, the quiesce), the metrics
 # endpoint and the checkpoint writer are all concurrency — and so are the
-# live series, which the shard goroutines feed from their own tallies, and
-# the idle-eviction stamps, which ride the shard queues.
+# live series, which the shard goroutines feed from their own tallies, the
+# idle-eviction stamps, which ride the shard queues, and checkpoint records,
+# which stream out of a quiesced sharded engine in chunks.
 ci:
 	$(GO) build ./...
 	$(MAKE) fmt-check
@@ -91,7 +92,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential' ./internal/core
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential|TestCheckpointStreamDifferential' ./internal/core
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check

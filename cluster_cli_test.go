@@ -52,6 +52,60 @@ func writeEmptyPcap(t *testing.T, path string) {
 	}
 }
 
+// TestClusterCLIHostileTime: one record of a microsecond pcapng capture
+// is stamped 3000-01-01, which the splitter's nanosecond worker streams
+// cannot carry. The split must complete with that frame dropped and
+// counted in the manifest, and the merged summary must still count all
+// 200 frames, the dropped one as undecodable where one engine reading the
+// capture decodes it.
+func TestClusterCLIHostileTime(t *testing.T) {
+	bin := buildCLI(t)
+	work := t.TempDir()
+	_, _, cfg := benchTrace(t)
+	recs, capture := hostileTimeCapture(t, cfg)
+	ref := NewAnalyzer(cfg)
+	for _, r := range recs {
+		ref.Packet(r.Timestamp, r.Data)
+	}
+	ref.Finish()
+	want := ref.Summary()
+	in := filepath.Join(work, "hostile.pcapng")
+	if err := os.WriteFile(in, capture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(work, "sp")
+	runToolSplit(t, bin, "zoomsplit", "-i", in, "-n", "2", "-out", prefix)
+	data, err := os.ReadFile(prefix + ".manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Packets          uint64   `json:"packets"`
+		KeptPerWorker    []uint64 `json:"kept_per_worker"`
+		DroppedTimeRange uint64   `json:"dropped_time_range"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Packets != 200 || man.DroppedTimeRange != 1 || len(man.KeptPerWorker) != 2 || man.KeptPerWorker[0]+man.KeptPerWorker[1] != 199 {
+		t.Fatalf("manifest: %s", data)
+	}
+	var parts []string
+	for i := 0; i < 2; i++ {
+		part := fmt.Sprintf("%s-%03d", prefix, i)
+		runToolSplit(t, bin, "zoomqoe", "-i", part+".pcapng", "-cluster-part", part, "-what", "summary")
+		parts = append(parts, part)
+	}
+	out, _ := runToolSplit(t, bin, "zoomagg", "-cluster-merge", strings.Join(parts, ","), "-manifest", prefix+".manifest.json", "-summary")
+	var sum struct{ Packets, Undecodable uint64 }
+	if err := json.Unmarshal([]byte(out), &sum); err != nil {
+		t.Fatalf("merged summary is not JSON: %v\n%s", err, out)
+	}
+	if sum.Packets != 200 || want.Packets != 200 || sum.Undecodable != want.Undecodable+1 {
+		t.Errorf("merged summary counts %d frames, %d undecodable; want 200, one more undecodable than one engine's %d", sum.Packets, sum.Undecodable, want.Undecodable)
+	}
+}
+
 func TestClusterCLI(t *testing.T) {
 	bin := buildCLI(t)
 	work := t.TempDir()

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"zoomlens/internal/capture"
 	"zoomlens/internal/cluster"
@@ -91,7 +92,7 @@ func clusterMerge(t *testing.T, cfg Config, recs []pcap.Record, workers, migrate
 			t.Fatal(err)
 		}
 	}
-	head := sp.Head(false)
+	head := sp.Manifest(false).Head()
 
 	// Worker tier: sequential pre-filtered engines, observations
 	// diverted to per-worker logs, state exported pre-Finish.
@@ -291,6 +292,73 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// hostileTimeCapture is the first 200 frames of the bench trace the
+// capture filter keeps, the 101st stamped 3000-01-01 — past the
+// nanosecond range of the pcapng streams the splitter writes — as records
+// and as a microsecond pcapng capture, which can carry that instant.
+func hostileTimeCapture(t *testing.T, cfg Config) ([]pcap.Record, []byte) {
+	t.Helper()
+	at, frames, _ := benchTrace(t)
+	router := core.NewRouter(cfg, 1)
+	var recs []pcap.Record
+	for i := 0; i < len(frames) && len(recs) < 200; i++ {
+		if _, keep := router.Route(at[i], frames[i]); keep {
+			recs = append(recs, pcap.Record{Timestamp: at[i], Data: frames[i]})
+		}
+	}
+	if len(recs) < 200 {
+		t.Fatalf("the trace has %d kept frames, want 200", len(recs))
+	}
+	recs[100].Timestamp = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
+	// NGWriter counts nanoseconds and refuses the year 3000, so it is
+	// handed each record's microsecond count and the interface's
+	// if_tsresol option is patched from 9 (nanoseconds) to 6.
+	var buf bytes.Buffer
+	ng, err := pcap.NewNGWriter(&buf, uint16(pcap.LinkTypeEthernet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := ng.WriteRecord(time.Unix(0, r.Timestamp.UnixMicro()), r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := bytes.Index(buf.Bytes(), []byte{9, 0, 1, 0, 9, 0, 0, 0})
+	if i < 0 || i > 64 {
+		t.Fatal("if_tsresol option not found in the interface description")
+	}
+	buf.Bytes()[i+4] = 6
+	return recs, buf.Bytes()
+}
+
+// TestClusterSplitDropsUnwritableTime: a kept frame whose timestamp the
+// worker streams cannot hold is dropped by the splitter and counted in
+// the manifest, the split goes on with the next frame, and the merge still
+// accounts for every frame the splitter read (clusterMerge checks
+// conservation).
+func TestClusterSplitDropsUnwritableTime(t *testing.T) {
+	_, _, cfg := benchTrace(t)
+	recs, _ := hostileTimeCapture(t, cfg)
+	sp := cluster.NewSplitter(cfg, 2)
+	for i := 0; i < 2; i++ {
+		if err := sp.Attach(i, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs {
+		if err := sp.Packet(r.Timestamp, r.Data); err != nil {
+			t.Fatalf("the split stopped: %v", err)
+		}
+	}
+	m := sp.Manifest(false)
+	if kept := m.KeptPerWorker[0] + m.KeptPerWorker[1]; m.DroppedTimeRange != 1 || kept != 199 || m.Packets != 200 {
+		t.Errorf("manifest: %d read, %d forwarded, %d dropped; want 200, 199, 1", m.Packets, kept, m.DroppedTimeRange)
+	}
+	if merged := clusterMerge(t, cfg, recs, 2, -1); merged.Packets != 200 {
+		t.Errorf("the merge counts %d frames, want 200", merged.Packets)
 	}
 }
 

@@ -73,7 +73,7 @@ func aggregate(cfg core.Config, man cluster.Manifest, statePaths, obsPaths []str
 		readers = append(readers, or)
 	}
 	next, errf := cluster.MergeObs(readers)
-	merged := core.MergeCluster(cfg, parts, man.ClusterHead, next)
+	merged := core.MergeCluster(cfg, parts, man.Head(), next)
 	if err := errf(); err != nil {
 		return nil, fmt.Errorf("observation replay: %w", err)
 	}

@@ -182,6 +182,9 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("split %d packets (%d kept) across %d workers", m.Packets, keptTotal(m), *n)
+	if m.DroppedTimeRange > 0 {
+		log.Printf("dropped %d kept packets stamped outside the worker streams' time range", m.DroppedTimeRange)
+	}
 
 	// In -exec mode the children see EOF on stdin once the pipes close;
 	// wait for them and propagate failure.

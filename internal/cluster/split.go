@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,6 +25,9 @@ type Splitter struct {
 	// kept counts frames forwarded per worker (the manifest's sanity
 	// cross-check against each worker's own packet count).
 	kept []uint64
+	// timeRange counts kept frames no worker stream could carry: their
+	// timestamp is outside pcapng's range (pcap.ErrTimeRange).
+	timeRange uint64
 }
 
 // NewSplitter builds a splitter over n worker streams; attach each
@@ -57,7 +61,9 @@ func (s *Splitter) Attach(i int, w io.Writer) error {
 }
 
 // Packet routes one frame, forwarding it to its worker when the
-// dispatch path keeps it.
+// dispatch path keeps it. A kept frame whose timestamp the worker stream
+// cannot hold is dropped and counted (the manifest's DroppedTimeRange);
+// any other write error is returned.
 func (s *Splitter) Packet(at time.Time, frame []byte) error {
 	shard, keep := s.router.Route(at, frame)
 	if !keep {
@@ -66,8 +72,15 @@ func (s *Splitter) Packet(at time.Time, frame []byte) error {
 	if s.outs[shard] == nil {
 		return fmt.Errorf("cluster: worker %d has no attached output", shard)
 	}
-	s.kept[shard]++
-	return s.outs[shard].WriteRecordID(at, frame, s.router.Packets)
+	switch err := s.outs[shard].WriteRecordID(at, frame, s.router.Packets); {
+	case errors.Is(err, pcap.ErrTimeRange):
+		s.timeRange++
+	case err != nil:
+		return err
+	default:
+		s.kept[shard]++
+	}
+	return nil
 }
 
 // Head returns the splitter-side merged-accounting counters.
@@ -79,10 +92,11 @@ func (s *Splitter) FilterStats() capture.FilterStats { return s.router.FilterSta
 // Manifest builds the split manifest for the aggregator.
 func (s *Splitter) Manifest(truncated bool) Manifest {
 	return Manifest{
-		Version:       1,
-		Workers:       len(s.outs),
-		ClusterHead:   s.router.Head(truncated),
-		KeptPerWorker: slices.Clone(s.kept),
+		Version:          1,
+		Workers:          len(s.outs),
+		ClusterHead:      s.router.Head(truncated),
+		KeptPerWorker:    slices.Clone(s.kept),
+		DroppedTimeRange: s.timeRange,
 	}
 }
 
@@ -95,6 +109,19 @@ type Manifest struct {
 	Workers int `json:"workers"`
 	core.ClusterHead
 	KeptPerWorker []uint64 `json:"kept_per_worker"`
+	// DroppedTimeRange counts frames the front end kept but the splitter
+	// dropped because their timestamp is outside the worker streams'
+	// pcapng range; no worker saw them.
+	DroppedTimeRange uint64 `json:"dropped_time_range,omitempty"`
+}
+
+// Head is the head counters a merge runs under: the splitter's, with the
+// frames it dropped counted as undecodable, so every frame it read still
+// ends in exactly one terminal bucket (core's AccountingGap).
+func (m Manifest) Head() core.ClusterHead {
+	h := m.ClusterHead
+	h.Undecodable += m.DroppedTimeRange
+	return h
 }
 
 // MarshalManifest renders m as indented JSON with a trailing newline.

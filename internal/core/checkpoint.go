@@ -68,7 +68,8 @@ const (
 	maxCheckpointWorkers = 4096
 )
 
-// crcTable is the Castagnoli polynomial used by the file trailer.
+// crcTable is the Castagnoli polynomial used by the file trailer (the
+// encoding side's is statecodec.Writer's running sum).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func writeCheckpointHeader(w *statecodec.Writer, kind uint8) {
@@ -79,11 +80,11 @@ func writeCheckpointHeader(w *statecodec.Writer, kind uint8) {
 	w.U8(kind)
 }
 
-// sealCheckpoint appends the CRC trailer to the record that starts at
-// offset start of enc.
-func sealCheckpoint(enc *statecodec.Writer, start int) {
+// sealCheckpoint appends the CRC trailer: the Writer's running sum over
+// the record, which began at the header.
+func sealCheckpoint(enc *statecodec.Writer) {
 	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(enc.Bytes()[start:], crcTable))
+	binary.LittleEndian.PutUint32(tr[:], enc.Sum())
 	for _, b := range tr {
 		enc.U8(b)
 	}
@@ -148,10 +149,13 @@ func openCheckpoint(rd io.Reader, wantKind uint8) (shards int, r *statecodec.Rea
 
 // encode writes one checkpoint record — full, or delta when the chain is
 // armed — and re-anchors the chain at the state just written. Handed a
-// *statecodec.Writer (the driver's chain owns one and resets it per
-// record) it appends the record to it and that is all; any other writer
-// gets the record in one Write from a buffer sized for it and dropped
-// afterwards. Either way the engine keeps nothing.
+// *statecodec.Writer it writes the record through it: appended in memory,
+// or streamed to the Writer's sink (the driver's chain owns one). Any
+// other writer gets the record in Writes of at most statecodec.SpillSize
+// through a Writer made for the call. Either way no buffer the size of
+// the record exists, and the engine keeps nothing. A record the sink
+// refuses is not an anchor: the error is returned and the chain stays
+// where it was.
 func (p *pipeline) encode(w io.Writer, delta bool) error {
 	p.quiesce()
 	if delta && !p.deltaReady() {
@@ -159,27 +163,13 @@ func (p *pipeline) encode(w io.Writer, delta bool) error {
 	}
 	enc, direct := w.(*statecodec.Writer)
 	if !direct {
-		enc = new(statecodec.Writer)
+		enc = statecodec.NewWriter(w)
 	}
-	// Reserve once instead of doubling through megabytes: a stream's head
-	// (sequence window, timestamp ring, open frames) with its flow-table,
-	// detector and matcher records is well under 1 KiB, and an archived
-	// stream, which travels with its whole history, under 2.
-	hint := 4096
-	for _, sh := range p.shards {
-		if delta {
-			changed, dead := sh.streamLog.Backlog()
-			hint += 1024*changed + 64*dead + 2048*(len(sh.Finished)-sh.ckFinishedLen+sh.ckHeadDrops)
-		} else {
-			hint += 1024*len(sh.StreamMetrics) + 2048*len(sh.Finished)
-		}
-	}
-	enc.Grow(hint)
-	start := enc.Len()
 	kind := uint8(engineKindFull)
 	if delta {
 		kind = engineKindDelta
 	}
+	enc.StartSum()
 	writeCheckpointHeader(enc, kind)
 	enc.U8(stateVersion)
 	enc.Int(len(p.shards))
@@ -187,11 +177,9 @@ func (p *pipeline) encode(w io.Writer, delta bool) error {
 		enc.U64(p.ckPackets)
 	}
 	p.code(statecodec.NewEncoder(enc, !delta))
-	sealCheckpoint(enc, start)
-	if !direct {
-		if _, err := w.Write(enc.Bytes()); err != nil {
-			return err
-		}
+	sealCheckpoint(enc)
+	if err := enc.Flush(); err != nil {
+		return err
 	}
 	p.markCheckpointed()
 	return nil
@@ -238,8 +226,9 @@ func (p *pipeline) code(c *statecodec.Codec) {
 	}
 }
 
-// Checkpoint serializes the engine's complete mutable state to w in one
-// Write (appended in place when w is a *statecodec.Writer; see encode), so
+// Checkpoint serializes the engine's complete mutable state to w, as a
+// stream of bounded Writes (through it when w is a *statecodec.Writer;
+// see encode), so
 // RestoreAnalyzer can resume the run with byte-identical results. Call it
 // between Packet calls (a parallel engine quiesces first). A successful
 // encode also resets delta tracking: the next CheckpointDelta describes

@@ -84,7 +84,8 @@ type ClusterHead struct {
 	Packets uint64 `json:"packets"`
 	Bytes   uint64 `json:"bytes"`
 	// Undecodable counts frames the L2–L4 parser rejected (payloads no
-	// protocol plugin could decode are a shard's ProtoUndecodable).
+	// protocol plugin could decode are a shard's ProtoUndecodable) and, in
+	// a cluster merge, frames the splitter could not forward.
 	Undecodable     uint64 `json:"undecodable"`
 	DroppedByFilter uint64 `json:"dropped_by_filter"`
 	// PanicsRecovered counts frames whose routing panicked and was

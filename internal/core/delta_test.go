@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -694,21 +697,35 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	}
 }
 
-// writeCounter records how a record reached a plain io.Writer.
-type writeCounter struct {
+// chunkSink records how a record reached a plain io.Writer: the size of
+// every Write, and, when failAt > 0, refuses that Write and every later
+// one.
+type chunkSink struct {
 	bytes.Buffer
-	writes int
+	writes []int
+	failAt int
 }
 
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.writes++
+var errSinkFull = errors.New("sink refused the write")
+
+func (w *chunkSink) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	if w.failAt > 0 && len(w.writes) >= w.failAt {
+		return 0, errSinkFull
+	}
 	return w.Buffer.Write(p)
 }
 
+// bounded reports whether every Write carried at most the spill size.
+func (w *chunkSink) bounded() bool {
+	return !slices.ContainsFunc(w.writes, func(n int) bool { return n > statecodec.SpillSize })
+}
+
 // TestCheckpointWriterContract: a plain io.Writer receives a record, full
-// or delta, in exactly one Write; a *statecodec.Writer — what the driver's
-// chain hands the engine — has the same bytes appended after what it
-// already holds, with the CRC over the record alone.
+// or delta, in Writes of at most statecodec.SpillSize that concatenate to
+// the record; a *statecodec.Writer — what the driver's chain hands the
+// engine — has the same bytes appended after what it already holds, with
+// the CRC over the record alone.
 func TestCheckpointWriterContract(t *testing.T) {
 	tr, opts := seededTrace(t, 4)
 	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
@@ -725,7 +742,7 @@ func TestCheckpointWriterContract(t *testing.T) {
 		}
 	}
 	plain, direct := build(), build()
-	var full, delta writeCounter
+	var full, delta chunkSink
 	var enc statecodec.Writer
 	enc.U8(0xEE) // already holds something: the record must not disturb or include it
 	if err := plain.Checkpoint(&full); err != nil {
@@ -734,8 +751,8 @@ func TestCheckpointWriterContract(t *testing.T) {
 	if err := direct.Checkpoint(&enc); err != nil {
 		t.Fatal(err)
 	}
-	if full.writes != 1 {
-		t.Errorf("full checkpoint reached a plain writer in %d Writes, want 1", full.writes)
+	if !full.bounded() {
+		t.Errorf("full checkpoint reached a plain writer in Writes of %v bytes, want at most %d each", full.writes, statecodec.SpillSize)
 	}
 	if got := enc.Bytes(); got[0] != 0xEE || !bytes.Equal(got[1:], full.Bytes()) {
 		t.Errorf("full checkpoint appended to a statecodec.Writer differs from the one written (%d vs %d bytes)", len(got)-1, full.Len())
@@ -749,11 +766,121 @@ func TestCheckpointWriterContract(t *testing.T) {
 	if err := direct.CheckpointDelta(&enc); err != nil {
 		t.Fatal(err)
 	}
-	if delta.writes != 1 {
-		t.Errorf("delta checkpoint reached a plain writer in %d Writes, want 1", delta.writes)
+	if !delta.bounded() {
+		t.Errorf("delta checkpoint reached a plain writer in Writes of %v bytes, want at most %d each", delta.writes, statecodec.SpillSize)
 	}
 	if !bytes.Equal(enc.Bytes(), delta.Bytes()) {
 		t.Errorf("delta appended to a statecodec.Writer differs from the one written (%d vs %d bytes)", enc.Len(), delta.Len())
+	}
+}
+
+// TestCheckpointStreamDifferential holds a streamed record to the
+// in-memory one byte for byte. Twin engines take the same packets; one
+// encodes into a *statecodec.Writer without a sink, the other streams —
+// through a plain io.Writer that takes Writes of any size, and through a
+// statecodec.Writer with that sink, as the driver's chain does — full and
+// delta records at 1, 2 and 4 workers, after a rotation and after a
+// full+delta restore. A sink that fails at its n-th Write makes the encode
+// return the error and leaves the chain where it was: the next delta is
+// the one the refused record's twin never had to write.
+func TestCheckpointStreamDifferential(t *testing.T) {
+	tr, opts := seededTrace(t, 12)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	n := len(tr.frames)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			mem, str := newTestEngine(cfg, workers), newTestEngine(cfg, workers)
+			feed := func(from, to int) {
+				for i := from; i < to; i++ {
+					mem.Packet(tr.at[i], tr.frames[i])
+					str.Packet(tr.at[i], tr.frames[i])
+				}
+			}
+			// got is the streamed record; chain is the driver's path to it,
+			// one streaming Writer reused across records, which every other
+			// record takes.
+			var got chunkSink
+			chain := statecodec.NewWriter(&got)
+			records, multi := 0, false
+			// check encodes one record on each twin and returns it.
+			check := func(what string, delta bool) []byte {
+				t.Helper()
+				encode := func(eng Engine, w io.Writer) error {
+					if delta {
+						return eng.CheckpointDelta(w)
+					}
+					return eng.Checkpoint(w)
+				}
+				var want statecodec.Writer
+				if err := encode(mem, &want); err != nil {
+					t.Fatalf("%s in memory: %v", what, err)
+				}
+				got = chunkSink{}
+				var sink io.Writer = &got
+				if records++; records%2 == 0 {
+					chain.Reset()
+					sink = chain
+				}
+				if err := encode(str, sink); err != nil {
+					t.Fatalf("%s streamed: %v", what, err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s: streamed record differs from the in-memory one (%d vs %d bytes)", what, got.Len(), want.Len())
+				}
+				if !got.bounded() {
+					t.Errorf("%s: Writes of %v bytes, want at most %d each", what, got.writes, statecodec.SpillSize)
+				}
+				multi = multi || len(got.writes) > 2
+				return bytes.Clone(want.Bytes())
+			}
+
+			feed(0, n/4)
+			full := check("full", false)
+			feed(n/4, n/2)
+			delta := check("delta", true)
+
+			// A refused record: the encode reports the sink's error, and the
+			// streaming twin stays anchored where its in-memory twin is.
+			feed(n/2, 9*n/16)
+			for _, failAt := range []int{1, 2} {
+				bad := chunkSink{failAt: failAt}
+				if err := str.Checkpoint(&bad); !errors.Is(err, errSinkFull) {
+					t.Fatalf("full refused at Write %d: err = %v, want the sink's", failAt, err)
+				}
+			}
+			check("delta after a refused full", true)
+
+			mem.Rotate(tr.at[5*n/8])
+			str.Rotate(tr.at[5*n/8])
+			feed(9*n/16, 11*n/16)
+			check("full after a rotation", false)
+			feed(11*n/16, 3*n/4)
+			check("delta after a rotation", true)
+
+			// Both twins restart from the first full and delta.
+			restore := func() Engine {
+				eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.ApplyDelta(bytes.NewReader(delta)); err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			Discard(mem)
+			Discard(str)
+			mem, str = restore(), restore()
+			feed(n/2, 3*n/4)
+			check("delta after a restore", true)
+			feed(3*n/4, n)
+			check("full after a restore", false)
+			Discard(mem)
+			Discard(str)
+			if !multi {
+				t.Error("no record took more than two Writes: the stream was never exercised")
+			}
+		})
 	}
 }
 

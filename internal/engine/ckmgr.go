@@ -19,12 +19,13 @@ package engine
 // checkpoint name. Orphaned temp files from a crash mid-write are swept
 // (and counted) at startup.
 //
-// The engine's caller pays for the encode only. A record is encoded on
-// the caller's goroutine into the chain's one buffer and handed to a
-// writer goroutine for the temp file, the write, the two syncs, the
-// rename and (after a full) the prune; at most one record is in flight,
-// and the next one waits for it before it encodes, so the buffer is never
-// written while it is read and records land in sequence order.
+// The engine's caller pays for the encode only. A record streams from
+// the encode on the caller's goroutine through a few fixed chunks to a
+// writer goroutine, which creates the temp file, writes each chunk and
+// gives it back, then does the two syncs, the rename and (after a full)
+// the prune. At most one record is in flight, and the next one waits for
+// it before it encodes, so every chunk is free when a record starts and
+// records land in sequence order.
 
 import (
 	"errors"
@@ -57,8 +58,8 @@ type chainFile struct {
 // startup temp-file cleanup, and the counters the status line reports.
 // Not safe for concurrent use (the driver calls it from the ingest
 // goroutine only); the writer goroutine it starts per record touches
-// nothing of it but the bytes of buf, and only until Wait has received
-// its result.
+// nothing of it but the chunk queues, and the flight's name once the
+// record's last chunk is queued.
 type Checkpointer struct {
 	path    string
 	keep    int // fulls retained
@@ -66,15 +67,20 @@ type Checkpointer struct {
 
 	seq uint64 // next chain sequence number
 
-	// buf is the chain's one record buffer: the engine encodes each record
-	// straight into it, so it grows to the largest record once.
-	buf statecodec.Writer
-	// flight is the record being made durable, nil when none is. A record
-	// that failed leaves the files behind the engine's in-memory anchor,
-	// so needFull makes the next record a full one, which re-anchors both.
-	flight   *flight
+	// enc is the record encoder: it spills into pipe, which carries the
+	// bytes to the writer goroutine in chunks.
+	enc  *statecodec.Writer
+	pipe chunkPipe
+	// fl is the record being made durable, when inFlight. A record that
+	// failed leaves the files behind the engine's in-memory anchor, so
+	// needFull makes the next record a full one, which re-anchors both.
+	fl       flight
+	inFlight bool
 	needFull bool
-	stalled  time.Duration // total time Start* waited for a record in flight
+	// fullLanded: the last record started was a full, and Wait saw it
+	// land.
+	fullLanded bool
+	stalled    time.Duration // total time Start* waited for the disk
 
 	// TmpCleaned is how many orphaned temp files startup removed.
 	TmpCleaned int
@@ -85,11 +91,14 @@ type Checkpointer struct {
 
 // flight is one record on its way to the disk.
 type flight struct {
-	full   bool
+	full bool
+	// name is where the record lands, set before its end is queued; ""
+	// when the encode failed and the temp file is to go.
+	name   string
 	size   int64
 	encode time.Duration
 	// done receives the writer goroutine's one result: how long the disk
-	// took, and the error that stopped it.
+	// took once the encode was over, and the error that stopped it.
 	done chan flightResult
 }
 
@@ -97,6 +106,35 @@ type flightResult struct {
 	write time.Duration
 	at    time.Time // when the writer goroutine finished
 	err   error
+}
+
+// The chunks a record streams through: enough for the disk to write one
+// while the encode fills the next, each the encoder's spill size.
+const (
+	chunkCount = 4
+	chunkSize  = statecodec.SpillSize
+)
+
+// chunkPipe is the encoder's sink: Write copies into a free chunk and
+// queues it for the writer goroutine, which gives it back once written.
+// A nil chunk ends the record.
+type chunkPipe struct {
+	free, full chan []byte
+	size       int64         // bytes of the record so far
+	stalled    time.Duration // time Write waited for a free chunk
+}
+
+func (p *chunkPipe) Write(b []byte) (int, error) {
+	p.size += int64(len(b))
+	for n := 0; n < len(b); {
+		waited := time.Now()
+		ch := <-p.free
+		p.stalled += time.Since(waited)
+		k := copy(ch[:cap(ch)], b[n:])
+		p.full <- ch[:k]
+		n += k
+	}
+	return len(b), nil
 }
 
 // NewCheckpointer prepares a checkpoint destination: sweeps temp-file
@@ -108,6 +146,13 @@ func NewCheckpointer(path string, keep int, m *obs.CheckpointMetrics) *Checkpoin
 		m = obs.NewCheckpointMetrics(nil)
 	}
 	c := &Checkpointer{path: path, keep: max(keep, 1), metrics: m}
+	// full holds every chunk and the record's end, so queueing never waits.
+	c.pipe = chunkPipe{free: make(chan []byte, chunkCount), full: make(chan []byte, chunkCount+1)}
+	for range chunkCount {
+		c.pipe.free <- make([]byte, 0, chunkSize)
+	}
+	c.enc = statecodec.NewWriter(&c.pipe)
+	c.fl.done = make(chan flightResult, 1)
 	c.TmpCleaned = cleanOrphanedTmp(path)
 	m.TmpCleaned.Add(uint64(c.TmpCleaned))
 	for _, cf := range listChain(path) {
@@ -169,36 +214,41 @@ func listChain(path string) []chainFile {
 	return out
 }
 
-// atomicWrite writes data to a temp file next to name, fsyncs it, renames
-// it over name and fsyncs the directory: a kill mid-write leaves nothing
-// under name, never a torn file. The two syncs cover different failures.
-// The file's makes the contents durable before the rename can be, so a
-// power loss never leaves a complete name on incomplete data; the
-// directory's makes the rename itself durable, so a record that later
-// records build on cannot vanish in a power loss that its successors
-// survive (a killed process loses neither: the kernel still holds both).
+// atomicWrite writes data to a temp file next to name and lands it there
+// (see land).
 func atomicWrite(name string, data []byte) error {
-	dir := filepath.Dir(name)
-	tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp-")
+	tmp, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".tmp-")
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	_, err = tmp.Write(data)
-	if err == nil {
+	return land(tmp, name, err)
+}
+
+// land finishes a temp file whose writes ended with err: it fsyncs it,
+// renames it over name and fsyncs the directory, or removes it when
+// anything failed or name is "". A kill mid-write leaves nothing under
+// name, never a torn file. The two syncs cover different failures. The
+// file's makes the contents durable before the rename can be, so a power
+// loss never leaves a complete name on incomplete data; the directory's
+// makes the rename itself durable, so a record that later records build
+// on cannot vanish in a power loss that its successors survive (a killed
+// process loses neither: the kernel still holds both).
+func land(tmp *os.File, name string, err error) error {
+	if err == nil && name != "" {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = os.Rename(tmpName, name)
+	if err == nil && name != "" {
+		err = os.Rename(tmp.Name(), name)
 	}
-	if err != nil {
-		os.Remove(tmpName)
+	if err != nil || name == "" {
+		os.Remove(tmp.Name())
 		return err
 	}
-	d, err := os.Open(dir)
+	d, err := os.Open(filepath.Dir(name))
 	if err != nil {
 		return err
 	}
@@ -209,81 +259,111 @@ func atomicWrite(name string, data []byte) error {
 	return err
 }
 
-// start waits out the record in flight, encodes the next one — a delta
-// unless full is set, the chain needs re-anchoring or the engine cannot
-// cut one — and hands it to a writer goroutine. It returns the earlier
-// record's failure if it had one (counted; the record started now is then
-// a full), else this record's own encode error.
+// start waits out the record in flight, starts the writer goroutine for
+// the next one and encodes it into the chunk pipe — a delta unless full
+// is set, the chain needs re-anchoring or the engine cannot cut one. It
+// returns the earlier record's failure if it had one (counted; the record
+// started now is then a full), else this record's own encode error.
 func (c *Checkpointer) start(eng core.Engine, full bool) error {
 	waited := time.Now()
 	prev := c.Wait()
 	c.stalled += time.Since(waited)
-	c.metrics.StallMS.Store(uint64(c.stalled.Milliseconds()))
+	c.fullLanded = false
 
 	began := time.Now()
-	c.buf.Reset()
+	seq := c.seq
+	c.fl.name = ""
+	c.inFlight = true
+	go c.write(seq)
+	c.enc.Reset()
+	c.pipe.size, c.pipe.stalled = 0, 0
 	full = full || c.needFull
+	var err error
 	if !full {
-		switch err := eng.CheckpointDelta(&c.buf); {
-		case errors.Is(err, core.ErrDeltaUnavailable):
-			full = true // chain not armed, a rotation broke the lineage, or the engine finished
-		case err != nil:
-			c.metrics.Failed.Inc()
-			return err
+		if err = eng.CheckpointDelta(c.enc); errors.Is(err, core.ErrDeltaUnavailable) {
+			full, err = true, nil // chain not armed, a rotation broke the lineage, or the engine finished
 		}
 	}
-	if full {
-		if err := eng.Checkpoint(&c.buf); err != nil {
-			c.metrics.Failed.Inc()
-			return err
-		}
+	if full && err == nil {
+		err = eng.Checkpoint(c.enc)
 	}
-	suffix := chainSuffixDelta
-	if full {
-		suffix = chainSuffixFull
-	}
-	name := fmt.Sprintf("%s.%08d%s", c.path, c.seq, suffix)
-	c.seq++
-	fl := &flight{full: full, size: int64(c.buf.Len()), encode: time.Since(began), done: make(chan flightResult, 1)}
-	c.flight = fl
-	data := c.buf.Bytes()
-	go func() {
-		t0 := time.Now()
-		err := atomicWrite(name, data)
-		if err == nil && full {
-			c.prune()
+	c.stalled += c.pipe.stalled
+	c.metrics.StallMS.Store(uint64(c.stalled.Milliseconds()))
+	if err == nil {
+		suffix := chainSuffixDelta
+		if full {
+			suffix = chainSuffixFull
 		}
-		at := time.Now()
-		fl.done <- flightResult{at.Sub(t0), at, err}
-	}()
+		c.fl.name = fmt.Sprintf("%s.%08d%s", c.path, seq, suffix)
+		c.seq++
+	} else {
+		c.metrics.Failed.Inc()
+	}
+	c.fl.full, c.fl.size, c.fl.encode = full, c.pipe.size, time.Since(began)
+	c.pipe.full <- nil
+	if err != nil {
+		return err
+	}
 	return prev
+}
+
+// write is the writer goroutine of record seq: it creates the temp file,
+// writes each chunk the encode queues and gives it back, and at the
+// record's end lands the file under the flight's name (see land), then
+// prunes after a full. A failure stops the writes but not the draining,
+// so the encode never waits on a broken disk.
+func (c *Checkpointer) write(seq uint64) {
+	tmp, err := os.CreateTemp(filepath.Dir(c.path), fmt.Sprintf("%s.%08d.tmp-", filepath.Base(c.path), seq))
+	for {
+		ch := <-c.pipe.full
+		if ch == nil {
+			break
+		}
+		if err == nil {
+			_, err = tmp.Write(ch)
+		}
+		c.pipe.free <- ch[:0]
+	}
+	t0 := time.Now()
+	if tmp != nil {
+		err = land(tmp, c.fl.name, err)
+	}
+	if err == nil && c.fl.full && c.fl.name != "" {
+		c.prune()
+	}
+	at := time.Now()
+	c.fl.done <- flightResult{at.Sub(t0), at, err}
 }
 
 // Wait returns once no record is in flight, with the error of the one
 // that was if it failed. A durable record is counted here, so Fulls,
 // Deltas and the metrics never run ahead of the disk; a failed one is
-// counted as a failure and makes the next record a full.
+// counted as a failure and makes the next record a full. A record whose
+// encode failed was reported by its start and counts nothing here.
 func (c *Checkpointer) Wait() error {
-	fl := c.flight
-	if fl == nil {
+	if !c.inFlight {
 		return nil
 	}
-	c.flight = nil
-	res := <-fl.done
-	if res.err != nil {
+	c.inFlight = false
+	res := <-c.fl.done
+	switch {
+	case c.fl.name == "":
+		return nil
+	case res.err != nil:
 		c.needFull = true
 		c.metrics.Failed.Inc()
 		return res.err
 	}
 	c.needFull = false
-	if fl.full {
+	c.fullLanded = c.fl.full
+	if c.fl.full {
 		c.Fulls++
 		c.metrics.Written.Inc()
 	} else {
 		c.Deltas++
 		c.metrics.DeltaWritten.Inc()
 	}
-	c.metrics.Record(fl.encode, res.write, fl.size, res.at)
+	c.metrics.Record(c.fl.encode, res.write, c.fl.size, res.at)
 	return nil
 }
 

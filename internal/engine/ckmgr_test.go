@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"zoomlens/internal/core"
 	"zoomlens/internal/obs"
 	"zoomlens/internal/pcap"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/trace"
 )
 
@@ -400,6 +403,19 @@ func TestChainRestoreTornFiles(t *testing.T) {
 			}
 		},
 	}
+	// A torn trailer: the record lost its last 1, 2 or all 4 bytes of CRC,
+	// so nothing says where its payload ends but the checksum.
+	for _, lost := range []int64{1, 2, 4} {
+		damage[fmt.Sprintf("torn_trailer_%d", lost)] = func(t *testing.T, path string) {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-lost); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	for damageName, corrupt := range damage {
 		t.Run(damageName, func(t *testing.T) {
@@ -546,6 +562,37 @@ func TestCheckpointerWriterFailure(t *testing.T) {
 		restoresTo(t, base, engineFingerprint(t, eng), "after the re-anchoring full")
 	})
 
+	t.Run("encode_fails_mid_record", func(t *testing.T) {
+		eng, ck, m, _, base, durable := setup(t)
+		before := listChain(base)
+		// Three chunks reach the writer goroutine before the encode fails.
+		if err := ck.StartFull(failingEncode{eng}); !errors.Is(err, errEncode) {
+			t.Fatalf("StartFull = %v, want the encode's error", err)
+		}
+		if err := ck.Wait(); err != nil {
+			t.Fatalf("Wait after a failed encode: %v; the encode reported it", err)
+		}
+		if got := listChain(base); !slices.Equal(got, before) {
+			t.Errorf("chain after a failed encode: %v, want %v", got, before)
+		}
+		if left, _ := filepath.Glob(base + "*.tmp-*"); len(left) != 0 {
+			t.Errorf("temp files left behind: %v", left)
+		}
+		if ck.Fulls != 1 || ck.Deltas != 1 || m.Failed.Value() != 1 {
+			t.Errorf("after the failed encode: %d fulls / %d deltas / %d failures, want 1 / 1 / 1", ck.Fulls, ck.Deltas, m.Failed.Value())
+		}
+		restoresTo(t, base, durable, "after the failed encode")
+		// The engine was not re-anchored, so a delta still extends the chain.
+		feedRecords(eng, recs, 200, 300)
+		if err := ck.WriteDelta(eng); err != nil {
+			t.Fatal(err)
+		}
+		if ck.Fulls != 1 || ck.Deltas != 2 {
+			t.Errorf("the record after a failed encode: %d fulls / %d deltas, want 1 / 2", ck.Fulls, ck.Deltas)
+		}
+		restoresTo(t, base, engineFingerprint(t, eng), "after the next delta")
+	})
+
 	t.Run("surfaces_at_next_start", func(t *testing.T) {
 		eng, ck, m, _, base, _ := setup(t)
 		feedRecords(eng, recs, 200, 300)
@@ -578,6 +625,80 @@ func TestCheckpointerWriterFailure(t *testing.T) {
 			t.Errorf("temp files left behind: %v", left)
 		}
 	})
+}
+
+var errEncode = errors.New("encode failed")
+
+// failingEncode streams three chunks' worth of a full record, then fails.
+type failingEncode struct{ core.Engine }
+
+func (e failingEncode) Checkpoint(w io.Writer) error {
+	w.Write(make([]byte, 3*statecodec.SpillSize))
+	return errEncode
+}
+
+// TestShutdownFullAfterLandedFull: the driver's shutdown full is skipped
+// only when the last record started was a full that landed and nothing
+// touched the engine after it. A 2,001-packet trace at 1 ms spacing fires
+// the 1 s full cadence on packets 1,001 and 2,001, the last. Either way
+// the chain restores to the state the run ended in.
+func TestShutdownFullAfterLandedFull(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		packets  int
+		failLast bool     // the last periodic full's name is taken
+		seqs     []uint64 // the fulls on disk
+	}{
+		{"last_record_was_a_full", 2001, false, []uint64{0, 1}},
+		{"records_after_it", 2005, false, []uint64{0, 1, 2}},
+		{"that_full_failed", 2001, true, []uint64{0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			next, nets := genSource(t, tc.packets)
+			f := &Flags{
+				Obs:                &ObsFlags{},
+				Workers:            1,
+				Checkpoint:         filepath.Join(dir, "state.zlcp"),
+				CheckpointInterval: time.Second,
+				CheckpointKeep:     10,
+			}
+			taken := f.Checkpoint + ".00000001" + chainSuffixFull
+			if tc.failLast {
+				if err := os.Mkdir(taken, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run, err := f.RunFrom(nets, next, func() bool { return false })
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Close()
+			if tc.failLast {
+				if err := os.Remove(taken); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var seqs []uint64
+			for _, cf := range listChain(f.Checkpoint) {
+				if !cf.full {
+					t.Errorf("delta %s in a chain of fulls", cf.name)
+				}
+				seqs = append(seqs, cf.seq)
+			}
+			if ck := run.Checkpointer; !slices.Equal(seqs, tc.seqs) || ck.Fulls != len(tc.seqs) {
+				t.Errorf("fulls on disk %v, %d counted; want %v", seqs, ck.Fulls, tc.seqs)
+			}
+			restored, fallbacks, err := RestoreEngine(f.Checkpoint, core.Config{ZoomNetworks: nets}, nil)
+			if err != nil || fallbacks != 0 {
+				t.Fatalf("restoring the chain: %d fallbacks, err %v", fallbacks, err)
+			}
+			restored.Finish()
+			if got, want := restored.Result().Counters(), run.Analyzer.Counters(); got != want {
+				t.Errorf("the chain restores to\n%+v\nthe run ended at\n%+v", got, want)
+			}
+		})
+	}
 }
 
 // TestCheckpointRecordsOverlapIngest runs the driver with a delta cadence

@@ -526,6 +526,17 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 		drain.every = fsink.every
 	}
 	scheduled := rotate.every > 0 || snap.every > 0 || full.every > 0 || delta.every > 0 || drain.every > 0
+	// settled: nothing has touched the engine since the last periodic
+	// record started. A rotation comes before the record it fires at is
+	// ingested, and a snapshot or drain after that record but before any
+	// checkpoint at it, so watching what is ingested is enough.
+	settled := false
+	feed := func(recs []pcap.Record) {
+		if len(recs) > 0 {
+			settled = false
+			ingest(recs)
+		}
+	}
 	ingestDone := setup.Stage("ingest")
 	for {
 		// Polled before every batch, and a batch holds only records that
@@ -577,7 +588,7 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 				winStart = ts
 			}
 			if rotate.due(ts) {
-				ingest(batch[start:i])
+				feed(batch[start:i])
 				start = i
 				run.rotateWindow(eng, winStart, ts, f.RotateOut)
 				winStart = ts
@@ -594,7 +605,7 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 			if !snapDue && !drainDue && !fullDue && !deltaDue {
 				continue
 			}
-			ingest(batch[start : i+1])
+			feed(batch[start : i+1])
 			start = i + 1
 			if snapDue {
 				emitSnapshots(ts)
@@ -611,8 +622,9 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 			if deltaDue {
 				run.ckptErr(run.Checkpointer.StartDelta(eng))
 			}
+			settled = fullDue || deltaDue
 		}
-		ingest(batch[start:])
+		feed(batch[start:])
 	}
 	ingestDone()
 	select {
@@ -624,10 +636,14 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 	// The shutdown checkpoint lands before Finish so a parallel run's
 	// file keeps its parallel payload (restorable at the same worker
 	// count); it covers every packet ingested, interrupt included. It is
-	// always a full snapshot — the next start restores from it alone.
-	if run.Checkpointer != nil {
-		// Waits out the last periodic record first, then for its own.
-		run.ckptErr(run.Checkpointer.WriteFull(eng))
+	// always a full snapshot — the next start restores from it alone —
+	// unless the last periodic record already is one: a full that landed,
+	// with nothing touching the engine since, holds exactly this state.
+	if ck := run.Checkpointer; ck != nil {
+		run.ckptErr(ck.Wait())
+		if !settled || !ck.fullLanded {
+			run.ckptErr(ck.WriteFull(eng))
+		}
 	}
 	eng.Finish()
 	// Finish closed every open feature window; the final drain picks the

@@ -20,9 +20,10 @@ type CheckpointMetrics struct {
 	RotateFailures *Counter
 	// EncodeMS is the time the ingest goroutine spent encoding the last
 	// record; WriteMS the time the writer goroutine then took to make it
-	// durable, which ingest does not wait for unless the next record is
-	// due first — StallMS totals those waits, and stays near 0 on a disk
-	// that keeps up.
+	// durable (its writes of the record's chunks run alongside the
+	// encode), which ingest does not wait for unless the next record is
+	// due first or every chunk is still queued — StallMS totals those
+	// waits, and stays near 0 on a disk that keeps up.
 	EncodeMS  *Gauge
 	WriteMS   *Gauge
 	StallMS   *Counter

@@ -334,13 +334,18 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	return &Writer{w: w, nano: opts.Nanosecond, snapLen: opts.SnapLen}, nil
 }
 
+// ErrTimeRange is wrapped by both writers' refusal of a timestamp their
+// format cannot hold. Nothing is written for such a record, so the
+// stream stays valid and the caller may go on with the next one.
+var ErrTimeRange = errors.New("timestamp outside the format's range")
+
 // WriteRecord appends one packet. Data longer than the snap length is
 // truncated, with OriginalLen preserved. A timestamp the format's
 // unsigned 32-bit seconds cannot hold — before 1970 or after
 // 2106-02-07 06:28:15 UTC — is refused, and nothing is written.
 func (w *Writer) WriteRecord(ts time.Time, data []byte) error {
 	if sec := ts.Unix(); sec < 0 || sec > math.MaxUint32 {
-		return fmt.Errorf("pcap: timestamp %s outside the pcap range 1970 to 2106-02-07 06:28:15 UTC", ts.UTC().Format(time.RFC3339Nano))
+		return fmt.Errorf("pcap: %w: %s is not in 1970 to 2106-02-07 06:28:15 UTC", ErrTimeRange, ts.UTC().Format(time.RFC3339Nano))
 	}
 	origLen := len(data)
 	if uint32(len(data)) > w.snapLen {

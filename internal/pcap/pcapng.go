@@ -494,7 +494,7 @@ func (ng *NGWriter) WriteRecordID(ts time.Time, data []byte, id uint64) error {
 // UnixNano is not defined, is refused.
 func (ng *NGWriter) packet(ts time.Time, data []byte) ([]byte, error) {
 	if ts.Before(time.Unix(0, 0)) || ts.After(time.Unix(0, math.MaxInt64)) {
-		return nil, fmt.Errorf("pcapng: timestamp %s outside the writer's range 1970 to 2262-04-11 23:47:16.854775807 UTC", ts.UTC().Format(time.RFC3339Nano))
+		return nil, fmt.Errorf("pcapng: %w: %s is not in 1970 to 2262-04-11 23:47:16.854775807 UTC", ErrTimeRange, ts.UTC().Format(time.RFC3339Nano))
 	}
 	raw := uint64(ts.UnixNano())
 	b := ng.begin(blockEPB)

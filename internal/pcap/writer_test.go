@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"testing"
@@ -211,6 +212,9 @@ func TestWritersRefuseUnrepresentableTimes(t *testing.T) {
 			if (err == nil) != w.ok {
 				t.Errorf("%s/%s: writing %v returned %v, want ok=%v", tc.name, w.format, tc.at, err, w.ok)
 				continue
+			}
+			if err != nil && !errors.Is(err, ErrTimeRange) {
+				t.Errorf("%s/%s: refusal %v does not wrap ErrTimeRange", tc.name, w.format, err)
 			}
 			want := []time.Time{base}
 			if w.ok {

@@ -48,6 +48,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"net/netip"
 	"slices"
@@ -58,49 +60,88 @@ import (
 // over-long counts, unordered keys, or malformed values.
 var ErrCorrupt = errors.New("statecodec: corrupt or truncated state")
 
-// Writer accumulates encoded state in memory. The zero value is ready to
-// use.
+// Writer accumulates encoded state in memory, or streams it: a Writer
+// made by NewWriter hands its bytes to a sink once it holds SpillSize of
+// them, so a record of any size passes through a buffer of about that
+// size. The zero value keeps everything in memory.
 type Writer struct {
-	buf []byte
+	buf  []byte
+	sink io.Writer
+	// crc is the CRC-32C of the summed span's bytes already handed to the
+	// sink; sumFrom is where the span's buffered bytes begin.
+	crc     uint32
+	sumFrom int
+	err     error // the sink's first failure
+	// order is put's permutation scratch, kept across records.
+	order []ranked
 }
 
-// Bytes returns the encoded state. The slice aliases the writer's
-// buffer; it is valid until the next append.
+// SpillSize is how many bytes a streaming Writer buffers before it hands
+// them to its sink, and the most any one sink Write carries.
+const SpillSize = 64 << 10
+
+// NewWriter returns a Writer that streams to sink.
+func NewWriter(sink io.Writer) *Writer { return &Writer{sink: sink} }
+
+// Bytes returns the encoded state not yet handed to a sink. The slice
+// aliases the writer's buffer; it is valid until the next append.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes encoded so far.
+// Len returns the number of bytes buffered.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Reset discards the encoded state, keeping the buffer for reuse, so
-// one Writer can encode a stream of records without reallocating.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Grow reserves capacity for at least n more bytes, so encoders with a
-// size estimate avoid repeated buffer doublings (a full checkpoint is
-// megabytes; growing from zero copies the prefix a couple dozen times).
-func (w *Writer) Grow(n int) {
-	if n <= cap(w.buf)-len(w.buf) {
-		return
-	}
-	if len(w.buf) == 0 {
-		// Nothing to copy: let go of the old buffer first, so a collection
-		// the allocation sets off does not count both (a checkpoint chain
-		// regrows its reset buffer when a full record outgrows it).
-		w.buf = nil
-		w.buf = make([]byte, 0, n)
-		return
-	}
-	nb := make([]byte, len(w.buf), len(w.buf)+n)
-	copy(nb, w.buf)
-	w.buf = nb
-}
+// Reset discards the buffered state and a sink's failure, keeping the
+// buffer for reuse, so one Writer can encode a stream of records without
+// reallocating.
+func (w *Writer) Reset() { w.buf, w.crc, w.sumFrom, w.err = w.buf[:0], 0, 0, nil }
 
 // Write appends p as it is, so a Writer can stand wherever an io.Writer
 // is asked for; an encoder that recognizes one appends to it directly
-// instead (see core's Checkpoint). It never fails.
+// instead (see core's Checkpoint). It never fails: a sink's failure is
+// Flush's to report.
 func (w *Writer) Write(p []byte) (int, error) {
 	w.buf = append(w.buf, p...)
+	w.spill()
 	return len(p), nil
+}
+
+// StartSum starts the checksummed span at the next byte written.
+func (w *Writer) StartSum() { w.crc, w.sumFrom = 0, len(w.buf) }
+
+// Sum returns the CRC-32C (Castagnoli) of the span StartSum started,
+// every byte written since, streamed or buffered.
+func (w *Writer) Sum() uint32 { return crc32.Update(w.crc, castagnoli, w.buf[w.sumFrom:]) }
+
+// castagnoli is the CRC-32C table.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// spill hands the buffer to the sink once it holds SpillSize bytes. The
+// collection walks call it between elements, so a streaming Writer never
+// buffers more than SpillSize plus one element.
+func (w *Writer) spill() {
+	if len(w.buf) >= SpillSize && w.sink != nil {
+		w.flush()
+	}
+}
+
+func (w *Writer) flush() {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.sumFrom:])
+	for b := w.buf; len(b) > 0 && w.err == nil; {
+		n := min(len(b), SpillSize)
+		_, w.err = w.sink.Write(b[:n])
+		b = b[n:]
+	}
+	w.buf, w.sumFrom = w.buf[:0], 0
+}
+
+// Flush hands whatever is buffered to the sink and returns the sink's
+// first failure; after one, the rest of the record is dropped. A Writer
+// without a sink keeps its bytes and returns nil.
+func (w *Writer) Flush() error {
+	if w.sink != nil {
+		w.flush()
+	}
+	return w.err
 }
 
 // U8 appends one byte (enums, header bytes).
@@ -503,6 +544,7 @@ func Slice[T any](c *Codec, s *[]T, from int, elem func(*T)) {
 		c.w.Int(len(*s) - from)
 		for i := from; i < len(*s); i++ {
 			elem(&(*s)[i])
+			c.w.spill()
 		}
 		return
 	}
@@ -593,12 +635,20 @@ type ranked struct {
 // sorts a permutation rather than the entries, by prefix, so a swap moves
 // two words and only entries whose prefixes tie copy their keys into
 // Compare. More than smallMap entries — the collections that hold every
-// flow or stream — sort by radix, fewer by comparison.
+// flow or stream — sort by radix in the Writer's scratch, fewer by
+// comparison on the stack.
 func put[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V)) {
 	var scratch [smallMap]ranked
 	order := scratch[:0]
+	// held is the Writer's scratch while this put runs, so a nested put
+	// finds none and makes its own; the second half is the radix sort's.
+	var held []ranked
 	if len(sel) > len(scratch) {
-		order = make([]ranked, 0, 2*len(sel)) // the second half is the radix sort's
+		held, c.w.order = c.w.order, nil
+		if cap(held) < 2*len(sel) {
+			held = make([]ranked, 0, 2*len(sel))
+		}
+		order = held[:0]
 	}
 	for i := range sel {
 		var p uint64
@@ -607,8 +657,8 @@ func put[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V)
 		}
 		order = append(order, ranked{p, i})
 	}
-	if len(order) > smallMap {
-		order = radixSort(order, order[len(order):cap(order)])
+	if n := len(order); n > smallMap {
+		order = radixSort(order, held[n:2*n])
 	} else {
 		slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(a.prefix, b.prefix) })
 	}
@@ -625,6 +675,10 @@ func put[K, V any](c *Codec, key *Key[K], sel []Entry[K, V], elem func(k K, v V)
 		if elem != nil {
 			elem(sel[r.i].K, sel[r.i].V)
 		}
+		c.w.spill()
+	}
+	if cap(held) > cap(c.w.order) {
+		c.w.order = held[:0]
 	}
 }
 
