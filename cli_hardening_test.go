@@ -8,6 +8,7 @@ package zoomlens
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -102,6 +103,74 @@ func TestCLIInterruptEmitsPartialReport(t *testing.T) {
 	}
 	if st.Packets == 0 {
 		t.Error("partial report analyzed zero packets")
+	}
+}
+
+// TestCLISplitInterruptWritesManifest interrupts zoomsplit mid-read the
+// same way: it must exit 0 and leave a manifest whose per-worker counts
+// are exactly the records in the worker streams, so the partial split
+// can still be analysed and merged.
+func TestCLISplitInterruptWritesManifest(t *testing.T) {
+	bin := buildCLI(t)
+	work := t.TempDir()
+	meeting := filepath.Join(work, "meeting.pcap")
+	simMeeting(t, bin, meeting)
+	capture, err := os.ReadFile(meeting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo := filepath.Join(work, "stream.pcap")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo unavailable: %v", err)
+	}
+	prefix := filepath.Join(work, "sp")
+	cmd := exec.Command(filepath.Join(bin, "zoomsplit"), "-i", fifo, "-n", "2", "-out", prefix)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(capture[:len(capture)/2]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	w.Close()
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("zoomsplit did not exit cleanly after SIGINT: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "interrupted") {
+		t.Errorf("zoomsplit did not report the interrupt:\n%s", stderr.String())
+	}
+	data, err := os.ReadFile(prefix + ".manifest.json")
+	if err != nil {
+		t.Fatalf("no manifest after SIGINT: %v", err)
+	}
+	var man struct {
+		Packets       uint64   `json:"packets"`
+		KeptPerWorker []uint64 `json:"kept_per_worker"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.Packets == 0 || len(man.KeptPerWorker) != 2 {
+		t.Fatalf("manifest: %s", data)
+	}
+	for i, kept := range man.KeptPerWorker {
+		stream, err := os.ReadFile(fmt.Sprintf("%s-%03d.pcapng", prefix, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, truncated := tracePackets(t, stream); uint64(len(recs)) != kept || truncated {
+			t.Errorf("worker %d stream holds %d records (truncated %v), manifest says %d", i, len(recs), truncated, kept)
+		}
 	}
 }
 

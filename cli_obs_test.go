@@ -37,8 +37,9 @@ func stdoutOf(t *testing.T, dir, name string, args ...string) (string, string) {
 // TestCLISnapshotsDoNotChangeReport is the CLI half of the differential
 // gate: at one worker and at four, zoomqoe's stdout must be
 // byte-identical with and without -snapshot-interval, the snapshot
-// stream must be valid JSON lines, and the sequential and parallel
-// snapshot streams must match each other.
+// stream must be valid JSON lines, the sequential and parallel
+// snapshot streams must match each other, and under -trace the status
+// JSON must still be the last stderr line.
 func TestCLISnapshotsDoNotChangeReport(t *testing.T) {
 	bin := buildCLI(t)
 	work := t.TempDir()
@@ -60,6 +61,10 @@ func TestCLISnapshotsDoNotChangeReport(t *testing.T) {
 		}
 		if !strings.Contains(stderr, "ingest") || !strings.Contains(stderr, "snapshot") {
 			t.Errorf("workers=%s: -trace report missing stages:\n%s", workers, stderr)
+		}
+		// The stage report comes before the status line, which stays last.
+		if st := parseStatus(t, stderr); st.Packets == 0 || st.Partial {
+			t.Errorf("workers=%s: -trace status line %+v", workers, st)
 		}
 		checkSnapshotFile(t, snap)
 	}

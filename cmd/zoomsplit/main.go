@@ -1,6 +1,6 @@
 // Command zoomsplit is the cluster splitter: it reads one capture,
 // classifies every frame with the same dispatch path a single engine
-// uses (raw scan → stateful capture filter → FNV-1a flow hash), and
+// uses (raw scan → stateful capture filter → flow hash), and
 // fans the kept frames out whole to N worker streams as pcapng,
 // stamping each frame with its global capture sequence number
 // (epb_packetid). A worker is an ordinary zoomqoe process reading one
@@ -14,7 +14,9 @@
 //
 // The manifest (default <out>.manifest.json) carries the splitter-side
 // head counters the aggregator needs to reproduce a single engine's
-// accounting byte-for-byte.
+// accounting byte-for-byte. SIGINT or SIGTERM ends the split at the next
+// frame: the streams are closed and the manifest covers every frame
+// routed, so the workers and the aggregator can finish the partial run.
 package main
 
 import (
@@ -25,7 +27,9 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"zoomlens"
 	"zoomlens/internal/cluster"
@@ -122,10 +126,17 @@ func main() {
 		}
 	}
 
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var rec pcap.Record
 	var seen uint64
 	rotated := false
 	for {
+		// Polled before every read, as internal/engine's read loop is; the
+		// signal stays queued for the check after the loop.
+		if len(sig) > 0 {
+			break
+		}
 		err := src.NextInto(&rec)
 		if err == io.EOF {
 			break
@@ -157,6 +168,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	interrupted := len(sig) > 0
+	signal.Stop(sig)
 	for _, w := range sinks {
 		if err := w.Close(); err != nil {
 			log.Fatal(err)
@@ -182,6 +195,9 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("split %d packets (%d kept) across %d workers", m.Packets, keptTotal(m), *n)
+	if interrupted {
+		log.Print("interrupted: the streams and the manifest cover the packets read before the signal")
+	}
 	if m.DroppedTimeRange > 0 {
 		log.Printf("dropped %d kept packets stamped outside the worker streams' time range", m.DroppedTimeRange)
 	}

@@ -718,15 +718,15 @@ func (r *Run) rotateWindow(eng core.Engine, start, end time.Time, prefix string)
 // is off). Use as: defer run.Stage("report")().
 func (r *Run) Stage(name string) func() { return r.Setup.Stage(name) }
 
-// Close tears the observability surface down and prints the stage
-// report. Register it first so it runs after EmitStatus — the status
-// JSON must stay the last stderr line when tracing is off.
+// Close tears the observability surface down. Register it first so it
+// runs after EmitStatus, which has printed the stage report already.
 func (r *Run) Close() { r.Setup.Close() }
 
 // EmitStatus prints one JSON object on stderr describing how the run
 // ended: whether the report is partial (interrupted or truncated input)
-// and the hardening counters an operator needs to trust it. It also
-// flushes the panic quarantine when one was requested.
+// and the hardening counters an operator needs to trust it. Under -trace
+// the stage report comes first, so the object stays the last stderr
+// line. It also flushes the panic quarantine when one was requested.
 func (r *Run) EmitStatus() {
 	s := r.Analyzer.Counters() // the line has no meetings field
 	reason := ""
@@ -754,6 +754,7 @@ func (r *Run) EmitStatus() {
 		s.EvictedFlows, s.EvictedStreams, s.RejectedPackets, s.PanicsRecovered, quarantined, quarDropped,
 		s.ShedPackets, s.ShedBytes, s.Truncated, fulls, deltas, r.RestoreFallbacks, tmpCleaned,
 		r.Restored, r.Rotations, r.RotateFailures, protoFields, s.Undecodable, s.STUNPortNonSTUN)
+	r.Setup.printStages()
 	fmt.Fprintln(os.Stderr, line)
 	if r.statusPath != "" {
 		if err := atomicWrite(r.statusPath, []byte(line+"\n")); err != nil {

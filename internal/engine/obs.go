@@ -97,7 +97,7 @@ func (f *ObsFlags) Apply() (*ObsSetup, error) {
 func (s *ObsSetup) Stage(name string) func() { return obs.Stage(s.Tracer, name) }
 
 // Close shuts the endpoint down, closes the snapshot file, and prints
-// the stage report.
+// the stage report unless EmitStatus already has.
 func (s *ObsSetup) Close() {
 	if s == nil {
 		return
@@ -108,7 +108,13 @@ func (s *ObsSetup) Close() {
 	if s.snapF != nil {
 		s.snapF.Close()
 	}
+	s.printStages()
+}
+
+// printStages prints the -trace stage report on stderr, once.
+func (s *ObsSetup) printStages() {
 	if s.stats != nil {
 		os.Stderr.WriteString(s.stats.Report())
+		s.stats = nil
 	}
 }

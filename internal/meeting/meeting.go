@@ -77,20 +77,18 @@ type Dedup struct {
 	Dropped uint64
 
 	streams map[flow.MediaStreamID]*streamState
-	// bySSRC indexes streams for copy lookup, each list in order of first
-	// appearance. Streams idle longer than linkWindow age out of it (see
-	// Observe).
+	// bySSRC indexes streams for copy lookup. It is a function of the
+	// records: each key lists every record of that key that ageing has
+	// not unlinked (!evicted), in (first seen, id) order (see link). A
+	// decoding pass rebuilds it rather than reading it.
 	bySSRC map[zoom.StreamKey][]*streamState
 	nextID UnifiedID
 	// observed counts observations: the clock ageing runs on.
 	observed uint64
 
-	// Delta-checkpoint tracking (see state.go): the records changed since
-	// the last checkpoint, and the SSRC keys whose index list changed
-	// (recorded once log is armed). Records are never deleted, so the log
-	// holds no tombstone.
-	log       statecodec.ChangeLog[flow.MediaStreamID, streamState]
-	dirtySSRC map[zoom.StreamKey]struct{}
+	// log holds the records changed since the last checkpoint (see
+	// state.go). Records are never deleted, so it holds no tombstone.
+	log statecodec.ChangeLog[flow.MediaStreamID, streamState]
 }
 
 // The linkage window of §4.3.2 ("a small range"): a new stream is a copy
@@ -169,8 +167,7 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 				return s.unified
 			}
 			d.streams[k] = s
-			d.bySSRC[o.Key] = append(d.bySSRC[o.Key], s)
-			d.markSSRCDirty(o.Key)
+			d.link(s)
 		}
 		if h != nil {
 			*h = Handle{d, s}
@@ -180,7 +177,7 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 	s.lastTS = o.TS
 	d.log.Touch(&s.mark, &s.id, s)
 	if s.evicted {
-		d.relink(s)
+		d.link(s)
 	}
 	return s.unified
 }
@@ -243,22 +240,30 @@ func (d *Dedup) Evict(cutoff time.Time) {
 		} else {
 			d.bySSRC[key] = kept
 		}
-		d.markSSRCDirty(key)
 	}
 }
 
-// relink puts a stream that resumed after Evict back into the index,
-// in order of first appearance: matchExisting breaks ties in favour of
-// the earlier entry.
-func (d *Dedup) relink(s *streamState) {
+// link puts a new stream, or one that resumed after Evict, into the
+// index after the last entry that sorts at or before it in (first seen,
+// id) order: matchExisting breaks ties in favour of the earlier entry.
+// Under a non-decreasing clock a new stream sorts last, so the scan
+// stops at its first comparison.
+func (d *Dedup) link(s *streamState) {
 	list := d.bySSRC[s.id.Key]
 	i := len(list)
-	for i > 0 && list[i-1].firstSeen.After(s.firstSeen) {
+	for i > 0 && linkOrder(list[i-1], s) > 0 {
 		i--
 	}
 	d.bySSRC[s.id.Key] = slices.Insert(list, i, s)
 	s.evicted = false
-	d.markSSRCDirty(s.id.Key)
+}
+
+// linkOrder is the index's one order: first seen, then stream id.
+func linkOrder(a, b *streamState) int {
+	if c := a.firstSeen.Compare(b.firstSeen); c != 0 {
+		return c
+	}
+	return flow.CompareStreamID(a.id, b.id)
 }
 
 // Len reports the number of retained stream records (for the

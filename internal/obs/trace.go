@@ -17,12 +17,6 @@ type Tracer interface {
 	StageDone(stage string, d time.Duration)
 }
 
-// NopTracer discards all timings.
-type NopTracer struct{}
-
-// StageDone implements Tracer.
-func (NopTracer) StageDone(string, time.Duration) {}
-
 // Stage starts timing a stage and returns the completion function:
 //
 //	defer obs.Stage(tr, "merge")()

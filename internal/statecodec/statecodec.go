@@ -8,8 +8,8 @@
 // (the pass encodes) or a Reader (the pass decodes): c.U64(&t.total)
 // writes the field in one direction and assigns it in the other, so the
 // two directions cannot drift apart and a new field is one line. The
-// collection helpers (Map, MapVal, MapSet, Keys, Tombstones, Slice)
-// own everything that used to be repeated per layer: deterministic key
+// collection helpers (Map, MapVal, Keys, Tombstones, Slice) own
+// everything that used to be repeated per layer: deterministic key
 // order, the hostile-count guard, chunked slab allocation, and the
 // rejection of duplicate or unsorted keys. Writer and Reader remain for
 // callers that handle a value at a time (file headers, the ZLOB
@@ -839,9 +839,6 @@ type ChangeLog[K, V any] struct {
 	dead    []K
 }
 
-// Armed reports whether a checkpoint has armed the log.
-func (l *ChangeLog[K, V]) Armed() bool { return l.armed }
-
 // NewMark returns the mark of a record the collection creates now.
 func (l *ChangeLog[K, V]) NewMark() Mark { return Mark{born: l.epoch} }
 
@@ -986,46 +983,5 @@ func MapVal[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, elem func(k 
 			v = elem(k, v)
 		}
 		(*m)[k] = v
-	})
-}
-
-// MapSet walks a map of plain values whose dirty tracking is a key set:
-// an encoding pass writes the set's keys (every key of m on a full
-// pass), a decoding pass upserts. elem walks one value by value and
-// reports whether the entry exists: a set key missing from m is a
-// deletion, which elem must encode in the value (an empty list, say)
-// and recognize when decoding, where false deletes the key.
-func MapSet[K comparable, V any](c *Codec, key *Key[K], m *map[K]V, set map[K]struct{}, elem func(k K, v V) (V, bool)) {
-	if c.w != nil {
-		var sel []Entry[K, V]
-		if c.full {
-			sel = make([]Entry[K, V], 0, len(*m))
-			for k, v := range *m {
-				sel = append(sel, Entry[K, V]{k, v})
-			}
-		} else {
-			sel = make([]Entry[K, V], 0, len(set))
-			for k := range set {
-				sel = append(sel, Entry[K, V]{k, (*m)[k]})
-			}
-		}
-		put(c, key, sel, func(k K, v V) { elem(k, v) })
-		return
-	}
-	fresh := len(*m) == 0
-	get(c, key, func(n int) {
-		if fresh {
-			*m = make(map[K]V, n)
-		}
-	}, func(k K, _ int) {
-		var v V
-		if !fresh {
-			v = (*m)[k]
-		}
-		if v, keep := elem(k, v); keep {
-			(*m)[k] = v
-		} else {
-			delete(*m, k)
-		}
 	})
 }

@@ -168,8 +168,7 @@ func TestDeterministicEncoding(t *testing.T) {
 
 // layer is a miniature stateful layer exercising every helper: scalars,
 // an optional component, a pointer map with a change log, a
-// whole by-value map, a set-tracked by-value map, a key-only sequence
-// and an append-only tail.
+// whole by-value map, a key-only sequence and an append-only tail.
 type layer struct {
 	n      uint64
 	at     time.Time
@@ -177,8 +176,6 @@ type layer struct {
 	recs   map[uint32]*item
 	log    ChangeLog[uint32, item]
 	counts map[uint8]uint64
-	lists  map[uint16][]uint32
-	dirty  map[uint16]struct{}
 	seqs   []uint16
 	tail   []int64
 	base   int
@@ -204,10 +201,6 @@ func (l *layer) code(c *Codec) {
 	Tombstones(c, u32k, &l.log, func(k uint32) { delete(l.recs, k) })
 	Map(c, u32k, &l.recs, nil, &l.log, func(_ uint32, it *item) { c.I64(&it.v) })
 	MapVal(c, u8k, &l.counts, func(_ uint8, n uint64) uint64 { c.U64(&n); return n })
-	MapSet(c, u16k, &l.lists, l.dirty, func(_ uint16, list []uint32) ([]uint32, bool) {
-		Slice(c, &list, 0, c.U32)
-		return list, len(list) > 0
-	})
 	Keys(c, u16k, append([]uint16(nil), l.seqs...), func(s uint16) {
 		if !c.Encoding() {
 			l.seqs = append(l.seqs, s)
@@ -238,7 +231,6 @@ func (l *layer) apply(t *testing.T, rec []byte) {
 func (l *layer) mark() {
 	l.log.MarkCheckpointed()
 	l.base = len(l.tail)
-	clear(l.dirty)
 }
 
 // put sets record k to v, creating it if the layer holds none, the way a
@@ -263,15 +255,12 @@ func (l *layer) del(k uint32) {
 // way the engine drives the real ones: a full record onto a fresh layer
 // re-encodes byte-identically, and full@t0 + delta(t0→t1) — with an
 // upsert, a tombstone, a key dropped and created again, a record born and
-// dropped (which leaves no tombstone), a deleted list and a grown tail in
-// the interval — re-encodes byte-identically to full@t1.
+// dropped (which leaves no tombstone) and a grown tail in the interval — re-encodes byte-identically to full@t1.
 func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
 	live := &layer{
 		n: 7, at: time.Unix(1700000000, 5), opt: &item{v: -3},
-		recs:   map[uint32]*item{5: {v: 50}, 1 << 20: {v: -1}, 9: {v: 90}},
+		recs:   map[uint32]*item{5: {v: 50}, 1 << 20: {v: -1}, 9: {v: 90}, 700: {v: 1 << 20}, 701: {v: -7}},
 		counts: map[uint8]uint64{200: 1, 3: 1 << 40},
-		lists:  map[uint16][]uint32{4: {9, 5}, 700: {1 << 20}},
-		dirty:  map[uint16]struct{}{},
 		seqs:   []uint16{9, 3, 300},
 		tail:   []int64{1, -2},
 	}
@@ -299,9 +288,6 @@ func TestCodecFullIsDeltaWithEverythingDirty(t *testing.T) {
 		t.Fatalf("backlog %d changed, %d tombstones; want 3 and 2 (5 and 1<<20: the born-and-dropped 6 leaves none)", changed, dead)
 	}
 	live.counts[4] = 4
-	delete(live.lists, 4)
-	live.lists[8] = []uint32{2}
-	live.dirty[4], live.dirty[8] = struct{}{}, struct{}{}
 	live.tail = append(live.tail, 3)
 	delta := live.record(false)
 	if len(delta) >= len(full0) {
@@ -355,9 +341,6 @@ func TestCodecRejectsUnorderedKeys(t *testing.T) {
 			"Tombstones": func(c *Codec) { Tombstones(c, u32k, (*ChangeLog[uint32, item])(nil), func(uint32) {}) },
 			"Map":        func(c *Codec) { Map(c, u32k, new(map[uint32]*item), nil, nil, func(uint32, *item) {}) },
 			"MapVal":     func(c *Codec) { MapVal(c, u32k, new(map[uint32]struct{}), nil) },
-			"MapSet": func(c *Codec) {
-				MapSet(c, u32k, new(map[uint32]bool), nil, func(_ uint32, b bool) (bool, bool) { return b, true })
-			},
 		} {
 			r := NewReader(w.Bytes())
 			if walk(NewDecoder(r)); !errors.Is(r.Err(), ErrCorrupt) {
@@ -409,15 +392,12 @@ func TestCodecTruncation(t *testing.T) {
 		opt:    &item{v: 1},
 		recs:   map[uint32]*item{1: {v: 1}, 2: {v: 2}, 3: {v: 3}},
 		counts: map[uint8]uint64{1: 1},
-		lists:  map[uint16][]uint32{1: {1, 2}},
-		dirty:  map[uint16]struct{}{},
 		seqs:   []uint16{1, 2},
 		tail:   []int64{1},
 	}
 	l.mark()
 	l.put(1, 11)
 	l.del(3)
-	l.dirty[1] = struct{}{}
 	l.tail = append(l.tail, 2, 3)
 	for _, full := range []bool{true, false} {
 		rec := l.record(full)
