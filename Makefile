@@ -92,7 +92,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential|TestCheckpointStreamDifferential' ./internal/core
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential|TestCheckpointStreamDifferential|TestStreamRecordChainDifferential' ./internal/core
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
@@ -246,6 +246,11 @@ examples:
 # fields of metrics.logLens, one per log a delta writes as a tail; six
 # before the dead per-stream state went, four after).
 #
+# Then the change logs the shard and its flow table keep (statecodec.ChangeLog
+# fields in internal/core and internal/flow): one per keyed collection a
+# delta selects from. A metric engine rides its flow-table stream record,
+# so it has none of its own (4 before, 3 after).
+#
 # Last, the per-event live-metric calls in internal/core: an .Inc( or
 # .Add( on a coreObs handle (o.… or so.…), the snapshot counter aside.
 # The live series mirror the engine's tallies at refresh points
@@ -280,6 +285,7 @@ loc:
 	@printf 'append-only logs per stream (metrics.logLens): '; $(call STRUCT_FIELDS,logLens,internal/metrics/stream.go)
 	@printf 'delta backlog caps and overflow flags (target 0): '; $(BACKLOG_CAPS)
 	@printf 'keyed record types declaring their own dirty field (target 0): '; $(DIRTY_RECORDS)
+	@cat $$(ls internal/core/*.go internal/flow/*.go | grep -v _test.go) | grep -c 'statecodec\.ChangeLog\[' | xargs echo "change logs in internal/core + internal/flow non-test code:"
 	@cat $$(ls internal/core/*.go | grep -v _test.go) | grep -E '\bs?o\.[A-Za-z]+(\[[^]]*\])?\.(Inc|Add)\(' | grep -vc '\.snapshots\.' | xargs echo "per-event live-metric calls in internal/core (target 0):"
 
 # The fields struct $(1) in file $(2) declares, in order, then how many:

@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 12
+	stateVersion = 13
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -306,9 +306,9 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 }
 
 // code walks the shard's state: counters whole (cheap), the flow table's
-// own walk, then the change logs' tombstones and records for the stream
-// metric engines and TCP trackers, and the archive's tail. On a decoding
-// error the shard may be partially mutated.
+// own walk with each stream's metric engine inside its record, the TCP
+// trackers' change log (tombstones, then records), and the archive's
+// tail. On a decoding error the shard may be partially mutated.
 func (sh *shard) code(c *statecodec.Codec) {
 	c.U64(&sh.ZoomUDP)
 	c.U64(&sh.TCPPackets)
@@ -331,21 +331,12 @@ func (sh *shard) code(c *statecodec.Codec) {
 	c.U64(&sh.transportless)
 	c.U64(&sh.mediaPackets)
 
-	sh.Flows.Code(c)
-
-	statecodec.Tombstones(c, flow.StreamIDKey, &sh.streamLog, func(id flow.MediaStreamID) {
-		// The engine leaves the registry and the stream record's handle.
-		delete(sh.StreamMetrics, id)
-		if st, ok := sh.Flows.Stream(id); ok {
-			st.Owner = nil
-		}
-	})
-	statecodec.Map(c, flow.StreamIDKey, &sh.StreamMetrics,
-		// A stream a delta updates keeps its logs: only their tails follow
-		// (StreamMetrics.Code resets the rest).
-		func(*metrics.StreamMetrics) {},
-		&sh.streamLog,
-		func(_ flow.MediaStreamID, sm *metrics.StreamMetrics) { sm.Code(c) })
+	var slab statecodec.Slab[ownedEngine]
+	sh.Flows.Code(c, func(st *flow.StreamStats, left int) { sh.codeEngine(c, st, &slab, left) })
+	if !c.Encoding() && c.Err() == nil { // the registry lists the records' engines
+		sh.StreamMetrics = make(map[flow.MediaStreamID]*metrics.StreamMetrics, sh.Flows.Totals().Streams)
+		sh.Flows.EachStream(func(st *flow.StreamStats) { sh.StreamMetrics[st.ID] = st.Owner.(*streamOwner).sm })
+	}
 
 	statecodec.Tombstones(c, statecodec.AddrPortKey, &sh.tcpLog, func(client netip.AddrPort) { delete(sh.TCP, client) })
 	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil, &sh.tcpLog,
@@ -371,10 +362,38 @@ func (sh *shard) code(c *statecodec.Codec) {
 	}
 	statecodec.Slice(c, &sh.Finished, base-drops, func(f *FinishedStream) {
 		f.ID.Code(c)
+		c.Time(&f.FirstSeen)
 		c.Time(&f.LastSeen)
 		if f.Metrics == nil {
 			f.Metrics = new(metrics.StreamMetrics)
 		}
 		f.Metrics.CodeWhole(c)
 	})
+}
+
+// codeEngine walks the metric engine st owns inside the table's walk of
+// st, so the table's change log lists it and its tombstone drops it. Every
+// stream record owns one: the packet path makes it with the record, and a
+// decoding pass keeps the record's (only its logs' tails follow) or takes
+// one from slab. A delta writes the logs from where they stood at the
+// checkpoint, also for an engine listed for an RTCP report alone.
+func (sh *shard) codeEngine(c *statecodec.Codec, st *flow.StreamStats, slab *statecodec.Slab[ownedEngine], left int) {
+	own, _ := st.Owner.(*streamOwner)
+	switch {
+	case c.Encoding():
+		if !c.Full() {
+			own.touch(sh.ckEpoch)
+		}
+	case own == nil:
+		e := slab.New(left)
+		e.own.sm = &e.sm
+		own, st.Owner = &e.own, &e.own
+	}
+	own.sm.Code(c)
+}
+
+// ownedEngine is a stream's owner and metric engine in one allocation.
+type ownedEngine struct {
+	own streamOwner
+	sm  metrics.StreamMetrics
 }

@@ -88,7 +88,7 @@ func (p *pipeline) markCheckpointed() {
 	for _, sh := range p.shards {
 		sh.so.rebase()
 		sh.Flows.MarkCheckpointed()
-		sh.streamLog.MarkCheckpointed()
+		sh.ckEpoch++
 		sh.tcpLog.MarkCheckpointed()
 		sh.ckFinishedLen = len(sh.Finished)
 		sh.ckHeadDrops = 0

@@ -884,6 +884,207 @@ func TestCheckpointStreamDifferential(t *testing.T) {
 	}
 }
 
+// TestStreamRecordChainDifferential holds the engines that ride the flow
+// table's stream records to an uninterrupted run, at 1, 2 and 4 workers.
+// Two schedules go through a full checkpoint, a delta and a restore of
+// both before the rest of the schedule: one where every stream is evicted
+// and recreated between the two records (the same frames again an hour
+// later), one where the only touch between them is non-media frames, so
+// the table lists streams for their RTCP reports alone and the delta
+// writes engines nothing touched. Then a parallel engine finished and fed
+// again, with a full checkpoint before the Finish and a chain after it.
+// Last, a cluster merge: a router, that many pre-filtered workers, each
+// restored from its own checkpoint, merged, checkpointed, restored and
+// finished. Each gives the report of one sequential engine fed the same
+// frames.
+func TestStreamRecordChainDifferential(t *testing.T) {
+	tr, opts := seededTrace(t, 12)
+	cfg := Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}}
+	n := len(tr.frames)
+	media := make([]bool, n)
+	probe := NewAnalyzer(cfg)
+	for i := range tr.frames {
+		before := probe.mediaPackets
+		probe.Packet(tr.at[i], tr.frames[i])
+		media[i] = probe.mediaPackets > before
+	}
+	feed := func(from, to int, shift time.Duration, keep func(i int) bool) func(Engine) {
+		return func(eng Engine) {
+			for i := from; i < to; i++ {
+				if keep == nil || keep(i) {
+					eng.Packet(tr.at[i].Add(shift), tr.frames[i])
+				}
+			}
+		}
+	}
+	steps := func(s ...func(Engine)) func(Engine) {
+		return func(eng Engine) {
+			for _, f := range s {
+				f(eng)
+			}
+		}
+	}
+	evictAll := func(eng Engine) {
+		p := pipelineOf(eng)
+		p.quiesce()
+		for _, sh := range p.shards {
+			sh.EvictIdle(tr.at[n-1])
+		}
+	}
+	half := tr.at[n/2-1]
+	for _, sc := range []struct {
+		name           string
+		pre, mid, post func(Engine)
+		// needListed: the schedule is there for streams the table lists
+		// but whose engines nothing touched since the checkpoint; without
+		// it, for streams evicted and recreated since.
+		needListed bool
+	}{
+		{"evicted and recreated", feed(0, n/2, 0, nil), steps(feed(n/2, 3*n/4, 0, nil), evictAll, feed(n/2, 3*n/4, time.Hour, nil)), feed(3*n/4, n, time.Hour, nil), false},
+		{"rtcp-only touch", feed(0, n/2, 0, nil), feed(n/2, 3*n/4, 0, func(i int) bool { return !media[i] }), feed(3*n/4, n, 0, nil), true},
+	} {
+		ref := NewAnalyzer(cfg)
+		steps(sc.pre, sc.mid, sc.post)(ref)
+		ref.Finish()
+		want := reportBytes(t, ref)
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(t *testing.T) {
+				live := newTestEngine(cfg, workers)
+				defer Discard(live)
+				sc.pre(live)
+				full := bytes.Clone(checkpointBytes(t, live))
+				sc.mid(live)
+				p, listed, recreated := pipelineOf(live), 0, 0
+				p.quiesce()
+				for _, sh := range p.shards {
+					for _, st := range sh.Flows.Streams() {
+						if st.LastSeen.After(half) && st.Owner.(*streamOwner).epoch != sh.ckEpoch {
+							listed++
+						}
+					}
+					for _, f := range sh.Finished {
+						if _, ok := sh.Flows.Stream(f.ID); ok {
+							recreated++
+						}
+					}
+				}
+				if sc.needListed && listed == 0 {
+					t.Fatal("no stream was touched by RTCP alone between the records")
+				}
+				if !sc.needListed && recreated == 0 {
+					t.Fatal("no stream was evicted and recreated between the records")
+				}
+				var delta bytes.Buffer
+				if err := live.CheckpointDelta(&delta); err != nil {
+					t.Fatal(err)
+				}
+				eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer Discard(eng)
+				if err := eng.ApplyDelta(&delta); err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range []Engine{live, eng} {
+					sc.post(e)
+					e.Finish()
+					if got := reportBytes(t, e.Result()); !bytes.Equal(got, want) {
+						t.Errorf("report differs from the sequential run's (%d vs %d bytes)", len(got), len(want))
+					}
+				}
+			})
+		}
+	}
+
+	// A parallel engine finished and fed again runs on its merged shard,
+	// whose engines its shards last touched after a checkpoint of their
+	// own: the merged shard's next chain must still note where their logs
+	// stood at its checkpoint.
+	ref := NewAnalyzer(cfg)
+	steps(feed(0, n/2, 0, nil), func(e Engine) { e.Finish() }, feed(n/2, n, 0, nil))(ref)
+	ref.Finish()
+	want := reportBytes(t, ref)
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("fed after finish/workers=%d", workers), func(t *testing.T) {
+			live := newTestEngine(cfg, workers)
+			defer Discard(live)
+			feed(0, n/4, 0, nil)(live)
+			checkpointBytes(t, live)
+			feed(n/4, n/2, 0, nil)(live)
+			live.Finish()
+			full := bytes.Clone(checkpointBytes(t, live))
+			feed(n/2, 3*n/4, 0, nil)(live)
+			var delta bytes.Buffer
+			if err := live.CheckpointDelta(&delta); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ApplyDelta(&delta); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []Engine{live, eng} {
+				feed(3*n/4, n, 0, nil)(e)
+				e.Finish()
+				if got := reportBytes(t, e.Result()); !bytes.Equal(got, want) {
+					t.Errorf("report differs from the sequential run's (%d vs %d bytes)", len(got), len(want))
+				}
+			}
+		})
+	}
+
+	ref = NewAnalyzer(cfg)
+	tr.feed(ref.Packet)
+	ref.Finish()
+	want = reportBytes(t, ref)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("cluster merge/workers=%d", workers), func(t *testing.T) {
+			r := NewRouter(cfg, workers)
+			wcfg := cfg
+			wcfg.PreFiltered = true
+			parts := make([]*Analyzer, workers)
+			var logged []ClusterObs
+			for i := range parts {
+				parts[i] = NewAnalyzer(wcfg)
+				if err := parts[i].SetClusterSink(func(o ClusterObs) { logged = append(logged, o) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range tr.frames {
+				if w, keep := r.Route(tr.at[i], tr.frames[i]); keep {
+					parts[w].IngestSeq([]pcap.Record{{Timestamp: tr.at[i], Data: tr.frames[i], PacketID: r.Packets}})
+				}
+			}
+			for i, a := range parts {
+				eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, a)), wcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[i] = eng.(*Analyzer)
+			}
+			merged := MergeCluster(cfg, parts, r.Head(false), func() (ClusterObs, bool) {
+				if len(logged) == 0 {
+					return ClusterObs{}, false
+				}
+				o := logged[0]
+				logged = logged[1:]
+				return o, true
+			})
+			eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, merged)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Finish()
+			if got := reportBytes(t, eng.Result()); !bytes.Equal(got, want) {
+				t.Errorf("restored merge's report differs from the sequential run's (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
 // TestDeltaBacklogBoundedByTable churns each keyed collection a delta
 // selects from — the flow table's flows and streams, a shard's stream
 // engines and TCP trackers, the copy matcher's streams — through six
@@ -936,7 +1137,7 @@ func TestDeltaBacklogBoundedByTable(t *testing.T) {
 		fresh func() layer
 	}{
 		{"flow.Table", func() layer {
-			tbl := flow.NewTable()
+			tbl := tableCoder{flow.NewTable()}
 			l := layer{
 				round: func(r int) {
 					for i := range n {
@@ -949,7 +1150,7 @@ func TestDeltaBacklogBoundedByTable(t *testing.T) {
 				live:    func() int { tot := tbl.Totals(); return tot.Flows + tot.Streams },
 				backlog: tbl.Backlog,
 			}
-			l.full, l.delta, l.replica = codecLayer(tbl, func() coder { return flow.NewTable() })
+			l.full, l.delta, l.replica = codecLayer(tbl, func() coder { return tableCoder{flow.NewTable()} })
 			return l
 		}},
 		{"metrics.CopyMatcher", func() layer {
@@ -985,11 +1186,12 @@ func TestDeltaBacklogBoundedByTable(t *testing.T) {
 					}
 					a.EvictIdle(at(r).Add(-time.Second))
 				},
-				live: func() int { return len(a.StreamMetrics) + len(a.TCP) },
+				// The metric engines ride the flow table's stream records.
+				live: func() int { tot := a.Flows.Totals(); return tot.Flows + tot.Streams + len(a.TCP) },
 				backlog: func() (changed, dead int) {
-					sc, sd := a.streamLog.Backlog()
+					fc, fd := a.Flows.Backlog()
 					tc, td := a.tcpLog.Backlog()
-					return sc + tc, sd + td
+					return fc + tc, fd + td
 				},
 				full: func() []byte { return bytes.Clone(checkpointBytes(t, a)) },
 				delta: func() []byte {

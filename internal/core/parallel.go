@@ -451,11 +451,8 @@ func (p *pipeline) stop() {
 // checkShards runs after every restore and delta apply. It refuses a
 // stream or TCP tracker on a shard the flow hash does not send it to (a
 // checkpoint from a build with another shardOf or other Zoom networks):
-// its flow's next packets would open a second record elsewhere. It refuses
-// a stream metric engine whose stream record the shard's flow table lacks,
-// which the idle sweep, walking the table, would never archive; every
-// engine, since a delta's tombstone can drop the record of one it does not
-// carry. Last, it refuses tallies that do not conserve packets.
+// its flow's next packets would open a second record elsewhere. Then it
+// refuses tallies that do not conserve packets.
 func (p *pipeline) checkShards() error {
 	zoom := p.filter.ZoomNetworks()
 	for i, sh := range p.shards {
@@ -463,9 +460,6 @@ func (p *pipeline) checkShards() error {
 			f := id.Flow
 			if shardOf(zoom, p.n, false, f.Src, f.Dst, f.SrcPort, f.DstPort) != i {
 				return fmt.Errorf("%w: shard %d of %d holds stream %v, which this build's flow hash routes elsewhere", statecodec.ErrCorrupt, i, p.n, f)
-			}
-			if _, ok := sh.Flows.Stream(id); !ok {
-				return fmt.Errorf("%w: shard %d holds the metrics of stream %v on %v, which its flow table does not hold", statecodec.ErrCorrupt, i, id.Key, f)
 			}
 		}
 		for c := range sh.TCP {

@@ -661,17 +661,37 @@ func TestRestoreRefusesForeignShardAffinity(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesDanglingStreamMetrics: a record whose shard holds the
-// metric engine of a stream its flow table does not hold — state the
-// engine never writes, made here by evicting the table's streams behind
-// the shard's back — is refused as corrupt, with the reason: the idle
-// sweep finds engines through the table's stream records, so such an
-// engine would never be archived. Three records: a full one, a delta that
+// checkRegistry holds each shard's engine registry to its flow table: every
+// stream record's engine is listed under the record's ID, and nothing else
+// is listed.
+func checkRegistry(t *testing.T, what string, p *pipeline) {
+	t.Helper()
+	for i, sh := range p.shards {
+		owned := 0
+		for _, st := range sh.Flows.Streams() {
+			if own, _ := st.Owner.(*streamOwner); own != nil {
+				owned++
+				if sh.StreamMetrics[st.ID] != own.sm {
+					t.Errorf("%s: shard %d does not list the engine of stream %v on %v", what, i, st.ID.Key, st.ID.Flow)
+				}
+			}
+		}
+		if len(sh.StreamMetrics) != owned {
+			t.Errorf("%s: shard %d lists %d engines, its stream records own %d", what, i, len(sh.StreamMetrics), owned)
+		}
+	}
+}
+
+// TestRestoredRegistryFollowsRecords: a metric engine is written inside its
+// stream record, so no record can hold an engine its flow table does not
+// (a version-12 record could, and restore had to refuse it). Evicting the
+// table's streams behind the shard's back leaves the live registry listing
+// engines no record owns; a full record of that state, a delta that
 // rewrites engines whose stream records it tombstones, and a delta that
-// only tombstones the stream records. A record whose tallies break packet
-// conservation is refused too, and valid states at one and two workers
-// and a cluster merge still restore.
-func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
+// only tombstones them each restore to a registry that equals the
+// restored records. A live engine's registry equals its records
+// throughout, and so does a restored one fed the rest of the trace.
+func TestRestoredRegistryFollowsRecords(t *testing.T) {
 	tr, opts := seededTrace(t, 6)
 	cfg := Config{
 		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
@@ -684,21 +704,36 @@ func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
 			a.Packet(tr.at[i], tr.frames[i])
 		}
 	}
-	refused := func(what string, err error) {
+	restore := func(what string, full []byte, delta *bytes.Buffer) *Analyzer {
 		t.Helper()
-		if !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), "which its flow table does not hold") {
-			t.Errorf("%s with dangling stream metrics: err = %v, want ErrCorrupt naming the stream", what, err)
+		eng, err := RestoreAnalyzer(bytes.NewReader(full), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
+		if delta != nil {
+			if err := eng.ApplyDelta(delta); err != nil {
+				Discard(eng)
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		a := eng.(*Analyzer)
+		checkRegistry(t, what, a.pipeline)
+		if len(a.StreamMetrics) != 0 {
+			t.Errorf("%s: %d engines restored, want none: the table's streams were all evicted", what, len(a.StreamMetrics))
+		}
+		return a
 	}
 
 	live := NewAnalyzer(cfg)
 	feed(live, 0, n/2)
+	checkRegistry(t, "live", live.pipeline)
 	live.Flows.EvictIdle(far)
-	eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
-	Discard(eng)
-	refused("full record", err)
+	restored := restore("full record", checkpointBytes(t, live), nil)
+	feed(restored, n/2, n)
+	checkRegistry(t, "full record, fed the rest", restored.pipeline)
 
 	for _, touched := range []bool{true, false} {
+		what := fmt.Sprintf("delta (engines rewritten: %v)", touched)
 		live := NewAnalyzer(cfg)
 		feed(live, 0, n/2)
 		base := bytes.Clone(checkpointBytes(t, live))
@@ -710,13 +745,24 @@ func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
 		if err := live.CheckpointDelta(&delta); err != nil {
 			t.Fatal(err)
 		}
-		target, err := RestoreAnalyzer(bytes.NewReader(base), cfg)
-		if err != nil {
-			t.Fatal(err)
+		restore(what, base, &delta)
+	}
+}
+
+// TestRestoreRefusesUnconservedTallies: a record whose tallies break packet
+// conservation is refused, and valid states at one and two workers and a
+// cluster merge still restore.
+func TestRestoreRefusesUnconservedTallies(t *testing.T) {
+	tr, opts := seededTrace(t, 6)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	n := len(tr.frames)
+	feed := func(a *Analyzer, from, to int) {
+		for i := from; i < to; i++ {
+			a.Packet(tr.at[i], tr.frames[i])
 		}
-		err = target.ApplyDelta(&delta)
-		Discard(target)
-		refused(fmt.Sprintf("delta (engines rewritten: %v)", touched), err)
 	}
 
 	// A state that does not conserve packets is refused as well, naming
@@ -729,10 +775,10 @@ func TestRestoreRefusesDanglingStreamMetrics(t *testing.T) {
 			t.Errorf("%s with a patched tally: err = %v, want ErrCorrupt naming both sums", what, err)
 		}
 	}
-	live = NewAnalyzer(cfg)
+	live := NewAnalyzer(cfg)
 	feed(live, 0, n/2)
 	live.TCPPackets++
-	eng, err = RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
+	eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
 	Discard(eng)
 	unconserved("full record", err)
 

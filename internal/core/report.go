@@ -94,11 +94,9 @@ func (p *pipeline) rollup() rollup {
 type StreamSegment struct {
 	ID      flow.MediaStreamID
 	Metrics *metrics.StreamMetrics
-	// FirstSeen and LastSeen bound the segment's packets: a live
-	// segment's are its flow-table entry's, an archived one's end is the
-	// archive entry's and its start the stream's first packet (the Dedup
-	// record), or, for a resumed segment, the second its first rate bin
-	// opened in.
+	// FirstSeen and LastSeen bound the segment's packets: its flow-table
+	// record's, kept in the archive entry once idle eviction takes the
+	// record, so archiving a segment changes neither.
 	FirstSeen, LastSeen time.Time
 	// Archived marks a segment finalized and moved out of the live map by
 	// idle eviction.
@@ -113,31 +111,14 @@ type StreamSegment struct {
 // quiesces first.
 func (p *pipeline) Streams() []StreamSegment {
 	p.quiesce()
-	var byID map[flow.MediaStreamID]meeting.StreamRecord
-	record := func(id flow.MediaStreamID) meeting.StreamRecord {
-		if byID == nil {
-			byID = make(map[flow.MediaStreamID]meeting.StreamRecord, p.Dedup.Len())
-			for _, r := range p.Dedup.RecordsBy(p.clientOf()) {
-				byID[flow.MediaStreamID{Flow: r.Flow, Key: r.Key}] = r
-			}
-		}
-		return byID[id]
-	}
 	var out []StreamSegment
 	for _, sh := range p.shards {
 		for _, f := range sh.Finished {
-			seg := StreamSegment{ID: f.ID, Metrics: f.Metrics, FirstSeen: record(f.ID).Start, LastSeen: f.LastSeen, Archived: true}
-			if ss := f.Metrics.MediaRate.Samples; len(ss) > 0 && ss[0].Time().After(seg.FirstSeen) {
-				seg.FirstSeen = ss[0].Time()
-			}
-			out = append(out, seg)
+			out = append(out, StreamSegment{ID: f.ID, Metrics: f.Metrics, FirstSeen: f.FirstSeen, LastSeen: f.LastSeen, Archived: true})
 		}
 		for id, sm := range sh.StreamMetrics {
-			seg := StreamSegment{ID: id, Metrics: sm}
-			if st, ok := sh.Flows.Stream(id); ok {
-				seg.FirstSeen, seg.LastSeen = st.FirstSeen, st.LastSeen
-			}
-			out = append(out, seg)
+			st, _ := sh.Flows.Stream(id) // every engine listed has its record
+			out = append(out, StreamSegment{ID: id, Metrics: sm, FirstSeen: st.FirstSeen, LastSeen: st.LastSeen})
 		}
 	}
 	// A stream's packets all reach one shard, whose archive is in idle-out

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
+	"zoomlens/internal/flow"
 	"zoomlens/internal/sim"
 )
 
@@ -92,5 +94,48 @@ func TestMeetingReportSingleAffectedParticipant(t *testing.T) {
 	}
 	if r.MeetingWideDegradation {
 		t.Error("meeting-wide flag set when only one path is impaired")
+	}
+}
+
+// TestArchiveKeepsSegmentBounds: archiving a segment changes neither of
+// its bounds. Every stream is evicted, the same frames come again two
+// hours later and are evicted too: each resumed segment's archived
+// FirstSeen and LastSeen are what it showed live. An archive entry once
+// carried no start, which Streams took from the Dedup record or from the
+// second the first rate bin opened in, rounding a resumed segment's down
+// to the whole second.
+func TestArchiveKeepsSegmentBounds(t *testing.T) {
+	tr, opts := seededTrace(t, 6)
+	a := NewAnalyzer(Config{ZoomNetworks: []netip.Prefix{opts.ZoomNet}, CampusNetworks: []netip.Prefix{opts.CampusNet}})
+	const later = 2 * time.Hour
+	end := tr.at[len(tr.at)-1]
+	for i := range tr.frames {
+		a.Packet(tr.at[i], tr.frames[i])
+	}
+	a.EvictIdle(end.Add(time.Hour))
+	for i := range tr.frames {
+		a.Packet(tr.at[i].Add(later), tr.frames[i])
+	}
+	type bounds struct{ first, last time.Time }
+	live := make(map[flow.MediaStreamID]bounds)
+	for _, seg := range a.Streams() {
+		if !seg.Archived {
+			live[seg.ID] = bounds{seg.FirstSeen, seg.LastSeen}
+		}
+	}
+	a.EvictIdle(end.Add(later + time.Hour))
+	resumed := 0
+	for _, seg := range a.Streams() {
+		if !seg.FirstSeen.After(end) {
+			continue // the first segment
+		}
+		resumed++
+		if got, want := (bounds{seg.FirstSeen, seg.LastSeen}), live[seg.ID]; !seg.Archived || got != want {
+			t.Errorf("stream %v on %v: archived (%v) with bounds %v – %v, live %v – %v",
+				seg.ID.Key, seg.ID.Flow, seg.Archived, got.first, got.last, want.first, want.last)
+		}
+	}
+	if resumed == 0 || resumed != len(live) {
+		t.Fatalf("%d resumed segments archived, %d were live", resumed, len(live))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"net/netip"
 	"slices"
 	"time"
@@ -139,9 +140,10 @@ func (c *shardCounters) add(o *shardCounters) {
 // report, and what a merge unions.
 type shardState struct {
 	Flows *flow.Table
-	// StreamMetrics holds one metric engine per observed stream record
-	// (per flow+SSRC+type, not per unified stream: SFU copies are
-	// analyzed independently, as the paper does).
+	// StreamMetrics lists the metric engine each flow-table stream record
+	// owns (per flow+SSRC+type, not per unified stream: SFU copies are
+	// analyzed independently, as the paper does). It is derived: kept as
+	// engines are made and archived, rebuilt after a decode, never written.
 	StreamMetrics map[flow.MediaStreamID]*metrics.StreamMetrics
 	// TCP holds one RTT tracker per Zoom control connection, keyed by
 	// the client-side endpoint. A tracker keeps its own last-seen time
@@ -152,12 +154,12 @@ type shardState struct {
 
 	shardCounters
 
-	// Delta-checkpoint tracking (see delta.go): the change logs of the
-	// metric engines and the trackers. The archive is append-plus-head-drop
-	// only, so a delta carries the baseline length (ckFinishedLen), how
-	// many baseline entries were since dropped (ckHeadDrops), and the
-	// appended tail.
-	streamLog     statecodec.ChangeLog[flow.MediaStreamID, metrics.StreamMetrics]
+	// Delta-checkpoint tracking (see delta.go): ckEpoch counts checkpoints
+	// (see streamOwner.touch), tcpLog is the trackers' change log. The
+	// archive is append-plus-head-drop only, so a delta carries the
+	// baseline length (ckFinishedLen), how many baseline entries were since
+	// dropped (ckHeadDrops), and the appended tail.
+	ckEpoch       uint32
 	tcpLog        statecodec.ChangeLog[netip.AddrPort, tcprtt.Tracker]
 	ckFinishedLen int
 	ckHeadDrops   int
@@ -311,18 +313,12 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 		// whole pipeline, not just the table.
 		return
 	}
-	// The stream's record carries what the engine keeps per stream from the
-	// second packet on; StreamMetrics stays the registry everything else
-	// reads.
+	// The stream's record owns its metric engine; StreamMetrics lists it.
 	own, _ := st.Owner.(*streamOwner)
 	if own == nil {
-		own = new(streamOwner)
-		if own.sm = sh.StreamMetrics[st.ID]; own.sm == nil {
-			own.sm = metrics.NewStreamMetrics(zp.Media.Type)
-			own.sm.Mark = sh.streamLog.NewMark()
-			sh.StreamMetrics[st.ID] = own.sm
-		}
+		own = &streamOwner{sm: metrics.NewStreamMetrics(zp.Media.Type)}
 		st.Owner = own
+		sh.StreamMetrics[st.ID] = own.sm
 	}
 	o := &sh.obs
 	o.Seq, o.At, o.Flow = seq, at, ft
@@ -332,25 +328,33 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	o.dedup = &own.dedup
 	sh.sink(o)
 
-	// Listed before the packet lands: the first touch after a checkpoint
-	// notes where the stream's logs stood at it.
-	if sh.streamLog.Touch(&own.sm.Mark, &st.ID, own.sm) {
-		own.sm.MarkDirty()
-	}
+	own.touch(sh.ckEpoch)
 	own.sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
 }
 
 // streamOwner is what a shard hangs on a flow-table stream record
 // (flow.StreamStats.Owner), the last two links of the chain flow → stream →
-// substream → owner → Dedup record: the stream's metric engine, and the
+// substream → owner → Dedup record: the stream's metric engine, which
+// lives, is checkpointed and is evicted with the record, and the
 // reconciliation consumer's handle to the stream's record in the duplicate
 // detector. The shard only ever takes the handle's address, to send it
 // along with each observation; reading and writing it is the
-// reconciliation goroutine's alone. It lives and dies with the stream
-// record: idle eviction, Rotate and restore all start from an empty one.
+// reconciliation goroutine's alone. Idle eviction and Rotate start from an
+// empty owner; a decoding pass keeps a record's (a delta updates the
+// Dedup's records in place, so the handle holds) or makes an empty one.
 type streamOwner struct {
 	sm    *metrics.StreamMetrics
 	dedup meeting.Handle
+	epoch uint32 // the shard's ckEpoch at the engine's last MarkDirty
+}
+
+// touch notes where the engine's logs stand, once per checkpoint epoch: before
+// its first mutation after a checkpoint, they stand where that left them.
+func (own *streamOwner) touch(epoch uint32) {
+	if own.epoch != epoch {
+		own.epoch = epoch
+		own.sm.MarkDirty()
+	}
 }
 
 // The rest of this file keeps memory bounded over long captures (the
@@ -361,11 +365,11 @@ type streamOwner struct {
 // shard, with evicted entries folded into the final report rather than
 // dropped.
 
-// FinishedStream is an archived, finalized stream.
+// FinishedStream is an archived, finalized stream, with its record's bounds.
 type FinishedStream struct {
-	ID       flow.MediaStreamID
-	LastSeen time.Time
-	Metrics  *metrics.StreamMetrics
+	ID                  flow.MediaStreamID
+	FirstSeen, LastSeen time.Time
+	Metrics             *metrics.StreamMetrics
 }
 
 // compareFinished orders archived streams by idle-out time, tie-broken
@@ -400,27 +404,19 @@ func (sh *shard) archiveFinished(f FinishedStream) {
 // cutoff: metric engines are finalized and moved from StreamMetrics to
 // Finished (Streams lists both), flow-table entries fold into the report
 // aggregates, idle TCP trackers are dropped; Summary counts them all. The
-// flow table's walk finds the victims: every StreamMetrics key has a
-// stream record (checkShards), whose owner, or one lookup, gives the
-// engine. Archiving in compareFinished order, not map order, makes the
+// flow table's walk finds the victims, each record handing over the engine
+// it owns. Archiving in compareFinished order, not map order, makes the
 // archive (and what MaxFinished drops) the same on every run.
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	var victims []FinishedStream
 	sh.Flows.EvictIdleFunc(cutoff, func(st *flow.StreamStats) {
-		var sm *metrics.StreamMetrics
-		if own, _ := st.Owner.(*streamOwner); own != nil {
-			sm = own.sm
-		} else if sm = sh.StreamMetrics[st.ID]; sm == nil {
-			return // a stream no media packet reached: nothing to archive
-		}
-		victims = append(victims, FinishedStream{ID: st.ID, LastSeen: st.LastSeen, Metrics: sm})
+		victims = append(victims, FinishedStream{ID: st.ID, FirstSeen: st.FirstSeen, LastSeen: st.LastSeen, Metrics: st.Owner.(*streamOwner).sm})
 	})
 	slices.SortFunc(victims, compareFinished)
 	for _, f := range victims {
 		f.Metrics.Finish()
 		sh.archiveFinished(f)
 		delete(sh.StreamMetrics, f.ID)
-		sh.streamLog.Drop(&f.Metrics.Mark, f.ID)
 	}
 	for client, tr := range sh.TCP {
 		if tr.LastSeen().After(cutoff) {
@@ -433,9 +429,9 @@ func (sh *shard) EvictIdle(cutoff time.Time) {
 }
 
 // mergeShards folds the states of parts into one fresh inline shard
-// under the global (unscaled) limits, emptying nothing: flow tables,
-// stream metric maps and TCP trackers partition across shards, so their
-// union is exact. A single part's state is adopted as it stands.
+// under the global (unscaled) limits, emptying nothing: flow tables, with
+// their records' engines, and TCP trackers partition across shards, so
+// their union is exact. A single part's state is adopted as it stands.
 func mergeShards(cfg Config, parts []*shard) *shard {
 	m := newShard(cfg, noObs)
 	if len(parts) == 1 {
@@ -445,11 +441,9 @@ func mergeShards(cfg Config, parts []*shard) *shard {
 	for _, p := range parts {
 		m.shardCounters.add(&p.shardCounters)
 		m.Flows.Absorb(p.Flows)
-		// Adopted records are on none of the merged shard's lists.
-		for id, sm := range p.StreamMetrics {
-			sm.Mark = statecodec.Mark{}
-			m.StreamMetrics[id] = sm
-		}
+		maps.Copy(m.StreamMetrics, p.StreamMetrics)
+		m.ckEpoch = max(m.ckEpoch, p.ckEpoch) // no engine reads as touched since m's next checkpoint
+		// Adopted trackers are on none of the merged shard's lists.
 		for client, tr := range p.TCP {
 			tr.Mark = statecodec.Mark{}
 			m.TCP[client] = tr

@@ -164,7 +164,8 @@ func NewCheckpointer(path string, keep int, m *obs.CheckpointMetrics) *Checkpoin
 }
 
 // cleanOrphanedTmp removes temp files left next to path by a crash
-// mid-checkpoint (any "<base>*.tmp-*" sibling), returning how many.
+// mid-checkpoint, returning how many: "<base>.*.tmp-*" siblings, the
+// chain's own names as listChain reads them, not all that share its prefix.
 func cleanOrphanedTmp(path string) int {
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	entries, err := os.ReadDir(dir)
@@ -174,7 +175,7 @@ func cleanOrphanedTmp(path string) int {
 	n := 0
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, base) || !strings.Contains(name, ".tmp-") {
+		if e.IsDir() || !strings.HasPrefix(name, base+".") || !strings.Contains(name, ".tmp-") {
 			continue
 		}
 		if os.Remove(filepath.Join(dir, name)) == nil {

@@ -85,10 +85,18 @@ func TestCheckpointerTmpCleanup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// An unrelated sibling must survive the sweep.
-	unrelated := filepath.Join(dir, "other.tmp-1")
-	if err := os.WriteFile(unrelated, []byte("keep"), 0o644); err != nil {
-		t.Fatal(err)
+	// Unrelated siblings must survive the sweep: another base's, and the
+	// in-flight temp files of another chain and of a window report whose
+	// names merely start with this base.
+	unrelated := []string{
+		filepath.Join(dir, "other.tmp-1"),
+		base + "2.00000003.tmp-123",
+		base + "-window-0001.json.tmp-9",
+	}
+	for _, name := range unrelated {
+		if err := os.WriteFile(name, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	ck := NewCheckpointer(base, 2, nil)
@@ -100,8 +108,10 @@ func TestCheckpointerTmpCleanup(t *testing.T) {
 			t.Errorf("orphan %s survived startup sweep", filepath.Base(name))
 		}
 	}
-	if _, err := os.Stat(unrelated); err != nil {
-		t.Errorf("unrelated sibling removed: %v", err)
+	for _, name := range unrelated {
+		if _, err := os.Stat(name); err != nil {
+			t.Errorf("unrelated sibling removed: %v", err)
+		}
 	}
 }
 

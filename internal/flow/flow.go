@@ -71,10 +71,10 @@ type StreamStats struct {
 	// three, so the packet path scans it.
 	Substreams []SubstreamStats
 
-	// Owner is the table's driver's to use: a handle to whatever it keeps
-	// per stream, so a packet the table has already resolved to this
-	// record needs no second lookup there. The table never reads it and no
-	// record carries it: a decoded or absorbed record has none.
+	// Owner is the table's driver's: whatever it keeps per stream, which
+	// lives here alone, so a packet the table has resolved to this record
+	// needs no second lookup. The table never reads it; a decoding pass
+	// and Absorb keep it.
 	Owner any
 
 	// mark is the record's entry in the table's stream change log.
@@ -406,8 +406,8 @@ func (f *FlowStats) findStreamBySSRC(ssrc uint32, proto uint8) *StreamStats {
 	return nil
 }
 
-// eachStream calls fn for every stream record, in no particular order.
-func (t *Table) eachStream(fn func(*StreamStats)) {
+// EachStream calls fn for every stream record, in no particular order.
+func (t *Table) EachStream(fn func(*StreamStats)) {
 	for _, f := range t.flows {
 		for _, s := range f.streams {
 			fn(s)
@@ -436,7 +436,7 @@ func (t *Table) Flows() []*FlowStats {
 // broken by SSRC and then by the flow's string.
 func (t *Table) Streams() []*StreamStats {
 	out := make([]*StreamStats, 0, t.streams)
-	t.eachStream(func(s *StreamStats) { out = append(out, s) })
+	t.EachStream(func(s *StreamStats) { out = append(out, s) })
 	names := layers.TupleNames{}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
@@ -450,10 +450,10 @@ func (t *Table) Streams() []*StreamStats {
 	return out
 }
 
-// Absorb merges src's flows, streams, and totals into t, leaving src
-// unchanged but for the Owner handles, which it drops: t's driver is
-// another one. A flow only src holds is adopted with its streams, record
-// and index, so src is not to be fed afterwards. The sharded parallel
+// Absorb merges src's flows, streams, and totals into t. A flow only src
+// holds is adopted with its streams, record and index, Owner included, so
+// src is not to be fed afterwards; a stream both tables hold takes src's
+// Owner, if it has one. The sharded parallel
 // analyzer calls it at merge time; shard tables are keyed by disjoint
 // five-tuple sets there, but overlapping keys are combined correctly
 // anyway (counters summed, first/last seen widened) so Absorb is safe for
@@ -487,7 +487,7 @@ func (t *Table) Absorb(src *Table) {
 		// An adopted record is on none of this table's lists.
 		f.mark = statecodec.Mark{}
 		for _, s := range f.streams {
-			s.Owner, s.mark = nil, statecodec.Mark{}
+			s.mark = statecodec.Mark{}
 		}
 		dst := t.flows[k]
 		if dst == nil {
@@ -521,7 +521,9 @@ func (t *Table) Absorb(src *Table) {
 
 // absorb adds s, another table's record of the same stream, into dst.
 func (dst *StreamStats) absorb(s *StreamStats) {
-	dst.Owner = nil
+	if s.Owner != nil {
+		dst.Owner = s.Owner
+	}
 	if s.FirstSeen.Before(dst.FirstSeen) {
 		dst.FirstSeen = s.FirstSeen
 	}
@@ -588,7 +590,7 @@ type EncapTypeShare struct {
 func (t *Table) EncapShares(totalPackets, totalBytes uint64) []EncapTypeShare {
 	type agg struct{ pkts, bytes uint64 }
 	byType := map[zoom.MediaType]*agg{}
-	t.eachStream(func(s *StreamStats) {
+	t.EachStream(func(s *StreamStats) {
 		a := byType[s.ID.Key.Type]
 		if a == nil {
 			a = &agg{}
@@ -653,7 +655,7 @@ type PayloadTypeShare struct {
 func (t *Table) PayloadTypeShares(totalPackets, totalBytes uint64) []PayloadTypeShare {
 	type agg struct{ pkts, bytes uint64 }
 	byKey := map[ptKey]*agg{}
-	t.eachStream(func(s *StreamStats) {
+	t.EachStream(func(s *StreamStats) {
 		for _, sub := range s.Substreams {
 			k := ptKey{s.ID.Key.Type, sub.PayloadType}
 			a := byKey[k]

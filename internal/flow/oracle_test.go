@@ -508,8 +508,9 @@ func (t *oracleTable) MarkCheckpointed() {
 // caller owns chain integrity (a delta must follow the checkpoint the
 // table was restored from) and must call MarkCheckpointed after any
 // successful pass; a table whose decoding pass failed holds partially
-// applied state and must be discarded.
-func (t *oracleTable) Code(c *statecodec.Codec) {
+// applied state and must be discarded. The oracle's streams carry no
+// driver state, so it takes no stream walk.
+func (t *oracleTable) Code(c *statecodec.Codec, _ func(*StreamStats, int)) {
 	c.U64(&t.totalPackets)
 	c.U64(&t.totalBytes)
 	c.U64(&t.ev.EvictedFlows)

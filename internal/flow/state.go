@@ -80,14 +80,16 @@ func (a *shareAgg) code(c *statecodec.Codec) {
 // turn, so the record reads as it did when the table kept the streams in a
 // map of their own. A decoding pass hangs each stream on its flow and
 // refuses one whose flow the table does not hold; a flow's tombstone takes
-// the flow's streams with it. Limits are configuration, not state: a
+// the flow's streams with it. stream, if set, walks the driver's state
+// after each stream record's fields (left as Records has it); a decoding
+// pass keeps Owner. Limits are configuration, not state: a
 // decoding pass keeps whatever SetLimits installed on the receiver, so a
 // checkpoint taken under one deployment's caps restores cleanly under
 // another's. The caller owns chain integrity (a delta must follow the
 // checkpoint the table was restored from) and must call MarkCheckpointed
 // after any successful pass; a table whose decoding pass failed holds
 // partially applied state and must be discarded.
-func (t *Table) Code(c *statecodec.Codec) {
+func (t *Table) Code(c *statecodec.Codec, stream func(s *StreamStats, left int)) {
 	c.U64(&t.totalPackets)
 	c.U64(&t.totalBytes)
 	c.U64(&t.ev.EvictedFlows)
@@ -140,7 +142,7 @@ func (t *Table) Code(c *statecodec.Codec) {
 	case !c.Encoding():
 	case c.Full():
 		streams = make([]streamEntry, 0, t.streams)
-		t.eachStream(func(s *StreamStats) { streams = append(streams, streamEntry{K: s.ID, V: s}) })
+		t.EachStream(func(s *StreamStats) { streams = append(streams, streamEntry{K: s.ID, V: s}) })
 	default:
 		streams = t.streamLog.Changed()
 	}
@@ -156,7 +158,7 @@ func (t *Table) Code(c *statecodec.Codec) {
 			if fresh {
 				s = streamSlab.New(left)
 			}
-			*s = StreamStats{ID: id, Substreams: s.Substreams[:0]} // the driver's Owner handle goes too
+			*s = StreamStats{ID: id, Substreams: s.Substreams[:0], Owner: s.Owner}
 			if fresh {
 				f.addStream(s)
 				t.streams++
@@ -179,6 +181,9 @@ func (t *Table) Code(c *statecodec.Codec) {
 			c.U64(&sub.Packets)
 			c.U64(&sub.Bytes)
 		})
+		if stream != nil {
+			stream(s, left)
+		}
 	})
 
 	statecodec.Map(c, mediaTypeKey, &t.evictedEncap, nil, nil, func(_ zoom.MediaType, a *shareAgg) { a.code(c) })

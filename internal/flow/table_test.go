@@ -16,20 +16,20 @@ import (
 
 // coder is either table; record and apply are one checkpoint pass each way.
 type coder interface {
-	Code(c *statecodec.Codec)
+	Code(c *statecodec.Codec, stream func(*StreamStats, int))
 	MarkCheckpointed()
 }
 
 func record(t coder, full bool) []byte {
 	var w statecodec.Writer
-	t.Code(statecodec.NewEncoder(&w, full))
+	t.Code(statecodec.NewEncoder(&w, full), nil)
 	t.MarkCheckpointed()
 	return bytes.Clone(w.Bytes())
 }
 
 func apply(t coder, rec []byte) error {
 	r := statecodec.NewReader(rec)
-	t.Code(statecodec.NewDecoder(r))
+	t.Code(statecodec.NewDecoder(r), nil)
 	if r.Err() == nil && r.Remaining() != 0 {
 		return fmt.Errorf("%d trailing bytes", r.Remaining())
 	}
@@ -231,6 +231,79 @@ func TestDeltaEncodeKeepsRecreatedRecords(t *testing.T) {
 	}
 	if got, want := dumpTable(replica), dumpTable(tbl); got != want {
 		t.Errorf("replica differs from the table\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStreamWalkRidesTheRecord: what a driver keeps per stream (here a
+// number behind Owner) is written inside the stream's record, so a delta
+// carries it exactly for the streams the table lists, and a decoding pass
+// hands the walk each decoded record with the Owner it already had — none
+// on a record the pass creates. Absorb keeps every Owner.
+func TestStreamWalkRidesTheRecord(t *testing.T) {
+	walk := func(c *statecodec.Codec, seen *[]uint64) func(*StreamStats, int) {
+		return func(s *StreamStats, _ int) {
+			var v uint64
+			if n, ok := s.Owner.(*uint64); ok {
+				v = *n
+			}
+			if c.U64(&v); !c.Encoding() {
+				*seen = append(*seen, v)
+				if s.Owner == nil {
+					s.Owner = new(uint64)
+				}
+				*s.Owner.(*uint64) = v
+			}
+		}
+	}
+	pass := func(tbl *Table, full bool) []byte {
+		var w statecodec.Writer
+		c := statecodec.NewEncoder(&w, full)
+		tbl.Code(c, walk(c, nil))
+		tbl.MarkCheckpointed()
+		return bytes.Clone(w.Bytes())
+	}
+	load := func(tbl *Table, rec []byte) (held []any, seen []uint64) {
+		for _, s := range tbl.Streams() {
+			held = append(held, s.Owner)
+		}
+		r := statecodec.NewReader(rec)
+		c := statecodec.NewDecoder(r)
+		tbl.Code(c, walk(c, &seen))
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
+		}
+		tbl.MarkCheckpointed()
+		return held, seen
+	}
+	owned := func(v uint64) *uint64 { return &v }
+
+	tbl, replica := NewTable(), NewTable()
+	tbl.Observe(mediaRecord(ftA, t0, zoom.TypeVideo, zoom.PTVideoMain, 1, 1, 100, 900)).Owner = owned(11)
+	tbl.Observe(mediaRecord(ftA, t0, zoom.TypeVideo, zoom.PTVideoMain, 2, 1, 100, 900)).Owner = owned(12)
+	if _, seen := load(replica, pass(tbl, true)); !slices.Equal(seen, []uint64{11, 12}) {
+		t.Fatalf("full record carried %v, want both streams' 11 and 12", seen)
+	}
+	kept, _ := replica.Stream(MediaStreamID{Flow: ftA, Key: zoom.StreamKey{SSRC: 1, Type: zoom.TypeVideo}})
+	held := kept.Owner
+
+	// Only SSRC 1 and a new SSRC 3 are touched: the delta carries those two.
+	st := tbl.Observe(mediaRecord(ftA, t0.Add(time.Second), zoom.TypeVideo, zoom.PTVideoMain, 1, 2, 200, 900))
+	*st.Owner.(*uint64) = 21
+	tbl.Observe(mediaRecord(ftA, t0.Add(time.Second), zoom.TypeVideo, zoom.PTVideoMain, 3, 1, 100, 900)).Owner = owned(13)
+	_, seen := load(replica, pass(tbl, false))
+	if !slices.Equal(seen, []uint64{21, 13}) {
+		t.Fatalf("delta carried %v, want SSRC 1's 21 and SSRC 3's 13", seen)
+	}
+	if kept.Owner != held || *held.(*uint64) != 21 {
+		t.Errorf("the updated record's Owner is %v, want the one it held before the pass, now 21", kept.Owner)
+	}
+
+	dst := NewTable()
+	dst.Absorb(replica)
+	for _, s := range dst.Streams() {
+		if s.Owner == nil {
+			t.Errorf("stream %v lost its Owner in Absorb", s.ID.Key)
+		}
 	}
 }
 

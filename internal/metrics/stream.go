@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"zoomlens/internal/rtp"
-	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -167,10 +166,8 @@ type StreamMetrics struct {
 	// appended a spurious zero-rate sample per invocation).
 	finished bool
 
-	// Mark is the stream's entry in the change log of whoever keys it; a
-	// delta record carries of its logs only what lies past base, the
-	// lengths MarkDirty found.
-	Mark statecodec.Mark
+	// base is where the logs stood at the last checkpoint, as MarkDirty
+	// found them: a delta record carries of each only what lies past it.
 	base logLens
 }
 
@@ -190,10 +187,10 @@ func (sm *StreamMetrics) logLens() logLens {
 	return n
 }
 
-// MarkDirty notes how long the stream's logs are. Its owner calls it when
-// it lists the stream after a checkpoint, before the mutation: that is how
-// long they were at the checkpoint, and a delta record carries them from
-// there.
+// MarkDirty notes how long the stream's logs are. Its owner calls it
+// before the stream's first mutation after a checkpoint, or before writing
+// a delta that carries a stream untouched since: that is how long they
+// were at the checkpoint, and a delta record carries them from there.
 func (sm *StreamMetrics) MarkDirty() { sm.base = sm.logLens() }
 
 // maxIdleGap caps zero-rate gap-fill in the rate series: when the
