@@ -92,7 +92,8 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential|TestCheckpointStreamDifferential|TestStreamRecordChainDifferential' ./internal/core
+	$(GO) test -race -count=3 -run 'TestQuiesceInterleavingDifferential|TestQueueBackpressure|TestParallelObsAggregates|TestEvictionClockDifferential|TestCheckpointStreamDifferential|TestStreamRecordChainDifferential|TestShardBatchByteBound' ./internal/core
+	$(GO) test -race -count=1 -run 'TestClusterDifferential|TestClusterObsLogRoundTrip' .
 	$(MAKE) fuzz-smoke FUZZTIME=10s
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
@@ -275,6 +276,7 @@ loc:
 	@cat $$(ls internal/flow/*.go internal/meeting/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/flow + internal/meeting + internal/metrics non-test code:"
 	@awk '/^type shardState struct {/ {in_st=1; next} in_st && /^}/ {exit} in_st && !/^\t*\/\// && /map\[/ {n++} END {print "maps in core.shardState:", n+0}' internal/core/shard.go
 	@$(GO) test -count=1 -run TestFrameRecordSize -v ./internal/metrics/ | grep -o 'bytes per finished frame: [0-9]*'
+	@$(GO) test -count=1 -run TestMediaObsSize -v ./internal/core/ | grep -o 'bytes per in-process observation: [0-9]*'
 	@cat internal/core/delta.go internal/flow/state.go internal/meeting/state.go internal/metrics/state.go | awk '/^func .*[mM]arkCheckpointed\(\)/ {f=1; next} f && /^}/ {f=0} f && /range [A-Za-z.]*\.(flows|streams|StreamMetrics|TCP)([^A-Za-z]|$$)/ {n++} END {print "range loops over record maps in markCheckpointed + the layers\047 MarkCheckpointed (target 0):", n+0}'
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"

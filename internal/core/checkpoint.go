@@ -386,7 +386,7 @@ func (sh *shard) codeEngine(c *statecodec.Codec, st *flow.StreamStats, slab *sta
 		}
 	case own == nil:
 		e := slab.New(left)
-		e.own.sm = &e.sm
+		e.own.sm, e.own.id = &e.sm, st.ID
 		own, st.Owner = &e.own, &e.own
 	}
 	own.sm.Code(c)

@@ -25,15 +25,15 @@ import (
 	"errors"
 	"time"
 
+	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
-	"zoomlens/internal/meeting"
 	"zoomlens/internal/zoom"
 )
 
-// ClusterObs is one media-stream observation: what a shard reports to
-// the cross-flow reconciliation consumer for every media packet, whether
-// by direct call, through an in-process log, or through a cluster
-// worker's ZLOB file.
+// ClusterObs is one media-stream observation as it leaves the process:
+// the record a cluster worker's ZLOB log carries and the aggregator
+// replays. It names its stream by key, since the consumer is another
+// process's; inside a process the same observation is a mediaObs.
 type ClusterObs struct {
 	// Seq is the front end's global capture sequence number of the
 	// packet; logs from several shards are replayed in Seq order.
@@ -48,12 +48,6 @@ type ClusterObs struct {
 	PT         uint8
 	RTPSeq     uint16
 	RTPTS      uint32
-
-	// dedup is the producing shard's handle to the stream's duplicate-
-	// detector record (see streamOwner), for the reconciliation consumer of
-	// the same process; nil on an observation from anywhere else. It is
-	// never serialized.
-	dedup *meeting.Handle
 }
 
 // SetClusterSink diverts the engine's media observations to sink instead
@@ -66,10 +60,14 @@ func (p *pipeline) SetClusterSink(sink func(ClusterObs)) error {
 	if p.queueFed() {
 		return errors.New("core: cluster observation export requires a sequential engine (workers=1)")
 	}
-	p.shards[0].sink = func(o *ClusterObs) {
-		c := *o
-		c.dedup = nil // the consumer is another process's
-		sink(c)
+	// The consumer is another process's: it gets the stream by key.
+	p.shards[0].sink = func(o *mediaObs) {
+		id := &o.own.id
+		sink(ClusterObs{
+			Seq: o.Seq, At: o.At, Flow: id.Flow, Key: id.Key,
+			WireLen: int(o.WireLen), PayloadLen: int(o.PayloadLen),
+			PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
+		})
 	}
 	return nil
 }
@@ -151,8 +149,16 @@ func (r *Router) Head(truncated bool) ClusterHead {
 func MergeCluster(cfg Config, parts []*Analyzer, head ClusterHead, next func() (ClusterObs, bool)) *Analyzer {
 	cfg.Obs = nil // the workers already fed the live metrics
 	p := newPipeline(cfg, 1)
+	// The logs name streams by key: each observation gets an owner of its
+	// own, whose empty handle has the detector find the record by key.
+	var own streamOwner
 	for o, ok := next(); ok; o, ok = next() {
-		p.observe(&o)
+		own = streamOwner{id: flow.MediaStreamID{Flow: o.Flow, Key: o.Key}}
+		p.observe(&mediaObs{
+			Seq: o.Seq, At: o.At, own: &own,
+			WireLen: uint32(o.WireLen), PayloadLen: uint32(o.PayloadLen),
+			PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
+		})
 	}
 	shards := make([]*shard, len(parts))
 	for i, a := range parts {

@@ -203,15 +203,17 @@ func newReconState(cfg Config) reconState {
 }
 
 // observe consumes one media observation, which it does not keep.
-func (rec *reconState) observe(o *ClusterObs) {
-	unified := rec.Dedup.ObserveBy(o.dedup, &meeting.StreamObs{
-		Time: o.At, Flow: o.Flow, Key: o.Key, Seq: o.RTPSeq, TS: o.RTPTS,
+func (rec *reconState) observe(o *mediaObs) {
+	own := o.own
+	id := &own.id
+	unified := rec.Dedup.ObserveBy(&own.dedup, &meeting.StreamObs{
+		Time: o.At, Flow: id.Flow, Key: id.Key, Seq: o.RTPSeq, TS: o.RTPTS,
 	})
-	rec.Copies.Observe(unified, o.Flow, o.PT, o.RTPSeq, o.RTPTS, o.At)
+	rec.Copies.Observe(unified, id.Flow, o.PT, o.RTPSeq, o.RTPTS, o.At)
 	if rec.feats != nil {
 		rec.feats.Observe(features.Obs{
-			At: o.At, Flow: o.Flow, Key: o.Key,
-			WireLen: o.WireLen, PayloadLen: o.PayloadLen,
+			At: o.At, Flow: id.Flow, Key: id.Key,
+			WireLen: int(o.WireLen), PayloadLen: int(o.PayloadLen),
 			PT: o.PT, RTPSeq: o.RTPSeq, RTPTS: o.RTPTS,
 		})
 	}

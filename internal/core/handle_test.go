@@ -30,9 +30,10 @@ func keyedEngine(cfg Config, workers int) Engine {
 	eng := newTestEngine(cfg, workers)
 	for _, sh := range pipelineOf(eng).shards {
 		sink := sh.sink
-		sh.sink = func(o *ClusterObs) {
+		sh.sink = func(o *mediaObs) {
+			own := streamOwner{id: o.own.id} // an empty handle: found by key
 			c := *o
-			c.dedup = nil
+			c.own = &own
 			sink(&c)
 		}
 	}
@@ -221,8 +222,8 @@ func TestDedupHandleLifetime(t *testing.T) {
 		}
 		r.send(at, 7)
 		r.send(at.Add(time.Second), 7)
-		if len(got) != 2 || got[0].dedup != nil || got[1].dedup != nil {
-			t.Errorf("exported observations carry handles: %+v", got)
+		if len(got) != 2 || got[0].Flow != r.id.Flow || got[0].Key != r.id.Key || got[1].Flow != r.id.Flow || got[1].Key != r.id.Key {
+			t.Errorf("exported observations %+v, want two naming stream %v by key", got, r.id)
 		}
 		if r.a.Dedup.Len() != 0 {
 			t.Errorf("the worker's own detector holds %d records, want none", r.a.Dedup.Len())

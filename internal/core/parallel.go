@@ -34,24 +34,31 @@ import (
 )
 
 const (
-	// shardBatchSize is how many packets the front end buffers per shard
-	// before handing the batch to the worker.
-	shardBatchSize = 256
+	// shardBatchSize and shardBatchBytes bound a batch: the front end
+	// hands a shard its batch at shardBatchSize packets or before the
+	// frame that would take it past shardBatchBytes of frame data,
+	// whichever comes first. A frame larger than shardBatchBytes travels
+	// alone. The byte cap is what bounds the copies in flight: 256 frames
+	// of the campus capture's 647-byte mean would be 166 KB a batch, and
+	// of jumbo frames 2.3 MB.
+	shardBatchSize  = 256
+	shardBatchBytes = 64 << 10
 	// shardQueueDepth is the capacity of each shard's batch channel: deep
 	// enough that a shard stays busy while the front end fills the next
 	// batch, shallow enough that a full queue blocks the front end
-	// (backpressure) with at most ~1k frames buffered per shard. The
-	// hand-off is amortised over shardBatchSize packets, so the batching,
-	// not the queue behind it, is what the throughput depends on.
+	// (backpressure) with at most shardQueueDepth × 64 KiB of frames
+	// queued per shard. The hand-off is amortised over a batch, so the
+	// batching, not the queue behind it, is what the throughput depends
+	// on.
 	shardQueueDepth = 4
 	// reconEvery is the periodic cut cadence in packets: even a run that
 	// never snapshots or checkpoints hands the shard observation logs to
 	// the reconciler (which recycles their chunks) this often, so the logs
 	// hold at most about (cutQueueDepth+2) × reconEvery packets'
-	// observations (128 bytes each) however long the run. Measured with
-	// the reconciler on the 400 k-packet campus capture at two workers
-	// (DESIGN §5): of 2^14 / 2^15 / 2^16, 2^14 is the smallest and no
-	// slower.
+	// observations (56 bytes each, ~2.6 MiB) however long the run.
+	// Measured with the reconciler on the 400 k-packet campus capture at
+	// two workers (DESIGN §5): of 2^14 / 2^15 / 2^16, 2^14 is the
+	// smallest and no slower.
 	reconEvery = 1 << 14
 	// cutQueueDepth is how many cuts may wait for the reconciler behind
 	// the one it is replaying. A full cut queue blocks the front end, so
@@ -62,7 +69,8 @@ const (
 )
 
 // pbatch is one unit of work handed to a shard: frames copied
-// back-to-back into data, with per-packet offsets in items. A batch with
+// back-to-back into data (at most shardBatchBytes of them, unless one
+// frame alone is larger), with per-packet offsets in items. A batch with
 // cut set is a cut marker and carries no packets: the shard sends its
 // observation chain — everything it logged for the batches queued before
 // the marker — on cut and starts a new one. After a stamped batch's frames
@@ -195,7 +203,7 @@ const obsChunkLen = 512
 type obsChunk struct {
 	next *obsChunk
 	n    int
-	e    [obsChunkLen]ClusterObs
+	e    [obsChunkLen]mediaObs
 }
 
 var obsChunkPool = sync.Pool{New: func() any { return new(obsChunk) }}
@@ -209,7 +217,7 @@ func putObsChunk(c *obsChunk) {
 }
 
 // logObs is a queue-fed shard's sink: append to the pending chain.
-func (sh *shard) logObs(o *ClusterObs) {
+func (sh *shard) logObs(o *mediaObs) {
 	c := sh.obsTail
 	if c == nil || c.n == obsChunkLen {
 		nc := getObsChunk()
@@ -231,10 +239,18 @@ func (sh *shard) logObs(o *ClusterObs) {
 // before, and cut on the periodic cadence.
 func (p *pipeline) dispatch(sh *shard, keep bool, seq uint64, at time.Time, frame []byte) {
 	if keep {
+		if sh.cur != nil && len(sh.cur.data)+len(frame) > shardBatchBytes {
+			p.ship(sh)
+		}
 		if sh.cur == nil {
 			sh.cur = getBatch()
 		}
 		b := sh.cur
+		if b.data == nil {
+			// Room for a whole batch up front, so it never regrows past
+			// what putBatch keeps.
+			b.items, b.data = make([]pitem, 0, shardBatchSize), make([]byte, 0, shardBatchBytes)
+		}
 		off := int32(len(b.data))
 		b.data = append(b.data, frame...)
 		b.items = append(b.items, pitem{seq: seq, at: at, off: off, end: int32(len(b.data))})
@@ -391,7 +407,7 @@ func (p *pipeline) reconcile(rc *reconciler) {
 // replay feeds one cut's chains — each already in sequence order, since a
 // shard consumes its queue FIFO — to observe in global capture order (a
 // k-way merge by sequence number), then recycles the chunks.
-func replay(chains []*obsChunk, observe func(*ClusterObs)) {
+func replay(chains []*obsChunk, observe func(*mediaObs)) {
 	type cursor struct {
 		c *obsChunk
 		i int

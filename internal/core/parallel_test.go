@@ -614,7 +614,7 @@ func TestReplayOrder(t *testing.T) {
 			r -= weights[si]
 			si++
 		}
-		chains[si].logObs(&ClusterObs{Seq: seq})
+		chains[si].logObs(&mediaObs{Seq: seq})
 	}
 	if c := chains[0].obsHead; c == nil || c.next == nil || c.next.next == nil {
 		t.Fatal("the heavy shard's chain spans fewer than three chunks")
@@ -624,7 +624,7 @@ func TestReplayOrder(t *testing.T) {
 		heads[i] = sh.obsHead
 	}
 	var got []uint64
-	replay(heads, func(o *ClusterObs) { got = append(got, o.Seq) })
+	replay(heads, func(o *mediaObs) { got = append(got, o.Seq) })
 	if len(got) != n {
 		t.Fatalf("replayed %d observations, logged %d", len(got), n)
 	}

@@ -54,7 +54,7 @@ type shard struct {
 	// is the front end's to reuse once process returns. obs is the reused
 	// media observation handed to sink.
 	rec flow.Record
-	obs ClusterObs
+	obs mediaObs
 	// so holds this shard's live-metric handles and tallies' feeds: the
 	// engine's own set when inline, a shard-labeled one when queue-fed.
 	so *coreObs
@@ -64,7 +64,7 @@ type shard struct {
 	// matching and feature windows correlate packets across flows, so
 	// they cannot live in a shard. The observation is the shard's to
 	// reuse once sink returns.
-	sink func(*ClusterObs)
+	sink func(*mediaObs)
 	// panicHook, when set, runs inside process's recover scope before
 	// the decode. Tests inject deterministic panics through it.
 	panicHook func(at time.Time, frame []byte)
@@ -316,34 +316,56 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	// The stream's record owns its metric engine; StreamMetrics lists it.
 	own, _ := st.Owner.(*streamOwner)
 	if own == nil {
-		own = &streamOwner{sm: metrics.NewStreamMetrics(zp.Media.Type)}
+		own = &streamOwner{sm: metrics.NewStreamMetrics(zp.Media.Type), id: st.ID}
 		st.Owner = own
 		sh.StreamMetrics[st.ID] = own.sm
 	}
 	o := &sh.obs
-	o.Seq, o.At, o.Flow = seq, at, ft
-	o.Key = st.ID.Key
-	o.WireLen, o.PayloadLen = wireLen, len(pkt.Payload)
+	o.Seq, o.At, o.own = seq, at, own
+	o.WireLen, o.PayloadLen = uint32(wireLen), uint32(len(pkt.Payload))
 	o.PT, o.RTPSeq, o.RTPTS = zp.RTP.PayloadType, zp.RTP.SequenceNumber, zp.RTP.Timestamp
-	o.dedup = &own.dedup
 	sh.sink(o)
 
 	own.touch(sh.ckEpoch)
 	own.sm.Observe(at, wireLen, &zp.Media, &zp.RTP)
 }
 
+// mediaObs is one media-stream observation as it travels inside a
+// process: what a shard hands its sink for every media packet, what a
+// queue-fed shard's log holds, and what reconState.observe replays. It
+// names its stream by the owner, not by key: every observation of a
+// stream points at the one streamOwner, which holds the stream's ID and
+// the reconciliation consumer's Dedup handle, so the log pays a pointer
+// per packet instead of the 64-byte ID. ClusterObs is its form outside
+// the process (SetClusterSink, MergeCluster).
+type mediaObs struct {
+	// Seq is the front end's global capture sequence number of the
+	// packet; logs from several shards are replayed in Seq order.
+	Seq uint64
+	At  time.Time
+	own *streamOwner
+	// WireLen/PayloadLen are the packet sizes the feature windower
+	// consumes.
+	WireLen, PayloadLen uint32
+	RTPTS               uint32
+	RTPSeq              uint16
+	PT                  uint8
+}
+
 // streamOwner is what a shard hangs on a flow-table stream record
 // (flow.StreamStats.Owner), the last two links of the chain flow → stream →
 // substream → owner → Dedup record: the stream's metric engine, which
-// lives, is checkpointed and is evicted with the record, and the
-// reconciliation consumer's handle to the stream's record in the duplicate
-// detector. The shard only ever takes the handle's address, to send it
-// along with each observation; reading and writing it is the
-// reconciliation goroutine's alone. Idle eviction and Rotate start from an
-// empty owner; a decoding pass keeps a record's (a delta updates the
-// Dedup's records in place, so the handle holds) or makes an empty one.
+// lives, is checkpointed and is evicted with the record, the stream's ID,
+// and the reconciliation consumer's handle to the stream's record in the
+// duplicate detector. The shard sets the ID when it makes the owner and
+// only ever takes the owner's address afterwards, to send it along with
+// each observation; reading and writing the handle is the reconciliation
+// goroutine's alone. Idle eviction and Rotate start from an empty owner; a
+// decoding pass keeps a record's (a delta updates the Dedup's records in
+// place, so the handle holds) or makes an empty one.
 type streamOwner struct {
 	sm    *metrics.StreamMetrics
+	id    flow.MediaStreamID // immutable: the record's ID
 	dedup meeting.Handle
 	epoch uint32 // the shard's ckEpoch at the engine's last MarkDirty
 }
