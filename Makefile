@@ -157,6 +157,11 @@ soak-smoke:
 
 # Short native-fuzz runs over every packet codec: the parsers face
 # hostile bytes in production, so every CI run hammers them briefly.
+# The Zoom and RTP targets hold the parsers to the simulator's writer,
+# the only packet writer there is: a payload that parses and that the
+# writer can express (no CSRC, extension or padding) is rewritten from
+# its decoded fields and must parse back to the same fields; both seed
+# from the golden frames.
 # The checkpoint decoder faces hostile bytes too (a corrupt or truncated
 # checkpoint file must never panic or half-restore); its target caps
 # minimize time because each exec restores a full engine. The front-end
@@ -273,6 +278,7 @@ loc:
 	@cat $$(ls cmd/*/*.go | grep -v _test.go) | wc -l | xargs echo "cmd non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | wc -l | xargs echo "internal/rtp + internal/metrics non-test lines:"
 	@cat $$(ls internal/rtp/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/rtp + internal/metrics non-test code:"
+	@cat $$(ls internal/zoom/*.go internal/rtp/*.go | grep -v _test.go) | grep -ciE '^func (\([^)]*\) )?[a-z]*(marshal|append|encode|write|fromtime)[a-z]*\(' | xargs echo "packet writer functions in internal/zoom + internal/rtp non-test code (target 0):"
 	@cat $$(ls internal/flow/*.go internal/meeting/*.go internal/metrics/*.go | grep -v _test.go) | grep -c 'map\[' | xargs echo "map types named in internal/flow + internal/meeting + internal/metrics non-test code:"
 	@awk '/^type shardState struct {/ {in_st=1; next} in_st && /^}/ {exit} in_st && !/^\t*\/\// && /map\[/ {n++} END {print "maps in core.shardState:", n+0}' internal/core/shard.go
 	@$(GO) test -count=1 -run TestFrameRecordSize -v ./internal/metrics/ | grep -o 'bytes per finished frame: [0-9]*'

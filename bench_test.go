@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/sim"
 	"zoomlens/internal/trace"
 )
 
@@ -35,28 +36,18 @@ func printReport(key, body string) {
 }
 
 // BenchmarkTable1HeaderFields regenerates Table 1 and measures the
-// encode+decode round trip of the documented header layout.
+// documented header layout written by the simulator's writer and read
+// back by the parser.
 func BenchmarkTable1HeaderFields(b *testing.B) {
 	printReport("Table 1", Table1().String())
-	pkt := ZoomPacket{
-		ServerBased: true,
-		SFU:         SFUEncap{Type: 0x05, Sequence: 7, Direction: 0x04},
-		Media: MediaEncap{
-			Type: TypeVideo, Sequence: 9, Timestamp: 90000,
-			FrameSequence: 3, PacketsInFrame: 2,
-		},
-		RTP: RTPPacket{},
-	}
-	pkt.RTP.PayloadType = 98
-	pkt.RTP.SSRC = 16778241
-	pkt.RTP.Payload = make([]byte, 1000)
+	h := sim.Header{Kind: sim.KindVideo, SFUSeq: 7, FromSFU: true, MediaSeq: 9, MediaTS: 90000,
+		FrameSeq: 3, FramePkts: 2, PT: sim.PTVideoMain, SSRC: 16778241}
+	payload := make([]byte, 1000)
+	wire := make([]byte, 0, h.Len()+len(payload))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire, err := pkt.Marshal()
-		if err != nil {
-			b.Fatal(err)
-		}
+		wire = append(sim.AppendHeaders(wire[:0], &h), payload...)
 		if _, err := ParseZoomPacket(wire); err != nil {
 			b.Fatal(err)
 		}

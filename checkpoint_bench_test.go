@@ -16,8 +16,7 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
-	"zoomlens/internal/rtp"
-	"zoomlens/internal/zoom"
+	"zoomlens/internal/sim"
 )
 
 // checkpointStateAnalyzer grows an analyzer to the requested number of
@@ -43,29 +42,9 @@ func checkpointStateAnalyzer(tb testing.TB, streams int) *Analyzer {
 			uint16(20000+s%16),
 		)
 		for p := 0; p < packetsPerStream; p++ {
-			zp := zoom.Packet{
-				ServerBased: true,
-				SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: uint16(p), Direction: zoom.DirToSFU},
-				Media: zoom.MediaEncap{
-					Type:      zoom.TypeVideo,
-					Sequence:  uint16(p),
-					Timestamp: uint32(p * 3000),
-				},
-				RTP: rtp.Packet{
-					Header: rtp.Header{
-						PayloadType:    98,
-						SequenceNumber: uint16(p),
-						Timestamp:      uint32(p * 3000),
-						SSRC:           uint32(s + 1),
-					},
-					Payload: []byte{0xde, 0xad, 0xbe, 0xef},
-				},
-			}
-			payload, err := zp.Marshal()
-			if err != nil {
-				tb.Fatal(err)
-			}
-			frame := layers.EthernetIPv4UDP(src, dst, 64, payload)
+			h := sim.Header{Kind: sim.KindVideo, SFUSeq: uint16(p), MediaSeq: uint16(p), MediaTS: uint32(p * 3000),
+				PT: sim.PTVideoMain, Seq: uint16(p), TS: uint32(p * 3000), SSRC: uint32(s + 1)}
+			frame := layers.EthernetIPv4UDP(src, dst, 64, append(sim.AppendHeaders(nil, &h), 0xde, 0xad, 0xbe, 0xef))
 			a.Packet(start.Add(time.Duration(p)*33*time.Millisecond), frame)
 		}
 	}

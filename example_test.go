@@ -8,27 +8,27 @@ import (
 	"zoomlens"
 )
 
-// Parsing one Zoom packet: build a server-based video packet in the
-// documented wire format and decode it back.
+// Parsing one Zoom packet: a server-based video packet, annotated with
+// the Table 1 and Table 2 rows each byte range comes from.
 func ExampleParseZoomPacket() {
-	pkt := zoomlens.ZoomPacket{
-		ServerBased: true,
-		SFU:         zoomlens.SFUEncap{Type: 0x05, Sequence: 42, Direction: 0x04},
-		Media: zoomlens.MediaEncap{
-			Type:           zoomlens.TypeVideo,
-			Sequence:       100,
-			Timestamp:      900000,
-			FrameSequence:  7,
-			PacketsInFrame: 3,
-		},
+	wire := []byte{
+		0x05,       // SFU encapsulation type: a media encapsulation follows (Table 1)
+		0x00, 0x2a, // SFU sequence number (bytes 1-2)
+		0, 0, 0, 0, // not decoded (bytes 3-6)
+		0x04,                   // direction: from the SFU (byte 7)
+		0x10,                   // media encapsulation type 16: video, RTP at 24 (Table 2)
+		0, 0, 0, 0, 0, 0, 0, 0, // not decoded (bytes 1-8)
+		0x00, 0x64, // media sequence number (bytes 9-10)
+		0x00, 0x0d, 0xbb, 0xa0, // media timestamp (bytes 11-14)
+		0, 0, 0, 0, 0, 0, // not decoded (bytes 15-20)
+		0x00, 0x07, // frame sequence number (bytes 21-22)
+		0x03,       // packets in the frame (byte 23)
+		0x80, 0xe2, // RTP: version 2; marker, payload type 98 (Table 3)
+		0x15, 0xb3, // RTP sequence number
+		0x00, 0x0d, 0xbc, 0x9a, // RTP timestamp
+		0x01, 0x00, 0x04, 0x01, // SSRC
+		0xde, 0xad, 0xbe, 0xef, // encrypted payload
 	}
-	pkt.RTP.PayloadType = 98
-	pkt.RTP.SequenceNumber = 5555
-	pkt.RTP.Timestamp = 900000
-	pkt.RTP.SSRC = 16778241
-	pkt.RTP.Payload = []byte("encrypted")
-
-	wire, _ := pkt.Marshal()
 	got, err := zoomlens.ParseZoomPacket(wire)
 	if err != nil {
 		panic(err)

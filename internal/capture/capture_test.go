@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"zoomlens/internal/layers"
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/stun"
-	"zoomlens/internal/zoom"
 )
 
 var (
@@ -147,16 +146,8 @@ func TestNonSTUNPort3478PayloadNotRegistered(t *testing.T) {
 }
 
 func TestValidateP2P(t *testing.T) {
-	pkt := zoom.Packet{
-		Media: zoom.MediaEncap{Type: zoom.TypeAudio, Sequence: 1, Timestamp: 2},
-		RTP: rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTAudioSpeak, SSRC: 5},
-			Payload: []byte("audio")},
-	}
-	wire, err := pkt.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ValidateP2P(wire) {
+	h := sim.Header{Layout: sim.LayoutP2P, Kind: sim.KindAudio, MediaSeq: 1, MediaTS: 2, PT: sim.PTAudioSpeak, SSRC: 5}
+	if !ValidateP2P(append(sim.AppendHeaders(nil, &h), "audio"...)) {
 		t.Error("ValidateP2P = false for genuine Zoom P2P payload")
 	}
 	if ValidateP2P([]byte("definitely not zoom media")) {
@@ -309,17 +300,8 @@ func TestP2PPortReuseFalsePositiveFiltered(t *testing.T) {
 	zc := ap("52.81.200.1:3478")
 	otherPeer := ap("198.51.100.77:9999")
 
-	zoomPayload := func() []byte {
-		pkt := zoom.Packet{
-			Media: zoom.MediaEncap{Type: zoom.TypeVideo, Sequence: 1, Timestamp: 2, PacketsInFrame: 1},
-			RTP:   rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTVideoMain, SSRC: 5}, Payload: []byte("x")},
-		}
-		w, err := pkt.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}()
+	h := sim.Header{Layout: sim.LayoutP2P, Kind: sim.KindVideo, MediaSeq: 1, MediaTS: 2, FramePkts: 1, PT: sim.PTVideoMain, SSRC: 5}
+	zoomPayload := append(sim.AppendHeaders(nil, &h), 'x')
 
 	for _, validate := range []bool{false, true} {
 		f := NewFilter(Config{

@@ -13,7 +13,7 @@ import (
 	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/zoom"
 )
 
@@ -204,29 +204,17 @@ func floodSrc(rng *rand.Rand) netip.AddrPort {
 }
 
 func zoomAudioFrame(rng *rand.Rand, src, dst netip.AddrPort, ssrc uint32, pt uint8) []byte {
-	zp := zoom.Packet{
-		ServerBased: true,
-		SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: uint16(rng.Intn(1 << 16)), Direction: zoom.DirToSFU},
-		Media: zoom.MediaEncap{
-			Type:      zoom.TypeAudio,
-			Sequence:  uint16(rng.Intn(1 << 16)),
-			Timestamp: rng.Uint32(),
-		},
-		RTP: rtp.Packet{
-			Header: rtp.Header{
-				PayloadType:    pt,
-				SequenceNumber: uint16(rng.Intn(1 << 16)),
-				Timestamp:      rng.Uint32(),
-				SSRC:           ssrc,
-			},
-			Payload: []byte{0xde, 0xad, 0xbe, 0xef},
-		},
+	h := sim.Header{ // fields in the order the rng draws them
+		Kind:     sim.KindAudio,
+		SFUSeq:   uint16(rng.Intn(1 << 16)),
+		MediaSeq: uint16(rng.Intn(1 << 16)),
+		MediaTS:  rng.Uint32(),
+		PT:       pt,
+		Seq:      uint16(rng.Intn(1 << 16)),
+		TS:       rng.Uint32(),
+		SSRC:     ssrc,
 	}
-	payload, err := zp.Marshal()
-	if err != nil {
-		panic(err)
-	}
-	return layers.EthernetIPv4UDP(src, dst, 64, payload)
+	return layers.EthernetIPv4UDP(src, dst, 64, append(sim.AppendHeaders(nil, &h), 0xde, 0xad, 0xbe, 0xef))
 }
 
 // TestQuarantineRingKeepsNewest: a ring of two fed three frames keeps the

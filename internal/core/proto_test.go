@@ -12,7 +12,7 @@ import (
 	"zoomlens/internal/layers"
 	"zoomlens/internal/obs"
 	"zoomlens/internal/rtcproto"
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/stun"
 	"zoomlens/internal/zoom"
 )
@@ -28,18 +28,9 @@ func TestSTUNPortRequiresFraming(t *testing.T) {
 	at := time.Unix(1700000000, 0)
 
 	// A Zoom media packet whose source port happens to be 3478.
-	zp := zoom.Packet{
-		Media: zoom.MediaEncap{Type: zoom.TypeAudio, Sequence: 1, Timestamp: 48000},
-		RTP: rtp.Packet{
-			Header:  rtp.Header{PayloadType: zoom.PTAudioSpeak, SequenceNumber: 1, Timestamp: 48000, SSRC: 11},
-			Payload: make([]byte, 60),
-		},
-	}
-	payload, err := zp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Packet(at, layers.EthernetIPv4UDP(src, dst, 64, payload))
+	h := sim.Header{Layout: sim.LayoutP2P, Kind: sim.KindAudio, MediaSeq: 1, MediaTS: 48000,
+		PT: sim.PTAudioSpeak, Seq: 1, TS: 48000, SSRC: 11}
+	a.Packet(at, layers.EthernetIPv4UDP(src, dst, 64, append(sim.AppendHeaders(nil, &h), make([]byte, 60)...)))
 
 	if a.STUNPackets != 0 {
 		t.Errorf("STUNPackets = %d, want 0 (no STUN framing)", a.STUNPackets)
@@ -83,24 +74,12 @@ func webrtcMediaFrames(t *testing.T, client, server netip.AddrPort) (frames [][]
 	add(layers.EthernetIPv4UDP(stunSrv, client, 57, resp.Marshal()))
 	// Media: Opus up, VP8 down, same bundled flow.
 	for i := 0; i < 40; i++ {
-		up := rtp.Packet{
-			Header:  rtp.Header{PayloadType: 111, SequenceNumber: uint16(100 + i), Timestamp: uint32(48000 + 960*i), SSRC: 0xaaaa0001},
-			Payload: make([]byte, 80),
-		}
-		raw, err := up.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(layers.EthernetIPv4UDP(client, server, 64, raw))
-		down := rtp.Packet{
-			Header:  rtp.Header{PayloadType: 96, SequenceNumber: uint16(500 + i), Timestamp: uint32(90000 + 3000*i), SSRC: 0xbbbb0002, Marker: i%2 == 1},
-			Payload: make([]byte, 1000),
-		}
-		raw, err = down.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(layers.EthernetIPv4UDP(server, client, 57, raw))
+		up := sim.Header{Layout: sim.LayoutBare, Kind: sim.KindAudio,
+			PT: 111, Seq: uint16(100 + i), TS: uint32(48000 + 960*i), SSRC: 0xaaaa0001}
+		add(layers.EthernetIPv4UDP(client, server, 64, append(sim.AppendHeaders(nil, &up), make([]byte, 80)...)))
+		down := sim.Header{Layout: sim.LayoutBare, Kind: sim.KindVideo,
+			PT: 96, Seq: uint16(500 + i), TS: uint32(90000 + 3000*i), SSRC: 0xbbbb0002, Marker: i%2 == 1}
+		add(layers.EthernetIPv4UDP(server, client, 57, append(sim.AppendHeaders(nil, &down), make([]byte, 1000)...)))
 	}
 	return frames, times
 }

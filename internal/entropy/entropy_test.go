@@ -5,8 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"zoomlens/internal/rtp"
-	"zoomlens/internal/zoom"
+	"zoomlens/internal/sim"
 )
 
 func constSeq(v uint64, n int) Sequence {
@@ -112,31 +111,15 @@ func zoomVideoPayloads(t *testing.T, n int) [][]byte {
 	for i := 0; i < n; i++ {
 		enc := make([]byte, 600)
 		rng.Read(enc)
-		p := zoom.Packet{
-			ServerBased: true,
-			SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: uint16(i), Direction: zoom.DirFromSFU},
-			Media: zoom.MediaEncap{
-				Type: zoom.TypeVideo, Sequence: uint16(i), Timestamp: ts,
-				FrameSequence: uint16(i / 3), PacketsInFrame: 3,
-			},
-			RTP: rtp.Packet{
-				Header: rtp.Header{
-					PayloadType:    zoom.PTVideoMain,
-					SequenceNumber: uint16(4000 + i),
-					Timestamp:      ts,
-					SSRC:           16778241,
-				},
-				Payload: enc,
-			},
+		h := sim.Header{
+			Kind: sim.KindVideo, SFUSeq: uint16(i), FromSFU: true,
+			MediaSeq: uint16(i), MediaTS: ts, FrameSeq: uint16(i / 3), FramePkts: 3,
+			PT: sim.PTVideoMain, Seq: uint16(4000 + i), TS: ts, SSRC: 16778241,
 		}
 		if i%3 == 2 {
 			ts += 3000
 		}
-		wire, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, wire)
+		out = append(out, append(sim.AppendHeaders(nil, &h), enc...))
 	}
 	return out
 }

@@ -6,8 +6,15 @@ import (
 	"testing"
 
 	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/zoom"
 )
+
+// write returns the simulator's headers for h followed by n bytes of
+// payload.
+func write(h sim.Header, n int) []byte {
+	return append(sim.AppendHeaders(nil, &h), make([]byte, n)...)
+}
 
 func names(set []Plugin) string {
 	out := make([]string, len(set))
@@ -129,22 +136,12 @@ func TestProbeDisjoint(t *testing.T) {
 // webrtc decode produces: kind maps to the Zoom media-type codes and the
 // media-framing sequence/timestamp mirror the RTP header.
 func TestWebRTCDecodeNormalization(t *testing.T) {
-	rp := rtp.Packet{
-		Header: rtp.Header{
-			PayloadType:    111, // conventional Opus: audio
-			SequenceNumber: 4242,
-			Timestamp:      96000,
-			SSRC:           0xdecafbad,
-			Marker:         true,
-		},
-		Payload: make([]byte, 80),
-	}
-	raw, err := rp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := sim.Header{Layout: sim.LayoutBare, Kind: sim.KindAudio,
+		PT:  111, // conventional Opus: audio
+		Seq: 4242, TS: 96000, SSRC: 0xdecafbad, Marker: true}
+	raw := write(h, 80)
 	if !WebRTC().Probe(raw) {
-		t.Fatal("webrtc probe rejected a marshaled RTP packet")
+		t.Fatal("webrtc probe rejected a written RTP packet")
 	}
 	if Zoom().Probe(raw) {
 		t.Fatal("zoom probe claimed a standards RTP packet")
@@ -171,13 +168,8 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 	}
 
 	// Video payload type.
-	rp.PayloadType = 96
-	rp.Payload = make([]byte, 1100)
-	raw, err = rp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo, err = WebRTC().Decode(raw)
+	h.PT = 96
+	mo, err = WebRTC().Decode(write(h, 1100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +178,12 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 	}
 
 	// RTCP sender report, with and without the SDES chunk.
-	sr := rtp.SenderReport{SSRC: 7, RTPTS: 1234, PacketCount: 10, OctetCount: 1000}
 	for _, withSDES := range []bool{false, true} {
-		raw := rtp.MarshalSR(sr, withSDES)
-		mo, err := WebRTC().Decode(raw)
+		sr := sim.Header{Layout: sim.LayoutBare, Kind: sim.KindSR, SSRC: 7, TS: 1234, Packets: 10, Octets: 1000}
+		if withSDES {
+			sr.Kind = sim.KindSRSDES
+		}
+		mo, err := WebRTC().Decode(write(sr, 0))
 		if err != nil {
 			t.Fatalf("decode SR (sdes=%t): %v", withSDES, err)
 		}
@@ -209,19 +203,10 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 // TestZoomPluginDecode round-trips one Zoom media packet through the
 // plugin and confirms the probe mirrors ParsePacket's grammar.
 func TestZoomPluginDecode(t *testing.T) {
-	zp := zoom.Packet{
-		Media: zoom.MediaEncap{Type: zoom.TypeAudio, Sequence: 9, Timestamp: 48000},
-		RTP: rtp.Packet{
-			Header:  rtp.Header{PayloadType: zoom.PTAudioSpeak, SequenceNumber: 9, Timestamp: 48000, SSRC: 5},
-			Payload: make([]byte, 60),
-		},
-	}
-	raw, err := zp.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := write(sim.Header{Layout: sim.LayoutP2P, Kind: sim.KindAudio, MediaSeq: 9, MediaTS: 48000,
+		PT: sim.PTAudioSpeak, Seq: 9, TS: 48000, SSRC: 5}, 60)
 	if !Zoom().Probe(raw) {
-		t.Fatal("zoom probe rejected a marshaled Zoom packet")
+		t.Fatal("zoom probe rejected a written Zoom packet")
 	}
 	if WebRTC().Probe(raw) {
 		t.Fatal("webrtc probe claimed a Zoom packet")
@@ -243,44 +228,38 @@ func TestZoomPluginDecode(t *testing.T) {
 // reports, CSRC lists, SFU framing — gives what Decode returns for it
 // by value, and a refused payload leaves the zero packet.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
-	marshal := func(b []byte, err error) []byte {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	// busy is an RTP header the simulator never writes: marker, PT 96,
+	// CSRCs 5 and 6 and a one-word extension.
+	busy := []byte{0x92, 0xe0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 6, 0xbe, 0xde, 0, 1, 1, 2, 3, 4}
+	busyRTP := append(append([]byte(nil), busy...), make([]byte, 1100)...)
+	// busyZoom is the writer's SFU and media encapsulations of a video
+	// packet with busy in place of its RTP header.
+	busyZoom := write(sim.Header{Kind: sim.KindVideo, FromSFU: true, MediaSeq: 3, MediaTS: 90000, FramePkts: 2}, 0)
+	busyZoom = append(append(busyZoom[:len(busyZoom)-rtp.HeaderLen], busy...), make([]byte, 300)...)
+	sr := func(layout sim.Layout, k sim.Kind) []byte {
+		return write(sim.Header{Layout: layout, Kind: k, SSRC: 7, TS: 1234, Packets: 10, Octets: 1000}, 0)
 	}
-	busy := rtp.Header{PayloadType: 96, Marker: true, SequenceNumber: 9, Timestamp: 1, SSRC: 2,
-		CSRC: []uint32{5, 6}, Extension: true, ExtensionProfile: 0xbede, ExtensionData: []byte{1, 2, 3, 4}}
-	sr := rtp.SenderReport{SSRC: 7, RTPTS: 1234, PacketCount: 10, OctetCount: 1000}
-	zoomRTCP := func(mt zoom.MediaType) []byte {
-		p := zoom.Packet{ServerBased: true, SFU: zoom.SFUEncap{Type: zoom.SFUTypeMedia}, Media: zoom.MediaEncap{Type: mt},
-			RTCP: rtp.CompoundPacket{SenderReports: []rtp.SenderReport{sr}}}
-		return marshal(p.Marshal())
-	}
-	zoomMedia := func(mt zoom.MediaType, serverBased bool, h rtp.Header) []byte {
-		p := zoom.Packet{ServerBased: serverBased, SFU: zoom.SFUEncap{Type: zoom.SFUTypeMedia, Direction: zoom.DirFromSFU},
-			Media: zoom.MediaEncap{Type: mt, Sequence: 3, Timestamp: 90000, PacketsInFrame: 2},
-			RTP:   rtp.Packet{Header: h, Payload: make([]byte, 300)}}
-		return marshal(p.Marshal())
+	zoomMedia := func(k sim.Kind, layout sim.Layout, pt uint8, ssrc uint32) []byte {
+		return write(sim.Header{Layout: layout, Kind: k, FromSFU: true, MediaSeq: 3, MediaTS: 90000, FramePkts: 2, PT: pt, SSRC: ssrc}, 300)
 	}
 	for _, tc := range []struct {
 		plugin   Plugin
 		fixtures [][]byte
 	}{
 		{Zoom(), [][]byte{
-			zoomMedia(zoom.TypeVideo, true, busy),
-			zoomMedia(zoom.TypeAudio, false, rtp.Header{PayloadType: zoom.PTAudioSpeak, SSRC: 5}),
-			zoomMedia(zoom.TypeScreenShare, true, rtp.Header{PayloadType: zoom.PTScreenShare, SSRC: 6}),
-			zoomRTCP(zoom.TypeRTCPSR),
-			zoomRTCP(zoom.TypeRTCPSRSDES),
-			zoomMedia(zoom.TypeVideo, true, busy)[:zoom.SFUEncapLen+30], // claimed by the probe, refused by the decode
+			busyZoom,
+			zoomMedia(sim.KindAudio, sim.LayoutP2P, sim.PTAudioSpeak, 5),
+			zoomMedia(sim.KindScreen, sim.LayoutServer, sim.PTScreenShare, 6),
+			sr(sim.LayoutServer, sim.KindSR),
+			sr(sim.LayoutServer, sim.KindSRSDES),
+			busyZoom[:zoom.SFUEncapLen+30], // claimed by the probe, refused by the decode
 			{byte(zoom.TypeVideo)},
 		}},
 		{WebRTC(), [][]byte{
-			marshal((&rtp.Packet{Header: busy, Payload: make([]byte, 1100)}).Marshal()),
-			marshal((&rtp.Packet{Header: rtp.Header{PayloadType: 111, SSRC: 3}, Payload: make([]byte, 80)}).Marshal()),
-			rtp.MarshalSR(sr, false),
-			rtp.MarshalSR(sr, true),
+			busyRTP,
+			write(sim.Header{Layout: sim.LayoutBare, Kind: sim.KindAudio, PT: 111, SSRC: 3}, 80),
+			sr(sim.LayoutBare, sim.KindSR),
+			sr(sim.LayoutBare, sim.KindSRSDES),
 			{0x8f, 205, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2}, // transport feedback: claimed, not modeled
 		}},
 	} {

@@ -25,15 +25,7 @@ type NTPTime uint64
 
 var ntpEpoch = time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// NTPFromTime converts a wall-clock time to NTP format.
-func NTPFromTime(t time.Time) NTPTime {
-	d := t.Sub(ntpEpoch)
-	sec := uint64(d / time.Second)
-	frac := uint64(d%time.Second) << 32 / uint64(time.Second)
-	return NTPTime(sec<<32 | frac)
-}
-
-// Time converts an NTP timestamp back to wall-clock time.
+// Time converts an NTP timestamp to wall-clock time.
 func (n NTPTime) Time() time.Time {
 	sec := uint64(n) >> 32
 	frac := uint64(n) & 0xffffffff
@@ -65,7 +57,7 @@ type ReceptionReport struct {
 }
 
 // SDESItem is one chunk of a source description packet. Zoom's SDES chunks
-// are empty in practice (§4.2.3); we still support CNAME round-trips.
+// are empty in practice (§4.2.3); a CNAME item is still parsed.
 type SDESItem struct {
 	SSRC  uint32
 	CNAME string
@@ -195,36 +187,4 @@ func parseSDES(body []byte, chunkCount int) ([]SDESItem, error) {
 		items = append(items, item)
 	}
 	return items, nil
-}
-
-// MarshalSR serializes a sender report, optionally followed by an SDES
-// chunk (always structurally present when withSDES is set, matching Zoom's
-// type-34 packets whose SDES is empty).
-func MarshalSR(sr SenderReport, withSDES bool) []byte {
-	words := 6 + 6*len(sr.Reports)
-	out := make([]byte, 0, 4*(words+1)+12)
-	b0 := byte(Version<<6) | byte(len(sr.Reports))
-	out = append(out, b0, RTCPTypeSR)
-	out = binary.BigEndian.AppendUint16(out, uint16(words))
-	out = binary.BigEndian.AppendUint32(out, sr.SSRC)
-	out = binary.BigEndian.AppendUint64(out, uint64(sr.NTPTS))
-	out = binary.BigEndian.AppendUint32(out, sr.RTPTS)
-	out = binary.BigEndian.AppendUint32(out, sr.PacketCount)
-	out = binary.BigEndian.AppendUint32(out, sr.OctetCount)
-	for _, rr := range sr.Reports {
-		out = binary.BigEndian.AppendUint32(out, rr.SSRC)
-		out = append(out, rr.FractionLost, byte(rr.CumulativeLost>>16), byte(rr.CumulativeLost>>8), byte(rr.CumulativeLost))
-		out = binary.BigEndian.AppendUint32(out, rr.HighestSeq)
-		out = binary.BigEndian.AppendUint32(out, rr.Jitter)
-		out = binary.BigEndian.AppendUint32(out, rr.LastSR)
-		out = binary.BigEndian.AppendUint32(out, rr.DelaySinceLastSR)
-	}
-	if withSDES {
-		// One chunk: SSRC + terminator padded to a word (empty item list,
-		// as observed in Zoom traffic).
-		out = append(out, byte(Version<<6)|1, RTCPTypeSDES, 0, 2)
-		out = binary.BigEndian.AppendUint32(out, sr.SSRC)
-		out = append(out, 0, 0, 0, 0)
-	}
-	return out
 }

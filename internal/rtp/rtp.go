@@ -1,5 +1,5 @@
 // Package rtp implements the Real-time Transport Protocol (RFC 3550)
-// header codec together with the sequence-number and timestamp arithmetic
+// header parser together with the sequence-number and timestamp arithmetic
 // needed to analyze media streams: serial-number comparison, the extended
 // highest-sequence bookkeeping from RFC 3550 Appendix A.1, and the
 // interarrival jitter estimator from §6.4.1.
@@ -23,7 +23,7 @@ const Version = 2
 // extensions.
 const HeaderLen = 12
 
-// Errors returned by the codec.
+// Errors returned by the parser.
 var (
 	ErrTruncated  = errors.New("rtp: truncated packet")
 	ErrBadVersion = errors.New("rtp: bad version")
@@ -124,55 +124,6 @@ func (p *Packet) Parse(data []byte) error {
 	}
 	p.Payload = payload
 	return nil
-}
-
-// MarshaledLen returns the number of bytes Marshal will produce.
-func (p *Packet) MarshaledLen() int {
-	n := HeaderLen + 4*len(p.CSRC) + len(p.Payload)
-	if p.Extension {
-		n += 4 + len(p.ExtensionData)
-	}
-	return n
-}
-
-// AppendMarshal appends the wire form of p to dst and returns the extended
-// slice. Padding is not emitted (the Padding flag is serialized as clear);
-// ExtensionData must be a multiple of 4 bytes.
-func (p *Packet) AppendMarshal(dst []byte) ([]byte, error) {
-	if p.Extension && len(p.ExtensionData)%4 != 0 {
-		return dst, fmt.Errorf("rtp: extension data length %d not a multiple of 4", len(p.ExtensionData))
-	}
-	if len(p.CSRC) > 15 {
-		return dst, fmt.Errorf("rtp: %d CSRCs exceeds 15", len(p.CSRC))
-	}
-	b0 := byte(Version << 6)
-	if p.Extension {
-		b0 |= 0x10
-	}
-	b0 |= byte(len(p.CSRC))
-	b1 := p.PayloadType & 0x7f
-	if p.Marker {
-		b1 |= 0x80
-	}
-	dst = append(dst, b0, b1)
-	dst = binary.BigEndian.AppendUint16(dst, p.SequenceNumber)
-	dst = binary.BigEndian.AppendUint32(dst, p.Timestamp)
-	dst = binary.BigEndian.AppendUint32(dst, p.SSRC)
-	for _, c := range p.CSRC {
-		dst = binary.BigEndian.AppendUint32(dst, c)
-	}
-	if p.Extension {
-		dst = binary.BigEndian.AppendUint16(dst, p.ExtensionProfile)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.ExtensionData)/4))
-		dst = append(dst, p.ExtensionData...)
-	}
-	dst = append(dst, p.Payload...)
-	return dst, nil
-}
-
-// Marshal returns the wire form of p.
-func (p *Packet) Marshal() ([]byte, error) {
-	return p.AppendMarshal(make([]byte, 0, p.MarshaledLen()))
 }
 
 // SeqDiff returns the signed distance from a to b (b-a) interpreting the

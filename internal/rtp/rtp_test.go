@@ -3,58 +3,58 @@ package rtp
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"zoomlens/internal/sim"
 )
 
+// writeRTP returns the simulator's RTP header for h's fields, then
+// payload.
+func writeRTP(h Header, payload []byte) []byte {
+	sh := sim.Header{Layout: sim.LayoutBare, Kind: sim.KindVideo, PT: h.PayloadType, Marker: h.Marker,
+		Seq: h.SequenceNumber, TS: h.Timestamp, SSRC: h.SSRC}
+	return append(sim.AppendHeaders(nil, &sh), payload...)
+}
+
 func TestParseMarshalRoundTrip(t *testing.T) {
-	p := Packet{
-		Header: Header{
-			Marker:           true,
-			PayloadType:      98,
-			SequenceNumber:   4711,
-			Timestamp:        0xdeadbeef,
-			SSRC:             0x1234,
-			CSRC:             []uint32{7, 8},
-			Extension:        true,
-			ExtensionProfile: 0xbede,
-			ExtensionData:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		},
-		Payload: []byte("encrypted media"),
-	}
-	wire, err := p.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if len(wire) != p.MarshaledLen() {
-		t.Errorf("len = %d, MarshaledLen = %d", len(wire), p.MarshaledLen())
-	}
-	got, err := Parse(wire)
+	h := Header{Marker: true, PayloadType: 98, SequenceNumber: 4711, Timestamp: 0xdeadbeef, SSRC: 0x1234}
+	payload := []byte("encrypted media")
+	got, err := Parse(writeRTP(h, payload))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got.Marker != p.Marker || got.PayloadType != p.PayloadType ||
-		got.SequenceNumber != p.SequenceNumber || got.Timestamp != p.Timestamp ||
-		got.SSRC != p.SSRC {
-		t.Errorf("header mismatch: %+v", got.Header)
+	if !reflect.DeepEqual(got, Packet{Header: h, Payload: payload}) {
+		t.Errorf("parsed %+v, want %+v", got, Packet{Header: h, Payload: payload})
 	}
-	if len(got.CSRC) != 2 || got.CSRC[0] != 7 || got.CSRC[1] != 8 {
-		t.Errorf("CSRC = %v", got.CSRC)
+
+	// A CSRC list and a header extension, which the simulator never
+	// writes (Zoom's SFU does not mix, §4.2.3), by hand.
+	wire := []byte{
+		0x92,       // V=2, no padding, X=1, CC=2
+		0xe2,       // marker, PT 98
+		0x12, 0x67, // sequence number 4711
+		0xde, 0xad, 0xbe, 0xef, // timestamp
+		0x00, 0x00, 0x12, 0x34, // SSRC
+		0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x08, // CSRCs 7 and 8
+		0xbe, 0xde, 0x00, 0x02, // extension profile 0xbede, two words
+		1, 2, 3, 4, 5, 6, 7, 8,
+		'm', 'e', 'd', 'i', 'a',
 	}
-	if !got.Extension || got.ExtensionProfile != 0xbede || !bytes.Equal(got.ExtensionData, p.ExtensionData) {
-		t.Errorf("extension mismatch: %v %x %x", got.Extension, got.ExtensionProfile, got.ExtensionData)
+	got, err = Parse(wire)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
 	}
-	if !bytes.Equal(got.Payload, p.Payload) {
-		t.Errorf("payload = %q", got.Payload)
+	want := Packet{Header: h, Payload: []byte("media")}
+	want.CSRC, want.Extension, want.ExtensionProfile, want.ExtensionData = []uint32{7, 8}, true, 0xbede, []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parsed %+v, want %+v", got, want)
 	}
 }
 
 func TestParsePadding(t *testing.T) {
-	p := Packet{Header: Header{PayloadType: 112, SSRC: 9}, Payload: []byte{1, 2, 3}}
-	wire, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := writeRTP(Header{PayloadType: 112, SSRC: 9}, []byte{1, 2, 3})
 	// Add 3 bytes of padding manually and set the P bit.
 	wire = append(wire, 0, 0, 3)
 	wire[0] |= 0x20
@@ -97,8 +97,7 @@ func TestParseTruncated(t *testing.T) {
 }
 
 func TestParseInvalidPadding(t *testing.T) {
-	p := Packet{Header: Header{SSRC: 1}, Payload: []byte{9}}
-	wire, _ := p.Marshal()
+	wire := writeRTP(Header{SSRC: 1}, []byte{9})
 	wire[0] |= 0x20
 	wire[len(wire)-1] = 200 // pad length larger than payload
 	if _, err := Parse(wire); err == nil {
@@ -280,27 +279,16 @@ func TestJitterTimestampWraparound(t *testing.T) {
 	}
 }
 
+// TestQuickMarshalParseIdentity holds the parser to the simulator's
+// writer: any header it writes parses back to its fields.
 func TestQuickMarshalParseIdentity(t *testing.T) {
 	f := func(pt uint8, seq uint16, ts, ssrc uint32, marker bool, payload []byte) bool {
-		p := Packet{
-			Header: Header{
-				Marker:         marker,
-				PayloadType:    pt & 0x7f,
-				SequenceNumber: seq,
-				Timestamp:      ts,
-				SSRC:           ssrc,
-			},
-			Payload: payload,
-		}
-		wire, err := p.Marshal()
+		h := Header{Marker: marker, PayloadType: pt & 0x7f, SequenceNumber: seq, Timestamp: ts, SSRC: ssrc}
+		got, err := Parse(writeRTP(h, payload))
 		if err != nil {
 			return false
 		}
-		got, err := Parse(wire)
-		if err != nil {
-			return false
-		}
-		return got.PayloadType == p.PayloadType && got.SequenceNumber == seq &&
+		return got.PayloadType == h.PayloadType && got.SequenceNumber == seq &&
 			got.Timestamp == ts && got.SSRC == ssrc && got.Marker == marker &&
 			bytes.Equal(got.Payload, payload)
 	}
@@ -310,8 +298,7 @@ func TestQuickMarshalParseIdentity(t *testing.T) {
 }
 
 func BenchmarkParse(b *testing.B) {
-	p := Packet{Header: Header{PayloadType: 98, SSRC: 42}, Payload: make([]byte, 1100)}
-	wire, _ := p.Marshal()
+	wire := writeRTP(Header{PayloadType: 98, SSRC: 42}, make([]byte, 1100))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

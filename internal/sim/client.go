@@ -7,8 +7,6 @@ import (
 
 	"zoomlens/internal/media"
 	"zoomlens/internal/qos"
-	"zoomlens/internal/rtp"
-	"zoomlens/internal/zoom"
 )
 
 // MediaSet selects which media a participant sends.
@@ -59,7 +57,7 @@ type Client struct {
 	// is always one flow per media type in use"); in P2P mode all media
 	// share this single port. Ports change on SFU↔P2P transitions.
 	mediaPort  uint16
-	mediaPorts map[zoom.MediaType]uint16
+	mediaPorts map[Kind]uint16
 	// p2pPort is the ephemeral port announced in the STUN exchange and
 	// used for a subsequent P2P flow.
 	p2pPort uint16
@@ -101,35 +99,35 @@ func (w *World) NewClientWithAddr(name string, campus bool, addr netip.Addr) *Cl
 	return c
 }
 
-// portFor returns the client-side UDP port carrying mt in the current
-// meeting mode.
-func (c *Client) portFor(mt zoom.MediaType) uint16 {
+// portFor returns the client-side UDP port carrying media of kind k in
+// the current meeting mode.
+func (c *Client) portFor(k Kind) uint16 {
 	if c.meeting != nil && (c.meeting.mode == modeP2P || c.meeting.app == AppWebRTC) {
 		// P2P and webrtc-app meetings bundle all media on one UDP flow
 		// (WebRTC's BUNDLE: the flow the ICE STUN exchange armed).
 		return c.mediaPort
 	}
-	if p, ok := c.mediaPorts[mt]; ok {
+	if p, ok := c.mediaPorts[k]; ok {
 		return p
 	}
 	if c.mediaPorts == nil {
-		c.mediaPorts = make(map[zoom.MediaType]uint16)
+		c.mediaPorts = make(map[Kind]uint16)
 	}
 	p := c.w.ephemeralPort()
-	c.mediaPorts[mt] = p
+	c.mediaPorts[k] = p
 	return p
 }
 
-// flowMediaType maps a packet to the media type whose flow carries it
+// flowMediaType maps a packet to the media kind whose flow carries it
 // (RTCP reports ride their stream's flow).
-func flowMediaType(pkt *wirePacket) zoom.MediaType {
-	switch pkt.mediaType {
-	case zoom.TypeRTCPSR, zoom.TypeRTCPSRSDES:
-		return pkt.rtcpFlowType
+func flowMediaType(pkt *wirePacket) Kind {
+	switch pkt.h.Kind {
+	case KindSR, KindSRSDES:
+		return pkt.rtcpFlowKind
 	case 0:
-		return zoom.TypeVideo // opaque control rides the busiest flow
+		return KindVideo // opaque control rides the busiest flow
 	}
-	return pkt.mediaType
+	return pkt.h.Kind
 }
 
 // DegradeAccess adds persistent extra jitter and loss to this client's
@@ -154,10 +152,10 @@ func (c *Client) QoS() *qos.Recorder {
 
 // streamSender produces one media stream (one SSRC).
 type streamSender struct {
-	c         *Client
-	mediaType zoom.MediaType
-	ssrc      uint32
-	clock     float64 // RTP clock rate
+	c     *Client
+	kind  Kind
+	ssrc  uint32
+	clock float64 // RTP clock rate
 
 	rtpTS     uint32
 	mainSeq   uint16 // RTP seq of the main substream
@@ -190,22 +188,29 @@ type streamSender struct {
 // MTU-ish payload budget per RTP packet.
 const maxRTPPayload = 1150
 
+// RTP timestamp clocks: 90 kHz for video (§5.2). The paper gives none
+// for audio (§6.2); the simulator uses 16 kHz.
+const (
+	videoClockRate = 90000
+	audioClockRate = 16000
+)
+
 // startSenders builds and schedules this client's stream senders.
 func (c *Client) startSenders() {
 	idx := uint32(len(c.meeting.participants)) // stable per participant
-	mk := func(mt zoom.MediaType, streamIdx uint32, clock float64) *streamSender {
+	mk := func(k Kind, streamIdx uint32, clock float64) *streamSender {
 		return &streamSender{
-			c:         c,
-			mediaType: mt,
-			ssrc:      c.meeting.ssrcBase + idx*8 + streamIdx,
-			clock:     clock,
-			rtpTS:     uint32(c.rng.Intn(1 << 20)),
-			mainSeq:   uint16(c.rng.Intn(1 << 14)),
-			fecSeq:    uint16(c.rng.Intn(1 << 14)),
+			c:       c,
+			kind:    k,
+			ssrc:    c.meeting.ssrcBase + idx*8 + streamIdx,
+			clock:   clock,
+			rtpTS:   uint32(c.rng.Intn(1 << 20)),
+			mainSeq: uint16(c.rng.Intn(1 << 14)),
+			fecSeq:  uint16(c.rng.Intn(1 << 14)),
 		}
 	}
 	if c.set.Audio {
-		s := mk(zoom.TypeAudio, 1, zoom.AudioClockRate)
+		s := mk(KindAudio, 1, audioClockRate)
 		cfg := c.set.AudioConfig
 		if cfg.PacketInterval == 0 {
 			cfg = media.DefaultAudioConfig()
@@ -216,7 +221,7 @@ func (c *Client) startSenders() {
 		c.w.Eng.After(jitterStart(c.rng, cfg.PacketInterval), s.tickAudio)
 	}
 	if c.set.Video {
-		s := mk(zoom.TypeVideo, 2, zoom.VideoClockRate)
+		s := mk(KindVideo, 2, videoClockRate)
 		cfg := c.set.VideoConfig
 		if cfg.FPS == 0 {
 			cfg = media.DefaultVideoConfig()
@@ -226,7 +231,7 @@ func (c *Client) startSenders() {
 		c.w.Eng.After(jitterStart(c.rng, 33*time.Millisecond), s.tickVideo)
 	}
 	if c.set.Screen {
-		s := mk(zoom.TypeScreenShare, 3, zoom.VideoClockRate)
+		s := mk(KindScreen, 3, videoClockRate)
 		cfg := c.set.ScreenConfig
 		if cfg.MeanChangeInterval == 0 {
 			cfg = media.DefaultScreenShareConfig()
@@ -286,7 +291,7 @@ func (s *streamSender) tickVideo() {
 	}
 	s.rtpTS += uint32(s.lastDur.Seconds() * s.clock)
 	s.lastDur = f.Duration
-	s.sendFrame(zoom.PTVideoMain, f.Bytes, true)
+	s.sendFrame(PTVideoMain, f.Bytes)
 	s.c.w.Eng.After(f.Duration, s.tickVideo)
 }
 
@@ -301,13 +306,13 @@ func (s *streamSender) tickAudio() {
 	}
 	s.rtpTS += uint32(s.lastDur.Seconds() * s.clock)
 	s.lastDur = f.Duration
-	pt := zoom.PTAudioSpeak
+	pt := PTAudioSpeak
 	if s.c.set.Mobile {
-		pt = zoom.PTAudioMobile
+		pt = PTAudioMobile
 	} else if f.Silent {
-		pt = zoom.PTAudioSilent
+		pt = PTAudioSilent
 	}
-	s.sendFrame(pt, f.Bytes, false)
+	s.sendFrame(pt, f.Bytes)
 	s.c.w.Eng.After(f.Duration, s.tickAudio)
 }
 
@@ -318,14 +323,13 @@ func (s *streamSender) tickScreen() {
 	f, gap := s.screen.Next()
 	s.rtpTS += uint32(s.lastDur.Seconds() * s.clock)
 	s.lastDur = gap
-	s.sendFrame(zoom.PTScreenShare, f.Bytes, false)
+	s.sendFrame(PTScreenShare, f.Bytes)
 	s.c.w.Eng.After(gap, s.tickScreen)
 }
 
 // sendFrame packetizes one frame and transmits its packets plus optional
-// FEC. hasCount marks media types whose encapsulation carries the
-// packets-in-frame field (video).
-func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
+// FEC.
+func (s *streamSender) sendFrame(pt uint8, bytes int) {
 	nPkts := (bytes + maxRTPPayload - 1) / maxRTPPayload
 	if nPkts == 0 {
 		nPkts = 1
@@ -344,7 +348,7 @@ func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
 				sz = 1
 			}
 		}
-		pkt := s.buildMediaPacket(pt, sz, i == nPkts-1, uint8(nPkts), hasCount, false)
+		pkt := s.buildMediaPacket(pt, sz, i == nPkts-1, uint8(nPkts), false)
 		if i == 0 {
 			s.c.transmitMedia(s, pkt, 2)
 		} else {
@@ -361,10 +365,10 @@ func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
 		// model (no PT-110 equivalent; protection is in-band).
 		fecRate = 0
 	}
-	switch s.mediaType {
-	case zoom.TypeAudio:
+	switch s.kind {
+	case KindAudio:
 		fecRate *= 0.33
-	case zoom.TypeScreenShare:
+	case KindScreen:
 		fecRate = 0
 	}
 	if fecRate > 0 && s.c.rng.Float64() < fecRate*float64(nPkts) {
@@ -376,7 +380,7 @@ func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
 		if fecSize < 30 {
 			fecSize = 30
 		}
-		fec := s.buildMediaPacket(zoom.PTFEC, fecSize, false, 0, hasCount, true)
+		fec := s.buildMediaPacket(PTFEC, fecSize, false, 0, true)
 		s.c.w.Eng.After(time.Duration(nPkts)*serialization, func() {
 			s.c.transmitMedia(s, fec, 2)
 		})
@@ -385,25 +389,16 @@ func (s *streamSender) sendFrame(pt uint8, bytes int, hasCount bool) {
 	s.byteCount += uint32(bytes)
 }
 
-// wirePacket carries both the bytes and the metadata the receiving side
-// needs (the receiver could re-parse, but the simulator keeps ground
-// truth attached). Only framing at the tap reads payload.
+// wirePacket carries both the bytes and the header they were written
+// from, which the receiving side reads as ground truth (it could re-parse
+// the bytes, but the simulator keeps the truth attached). Only framing at
+// the tap reads payload.
 type wirePacket struct {
-	payload   []byte // UDP payload (Zoom encapsulations + RTP/RTCP)
-	mediaType zoom.MediaType
-	pt        uint8
-	ssrc      uint32
-	rtpSeq    uint16
-	rtpTS     uint32
-	marker    bool
-	frameSeq  uint16
-	nPkts     uint8
-	sender    *Client
-	// rtcpFlowType records, for RTCP packets, the media type of the
+	payload []byte // UDP payload (Zoom encapsulations + RTP/RTCP)
+	h       Header
+	// rtcpFlowKind records, for RTCP packets, the media kind of the
 	// stream they describe (which selects the carrying flow).
-	rtcpFlowType zoom.MediaType
-	// p2p is set for P2P packets (no SFU encapsulation).
-	p2p bool
+	rtcpFlowKind Kind
 }
 
 // Standards RTP payload types the webrtc app uses: the conventional
@@ -419,14 +414,14 @@ const (
 // a frame (how standards stacks delimit frames).
 func (s *streamSender) buildWebRTCPacket(payloadLen int, marker bool, nPkts uint8) *wirePacket {
 	s.mainSeq++
-	pt := uint8(webrtcPTVideo)
-	if s.mediaType == zoom.TypeAudio {
-		pt = webrtcPTAudio
+	h := Header{Layout: LayoutBare, Kind: s.kind, PT: webrtcPTVideo, Seq: s.mainSeq, Marker: marker, FramePkts: nPkts}
+	if s.kind == KindAudio {
+		h.PT = webrtcPTAudio
 	}
-	return s.rtpPacket(make([]byte, 0, rtp.HeaderLen+payloadLen), pt, s.mainSeq, payloadLen, marker, nPkts, false)
+	return s.rtpPacket(h, payloadLen)
 }
 
-func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, nPkts uint8, hasCount, fec bool) *wirePacket {
+func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, nPkts uint8, fec bool) *wirePacket {
 	if s.c.meeting.app == AppWebRTC {
 		return s.buildWebRTCPacket(payloadLen, marker, nPkts)
 	}
@@ -436,53 +431,23 @@ func (s *streamSender) buildMediaPacket(pt uint8, payloadLen int, marker bool, n
 		seq = &s.fecSeq
 	}
 	*seq++
-	p2p := s.c.meeting.mode == modeP2P
-	media := zoom.MediaEncap{Type: s.mediaType, Sequence: s.mediaSeq, Timestamp: s.rtpTS}
-	if hasCount && s.mediaType == zoom.TypeVideo {
-		media.FrameSequence = s.frameSeq
-		media.PacketsInFrame = nPkts
-	}
-	wire := make([]byte, 0, zoom.SFUEncapLen+s.mediaType.HeaderLen()+rtp.HeaderLen+payloadLen)
-	if !p2p {
+	h := Header{Kind: s.kind, MediaSeq: s.mediaSeq, MediaTS: s.rtpTS, FrameSeq: s.frameSeq, FramePkts: nPkts, PT: pt, Seq: *seq, Marker: marker}
+	if s.c.meeting.mode == modeP2P {
+		h.Layout = LayoutP2P
+	} else {
 		s.c.sfuSeq++
-		sfuHdr := zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.c.sfuSeq, Direction: zoom.DirToSFU}
-		wire = sfuHdr.AppendMarshal(wire)
+		h.SFUSeq = s.c.sfuSeq
 	}
-	wire, err := media.AppendMarshal(wire)
-	if err != nil {
-		panic("sim: marshal media packet: " + err.Error())
-	}
-	return s.rtpPacket(wire, pt, *seq, payloadLen, marker, nPkts, p2p)
+	return s.rtpPacket(h, payloadLen)
 }
 
-// rtpPacket appends an RTP header and payloadLen bytes of ciphertext to
-// wire, which the caller sized for them, and attaches the packet's
-// ground truth.
-func (s *streamSender) rtpPacket(wire []byte, pt uint8, seq uint16, payloadLen int, marker bool, nPkts uint8, p2p bool) *wirePacket {
-	hdr := rtp.Packet{Header: rtp.Header{
-		PayloadType:    pt,
-		SequenceNumber: seq,
-		Timestamp:      s.rtpTS,
-		SSRC:           s.ssrc,
-		Marker:         marker,
-	}}
-	wire, err := hdr.AppendMarshal(wire)
-	if err != nil {
-		panic("sim: marshal rtp header: " + err.Error())
-	}
-	return &wirePacket{
-		payload:   s.c.appendEncrypted(wire, payloadLen),
-		mediaType: s.mediaType,
-		pt:        pt,
-		ssrc:      s.ssrc,
-		rtpSeq:    seq,
-		rtpTS:     s.rtpTS,
-		marker:    marker,
-		frameSeq:  s.frameSeq,
-		nPkts:     nPkts,
-		sender:    s.c,
-		p2p:       p2p,
-	}
+// rtpPacket completes h with the stream's RTP timestamp and SSRC and
+// writes it and payloadLen bytes of ciphertext into one buffer sized for
+// both.
+func (s *streamSender) rtpPacket(h Header, payloadLen int) *wirePacket {
+	h.TS, h.SSRC = s.rtpTS, s.ssrc
+	wire := AppendHeaders(make([]byte, 0, h.Len()+payloadLen), &h)
+	return &wirePacket{payload: s.c.appendEncrypted(wire, payloadLen), h: h}
 }
 
 // entropyPool is a shared block of random bytes that appendEncrypted
@@ -520,51 +485,23 @@ func (c *Client) tickRTCP() {
 		if s.stopped {
 			continue
 		}
-		withSDES := c.rng.Float64() < 0.7 // most SRs carry an (empty) SDES
-		if c.meeting.app == AppWebRTC {
+		h := Header{Kind: KindSR, MediaSeq: s.mediaSeq, MediaTS: s.rtpTS, TS: s.rtpTS, SSRC: s.ssrc,
+			NTP: c.w.Now(), Packets: s.pktCount, Octets: s.byteCount}
+		if c.rng.Float64() < 0.7 { // most SRs carry an (empty) SDES
+			h.Kind = KindSRSDES
+		}
+		switch {
+		case c.meeting.app == AppWebRTC:
 			// Standards compound RTCP: SR (+SDES), demultiplexed from RTP
 			// by the RFC 5761 payload-type octet, on the bundled flow.
-			wire := rtp.MarshalSR(rtp.SenderReport{
-				SSRC:        s.ssrc,
-				NTPTS:       rtp.NTPFromTime(c.w.Now()),
-				RTPTS:       s.rtpTS,
-				PacketCount: s.pktCount,
-				OctetCount:  s.byteCount,
-			}, withSDES)
-			c.transmitMedia(s, &wirePacket{
-				payload: wire, mediaType: zoom.TypeRTCPSR, ssrc: s.ssrc, sender: c,
-				rtcpFlowType: s.mediaType,
-			}, 0)
-			continue
-		}
-		mt := zoom.TypeRTCPSR
-		if withSDES {
-			mt = zoom.TypeRTCPSRSDES
-		}
-		p2p := c.meeting.mode == modeP2P
-		zp := zoom.Packet{
-			ServerBased: !p2p,
-			Media:       zoom.MediaEncap{Type: mt, Sequence: s.mediaSeq, Timestamp: s.rtpTS},
-			RTCP: rtp.CompoundPacket{SenderReports: []rtp.SenderReport{{
-				SSRC:        s.ssrc,
-				NTPTS:       rtp.NTPFromTime(c.w.Now()),
-				RTPTS:       s.rtpTS,
-				PacketCount: s.pktCount,
-				OctetCount:  s.byteCount,
-			}}},
-		}
-		if !p2p {
+			h.Layout = LayoutBare
+		case c.meeting.mode == modeP2P:
+			h.Layout = LayoutP2P
+		default:
 			c.sfuSeq++
-			zp.SFU = zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: c.sfuSeq, Direction: zoom.DirToSFU}
+			h.SFUSeq = c.sfuSeq
 		}
-		wire, err := zp.Marshal()
-		if err != nil {
-			panic("sim: marshal rtcp: " + err.Error())
-		}
-		c.transmitMedia(s, &wirePacket{
-			payload: wire, mediaType: mt, ssrc: s.ssrc, sender: c, p2p: p2p,
-			rtcpFlowType: s.mediaType,
-		}, 0)
+		c.transmitMedia(s, &wirePacket{payload: AppendHeaders(make([]byte, 0, h.Len()), &h), h: h, rtcpFlowKind: s.kind}, 0)
 	}
 	c.w.Eng.After(time.Second, c.tickRTCP)
 }
@@ -578,10 +515,10 @@ func (c *Client) tickControl() {
 	}
 	if c.meeting.mode != modeP2P {
 		c.sfuSeq++
-		hdr := zoom.SFUEncap{Type: 0x07, Sequence: c.sfuSeq, Direction: zoom.DirToSFU}
+		h := Header{Layout: LayoutSFU, SFUType: sfuTypeControl, SFUSeq: c.sfuSeq}
 		n := 40 + c.rng.Intn(80)
-		payload := c.appendEncrypted(hdr.AppendMarshal(make([]byte, 0, zoom.SFUEncapLen+n)), n)
-		c.transmitMedia(nil, &wirePacket{payload: payload, sender: c, mediaType: 0}, 0)
+		payload := c.appendEncrypted(AppendHeaders(make([]byte, 0, h.Len()+n), &h), n)
+		c.transmitMedia(nil, &wirePacket{payload: payload, h: h}, 0)
 	}
 	c.w.Eng.After(80*time.Millisecond+time.Duration(c.rng.Intn(int(80*time.Millisecond))), c.tickControl)
 }
@@ -600,14 +537,14 @@ func (c *Client) transmitMedia(s *streamSender, pkt *wirePacket, retries int) {
 	var dst netip.AddrPort
 	var p *path
 	var to *Client
-	if pkt.p2p && m.mode == modeP2P {
+	if p2p := pkt.h.Layout == LayoutP2P; p2p && m.mode == modeP2P {
 		to = m.otherParticipant(c)
 		if to == nil {
 			return
 		}
 		dst = netip.AddrPortFrom(to.Addr, to.mediaPort)
 		p = c.w.pathP2P(c, to)
-	} else if !pkt.p2p && m.mode == modeSFU {
+	} else if !p2p && m.mode == modeSFU {
 		dst = c.w.SFUAddrPort()
 		if m.app == AppWebRTC {
 			dst = c.w.WebRTCAddrPort()

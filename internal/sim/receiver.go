@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"zoomlens/internal/qos"
-	"zoomlens/internal/zoom"
 )
 
 // receiver is the receiving half of a client: it reassembles incoming
@@ -60,20 +59,21 @@ func (c *Client) receiveMedia(at time.Time, pkt *wirePacket) {
 }
 
 func (r *receiver) observe(at time.Time, pkt *wirePacket) {
-	if pkt.mediaType != zoom.TypeVideo || (pkt.pt != zoom.PTVideoMain && pkt.pt != webrtcPTVideo) {
+	h := &pkt.h
+	if h.Kind != KindVideo || (h.PT != PTVideoMain && h.PT != webrtcPTVideo) {
 		return
 	}
 	// Jitter accounting on the first packet of each frame.
-	k := frameKey{pkt.ssrc, pkt.rtpTS}
+	k := frameKey{h.SSRC, h.TS}
 	if r.frameSeen[k] == 0 {
 		if !r.lastArrival.IsZero() {
-			dR := at.Sub(r.lastArrival).Seconds() * zoom.VideoClockRate
-			dS := float64(int32(pkt.rtpTS - r.lastTS))
+			dR := at.Sub(r.lastArrival).Seconds() * videoClockRate
+			dS := float64(int32(h.TS - r.lastTS))
 			d := dR - dS
 			if d < 0 {
 				d = -d
 			}
-			ms := d / zoom.VideoClockRate * 1000
+			ms := d / videoClockRate * 1000
 			// Zoom's reported jitter never exceeded ~2 ms in the paper's
 			// experiments even under heavy congestion (§5.4); the paper
 			// hypothesizes FEC-aware or heavily smoothed computation. We
@@ -86,10 +86,10 @@ func (r *receiver) observe(at time.Time, pkt *wirePacket) {
 			// Adaptation signal: responsive EWMA.
 			r.recentJitterMS += (ms - r.recentJitterMS) / 8
 		}
-		r.lastArrival, r.lastTS = at, pkt.rtpTS
+		r.lastArrival, r.lastTS = at, h.TS
 	}
 	r.frameSeen[k]++
-	if !r.frameDone[k] && pkt.nPkts > 0 && r.frameSeen[k] >= int(pkt.nPkts) {
+	if !r.frameDone[k] && h.FramePkts > 0 && r.frameSeen[k] >= int(h.FramePkts) {
 		r.frameDone[k] = true
 		r.deliveredIn++
 	}
@@ -100,7 +100,7 @@ func (r *receiver) observe(at time.Time, pkt *wirePacket) {
 
 func (r *receiver) gc() {
 	for k := range r.frameSeen {
-		if int32(r.lastTS-k.ts) > 10*zoom.VideoClockRate {
+		if int32(r.lastTS-k.ts) > 10*videoClockRate {
 			delete(r.frameSeen, k)
 			delete(r.frameDone, k)
 		}

@@ -3,8 +3,6 @@ package sim
 import (
 	"net/netip"
 	"time"
-
-	"zoomlens/internal/zoom"
 )
 
 // sfu models a Zoom multimedia router: it replicates every media packet
@@ -27,12 +25,12 @@ func (s *sfu) receive(at time.Time, from *Client, pkt *wirePacket) {
 	if m == nil || m.mode != modeSFU {
 		return
 	}
-	if pkt.mediaType == 0 {
+	if pkt.h.Kind == 0 {
 		return // opaque control traffic terminates at the server
 	}
 	// Zoom's SFU forwards only a few concurrent audio streams (active
 	// speakers); everyone's video/screen is replicated.
-	if flowMediaType(pkt) == zoom.TypeAudio && !m.audioForwarded(from) {
+	if flowMediaType(pkt) == KindAudio && !m.audioForwarded(from) {
 		return
 	}
 	for _, p := range m.participants {
@@ -59,7 +57,7 @@ func (s *sfu) forward(to *Client, pkt *wirePacket) {
 		// leaving the inner media encapsulation and RTP bytes untouched:
 		// Zoom's SFU does not translate timestamps or sequence numbers.
 		seg.fromSFU, seg.sfuSeq = true, s.sfuSeq[to]
-		seg.payload = pkt.payload[zoom.SFUEncapLen:]
+		seg.payload = pkt.payload[SFUEncapsulation.Len:]
 	}
 	seg.dst = netip.AddrPortFrom(to.Addr, to.portFor(flowMediaType(pkt)))
 	p := &to.fromSFU

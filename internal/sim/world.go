@@ -41,7 +41,6 @@ import (
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/netsim"
-	"zoomlens/internal/zoom"
 )
 
 // Options configures a simulated world.
@@ -202,8 +201,8 @@ type segment struct {
 func (w *World) tap(at time.Time, s segment) {
 	payload := s.payload
 	if s.fromSFU {
-		hdr := zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.sfuSeq, Direction: zoom.DirFromSFU}
-		w.sfuPayload = append(hdr.AppendMarshal(w.sfuPayload[:0]), payload...)
+		h := Header{Layout: LayoutSFU, SFUType: SFUTypeMedia, SFUSeq: s.sfuSeq, FromSFU: true}
+		w.sfuPayload = append(AppendHeaders(w.sfuPayload[:0], &h), payload...)
 		payload = w.sfuPayload
 	}
 	var frame []byte
@@ -277,9 +276,10 @@ func (w *World) NewWebRTCMeeting() *Meeting {
 	return m
 }
 
-// SFUAddrPort returns the media server endpoint.
+// SFUAddrPort returns the media server endpoint: UDP port 8801, Zoom's
+// media servers' (§4.1).
 func (w *World) SFUAddrPort() netip.AddrPort {
-	return netip.AddrPortFrom(w.Opts.SFUAddr, zoom.ServerMediaPort)
+	return netip.AddrPortFrom(w.Opts.SFUAddr, 8801)
 }
 
 // webrtcMediaPort is the UDP port the standards-RTC media server sends

@@ -17,8 +17,7 @@ import (
 
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
-	"zoomlens/internal/rtp"
-	"zoomlens/internal/zoom"
+	"zoomlens/internal/sim"
 )
 
 // StreamConfig shapes a StreamGen workload.
@@ -61,15 +60,8 @@ func DefaultStreamConfig() StreamConfig {
 
 // soakStream is one live synthetic stream's generator state.
 type soakStream struct {
-	client  netip.AddrPort
-	server  netip.AddrPort
-	ssrc    uint32
-	video   bool
-	rtpSeq  uint16
-	rtpTS   uint32
-	mediaSq uint16
-	sfuSeq  uint16
-	frameSq uint8
+	client, server netip.AddrPort
+	h              sim.Header // the previous packet's, which Next advances
 }
 
 // StreamGen emits the workload one record at a time. Not safe for
@@ -80,6 +72,7 @@ type StreamGen struct {
 	rng     *rand.Rand
 	streams []soakStream
 	payload []byte
+	wire    []byte // the UDP payload being built, reused
 	now     time.Time
 	emitted int
 	next    int // round-robin cursor
@@ -120,14 +113,12 @@ func (g *StreamGen) newStream() soakStream {
 	// stay unique; servers sit on the Zoom media port.
 	client := netip.AddrPortFrom(randomAddrIn(g.rng, g.cfg.CampusNet), uint16(20000+g.rng.Intn(40000)))
 	server := netip.AddrPortFrom(randomAddrIn(g.rng, g.cfg.ZoomNet), 8801)
-	return soakStream{
-		client: client,
-		server: server,
-		ssrc:   0x10000 + id,
-		video:  id%3 != 0,
-		rtpSeq: uint16(g.rng.Intn(1 << 16)),
-		rtpTS:  g.rng.Uint32(),
+	s := soakStream{client: client, server: server, h: sim.Header{Kind: sim.KindAudio, FromSFU: true, PT: sim.PTAudioSpeak,
+		Seq: uint16(g.rng.Intn(1 << 16)), TS: g.rng.Uint32(), SSRC: 0x10000 + id}}
+	if id%3 != 0 {
+		s.h.Kind, s.h.PT, s.h.Marker, s.h.FramePkts = sim.KindVideo, sim.PTVideoMain, true, 1
 	}
+	return s
 }
 
 // Now returns the current trace-clock time.
@@ -146,43 +137,14 @@ func (g *StreamGen) Next(rec *pcap.Record) error {
 	s := &g.streams[g.next%len(g.streams)]
 	g.next++
 
-	mt, pt := zoom.TypeAudio, zoom.PTAudioSpeak
-	if s.video {
-		mt, pt = zoom.TypeVideo, zoom.PTVideoMain
+	h := &s.h
+	h.Seq, h.TS, h.MediaSeq, h.SFUSeq = h.Seq+1, h.TS+3000, h.MediaSeq+1, h.SFUSeq+1
+	h.MediaTS = h.TS
+	if h.Kind == sim.KindVideo {
+		h.FrameSeq = (h.FrameSeq + 1) % 256 // the soak's frame counter has always been one byte
 	}
-	s.rtpSeq++
-	s.rtpTS += 3000
-	s.mediaSq++
-	s.sfuSeq++
-	p := zoom.Packet{
-		ServerBased: true,
-		SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: s.sfuSeq, Direction: zoom.DirFromSFU},
-		Media: zoom.MediaEncap{
-			Type:      mt,
-			Sequence:  s.mediaSq,
-			Timestamp: s.rtpTS,
-		},
-		RTP: rtp.Packet{
-			Header: rtp.Header{
-				PayloadType:    pt,
-				SequenceNumber: s.rtpSeq,
-				Timestamp:      s.rtpTS,
-				SSRC:           s.ssrc,
-			},
-			Payload: g.payload,
-		},
-	}
-	if s.video {
-		s.frameSq++
-		p.Media.FrameSequence = uint16(s.frameSq)
-		p.Media.PacketsInFrame = 1
-		p.RTP.Header.Marker = true
-	}
-	payload, err := p.Marshal()
-	if err != nil {
-		return fmt.Errorf("trace: marshaling soak packet: %w", err)
-	}
-	frame := layers.EthernetIPv4UDP(s.server, s.client, 64, payload)
+	g.wire = append(sim.AppendHeaders(g.wire[:0], h), g.payload...)
+	frame := layers.EthernetIPv4UDP(s.server, s.client, 64, g.wire)
 
 	g.now = g.now.Add(g.cfg.Interval)
 	g.emitted++

@@ -3,30 +3,19 @@ package webrtc
 import (
 	"testing"
 
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 )
 
-func marshal(t *testing.T, p rtp.Packet) []byte {
-	t.Helper()
-	raw, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+// write returns the simulator's standards-RTC headers for h followed by
+// n bytes of payload.
+func write(h sim.Header, n int) []byte {
+	h.Layout = sim.LayoutBare
+	return append(sim.AppendHeaders(nil, &h), make([]byte, n)...)
 }
 
 func TestParseRTP(t *testing.T) {
-	p := rtp.Packet{
-		Header: rtp.Header{
-			PayloadType:    111,
-			SequenceNumber: 100,
-			Timestamp:      48000,
-			SSRC:           0xabad1dea,
-		},
-		Payload: make([]byte, 90),
-	}
-	raw := marshal(t, p)
-	got, err := Parse(raw)
+	h := sim.Header{Kind: sim.KindAudio, PT: 111, Seq: 100, TS: 48000, SSRC: 0xabad1dea}
+	got, err := Parse(write(h, 90))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +25,13 @@ func TestParseRTP(t *testing.T) {
 	if got.Kind != KindAudio {
 		t.Errorf("Kind = %v, want audio", got.Kind)
 	}
-	if got.RTP.SSRC != p.SSRC || got.RTP.SequenceNumber != p.SequenceNumber {
+	if got.RTP.SSRC != h.SSRC || got.RTP.SequenceNumber != h.Seq {
 		t.Errorf("header mismatch: %+v", got.RTP.Header)
 	}
 }
 
 func TestParseRTCP(t *testing.T) {
-	raw := rtp.MarshalSR(rtp.SenderReport{SSRC: 3, RTPTS: 10}, true)
-	got, err := Parse(raw)
+	got, err := Parse(write(sim.Header{Kind: sim.KindSRSDES, SSRC: 3, TS: 10}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +50,7 @@ func TestProbeRejects(t *testing.T) {
 		"version 0":    append([]byte{0x00}, make([]byte, 20)...),
 		"version 1":    append([]byte{0x40, 111}, make([]byte, 20)...),
 		"zoom type 5":  append([]byte{5}, make([]byte, 30)...),
-		"header only":  marshalHeaderOnly(),
+		"header only":  write(sim.Header{Kind: sim.KindVideo, PT: 96}, 0), // SRTP media always carries ciphertext
 		"csrc overrun": {0x8f, 111, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1},
 	}
 	for name, payload := range cases {
@@ -70,13 +58,6 @@ func TestProbeRejects(t *testing.T) {
 			t.Errorf("Probe accepted %s", name)
 		}
 	}
-}
-
-func marshalHeaderOnly() []byte {
-	// A syntactically valid RTP header with zero payload: SRTP media
-	// always carries ciphertext, so Probe must reject it.
-	raw, _ := (&rtp.Packet{Header: rtp.Header{PayloadType: 96}}).Marshal()
-	return raw
 }
 
 func TestClassifyRTP(t *testing.T) {
@@ -125,11 +106,8 @@ func TestProbeParseAgreement(t *testing.T) {
 func FuzzWebRTCParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 111, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xaa})
-	f.Add(rtp.MarshalSR(rtp.SenderReport{SSRC: 1}, true))
-	seed := rtp.Packet{Header: rtp.Header{PayloadType: 96, Extension: true, ExtensionProfile: 0xbede, ExtensionData: []byte{1, 2, 3, 4}}, Payload: []byte{9, 9}}
-	if raw, err := seed.Marshal(); err == nil {
-		f.Add(raw)
-	}
+	f.Add(write(sim.Header{Kind: sim.KindSRSDES, SSRC: 1}, 0))
+	f.Add([]byte{0x90, 96, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xbe, 0xde, 0, 1, 1, 2, 3, 4, 9, 9}) // header extension, which the writer never emits
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Parse(data)
 		if err != nil && Probe(data) && !(len(data) >= 2 && isRTCPOctet(data[1])) {

@@ -1,8 +1,12 @@
 package zoom
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"zoomlens/internal/sim"
 )
 
 func TestGenerateLuaDissectorStructure(t *testing.T) {
@@ -31,13 +35,6 @@ func TestGenerateLuaDissectorStructure(t *testing.T) {
 			t.Errorf("header length %s for %v missing", lenEntry, mt)
 		}
 	}
-	// Video field offsets from Table 1.
-	if !strings.Contains(src, "tvb(21,2)") || !strings.Contains(src, "tvb(23,1)") {
-		t.Error("video frame fields not at Table 1 offsets")
-	}
-	if !strings.Contains(src, "tvb(9,2)") || !strings.Contains(src, "tvb(11,4)") {
-		t.Error("media seq/timestamp not at Table 1 offsets")
-	}
 	// Cheap syntactic sanity: parens balance and every block has an end.
 	if strings.Count(src, "(") != strings.Count(src, ")") {
 		t.Error("unbalanced parentheses in generated Lua")
@@ -46,6 +43,46 @@ func TestGenerateLuaDissectorStructure(t *testing.T) {
 	blocks := strings.Count(src, "function") + strings.Count(src, "if ")
 	if ends < blocks {
 		t.Errorf("blocks=%d ends=%d: missing end?", blocks, ends)
+	}
+}
+
+// TestLuaDissectorFieldsTable1 holds every field the generated
+// dissector reads, tvb(offset,length), to a row of the simulator's
+// transcription of Table 1, and every row to a field the dissector reads.
+func TestLuaDissectorFieldsTable1(t *testing.T) {
+	src := GenerateLuaDissector()
+	// Each field is added to its encapsulation's subtree: sfu or sub.
+	read := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(sfu|sub):add\(f_\w+, tvb\((\d+),(\d+)\)\)`).FindAllStringSubmatch(src, -1) {
+		read[m[1]+" "+m[2]+","+m[3]] = true
+	}
+	rows := map[string]bool{}
+	for _, e := range []struct {
+		tree  string
+		encap sim.Encapsulation
+	}{{"sfu", sim.SFUEncapsulation}, {"sub", sim.MediaEncapsulation}} {
+		for _, f := range e.encap.Fields {
+			rows[e.tree+" "+strconv.Itoa(f.Offset)+","+strconv.Itoa(f.Width)] = true
+		}
+	}
+	if len(read) == 0 {
+		t.Fatal("no tvb(offset,length) field reads in the generated dissector")
+	}
+	for r := range read {
+		if !rows[r] {
+			t.Errorf("the dissector reads %s, which no Table 1 row of the transcription gives", r)
+		}
+	}
+	for r := range rows {
+		if !read[r] {
+			t.Errorf("the transcription's Table 1 row %s is not read by the dissector", r)
+		}
+	}
+	// Any other fixed-offset read: the type byte the dissector branches on.
+	for _, m := range regexp.MustCompile(`tvb\((\d+),(\d+)\)`).FindAllStringSubmatch(src, -1) {
+		if !rows["sfu "+m[1]+","+m[2]] && !rows["sub "+m[1]+","+m[2]] {
+			t.Errorf("the dissector reads tvb(%s,%s), which matches no Table 1 row", m[1], m[2])
+		}
 	}
 }
 

@@ -1,30 +1,14 @@
-// Package zoom implements the proprietary Zoom packet encapsulations
+// Package zoom parses the proprietary Zoom packet encapsulations
 // reverse-engineered in §4.2 of the paper: the 8-byte Zoom SFU
 // encapsulation that prefixes server-based traffic, and the
 // variable-length Zoom media encapsulation that precedes RTP or RTCP in
-// both server-based and peer-to-peer traffic.
+// both server-based and peer-to-peer traffic. Field offsets follow
+// Table 1 (the constants below) and header lengths Table 2
+// (MediaType.HeaderLen); PROTOCOL.md lays both out.
 //
-// Field positions and type values follow Tables 1 and 2 of the paper
-// exactly:
-//
-//	SFU encapsulation (server-based traffic only, 8 bytes):
-//	  byte 0    type (0x05 ⇒ a media encapsulation follows; 98.4 % of pkts)
-//	  bytes 1-2 sequence number (big endian)
-//	  bytes 3-6 reserved / not understood
-//	  byte 7    direction: 0x00 to SFU, 0x04 from SFU
-//
-//	Media encapsulation (length depends on the type byte):
-//	  byte 0      type: 13 screen share, 15 audio, 16 video, 33/34 RTCP
-//	  bytes 9-10  sequence number (big endian)
-//	  bytes 11-14 timestamp (big endian)
-//	  video only:
-//	  bytes 21-22 frame sequence number (big endian)
-//	  byte 23     number of packets in the frame
-//
-//	RTP/RTCP offset from the start of the media encapsulation:
-//	  video 24, audio 19, screen share 27, RTCP 16
-//	(Table 2 lists these offsets from the end of the UDP header for P2P
-//	traffic; server-based traffic adds the 8-byte SFU encapsulation.)
+// The package is parse-only: the simulator writes these packets from its
+// own transcription of the paper's tables (internal/sim/wire.go), and
+// golden frames pin the parser to it byte for byte.
 package zoom
 
 import (
@@ -38,6 +22,18 @@ import (
 // ServerMediaPort is the UDP port Zoom servers (multimedia routers) use
 // for media traffic.
 const ServerMediaPort = 8801
+
+// Field offsets of Table 1, in bytes from the start of each
+// encapsulation. The parser and the generated Wireshark dissector read
+// them from here.
+const (
+	sfuSeqOff    = 1  // SFU sequence number, bytes 1-2
+	sfuDirOff    = 7  // SFU direction
+	mediaSeqOff  = 9  // media sequence number, bytes 9-10
+	mediaTSOff   = 11 // media timestamp, bytes 11-14
+	frameSeqOff  = 21 // video frame sequence number, bytes 21-22
+	framePktsOff = 23 // video packets in the frame
+)
 
 // SFU encapsulation constants.
 const (
@@ -117,11 +113,6 @@ const (
 // discovered in §5.2 (also RFC 3551's recommendation for video).
 const VideoClockRate = 90000
 
-// AudioClockRate is the presumed audio sampling clock. The paper is not
-// certain of audio/screen-share clocks (§6.2) and neither are we; the
-// simulator uses 16 kHz for audio timestamps.
-const AudioClockRate = 16000
-
 // Errors returned by the parser.
 var (
 	ErrTruncated   = errors.New("zoom: truncated packet")
@@ -133,8 +124,6 @@ type SFUEncap struct {
 	Type      uint8
 	Sequence  uint16
 	Direction uint8
-	// Reserved preserves bytes 3-6, which the paper does not decode.
-	Reserved [4]byte
 }
 
 // FromSFU reports whether the direction byte marks server-to-client
@@ -149,19 +138,9 @@ func ParseSFUEncap(data []byte) (SFUEncap, []byte, error) {
 		return s, nil, fmt.Errorf("%w: sfu encapsulation needs %d bytes, have %d", ErrTruncated, SFUEncapLen, len(data))
 	}
 	s.Type = data[0]
-	s.Sequence = binary.BigEndian.Uint16(data[1:3])
-	copy(s.Reserved[:], data[3:7])
-	s.Direction = data[7]
+	s.Sequence = binary.BigEndian.Uint16(data[sfuSeqOff:])
+	s.Direction = data[sfuDirOff]
 	return s, data[SFUEncapLen:], nil
-}
-
-// AppendMarshal appends the wire form of s to dst.
-func (s *SFUEncap) AppendMarshal(dst []byte) []byte {
-	dst = append(dst, s.Type)
-	dst = binary.BigEndian.AppendUint16(dst, s.Sequence)
-	dst = append(dst, s.Reserved[:]...)
-	dst = append(dst, s.Direction)
-	return dst
 }
 
 // MediaEncap is a decoded Zoom media encapsulation header.
@@ -173,11 +152,6 @@ type MediaEncap struct {
 	// (Type == TypeVideo).
 	FrameSequence  uint16
 	PacketsInFrame uint8
-	// Raw aliases the full wire-format header as parsed (like
-	// rtp.Packet.Payload, it shares the input buffer). It preserves the
-	// bytes the paper does not decode so that marshal(parse(x)) == x;
-	// nil for packets constructed in memory.
-	Raw []byte
 }
 
 // ParseMediaEncap decodes a media encapsulation header and returns the
@@ -195,39 +169,13 @@ func ParseMediaEncap(data []byte) (MediaEncap, []byte, error) {
 	if len(data) < hl {
 		return m, nil, fmt.Errorf("%w: media encapsulation type %s needs %d bytes, have %d", ErrTruncated, m.Type, hl, len(data))
 	}
-	m.Sequence = binary.BigEndian.Uint16(data[9:11])
-	m.Timestamp = binary.BigEndian.Uint32(data[11:15])
+	m.Sequence = binary.BigEndian.Uint16(data[mediaSeqOff:])
+	m.Timestamp = binary.BigEndian.Uint32(data[mediaTSOff:])
 	if m.Type == TypeVideo {
-		m.FrameSequence = binary.BigEndian.Uint16(data[21:23])
-		m.PacketsInFrame = data[23]
+		m.FrameSequence = binary.BigEndian.Uint16(data[frameSeqOff:])
+		m.PacketsInFrame = data[framePktsOff]
 	}
-	m.Raw = data[:hl]
 	return m, data[hl:], nil
-}
-
-// AppendMarshal appends the wire form of m to dst. When Raw is present
-// (from a previous parse), its undecoded bytes are preserved; otherwise
-// those positions are zero.
-func (m *MediaEncap) AppendMarshal(dst []byte) ([]byte, error) {
-	hl := m.Type.HeaderLen()
-	if hl == 0 {
-		return dst, fmt.Errorf("%w: media type %d", ErrUnknownType, uint8(m.Type))
-	}
-	start := len(dst)
-	if len(m.Raw) == hl {
-		dst = append(dst, m.Raw...)
-	} else {
-		dst = append(dst, make([]byte, hl)...)
-	}
-	hdr := dst[start : start+hl]
-	hdr[0] = uint8(m.Type)
-	binary.BigEndian.PutUint16(hdr[9:11], m.Sequence)
-	binary.BigEndian.PutUint32(hdr[11:15], m.Timestamp)
-	if m.Type == TypeVideo {
-		binary.BigEndian.PutUint16(hdr[21:23], m.FrameSequence)
-		hdr[23] = m.PacketsInFrame
-	}
-	return dst, nil
 }
 
 // Packet is a fully parsed Zoom UDP payload.
@@ -333,32 +281,4 @@ func (p *Packet) parseInner(data []byte) error {
 	}
 	p.ServerBased, p.SFU, p.Media = false, SFUEncap{}, media
 	return nil
-}
-
-// Marshal serializes the packet (SFU encapsulation if ServerBased, media
-// encapsulation, then the RTP or RTCP body).
-func (p *Packet) Marshal() ([]byte, error) {
-	var out []byte
-	if p.ServerBased {
-		out = p.SFU.AppendMarshal(out)
-	}
-	out, err := p.Media.AppendMarshal(out)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case p.Media.Type.IsRTP():
-		out, err = p.RTP.AppendMarshal(out)
-		if err != nil {
-			return nil, err
-		}
-	case p.Media.Type.IsRTCP():
-		if len(p.RTCP.SenderReports) == 0 {
-			// A parsed compound can legally hold no sender report (e.g.
-			// receiver-report-only); refuse rather than index past it.
-			return nil, fmt.Errorf("zoom: rtcp packet has no sender report to marshal")
-		}
-		out = append(out, rtp.MarshalSR(p.RTCP.SenderReports[0], p.Media.Type == TypeRTCPSRSDES)...)
-	}
-	return out, nil
 }

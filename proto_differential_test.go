@@ -23,9 +23,8 @@ import (
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/rtcproto"
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/trace"
-	"zoomlens/internal/zoom"
 )
 
 // mixedCampus is a fast mixed-app campus workload: roughly half the
@@ -206,32 +205,22 @@ func lateCopyTrace() (recs []pcap.Record, cfg Config) {
 	a, b, c := netip.MustParseAddrPort("10.8.1.2:52000"), netip.MustParseAddrPort("10.8.7.7:61000"), netip.MustParseAddrPort("10.8.9.9:40000")
 	start := time.Date(2022, 5, 5, 10, 0, 0, 0, time.UTC)
 	var bld layers.Builder
-	add := func(at time.Duration, src, dst netip.AddrPort, dir uint8, mt zoom.MediaType, ssrc uint32, pt uint8, seq uint16, ts uint32) {
-		zp := zoom.Packet{
-			ServerBased: true,
-			SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: seq, Direction: dir},
-			Media:       zoom.MediaEncap{Type: mt, Sequence: seq, Timestamp: ts, FrameSequence: seq, PacketsInFrame: 1},
-			RTP: rtp.Packet{
-				Header:  rtp.Header{PayloadType: pt, SequenceNumber: seq, Timestamp: ts, SSRC: ssrc, Marker: true},
-				Payload: make([]byte, 200),
-			},
-		}
-		payload, err := zp.Marshal()
-		if err != nil {
-			panic(err)
-		}
+	add := func(at time.Duration, src, dst netip.AddrPort, fromSFU bool, k sim.Kind, ssrc uint32, pt uint8, seq uint16, ts uint32) {
+		h := sim.Header{Kind: k, SFUSeq: seq, FromSFU: fromSFU, MediaSeq: seq, MediaTS: ts, FrameSeq: seq, FramePkts: 1,
+			PT: pt, Seq: seq, TS: ts, SSRC: ssrc, Marker: true}
+		payload := append(sim.AppendHeaders(nil, &h), make([]byte, 200)...)
 		recs = append(recs, pcap.Record{Timestamp: start.Add(at), Data: bytes.Clone(bld.BuildUDP(src, dst, 64, payload))})
 	}
 	const frame, ticks = 33 * time.Millisecond, 2970 // one 30 fps frame on the wall and RTP clocks
 	for i := 0; i < 50; i++ {
-		add(time.Duration(i)*frame, a, sfu, zoom.DirToSFU, zoom.TypeVideo, 100, 98, uint16(i), uint32(1000+i*ticks))
+		add(time.Duration(i)*frame, a, sfu, false, sim.KindVideo, 100, 98, uint16(i), uint32(1000+i*ticks))
 	}
 	idle := 49 * frame
 	for i := 0; i < 4300; i++ {
-		add(idle+50*time.Millisecond+time.Duration(i)*300*time.Microsecond, c, sfu, zoom.DirToSFU, zoom.TypeAudio, 200, 112, uint16(i), uint32(i*320))
+		add(idle+50*time.Millisecond+time.Duration(i)*300*time.Microsecond, c, sfu, false, sim.KindAudio, 200, 112, uint16(i), uint32(i*320))
 	}
 	for i := 0; i < 30; i++ {
-		add(idle+1550*time.Millisecond+time.Duration(i)*frame, sfu, b, zoom.DirFromSFU, zoom.TypeVideo, 100, 98, uint16(50+i), uint32(1000+49*ticks+135000+i*ticks))
+		add(idle+1550*time.Millisecond+time.Duration(i)*frame, sfu, b, true, sim.KindVideo, 100, 98, uint16(50+i), uint32(1000+49*ticks+135000+i*ticks))
 	}
 	return recs, Config{
 		ZoomNetworks:   []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"go/build"
 	"hash"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestSimulatorGoldenDigests(t *testing.T) {
 // simulated (so it also counts legs no tap sees). Events live by value
 // in the engine's heap and frames are built into one reused buffer at
 // the tap, so what is left is each packet's own payload, its closures
-// and its flight record: 4.90 per tapped frame, down from 15.5 when
+// and its flight record: 4.85 per tapped frame, down from 15.5 when
 // every event, link closure and frame copy was its own allocation. The
 // budget is an eighth above the measured value.
 func TestSimAllocsPerFrameBounded(t *testing.T) {
@@ -116,5 +117,25 @@ func TestSimAllocsPerFrameBounded(t *testing.T) {
 	t.Logf("simulator: %.2f allocs per tapped frame over %d frames", perFrame, frames)
 	if perFrame > budget {
 		t.Errorf("simulator allocates %.2f per tapped frame, budget %.1f", perFrame, budget)
+	}
+}
+
+// TestGeneratorImportsNoAnalyzerCodec keeps the traffic generators off
+// the analyzer's packet codecs: the simulator and the soak generator
+// write Zoom and RTP packets from the simulator's own transcription of
+// the paper's tables (internal/sim/wire.go), so that the golden frames,
+// which pin that transcription to the parser, are the only place the two
+// meet.
+func TestGeneratorImportsNoAnalyzerCodec(t *testing.T) {
+	for _, dir := range []string{"internal/sim", "internal/trace"} {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "zoomlens/internal/zoom" || imp == "zoomlens/internal/rtp" {
+				t.Errorf("%s imports %s outside its tests", dir, imp)
+			}
+		}
 	}
 }

@@ -28,9 +28,8 @@ import (
 	"zoomlens/internal/engine"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/pcap"
-	"zoomlens/internal/rtp"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/trace"
-	"zoomlens/internal/zoom"
 )
 
 // readRSSKB returns the process resident set in kB from /proc, or 0
@@ -301,28 +300,8 @@ func touchStreams(tb testing.TB, a *Analyzer, n int) {
 			netip.AddrFrom4([4]byte{10, byte(s >> 10 & 0x3f), byte(s >> 4 & 0x3f), byte(1 + s&0xf)}),
 			uint16(20000+s%16),
 		)
-		zp := zoom.Packet{
-			ServerBased: true,
-			SFU:         zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: p, Direction: zoom.DirToSFU},
-			Media: zoom.MediaEncap{
-				Type:      zoom.TypeVideo,
-				Sequence:  p,
-				Timestamp: p * 3000,
-			},
-			RTP: rtp.Packet{
-				Header: rtp.Header{
-					PayloadType:    98,
-					SequenceNumber: p,
-					Timestamp:      p * 3000,
-					SSRC:           uint32(s + 1),
-				},
-				Payload: []byte{0xde, 0xad, 0xbe, 0xef},
-			},
-		}
-		payload, err := zp.Marshal()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		a.Packet(at, layers.EthernetIPv4UDP(src, dst, 64, payload))
+		h := sim.Header{Kind: sim.KindVideo, SFUSeq: p, MediaSeq: p, MediaTS: p * 3000,
+			PT: sim.PTVideoMain, Seq: p, TS: p * 3000, SSRC: uint32(s + 1)}
+		a.Packet(at, layers.EthernetIPv4UDP(src, dst, 64, append(sim.AppendHeaders(nil, &h), 0xde, 0xad, 0xbe, 0xef)))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"zoomlens/internal/capture"
 	"zoomlens/internal/flow"
 	"zoomlens/internal/infra"
+	"zoomlens/internal/sim"
 	"zoomlens/internal/zoom"
 )
 
@@ -17,23 +18,24 @@ import (
 // infrastructure survey.
 
 // Table1 renders the cleartext header-field table (Table 1) from the
-// implemented wire format, so the documentation can never drift from
-// the code.
+// simulator's transcription of the wire format, the one the generated
+// traffic is written from; the golden frames pin the parser to the same
+// rows.
 func Table1() *TextTable {
 	t := &TextTable{
 		Title:   "Table 1: Select Header Fields in Cleartext",
 		Headers: []string{"Field Name", "Byte Range", "Comment"},
 	}
-	t.AddRow("Zoom SFU Encapsulation", "", "")
-	t.AddRow("- Type", "0", fmt.Sprintf("0x%02x indicates media encapsulation follows", zoom.SFUTypeMedia))
-	t.AddRow("- Sequence #", "1-2", "")
-	t.AddRow("- Direction", "7", fmt.Sprintf("0x%02x/0x%02x - to/from SFU", zoom.DirToSFU, zoom.DirFromSFU))
-	t.AddRow("Zoom Media Encapsulation", "", "")
-	t.AddRow("- Type", "0", "media type or RTCP")
-	t.AddRow("- Sequence #", "9-10", "")
-	t.AddRow("- Timestamp", "11-14", "")
-	t.AddRow("- Frame seq. #", "21-22", "only in video packets")
-	t.AddRow("- # Packets/frame", "23", "only in video packets")
+	for _, e := range []sim.Encapsulation{sim.SFUEncapsulation, sim.MediaEncapsulation} {
+		t.AddRow(e.Name, "", "")
+		for _, f := range e.Fields {
+			span := fmt.Sprint(f.Offset)
+			if f.Width > 1 {
+				span = fmt.Sprintf("%d-%d", f.Offset, f.Offset+f.Width-1)
+			}
+			t.AddRow("- "+f.Name, span, f.Comment)
+		}
+	}
 	return t
 }
 

@@ -52,7 +52,6 @@ import (
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
 	"zoomlens/internal/obs"
-	"zoomlens/internal/rtp"
 	"zoomlens/internal/sim"
 	"zoomlens/internal/trace"
 	"zoomlens/internal/zoom"
@@ -106,10 +105,6 @@ type (
 type (
 	// ZoomPacket is a fully parsed Zoom UDP payload.
 	ZoomPacket = zoom.Packet
-	// SFUEncap is the 8-byte Zoom SFU encapsulation.
-	SFUEncap = zoom.SFUEncap
-	// MediaEncap is the variable-length Zoom media encapsulation.
-	MediaEncap = zoom.MediaEncap
 	// MediaType is the media encapsulation type byte.
 	MediaType = zoom.MediaType
 	// Substream classifies (media type, RTP payload type) pairs.
@@ -151,9 +146,6 @@ type (
 	// Frame is one reassembled media frame.
 	Frame = metrics.Frame
 )
-
-// RTPPacket is a decoded RTP packet.
-type RTPPacket = rtp.Packet
 
 // Entropy-based header analysis (§4.2.1, Figures 3–5).
 type (
