@@ -321,13 +321,18 @@ DIRTY_RECORDS = cat $(INTERNAL_GO) | awk '/^type [A-Za-z]+ struct {/ {ty = $$2; 
 	END {for (t in dirty) if (t in held) {printf "%s%s", sep, t; sep = " "; n++} print " (" n + 0 ")"}'
 
 # The unreferenced exports (the heuristic described above loc), one name
-# a line. A method's receiver is not a use of its type: a type that only
+# a line. A declaration is a line that begins one (func, type, var,
+# const) or a name list opening a line of a const ( … ) / var ( … )
+# block. A method's receiver is not a use of its type: a type that only
 # its own methods name is dead. exports-check holds them to
 # exports.allow: every one must be listed there with a reason, and every
 # entry there must still be one — so a new dead export, a stale entry or
 # a blank reason fails make ci.
 DEAD_EXPORTS = d=$$(mktemp) u=$$(mktemp); \
-	grep -rhoE '^(func (\([^)]*\) )?|type |var |const )[A-Z][A-Za-z0-9_]*' --include='*.go' --exclude='*_test.go' internal | sed -E 's/.*[ )]//' | sort | uniq -c > $$d; \
+	{ grep -rhoE '^(func (\([^)]*\) )?|type |var |const )[A-Z][A-Za-z0-9_]*' --include='*.go' --exclude='*_test.go' internal | sed -E 's/.*[ )]//'; \
+	  awk '/^(const|var) \($$/ {b = 1; next} /^\)/ {b = 0} \
+		b && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {n = split(substr($$0, 2, RLENGTH - 1), x, ", "); for (i = 1; i <= n; i++) print x[i]}' $(INTERNAL_GO); \
+	} | sort | uniq -c > $$d; \
 	find internal cmd examples bench -name '*.go' ! -name '*_test.go' | xargs cat $$(ls *.go | grep -v _test.go) | sed -E 's://.*::; s/^func \([^)]*\)/func/' | grep -oE '\b[A-Z][A-Za-z0-9_]*\b' | sort | uniq -c > $$u; \
 	awk 'NR==FNR {d[$$2]=$$1; next} ($$2 in d) && $$1==d[$$2] {print $$2}' $$d $$u; \
 	rm -f $$d $$u

@@ -26,11 +26,9 @@ import (
 func checkpointStateAnalyzer(tb testing.TB, streams int) *Analyzer {
 	tb.Helper()
 	cfg := Config{
-		PreFiltered:       true,
-		MaxFlows:          4 * streams,
-		MaxStreams:        2 * streams,
-		MaxMeetingStreams: 4 * streams,
-		MaxFinished:       streams,
+		PreFiltered: true,
+		MaxFlows:    4 * streams,
+		MaxStreams:  2 * streams,
 	}
 	a := NewAnalyzer(cfg)
 	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)

@@ -148,6 +148,12 @@ func TestCLIPipeline(t *testing.T) {
 			t.Errorf("zoomqoe -what %s: %d rows under -flow-ttl 5s (%d streams evicted), %d without", row.what, len(got), st.EvictedStreams, len(want))
 		}
 	}
+	// Every stream segment the report window admitted is one row: each
+	// live one and each one eviction archived.
+	stdout, stderr := stdoutOf(t, bin, "zoomqoe", "-i", filtered, "-what", "streams", "-flow-ttl", "5s")
+	if st, rows := parseStatus(t, stderr), len(dataLines(stdout)); st.EvictedStreams == 0 || uint64(rows) != uint64(st.Streams)+st.EvictedStreams {
+		t.Errorf("zoomqoe -what streams -flow-ttl 5s: %d rows, status %d live + %d evicted streams", rows, st.Streams, st.EvictedStreams)
+	}
 
 	// 3c. -ssrc restricts every per-stream output to that SSRC's rows:
 	// fewer data lines than without it, never none, and no other SSRC's.

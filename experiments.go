@@ -409,9 +409,48 @@ type EntropyReport struct {
 	Classes map[string]FieldClass
 }
 
+// entropyFields are the Figure 5 fields RunEntropyAnalysis classifies:
+// a report key and the transcription row (sim's own copy of Tables 1–2
+// and RFC 3550) that places the field in a server-based video packet.
+var entropyFields = []struct {
+	key string
+	enc *sim.Encapsulation
+	row string
+}{
+	{"sfu.type", &sim.SFUEncapsulation, "Type"},
+	{"sfu.seq", &sim.SFUEncapsulation, "Sequence #"},
+	{"media.type", &sim.MediaEncapsulation, "Type"},
+	{"media.seq", &sim.MediaEncapsulation, "Sequence #"},
+	{"media.ts", &sim.MediaEncapsulation, "Timestamp"},
+	{"rtp.seq", &sim.RTPHeader, "Sequence number"},
+	{"rtp.ts", &sim.RTPHeader, "Timestamp"},
+	{"rtp.ssrc", &sim.RTPHeader, "SSRC"},
+}
+
+// serverVideoField returns where the row named row of enc sits in a
+// server-based video packet's UDP payload: the SFU encapsulation, then
+// the media encapsulation, then RTP at Table 2's video offset (Fig. 7).
+func serverVideoField(enc *sim.Encapsulation, row string) (off, width int) {
+	switch enc {
+	case &sim.MediaEncapsulation:
+		off = sim.SFUEncapsulation.Len
+	case &sim.RTPHeader:
+		off = sim.SFUEncapsulation.Len + sim.MediaHeaderLens[sim.KindVideo]
+	}
+	for _, f := range enc.Fields {
+		if f.Name == row {
+			return off + f.Offset, f.Width
+		}
+	}
+	panic("zoomlens: no row " + row + " in " + enc.Name)
+}
+
 // RunEntropyAnalysis captures one server-based video flow from the
 // simulator and runs the §4.2.1 methodology over it.
 func RunEntropyAnalysis(seed int64) *EntropyReport {
+	sfuType, _ := serverVideoField(&sim.SFUEncapsulation, "Type")
+	mediaType, _ := serverVideoField(&sim.MediaEncapsulation, "Type")
+	rtpStart := sim.SFUEncapsulation.Len + sim.MediaHeaderLens[sim.KindVideo]
 	opts := sim.DefaultOptions()
 	opts.Seed = seed
 	w := sim.NewWorld(opts)
@@ -425,8 +464,8 @@ func RunEntropyAnalysis(seed int64) *EntropyReport {
 		}
 		// A single uplink UDP flow, as in §4.2.1 ("a single UDP stream"):
 		// lock onto the first video-bearing flow seen.
-		if p.UDP.DstPort != zoom.ServerMediaPort || len(p.Payload) <= 32 ||
-			p.Payload[0] != zoom.SFUTypeMedia || p.Payload[8] != uint8(zoom.TypeVideo) {
+		if p.UDP.DstPort != zoom.ServerMediaPort || len(p.Payload) <= rtpStart ||
+			p.Payload[sfuType] != sim.SFUTypeMedia || p.Payload[mediaType] != uint8(sim.KindVideo) {
 			return
 		}
 		if flowSrc == 0 {
@@ -452,14 +491,9 @@ func RunEntropyAnalysis(seed int64) *EntropyReport {
 	class := func(off, width int) FieldClass {
 		return entropy.Classify(entropy.Extract(payloads, off, width)).Class
 	}
-	rep.Classes["sfu.type"] = class(0, 1)
-	rep.Classes["sfu.seq"] = class(1, 2)
-	rep.Classes["media.type"] = class(8, 1)
-	rep.Classes["media.seq"] = class(17, 2)
-	rep.Classes["media.ts"] = class(19, 4)
-	rep.Classes["rtp.seq"] = class(34, 2)
-	rep.Classes["rtp.ts"] = class(36, 4)
-	rep.Classes["rtp.ssrc"] = class(40, 4)
+	for _, f := range entropyFields {
+		rep.Classes[f.key] = class(serverVideoField(f.enc, f.row))
+	}
 	rep.Classes["payload"] = class(100, 4)
 	return rep
 }

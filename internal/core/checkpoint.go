@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 13
+	stateVersion = 14
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -327,7 +327,6 @@ func (sh *shard) code(c *statecodec.Codec) {
 	c.U64(&sh.ShardPanics)
 	c.U64(&sh.EvictedTCP)
 	c.U64(&sh.RejectedTCPPackets)
-	c.U64(&sh.FinishedDropped)
 	c.U64(&sh.transportless)
 	c.U64(&sh.mediaPackets)
 
@@ -342,25 +341,19 @@ func (sh *shard) code(c *statecodec.Codec) {
 	statecodec.Map(c, statecodec.AddrPortKey, &sh.TCP, nil, &sh.tcpLog,
 		func(_ netip.AddrPort, tr *tcprtt.Tracker) { tr.Code(c) })
 
-	// The archive only ever drops from the head (MaxFinished) and
-	// appends at the tail, so the record carries the baseline length,
-	// how many baseline entries were head-dropped since, and the
-	// appended tail (a full record: baseline 0, everything appended). An
-	// archived stream is final, so its entry carries its logs whole.
-	base, drops := sh.ckFinishedLen, sh.ckHeadDrops
+	// The archive only appends, so the record carries the baseline length
+	// and the appended tail (a full record: baseline 0, everything
+	// appended). An archived stream is final, so its entry carries its
+	// logs whole.
+	base := sh.ckFinishedLen
 	if c.Full() {
-		base, drops = 0, 0
+		base = 0
 	}
-	c.Int(&base)
-	c.Int(&drops)
-	if !c.Encoding() {
-		if base != len(sh.Finished) || drops < 0 || drops > base {
-			c.Failf("core: shard archive baseline %d with %d head drops does not match engine archive %d", base, drops, len(sh.Finished))
-			return
-		}
-		sh.Finished = append(sh.Finished[:0], sh.Finished[drops:]...)
+	if c.Int(&base); !c.Encoding() && base != len(sh.Finished) {
+		c.Failf("core: shard archive baseline %d does not match engine archive %d", base, len(sh.Finished))
+		return
 	}
-	statecodec.Slice(c, &sh.Finished, base-drops, func(f *FinishedStream) {
+	statecodec.Slice(c, &sh.Finished, base, func(f *FinishedStream) {
 		f.ID.Code(c)
 		c.Time(&f.FirstSeen)
 		c.Time(&f.LastSeen)

@@ -47,7 +47,10 @@ type Config struct {
 	// Bounded-state hardening for continuous deployments (§6's 12-hour
 	// tap, and beyond). All zero values mean unlimited/disabled — the
 	// right default for one-shot trace analysis, where results must not
-	// depend on caps.
+	// depend on caps. The caps bound concurrent state; what a report
+	// window keeps for its whole length (the archive, the duplicate
+	// detector's records, RTT samples) is bounded by rotating the window
+	// (Rotate), not by a cap.
 
 	// MaxFlows and MaxStreams bound the flow table (see flow.Limits).
 	// Entries turned away at a cap are counted, not silently dropped. The
@@ -58,17 +61,6 @@ type Config struct {
 	// (effectiveMaxCopyPending).
 	MaxFlows   int
 	MaxStreams int
-	// MaxMeetingStreams caps the duplicate-stream detector's records. It
-	// is not derived from MaxStreams like the others because it bounds a
-	// different quantity: MaxStreams is how many streams are live at
-	// once (idle ones are evicted), while the detector keeps one record
-	// for every stream seen since the report window opened — the
-	// meetings are grouped from them — so the right cap grows with the
-	// window's length, not with concurrency.
-	MaxMeetingStreams int
-	// MaxFinished caps archived finished streams; at the cap the oldest
-	// archive is dropped (and counted) to admit the newest.
-	MaxFinished int
 	// FlowTTL enables idle eviction of per-flow state: every 4096 frames
 	// routed (a cluster worker's: received), flows, streams, TCP trackers
 	// and metric engines idle longer than FlowTTL are evicted in every
@@ -194,7 +186,6 @@ type reconState struct {
 
 func newReconState(cfg Config) reconState {
 	rec := reconState{Dedup: meeting.NewDedup(), Copies: metrics.NewCopyMatcher()}
-	rec.Dedup.MaxStreams = cfg.MaxMeetingStreams
 	rec.Copies.MaxPending = effectiveMaxCopyPending(cfg)
 	if cfg.FeatureWindow > 0 {
 		rec.feats = features.NewWindower(cfg.FeatureWindow)
@@ -537,4 +528,13 @@ func (p *pipeline) AccountingGap() (gap int64, shardPanics uint64) {
 		shardPanics += sh.ShardPanics
 	}
 	return int64(h.Packets) - int64(out), shardPanics
+}
+
+// conserveStreams is stream conservation, the rule that every stream the
+// flow table evicted is in the archive and nothing else is: EvictIdle
+// archives each victim as the table counts it, a merge sums both sides,
+// and Rotate empties both. The rule is archived == evicted. It makes
+// Streams list every segment the window admitted.
+func (sh *shard) conserveStreams() (archived, evicted uint64) {
+	return uint64(len(sh.Finished)), sh.Flows.Evictions().EvictedStreams
 }

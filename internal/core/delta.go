@@ -91,7 +91,6 @@ func (p *pipeline) markCheckpointed() {
 		sh.ckEpoch++
 		sh.tcpLog.MarkCheckpointed()
 		sh.ckFinishedLen = len(sh.Finished)
-		sh.ckHeadDrops = 0
 	}
 	p.ckPackets = p.Packets
 	p.chainArmed = true

@@ -288,7 +288,6 @@ func TestDeltaCheckpointWithEviction(t *testing.T) {
 	cfg := Config{
 		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
 		CampusNetworks: []netip.Prefix{opts.CampusNet},
-		MaxFinished:    4,
 	}
 	n := len(tr.frames)
 	cut := n / 2
@@ -306,8 +305,7 @@ func TestDeltaCheckpointWithEviction(t *testing.T) {
 	}
 	// Evict everything idle at the end of the trace: archives stream
 	// metrics (tombstoning them), drops TCP trackers, folds flows into
-	// aggregates — all of which the delta must carry. MaxFinished forces
-	// head drops against the checkpoint baseline too.
+	// aggregates — all of which the delta must carry.
 	live.EvictIdle(tr.at[n-1].Add(time.Hour))
 	var delta bytes.Buffer
 	if err := live.CheckpointDelta(&delta); err != nil {
@@ -540,8 +538,7 @@ func newTestEngine(cfg Config, workers int) Engine {
 // the archive-order leak: idle eviction used to archive while ranging over the
 // StreamMetrics map, so two runs over the same capture could archive the
 // victims of one eviction pass in different orders — different full
-// checkpoint bytes, and different streams dropped at MaxFinished. With
-// TTL eviction and the archive cap both on, the same capture must now
+// checkpoint bytes. With TTL eviction on, the same capture must now
 // checkpoint to the same bytes every time.
 func TestCheckpointDeterministicUnderEviction(t *testing.T) {
 	gcfg := trace.DefaultStreamConfig()
@@ -563,18 +560,17 @@ func TestCheckpointDeterministicUnderEviction(t *testing.T) {
 		ZoomNetworks:   []netip.Prefix{gcfg.ZoomNet},
 		CampusNetworks: []netip.Prefix{gcfg.CampusNet},
 		FlowTTL:        200 * time.Millisecond,
-		MaxFinished:    500,
 	}
-	run := func() ([]byte, uint64) {
+	run := func() ([]byte, int) {
 		a := NewAnalyzer(cfg)
 		for _, r := range recs {
 			a.Packet(r.Timestamp, r.Data)
 		}
-		return checkpointBytes(t, a), a.FinishedDropped
+		return checkpointBytes(t, a), len(a.Finished)
 	}
-	want, dropped := run()
-	if dropped == 0 {
-		t.Fatal("MaxFinished never dropped an archived stream; test is vacuous")
+	want, archived := run()
+	if archived < 2 {
+		t.Fatalf("eviction archived %d streams; test is vacuous", archived)
 	}
 	for i := 0; i < 3; i++ {
 		if got, _ := run(); !bytes.Equal(got, want) {

@@ -200,20 +200,6 @@ func TestDedupHandleLifetime(t *testing.T) {
 		}
 	})
 
-	t.Run("detector at its cap", func(t *testing.T) {
-		r := newHandleRig(Config{MaxMeetingStreams: 1})
-		r.send(at, 9)
-		for i := 0; i < 4; i++ {
-			r.send(at.Add(time.Duration(i)*time.Second), 7)
-		}
-		if own := r.owner(t); own.dedup != (meeting.Handle{}) {
-			t.Errorf("handle %+v for a stream the detector never stored, want it empty", own.dedup)
-		}
-		if r.a.Dedup.Dropped != 4 || r.a.Dedup.Len() != 1 {
-			t.Errorf("dropped %d with %d records, want 4 and 1", r.a.Dedup.Dropped, r.a.Dedup.Len())
-		}
-	})
-
 	t.Run("cluster sink", func(t *testing.T) {
 		r := newHandleRig(Config{})
 		var got []ClusterObs

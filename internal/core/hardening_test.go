@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
@@ -240,50 +241,72 @@ func TestQuarantineRingKeepsNewest(t *testing.T) {
 	}
 }
 
-// TestFloodHoldsCaps feeds one million adversarial packets — valid Zoom
+// flood is the adversarial packet mix of the flood tests: valid Zoom
 // media packets from fresh random flows and SSRCs, TCP SYNs from fresh
-// endpoints toward the Zoom prefix, and one long-lived stream cycling
-// through all 128 RTP payload types — and verifies the caps a deployment
-// can set (and the ones derived from them) hold the hot state flat
-// throughout, with everything turned away or aged out accounted for in
-// the summary.
+// endpoints toward the Zoom prefix, and one long-lived stream (cycler)
+// cycling through all 128 RTP payload types, 50 µs apart — 20 kpps, so
+// idle eviction churns while the flood sustains.
+type flood struct {
+	rng                    *rand.Rand
+	dst, dstTCP, cyclerSrc netip.AddrPort
+	cycler                 flow.MediaStreamID
+	start                  time.Time
+}
+
+func newFlood(seed int64) *flood {
+	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
+	cyclerSrc := netip.MustParseAddrPort("10.9.9.9:40000")
+	return &flood{
+		rng: rand.New(rand.NewSource(seed)), dst: dst, dstTCP: netip.AddrPortFrom(dst.Addr(), 443), cyclerSrc: cyclerSrc,
+		cycler: flow.MediaStreamID{
+			Flow: layers.FiveTuple{Src: cyclerSrc.Addr(), SrcPort: cyclerSrc.Port(), Dst: dst.Addr(), DstPort: dst.Port(), Proto: layers.ProtoUDP},
+			Key:  zoom.StreamKey{SSRC: 0xc1c1e5, Type: zoom.TypeAudio},
+		},
+		start: time.Date(2022, 3, 1, 12, 0, 0, 0, time.UTC),
+	}
+}
+
+// packet returns the flood's i-th packet; call it for i = 0, 1, 2, ….
+func (f *flood) packet(i int) (time.Time, []byte) {
+	at := f.start.Add(time.Duration(i) * 50 * time.Microsecond)
+	switch {
+	case i%64 == 0:
+		return at, zoomAudioFrame(f.rng, f.cyclerSrc, f.dst, f.cycler.Key.SSRC, uint8(i/64%128))
+	case i%8 == 1:
+		return at, new(layers.Builder).BuildTCP(floodSrc(f.rng), f.dstTCP, 64, f.rng.Uint32(), 0, layers.TCPSyn, 65535, nil)
+	default:
+		return at, floodFrame(f.rng, f.dst)
+	}
+}
+
+// floodCfg is the flood tests' configuration: every cap a deployment can
+// set, and an idle TTL several times shorter than the flood.
+func floodCfg(maxFlows, maxStreams int) Config {
+	return Config{
+		ZoomNetworks: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
+		PreFiltered:  true,
+		MaxFlows:     maxFlows,
+		MaxStreams:   maxStreams,
+		FlowTTL:      5 * time.Second,
+	}
+}
+
+// TestFloodHoldsCaps feeds one million flood packets (50 s, several
+// FlowTTL windows) and verifies the caps a deployment can set (and the
+// ones derived from them) hold the concurrent state flat throughout,
+// with everything turned away or aged out accounted for in the summary.
+// What the window keeps for its whole length is rotation's to bound
+// (TestRotationBoundsWindowState).
 func TestFloodHoldsCaps(t *testing.T) {
 	const (
 		packets    = 1_000_000
 		maxFlows   = 512
 		maxStreams = 1024
 	)
-	cfg := Config{
-		ZoomNetworks:      []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
-		PreFiltered:       true,
-		MaxFlows:          maxFlows,
-		MaxStreams:        maxStreams,
-		MaxMeetingStreams: 2 * maxStreams,
-		MaxFinished:       maxStreams,
-		FlowTTL:           5 * time.Second,
-	}
-	a := NewAnalyzer(cfg)
-	rng := rand.New(rand.NewSource(99))
-	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
-	dstTCP := netip.AddrPortFrom(dst.Addr(), 443)
-	cyclerSrc := netip.MustParseAddrPort("10.9.9.9:40000")
-	cycler := flow.MediaStreamID{
-		Flow: layers.FiveTuple{Src: cyclerSrc.Addr(), SrcPort: cyclerSrc.Port(), Dst: dst.Addr(), DstPort: dst.Port(), Proto: layers.ProtoUDP},
-		Key:  zoom.StreamKey{SSRC: 0xc1c1e5, Type: zoom.TypeAudio},
-	}
-	start := time.Date(2022, 3, 1, 12, 0, 0, 0, time.UTC)
+	a := NewAnalyzer(floodCfg(maxFlows, maxStreams))
+	fl := newFlood(99)
 	for i := 0; i < packets; i++ {
-		// 50 µs per packet = 20 kpps for 50 s: several FlowTTL windows,
-		// so eviction churns while the flood sustains.
-		at := start.Add(time.Duration(i) * 50 * time.Microsecond)
-		switch {
-		case i%64 == 0:
-			a.Packet(at, zoomAudioFrame(rng, cyclerSrc, dst, cycler.Key.SSRC, uint8(i/64%128)))
-		case i%8 == 1:
-			a.Packet(at, new(layers.Builder).BuildTCP(floodSrc(rng), dstTCP, 64, rng.Uint32(), 0, layers.TCPSyn, 65535, nil))
-		default:
-			a.Packet(at, floodFrame(rng, dst))
-		}
+		a.Packet(fl.packet(i))
 		if i%100_000 == 0 {
 			if n := a.Flows.Totals().Flows; n > maxFlows {
 				t.Fatalf("packet %d: %d live flows exceeds cap %d", i, n, maxFlows)
@@ -313,20 +336,13 @@ func TestFloodHoldsCaps(t *testing.T) {
 	if n := len(a.TCP); n > maxFlows {
 		t.Errorf("%d TCP trackers exceed the derived cap %d", n, maxFlows)
 	}
-	if st, ok := a.Flows.Stream(cycler); !ok {
+	if st, ok := a.Flows.Stream(fl.cycler); !ok {
 		t.Error("the payload-type cycling stream is not live")
 	} else if n := len(st.Substreams); n != maxSubstreams {
 		t.Errorf("cycling stream holds %d substreams, want the derived cap %d", n, maxSubstreams)
 	}
-	if n := len(a.Finished); n > cfg.MaxFinished {
-		t.Errorf("%d archived streams exceed MaxFinished %d", n, cfg.MaxFinished)
-	}
 	if n := a.Copies.Pending(); n > 256*maxStreams {
 		t.Errorf("%d observations wait in the copy matcher, derived cap %d", n, 256*maxStreams)
-	}
-	noClient := func(layers.FiveTuple) netip.AddrPort { return netip.AddrPort{} }
-	if n := len(a.Dedup.Records(noClient)); n > cfg.MaxMeetingStreams {
-		t.Errorf("%d dedup records exceed cap %d", n, cfg.MaxMeetingStreams)
 	}
 
 	s := a.Summary()
@@ -355,5 +371,77 @@ func TestFloodHoldsCaps(t *testing.T) {
 	if ev.RejectedSubstreamPackets == 0 || a.RejectedTCPPackets == 0 {
 		t.Errorf("flood never hit a derived cap: rejected substream packets %d, TCP packets %d",
 			ev.RejectedSubstreamPackets, a.RejectedTCPPackets)
+	}
+}
+
+// TestRotationBoundsWindowState: rotation, not a cap, bounds what a
+// report window keeps for its whole length. The flood, rotated every 4 s
+// of trace time at 1 and 4 workers: between rotations each shard's
+// archive is exactly the streams its flow table evicted, and the
+// duplicate detector holds no more records than the stream segments the
+// window admitted (live plus evicted); right after each Rotate both are
+// empty, and the window handed back holds what they held.
+func TestRotationBoundsWindowState(t *testing.T) {
+	const (
+		packets = 400_000 // 20 s of trace
+		rotate  = 4 * time.Second
+	)
+	cfg := floodCfg(512, 1024)
+	cfg.FlowTTL = time.Second
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			eng := NewParallelAnalyzer(cfg, workers)
+			defer Discard(eng)
+			p := eng.pipeline
+			// window checks the live window's state at rest and returns its
+			// archive's length.
+			window := func(at string) (archived int) {
+				t.Helper()
+				p.quiesce()
+				var segments uint64
+				for i, sh := range p.shards {
+					a, e := sh.conserveStreams()
+					if a != e {
+						t.Fatalf("%s: shard %d archives %d streams, its flow table evicted %d", at, i, a, e)
+					}
+					archived += len(sh.Finished)
+					segments += e + uint64(sh.Flows.Totals().Streams)
+				}
+				if n := p.Dedup.Len(); uint64(n) > segments {
+					t.Fatalf("%s: %d detector records, more than the window's %d stream segments", at, n, segments)
+				}
+				return archived
+			}
+			fl := newFlood(99)
+			next := fl.start.Add(rotate)
+			rotations, rotatedArchive := 0, 0
+			for i := 0; i < packets; i++ {
+				at, frame := fl.packet(i)
+				if !at.Before(next) {
+					before := window(fmt.Sprintf("packet %d, before rotation", i))
+					win := eng.Rotate(at)
+					if a, e := win.conserveStreams(); a != e || len(win.Finished) != before {
+						t.Fatalf("packet %d: window archives %d streams, evicted %d, want the %d the live window held", i, a, e, before)
+					}
+					if n := win.Dedup.Len(); uint64(n) > uint64(len(win.Finished))+uint64(win.Flows.Totals().Streams) {
+						t.Fatalf("packet %d: window's detector holds %d records for %d stream segments", i, n, len(win.Finished)+win.Flows.Totals().Streams)
+					}
+					if n := window(fmt.Sprintf("packet %d, after rotation", i)); n != 0 || p.Dedup.Len() != 0 {
+						t.Fatalf("packet %d: rotation left %d archived streams and %d detector records", i, n, p.Dedup.Len())
+					}
+					rotations++
+					rotatedArchive += before
+					next = next.Add(rotate)
+				}
+				eng.Packet(at, frame)
+				if i%25_000 == 0 {
+					window(fmt.Sprintf("packet %d", i))
+				}
+			}
+			if rotations < 4 || rotatedArchive == 0 {
+				t.Fatalf("%d rotations carried %d archived streams: the flood exercises nothing", rotations, rotatedArchive)
+			}
+			t.Logf("%d rotations carried %d archived streams", rotations, rotatedArchive)
+		})
 	}
 }

@@ -546,13 +546,13 @@ func TestCheckpointPrefixesRejected(t *testing.T) {
 // engine runs under the restoring process's, not under the ones the
 // checkpointing process happened to have. A checkpoint taken at the
 // small caps and restored under the large ones must install the large
-// ones everywhere a cap lives — the copy matcher, the duplicate
-// detector, the flow table, the cap gauges — and enforce them.
+// ones everywhere a cap lives — the copy matcher, the flow table, the
+// cap gauges — and enforce them.
 func TestRestoreTakesCapsFromConfig(t *testing.T) {
 	small := Config{
 		ZoomNetworks: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
 		PreFiltered:  true,
-		MaxFlows:     10, MaxStreams: 10, MaxMeetingStreams: 7,
+		MaxFlows:     10, MaxStreams: 10,
 	}
 	rng := rand.New(rand.NewSource(7))
 	dst := netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, 7}), 8801)
@@ -566,14 +566,11 @@ func TestRestoreTakesCapsFromConfig(t *testing.T) {
 	if got := a.Flows.Totals().Flows; got != small.MaxFlows {
 		t.Fatalf("capped run holds %d flows, want the cap %d", got, small.MaxFlows)
 	}
-	if a.Dedup.Len() != small.MaxMeetingStreams || a.Dedup.Dropped == 0 {
-		t.Fatalf("capped run: %d dedup records, %d dropped; want the cap %d reached", a.Dedup.Len(), a.Dedup.Dropped, small.MaxMeetingStreams)
-	}
 	rejected := a.Flows.Evictions().RejectedFlowPackets
 	ck := bytes.Clone(checkpointBytes(t, a))
 
 	large := small
-	large.MaxFlows, large.MaxStreams, large.MaxMeetingStreams = 1000, 1000, 99
+	large.MaxFlows, large.MaxStreams = 1000, 1000
 	large.Obs = obs.NewRegistry()
 	eng, err := RestoreAnalyzer(bytes.NewReader(ck), large)
 	if err != nil {
@@ -583,10 +580,6 @@ func TestRestoreTakesCapsFromConfig(t *testing.T) {
 	if got, want := r.Copies.MaxPending, 256*large.MaxStreams; got != want {
 		t.Errorf("restored Copies.MaxPending = %d, want %d from the restoring config", got, want)
 	}
-	if got := r.Dedup.MaxStreams; got != large.MaxMeetingStreams {
-		t.Errorf("restored Dedup.MaxStreams = %d, want %d from the restoring config", got, large.MaxMeetingStreams)
-	}
-	dropped := r.Dedup.Dropped
 	flood(r, 40, 40)
 	if got := r.Flows.Totals().Flows; got != small.MaxFlows+40 {
 		t.Errorf("restored run holds %d flows after 40 new ones, want %d", got, small.MaxFlows+40)
@@ -594,15 +587,15 @@ func TestRestoreTakesCapsFromConfig(t *testing.T) {
 	if got := r.Flows.Evictions().RejectedFlowPackets; got != rejected {
 		t.Errorf("restored flow table rejected %d more packets under a cap of %d", got-rejected, large.MaxFlows)
 	}
-	if got := r.Dedup.Len(); got != small.MaxMeetingStreams+40 || r.Dedup.Dropped != dropped {
-		t.Errorf("restored detector holds %d records (%d more dropped), want %d and none", got, r.Dedup.Dropped-dropped, small.MaxMeetingStreams+40)
+	if got := r.Dedup.Len(); got != small.MaxFlows+40 {
+		t.Errorf("restored detector holds %d records, want one per admitted stream, %d", got, small.MaxFlows+40)
 	}
 	r.Finish()
 	out := promDump(t, large.Obs)
 	for _, want := range []string{
 		`zoomlens_state_cap{table="flows"} 1000`,
 		`zoomlens_state_cap{table="streams"} 1000`,
-		`zoomlens_state_cap{table="dedup_streams"} 99`,
+		`zoomlens_state_cap{table="dedup_streams"} 0`,
 		`zoomlens_state_cap{table="copy_pending"} 256000`,
 	} {
 		if !strings.Contains(out, want) {
@@ -628,11 +621,9 @@ func TestFreshCheckpointCarriesNoConfiguration(t *testing.T) {
 		for _, cfg := range []Config{
 			{MaxFlows: 10},
 			{MaxStreams: 10},
-			{MaxMeetingStreams: 7},
-			{MaxFinished: 5},
 			{FlowTTL: 500 * time.Millisecond},
 			{Shed: true},
-			{MaxFlows: 1000, MaxStreams: 1000, MaxMeetingStreams: 99, MaxFinished: 1000, FlowTTL: time.Minute, Shed: true},
+			{MaxFlows: 1000, MaxStreams: 1000, FlowTTL: time.Minute, Shed: true},
 		} {
 			if got := record(cfg); !bytes.Equal(got, want) {
 				t.Errorf("workers=%d: checkpoint of a packet-less engine under %+v differs from the unconfigured one's (%d vs %d bytes)", workers, cfg, len(got), len(want))

@@ -63,9 +63,9 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 		cap   int
 	}{
 		{"flows", cfg.MaxFlows}, {"streams", cfg.MaxStreams}, {"tcp", cfg.maxTCP()},
-		{"dedup_streams", cfg.MaxMeetingStreams},
+		{"dedup_streams", 0},
 		{"copy_pending", cmp.Or(effectiveMaxCopyPending(cfg), metrics.DefaultMaxPending)},
-		{"finished", cfg.MaxFinished},
+		{"finished", 0},
 	} {
 		lbl := []obs.Label{obs.L("table", t.table)}
 		if shard != "" {
@@ -117,7 +117,7 @@ func (o *coreObs) feedShard(sh *shard) {
 	o.feed(func() uint64 { return sh.Flows.Evictions().EvictedFlows }, evName, evHelp, obs.L("kind", "flows"))
 	o.feed(func() uint64 { return sh.Flows.Evictions().EvictedStreams }, evName, evHelp, obs.L("kind", "streams"))
 	o.feed(func() uint64 { return sh.EvictedTCP }, evName, evHelp, obs.L("kind", "tcp"))
-	o.feed(func() uint64 { return uint64(len(sh.Finished)) + sh.FinishedDropped }, evName, evHelp, obs.L("kind", "archived"))
+	o.feed(func() uint64 { return uint64(len(sh.Finished)) }, evName, evHelp, obs.L("kind", "archived"))
 	const rejName, rejHelp = "zoomlens_rejected_packets_total", "Packets refused new state at a hard cap."
 	o.feed(func() uint64 { return sh.Flows.Evictions().RejectedFlowPackets }, rejName, rejHelp, obs.L("reason", "flow"))
 	o.feed(func() uint64 { return sh.Flows.Evictions().RejectedStreamPackets }, rejName, rejHelp, obs.L("reason", "stream"))

@@ -294,7 +294,7 @@ func tallies(windows ...*Analyzer) map[string]uint64 {
 			`zoomlens_evicted_total{kind="flows"}`:                     ev.EvictedFlows,
 			`zoomlens_evicted_total{kind="streams"}`:                   ev.EvictedStreams,
 			`zoomlens_evicted_total{kind="tcp"}`:                       a.EvictedTCP,
-			`zoomlens_evicted_total{kind="archived"}`:                  uint64(len(a.Finished)) + a.FinishedDropped,
+			`zoomlens_evicted_total{kind="archived"}`:                  uint64(len(a.Finished)),
 			`zoomlens_rejected_packets_total{reason="flow"}`:           ev.RejectedFlowPackets,
 			`zoomlens_rejected_packets_total{reason="stream"}`:         ev.RejectedStreamPackets,
 			`zoomlens_rejected_packets_total{reason="substream"}`:      ev.RejectedSubstreamPackets,

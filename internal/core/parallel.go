@@ -467,11 +467,16 @@ func (p *pipeline) stop() {
 // checkShards runs after every restore and delta apply. It refuses a
 // stream or TCP tracker on a shard the flow hash does not send it to (a
 // checkpoint from a build with another shardOf or other Zoom networks):
-// its flow's next packets would open a second record elsewhere. Then it
-// refuses tallies that do not conserve packets.
+// its flow's next packets would open a second record elsewhere. It
+// refuses an archive that is not exactly the streams its flow table
+// evicted (conserveStreams). Then it refuses tallies that do not
+// conserve packets.
 func (p *pipeline) checkShards() error {
 	zoom := p.filter.ZoomNetworks()
 	for i, sh := range p.shards {
+		if archived, evicted := sh.conserveStreams(); archived != evicted {
+			return fmt.Errorf("%w: shard %d archives %d streams but its flow table evicted %d", statecodec.ErrCorrupt, i, archived, evicted)
+		}
 		for id := range sh.StreamMetrics {
 			f := id.Flow
 			if shardOf(zoom, p.n, false, f.Src, f.Dst, f.SrcPort, f.DstPort) != i {

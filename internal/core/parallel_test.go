@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"zoomlens/internal/capture"
+	"zoomlens/internal/flow"
 	"zoomlens/internal/layers"
 	"zoomlens/internal/metrics"
 	"zoomlens/internal/netsim"
@@ -685,8 +686,9 @@ func checkRegistry(t *testing.T, what string, p *pipeline) {
 // TestRestoredRegistryFollowsRecords: a metric engine is written inside its
 // stream record, so no record can hold an engine its flow table does not
 // (a version-12 record could, and restore had to refuse it). Evicting the
-// table's streams behind the shard's back leaves the live registry listing
-// engines no record owns; a full record of that state, a delta that
+// table's streams behind the shard's back — archived, as stream
+// conservation demands, but not unlisted — leaves the live registry
+// listing engines no record owns; a full record of that state, a delta that
 // rewrites engines whose stream records it tombstones, and a delta that
 // only tombstones them each restore to a registry that equals the
 // restored records. A live engine's registry equals its records
@@ -723,11 +725,16 @@ func TestRestoredRegistryFollowsRecords(t *testing.T) {
 		}
 		return a
 	}
+	evictBehind := func(a *Analyzer) {
+		a.Flows.EvictIdleFunc(far, func(st *flow.StreamStats) {
+			a.Finished = append(a.Finished, FinishedStream{ID: st.ID, FirstSeen: st.FirstSeen, LastSeen: st.LastSeen, Metrics: st.Owner.(*streamOwner).sm})
+		})
+	}
 
 	live := NewAnalyzer(cfg)
 	feed(live, 0, n/2)
 	checkRegistry(t, "live", live.pipeline)
-	live.Flows.EvictIdle(far)
+	evictBehind(live)
 	restored := restore("full record", checkpointBytes(t, live), nil)
 	feed(restored, n/2, n)
 	checkRegistry(t, "full record, fed the rest", restored.pipeline)
@@ -740,7 +747,7 @@ func TestRestoredRegistryFollowsRecords(t *testing.T) {
 		if touched {
 			feed(live, n/2, 3*n/4)
 		}
-		live.Flows.EvictIdle(far)
+		evictBehind(live)
 		var delta bytes.Buffer
 		if err := live.CheckpointDelta(&delta); err != nil {
 			t.Fatal(err)
@@ -842,5 +849,37 @@ func TestRestoreRefusesUnconservedTallies(t *testing.T) {
 		t.Errorf("cluster merge: valid state refused: %v", err)
 	} else {
 		Discard(eng)
+	}
+}
+
+// TestRestoreRefusesUnconservedArchive: a full record whose archive holds
+// one more entry than its shard's flow table evicted breaks stream
+// conservation and is refused, naming both counts; the same engine's
+// record before the patch restores.
+func TestRestoreRefusesUnconservedArchive(t *testing.T) {
+	tr, opts := seededTrace(t, 6)
+	cfg := Config{
+		ZoomNetworks:   []netip.Prefix{opts.ZoomNet},
+		CampusNetworks: []netip.Prefix{opts.CampusNet},
+	}
+	live := NewAnalyzer(cfg)
+	tr.feed(live.Packet)
+	live.EvictIdle(tr.at[len(tr.at)-1].Add(time.Hour))
+	archived := len(live.Finished)
+	if archived == 0 {
+		t.Fatal("eviction archived nothing: the test is vacuous")
+	}
+	if eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg); err != nil {
+		t.Fatalf("valid state refused: %v", err)
+	} else {
+		Discard(eng)
+	}
+
+	live.Finished = append(live.Finished, live.Finished[0])
+	eng, err := RestoreAnalyzer(bytes.NewReader(checkpointBytes(t, live)), cfg)
+	Discard(eng)
+	want := fmt.Sprintf("shard 0 archives %d streams but its flow table evicted %d", archived+1, archived)
+	if !errors.Is(err, statecodec.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Errorf("archive with one entry too many: err = %v, want ErrCorrupt saying %q", err, want)
 	}
 }

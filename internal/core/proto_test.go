@@ -201,19 +201,20 @@ func TestCheckpointRejected(t *testing.T) {
 		data       []byte
 	}{
 		{"file version", "file version 2 (supported: 1)", patch(len(checkpointMagic), 2)},
-		{"payload version", "state version 14 (supported: 13)", patch(len(checkpointMagic)+2, 14)},
-		{"payload version 1", "state version 1 (supported: 13)", patch(len(checkpointMagic)+2, 1)},
-		{"payload version 2", "state version 2 (supported: 13)", patch(len(checkpointMagic)+2, 2)},
-		{"payload version 3", "state version 3 (supported: 13)", patch(len(checkpointMagic)+2, 3)},
-		{"payload version 4", "state version 4 (supported: 13)", patch(len(checkpointMagic)+2, 4)},
-		{"payload version 5", "state version 5 (supported: 13)", patch(len(checkpointMagic)+2, 5)},
-		{"payload version 6", "state version 6 (supported: 13)", patch(len(checkpointMagic)+2, 6)},
-		{"payload version 7", "state version 7 (supported: 13)", patch(len(checkpointMagic)+2, 7)},
-		{"payload version 8", "state version 8 (supported: 13)", patch(len(checkpointMagic)+2, 8)},
-		{"payload version 9", "state version 9 (supported: 13)", patch(len(checkpointMagic)+2, 9)},
-		{"payload version 10", "state version 10 (supported: 13)", patch(len(checkpointMagic)+2, 10)},
-		{"payload version 11", "state version 11 (supported: 13)", patch(len(checkpointMagic)+2, 11)},
-		{"payload version 12", "state version 12 (supported: 13)", patch(len(checkpointMagic)+2, 12)},
+		{"payload version", "state version 15 (supported: 14)", patch(len(checkpointMagic)+2, 15)},
+		{"payload version 1", "state version 1 (supported: 14)", patch(len(checkpointMagic)+2, 1)},
+		{"payload version 2", "state version 2 (supported: 14)", patch(len(checkpointMagic)+2, 2)},
+		{"payload version 3", "state version 3 (supported: 14)", patch(len(checkpointMagic)+2, 3)},
+		{"payload version 4", "state version 4 (supported: 14)", patch(len(checkpointMagic)+2, 4)},
+		{"payload version 5", "state version 5 (supported: 14)", patch(len(checkpointMagic)+2, 5)},
+		{"payload version 6", "state version 6 (supported: 14)", patch(len(checkpointMagic)+2, 6)},
+		{"payload version 7", "state version 7 (supported: 14)", patch(len(checkpointMagic)+2, 7)},
+		{"payload version 8", "state version 8 (supported: 14)", patch(len(checkpointMagic)+2, 8)},
+		{"payload version 9", "state version 9 (supported: 14)", patch(len(checkpointMagic)+2, 9)},
+		{"payload version 10", "state version 10 (supported: 14)", patch(len(checkpointMagic)+2, 10)},
+		{"payload version 11", "state version 11 (supported: 14)", patch(len(checkpointMagic)+2, 11)},
+		{"payload version 12", "state version 12 (supported: 14)", patch(len(checkpointMagic)+2, 12)},
+		{"payload version 13", "state version 13 (supported: 14)", patch(len(checkpointMagic)+2, 13)},
 		{"trailerless", "CRC mismatch", full.Bytes()[:full.Len()-4]},
 		{"delta kind", "delta record cannot bootstrap", delta.Bytes()},
 	} {

@@ -106,8 +106,8 @@ type StreamSegment struct {
 // Streams returns every stream segment the engine holds, archived and
 // live, ordered by SSRC, media type and flow; an ID's segments are
 // adjacent, oldest first. Eviction moves a stream between containers,
-// never out of this list (Config.MaxFinished's counted head-drop is the
-// only way out). Call from the ingest goroutine: a parallel engine
+// never out of this list: it holds every segment the window admitted.
+// Call from the ingest goroutine: a parallel engine
 // quiesces first.
 func (p *pipeline) Streams() []StreamSegment {
 	p.quiesce()

@@ -103,11 +103,9 @@ type shardCounters struct {
 	// ShardPanics counts contained panics in per-flow processing.
 	ShardPanics uint64
 	// EvictedTCP and RejectedTCPPackets are the TCP-tracker counterparts
-	// of the flow table's eviction stats; FinishedDropped counts archived
-	// streams discarded at MaxFinished.
+	// of the flow table's eviction stats.
 	EvictedTCP         uint64
 	RejectedTCPPackets uint64
-	FinishedDropped    uint64
 	// transportless counts kept frames with no transport header (a
 	// non-first fragment, or another IP protocol under
 	// Config.PreFiltered); mediaPackets counts decoded media packets,
@@ -130,7 +128,6 @@ func (c *shardCounters) add(o *shardCounters) {
 	c.ShardPanics += o.ShardPanics
 	c.EvictedTCP += o.EvictedTCP
 	c.RejectedTCPPackets += o.RejectedTCPPackets
-	c.FinishedDropped += o.FinishedDropped
 	c.transportless += o.transportless
 	c.mediaPackets += o.mediaPackets
 }
@@ -149,20 +146,19 @@ type shardState struct {
 	// the client-side endpoint. A tracker keeps its own last-seen time
 	// (idle eviction).
 	TCP map[netip.AddrPort]*tcprtt.Tracker
-	// Finished holds the streams EvictIdle archived.
+	// Finished holds the streams EvictIdle archived: one entry per stream
+	// the flow table evicted (checkShards holds the two counts equal).
 	Finished []FinishedStream
 
 	shardCounters
 
 	// Delta-checkpoint tracking (see delta.go): ckEpoch counts checkpoints
 	// (see streamOwner.touch), tcpLog is the trackers' change log. The
-	// archive is append-plus-head-drop only, so a delta carries the
-	// baseline length (ckFinishedLen), how many baseline entries were since
-	// dropped (ckHeadDrops), and the appended tail.
+	// archive is append-only, so a delta carries the tail appended since
+	// the archive's length at the last checkpoint (ckFinishedLen).
 	ckEpoch       uint32
 	tcpLog        statecodec.ChangeLog[netip.AddrPort, tcprtt.Tracker]
 	ckFinishedLen int
-	ckHeadDrops   int
 }
 
 func newShardState(lim Config) shardState {
@@ -188,8 +184,8 @@ func newShard(lim Config, so *coreObs) *shard {
 // scaleLimits divides the global state caps across shards: flows hash
 // roughly uniformly, so per-shard caps of ceil(cap/shards) keep the
 // aggregate close to the configured bound. Zero (unlimited) stays zero.
-// MaxMeetingStreams and the copy-matcher cap stay global: they bound
-// the cross-flow reconciliation state, which is not sharded.
+// The copy-matcher cap stays global: it bounds the cross-flow
+// reconciliation state, which is not sharded.
 func scaleLimits(cfg Config, shards int) Config {
 	div := func(v int) int {
 		if v <= 0 {
@@ -199,7 +195,6 @@ func scaleLimits(cfg Config, shards int) Config {
 	}
 	cfg.MaxFlows = div(cfg.MaxFlows)
 	cfg.MaxStreams = div(cfg.MaxStreams)
-	cfg.MaxFinished = div(cfg.MaxFinished)
 	return cfg
 }
 
@@ -404,31 +399,13 @@ func compareFinished(a, b FinishedStream) int {
 	return flow.CompareStreamID(a.ID, b.ID)
 }
 
-// archiveFinished appends to the archive, enforcing Config.MaxFinished
-// by dropping (and counting) the oldest entry.
-func (sh *shard) archiveFinished(f FinishedStream) {
-	if sh.lim.MaxFinished > 0 && len(sh.Finished) >= sh.lim.MaxFinished {
-		drop := len(sh.Finished) - sh.lim.MaxFinished + 1
-		sh.FinishedDropped += uint64(drop)
-		sh.Finished = append(sh.Finished[:0], sh.Finished[drop:]...)
-		// Account head drops against the checkpoint baseline first; drops
-		// past it consumed entries appended since the last checkpoint,
-		// which simply never reach a delta. (Before the first checkpoint
-		// the baseline is empty.)
-		if eat := min(drop, sh.ckFinishedLen-sh.ckHeadDrops); eat > 0 {
-			sh.ckHeadDrops += eat
-		}
-	}
-	sh.Finished = append(sh.Finished, f)
-}
-
 // EvictIdle evicts every piece of per-flow state idle since before
 // cutoff: metric engines are finalized and moved from StreamMetrics to
 // Finished (Streams lists both), flow-table entries fold into the report
 // aggregates, idle TCP trackers are dropped; Summary counts them all. The
 // flow table's walk finds the victims, each record handing over the engine
 // it owns. Archiving in compareFinished order, not map order, makes the
-// archive (and what MaxFinished drops) the same on every run.
+// archive the same on every run.
 func (sh *shard) EvictIdle(cutoff time.Time) {
 	var victims []FinishedStream
 	sh.Flows.EvictIdleFunc(cutoff, func(st *flow.StreamStats) {
@@ -437,7 +414,7 @@ func (sh *shard) EvictIdle(cutoff time.Time) {
 	slices.SortFunc(victims, compareFinished)
 	for _, f := range victims {
 		f.Metrics.Finish()
-		sh.archiveFinished(f)
+		sh.Finished = append(sh.Finished, f)
 		delete(sh.StreamMetrics, f.ID)
 	}
 	for client, tr := range sh.TCP {

@@ -101,9 +101,8 @@ type Flags struct {
 	Rotate             time.Duration
 	RotateOut          string
 
-	// Overload / memory-bound hardening.
-	Shed        bool
-	MaxFinished int
+	// Overload hardening.
+	Shed bool
 
 	// Streaming feature extraction and live QoE inference (the
 	// header-free pipeline: windower rows → CSV and/or model).
@@ -145,8 +144,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.CheckpointKeep, "checkpoint-keep", 2, "full checkpoint records to retain for crash fallback (older records are pruned); restore walks back through them when the newest is torn or corrupt")
 	fs.StringVar(&f.Restore, "restore", "", "resume from a checkpoint: the chain base path given to -checkpoint, or one checkpoint file; the worker count comes from the checkpoint")
 	fs.BoolVar(&f.Shed, "shed", false, "under overload, drop packet batches with accounting when an analysis shard's queue is full instead of stalling ingest (parallel engines; shed counts surface in the report and status line)")
-	fs.IntVar(&f.MaxFinished, "max-finished", 0, "cap archived finished streams; at the cap the oldest are dropped and counted (0 = unlimited)")
-	fs.DurationVar(&f.Rotate, "rotate", 0, "close and emit the report window every this much trace time, writing <rotate-out>-NNNN.json per window (0 = one report)")
+	fs.DurationVar(&f.Rotate, "rotate", 0, "close and emit the report window every this much trace time, writing <rotate-out>-NNNN.json per window (0 = one report); bounds what the window keeps: archived streams, duplicate-detector records and RTT samples")
 	fs.StringVar(&f.RotateOut, "rotate-out", "zoomlens-window", "path prefix for rotated window report files")
 	fs.StringVar(&f.Features, "features", "", "stream per-stream feature rows (header-free QoE inputs) as versioned CSV to this path; \"-\" = stdout")
 	fs.DurationVar(&f.FeatureWindow, "feature-window", time.Second, "feature aggregation window on the capture clock (with -features or -model)")
@@ -352,7 +350,6 @@ func (f *Flags) runFrom(zoomNets []netip.Prefix, next func([]pcap.Record) (int, 
 		Protos:       protos,
 		MaxFlows:     f.MaxFlows,
 		MaxStreams:   f.MaxStreams,
-		MaxFinished:  f.MaxFinished,
 		FlowTTL:      f.FlowTTL,
 		Shed:         f.Shed,
 		Obs:          setup.Registry,

@@ -96,14 +96,13 @@ const udpLen = 8
 // TCPFlags holds the TCP flag bits.
 type TCPFlags uint8
 
-// TCP flag bit values.
+// TCP flag bit values (the ones this repository reads or sets).
 const (
 	TCPFin TCPFlags = 1 << iota
 	TCPSyn
-	TCPRst
+	_ // RST
 	TCPPsh
 	TCPAck
-	TCPUrg
 )
 
 // Has reports whether all flags in mask are set.

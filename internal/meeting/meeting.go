@@ -65,17 +65,9 @@ type streamState struct {
 // either lands in an existing stream or creates one, possibly linking it
 // to an existing unified stream.
 type Dedup struct {
-	// MaxStreams caps the number of stream records the detector retains
-	// (0 = unlimited). At the cap, observations for new streams are
-	// assigned fresh unified IDs but not stored — they are invisible to
-	// Records() and counted in Dropped, so a flood of garbage streams
-	// cannot grow the detector without bound. It is configuration:
-	// whoever builds the detector sets it (core: Config.MaxMeetingStreams)
-	// and no checkpoint record carries it.
-	MaxStreams int
-	// Dropped counts stream records turned away at MaxStreams.
-	Dropped uint64
-
+	// streams holds one record per stream observed since the detector was
+	// made: the meetings are grouped from them, so nothing evicts one. A
+	// driver bounds them by replacing the detector (core: Rotate).
 	streams map[flow.MediaStreamID]*streamState
 	// bySSRC indexes streams for copy lookup. It is a function of the
 	// records: each key lists every record of that key that ageing has
@@ -160,11 +152,6 @@ func (d *Dedup) ObserveBy(h *Handle, o *StreamObs) UnifiedID {
 			if s.unified == 0 {
 				d.nextID++
 				s.unified = d.nextID
-			}
-			if d.MaxStreams > 0 && len(d.streams) >= d.MaxStreams {
-				// Not stored, so there is nothing for a handle to name.
-				d.Dropped++
-				return s.unified
 			}
 			d.streams[k] = s
 			d.link(s)
@@ -267,7 +254,7 @@ func linkOrder(a, b *streamState) int {
 }
 
 // Len reports the number of retained stream records (for the
-// observability occupancy gauges; compare against MaxStreams).
+// observability occupancy gauges).
 func (d *Dedup) Len() int { return len(d.streams) }
 
 // Records returns one StreamRecord per observed (flow, SSRC, type)

@@ -22,14 +22,13 @@ import (
 func (d *Dedup) MarkCheckpointed() { d.log.MarkCheckpointed() }
 
 // Code walks the detector through c: counters (the ageing clock among
-// them) and stream records. The linkage windows are constants and
-// MaxStreams is the builder's configuration; neither is in the record.
-// A decoded record's unified ID must lie in [1, nextID]: one above would
-// be handed again to the next unrelated stream. Callers must call
-// MarkCheckpointed after a successful pass; a detector whose decoding
-// pass failed holds partially applied state and must be discarded.
+// them) and stream records. The linkage windows are constants, not in
+// the record. A decoded record's unified ID must lie in [1, nextID]: one
+// above would be handed again to the next unrelated stream. Callers must
+// call MarkCheckpointed after a successful pass; a detector whose
+// decoding pass failed holds partially applied state and must be
+// discarded.
 func (d *Dedup) Code(c *statecodec.Codec) {
-	c.U64(&d.Dropped)
 	c.Int((*int)(&d.nextID))
 	c.U64(&d.observed)
 

@@ -48,8 +48,9 @@ type CopyMatcher struct {
 	// Samples receives each RTT measurement.
 	Samples []RTTSample
 
-	// streams is keyed by unified id — a map, not a slice: a detector at
-	// its own cap hands out a fresh id per packet.
+	// streams is keyed by unified id — a map, not a slice indexed by it:
+	// ids grow with every stream of the report window, while the matcher
+	// holds only the streams seen in the last copyMaxAge.
 	streams map[meeting.UnifiedID]*copyStream
 	// pending counts the slots that hold an observation, slots the ones
 	// allocated, over every ring.

@@ -25,12 +25,9 @@ const (
 	magicNanosecondsSwapped  = 0x4d3cb2a1
 )
 
-// Link types used by this repository. Values follow the pcap LINKTYPE
-// registry.
-const (
-	LinkTypeEthernet uint32 = 1
-	LinkTypeRawIP    uint32 = 101
-)
+// LinkTypeEthernet is the pcap LINKTYPE registry's Ethernet value, the
+// framing every writer in this repository defaults to.
+const LinkTypeEthernet uint32 = 1
 
 const (
 	globalHeaderLen = 24

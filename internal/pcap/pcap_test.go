@@ -53,9 +53,13 @@ func TestRoundTripMicroseconds(t *testing.T) {
 	}
 }
 
+// linkTypeRawIP is the pcap LINKTYPE registry's raw-IP value: a link
+// type other than the default, for the header round trip.
+const linkTypeRawIP uint32 = 101
+
 func TestRoundTripNanoseconds(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{Nanosecond: true, LinkType: LinkTypeRawIP})
+	w, err := NewWriter(&buf, WriterOptions{Nanosecond: true, LinkType: linkTypeRawIP})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -70,8 +74,8 @@ func TestRoundTripNanoseconds(t *testing.T) {
 	if !r.Header().Nanosecond {
 		t.Error("expected nanosecond resolution")
 	}
-	if r.Header().LinkType != LinkTypeRawIP {
-		t.Errorf("LinkType = %d, want %d", r.Header().LinkType, LinkTypeRawIP)
+	if r.Header().LinkType != linkTypeRawIP {
+		t.Errorf("LinkType = %d, want %d", r.Header().LinkType, linkTypeRawIP)
 	}
 	rec, err := r.Next()
 	if err != nil {

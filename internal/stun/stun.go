@@ -26,7 +26,6 @@ const headerLen = 20
 const (
 	TypeBindingRequest  uint16 = 0x0001
 	TypeBindingResponse uint16 = 0x0101
-	TypeBindingError    uint16 = 0x0111
 )
 
 // Attribute types.
@@ -34,7 +33,6 @@ const (
 	AttrMappedAddress    uint16 = 0x0001
 	AttrXorMappedAddress uint16 = 0x0020
 	AttrSoftware         uint16 = 0x8022
-	AttrFingerprint      uint16 = 0x8028
 )
 
 // Errors returned by the codec.

@@ -40,7 +40,7 @@ type Kind int
 
 // Media kinds.
 const (
-	KindUnknown Kind = iota
+	kindUnknown Kind = iota // the zero Kind: ClassifyRTP never returns it
 	KindAudio
 	KindVideo
 	KindRTCP

@@ -115,7 +115,7 @@ func FuzzWebRTCParse(f *testing.F) {
 		}
 		if err == nil && !p.IsRTCP {
 			// Classification must be deterministic and total.
-			if k := ClassifyRTP(p.RTP.PayloadType, len(p.RTP.Payload)); k == KindUnknown {
+			if k := ClassifyRTP(p.RTP.PayloadType, len(p.RTP.Payload)); k == kindUnknown {
 				t.Fatal("ClassifyRTP returned unknown")
 			}
 		}

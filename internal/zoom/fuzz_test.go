@@ -100,7 +100,7 @@ func expressible(p *zoom.Packet) (sim.Header, []byte, bool) {
 	}
 	if p.ServerBased {
 		h.Layout = sim.LayoutServer
-		if p.SFU.Direction != zoom.DirToSFU && p.SFU.Direction != zoom.DirFromSFU {
+		if p.SFU.Direction != 0x00 && p.SFU.Direction != zoom.DirFromSFU {
 			return h, nil, false
 		}
 	}

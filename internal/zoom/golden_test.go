@@ -101,7 +101,7 @@ var goldens = []golden{{
 	h:    sim.Header{Kind: sim.KindAudio, SFUSeq: 256, MediaSeq: 9, MediaTS: 16000, PT: sim.PTAudioSpeak, Seq: 1, TS: 16160, SSRC: 16778242},
 	body: []byte{0x0a, 0x0b, 0x0c},
 	want: zoom.Packet{
-		SFU:   zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: 256, Direction: zoom.DirToSFU},
+		SFU:   zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: 256, Direction: 0x00},
 		Media: zoom.MediaEncap{Type: zoom.TypeAudio, Sequence: 9, Timestamp: 16000},
 		RTP: rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTAudioSpeak, SequenceNumber: 1, Timestamp: 16160, SSRC: 16778242},
 			Payload: []byte{0x0a, 0x0b, 0x0c}},
@@ -152,7 +152,7 @@ var goldens = []golden{{
 	h: sim.Header{Kind: sim.KindSR, SFUSeq: 256, MediaSeq: 101, MediaTS: 900000,
 		TS: 900250, SSRC: 16778241, NTP: srTime, Packets: 300, Octets: 300000},
 	want: zoom.Packet{
-		SFU:   zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: 256, Direction: zoom.DirToSFU},
+		SFU:   zoom.SFUEncap{Type: zoom.SFUTypeMedia, Sequence: 256, Direction: 0x00},
 		Media: zoom.MediaEncap{Type: zoom.TypeRTCPSR, Sequence: 101, Timestamp: 900000},
 		RTCP: rtp.CompoundPacket{SenderReports: []rtp.SenderReport{{
 			SSRC: 16778241, NTPTS: 0xe61e64f0_80000000, RTPTS: 900250, PacketCount: 300, OctetCount: 300000}}},

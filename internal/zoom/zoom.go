@@ -42,8 +42,8 @@ const (
 	// encapsulation (type value 5; 98.4 % of server-based packets in the
 	// paper's trace).
 	SFUTypeMedia = 0x05
-	// DirToSFU and DirFromSFU are the observed direction byte values.
-	DirToSFU   = 0x00
+	// DirFromSFU is the direction byte of a packet the SFU sent; one sent
+	// to it carries 0x00.
 	DirFromSFU = 0x04
 )
 

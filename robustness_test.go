@@ -119,7 +119,7 @@ func TestQuickZoomParseMarshalStable(t *testing.T) {
 			MediaSeq: zp.Media.Sequence, MediaTS: zp.Media.Timestamp, FrameSeq: zp.Media.FrameSequence, FramePkts: zp.Media.PacketsInFrame,
 			PT: zp.RTP.PayloadType, Marker: zp.RTP.Marker, Seq: zp.RTP.SequenceNumber, TS: zp.RTP.Timestamp, SSRC: zp.RTP.SSRC}
 		if zp.ServerBased {
-			if d := zp.SFU.Direction; d != zoom.DirToSFU && d != zoom.DirFromSFU {
+			if d := zp.SFU.Direction; d != 0x00 && d != zoom.DirFromSFU {
 				return true
 			}
 			h.Layout = sim.LayoutServer

@@ -103,7 +103,6 @@ func soak(tb testing.TB, streams, packets int) soakRun {
 		Rotate:             span / 3,
 		RotateOut:          dir + "/window",
 		FlowTTL:            span / 10,
-		MaxFinished:        streams,
 	}
 
 	// Sample peak RSS from inside the record source — the driver owns

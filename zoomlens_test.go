@@ -222,6 +222,24 @@ func TestRunP2PEstablishmentFigure2(t *testing.T) {
 	}
 }
 
+// TestEntropyFieldOffsets pins the Figure 5 field offsets derived from
+// the simulator's transcription to the server-based video layout of
+// Tables 1–2, so deriving them moves no field class.
+func TestEntropyFieldOffsets(t *testing.T) {
+	want := map[string][2]int{
+		"sfu.type": {0, 1}, "sfu.seq": {1, 2}, "media.type": {8, 1}, "media.seq": {17, 2},
+		"media.ts": {19, 4}, "rtp.seq": {34, 2}, "rtp.ts": {36, 4}, "rtp.ssrc": {40, 4},
+	}
+	if len(entropyFields) != len(want) {
+		t.Errorf("%d fields, want %d", len(entropyFields), len(want))
+	}
+	for _, f := range entropyFields {
+		if off, width := serverVideoField(f.enc, f.row); [2]int{off, width} != want[f.key] {
+			t.Errorf("%s at offset %d width %d, want %v", f.key, off, width, want[f.key])
+		}
+	}
+}
+
 func TestRunEntropyAnalysisFigure5(t *testing.T) {
 	rep := RunEntropyAnalysis(2)
 	if len(rep.Analyses) == 0 {
