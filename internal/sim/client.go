@@ -66,9 +66,13 @@ type Client struct {
 	recv    *receiver
 	tcp     *controlConn
 
-	// Rate-adaptation hysteresis (driven by receiver feedback).
-	badSeconds  int
-	goodSeconds int
+	// Rate-adaptation hysteresis (driven by receiver feedback, see
+	// onFeedback): the receivers that reported in the current second and
+	// the worst jitter they reported.
+	badSeconds    int
+	goodSeconds   int
+	reportedBy    []*Client
+	worstJitterMS float64
 
 	// sfuSeq numbers the Zoom SFU encapsulation for packets this client
 	// sends to the server.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"zoomlens/internal/qos"
@@ -22,10 +23,12 @@ type receiver struct {
 	frameDone   map[frameKey]bool
 	deliveredIn int // frames completed in the current second
 
+	// last holds each video sender's latest frame (by SSRC): a frame's
+	// transit is compared with its own sender's previous one, since RTP
+	// timestamps of different SSRCs have unrelated bases.
+	last map[uint32]arrival
 	// Smoothed packet interarrival jitter, Zoom-style (extremely long
 	// smoothing; stays tiny, §5.4).
-	lastArrival  time.Time
-	lastTS       uint32
 	zoomJitterMS float64
 
 	// Congestion signal for adaptation feedback: RFC-style jitter with
@@ -38,12 +41,19 @@ type frameKey struct {
 	ts   uint32
 }
 
+// arrival is when a frame's first packet arrived and its RTP timestamp.
+type arrival struct {
+	at time.Time
+	ts uint32
+}
+
 func newReceiver(c *Client) *receiver {
 	r := &receiver{
 		c:         c,
 		QoS:       qos.NewRecorder(c.Name),
 		frameSeen: make(map[frameKey]int),
 		frameDone: make(map[frameKey]bool),
+		last:      make(map[uint32]arrival),
 	}
 	c.w.Eng.After(time.Second, r.tickSecond)
 	return r
@@ -66,9 +76,9 @@ func (r *receiver) observe(at time.Time, pkt *wirePacket) {
 	// Jitter accounting on the first packet of each frame.
 	k := frameKey{h.SSRC, h.TS}
 	if r.frameSeen[k] == 0 {
-		if !r.lastArrival.IsZero() {
-			dR := at.Sub(r.lastArrival).Seconds() * videoClockRate
-			dS := float64(int32(h.TS - r.lastTS))
+		if prev, ok := r.last[h.SSRC]; ok {
+			dR := at.Sub(prev.at).Seconds() * videoClockRate
+			dS := float64(int32(h.TS - prev.ts))
 			d := dR - dS
 			if d < 0 {
 				d = -d
@@ -86,7 +96,7 @@ func (r *receiver) observe(at time.Time, pkt *wirePacket) {
 			// Adaptation signal: responsive EWMA.
 			r.recentJitterMS += (ms - r.recentJitterMS) / 8
 		}
-		r.lastArrival, r.lastTS = at, h.TS
+		r.last[h.SSRC] = arrival{at, h.TS}
 	}
 	r.frameSeen[k]++
 	if !r.frameDone[k] && h.FramePkts > 0 && r.frameSeen[k] >= int(h.FramePkts) {
@@ -98,9 +108,11 @@ func (r *receiver) observe(at time.Time, pkt *wirePacket) {
 	}
 }
 
+// gc forgets frames more than ten seconds older than their sender's
+// latest.
 func (r *receiver) gc() {
 	for k := range r.frameSeen {
-		if int32(r.lastTS-k.ts) > 10*videoClockRate {
+		if int32(r.last[k.ssrc].ts-k.ts) > 10*videoClockRate {
 			delete(r.frameSeen, k)
 			delete(r.frameDone, k)
 		}
@@ -132,11 +144,17 @@ func (r *receiver) tickSecond() {
 	// adaptation loop at the sender (§3: Zoom adapts the sender's bit-
 	// and frame rate, using jitter rather than absolute delay).
 	if m := c.meeting; m != nil {
+		active := 0
+		for _, p := range m.participants {
+			if p.active {
+				active++
+			}
+		}
 		for _, p := range m.participants {
 			if p == c || !p.active {
 				continue
 			}
-			p.onFeedback(r.recentJitterMS)
+			p.onFeedback(c, r.recentJitterMS, active-1)
 		}
 	}
 	c.w.Eng.After(time.Second, r.tickSecond)
@@ -171,10 +189,29 @@ func pathRTT(p *path, now time.Time) time.Duration {
 	return 2 * oneWay
 }
 
-// onFeedback adapts this client's video sender to the receiver-reported
-// jitter: sustained high jitter halves the frame rate; sustained calm
-// restores it.
-func (c *Client) onFeedback(jitterMS float64) {
+// onFeedback takes receiver from's congestion report; reporters is how
+// many receivers report to this client each second. The client's video
+// sender adapts once per second, to the worst report of that second: the
+// second closes when every receiver has reported in it, or when one
+// reports again. (In a two-party meeting every report is a second of its
+// own.)
+func (c *Client) onFeedback(from *Client, jitterMS float64, reporters int) {
+	if slices.Contains(c.reportedBy, from) {
+		c.adapt()
+	}
+	c.reportedBy = append(c.reportedBy, from)
+	c.worstJitterMS = max(c.worstJitterMS, jitterMS)
+	if len(c.reportedBy) >= reporters {
+		c.adapt()
+	}
+}
+
+// adapt runs the video sender's hysteresis on the worst jitter reported
+// in the second just closed: sustained high jitter halves the frame
+// rate; sustained calm restores it.
+func (c *Client) adapt() {
+	jitterMS := c.worstJitterMS
+	c.reportedBy, c.worstJitterMS = c.reportedBy[:0], 0
 	for _, s := range c.senders {
 		if s.video == nil {
 			continue

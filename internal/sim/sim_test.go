@@ -2,6 +2,7 @@ package sim
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -478,5 +479,64 @@ func TestMuteAndCameraToggles(t *testing.T) {
 	}
 	if got := get(18); got.video != 0 {
 		t.Errorf("video after camera off: %d pkts", got.video)
+	}
+}
+
+// adaptedSenderSeconds runs a parties-way SFU meeting for 30 s and counts
+// the sender-seconds a video sender spent adapted to network feedback
+// (congested), sampled once a second. congest adds a WanDown congestion
+// episode from 10 s to 20 s.
+func adaptedSenderSeconds(seed int64, parties int, congest bool) int {
+	opts := DefaultOptions()
+	opts.Seed = seed
+	w := NewWorld(opts)
+	m := w.NewMeeting()
+	clients := make([]*Client, parties)
+	for i := range clients {
+		clients[i] = w.NewClient(fmt.Sprintf("p%d", i), true)
+		m.Join(clients[i], DefaultMediaSet())
+	}
+	if congest {
+		w.WanDown.Episodes = append(w.WanDown.Episodes, netsim.Congestion{
+			Start:       opts.Start.Add(10 * time.Second),
+			End:         opts.Start.Add(20 * time.Second),
+			ExtraDelay:  30 * time.Millisecond,
+			ExtraJitter: 40 * time.Millisecond,
+			LossRate:    0.02,
+		})
+	}
+	adapted := 0
+	var sample func()
+	sample = func() {
+		for _, c := range clients {
+			for _, s := range c.senders {
+				if s.video != nil && s.congested {
+					adapted++
+				}
+			}
+		}
+		w.Eng.After(time.Second, sample)
+	}
+	w.Eng.After(time.Second, sample)
+	w.Run(opts.Start.Add(30 * time.Second))
+	return adapted
+}
+
+// TestCleanMeetingsAdaptNoSender: on clean links no video sender adapts,
+// whatever the meeting's size. A receiver's jitter compares each video
+// frame with the previous frame of the same sender: RTP timestamps of
+// different SSRCs have unrelated bases, so comparing across senders
+// reads seconds of jitter in every meeting of three or more. A WanDown
+// congestion episode does adapt a sender, so the check is not vacuous.
+func TestCleanMeetingsAdaptNoSender(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for parties := 2; parties <= 6; parties++ {
+			if n := adaptedSenderSeconds(seed, parties, false); n != 0 {
+				t.Errorf("seed %d, %d parties, clean links: %d adapted sender-seconds, want 0", seed, parties, n)
+			}
+		}
+		if n := adaptedSenderSeconds(seed, 3, true); n == 0 {
+			t.Errorf("seed %d, 3 parties, congested downlink: no sender adapted", seed)
+		}
 	}
 }

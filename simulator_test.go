@@ -71,9 +71,9 @@ func TestSimulatorGoldenDigests(t *testing.T) {
 		sha256 string
 	}{
 		{"campus", func(d *frameDigest) { simulateCampus(minuteCampus(0), false, d.tap) },
-			90881, "1cd467d0ce92c5c596f3d71f3c77cd20d07a0d5d3706d81c7c58bc3f87e340c0"},
+			102361, "f2756cf5cbd67adea9e9d790bbbbf6fc8126ad7ddd1844ff30e1f7a1b25c5cd1"},
 		{"campus-webrtc", func(d *frameDigest) { simulateCampus(minuteCampus(0.5), false, d.tap) },
-			149885, "dd619ecd8b5c5d161349e9c73f970fcf8b6cf56de1a3f3b83a291925cb6421c1"},
+			200517, "17c8a01ca49178e7ae697c15095a478ecf6c4d288df8a263ba2b96b2658bf09d"},
 		{"validation", func(d *frameDigest) {
 			w, _, _ := validationWorld(60, 1)
 			w.Monitor = d.tap
@@ -97,9 +97,9 @@ func TestSimulatorGoldenDigests(t *testing.T) {
 // simulated (so it also counts legs no tap sees). Events live by value
 // in the engine's heap and frames are built into one reused buffer at
 // the tap, so what is left is each packet's own payload, its closures
-// and its flight record: 4.85 per tapped frame, down from 15.5 when
+// and its flight record: 4.97 per tapped frame, down from 15.5 when
 // every event, link closure and frame copy was its own allocation. The
-// budget is an eighth above the measured value.
+// budget is a tenth above the measured value.
 func TestSimAllocsPerFrameBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a campus minute twice")
