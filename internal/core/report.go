@@ -107,8 +107,7 @@ type StreamSegment struct {
 // live, ordered by SSRC, media type and flow; an ID's segments are
 // adjacent, oldest first. Eviction moves a stream between containers,
 // never out of this list: it holds every segment the window admitted.
-// Call from the ingest goroutine: a parallel engine
-// quiesces first.
+// Call from the ingest goroutine: a parallel engine quiesces first.
 func (p *pipeline) Streams() []StreamSegment {
 	p.quiesce()
 	var out []StreamSegment

@@ -24,9 +24,9 @@ func dedupRecord(d *Dedup, full bool) []byte {
 // interleaved streams, copies that link, pauses long enough for the
 // ageing sweep to unlink a stream before its next packet links it again
 // (three ageEvery crossings a seed), and a full record then deltas along
-// the way. Unified IDs, Records and the record
-// bytes must be equal throughout — and the by-handle detector must have
-// gone through its handles, not the map.
+// the way. Unified IDs, Records and the record bytes must be equal
+// throughout — and the by-handle detector must have gone through its
+// handles, not the map.
 func TestDedupHandleMatchesKeyed(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
