@@ -70,7 +70,7 @@ checkpoint-check:
 # the sharded engine within 1.25x of the sequential one's bytes per packet.
 # Then the simulator's: bounded allocations per frame the monitor sees.
 alloc-check:
-	$(GO) test -count=1 -run 'TestIngestReadAllocsZero|TestIngestAnalyzeAllocsBounded|TestSimAllocsPerFrameBounded' -v .
+	$(GO) test -count=1 -run 'TestIngestReadAllocsZero|TestIngestAnalyzeAllocsBounded|TestSimAllocsPerFrameBounded|TestLogHeapPerRecordBounded' -v .
 
 ablation:
 	$(GO) test -bench=Ablation -benchtime 1x -run XXX .

@@ -154,9 +154,9 @@ func lastCopyAfter(recs []pcap.Record, cfg Config, from int) int {
 	a := NewAnalyzer(cfg)
 	last := -1
 	for i, rec := range recs {
-		n := len(a.Copies.Samples)
+		n := a.Copies.Samples.Len()
 		a.Packet(rec.Timestamp, rec.Data)
-		if i > from && len(a.Copies.Samples) > n {
+		if i > from && a.Copies.Samples.Len() > n {
 			last = i
 		}
 	}

@@ -64,11 +64,10 @@ func main() {
 			if !want(id.Key.SSRC) || sm.Packets == 0 {
 				continue
 			}
-			origin := sm.MediaRate.Samples
-			if len(origin) == 0 {
+			if sm.MediaRate.Samples.Len() == 0 {
 				continue
 			}
-			start := origin[0].Time()
+			start := sm.MediaRate.Samples.At(0).Time()
 			rate := sm.MediaRate.Bin(start, time.Second, "mean")
 			fps := index(sm.FrameRate().Bin(start, time.Second, "last"))
 			enc := index(sm.EncoderRate().Bin(start, time.Second, "mean"))
@@ -92,7 +91,8 @@ func main() {
 		}
 	case "rtt":
 		w.Write([]string{"time", "rtt_ms", "unified_stream"})
-		for _, s := range a.Copies.Samples {
+		for i := range a.Copies.Samples.Len() {
+			s := a.Copies.Samples.At(i)
 			w.Write([]string{
 				s.Time().Format("15:04:05.000"),
 				fmt.Sprintf("%.2f", float64(s.RTT)/1e6),
@@ -104,10 +104,10 @@ func main() {
 		// path RTT; use the mean of the copy-matcher samples when
 		// available.
 		var rtt time.Duration
-		if n := len(a.Copies.Samples); n > 0 {
+		if n := a.Copies.Samples.Len(); n > 0 {
 			var sum time.Duration
-			for _, s := range a.Copies.Samples {
-				sum += s.RTT
+			for i := range n {
+				sum += a.Copies.Samples.At(i).RTT
 			}
 			rtt = sum / time.Duration(n)
 		}

@@ -29,10 +29,10 @@ func renderReport(a *Analyzer) string {
 		ls := sm.LossStats()
 		fmt.Fprintf(&b, "stream %d %s %s %s pkts=%d media=%d frames=%d loss=%+v\n",
 			id.Key.SSRC, rtcproto.NameOf(id.Key.Proto), id.Key.Type, id.Flow, sm.Packets, sm.MediaBytes, sm.FramesTotal(), ls)
-		for _, smp := range sm.MediaRate.Samples {
+		for _, smp := range samplesOf(sm.MediaRate) {
 			fmt.Fprintf(&b, "  rate %s %.6f\n", smp.Time().Format("15:04:05.000000000"), smp.Value)
 		}
-		for _, smp := range sm.JitterMS.Samples {
+		for _, smp := range samplesOf(sm.JitterMS) {
 			fmt.Fprintf(&b, "  jit %s %.6f\n", smp.Time().Format("15:04:05.000000000"), smp.Value)
 		}
 		if sm.Talk != nil {
@@ -42,7 +42,8 @@ func renderReport(a *Analyzer) string {
 			}
 		}
 	}
-	for _, smp := range a.Copies.Samples {
+	for i := range a.Copies.Samples.Len() {
+		smp := a.Copies.Samples.At(i)
 		fmt.Fprintf(&b, "rtt %s %v %d\n", smp.Time().Format("15:04:05.000"), smp.RTT, smp.Unified)
 	}
 	for _, fl := range a.Flows.Flows() {

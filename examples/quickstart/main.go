@@ -53,8 +53,8 @@ func main() {
 		}
 		loss := sm.LossStats()
 		var fps float64
-		if frames := sm.Frames(); len(frames) > 0 {
-			fps = float64(frames[len(frames)-1].Rate) // §5.2 method 1 at the last finished frame
+		if frames := sm.Frames(); frames.Len() > 0 {
+			fps = float64(frames.At(frames.Len() - 1).Rate) // §5.2 method 1 at the last finished frame
 		}
 		fmt.Printf("  %-18s %-45s pkts=%-6d frames=%-5d fps≈%-5.1f mediaB=%-8d lost=%d dup=%d\n",
 			id.Key, id.Flow, sm.Packets, sm.FramesTotal(), fps, sm.MediaBytes,
@@ -64,10 +64,10 @@ func main() {
 	// 4. Latency from stream copies (§5.3 method 1): the monitor sees
 	//    each uplink stream come back from the SFU toward the other
 	//    participant.
-	if n := len(analyzer.Copies.Samples); n > 0 {
+	if n := analyzer.Copies.Samples.Len(); n > 0 {
 		var sum time.Duration
-		for _, s := range analyzer.Copies.Samples {
-			sum += s.RTT
+		for i := range n {
+			sum += analyzer.Copies.Samples.At(i).RTT
 		}
 		fmt.Printf("\nmonitor↔SFU RTT: %d samples, mean %s\n",
 			n, (sum / time.Duration(n)).Round(100*time.Microsecond))

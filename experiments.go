@@ -75,6 +75,16 @@ func RunCampus(cfg CampusConfig) *CampusResult {
 	return res
 }
 
+// samplesOf copies a series out of the analyzer into a result that
+// outlives it.
+func samplesOf(s metrics.Series) []Sample {
+	out := make([]Sample, s.Samples.Len())
+	for i := range out {
+		out[i] = *s.Samples.At(i)
+	}
+	return out
+}
+
 func binsToSeries(bins map[int64]float64) []Sample {
 	if len(bins) == 0 {
 		return nil
@@ -111,7 +121,8 @@ func (r *CampusResult) MediaRateSeries() map[MediaType][]Sample {
 			m = map[int64]float64{}
 			agg[id.Key.Type] = m
 		}
-		for _, s := range sm.MediaRate.Samples {
+		for i := range sm.MediaRate.Samples.Len() {
+			s := sm.MediaRate.Samples.At(i)
 			m[s.Time().Unix()] += s.Value / 1e6
 		}
 	}
@@ -147,8 +158,8 @@ func (r *CampusResult) Distributions(minPackets uint64) *Distributions {
 			continue
 		}
 		mt := id.Key.Type
-		for _, s := range sm.MediaRate.Samples {
-			d.DataRateMbps[mt] = append(d.DataRateMbps[mt], s.Value/1e6)
+		for i := range sm.MediaRate.Samples.Len() {
+			d.DataRateMbps[mt] = append(d.DataRateMbps[mt], sm.MediaRate.Samples.At(i).Value/1e6)
 		}
 		// Frame rate per one-second bin, including zero-frame bins
 		// (screen sharing spends ~15 % of seconds at 0 fps, §6.2).
@@ -157,8 +168,8 @@ func (r *CampusResult) Distributions(minPackets uint64) *Distributions {
 				d.FrameRate[mt] = append(d.FrameRate[mt], s.Value)
 			}
 		}
-		for _, f := range sm.Frames() {
-			d.FrameSize[mt] = append(d.FrameSize[mt], float64(f.Bytes))
+		for i, frames := 0, sm.Frames(); i < frames.Len(); i++ {
+			d.FrameSize[mt] = append(d.FrameSize[mt], float64(frames.At(i).Bytes))
 		}
 		// Jitter only where the clock rate is known (video, §6.2).
 		if mt == TypeVideo {
@@ -308,8 +319,8 @@ func RunValidation(seconds int, seed int64) *ValidationResult {
 		return res
 	}
 	res.EstimatedFPS = target.FrameRate().Bin(opts.Start, time.Second, "last")
-	res.EstimatedJitterMS = target.JitterMS.Samples
-	res.EstimatedRTTMS = a.Copies.SeriesMS().Samples
+	res.EstimatedJitterMS = samplesOf(target.JitterMS)
+	res.EstimatedRTTMS = samplesOf(a.Copies.SeriesMS())
 
 	for _, e := range bob.QoS().Entries {
 		res.QoSFPS = append(res.QoSFPS, Sample{At: metrics.Nanos(e.Time), Value: e.VideoFPS})

@@ -174,3 +174,59 @@ func TestIngestAnalyzeAllocsBounded(t *testing.T) {
 		}
 	})
 }
+
+// TestLogHeapPerRecordBounded pins what a finished capture's append-only
+// logs cost live: the heap an analyzer holds after Finish, over the
+// bytes its frame records (40 B), series samples (16 B) and RTT samples
+// (24 B copy-matcher, 40 B TCP) hold. The trace's video streams log some
+// 900 frames each, several chunks, so a log that grows by copying itself
+// shows here as the slack past its length: copying logs read 1.536 B of
+// heap per logged byte on this trace, chunked ones 1.371 (the rest is
+// flow, stream and meeting state), and the budget sits between.
+func TestLogHeapPerRecordBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state is heap the logs do not hold")
+	}
+	at, frames, cfg := benchTrace(t)
+	// Two collections each side: the second empties the sync.Pool victim
+	// caches an earlier test may have filled.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a := NewAnalyzer(cfg)
+	for i := range frames {
+		a.Packet(at[i], frames[i])
+	}
+	a.Finish()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	var records, longest int
+	logged := 0
+	for _, seg := range a.Streams() {
+		sm := seg.Metrics
+		n := sm.Frames().Len()
+		longest = max(longest, n)
+		records += n + sm.JitterMS.Samples.Len() + sm.MediaRate.Samples.Len()
+		logged += 40*n + 16*(sm.JitterMS.Samples.Len()+sm.MediaRate.Samples.Len())
+	}
+	records += a.Copies.Samples.Len()
+	logged += 24 * a.Copies.Samples.Len()
+	for _, tr := range a.TCP {
+		records += tr.Samples.Len()
+		logged += 40 * tr.Samples.Len()
+	}
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	ratio := float64(heap) / float64(logged)
+	t.Logf("%d log records, %d B of them, longest frame log %d; heap after Finish %d B: %.3f B per logged byte", records, logged, longest, heap, ratio)
+	if longest <= 256 {
+		t.Fatalf("longest frame log %d records: the trace fills no second chunk", longest)
+	}
+	const budget = 1.45
+	if ratio > budget {
+		t.Errorf("%.3f B of heap per logged byte, budget %.2f", ratio, budget)
+	}
+	runtime.KeepAlive(a)
+}

@@ -92,10 +92,10 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 			continue
 		}
 		checked++
-		n := len(sm.FrameRate().Samples)
+		n := sm.FrameRate().Samples.Len()
 		var sum float64
 		var cnt int
-		for _, s := range sm.FrameRate().Samples[n/2:] {
+		for _, s := range all(sm.FrameRate().Samples)[n/2:] {
 			sum += s.Value
 			cnt++
 		}
@@ -104,7 +104,7 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 			t.Errorf("stream %v: mean fps = %v, want ≈28", id.Key, fps)
 		}
 		var under2000, frames int
-		for _, s := range sm.FrameSize().Samples {
+		for _, s := range all(sm.FrameSize().Samples) {
 			frames++
 			if s.Value < 2000 {
 				under2000++
@@ -114,8 +114,8 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 			t.Errorf("stream %v: frames <2000B = %v", id.Key, float64(under2000)/float64(frames))
 		}
 		// Jitter on an uncongested path stays low (median < 10 ms).
-		if len(sm.JitterMS.Samples) > 10 {
-			mid := sm.JitterMS.Samples[len(sm.JitterMS.Samples)/2].Value
+		if sm.JitterMS.Samples.Len() > 10 {
+			mid := all(sm.JitterMS.Samples)[sm.JitterMS.Samples.Len()/2].Value
 			if mid > 10 {
 				t.Errorf("stream %v: median jitter = %v ms", id.Key, mid)
 			}
@@ -128,7 +128,7 @@ func TestEndToEndVideoMetricsMatchGroundTruth(t *testing.T) {
 
 func TestEndToEndRTTViaStreamCopies(t *testing.T) {
 	a, opts := runMeetingCapture(t, 30, false)
-	samples := a.Copies.Samples
+	samples := all(a.Copies.Samples)
 	if len(samples) < 100 {
 		t.Fatalf("rtt samples = %d, want many", len(samples))
 	}
@@ -218,7 +218,7 @@ func TestEndToEndJitterRisesUnderCongestion(t *testing.T) {
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		for _, s := range sm.JitterMS.Samples {
+		for _, s := range all(sm.JitterMS.Samples) {
 			switch {
 			case s.Time().After(congStart.Add(3*time.Second)) && s.Time().Before(congEnd):
 				busy = append(busy, s.Value)
@@ -383,7 +383,7 @@ func TestClockRateDiscoveryEndToEnd(t *testing.T) {
 	var videoChecked, audioChecked int
 	for _, seg := range a.Streams() {
 		id, sm := seg.ID, seg.Metrics
-		if len(sm.Frames()) < 100 {
+		if sm.Frames().Len() < 100 {
 			continue
 		}
 		est, ok := sm.InferClockRate()
@@ -469,7 +469,7 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 		}
 		// Frame sizes have the documented small-median shape.
 		var under500, frames int
-		for _, s := range sm.FrameSize().Samples {
+		for _, s := range all(sm.FrameSize().Samples) {
 			frames++
 			if s.Value < 500 {
 				under500++
@@ -491,7 +491,7 @@ func TestScreenShareAnalyzedEndToEnd(t *testing.T) {
 		if id.Key.Type != zoom.TypeVideo {
 			continue
 		}
-		for _, s := range sm.EncoderRate().Samples {
+		for _, s := range all(sm.EncoderRate().Samples) {
 			if s.Value > 12 && s.Value < 16 {
 				sawReduced = true
 			}
@@ -675,13 +675,13 @@ func TestRetxHeuristicEndToEnd(t *testing.T) {
 
 	// Path RTT from the copy matcher.
 	var rttSum time.Duration
-	for _, s := range a.Copies.Samples {
+	for _, s := range all(a.Copies.Samples) {
 		rttSum += s.RTT
 	}
-	if len(a.Copies.Samples) == 0 {
+	if a.Copies.Samples.Len() == 0 {
 		t.Fatal("no RTT samples")
 	}
-	rtt := rttSum / time.Duration(len(a.Copies.Samples))
+	rtt := rttSum / time.Duration(a.Copies.Samples.Len())
 
 	var strong, analyzed int
 	for _, seg := range a.Streams() {

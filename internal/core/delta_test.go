@@ -612,7 +612,7 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		exchange(live, idle, start.Add(time.Duration(round)*10*time.Millisecond), round)
 	}
-	if tr := live.TCP[idle]; tr == nil || len(tr.Samples) != 5 {
+	if tr := live.TCP[idle]; tr == nil || tr.Samples.Len() != 5 {
 		t.Fatalf("idle connection's tracker before the checkpoint: %+v", tr)
 	}
 	full := checkpointBytes(t, live)
@@ -681,11 +681,11 @@ func TestTCPTrackerIdleEviction(t *testing.T) {
 	back := restore(full)
 	evictedAt(back)
 	exchange(back, idle, start.Add(6*time.Second), 0)
-	if tr := back.TCP[idle]; tr == nil || len(tr.Samples) != 1 {
+	if tr := back.TCP[idle]; tr == nil || tr.Samples.Len() != 1 {
 		t.Fatalf("returning connection's tracker: %+v, want a fresh one with 1 sample", tr)
 	}
 	replica = replay(cutDelta(back))
-	if tr := replica.TCP[idle]; tr == nil || len(tr.Samples) != 1 {
+	if tr := replica.TCP[idle]; tr == nil || tr.Samples.Len() != 1 {
 		t.Errorf("replica's tracker for the returning connection: %+v, want 1 sample", tr)
 	}
 	if !bytes.Equal(checkpointBytes(t, replica), checkpointBytes(t, back)) {

@@ -95,7 +95,7 @@ func TestDifferentialUnderFaults(t *testing.T) {
 						t.Errorf("parallel(%d): stream %v loss stats diverge", workers, id)
 					}
 				}
-				if !reflect.DeepEqual(seq.Copies.Samples, par.Copies.Samples) {
+				if !reflect.DeepEqual(all(seq.Copies.Samples), all(par.Copies.Samples)) {
 					t.Errorf("parallel(%d): RTT samples diverge", workers)
 				}
 			}

@@ -393,7 +393,7 @@ func TestDeltaRejectsEditedLogBaseline(t *testing.T) {
 	}
 	var streamRec []byte
 	for _, seg := range live.Streams() { // in ID order: the same stream every run
-		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && listed[sm] && len(sm.Frames()) > 40 && len(sm.MediaRate.Samples) > 2 {
+		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && listed[sm] && sm.Frames().Len() > 40 && sm.MediaRate.Samples.Len() > 2 {
 			streamRec = bytes.Clone(layerRecord(sm, false))
 			break
 		}
@@ -595,11 +595,19 @@ func TestRestoreTakesCapsFromConfig(t *testing.T) {
 	for _, want := range []string{
 		`zoomlens_state_cap{table="flows"} 1000`,
 		`zoomlens_state_cap{table="streams"} 1000`,
-		`zoomlens_state_cap{table="dedup_streams"} 0`,
 		`zoomlens_state_cap{table="copy_pending"} 256000`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// No setting caps the archive or the dedup records: no cap series.
+	for _, table := range []string{"dedup_streams", "finished"} {
+		if series := `zoomlens_state_cap{table="` + table + `"}`; strings.Contains(out, series) {
+			t.Errorf("exposition has %s, a cap no setting can change", series)
+		}
+		if series := `zoomlens_state_occupancy{table="` + table + `"}`; !strings.Contains(out, series) {
+			t.Errorf("exposition missing %s", series)
 		}
 	}
 }

@@ -58,21 +58,26 @@ func newCoreObs(reg *obs.Registry, shard string, cfg Config) *coreObs {
 	if shard == "" {
 		o.gap = reg.Gauge("zoomlens_accounting_gap", "Frames read minus frames in a terminal bucket at the last refresh at rest (0 unless a shard panic struck before its frame was counted).")
 	}
+	// The archive and the dedup records have no cap of their own (-rotate
+	// bounds both), so they get an occupancy gauge and no cap gauge.
 	for _, t := range []struct {
-		table string
-		cap   int
+		table  string
+		cap    int
+		capped bool
 	}{
-		{"flows", cfg.MaxFlows}, {"streams", cfg.MaxStreams}, {"tcp", cfg.maxTCP()},
-		{"dedup_streams", 0},
-		{"copy_pending", cmp.Or(effectiveMaxCopyPending(cfg), metrics.DefaultMaxPending)},
-		{"finished", 0},
+		{"flows", cfg.MaxFlows, true}, {"streams", cfg.MaxStreams, true}, {"tcp", cfg.maxTCP(), true},
+		{"dedup_streams", 0, false},
+		{"copy_pending", cmp.Or(effectiveMaxCopyPending(cfg), metrics.DefaultMaxPending), true},
+		{"finished", 0, false},
 	} {
 		lbl := []obs.Label{obs.L("table", t.table)}
 		if shard != "" {
 			lbl = append(lbl, obs.L("shard", shard))
 		}
 		o.occ[t.table] = reg.Gauge("zoomlens_state_occupancy", "Live entries per state table.", lbl...)
-		reg.Gauge("zoomlens_state_cap", "Configured cap per state table (0 = unlimited).", lbl...).Set(int64(t.cap))
+		if t.capped {
+			reg.Gauge("zoomlens_state_cap", "Configured cap per state table (0 = unlimited).", lbl...).Set(int64(t.cap))
+		}
 	}
 	return o
 }

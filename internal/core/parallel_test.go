@@ -153,10 +153,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		stalls += len(ss.Stalls())
 		for name, pair := range map[string][2][]metrics.Sample{
-			"frame_rate": {ss.FrameRate().Samples, ps.FrameRate().Samples},
-			"media_rate": {ss.MediaRate.Samples, ps.MediaRate.Samples},
-			"jitter_ms":  {ss.JitterMS.Samples, ps.JitterMS.Samples},
-			"frame_size": {ss.FrameSize().Samples, ps.FrameSize().Samples},
+			"frame_rate": {all(ss.FrameRate().Samples), all(ps.FrameRate().Samples)},
+			"media_rate": {all(ss.MediaRate.Samples), all(ps.MediaRate.Samples)},
+			"jitter_ms":  {all(ss.JitterMS.Samples), all(ps.JitterMS.Samples)},
+			"frame_size": {all(ss.FrameSize().Samples), all(ps.FrameSize().Samples)},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Errorf("stream %v series %s diverges (%d vs %d samples)", id, name, len(pair[0]), len(pair[1]))
@@ -166,8 +166,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if stalls == 0 {
 		t.Error("no stream predicts a stall: the stall rows check nothing")
 	}
-	if !reflect.DeepEqual(seq.Copies.Samples, par.Copies.Samples) {
-		t.Errorf("RTT samples diverge: %d vs %d", len(seq.Copies.Samples), len(par.Copies.Samples))
+	if !reflect.DeepEqual(all(seq.Copies.Samples), all(par.Copies.Samples)) {
+		t.Errorf("RTT samples diverge: %d vs %d", seq.Copies.Samples.Len(), par.Copies.Samples.Len())
 	}
 	if len(seq.TCP) != len(par.TCP) {
 		t.Fatalf("TCP trackers: %d vs %d", len(seq.TCP), len(par.TCP))

@@ -179,7 +179,8 @@ func (a *Analyzer) MeetingReports() []MeetingReport {
 
 	// Monitor↔SFU RTT samples carry their unified stream.
 	rttN := make([]int, len(out))
-	for _, s := range a.Copies.Samples {
+	for i := range a.Copies.Samples.Len() {
+		s := a.Copies.Samples.At(i)
 		if mi, ok := ru.meetingOf[s.Unified]; ok {
 			out[mi].MeanRTT += s.RTT
 			rttN[mi]++
@@ -219,20 +220,17 @@ func accumulateStream(sm *metrics.StreamMetrics, pr *ParticipantReport) {
 		pr.RetransmissionRate = max(pr.RetransmissionRate, float64(loss.Duplicates)/float64(loss.Received))
 	}
 	if sm.MediaType == zoom.TypeVideo {
-		if frames := sm.Frames(); len(frames) > 0 {
-			n := len(frames)
+		if frames := sm.Frames(); frames.Len() > 0 {
+			n := frames.Len()
 			var sum float64
-			for _, f := range frames[n/2:] {
-				sum += float64(f.Rate)
+			for i := n / 2; i < n; i++ {
+				sum += float64(frames.At(i).Rate)
 			}
 			pr.videoStreams++
 			pr.VideoFPSMean = combineMean(pr.VideoFPSMean, sum/float64(n-n/2), pr.videoStreams)
 		}
-		if n := len(sm.JitterMS.Samples); n > 0 {
-			vals := make([]float64, n)
-			for i, s := range sm.JitterMS.Samples {
-				vals[i] = s.Value
-			}
+		if n := sm.JitterMS.Samples.Len(); n > 0 {
+			vals := sm.JitterMS.Values()
 			sort.Float64s(vals)
 			pr.JitterP50MS = max(pr.JitterP50MS, vals[n/2])
 		}

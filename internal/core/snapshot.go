@@ -5,6 +5,7 @@ import (
 
 	"zoomlens/internal/flow"
 	"zoomlens/internal/metrics"
+	"zoomlens/internal/statecodec"
 )
 
 // Periodic QoE snapshots: a live, per-meeting view of the §5 metrics
@@ -85,9 +86,8 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 	}
 
 	cutNS, nowNS := metrics.Nanos(cut), metrics.Nanos(now)
-	windowed := func(ser *metrics.Series) []metrics.Sample {
-		return windowTail(ser.Samples, func(s *metrics.Sample) int64 { return s.At }, cutNS, nowNS)
-	}
+	sampleAt := func(s *metrics.Sample) int64 { return s.At }
+	frameAt := func(f *metrics.FrameRecord) int64 { return f.At }
 
 	for _, r := range ru.records {
 		mi := ru.meetingOf[r.Unified]
@@ -99,28 +99,32 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 			ls := sm.LossStats()
 			out[mi].Lost += ls.EstimatedLost
 			out[mi].Retransmits += ls.Duplicates
-			for _, smp := range windowed(&sm.MediaRate) {
-				a.mediaBits += smp.Value
+			media := &sm.MediaRate.Samples
+			for i, hi := windowTail(media, sampleAt, cutNS, nowNS); i < hi; i++ {
+				a.mediaBits += media.At(i).Value
 			}
 			// The frame-rate series, read off the frame log's tail.
-			for _, f := range windowTail(sm.Frames(), func(f *metrics.FrameRecord) int64 { return f.At }, cutNS, nowNS) {
-				a.fpsSum += float64(f.Rate)
+			frames := sm.Frames()
+			for i, hi := windowTail(frames, frameAt, cutNS, nowNS); i < hi; i++ {
+				a.fpsSum += float64(frames.At(i).Rate)
 				a.fpsN++
 			}
-			for _, smp := range windowed(&sm.JitterMS) {
-				a.jitSum += smp.Value
+			jitter := &sm.JitterMS.Samples
+			for i, hi := windowTail(jitter, sampleAt, cutNS, nowNS); i < hi; i++ {
+				a.jitSum += jitter.At(i).Value
 				a.jitN++
 			}
 		}
 	}
 
 	// RTT samples carry their unified stream; fold each into its meeting.
-	ss := p.Copies.Samples
-	lo := len(ss)
-	for lo > 0 && ss[lo-1].At > cutNS {
+	ss := &p.Copies.Samples
+	lo := ss.Len()
+	for lo > 0 && ss.At(lo-1).At > cutNS {
 		lo--
 	}
-	for _, rs := range ss[lo:] {
+	for i := lo; i < ss.Len(); i++ {
+		rs := ss.At(i)
 		if rs.At > nowNS {
 			continue
 		}
@@ -151,17 +155,18 @@ func (p *pipeline) Snapshot(now time.Time, window time.Duration) []MeetingSnapsh
 	return out
 }
 
-// windowTail returns the trailing elements of s timed inside (cut, now],
-// at giving an element's time in Unix nanoseconds: s is appended in time
-// order, so the window is a suffix less the elements past now.
-func windowTail[T any](s []T, at func(*T) int64, cut, now int64) []T {
-	lo := len(s)
-	for lo > 0 && at(&s[lo-1]) > cut {
+// windowTail returns the index range [lo, hi) of l's trailing elements
+// timed inside (cut, now], at giving an element's time in Unix
+// nanoseconds: l is appended in time order, so the window is a suffix
+// less the elements past now. It reads the log in place.
+func windowTail[T any](l *statecodec.Log[T], at func(*T) int64, cut, now int64) (lo, hi int) {
+	lo = l.Len()
+	for lo > 0 && at(l.At(lo-1)) > cut {
 		lo--
 	}
-	hi := len(s)
-	for hi > lo && at(&s[hi-1]) > now {
+	hi = l.Len()
+	for hi > lo && at(l.At(hi-1)) > now {
 		hi--
 	}
-	return s[lo:hi]
+	return lo, hi
 }

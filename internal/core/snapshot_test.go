@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zoomlens/internal/flow"
+	"zoomlens/internal/statecodec"
 )
 
 // streamIDs lists the ID of every stream segment, in Streams order.
@@ -39,15 +40,24 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 		id, sm := seg.ID, seg.Metrics
 		must(id)
 		must(sm.LossStats())
-		must(sm.FrameRate().Samples)
-		must(sm.MediaRate.Samples)
+		must(all(sm.FrameRate().Samples))
+		must(all(sm.MediaRate.Samples))
 		must(sm.Stalls())
-		must(sm.JitterMS.Samples)
-		must(sm.FrameSize().Samples)
-		must(sm.Frames())
+		must(all(sm.JitterMS.Samples))
+		must(all(sm.FrameSize().Samples))
+		must(all(*sm.Frames()))
 	}
-	must(a.Copies.Samples)
+	must(all(a.Copies.Samples))
 	return b.Bytes()
+}
+
+// all copies a log out, for comparing or encoding it whole.
+func all[T any](l statecodec.Log[T]) []T {
+	out := make([]T, l.Len())
+	for i := range out {
+		out[i] = *l.At(i)
+	}
+	return out
 }
 
 // TestSnapshotsDoNotPerturbResults is the acceptance gate for the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"zoomlens/internal/metrics"
 	"zoomlens/internal/pcap"
 	"zoomlens/internal/trace"
 )
@@ -145,7 +146,12 @@ func checkWindowsOpenOnCrossingRecord(t *testing.T, dir string) {
 func streamRows(r *Run) []any {
 	var rows []any
 	for _, seg := range r.Analyzer.Streams() {
-		rows = append(rows, seg.ID, seg.Metrics.LossStats(), seg.Metrics.Frames())
+		log := seg.Metrics.Frames()
+		frames := make([]metrics.FrameRecord, log.Len())
+		for i := range frames {
+			frames[i] = *log.At(i)
+		}
+		rows = append(rows, seg.ID, seg.Metrics.LossStats(), frames)
 	}
 	return rows
 }

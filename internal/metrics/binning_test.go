@@ -75,16 +75,16 @@ func TestRateSeriesLongGapCapped(t *testing.T) {
 	observeAt(sm, start.Add(12*time.Hour), 2)
 	sm.Finish()
 
-	if n := len(sm.MediaRate.Samples); n > 4 {
+	if n := sm.MediaRate.Samples.Len(); n > 4 {
 		t.Fatalf("MediaRate has %d samples after a 12h gap, want a handful (gap-fill not capped)", n)
 	}
 	// Both active seconds must still be represented.
 	times := map[int64]bool{}
-	for _, s := range sm.MediaRate.Samples {
+	for _, s := range all(sm.MediaRate.Samples) {
 		times[s.At] = true
 	}
 	if !times[start.UnixNano()] || !times[start.Add(12*time.Hour).UnixNano()] {
-		t.Errorf("active seconds missing from rate series: %+v", sm.MediaRate.Samples)
+		t.Errorf("active seconds missing from rate series: %+v", all(sm.MediaRate.Samples))
 	}
 }
 
@@ -98,10 +98,10 @@ func TestRateSeriesShortGapUnchanged(t *testing.T) {
 	observeAt(sm, start.Add(5*time.Second), 2)
 	sm.Finish()
 
-	if n := len(sm.MediaRate.Samples); n != 6 {
+	if n := sm.MediaRate.Samples.Len(); n != 6 {
 		t.Fatalf("MediaRate has %d samples across a 5s gap, want 6 (zero-filled)", n)
 	}
-	for i, s := range sm.MediaRate.Samples[1:5] {
+	for i, s := range all(sm.MediaRate.Samples)[1:5] {
 		if s.Value != 0 {
 			t.Errorf("gap sample %d = %v, want 0", i+1, s.Value)
 		}

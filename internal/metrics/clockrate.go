@@ -35,7 +35,10 @@ type ClockRateEstimate struct {
 // the best. ok is false with fewer than 8 usable transitions or when even
 // the best candidate mismatches badly (no periodic structure).
 func (sm *StreamMetrics) InferClockRate() (ClockRateEstimate, bool) {
-	return sweepClockRates(len(sm.frames), func(i int) (int64, uint32) { return sm.frames[i].At, sm.frames[i].TS })
+	return sweepClockRates(sm.frames.Len(), func(i int) (int64, uint32) {
+		f := sm.frames.At(i)
+		return f.At, f.TS
+	})
 }
 
 // sweepClockRates is the sweep over n frames, frame(i) giving the i-th's

@@ -105,7 +105,7 @@ func TestInferClockRateFromStreamMetrics(t *testing.T) {
 		ts += 90000 / 28
 	}
 	sm.Finish()
-	if n := len(sm.Frames()); n < 100 {
+	if n := sm.Frames().Len(); n < 100 {
 		t.Fatalf("frames = %d", n)
 	}
 	est, ok := sm.InferClockRate()

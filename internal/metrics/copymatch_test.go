@@ -166,11 +166,11 @@ func TestCopyMatcherAgainstMap(t *testing.T) {
 				t.Fatalf("seed %d, observation %d (%+v): ring matcher says %+v %v, map matcher %+v %v", seed, i, e, got, gotOK, want, wantOK)
 			}
 		}
-		if !slices.Equal(cm.Samples, ref.samples) {
-			t.Fatalf("seed %d: %d samples, the map matcher has %d", seed, len(cm.Samples), len(ref.samples))
+		if !slices.Equal(all(cm.Samples), ref.samples) {
+			t.Fatalf("seed %d: %d samples, the map matcher has %d", seed, cm.Samples.Len(), len(ref.samples))
 		}
-		if len(cm.Samples) < len(evs)/4 {
-			t.Fatalf("seed %d: only %d samples from %d observations: the trace pairs too little to prove anything", seed, len(cm.Samples), len(evs))
+		if cm.Samples.Len() < len(evs)/4 {
+			t.Fatalf("seed %d: only %d samples from %d observations: the trace pairs too little to prove anything", seed, cm.Samples.Len(), len(evs))
 		}
 		if cm.observed < 3*copyAgeEvery {
 			t.Fatalf("seed %d: %d observations never reach the ageing cadence", seed, cm.observed)
@@ -320,7 +320,7 @@ func TestCopyMatcherBackwardClockAtCap(t *testing.T) {
 			if d := time.Since(start); d > 5*time.Second {
 				t.Errorf("%d packets took %v", packets, d)
 			}
-			for _, s := range cm.Samples {
+			for _, s := range all(cm.Samples) {
 				if s.RTT < 0 || s.RTT > copyMaxAge {
 					t.Fatalf("sample with rtt %v", s.RTT)
 				}
@@ -433,7 +433,7 @@ func BenchmarkCopyMatcherObserve(b *testing.B) {
 		cm.Observe(meeting.UnifiedID(1+u), f[u], 98+uint8(seq&1)*12, seq, uint32(seq)*2970, t0.Add(time.Duration(i)*100*time.Microsecond))
 	}
 	b.StopTimer()
-	if b.N > 1000 && len(cm.Samples) < b.N/4 {
-		b.Fatalf("%d samples from %d observations", len(cm.Samples), b.N)
+	if b.N > 1000 && cm.Samples.Len() < b.N/4 {
+		b.Fatalf("%d samples from %d observations", cm.Samples.Len(), b.N)
 	}
 }

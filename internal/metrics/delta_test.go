@@ -161,7 +161,7 @@ func TestCopyMatcherDeltaBaseMismatch(t *testing.T) {
 
 	// A matcher with a different sample count is the wrong base.
 	other := NewCopyMatcher()
-	other.Samples = append(other.Samples, RTTSample{At: Nanos(t0), RTT: time.Millisecond, Unified: 9})
+	other.Samples.Append(RTTSample{At: Nanos(t0), RTT: time.Millisecond, Unified: 9})
 	if err := applyMatcher(other, delta); err == nil {
 		t.Fatal("delta applied onto wrong sample baseline")
 	}

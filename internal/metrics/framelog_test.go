@@ -149,7 +149,7 @@ func (o *seriesOracle) estimateRetransmissions(rtt time.Duration) RetxFrameEstim
 	var est RetxFrameEstimate
 	rttMS := float64(rtt) / float64(time.Millisecond)
 	strongMS := rttMS + float64(RetxTimeout)/float64(time.Millisecond)
-	for _, d := range o.FrameDelay.Samples {
+	for _, d := range all(o.FrameDelay.Samples) {
 		if d.Value == 0 {
 			continue
 		}
@@ -187,18 +187,18 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 			name      string
 			got, want []Sample
 		}{
-			{"FrameRate", sm.FrameRate().Samples, o.FrameRate.Samples},
-			{"EncoderRate", sm.EncoderRate().Samples, o.EncoderRate.Samples},
-			{"FrameSize", sm.FrameSize().Samples, o.FrameSize.Samples},
-			{"FrameDelay", frameDelay(sm).Samples, o.FrameDelay.Samples},
-			{"Packetization", packetizationMS(sm).Samples, o.Packetization.Samples},
+			{"FrameRate", all(sm.FrameRate().Samples), all(o.FrameRate.Samples)},
+			{"EncoderRate", all(sm.EncoderRate().Samples), all(o.EncoderRate.Samples)},
+			{"FrameSize", all(sm.FrameSize().Samples), all(o.FrameSize.Samples)},
+			{"FrameDelay", all(frameDelay(sm).Samples), all(o.FrameDelay.Samples)},
+			{"Packetization", all(packetizationMS(sm).Samples), all(o.Packetization.Samples)},
 		} {
 			if !slices.Equal(v.got, v.want) {
 				t.Fatalf("%s: %s has %d samples, the oracle %d; first difference at %d", when, v.name, len(v.got), len(v.want), firstDiff(v.got, v.want))
 			}
 		}
-		got := make([]FrameObservation, len(sm.Frames()))
-		for i, f := range sm.Frames() {
+		got := make([]FrameObservation, sm.Frames().Len())
+		for i, f := range all(*sm.Frames()) {
 			got[i] = FrameObservation{At: f.At, TS: f.TS}
 		}
 		if !slices.Equal(got, o.frameObs) {
@@ -239,10 +239,19 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 	return sm
 }
 
+// all copies a log out, for comparing it whole.
+func all[T any](l statecodec.Log[T]) []T {
+	out := make([]T, l.Len())
+	for i := range out {
+		out[i] = *l.At(i)
+	}
+	return out
+}
+
 // incomplete counts the frames the log holds as flushed incomplete.
 func incomplete(sm *StreamMetrics) uint64 {
 	var n uint64
-	for _, f := range sm.Frames() {
+	for _, f := range all(*sm.Frames()) {
 		if !f.Complete {
 			n++
 		}
@@ -353,9 +362,9 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 
 				packets := generateStream(mt, seed, 400, true)
 				sm := against(t, mt, packets, len(packets)/3)
-				if mt == zoom.TypeVideo && (incomplete(sm) == 0 || len(sm.EncoderRate().Samples) == 0 || len(sm.Stalls()) == 0) {
+				if mt == zoom.TypeVideo && (incomplete(sm) == 0 || sm.EncoderRate().Samples.Len() == 0 || len(sm.Stalls()) == 0) {
 					t.Errorf("the impaired stream has %d incomplete frames, %d encoder-rate samples, %d stalls: want some of each",
-						incomplete(sm), len(sm.EncoderRate().Samples), len(sm.Stalls()))
+						incomplete(sm), sm.EncoderRate().Samples.Len(), len(sm.Stalls()))
 				}
 
 				full := streamRecord(sm)
@@ -363,7 +372,7 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 				if err := applyStream(restored, full); err != nil {
 					t.Fatalf("full record onto a fresh stream: %v", err)
 				}
-				if !slices.Equal(restored.Frames(), sm.Frames()) || !reflect.DeepEqual(restored.Stalls(), sm.Stalls()) {
+				if !slices.Equal(all(*restored.Frames()), all(*sm.Frames())) || !reflect.DeepEqual(restored.Stalls(), sm.Stalls()) {
 					t.Error("restored frame log or stalls differ")
 				}
 				if again := streamRecord(restored); !bytes.Equal(again, full) {
@@ -386,7 +395,7 @@ func TestFrameLogHostileClock(t *testing.T) {
 				pkt: rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTAudioSpeak, SequenceNumber: uint16(i), Timestamp: ts, SSRC: 7, Marker: true}, Payload: make([]byte, 40)}}
 		}
 		sm := against(t, zoom.TypeAudio, packets)
-		if last := sm.Frames()[len(sm.Frames())-1]; last.Rate != 100_000 {
+		if last := sm.Frames().At(sm.Frames().Len() - 1); last.Rate != 100_000 {
 			t.Errorf("last frame's window holds %d frames, want 100000", last.Rate)
 		}
 	})
@@ -397,8 +406,8 @@ func TestFrameLogHostileClock(t *testing.T) {
 				pkt: rtp.Packet{Header: rtp.Header{PayloadType: zoom.PTVideoMain, SequenceNumber: uint16(i), Timestamp: 9000, SSRC: 7}, Payload: make([]byte, 100)}})
 		}
 		sm := against(t, zoom.TypeVideo, packets)
-		if len(sm.Frames()) != 1 || !sm.Frames()[0].Complete {
-			t.Fatalf("frames = %+v, want one complete frame", sm.Frames())
+		if sm.Frames().Len() != 1 || !sm.Frames().At(0).Complete {
+			t.Fatalf("frames = %+v, want one complete frame", all(*sm.Frames()))
 		}
 	})
 }
@@ -480,7 +489,7 @@ func TestFrameLogCodeRejectsCorrupt(t *testing.T) {
 	}
 	for _, mt := range []zoom.MediaType{zoom.TypeVideo, zoom.TypeAudio} {
 		sm := against(t, mt, generateStream(mt, 1, 30, true))
-		frames := sm.Frames()
+		frames := all(*sm.Frames())
 		full, tail := streamRecord(sm), log(len(frames), frames...)
 		if !bytes.HasSuffix(full, tail) {
 			t.Fatalf("%s: the record does not end in the frame log as written by hand", mt)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"zoomlens/internal/rtp"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -78,21 +79,22 @@ type FrameRecord struct {
 func saturate32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
 
 // Frames returns the stream's frame log, one record per finished frame
-// in the order they finished. It is the stream's own memory: read it,
-// do not keep or change it. Reports that need a count or a tail read it
-// directly; the accessors below build a whole Series from it.
-func (sm *StreamMetrics) Frames() []FrameRecord { return sm.frames }
+// in the order they finished. It is the stream's own memory: read it in
+// place, do not keep or change it. Reports that need a count or a tail
+// read it directly; the accessors below build a whole Series from it.
+func (sm *StreamMetrics) Frames() *statecodec.Log[FrameRecord] { return &sm.frames }
 
 // FramesTotal is how many frames the stream finished: the log's length.
-func (sm *StreamMetrics) FramesTotal() uint64 { return uint64(len(sm.frames)) }
+func (sm *StreamMetrics) FramesTotal() uint64 { return uint64(sm.frames.Len()) }
 
 // frameSeries builds the series whose sample for a frame is value's,
 // skipping the frames it has none for.
 func (sm *StreamMetrics) frameSeries(value func(*FrameRecord) (float64, bool)) Series {
-	s := Series{Samples: make([]Sample, 0, len(sm.frames))}
-	for i := range sm.frames {
-		if v, ok := value(&sm.frames[i]); ok {
-			s.Add(sm.frames[i].At, v)
+	var s Series
+	for i := range sm.frames.Len() {
+		f := sm.frames.At(i)
+		if v, ok := value(f); ok {
+			s.Add(f.At, v)
 		}
 	}
 	return s

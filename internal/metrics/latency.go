@@ -46,7 +46,7 @@ type CopyMatcher struct {
 	// Config.MaxStreams), and no checkpoint record carries it.
 	MaxPending int
 	// Samples receives each RTT measurement.
-	Samples []RTTSample
+	Samples statecodec.Log[RTTSample]
 
 	// streams is keyed by unified id — a map, not a slice indexed by it:
 	// ids grow with every stream of the report window, while the matcher
@@ -207,12 +207,7 @@ func (cm *CopyMatcher) Observe(unified meeting.UnifiedID, flow layers.FiveTuple,
 		if sl.flags&slotLive != 0 && sl.seq == seq && sl.ts == ts &&
 			int(sl.flow) != ord && now >= sl.at && uint64(now-sl.at) <= uint64(copyMaxAge) {
 			rs := RTTSample{At: now, RTT: time.Duration(now - sl.at), Unified: unified}
-			if len(cm.Samples) == cap(cm.Samples) {
-				// Doubling: append's 1.25× steps copy a long series five
-				// times over, and that was most of a pairing's cost.
-				cm.Samples = slices.Grow(cm.Samples, max(len(cm.Samples), 64))
-			}
-			cm.Samples = append(cm.Samples, rs)
+			cm.Samples.Append(rs)
 			sl.flags = cm.dirtyBit
 			r.dirty = cm.dirtyBit != 0
 			cm.pending--
@@ -371,7 +366,8 @@ func (cm *CopyMatcher) drop(id meeting.UnifiedID, s *copyStream) {
 // SeriesMS renders the samples as a millisecond time series.
 func (cm *CopyMatcher) SeriesMS() Series {
 	var s Series
-	for _, sm := range cm.Samples {
+	for i := range cm.Samples.Len() {
+		sm := cm.Samples.At(i)
 		s.Add(sm.At, float64(sm.RTT)/float64(time.Millisecond))
 	}
 	return s

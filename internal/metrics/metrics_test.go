@@ -53,29 +53,29 @@ func TestFrameAssemblyVideo(t *testing.T) {
 	if sm.FramesTotal() != 60 {
 		t.Fatalf("frames = %d, want 60", sm.FramesTotal())
 	}
-	for _, f := range sm.Frames() {
+	for _, f := range all(*sm.Frames()) {
 		if !f.Complete {
 			t.Errorf("incomplete frame %+v", f)
 		}
 	}
 	// Frame size = 3 packets × 1000 B.
-	for _, s := range sm.FrameSize().Samples {
+	for _, s := range all(sm.FrameSize().Samples) {
 		if s.Value != 3000 {
 			t.Fatalf("frame size = %v, want 3000", s.Value)
 		}
 	}
 	// After warm-up the window rate should be ~30 fps.
-	last := sm.FrameRate().Samples[len(sm.FrameRate().Samples)-1]
+	last := all(sm.FrameRate().Samples)[sm.FrameRate().Samples.Len()-1]
 	if last.Value < 28 || last.Value > 31 {
 		t.Errorf("method-1 frame rate = %v, want ~30", last.Value)
 	}
 	// Method 2 must agree exactly for a constant-rate encoder.
-	enc := sm.EncoderRate().Samples[len(sm.EncoderRate().Samples)-1]
+	enc := all(sm.EncoderRate().Samples)[sm.EncoderRate().Samples.Len()-1]
 	if enc.Value < 29.9 || enc.Value > 30.1 {
 		t.Errorf("method-2 frame rate = %v, want 30", enc.Value)
 	}
 	// Packetization time 1/30 s ≈ 33.3 ms.
-	pt := packetizationMS(sm).Samples[0].Value
+	pt := all(packetizationMS(sm).Samples)[0].Value
 	if pt < 33 || pt < 33.0 && pt > 34 {
 		t.Errorf("packetization = %v ms", pt)
 	}
@@ -101,13 +101,13 @@ func TestEncoderRateDivergesUnderCongestion(t *testing.T) {
 	}
 	sm.Finish()
 	// Encoder rate stays 30; delivered rate fluctuates above/below.
-	for _, s := range sm.EncoderRate().Samples {
+	for _, s := range all(sm.EncoderRate().Samples) {
 		if s.Value < 29.9 || s.Value > 30.1 {
 			t.Fatalf("encoder rate = %v", s.Value)
 		}
 	}
 	var sawLow bool
-	for _, s := range sm.FrameRate().Samples[5:] {
+	for _, s := range all(sm.FrameRate().Samples)[5:] {
 		if s.Value < 20 {
 			sawLow = true
 		}
@@ -131,7 +131,7 @@ func TestFrameDelayReflectsRetransmission(t *testing.T) {
 	if sm.FramesTotal() != 1 {
 		t.Fatalf("frames = %d", sm.FramesTotal())
 	}
-	if d := frameDelay(sm).Samples[0].Value; d < 129 || d > 131 {
+	if d := all(frameDelay(sm).Samples)[0].Value; d < 129 || d > 131 {
 		t.Errorf("frame delay = %v ms, want ~130", d)
 	}
 }
@@ -149,7 +149,7 @@ func TestDuplicatePacketsNotDoubleCounted(t *testing.T) {
 	if sm.FramesTotal() != 1 {
 		t.Fatalf("frames = %d", sm.FramesTotal())
 	}
-	if sz := sm.FrameSize().Samples[0].Value; sz != 1000 {
+	if sz := all(sm.FrameSize().Samples)[0].Value; sz != 1000 {
 		t.Errorf("frame size = %v, want 1000 (dup not double-counted)", sz)
 	}
 	loss := sm.LossStats()
@@ -181,11 +181,11 @@ func TestMediaRateBins(t *testing.T) {
 	sm := NewStreamMetrics(zoom.TypeVideo)
 	feedVideo(sm, t0, 90, 2, 30, 1000) // 3 seconds at 30fps, 2kB/frame
 	sm.Finish()
-	if len(sm.MediaRate.Samples) < 3 {
-		t.Fatalf("rate bins = %d", len(sm.MediaRate.Samples))
+	if sm.MediaRate.Samples.Len() < 3 {
+		t.Fatalf("rate bins = %d", sm.MediaRate.Samples.Len())
 	}
 	// Full middle bin: 30 frames × 2000 B × 8 = 480000 bits.
-	mid := sm.MediaRate.Samples[1]
+	mid := all(sm.MediaRate.Samples)[1]
 	if mid.Value < 400000 || mid.Value > 560000 {
 		t.Errorf("media rate = %v bps, want ≈480k", mid.Value)
 	}
@@ -195,10 +195,10 @@ func TestJitterSeriesOnSmoothStreamIsLow(t *testing.T) {
 	sm := NewStreamMetrics(zoom.TypeVideo)
 	feedVideo(sm, t0, 120, 2, 30, 800)
 	sm.Finish()
-	if len(sm.JitterMS.Samples) == 0 {
+	if sm.JitterMS.Samples.Len() == 0 {
 		t.Fatal("no jitter samples")
 	}
-	last := sm.JitterMS.Samples[len(sm.JitterMS.Samples)-1]
+	last := all(sm.JitterMS.Samples)[sm.JitterMS.Samples.Len()-1]
 	if last.Value > 1.0 {
 		t.Errorf("jitter = %v ms on smooth stream", last.Value)
 	}
@@ -267,7 +267,7 @@ func TestCopyMatcherRTT(t *testing.T) {
 			t.Fatalf("rtt = %v", s.RTT)
 		}
 	}
-	if len(cm.SeriesMS().Samples) != 100 {
+	if cm.SeriesMS().Samples.Len() != 100 {
 		t.Error("SeriesMS size mismatch")
 	}
 }

@@ -42,10 +42,10 @@ func (sm *StreamMetrics) EstimateRetransmissions(rtt time.Duration) RetxFrameEst
 	}
 	rttMS := float64(rtt) / float64(time.Millisecond)
 	strongMS := rttMS + float64(RetxTimeout)/float64(time.Millisecond)
-	for i := range sm.frames {
+	for i := range sm.frames.Len() {
 		// Skip single-packet frames: their delay is 0 and analyzing them
 		// would dilute the rate.
-		ms := float64(sm.frames[i].Delay) / float64(time.Millisecond)
+		ms := float64(sm.frames.At(i).Delay) / float64(time.Millisecond)
 		if ms == 0 {
 			continue
 		}

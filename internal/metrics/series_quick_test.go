@@ -28,7 +28,7 @@ func genSeries(rng *rand.Rand) Series {
 func TestQuickBinSumConservation(t *testing.T) {
 	f := func(s Series) bool {
 		var total float64
-		for _, x := range s.Samples {
+		for _, x := range all(s.Samples) {
 			total += x.Value
 		}
 		var binned float64
@@ -54,7 +54,7 @@ func TestQuickBinCountConservation(t *testing.T) {
 		for _, b := range s.Bin(t0, time.Second, "count") {
 			counted += b.Value
 		}
-		return int(counted) == len(s.Samples)
+		return int(counted) == s.Samples.Len()
 	}
 	cfg := &quick.Config{
 		MaxCount: 200,

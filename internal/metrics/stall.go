@@ -128,8 +128,8 @@ func (d *StallDetector) Finish(end time.Time) {
 // rate bin. A stream without an RTP clock logs no ΔRTP and predicts none.
 func (sm *StreamMetrics) Stalls() []StallEvent {
 	var d StallDetector
-	for i := range sm.frames {
-		if f := &sm.frames[i]; f.DeltaTS > 0 {
+	for i := range sm.frames.Len() {
+		if f := sm.frames.At(i); f.DeltaTS > 0 {
 			d.ObserveFrame(time.Unix(0, f.At).UTC(), time.Duration(f.Delay), packetization(f.DeltaTS, sm.clockRate))
 		}
 	}

@@ -126,7 +126,7 @@ func TestStreamMetricsStallIntegration(t *testing.T) {
 		audio.Observe(t0.Add(time.Duration(i)*time.Second), 170, &media, &pkt) // a frame every second: far behind
 	}
 	audio.Finish()
-	if len(audio.Frames()) == 0 || len(audio.Stalls()) != 0 {
-		t.Errorf("audio stream: %d frames, %d stalls; want frames and no stall", len(audio.Frames()), len(audio.Stalls()))
+	if audio.Frames().Len() == 0 || len(audio.Stalls()) != 0 {
+		t.Errorf("audio stream: %d frames, %d stalls; want frames and no stall", audio.Frames().Len(), len(audio.Stalls()))
 	}
 }

@@ -20,9 +20,9 @@ var (
 	u16Key = statecodec.UintKey[uint16]()
 )
 
-// code walks the samples from index from on (see statecodec.Slice).
+// code walks the samples from index from on (see statecodec.LogTail).
 func (s *Series) code(c *statecodec.Codec, from int) {
-	statecodec.Slice(c, &s.Samples, from, func(sm *Sample) {
+	statecodec.LogTail(c, &s.Samples, from, func(sm *Sample) {
 		c.I64(&sm.At)
 		c.F64(&sm.Value)
 	})
@@ -117,7 +117,7 @@ func (sm *StreamMetrics) code(c *statecodec.Codec, whole bool) {
 
 	// The frame log goes last: a record names its substream, so a
 	// decoding pass can hold each one against the substreams just built.
-	statecodec.Slice(c, &sm.frames, from.frames, func(f *FrameRecord) {
+	statecodec.LogTail(c, &sm.frames, from.frames, func(f *FrameRecord) {
 		c.I64(&f.At)
 		c.I64(&f.Delay)
 		c.U32(&f.TS)
@@ -235,7 +235,7 @@ func (cm *CopyMatcher) MarkCheckpointed() {
 		}
 	}
 	cm.log.MarkCheckpointed()
-	cm.ckSamples = len(cm.Samples)
+	cm.ckSamples = cm.Samples.Len()
 	cm.dirtyBit = slotDirty
 }
 
@@ -266,11 +266,11 @@ func (cm *CopyMatcher) Code(c *statecodec.Codec) {
 	if c.Full() {
 		base = 0
 	}
-	if c.Int(&base); !c.Encoding() && base != len(cm.Samples) {
-		c.Failf("metrics.CopyMatcher baseline %d samples does not match matcher at %d samples", base, len(cm.Samples))
+	if c.Int(&base); !c.Encoding() && base != cm.Samples.Len() {
+		c.Failf("metrics.CopyMatcher baseline %d samples does not match matcher at %d samples", base, cm.Samples.Len())
 		return
 	}
-	statecodec.Slice(c, &cm.Samples, base, func(s *RTTSample) {
+	statecodec.LogTail(c, &cm.Samples, base, func(s *RTTSample) {
 		c.I64(&s.At)
 		c.Duration(&s.RTT)
 		c.Int((*int)(&s.Unified))

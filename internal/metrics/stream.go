@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zoomlens/internal/rtp"
+	"zoomlens/internal/statecodec"
 	"zoomlens/internal/zoom"
 )
 
@@ -37,17 +38,17 @@ func Nanos(t time.Time) int64 {
 
 // Series is an append-only time series.
 type Series struct {
-	Samples []Sample
+	Samples statecodec.Log[Sample]
 }
 
 // Add appends a sample taken at Unix nanosecond at.
-func (s *Series) Add(at int64, v float64) { s.Samples = append(s.Samples, Sample{at, v}) }
+func (s *Series) Add(at int64, v float64) { s.Samples.Append(Sample{at, v}) }
 
 // Values returns just the sample values.
 func (s Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = sm.Value
+	out := make([]float64, s.Samples.Len())
+	for i := range out {
+		out[i] = s.Samples.At(i).Value
 	}
 	return out
 }
@@ -56,7 +57,7 @@ func (s Series) Values() []float64 {
 // at origin, applying agg ("mean", "sum", "count", "last") per bin.
 // Empty bins between the first and last sample yield 0.
 func (s Series) Bin(origin time.Time, width time.Duration, agg string) []Sample {
-	if len(s.Samples) == 0 {
+	if s.Samples.Len() == 0 {
 		return nil
 	}
 	type acc struct {
@@ -67,7 +68,8 @@ func (s Series) Bin(origin time.Time, width time.Duration, agg string) []Sample 
 	bins := map[int64]*acc{}
 	var minIdx, maxIdx int64
 	first := true
-	for _, sm := range s.Samples {
+	for i := range s.Samples.Len() {
+		sm := s.Samples.At(i)
 		// Floor division: samples earlier than origin must land in
 		// negative bins, not get truncated toward zero into bin 0.
 		d := sm.Time().Sub(origin)
@@ -136,7 +138,7 @@ type StreamMetrics struct {
 	// order frames finished. Every per-frame series (FrameRate,
 	// EncoderRate, FrameSize) and the clock-rate sweep's input are views
 	// of it; see Frames.
-	frames []FrameRecord
+	frames statecodec.Log[FrameRecord]
 
 	// JitterMS is the §5.4 frame-level jitter in milliseconds. It is
 	// sampled at a frame's first packet, not at its completion, so it has
@@ -180,7 +182,7 @@ type logLens struct {
 }
 
 func (sm *StreamMetrics) logLens() logLens {
-	n := logLens{frames: len(sm.frames), jitter: len(sm.JitterMS.Samples), media: len(sm.MediaRate.Samples)}
+	n := logLens{frames: sm.frames.Len(), jitter: sm.JitterMS.Samples.Len(), media: sm.MediaRate.Samples.Len()}
 	if sm.Talk != nil {
 		n.talk = len(sm.Talk.segments)
 	}
@@ -375,7 +377,7 @@ func (sm *StreamMetrics) onFrame(st *substreamState, f *Frame, complete bool) {
 	if sm.clockRate > 0 {
 		rec.DeltaTS = st.encoder.delta(f.RTPTimestamp)
 	}
-	sm.frames = append(sm.frames, rec)
+	sm.frames.Append(rec)
 }
 
 func (sm *StreamMetrics) binAdd(at int64, media int) {

@@ -69,11 +69,11 @@ func TestTimestampRingHorizon(t *testing.T) {
 				videoFirstPacket(sm, at, uint16(2*f), tc.base+uint32(f)*3000)
 				at = at.Add(33 * time.Millisecond)
 			}
-			if n := len(sm.JitterMS.Samples); n != 65 {
+			if n := sm.JitterMS.Samples.Len(); n != 65 {
 				t.Fatalf("%d jitter samples after 65 frames, want 65", n)
 			}
 			videoFirstPacket(sm, at, uint16(2*tc.late+1), tc.base+uint32(tc.late)*3000)
-			if got := len(sm.JitterMS.Samples) == 66; got != tc.fresh {
+			if got := sm.JitterMS.Samples.Len() == 66; got != tc.fresh {
 				t.Errorf("late packet of frame %d sampled as a first packet: %v, want %v", tc.late, got, tc.fresh)
 			}
 		})
@@ -153,7 +153,7 @@ func TestNanosSaturates(t *testing.T) {
 	observeAt(sm, time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), 2)
 	observeAt(sm, t0.Add(time.Second), 3)
 	sm.Finish()
-	for _, s := range sm.MediaRate.Samples {
+	for _, s := range all(sm.MediaRate.Samples) {
 		if s.At < Nanos(t0)-int64(time.Second) {
 			t.Errorf("rate sample at %d: the bin clock wrapped", s.At)
 		}

@@ -8,7 +8,7 @@
 // (the pass encodes) or a Reader (the pass decodes): c.U64(&t.total)
 // writes the field in one direction and assigns it in the other, so the
 // two directions cannot drift apart and a new field is one line. The
-// collection helpers (Map, MapVal, Keys, Tombstones, Slice) own
+// collection helpers (Map, MapVal, Keys, Tombstones, Slice, LogTail) own
 // everything that used to be repeated per layer: deterministic key
 // order, the hostile-count guard, chunked slab allocation, and the
 // rejection of duplicate or unsorted keys. Writer and Reader remain for

@@ -13,7 +13,7 @@ var seqKey = statecodec.UintKey[uint32]()
 // restore must still match data sent before the checkpoint), then the
 // last-seen time idle eviction reads.
 func (t *Tracker) Code(c *statecodec.Codec) {
-	statecodec.Slice(c, &t.Samples, 0, func(s *Sample) {
+	statecodec.LogTail(c, &t.Samples, 0, func(s *Sample) {
 		c.Time(&s.Time)
 		c.Duration(&s.RTT)
 		c.Int((*int)(&s.Side))

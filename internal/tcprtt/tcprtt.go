@@ -56,7 +56,7 @@ const maxOutstanding = 4096
 // value is an empty tracker.
 type Tracker struct {
 	// Samples accumulates measurements in arrival order.
-	Samples []Sample
+	Samples statecodec.Log[Sample]
 
 	clientToServer dirState // data sent by client, acked by server
 	serverToClient dirState
@@ -143,7 +143,7 @@ func (t *Tracker) Observe(at time.Time, fromClient bool, tcp *layers.TCP, payloa
 			if !ackDir.retx[tcp.Ack] {
 				rtt := at.Sub(sent)
 				if rtt >= 0 {
-					t.Samples = append(t.Samples, Sample{Time: at, RTT: rtt, Side: side})
+					t.Samples.Append(Sample{Time: at, RTT: rtt, Side: side})
 				}
 			}
 			delete(ackDir.outstanding, tcp.Ack)
@@ -188,7 +188,8 @@ type SplitStats struct {
 func (t *Tracker) Split() SplitStats {
 	var s SplitStats
 	var sumS, sumC time.Duration
-	for _, sm := range t.Samples {
+	for i := range t.Samples.Len() {
+		sm := t.Samples.At(i)
 		if sm.Side == ToServer {
 			s.ToServerSamples++
 			sumS += sm.RTT

@@ -21,10 +21,10 @@ func TestToServerRTT(t *testing.T) {
 	ack := &layers.TCP{Seq: 500, Ack: 1200, Flags: layers.TCPAck}
 	tr.Observe(t0.Add(30*time.Millisecond), false, ack, 0)
 
-	if len(tr.Samples) != 1 {
-		t.Fatalf("samples = %d, want 1", len(tr.Samples))
+	if tr.Samples.Len() != 1 {
+		t.Fatalf("samples = %d, want 1", tr.Samples.Len())
 	}
-	s := tr.Samples[0]
+	s := tr.Samples.At(0)
 	if s.RTT != 30*time.Millisecond {
 		t.Errorf("rtt = %v, want 30ms", s.RTT)
 	}
@@ -40,7 +40,7 @@ func TestToClientRTT(t *testing.T) {
 	tr.Observe(t0, false, data, 50)
 	ack := &layers.TCP{Seq: 100, Ack: 9050, Flags: layers.TCPAck}
 	tr.Observe(t0.Add(8*time.Millisecond), true, ack, 0)
-	if len(tr.Samples) != 1 || tr.Samples[0].Side != ToClient || tr.Samples[0].RTT != 8*time.Millisecond {
+	if tr.Samples.Len() != 1 || tr.Samples.At(0).Side != ToClient || tr.Samples.At(0).RTT != 8*time.Millisecond {
 		t.Fatalf("samples = %+v", tr.Samples)
 	}
 }
@@ -54,7 +54,7 @@ func TestRetransmissionIgnoredKarn(t *testing.T) {
 	// ACK arrives: ambiguous, must not produce a sample.
 	ack := &layers.TCP{Seq: 0, Ack: 1100, Flags: layers.TCPAck}
 	tr.Observe(t0.Add(230*time.Millisecond), false, ack, 0)
-	if len(tr.Samples) != 0 {
+	if tr.Samples.Len() != 0 {
 		t.Fatalf("samples = %+v, want none (Karn)", tr.Samples)
 	}
 	// A later fresh segment samples normally again.
@@ -62,7 +62,7 @@ func TestRetransmissionIgnoredKarn(t *testing.T) {
 	tr.Observe(t0.Add(300*time.Millisecond), true, data2, 100)
 	ack2 := &layers.TCP{Seq: 0, Ack: 1200, Flags: layers.TCPAck}
 	tr.Observe(t0.Add(325*time.Millisecond), false, ack2, 0)
-	if len(tr.Samples) != 1 || tr.Samples[0].RTT != 25*time.Millisecond {
+	if tr.Samples.Len() != 1 || tr.Samples.At(0).RTT != 25*time.Millisecond {
 		t.Fatalf("samples = %+v", tr.Samples)
 	}
 }
@@ -76,16 +76,16 @@ func TestCumulativeAckClearsEarlierSegmentsWithoutSampling(t *testing.T) {
 	// One cumulative ACK for all three segments.
 	ack := &layers.TCP{Ack: 1300, Flags: layers.TCPAck}
 	tr.Observe(t0.Add(40*time.Millisecond), false, ack, 0)
-	if len(tr.Samples) != 1 {
-		t.Fatalf("samples = %d, want 1 (only the exactly-matching segment)", len(tr.Samples))
+	if tr.Samples.Len() != 1 {
+		t.Fatalf("samples = %d, want 1 (only the exactly-matching segment)", tr.Samples.Len())
 	}
 	// The matched segment was sent at t0+2ms.
-	if tr.Samples[0].RTT != 38*time.Millisecond {
-		t.Errorf("rtt = %v", tr.Samples[0].RTT)
+	if tr.Samples.At(0).RTT != 38*time.Millisecond {
+		t.Errorf("rtt = %v", tr.Samples.At(0).RTT)
 	}
 	// Nothing outstanding now: a duplicate ACK produces nothing.
 	tr.Observe(t0.Add(50*time.Millisecond), false, ack, 0)
-	if len(tr.Samples) != 1 {
+	if tr.Samples.Len() != 1 {
 		t.Errorf("duplicate ACK produced a sample")
 	}
 }
@@ -96,7 +96,7 @@ func TestSynCountsAsOneByte(t *testing.T) {
 	tr.Observe(t0, true, syn, 0)
 	synAck := &layers.TCP{Seq: 3000, Ack: 7001, Flags: layers.TCPSyn | layers.TCPAck}
 	tr.Observe(t0.Add(12*time.Millisecond), false, synAck, 0)
-	if len(tr.Samples) != 1 || tr.Samples[0].RTT != 12*time.Millisecond {
+	if tr.Samples.Len() != 1 || tr.Samples.At(0).RTT != 12*time.Millisecond {
 		t.Fatalf("samples = %+v", tr.Samples)
 	}
 }

@@ -299,24 +299,24 @@ func TestHostileClockBeyondNanosecondRange(t *testing.T) {
 		}
 		if got.Packets == want.Packets {
 			// No hostile record reached this stream.
-			if !slices.Equal(got.JitterMS.Samples, want.JitterMS.Samples) || !slices.Equal(got.MediaRate.Samples, want.MediaRate.Samples) ||
-				!slices.Equal(got.FrameSize().Samples, want.FrameSize().Samples) {
+			if !slices.Equal(samplesOf(got.JitterMS), samplesOf(want.JitterMS)) || !slices.Equal(samplesOf(got.MediaRate), samplesOf(want.MediaRate)) ||
+				!slices.Equal(samplesOf(got.FrameSize()), samplesOf(want.FrameSize())) {
 				t.Errorf("stream %v saw no hostile record and its series changed", id)
 			}
 			continue
 		}
 		touched++
 		for name, pair := range map[string][2][]Sample{
-			"jitter":     {before(got.JitterMS.Samples, 0), before(want.JitterMS.Samples, 0)},
-			"frame size": {before(got.FrameSize().Samples, 0), before(want.FrameSize().Samples, 0)},
+			"jitter":     {before(samplesOf(got.JitterMS), 0), before(samplesOf(want.JitterMS), 0)},
+			"frame size": {before(samplesOf(got.FrameSize()), 0), before(samplesOf(want.FrameSize()), 0)},
 			// A rate sample is stamped with the start of its second.
-			"media rate": {before(got.MediaRate.Samples, time.Second), before(want.MediaRate.Samples, time.Second)},
+			"media rate": {before(samplesOf(got.MediaRate), time.Second), before(samplesOf(want.MediaRate), time.Second)},
 		} {
 			if len(pair[1]) == 0 || !slices.Equal(pair[0], pair[1]) {
 				t.Errorf("stream %v: %s samples taken before the hostile record changed (%d vs %d)", id, name, len(pair[0]), len(pair[1]))
 			}
 		}
-		for _, s := range got.MediaRate.Samples {
+		for _, s := range samplesOf(got.MediaRate) {
 			if s.Time().Year() == 2262 {
 				saturated++
 			}
