@@ -239,12 +239,10 @@ examples:
 # a constructor or a Config assignment ever writes. internal/features is
 # left out: its window and its rows' Window/MaxBurstPkts columns are the
 # record's on purpose (they identify the emitted rows). (2) Non-test
-# packages under internal/. (3) Exported top-level identifiers (funcs,
-# methods, types, one-per-line vars and consts) declared in internal/
-# whose name appears nowhere else in non-test code, comments stripped,
-# printed with their names. It is a by-name heuristic: it cannot see a
-# method reached only through an interface (Less, Swap), which
-# exports.allow lists, and a shared name hides a dead one.
+# packages under internal/. (3) Exported funcs, methods, types and
+# package-level vars and consts declared in internal/ that no non-test
+# code reads, printed with their qualified names: the count
+# TestExportsReferenced finds by object, not by name (see exports-check).
 #
 # Then the shape of the per-stream records, so that a field no output
 # reads cannot creep back unseen: the fields of flow.StreamStats and of
@@ -286,8 +284,7 @@ loc:
 	@cat internal/core/delta.go internal/flow/state.go internal/meeting/state.go internal/metrics/state.go | awk '/^func .*[mM]arkCheckpointed\(\)/ {f=1; next} f && /^}/ {f=0} f && /range [A-Za-z.]*\.(flows|streams|StreamMetrics|TCP)([^A-Za-z]|$$)/ {n++} END {print "range loops over record maps in markCheckpointed + the layers\047 MarkCheckpointed (target 0):", n+0}'
 	@cat $$(ls $(CODEC_STACK) internal/core/frontend.go 2>/dev/null | grep -v '^internal/features/') | grep -cE 'c\.[A-Za-z0-9]+\(\(?[*a-z0-9]*\)?\(?&[a-zA-Z.]+\.$(TUNABLE)\)' | xargs echo "tunables serialized by a Code walk:"
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/... | grep -c . | xargs echo "non-test packages under internal/:"
-	@dead=$$($(DEAD_EXPORTS)); echo "exported identifiers in internal/ with no non-test reference:" $$(echo "$$dead" | grep -c .) "("$$dead")"
-	@-$(MAKE) -s exports-check
+	@$(GO) test -count=1 -run '^TestExportsReferenced$$' -v . | grep -o 'exported identifiers in internal/ with no non-test reference: .*'
 	@printf 'flow.StreamStats fields: '; $(call STRUCT_FIELDS,StreamStats,internal/flow/flow.go)
 	@printf 'metrics.StreamMetrics fields: '; $(call STRUCT_FIELDS,StreamMetrics,internal/metrics/stream.go)
 	@printf 'append-only logs per stream (metrics.logLens): '; $(call STRUCT_FIELDS,logLens,internal/metrics/stream.go)
@@ -320,32 +317,15 @@ DIRTY_RECORDS = cat $(INTERNAL_GO) | awk '/^type [A-Za-z]+ struct {/ {ty = $$2; 
 	{while (match($$0, /map\[[^]]*\]\*[A-Za-z.]+/)) {m = substr($$0, RSTART, RLENGTH); sub(/.*\*([A-Za-z]+\.)?/, "", m); held[m] = 1; $$0 = substr($$0, RSTART + RLENGTH)}} \
 	END {for (t in dirty) if (t in held) {printf "%s%s", sep, t; sep = " "; n++} print " (" n + 0 ")"}'
 
-# The unreferenced exports (the heuristic described above loc), one name
-# a line. A declaration is a line that begins one (func, type, var,
-# const) or a name list opening a line of a const ( … ) / var ( … )
-# block. A method's receiver is not a use of its type: a type that only
-# its own methods name is dead. exports-check holds them to
-# exports.allow: every one must be listed there with a reason, and every
-# entry there must still be one — so a new dead export, a stale entry or
-# a blank reason fails make ci.
-DEAD_EXPORTS = d=$$(mktemp) u=$$(mktemp); \
-	{ grep -rhoE '^(func (\([^)]*\) )?|type |var |const )[A-Z][A-Za-z0-9_]*' --include='*.go' --exclude='*_test.go' internal | sed -E 's/.*[ )]//'; \
-	  awk '/^(const|var) \($$/ {b = 1; next} /^\)/ {b = 0} \
-		b && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*/) {n = split(substr($$0, 2, RLENGTH - 1), x, ", "); for (i = 1; i <= n; i++) print x[i]}' $(INTERNAL_GO); \
-	} | sort | uniq -c > $$d; \
-	find internal cmd examples bench -name '*.go' ! -name '*_test.go' | xargs cat $$(ls *.go | grep -v _test.go) | sed -E 's://.*::; s/^func \([^)]*\)/func/' | grep -oE '\b[A-Z][A-Za-z0-9_]*\b' | sort | uniq -c > $$u; \
-	awk 'NR==FNR {d[$$2]=$$1; next} ($$2 in d) && $$1==d[$$2] {print $$2}' $$d $$u; \
-	rm -f $$d $$u
+# The exported identifiers in internal/ that no non-test code reads,
+# found by TestExportsReferenced (exports_test.go): it type-checks this
+# module and bench/ from source and matches each use to its declaration
+# by object, not by name. It holds them to exports.allow: every one must
+# be listed there with a reason, and every entry there must still be
+# one — so a new dead export, a stale entry or a blank reason fails
+# make ci.
 exports-check:
-	@f=$$(mktemp); { $(DEAD_EXPORTS); } > $$f; \
-	awk -v dead=$$f 'FILENAME == dead {isdead[$$1] = 1; next} \
-		/^[[:space:]]*(#|$$)/ {next} \
-		{allowed[$$1] = 1; n++} \
-		NF < 2 {print "exports.allow:" FNR ": " $$1 " has no reason"; bad = 1} \
-		!($$1 in isdead) {print "exports.allow:" FNR ": " $$1 " is referenced or gone: drop the entry"; bad = 1} \
-		END {for (x in isdead) if (!(x in allowed)) {print "unreferenced export " x ": delete it, move it into the test that uses it, unexport it, or list it in exports.allow with a reason"; bad = 1} \
-			if (!bad) print "exports-check: 0 unreferenced exports outside exports.allow;", n + 0, "allowlisted, each with a reason"; \
-			exit bad}' $$f exports.allow; s=$$?; rm -f $$f; exit $$s
+	$(GO) test -count=1 -run '^TestExportsReferenced$$' .
 
 clean:
 	rm -rf bin

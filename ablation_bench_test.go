@@ -77,7 +77,7 @@ func BenchmarkAblationGroupingWithoutDedup(b *testing.B) {
 	serverIs := func(a netip.Addr) bool { return opts.ZoomNet.Contains(a) }
 	clientOf := meeting.ClientOf(serverIs)
 
-	withDedup := len(meeting.Group(d.Records(clientOf)))
+	withDedup := len(meeting.Group(d.RecordsBy(func(ft layers.FiveTuple, _ zoom.StreamKey) netip.AddrPort { return clientOf(ft) })))
 
 	// Ablated: fresh unified ID per (flow, key) — no copy linkage, and
 	// clients keyed only by IP+port.

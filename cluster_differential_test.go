@@ -246,7 +246,7 @@ func checkHeadAccounting(t *testing.T, cfg Config, recs []pcap.Record) {
 			t.Fatal(err)
 		}
 	}
-	if got := (headAccounting{sp.Head(false), sp.FilterStats()}); got != want {
+	if got := (headAccounting{sp.Manifest(false).Head(), sp.FilterStats()}); got != want {
 		t.Errorf("splitter head accounting diverges from sequential:\n got %+v\nwant %+v", got, want)
 	}
 }

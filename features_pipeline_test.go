@@ -58,7 +58,7 @@ func clusterFeatureRows(t *testing.T, cfg Config, recs []pcap.Record, workers in
 			t.Fatal(err)
 		}
 	}
-	head := sp.Head(false)
+	head := sp.Manifest(false).Head()
 
 	workerCfg := cfg
 	workerCfg.PreFiltered = true

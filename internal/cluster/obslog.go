@@ -100,9 +100,6 @@ func (ow *ObsWriter) Flush() error {
 	return ow.err
 }
 
-// Err reports the sticky write error, if any.
-func (ow *ObsWriter) Err() error { return ow.err }
-
 // ObsReader decodes an observation log from memory. Records within one
 // log are ordered by Seq (a worker receives and processes its frames in
 // splitter order; a migrated worker's appended segment continues where

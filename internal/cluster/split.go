@@ -83,9 +83,6 @@ func (s *Splitter) Packet(at time.Time, frame []byte) error {
 	return nil
 }
 
-// Head returns the splitter-side merged-accounting counters.
-func (s *Splitter) Head(truncated bool) core.ClusterHead { return s.router.Head(truncated) }
-
 // FilterStats returns the capture filter's decision counters.
 func (s *Splitter) FilterStats() capture.FilterStats { return s.router.FilterStats() }
 

@@ -61,7 +61,7 @@ const (
 	// stateVersion covers the payload layout of both kinds and every
 	// layer's field list: no layer has a version of its own, so changing
 	// any walk means bumping this.
-	stateVersion = 14
+	stateVersion = 15
 
 	// maxCheckpointWorkers bounds the shard count a hostile checkpoint
 	// can demand (each shard costs a goroutine and its tables).
@@ -310,7 +310,6 @@ func (p *pipeline) Rotate(now time.Time) *Analyzer {
 // trackers' change log (tombstones, then records), and the archive's
 // tail. On a decoding error the shard may be partially mutated.
 func (sh *shard) code(c *statecodec.Codec) {
-	c.U64(&sh.ZoomUDP)
 	c.U64(&sh.TCPPackets)
 	c.U64(&sh.STUNPackets)
 	c.U64(&sh.STUNPortNonSTUN)

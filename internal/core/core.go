@@ -161,7 +161,7 @@ type pipeline struct {
 // Its exported fields are those of its parts: the head counters
 // (ClusterHead: Packets, Bytes, DroppedByFilter, …, counting what the
 // front end saw), the shard's per-flow state and tallies (Flows,
-// StreamMetrics, TCP, Finished, ZoomUDP, UDPKeptPackets, …), and the
+// StreamMetrics, TCP, Finished, ProtoDecoded, UDPKeptPackets, …), and the
 // cross-flow state (Dedup, Copies). Summary adds up the totals that
 // span both halves.
 type Analyzer struct {
@@ -495,7 +495,7 @@ func (a *Analyzer) Counters() Summary {
 		Duration:        a.LastTS.Sub(a.FirstTS),
 		Packets:         a.Packets,
 		Bytes:           a.Bytes,
-		ZoomUDP:         a.ZoomUDP,
+		ZoomUDP:         a.ProtoDecoded[rtcproto.IDZoom],
 		TCPPackets:      a.TCPPackets,
 		STUNPackets:     a.STUNPackets,
 		STUNPortNonSTUN: a.STUNPortNonSTUN,

@@ -386,11 +386,11 @@ func TestDeltaRejectsEditedLogBaseline(t *testing.T) {
 	// A video stream the delta will carry, with history behind each log
 	// that has a tail, so every edited baseline is a real position.
 	listed := make(map[*metrics.StreamMetrics]bool)
-	for _, st := range live.Flows.Streams() {
+	live.Flows.EachStream(func(st *flow.StreamStats) {
 		if own := st.Owner.(*streamOwner); own.epoch == live.ckEpoch {
 			listed[own.sm] = true
 		}
-	}
+	})
 	var streamRec []byte
 	for _, seg := range live.Streams() { // in ID order: the same stream every run
 		if sm := seg.Metrics; sm.MediaType == zoom.TypeVideo && listed[sm] && sm.Frames().Len() > 40 && sm.MediaRate.Samples.Len() > 2 {

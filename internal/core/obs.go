@@ -111,7 +111,7 @@ func (o *coreObs) feedShard(sh *shard) {
 	o.feed(func() uint64 { return sh.ProtoUndecodable }, stageName, stageHelp, obs.L("stage", "undecodable"))
 	o.feed(func() uint64 { return sh.STUNPackets }, stageName, stageHelp, obs.L("stage", "stun"))
 	o.feed(func() uint64 { return sh.TCPPackets }, stageName, stageHelp, obs.L("stage", "tcp"))
-	o.feed(func() uint64 { return sh.ZoomUDP }, stageName, stageHelp, obs.L("stage", "zoom_udp"))
+	o.feed(func() uint64 { return sh.ProtoDecoded[rtcproto.IDZoom] }, stageName, stageHelp, obs.L("stage", "zoom_udp"))
 	o.feed(func() uint64 { return sh.mediaPackets }, stageName, stageHelp, obs.L("stage", "media"))
 	o.feed(func() uint64 { return sh.ProtoUndecodable }, "zoomlens_proto_undecodable_total", "Kept UDP payloads no protocol plugin decoded.")
 	o.feed(func() uint64 { return sh.ShardPanics }, panicName, panicHelp)

@@ -58,8 +58,8 @@ func TestAnalyzerObsCounters(t *testing.T) {
 	stage := func(s string) uint64 {
 		return reg.Counter("zoomlens_decode_stage_packets_total", "", obs.L("stage", s)).Value()
 	}
-	if got := stage("zoom_udp"); got != a.ZoomUDP {
-		t.Errorf("zoom_udp stage = %d, want %d", got, a.ZoomUDP)
+	if got := stage("zoom_udp"); got != a.ProtoDecoded[rtcproto.IDZoom] {
+		t.Errorf("zoom_udp stage = %d, want %d", got, a.ProtoDecoded[rtcproto.IDZoom])
 	}
 	if got := stage("stun"); got != a.STUNPackets {
 		t.Errorf("stun stage = %d, want %d", got, a.STUNPackets)
@@ -123,7 +123,7 @@ func TestParallelObsAggregates(t *testing.T) {
 	stage := func(s string) uint64 {
 		return reg.Counter("zoomlens_decode_stage_packets_total", "", obs.L("stage", s)).Value()
 	}
-	if got, want := stage("zoom_udp"), seq.ZoomUDP; got != want {
+	if got, want := stage("zoom_udp"), seq.ProtoDecoded[rtcproto.IDZoom]; got != want {
 		t.Errorf("zoom_udp stage = %d, want %d", got, want)
 	}
 	if got, want := stage("stun")+stage("tcp"), seq.STUNPackets+seq.TCPPackets; got != want {
@@ -283,7 +283,7 @@ func tallies(windows ...*Analyzer) map[string]uint64 {
 			`zoomlens_decode_stage_packets_total{stage="filtered"}`:    a.DroppedByFilter,
 			`zoomlens_decode_stage_packets_total{stage="stun"}`:        a.STUNPackets,
 			`zoomlens_decode_stage_packets_total{stage="tcp"}`:         a.TCPPackets,
-			`zoomlens_decode_stage_packets_total{stage="zoom_udp"}`:    a.ZoomUDP,
+			`zoomlens_decode_stage_packets_total{stage="zoom_udp"}`:    s.ZoomUDP,
 			`zoomlens_decode_stage_packets_total{stage="media"}`:       a.mediaPackets,
 			`zoomlens_proto_decoded_total{proto="zoom"}`:               a.ProtoDecoded[rtcproto.IDZoom],
 			`zoomlens_proto_decoded_total{proto="webrtc"}`:             a.ProtoDecoded[rtcproto.IDWebRTC],

@@ -109,8 +109,8 @@ func TestWebRTCEndToEnd(t *testing.T) {
 	if a.ProtoDecoded[rtcproto.IDWebRTC] != 80 {
 		t.Errorf("ProtoDecoded[webrtc] = %d, want 80", a.ProtoDecoded[rtcproto.IDWebRTC])
 	}
-	if a.ZoomUDP != 0 {
-		t.Errorf("ZoomUDP = %d, want 0 (nothing here is Zoom)", a.ZoomUDP)
+	if a.ProtoDecoded[rtcproto.IDZoom] != 0 {
+		t.Errorf("ZoomUDP = %d, want 0 (nothing here is Zoom)", a.ProtoDecoded[rtcproto.IDZoom])
 	}
 	ids := streamIDs(a.Result())
 	if len(ids) != 2 {
@@ -149,8 +149,12 @@ func TestProtoPinnedToZoom(t *testing.T) {
 	cfg := Config{
 		ZoomNetworks:   []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
 		CampusNetworks: []netip.Prefix{netip.MustParsePrefix("10.8.0.0/16")},
-		Protos:         []rtcproto.Plugin{rtcproto.Zoom()},
 	}
+	zoomOnly, err := rtcproto.ByName("zoom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Protos = []rtcproto.Plugin{zoomOnly}
 	a := NewAnalyzer(cfg)
 	frames, times := webrtcMediaFrames(t, client, server)
 	for i, f := range frames {
@@ -201,20 +205,21 @@ func TestCheckpointRejected(t *testing.T) {
 		data       []byte
 	}{
 		{"file version", "file version 2 (supported: 1)", patch(len(checkpointMagic), 2)},
-		{"payload version", "state version 15 (supported: 14)", patch(len(checkpointMagic)+2, 15)},
-		{"payload version 1", "state version 1 (supported: 14)", patch(len(checkpointMagic)+2, 1)},
-		{"payload version 2", "state version 2 (supported: 14)", patch(len(checkpointMagic)+2, 2)},
-		{"payload version 3", "state version 3 (supported: 14)", patch(len(checkpointMagic)+2, 3)},
-		{"payload version 4", "state version 4 (supported: 14)", patch(len(checkpointMagic)+2, 4)},
-		{"payload version 5", "state version 5 (supported: 14)", patch(len(checkpointMagic)+2, 5)},
-		{"payload version 6", "state version 6 (supported: 14)", patch(len(checkpointMagic)+2, 6)},
-		{"payload version 7", "state version 7 (supported: 14)", patch(len(checkpointMagic)+2, 7)},
-		{"payload version 8", "state version 8 (supported: 14)", patch(len(checkpointMagic)+2, 8)},
-		{"payload version 9", "state version 9 (supported: 14)", patch(len(checkpointMagic)+2, 9)},
-		{"payload version 10", "state version 10 (supported: 14)", patch(len(checkpointMagic)+2, 10)},
-		{"payload version 11", "state version 11 (supported: 14)", patch(len(checkpointMagic)+2, 11)},
-		{"payload version 12", "state version 12 (supported: 14)", patch(len(checkpointMagic)+2, 12)},
-		{"payload version 13", "state version 13 (supported: 14)", patch(len(checkpointMagic)+2, 13)},
+		{"payload version", "state version 16 (supported: 15)", patch(len(checkpointMagic)+2, 16)},
+		{"payload version 1", "state version 1 (supported: 15)", patch(len(checkpointMagic)+2, 1)},
+		{"payload version 2", "state version 2 (supported: 15)", patch(len(checkpointMagic)+2, 2)},
+		{"payload version 3", "state version 3 (supported: 15)", patch(len(checkpointMagic)+2, 3)},
+		{"payload version 4", "state version 4 (supported: 15)", patch(len(checkpointMagic)+2, 4)},
+		{"payload version 5", "state version 5 (supported: 15)", patch(len(checkpointMagic)+2, 5)},
+		{"payload version 6", "state version 6 (supported: 15)", patch(len(checkpointMagic)+2, 6)},
+		{"payload version 7", "state version 7 (supported: 15)", patch(len(checkpointMagic)+2, 7)},
+		{"payload version 8", "state version 8 (supported: 15)", patch(len(checkpointMagic)+2, 8)},
+		{"payload version 9", "state version 9 (supported: 15)", patch(len(checkpointMagic)+2, 9)},
+		{"payload version 10", "state version 10 (supported: 15)", patch(len(checkpointMagic)+2, 10)},
+		{"payload version 11", "state version 11 (supported: 15)", patch(len(checkpointMagic)+2, 11)},
+		{"payload version 12", "state version 12 (supported: 15)", patch(len(checkpointMagic)+2, 12)},
+		{"payload version 13", "state version 13 (supported: 15)", patch(len(checkpointMagic)+2, 13)},
+		{"payload version 14", "state version 14 (supported: 15)", patch(len(checkpointMagic)+2, 14)},
 		{"trailerless", "CRC mismatch", full.Bytes()[:full.Len()-4]},
 		{"delta kind", "delta record cannot bootstrap", delta.Bytes()},
 	} {

@@ -87,7 +87,6 @@ type shard struct {
 // UDPKeptPackets (decoded or not: the Table 2/3 denominators) and
 // transportless (AccountingGap).
 type shardCounters struct {
-	ZoomUDP     uint64
 	TCPPackets  uint64
 	STUNPackets uint64
 	// STUNPortNonSTUN counts packets on the STUN port whose payload lacks
@@ -115,7 +114,6 @@ type shardCounters struct {
 }
 
 func (c *shardCounters) add(o *shardCounters) {
-	c.ZoomUDP += o.ZoomUDP
 	c.TCPPackets += o.TCPPackets
 	c.STUNPackets += o.STUNPackets
 	c.STUNPortNonSTUN += o.STUNPortNonSTUN
@@ -287,9 +285,6 @@ func (sh *shard) observeUDP(seq uint64, at time.Time, pkt *layers.Packet, wireLe
 	}
 	proto := owner.ID()
 	sh.ProtoDecoded[proto]++
-	if proto == rtcproto.IDZoom {
-		sh.ZoomUDP++
-	}
 	ft, ok := pkt.FiveTuple()
 	if !ok {
 		return

@@ -42,7 +42,6 @@ func reportBytes(t *testing.T, a *Analyzer) []byte {
 		must(sm.LossStats())
 		must(all(sm.FrameRate().Samples))
 		must(all(sm.MediaRate.Samples))
-		must(sm.Stalls())
 		must(all(sm.JitterMS.Samples))
 		must(all(sm.FrameSize().Samples))
 		must(all(*sm.Frames()))

@@ -121,9 +121,6 @@ func NewWindower(window time.Duration) *Windower {
 	}
 }
 
-// Window returns the configured window duration.
-func (w *Windower) Window() time.Duration { return w.window }
-
 // Observe feeds one media observation. Observations must arrive in
 // global capture order (the order the analyzer's reconciliation path
 // produces). One stamped outside the grid's span, the int64 Unix

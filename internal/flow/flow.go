@@ -432,24 +432,6 @@ func (t *Table) Flows() []*FlowStats {
 	return out
 }
 
-// Streams returns all stream records, ordered by first-seen time, ties
-// broken by SSRC and then by the flow's string.
-func (t *Table) Streams() []*StreamStats {
-	out := make([]*StreamStats, 0, t.streams)
-	t.EachStream(func(s *StreamStats) { out = append(out, s) })
-	names := layers.TupleNames{}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
-			return out[i].FirstSeen.Before(out[j].FirstSeen)
-		}
-		if out[i].ID.Key.SSRC != out[j].ID.Key.SSRC {
-			return out[i].ID.Key.SSRC < out[j].ID.Key.SSRC
-		}
-		return names.Of(out[i].ID.Flow) < names.Of(out[j].ID.Flow)
-	})
-	return out
-}
-
 // Absorb merges src's flows, streams, and totals into t. A flow only src
 // holds is adopted with its streams, record and index, Owner included, so
 // src is not to be fed afterwards; a stream both tables hold takes src's

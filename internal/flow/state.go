@@ -19,15 +19,6 @@ func (t *Table) MarkCheckpointed() {
 	t.streamLog.MarkCheckpointed()
 }
 
-// Backlog reports what the next delta carries: the flows and streams
-// listed since the last checkpoint, and the tombstones of that
-// checkpoint's flows and streams evicted since.
-func (t *Table) Backlog() (changed, dead int) {
-	fc, fd := t.flowLog.Backlog()
-	sc, sd := t.streamLog.Backlog()
-	return fc + sc, fd + sd
-}
-
 // CompareStreamID orders stream identifiers by (flow, key); checkpoint
 // writers use it to serialize stream maps deterministically.
 func CompareStreamID(a, b MediaStreamID) int {

@@ -2,8 +2,10 @@ package flow
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"slices"
 	"strings"
 	"testing"
@@ -35,6 +37,78 @@ func apply(t coder, rec []byte) error {
 	}
 	t.MarkCheckpointed()
 	return r.Err()
+}
+
+// Streams returns all stream records, ordered by first-seen time, ties
+// broken by SSRC and then by the flow's string.
+func (t *Table) Streams() []*StreamStats {
+	out := make([]*StreamStats, 0, t.streams)
+	t.EachStream(func(s *StreamStats) { out = append(out, s) })
+	names := layers.TupleNames{}
+	slices.SortFunc(out, func(a, b *StreamStats) int {
+		if c := a.FirstSeen.Compare(b.FirstSeen); c != 0 {
+			return c
+		}
+		if a.ID.Key.SSRC != b.ID.Key.SSRC {
+			return cmp.Compare(a.ID.Key.SSRC, b.ID.Key.SSRC)
+		}
+		return strings.Compare(names.Of(a.ID.Flow), names.Of(b.ID.Flow))
+	})
+	return out
+}
+
+// TestDeltaBacklogBoundedByTable churns the table's flows and streams
+// through six generations between two checkpoints: each round brings a
+// generation in and evicts the one before, so the table holds one
+// generation while five times that many records pass through it. After
+// every round the change logs may list no more than the live records and
+// hold no more tombstones than the base's, and at the end the tombstones
+// are exactly the base's records: the ones born and evicted in between
+// leave none. The full record from the first checkpoint plus the delta
+// from the second, applied to a replica, must re-encode to the live
+// table's own full record.
+func TestDeltaBacklogBoundedByTable(t *testing.T) {
+	const n, rounds = 64, 5
+	tbl := NewTable()
+	round := func(r int) {
+		at := t0.Add(time.Duration(r) * 10 * time.Second)
+		for i := range n {
+			ft := ftA
+			ft.Src = netip.AddrFrom4([4]byte{10, 8, 0, byte(i)})
+			ft.SrcPort = uint16(10000 + r)
+			tbl.Observe(mediaRecord(ft, at, zoom.TypeVideo, zoom.PTVideoMain, uint32(i), uint16(r), 1, 4))
+		}
+		tbl.EvictIdle(at.Add(-time.Second))
+	}
+	live := func() int { tot := tbl.Totals(); return tot.Flows + tot.Streams }
+	backlog := func() (changed, dead int) {
+		fc, fd := tbl.flowLog.Backlog()
+		sc, sd := tbl.streamLog.Backlog()
+		return fc + sc, fd + sd
+	}
+	round(0)
+	base := live()
+	full := record(tbl, true)
+	for r := 1; r <= rounds; r++ {
+		round(r)
+		if changed, dead := backlog(); changed > live() || dead > base {
+			t.Fatalf("round %d: %d listed of %d live records, %d tombstones of %d base records", r, changed, live(), dead, base)
+		}
+	}
+	if _, dead := backlog(); dead != base {
+		t.Errorf("%d tombstones after the base's %d records were all evicted: want exactly those", dead, base)
+	}
+	delta := record(tbl, false)
+	replica := NewTable()
+	if err := apply(replica, full); err != nil {
+		t.Fatalf("full record onto a fresh table: %v", err)
+	}
+	if err := apply(replica, delta); err != nil {
+		t.Fatalf("delta onto its base: %v", err)
+	}
+	if got, want := record(replica, true), record(tbl, true); !bytes.Equal(got, want) {
+		t.Errorf("full + delta onto a replica re-encodes to %d bytes, the live table's full record is %d", len(got), len(want))
+	}
 }
 
 // TestEvictIdleKeepsFlowOfLiveStream pins the eviction rule under a
@@ -319,6 +393,7 @@ func TestTableCodeRejectsCorrupt(t *testing.T) {
 	rec := func(flows []layers.FiveTuple, encap []zoom.MediaType, streams []stream) []byte {
 		var w statecodec.Writer
 		c := statecodec.NewEncoder(&w, true)
+		at := t0
 		for range 7 { // totals and eviction counters
 			w.U64(0)
 		}
@@ -327,8 +402,8 @@ func TestTableCodeRejectsCorrupt(t *testing.T) {
 		w.Int(len(flows))
 		for _, ft := range flows {
 			ft.Code(c)
-			w.Time(t0)
-			w.Time(t0)
+			c.Time(&at)
+			c.Time(&at)
 			for range 4 {
 				w.U64(1)
 			}
@@ -342,8 +417,8 @@ func TestTableCodeRejectsCorrupt(t *testing.T) {
 		for _, s := range streams {
 			id := MediaStreamID{Flow: s.ft, Key: zoom.StreamKey{SSRC: 7, Type: zoom.TypeVideo}}
 			id.Code(c)
-			w.Time(t0)
-			w.Time(t0)
+			c.Time(&at)
+			c.Time(&at)
 			for range 2 { // packets and wire bytes
 				w.U64(1)
 			}

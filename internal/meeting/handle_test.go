@@ -61,8 +61,7 @@ func TestDedupHandleMatchesKeyed(t *testing.T) {
 				}
 			}
 		}
-		clientOf := ClientOf(serverIs)
-		if a, b := keyed.Records(clientOf), byHandle.Records(clientOf); !reflect.DeepEqual(a, b) {
+		if a, b := zoomRecords(keyed), zoomRecords(byHandle); !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: Records differ", seed)
 		}
 		if a, b := dedupRecord(keyed, true), dedupRecord(byHandle, true); !bytes.Equal(a, b) {

@@ -257,18 +257,11 @@ func linkOrder(a, b *streamState) int {
 // observability occupancy gauges).
 func (d *Dedup) Len() int { return len(d.streams) }
 
-// Records returns one StreamRecord per observed (flow, SSRC, type)
+// RecordsBy returns one StreamRecord per observed (flow, SSRC, type)
 // stream, ordered by start time, deriving the client endpoint with
-// clientOf.
-func (d *Dedup) Records(clientOf func(layers.FiveTuple) netip.AddrPort) []StreamRecord {
-	return d.RecordsBy(func(ft layers.FiveTuple, _ zoom.StreamKey) netip.AddrPort {
-		return clientOf(ft)
-	})
-}
-
-// RecordsBy is Records with a key-aware client derivation: clientOf also
-// receives the stream's key, so multi-protocol pipelines can apply
-// per-protocol endpoint conventions (see ClientOfProto).
+// clientOf, which also receives the stream's key, so multi-protocol
+// pipelines can apply per-protocol endpoint conventions (see
+// ClientOfProto).
 func (d *Dedup) RecordsBy(clientOf func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort) []StreamRecord {
 	out := make([]StreamRecord, 0, len(d.streams))
 	for _, s := range d.streams {

@@ -29,6 +29,13 @@ var (
 	serverIs = func(a netip.Addr) bool { return a == netip.MustParseAddr(sfu) }
 )
 
+// zoomRecords is d's stream records with the Zoom client derivation,
+// ClientOf(serverIs), whatever the stream's key.
+func zoomRecords(d *Dedup) []StreamRecord {
+	clientOf := ClientOf(serverIs)
+	return d.RecordsBy(func(ft layers.FiveTuple, _ zoom.StreamKey) netip.AddrPort { return clientOf(ft) })
+}
+
 func feed(d *Dedup, flow layers.FiveTuple, key zoom.StreamKey, start time.Time, startSeq uint16, startTS uint32, n int) UnifiedID {
 	var last UnifiedID
 	for i := 0; i < n; i++ {
@@ -128,7 +135,7 @@ func TestGroupTwoPartyMeeting(t *testing.T) {
 	feed(d, up2, aKey2, t0.Add(time.Second), 0, 9000, 50)           // S2: C2 → SFU
 	feed(d, down1, aKey2, t0.Add(time.Second+45*time.Millisecond), 0, 9000, 50)
 
-	meetings := Group(d.Records(ClientOf(serverIs)))
+	meetings := Group(zoomRecords(d))
 	if len(meetings) != 1 {
 		t.Fatalf("meetings = %d, want 1", len(meetings))
 	}
@@ -145,7 +152,7 @@ func TestGroupSeparateMeetingsStaySeparate(t *testing.T) {
 	d := NewDedup()
 	feed(d, ft(c1, 52000, sfu, 8801), zoom.StreamKey{SSRC: 300, Type: zoom.TypeVideo}, t0, 0, 1000, 20)
 	feed(d, ft(c2, 61000, sfu, 8801), zoom.StreamKey{SSRC: 301, Type: zoom.TypeVideo}, t0.Add(time.Minute), 0, 900000, 20)
-	meetings := Group(d.Records(ClientOf(serverIs)))
+	meetings := Group(zoomRecords(d))
 	if len(meetings) != 2 {
 		t.Fatalf("meetings = %d, want 2", len(meetings))
 	}
@@ -157,7 +164,7 @@ func TestGroupMergesViaSharedClient(t *testing.T) {
 	d := NewDedup()
 	feed(d, ft(c1, 52000, sfu, 8801), zoom.StreamKey{SSRC: 400, Type: zoom.TypeVideo}, t0, 0, 1000, 20)
 	feed(d, ft(c1, 52000, sfu, 8801), zoom.StreamKey{SSRC: 401, Type: zoom.TypeScreenShare}, t0.Add(30*time.Second), 0, 500000, 20)
-	meetings := Group(d.Records(ClientOf(serverIs)))
+	meetings := Group(zoomRecords(d))
 	if len(meetings) != 1 {
 		t.Fatalf("meetings = %d, want 1", len(meetings))
 	}

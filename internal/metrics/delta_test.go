@@ -150,6 +150,52 @@ func TestCopyMatcherDeltaCarriesGCEvictions(t *testing.T) {
 	}
 }
 
+// TestDeltaBacklogBoundedByTable churns the matcher's streams through six
+// generations between two checkpoints: each round brings a generation of
+// 64 streams in, 64 observations each, and the ageing sweep that runs at
+// the round's last observation drops the generation before, idle 10 s.
+// After every round the change log may list no more than the live
+// streams and hold no more tombstones than the base's, and at the end the
+// tombstones are exactly the base's streams: the ones born and dropped in
+// between leave none. The full record from the first checkpoint plus the
+// delta from the second, applied to a replica, must re-encode to the live
+// matcher's own full record.
+func TestDeltaBacklogBoundedByTable(t *testing.T) {
+	const n, rounds = 64, 5
+	live := NewCopyMatcher()
+	round := func(r int) {
+		at := t0.Add(time.Duration(r) * 10 * time.Second)
+		for seq := range n {
+			for i := range n {
+				live.Observe(meeting.UnifiedID(1+r*n+i), copyFlow(byte(i), 52000), 98, uint16(seq), uint32(seq), at)
+			}
+		}
+	}
+	round(0)
+	full := bytes.Clone(matcherRecord(live, true))
+	live.MarkCheckpointed()
+	for r := 1; r <= rounds; r++ {
+		round(r)
+		if changed, dead := live.log.Backlog(); changed > len(live.streams) || dead > n {
+			t.Fatalf("round %d: %d listed of %d live streams, %d tombstones of %d base streams", r, changed, len(live.streams), dead, n)
+		}
+	}
+	if _, dead := live.log.Backlog(); dead != n {
+		t.Errorf("%d tombstones after the base's %d streams were all dropped: want exactly those", dead, n)
+	}
+	replica := NewCopyMatcher()
+	if err := applyMatcher(replica, full); err != nil {
+		t.Fatalf("full record onto a fresh matcher: %v", err)
+	}
+	replica.MarkCheckpointed()
+	if err := applyMatcher(replica, matcherRecord(live, false)); err != nil {
+		t.Fatalf("delta onto its base: %v", err)
+	}
+	if got, want := matcherState(t, replica), matcherState(t, live); !bytes.Equal(got, want) {
+		t.Errorf("full + delta onto a replica re-encodes to %d bytes, the live matcher's full record is %d", len(got), len(want))
+	}
+}
+
 func TestCopyMatcherDeltaBaseMismatch(t *testing.T) {
 	live := NewCopyMatcher()
 	up := copyFlow(2, 52000)

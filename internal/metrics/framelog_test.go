@@ -26,6 +26,11 @@ func frameDelay(sm *StreamMetrics) Series {
 	})
 }
 
+// packetization is FR⁻¹, the media time one frame spans.
+func packetization(delta uint32, clockRate float64) time.Duration {
+	return time.Duration(float64(delta) / clockRate * float64(time.Second))
+}
+
 func packetizationMS(sm *StreamMetrics) Series {
 	return sm.frameSeries(func(f *FrameRecord) (float64, bool) {
 		if f.DeltaTS == 0 {
@@ -38,8 +43,8 @@ func packetizationMS(sm *StreamMetrics) Series {
 // seriesOracle is the per-frame bookkeeping the frame log replaced, kept
 // as the reference: every finished frame is appended to five stored
 // series and the clock sweep's observation list, with its own window and
-// encoder estimator per substream, and fed to a live stall model. It
-// shares only the FrameAssembler with StreamMetrics.
+// encoder estimator per substream. It shares only the FrameAssembler with
+// StreamMetrics.
 type seriesOracle struct {
 	mt        zoom.MediaType
 	clockRate float64
@@ -48,7 +53,6 @@ type seriesOracle struct {
 	FrameRate, EncoderRate, FrameSize, FrameDelay, Packetization Series
 	frameObs                                                     []FrameObservation
 	FramesTotal, FramesIncomplete                                uint64
-	Stall                                                        *StallDetector // video only
 }
 
 type oracleSub struct {
@@ -77,7 +81,6 @@ func newSeriesOracle(mt zoom.MediaType) *seriesOracle {
 	o := &seriesOracle{mt: mt, subs: make(map[uint8]*oracleSub)}
 	if mt == zoom.TypeVideo {
 		o.clockRate = zoom.VideoClockRate
-		o.Stall = new(StallDetector)
 	}
 	return o
 }
@@ -108,16 +111,11 @@ func (o *seriesOracle) onFrame(st *oracleSub, f Frame, complete bool) {
 		if fps, pt, ok := st.encoder.Observe(f.RTPTimestamp); ok {
 			o.EncoderRate.Add(f.Completed, fps)
 			o.Packetization.Add(f.Completed, float64(pt)/float64(time.Millisecond))
-			if o.Stall != nil {
-				o.Stall.ObserveFrame(time.Unix(0, f.Completed).UTC(), f.Delay(), pt)
-			}
 		}
 	}
 }
 
-// Finish flushes the substreams in payload-type order. It leaves the
-// stall model open: a Finish that more packets follow is no stall
-// boundary (see stalls).
+// Finish flushes the substreams in payload-type order.
 func (o *seriesOracle) Finish() {
 	pts := make([]uint8, 0, len(o.subs))
 	for pt := range o.subs {
@@ -127,20 +125,6 @@ func (o *seriesOracle) Finish() {
 	for _, pt := range pts {
 		o.subs[pt].assembler.Flush()
 	}
-}
-
-// stalls is what the live stall model has predicted so far, with a stall
-// still open closed at end if the stream is finished there.
-func (o *seriesOracle) stalls(finished bool, end time.Time) []StallEvent {
-	if o.Stall == nil {
-		return nil
-	}
-	d := *o.Stall
-	d.Events = slices.Clone(d.Events)
-	if finished {
-		d.Finish(end)
-	}
-	return d.Events
 }
 
 // estimateRetransmissions is EstimateRetransmissions as it read the
@@ -216,9 +200,6 @@ func against(t *testing.T, mt zoom.MediaType, packets []logPacket, finishAt ...i
 		wantClock, wantOK := InferClockRate(o.frameObs)
 		if gotClock != wantClock || gotOK != wantOK {
 			t.Fatalf("%s: clock sweep %+v %v, the oracle %+v %v", when, gotClock, gotOK, wantClock, wantOK)
-		}
-		if got, want := sm.Stalls(), o.stalls(sm.finished, time.Unix(0, sm.binStart).UTC()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: stalls %+v, the oracle %+v", when, got, want)
 		}
 	}
 	finish := func(when string) {
@@ -362,9 +343,9 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 
 				packets := generateStream(mt, seed, 400, true)
 				sm := against(t, mt, packets, len(packets)/3)
-				if mt == zoom.TypeVideo && (incomplete(sm) == 0 || sm.EncoderRate().Samples.Len() == 0 || len(sm.Stalls()) == 0) {
-					t.Errorf("the impaired stream has %d incomplete frames, %d encoder-rate samples, %d stalls: want some of each",
-						incomplete(sm), sm.EncoderRate().Samples.Len(), len(sm.Stalls()))
+				if mt == zoom.TypeVideo && (incomplete(sm) == 0 || sm.EncoderRate().Samples.Len() == 0) {
+					t.Errorf("the impaired stream has %d incomplete frames, %d encoder-rate samples: want some of each",
+						incomplete(sm), sm.EncoderRate().Samples.Len())
 				}
 
 				full := streamRecord(sm)
@@ -372,8 +353,8 @@ func TestFrameLogAgainstSeries(t *testing.T) {
 				if err := applyStream(restored, full); err != nil {
 					t.Fatalf("full record onto a fresh stream: %v", err)
 				}
-				if !slices.Equal(all(*restored.Frames()), all(*sm.Frames())) || !reflect.DeepEqual(restored.Stalls(), sm.Stalls()) {
-					t.Error("restored frame log or stalls differ")
+				if !slices.Equal(all(*restored.Frames()), all(*sm.Frames())) {
+					t.Error("restored frame log differs")
 				}
 				if again := streamRecord(restored); !bytes.Equal(again, full) {
 					t.Errorf("full → fresh → full differs (%d vs %d bytes)", len(again), len(full))

@@ -2,7 +2,7 @@
 // from parsed Zoom packet streams: overall and per-media bit rates
 // (§5.1), frame rate by both methods and frame size (§5.2), latency from
 // RTP stream copies (§5.3), frame-level jitter (§5.4), and loss,
-// retransmission, frame delay, and packetization time (§5.5).
+// retransmission and frame delay (§5.5).
 package metrics
 
 import (
@@ -283,9 +283,7 @@ func (w *FrameRateWindow) Rate(now int64) int {
 }
 
 // EncoderFrameRate implements §5.2 method 2: the encoder's intended frame
-// rate FR = clockRate / ΔRTP between consecutive frames. The ΔRTP it
-// answers also gives the packetization time FR⁻¹ the stall analysis of
-// §5.5 uses.
+// rate FR = clockRate / ΔRTP between consecutive frames.
 type EncoderFrameRate struct {
 	clockRate float64
 	lastTS    uint32
@@ -305,8 +303,7 @@ func (e *EncoderFrameRate) delta(ts uint32) uint32 {
 	if d <= 0 {
 		// Reordered or duplicated frame timestamp: keep the baseline.
 		// Advancing lastTS here would regress it, inflating the next
-		// in-order frame's ΔRTP and skewing both the method-2 frame rate
-		// and the packetization time fed to stall analysis.
+		// in-order frame's ΔRTP and skewing the method-2 frame rate.
 		return 0
 	}
 	e.lastTS = ts
@@ -315,8 +312,3 @@ func (e *EncoderFrameRate) delta(ts uint32) uint32 {
 
 // encoderRate is FR = clockRate / ΔRTP, in frames per second.
 func encoderRate(delta uint32, clockRate float64) float64 { return clockRate / float64(delta) }
-
-// packetization is FR⁻¹, the media time one frame spans.
-func packetization(delta uint32, clockRate float64) time.Duration {
-	return time.Duration(float64(delta) / clockRate * float64(time.Second))
-}

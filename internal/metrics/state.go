@@ -239,11 +239,6 @@ func (cm *CopyMatcher) MarkCheckpointed() {
 	cm.dirtyBit = slotDirty
 }
 
-// Backlog reports what the next delta carries: the streams listed since
-// the last checkpoint, and the tombstones of that checkpoint's streams
-// dropped since.
-func (cm *CopyMatcher) Backlog() (changed, dead int) { return cm.log.Backlog() }
-
 var unifiedKey = &statecodec.Key[meeting.UnifiedID]{Min: 1, Compare: cmp.Compare[meeting.UnifiedID],
 	// The sign bit flipped: the id's order, exact, as an unsigned word.
 	Prefix: func(id meeting.UnifiedID) uint64 { return uint64(id) ^ 1<<63 },

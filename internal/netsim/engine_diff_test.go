@@ -59,6 +59,9 @@ func (e *refEngine) Run(until time.Time) {
 	}
 }
 
+// Pending reports the number of queued events.
+func (e *Engine) Pending() int { return len(e.queue) }
+
 // scheduler is what the differential drives: Engine and refEngine.
 type scheduler interface {
 	Schedule(at time.Time, f func())

@@ -61,9 +61,6 @@ func (e *Engine) Run(until time.Time) {
 	}
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 type event struct {
 	at  int64 // nanoseconds since the engine's start
 	seq uint64

@@ -76,7 +76,7 @@ func readBatches(t *testing.T, r io.Reader) batchRead {
 	}
 }
 
-// readNexts is the reference: every record as Next copies it.
+// readNexts is the reference: every record as NextInto reads it, copied.
 func readNexts(t *testing.T, r io.Reader) (recs []Record, err error) {
 	t.Helper()
 	s, err := OpenStream(r)
@@ -84,10 +84,11 @@ func readNexts(t *testing.T, r io.Reader) (recs []Record, err error) {
 		t.Fatalf("OpenStream: %v", err)
 	}
 	for {
-		rec, err := s.Next()
-		if err != nil {
+		var rec Record
+		if err := s.NextInto(&rec); err != nil {
 			return recs, err
 		}
+		rec.Data = bytes.Clone(rec.Data)
 		recs = append(recs, rec)
 	}
 }

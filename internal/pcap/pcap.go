@@ -234,19 +234,6 @@ func (r *Reader) fill(rec *Record, sec, sub, origLen uint32, data []byte) {
 	rec.HasPacketID = false
 }
 
-// nextBatch is Stream.NextBatch for classic pcap: the first record as
-// NextInto reads it, then every record the window already holds whole.
-func (r *Reader) nextBatch(recs []Record) (int, error) {
-	if err := r.NextInto(&recs[0]); err != nil {
-		return 0, err
-	}
-	n := 1
-	for n < len(recs) && r.held(&recs[n]) {
-		n++
-	}
-	return n, nil
-}
-
 // held reads the next record into rec if the window holds it whole and
 // it passes NextInto's checks. Otherwise it consumes nothing and reports
 // false, for NextInto's refill path to read the record or report what is

@@ -174,7 +174,7 @@ func pow10(n uint8) uint64 {
 // NextInto reads the next packet record into rec, skipping non-packet
 // blocks, without allocating: rec.Data is a slice of the stream's read
 // window (of the oversize buffer, for a block larger than the window)
-// and is valid only until the next NextInto or Next call.
+// and is valid only until the next NextInto call.
 // io.EOF marks a clean end of stream; a cut mid-block yields io.EOF
 // with Truncated() set.
 func (ng *NGReader) NextInto(rec *Record) error {
@@ -211,20 +211,6 @@ func (ng *NGReader) block(btype uint32, body []byte, rec *Record) (packet bool, 
 		return true, ng.parseSPB(body, rec)
 	}
 	return false, nil
-}
-
-// nextBatch is Stream.NextBatch for pcapng: the first packet record as
-// NextInto reads it, then every one the window already holds whole,
-// with the blocks between them.
-func (ng *NGReader) nextBatch(recs []Record) (int, error) {
-	if err := ng.NextInto(&recs[0]); err != nil {
-		return 0, err
-	}
-	n := 1
-	for n < len(recs) && ng.held(&recs[n]) {
-		n++
-	}
-	return n, nil
 }
 
 // held reads the next packet record into rec, with the non-packet blocks
@@ -275,20 +261,6 @@ func shbOrder(blk []byte) order {
 		return bigEndian
 	}
 	return noOrder
-}
-
-// Next returns the next packet record, skipping non-packet blocks. The
-// returned Data slice is a fresh copy owned by the caller; hot loops
-// should prefer NextInto. io.EOF marks a clean end of stream.
-func (ng *NGReader) Next() (Record, error) {
-	var rec Record
-	if err := ng.NextInto(&rec); err != nil {
-		return Record{}, err
-	}
-	data := make([]byte, len(rec.Data))
-	copy(data, rec.Data)
-	rec.Data = data
-	return rec, nil
 }
 
 func (ng *NGReader) parseEPB(body []byte, rec *Record) error {
@@ -357,22 +329,24 @@ func (ng *NGReader) parseSPB(body []byte, rec *Record) error {
 // or pcapng, carrying the reader-level truncation state alongside the
 // records.
 type Stream struct {
-	next      func() (Record, error)
-	nextInto  func(*Record) error
-	nextBatch func([]Record) (int, error)
-	truncated func() bool
-	nano      bool
+	r    recordReader
+	nano bool
 }
 
-// Next returns the next record, or io.EOF at end of stream (clean or
-// cut — consult Truncated to distinguish). The returned Data is a fresh
-// copy owned by the caller; hot loops should prefer NextInto.
-func (s *Stream) Next() (Record, error) { return s.next() }
+// recordReader is what a Stream reads through: a Reader or an NGReader.
+// held reads the next record into rec if the read window holds it whole
+// and it parses; otherwise it consumes nothing and reports false.
+type recordReader interface {
+	NextInto(rec *Record) error
+	held(rec *Record) bool
+	Truncated() bool
+}
 
 // NextInto reads the next record into rec without allocating: rec.Data
 // borrows the underlying reader's buffer and is valid only until the
-// next NextInto or Next call.
-func (s *Stream) NextInto(rec *Record) error { return s.nextInto(rec) }
+// next NextInto or NextBatch call. io.EOF marks the end of stream, clean
+// or cut — consult Truncated to distinguish.
+func (s *Stream) NextInto(rec *Record) error { return s.r.NextInto(rec) }
 
 // BatchLen is the length of the record array NextBatch callers read
 // runs into. A constant, not a knob: a run costs its reader one call and
@@ -386,15 +360,24 @@ const BatchLen = 256
 // follow it whole in the read window, so one call makes at most one
 // refill of the window, and a live source's record is returned as soon
 // as it has arrived. Every rec.Data borrows the reader's buffer and is
-// valid until the next NextBatch, NextInto or Next call. A record the
-// window holds only in part, or that is malformed, ends the run: it is
-// read, or its error reported, by the next call. So n > 0 comes with a
-// nil error, and io.EOF (clean end or cut — see Truncated) with n = 0.
-// recs must not be empty.
-func (s *Stream) NextBatch(recs []Record) (int, error) { return s.nextBatch(recs) }
+// valid until the next NextBatch or NextInto call. A record the window
+// holds only in part, or that is malformed, ends the run: it is read, or
+// its error reported, by the next call. So n > 0 comes with a nil error,
+// and io.EOF (clean end or cut — see Truncated) with n = 0. recs must not
+// be empty.
+func (s *Stream) NextBatch(recs []Record) (int, error) {
+	if err := s.r.NextInto(&recs[0]); err != nil {
+		return 0, err
+	}
+	n := 1
+	for n < len(recs) && s.r.held(&recs[n]) {
+		n++
+	}
+	return n, nil
+}
 
 // Truncated reports whether the underlying stream was cut mid-record.
-func (s *Stream) Truncated() bool { return s.truncated() }
+func (s *Stream) Truncated() bool { return s.r.Truncated() }
 
 // Nanosecond reports whether record timestamps carry full nanosecond
 // resolution: the global-header flag for classic pcap, always true for
@@ -416,13 +399,13 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Stream{next: ng.Next, nextInto: ng.NextInto, nextBatch: ng.nextBatch, truncated: ng.Truncated, nano: true}, nil
+		return &Stream{r: ng, nano: true}, nil
 	}
 	pr, err := newReader(w)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{next: pr.Next, nextInto: pr.NextInto, nextBatch: pr.nextBatch, truncated: pr.Truncated, nano: pr.Header().Nanosecond}, nil
+	return &Stream{r: pr, nano: pr.Header().Nanosecond}, nil
 }
 
 // NGWriter writes pcapng streams (one section, one Ethernet interface,

@@ -8,6 +8,17 @@ import (
 	"time"
 )
 
+// Next returns the next packet record as NextInto reads it, its Data
+// copied: the reference NextInto is held to.
+func (ng *NGReader) Next() (Record, error) {
+	var rec Record
+	if err := ng.NextInto(&rec); err != nil {
+		return Record{}, err
+	}
+	rec.Data = bytes.Clone(rec.Data)
+	return rec, nil
+}
+
 // ngWriter builds pcapng streams for tests.
 type ngWriter struct {
 	buf   bytes.Buffer
@@ -190,8 +201,8 @@ func TestOpenStreamDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStream(classic): %v", err)
 	}
-	rec, err := cs.Next()
-	if err != nil || len(rec.Data) != 2 {
+	var rec Record
+	if err := cs.NextInto(&rec); err != nil || len(rec.Data) != 2 {
 		t.Errorf("classic rec = %v err=%v", rec, err)
 	}
 
@@ -204,9 +215,8 @@ func TestOpenStreamDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStream(ng): %v", err)
 	}
-	rec2, err := ns.Next()
-	if err != nil || len(rec2.Data) != 3 {
-		t.Errorf("ng rec = %v err=%v", rec2, err)
+	if err := ns.NextInto(&rec); err != nil || len(rec.Data) != 3 {
+		t.Errorf("ng rec = %v err=%v", rec, err)
 	}
 
 	// Garbage.
@@ -258,8 +268,8 @@ func TestNGWriterOpenStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := s.Next()
-	if err != nil || len(rec.Data) != 2 {
+	var rec Record
+	if err := s.NextInto(&rec); err != nil || len(rec.Data) != 2 {
 		t.Fatalf("rec=%v err=%v", rec, err)
 	}
 }

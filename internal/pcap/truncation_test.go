@@ -121,8 +121,9 @@ func TestOpenStreamTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := 0
+			var rec Record
 			for {
-				_, err := s.Next()
+				err := s.NextInto(&rec)
 				if err == io.EOF {
 					break
 				}

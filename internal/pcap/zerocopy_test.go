@@ -55,12 +55,11 @@ func zcNG(t *testing.T) []byte {
 
 // TestNextIntoBorrowsBuffer pins the lifetime contract: the Data slice
 // filled by NextInto is a slice of the stream's read window and is
-// invalidated by the next read, while Next returns stable caller-owned
-// copies. The stream is fed a byte at a time so that every record
-// refills the window — the moment a borrowed slice goes stale; with
-// larger reads the same happens whenever a record straddles the end of
-// what the window holds (TestWindowLendsInPlace has the other half: no
-// copy between refills).
+// invalidated by the next read. The stream is fed a byte at a time so
+// that every record refills the window — the moment a borrowed slice
+// goes stale; with larger reads the same happens whenever a record
+// straddles the end of what the window holds (TestWindowLendsInPlace has
+// the other half: no copy between refills).
 func TestNextIntoBorrowsBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -91,23 +90,19 @@ func TestNextIntoBorrowsBuffer(t *testing.T) {
 				t.Error("previous Data survived the next read; the window is not reused (copy crept back in)")
 			}
 
-			owned, err := s.Next()
-			if err != nil {
-				t.Fatal(err)
+			if err := s.NextInto(&rec); err != nil || !bytes.Equal(rec.Data, zcPayloads[2]) {
+				t.Fatalf("record 2 = %x, %v", rec.Data, err)
 			}
-			keep := owned.Data
-			if _, err := s.Next(); err != io.EOF {
+			if err := s.NextInto(&rec); err != io.EOF {
 				t.Fatalf("want EOF, got %v", err)
-			}
-			if !bytes.Equal(keep, zcPayloads[2]) {
-				t.Error("Next's Data changed after subsequent reads; it must be caller-owned")
 			}
 		})
 	}
 }
 
-// TestNextMatchesNextInto replays the same capture through both APIs
-// and demands identical records.
+// TestNextMatchesNextInto replays the same capture through a Stream's
+// NextInto and through its format reader's copying Next, and demands
+// identical records.
 func TestNextMatchesNextInto(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -125,10 +120,11 @@ func TestNextMatchesNextInto(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			next := b.r.(interface{ Next() (Record, error) }).Next
 			var rec Record
 			for {
 				errA := a.NextInto(&rec)
-				got, errB := b.Next()
+				got, errB := next()
 				if (errA == io.EOF) != (errB == io.EOF) {
 					t.Fatalf("EOF disagreement: NextInto=%v Next=%v", errA, errB)
 				}

@@ -176,12 +176,6 @@ func DefaultSet() []Plugin {
 	return out
 }
 
-// Zoom returns the Zoom plugin alone (pre-refactor behavior).
-func Zoom() Plugin { return zoomPlugin{} }
-
-// WebRTC returns the standards RTP/SRTP plugin.
-func WebRTC() Plugin { return webrtcPlugin{} }
-
 // ByName resolves a plugin by its flag-level name.
 func ByName(name string) (Plugin, error) {
 	for _, p := range canonical {

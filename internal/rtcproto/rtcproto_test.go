@@ -98,13 +98,13 @@ func TestNameOf(t *testing.T) {
 }
 
 func TestHasNonZoom(t *testing.T) {
-	if HasNonZoom([]Plugin{Zoom()}) {
+	if HasNonZoom([]Plugin{zoomPlugin{}}) {
 		t.Error("HasNonZoom(zoom only) = true")
 	}
 	if !HasNonZoom(DefaultSet()) {
 		t.Error("HasNonZoom(default set) = false")
 	}
-	if !HasNonZoom([]Plugin{WebRTC()}) {
+	if !HasNonZoom([]Plugin{webrtcPlugin{}}) {
 		t.Error("HasNonZoom(webrtc only) = false")
 	}
 }
@@ -118,8 +118,8 @@ func TestProbeDisjoint(t *testing.T) {
 	payload := make([]byte, 64)
 	for b := 0; b < 256; b++ {
 		payload[0] = byte(b)
-		z := Zoom().Probe(payload)
-		w := WebRTC().Probe(payload)
+		z := (zoomPlugin{}).Probe(payload)
+		w := (webrtcPlugin{}).Probe(payload)
 		if z && w {
 			t.Fatalf("first byte %#02x claimed by both plugins", b)
 		}
@@ -140,13 +140,13 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 		PT:  111, // conventional Opus: audio
 		Seq: 4242, TS: 96000, SSRC: 0xdecafbad, Marker: true}
 	raw := write(h, 80)
-	if !WebRTC().Probe(raw) {
+	if !(webrtcPlugin{}).Probe(raw) {
 		t.Fatal("webrtc probe rejected a written RTP packet")
 	}
-	if Zoom().Probe(raw) {
+	if (zoomPlugin{}).Probe(raw) {
 		t.Fatal("zoom probe claimed a standards RTP packet")
 	}
-	mo, err := WebRTC().Decode(raw)
+	mo, err := (webrtcPlugin{}).Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 
 	// Video payload type.
 	h.PT = 96
-	mo, err = WebRTC().Decode(write(h, 1100))
+	mo, err = (webrtcPlugin{}).Decode(write(h, 1100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 		if withSDES {
 			sr.Kind = sim.KindSRSDES
 		}
-		mo, err := WebRTC().Decode(write(sr, 0))
+		mo, err := (webrtcPlugin{}).Decode(write(sr, 0))
 		if err != nil {
 			t.Fatalf("decode SR (sdes=%t): %v", withSDES, err)
 		}
@@ -205,13 +205,13 @@ func TestWebRTCDecodeNormalization(t *testing.T) {
 func TestZoomPluginDecode(t *testing.T) {
 	raw := write(sim.Header{Layout: sim.LayoutP2P, Kind: sim.KindAudio, MediaSeq: 9, MediaTS: 48000,
 		PT: sim.PTAudioSpeak, Seq: 9, TS: 48000, SSRC: 5}, 60)
-	if !Zoom().Probe(raw) {
+	if !(zoomPlugin{}).Probe(raw) {
 		t.Fatal("zoom probe rejected a written Zoom packet")
 	}
-	if WebRTC().Probe(raw) {
+	if (webrtcPlugin{}).Probe(raw) {
 		t.Fatal("webrtc probe claimed a Zoom packet")
 	}
-	mo, err := Zoom().Decode(raw)
+	mo, err := (zoomPlugin{}).Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		plugin   Plugin
 		fixtures [][]byte
 	}{
-		{Zoom(), [][]byte{
+		{zoomPlugin{}, [][]byte{
 			busyZoom,
 			zoomMedia(sim.KindAudio, sim.LayoutP2P, sim.PTAudioSpeak, 5),
 			zoomMedia(sim.KindScreen, sim.LayoutServer, sim.PTScreenShare, 6),
@@ -255,7 +255,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			busyZoom[:zoom.SFUEncapLen+30], // claimed by the probe, refused by the decode
 			{byte(zoom.TypeVideo)},
 		}},
-		{WebRTC(), [][]byte{
+		{webrtcPlugin{}, [][]byte{
 			busyRTP,
 			write(sim.Header{Layout: sim.LayoutBare, Kind: sim.KindAudio, PT: 111, SSRC: 3}, 80),
 			sr(sim.LayoutBare, sim.KindSR),

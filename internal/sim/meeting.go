@@ -73,13 +73,6 @@ func (m *Meeting) nextTransactionID() stun.TransactionID {
 	return id
 }
 
-// ID returns the meeting's simulator-internal identifier (not present in
-// any packet, per §4.3).
-func (m *Meeting) ID() int { return m.id }
-
-// App returns the application this meeting models.
-func (m *Meeting) App() App { return m.app }
-
 // serverAddr is the address of the application's server side: the Zoom
 // multimedia router or the standards-RTC media server.
 func (m *Meeting) serverAddr() netip.Addr {
@@ -165,9 +158,6 @@ func (m *Meeting) Leave(c *Client) {
 	}
 	m.updateThumbnails()
 }
-
-// Participants returns the current participant count.
-func (m *Meeting) Participants() int { return len(m.participants) }
 
 // updateThumbnails applies the §5.1 user-interface effect: while someone
 // shares a screen, other participants' video is displayed as thumbnails

@@ -407,8 +407,8 @@ func TestLeaveStopsStreams(t *testing.T) {
 	afterLeave := w.MonitorPackets - countAt
 	// Only b's uplink remains (no downlinks since a left).
 	w.Run(opts.Start.Add(20 * time.Second))
-	if m.Participants() != 1 {
-		t.Errorf("participants = %d", m.Participants())
+	if len(m.participants) != 1 {
+		t.Errorf("participants = %d", len(m.participants))
 	}
 	if afterLeave == 0 {
 		t.Error("remaining participant stopped sending")

@@ -176,21 +176,6 @@ func (w *Writer) F64(v float64) {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
-// Duration appends a time.Duration.
-func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
-
-// Time appends a wall-clock instant (see Codec.Time).
-func (w *Writer) Time(t time.Time) {
-	c := Codec{w: w}
-	c.Time(&t)
-}
-
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Int(len(s))
-	w.buf = append(w.buf, s...)
-}
-
 // Addr appends a netip.Addr (length byte + raw bytes; 0 for the invalid
 // address).
 func (w *Writer) Addr(a netip.Addr) {
@@ -449,17 +434,6 @@ func (c *Codec) count(minElemBytes int) int {
 	}
 	c.off += w
 	return int(n)
-}
-
-// String walks a length-prefixed string.
-func (c *Codec) String(v *string) {
-	if c.w != nil {
-		c.w.String(*v)
-		return
-	}
-	n := c.count(1)
-	*v = string(c.b[c.off : c.off+n])
-	c.off += n
 }
 
 // Addr walks a netip.Addr.

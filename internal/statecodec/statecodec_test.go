@@ -18,10 +18,11 @@ func TestRoundTrip(t *testing.T) {
 	w.I64(-42)
 	w.Int(-7)
 	w.F64(3.14159)
-	w.Duration(5 * time.Second)
-	w.Time(time.Unix(1700000000, 123456789))
-	w.Time(time.Time{})
-	w.String("hello")
+	e := NewEncoder(&w, true)
+	d, at, zero := 5*time.Second, time.Unix(1700000000, 123456789), time.Time{}
+	e.Duration(&d)
+	e.Time(&at)
+	e.Time(&zero)
 	w.Addr(netip.MustParseAddr("10.1.2.3"))
 	w.Addr(netip.MustParseAddr("fd00::1"))
 	w.Addr(netip.Addr{})
@@ -74,10 +75,6 @@ func TestRoundTrip(t *testing.T) {
 	if c.Time(&got); !got.IsZero() {
 		t.Fatalf("zero time = %v", got)
 	}
-	var str string
-	if c.String(&str); str != "hello" {
-		t.Fatalf("string = %q", str)
-	}
 	var addr netip.Addr
 	if c.Addr(&addr); addr != netip.MustParseAddr("10.1.2.3") {
 		t.Fatalf("addr4 = %v", addr)
@@ -105,8 +102,8 @@ func TestRoundTrip(t *testing.T) {
 func TestTruncation(t *testing.T) {
 	var w Writer
 	w.U8(1)
-	w.Time(time.Unix(100, 5))
-	w.String("abcdef")
+	at := time.Unix(100, 5)
+	NewEncoder(&w, true).Time(&at)
 	w.F64(2.5)
 	w.AddrPort(netip.MustParseAddrPort("10.0.0.1:443"))
 	full := w.Bytes()
@@ -115,13 +112,11 @@ func TestTruncation(t *testing.T) {
 		c := NewDecoder(r)
 		var (
 			at  time.Time
-			str string
 			f64 float64
 			ap  netip.AddrPort
 		)
 		r.U8()
 		c.Time(&at)
-		c.String(&str)
 		c.F64(&f64)
 		c.AddrPort(&ap)
 		if r.Err() == nil {
@@ -139,10 +134,6 @@ func TestHostileCounts(t *testing.T) {
 	if n := NewDecoder(r).count(1); n != 0 || r.Err() == nil {
 		t.Fatalf("hostile count accepted: n=%d err=%v", n, r.Err())
 	}
-	var str string
-	if NewDecoder(NewReader(w.Bytes())).String(&str); str != "" {
-		t.Fatalf("hostile string length allocated %d bytes", len(str))
-	}
 	var list []uint64
 	r = NewReader(w.Bytes())
 	c := NewDecoder(r)
@@ -155,7 +146,8 @@ func TestHostileCounts(t *testing.T) {
 func TestDeterministicEncoding(t *testing.T) {
 	enc := func() []byte {
 		var w Writer
-		w.Time(time.Unix(42, 7))
+		at := time.Unix(42, 7)
+		NewEncoder(&w, true).Time(&at)
 		w.F64(1.25)
 		w.U64(99)
 		return append([]byte(nil), w.Bytes()...)

@@ -121,9 +121,6 @@ func (g *StreamGen) newStream() soakStream {
 	return s
 }
 
-// Now returns the current trace-clock time.
-func (g *StreamGen) Now() time.Time { return g.now }
-
 // Next fills rec with the next synthetic record. rec.Data borrows the
 // generator's buffer and is valid until the following call. Returns
 // io.EOF once the packet budget is spent.

@@ -25,6 +25,7 @@ import (
 	"zoomlens/internal/rtcproto"
 	"zoomlens/internal/sim"
 	"zoomlens/internal/trace"
+	"zoomlens/internal/zoom"
 )
 
 // mixedCampus is a fast mixed-app campus workload: roughly half the
@@ -244,13 +245,13 @@ func lateCopyTrace() (recs []pcap.Record, cfg Config) {
 // sums only.
 func checkShortTTLDedup(t *testing.T) {
 	recs, cfg := lateCopyTrace()
-	noClient := func(layers.FiveTuple) netip.AddrPort { return netip.AddrPort{} }
+	noClient := func(layers.FiveTuple, zoom.StreamKey) netip.AddrPort { return netip.AddrPort{} }
 	view := func(a *Analyzer) string {
 		packets := map[string]uint64{} // fmt prints a map in key order
 		for _, seg := range a.Streams() {
 			packets[fmt.Sprint(seg.ID)] += seg.Metrics.Packets
 		}
-		return fmt.Sprintf("meetings %+v\nrecords %+v\npackets %v", a.Meetings(), a.Dedup.Records(noClient), packets)
+		return fmt.Sprintf("meetings %+v\nrecords %+v\npackets %v", a.Meetings(), a.Dedup.RecordsBy(noClient), packets)
 	}
 	segments := func(a *Analyzer) string {
 		var b strings.Builder
@@ -310,7 +311,11 @@ func TestProtoZoomOnlyUnchanged(t *testing.T) {
 			def.ProtoDecoded[rtcproto.IDWebRTC])
 	}
 	pinned := cfg
-	pinned.Protos = []rtcproto.Plugin{rtcproto.Zoom()}
+	zoomOnly, err := rtcproto.ByName("zoom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned.Protos = []rtcproto.Plugin{zoomOnly}
 	if got, _ := replayProto(t, raw, pinned, 1); got != want {
 		t.Errorf("-proto zoom diverges from the default set on a zoom-only trace (lens %d vs %d)\nfirst diff: %s",
 			len(got), len(want), firstDiffLine(want, got))

@@ -77,7 +77,7 @@ func TestAnalyzerSurvivesBitFlippedZoomTraffic(t *testing.T) {
 		t.Fatal("nothing analyzed")
 	}
 	// Some packets survive corruption (case 3 untouched), some don't.
-	if a.ZoomUDP == 0 {
+	if a.Summary().ZoomUDP == 0 {
 		t.Error("no packets decoded at all")
 	}
 	if a.Summary().Undecodable == 0 {

@@ -69,6 +69,11 @@ type soakRun struct {
 	wall      time.Duration
 	peakRSSKB int64 // highest resident set sampled during the run
 	retained  int64 // live heap after the run minus before it, bytes
+	// midHeap is the live heap halfway through the packet budget, after
+	// a forced collection, minus the live heap before the run: the
+	// state the run holds, whatever the collector's timing. The
+	// collection's time is left out of wall.
+	midHeap int64
 }
 
 // soak streams packets of a churning workload holding streams concurrent
@@ -109,10 +114,17 @@ func soak(tb testing.TB, streams, packets int) soakRun {
 	// the loop, so this is the only hook that sees the run mid-flight.
 	peakRSS := readRSSKB()
 	sampled := 0
+	var midHeap int64
+	var midGC time.Duration
 	next := func(rec *pcap.Record) error {
 		sampled++
 		if sampled%50_000 == 0 {
 			peakRSS = max(peakRSS, readRSSKB())
+		}
+		if sampled == packets/2 {
+			t := time.Now()
+			midHeap = int64(heapInUse()) - int64(heapBefore)
+			midGC = time.Since(t)
 		}
 		return gen.Next(rec)
 	}
@@ -122,7 +134,7 @@ func soak(tb testing.TB, streams, packets int) soakRun {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wall := time.Since(start)
+	wall := time.Since(start) - midGC
 	run.Close()
 	peakRSS = max(peakRSS, readRSSKB())
 
@@ -142,9 +154,9 @@ func soak(tb testing.TB, streams, packets int) soakRun {
 	if summary.EvictedFlows+summary.EvictedStreams == 0 {
 		tb.Error("churned soak evicted nothing: idle eviction inactive")
 	}
-	tb.Logf("soak: %d streams, %d packets in %.1fs; %d fulls + %d deltas, %d rotations, %d evictions",
+	tb.Logf("soak: %d streams, %d packets in %.1fs; %d fulls + %d deltas, %d rotations, %d evictions; live heap at packet %d: %.1f MB, %d B per live stream",
 		streams, packets, wall.Seconds(), run.Checkpointer.Fulls, run.Checkpointer.Deltas, run.Rotations,
-		summary.EvictedFlows+summary.EvictedStreams)
+		summary.EvictedFlows+summary.EvictedStreams, packets/2, float64(midHeap)/(1<<20), midHeap/int64(streams))
 
 	// Leak gates. Goroutines must return to the pre-run baseline, and
 	// live heap must return near it once the run's result is released —
@@ -165,7 +177,7 @@ func soak(tb testing.TB, streams, packets int) soakRun {
 	if retained > 256<<20 {
 		tb.Errorf("live heap grew %d MB across the soak (ceiling 256 MB): retained state leaked", retained>>20)
 	}
-	return soakRun{wall: wall, peakRSSKB: peakRSS, retained: retained}
+	return soakRun{wall: wall, peakRSSKB: peakRSS, retained: retained, midHeap: midHeap}
 }
 
 // TestSoak is the laptop shape of the soak: every structural gate, plus
@@ -239,9 +251,11 @@ const (
 
 // BenchmarkSoak is the full shape: 100k concurrent streams with churn,
 // 1.5M packets. Beyond the structural gates it reports throughput, the
-// resident-set peak, the heap retained after the run and the cost of a
-// full and of a 1%-touched delta checkpoint at that stream count, and
-// fails over the peak and delta budgets.
+// resident-set peak, the live heap halfway through (in total and per
+// live stream: the generator holds streams live at every instant), the
+// heap retained after the run and the cost of a full and of a 1%-touched
+// delta checkpoint at that stream count, and fails over the peak and
+// delta budgets.
 func BenchmarkSoak(b *testing.B) {
 	const streams, packets = 100_000, 1_500_000
 	for i := 0; i < b.N; i++ {
@@ -253,6 +267,8 @@ func BenchmarkSoak(b *testing.B) {
 
 		b.ReportMetric(float64(packets)/res.wall.Seconds(), "pkts/s")
 		b.ReportMetric(float64(res.peakRSSKB)/1024, "rss-peak-MB")
+		b.ReportMetric(float64(res.midHeap)/(1<<20), "live-heap-MB")
+		b.ReportMetric(float64(res.midHeap)/streams, "live-heap-B/stream")
 		b.ReportMetric(float64(res.retained)/(1<<20), "retained-heap-MB")
 		b.ReportMetric(fullMS, "full-ms")
 		b.ReportMetric(deltaMS, "delta-ms")
